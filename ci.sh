@@ -5,11 +5,12 @@
 #   ./ci.sh quick    # style + lints only (skip the release build & tests)
 #
 # Lints run on the crates this repo actively grows (tinyml, rcompss, hpo,
-# hpo-bench, rnet, runmetrics, paratrace, cluster) plus the workspace root,
-# and rustdoc must build warning-free across the workspace
+# hpo-bench, rnet, runmetrics, paratrace, cluster, ckpt) plus the workspace
+# root package, and rustdoc must build warning-free across the workspace
 # (RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace);
-# tier-1 is the ROADMAP.md contract:
-# `cargo build --release && cargo test -q`.
+# tier-1 is the ROADMAP.md contract, `cargo build --release && cargo test
+# -q`, widened to `--workspace` so every crate's unit, property and
+# integration suites gate too.
 # The overhead bench runs in smoke mode as a regression guard on the
 # metrics disabled hot path (must stay ~one relaxed atomic load), and the
 # runtime-throughput bench runs in smoke + net_throughput modes as
@@ -47,7 +48,7 @@ echo "==> cargo fmt --check"
 cargo fmt --all --check
 
 echo "==> cargo clippy (-D warnings)"
-cargo clippy -p tinyml -p rcompss -p hpo -p hpo-bench -p rnet -p runmetrics -p paratrace -p cluster -p ckpt --all-targets -- -D warnings
+cargo clippy -p pycompss-hpo-repro -p tinyml -p rcompss -p hpo -p hpo-bench -p rnet -p runmetrics -p paratrace -p cluster -p ckpt --all-targets -- -D warnings
 
 echo "==> cargo doc (-D warnings): rustdoc must build clean"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
@@ -60,8 +61,8 @@ fi
 echo "==> tier-1: cargo build --release"
 cargo build --release
 
-echo "==> tier-1: cargo test -q"
-cargo test -q
+echo "==> tier-1: cargo test --workspace -q"
+cargo test --workspace -q
 
 echo "==> overhead bench (smoke): disabled-path regression guard"
 cargo run --release -p hpo-bench --bin overhead_tracing -- smoke

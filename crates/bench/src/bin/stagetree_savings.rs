@@ -46,7 +46,7 @@ fn paper_bracket() -> Bracket {
 /// Epochs a staged successive-halving run trains: rung 0 planned as a
 /// prefix tree under the rung budget, later rungs as per-survivor
 /// continuations of the budget delta — the same arithmetic
-/// `HpoRunner::run_successive_halving_staged` executes.
+/// `HpoRunner::execute` does for a `BracketSource` under `Evaluator::Stages`.
 fn staged_bracket_epochs(space: &SearchSpace, bracket: &Bracket, seed: u64) -> u64 {
     let candidates = materialize(&mut RandomSearch::new(space, bracket.rungs[0].n_configs, seed));
     let rung0 = StagePlan::build(&candidates, Some(bracket.rungs[0].budget));
@@ -144,21 +144,28 @@ fn measured() {
         .with("batch_size", ParamDomain::choice_ints(&[16, 32]));
     let bracket = Bracket::new(6, 2, 8, 2);
     let t2 = Instant::now();
+    let objective = tinyml_objective(Arc::clone(&data), vec![16]);
     let naive_sh = runner
-        .run_successive_halving(
+        .execute(
             &rt,
-            &sh_space,
-            tinyml_objective(Arc::clone(&data), vec![16]),
-            &bracket,
-            7,
+            &mut BracketSource::new(&sh_space, &bracket, 7),
+            SweepPlan::new(Evaluator::Trials(objective)),
+            |_| {},
         )
-        .expect("naive bracket");
+        .expect("naive bracket")
+        .report;
     let sh_naive_wall = t2.elapsed().as_secs_f64();
     let sh_naive_ep: u64 = naive_sh.trials.iter().map(|t| u64::from(t.outcome.epochs_run)).sum();
     let t3 = Instant::now();
-    let (_, sh_stats) = runner
-        .run_successive_halving_staged(&rt, &sh_space, &stage, &bracket, 7)
-        .expect("staged bracket");
+    let sh_stats = runner
+        .execute(
+            &rt,
+            &mut BracketSource::new(&sh_space, &bracket, 7),
+            SweepPlan::new(Evaluator::Stages(&stage)),
+            |_| {},
+        )
+        .expect("staged bracket")
+        .stages;
     let sh_staged_wall = t3.elapsed().as_secs_f64();
     assert_eq!(sh_stats.naive_epochs, sh_naive_ep);
     println!(

@@ -91,8 +91,8 @@ use paratrace::merge::TaskBounds;
 use paratrace::{ClockSync, CoreId, EventKind, Record, TaskRef, TraceCollector, WorkerTrace};
 use parking_lot::{Condvar, Mutex};
 use rnet::{
-    read_frame, Blob, Fill, Frame, FrameReader, FrameRef, Interest, Poller, RecvBuf, SendBuf,
-    Waker, WireArg, WireArgRef,
+    read_frame, Blob, Fill, Frame, FrameRef, Interest, Poller, RecvBuf, SendBuf, Waker, WireArg,
+    WireArgRef,
 };
 
 use crate::blocks::{BlockCache, EncodedBlock, DEFAULT_INLINE_THRESHOLD};
@@ -365,8 +365,7 @@ pub fn connect_workers(addrs: &[String], timeout: Duration) -> io::Result<Vec<Wo
 /// driver ever does — the socket goes non-blocking right after).
 fn hello_handshake(mut stream: TcpStream, addr: String) -> io::Result<WorkerBootstrap> {
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    let mut reader = FrameReader::new();
-    let frame = read_frame(&mut stream, &mut reader)?;
+    let frame = read_frame(&mut stream, &mut RecvBuf::new())?;
     stream.set_read_timeout(None)?;
     match frame {
         Some(Frame::Hello { name, cores, gpus, mem_gib }) => {

@@ -6,9 +6,9 @@
 //! budget by `eta`, repeat. Hyperband runs several such brackets with
 //! different aggressiveness to hedge against slow starters.
 //!
-//! The scheduling logic here is pure (no runtime dependency); the
-//! [`crate::runner::HpoRunner::run_successive_halving`] method executes it
-//! on rcompss.
+//! The scheduling logic here is pure (no runtime dependency);
+//! [`crate::runner::BracketSource`] feeds a bracket to
+//! [`crate::runner::HpoRunner::execute`], which runs it on rcompss.
 
 /// One rung of a bracket: evaluate `n_configs` at `budget` epochs each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,8 +67,8 @@ impl Bracket {
     /// Epochs rung `i` trains per config when promotion **resumes** the
     /// promoted trial from its previous-rung snapshot instead of
     /// retraining: the budget delta over the rung below (the full budget
-    /// at rung 0). This is the ASHA-style execution mode of
-    /// [`crate::runner::HpoRunner::run_successive_halving_staged`].
+    /// at rung 0). This is how [`crate::runner::Evaluator::Stages`]
+    /// evaluates a bracket (ASHA-style).
     pub fn resume_epochs(&self, rung: usize) -> u32 {
         let b = self.rungs[rung].budget;
         match rung {

@@ -181,16 +181,6 @@ impl SweepState {
         }
         Ok(state)
     }
-
-    /// Journaled outcome for `config`, if it already finished.
-    pub fn finished(&self, config: &Config) -> Option<&(TrialOutcome, u64)> {
-        self.complete.get(&trial_key(config))
-    }
-
-    /// Whether `config` was in flight when the journal stopped.
-    pub fn was_in_flight(&self, config: &Config) -> bool {
-        self.in_flight.contains(&trial_key(config))
-    }
 }
 
 /// Where and how often a sweep checkpoints. One directory holds both the
@@ -385,36 +375,23 @@ mod tests {
     }
 
     #[test]
-    fn state_lookups_by_config() {
-        let a = cfg("Adam", 3);
-        let b = cfg("SGD", 3);
-        let mut state = SweepState::default();
-        state.complete.insert(trial_key(&a), (TrialOutcome::with_accuracy(0.7), 9));
-        state.in_flight.push(trial_key(&b));
-        assert_eq!(state.finished(&a).unwrap().0.accuracy, 0.7);
-        assert!(state.finished(&b).is_none());
-        assert!(state.was_in_flight(&b));
-        assert!(!state.was_in_flight(&a));
-    }
-
-    #[test]
     fn resume_stats_banner_gate() {
         assert!(!ResumeStats::default().resumed_any());
         assert!(ResumeStats { skipped_complete: 1, reenqueued: 0 }.resumed_any());
         assert!(ResumeStats { skipped_complete: 0, reenqueued: 2 }.resumed_any());
     }
 
-    /// `trial_key` identity IS label identity — `SweepState::finished`
-    /// resolves a config to `complete.get(&trial_key(config))` and nothing
-    /// else. Two sides of that coin:
+    /// `trial_key` identity IS label identity — the runner resolves a
+    /// config to `complete.get(&trial_key(config))` and nothing else. Two
+    /// sides of that coin:
     ///
     /// * configs with the *same* label always share a key (`Config` keeps
     ///   its values in a `BTreeMap`, so insertion order is irrelevant) —
     ///   that is the designed collision the resume path depends on;
     /// * a 63-bit FNV collision between two *different* labels would
-    ///   alias the trials: the journal cannot tell them apart, so
-    ///   `finished` would hand the second trial the first one's outcome
-    ///   and `--resume` would silently skip retraining it. The proptest
+    ///   alias the trials: the journal cannot tell them apart, so the
+    ///   second trial would be handed the first one's outcome and
+    ///   `--resume` would silently skip retraining it. The proptest
     ///   below pins that this does not happen on realistic grids.
     #[test]
     fn key_collision_would_alias_trials() {
@@ -428,14 +405,14 @@ mod tests {
             .with("num_epochs", ConfigValue::Int(3))
             .with("optimizer", ConfigValue::Str("Adam".into()));
         assert_eq!(trial_key(&a), trial_key(&a2));
-        assert_eq!(state.finished(&a2).unwrap().0.accuracy, 0.9);
+        assert_eq!(state.complete[&trial_key(&a2)].0.accuracy, 0.9);
 
         // A forged cross-label collision (what an FNV collision would do):
         // journal b's outcome under c's key and c looks finished despite
         // never having run. The journal has no second discriminator.
         let c = cfg("SGD", 99);
         state.complete.insert(trial_key(&c), (TrialOutcome::with_accuracy(0.1), 1));
-        assert_eq!(state.finished(&c).unwrap().0.accuracy, 0.1);
+        assert_eq!(state.complete[&trial_key(&c)].0.accuracy, 0.1);
     }
 
     proptest! {

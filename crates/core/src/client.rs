@@ -10,7 +10,7 @@ use std::io;
 use std::net::TcpStream;
 use std::time::Duration;
 
-use rnet::{read_frame, write_frame, Frame, FrameReader, LeaderRow};
+use rnet::{read_frame, write_frame, Frame, LeaderRow, RecvBuf};
 
 /// A sweep request, mirroring [`Frame::SubmitSweep`].
 #[derive(Debug, Clone)]
@@ -83,7 +83,7 @@ impl std::fmt::Display for Reject {
 #[derive(Debug)]
 pub struct SweepClient {
     stream: TcpStream,
-    reader: FrameReader,
+    recv: RecvBuf,
 }
 
 impl SweepClient {
@@ -91,7 +91,7 @@ impl SweepClient {
     pub fn connect(addr: &str, tenant: &str) -> io::Result<SweepClient> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        let mut client = SweepClient { stream, reader: FrameReader::new() };
+        let mut client = SweepClient { stream, recv: RecvBuf::new() };
         client.send(&Frame::ClientHello {
             tenant: tenant.to_string(),
             proto: rnet::VERSION as u32,
@@ -112,7 +112,7 @@ impl SweepClient {
     /// Read the next frame, blocking. EOF or garbage is an error — the
     /// server never half-closes a healthy conversation.
     pub fn next_frame(&mut self) -> io::Result<Frame> {
-        match read_frame(&mut self.stream, &mut self.reader)? {
+        match read_frame(&mut self.stream, &mut self.recv)? {
             Some(frame) => Ok(frame),
             None => {
                 Err(io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection"))

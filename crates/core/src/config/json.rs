@@ -1,7 +1,7 @@
-//! A minimal JSON parser, sufficient for the paper's config files.
+//! The paper's JSON config format, read with the workspace's one JSON
+//! parser ([`runmetrics::json`]).
 //!
-//! The approved dependency set has no `serde_json`, and the paper's config
-//! format (Listing 1) is a flat object of arrays of scalars:
+//! The paper's format (Listing 1) is a flat object of arrays of scalars:
 //!
 //! ```json
 //! {
@@ -11,282 +11,85 @@
 //! }
 //! ```
 //!
-//! The parser nevertheless implements the full JSON grammar (nested
-//! objects/arrays, escapes, exponents, `true`/`false`/`null`) so richer
-//! space descriptions — e.g. `{"lr": {"log_uniform": [1e-5, 1e-1]}}` — work
-//! too.
+//! Richer space descriptions — e.g. `{"lr": {"log_uniform": [1e-5, 1e-1]}}`
+//! — use a domain object in place of the array.
 
-use std::collections::BTreeMap;
 use std::fmt;
+
+use runmetrics::json::JsonValue;
 
 use crate::space::{ConfigValue, ParamDomain, SearchSpace};
 
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any number (kept as f64, like JavaScript).
-    Number(f64),
-    /// String.
-    String(String),
-    /// Array.
-    Array(Vec<Json>),
-    /// Object (order-insensitive).
-    Object(BTreeMap<String, Json>),
-}
-
-/// Parse error with byte offset.
+/// Why a config file is not a search space: malformed JSON (with the
+/// parser's byte position) or a parameter that is not a domain.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
     /// What went wrong.
     pub message: String,
-    /// Byte offset in the input.
-    pub offset: usize,
 }
 
 impl fmt::Display for JsonError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "JSON error at byte {}: {}", self.offset, self.message)
+        write!(f, "JSON error: {}", self.message)
     }
 }
 
 impl std::error::Error for JsonError {}
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err<T>(&self, message: impl Into<String>) -> Result<T, JsonError> {
-        Err(JsonError { message: message.into(), offset: self.pos })
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            self.err(format!("expected '{}'", b as char))
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Json, JsonError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
-            Some(b'"') => Ok(Json::String(self.parse_string()?)),
-            Some(b't') => self.parse_keyword("true", Json::Bool(true)),
-            Some(b'f') => self.parse_keyword("false", Json::Bool(false)),
-            Some(b'n') => self.parse_keyword("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
-            Some(c) => self.err(format!("unexpected character '{}'", c as char)),
-            None => self.err("unexpected end of input"),
-        }
-    }
-
-    fn parse_keyword(&mut self, kw: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
-            self.pos += kw.len();
-            Ok(value)
-        } else {
-            self.err(format!("expected '{kw}'"))
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Object(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(Json::Object(map)),
-                _ => return self.err("expected ',' or '}'"),
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => return Ok(Json::Array(items)),
-                _ => return self.err("expected ',' or ']'"),
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                None => return self.err("unterminated string"),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self.bump().ok_or(JsonError {
-                                message: "truncated \\u escape".into(),
-                                offset: self.pos,
-                            })?;
-                            code = code * 16
-                                + (d as char).to_digit(16).ok_or(JsonError {
-                                    message: "invalid hex in \\u escape".into(),
-                                    offset: self.pos,
-                                })?;
-                        }
-                        out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                    }
-                    _ => return self.err("invalid escape"),
-                },
-                Some(c) if c < 0x80 => out.push(c as char),
-                Some(c) => {
-                    // re-decode multi-byte UTF-8
-                    let start = self.pos - 1;
-                    let len = match c {
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        _ => 4,
-                    };
-                    let end = (start + len).min(self.bytes.len());
-                    let s = std::str::from_utf8(&self.bytes[start..end]).map_err(|_| {
-                        JsonError { message: "invalid UTF-8".into(), offset: start }
-                    })?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Json, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || c == b'.' || c == b'e' || c == b'E' || c == b'+' || c == b'-')
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        match text.parse::<f64>() {
-            Ok(n) => Ok(Json::Number(n)),
-            Err(_) => self.err(format!("invalid number '{text}'")),
-        }
-    }
-}
-
-/// Parse a complete JSON document.
-pub fn parse(text: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-    let v = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return p.err("trailing characters after JSON value");
-    }
-    Ok(v)
-}
-
-fn scalar_to_value(j: &Json) -> Option<ConfigValue> {
+fn scalar_to_value(j: &JsonValue) -> Option<ConfigValue> {
     match j {
-        Json::String(s) => Some(ConfigValue::Str(s.clone())),
-        Json::Number(n) if n.fract() == 0.0 && n.abs() < 9e15 => Some(ConfigValue::Int(*n as i64)),
-        Json::Number(n) => Some(ConfigValue::Float(*n)),
-        Json::Bool(b) => Some(ConfigValue::Str(b.to_string())),
+        JsonValue::String(s) => Some(ConfigValue::Str(s.clone())),
+        JsonValue::Number(n) if n.fract() == 0.0 && n.abs() < 9e15 => {
+            Some(ConfigValue::Int(*n as i64))
+        }
+        JsonValue::Number(n) => Some(ConfigValue::Float(*n)),
+        JsonValue::Bool(b) => Some(ConfigValue::Str(b.to_string())),
         _ => None,
     }
 }
 
-/// Interpret a parsed JSON object as a [`SearchSpace`]:
+/// Interpret a JSON object as a [`SearchSpace`]:
 ///
 /// * `"name": [v, v, …]` — a choice list (the paper's format);
 /// * `"name": {"int_range": [min, max, step]}`;
 /// * `"name": {"uniform": [min, max]}`;
 /// * `"name": {"log_uniform": [min, max]}`.
+///
+/// Parameters enter the space in **key order**, whatever order the file
+/// lists them in: grid enumeration and every random draw follow the
+/// space's parameter order, so two spellings of one space must sweep
+/// identically. A key that appears twice is an error.
 pub fn space_from_json(text: &str) -> Result<SearchSpace, JsonError> {
-    let root = parse(text)?;
-    let Json::Object(map) = root else {
-        return Err(JsonError { message: "top level must be an object".into(), offset: 0 });
+    let root = runmetrics::json::parse(text).map_err(|message| JsonError { message })?;
+    let JsonValue::Object(mut params) = root else {
+        return Err(JsonError { message: "top level must be an object".into() });
     };
+    params.sort_by(|a, b| a.0.cmp(&b.0));
     let mut space = SearchSpace::new();
-    for (name, value) in &map {
-        let bad = |msg: &str| JsonError { message: format!("param '{name}': {msg}"), offset: 0 };
+    for (name, value) in &params {
+        let bad = |msg: &str| JsonError { message: format!("param '{name}': {msg}") };
         let domain = match value {
-            Json::Array(items) => {
+            JsonValue::Array(items) => {
                 let vals: Option<Vec<ConfigValue>> = items.iter().map(scalar_to_value).collect();
                 ParamDomain::Choice(vals.ok_or_else(|| bad("array items must be scalars"))?)
             }
-            Json::Object(spec) => {
+            JsonValue::Object(_) => {
                 let nums = |key: &str, n: usize| -> Result<Vec<f64>, JsonError> {
-                    match spec.get(key) {
-                        Some(Json::Array(a)) if a.len() == n => a
+                    match value.get(key).and_then(JsonValue::as_array) {
+                        Some(a) if a.len() == n => a
                             .iter()
-                            .map(|j| match j {
-                                Json::Number(x) => Ok(*x),
-                                _ => Err(bad("range entries must be numbers")),
-                            })
+                            .map(|j| j.as_f64().ok_or_else(|| bad("range entries must be numbers")))
                             .collect(),
                         _ => Err(bad(&format!("'{key}' needs an array of {n} numbers"))),
                     }
                 };
-                if spec.contains_key("int_range") {
+                if value.get("int_range").is_some() {
                     let v = nums("int_range", 3)?;
                     ParamDomain::IntRange { min: v[0] as i64, max: v[1] as i64, step: v[2] as i64 }
-                } else if spec.contains_key("uniform") {
+                } else if value.get("uniform").is_some() {
                     let v = nums("uniform", 2)?;
                     ParamDomain::Uniform { min: v[0], max: v[1] }
-                } else if spec.contains_key("log_uniform") {
+                } else if value.get("log_uniform").is_some() {
                     let v = nums("log_uniform", 2)?;
                     if v[0] <= 0.0 {
                         return Err(bad("log_uniform min must be > 0"));
@@ -317,39 +120,28 @@ mod tests {
         let space = space_from_json(text).unwrap();
         assert_eq!(space.len(), 3);
         assert_eq!(space.grid_size(), Some(27));
-        // BTreeMap ordering: batch_size, num_epochs, optimizer
+        // key order, not file order: batch_size, num_epochs, optimizer
         let names: Vec<&str> = space.params().iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, vec!["batch_size", "num_epochs", "optimizer"]);
+        // …so a reordered file is the same space, grid order included.
+        let reordered = space_from_json(
+            r#"{"batch_size": [32, 64, 128], "optimizer": ["Adam", "SGD", "RMSprop"],
+                "num_epochs": [20, 50, 100]}"#,
+        )
+        .unwrap();
+        assert_eq!(reordered.params(), space.params());
     }
 
     #[test]
-    fn parses_scalars_arrays_objects() {
-        let j = parse(r#"{"a": 1, "b": [true, null, -2.5e2], "c": {"d": "x"}}"#).unwrap();
-        let Json::Object(o) = j else { panic!() };
-        assert_eq!(o["a"], Json::Number(1.0));
-        assert_eq!(o["b"], Json::Array(vec![Json::Bool(true), Json::Null, Json::Number(-250.0)]));
-        let Json::Object(c) = &o["c"] else { panic!() };
-        assert_eq!(c["d"], Json::String("x".into()));
-    }
-
-    #[test]
-    fn parses_escapes_and_unicode() {
-        let j = parse(r#""a\n\t\"\\ A é""#).unwrap();
-        assert_eq!(j, Json::String("a\n\t\"\\ A é".into()));
-    }
-
-    #[test]
-    fn rejects_malformed_input() {
-        for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "1 2", "{\"a\":}", "\"unterminated"] {
-            assert!(parse(bad).is_err(), "should reject: {bad}");
-        }
-    }
-
-    #[test]
-    fn error_carries_offset() {
-        let e = parse("[1, x]").unwrap_err();
-        assert_eq!(e.offset, 4);
-        assert!(e.to_string().contains("byte 4"));
+    fn malformed_json_and_duplicate_keys_are_errors() {
+        let e = space_from_json(r#"{"a": [1, x]}"#).unwrap_err();
+        assert!(e.to_string().starts_with("JSON error: "), "{e}");
+        assert!(e.message.contains("byte 10"), "{e}");
+        assert!(space_from_json("").is_err());
+        assert!(space_from_json(r#"{"a": [1]} extra"#).is_err());
+        // A repeated parameter is refused, not resolved by position.
+        let e = space_from_json(r#"{"n": [1, 2], "lr": [0.1], "n": [3]}"#).unwrap_err();
+        assert!(e.message.contains("duplicate key \"n\""), "{e}");
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! to enable researchers make sense of the output", and §4 notes that "for
 //! immediate and interactive action, the performance measure returned can
 //! be visualised". This module provides that layer for terminals: a live
-//! line per completed trial (fed by
-//! [`crate::runner::HpoRunner::run_observed`]), an optional periodic
+//! line per completed trial (fed by the observer of
+//! [`crate::runner::HpoRunner::execute`]), an optional periodic
 //! runtime-metrics line (queue depth, task latency, retries — the live
 //! scheduler-overhead view), and a final leaderboard.
 
@@ -136,8 +136,8 @@ impl Dashboard {
 
     /// One-line stage-tree activity summary, read from the runtime
     /// registry's `hpo_stage_epochs_saved_total` / `hpo_prefix_forks_total`
-    /// counters (the [`crate::runner::HpoRunner::run_staged`] family
-    /// publishes them). Empty when no sweep shared anything — or when the
+    /// counters ([`crate::runner::Evaluator::Stages`] runs publish
+    /// them). Empty when no sweep shared anything — or when the
     /// dashboard has no registry to read.
     pub fn stage_summary(&self) -> String {
         let Some((reg, _)) = &self.metrics else { return String::new() };

@@ -63,7 +63,9 @@ pub mod prelude {
     pub use crate::early_stop::EarlyStop;
     pub use crate::experiment::{ExperimentOptions, TrialOutcome};
     pub use crate::results::{HpoReport, TrialResult};
-    pub use crate::runner::{HpoRunner, SweepControl};
+    pub use crate::runner::{
+        BracketSource, Evaluator, HpoRunner, SweepControl, SweepOutcome, SweepPlan, SweepSource,
+    };
     pub use crate::space::{Config, ConfigValue, ParamDomain, SearchSpace};
     pub use crate::stagetree::{StageObjective, StagePlan};
 }

@@ -1,15 +1,19 @@
-//! The HPO runner: drives a [`Suggester`] over the rcompss runtime.
+//! The HPO runner: drives a [`SweepSource`] over the rcompss runtime.
 //!
 //! This is the paper's `main()` (Listing 2): generate configs, launch one
 //! `experiment(config)` task per config, `compss_wait_on` the results, and
-//! hand them to the plotting/reporting layer. The runner adds the paper's
-//! early stopping and the successive-halving execution mode.
+//! hand them to the plotting/reporting layer. [`HpoRunner::execute`] is
+//! that loop, once: a *source* proposes batches of configs (a
+//! [`Suggester`]'s waves, a [`BracketSource`]'s rungs), an [`Evaluator`]
+//! turns each batch into trials (one task per config, or one stage tree
+//! per batch), and the control gate, the sweep journal, trial metrics,
+//! the observer and across-trial early stopping wrap every batch.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use rcompss::{ArgSpec, DataHandle, Runtime, SubmitError, SubmitOpts, SubmitResult};
+use rcompss::{ArgSpec, DataHandle, Runtime, SubmitError, SubmitOpts, SubmitResult, TaskDef};
 use tinyml::TrainSnapshot;
 
 use crate::algo::hyperband::Bracket;
@@ -54,9 +58,8 @@ impl StageStats {
 }
 
 /// Drain a history-independent suggester (grid, random) into its full
-/// config list. Planning a stage tree needs the whole sweep up front,
-/// which is only faithful for algorithms whose suggestions ignore the
-/// observed results — the caller gates on that (see `--share-prefixes`).
+/// config list — what [`HpoRunner::run_staged`] and the stage planner's
+/// callers hand over when they want one tree across the whole sweep.
 pub fn materialize(algo: &mut dyn Suggester) -> Vec<Config> {
     let mut configs = Vec::new();
     while let Some(c) = algo.suggest(&[]) {
@@ -65,12 +68,12 @@ pub fn materialize(algo: &mut dyn Suggester) -> Vec<Config> {
     configs
 }
 
-/// Cooperative controls threaded through [`HpoRunner::run_controlled`]: an
+/// Cooperative controls threaded through [`HpoRunner::execute`]: an
 /// admission gate consulted before every trial submission and a cancel
-/// flag checked at every suggestion. The sweep server uses the gate for
+/// flag checked before every batch. The sweep server uses the gate for
 /// per-tenant fair-share and rate limiting, and the cancel flag for
-/// client-requested aborts — in both cases the run stops *suggesting* and
-/// drains the in-flight wave normally, so every collected trial is a
+/// client-requested aborts — in both cases the run stops *admitting* and
+/// drains the in-flight batch normally, so every collected trial is a
 /// complete, journal-identical result.
 ///
 /// Cloning is cheap and shares the underlying flag: keep one clone on the
@@ -99,7 +102,7 @@ impl SweepControl {
 
     /// Install the admission gate: called (and allowed to block) before
     /// every trial submission. Returning `false` ends the sweep cleanly
-    /// after draining the in-flight wave — the server's quota-exhausted
+    /// after draining the in-flight batch — the server's quota-exhausted
     /// path. A blocking gate should watch [`SweepControl::is_cancelled`]
     /// so a cancel interrupts the wait.
     pub fn with_gate(mut self, gate: impl Fn() -> bool + Send + Sync + 'static) -> SweepControl {
@@ -137,6 +140,176 @@ impl SweepControl {
     }
 }
 
+/// Where a sweep's configurations come from. Every [`Suggester`] is a
+/// source (its suggestions, in waves); [`BracketSource`] is the
+/// successive-halving one.
+pub trait SweepSource {
+    /// Algorithm name for the report.
+    fn algorithm(&self) -> &str;
+
+    /// The next batch — configs evaluated in parallel, all at one epoch
+    /// budget (`None`: each config's own `num_epochs`) — given every
+    /// trial reported so far, the previous batch's last. Empty when the
+    /// source is exhausted. `wave` is [`ExperimentOptions::wave_size`]
+    /// (`usize::MAX` when unset), for sources whose batches can be cut.
+    fn next_batch(&mut self, history: &[TrialResult], wave: usize) -> (Vec<Config>, Option<u32>);
+}
+
+/// Suggestions are taken in waves of `min(parallelism, wave_size)`; the
+/// results feed back before the next wave is suggested.
+impl<S: Suggester + ?Sized> SweepSource for S {
+    fn algorithm(&self) -> &str {
+        self.name()
+    }
+
+    fn next_batch(&mut self, history: &[TrialResult], wave: usize) -> (Vec<Config>, Option<u32>) {
+        let limit = wave.min(self.parallelism()).max(1);
+        (std::iter::from_fn(|| self.suggest(history)).take(limit).collect(), None)
+    }
+}
+
+/// One successive-halving bracket as a source: the first rung is sampled
+/// randomly from the space, every rung is one batch at the rung's epoch
+/// budget, and the top configurations of each rung are promoted to the
+/// next (the paper's early-stopping idea taken to its scheduler-shaped
+/// conclusion).
+#[derive(Debug)]
+pub struct BracketSource<'a> {
+    bracket: &'a Bracket,
+    /// The first rung's sample, until it is handed out.
+    candidates: Vec<Config>,
+    /// Index of the rung the next batch evaluates.
+    rung: usize,
+    /// Where the previous rung's results start in the history.
+    mark: usize,
+}
+
+impl<'a> BracketSource<'a> {
+    /// Sample `bracket`'s first rung from `space` with `seed`.
+    pub fn new(space: &SearchSpace, bracket: &'a Bracket, seed: u64) -> Self {
+        let n = bracket.rungs[0].n_configs;
+        let candidates = materialize(&mut RandomSearch::new(space, n, seed));
+        BracketSource { bracket, candidates, rung: 0, mark: 0 }
+    }
+}
+
+impl SweepSource for BracketSource<'_> {
+    fn algorithm(&self) -> &str {
+        "successive-halving"
+    }
+
+    fn next_batch(&mut self, history: &[TrialResult], _wave: usize) -> (Vec<Config>, Option<u32>) {
+        let Some(rung) = self.bracket.rungs.get(self.rung) else { return (Vec::new(), None) };
+        if self.rung > 0 {
+            // Promote the best survivors. The sort is stable and the rung
+            // reported in candidate order, so ties keep that order.
+            let mut results: Vec<&TrialResult> = history[self.mark..].iter().collect();
+            results.sort_by(|a, b| b.outcome.accuracy.total_cmp(&a.outcome.accuracy));
+            self.candidates = results
+                .into_iter()
+                .filter(|t| !t.outcome.is_failed())
+                .take(rung.n_configs)
+                .map(|t| t.config.clone())
+                .collect();
+        }
+        self.rung += 1;
+        self.mark = history.len();
+        (std::mem::take(&mut self.candidates), Some(rung.budget))
+    }
+}
+
+/// A fixed config list as a source, cut into waves.
+struct Listed<'a> {
+    name: &'a str,
+    rest: &'a [Config],
+}
+
+impl SweepSource for Listed<'_> {
+    fn algorithm(&self) -> &str {
+        self.name
+    }
+
+    fn next_batch(&mut self, _history: &[TrialResult], wave: usize) -> (Vec<Config>, Option<u32>) {
+        let (batch, rest) = self.rest.split_at(wave.max(1).min(self.rest.len()));
+        self.rest = rest;
+        (batch.to_vec(), None)
+    }
+}
+
+/// What turns a batch of configs into trials.
+#[derive(Clone)]
+pub enum Evaluator<'a> {
+    /// One `graph.experiment` task per config — the paper's
+    /// "embarrassingly parallel" structure. Trials are reported as each is
+    /// collected.
+    Trials(Objective),
+    /// One stage tree per batch ([`crate::stagetree`]): shared training
+    /// prefixes run once and forks resume the parent snapshot, yet every
+    /// trial is bit-identical to its [`Evaluator::Trials`] counterpart
+    /// (seeds derive from the base signature, so outcomes do not depend on
+    /// which siblings share the tree). Under a budgeted source a
+    /// non-cosine config resumes its own snapshot from an earlier,
+    /// shorter batch instead of retraining (cosine shapes depend on the
+    /// budget, so those retrain). Trials are reported in input order once
+    /// the batch's tree has drained.
+    Stages(&'a StageObjective),
+}
+
+impl<'a> Evaluator<'a> {
+    /// The stage tree when one is on offer and trials run full length;
+    /// the per-trial objective otherwise. A trial that
+    /// [`ExperimentOptions::early_stop`] cuts mid-training leaves no fork
+    /// snapshot for its siblings, so early stopping selects
+    /// [`Evaluator::Trials`].
+    pub fn pick(
+        opts: &ExperimentOptions,
+        objective: Objective,
+        stage: Option<&'a StageObjective>,
+    ) -> Evaluator<'a> {
+        match stage {
+            Some(stage) if opts.early_stop.is_none() => Evaluator::Stages(stage),
+            _ => Evaluator::Trials(objective),
+        }
+    }
+}
+
+/// Everything [`HpoRunner::execute`] needs besides the source: the
+/// evaluator and the three optional hooks that wrap every batch.
+pub struct SweepPlan<'a> {
+    /// How a batch becomes trials.
+    pub evaluator: Evaluator<'a>,
+    /// Cancel flag checked before every batch, admission gate consulted
+    /// before every trial.
+    pub control: Option<&'a SweepControl>,
+    /// Journal every submission and completion.
+    pub journal: Option<&'a SweepJournal>,
+    /// A recovered journal: trials it finished are not re-run — their
+    /// journaled outcome re-enters the report verbatim, so the trial table
+    /// matches an uninterrupted run byte-for-byte — and the ones that were
+    /// in flight at the crash are re-enqueued.
+    pub resume: Option<&'a SweepState>,
+}
+
+impl<'a> SweepPlan<'a> {
+    /// Ungated, unjournaled: just evaluate.
+    pub fn new(evaluator: Evaluator<'a>) -> Self {
+        SweepPlan { evaluator, control: None, journal: None, resume: None }
+    }
+}
+
+/// What [`HpoRunner::execute`] returns.
+#[derive(Debug, Clone)]
+pub struct SweepOutcome {
+    /// Every reported trial, in batch order then input order.
+    pub report: HpoReport,
+    /// What [`SweepPlan::resume`] skipped and re-enqueued.
+    pub resume: ResumeStats,
+    /// What [`Evaluator::Stages`] shared (zero under [`Evaluator::Trials`]);
+    /// also fed to the `hpo_stage_epochs_saved_total` /
+    /// `hpo_prefix_forks_total` counters.
+    pub stages: StageStats,
+}
+
 /// Cached handles for the per-trial series in the runtime's metrics
 /// registry. Fetched once per run so the per-trial cost is a handful of
 /// atomic ops, and pre-registered so every series appears in exports even
@@ -146,7 +319,7 @@ struct TrialMetrics {
     completed: runmetrics::Counter,
     failed: runmetrics::Counter,
     /// Trials whose outcome was replayed from the sweep journal instead
-    /// of re-running (see [`HpoRunner::run_journaled`]).
+    /// of re-running (see [`SweepPlan::resume`]).
     resumed: runmetrics::Counter,
     best_accuracy: runmetrics::Gauge,
     trial_task_us: runmetrics::Histogram,
@@ -177,366 +350,150 @@ impl TrialMetrics {
     }
 }
 
+/// Journal identity of one evaluation: the trial key, salted with the
+/// budget when a source evaluates the same config at several.
+fn journal_key(config: &Config, budget: Option<u32>) -> u64 {
+    let key = trial_key(config);
+    budget.map_or(key, |b| rcompss::snapshot::derive_key(key, u64::from(b)))
+}
+
 impl HpoRunner {
     /// Build with the given experiment options.
     pub fn new(opts: ExperimentOptions) -> Self {
         HpoRunner { opts }
     }
 
-    /// Register the experiment task definition (see
-    /// [`crate::wire::experiment_task_def`] — shared with distributed
-    /// workers, which must register the identical def by name).
-    fn register_task(&self, _rt: &Runtime, objective: &Objective) -> rcompss::TaskDef {
-        experiment_task_def(&self.opts, objective)
-    }
-
-    /// Submit one experiment.
-    fn submit_one(
+    /// Run `source` to exhaustion (or early stop, or a halt through
+    /// `plan.control`) — the one sweep loop. Per batch, in input order:
+    /// a trial the recovered journal already finished is replayed, every
+    /// other config passes the control gate (a denial drops it and ends
+    /// the sweep after this batch drains), is journaled `Submitted` and
+    /// handed to the evaluator; then each trial is journaled `Finished`,
+    /// counted in the trial metrics and shown to `observer` — the hook
+    /// behind [`crate::dashboard::Dashboard`]. Across-trial early stopping
+    /// cuts the run after the first batch containing a target-reaching
+    /// trial.
+    pub fn execute<S: SweepSource + ?Sized>(
         &self,
         rt: &Runtime,
-        def: &rcompss::TaskDef,
-        config: &Config,
-        budget: Option<u32>,
-    ) -> Result<SubmitResult, SubmitError> {
-        let cfg_handle = rt.literal(config.clone());
-        let budget_handle = rt.literal(budget);
-        let sim_duration_us = self.opts.sim_duration.as_ref().map(|f| f(config));
-        rt.submit_with(
-            def,
-            vec![ArgSpec::In(cfg_handle), ArgSpec::In(budget_handle)],
-            SubmitOpts { sim_duration_us },
-        )
-    }
-
-    /// Collect one submitted experiment into a [`TrialResult`].
-    fn collect(&self, rt: &Runtime, config: Config, sub: &SubmitResult) -> TrialResult {
-        match rt.wait_on(&sub.returns[0]) {
-            Ok(v) => {
-                let (outcome, task_us) = v
-                    .downcast_ref::<TaskPayload>()
-                    .cloned()
-                    .expect("experiment task returns (TrialOutcome, u64)");
-                TrialResult { config, outcome, task_us }
-            }
-            Err(e) => {
-                TrialResult { config, outcome: TrialOutcome::failed(e.to_string()), task_us: 0 }
-            }
-        }
-    }
-
-    /// Run `algo` to exhaustion (or early stop) with `objective`.
-    ///
-    /// Suggestions are taken in waves of `min(algo.parallelism(),
-    /// opts.wave_size)`; each wave is submitted as independent parallel
-    /// tasks (the paper's "embarrassingly parallel" structure), then
-    /// synchronised. Across-trial early stopping cuts the run after the
-    /// first wave containing a target-reaching trial.
-    pub fn run(
-        &self,
-        rt: &Runtime,
-        algo: &mut dyn Suggester,
-        objective: Objective,
-    ) -> Result<HpoReport, SubmitError> {
-        self.run_observed(rt, algo, objective, |_| {})
-    }
-
-    /// Like [`HpoRunner::run`] but invoking `observer` after every
-    /// collected trial — the hook behind [`crate::dashboard::Dashboard`]
-    /// ("for immediate and interactive action, the performance measure
-    /// returned can be visualised").
-    pub fn run_observed(
-        &self,
-        rt: &Runtime,
-        algo: &mut dyn Suggester,
-        objective: Objective,
+        source: &mut S,
+        plan: SweepPlan<'_>,
         mut observer: impl FnMut(&TrialResult),
-    ) -> Result<HpoReport, SubmitError> {
-        self.run_inner(rt, algo, objective, None, None, None, &mut observer)
-            .map(|(report, _)| report)
-    }
-
-    /// Like [`HpoRunner::run_observed`] under a [`SweepControl`]: the
-    /// gate is consulted before every submission and a cancel stops the
-    /// run after draining the in-flight wave. With a fresh, ungated
-    /// control this is byte-identical to `run_observed` — the sweep
-    /// server leans on that for its standalone-vs-served parity
-    /// guarantee.
-    pub fn run_controlled(
-        &self,
-        rt: &Runtime,
-        algo: &mut dyn Suggester,
-        objective: Objective,
-        control: &SweepControl,
-        mut observer: impl FnMut(&TrialResult),
-    ) -> Result<HpoReport, SubmitError> {
-        self.run_inner(rt, algo, objective, Some(control), None, None, &mut observer)
-            .map(|(report, _)| report)
-    }
-
-    /// Like [`HpoRunner::run_observed`], journaling every submission and
-    /// completion to `journal`, and — when `resume` carries a recovered
-    /// [`SweepState`] — skipping trials the journal already finished
-    /// (their journaled outcome re-enters the report verbatim, so the
-    /// trial table matches an uninterrupted run byte-for-byte) while
-    /// re-enqueueing the ones that were in flight at the crash.
-    pub fn run_journaled(
-        &self,
-        rt: &Runtime,
-        algo: &mut dyn Suggester,
-        objective: Objective,
-        journal: &SweepJournal,
-        resume: Option<&SweepState>,
-        mut observer: impl FnMut(&TrialResult),
-    ) -> Result<(HpoReport, ResumeStats), SubmitError> {
-        self.run_inner(rt, algo, objective, None, Some(journal), resume, &mut observer)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_inner(
-        &self,
-        rt: &Runtime,
-        algo: &mut dyn Suggester,
-        objective: Objective,
-        control: Option<&SweepControl>,
-        journal: Option<&SweepJournal>,
-        resume: Option<&SweepState>,
-        observer: &mut dyn FnMut(&TrialResult),
-    ) -> Result<(HpoReport, ResumeStats), SubmitError> {
-        let def = self.register_task(rt, &objective);
-        let wave_limit = self.opts.wave_size.unwrap_or(usize::MAX).min(algo.parallelism()).max(1);
+    ) -> Result<SweepOutcome, SubmitError> {
+        let SweepPlan { evaluator, control, journal, resume } = plan;
+        let mut eval = Evaluation::start(rt, &self.opts, evaluator);
+        let wave = self.opts.wave_size.unwrap_or(usize::MAX);
+        let early_stop = self.opts.early_stop.as_ref();
         let trial_metrics = TrialMetrics::new(rt);
         let mut stats = ResumeStats::default();
 
         let mut history: Vec<TrialResult> = Vec::new();
         let mut early_stopped = false;
         let mut halted = false;
-        loop {
-            let mut wave: Vec<(Config, SubmitResult)> = Vec::new();
-            while wave.len() < wave_limit && !early_stopped && !halted {
-                if control.is_some_and(|c| c.is_cancelled()) {
-                    halted = true;
-                    break;
-                }
-                let Some(config) = algo.suggest(&history) else { break };
-                // A journaled-complete trial is not re-run: its recorded
-                // outcome goes straight into the history (and through the
-                // observer, so dashboards see the full table).
-                if let Some((outcome, task_us)) = resume.and_then(|s| s.finished(&config)) {
+        while !early_stopped && !halted && !control.is_some_and(|c| c.is_cancelled()) {
+            let (configs, budget) = source.next_batch(&history, wave);
+            if configs.is_empty() {
+                break;
+            }
+            // `Some` = replayed from the journal, `None` = the evaluator's
+            // next trial.
+            let mut slots: Vec<Option<TrialResult>> = Vec::with_capacity(configs.len());
+            for config in configs {
+                let key = || journal_key(&config, budget);
+                if let Some((outcome, task_us)) = resume.and_then(|s| s.complete.get(&key())) {
                     stats.skipped_complete += 1;
                     if let Some(tm) = &trial_metrics {
                         tm.resumed.incr();
                     }
-                    let trial = TrialResult { config, outcome: outcome.clone(), task_us: *task_us };
-                    if let Some(tm) = &trial_metrics {
-                        tm.observe(&trial);
-                    }
-                    observer(&trial);
-                    if let Some(es) = &self.opts.early_stop {
-                        if es.target_reached(trial.outcome.accuracy) {
-                            early_stopped = true;
-                        }
-                    }
-                    history.push(trial);
+                    slots.push(Some(TrialResult {
+                        config,
+                        outcome: outcome.clone(),
+                        task_us: *task_us,
+                    }));
                     continue;
                 }
-                if resume.is_some_and(|s| s.was_in_flight(&config)) {
-                    stats.reenqueued += 1;
-                }
-                // The gate may block (fair-share turn, rate-limit token);
-                // a denial ends the sweep after the wave drains. The
-                // suggested config is deliberately dropped — a cancelled
-                // or quota-stopped sweep reports only complete trials.
+                // The gate may block (fair-share turn, rate-limit token).
+                // The denied config and the rest of the batch are
+                // deliberately dropped — a cancelled or quota-stopped
+                // sweep reports only complete trials.
                 if control.is_some_and(|c| !c.admit()) {
                     halted = true;
                     break;
                 }
-                if let Some(j) = journal {
-                    let _ = j.record(&SweepRecord::Submitted {
-                        key: trial_key(&config),
-                        label: config.label(),
-                    });
+                if resume.is_some_and(|s| s.in_flight.contains(&key())) {
+                    stats.reenqueued += 1;
                 }
-                let sub = self.submit_one(rt, &def, &config, None)?;
-                wave.push((config, sub));
-            }
-            if wave.is_empty() {
-                break;
-            }
-            for (config, sub) in wave {
-                let trial = self.collect(rt, config, &sub);
                 if let Some(j) = journal {
-                    let _ = j.record(&SweepRecord::Finished {
-                        key: trial_key(&trial.config),
-                        outcome: trial.outcome.clone(),
-                        task_us: trial.task_us,
-                    });
+                    let _ = j.record(&SweepRecord::Submitted { key: key(), label: config.label() });
                 }
+                eval.admit(rt, &self.opts, config, budget)?;
+                slots.push(None);
+            }
+            eval.launch(rt, budget)?;
+            for slot in slots {
+                let trial = slot.unwrap_or_else(|| {
+                    let trial = eval.next(rt);
+                    if let Some(j) = journal {
+                        let _ = j.record(&SweepRecord::Finished {
+                            key: journal_key(&trial.config, budget),
+                            outcome: trial.outcome.clone(),
+                            task_us: trial.task_us,
+                        });
+                    }
+                    trial
+                });
                 if let Some(tm) = &trial_metrics {
                     tm.observe(&trial);
                 }
                 observer(&trial);
-                if let Some(es) = &self.opts.early_stop {
-                    if es.target_reached(trial.outcome.accuracy) {
-                        early_stopped = true;
-                    }
-                }
+                early_stopped |=
+                    early_stop.is_some_and(|es| es.target_reached(trial.outcome.accuracy));
                 history.push(trial);
             }
-            if early_stopped || halted {
-                break;
-            }
         }
-        Ok((
-            HpoReport {
-                algorithm: algo.name().to_string(),
+        Ok(SweepOutcome {
+            report: HpoReport {
+                algorithm: source.algorithm().to_string(),
                 trials: history,
                 wall_us: rt.now_us(),
                 early_stopped,
             },
-            stats,
-        ))
-    }
-
-    /// Run one successive-halving bracket: sample the first rung randomly
-    /// from `space`, evaluate every rung in parallel at its epoch budget,
-    /// and promote the top configurations (the paper's early-stopping idea
-    /// taken to its scheduler-shaped conclusion).
-    pub fn run_successive_halving(
-        &self,
-        rt: &Runtime,
-        space: &SearchSpace,
-        objective: Objective,
-        bracket: &Bracket,
-        seed: u64,
-    ) -> Result<HpoReport, SubmitError> {
-        let def = self.register_task(rt, &objective);
-        let trial_metrics = TrialMetrics::new(rt);
-        let mut sampler = RandomSearch::new(space, bracket.rungs[0].n_configs, seed);
-        let mut candidates: Vec<Config> = Vec::new();
-        while let Some(c) = sampler.suggest(&[]) {
-            candidates.push(c);
-        }
-
-        let mut history: Vec<TrialResult> = Vec::new();
-        for (i, rung) in bracket.rungs.iter().enumerate() {
-            candidates.truncate(rung.n_configs);
-            if candidates.is_empty() {
-                break;
-            }
-            let wave: Vec<(Config, SubmitResult)> = candidates
-                .iter()
-                .map(|c| Ok((c.clone(), self.submit_one(rt, &def, c, Some(rung.budget))?)))
-                .collect::<Result<_, SubmitError>>()?;
-            let mut rung_results: Vec<TrialResult> = wave
-                .into_iter()
-                .map(|(config, sub)| {
-                    let trial = self.collect(rt, config, &sub);
-                    if let Some(tm) = &trial_metrics {
-                        tm.observe(&trial);
-                    }
-                    trial
-                })
-                .collect();
-            // Promote the best survivors to the next rung.
-            rung_results.sort_by(|a, b| b.outcome.accuracy.total_cmp(&a.outcome.accuracy));
-            candidates = rung_results
-                .iter()
-                .filter(|t| !t.outcome.is_failed())
-                .take(bracket.survivors_of(i))
-                .map(|t| t.config.clone())
-                .collect();
-            history.extend(rung_results);
-        }
-        Ok(HpoReport {
-            algorithm: "successive-halving".to_string(),
-            trials: history,
-            wall_us: rt.now_us(),
-            early_stopped: false,
+            resume: stats,
+            stages: eval.finish(rt),
         })
     }
 
-    /// Submit every segment of `plan` in topological order — a parent's
-    /// return handle feeds each child's fourth argument, so the runtime's
-    /// dependency graph chains the segments and (distributed) ships each
-    /// fork snapshot content-addressed through the block plane. The gate
-    /// is consulted per segment; once it denies, the remaining prefix is
-    /// dropped whole (children of an unsubmitted parent are skipped).
-    fn submit_plan(
+    /// Run `algo` with `objective`: [`HpoRunner::execute`] with one task
+    /// per suggested config and no hooks.
+    pub fn run(
         &self,
         rt: &Runtime,
-        def: &rcompss::TaskDef,
-        plan: &StagePlan,
-        control: Option<&SweepControl>,
-    ) -> Result<(Vec<Option<DataHandle>>, StageStats), SubmitError> {
-        let root = rt.literal(StagePayload::root());
-        let mut handles: Vec<Option<DataHandle>> = vec![None; plan.segments.len()];
-        let mut stats = StageStats::default();
-        for seg in &plan.segments {
-            let parent = match seg.parent {
-                Some(p) => match handles[p] {
-                    Some(h) => h,
-                    None => continue, // ancestor dropped by the gate
-                },
-                None => root,
-            };
-            if control.is_some_and(|c| !c.admit()) {
-                break;
-            }
-            let sub = rt.submit_with(
-                def,
-                vec![
-                    ArgSpec::In(rt.literal(seg.rep.clone())),
-                    ArgSpec::In(rt.literal(seg.end)),
-                    ArgSpec::In(rt.literal(seg.total_epochs)),
-                    ArgSpec::In(parent),
-                ],
-                SubmitOpts { sim_duration_us: None },
-            )?;
-            handles[seg.id] = Some(sub.returns[0]);
-            stats.segments += 1;
-            stats.forks += usize::from(seg.parent.is_some());
-            stats.staged_epochs += u64::from(seg.end - seg.start);
-        }
-        Ok((handles, stats))
+        algo: &mut dyn Suggester,
+        objective: Objective,
+    ) -> Result<HpoReport, SubmitError> {
+        self.execute(rt, algo, SweepPlan::new(Evaluator::Trials(objective)), |_| {})
+            .map(|o| o.report)
     }
 
-    /// Wait on every terminal segment of `plan` and reconstruct the trial
-    /// results from the fork snapshots, keyed by input-config index.
-    fn collect_plan(
+    /// Like [`HpoRunner::run`] but invoking `observer` after every
+    /// collected trial ("for immediate and interactive action, the
+    /// performance measure returned can be visualised").
+    pub fn run_observed(
         &self,
         rt: &Runtime,
-        configs: &[Config],
-        plan: &StagePlan,
-        handles: &[Option<DataHandle>],
-        stats: &mut StageStats,
-    ) -> BTreeMap<usize, TrialResult> {
-        let mut results = BTreeMap::new();
-        for seg in &plan.segments {
-            if seg.trials.is_empty() {
-                continue;
-            }
-            let Some(h) = handles[seg.id] else { continue };
-            let (outcome, task_us) = wait_stage(rt, &h);
-            for &i in &seg.trials {
-                stats.naive_epochs += u64::from(seg.end);
-                results.insert(
-                    i,
-                    TrialResult { config: configs[i].clone(), outcome: outcome.clone(), task_us },
-                );
-            }
-        }
-        results
+        algo: &mut dyn Suggester,
+        objective: Objective,
+        observer: impl FnMut(&TrialResult),
+    ) -> Result<HpoReport, SubmitError> {
+        self.execute(rt, algo, SweepPlan::new(Evaluator::Trials(objective)), observer)
+            .map(|o| o.report)
     }
 
-    /// Run `configs` as a stage tree: shared training prefixes execute
-    /// once and forks resume the parent snapshot, yet the report is
+    /// Run the fixed list `configs` through [`Evaluator::Stages`]: with
+    /// no wave cap, one stage tree across the whole sweep. The report is
     /// bit-identical to [`HpoRunner::run`] over the same configs (same
     /// trials, same order, same outcomes — see [`crate::stagetree`] for
-    /// the argument). Only history-independent algorithms qualify, since
-    /// the whole sweep is planned up front ([`materialize`]).
-    ///
-    /// Returns the report plus the [`StageStats`] that fed the
-    /// `hpo_stage_epochs_saved_total` / `hpo_prefix_forks_total` counters.
+    /// the argument).
     pub fn run_staged(
         &self,
         rt: &Runtime,
@@ -544,160 +501,213 @@ impl HpoRunner {
         configs: &[Config],
         stage: &StageObjective,
         control: Option<&SweepControl>,
-        mut observer: impl FnMut(&TrialResult),
+        observer: impl FnMut(&TrialResult),
     ) -> Result<(HpoReport, StageStats), SubmitError> {
-        let def = stage_task_def(&self.opts, stage);
-        let trial_metrics = TrialMetrics::new(rt);
-        let plan = StagePlan::build(configs, None);
-        let (handles, mut stats) = self.submit_plan(rt, &def, &plan, control)?;
-        let results = self.collect_plan(rt, configs, &plan, &handles, &mut stats);
-        // Emit in input-config order — the order the naive wave loop
-        // reports a history-independent suggester's trials in.
-        let mut history: Vec<TrialResult> = Vec::with_capacity(results.len());
-        for trial in results.into_values() {
-            if let Some(tm) = &trial_metrics {
-                tm.observe(&trial);
-            }
-            observer(&trial);
-            history.push(trial);
-        }
-        record_stage_metrics(rt, &stats);
-        Ok((
-            HpoReport {
-                algorithm: algo_name.to_string(),
-                trials: history,
-                wall_us: rt.now_us(),
-                early_stopped: false,
+        self.execute(
+            rt,
+            &mut Listed { name: algo_name, rest: configs },
+            SweepPlan { control, ..SweepPlan::new(Evaluator::Stages(stage)) },
+            observer,
+        )
+        .map(|o| (o.report, o.stages))
+    }
+}
+
+/// An [`Evaluator`]'s state over one [`HpoRunner::execute`] call.
+enum Evaluation {
+    Trials {
+        def: TaskDef,
+        /// The batch's submitted experiments, oldest first.
+        subs: VecDeque<(Config, SubmitResult)>,
+    },
+    Stages {
+        def: TaskDef,
+        /// The parent of every segment that trains from scratch.
+        root: DataHandle,
+        /// Admitted configs the batch's tree is yet to be planned over.
+        admitted: Vec<Config>,
+        /// The launched batch's trials, in input order.
+        ready: VecDeque<TrialResult>,
+        /// Under a budgeted source: config label → its latest fork
+        /// snapshot and the epochs that snapshot has trained.
+        snaps: HashMap<String, (DataHandle, u32)>,
+        stats: StageStats,
+    },
+}
+
+impl Evaluation {
+    /// Build the task definition (see [`crate::wire::experiment_task_def`]
+    /// and [`stage_task_def`] — shared with distributed workers, which
+    /// must register the identical def by name).
+    fn start(rt: &Runtime, opts: &ExperimentOptions, evaluator: Evaluator<'_>) -> Evaluation {
+        match evaluator {
+            Evaluator::Trials(objective) => Evaluation::Trials {
+                def: experiment_task_def(opts, &objective),
+                subs: VecDeque::new(),
             },
-            stats,
-        ))
+            Evaluator::Stages(stage) => Evaluation::Stages {
+                def: stage_task_def(opts, stage),
+                root: rt.literal(StagePayload::root()),
+                admitted: Vec::new(),
+                ready: VecDeque::new(),
+                snaps: HashMap::new(),
+                stats: StageStats::default(),
+            },
+        }
     }
 
-    /// [`HpoRunner::run_successive_halving`] in ASHA-resume mode: rung 0
-    /// runs as a stage tree over the sampled candidates (sharing prefixes
-    /// *across* configs at the common budget), and every later rung
-    /// resumes each promoted trial from its own previous-rung snapshot
-    /// instead of retraining — each config's epochs are trained at most
-    /// once along its deepest path (see
-    /// [`Bracket::total_epochs_resumed`]). Cosine-schedule trials retrain
-    /// from scratch each rung: their LR shape depends on the budget, so
-    /// the previous rung's trajectory is not a prefix of the next.
-    ///
-    /// The report is bit-identical to the naive bracket (same sampling
-    /// seed, same promotion order, same outcomes).
-    pub fn run_successive_halving_staged(
-        &self,
+    /// Take one gated, journaled config. An experiment is submitted right
+    /// away, so it trains while the gate holds the next one back; a stage
+    /// tree needs the whole batch first.
+    fn admit(
+        &mut self,
         rt: &Runtime,
-        space: &SearchSpace,
-        stage: &StageObjective,
-        bracket: &Bracket,
-        seed: u64,
-    ) -> Result<(HpoReport, StageStats), SubmitError> {
-        let def = stage_task_def(&self.opts, stage);
-        let trial_metrics = TrialMetrics::new(rt);
-        let mut sampler = RandomSearch::new(space, bracket.rungs[0].n_configs, seed);
-        let mut candidates: Vec<Config> = Vec::new();
-        while let Some(c) = sampler.suggest(&[]) {
-            candidates.push(c);
+        opts: &ExperimentOptions,
+        config: Config,
+        budget: Option<u32>,
+    ) -> Result<(), SubmitError> {
+        match self {
+            Evaluation::Trials { def, subs } => {
+                let sim_duration_us = opts.sim_duration.as_ref().map(|f| f(&config));
+                let sub = rt.submit_with(
+                    def,
+                    vec![ArgSpec::In(rt.literal(config.clone())), ArgSpec::In(rt.literal(budget))],
+                    SubmitOpts { sim_duration_us },
+                )?;
+                subs.push_back((config, sub));
+            }
+            Evaluation::Stages { admitted, .. } => admitted.push(config),
+        }
+        Ok(())
+    }
+
+    /// All of the batch is admitted: plan and submit its stage tree —
+    /// every segment in topological order, a parent's return handle
+    /// feeding each child's fourth argument, so the runtime's dependency
+    /// graph chains the segments and (distributed) ships each fork
+    /// snapshot content-addressed through the block plane — then wait for
+    /// every terminal segment and rebuild the trials from the snapshots.
+    fn launch(&mut self, rt: &Runtime, budget: Option<u32>) -> Result<(), SubmitError> {
+        let Evaluation::Stages { def, root, admitted, ready, snaps, stats } = self else {
+            return Ok(());
+        };
+        let mut segment =
+            |config: &Config, parent: Option<(DataHandle, u32)>, end: u32, total: u32| {
+                let (from, start) = parent.unwrap_or((*root, 0));
+                let sub = rt.submit_with(
+                    def,
+                    vec![
+                        ArgSpec::In(rt.literal(config.clone())),
+                        ArgSpec::In(rt.literal(end)),
+                        ArgSpec::In(rt.literal(total)),
+                        ArgSpec::In(from),
+                    ],
+                    SubmitOpts { sim_duration_us: None },
+                )?;
+                stats.segments += 1;
+                stats.forks += usize::from(parent.is_some());
+                stats.staged_epochs += u64::from(end - start);
+                Ok::<DataHandle, SubmitError>(sub.returns[0])
+            };
+
+        // A config that continues its own snapshot from a shorter batch is
+        // a single segment; the rest share one tree.
+        let n = admitted.len();
+        let mut resumed: Vec<(usize, Config, DataHandle, u32)> = Vec::new();
+        let (mut fresh, mut fresh_at) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for (i, config) in admitted.drain(..).enumerate() {
+            let own = budget.and_then(|b| {
+                let &(h, trained) = snaps.get(&config.label())?;
+                (trained < b && !is_cosine(&config)).then_some((h, trained, b))
+            });
+            match own {
+                Some((h, trained, b)) => {
+                    let h = segment(&config, Some((h, trained)), b, b)?;
+                    resumed.push((i, config, h, b));
+                }
+                None => {
+                    fresh_at.push(i);
+                    fresh.push(config);
+                }
+            }
+        }
+        let tree = StagePlan::build(&fresh, budget);
+        let mut handles: Vec<DataHandle> = Vec::with_capacity(tree.segments.len());
+        for seg in &tree.segments {
+            let parent = seg.parent.map(|p| (handles[p], seg.start));
+            handles.push(segment(&seg.rep, parent, seg.end, seg.total_epochs)?);
         }
 
-        let root = rt.literal(StagePayload::root());
-        // Latest fork-snapshot handle per surviving config label.
-        let mut snap_handles: HashMap<String, DataHandle> = HashMap::new();
-        let mut history: Vec<TrialResult> = Vec::new();
-        let mut stats = StageStats::default();
-        let mut prev_budget: Option<u32> = None;
-        for (i, rung) in bracket.rungs.iter().enumerate() {
-            candidates.truncate(rung.n_configs);
-            if candidates.is_empty() {
-                break;
+        // Everything is submitted: wait once per terminal segment (trials
+        // that collapsed into it share its outcome) and per continuation.
+        let mut trials: Vec<Option<TrialResult>> = Vec::new();
+        trials.resize_with(n, || None);
+        let mut place = |i: usize, config: Config, h, end: u32, outcome, task_us| {
+            stats.naive_epochs += u64::from(end);
+            if let Some(b) = budget {
+                snaps.insert(config.label(), (h, b));
             }
-            let mut rung_results: Vec<TrialResult> = if let Some(prev) = prev_budget {
-                let subs: Vec<(Config, DataHandle)> = candidates
-                    .iter()
-                    .map(|c| {
-                        let (parent, resumed) = match snap_handles.get(&c.label()) {
-                            Some(h) if !is_cosine(c) => (*h, true),
-                            _ => (root, false),
-                        };
-                        stats.segments += 1;
-                        stats.forks += usize::from(resumed);
-                        stats.staged_epochs +=
-                            u64::from(if resumed { rung.budget - prev } else { rung.budget });
-                        let sub = rt.submit_with(
-                            &def,
-                            vec![
-                                ArgSpec::In(rt.literal(c.clone())),
-                                ArgSpec::In(rt.literal(rung.budget)),
-                                ArgSpec::In(rt.literal(rung.budget)),
-                                ArgSpec::In(parent),
-                            ],
-                            SubmitOpts { sim_duration_us: None },
-                        )?;
-                        Ok((c.clone(), sub.returns[0]))
-                    })
-                    .collect::<Result<_, SubmitError>>()?;
-                subs.into_iter()
-                    .map(|(config, h)| {
-                        snap_handles.insert(config.label(), h);
-                        stats.naive_epochs += u64::from(rung.budget);
-                        let (outcome, task_us) = wait_stage(rt, &h);
-                        TrialResult { config, outcome, task_us }
-                    })
-                    .collect()
-            } else {
-                // Rung 0: a stage tree over all candidates at the rung
-                // budget — configs differing only in late-binding params
-                // collapse into shared (or even single) segments.
-                let plan = StagePlan::build(&candidates, Some(rung.budget));
-                let (handles, sub_stats) = self.submit_plan(rt, &def, &plan, None)?;
-                stats.segments += sub_stats.segments;
-                stats.forks += sub_stats.forks;
-                stats.staged_epochs += sub_stats.staged_epochs;
-                for seg in &plan.segments {
-                    if let (false, Some(h)) = (seg.trials.is_empty(), handles[seg.id]) {
-                        for &t in &seg.trials {
-                            snap_handles.insert(candidates[t].label(), h);
-                        }
-                    }
-                }
-                let mut results = self.collect_plan(rt, &candidates, &plan, &handles, &mut stats);
-                (0..candidates.len()).filter_map(|t| results.remove(&t)).collect()
-            };
-            for trial in &rung_results {
-                if let Some(tm) = &trial_metrics {
-                    tm.observe(trial);
-                }
+            trials[i] = Some(TrialResult { config, outcome, task_us });
+        };
+        for (seg, &h) in tree.segments.iter().zip(&handles).filter(|(s, _)| !s.trials.is_empty()) {
+            let (outcome, task_us) = wait_stage(rt, &h);
+            for &t in &seg.trials {
+                place(
+                    fresh_at[t],
+                    std::mem::take(&mut fresh[t]),
+                    h,
+                    seg.end,
+                    outcome.clone(),
+                    task_us,
+                );
             }
-            // Promotion — identical ordering and tie-breaking to the
-            // naive bracket: rung results enter the (stable) sort in
-            // candidate order.
-            rung_results.sort_by(|a, b| b.outcome.accuracy.total_cmp(&a.outcome.accuracy));
-            candidates = rung_results
-                .iter()
-                .filter(|t| !t.outcome.is_failed())
-                .take(bracket.survivors_of(i))
-                .map(|t| t.config.clone())
-                .collect();
-            history.extend(rung_results);
-            prev_budget = Some(rung.budget);
         }
-        record_stage_metrics(rt, &stats);
-        Ok((
-            HpoReport {
-                algorithm: "successive-halving".to_string(),
-                trials: history,
-                wall_us: rt.now_us(),
-                early_stopped: false,
-            },
-            stats,
-        ))
+        for (i, config, h, b) in resumed {
+            let (outcome, task_us) = wait_stage(rt, &h);
+            place(i, config, h, b, outcome, task_us);
+        }
+        ready.reserve(n);
+        ready.extend(trials.into_iter().flatten());
+        Ok(())
+    }
+
+    /// The next trial of the launched batch, in admission order.
+    fn next(&mut self, rt: &Runtime) -> TrialResult {
+        match self {
+            Evaluation::Trials { subs, .. } => {
+                let (config, sub) = subs.pop_front().expect("one submission per admitted config");
+                let (outcome, task_us) = match rt.wait_on(&sub.returns[0]) {
+                    Ok(v) => v
+                        .downcast_ref::<TaskPayload>()
+                        .cloned()
+                        .expect("experiment task returns (TrialOutcome, u64)"),
+                    Err(e) => (TrialOutcome::failed(e.to_string()), 0),
+                };
+                TrialResult { config, outcome, task_us }
+            }
+            Evaluation::Stages { ready, .. } => {
+                ready.pop_front().expect("one trial per admitted config")
+            }
+        }
+    }
+
+    /// What the run shared. A staged run publishes it onto the runtime's
+    /// registry even when nothing was saved, so a sweep that shared no
+    /// prefixes still exports explicit zeros.
+    fn finish(self, rt: &Runtime) -> StageStats {
+        let Evaluation::Stages { stats, .. } = self else { return StageStats::default() };
+        if rt.metrics_enabled() {
+            let reg = rt.metrics();
+            reg.counter("hpo_stage_epochs_saved_total").add(stats.epochs_saved());
+            reg.counter("hpo_prefix_forks_total").add(stats.forks as u64);
+        }
+        stats
     }
 }
 
 /// Wait on one stage segment and turn its fork payload into an outcome
 /// (task failure or an undecodable payload becomes a failed trial, like
-/// the naive collect path).
+/// a failed experiment task).
 fn wait_stage(rt: &Runtime, h: &DataHandle) -> (TrialOutcome, u64) {
     match rt.wait_on(h) {
         Ok(v) => match v
@@ -708,17 +718,6 @@ fn wait_stage(rt: &Runtime, h: &DataHandle) -> (TrialOutcome, u64) {
             None => (TrialOutcome::failed("stage task returned an undecodable payload"), 0),
         },
         Err(e) => (TrialOutcome::failed(e.to_string()), 0),
-    }
-}
-
-/// Publish the stage counters onto the runtime's registry. Registered
-/// even when nothing was saved, so a sweep that shared no prefixes still
-/// exports explicit zeros.
-fn record_stage_metrics(rt: &Runtime, stats: &StageStats) {
-    if rt.metrics_enabled() {
-        let reg = rt.metrics();
-        reg.counter("hpo_stage_epochs_saved_total").add(stats.epochs_saved());
-        reg.counter("hpo_prefix_forks_total").add(stats.forks as u64);
     }
 }
 
@@ -844,9 +843,9 @@ mod tests {
         let space = SearchSpace::paper_grid();
         let runner = HpoRunner::new(ExperimentOptions::default());
         let bracket = Bracket::new(9, 5, 45, 3);
-        let report = runner
-            .run_successive_halving(&rt, &space, synthetic_objective(), &bracket, 11)
-            .unwrap();
+        let plan = SweepPlan::new(Evaluator::Trials(synthetic_objective()));
+        let source = &mut BracketSource::new(&space, &bracket, 11);
+        let report = runner.execute(&rt, source, plan, |_| {}).unwrap().report;
         // 9 at budget 5, 3 at 15, 1 at 45
         assert_eq!(report.trials.len(), 9 + 3 + 1);
         assert_eq!(report.algorithm, "successive-halving");
@@ -869,7 +868,8 @@ mod tests {
         });
         let runner = HpoRunner::new(ExperimentOptions::default());
         let bracket = Bracket::new(1, 7, 7, 2);
-        runner.run_successive_halving(&rt, &space, objective.clone(), &bracket, 0).unwrap();
+        let plan = SweepPlan::new(Evaluator::Trials(objective.clone()));
+        runner.execute(&rt, &mut BracketSource::new(&space, &bracket, 0), plan, |_| {}).unwrap();
         runner.run(&rt, &mut GridSearch::new(&space), objective).unwrap();
         let seen = seen.lock();
         assert_eq!(seen.as_slice(), &[Some(7), None]);

@@ -34,14 +34,13 @@
 //! beyond that with [`REJECT_QUEUE_FULL`].
 //!
 //! **Parity.** A served sweep drives the exact same
-//! [`HpoRunner::run_controlled`] loop as the standalone `hpo-run` binary
-//! with the same options, objective and seed — with an open gate the two
+//! [`HpoRunner::execute`] loop as the standalone `hpo-run` binary with
+//! the same options, objective and seed — with an open gate the two
 //! produce bit-identical trial tables, and the integration tests assert
-//! it. A server started with [`SweepServer::start_staged`] additionally
-//! routes grid and random sweeps through the stage tree
-//! ([`HpoRunner::run_staged`]): shared training prefixes run once, the
-//! trial table stays bit-identical, and the sweep's done message carries
-//! the "N epochs saved" banner.
+//! it. A server started with a stage objective additionally evaluates
+//! every wave as a stage tree ([`Evaluator::Stages`]): shared training
+//! prefixes run once, the trial table stays bit-identical, and the
+//! sweep's done message carries the "N epochs saved" banner.
 //!
 //! Per-tenant and per-sweep telemetry lands in the runtime's metrics
 //! registry (`hposerver_sweeps_active`, `hposerver_sweeps_queued`,
@@ -62,8 +61,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 use rcompss::{connect_workers, Runtime, WorkerBootstrap};
 use rnet::{
-    read_frame, write_frame, Fill, Frame, FrameReader, Interest, LeaderRow, Poller, RecvBuf,
-    SendBuf, Waker,
+    read_frame, write_frame, Fill, Frame, Interest, LeaderRow, Poller, RecvBuf, SendBuf, Waker,
 };
 
 use crate::algo::bayes::BayesSearch;
@@ -74,7 +72,7 @@ use crate::algo::Suggester;
 use crate::dashboard::stage_banner;
 use crate::experiment::{ExperimentOptions, Objective};
 use crate::results::TrialResult;
-use crate::runner::{materialize, HpoRunner, SweepControl};
+use crate::runner::{Evaluator, HpoRunner, SweepControl, SweepPlan};
 use crate::space::SearchSpace;
 use crate::stagetree::StageObjective;
 
@@ -231,9 +229,8 @@ pub fn gather_workers(listener: &TcpListener, plan: &PoolPlan) -> io::Result<Vec
 fn adopt_dial_in(stream: TcpStream, peer: SocketAddr) -> Option<WorkerBootstrap> {
     stream.set_nonblocking(false).ok()?;
     let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-    let mut reader = FrameReader::new();
     let mut stream = stream;
-    match read_frame(&mut stream, &mut reader) {
+    match read_frame(&mut stream, &mut RecvBuf::new()) {
         Ok(Some(Frame::Hello { name, cores, gpus, mem_gib })) => {
             let _ = stream.set_read_timeout(None);
             Some(WorkerBootstrap::from_hello(stream, peer.to_string(), name, cores, gpus, mem_gib))
@@ -473,13 +470,11 @@ impl ServerMetrics {
 struct ServerInner {
     rt: Runtime,
     objective: Objective,
-    /// When set, grid and random sweeps run through the stage tree
-    /// ([`HpoRunner::run_staged`]) — shared prefixes trained once, trial
-    /// tables bit-identical to the naive loop. Workers in the pool must
-    /// have registered [`crate::stagetree::stage_task_def`] for the same
-    /// objective. History-driven algorithms (TPE, Bayes) always take the
-    /// naive path: their suggestions depend on earlier outcomes, so the
-    /// config set cannot be materialised up front.
+    /// When set, [`Evaluator::pick`] may evaluate each wave of a sweep as
+    /// a stage tree — shared prefixes trained once, trial tables
+    /// bit-identical to one task per trial. Workers in the pool must have
+    /// registered [`crate::stagetree::stage_task_def`] for the same
+    /// objective.
     stage: Option<StageObjective>,
     opts: ExperimentOptions,
     cfg: ServerConfig,
@@ -548,11 +543,11 @@ struct ClientConn {
 
 /// A long-lived, multi-tenant HPO sweep server over one shared runtime.
 ///
-/// Start one with [`SweepServer::start`]; it owns the runtime (and so the
-/// worker pool) until dropped. The client plane runs on its own thread —
-/// a readiness loop over the listener and every client connection — and
-/// each admitted sweep drives [`HpoRunner::run_controlled`] on a thread
-/// of its own, all sharing the one runtime.
+/// Start one with [`SweepServer::start_staged`]; it owns the runtime (and
+/// so the worker pool) until dropped. The client plane runs on its own
+/// thread — a readiness loop over the listener and every client
+/// connection — and each admitted sweep drives [`HpoRunner::execute`] on
+/// a thread of its own, all sharing the one runtime.
 pub struct SweepServer {
     inner: Arc<ServerInner>,
     addr: SocketAddr,
@@ -568,22 +563,11 @@ impl std::fmt::Debug for SweepServer {
 impl SweepServer {
     /// Take ownership of `rt` and serve sweeps on `listener`. The
     /// `objective` and `opts` apply to every sweep (the task definition
-    /// must match what the pool's workers registered).
-    pub fn start(
-        listener: TcpListener,
-        rt: Runtime,
-        objective: Objective,
-        opts: ExperimentOptions,
-        cfg: ServerConfig,
-    ) -> io::Result<SweepServer> {
-        SweepServer::start_staged(listener, rt, objective, None, opts, cfg)
-    }
-
-    /// Like [`SweepServer::start`], but with an optional stage-tree
-    /// objective: when `stage` is `Some`, grid and random sweeps share
-    /// training prefixes across their configs (see [`crate::stagetree`])
-    /// and report the epochs saved in the sweep's done message and the
-    /// `hpo_stage_epochs_saved_total` / `hpo_prefix_forks_total` counters.
+    /// must match what the pool's workers registered). With a `stage`
+    /// objective, sweeps share training prefixes across the configs of
+    /// each wave (see [`crate::stagetree`]) and report the epochs saved in
+    /// the sweep's done message and the `hpo_stage_epochs_saved_total` /
+    /// `hpo_prefix_forks_total` counters.
     pub fn start_staged(
         listener: TcpListener,
         rt: Runtime,
@@ -739,32 +723,19 @@ fn run_sweep(inner: Arc<ServerInner>, id: u64) {
         &sweep_name,
     ));
     let trial_inner = Arc::clone(&inner);
-    let mut observer = |trial: &TrialResult| {
+    let observer = |trial: &TrialResult| {
         latency.record(trial.task_us);
         on_trial(&trial_inner, id, trial);
     };
-    // Grid and random sweeps go through the stage tree when the server
-    // was started with a stage objective: the suggester is
-    // history-independent, so the whole config set can be materialised
-    // and planned up front. Everything else keeps the naive loop.
-    let staged = matches!(spec.algo.as_str(), "grid" | "random");
-    let outcome = match inner.stage.as_ref().filter(|_| staged) {
-        Some(stage) => {
-            let configs = materialize(algo.as_mut());
-            runner
-                .run_staged(&inner.rt, &spec.algo, &configs, stage, Some(&control), observer)
-                .map(|(_, stats)| Some(stats))
-        }
-        None => runner
-            .run_controlled(
-                &inner.rt,
-                algo.as_mut(),
-                inner.objective.clone(),
-                &control,
-                &mut observer,
-            )
-            .map(|_| None),
+    let plan = SweepPlan {
+        control: Some(&control),
+        ..SweepPlan::new(Evaluator::pick(
+            &runner.opts,
+            inner.objective.clone(),
+            inner.stage.as_ref(),
+        ))
     };
+    let outcome = runner.execute(&inner.rt, algo.as_mut(), plan, observer).map(|o| o.stages);
     let (state, message) = match outcome {
         Err(e) => (SWEEP_FAILED, format!("submission failed: {e}")),
         Ok(_) if control.is_cancelled() => (SWEEP_CANCELLED, "cancelled".to_string()),
@@ -772,7 +743,8 @@ fn run_sweep(inner: Arc<ServerInner>, id: u64) {
             let mut message = halt_reason.lock().clone();
             // Surface the savings banner in the done message so sweep
             // clients see "N epochs saved" without scraping /metrics.
-            if let Some(banner) = stats.map(|s| stage_banner(&s)).filter(|b| !b.is_empty()) {
+            let banner = stage_banner(&stats);
+            if !banner.is_empty() {
                 message =
                     if message.is_empty() { banner } else { format!("{message} · {banner}") };
             }

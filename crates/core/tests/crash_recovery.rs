@@ -8,13 +8,15 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use hpo::algo::grid::GridSearch;
-use hpo::ckpt::{trial_key, CheckpointSpec, SweepRecord};
+use hpo::ckpt::{trial_key, CheckpointSpec, SweepJournal, SweepRecord};
 use hpo::experiment::{
     tinyml_objective, tinyml_objective_checkpointed, train_config_from, ExperimentOptions,
     TrialCheckpoints, TrialOutcome,
 };
+use hpo::runner::{Evaluator, SweepControl, SweepOutcome, SweepPlan};
 use hpo::space::{ConfigValue, ParamDomain, SearchSpace};
-use hpo::{HpoReport, HpoRunner};
+use hpo::stagetree::StageObjective;
+use hpo::{HpoReport, HpoRunner, SweepState};
 use rcompss::{Runtime, RuntimeConfig};
 use tinyml::data::Dataset;
 use tinyml::train::{train_with_checkpoints, Checkpointing, EpochSignal};
@@ -58,6 +60,19 @@ fn exact_table(report: &HpoReport) -> Vec<(String, u64, Vec<u64>)> {
         .collect();
     rows.sort();
     rows
+}
+
+/// Rerun the full grid over a recovered journal.
+fn resume_grid(
+    runner: &HpoRunner,
+    rt: &Runtime,
+    evaluator: Evaluator<'_>,
+    journal: &SweepJournal,
+    state: &SweepState,
+) -> SweepOutcome {
+    let plan =
+        SweepPlan { journal: Some(journal), resume: Some(state), ..SweepPlan::new(evaluator) };
+    runner.execute(rt, &mut GridSearch::new(&space()), plan, |_| {}).expect("resumed run")
 }
 
 #[test]
@@ -137,16 +152,8 @@ fn interrupted_and_resumed_sweep_is_bit_identical() {
             journal: Some(journal.clone()),
         },
     );
-    let (resumed, stats) = runner
-        .run_journaled(
-            &rt,
-            &mut GridSearch::new(&space()),
-            objective,
-            &journal,
-            Some(&state),
-            |_| {},
-        )
-        .expect("resumed run");
+    let SweepOutcome { report: resumed, resume: stats, .. } =
+        resume_grid(&runner, &rt, Evaluator::Trials(objective), &journal, &state);
 
     assert_eq!(stats.skipped_complete, 1);
     assert_eq!(stats.reenqueued, 1);
@@ -196,16 +203,8 @@ fn resume_skips_completed_trials_without_rerunning_them() {
     });
     let rt = Runtime::threaded(RuntimeConfig::single_node(2));
     let runner = HpoRunner::new(ExperimentOptions::default());
-    let (report, stats) = runner
-        .run_journaled(
-            &rt,
-            &mut GridSearch::new(&space()),
-            objective,
-            &journal,
-            Some(&state),
-            |_| {},
-        )
-        .expect("resumed run");
+    let SweepOutcome { report, resume: stats, .. } =
+        resume_grid(&runner, &rt, Evaluator::Trials(objective), &journal, &state);
 
     assert_eq!(stats.skipped_complete, 1);
     assert_eq!(stats.reenqueued, 0, "nothing was in flight");
@@ -215,5 +214,58 @@ fn resume_skips_completed_trials_without_rerunning_them() {
         report.trials.iter().find(|t| t.config.label() == done.label()).expect("skipped trial");
     assert_eq!(replayed.outcome.accuracy, 0.77, "journaled outcome replayed verbatim");
     assert_eq!(replayed.task_us, 5);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Journaling and prefix sharing compose: a staged grid stopped by its
+/// gate after `k` trials and resumed from the journal plans its tree over
+/// the unfinished configs only, and still lands on the table of the
+/// uninterrupted staged run — which is the naive run's.
+#[test]
+fn staged_sweep_stopped_by_its_gate_resumes_bit_identical() {
+    let space = SearchSpace::new()
+        .with("optimizer", ParamDomain::choice_strs(&["Adam", "SGD"]))
+        .with("num_epochs", ParamDomain::choice_ints(&[2, 4, 6]));
+    let data = dataset();
+    let stage = StageObjective::new(Arc::clone(&data), vec![16]);
+    let runner = HpoRunner::new(ExperimentOptions::default());
+    let run = |plan: SweepPlan<'_>| {
+        let rt = Runtime::threaded(RuntimeConfig::single_node(2));
+        runner.execute(&rt, &mut GridSearch::new(&space), plan, |_| {}).expect("grid run")
+    };
+    let naive = run(SweepPlan::new(Evaluator::Trials(tinyml_objective(data, vec![16])))).report;
+    let uninterrupted = run(SweepPlan::new(Evaluator::Stages(&stage)));
+    assert_eq!(naive.trials.len(), 6);
+    assert!(uninterrupted.stages.epochs_saved() > 0, "the epoch axis shares its prefix");
+
+    let dir = tmpdir("staged");
+    let spec = CheckpointSpec::new(&dir);
+    let journal = spec.journal().expect("journal");
+    let k = 4;
+    let admitted = std::sync::atomic::AtomicUsize::new(0);
+    let control = SweepControl::new()
+        .with_gate(move || admitted.fetch_add(1, std::sync::atomic::Ordering::Relaxed) < k);
+    let stopped = run(SweepPlan {
+        control: Some(&control),
+        journal: Some(&journal),
+        ..SweepPlan::new(Evaluator::Stages(&stage))
+    });
+    assert_eq!(stopped.report.trials.len(), k, "the gate let k trials through");
+
+    let state = spec.recover().expect("recover");
+    assert_eq!(state.complete.len(), k);
+    assert!(state.in_flight.is_empty(), "a denied config is never journaled");
+    let resumed = run(SweepPlan {
+        journal: Some(&journal),
+        resume: Some(&state),
+        ..SweepPlan::new(Evaluator::Stages(&stage))
+    });
+    assert_eq!(resumed.resume.skipped_complete, k);
+    assert_eq!(resumed.resume.reenqueued, 0);
+    assert_eq!(exact_table(&resumed.report), exact_table(&uninterrupted.report));
+    assert_eq!(exact_table(&resumed.report), exact_table(&naive));
+    let labels = |r: &HpoReport| r.trials.iter().map(|t| t.config.label()).collect::<Vec<_>>();
+    assert_eq!(labels(&resumed.report), labels(&naive), "replayed trials keep their place");
+    assert_eq!(spec.recover().expect("recover again").complete.len(), 6);
     let _ = std::fs::remove_dir_all(&dir);
 }

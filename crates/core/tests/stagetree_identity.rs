@@ -12,8 +12,10 @@ use std::sync::Arc;
 
 use hpo::algo::grid::GridSearch;
 use hpo::algo::hyperband::Bracket;
+use hpo::algo::tpe::TpeSearch;
+use hpo::ckpt::CheckpointSpec;
 use hpo::experiment::{tinyml_objective, ExperimentOptions};
-use hpo::runner::materialize;
+use hpo::runner::{materialize, BracketSource, Evaluator, SweepControl, SweepOutcome, SweepPlan};
 use hpo::space::{ConfigValue, ParamDomain, SearchSpace};
 use hpo::stagetree::{stage_task_def, StageObjective};
 use hpo::wire::{experiment_task_def, register_hpo_codecs};
@@ -96,6 +98,24 @@ fn distributed_runtime(workers: &[WorkerHandle]) -> Runtime {
         .expect("connect")
 }
 
+fn bracket_run(
+    runner: &HpoRunner,
+    rt: &Runtime,
+    space: &SearchSpace,
+    bracket: &Bracket,
+    seed: u64,
+    evaluator: Evaluator<'_>,
+) -> SweepOutcome {
+    runner
+        .execute(
+            rt,
+            &mut BracketSource::new(space, bracket, seed),
+            SweepPlan::new(evaluator),
+            |_| {},
+        )
+        .expect("bracket run")
+}
+
 #[test]
 fn staged_grid_is_bit_identical_to_naive_and_trains_fewer_epochs() {
     let opts = ExperimentOptions::default();
@@ -157,16 +177,14 @@ fn staged_successive_halving_is_bit_identical_and_resumes_rung_snapshots() {
     let naive = {
         let rt = Runtime::threaded(RuntimeConfig::single_node(4));
         let objective = tinyml_objective(dataset(), vec![12]);
-        runner
-            .run_successive_halving(&rt, &space, objective, &bracket, seed)
-            .expect("naive bracket")
+        bracket_run(&runner, &rt, &space, &bracket, seed, Evaluator::Trials(objective)).report
     };
     assert_eq!(naive.trials.len(), 4 + 2 + 1);
 
     let rt = Runtime::threaded(RuntimeConfig::single_node(4));
-    let (staged, stats) = runner
-        .run_successive_halving_staged(&rt, &space, &stage_objective(), &bracket, seed)
-        .expect("staged bracket");
+    let stage = stage_objective();
+    let SweepOutcome { report: staged, stages: stats, .. } =
+        bracket_run(&runner, &rt, &space, &bracket, seed, Evaluator::Stages(&stage));
 
     assert_eq!(
         exact_table(&staged),
@@ -183,12 +201,87 @@ fn staged_successive_halving_is_bit_identical_and_resumes_rung_snapshots() {
     // Distributed loopback.
     let workers = spawn_stage_workers(2, &opts);
     let drt = distributed_runtime(&workers);
-    let (dstaged, _) = runner
-        .run_successive_halving_staged(&drt, &space, &stage_objective(), &bracket, seed)
-        .expect("distributed staged bracket");
+    let dstaged =
+        bracket_run(&runner, &drt, &space, &bracket, seed, Evaluator::Stages(&stage)).report;
     assert_eq!(exact_table(&dstaged), exact_table(&naive), "distributed staged bracket must match");
     drop(drt);
     for w in workers {
         w.join().ok();
+    }
+}
+
+/// A history-driven suggester cannot be planned up front, but each of its
+/// waves can: TPE under the stage evaluator proposes, trial for trial,
+/// what it proposes naively, because every wave's outcomes are identical.
+#[test]
+fn staged_tpe_equals_naive_tpe_trial_for_trial() {
+    let runner = HpoRunner::new(ExperimentOptions::default());
+    let space = grid_space();
+    let run = |evaluator: Evaluator<'_>| {
+        let rt = Runtime::threaded(RuntimeConfig::single_node(4));
+        runner
+            .execute(&rt, &mut TpeSearch::new(&space, 12, 3), SweepPlan::new(evaluator), |_| {})
+            .expect("tpe run")
+    };
+    let naive = run(Evaluator::Trials(tinyml_objective(dataset(), vec![12])));
+    let stage = stage_objective();
+    let staged = run(Evaluator::Stages(&stage));
+    assert_eq!(naive.report.trials.len(), 12);
+    assert_eq!(exact_table(&staged.report), exact_table(&naive.report));
+    assert_eq!(staged.report.algorithm, "tpe");
+    assert!(staged.stages.segments > 0, "the stage evaluator really ran");
+    assert_eq!(naive.stages.segments, 0);
+}
+
+/// A cancel lands between rungs: the rung in flight drains whole, nothing
+/// is promoted, and the report holds only complete trials — on both
+/// evaluators, with the observer seeing every one of them.
+#[test]
+fn cancelled_bracket_stops_after_the_current_rung() {
+    let runner = HpoRunner::new(ExperimentOptions::default());
+    let space = sh_space();
+    let bracket = Bracket::new(4, 2, 8, 2); // rungs: 4@2, 2@4, 1@8
+    let stage = stage_objective();
+    let full = {
+        let rt = Runtime::threaded(RuntimeConfig::single_node(4));
+        bracket_run(&runner, &rt, &space, &bracket, 5, Evaluator::Stages(&stage)).report
+    };
+    let evaluators =
+        [Evaluator::Trials(tinyml_objective(dataset(), vec![12])), Evaluator::Stages(&stage)];
+    for (i, evaluator) in evaluators.into_iter().enumerate() {
+        let dir = std::env::temp_dir().join(format!("hpo-bracket-{i}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let spec = CheckpointSpec::new(&dir);
+        let journal = spec.journal().expect("journal");
+        let rt = Runtime::threaded(RuntimeConfig::single_node(4));
+        let control = SweepControl::new();
+        let mut seen = 0;
+        let plan = SweepPlan {
+            control: Some(&control),
+            journal: Some(&journal),
+            ..SweepPlan::new(evaluator.clone())
+        };
+        let report = runner
+            .execute(&rt, &mut BracketSource::new(&space, &bracket, 5), plan, |_| {
+                seen += 1;
+                control.cancel();
+            })
+            .expect("cancelled bracket")
+            .report;
+        assert_eq!(seen, 4, "the observer saw the whole first rung");
+        assert_eq!(exact_table(&report), exact_table(&full)[..4], "rung 0, complete, unchanged");
+        assert!(report.trials.iter().all(|t| t.outcome.epochs_run == 2 && !t.outcome.is_failed()));
+
+        // Resumed from its journal the bracket replays rung 0 and goes on
+        // to the table of the run nobody cancelled: a config's rung-0
+        // record is not mistaken for its longer evaluations.
+        let state = spec.recover().expect("recover");
+        let plan = SweepPlan { resume: Some(&state), ..SweepPlan::new(evaluator) };
+        let resumed = runner
+            .execute(&rt, &mut BracketSource::new(&space, &bracket, 5), plan, |_| {})
+            .expect("resumed bracket");
+        assert_eq!(resumed.resume.skipped_complete, 4);
+        assert_eq!(exact_table(&resumed.report), exact_table(&full));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

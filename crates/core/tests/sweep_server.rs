@@ -87,7 +87,8 @@ fn start_server(
         boots,
         DistributedConfig::default(),
     );
-    SweepServer::start(listener, rt, Arc::clone(obj), opts.clone(), cfg).expect("start server")
+    SweepServer::start_staged(listener, rt, Arc::clone(obj), None, opts.clone(), cfg)
+        .expect("start server")
 }
 
 fn connect(server: &SweepServer, tenant: &str) -> SweepClient {
@@ -276,10 +277,11 @@ fn admission_control_quotas_and_unknown_sweeps_reject() {
     let obj = objective(Duration::ZERO);
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let rt = Runtime::threaded(RuntimeConfig::single_node(4).with_metrics(true));
-    let server = SweepServer::start(
+    let server = SweepServer::start_staged(
         listener,
         rt,
         Arc::clone(&obj),
+        None,
         opts,
         ServerConfig { quota_trials: 5, ..ServerConfig::default() },
     )
@@ -334,10 +336,11 @@ fn admission_control_quotas_and_unknown_sweeps_reject() {
     let listener2 = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let rt2 = Runtime::threaded(RuntimeConfig::single_node(2).with_metrics(true));
     let slow_obj = objective(Duration::from_millis(40));
-    let server2 = SweepServer::start(
+    let server2 = SweepServer::start_staged(
         listener2,
         rt2,
         slow_obj,
+        None,
         ExperimentOptions::default(),
         ServerConfig { max_active: 1, max_queued: 0, ..ServerConfig::default() },
     )

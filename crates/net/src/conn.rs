@@ -1,85 +1,37 @@
-//! Incremental frame reading and blocking frame I/O.
+//! Blocking frame I/O.
 //!
-//! [`FrameReader`] is the partial-read-tolerant decoder: bytes arrive from
-//! the socket at whatever boundaries the kernel delivers, get appended to
-//! an internal buffer, and complete frames are peeled off the front. The
-//! blocking helpers ([`read_frame`], [`write_frames`]) wrap it for the
-//! thread-per-connection style both sides of the protocol use — no async
-//! stack, one reader thread per socket.
+//! The handshakes and the sweep client talk over plain blocking sockets:
+//! [`read_frame`] blocks until the connection's [`RecvBuf`] — the same
+//! incremental decoder the event loops use — holds a whole frame, and
+//! [`write_frames`] sends a batch in one burst.
 
 use std::io::{self, Read, Write};
 
-use crate::frame::{DecodeError, Frame};
+use crate::frame::Frame;
+use crate::nonblock::{Fill, RecvBuf};
 
-/// Read-buffer compaction threshold: consumed prefix bytes are dropped once
-/// they exceed this, amortising the memmove over many small frames.
-const COMPACT_AT: usize = 64 * 1024;
-
-/// Incremental frame decoder over an internal byte buffer.
-#[derive(Debug, Default)]
-pub struct FrameReader {
-    buf: Vec<u8>,
-    /// Bytes of `buf` already consumed by decoded frames.
-    start: usize,
-}
-
-impl FrameReader {
-    /// Empty reader.
-    pub fn new() -> Self {
-        FrameReader::default()
-    }
-
-    /// Append bytes received from the transport.
-    pub fn extend(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Bytes buffered but not yet decoded.
-    pub fn pending(&self) -> usize {
-        self.buf.len() - self.start
-    }
-
-    /// Decode the next complete frame, if the buffer holds one.
-    /// `Ok(None)` means "feed more bytes"; errors are fatal to the stream.
-    pub fn next_frame(&mut self) -> Result<Option<Frame>, DecodeError> {
-        match Frame::decode(&self.buf[self.start..])? {
-            Some((frame, used)) => {
-                self.start += used;
-                if self.start >= COMPACT_AT {
-                    self.buf.drain(..self.start);
-                    self.start = 0;
-                }
-                Ok(Some(frame))
-            }
-            None => Ok(None),
-        }
-    }
-}
-
-fn decode_err(e: DecodeError) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, e.to_string())
-}
-
-/// Read frames from a blocking transport until one completes.
+/// Read from a blocking transport until one frame completes.
 ///
 /// Returns `Ok(None)` on clean EOF (peer closed), `Err` on transport or
-/// protocol errors. Extra frames already buffered are returned by
-/// subsequent calls without touching the transport.
-pub fn read_frame(stream: &mut impl Read, reader: &mut FrameReader) -> io::Result<Option<Frame>> {
+/// protocol errors — an expired read timeout among them, as
+/// [`io::ErrorKind::WouldBlock`]. Extra frames already buffered in `recv`
+/// are returned by subsequent calls without touching the transport.
+pub fn read_frame(stream: &mut impl Read, recv: &mut RecvBuf) -> io::Result<Option<Frame>> {
     loop {
-        if let Some(frame) = reader.next_frame().map_err(decode_err)? {
-            return Ok(Some(frame));
+        let next = recv
+            .next_frame()
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        if let Some(frame) = next {
+            return Ok(Some(frame.to_owned()));
         }
-        let mut chunk = [0u8; 16 * 1024];
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return if reader.pending() == 0 {
-                Ok(None)
-            } else {
-                Err(io::Error::new(io::ErrorKind::UnexpectedEof, "EOF inside a frame"))
-            };
+        match recv.fill_from(stream)? {
+            Fill::Bytes(_) => {}
+            Fill::Eof if recv.pending() == 0 => return Ok(None),
+            Fill::Eof => {
+                return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "EOF inside a frame"))
+            }
+            Fill::WouldBlock => return Err(io::ErrorKind::WouldBlock.into()),
         }
-        reader.extend(&chunk[..n]);
     }
 }
 
@@ -137,53 +89,13 @@ mod tests {
     }
 
     #[test]
-    fn byte_at_a_time_delivery_reassembles_every_frame() {
-        let mut wire = Vec::new();
-        for f in frames() {
-            f.encode_into(&mut wire);
-        }
-        let mut reader = FrameReader::new();
-        let mut seen = Vec::new();
-        for b in wire {
-            reader.extend(&[b]);
-            while let Some(f) = reader.next_frame().unwrap() {
-                seen.push(f);
-            }
-        }
-        assert_eq!(seen, frames());
-        assert_eq!(reader.pending(), 0);
-    }
-
-    #[test]
-    fn burst_delivery_drains_pipelined_frames() {
-        let mut wire = Vec::new();
-        for f in frames() {
-            f.encode_into(&mut wire);
-        }
-        let mut reader = FrameReader::new();
-        reader.extend(&wire);
-        let mut seen = Vec::new();
-        while let Some(f) = reader.next_frame().unwrap() {
-            seen.push(f);
-        }
-        assert_eq!(seen, frames());
-    }
-
-    #[test]
-    fn corrupt_stream_is_fatal() {
-        let mut reader = FrameReader::new();
-        reader.extend(b"totally not a frame");
-        assert!(reader.next_frame().is_err());
-    }
-
-    #[test]
     fn read_frame_loops_over_a_cursor_transport() {
         let mut wire = Vec::new();
         for f in frames() {
             f.encode_into(&mut wire);
         }
         let mut cursor = io::Cursor::new(wire);
-        let mut reader = FrameReader::new();
+        let mut reader = RecvBuf::new();
         let mut seen = Vec::new();
         while let Some(f) = read_frame(&mut cursor, &mut reader).unwrap() {
             seen.push(f);
@@ -192,12 +104,15 @@ mod tests {
     }
 
     #[test]
-    fn eof_inside_a_frame_is_an_error() {
+    fn eof_inside_a_frame_and_garbage_are_errors() {
         let wire = Frame::Heartbeat { seq: 700, t_send_us: 7, telemetry: true }.encode();
         let mut cursor = io::Cursor::new(wire[..wire.len() - 1].to_vec());
-        let mut reader = FrameReader::new();
+        let mut reader = RecvBuf::new();
         let err = read_frame(&mut cursor, &mut reader).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        let mut garbage = io::Cursor::new(b"totally not a frame".to_vec());
+        let err = read_frame(&mut garbage, &mut RecvBuf::new()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
@@ -207,22 +122,5 @@ mod tests {
         assert_eq!(n, out.len());
         let single = write_frame(&mut Vec::new(), &Frame::Shutdown).unwrap();
         assert_eq!(single, Frame::Shutdown.encode().len());
-    }
-
-    #[test]
-    fn compaction_keeps_the_buffer_bounded() {
-        let mut reader = FrameReader::new();
-        let frame = Frame::Done {
-            exec_id: 3,
-            recv_us: 0,
-            start_us: 0,
-            end_us: 0,
-            outputs: vec![Blob { tag: "t".into(), bytes: vec![0; 8 * 1024] }],
-        };
-        for _ in 0..64 {
-            reader.extend(&frame.encode());
-            while reader.next_frame().unwrap().is_some() {}
-            assert!(reader.buf.len() < 2 * COMPACT_AT, "buffer grew to {}", reader.buf.len());
-        }
     }
 }

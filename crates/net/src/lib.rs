@@ -11,13 +11,13 @@
 //!   with interned function names, done/failed, heartbeat, data fetch,
 //!   shutdown), with both owning ([`Frame::decode`]) and zero-copy
 //!   ([`frame::FrameRef::decode`]) decode paths;
-//! * [`conn`] — blocking helpers ([`read_frame`], [`write_frames`]) and
-//!   the incremental [`conn::FrameReader`], used for handshakes and as the
-//!   oracle the event-loop decoder is tested against;
 //! * [`poll`] + [`nonblock`] — the readiness layer: an epoll/poll
 //!   [`poll::Poller`] with a self-pipe [`poll::Waker`], and per-connection
 //!   [`nonblock::RecvBuf`]/[`nonblock::SendBuf`] reusable buffers that the
-//!   event-loop backend builds its connection state machines from.
+//!   event-loop backend builds its connection state machines from;
+//! * [`conn`] — blocking helpers ([`read_frame`], [`write_frames`]) over
+//!   the same [`nonblock::RecvBuf`], used for handshakes and by the sweep
+//!   client.
 //!
 //! The crate knows nothing about tasks, schedulers, or values — payloads
 //! are opaque tagged [`frame::Blob`]s. That keeps the dependency arrow
@@ -27,7 +27,7 @@
 //! Encode on one side, decode on the other — the 30-second tour:
 //!
 //! ```
-//! use rnet::{Blob, Frame, FrameReader};
+//! use rnet::{Blob, Frame, RecvBuf};
 //!
 //! let submit = Frame::Data {
 //!     key: (3 << 32) | 1,
@@ -35,13 +35,13 @@
 //! };
 //! let wire = submit.encode();
 //!
-//! // The incremental reader tolerates any read boundary.
-//! let mut reader = FrameReader::new();
-//! let (a, b) = wire.split_at(wire.len() / 2);
-//! reader.extend(a);
-//! assert!(reader.next_frame().unwrap().is_none(), "half a frame: wait");
-//! reader.extend(b);
-//! assert_eq!(reader.next_frame().unwrap(), Some(submit));
+//! // The incremental decoder tolerates any read boundary.
+//! let mut recv = RecvBuf::new();
+//! let (mut a, mut b) = wire.split_at(wire.len() / 2);
+//! recv.fill_from(&mut a).unwrap();
+//! assert!(recv.next_frame().unwrap().is_none(), "half a frame: wait");
+//! recv.fill_from(&mut b).unwrap();
+//! assert_eq!(recv.next_frame().unwrap().map(|f| f.to_owned()), Some(submit));
 //! ```
 
 #![deny(missing_docs)]
@@ -54,7 +54,7 @@ pub mod status;
 pub mod varint;
 pub mod wire;
 
-pub use conn::{read_frame, write_frame, write_frames, FrameReader};
+pub use conn::{read_frame, write_frame, write_frames};
 pub use frame::{
     Blob, BlobRef, DecodeError, Frame, FrameRef, LeaderRow, LeaderRowRef, WireArg, WireArgRef,
     MAGIC, MAX_PAYLOAD, VERSION,

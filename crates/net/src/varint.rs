@@ -4,7 +4,7 @@
 //! Small values (the common case: core counts, attempt numbers, short
 //! payload lengths) encode in one byte; a `u64` never needs more than ten.
 //! The decoder is incremental-friendly: it distinguishes "need more bytes"
-//! from "malformed", which is what lets [`crate::conn::FrameReader`] resume
+//! from "malformed", which is what lets [`crate::nonblock::RecvBuf`] resume
 //! across arbitrary read boundaries.
 
 /// Maximum encoded length of a `u64` (⌈64/7⌉ bytes).

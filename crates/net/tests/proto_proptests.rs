@@ -1,9 +1,10 @@
 //! Property tests for the wire protocol: random frames must survive
-//! encode → split-at-arbitrary-boundaries → decode, and random garbage must
-//! never panic the decoder.
+//! encode → decode, every strict prefix must read as "incomplete", and
+//! random garbage must never panic the decoder. (Delivery split at
+//! arbitrary boundaries is `nonblock_fuzz.rs`'s subject.)
 
 use proptest::prelude::*;
-use rnet::{Blob, Frame, FrameReader, LeaderRow, WireArg};
+use rnet::{Blob, Frame, LeaderRow, WireArg};
 
 fn arb_blob() -> impl Strategy<Value = Blob> {
     ("[a-z.]{0,12}", proptest::collection::vec(any::<u8>(), 0..200))
@@ -171,34 +172,6 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
 }
 
 proptest! {
-    /// Any sequence of frames, delivered chopped at arbitrary boundaries,
-    /// reassembles to exactly the original sequence.
-    #[test]
-    fn frames_survive_arbitrary_split_boundaries(
-        frames in proptest::collection::vec(arb_frame(), 1..8),
-        cuts in proptest::collection::vec(1usize..64, 0..32),
-    ) {
-        let mut wire = Vec::new();
-        for f in &frames {
-            f.encode_into(&mut wire);
-        }
-        // Split the byte stream at the cumulative cut points.
-        let mut reader = FrameReader::new();
-        let mut seen = Vec::new();
-        let mut at = 0;
-        let mut cuts = cuts.into_iter();
-        while at < wire.len() {
-            let step = cuts.next().unwrap_or(wire.len()).min(wire.len() - at);
-            reader.extend(&wire[at..at + step]);
-            at += step;
-            while let Some(f) = reader.next_frame().expect("valid stream never errors") {
-                seen.push(f);
-            }
-        }
-        prop_assert_eq!(seen, frames);
-        prop_assert_eq!(reader.pending(), 0);
-    }
-
     /// A lone frame decodes from its exact buffer and from every prefix
     /// returns "incomplete" rather than garbage or panic.
     #[test]

@@ -94,6 +94,11 @@ impl<'a> Cursor<'a> {
         let mut v = 0u64;
         for shift in (0..64).step_by(7) {
             let b = self.byte()?;
+            // The tenth byte holds bit 63 alone; anything above it would
+            // shift out and let two encodings decode to one value.
+            if shift == 63 && b > 0x01 {
+                break;
+            }
             v |= u64::from(b & 0x7f) << shift;
             if b & 0x80 == 0 {
                 return Ok(v);
@@ -341,5 +346,15 @@ mod tests {
         assert!(decode_records(&padded).is_err(), "trailing bytes must fail");
         assert!(decode_records(&[WIRE_VERSION + 1]).is_err(), "future version rejected");
         assert!(decode_records(&[]).is_err());
+        // A record count whose tenth varint byte overflows 64 bits: u64::MAX
+        // has exactly one encoding, and this is not it.
+        let mut count = vec![WIRE_VERSION];
+        count.extend([0xff; 9]);
+        assert_eq!(
+            decode_records(&[&count[..], &[0x7f]].concat()),
+            Err(WireDecodeError("overlong varint".into()))
+        );
+        let canonical = decode_records(&[&count[..], &[0x01]].concat()).unwrap_err();
+        assert_ne!(canonical.0, "overlong varint", "u64::MAX itself still decodes: {canonical:?}");
     }
 }

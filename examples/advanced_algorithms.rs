@@ -53,7 +53,15 @@ fn main() {
     let rt = Runtime::threaded(RuntimeConfig::single_node(cores));
     let runner = HpoRunner::new(ExperimentOptions::default());
     let bracket = Bracket::new(9, 2, 8, 3);
-    let sh = runner.run_successive_halving(&rt, &space, objective, &bracket, 13).expect("sh run");
+    let sh = runner
+        .execute(
+            &rt,
+            &mut BracketSource::new(&space, &bracket, 13),
+            SweepPlan::new(Evaluator::Trials(objective)),
+            |_| {},
+        )
+        .expect("sh run")
+        .report;
     println!("succ. halving : {}", sh.summary());
     println!(
         "  bracket rungs: {:?} (epoch budget grows only for survivors)",

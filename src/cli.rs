@@ -108,13 +108,11 @@ pub struct CliArgs {
     /// values travel content-addressed through the block plane instead of
     /// inline in each `Submit`. `u64::MAX` disables the block plane.
     pub inline_threshold: u64,
-    /// Stage-tree prefix sharing: train shared config prefixes once and
-    /// fork the rest from snapshots (grid/random on the threaded or
-    /// distributed backend; bit-identical leaderboard, fewer epochs).
+    /// Stage-tree prefix sharing: train the prefixes the configs of a
+    /// wave share once and fork the rest from snapshots (any algorithm,
+    /// threaded or distributed backend; bit-identical leaderboard, fewer
+    /// epochs).
     pub share_prefixes: bool,
-    /// Escape hatch: force the naive per-trial loop even when
-    /// `--share-prefixes` was given (e.g. by a wrapper script).
-    pub no_share_prefixes: bool,
 }
 
 impl Default for CliArgs {
@@ -145,7 +143,6 @@ impl Default for CliArgs {
             status_addr: None,
             inline_threshold: 64 * 1024,
             share_prefixes: false,
-            no_share_prefixes: false,
         }
     }
 }
@@ -252,7 +249,7 @@ pub struct ServeArgs {
     pub status_addr: Option<String>,
     /// Block-plane inline threshold (see the run flag of the same name).
     pub inline_threshold: u64,
-    /// Stage-tree prefix sharing for served grid/random sweeps.
+    /// Stage-tree prefix sharing for served sweeps.
     pub share_prefixes: bool,
 }
 
@@ -410,12 +407,12 @@ OPTIONS:
                            the block plane (cached per worker, shipped
                            once per node) instead of inline in every
                            Submit; 0 = everything, huge = never  [65536]
-    --share-prefixes       stage-tree dedup: train shared config prefixes
-                           once, fork the rest from bit-exact snapshots
-                           (grid/random, threaded or distributed backend;
-                           leaderboard identical, strictly fewer epochs)
-    --no-share-prefixes    escape hatch: force the naive per-trial loop
-                           even when --share-prefixes was passed
+    --share-prefixes       stage-tree dedup: train the prefixes the
+                           configs of a wave share once, fork the rest
+                           from bit-exact snapshots (leaderboard
+                           identical, fewer epochs; composes with every
+                           --algo and with --ckpt-dir/--resume; ignored
+                           under --target-accuracy and --backend sim)
     --help                 show this text
 
 WORKER OPTIONS (hpo-run worker / rcompss-worker):
@@ -456,9 +453,11 @@ SERVER OPTIONS (hpo-run serve / rcompss-server):
     --wave <n>             default wave size for sweeps that do not
                            request one
     --status-addr <addr>   serve live GET /metrics + /healthz here
-    --share-prefixes       stage-tree dedup for served grid/random sweeps
-                           (pool workers must also register the stage
-                           task; leaderboards stay bit-identical)
+    --share-prefixes       stage-tree dedup for served sweeps, within
+                           each wave (pool workers must also register
+                           the stage task; leaderboards stay
+                           bit-identical; ignored under
+                           --target-accuracy)
     --cores-per-task, --inline-threshold,
     --dataset, --samples, --seed, --cnn, --target-accuracy
                            as for a driver run; the dataset recipe must
@@ -569,7 +568,6 @@ pub fn parse(args: &[&str]) -> Result<CliArgs, CliError> {
                 out.inline_threshold = parse_num(arg, take_value(arg, &mut it)?)?;
             }
             "--share-prefixes" => out.share_prefixes = true,
-            "--no-share-prefixes" => out.no_share_prefixes = true,
             other => return Err(CliError(format!("unknown flag '{other}'\n\n{USAGE}"))),
         }
     }
@@ -1047,19 +1045,14 @@ mod tests {
     #[test]
     fn share_prefix_flags_parse() {
         let a = parse(&["--config", "s.json", "--share-prefixes"]).unwrap();
-        assert!(a.share_prefixes && !a.no_share_prefixes);
+        assert!(a.share_prefixes);
         let b = parse(&["--config", "s.json"]).unwrap();
         assert!(!b.share_prefixes, "prefix sharing is opt-in");
-        // The escape hatch co-exists with the opt-in flag (wrapper scripts
-        // may pass both); the driver resolves it in favour of naive.
-        let c = parse(&["--config", "s.json", "--share-prefixes", "--no-share-prefixes"]).unwrap();
-        assert!(c.share_prefixes && c.no_share_prefixes);
         let s = parse_serve(&["--local-cores", "2", "--share-prefixes"]).unwrap();
         assert!(s.share_prefixes);
         assert!(!ServeArgs::default().share_prefixes);
         let e = parse(&["--help"]).unwrap_err();
         assert!(e.0.contains("--share-prefixes"), "help documents prefix sharing");
-        assert!(e.0.contains("--no-share-prefixes"));
     }
 
     #[test]

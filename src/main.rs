@@ -277,28 +277,18 @@ fn run(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
         AlgoChoice::Bayes => Box::new(BayesSearch::new(&space, args.trials, args.seed)),
     };
 
-    // Stage-tree eligibility: prefix sharing needs the whole config set up
-    // front (history-independent algorithm), full-length trials (no early
-    // stop), no journal (segments are not per-trial journal entries), and
-    // a backend that really trains. Ineligible + explicitly requested →
-    // warn and fall back to the naive loop rather than fail the run.
-    let mut share = args.share_prefixes && !args.no_share_prefixes;
-    if share {
-        let blocker = if !matches!(args.algo, AlgoChoice::Grid | AlgoChoice::Random) {
-            Some("--algo must be grid or random (history-driven suggesters cannot be planned)")
-        } else if args.target_accuracy.is_some() {
-            Some("--target-accuracy stops trials mid-training, which breaks segment chaining")
-        } else if args.ckpt_dir.is_some() {
-            Some("--ckpt-dir journals per-trial, not per-segment")
-        } else if args.backend == BackendChoice::Sim {
-            Some("--backend sim has no real training to share")
-        } else {
-            None
-        };
-        if let Some(why) = blocker {
-            eprintln!("--share-prefixes ignored: {why}; running the naive loop");
-            share = false;
-        }
+    // Prefix sharing plans a stage tree over every wave; trials cut short
+    // by --target-accuracy leave no fork snapshot and the simulated
+    // backend trains nothing, so both keep one task per trial.
+    // (Distributed workers register the same stage task — see
+    // `worker::serve`.)
+    let stage = (args.share_prefixes && args.backend != BackendChoice::Sim)
+        .then(|| worker::build_stage_objective(Arc::clone(&data), args.cnn, 0));
+    let evaluator = Evaluator::pick(&runner.opts, objective, stage.as_ref());
+    if args.share_prefixes && matches!(evaluator, Evaluator::Trials(_)) {
+        eprintln!(
+            "--share-prefixes ignored: --target-accuracy and --backend sim run one task per trial"
+        );
     }
     // Telemetry must survive a crash: arm the flush hook so a panicking
     // trial or a ^C still leaves partial --metrics-out / --trace-out
@@ -320,41 +310,18 @@ fn run(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
             }
         }))
     };
-    let report = if share {
-        // Staged execution: plan the prefix tree over the materialised
-        // config set, train each shared prefix once, fork the rest.
-        // (Distributed workers register the same stage task — see
-        // `worker::serve`.)
-        let stage = worker::build_stage_objective(Arc::clone(&data), args.cnn, 0);
-        let configs = hpo::runner::materialize(algo.as_mut());
-        let (report, stats) =
-            runner.run_staged(&rt, args.algo.wire_name(), &configs, &stage, None, |t| {
-                println!("{}", dash.on_trial(t))
-            })?;
-        let banner = hpo::dashboard::stage_banner(&stats);
-        if !banner.is_empty() {
-            println!("{banner}");
-        }
-        report
-    } else if let Some(journal) = &journal {
-        let (report, stats) = runner.run_journaled(
-            &rt,
-            algo.as_mut(),
-            objective,
-            journal,
-            resume_state.as_ref(),
-            |t| println!("{}", dash.on_trial(t)),
-        )?;
-        let banner = dash.on_resume(&stats);
-        if !banner.is_empty() {
-            println!("{banner}");
-        }
-        report
-    } else {
-        runner.run_observed(&rt, algo.as_mut(), objective, |t| {
-            println!("{}", dash.on_trial(t));
-        })?
+    let plan = SweepPlan {
+        journal: journal.as_ref(),
+        resume: resume_state.as_ref(),
+        ..SweepPlan::new(evaluator)
     };
+    let SweepOutcome { report, resume, stages } =
+        runner.execute(&rt, algo.as_mut(), plan, |t| println!("{}", dash.on_trial(t)))?;
+    for banner in [hpo::dashboard::stage_banner(&stages), dash.on_resume(&resume)] {
+        if !banner.is_empty() {
+            println!("{banner}");
+        }
+    }
     // Clean finish: the normal export path below owns the flush now.
     guard.disarm();
 

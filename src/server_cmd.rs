@@ -13,7 +13,7 @@ use std::time::Duration;
 use hpo::client::{SubmitSpec, SweepClient, SweepInfo};
 use hpo::experiment::{ExperimentOptions, TrialCheckpoints};
 use hpo::server::{gather_workers, state_name, PoolPlan, ServerConfig, SweepServer};
-use hpo::EarlyStop;
+use hpo::{EarlyStop, Evaluator};
 use rcompss::{Constraint, DistributedConfig, Runtime, RuntimeConfig};
 use rnet::LeaderRow;
 
@@ -85,15 +85,18 @@ pub fn serve(args: &ServeArgs) -> Result<(), AnyError> {
         cfg.burst,
         if cfg.quota_trials > 0 { cfg.quota_trials.to_string() } else { "∞".to_string() },
     );
-    // Prefix sharing needs full-length trials: a serve-wide early-stop
-    // target would cut segments short, so it wins over --share-prefixes.
-    let stage = (args.share_prefixes && args.target_accuracy.is_none())
+    // The pool's workers register the stage task either way; whether a
+    // sweep may use it is `Evaluator::pick`'s call, per sweep.
+    let stage = args
+        .share_prefixes
         .then(|| worker::build_stage_objective(std::sync::Arc::clone(&data), args.cnn, 0));
-    if args.share_prefixes && args.target_accuracy.is_some() {
-        eprintln!("--share-prefixes ignored: --target-accuracy stops trials mid-training");
-    }
-    if stage.is_some() {
-        println!("stage-tree prefix sharing enabled for grid/random sweeps");
+    if args.share_prefixes {
+        match Evaluator::pick(&opts, objective.clone(), stage.as_ref()) {
+            Evaluator::Stages(_) => println!("stage-tree prefix sharing enabled"),
+            Evaluator::Trials(_) => {
+                eprintln!("--share-prefixes ignored: --target-accuracy runs one task per trial")
+            }
+        }
     }
     let server = SweepServer::start_staged(listener, rt, objective, stage, opts, cfg)?;
     println!("sweep server ready on {addr}");

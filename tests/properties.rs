@@ -81,7 +81,7 @@ fn run_program(cores: u32, ops: &[Op]) -> (Vec<i64>, Vec<i64>) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
     fn parallel_execution_is_sequentially_equivalent(ops in prop::collection::vec(op_strategy(), 1..24)) {
@@ -100,7 +100,7 @@ fn job_strategy() -> impl Strategy<Value = (u32, u64)> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
     fn no_core_oversubscription_and_makespan_bounds(
@@ -225,7 +225,7 @@ fn space_strategy() -> impl Strategy<Value = SearchSpace> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn grid_enumerates_exactly_the_product(space in space_strategy()) {
@@ -298,7 +298,7 @@ proptest! {
 // ---------------------------------------------------------------------
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(10))]
 
     #[test]
     fn sim_trace_busy_time_is_conserved(durations in prop::collection::vec(100u64..5_000, 1..30)) {
@@ -369,7 +369,7 @@ fn run_program_simulated(ops: &[Op]) -> (Vec<i64>, Vec<i64>) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
     fn threaded_and_simulated_backends_agree(ops in prop::collection::vec(op_strategy(), 1..24)) {
@@ -410,7 +410,7 @@ fn test_matrix(rows: usize, cols: usize, salt: u64) -> tinyml::Matrix {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn parallel_gemm_matches_serial_for_random_shapes(
@@ -456,7 +456,7 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn parallel_conv_matches_serial_for_random_shapes(

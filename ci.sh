@@ -10,7 +10,10 @@
 # (RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace);
 # tier-1 is the ROADMAP.md contract, `cargo build --release && cargo test
 # -q`, widened to `--workspace` so every crate's unit, property and
-# integration suites gate too.
+# integration suites gate too. Right after them the standalone benchmark
+# package is built against the crates and run once in --quick mode (all
+# four workloads verified against their oracles) with its Cargo.lock
+# unchanged, so a broken pinned signature or a re-lock fails here.
 # The overhead bench runs in smoke mode as a regression guard on the
 # metrics disabled hot path (must stay ~one relaxed atomic load), and the
 # runtime-throughput bench runs in smoke + net_throughput modes as
@@ -63,6 +66,10 @@ cargo build --release
 
 echo "==> tier-1: cargo test --workspace -q"
 cargo test --workspace -q
+
+echo "==> stackbench (quick): benchmark/ still compiles, verifies, and keeps its lock"
+cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- run --quick
+git diff --exit-code benchmark/Cargo.lock
 
 echo "==> overhead bench (smoke): disabled-path regression guard"
 cargo run --release -p hpo-bench --bin overhead_tracing -- smoke

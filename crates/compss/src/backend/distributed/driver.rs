@@ -1,0 +1,1117 @@
+//! Driver side of the distributed backend: worker acquisition, the
+//! connection manager's event loop, dispatch, and failover.
+
+use std::collections::HashMap;
+use std::io;
+use std::net::TcpStream;
+use std::os::fd::AsRawFd;
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Duration;
+
+use paratrace::merge::TaskBounds;
+use paratrace::{ClockSync, CoreId, EventKind, Record, TaskRef, WorkerTrace};
+use parking_lot::Mutex;
+use rnet::{
+    read_frame, Blob, Fill, Frame, FrameRef, Interest, Poller, RecvBuf, SendBuf, Waker, WireArg,
+};
+
+use super::{DistributedConfig, SNAP_TAG, WAKE_TOKEN};
+use crate::blocks::EncodedBlock;
+use crate::codec;
+use crate::data::{DataVersion, Value};
+use crate::runtime::{complete_attempt, fail_task_cascade, Core, RunningExec, Shared};
+use crate::task::{TaskError, TaskId};
+
+/// Wire key for a data version: handle id in the high 32 bits, version in
+/// the low 32. Handles are dense small integers, so this never collides.
+fn data_key(v: DataVersion) -> u64 {
+    (v.handle.0 << 32) | u64::from(v.version)
+}
+
+/// One argument prepared under the core lock: how its bytes (if any)
+/// reach the worker.
+enum PreparedArg {
+    /// Small value: encoded off-lock and shipped inline.
+    Inline { key: u64, value: Value },
+    /// Block-plane value already resident on the worker: hash only.
+    BlockRef { key: u64, hash: u128 },
+    /// Block-plane value the worker lacks: a `BlockPut` with the bytes
+    /// precedes the `Submit` that references the hash.
+    BlockShip { key: u64, block: Arc<EncodedBlock> },
+}
+
+/// A placed task bound for a remote worker, prepared under the core lock
+/// and encoded/sent outside it.
+pub(crate) struct RemoteDispatch {
+    exec_id: u64,
+    node: u32,
+    task_id: u64,
+    attempt: u32,
+    variant: u32,
+    cores: Vec<u32>,
+    gpus: Vec<u32>,
+    args: Vec<PreparedArg>,
+    name: Arc<str>,
+    start_us: u64,
+}
+
+/// Mutable per-connection state, all under one lock: the socket, both
+/// direction buffers, and the poll-interest shadow.
+struct LinkState {
+    /// `None` while the link is mid-failover (the event loop then ignores
+    /// stale readiness events for this token).
+    stream: Option<TcpStream>,
+    /// Interned function names: first submit of a name carries it in full,
+    /// later ones send only the id. Reset on reconnect.
+    fn_ids: HashMap<Arc<str>, u64>,
+    next_fn_id: u64,
+    /// Coalescing write backlog.
+    send: SendBuf,
+    /// Incremental read/decode buffer.
+    recv: RecvBuf,
+    /// The send buffer has a backlog the socket would not accept — the
+    /// loop must arm write interest and resume on writable.
+    want_write: bool,
+    /// What the poller currently believes (shadow of `want_write`).
+    registered_write: bool,
+    /// The fd is registered with the poller (cleared on failover).
+    registered: bool,
+    /// NTP-style clock-offset estimator fed by heartbeat acks; survives
+    /// failover (the worker's clock does not reset with its socket).
+    clock: ClockSync,
+    /// Node-labelled mirror of `rnet_bytes_sent_total` — per-worker
+    /// attribution of the transfer collapse in `/metrics`.
+    sent_bytes: runmetrics::Counter,
+    /// Node-labelled mirror of `rnet_bytes_received_total`.
+    recv_bytes: runmetrics::Counter,
+}
+
+/// One remote worker as seen by the driver.
+struct WorkerLink {
+    node: u32,
+    addr: String,
+    name: String,
+    state: Mutex<LinkState>,
+    /// Wall-µs of the last bytes received (any frame kind).
+    last_seen_us: AtomicU64,
+    hb_seq: AtomicU64,
+    /// Lock-free mirror of the best clock-sync estimate
+    /// (`worker_clock − driver_clock`), for readers outside the link lock.
+    clock_offset_us: AtomicI64,
+    /// Lock-free mirror of the best (smallest) observed heartbeat RTT.
+    clock_rtt_us: AtomicU64,
+    /// Worker-side trace records shipped via `TraceChunk`, decoded and
+    /// accumulated on the worker's own clock until the merge at export.
+    trace_records: Mutex<Vec<Record>>,
+}
+
+struct Inner {
+    shared: Arc<Shared>,
+    workers: Vec<Arc<WorkerLink>>,
+    cfg: DistributedConfig,
+    stop: AtomicBool,
+    poller: Poller,
+    wake: Waker,
+    /// Nodes whose fresh (reconnected) sockets await registration by the
+    /// event loop; paired with a [`Waker::wake`].
+    registrations: Mutex<Vec<u32>>,
+    /// Failover helper threads (reconnects block in `connect`, so they
+    /// must not run on the event loop).
+    helpers: Mutex<Vec<JoinHandle<()>>>,
+    /// Driver-observed `[dispatch, completion]` window per task id — the
+    /// clamp that keeps rebased worker spans inside driver-timeline causality
+    /// at merge time.
+    exec_bounds: Mutex<TaskBounds>,
+}
+
+/// Driver-side connection manager: one event-loop thread owning readiness
+/// for every [`WorkerLink`].
+pub(crate) struct ConnMgr {
+    inner: Arc<Inner>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+/// A freshly connected worker before the runtime exists: the socket plus
+/// what its `Hello` advertised. This is the unit of worker *acquisition*,
+/// split from runtime construction so a long-lived server can gather
+/// workers its own way — dialling out ([`connect_workers`]) and/or
+/// accepting dial-ins on a shared listener ([`WorkerBootstrap::from_hello`])
+/// — and only then build the [`crate::Runtime`] it owns (see
+/// [`crate::Runtime::from_bootstraps`]).
+pub struct WorkerBootstrap {
+    pub(crate) stream: TcpStream,
+    pub(crate) addr: String,
+    pub(crate) name: String,
+    pub(crate) cores: u32,
+    pub(crate) gpus: u32,
+    pub(crate) mem_gib: u32,
+}
+
+impl std::fmt::Debug for WorkerBootstrap {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WorkerBootstrap")
+            .field("addr", &self.addr)
+            .field("name", &self.name)
+            .field("cores", &self.cores)
+            .field("gpus", &self.gpus)
+            .field("mem_gib", &self.mem_gib)
+            .finish_non_exhaustive()
+    }
+}
+
+impl WorkerBootstrap {
+    /// Adopt a worker that dialled *us*: `stream` is an accepted
+    /// connection whose first frame was a `Hello` carrying these
+    /// resources. The caller has already read that frame (that is how it
+    /// knew the peer was a worker and not a sweep client); nothing else
+    /// may have been read from the socket.
+    pub fn from_hello(
+        stream: TcpStream,
+        addr: String,
+        name: String,
+        cores: u32,
+        gpus: u32,
+        mem_gib: u32,
+    ) -> WorkerBootstrap {
+        stream.set_nodelay(true).ok();
+        WorkerBootstrap { stream, addr, name, cores, gpus, mem_gib }
+    }
+
+    /// The worker's display name (from its `Hello`).
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// CPU cores the worker advertised.
+    pub fn cores(&self) -> u32 {
+        self.cores
+    }
+}
+
+/// Connect to every worker and collect their `Hello`s. Retries each
+/// address until `connect_timeout` so workers racing the driver to start
+/// (the ci.sh smoke pattern) are tolerated.
+pub fn connect_workers(addrs: &[String], timeout: Duration) -> io::Result<Vec<WorkerBootstrap>> {
+    addrs
+        .iter()
+        .map(|addr| {
+            let deadline = std::time::Instant::now() + timeout;
+            let stream = loop {
+                match TcpStream::connect(addr.as_str()) {
+                    Ok(s) => break s,
+                    Err(e) if std::time::Instant::now() < deadline => {
+                        let _ = e;
+                        std::thread::sleep(Duration::from_millis(50));
+                    }
+                    Err(e) => {
+                        return Err(io::Error::new(
+                            e.kind(),
+                            format!("connecting to worker {addr}: {e}"),
+                        ))
+                    }
+                }
+            };
+            stream.set_nodelay(true).ok();
+            hello_handshake(stream, addr.clone())
+        })
+        .collect()
+}
+
+/// Read the `Hello` a worker sends on connect (the one blocking read the
+/// driver ever does — the socket goes non-blocking right after).
+fn hello_handshake(mut stream: TcpStream, addr: String) -> io::Result<WorkerBootstrap> {
+    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
+    let frame = read_frame(&mut stream, &mut RecvBuf::new())?;
+    stream.set_read_timeout(None)?;
+    match frame {
+        Some(Frame::Hello { name, cores, gpus, mem_gib }) => {
+            Ok(WorkerBootstrap { stream, addr, name, cores, gpus, mem_gib })
+        }
+        other => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("worker {addr} did not say Hello (got {other:?})"),
+        )),
+    }
+}
+
+impl ConnMgr {
+    /// Wire up the links and spawn the event-loop thread. `boots` are in
+    /// node-id order (the same order the cluster spec was built in).
+    pub fn start(
+        shared: Arc<Shared>,
+        boots: Vec<WorkerBootstrap>,
+        cfg: DistributedConfig,
+    ) -> ConnMgr {
+        shared.core.lock().blocks.set_inline_threshold(cfg.inline_threshold);
+        let workers: Vec<Arc<WorkerLink>> = boots
+            .into_iter()
+            .enumerate()
+            .map(|(i, b)| {
+                b.stream.set_nonblocking(true).ok();
+                let label = format!("{}@{}", b.name, b.addr);
+                let reg = shared.metrics.registry();
+                let sent_bytes =
+                    reg.counter(&runmetrics::labeled("rnet_bytes_sent_total", "node", &label));
+                let recv_bytes =
+                    reg.counter(&runmetrics::labeled("rnet_bytes_received_total", "node", &label));
+                Arc::new(WorkerLink {
+                    node: i as u32,
+                    addr: b.addr,
+                    name: b.name,
+                    state: Mutex::new(LinkState {
+                        stream: Some(b.stream),
+                        fn_ids: HashMap::new(),
+                        next_fn_id: 1,
+                        send: SendBuf::new(),
+                        recv: RecvBuf::new(),
+                        want_write: false,
+                        registered_write: false,
+                        registered: false,
+                        clock: ClockSync::default(),
+                        sent_bytes,
+                        recv_bytes,
+                    }),
+                    last_seen_us: AtomicU64::new(shared.wall_us()),
+                    hb_seq: AtomicU64::new(0),
+                    clock_offset_us: AtomicI64::new(0),
+                    clock_rtt_us: AtomicU64::new(0),
+                    trace_records: Mutex::new(Vec::new()),
+                })
+            })
+            .collect();
+        let poller = Poller::new().unwrap_or_else(|_| Poller::fallback());
+        let wake = Waker::new(&poller, WAKE_TOKEN).expect("self-pipe waker");
+        let registrations = Mutex::new((0..workers.len() as u32).collect());
+        let inner = Arc::new(Inner {
+            shared,
+            workers,
+            cfg,
+            stop: AtomicBool::new(false),
+            poller,
+            wake,
+            registrations,
+            helpers: Mutex::new(Vec::new()),
+            exec_bounds: Mutex::new(TaskBounds::new()),
+        });
+        let loop_inner = Arc::clone(&inner);
+        let threads = vec![std::thread::spawn(move || driver_loop(loop_inner))];
+        ConnMgr { inner, threads }
+    }
+
+    /// Worker display labels, indexed by node id: `name@addr`.
+    pub fn labels(&self) -> Vec<String> {
+        self.inner.workers.iter().map(|w| format!("{}@{}", w.name, w.addr)).collect()
+    }
+
+    /// Everything the trace merge needs: each worker's shipped records with
+    /// its current clock-offset estimate, plus the driver-observed
+    /// dispatch→completion bounds. Records are cloned, not drained, so the
+    /// merged trace can be exported more than once.
+    pub fn telemetry(&self) -> (Vec<WorkerTrace>, TaskBounds) {
+        let workers = self
+            .inner
+            .workers
+            .iter()
+            .map(|w| WorkerTrace {
+                node: w.node,
+                offset_us: w.clock_offset_us.load(Ordering::Relaxed),
+                records: w.trace_records.lock().clone(),
+            })
+            .collect();
+        (workers, self.inner.exec_bounds.lock().clone())
+    }
+
+    /// Per-worker clock sync estimates, indexed by node id:
+    /// `(offset_us, rtt_us)`. RTT 0 means no heartbeat ack was observed yet.
+    pub fn clock_stats(&self) -> Vec<(i64, u64)> {
+        self.inner
+            .workers
+            .iter()
+            .map(|w| {
+                (w.clock_offset_us.load(Ordering::Relaxed), w.clock_rtt_us.load(Ordering::Relaxed))
+            })
+            .collect()
+    }
+
+    /// Place every placeable ready task for remote execution. Call with the
+    /// core locked; pair with [`ConnMgr::send`] after unlocking.
+    pub fn collect_dispatch_remote(&self, core: &mut Core) -> Vec<RemoteDispatch> {
+        collect_dispatch_remote(&self.inner.shared, core)
+    }
+
+    /// Encode and transmit prepared dispatches (coalesced per worker), then
+    /// emit their dispatch trace events. Call *without* the core lock.
+    pub fn send(&self, work: Vec<RemoteDispatch>) {
+        send_dispatches(&self.inner, work);
+    }
+
+    /// Graceful stop: join the loop and helpers, then drain each link's
+    /// backlog (blocking again) and append `Shutdown` so the goodbye never
+    /// splices into a partially-written frame.
+    pub fn shutdown(&mut self) {
+        self.inner.stop.store(true, Ordering::SeqCst);
+        let _ = self.inner.wake.wake();
+        for t in self.threads.drain(..) {
+            let _ = t.join();
+        }
+        let helpers: Vec<_> = self.inner.helpers.lock().drain(..).collect();
+        for h in helpers {
+            let _ = h.join();
+        }
+        for link in &self.inner.workers {
+            let mut st = link.state.lock();
+            let LinkState { stream, send, .. } = &mut *st;
+            if let Some(sock) = stream.as_mut() {
+                let _ = sock.set_nonblocking(false);
+                send.push(&Frame::Shutdown);
+                while !send.is_empty() {
+                    match send.flush(sock) {
+                        Ok((_, true)) => break,
+                        Ok((_, false)) => std::thread::yield_now(),
+                        Err(_) => break,
+                    }
+                }
+                let _ = sock.shutdown(std::net::Shutdown::Both);
+            }
+        }
+    }
+}
+
+/// The core-locked half of dispatch, mirroring the threaded backend's
+/// `collect_dispatch`: pop placeable tasks, decide inline-vs-block per
+/// input, register the `RunningExec`. Values are cloned (`Arc` bumps) here
+/// and encoded later, off-lock.
+pub(crate) fn collect_dispatch_remote(shared: &Shared, core: &mut Core) -> Vec<RemoteDispatch> {
+    let measure = shared.metrics.enabled();
+    let mut msgs = Vec::new();
+    loop {
+        let decision_started = measure.then(std::time::Instant::now);
+        let popped = {
+            // Disjoint field borrows: the locality closure reads data and
+            // instances while the scheduler is borrowed mutably.
+            // Transfer-aware placement: fewest bytes-to-move first
+            // (declared size × missing residency), most resident inputs as
+            // the tie-break — the remote analogue of `locality_score`,
+            // weighted by what a wrong placement actually costs.
+            let Core { sched, data, instances, .. } = core;
+            sched.pop_placeable(|t, n| {
+                instances
+                    .get(&t)
+                    .map_or((std::cmp::Reverse(0), 0), |inst| data.transfer_score(&inst.reads(), n))
+            })
+        };
+        if let Some(t0) = decision_started {
+            shared.metrics.sched_decision.record(t0.elapsed().as_micros() as u64);
+        }
+        let Some((entry, placement)) = popped else { break };
+        let placement = Arc::new(placement);
+        let task = entry.task;
+        let node = placement.node;
+        let inst = core.instances.get(&task).expect("ready task has an instance");
+        let name = Arc::clone(&inst.def.name);
+        let attempt = inst.attempt;
+        let submitted_us = inst.submitted_us;
+        let reads = inst.reads();
+        let mut args = Vec::with_capacity(reads.len());
+        for v in reads {
+            let key = data_key(v);
+            let value = core.data.get(v).expect("ready task inputs are computed");
+            if core.blocks.routes_block(core.data.bytes(v.handle)) {
+                // Content-address the value; the encode is memoised, so a
+                // dataset shared by a hundred trials pays the codec once.
+                if let Some(block) = core.blocks.encode(v, &value) {
+                    // Optimistic residency, both granularities: versions
+                    // drive scheduling scores, hashes drive ship-vs-ref.
+                    // Cleared if the connection drops (or on BlockEvict).
+                    core.data.add_location(v, node);
+                    if core.blocks.is_resident(node, block.hash) {
+                        args.push(PreparedArg::BlockRef { key, hash: block.hash });
+                    } else {
+                        core.blocks.add_resident(node, block.hash);
+                        args.push(PreparedArg::BlockShip { key, block });
+                    }
+                    continue;
+                }
+                // No codec: fall through to the inline path, whose
+                // failed-attempt reporting stands.
+            }
+            args.push(PreparedArg::Inline { key, value });
+        }
+        let now = shared.wall_us();
+        shared.metrics.dispatched.incr();
+        let queued = now.saturating_sub(submitted_us);
+        shared.metrics.dep_wait.record(queued);
+        shared.metrics.phase_queue.record(queued);
+        let exec_id = core.next_exec;
+        core.next_exec += 1;
+        core.running.insert(
+            exec_id,
+            RunningExec {
+                task,
+                placement: Arc::clone(&placement),
+                constraint: entry.constraint,
+                attempt,
+                start_us: now,
+            },
+        );
+        core.graph.set_running(task);
+        msgs.push(RemoteDispatch {
+            exec_id,
+            node,
+            task_id: task.0,
+            attempt,
+            variant: placement.variant as u32,
+            cores: placement.cores.clone(),
+            gpus: placement.gpus.clone(),
+            args,
+            name,
+            start_us: now,
+        });
+    }
+    shared.metrics.ready_depth.set(core.sched.ready_len() as f64);
+    shared.metrics.running.set(core.running.len() as f64);
+    msgs
+}
+
+/// Drain as much of the send backlog as the socket accepts right now. Sets
+/// `want_write` when a backlog remains. Returns `false` when the socket
+/// died.
+fn pump_link(shared: &Shared, st: &mut LinkState) -> bool {
+    let LinkState { stream, send, want_write, sent_bytes, .. } = &mut *st;
+    let Some(sock) = stream.as_mut() else {
+        return true; // mid-failover; frames stay buffered until resolution
+    };
+    if send.is_empty() {
+        *want_write = false;
+        return true;
+    }
+    match send.flush(sock) {
+        Ok((n, drained)) => {
+            if n > 0 {
+                shared.metrics.net_bytes_sent.add(n as u64);
+                sent_bytes.add(n as u64);
+            }
+            *want_write = !drained;
+            true
+        }
+        Err(_) => false,
+    }
+}
+
+/// Reconcile the poller's write interest with `want_write`. Call with the
+/// link lock held, after any pump.
+fn sync_interest(inner: &Inner, node: u32, st: &mut LinkState) {
+    if !st.registered || st.want_write == st.registered_write {
+        return;
+    }
+    let Some(fd) = st.stream.as_ref().map(|s| s.as_raw_fd()) else { return };
+    let interest = if st.want_write { Interest::READ_WRITE } else { Interest::READ };
+    if inner.poller.modify(fd, u64::from(node), interest).is_ok() {
+        st.registered_write = st.want_write;
+    }
+}
+
+/// Off-lock half of dispatch: encode values, intern names, coalesce frames
+/// per worker, flush each link's backlog once.
+fn send_dispatches(inner: &Arc<Inner>, work: Vec<RemoteDispatch>) {
+    if work.is_empty() {
+        return;
+    }
+    // Dispatch trace events first (cheap, lock-free collector).
+    for d in &work {
+        inner.shared.trace.event(
+            CoreId::new(d.node, d.cores.first().copied().unwrap_or(0)),
+            d.start_us,
+            EventKind::TaskDispatch(TaskRef::new(d.task_id, Arc::clone(&d.name))),
+        );
+    }
+    let mut undeliverable: Vec<(u64, String)> = Vec::new();
+    let mut dead_links: Vec<Arc<WorkerLink>> = Vec::new();
+    let mut by_node: HashMap<u32, Vec<RemoteDispatch>> = HashMap::new();
+    for d in work {
+        by_node.entry(d.node).or_default().push(d);
+    }
+    for (node, batch) in by_node {
+        let link = &inner.workers[node as usize];
+        let mut st = link.state.lock();
+        for d in batch {
+            let mut args = Vec::with_capacity(d.args.len());
+            let mut encode_err = None;
+            for a in &d.args {
+                match a {
+                    PreparedArg::BlockRef { key, hash } => {
+                        args.push(WireArg::Block { key: *key, hash: *hash })
+                    }
+                    PreparedArg::BlockShip { key, block } => {
+                        // The block's bytes must precede the Submit that
+                        // references them (same socket, so ordering holds).
+                        st.send
+                            .push(&Frame::BlockPut { hash: block.hash, blob: block.blob.clone() });
+                        args.push(WireArg::Block { key: *key, hash: block.hash });
+                    }
+                    PreparedArg::Inline { key, value } => match codec::encode_value(value) {
+                        Some(blob) => args.push(WireArg::Inline { key: *key, blob }),
+                        None => {
+                            encode_err = Some(format!(
+                                "no wire codec registered for an input of task '{}'",
+                                d.name
+                            ));
+                            break;
+                        }
+                    },
+                }
+            }
+            if let Some(msg) = encode_err {
+                undeliverable.push((d.exec_id, msg));
+                continue;
+            }
+            let fn_name = if st.fn_ids.contains_key(&d.name) {
+                None
+            } else {
+                let id = st.next_fn_id;
+                st.next_fn_id += 1;
+                st.fn_ids.insert(Arc::clone(&d.name), id);
+                Some(d.name.to_string())
+            };
+            let fn_id = st.fn_ids[&d.name];
+            st.send.push(&Frame::Submit {
+                exec_id: d.exec_id,
+                task_id: d.task_id,
+                attempt: d.attempt,
+                node: d.node,
+                fn_id,
+                fn_name,
+                variant: d.variant,
+                cores: d.cores,
+                gpus: d.gpus,
+                args,
+            });
+        }
+        if pump_link(&inner.shared, &mut st) {
+            sync_interest(inner, node, &mut st);
+        } else {
+            dead_links.push(Arc::clone(link));
+        }
+    }
+    // Encoding failures become failed attempts under the normal retry
+    // machinery (they will exhaust retries and cascade).
+    if !undeliverable.is_empty() {
+        let now = inner.shared.wall_us();
+        let follow = {
+            let mut core = inner.shared.core.lock();
+            for (exec_id, msg) in undeliverable {
+                complete_attempt(
+                    &inner.shared,
+                    &mut core,
+                    exec_id,
+                    Err(TaskError::new(msg)),
+                    now,
+                    false,
+                );
+            }
+            collect_dispatch_remote(&inner.shared, &mut core)
+        };
+        inner.shared.cv.notify_all();
+        send_dispatches(inner, follow);
+    }
+    for link in dead_links {
+        start_failover(inner, &link);
+    }
+}
+
+/// The driver's event loop: readiness for every link and the waker, with
+/// heartbeat pacing folded into the poll timeout.
+fn driver_loop(inner: Arc<Inner>) {
+    let hb = inner.cfg.heartbeat_interval;
+    let mut events = Vec::new();
+    // First heartbeat fires immediately: it seeds the clock-offset estimate
+    // so even tasks completing before the first interval elapses get
+    // rebased worker telemetry.
+    let mut next_hb = std::time::Instant::now();
+    loop {
+        if inner.stop.load(Ordering::SeqCst) {
+            return;
+        }
+        // Register freshly (re)connected sockets queued by start / helpers.
+        let regs: Vec<u32> = std::mem::take(&mut *inner.registrations.lock());
+        for node in regs {
+            register_link(&inner, &inner.workers[node as usize]);
+        }
+        let now = std::time::Instant::now();
+        if now >= next_hb {
+            heartbeat_pass(&inner);
+            next_hb = now + hb;
+        }
+        let timeout = next_hb.saturating_duration_since(std::time::Instant::now());
+        if inner.poller.wait(&mut events, Some(timeout)).is_err() {
+            std::thread::sleep(Duration::from_millis(1));
+            continue;
+        }
+        if inner.stop.load(Ordering::SeqCst) {
+            return;
+        }
+        for ev in &events {
+            if ev.token == WAKE_TOKEN {
+                inner.wake.drain();
+                continue;
+            }
+            let Some(link) = inner.workers.get(ev.token as usize) else { continue };
+            service_link(&inner, link, ev.readable, ev.writable);
+        }
+    }
+}
+
+/// Add a link's socket to the poll set (event-loop thread only).
+fn register_link(inner: &Inner, link: &WorkerLink) {
+    let mut st = link.state.lock();
+    let Some(fd) = st.stream.as_ref().map(|s| {
+        s.set_nonblocking(true).ok();
+        s.as_raw_fd()
+    }) else {
+        return;
+    };
+    let interest = if st.want_write { Interest::READ_WRITE } else { Interest::READ };
+    if inner.poller.register(fd, u64::from(link.node), interest).is_ok() {
+        st.registered = true;
+        st.registered_write = st.want_write;
+    }
+}
+
+/// Write a heartbeat to every live link and declare silent ones dead.
+///
+/// Each probe carries the driver's clock (for the NTP exchange the ack
+/// completes) and the telemetry gate: workers flush trace chunks and stats
+/// only when the driver's tracing flag is on, so a tracing-disabled run
+/// sees zero telemetry bytes on the wire.
+fn heartbeat_pass(inner: &Arc<Inner>) {
+    let timeout_us = inner.cfg.heartbeat_timeout.as_micros() as u64;
+    let now = inner.shared.wall_us();
+    let telemetry = inner.shared.trace.is_enabled();
+    let mut dead = Vec::new();
+    for link in &inner.workers {
+        {
+            let mut st = link.state.lock();
+            if st.stream.is_none() {
+                continue;
+            }
+            let seq = link.hb_seq.fetch_add(1, Ordering::Relaxed);
+            st.send.push(&Frame::Heartbeat { seq, t_send_us: inner.shared.wall_us(), telemetry });
+            if pump_link(&inner.shared, &mut st) {
+                sync_interest(inner, link.node, &mut st);
+            } else {
+                dead.push(Arc::clone(link));
+                continue;
+            }
+        }
+        let silent = now.saturating_sub(link.last_seen_us.load(Ordering::Relaxed));
+        if silent > timeout_us {
+            dead.push(Arc::clone(link));
+        }
+    }
+    for link in dead {
+        start_failover(inner, &link);
+    }
+}
+
+/// Worker-clock lifecycle stamps riding a `Done` frame: submit receipt,
+/// body start, body end. `None` for failures.
+type ExecStamps = Option<(u64, u64, u64)>;
+
+/// One readiness event for a link: drain writes, then drain reads frame by
+/// frame (zero-copy decode), then act on what arrived.
+fn service_link(inner: &Arc<Inner>, link: &Arc<WorkerLink>, readable: bool, writable: bool) {
+    let mut completions: Vec<(u64, Result<Vec<Value>, TaskError>, ExecStamps)> = Vec::new();
+    let mut fetches: Vec<u64> = Vec::new();
+    let mut block_reqs: Vec<u128> = Vec::new();
+    let mut block_evicts: Vec<u128> = Vec::new();
+    let mut snap_updates: Vec<(u64, Vec<u8>)> = Vec::new();
+    let mut acks: Vec<(u64, u64, u64)> = Vec::new();
+    let mut chunks: Vec<Vec<u8>> = Vec::new();
+    let mut stats_seen = false;
+    let mut alive = true;
+    let mut saw_bytes = false;
+    {
+        let mut st = link.state.lock();
+        if st.stream.is_none() {
+            return; // stale event for a link mid-failover
+        }
+        if writable {
+            alive = pump_link(&inner.shared, &mut st);
+        }
+        if readable && alive {
+            let LinkState { stream, recv, recv_bytes, .. } = &mut *st;
+            let sock = stream.as_mut().expect("checked above");
+            'fill: loop {
+                match recv.fill_from(sock) {
+                    Ok(Fill::Bytes(n)) => {
+                        saw_bytes = true;
+                        inner.shared.metrics.net_bytes_received.add(n as u64);
+                        recv_bytes.add(n as u64);
+                    }
+                    Ok(Fill::WouldBlock) => break,
+                    Ok(Fill::Eof) | Err(_) => {
+                        alive = false;
+                        break;
+                    }
+                }
+                loop {
+                    match recv.next_frame() {
+                        Ok(Some(frame)) => match frame {
+                            FrameRef::Done { exec_id, recv_us, start_us, end_us, outputs } => {
+                                let result = outputs
+                                    .iter()
+                                    .map(|b| {
+                                        codec::decode_tagged(b.tag, b.bytes).map_err(|e| {
+                                            TaskError::new(format!("undecodable task output: {e}"))
+                                        })
+                                    })
+                                    .collect();
+                                completions.push((
+                                    exec_id,
+                                    result,
+                                    Some((recv_us, start_us, end_us)),
+                                ));
+                            }
+                            FrameRef::Failed { exec_id, message } => {
+                                completions.push((exec_id, Err(TaskError::new(message)), None));
+                            }
+                            FrameRef::HeartbeatAck { t_send_us, recv_us, reply_us, .. } => {
+                                acks.push((t_send_us, recv_us, reply_us));
+                            }
+                            FrameRef::Fetch { key } => fetches.push(key),
+                            FrameRef::BlockRequest { hash } => block_reqs.push(hash),
+                            FrameRef::BlockEvict { hash } => block_evicts.push(hash),
+                            FrameRef::Data { key, blob } => {
+                                snap_updates.push((key, blob.bytes.to_vec()));
+                            }
+                            FrameRef::TraceChunk { bytes } => chunks.push(bytes.to_vec()),
+                            FrameRef::StatsSnapshot { .. } => stats_seen = true,
+                            // Workers don't originate these driver-bound
+                            // frames.
+                            _ => {}
+                        },
+                        Ok(None) => continue 'fill,
+                        Err(_) => {
+                            alive = false;
+                            break 'fill;
+                        }
+                    }
+                }
+            }
+        }
+        if saw_bytes {
+            link.last_seen_us.store(inner.shared.wall_us(), Ordering::Relaxed);
+        }
+        if !acks.is_empty() {
+            // Complete the NTP exchange: t3 is "now" on the driver clock.
+            // One wall read serves the batch — acks decoded together arrived
+            // together within the fill's granularity.
+            let t3 = inner.shared.wall_us();
+            for (t0, t1, t2) in acks.drain(..) {
+                st.clock.observe(t0, t1, t2, t3);
+            }
+            link.clock_offset_us.store(st.clock.offset_us(), Ordering::Relaxed);
+            link.clock_rtt_us.store(st.clock.rtt_us(), Ordering::Relaxed);
+        }
+        if alive {
+            sync_interest(inner, link.node, &mut st);
+        }
+    }
+    ingest_telemetry(inner, link, chunks, stats_seen);
+    // Snapshot saves/tombstones from the worker: keep the latest per key so
+    // the retry path can ship it to whichever worker inherits the task.
+    if !snap_updates.is_empty() {
+        let mut snaps = inner.shared.snapshots.lock();
+        for (key, bytes) in snap_updates {
+            if bytes.is_empty() {
+                snaps.remove(&key);
+            } else {
+                snaps.insert(key, bytes);
+            }
+        }
+    }
+    if !completions.is_empty()
+        || !fetches.is_empty()
+        || !block_reqs.is_empty()
+        || !block_evicts.is_empty()
+    {
+        apply_frames(inner, link, completions, fetches, block_reqs, block_evicts);
+    }
+    if !alive {
+        start_failover(inner, link);
+    }
+}
+
+/// Fold one readiness event's telemetry frames into driver state: decode
+/// shipped trace chunks onto the link's record store, account their payload
+/// bytes, and refresh the per-worker clock/freshness gauges.
+fn ingest_telemetry(
+    inner: &Arc<Inner>,
+    link: &Arc<WorkerLink>,
+    chunks: Vec<Vec<u8>>,
+    stats_seen: bool,
+) {
+    let label = || format!("{}@{}", link.name, link.addr);
+    if !chunks.is_empty() {
+        let mut records = link.trace_records.lock();
+        for chunk in &chunks {
+            inner.shared.metrics.telemetry_bytes.add(chunk.len() as u64);
+            // A malformed chunk loses those spans but not the run: the
+            // driver-side estimates still cover the trace.
+            if let Ok(mut rs) = paratrace::wire::decode_records(chunk) {
+                records.append(&mut rs);
+            }
+        }
+    }
+    if stats_seen {
+        inner.shared.metrics.set_node_gauge(
+            "rnet_last_stats_us",
+            &label(),
+            inner.shared.wall_us() as f64,
+        );
+    }
+    let rtt = link.clock_rtt_us.load(Ordering::Relaxed);
+    if rtt > 0 {
+        inner.shared.metrics.set_node_gauge("rnet_rtt_us", &label(), rtt as f64);
+        inner.shared.metrics.set_node_gauge(
+            "rnet_clock_offset_us",
+            &label(),
+            link.clock_offset_us.load(Ordering::Relaxed) as f64,
+        );
+    }
+}
+
+/// Completions and requests collected from one readiness event: one core
+/// lock pass for bookkeeping + follow-on placement, replies pushed onto
+/// the link's backlog, traces emitted off-lock.
+fn apply_frames(
+    inner: &Arc<Inner>,
+    link: &Arc<WorkerLink>,
+    completions: Vec<(u64, Result<Vec<Value>, TaskError>, ExecStamps)>,
+    fetches: Vec<u64>,
+    block_reqs: Vec<u128>,
+    block_evicts: Vec<u128>,
+) {
+    let now = inner.shared.wall_us();
+    type Info = (TaskId, Arc<crate::scheduler::Placement>, u64, Arc<str>, ExecStamps);
+    let mut infos: Vec<Info> = Vec::new();
+    let mut replies: Vec<Frame> = Vec::new();
+    let follow = {
+        let mut core = inner.shared.core.lock();
+        for (exec_id, result, stamps) in completions {
+            // Late frames for already-failed-over executions are ignored
+            // (`running` no longer knows the exec id).
+            if let Some(run) = core.running.get(&exec_id) {
+                let name = core
+                    .instances
+                    .get(&run.task)
+                    .map(|i| Arc::clone(&i.def.name))
+                    .unwrap_or_else(|| Arc::from("?"));
+                infos.push((run.task, Arc::clone(&run.placement), run.start_us, name, stamps));
+            }
+            complete_attempt(&inner.shared, &mut core, exec_id, result, now, false);
+        }
+        for &hash in &block_evicts {
+            // The worker dropped the block under memory pressure: retract
+            // residency at both granularities so the next dispatch ships
+            // the bytes again (and scores the node honestly).
+            core.blocks.evict(link.node, hash);
+            let versions: Vec<DataVersion> = core.blocks.versions_of(hash).to_vec();
+            for v in versions {
+                core.data.remove_location(v, link.node);
+            }
+        }
+        for &hash in &block_reqs {
+            // Cache-miss refill; silence on an unknown hash is handled by
+            // the worker's own fetch deadline.
+            if let Some(block) = core.blocks.lookup(hash) {
+                core.blocks.add_resident(link.node, hash);
+                replies.push(Frame::BlockData { hash, blob: block.blob.clone() });
+            }
+        }
+        collect_dispatch_remote(&inner.shared, &mut core)
+    };
+    for key in fetches {
+        // Snapshot fetch: always reply — an empty blob means "no
+        // snapshot", so a fresh trial starts immediately instead of
+        // blocking out the worker's fetch deadline.
+        let bytes = inner.shared.snapshots.lock().get(&key).cloned().unwrap_or_default();
+        replies.push(Frame::Data { key, blob: Blob { tag: SNAP_TAG.to_string(), bytes } });
+    }
+    let mut alive = true;
+    if !replies.is_empty() {
+        let mut st = link.state.lock();
+        for f in &replies {
+            st.send.push(f);
+        }
+        alive = pump_link(&inner.shared, &mut st);
+        if alive {
+            sync_interest(inner, link.node, &mut st);
+        }
+    }
+    if !infos.is_empty() {
+        // Driver-observed dispatch→completion windows: the causality clamp
+        // applied to this worker's rebased spans at merge time.
+        let mut bounds = inner.exec_bounds.lock();
+        for (task, _, start_us, _, _) in &infos {
+            bounds.insert(task.0, (*start_us, now));
+        }
+    }
+    let offset = link.clock_offset_us.load(Ordering::Relaxed);
+    for (task, placement, start_us, name, stamps) in infos {
+        inner.shared.metrics.rpc_latency.record(now.saturating_sub(start_us));
+        inner.shared.metrics.record_node_task(&format!("{}@{}", link.name, link.addr));
+        if let Some((w_recv, w_start, w_end)) = stamps {
+            // Rebase the worker stamps onto the driver timeline; exec is a
+            // worker-clock difference, so the offset cancels there.
+            let rebase = |t: u64| (t as i64 - offset).max(0) as u64;
+            let m = &inner.shared.metrics;
+            m.phase_wire.record(rebase(w_recv).saturating_sub(start_us));
+            m.phase_exec.record(w_end.saturating_sub(w_start));
+            m.phase_ship.record(now.saturating_sub(rebase(w_end)));
+        }
+        let task_ref = TaskRef::new(task.0, name);
+        for (node, cores) in placement.node_cores() {
+            for &c in cores {
+                inner.shared.trace.task_run(
+                    CoreId::new(node, c),
+                    start_us,
+                    now.max(start_us + 1),
+                    task_ref.clone(),
+                );
+            }
+        }
+        inner.shared.trace.event(
+            CoreId::new(placement.node, placement.cores.first().copied().unwrap_or(0)),
+            now,
+            EventKind::TaskEnd(task_ref),
+        );
+    }
+    inner.shared.cv.notify_all();
+    send_dispatches(inner, follow);
+    if !alive {
+        start_failover(inner, link);
+    }
+}
+
+/// Tear the socket out of a dead link (idempotent: `stream == None` means
+/// failover is already in flight) and run the slow recovery on a helper
+/// thread so reconnect's blocking `connect` never stalls the event loop.
+fn start_failover(inner: &Arc<Inner>, link: &Arc<WorkerLink>) {
+    let sock = {
+        let mut st = link.state.lock();
+        let Some(sock) = st.stream.take() else { return };
+        st.send.clear();
+        st.recv = RecvBuf::new();
+        st.want_write = false;
+        st.registered_write = false;
+        st.registered = false;
+        sock
+    };
+    // Deregister before the fd closes on drop.
+    let _ = inner.poller.deregister(sock.as_raw_fd());
+    let _ = sock.shutdown(std::net::Shutdown::Both);
+    drop(sock);
+    if inner.stop.load(Ordering::SeqCst) {
+        return;
+    }
+    let inner2 = Arc::clone(inner);
+    let link2 = Arc::clone(link);
+    let h = std::thread::spawn(move || failover(&inner2, &link2));
+    inner.helpers.lock().push(h);
+}
+
+/// Failover for a dead connection: fail over orphaned executions, wipe
+/// stale per-link state, then either reconnect (reviving the node) or
+/// cascade-fail tasks the surviving cluster can never run.
+fn failover(inner: &Arc<Inner>, link: &Arc<WorkerLink>) {
+    let node = link.node;
+    let now = inner.shared.wall_us();
+    inner.shared.metrics.workers_lost.incr();
+    inner.shared.metrics.node_failures.incr();
+    inner.shared.trace.event(CoreId::new(node, 0), now, EventKind::NodeFailure);
+    {
+        let mut core = inner.shared.core.lock();
+        core.sched.kill_node(node);
+        core.data.clear_node_locations(node);
+        core.blocks.clear_node(node);
+        let orphans: Vec<u64> = core
+            .running
+            .iter()
+            .filter(|(_, r)| r.placement.involves(node))
+            .map(|(&e, _)| e)
+            .collect();
+        for e in orphans {
+            complete_attempt(
+                &inner.shared,
+                &mut core,
+                e,
+                Err(TaskError::new(format!("worker {} connection lost", link.addr))),
+                now,
+                true,
+            );
+        }
+    }
+    {
+        let mut st = link.state.lock();
+        st.fn_ids.clear();
+        st.next_fn_id = 1;
+        // Submits buffered since the socket was torn out are for
+        // executions just failed over; drop them.
+        st.send.clear();
+    }
+    if inner.cfg.reconnect && !inner.stop.load(Ordering::SeqCst) {
+        if let Ok(boot) =
+            connect_workers(std::slice::from_ref(&link.addr), inner.cfg.connect_timeout)
+                .map(|mut v| v.remove(0))
+        {
+            {
+                let mut st = link.state.lock();
+                boot.stream.set_nonblocking(true).ok();
+                st.stream = Some(boot.stream);
+            }
+            link.last_seen_us.store(inner.shared.wall_us(), Ordering::Relaxed);
+            inner.shared.metrics.net_reconnects.incr();
+            let follow = {
+                let mut core = inner.shared.core.lock();
+                core.sched.revive_node(node);
+                collect_dispatch_remote(&inner.shared, &mut core)
+            };
+            // Hand the fresh socket to the event loop for registration.
+            inner.registrations.lock().push(node);
+            let _ = inner.wake.wake();
+            inner.shared.cv.notify_all();
+            send_dispatches(inner, follow);
+            return;
+        }
+    }
+    // No way back: anything the surviving cluster can never run fails now
+    // rather than hanging the barrier; the rest re-dispatches.
+    let follow = {
+        let mut core = inner.shared.core.lock();
+        let doomed = core.sched.drain_unsatisfiable();
+        for entry in doomed {
+            fail_task_cascade(&inner.shared, &mut core, entry.task);
+        }
+        collect_dispatch_remote(&inner.shared, &mut core)
+    };
+    inner.shared.cv.notify_all();
+    send_dispatches(inner, follow);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::data::DataHandle;
+
+    #[test]
+    fn data_keys_roundtrip() {
+        for (h, v) in [(0u64, 1u32), (1, 1), (7, 3), (u32::MAX as u64, u32::MAX)] {
+            let dv = DataVersion { handle: DataHandle(h), version: v };
+            let key = data_key(dv);
+            assert_eq!((key >> 32, key as u32), (h, v));
+        }
+    }
+}

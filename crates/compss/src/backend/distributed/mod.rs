@@ -1,0 +1,138 @@
+//! Distributed backend: real execution on remote worker daemons over TCP,
+//! built on a readiness-driven event loop.
+//!
+//! # Architecture
+//!
+//! Both sides of the wire are single-threaded event loops over
+//! non-blocking sockets ([`rnet::poll::Poller`]: epoll on Linux, `poll(2)`
+//! elsewhere), with per-connection reusable buffers
+//! ([`rnet::nonblock::RecvBuf`] / [`rnet::nonblock::SendBuf`]) instead of
+//! per-connection blocking threads:
+//!
+//! * **Driver.** One loop thread owns readiness for every worker link plus
+//!   a self-pipe [`rnet::poll::Waker`]. A readable event drains the socket
+//!   into the link's `RecvBuf` and decodes frames *zero-copy*
+//!   ([`rnet::FrameRef`] borrows the buffer; `Done` outputs go straight
+//!   into [`crate::codec::decode_tagged`] without an owned `Blob`). A
+//!   writable event resumes draining the link's `SendBuf`. Heartbeats are
+//!   paced by the poll timeout — no separate monitor thread. Reconnect
+//!   attempts (which block in `connect`) run on short-lived helper threads that
+//!   hand the fresh socket back to the loop through a registration queue
+//!   and the waker.
+//! * **Worker.** One loop thread owns the listener and every driver
+//!   connection. Executor threads never touch the socket: they push result
+//!   frames into the connection's shared `SendBuf` and nudge the loop via
+//!   the waker, which flushes and re-arms write interest as needed.
+//!
+//! # Connection state machine
+//!
+//! Each connection cycles through: read-buffer accumulation → in-place
+//! frame decode → dispatch → write-buffer drain. Write interest is
+//! registered only while the `SendBuf` holds a partially-written backlog
+//! (`want_write`), so an idle connection costs one `EPOLLIN` registration
+//! and zero syscalls.
+//!
+//! # Pipelining
+//!
+//! Submits to one worker coalesce into the link's `SendBuf` (one `write`
+//! for a burst). The scheduler bounds in-flight work per worker by the
+//! cores its `Hello` advertised, so the link needs no queue of its own.
+//!
+//! # Data movement
+//!
+//! A worker resolves a task input in exactly two ways. A value below
+//! [`DistributedConfig::inline_threshold`] travels in the `Submit`
+//! ([`rnet::WireArg::Inline`]) and is decoded straight into the queued
+//! job — every task that reads it gets its own copy, so declare the size
+//! of anything shared with `set_data_bytes`. `Fetch`/`Data` frames carry
+//! task snapshots only (see the `snapshot` module).
+//!
+//! Values whose declared size meets the threshold ride the
+//! content-addressed block plane (see the `blocks` module): the driver
+//! encodes the value once, hashes it, pushes the bytes ahead of the first
+//! `Submit` that needs them on a node (`BlockPut`), and every later submit —
+//! any trial, same content — sends only the 16-byte hash
+//! ([`rnet::WireArg::Block`]). Workers hold decoded blocks in an LRU cache
+//! bounded by `--cache-mem`, reporting evictions (`BlockEvict`) so the
+//! driver's residency stays honest; a miss is one `BlockRequest`/
+//! `BlockData` round trip, deduplicated across concurrently-starting
+//! tasks. The upshot: a shared dataset crosses the wire O(workers) times
+//! per sweep, not O(trials).
+//!
+//! # Fault tolerance
+//!
+//! A worker is declared dead on connection error, EOF, or heartbeat
+//! timeout. Its in-flight executions are failed with `node_gone = true`, so
+//! [`crate::fault::RetryPolicy`] re-routes them to surviving workers; ready
+//! tasks that no surviving node could ever run are failed immediately
+//! (cascade) instead of hanging the barrier. With
+//! [`DistributedConfig::reconnect`] enabled the driver attempts one
+//! reconnect first and revives the node on success.
+//!
+//! Multi-node (`@multinode`) constraints are not dispatched remotely — the
+//! simulated backend remains the home for those experiments.
+
+use std::time::Duration;
+
+use crate::blocks::DEFAULT_INLINE_THRESHOLD;
+
+mod driver;
+mod worker;
+
+pub(crate) use driver::ConnMgr;
+pub use driver::{connect_workers, WorkerBootstrap};
+pub use worker::{WorkerConfig, WorkerHandle, WorkerServer};
+
+/// Poll token of the self-pipe waker (driver and worker loops alike).
+const WAKE_TOKEN: u64 = u64::MAX;
+
+/// Tuning knobs for the driver side of a distributed runtime.
+#[derive(Debug, Clone)]
+pub struct DistributedConfig {
+    /// How often the driver loop pings each worker.
+    pub heartbeat_interval: Duration,
+    /// Silence longer than this declares the worker dead.
+    pub heartbeat_timeout: Duration,
+    /// Attempt one reconnect (and revive the node) before failing a dead
+    /// worker's tasks over to the survivors.
+    pub reconnect: bool,
+    /// How long to keep retrying the initial connection to each worker.
+    pub connect_timeout: Duration,
+    /// Values whose declared size (`DataRegistry::bytes`, the same size
+    /// model the transfer-aware scheduler scores with) is at least this
+    /// many bytes travel as content-addressed blocks instead of inline
+    /// `Submit` payloads. `u64::MAX` disables the block plane.
+    pub inline_threshold: u64,
+}
+
+impl Default for DistributedConfig {
+    fn default() -> Self {
+        DistributedConfig {
+            heartbeat_interval: Duration::from_millis(200),
+            heartbeat_timeout: Duration::from_millis(1500),
+            reconnect: false,
+            connect_timeout: Duration::from_secs(5),
+            inline_threshold: DEFAULT_INLINE_THRESHOLD,
+        }
+    }
+}
+
+/// Codec tag stamped on snapshot `Data` frames (see [`crate::snapshot`]).
+/// Never looked up in the codec registry: snapshot blobs are opaque to the
+/// runtime and cross the wire verbatim; only the task that saved them
+/// knows the layout.
+const SNAP_TAG: &str = "ckpt.snap";
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn default_config_is_sane() {
+        let c = DistributedConfig::default();
+        assert!(c.heartbeat_timeout > c.heartbeat_interval);
+        assert!(!c.reconnect);
+        let w = WorkerConfig::default();
+        assert!(w.cores >= 1);
+    }
+}

@@ -8,10 +8,12 @@
 //! blocks under an LRU policy bounded by a byte budget (`--cache-mem`),
 //! reporting evictions back so the driver's residency view stays honest.
 //!
-//! Content addressing buys two things over version-keyed caching: two
+//! Content addressing buys two things over keying by version id: two
 //! versions with identical bytes collapse to one block (one transfer, one
 //! cache slot), and a block is immutable by construction — there is no
-//! invalidation protocol, only eviction.
+//! invalidation protocol, only eviction. It is the only cache a worker
+//! has: a value below the inline threshold travels in every `Submit` that
+//! reads it.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
@@ -61,11 +63,11 @@ pub(crate) struct EncodedBlock {
 /// Driver-side block state: encode-once memo, content dedup, and the
 /// per-node residency map behind transfer-aware placement.
 ///
-/// Residency here is *optimistic*, mirroring `DataRegistry::add_location`:
-/// a block is marked resident when its `BlockPut` is queued, not when the
-/// worker acks it. Frames on one link are ordered, so any `Submit` that
-/// relies on the mark is decoded after the bytes arrived. Worker evictions
-/// (`BlockEvict`) and node death (`clear_node`) retract marks.
+/// Residency here is *optimistic*: a block is marked resident when its
+/// `BlockPut` is queued, not when the worker acks it. Frames on one link
+/// are ordered, so any `Submit` that relies on the mark is decoded after
+/// the bytes arrived. Worker evictions (`BlockEvict`) and node death
+/// (`clear_node`) retract marks.
 pub(crate) struct BlockStore {
     inline_threshold: u64,
     encoded: HashMap<DataVersion, Arc<EncodedBlock>>,

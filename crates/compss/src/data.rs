@@ -202,7 +202,11 @@ impl DataRegistry {
         self.values.contains_key(&v)
     }
 
-    /// Mark `v` resident on `node` (sim backend locality/transfers).
+    /// Mark `v` resident on `node`. The sim backend charges transfers by
+    /// it and the distributed backend tracks block residency with it. A
+    /// task's outputs are marked on the node that ran it; a distributed
+    /// worker does not keep them, so there that mark is a placement hint —
+    /// dependents are steered to the producer and still receive the value.
     pub fn add_location(&mut self, v: DataVersion, node: u32) {
         self.locations.entry(v).or_default().insert(node);
     }
@@ -222,7 +226,7 @@ impl DataRegistry {
 
     /// Forget every residency claim for `node` — called when a remote
     /// worker dies or reconnects with a cold cache, so the dispatcher goes
-    /// back to shipping values inline instead of trusting stale residency.
+    /// back to shipping blocks instead of trusting stale residency.
     pub fn clear_node_locations(&mut self, node: u32) {
         for set in self.locations.values_mut() {
             set.remove(&node);

@@ -38,8 +38,8 @@
 //!   laptop.
 //! * [`backend::distributed`] — real execution on remote worker daemons
 //!   over TCP via the `rnet` wire protocol: the driver ships task inputs to
-//!   [`backend::distributed::WorkerServer`] processes, pipelines submits
-//!   under per-worker windows, detects dead workers by heartbeat, and
+//!   [`backend::distributed::WorkerServer`] processes, coalesces submits
+//!   per worker, detects dead workers by heartbeat, and
 //!   replays their in-flight tasks on the survivors. Values cross the wire
 //!   through the [`codec`] registry; workers resolve task names through a
 //!   shared [`registry::TaskRegistry`].

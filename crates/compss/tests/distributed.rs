@@ -7,6 +7,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use rnet::{read_frame, write_frame, Frame, RecvBuf, WireArg};
+
 use rcompss::{
     ArgSpec, Constraint, DistributedConfig, RetryPolicy, Runtime, RuntimeConfig, TaskContext,
     TaskDef, TaskError, TaskRegistry, Value, WorkerConfig, WorkerHandle, WorkerServer,
@@ -140,13 +142,98 @@ fn loopback_dependent_chain_and_labels() {
     assert_eq!(per_node, 10, "all completions attributed to workers");
 }
 
+/// Play the worker by hand: one `Hello { cores: 1 }`, an ack per heartbeat,
+/// a `Done` per `Submit` (computed from the inline args — a peer that holds
+/// no state between submits), nothing else. Returns every frame the driver
+/// sent between the `Hello` and its `Shutdown`.
+fn scripted_peer(listener: std::net::TcpListener) -> Vec<Frame> {
+    let (mut sock, _) = listener.accept().expect("driver connects");
+    let hello = Frame::Hello { name: "script".into(), cores: 1, gpus: 0, mem_gib: 1 };
+    write_frame(&mut sock, &hello).unwrap();
+    let mut recv = RecvBuf::new();
+    let mut fn_names = std::collections::HashMap::new();
+    let mut seen = Vec::new();
+    loop {
+        let frame = read_frame(&mut sock, &mut recv).unwrap().expect("Shutdown precedes EOF");
+        let reply = match &frame {
+            Frame::Shutdown => return seen,
+            Frame::Heartbeat { seq, t_send_us, .. } => Some(Frame::HeartbeatAck {
+                seq: *seq,
+                t_send_us: *t_send_us,
+                recv_us: 0,
+                reply_us: 0,
+            }),
+            Frame::Submit { exec_id, fn_id, fn_name, args, .. } => {
+                if let Some(name) = fn_name {
+                    fn_names.insert(*fn_id, name.clone());
+                }
+                let inputs = inline_args(args);
+                let out = match fn_names[fn_id].as_str() {
+                    "square" => inputs[0] * inputs[0],
+                    "add" => inputs[0] + inputs[1],
+                    other => panic!("unscripted task {other}"),
+                };
+                let outputs = vec![rcompss::codec::encode_value(&Value::new(out)).unwrap()];
+                Some(Frame::Done { exec_id: *exec_id, recv_us: 1, start_us: 2, end_us: 3, outputs })
+            }
+            _ => None,
+        };
+        seen.push(frame);
+        if let Some(reply) = reply {
+            write_frame(&mut sock, &reply).unwrap();
+        }
+    }
+}
+
+/// The values a `Submit` carries. The match is exhaustive on purpose: an
+/// argument reaches a worker inline or as a block, there is no third way.
+fn inline_args(args: &[WireArg]) -> Vec<i64> {
+    args.iter()
+        .map(|a| match a {
+            WireArg::Inline { blob, .. } => {
+                let v = rcompss::codec::decode_tagged(&blob.tag, &blob.bytes).expect("i64 codec");
+                *v.downcast_ref::<i64>().unwrap()
+            }
+            WireArg::Block { .. } => panic!("8-byte values stay inline"),
+        })
+        .collect()
+}
+
 #[test]
-fn tiny_window_still_drains_everything() {
-    let workers = spawn_workers(1, 2);
-    let dcfg = DistributedConfig { window: Some(1), ..DistributedConfig::default() };
-    let rt = Runtime::distributed(RuntimeConfig::single_node(1), &addrs(&workers), dcfg)
-        .expect("connect");
-    assert_eq!(run_fan_out_fan_in(&rt, 20), (1..=20i64).map(|i| i * i).sum::<i64>());
+fn scripted_peer_sees_every_input_in_the_submit() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let peer = std::thread::spawn(move || scripted_peer(listener));
+    let rt =
+        Runtime::distributed(RuntimeConfig::single_node(1), &[addr], DistributedConfig::default())
+            .expect("connect");
+
+    // Chain a → b, then a join over both outputs — all on the one node, so
+    // every dependent is placed where its inputs were produced.
+    let square = task_set().get("square").unwrap().clone();
+    let add = task_set().get("add").unwrap().clone();
+    let three = rt.literal(3i64);
+    let a = rt.submit(&square, vec![ArgSpec::In(three)]).unwrap().returns[0];
+    let b = rt.submit(&square, vec![ArgSpec::In(a)]).unwrap().returns[0];
+    let join = rt.submit(&add, vec![ArgSpec::In(a), ArgSpec::In(b)]).unwrap().returns[0];
+    // The peer answers nothing but `Done` (and heartbeat acks): completing
+    // at all means the driver waited on no other reply.
+    assert_eq!(*rt.wait_on(&join).unwrap().downcast_ref::<i64>().unwrap(), 90);
+    drop(rt);
+
+    let seen = peer.join().expect("peer thread");
+    let mut submits = Vec::new();
+    for f in &seen {
+        match f {
+            Frame::Submit { args, .. } => submits.push(inline_args(args)),
+            Frame::Heartbeat { .. } | Frame::BlockPut { .. } | Frame::BlockData { .. } => {}
+            other => panic!("driver sent {other:?} between Hello and Shutdown"),
+        }
+    }
+    // b's Submit carries a's output (9), the join's carries both outputs.
+    assert_eq!(submits, [vec![3], vec![9], vec![9, 81]]);
+    // The first heartbeat leaves before the loop first polls.
+    assert!(seen.iter().any(|f| matches!(f, Frame::Heartbeat { .. })), "heartbeats flowed");
 }
 
 #[test]
@@ -440,9 +527,8 @@ fn spawn_block_workers(n: usize, cores: u32, sleep: Duration) -> Vec<WorkerHandl
 /// Submit `trials` dot-products, each against its *own* literal holding
 /// the same dataset bytes — the realistic sweep shape where every trial
 /// materialises its copy of a shared input under a fresh handle. The
-/// version-keyed cache cannot dedup across handles; the content-addressed
-/// plane collapses them onto one block. Returns the result bit patterns
-/// (f64 → u64, so equality is exact).
+/// content-addressed plane collapses them onto one block. Returns the
+/// result bit patterns (f64 → u64, so equality is exact).
 fn run_block_sweep(rt: &Runtime, dataset: &[f64], trials: i64, sleep: Duration) -> Vec<u64> {
     let dot = block_task_set(sleep).get("dot").unwrap().clone();
     let handles: Vec<_> = (1..=trials)

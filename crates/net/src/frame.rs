@@ -46,23 +46,19 @@ pub struct Blob {
 /// One task input as shipped in a [`Frame::Submit`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireArg {
-    /// Value shipped inline; the worker caches it under `key`.
+    /// Value shipped inline: the worker decodes it straight into the
+    /// queued job. `key` names the data version in traces and debug
+    /// output; nothing is indexed by it.
     Inline {
         /// Driver-side data key (`handle << 32 | version`).
         key: u64,
         /// The serialised value.
         blob: Blob,
     },
-    /// Value already resident in the worker's cache from an earlier
-    /// `Inline` or `Data` frame; the worker fetches on a cache miss.
-    Cached {
-        /// Driver-side data key.
-        key: u64,
-    },
     /// Value stored in the content-addressed block plane: the worker
     /// resolves `hash` against its local block cache and issues a
-    /// [`Frame::BlockRequest`] on a miss. `key` still names the data
-    /// version so the worker can alias the decoded value.
+    /// [`Frame::BlockRequest`] on a miss. `key` names the data version,
+    /// as in [`WireArg::Inline`].
     Block {
         /// Driver-side data key (`handle << 32 | version`).
         key: u64,
@@ -98,11 +94,6 @@ pub enum WireArgRef<'a> {
         /// The serialised value, borrowed from the receive buffer.
         blob: BlobRef<'a>,
     },
-    /// See [`WireArg::Cached`].
-    Cached {
-        /// Driver-side data key.
-        key: u64,
-    },
     /// See [`WireArg::Block`].
     Block {
         /// Driver-side data key.
@@ -117,7 +108,6 @@ impl WireArgRef<'_> {
     pub fn to_owned(&self) -> WireArg {
         match *self {
             WireArgRef::Inline { key, blob } => WireArg::Inline { key, blob: blob.to_owned() },
-            WireArgRef::Cached { key } => WireArg::Cached { key },
             WireArgRef::Block { key, hash } => WireArg::Block { key, hash },
         }
     }
@@ -253,16 +243,19 @@ pub enum Frame {
         /// Receiver's clock when this ack was built, µs on its own epoch.
         reply_us: u64,
     },
-    /// Worker → driver: a `Cached` input missed the cache.
+    /// Worker → driver: load the task snapshot saved under `key`. The
+    /// snapshot channel is the only user of `Fetch`/`Data`; task inputs
+    /// travel in the `Submit` or on the block plane.
     Fetch {
-        /// The missing data key.
+        /// The snapshot key.
         key: u64,
     },
-    /// Driver → worker: the value for an earlier [`Frame::Fetch`].
+    /// A snapshot blob. Worker → driver: save (empty = discard). Driver →
+    /// worker: the always-sent reply to a [`Frame::Fetch`] (empty = none).
     Data {
-        /// The data key.
+        /// The snapshot key.
         key: u64,
-        /// The serialised value.
+        /// The snapshot bytes, opaque to the runtime.
         blob: Blob,
     },
     /// A batch of trace records, shipped worker → driver only while the
@@ -824,10 +817,6 @@ impl Frame {
                             wire::put_u64(out, *key);
                             put_blob(out, blob);
                         }
-                        WireArg::Cached { key } => {
-                            out.push(1);
-                            wire::put_u64(out, *key);
-                        }
                         WireArg::Block { key, hash } => {
                             out.push(2);
                             wire::put_u64(out, *key);
@@ -1044,7 +1033,6 @@ impl<'a> FrameRef<'a> {
                 for _ in 0..n_args {
                     args.push(match r.u64()? {
                         0 => WireArgRef::Inline { key: r.u64()?, blob: read_blob_ref(&mut r)? },
-                        1 => WireArgRef::Cached { key: r.u64()? },
                         2 => WireArgRef::Block { key: r.u64()?, hash: read_hash(&mut r)? },
                         other => {
                             return Err(DecodeError::Malformed(format!("bad arg kind {other}")))
@@ -1322,7 +1310,6 @@ mod tests {
                         key: (9 << 32) | 1,
                         blob: Blob { tag: "hpo.config".into(), bytes: vec![1, 2, 3] },
                     },
-                    WireArg::Cached { key: (10 << 32) | 4 },
                     WireArg::Block { key: (11 << 32) | 2, hash: 0xdead_beef_u128 << 64 | 7 },
                 ],
             },
@@ -1504,6 +1491,36 @@ mod tests {
         varint::put(&mut padded, 3);
         padded.extend_from_slice(&[1, 0, 0]);
         assert!(matches!(Frame::decode(&padded), Err(DecodeError::Malformed(_))));
+    }
+
+    #[test]
+    fn unknown_and_retired_arg_kinds_are_malformed() {
+        // All-zero block arg: the payload ends `n_args=1, kind=2, key=0,
+        // hash hi=0, hash lo=0`, one varint byte each, so the kind byte sits
+        // four from the end. Kind 1 was `Cached` (retired); 3 was never used.
+        let good = Frame::Submit {
+            exec_id: 1,
+            task_id: 1,
+            attempt: 1,
+            node: 0,
+            fn_id: 1,
+            fn_name: None,
+            variant: 0,
+            cores: vec![],
+            gpus: vec![],
+            args: vec![WireArg::Block { key: 0, hash: 0 }],
+        }
+        .encode();
+        let at = good.len() - 4;
+        assert_eq!(good[at], 2);
+        for kind in [1u8, 3] {
+            let mut bad = good.clone();
+            bad[at] = kind;
+            assert_eq!(
+                Frame::decode(&bad),
+                Err(DecodeError::Malformed(format!("bad arg kind {kind}")))
+            );
+        }
     }
 
     #[test]

@@ -17,7 +17,8 @@ fn arb_blob() -> impl Strategy<Value = Blob> {
 fn arb_arg() -> impl Strategy<Value = WireArg> {
     prop_oneof![
         (any::<u64>(), arb_blob()).prop_map(|(key, blob)| WireArg::Inline { key, blob }),
-        any::<u64>().prop_map(|key| WireArg::Cached { key }),
+        (any::<u64>(), any::<u64>())
+            .prop_map(|(key, h)| WireArg::Block { key, hash: (h as u128) << 64 | h as u128 }),
     ]
 }
 

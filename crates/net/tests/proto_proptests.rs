@@ -20,7 +20,6 @@ fn arb_hash() -> impl Strategy<Value = u128> {
 fn arb_arg() -> impl Strategy<Value = WireArg> {
     prop_oneof![
         (any::<u64>(), arb_blob()).prop_map(|(key, blob)| WireArg::Inline { key, blob }),
-        any::<u64>().prop_map(|key| WireArg::Cached { key }),
         (any::<u64>(), arb_hash()).prop_map(|(key, hash)| WireArg::Block { key, hash }),
     ]
 }

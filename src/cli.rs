@@ -405,8 +405,9 @@ OPTIONS:
     --inline-threshold <n> distributed backend: values whose declared size
                            is >= n bytes travel content-addressed through
                            the block plane (cached per worker, shipped
-                           once per node) instead of inline in every
-                           Submit; 0 = everything, huge = never  [65536]
+                           once per node); smaller values are re-sent
+                           inline in every Submit that reads them;
+                           0 = everything, huge = never          [65536]
     --share-prefixes       stage-tree dedup: train the prefixes the
                            configs of a wave share once, fork the rest
                            from bit-exact snapshots (leaderboard

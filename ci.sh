@@ -10,7 +10,9 @@
 # (RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace);
 # tier-1 is the ROADMAP.md contract, `cargo build --release && cargo test
 # -q`, widened to `--workspace` so every crate's unit, property and
-# integration suites gate too. Right after them the standalone benchmark
+# integration suites gate too, followed by the non-test source line count
+# (the number every simplicity PR quotes in CHANGES.md, so it comes from
+# here and not from a hand-run). Right after them the standalone benchmark
 # package is built against the crates and run once in --quick mode (all
 # four workloads verified against their oracles) with its Cargo.lock
 # unchanged, so a broken pinned signature or a re-lock fails here.
@@ -23,7 +25,10 @@
 # four re-measurements — transient slow windows on a shared box don't
 # flake the gate; regenerate with
 # `runtime_throughput rebaseline` after intentional scheduler or wire
-# changes). The checkpoint-overhead bench gates the snapshot cost the
+# changes). `net_throughput` also gates scaling on process CPU, which a
+# slow window cannot fake: CPU per no-op task over two one-core loopback
+# daemons at 100k tasks must stay within 2x of 10k (median of three).
+# The checkpoint-overhead bench gates the snapshot cost the
 # same way (baselines/ckpt_overhead.json, `ckpt_overhead rebaseline`
 # after intentional snapshot-format or store changes). The stage-tree
 # savings bench gates prefix dedup exactly (deterministic epoch counts vs
@@ -66,6 +71,10 @@ cargo build --release
 
 echo "==> tier-1: cargo test --workspace -q"
 cargo test --workspace -q
+
+echo "==> non-test source lines (crates/*/src + src, up to each file's #[cfg(test)])"
+git ls-files 'crates/*/src/*.rs' 'crates/*/src/**/*.rs' 'src/*.rs' 'src/**/*.rs' | sort -u \
+    | xargs awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n}'
 
 echo "==> stackbench (quick): benchmark/ still compiles, verifies, and keeps its lock"
 cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- run --quick

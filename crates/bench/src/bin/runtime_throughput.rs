@@ -25,7 +25,11 @@
 //!   *distributed* backend: two in-process `WorkerServer`s on loopback
 //!   TCP, so every task pays frame encode → socket → decode → execute →
 //!   result frame. Gated against the same baseline file (keys prefixed
-//!   `net_`); this is the wire-protocol overhead regression gate.
+//!   `net_`); this is the wire-protocol overhead regression gate. The mode
+//!   then gates *scaling* on CPU time, which a slow window of the box
+//!   cannot fake: no-op fan-out on two one-core daemons at 10k and 100k
+//!   tasks, process CPU per task, 100k ÷ 10k ≤ 2.0 in the median of three
+//!   (a per-wake-up pass over every submitted task read 2.3–24).
 //!
 //! The baseline is machine-calibrated (median of three best-of-3 batches
 //! on the box that recorded it — a typical fast measurement, not the
@@ -74,7 +78,7 @@ struct Scenario {
     /// the threaded one; `workers` cores are split across two daemons.
     net: bool,
     /// Key suffix distinguishing scenarios that differ only in task count
-    /// (the `hundredk` scale curve and its smoke entry).
+    /// (the 100k smoke entry).
     tag: &'static str,
 }
 
@@ -257,25 +261,9 @@ fn smoke_grid() -> Vec<Scenario> {
         // The 100k-task storm: graph build, ready-queue churn, and
         // completion fan-in at two orders of magnitude above the other
         // smoke entries — catches superlinear overhead the small
-        // scenarios hide. The full scale curve lives in `hundredk` mode.
+        // scenarios hide.
         Scenario { tag: "_100k", ..sc(Work::Noop, Shape::FanOut, 16, 100_000) },
     ]
-}
-
-/// Scale curve for per-task runtime overhead: the same fan-out/chain
-/// shapes at 1k → 10k → 100k tasks, threaded and over loopback TCP.
-/// Run via `runtime_throughput hundredk`; reported as µs/task so growth
-/// with scale (superlinear scheduling, allocator pressure, frame-buffer
-/// churn) is directly visible. Results feed EXPERIMENTS.md.
-fn hundredk_grid() -> Vec<Scenario> {
-    let mut g = Vec::new();
-    for &(tasks, tag) in &[(1_000u64, "_n1k"), (10_000, "_n10k"), (100_000, "_n100k")] {
-        g.push(Scenario { tag, ..sc(Work::Noop, Shape::FanOut, 16, tasks) });
-        g.push(Scenario { tag, ..sc(Work::Noop, Shape::Chain, 16, tasks) });
-        g.push(Scenario { net: true, tag, ..sc(Work::Noop, Shape::FanOut, 4, tasks) });
-        g.push(Scenario { net: true, tag, ..sc(Work::Noop, Shape::Chain, 2, tasks) });
-    }
-    g
 }
 
 /// Distributed-backend churn over loopback: the wire-protocol gate.
@@ -287,6 +275,54 @@ fn net_grid() -> Vec<Scenario> {
         Scenario { net: true, ..sc(Work::Noop, Shape::Chain, 2, 200) },
         Scenario { net: true, ..sc(Work::Spin100, Shape::FanOut, 4, 300) },
     ]
+}
+
+/// CPU seconds this process (driver and in-process workers) has used.
+fn process_cpu_s() -> f64 {
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: i64,
+        tv_nsec: i64,
+    }
+    extern "C" {
+        fn clock_gettime(clock_id: i32, ts: *mut Timespec) -> i32;
+    }
+    const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+    let mut ts = Timespec { tv_sec: 0, tv_nsec: 0 };
+    // SAFETY: `ts` is a valid, writable `timespec` with the layout 64-bit
+    // Linux expects, and `clock_gettime` writes nothing else.
+    let rc = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) };
+    assert_eq!(rc, 0, "clock_gettime(CLOCK_PROCESS_CPUTIME_ID) failed");
+    ts.tv_sec as f64 + ts.tv_nsec as f64 * 1e-9
+}
+
+/// The scaling gate of `net_throughput`: CPU per task of the no-op fan-out
+/// on two one-core loopback daemons must not grow with the number of tasks
+/// the graph already holds. CPU time, not wall time: this box's 100k wall
+/// rates for one binary spread 2–4× between runs, its CPU-per-task ratios
+/// 1.03–1.15.
+fn cpu_scaling_gate() {
+    let cpu_us_per_task = |tasks: u64| {
+        let c0 = process_cpu_s();
+        run(&Scenario { net: true, ..sc(Work::Noop, Shape::FanOut, 2, tasks) });
+        (process_cpu_s() - c0) * 1e6 / tasks as f64
+    };
+    println!("\ngate: CPU per task at 100k tasks <= 2.0x CPU per task at 10k (median of 3)");
+    let mut ratios: Vec<f64> = (0..3)
+        .map(|_| {
+            // Large first: a 10k run on a heap no 100k run has grown yet
+            // reads 42 µs/task against 75–79 after one, which would
+            // inflate the first ratio only.
+            let (large, small) = (cpu_us_per_task(100_000), cpu_us_per_task(10_000));
+            println!(
+                "  10k {small:>7.1} us/task   100k {large:>7.1} us/task   ratio {:.2}",
+                large / small
+            );
+            large / small
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    assert!(ratios[1] <= 2.0, "CPU per task grows with graph size: median ratio {:.2}", ratios[1]);
 }
 
 fn write_json(path: &std::path::Path, rows: &[(String, f64)]) {
@@ -325,7 +361,6 @@ fn main() {
     let smoke = mode == "smoke" || mode == "--smoke";
     let net = mode == "net" || mode == "net_throughput";
     let rebaseline = mode == "rebaseline";
-    let hundredk = mode == "hundredk";
     banner(
         "Runtime throughput",
         "tasks/sec through the threaded and distributed backends (chain / fan-out / diamond)",
@@ -335,8 +370,6 @@ fn main() {
         net_grid()
     } else if smoke {
         smoke_grid()
-    } else if hundredk {
-        hundredk_grid()
     } else if rebaseline {
         let mut g = smoke_grid();
         g.extend(net_grid());
@@ -346,15 +379,7 @@ fn main() {
         g.extend(net_grid());
         g
     };
-    // The scale curve runs each point once: at 100k tasks the law of large
-    // numbers does the averaging, and best-of-N would triple a long run.
-    let reps = if hundredk {
-        1
-    } else if smoke || net || rebaseline {
-        3
-    } else {
-        2
-    };
+    let reps = if smoke || net || rebaseline { 3 } else { 2 };
     // Warm up thread-spawn and allocator paths.
     let _ = run(&sc(Work::Noop, Shape::Chain, 4, 200));
 
@@ -378,13 +403,6 @@ fn main() {
         rows.push((sc.key(), tps));
     }
 
-    if hundredk {
-        let out = out_dir().join("hundredk.json");
-        write_json(&out, &rows);
-        println!("\nJSON snapshot: {}", out.display());
-        return;
-    }
-
     if rebaseline {
         let path = baseline_path();
         std::fs::create_dir_all(path.parent().unwrap()).expect("baseline dir");
@@ -397,6 +415,9 @@ fn main() {
     write_json(&out, &rows);
     println!("\nJSON snapshot: {}", out.display());
 
+    if net {
+        cpu_scaling_gate();
+    }
     if smoke || net {
         let path = baseline_path();
         let Some(baseline) = read_json(&path) else {

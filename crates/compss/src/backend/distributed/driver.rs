@@ -1,5 +1,6 @@
 //! Driver side of the distributed backend: worker acquisition, the
-//! connection manager's event loop, dispatch, and failover.
+//! connection manager's event loop, how a placed task's inputs travel, and
+//! failover.
 
 use std::collections::HashMap;
 use std::io;
@@ -21,7 +22,9 @@ use super::{DistributedConfig, SNAP_TAG, WAKE_TOKEN};
 use crate::blocks::EncodedBlock;
 use crate::codec;
 use crate::data::{DataVersion, Value};
-use crate::runtime::{complete_attempt, fail_task_cascade, Core, RunningExec, Shared};
+use crate::runtime::{
+    complete_attempt, emit_attempt_spans, fail_task_cascade, place_ready, Core, Placed, Shared,
+};
 use crate::task::{TaskError, TaskId};
 
 /// Wire key for a data version: handle id in the high 32 bits, version in
@@ -45,16 +48,9 @@ enum PreparedArg {
 /// A placed task bound for a remote worker, prepared under the core lock
 /// and encoded/sent outside it.
 pub(crate) struct RemoteDispatch {
-    exec_id: u64,
-    node: u32,
-    task_id: u64,
-    attempt: u32,
-    variant: u32,
-    cores: Vec<u32>,
-    gpus: Vec<u32>,
+    placed: Placed,
     args: Vec<PreparedArg>,
     name: Arc<str>,
-    start_us: u64,
 }
 
 /// Mutable per-connection state, all under one lock: the socket, both
@@ -379,99 +375,53 @@ impl ConnMgr {
     }
 }
 
-/// The core-locked half of dispatch, mirroring the threaded backend's
-/// `collect_dispatch`: pop placeable tasks, decide inline-vs-block per
-/// input, register the `RunningExec`. Values are cloned (`Arc` bumps) here
+/// The core-locked half of dispatch: place every placeable ready task and
+/// decide inline-vs-block per input. Values are cloned (`Arc` bumps) here
 /// and encoded later, off-lock.
 pub(crate) fn collect_dispatch_remote(shared: &Shared, core: &mut Core) -> Vec<RemoteDispatch> {
-    let measure = shared.metrics.enabled();
     let mut msgs = Vec::new();
-    loop {
-        let decision_started = measure.then(std::time::Instant::now);
-        let popped = {
-            // Disjoint field borrows: the locality closure reads data and
-            // instances while the scheduler is borrowed mutably.
-            // Transfer-aware placement: fewest bytes-to-move first
-            // (declared size × missing residency), most resident inputs as
-            // the tie-break — the remote analogue of `locality_score`,
-            // weighted by what a wrong placement actually costs.
-            let Core { sched, data, instances, .. } = core;
-            sched.pop_placeable(|t, n| {
-                instances
-                    .get(&t)
-                    .map_or((std::cmp::Reverse(0), 0), |inst| data.transfer_score(&inst.reads(), n))
-            })
-        };
-        if let Some(t0) = decision_started {
-            shared.metrics.sched_decision.record(t0.elapsed().as_micros() as u64);
-        }
-        let Some((entry, placement)) = popped else { break };
-        let placement = Arc::new(placement);
-        let task = entry.task;
-        let node = placement.node;
-        let inst = core.instances.get(&task).expect("ready task has an instance");
-        let name = Arc::clone(&inst.def.name);
-        let attempt = inst.attempt;
-        let submitted_us = inst.submitted_us;
-        let reads = inst.reads();
-        let mut args = Vec::with_capacity(reads.len());
-        for v in reads {
-            let key = data_key(v);
-            let value = core.data.get(v).expect("ready task inputs are computed");
-            if core.blocks.routes_block(core.data.bytes(v.handle)) {
-                // Content-address the value; the encode is memoised, so a
-                // dataset shared by a hundred trials pays the codec once.
-                if let Some(block) = core.blocks.encode(v, &value) {
-                    // Optimistic residency, both granularities: versions
-                    // drive scheduling scores, hashes drive ship-vs-ref.
-                    // Cleared if the connection drops (or on BlockEvict).
-                    core.data.add_location(v, node);
-                    if core.blocks.is_resident(node, block.hash) {
-                        args.push(PreparedArg::BlockRef { key, hash: block.hash });
-                    } else {
-                        core.blocks.add_resident(node, block.hash);
-                        args.push(PreparedArg::BlockShip { key, block });
+    // Transfer-aware placement: fewest bytes-to-move first (declared size ×
+    // missing residency), most resident inputs as the tie-break — the
+    // remote analogue of `locality_score`, weighted by what a wrong
+    // placement actually costs.
+    place_ready(
+        shared,
+        core,
+        |data, instances, task, node| data.transfer_score(&instances[&task].reads(), node),
+        |core, placed| {
+            let node = placed.placement.node;
+            let inst = &core.instances[&placed.task];
+            let name = Arc::clone(&inst.def.name);
+            let reads = inst.reads();
+            let mut args = Vec::with_capacity(reads.len());
+            for v in reads {
+                let key = data_key(v);
+                let value = core.data.get(v).expect("ready task inputs are computed");
+                if core.blocks.routes_block(core.data.bytes(v.handle)) {
+                    // Content-address the value; the encode is memoised, so a
+                    // dataset shared by a hundred trials pays the codec once.
+                    if let Some(block) = core.blocks.encode(v, &value) {
+                        // Optimistic residency, both granularities: versions
+                        // drive scheduling scores, hashes drive ship-vs-ref.
+                        // Cleared if the connection drops (or on BlockEvict).
+                        core.data.add_location(v, node);
+                        if core.blocks.is_resident(node, block.hash) {
+                            args.push(PreparedArg::BlockRef { key, hash: block.hash });
+                        } else {
+                            core.blocks.add_resident(node, block.hash);
+                            args.push(PreparedArg::BlockShip { key, block });
+                        }
+                        continue;
                     }
-                    continue;
+                    // No codec: fall through to the inline path, whose
+                    // failed-attempt reporting stands.
                 }
-                // No codec: fall through to the inline path, whose
-                // failed-attempt reporting stands.
+                args.push(PreparedArg::Inline { key, value });
             }
-            args.push(PreparedArg::Inline { key, value });
-        }
-        let now = shared.wall_us();
-        shared.metrics.dispatched.incr();
-        let queued = now.saturating_sub(submitted_us);
-        shared.metrics.dep_wait.record(queued);
-        shared.metrics.phase_queue.record(queued);
-        let exec_id = core.next_exec;
-        core.next_exec += 1;
-        core.running.insert(
-            exec_id,
-            RunningExec {
-                task,
-                placement: Arc::clone(&placement),
-                constraint: entry.constraint,
-                attempt,
-                start_us: now,
-            },
-        );
-        core.graph.set_running(task);
-        msgs.push(RemoteDispatch {
-            exec_id,
-            node,
-            task_id: task.0,
-            attempt,
-            variant: placement.variant as u32,
-            cores: placement.cores.clone(),
-            gpus: placement.gpus.clone(),
-            args,
-            name,
-            start_us: now,
-        });
-    }
-    shared.metrics.ready_depth.set(core.sched.ready_len() as f64);
-    shared.metrics.running.set(core.running.len() as f64);
+            shared.metrics.phase_queue.record(placed.now_us.saturating_sub(inst.submitted_us));
+            msgs.push(RemoteDispatch { placed, args, name });
+        },
+    );
     msgs
 }
 
@@ -522,24 +472,24 @@ fn send_dispatches(inner: &Arc<Inner>, work: Vec<RemoteDispatch>) {
     // Dispatch trace events first (cheap, lock-free collector).
     for d in &work {
         inner.shared.trace.event(
-            CoreId::new(d.node, d.cores.first().copied().unwrap_or(0)),
-            d.start_us,
-            EventKind::TaskDispatch(TaskRef::new(d.task_id, Arc::clone(&d.name))),
+            d.placed.placement.lead_core(),
+            d.placed.now_us,
+            EventKind::TaskDispatch(TaskRef::new(d.placed.task.0, Arc::clone(&d.name))),
         );
     }
     let mut undeliverable: Vec<(u64, String)> = Vec::new();
     let mut dead_links: Vec<Arc<WorkerLink>> = Vec::new();
     let mut by_node: HashMap<u32, Vec<RemoteDispatch>> = HashMap::new();
     for d in work {
-        by_node.entry(d.node).or_default().push(d);
+        by_node.entry(d.placed.placement.node).or_default().push(d);
     }
     for (node, batch) in by_node {
         let link = &inner.workers[node as usize];
         let mut st = link.state.lock();
-        for d in batch {
-            let mut args = Vec::with_capacity(d.args.len());
+        for RemoteDispatch { placed: d, args: prepared, name } in batch {
+            let mut args = Vec::with_capacity(prepared.len());
             let mut encode_err = None;
-            for a in &d.args {
+            for a in &prepared {
                 match a {
                     PreparedArg::BlockRef { key, hash } => {
                         args.push(WireArg::Block { key: *key, hash: *hash })
@@ -555,8 +505,7 @@ fn send_dispatches(inner: &Arc<Inner>, work: Vec<RemoteDispatch>) {
                         Some(blob) => args.push(WireArg::Inline { key: *key, blob }),
                         None => {
                             encode_err = Some(format!(
-                                "no wire codec registered for an input of task '{}'",
-                                d.name
+                                "no wire codec registered for an input of task '{name}'"
                             ));
                             break;
                         }
@@ -567,25 +516,25 @@ fn send_dispatches(inner: &Arc<Inner>, work: Vec<RemoteDispatch>) {
                 undeliverable.push((d.exec_id, msg));
                 continue;
             }
-            let fn_name = if st.fn_ids.contains_key(&d.name) {
+            let fn_name = if st.fn_ids.contains_key(&name) {
                 None
             } else {
                 let id = st.next_fn_id;
                 st.next_fn_id += 1;
-                st.fn_ids.insert(Arc::clone(&d.name), id);
-                Some(d.name.to_string())
+                st.fn_ids.insert(Arc::clone(&name), id);
+                Some(name.to_string())
             };
-            let fn_id = st.fn_ids[&d.name];
+            let fn_id = st.fn_ids[&name];
             st.send.push(&Frame::Submit {
                 exec_id: d.exec_id,
-                task_id: d.task_id,
+                task_id: d.task.0,
                 attempt: d.attempt,
-                node: d.node,
+                node,
                 fn_id,
                 fn_name,
-                variant: d.variant,
-                cores: d.cores,
-                gpus: d.gpus,
+                variant: d.placement.variant as u32,
+                cores: d.placement.cores.clone(),
+                gpus: d.placement.gpus.clone(),
                 args,
             });
         }
@@ -904,11 +853,7 @@ fn apply_frames(
             // Late frames for already-failed-over executions are ignored
             // (`running` no longer knows the exec id).
             if let Some(run) = core.running.get(&exec_id) {
-                let name = core
-                    .instances
-                    .get(&run.task)
-                    .map(|i| Arc::clone(&i.def.name))
-                    .unwrap_or_else(|| Arc::from("?"));
+                let name = Arc::clone(&core.instances[&run.task].def.name);
                 infos.push((run.task, Arc::clone(&run.placement), run.start_us, name, stamps));
             }
             complete_attempt(&inner.shared, &mut core, exec_id, result, now, false);
@@ -951,9 +896,10 @@ fn apply_frames(
             sync_interest(inner, link.node, &mut st);
         }
     }
-    if !infos.is_empty() {
+    if !infos.is_empty() && inner.shared.trace.is_enabled() {
         // Driver-observed dispatch→completion windows: the causality clamp
-        // applied to this worker's rebased spans at merge time.
+        // applied to this worker's rebased spans at merge time. Untraced,
+        // there are no spans to clamp and the map would only grow.
         let mut bounds = inner.exec_bounds.lock();
         for (task, _, start_us, _, _) in &infos {
             bounds.insert(task.0, (*start_us, now));
@@ -973,21 +919,7 @@ fn apply_frames(
             m.phase_ship.record(now.saturating_sub(rebase(w_end)));
         }
         let task_ref = TaskRef::new(task.0, name);
-        for (node, cores) in placement.node_cores() {
-            for &c in cores {
-                inner.shared.trace.task_run(
-                    CoreId::new(node, c),
-                    start_us,
-                    now.max(start_us + 1),
-                    task_ref.clone(),
-                );
-            }
-        }
-        inner.shared.trace.event(
-            CoreId::new(placement.node, placement.cores.first().copied().unwrap_or(0)),
-            now,
-            EventKind::TaskEnd(task_ref),
-        );
+        emit_attempt_spans(&inner.shared, &placement, task_ref, start_us, now, false);
     }
     inner.shared.cv.notify_all();
     send_dispatches(inner, follow);

@@ -5,7 +5,6 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -20,7 +19,7 @@ use crate::blocks::BlockCache;
 use crate::codec;
 use crate::data::Value;
 use crate::registry::TaskRegistry;
-use crate::task::{TaskContext, TaskError, TaskId};
+use crate::task::{run_body, TaskContext, TaskError, TaskId};
 
 /// Poll token of the worker's listening socket.
 const LISTEN_TOKEN: u64 = u64::MAX - 1;
@@ -766,16 +765,6 @@ fn resolve_block(conn: &ConnShared, hash: u128) -> Result<Value, TaskError> {
     }
 }
 
-fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        format!("task panicked: {s}")
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        format!("task panicked: {s}")
-    } else {
-        "task panicked".to_string()
-    }
-}
-
 fn executor_loop(conn: Arc<ConnShared>, registry: Arc<TaskRegistry>) {
     // Task bodies on this worker snapshot through the driver: saves are
     // mirrored over the wire, loads fall back to a Fetch round trip.
@@ -832,8 +821,7 @@ fn run_job(conn: &ConnShared, registry: &TaskRegistry, job: &Job) -> Frame {
         simulated: false,
     };
     let start_us = conn.wall_us();
-    let result = catch_unwind(AssertUnwindSafe(|| body(&ctx, &inputs)))
-        .unwrap_or_else(|p| Err(TaskError::new(panic_message(p))));
+    let result = run_body(&*body, &ctx, &inputs);
     let end_us = conn.wall_us().max(start_us + 1);
     // The ground-truth execution span, on the worker's clock and worker-
     // local node 0 (the merge rewrites it to the driver-side node id). The

@@ -10,7 +10,6 @@
 //! discussion.
 
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use cluster::transfer::DataLocation;
@@ -18,8 +17,8 @@ use cluster::EventQueue;
 use paratrace::{CoreId, EventKind, StateKind, TaskRef};
 
 use crate::data::Value;
-use crate::runtime::{complete_attempt, Core, RunningExec, Shared};
-use crate::task::{TaskContext, TaskError, TaskFn};
+use crate::runtime::{complete_attempt, emit_attempt_spans, place_ready, Core, Shared};
+use crate::task::{run_body, TaskContext, TaskError, TaskFn};
 
 #[derive(Debug)]
 enum SimEvent {
@@ -77,27 +76,9 @@ pub(crate) fn run_until(shared: &Shared, core: &mut Core, cond: impl Fn(&Core) -
                     continue; // execution was killed by a node failure
                 };
                 let Some(run) = core.running.get(&exec) else { continue };
-                let task_ref = TaskRef::new(se.ctx.task.0, Arc::clone(&se.name));
-                for (node, cores) in run.placement.node_cores() {
-                    for &c in cores {
-                        shared.trace.task_run(
-                            CoreId::new(node, c),
-                            run.start_us,
-                            t.max(run.start_us + 1),
-                            task_ref.clone(),
-                        );
-                    }
-                }
-                shared.trace.event(
-                    CoreId::new(
-                        run.placement.node,
-                        run.placement.cores.first().copied().unwrap_or(0),
-                    ),
-                    t,
-                    EventKind::TaskEnd(task_ref),
-                );
-                let result = catch_unwind(AssertUnwindSafe(|| (se.body)(&se.ctx, &se.inputs)))
-                    .unwrap_or_else(|_| Err(TaskError::new("task panicked")));
+                let task_ref = TaskRef::new(se.ctx.task.0, se.name);
+                emit_attempt_spans(shared, &run.placement, task_ref, run.start_us, t, false);
+                let result = run_body(&*se.body, &se.ctx, &se.inputs);
                 complete_attempt(shared, core, exec, result, t, false);
             }
             SimEvent::NodeFail { node } => {
@@ -111,21 +92,11 @@ pub(crate) fn run_until(shared: &Shared, core: &mut Core, cond: impl Fn(&Core) -
                     .map(|(&e, _)| e)
                     .collect();
                 for exec in victims {
-                    if let Some(se) = core.sim.as_mut().expect("sim state").execs.remove(&exec) {
-                        // Truncated run bar so the kill is visible in traces.
-                        if let Some(run) = core.running.get(&exec) {
-                            let task_ref = TaskRef::new(se.ctx.task.0, Arc::clone(&se.name));
-                            for (pnode, cores) in run.placement.node_cores() {
-                                for &c in cores {
-                                    shared.trace.task_run(
-                                        CoreId::new(pnode, c),
-                                        run.start_us.min(t),
-                                        t.max(run.start_us + 1),
-                                        task_ref.clone(),
-                                    );
-                                }
-                            }
-                        }
+                    let se = core.sim.as_mut().expect("sim state").execs.remove(&exec);
+                    // Truncated run bar so the kill is visible in traces.
+                    if let (Some(se), Some(run)) = (se, core.running.get(&exec)) {
+                        let task_ref = TaskRef::new(se.ctx.task.0, se.name);
+                        emit_attempt_spans(shared, &run.placement, task_ref, run.start_us, t, true);
                     }
                     complete_attempt(
                         shared,
@@ -143,101 +114,65 @@ pub(crate) fn run_until(shared: &Shared, core: &mut Core, cond: impl Fn(&Core) -
 
 /// Place every placeable ready task at the current virtual time.
 fn dispatch_sim(shared: &Shared, core: &mut Core) {
-    // One relaxed load decides whether this round pays for decision timing.
-    // Scheduler decision time is real (wall) time even under virtual task
-    // time: it measures the runtime's own machinery, à la Dask-overheads.
-    let measure = shared.metrics.enabled();
-    loop {
-        let now = core.sim.as_ref().expect("sim state").now();
-        // Locality: prefer nodes already holding the inputs (only relevant
-        // without a PFS).
-        let decision_started = measure.then(std::time::Instant::now);
-        let placed = {
-            let data = &core.data;
-            let instances = &core.instances;
-            let use_locality = !shared.transfer.has_pfs();
-            core.sched.pop_placeable(|task, node| {
-                if !use_locality {
-                    return 0;
+    // Locality: prefer nodes already holding the inputs (only relevant
+    // without a PFS).
+    let use_locality = !shared.transfer.has_pfs();
+    place_ready(
+        shared,
+        core,
+        |data, instances, task, node| {
+            if use_locality {
+                data.locality_score(&instances[&task].reads(), node)
+            } else {
+                0
+            }
+        },
+        |core, placed| {
+            let (now, placement) = (placed.now_us, &placed.placement);
+            let inst = &core.instances[&placed.task];
+            let reads = inst.reads();
+            let inputs: Vec<Value> =
+                reads.iter().map(|v| core.data.get(*v).expect("inputs computed")).collect();
+            let name = Arc::clone(&inst.def.name);
+            let body = inst.body(placement.variant);
+            let duration = inst.sim_duration_us;
+
+            // Staging: pay transfer time for inputs not resident on the node.
+            let mut staging = 0u64;
+            for v in &reads {
+                if core.data.is_on_node(*v, placement.node) {
+                    continue;
                 }
-                instances.get(&task).map(|i| data.locality_score(&i.reads(), node)).unwrap_or(0)
-            })
-        };
-        if let Some(t0) = decision_started {
-            shared.metrics.sched_decision.record(t0.elapsed().as_micros() as u64);
-        }
-        let Some((entry, placement)) = placed else { break };
-        let placement = Arc::new(placement);
-        let task = entry.task;
-        let inst = core.instances.get(&task).expect("ready task has an instance");
-        let reads = inst.reads();
-        let inputs: Vec<Value> =
-            reads.iter().map(|v| core.data.get(*v).expect("inputs computed")).collect();
-        let name = Arc::clone(&inst.def.name);
-        // honour the scheduler's implementation choice (@implement)
-        let body = if placement.variant == 0 {
-            Arc::clone(&inst.def.body)
-        } else {
-            Arc::clone(&inst.def.alternatives[placement.variant - 1].body)
-        };
-        let attempt = inst.attempt;
-        let duration = inst.sim_duration_us;
-
-        // Staging: pay transfer time for inputs not resident on the node.
-        let mut staging = 0u64;
-        for v in &reads {
-            if core.data.is_on_node(*v, placement.node) {
-                continue;
+                let bytes = core.data.bytes(v.handle);
+                let t = shared.transfer.time_to_node(bytes, DataLocation::Pfs, placement.node);
+                if t > 0 {
+                    shared.trace.state(
+                        placement.lead_core(),
+                        now + staging,
+                        now + staging + t,
+                        StateKind::Transferring { bytes },
+                    );
+                    shared.metrics.transfer_bytes.add(bytes);
+                    shared.metrics.transfer_time.record(t);
+                }
+                staging += t;
+                core.data.add_location(*v, placement.node);
             }
-            let bytes = core.data.bytes(v.handle);
-            let t = shared.transfer.time_to_node(bytes, DataLocation::Pfs, placement.node);
-            if t > 0 {
-                shared.trace.state(
-                    CoreId::new(placement.node, placement.cores.first().copied().unwrap_or(0)),
-                    now + staging,
-                    now + staging + t,
-                    StateKind::Transferring { bytes },
-                );
-                shared.metrics.transfer_bytes.add(bytes);
-                shared.metrics.transfer_time.record(t);
-            }
-            staging += t;
-            core.data.add_location(*v, placement.node);
-        }
+            // The attempt occupies its cores once its inputs have arrived.
+            core.running.get_mut(&placed.exec_id).expect("just placed").start_us = now + staging;
 
-        let exec_id = core.next_exec;
-        core.next_exec += 1;
-        shared.metrics.dispatched.incr();
-        shared.metrics.dep_wait.record(now.saturating_sub(inst.submitted_us));
-        shared.trace.event(
-            CoreId::new(placement.node, placement.cores.first().copied().unwrap_or(0)),
-            now,
-            EventKind::TaskDispatch(TaskRef::new(task.0, Arc::clone(&name))),
-        );
-        let ctx = TaskContext {
-            task,
-            attempt,
-            node: placement.node,
-            cores: placement.cores.clone(),
-            gpus: placement.gpus.clone(),
-            peer_nodes: placement.extra.iter().map(|(n, _, _)| *n).collect(),
-            simulated: true,
-        };
-        core.running.insert(
-            exec_id,
-            RunningExec {
-                task,
-                placement,
-                constraint: entry.constraint,
-                attempt,
-                start_us: now + staging,
-            },
-        );
-        core.graph.set_running(task);
-        let sim = core.sim.as_mut().expect("sim state");
-        sim.execs.insert(exec_id, SimExec { ctx, body, inputs, name });
-        sim.queue.schedule_at(now + staging + duration.max(1), SimEvent::Finish { exec: exec_id });
-    }
-    shared.metrics.ready_depth.set(core.sched.ready_len() as f64);
-    shared.metrics.running.set(core.running.len() as f64);
+            shared.trace.event(
+                placement.lead_core(),
+                now,
+                EventKind::TaskDispatch(TaskRef::new(placed.task.0, Arc::clone(&name))),
+            );
+            let ctx = TaskContext::placed(placed.task, placed.attempt, placement, true);
+            let sim = core.sim.as_mut().expect("sim state");
+            sim.execs.insert(placed.exec_id, SimExec { ctx, body, inputs, name });
+            sim.queue.schedule_at(
+                now + staging + duration.max(1),
+                SimEvent::Finish { exec: placed.exec_id },
+            );
+        },
+    );
 }

@@ -1,12 +1,13 @@
 //! Threaded backend: real execution on a worker thread pool.
 //!
 //! Workers model the COMPSs worker processes: each dequeues one placed task,
-//! runs its body (catching panics — a crashing training script must not
-//! take the runtime down, it must trigger the retry policy), then reports
-//! completion and pulls more work. Resource accounting in the scheduler
-//! bounds in-flight tasks by the cluster's core/GPU slots, so a 48-core
-//! single-node config runs at most 48 single-core tasks concurrently
-//! regardless of pool size.
+//! runs its body, then reports completion and pulls more work. Placement
+//! and completion bookkeeping are the runtime's shared scheduling turn
+//! (`place_ready` / `complete_attempt`); this module owns the message a
+//! worker needs and the queues it travels through. Resource accounting in
+//! the scheduler bounds in-flight tasks by the cluster's core/GPU slots, so
+//! a 48-core single-node config runs at most 48 single-core tasks
+//! concurrently regardless of pool size.
 //!
 //! # Sharded run queues
 //!
@@ -25,37 +26,33 @@
 //! empty" and "worker parked", which is also what makes shutdown purely
 //! signal-driven — no poll timeout anywhere in the worker loop.
 //!
-//! Completion is equally decentralized: trace emission and `ExecMsg`
-//! construction happen *outside* the core lock (placements ride along as
-//! `Arc<Placement>`, names as interned `Arc<str>`), so the lock is held
-//! only for the dependency-graph/scheduler bookkeeping itself.
+//! Completion is equally decentralized: trace emission happens *outside*
+//! the core lock (placements ride along as `Arc<Placement>`, names as
+//! interned `Arc<str>`), so the lock is held only for the
+//! dependency-graph/scheduler bookkeeping itself.
 
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use cluster::Cluster;
-use paratrace::{CoreId, EventKind, TaskRef};
+use paratrace::{EventKind, TaskRef};
 use parking_lot::{Condvar, Mutex};
 
 use crate::data::Value;
-use crate::runtime::{complete_attempt, Core, RunningExec, Shared};
-use crate::scheduler::Placement;
-use crate::task::{TaskContext, TaskError, TaskFn};
+use crate::runtime::{complete_attempt, emit_attempt_spans, place_ready, Core, Placed, Shared};
+use crate::task::{run_body, TaskContext, TaskFn};
 
 /// A placed task ready for a worker. Carries everything the worker needs to
 /// run the body *and* emit its trace records without touching the core
-/// lock; the `Arc`s are shared with the runtime's `RunningExec`.
+/// lock; the placement `Arc` is shared with the runtime's `RunningExec`.
 pub(crate) struct ExecMsg {
-    pub exec_id: u64,
+    pub placed: Placed,
     pub ctx: TaskContext,
     pub body: Arc<TaskFn>,
     pub inputs: Vec<Value>,
     pub name: Arc<str>,
-    pub placement: Arc<Placement>,
-    pub start_us: u64,
 }
 
 /// One worker's run queue. `notified` is the wakeup token: a producer sets
@@ -168,63 +165,28 @@ impl WorkerPool {
 /// everything slow (trace emission, shard pushes) in [`enqueue`] after the
 /// lock is dropped.
 pub(crate) fn collect_dispatch(shared: &Shared, core: &mut Core) -> Vec<ExecMsg> {
-    // One relaxed load up front decides whether this dispatch round pays
-    // for Instant::now() timing at all.
-    let measure = shared.metrics.enabled();
     let mut msgs = Vec::new();
-    loop {
-        // Threaded deployments are single-machine; locality is moot.
-        let decision_started = measure.then(std::time::Instant::now);
-        let popped = core.sched.pop_placeable(|_, _| 0);
-        if let Some(t0) = decision_started {
-            shared.metrics.sched_decision.record(t0.elapsed().as_micros() as u64);
-        }
-        let Some((entry, placement)) = popped else { break };
-        let placement = Arc::new(placement);
-        let task = entry.task;
-        let inst = core.instances.get(&task).expect("ready task has an instance");
-        let inputs: Vec<Value> = inst
-            .reads()
-            .iter()
-            .map(|v| core.data.get(*v).expect("ready task inputs are computed"))
-            .collect();
-        let name = Arc::clone(&inst.def.name);
-        // honour the scheduler's implementation choice (@implement)
-        let body = if placement.variant == 0 {
-            Arc::clone(&inst.def.body)
-        } else {
-            Arc::clone(&inst.def.alternatives[placement.variant - 1].body)
-        };
-        let attempt = inst.attempt;
-        let now = shared.wall_us();
-        shared.metrics.dispatched.incr();
-        shared.metrics.dep_wait.record(now.saturating_sub(inst.submitted_us));
-        let exec_id = core.next_exec;
-        core.next_exec += 1;
-        let ctx = TaskContext {
-            task,
-            attempt,
-            node: placement.node,
-            cores: placement.cores.clone(),
-            gpus: placement.gpus.clone(),
-            peer_nodes: placement.extra.iter().map(|(n, _, _)| *n).collect(),
-            simulated: false,
-        };
-        core.running.insert(
-            exec_id,
-            RunningExec {
-                task,
-                placement: Arc::clone(&placement),
-                constraint: entry.constraint,
-                attempt,
-                start_us: now,
-            },
-        );
-        core.graph.set_running(task);
-        msgs.push(ExecMsg { exec_id, ctx, body, inputs, name, placement, start_us: now });
-    }
-    shared.metrics.ready_depth.set(core.sched.ready_len() as f64);
-    shared.metrics.running.set(core.running.len() as f64);
+    // Threaded deployments are single-machine; locality is moot.
+    place_ready(
+        shared,
+        core,
+        |_, _, _, _| 0,
+        |core, placed| {
+            let inst = &core.instances[&placed.task];
+            let inputs: Vec<Value> = inst
+                .reads()
+                .iter()
+                .map(|v| core.data.get(*v).expect("ready task inputs are computed"))
+                .collect();
+            msgs.push(ExecMsg {
+                ctx: TaskContext::placed(placed.task, placed.attempt, &placed.placement, false),
+                body: inst.body(placed.placement.variant),
+                inputs,
+                name: Arc::clone(&inst.def.name),
+                placed,
+            });
+        },
+    );
     msgs
 }
 
@@ -233,21 +195,11 @@ pub(crate) fn collect_dispatch(shared: &Shared, core: &mut Core) -> Vec<ExecMsg>
 pub(crate) fn enqueue(pool: &PoolShared, shared: &Shared, msgs: Vec<ExecMsg>) {
     for msg in msgs {
         shared.trace.event(
-            CoreId::new(msg.placement.node, msg.placement.cores.first().copied().unwrap_or(0)),
-            msg.start_us,
-            EventKind::TaskDispatch(TaskRef::new(msg.ctx.task.0, Arc::clone(&msg.name))),
+            msg.placed.placement.lead_core(),
+            msg.placed.now_us,
+            EventKind::TaskDispatch(TaskRef::new(msg.placed.task.0, Arc::clone(&msg.name))),
         );
         pool.push(shared, msg);
-    }
-}
-
-fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        format!("task panicked: {s}")
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        format!("task panicked: {s}")
-    } else {
-        "task panicked".to_string()
     }
 }
 
@@ -307,34 +259,20 @@ fn worker_loop(shared: Arc<Shared>, pool: Arc<PoolShared>, me: usize) {
         Arc::new(crate::snapshot::InProcessChannel(Arc::clone(&shared)));
     while let Some(msg) = next_msg(&shared, &pool, me) {
         let result = crate::snapshot::with_channel(Arc::clone(&snap_channel), || {
-            catch_unwind(AssertUnwindSafe(|| (msg.body)(&msg.ctx, &msg.inputs)))
-                .unwrap_or_else(|p| Err(TaskError::new(panic_message(p))))
+            run_body(&*msg.body, &msg.ctx, &msg.inputs)
         });
 
         // Trace emission needs only the message's own Arcs — no core lock.
         // (Nothing else completes a threaded exec, so the records are never
         // for a stale execution.)
         let end = shared.wall_us();
-        let task_ref = TaskRef::new(msg.ctx.task.0, Arc::clone(&msg.name));
-        for (node, cores) in msg.placement.node_cores() {
-            for &c in cores {
-                shared.trace.task_run(
-                    CoreId::new(node, c),
-                    msg.start_us,
-                    end.max(msg.start_us + 1),
-                    task_ref.clone(),
-                );
-            }
-        }
-        shared.trace.event(
-            CoreId::new(msg.placement.node, msg.placement.cores.first().copied().unwrap_or(0)),
-            end,
-            EventKind::TaskEnd(task_ref),
-        );
+        let p = &msg.placed;
+        let task_ref = TaskRef::new(p.task.0, Arc::clone(&msg.name));
+        emit_attempt_spans(&shared, &p.placement, task_ref, p.now_us, end, false);
 
         let follow_on = {
             let mut core = shared.core.lock();
-            complete_attempt(&shared, &mut core, msg.exec_id, result, end, false);
+            complete_attempt(&shared, &mut core, p.exec_id, result, end, false);
             collect_dispatch(&shared, &mut core)
         };
         // Waiters in `wait_on`/`barrier` park on the core condvar; workers

@@ -42,6 +42,9 @@ struct Node {
 #[derive(Debug, Default)]
 pub struct TaskGraph {
     nodes: BTreeMap<TaskId, Node>,
+    /// Nodes not yet `Done` or `Failed`: what `barrier` asks once per
+    /// wake-up, so it is counted where the state changes, not rescanned.
+    unsettled: usize,
     /// Synchronisation edges: versions the main program waited on
     /// (rendered like the paper's red `sync` node).
     syncs: Vec<DataVersion>,
@@ -76,10 +79,12 @@ impl TaskGraph {
             }
         }
         let state = if unmet == 0 { TaskState::Ready } else { TaskState::Pending };
-        self.nodes.insert(
+        let evicted = self.nodes.insert(
             id,
             Node { name: name.to_string(), state, preds, succs: BTreeMap::new(), unmet },
         );
+        debug_assert!(evicted.is_none(), "task ids are unique per submission");
+        self.unsettled += 1;
         state
     }
 
@@ -107,20 +112,26 @@ impl TaskGraph {
         }
     }
 
+    /// Move `id` into a settled state, counting it out of `unsettled` only
+    /// if it was not settled before (a repeated call must not double-count).
+    fn settle(&mut self, id: TaskId, state: TaskState) -> Option<&Node> {
+        let n = self.nodes.get_mut(&id)?;
+        if !matches!(n.state, TaskState::Done | TaskState::Failed) {
+            self.unsettled -= 1;
+        }
+        n.state = state;
+        Some(n)
+    }
+
     /// Mark `id` permanently failed.
     pub fn set_failed(&mut self, id: TaskId) {
-        if let Some(n) = self.nodes.get_mut(&id) {
-            n.state = TaskState::Failed;
-        }
+        self.settle(id, TaskState::Failed);
     }
 
     /// Mark `id` done; returns the successors that became ready.
     pub fn set_done(&mut self, id: TaskId) -> Vec<TaskId> {
-        let succs: Vec<TaskId> = match self.nodes.get_mut(&id) {
-            Some(n) => {
-                n.state = TaskState::Done;
-                n.succs.keys().copied().collect()
-            }
+        let succs: Vec<TaskId> = match self.settle(id, TaskState::Done) {
+            Some(n) => n.succs.keys().copied().collect(),
             None => return Vec::new(),
         };
         let mut newly_ready = Vec::new();
@@ -153,7 +164,7 @@ impl TaskGraph {
 
     /// Whether every task is `Done` or `Failed`.
     pub fn all_settled(&self) -> bool {
-        self.nodes.values().all(|n| matches!(n.state, TaskState::Done | TaskState::Failed))
+        self.unsettled == 0
     }
 
     /// Length (in tasks) of the longest dependency chain — the critical
@@ -307,6 +318,85 @@ mod tests {
         g.set_done(TaskId(2));
         assert!(g.all_settled());
         assert!(TaskGraph::new().all_settled(), "vacuously true when empty");
+    }
+
+    #[test]
+    fn all_settled_does_not_scan_the_graph() {
+        // The fan-out of the benchmark's `graph_add_task` probe, one node
+        // left running: `barrier` asks this once per wake-up. A scan over
+        // 200k nodes costs milliseconds per call; the counter, nothing.
+        const N: u64 = 200_000;
+        let mut g = TaskGraph::new();
+        g.add_task(TaskId(0), "probe", &[]);
+        for i in 1..N {
+            g.add_task(TaskId(i), "probe", &[(TaskId(0), v(0, 1))]);
+        }
+        for i in 0..N - 1 {
+            g.set_done(TaskId(i));
+        }
+        let t0 = std::time::Instant::now();
+        for _ in 0..2_000 {
+            assert!(!std::hint::black_box(&g).all_settled());
+        }
+        let took = t0.elapsed();
+        assert!(took.as_millis() < 100, "2000 all_settled() calls took {took:?}");
+        g.set_done(TaskId(N - 1));
+        assert!(g.all_settled());
+    }
+
+    #[test]
+    fn settled_counter_matches_a_scan_under_a_random_walk() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        let mut g = TaskGraph::new();
+        let mut seen = [false; 2];
+        let mut check = |g: &TaskGraph| {
+            let settled =
+                g.tasks_in_state(TaskState::Done).len() + g.tasks_in_state(TaskState::Failed).len();
+            assert_eq!(g.all_settled(), settled == g.len());
+            seen[g.all_settled() as usize] = true;
+        };
+        let settled = |g: &TaskGraph, id| {
+            matches!(g.state(id), Some(TaskState::Done) | Some(TaskState::Failed))
+        };
+        for step in 0..4_000u64 {
+            let n = g.len() as u64;
+            // Any id up to one past the newest: the last is unknown.
+            let id = TaskId(rng.gen_range(0..=n));
+            match rng.gen_range(0..8u32) {
+                0 | 1 => {
+                    let deps: Vec<_> = (0..rng.gen_range(0..3u32).min(n as u32))
+                        .map(|_| (TaskId(rng.gen_range(0..n)), v(step, 1)))
+                        .collect();
+                    g.add_task(TaskId(n), "walk", &deps);
+                }
+                // As the runtime does, only an unsettled task is placed or
+                // retried; done and failed are terminal.
+                2 if !settled(&g, id) => g.set_running(id),
+                3 if !settled(&g, id) => g.set_ready(id),
+                4 if !settled(&g, id) => {
+                    // One retry, then success.
+                    g.set_running(id);
+                    g.set_ready(id);
+                    check(&g);
+                    g.set_running(id);
+                    g.set_done(id);
+                }
+                5 => {
+                    g.set_failed(id);
+                    g.set_failed(id);
+                }
+                _ => {
+                    g.set_done(id);
+                }
+            }
+            check(&g);
+        }
+        for i in 0..g.len() as u64 {
+            g.set_done(TaskId(i));
+        }
+        check(&g);
+        assert!(g.len() > 500 && seen == [true, true], "{} nodes, seen {seen:?}", g.len());
     }
 
     #[test]

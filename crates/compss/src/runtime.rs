@@ -235,6 +235,29 @@ impl Instance {
             .chain(self.returns.iter().copied())
             .collect()
     }
+
+    /// Queue this instance (of `task`) as ready, retry placement hints
+    /// included.
+    pub fn push_ready(&self, task: TaskId, sched: &mut Scheduler) {
+        sched.push_ready(ReadyEntry {
+            task,
+            constraint: self.def.constraint,
+            alternatives: self.def.alternatives.iter().map(|v| v.constraint).collect(),
+            priority: self.def.priority,
+            seq: self.seq,
+            prefer_node: self.prefer_node,
+            exclude_node: self.exclude_node,
+        });
+    }
+
+    /// The body of the implementation the scheduler chose (`@implement`:
+    /// 0 is the primary, alternatives follow).
+    pub fn body(&self, variant: usize) -> Arc<TaskFn> {
+        match variant {
+            0 => Arc::clone(&self.def.body),
+            v => Arc::clone(&self.def.alternatives[v - 1].body),
+        }
+    }
 }
 
 /// One in-flight execution. The placement is shared (`Arc`) with the
@@ -261,8 +284,15 @@ pub(crate) struct Core {
     pub next_task: u64,
     pub next_seq: u64,
     pub next_exec: u64,
-    pub unsettled: u64,
     pub stats: RuntimeStats,
+}
+
+impl Core {
+    /// The backend's clock, µs: virtual under the sim backend (the only one
+    /// with sim state), wall time since runtime start otherwise.
+    pub fn now_us(&self, shared: &Shared) -> u64 {
+        self.sim.as_ref().map_or_else(|| shared.wall_us(), |sim| sim.now())
+    }
 }
 
 pub(crate) struct Shared {
@@ -308,7 +338,7 @@ impl Runtime {
     /// Build a runtime on the threaded backend: tasks run on a real thread
     /// pool with slot-accurate resource accounting.
     pub fn threaded(cfg: RuntimeConfig) -> Runtime {
-        let shared = Self::make_shared(&cfg, false);
+        let shared = Self::make_shared(&cfg);
         let pool = WorkerPool::start(Arc::clone(&shared), &cfg.cluster);
         Runtime {
             shared,
@@ -363,7 +393,7 @@ impl Runtime {
         cfg.cluster = Cluster::from_nodes(nodes);
         // Worker cores are remote: nothing to reserve driver-side.
         cfg.reserved_cores.clear();
-        let shared = Self::make_shared(&cfg, false);
+        let shared = Self::make_shared(&cfg);
         let mgr = ConnMgr::start(Arc::clone(&shared), boots, dcfg);
         Runtime {
             shared,
@@ -388,7 +418,7 @@ impl Runtime {
     /// Build a runtime on the simulated backend: a deterministic
     /// discrete-event execution over the virtual cluster.
     pub fn simulated(cfg: RuntimeConfig) -> Runtime {
-        let shared = Self::make_shared(&cfg, true);
+        let shared = Self::make_shared(&cfg);
         {
             let mut core = shared.core.lock();
             let mut sim = SimState::new();
@@ -404,7 +434,7 @@ impl Runtime {
         }
     }
 
-    fn make_shared(cfg: &RuntimeConfig, _sim: bool) -> Arc<Shared> {
+    fn make_shared(cfg: &RuntimeConfig) -> Arc<Shared> {
         let sched = Scheduler::new(&cfg.cluster, &cfg.reserved_cores);
         Arc::new(Shared {
             core: Mutex::new(Core {
@@ -419,7 +449,6 @@ impl Runtime {
                 next_task: 1,
                 next_seq: 0,
                 next_exec: 0,
-                unsettled: 0,
                 stats: RuntimeStats::default(),
             }),
             cv: Condvar::new(),
@@ -538,11 +567,9 @@ impl Runtime {
 
         core.next_task += 1;
         core.next_seq += 1;
-        core.unsettled += 1;
         core.stats.submitted += 1;
         self.shared.metrics.submitted.incr();
-        let submitted_us =
-            core.sim.as_ref().map(|s| s.now()).unwrap_or_else(|| self.shared.wall_us());
+        let submitted_us = core.now_us(&self.shared);
 
         let state = core.graph.add_task(id, &def.name, &deps);
         core.instances.insert(
@@ -566,15 +593,8 @@ impl Runtime {
         if reads_poisoned {
             fail_task_cascade(&self.shared, &mut core, id);
         } else if state == TaskState::Ready {
-            core.sched.push_ready(ReadyEntry {
-                task: id,
-                constraint: def.constraint,
-                alternatives: def.alternatives.iter().map(|v| v.constraint).collect(),
-                priority: def.priority,
-                seq,
-                prefer_node: None,
-                exclude_node: None,
-            });
+            let core = &mut *core;
+            core.instances[&id].push_ready(id, &mut core.sched);
         }
 
         // Nudge the backend: place under the lock, hand the placed work to
@@ -659,11 +679,7 @@ impl Runtime {
     /// Current runtime time, µs: virtual for the simulated backend, wall
     /// time since start for the threaded one.
     pub fn now_us(&self) -> u64 {
-        let core = self.shared.core.lock();
-        match (&self.backend, &core.sim) {
-            (BackendHandle::Sim, Some(sim)) => sim.now(),
-            _ => self.shared.wall_us(),
-        }
+        self.shared.core.lock().now_us(&self.shared)
     }
 
     /// Tracing flag accessor.
@@ -754,9 +770,101 @@ impl Drop for Runtime {
     }
 }
 
-/// Shared completion logic: store outputs or drive the retry policy.
-/// Returns the tasks that became ready. Called with the core locked, from
-/// either backend.
+/// A ready task the place step has just put on resources: what a backend's
+/// launch step gets, next to `&mut Core`.
+pub(crate) struct Placed {
+    pub exec_id: u64,
+    pub task: TaskId,
+    pub attempt: u32,
+    pub placement: Arc<Placement>,
+    /// Dispatch time on the backend's clock; the `RunningExec` starts here
+    /// unless the launch step moves it (sim staging).
+    pub now_us: u64,
+}
+
+/// The first half of the scheduling turn, shared by every backend: place
+/// each placeable ready task — timed scheduler decision, attempt and exec
+/// id, `RunningExec`, graph state, dispatch metrics — and hand it to
+/// `launch`, which does only what is the backend's own (build the message,
+/// pay staging, choose how inputs travel). `score` ranks feasible nodes for
+/// a task and sees the registry and instances the pop cannot borrow through
+/// `Core`. Call with the core locked; [`complete_attempt`] is the other half.
+pub(crate) fn place_ready<S: Ord>(
+    shared: &Shared,
+    core: &mut Core,
+    score: impl Fn(&DataRegistry, &HashMap<TaskId, Instance>, TaskId, u32) -> S,
+    mut launch: impl FnMut(&mut Core, Placed),
+) {
+    // One relaxed load up front decides whether this round pays for
+    // Instant::now() at all. Decision time is real (wall) time even under
+    // virtual task time: it measures the runtime's own machinery.
+    let measure = shared.metrics.enabled();
+    loop {
+        let decision_started = measure.then(Instant::now);
+        let popped = {
+            let Core { sched, data, instances, .. } = &mut *core;
+            sched.pop_placeable(|task, node| score(data, instances, task, node))
+        };
+        if let Some(t0) = decision_started {
+            shared.metrics.sched_decision.record(t0.elapsed().as_micros() as u64);
+        }
+        let Some((entry, placement)) = popped else { break };
+        let placement = Arc::new(placement);
+        let task = entry.task;
+        let inst = core.instances.get(&task).expect("ready task has an instance");
+        let attempt = inst.attempt;
+        let now_us = core.now_us(shared);
+        shared.metrics.dispatched.incr();
+        shared.metrics.dep_wait.record(now_us.saturating_sub(inst.submitted_us));
+        let exec_id = core.next_exec;
+        core.next_exec += 1;
+        core.running.insert(
+            exec_id,
+            RunningExec {
+                task,
+                placement: Arc::clone(&placement),
+                constraint: entry.constraint,
+                attempt,
+                start_us: now_us,
+            },
+        );
+        core.graph.set_running(task);
+        launch(core, Placed { exec_id, task, attempt, placement, now_us });
+    }
+    shared.metrics.ready_depth.set(core.sched.ready_len() as f64);
+    shared.metrics.running.set(core.running.len() as f64);
+}
+
+/// The trace records of one ended attempt: a `task_run` bar on every core
+/// of the placement and, unless the attempt was `killed` with its node, the
+/// `TaskEnd` event. Needs no core lock.
+pub(crate) fn emit_attempt_spans(
+    shared: &Shared,
+    placement: &Placement,
+    task_ref: paratrace::TaskRef,
+    start_us: u64,
+    end_us: u64,
+    killed: bool,
+) {
+    for (node, cores) in placement.node_cores() {
+        for &c in cores {
+            shared.trace.task_run(
+                paratrace::CoreId::new(node, c),
+                // A kill can land while the attempt is still staging.
+                start_us.min(end_us),
+                end_us.max(start_us + 1),
+                task_ref.clone(),
+            );
+        }
+    }
+    if !killed {
+        shared.trace.event(placement.lead_core(), end_us, paratrace::EventKind::TaskEnd(task_ref));
+    }
+}
+
+/// The second half of the scheduling turn: store an ended attempt's outputs
+/// and release its successors, or drive the retry policy. Called with the
+/// core locked, from every backend.
 pub(crate) fn complete_attempt(
     shared: &Shared,
     core: &mut Core,
@@ -796,29 +904,15 @@ pub(crate) fn complete_attempt(
             core.stats.completed += 1;
             shared.metrics.completed.incr();
             core.stats.makespan_us = core.stats.makespan_us.max(now_us);
-            core.unsettled = core.unsettled.saturating_sub(1);
-            let newly_ready = core.graph.set_done(task);
-            for t in newly_ready {
-                let inst = &core.instances[&t];
-                core.sched.push_ready(ReadyEntry {
-                    task: t,
-                    constraint: inst.def.constraint,
-                    alternatives: inst.def.alternatives.iter().map(|v| v.constraint).collect(),
-                    priority: inst.def.priority,
-                    seq: inst.seq,
-                    prefer_node: inst.prefer_node,
-                    exclude_node: inst.exclude_node,
-                });
+            for t in core.graph.set_done(task) {
+                core.instances[&t].push_ready(t, &mut core.sched);
             }
         }
-        Err(err) => {
+        Err(_) => {
             core.stats.failed_attempts += 1;
             shared.metrics.failed_attempts.incr();
             shared.trace.event(
-                paratrace::CoreId::new(
-                    run.placement.node,
-                    run.placement.cores.first().copied().unwrap_or(0),
-                ),
+                run.placement.lead_core(),
                 now_us,
                 paratrace::EventKind::TaskFailure {
                     task: paratrace::TaskRef::new(
@@ -829,10 +923,7 @@ pub(crate) fn complete_attempt(
                 },
             );
             match shared.retry.on_failure(run.attempt, node_gone) {
-                RetryDecision::GiveUp => {
-                    let _ = err;
-                    fail_task_cascade(shared, core, task);
-                }
+                RetryDecision::GiveUp => fail_task_cascade(shared, core, task),
                 decision => {
                     shared.metrics.retried.incr();
                     // "Move to another node" is only meaningful when some
@@ -859,16 +950,7 @@ pub(crate) fn complete_attempt(
                         RetryDecision::GiveUp => unreachable!(),
                     }
                     core.graph.set_ready(task);
-                    let inst = &core.instances[&task];
-                    core.sched.push_ready(ReadyEntry {
-                        task,
-                        constraint: inst.def.constraint,
-                        alternatives: inst.def.alternatives.iter().map(|v| v.constraint).collect(),
-                        priority: inst.def.priority,
-                        seq: inst.seq,
-                        prefer_node: inst.prefer_node,
-                        exclude_node: inst.exclude_node,
-                    });
+                    core.instances[&task].push_ready(task, &mut core.sched);
                 }
             }
         }
@@ -891,7 +973,6 @@ pub(crate) fn fail_task_cascade(shared: &Shared, core: &mut Core, task: TaskId) 
         core.graph.set_failed(t);
         core.stats.failed += 1;
         shared.metrics.failed.incr();
-        core.unsettled = core.unsettled.saturating_sub(1);
         let writes: Vec<DataVersion> =
             core.instances.get(&t).map(|i| i.writes()).unwrap_or_default();
         for v in &writes {

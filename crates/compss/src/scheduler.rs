@@ -86,6 +86,12 @@ impl Placement {
             .collect()
     }
 
+    /// The trace lane of this placement's point events (dispatch, end,
+    /// failure): the first core granted on the primary node.
+    pub(crate) fn lead_core(&self) -> paratrace::CoreId {
+        paratrace::CoreId::new(self.node, self.cores.first().copied().unwrap_or(0))
+    }
+
     /// All node ids, primary first.
     pub fn nodes(&self) -> Vec<u32> {
         self.node_cores().iter().map(|&(n, _)| n).collect()

@@ -1,9 +1,11 @@
 //! Task model: definitions, constraints, directions, contexts, errors.
 
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use crate::data::{DataHandle, Value};
+use crate::scheduler::Placement;
 
 /// Unique id of a submitted task instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -153,6 +155,24 @@ pub struct TaskContext {
 }
 
 impl TaskContext {
+    /// The context of `attempt` of `task` running on `placement`.
+    pub(crate) fn placed(
+        task: TaskId,
+        attempt: u32,
+        placement: &Placement,
+        simulated: bool,
+    ) -> TaskContext {
+        TaskContext {
+            task,
+            attempt,
+            node: placement.node,
+            cores: placement.cores.clone(),
+            gpus: placement.gpus.clone(),
+            peer_nodes: placement.extra.iter().map(|(n, _, _)| *n).collect(),
+            simulated,
+        }
+    }
+
     /// The intra-task degree of parallelism this placement grants: the
     /// number of CPU cores owned on the primary node (at least 1).
     ///
@@ -169,6 +189,28 @@ impl TaskContext {
 
 /// The task body signature.
 pub type TaskFn = dyn Fn(&TaskContext, &[Value]) -> Result<Vec<Value>, TaskError> + Send + Sync;
+
+/// Run a task body. A panic becomes a failed attempt carrying the payload
+/// text: a crashing training script must not take the runtime (or a worker
+/// daemon) down, it must trigger the retry policy.
+pub(crate) fn run_body(
+    body: &TaskFn,
+    ctx: &TaskContext,
+    inputs: &[Value],
+) -> Result<Vec<Value>, TaskError> {
+    catch_unwind(AssertUnwindSafe(|| body(ctx, inputs)))
+        .unwrap_or_else(|p| Err(TaskError::new(panic_message(p))))
+}
+
+fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = p.downcast_ref::<&str>() {
+        format!("task panicked: {s}")
+    } else if let Some(s) = p.downcast_ref::<String>() {
+        format!("task panicked: {s}")
+    } else {
+        "task panicked".to_string()
+    }
+}
 
 /// An alternative implementation of a task — the paper's `@implement`
 /// decorator: "declare multiple implementations for the same task (this

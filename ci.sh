@@ -12,10 +12,13 @@
 # -q`, widened to `--workspace` so every crate's unit, property and
 # integration suites gate too, followed by the non-test source line count
 # (the number every simplicity PR quotes in CHANGES.md, so it comes from
-# here and not from a hand-run). Right after them the standalone benchmark
-# package is built against the crates and run once in --quick mode (all
-# four workloads verified against their oracles) with its Cargo.lock
-# unchanged, so a broken pinned signature or a re-lock fails here.
+# here and not from a hand-run). The five pure-virtual-time figure bins
+# (Figs 3-6 and 9) then rerun and must rewrite their results/ artefacts
+# byte-for-byte, and ablation_retry runs for its built-in assertions.
+# Right after them the standalone benchmark package is built against the
+# crates and run once in --quick mode (all four workloads verified against
+# their oracles) with its Cargo.lock unchanged, so a broken pinned
+# signature or a re-lock fails here.
 # The overhead bench runs in smoke mode as a regression guard on the
 # metrics disabled hot path (must stay ~one relaxed atomic load), and the
 # runtime-throughput bench runs in smoke + net_throughput modes as
@@ -75,6 +78,14 @@ cargo test --workspace -q
 echo "==> non-test source lines (crates/*/src + src, up to each file's #[cfg(test)])"
 git ls-files 'crates/*/src/*.rs' 'crates/*/src/**/*.rs' 'src/*.rs' 'src/**/*.rs' | sort -u \
     | xargs awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n}'
+
+echo "==> deterministic figures: virtual-time bins rewrite results/ byte-identically"
+for fig in fig3_task_graph fig4_single_task fig5_single_node fig6_multinode fig9_time_vs_cores; do
+    cargo run --release --quiet -p hpo-bench --bin "$fig" > /dev/null
+done
+git diff --exit-code -- results/fig3_task_graph.dot 'results/fig4_single_task.*' \
+    'results/fig5_single_node.*' 'results/fig6*' results/fig9_time_vs_cores.csv
+cargo run --release --quiet -p hpo-bench --bin ablation_retry > /dev/null
 
 echo "==> stackbench (quick): benchmark/ still compiles, verifies, and keeps its lock"
 cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- run --quick

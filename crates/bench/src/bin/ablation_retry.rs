@@ -9,16 +9,17 @@
 //! * **always-move** (3 attempts, never the same node first);
 //! * **5 attempts** — diminishing returns.
 
-use cluster::{Cluster, ClusterSim, FailureInjector, Job, NodeSpec};
-use hpo_bench::banner;
+use cluster::{Cluster, FailureInjector, NodeSpec};
+use hpo_bench::{banner, simulate};
+use rcompss::{Constraint, RetryPolicy, RuntimeConfig};
 
-fn run(max_attempts: u32, rate: f64, seed: u64) -> (usize, usize, u64) {
-    let mut sim = ClusterSim::new(Cluster::homogeneous(4, NodeSpec::marenostrum4()))
-        .with_failures(FailureInjector::random(seed, rate));
-    sim.max_attempts = max_attempts;
-    let jobs: Vec<Job> = (0..64).map(|i| Job::cpu(i, 12, 60_000_000 + i * 500_000)).collect();
-    let out = sim.run(&jobs);
-    (out.jobs_completed(), out.failed_jobs.len(), out.makespan)
+fn run(max_attempts: u32, rate: f64, seed: u64) -> (u64, u64, u64) {
+    let cfg = RuntimeConfig::on_cluster(Cluster::homogeneous(4, NodeSpec::marenostrum4()))
+        .with_failures(FailureInjector::random(seed, rate))
+        .with_retry(RetryPolicy { max_attempts, same_node_first: true });
+    let jobs = (0..64).map(|i| (Constraint::cpus(12), 60_000_000 + i * 500_000));
+    let stats = simulate(cfg, jobs).stats();
+    (stats.completed, stats.failed, stats.makespan_us)
 }
 
 fn main() {
@@ -29,8 +30,8 @@ fn main() {
     );
     for &rate in &[0.05f64, 0.15, 0.30] {
         for &attempts in &[1u32, 3, 5] {
-            let mut completed_total = 0usize;
-            let mut lost_total = 0usize;
+            let mut completed_total = 0u64;
+            let mut lost_total = 0u64;
             let mut makespan_total = 0u64;
             let seeds = 5u64;
             for seed in 0..seeds {

@@ -9,27 +9,21 @@
 //! application takes 207 minutes."
 
 use cluster::{Cluster, NodeSpec};
-use hpo_bench::{banner, fmt_min, mnist_sim_duration, out_dir, paper_grid_configs};
+use hpo_bench::{banner, fmt_min, mnist_sim_duration, out_dir, paper_grid_configs, simulate};
 use paratrace::gantt::{render, GanttOptions};
 use paratrace::TraceStats;
-use rcompss::{Constraint, Runtime, RuntimeConfig, SubmitOpts, Value};
+use rcompss::{Constraint, RuntimeConfig};
 
 fn main() {
     banner("Figure 5", "27 grid-search tasks on one 48-core node (worker reserves 24 cores)");
 
     let cfg =
         RuntimeConfig::on_cluster(Cluster::homogeneous(1, NodeSpec::marenostrum4())).reserve(0, 24);
-    let rt = Runtime::simulated(cfg);
-    let experiment =
-        rt.register("graph.experiment", Constraint::cpus(1), 1, |_, _| Ok(vec![Value::new(())]));
-
     let configs = paper_grid_configs();
-    for config in &configs {
-        let duration = mnist_sim_duration(config, 1, 0.9);
-        rt.submit_with(&experiment, vec![], SubmitOpts { sim_duration_us: Some(duration) })
-            .expect("submit");
-    }
-    rt.barrier();
+    let rt = simulate(
+        cfg,
+        configs.iter().map(|config| (Constraint::cpus(1), mnist_sim_duration(config, 1, 0.9))),
+    );
 
     let records = rt.trace();
     let stats = TraceStats::compute(&records);

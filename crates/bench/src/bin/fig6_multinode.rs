@@ -9,18 +9,15 @@
 //! Clearly, this is a better utilisation of resources."
 
 use cluster::{Cluster, NodeSpec};
-use hpo_bench::{banner, cifar_sim_duration, fmt_min, out_dir, paper_grid_configs};
+use hpo_bench::{banner, cifar_sim_duration, fmt_min, out_dir, paper_grid_configs, simulate};
 use paratrace::gantt::{render, GanttOptions};
 use paratrace::TraceStats;
-use rcompss::{Constraint, Runtime, RuntimeConfig, SubmitOpts, Value};
+use rcompss::{Constraint, RuntimeConfig};
 
 fn run(nodes: usize) -> (u64, f64, usize, Vec<paratrace::Record>) {
     // one extra node (node 0) is fully reserved for the COMPSs worker
     let cfg = RuntimeConfig::on_cluster(Cluster::homogeneous(nodes, NodeSpec::marenostrum4()))
         .reserve(0, 48);
-    let rt = Runtime::simulated(cfg);
-    let experiment =
-        rt.register("graph.experiment", Constraint::cpus(48), 1, |_, _| Ok(vec![Value::new(())]));
     // Longest-first submission (descending epoch count): with fewer nodes
     // than tasks, short stragglers then pack under the long tasks — the
     // behaviour behind the paper's "almost the same amount of time".
@@ -29,11 +26,7 @@ fn run(nodes: usize) -> (u64, f64, usize, Vec<paratrace::Record>) {
         .map(|config| cifar_sim_duration(config, 48, None, 0.9))
         .collect();
     durations.sort_unstable_by(|a, b| b.cmp(a));
-    for duration in durations {
-        rt.submit_with(&experiment, vec![], SubmitOpts { sim_duration_us: Some(duration) })
-            .expect("submit");
-    }
-    rt.barrier();
+    let rt = simulate(cfg, durations.into_iter().map(|d| (Constraint::cpus(48), d)));
     let records = rt.trace();
     let stats = TraceStats::compute(&records);
     let task_cores = (nodes - 1) * 48;

@@ -14,45 +14,35 @@
 //!   total is the worst of the chart; adding cores collapses it to under an
 //!   hour.
 
-use cluster::{Cluster, ClusterSim, GpuModel, Job, NodeSpec};
+use cluster::{Cluster, GpuModel, NodeSpec};
 use hpo_bench::{
-    banner, cifar_sim_duration, fmt_min, mnist_sim_duration, out_dir, paper_grid_configs,
+    banner, cifar_sim_duration, fmt_min, mnist_sim_duration, out_dir, paper_grid_configs, simulate,
 };
+use rcompss::{Constraint, RuntimeConfig};
 
-/// Makespan of the 27-task grid on `cluster` with `cores` per task.
+/// Makespan of the 27-task MNIST grid on `nodes` MareNostrum 4 nodes with
+/// `cores` per task.
 fn cpu_sweep_point(nodes: usize, cores: u32, alpha: f64) -> u64 {
-    let sim =
-        ClusterSim::new(Cluster::homogeneous(nodes, NodeSpec::marenostrum4())).reserve_cores(0, 24); // the COMPSs worker holds half of node 0
-    let jobs: Vec<Job> = paper_grid_configs()
-        .iter()
-        .enumerate()
-        .map(|(i, config)| Job {
-            id: i as u64,
-            name: format!("exp{i}"),
-            cores,
-            gpus: 0,
-            duration_us: mnist_sim_duration(config, cores, alpha),
-        })
-        .collect();
-    sim.run(&jobs).makespan
+    // the COMPSs worker holds half of node 0
+    let cfg = RuntimeConfig::on_cluster(Cluster::homogeneous(nodes, NodeSpec::marenostrum4()))
+        .reserve(0, 24);
+    let jobs = paper_grid_configs()
+        .into_iter()
+        .map(|config| (Constraint::cpus(cores), mnist_sim_duration(&config, cores, alpha)));
+    simulate(cfg, jobs).stats().makespan_us
 }
 
 /// Makespan of the 27-task CIFAR grid on one GPU node, 1 GPU + `cores`
 /// CPU cores per task.
 fn gpu_sweep_point_on(node: NodeSpec, model: GpuModel, cores: u32, alpha: f64) -> u64 {
-    let sim = ClusterSim::new(Cluster::homogeneous(1, node));
-    let jobs: Vec<Job> = paper_grid_configs()
-        .iter()
-        .enumerate()
-        .map(|(i, config)| Job {
-            id: i as u64,
-            name: format!("exp{i}"),
-            cores,
-            gpus: 1,
-            duration_us: cifar_sim_duration(config, cores, Some(model), alpha),
-        })
-        .collect();
-    sim.run(&jobs).makespan
+    let cfg = RuntimeConfig::on_cluster(Cluster::homogeneous(1, node));
+    let jobs = paper_grid_configs().into_iter().map(|config| {
+        (
+            Constraint::cpus(cores).with_gpus(1),
+            cifar_sim_duration(&config, cores, Some(model), alpha),
+        )
+    });
+    simulate(cfg, jobs).stats().makespan_us
 }
 
 /// POWER9 + V100 sweep point (the paper's CTE-POWER9 runs).

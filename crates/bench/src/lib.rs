@@ -13,17 +13,39 @@
 //! | `fig9_time_vs_cores` | Fig 9 — HPO makespan vs cores-per-task |
 //! | `overhead_tracing` | §5 — tracing on/off overhead |
 //! | `fault_tolerance` | §3/§4 — retry + node-failure recovery |
+//!
+//! The figures and ablations whose workload is N independent rigid tasks
+//! (Figs 5, 6, 9, the retry ablation, the scheduler microbenchmark) all run
+//! it through [`simulate`].
 
 use std::path::PathBuf;
 
 use cluster::{Allocation, GpuModel, TrainingCost};
 use hpo::prelude::*;
+use rcompss::{Constraint, Runtime, RuntimeConfig, SubmitOpts, Value};
 
 /// Directory where experiment binaries drop artefacts.
 pub fn out_dir() -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("..").join("..").join("results");
     std::fs::create_dir_all(&dir).expect("create results dir");
     dir
+}
+
+/// Run the paper's workload shape on the simulated backend: one independent
+/// no-op `graph.experiment` task per `(constraint, simulated duration µs)`,
+/// submitted in order, then a barrier. The settled runtime comes back for
+/// its `stats()` and `trace()`.
+pub fn simulate(cfg: RuntimeConfig, jobs: impl IntoIterator<Item = (Constraint, u64)>) -> Runtime {
+    let rt = Runtime::simulated(cfg);
+    let mut experiment =
+        rt.register("graph.experiment", Constraint::default(), 1, |_, _| Ok(vec![Value::new(())]));
+    for (constraint, duration) in jobs {
+        experiment.constraint = constraint;
+        rt.submit_with(&experiment, vec![], SubmitOpts { sim_duration_us: Some(duration) })
+            .expect("submit");
+    }
+    rt.barrier();
+    rt
 }
 
 /// The paper's 27-point grid (Listing 1) in submission order.

@@ -89,11 +89,6 @@ impl FailureInjector {
     pub fn node_failures(&self) -> &[(u64, u32)] {
         &self.node_failures
     }
-
-    /// The first scheduled node failure strictly after `t`, if any.
-    pub fn next_node_failure_after(&self, t: u64) -> Option<(u64, u32)> {
-        self.node_failures.iter().copied().find(|&(ft, _)| ft > t)
-    }
 }
 
 impl Default for FailureInjector {
@@ -149,9 +144,6 @@ mod tests {
     fn node_failures_sorted_and_queryable() {
         let f = FailureInjector::none().with_node_failure(500, 2).with_node_failure(100, 0);
         assert_eq!(f.node_failures(), &[(100, 0), (500, 2)]);
-        assert_eq!(f.next_node_failure_after(0), Some((100, 0)));
-        assert_eq!(f.next_node_failure_after(100), Some((500, 2)));
-        assert_eq!(f.next_node_failure_after(500), None);
     }
 
     #[test]

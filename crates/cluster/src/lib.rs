@@ -6,21 +6,16 @@
 //! CTE-POWER9 (160 hardware threads + 4× V100). We cannot allocate those, so
 //! this crate provides the closest synthetic equivalent: a parameterised
 //! cluster model ([`node`], [`topology`]) plus a deterministic
-//! discrete-event engine ([`event`], [`sim`]) with calibrated cost models
+//! discrete-event queue ([`event`]) with calibrated cost models
 //! ([`cost`]), a data-transfer model distinguishing parallel file systems
 //! from per-node staging ([`transfer`]), and seeded failure injection
 //! ([`failure`]).
 //!
 //! Virtual time is `u64` microseconds throughout, matching `paratrace`.
 //!
-//! Two consumers exist:
-//! * `rcompss`'s simulated backend drives [`event::EventQueue`] directly and
-//!   implements the full COMPSs scheduling semantics on top;
-//! * [`sim::ClusterSim`] is a self-contained list-scheduling simulator for
-//!   *rigid, independent* jobs (each needing a fixed number of cores/GPUs for
-//!   a fixed duration), which is exactly the structure of the paper's HPO
-//!   workloads and is used for the Figure 9 parameter sweeps and for
-//!   property-testing makespan bounds.
+//! The simulator itself is `rcompss`'s simulated backend: it drives
+//! [`event::EventQueue`] and implements the COMPSs scheduling semantics on
+//! top of these models.
 
 #![warn(missing_docs)]
 
@@ -28,7 +23,6 @@ pub mod cost;
 pub mod event;
 pub mod failure;
 pub mod node;
-pub mod sim;
 pub mod topology;
 pub mod transfer;
 
@@ -36,7 +30,6 @@ pub use cost::{Allocation, TrainingCost, WorkProfile};
 pub use event::EventQueue;
 pub use failure::FailureInjector;
 pub use node::{GpuModel, NodeSpec};
-pub use sim::{ClusterSim, Job, JobRecord, SimOutcome};
 pub use topology::{Cluster, Interconnect};
 
 /// One second in virtual-time units (µs).

@@ -197,8 +197,7 @@ pub fn connect_workers(addrs: &[String], timeout: Duration) -> io::Result<Vec<Wo
             let stream = loop {
                 match TcpStream::connect(addr.as_str()) {
                     Ok(s) => break s,
-                    Err(e) if std::time::Instant::now() < deadline => {
-                        let _ = e;
+                    Err(_) if std::time::Instant::now() < deadline => {
                         std::thread::sleep(Duration::from_millis(50));
                     }
                     Err(e) => {

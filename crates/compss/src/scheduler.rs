@@ -176,8 +176,8 @@ pub struct Scheduler {
 
 impl Scheduler {
     /// Build from a cluster description, reserving `reserved_cores`
-    /// (node, n_cores) pairs for the runtime worker. Reserved cores get the
-    /// lowest ids, matching the `ClusterSim` convention.
+    /// (node, n_cores) pairs for the runtime worker. Reserved cores are the
+    /// node's lowest ids; tasks are granted cores from the ids above them.
     pub fn new(cluster: &Cluster, reserved_cores: &[(u32, u32)]) -> Self {
         let mut reserved_pairs = Vec::new();
         let nodes = cluster

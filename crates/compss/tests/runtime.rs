@@ -240,16 +240,19 @@ fn failed_task_is_retried_and_recovers() {
     let cfg = RuntimeConfig::on_cluster(Cluster::homogeneous(2, NodeSpec::new("n", 4, vec![], 8)))
         .with_failures(FailureInjector::none().with_task_failure(1, 1).with_task_failure(1, 2));
     let rt = Runtime::threaded(cfg);
-    let attempts = Arc::new(AtomicUsize::new(0));
-    let a = Arc::clone(&attempts);
+    let nodes = Arc::new(std::sync::Mutex::new(Vec::<u32>::new()));
+    let n = Arc::clone(&nodes);
     let flaky = rt.register("flaky", Constraint::cpus(1), 1, move |ctx, _| {
-        a.fetch_add(1, Ordering::SeqCst);
+        n.lock().unwrap().push(ctx.node);
         Ok(vec![Value::new(ctx.attempt)])
     });
     let out = rt.submit(&flaky, vec![]).unwrap().returns[0];
     let v = rt.wait_on(&out).unwrap();
     assert_eq!(*v.downcast_ref::<u32>().unwrap(), 3, "succeeded on 3rd attempt");
-    assert_eq!(attempts.load(Ordering::SeqCst), 3);
+    let nodes = nodes.lock().unwrap();
+    assert_eq!(nodes.len(), 3);
+    assert_eq!(nodes[1], nodes[0], "2nd attempt: same node");
+    assert_ne!(nodes[2], nodes[0], "3rd attempt moves to the other node");
     let stats = rt.stats();
     assert_eq!(stats.failed_attempts, 2);
     assert_eq!(stats.completed, 1);
@@ -337,6 +340,13 @@ fn simulated_node_failure_moves_tasks() {
     assert_eq!(nodes, vec![1, 1], "both ultimately completed on the surviving node");
     assert!(rt.now_us() >= 20_000, "restart serialised on one node: {}", rt.now_us());
     assert_eq!(rt.stats().failed_attempts, 1);
+    // The killed attempt's four run bars stop at the kill, and nothing is
+    // placed on the dead node afterwards.
+    let trace = rt.trace();
+    let on_dead: Vec<_> =
+        trace.iter().filter(|r| r.running_task().is_some() && r.core().node == 0).collect();
+    assert_eq!(on_dead.len(), 4);
+    assert!(on_dead.iter().all(|r| r.end_time() == 5_000), "{on_dead:?}");
 }
 
 #[test]
@@ -364,6 +374,34 @@ fn sim_twenty_seven_tasks_on_reserved_node_matches_figure5_shape() {
             assert!(r.core().core >= 24, "task on reserved core: {r:?}");
         }
     }
+}
+
+#[test]
+fn multinode_28_vs_14_nodes_matches_figure6() {
+    // Figure 6: node 0 is the worker's, 27 whole-node tasks with the epochs
+    // axis' three durations. 28 nodes run them all at once; 14 nodes reuse
+    // the nodes short tasks free, for "almost the same" makespan.
+    let run = |nodes: usize| {
+        let cfg = RuntimeConfig::on_cluster(Cluster::homogeneous(nodes, NodeSpec::marenostrum4()))
+            .reserve(0, 48);
+        let rt = Runtime::simulated(cfg);
+        let exp =
+            rt.register("experiment", Constraint::cpus(48), 1, |_, _| Ok(vec![Value::new(())]));
+        for i in 0..27usize {
+            let d = [100, 250, 500][i % 3];
+            rt.submit_with(&exp, vec![], SubmitOpts { sim_duration_us: Some(d) }).unwrap();
+        }
+        rt.barrier();
+        let stats = rt.stats();
+        assert_eq!(stats.completed, 27);
+        (stats.makespan_us, TraceStats::tasks_started_within(&rt.trace(), 0))
+    };
+    let (m28, immediate28) = run(28);
+    assert_eq!(immediate28, 27);
+    assert_eq!(m28, 500, "bounded by the longest task");
+    let (m14, immediate14) = run(14);
+    assert_eq!(immediate14, 13, "13 free nodes host the first wave");
+    assert!(m28 <= m14 && m14 < 2 * m28, "14-node run within 2x: {m14} vs {m28}");
 }
 
 #[test]

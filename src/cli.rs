@@ -501,22 +501,8 @@ pub fn parse(args: &[&str]) -> Result<CliArgs, CliError> {
                 out.config = take_value(arg, &mut it)?.to_string();
                 saw_config = true;
             }
-            "--algo" => {
-                out.algo = match take_value(arg, &mut it)? {
-                    "grid" => AlgoChoice::Grid,
-                    "random" => AlgoChoice::Random,
-                    "tpe" => AlgoChoice::Tpe,
-                    "bayes" => AlgoChoice::Bayes,
-                    other => return Err(CliError(format!("unknown algorithm '{other}'"))),
-                };
-            }
-            "--dataset" => {
-                out.dataset = match take_value(arg, &mut it)? {
-                    "mnist" => DatasetChoice::Mnist,
-                    "cifar10" | "cifar" => DatasetChoice::Cifar10,
-                    other => return Err(CliError(format!("unknown dataset '{other}'"))),
-                };
-            }
+            "--algo" => out.algo = parse_algo(take_value(arg, &mut it)?)?,
+            "--dataset" => out.dataset = parse_dataset(take_value(arg, &mut it)?)?,
             "--backend" => {
                 out.backend = match take_value(arg, &mut it)? {
                     "threaded" => BackendChoice::Threaded,
@@ -525,14 +511,7 @@ pub fn parse(args: &[&str]) -> Result<CliArgs, CliError> {
                     other => return Err(CliError(format!("unknown backend '{other}'"))),
                 };
             }
-            "--workers" => {
-                out.workers = take_value(arg, &mut it)?
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|w| !w.is_empty())
-                    .map(str::to_string)
-                    .collect();
-            }
+            "--workers" => out.workers = parse_addr_list(take_value(arg, &mut it)?),
             "--samples" => out.samples = parse_num(arg, take_value(arg, &mut it)?)?,
             "--nodes" => out.nodes = parse_num(arg, take_value(arg, &mut it)?)?,
             "--cores-per-task" => out.cores_per_task = parse_num(arg, take_value(arg, &mut it)?)?,
@@ -774,13 +753,7 @@ pub fn parse_worker(args: &[&str]) -> Result<WorkerArgs, CliError> {
             "--listen" => out.listen = take_value(arg, &mut it)?.to_string(),
             "--name" => out.name = take_value(arg, &mut it)?.to_string(),
             "--cores" => out.cores = parse_num(arg, take_value(arg, &mut it)?)?,
-            "--dataset" => {
-                out.dataset = match take_value(arg, &mut it)? {
-                    "mnist" => DatasetChoice::Mnist,
-                    "cifar10" | "cifar" => DatasetChoice::Cifar10,
-                    other => return Err(CliError(format!("unknown dataset '{other}'"))),
-                };
-            }
+            "--dataset" => out.dataset = parse_dataset(take_value(arg, &mut it)?)?,
             "--samples" => out.samples = parse_num(arg, take_value(arg, &mut it)?)?,
             "--seed" => out.seed = parse_num(arg, take_value(arg, &mut it)?)?,
             "--cnn" => out.cnn = true,

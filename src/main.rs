@@ -9,7 +9,7 @@ use std::sync::{Arc, Mutex};
 use cluster::{Allocation, Cluster, NodeSpec, TrainingCost};
 use hpo::dashboard::{leaderboard, Dashboard};
 use hpo::prelude::*;
-use pycompss_hpo_repro::cli::{self, AlgoChoice, BackendChoice, CliArgs, Command, DatasetChoice};
+use pycompss_hpo_repro::cli::{self, BackendChoice, CliArgs, Command, DatasetChoice};
 use pycompss_hpo_repro::worker;
 use rcompss::{Constraint, DistributedConfig, Runtime, RuntimeConfig};
 
@@ -175,22 +175,8 @@ fn run(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
     // Live scrape endpoint: any Prometheus scraper (or bare curl) can hit
     // GET /metrics and /healthz while the run is in flight. The handle
     // keeps the serving thread alive until the end of the run.
-    let _status = match &args.status_addr {
-        Some(addr) => {
-            let reg = rt.metrics();
-            let server = rnet::StatusServer::bind(addr, move |path| {
-                (path == "/metrics").then(|| {
-                    let mut snap = reg.snapshot();
-                    snap.merge(runmetrics::global().snapshot());
-                    ("text/plain; version=0.0.4".to_string(), runmetrics::to_prometheus(&snap))
-                })
-            })
-            .map_err(|e| format!("cannot serve --status-addr {addr}: {e}"))?;
-            println!("status endpoint: http://{}/metrics", server.local_addr());
-            Some(server)
-        }
-        None => None,
-    };
+    let _status =
+        pycompss_hpo_repro::serve_status(args.status_addr.as_deref(), Some(rt.metrics()))?;
 
     // 3. Checkpointing: journal + snapshot store under --ckpt-dir, and
     // the recovered sweep state when resuming.
@@ -270,12 +256,7 @@ fn run(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
     if metrics_on {
         dash = dash.with_metrics(rt.metrics(), 10);
     }
-    let mut algo: Box<dyn Suggester> = match args.algo {
-        AlgoChoice::Grid => Box::new(GridSearch::new(&space)),
-        AlgoChoice::Random => Box::new(RandomSearch::new(&space, args.trials, args.seed)),
-        AlgoChoice::Tpe => Box::new(TpeSearch::new(&space, args.trials, args.seed)),
-        AlgoChoice::Bayes => Box::new(BayesSearch::new(&space, args.trials, args.seed)),
-    };
+    let mut algo = hpo::server::build_algo(args.algo.wire_name(), &space, args.trials, args.seed)?;
 
     // Prefix sharing plans a stage tree over every wave; trials cut short
     // by --target-accuracy leave no fork snapshot and the simulated

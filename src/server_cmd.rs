@@ -103,22 +103,7 @@ pub fn serve(args: &ServeArgs) -> Result<(), AnyError> {
 
     // Live scrape endpoint: runtime + server series merged with the
     // process-global (training-internals) registry.
-    let _status = match &args.status_addr {
-        Some(status_addr) => {
-            let reg = server.metrics();
-            let status = rnet::StatusServer::bind(status_addr, move |path| {
-                (path == "/metrics").then(|| {
-                    let mut snap = reg.snapshot();
-                    snap.merge(runmetrics::global().snapshot());
-                    ("text/plain; version=0.0.4".to_string(), runmetrics::to_prometheus(&snap))
-                })
-            })
-            .map_err(|e| format!("cannot serve --status-addr {status_addr}: {e}"))?;
-            println!("status endpoint: http://{}/metrics", status.local_addr());
-            Some(status)
-        }
-        None => None,
-    };
+    let _status = crate::serve_status(args.status_addr.as_deref(), Some(server.metrics()))?;
 
     // Serve until the process is killed; `server` (and its runtime and
     // worker pool) lives exactly as long as this frame.

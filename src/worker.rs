@@ -142,20 +142,7 @@ pub fn serve(args: &WorkerArgs) -> Result<(), Box<dyn std::error::Error>> {
     }
     // Live scrape endpoint: this worker's own counters, independent of the
     // driver's aggregate view. Held until `run` returns.
-    let _status = match &args.status_addr {
-        Some(addr) => {
-            let server = rnet::StatusServer::bind(addr, |path| {
-                (path == "/metrics").then(|| {
-                    let snap = runmetrics::global().snapshot();
-                    ("text/plain; version=0.0.4".to_string(), runmetrics::to_prometheus(&snap))
-                })
-            })
-            .map_err(|e| format!("cannot serve --status-addr {addr}: {e}"))?;
-            println!("status endpoint: http://{}/metrics", server.local_addr());
-            Some(server)
-        }
-        None => None,
-    };
+    let _status = crate::serve_status(args.status_addr.as_deref(), None)?;
     server.run()?;
     Ok(())
 }

@@ -2,9 +2,10 @@
 
 use proptest::prelude::*;
 
-use cluster::{Cluster, ClusterSim, FailureInjector, Job, NodeSpec};
+use cluster::{Cluster, FailureInjector, NodeSpec};
 use hpo::prelude::*;
-use rcompss::{ArgSpec, Constraint, Runtime, RuntimeConfig, Value};
+use paratrace::{Record, StateKind};
+use rcompss::{ArgSpec, Constraint, Runtime, RuntimeConfig, SubmitOpts, TaskId, Value};
 
 // ---------------------------------------------------------------------
 // Sequential equivalence: any mix of pure ops over shared handles yields
@@ -92,11 +93,57 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Scheduling invariants on the rigid-job simulator.
+// Scheduling invariants of the simulated backend on rigid, independent
+// jobs — the shape of the paper's HPO workloads.
 // ---------------------------------------------------------------------
 
 fn job_strategy() -> impl Strategy<Value = (u32, u64)> {
     (1u32..16, 1u64..5_000)
+}
+
+/// `nodes` 16-core nodes, the cluster every property below runs on.
+fn small_cluster(nodes: usize) -> RuntimeConfig {
+    RuntimeConfig::on_cluster(Cluster::homogeneous(nodes, NodeSpec::new("n", 16, vec![], 32)))
+}
+
+/// One core's share of one execution attempt, as the trace records it.
+#[derive(Debug, PartialEq)]
+struct Span {
+    task: u64,
+    node: u32,
+    core: u32,
+    start: u64,
+    end: u64,
+}
+
+/// Run one independent task per `(cores, duration)` to the barrier on the
+/// simulated backend; the spans are every per-core run bar of the trace,
+/// failed attempts included.
+fn run_rigid(cfg: RuntimeConfig, specs: &[(u32, u64)]) -> (Runtime, Vec<Span>) {
+    let rt = Runtime::simulated(cfg);
+    for (i, &(cores, dur)) in specs.iter().enumerate() {
+        let job = rt.register("job", Constraint::cpus(cores), 1, |_, _| Ok(vec![Value::new(())]));
+        let submitted =
+            rt.submit_with(&job, vec![], SubmitOpts { sim_duration_us: Some(dur) }).unwrap();
+        // Failure injectors key on this id: tasks are numbered from 1.
+        assert_eq!(submitted.task, TaskId(i as u64 + 1));
+    }
+    rt.barrier();
+    let spans = rt
+        .trace()
+        .iter()
+        .filter_map(|r| match r {
+            Record::State { core, start, end, state: StateKind::Running(t) } => Some(Span {
+                task: t.id,
+                node: core.node,
+                core: core.core,
+                start: *start,
+                end: *end,
+            }),
+            _ => None,
+        })
+        .collect();
+    (rt, spans)
 }
 
 proptest! {
@@ -107,48 +154,41 @@ proptest! {
         specs in prop::collection::vec(job_strategy(), 1..60),
         nodes in 1usize..4,
     ) {
-        let cluster = Cluster::homogeneous(nodes, NodeSpec::new("n", 16, vec![], 32));
-        let jobs: Vec<Job> = specs
-            .iter()
-            .enumerate()
-            .map(|(i, &(cores, dur))| Job::cpu(i as u64, cores, dur))
-            .collect();
-        let out = ClusterSim::new(cluster).run(&jobs);
-        prop_assert_eq!(out.jobs_completed(), jobs.len());
+        let (rt, spans) = run_rigid(small_cluster(nodes), &specs);
+        let stats = rt.stats();
+        prop_assert_eq!(stats.completed, specs.len() as u64);
 
-        // (1) affinity: overlapping records on one node never share a core
-        for a in &out.records {
-            for b in &out.records {
-                if (a.job, a.attempt) != (b.job, b.attempt)
-                    && a.node == b.node
-                    && a.start < b.end
-                    && b.start < a.end
-                {
-                    prop_assert!(a.cores.iter().all(|c| !b.cores.contains(c)),
-                        "core shared: {:?} vs {:?}", a, b);
+        // (1) affinity: no two spans on one (node, core) overlap in time
+        for (i, a) in spans.iter().enumerate() {
+            for b in &spans[i + 1..] {
+                if (a.node, a.core) == (b.node, b.core) {
+                    prop_assert!(a.end <= b.start || b.end <= a.start, "core shared: {a:?} vs {b:?}");
                 }
             }
         }
+        // every task owns exactly the cores it asked for
+        for (i, &(cores, _)) in specs.iter().enumerate() {
+            let owned = spans.iter().filter(|s| s.task == i as u64 + 1).count();
+            prop_assert_eq!(owned, cores as usize, "task {} core count", i + 1);
+        }
         // (2) per-instant core usage ≤ capacity (checked at every start)
-        for probe in out.records.iter().map(|r| r.start) {
+        for probe in spans.iter().map(|s| s.start) {
             for node in 0..nodes as u32 {
-                let used: u32 = out
-                    .records
+                let used = spans
                     .iter()
-                    .filter(|r| r.node == node && r.start <= probe && probe < r.end)
-                    .map(|r| r.cores.len() as u32)
-                    .sum();
+                    .filter(|s| s.node == node && s.start <= probe && probe < s.end)
+                    .count();
                 prop_assert!(used <= 16, "node {node} oversubscribed at t={probe}: {used}");
             }
         }
         // (3) makespan bounds
-        let longest = jobs.iter().map(|j| j.duration_us).max().unwrap();
-        let total_work: u64 = jobs.iter().map(|j| j.duration_us * j.cores as u64).sum();
+        let longest = specs.iter().map(|&(_, dur)| dur).max().unwrap();
+        let total_work: u64 = specs.iter().map(|&(cores, dur)| dur * cores as u64).sum();
         let capacity = (nodes * 16) as u64;
-        prop_assert!(out.makespan >= longest);
-        prop_assert!(out.makespan >= total_work / capacity);
-        let serial: u64 = jobs.iter().map(|j| j.duration_us).sum();
-        prop_assert!(out.makespan <= serial, "worse than fully serial");
+        prop_assert!(stats.makespan_us >= longest);
+        prop_assert!(stats.makespan_us >= total_work / capacity);
+        let serial: u64 = specs.iter().map(|&(_, dur)| dur).sum();
+        prop_assert!(stats.makespan_us <= serial, "worse than fully serial");
     }
 
     #[test]
@@ -156,18 +196,12 @@ proptest! {
         specs in prop::collection::vec(job_strategy(), 1..40),
         seed in 0u64..1_000,
     ) {
-        let jobs: Vec<Job> = specs
-            .iter()
-            .enumerate()
-            .map(|(i, &(cores, dur))| Job::cpu(i as u64, cores, dur))
-            .collect();
-        let sim = ClusterSim::new(Cluster::homogeneous(3, NodeSpec::new("n", 16, vec![], 32)))
-            .with_failures(FailureInjector::random(seed, 0.15));
-        let a = sim.run(&jobs);
-        let b = sim.run(&jobs);
-        prop_assert_eq!(a.makespan, b.makespan);
-        prop_assert_eq!(a.records, b.records);
-        prop_assert_eq!(a.failed_jobs, b.failed_jobs);
+        let run = || {
+            let cfg = small_cluster(3).with_failures(FailureInjector::random(seed, 0.15));
+            let (rt, spans) = run_rigid(cfg, &specs);
+            (rt.stats(), spans, rt.failed_tasks())
+        };
+        prop_assert_eq!(run(), run());
     }
 
     #[test]
@@ -175,22 +209,15 @@ proptest! {
         specs in prop::collection::vec(job_strategy(), 1..20),
         failing_attempts in prop::collection::vec((0u64..20, 1u32..3), 0..8),
     ) {
-        let jobs: Vec<Job> = specs
-            .iter()
-            .enumerate()
-            .map(|(i, &(cores, dur))| Job::cpu(i as u64, cores, dur))
-            .collect();
         let mut inj = FailureInjector::none();
         for &(job, attempt) in &failing_attempts {
             // attempts 1..3 only — the default budget is 3, so success is
             // always possible on some attempt
-            inj = inj.with_task_failure(job % jobs.len() as u64, attempt);
+            inj = inj.with_task_failure(job % specs.len() as u64 + 1, attempt);
         }
-        let sim = ClusterSim::new(Cluster::homogeneous(2, NodeSpec::new("n", 16, vec![], 32)))
-            .with_failures(inj);
-        let out = sim.run(&jobs);
-        prop_assert_eq!(out.jobs_completed(), jobs.len());
-        prop_assert!(out.failed_jobs.is_empty());
+        let (rt, _) = run_rigid(small_cluster(2).with_failures(inj), &specs);
+        prop_assert_eq!(rt.stats().completed, specs.len() as u64);
+        prop_assert!(rt.failed_tasks().is_empty());
     }
 }
 

@@ -51,7 +51,9 @@
 # trial CSV. The sweep-server smoke boots a long-lived rcompss-server with
 # two dial-in workers, submits a sweep over the client CLI, and checks the
 # served leaderboard matches the standalone run and the hposerver_ metric
-# family scrapes clean.
+# family scrapes clean — and, the long-lived server's leak gate, that once
+# the sweep is done the runtime holds no task and no data version
+# (rcompss_live_tasks and rcompss_live_data_versions read 0).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -300,6 +302,15 @@ if [ "${COMPLETED:-0}" -lt 1 ]; then
     echo "sweep-server smoke FAILED: hposerver_sweeps_completed_total=$COMPLETED after a finished sweep" >&2
     exit 1
 fi
-echo "sweep-server smoke: served == standalone, $COMPLETED sweep(s) completed"
+# The leak gate: a finished sweep has given back every handle it made and
+# all of its tasks are retired, so an idle server holds nothing.
+for series in rcompss_live_tasks rcompss_live_data_versions; do
+    LIVE=$(echo "$SERVER_METRICS" | awk -v s="$series" '$1 == s {print $2}')
+    if [ "${LIVE:-absent}" != "0" ]; then
+        echo "sweep-server smoke FAILED: $series=${LIVE:-absent} after the sweep finished" >&2
+        exit 1
+    fi
+done
+echo "sweep-server smoke: served == standalone, $COMPLETED sweep(s) completed, nothing left live"
 
 echo "ci.sh: all green"

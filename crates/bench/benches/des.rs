@@ -36,7 +36,6 @@ fn simulated_runtime_tasks(c: &mut Criterion) {
             b.iter(|| {
                 let mut cfg = RuntimeConfig::single_node(48);
                 cfg.tracing = false;
-                cfg.graph = false;
                 let rt = Runtime::simulated(cfg);
                 let t = rt.register("t", Constraint::cpus(1), 1, |_, _| Ok(vec![Value::new(())]));
                 for i in 0..n as u64 {

@@ -38,7 +38,9 @@ fn build_fanout(c: &mut Criterion) {
 
 fn dot_export(c: &mut Criterion) {
     c.bench_function("graph_dot_export_100_tasks", |b| {
-        let rt = Runtime::simulated(RuntimeConfig::single_node(48));
+        let mut cfg = RuntimeConfig::single_node(48);
+        cfg.graph = true;
+        let rt = Runtime::simulated(cfg);
         let exp =
             rt.register("experiment", Constraint::cpus(1), 1, |_, _| Ok(vec![Value::new(())]));
         let vis = rt.register("vis", Constraint::cpus(1), 1, |_, i| Ok(vec![i[0].clone()]));

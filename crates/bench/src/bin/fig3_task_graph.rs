@@ -11,7 +11,9 @@ use rcompss::{ArgSpec, Constraint, Runtime, RuntimeConfig, Value};
 fn main() {
     banner("Figure 3", "dynamic dependency graph of the HPO application");
 
-    let rt = Runtime::simulated(RuntimeConfig::single_node(16));
+    let mut cfg = RuntimeConfig::single_node(16);
+    cfg.graph = true;
+    let rt = Runtime::simulated(cfg);
     let experiment = rt.register("graph.experiment", Constraint::cpus(1), 1, |ctx, _| {
         Ok(vec![Value::new(0.90 + 0.001 * ctx.task.0 as f64)])
     });

@@ -115,8 +115,6 @@ fn run(sc: &Scenario) -> f64 {
         return run_net(sc);
     }
     let cfg = RuntimeConfig::single_node(sc.workers).with_tracing(false).with_metrics(false);
-    let mut cfg = cfg;
-    cfg.graph = false;
     let rt = Runtime::threaded(cfg);
     let work = body(sc.work);
     let task = rt.register("churn", Constraint::cpus(1), 1, move |_, _| {
@@ -158,8 +156,7 @@ fn run_net(sc: &Scenario) -> f64 {
         })
         .collect();
     let addrs: Vec<String> = workers.iter().map(|w| w.addr()).collect();
-    let mut cfg = RuntimeConfig::single_node(1).with_tracing(false).with_metrics(false);
-    cfg.graph = false;
+    let cfg = RuntimeConfig::single_node(1).with_tracing(false).with_metrics(false);
     let rt = Runtime::distributed(cfg, &addrs, DistributedConfig::default())
         .expect("connect to loopback workers");
     let task = registry.get("churn").expect("registered").clone();

@@ -449,7 +449,11 @@ impl crate::snapshot::SnapshotChannel for WorkerSnapshotChannel {
     }
 
     fn discard(&self, key: u64) {
-        self.0.snaps.lock().remove(&key);
+        // A task that neither saved nor loaded on this connection left
+        // nothing on the driver to drop.
+        if self.0.snaps.lock().remove(&key).is_none() {
+            return;
+        }
         // Empty blob = tombstone on the driver.
         self.0.push_out(&Frame::Data {
             key,

@@ -3,10 +3,11 @@
 //! Values that cross the wire are hashed by *content* (not version id)
 //! into immutable blocks. The driver keeps a [`BlockStore`]: an
 //! encode-once memo (a value shared by a hundred trials is serialised
-//! exactly once, ever) plus the per-node residency map that makes
-//! placement transfer-aware. Each worker keeps a [`BlockCache`]: decoded
-//! blocks under an LRU policy bounded by a byte budget (`--cache-mem`),
-//! reporting evictions back so the driver's residency view stays honest.
+//! once for as long as a version holding it is live) plus the per-node
+//! residency map that makes placement transfer-aware. Each worker keeps a
+//! [`BlockCache`]: decoded blocks under an LRU policy bounded by a byte
+//! budget (`--cache-mem`), reporting evictions back so the driver's
+//! residency view stays honest.
 //!
 //! Content addressing buys two things over keying by version id: two
 //! versions with identical bytes collapse to one block (one transfer, one
@@ -67,13 +68,18 @@ pub(crate) struct EncodedBlock {
 /// `BlockPut` is queued, not when the worker acks it. Frames on one link
 /// are ordered, so any `Submit` that relies on the mark is decoded after
 /// the bytes arrived. Worker evictions (`BlockEvict`) and node death
-/// (`clear_node`) retract marks.
+/// (`clear_node`) retract marks. The marks follow the worker's cache, not
+/// the versions: a retired version's block may still sit there, and the
+/// same content under a new version is then a reference, not a transfer.
 pub(crate) struct BlockStore {
     inline_threshold: u64,
+    /// The memo: the block of each live version that was ever dispatched.
     encoded: HashMap<DataVersion, Arc<EncodedBlock>>,
-    by_hash: HashMap<u128, Arc<EncodedBlock>>,
-    versions_of: HashMap<u128, Vec<DataVersion>>,
+    /// Each distinct block once, with the live versions that hold it.
+    by_hash: HashMap<u128, (Arc<EncodedBlock>, Vec<DataVersion>)>,
     resident: HashMap<u32, HashSet<u128>>,
+    /// Encoded bytes held, each distinct block counted once.
+    bytes: u64,
 }
 
 impl BlockStore {
@@ -83,8 +89,8 @@ impl BlockStore {
             inline_threshold: DEFAULT_INLINE_THRESHOLD,
             encoded: HashMap::new(),
             by_hash: HashMap::new(),
-            versions_of: HashMap::new(),
             resident: HashMap::new(),
+            bytes: 0,
         }
     }
 
@@ -110,28 +116,44 @@ impl BlockStore {
         }
         let blob = codec::encode_value(value)?;
         let hash = content_hash(&blob.tag, &blob.bytes);
-        let block = match self.by_hash.get(&hash) {
-            Some(b) => Arc::clone(b),
-            None => {
-                let b = Arc::new(EncodedBlock { hash, blob });
-                self.by_hash.insert(hash, Arc::clone(&b));
-                b
-            }
-        };
-        self.versions_of.entry(hash).or_default().push(v);
+        let (block, versions) = self.by_hash.entry(hash).or_insert_with(|| {
+            self.bytes += blob.bytes.len() as u64;
+            (Arc::new(EncodedBlock { hash, blob }), Vec::new())
+        });
+        versions.push(v);
+        let block = Arc::clone(block);
         self.encoded.insert(v, Arc::clone(&block));
         Some(block)
     }
 
-    /// The block with this hash, for serving worker `BlockRequest`s.
-    pub fn lookup(&self, hash: u128) -> Option<Arc<EncodedBlock>> {
-        self.by_hash.get(&hash).cloned()
+    /// Version `v` is dead: forget its memo entry, and the block itself when
+    /// `v` was the last live version holding that content.
+    pub fn retire(&mut self, v: DataVersion) {
+        let Some(block) = self.encoded.remove(&v) else { return };
+        let Some((_, versions)) = self.by_hash.get_mut(&block.hash) else { return };
+        versions.retain(|x| *x != v);
+        if versions.is_empty() {
+            self.by_hash.remove(&block.hash);
+            self.bytes -= block.blob.bytes.len() as u64;
+        }
     }
 
-    /// Every version whose content maps to `hash` — the set whose
+    /// Encoded bytes the store holds.
+    pub fn bytes(&self) -> u64 {
+        self.bytes
+    }
+
+    /// The block with this hash, for serving worker `BlockRequest`s. A
+    /// worker only asks on behalf of a running task, whose use keeps the
+    /// version — and with it the block — live.
+    pub fn lookup(&self, hash: u128) -> Option<Arc<EncodedBlock>> {
+        self.by_hash.get(&hash).map(|(block, _)| Arc::clone(block))
+    }
+
+    /// Every live version whose content maps to `hash` — the set whose
     /// `DataRegistry` residency must be retracted when a worker evicts it.
     pub fn versions_of(&self, hash: u128) -> &[DataVersion] {
-        self.versions_of.get(&hash).map(Vec::as_slice).unwrap_or(&[])
+        self.by_hash.get(&hash).map_or(&[], |(_, versions)| versions.as_slice())
     }
 
     /// Is `hash` (optimistically) resident on `node`?
@@ -149,6 +171,12 @@ impl BlockStore {
         if let Some(s) = self.resident.get_mut(&node) {
             s.remove(&hash);
         }
+    }
+
+    /// Blocks marked resident on `node`.
+    #[cfg(test)]
+    pub fn resident_on(&self, node: u32) -> usize {
+        self.resident.get(&node).map_or(0, HashSet::len)
     }
 
     /// Drop every mark for `node` — worker death, alongside
@@ -269,6 +297,30 @@ mod tests {
         assert!(Arc::ptr_eq(&b1, &b2), "identical content collapses to one block");
         assert_eq!(store.versions_of(b1.hash), &[v1, v2]);
         assert!(store.lookup(b1.hash).is_some());
+        assert_eq!(store.bytes(), b1.blob.bytes.len() as u64, "one block, counted once");
+    }
+
+    #[test]
+    fn retiring_the_last_version_of_a_content_frees_the_block() {
+        let mut store = BlockStore::new();
+        let v1 = DataVersion { handle: crate::data::DataHandle(1), version: 1 };
+        let v2 = DataVersion { handle: crate::data::DataHandle(2), version: 1 };
+        let hash = store.encode(v1, &val(42)).unwrap().hash;
+        store.encode(v2, &val(42)).unwrap();
+        store.add_resident(0, hash);
+        store.retire(v1);
+        assert_eq!(store.versions_of(hash), &[v2]);
+        assert!(store.lookup(hash).is_some(), "v2 still holds the content");
+        store.retire(v1); // already gone: nothing to do
+        store.retire(v2);
+        assert!(store.lookup(hash).is_none() && store.versions_of(hash).is_empty());
+        assert_eq!(store.bytes(), 0);
+        assert!(store.encoded.is_empty() && store.by_hash.is_empty());
+        // The worker may well still cache it: an identical literal under a
+        // new version is re-encoded driver-side and travels as a reference.
+        assert!(store.is_resident(0, hash));
+        let v3 = DataVersion { handle: crate::data::DataHandle(3), version: 1 };
+        assert_eq!(store.encode(v3, &val(42)).unwrap().hash, hash);
     }
 
     #[test]

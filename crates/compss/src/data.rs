@@ -3,7 +3,10 @@
 //! COMPSs tracks every task parameter as a *data item* whose versions are
 //! renamed on each write — the `d1v2`, `d3v2`… labels of the paper's
 //! Figure 3. Reading always names a specific version; writing bumps the
-//! version. Dependencies fall out of "who produces the version I read".
+//! version. Dependencies fall out of "who produces the version I read" —
+//! and so does liveness: renaming says who can still read what, so the
+//! registry counts each version's users and drops it when it is dead
+//! (see [`DataRegistry`]).
 //!
 //! Values are type-erased (`Arc<dyn Any + Send + Sync>`) so the runtime can
 //! move arbitrary user types between tasks, exactly like PyCOMPSs moves
@@ -11,7 +14,6 @@
 
 use std::any::Any;
 use std::collections::HashMap;
-use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -83,30 +85,95 @@ impl fmt::Display for DataVersion {
     }
 }
 
-/// Where a version's producer stands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Producer {
-    /// Written directly by the main program (e.g. [`DataRegistry::literal`]).
-    Main,
-    /// Produced by a task (which may or may not have finished yet).
-    Task(TaskId),
+/// The nodes a version is resident on: almost always none or one (the node
+/// that produced it), and those cost no allocation.
+#[derive(Debug, Default)]
+enum NodeSet {
+    #[default]
+    Empty,
+    One(u32),
+    Many(Vec<u32>),
+}
+
+impl NodeSet {
+    fn contains(&self, node: u32) -> bool {
+        match self {
+            NodeSet::Empty => false,
+            NodeSet::One(n) => *n == node,
+            NodeSet::Many(ns) => ns.contains(&node),
+        }
+    }
+
+    fn insert(&mut self, node: u32) {
+        match self {
+            NodeSet::Empty => *self = NodeSet::One(node),
+            NodeSet::One(n) if *n == node => {}
+            NodeSet::One(n) => *self = NodeSet::Many(vec![*n, node]),
+            NodeSet::Many(ns) => {
+                if !ns.contains(&node) {
+                    ns.push(node);
+                }
+            }
+        }
+    }
+
+    fn remove(&mut self, node: u32) {
+        match self {
+            NodeSet::One(n) if *n == node => *self = NodeSet::Empty,
+            NodeSet::Many(ns) => ns.retain(|n| *n != node),
+            _ => {}
+        }
+    }
+}
+
+/// What a live version holds.
+#[derive(Debug)]
+enum Slot {
+    /// Its writer has not settled yet.
+    Pending(TaskId),
+    /// Computed by its writer, or written by the main program.
+    Ready(Value),
+    /// Its writer failed permanently: there will never be a value.
+    Poisoned,
+}
+
+/// Everything the runtime knows about one live version.
+#[derive(Debug)]
+struct Version {
+    number: u32,
+    /// Who could still touch it: unsettled tasks that read or write it, plus
+    /// `wait_on`s in progress on it.
+    users: u32,
+    slot: Slot,
+    nodes: NodeSet,
 }
 
 #[derive(Debug)]
-struct ItemState {
-    current: u32,
-    producers: HashMap<u32, Producer>,
+struct Item {
     bytes: u64,
+    /// The latest version; 0 until the first write.
+    current: u32,
+    /// The main program gave the handle up ([`DataRegistry::delete`]): no
+    /// version of it can be named any more.
+    deleted: bool,
+    /// The live versions, oldest first: `current` unless the item is
+    /// deleted, and older ones that still have users.
+    live: Vec<Version>,
 }
 
-/// The registry: version bookkeeping, value store, and (for the simulated
-/// backend) per-node residency used for locality and transfer modelling.
+/// The registry: one record per data item holding its live versions — value,
+/// writer, poison mark, users and per-node residency (locality and transfer
+/// modelling) — so that a version which is dead, or a whole item, goes with
+/// one removal.
+///
+/// A version is **dead**, and dropped on the spot, when it has no users and
+/// nobody can name it: it was superseded (`wait_on` and `In` only ever
+/// resolve the current version) or its item was deleted.
 #[derive(Debug)]
 pub struct DataRegistry {
-    items: HashMap<u64, ItemState>,
-    values: HashMap<DataVersion, Value>,
-    /// Nodes each version is resident on (sim backend).
-    locations: HashMap<DataVersion, HashSet<u32>>,
+    items: HashMap<u64, Item>,
+    /// Version records across all items.
+    live_versions: usize,
     next_id: u64,
     default_bytes: u64,
 }
@@ -115,23 +182,22 @@ impl DataRegistry {
     /// Empty registry; `default_bytes` is the assumed size of values whose
     /// size was never declared (transfer model input).
     pub fn new(default_bytes: u64) -> Self {
-        DataRegistry {
-            items: HashMap::new(),
-            values: HashMap::new(),
-            locations: HashMap::new(),
-            next_id: 1,
-            default_bytes,
-        }
+        DataRegistry { items: HashMap::new(), live_versions: 0, next_id: 1, default_bytes }
+    }
+
+    fn version(&self, v: DataVersion) -> Option<&Version> {
+        self.items.get(&v.handle.0)?.live.iter().rev().find(|x| x.number == v.version)
+    }
+
+    fn version_mut(&mut self, v: DataVersion) -> Option<&mut Version> {
+        self.items.get_mut(&v.handle.0)?.live.iter_mut().rev().find(|x| x.number == v.version)
     }
 
     /// Create a fresh data item whose version 1 is already available with
     /// `value` (main-program data, like the paper's parsed config objects).
     pub fn literal(&mut self, value: Value) -> DataHandle {
         let h = self.declare();
-        let item = self.items.get_mut(&h.0).expect("just declared");
-        item.current = 1;
-        item.producers.insert(1, Producer::Main);
-        self.values.insert(DataVersion { handle: h, version: 1 }, value);
+        self.push_version(h, Slot::Ready(value));
         h
     }
 
@@ -142,7 +208,7 @@ impl DataRegistry {
         self.next_id += 1;
         self.items.insert(
             id,
-            ItemState { current: 0, producers: HashMap::new(), bytes: self.default_bytes },
+            Item { bytes: self.default_bytes, current: 0, deleted: false, live: Vec::new() },
         );
         DataHandle(id)
     }
@@ -168,38 +234,140 @@ impl DataRegistry {
         DataVersion { handle: h, version: item.current }
     }
 
-    /// Whether the handle was created by this registry.
+    /// Whether the handle was created by this registry and not deleted.
     pub fn knows(&self, h: DataHandle) -> bool {
-        self.items.contains_key(&h.0)
+        self.items.get(&h.0).is_some_and(|i| !i.deleted)
     }
 
-    /// Bump `h` to a new version produced by `producer`. Returns the new
+    /// Bump `h` to a new version that `writer` will produce. Returns the new
     /// version (the write target of an OUT/INOUT parameter or return slot).
-    pub fn new_version(&mut self, h: DataHandle, producer: Producer) -> DataVersion {
+    /// The version it supersedes stays until it is dead (see the type's
+    /// documentation).
+    pub fn new_version(&mut self, h: DataHandle, writer: TaskId) -> DataVersion {
+        self.push_version(h, Slot::Pending(writer))
+    }
+
+    fn push_version(&mut self, h: DataHandle, slot: Slot) -> DataVersion {
         let item = self.items.get_mut(&h.0).expect("unknown data handle");
         item.current += 1;
-        item.producers.insert(item.current, producer);
+        // Room for exactly one more: left to itself a `Vec` starts at four
+        // records, and nearly every item only ever has one live version.
+        item.live.reserve_exact(1);
+        item.live.push(Version { number: item.current, users: 0, slot, nodes: NodeSet::Empty });
+        self.live_versions += 1;
         DataVersion { handle: h, version: item.current }
     }
 
-    /// Who produces `v`.
-    pub fn producer(&self, v: DataVersion) -> Option<Producer> {
-        self.items.get(&v.handle.0).and_then(|i| i.producers.get(&v.version)).copied()
+    /// The task `v` is waiting for, while its writer has not settled.
+    pub(crate) fn pending_on(&self, v: DataVersion) -> Option<TaskId> {
+        match self.version(v)?.slot {
+            Slot::Pending(t) => Some(t),
+            _ => None,
+        }
     }
 
     /// Store the computed value for `v`.
     pub fn put(&mut self, v: DataVersion, value: Value) {
-        self.values.insert(v, value);
+        if let Some(ver) = self.version_mut(v) {
+            ver.slot = Slot::Ready(value);
+        }
     }
 
     /// The value of `v` if already computed.
     pub fn get(&self, v: DataVersion) -> Option<Value> {
-        self.values.get(&v).cloned()
+        match &self.version(v)?.slot {
+            Slot::Ready(value) => Some(value.clone()),
+            _ => None,
+        }
     }
 
     /// Whether `v` has been computed.
     pub fn is_ready(&self, v: DataVersion) -> bool {
-        self.values.contains_key(&v)
+        matches!(self.version(v), Some(Version { slot: Slot::Ready(_), .. }))
+    }
+
+    /// Mark `v` as never to be computed: its writer failed permanently.
+    pub(crate) fn poison(&mut self, v: DataVersion) {
+        if let Some(ver) = self.version_mut(v) {
+            ver.slot = Slot::Poisoned;
+        }
+    }
+
+    /// Whether the writer of `v` failed permanently.
+    pub(crate) fn is_poisoned(&self, v: DataVersion) -> bool {
+        matches!(self.version(v), Some(Version { slot: Slot::Poisoned, .. }))
+    }
+
+    /// Count one more user of `v`: a submitted task that reads or writes it,
+    /// or a `wait_on` that targets it. Version 0 has no record and nothing
+    /// to keep.
+    pub(crate) fn acquire(&mut self, v: DataVersion) {
+        if let Some(ver) = self.version_mut(v) {
+            ver.users += 1;
+        }
+    }
+
+    /// One user of `v` is done with it (the task settled, the wait
+    /// returned). Returns whether that retired `v`.
+    pub(crate) fn release(&mut self, v: DataVersion) -> bool {
+        if let Some(ver) = self.version_mut(v) {
+            ver.users -= 1;
+        }
+        self.reap(v)
+    }
+
+    /// Drop `v` — value, marks and all — if it is dead: no users, and
+    /// superseded or its item deleted. The last version of a deleted item
+    /// takes the item's record with it. Returns whether `v` was dropped.
+    pub(crate) fn reap(&mut self, v: DataVersion) -> bool {
+        let Some(item) = self.items.get_mut(&v.handle.0) else { return false };
+        let (deleted, current) = (item.deleted, item.current);
+        let dead =
+            |x: &Version| x.number == v.version && x.users == 0 && (deleted || x.number < current);
+        let Some(at) = item.live.iter().position(dead) else { return false };
+        item.live.remove(at);
+        self.live_versions -= 1;
+        if item.deleted && item.live.is_empty() {
+            self.items.remove(&v.handle.0);
+        }
+        true
+    }
+
+    /// The main program's promise not to name `h` again: from now on the
+    /// handle is unknown, and each of its versions goes as soon as it has no
+    /// users. Returns the versions that went right away; unknown and already
+    /// deleted handles are left alone.
+    pub(crate) fn delete(&mut self, h: DataHandle) -> Vec<DataVersion> {
+        let Some(item) = self.items.get_mut(&h.0).filter(|i| !i.deleted) else {
+            return Vec::new();
+        };
+        item.deleted = true;
+        let mut idle = Vec::new();
+        item.live.retain(|x| {
+            if x.users == 0 {
+                idle.push(DataVersion { handle: h, version: x.number });
+            }
+            x.users > 0
+        });
+        // Versions still in use take the record along when the last of them
+        // is reaped.
+        if item.live.is_empty() {
+            self.items.remove(&h.0);
+        }
+        self.live_versions -= idle.len();
+        idle
+    }
+
+    /// Users of `v` right now.
+    #[cfg(test)]
+    pub(crate) fn users(&self, v: DataVersion) -> u32 {
+        self.version(v).map_or(0, |ver| ver.users)
+    }
+
+    /// Live version records: every undeleted written handle's current
+    /// version, plus whatever tasks and waits in progress still hold.
+    pub(crate) fn live_versions(&self) -> usize {
+        self.live_versions
     }
 
     /// Mark `v` resident on `node`. The sim backend charges transfers by
@@ -208,19 +376,21 @@ impl DataRegistry {
     /// worker does not keep them, so there that mark is a placement hint —
     /// dependents are steered to the producer and still receive the value.
     pub fn add_location(&mut self, v: DataVersion, node: u32) {
-        self.locations.entry(v).or_default().insert(node);
+        if let Some(ver) = self.version_mut(v) {
+            ver.nodes.insert(node);
+        }
     }
 
     /// Whether `v` is resident on `node`.
     pub fn is_on_node(&self, v: DataVersion, node: u32) -> bool {
-        self.locations.get(&v).is_some_and(|s| s.contains(&node))
+        self.version(v).is_some_and(|ver| ver.nodes.contains(node))
     }
 
     /// Retract one residency claim — a worker evicted the block backing
     /// `v` from its cache, so dispatches must ship it again.
     pub fn remove_location(&mut self, v: DataVersion, node: u32) {
-        if let Some(s) = self.locations.get_mut(&v) {
-            s.remove(&node);
+        if let Some(ver) = self.version_mut(v) {
+            ver.nodes.remove(node);
         }
     }
 
@@ -228,8 +398,8 @@ impl DataRegistry {
     /// worker dies or reconnects with a cold cache, so the dispatcher goes
     /// back to shipping blocks instead of trusting stale residency.
     pub fn clear_node_locations(&mut self, node: u32) {
-        for set in self.locations.values_mut() {
-            set.remove(&node);
+        for ver in self.items.values_mut().flat_map(|i| &mut i.live) {
+            ver.nodes.remove(node);
         }
     }
 
@@ -288,7 +458,7 @@ mod tests {
         let v = reg.current_version(h);
         assert_eq!(v.version, 1);
         assert!(reg.is_ready(v));
-        assert_eq!(reg.producer(v), Some(Producer::Main));
+        assert_eq!(reg.pending_on(v), None, "written by the main program");
         assert_eq!(reg.get(v).unwrap().downcast_ref::<String>().unwrap(), "cfg");
     }
 
@@ -298,21 +468,98 @@ mod tests {
         let h = reg.declare();
         assert_eq!(reg.current_version(h).version, 0);
         assert!(!reg.is_ready(reg.current_version(h)));
+        assert_eq!(reg.live_versions(), 0, "version 0 has no record");
     }
 
     #[test]
-    fn versions_bump_and_track_producers() {
+    fn versions_bump_and_track_their_writer() {
         let mut reg = DataRegistry::new(64);
         let h = reg.literal(Value::new(0u8));
-        let v2 = reg.new_version(h, Producer::Task(TaskId(5)));
+        let v1 = reg.current_version(h);
+        reg.acquire(v1); // a reader submitted before the write
+        let v2 = reg.new_version(h, TaskId(5));
         assert_eq!(v2.version, 2);
         assert_eq!(reg.current_version(h), v2);
-        assert_eq!(reg.producer(v2), Some(Producer::Task(TaskId(5))));
+        assert_eq!(reg.pending_on(v2), Some(TaskId(5)));
         assert!(!reg.is_ready(v2), "new version not computed yet");
         reg.put(v2, Value::new(1u8));
         assert!(reg.is_ready(v2));
-        // version 1 still readable — renaming, not overwriting
-        assert!(reg.is_ready(DataVersion { handle: h, version: 1 }));
+        assert_eq!(reg.pending_on(v2), None);
+        // version 1 still readable by its reader — renaming, not overwriting
+        assert!(reg.is_ready(v1));
+    }
+
+    #[test]
+    fn superseded_version_goes_with_its_last_user() {
+        let mut reg = DataRegistry::new(64);
+        let h = reg.literal(Value::new(1u8));
+        let v1 = reg.current_version(h);
+        assert!(!reg.reap(v1), "the current version is never dead");
+        reg.acquire(v1); // an INOUT task reads it ...
+        reg.acquire(v1); // ... and a wait_on targets it
+        let v2 = reg.new_version(h, TaskId(1));
+        reg.acquire(v2);
+        assert!(!reg.reap(v1), "superseded, but in use");
+        assert_eq!(reg.live_versions(), 2);
+        // The task settles: its read and its write are released.
+        reg.put(v2, Value::new(2u8));
+        assert!(!reg.release(v1), "the waiter still holds its target");
+        assert!(!reg.release(v2), "current");
+        assert!(reg.get(v1).is_some(), "the wait returns the version it targeted");
+        assert!(reg.release(v1), "last user gone: retired");
+        assert!(reg.get(v1).is_none() && !reg.is_on_node(v1, 0));
+        assert_eq!(reg.live_versions(), 1);
+    }
+
+    #[test]
+    fn delete_waits_for_the_users_and_then_takes_the_item() {
+        let mut reg = DataRegistry::new(64);
+        let h = reg.literal(Value::new(7u8));
+        reg.set_bytes(h, 4096);
+        let v = reg.current_version(h);
+        reg.acquire(v); // a submitted reader, possibly to be retried
+        assert!(reg.delete(h).is_empty(), "in use: nothing goes yet");
+        assert!(!reg.knows(h), "but the handle is gone for the main program");
+        assert!(reg.get(v).is_some(), "the reader still finds its input");
+        assert_eq!(reg.bytes(h), 4096, "and its declared size (block routing)");
+        assert!(reg.delete(h).is_empty(), "deleting twice does nothing");
+        assert!(reg.release(v));
+        assert_eq!(reg.live_versions(), 0);
+        assert_eq!(reg.bytes(h), 64, "the item's record went with its last version");
+
+        let idle = reg.literal(Value::new(8u8));
+        assert_eq!(reg.delete(idle), vec![DataVersion { handle: idle, version: 1 }]);
+        let unwritten = reg.declare();
+        assert!(reg.delete(unwritten).is_empty());
+        assert!(!reg.knows(unwritten));
+        assert!(reg.items.is_empty(), "nothing left behind");
+        assert!(reg.delete(DataHandle(999)).is_empty(), "unknown handles are left alone");
+    }
+
+    #[test]
+    fn a_pending_version_of_a_deleted_item_goes_when_its_writer_settles() {
+        let mut reg = DataRegistry::new(64);
+        let h = reg.declare();
+        let v = reg.new_version(h, TaskId(3));
+        reg.acquire(v);
+        assert!(reg.delete(h).is_empty());
+        reg.poison(v);
+        assert!(reg.is_poisoned(v) && !reg.is_ready(v));
+        assert!(reg.release(v));
+        assert!(!reg.is_poisoned(v), "the mark went with the version");
+        assert!(reg.items.is_empty());
+    }
+
+    #[test]
+    fn node_sets_grow_and_shrink() {
+        let mut nodes = NodeSet::default();
+        nodes.remove(3);
+        for n in [3, 3, 1, 4, 1] {
+            nodes.insert(n);
+        }
+        assert!(nodes.contains(1) && nodes.contains(3) && nodes.contains(4) && !nodes.contains(0));
+        nodes.remove(3);
+        assert!(!nodes.contains(3) && nodes.contains(4));
     }
 
     #[test]

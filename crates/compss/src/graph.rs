@@ -6,6 +6,10 @@
 //! labelled with the data version that flows along them (`d1v2` …), exactly
 //! the rendering of the paper's Figure 3. The graph also tracks completion
 //! state and answers "which tasks just became ready".
+//!
+//! A settled task has nothing left to say to the scheduler — its successors
+//! were released (done) or failed with it — so the runtime takes its node
+//! out again unless the graph is being recorded for [`TaskGraph::to_dot`].
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -57,8 +61,8 @@ impl TaskGraph {
     }
 
     /// Add a task with its RAW dependencies: `deps` lists
-    /// `(producer task, version read)` pairs. Producers already `Done`
-    /// don't count as unmet. Returns the initial state.
+    /// `(producer task, version read)` pairs. Producers already `Done`, or
+    /// retired, don't count as unmet. Returns the initial state.
     pub fn add_task(
         &mut self,
         id: TaskId,
@@ -123,9 +127,19 @@ impl TaskGraph {
         Some(n)
     }
 
-    /// Mark `id` permanently failed.
-    pub fn set_failed(&mut self, id: TaskId) {
-        self.settle(id, TaskState::Failed);
+    /// Mark `id` permanently failed; returns its successors, none of which
+    /// can run any more.
+    pub fn set_failed(&mut self, id: TaskId) -> Vec<TaskId> {
+        self.settle(id, TaskState::Failed)
+            .map_or_else(Vec::new, |n| n.succs.keys().copied().collect())
+    }
+
+    /// Take a settled task's node out of the graph. Its successors keep
+    /// their state: they were released or failed when it settled.
+    pub(crate) fn retire(&mut self, id: TaskId) {
+        let settled = |n: &Node| matches!(n.state, TaskState::Done | TaskState::Failed);
+        debug_assert!(self.nodes.get(&id).is_none_or(settled), "only settled tasks retire");
+        self.nodes.remove(&id);
     }
 
     /// Mark `id` done; returns the successors that became ready.
@@ -152,7 +166,7 @@ impl TaskGraph {
         self.nodes.iter().filter(|(_, n)| n.state == state).map(|(&id, _)| id).collect()
     }
 
-    /// Total number of tasks.
+    /// Number of tasks in the graph (retired ones are gone).
     pub fn len(&self) -> usize {
         self.nodes.len()
     }
@@ -318,6 +332,29 @@ mod tests {
         g.set_done(TaskId(2));
         assert!(g.all_settled());
         assert!(TaskGraph::new().all_settled(), "vacuously true when empty");
+    }
+
+    #[test]
+    fn retired_tasks_are_gone_and_count_as_met() {
+        let mut g = TaskGraph::new();
+        g.add_task(TaskId(1), "a", &[]);
+        g.add_task(TaskId(2), "b", &[(TaskId(1), v(1, 1))]);
+        g.add_task(TaskId(3), "c", &[(TaskId(2), v(2, 1))]);
+        assert_eq!(g.set_done(TaskId(1)), vec![TaskId(2)]);
+        g.retire(TaskId(1));
+        assert_eq!((g.len(), g.state(TaskId(1))), (2, None));
+        assert_eq!(g.state(TaskId(2)), Some(TaskState::Ready), "released before the node went");
+        // A later reader of the retired task's output has nothing to wait for.
+        assert_eq!(g.add_task(TaskId(4), "d", &[(TaskId(1), v(1, 1))]), TaskState::Ready);
+        // A failure hands back the successors that must fail with it.
+        assert_eq!(g.set_failed(TaskId(2)), vec![TaskId(3)]);
+        assert!(g.set_failed(TaskId(3)).is_empty());
+        g.retire(TaskId(2));
+        g.retire(TaskId(3));
+        assert!(!g.all_settled(), "task 4 is still to run");
+        g.set_done(TaskId(4));
+        g.retire(TaskId(4));
+        assert!(g.all_settled() && g.is_empty());
     }
 
     #[test]

@@ -13,6 +13,10 @@
 //! * execution is **asynchronous**: submitting returns future-like
 //!   [`data::DataHandle`]s, and [`Runtime::wait_on`] is the paper's
 //!   `compss_wait_on` synchronisation point;
+//! * the runtime holds **only what is live**: a settled task is retired, a
+//!   data version goes once it is renamed past or its handle was given up
+//!   with [`Runtime::delete`] (the paper's `compss_delete_object`) and no
+//!   submitted task or `wait_on` still uses it;
 //! * the **scheduler** places ready tasks on available computing units,
 //!   enforcing CPU/GPU affinity (each running task owns an explicit set of
 //!   core ids — no two concurrent tasks share one);

@@ -25,6 +25,9 @@
 //! | `rcompss_worker_wakeups_total` | counter | targeted `notify_one` signals to worker shards |
 //! | `rcompss_ready_queue_depth` | gauge | ready tasks not yet placeable |
 //! | `rcompss_running_tasks` | gauge | in-flight executions |
+//! | `rcompss_live_tasks` | gauge | submitted tasks that have not settled (settled ones are retired) |
+//! | `rcompss_live_data_versions` | gauge | data versions the runtime still holds; idle, it equals the undeleted written handles |
+//! | `rcompss_block_store_bytes` | gauge | encoded bytes in the driver's block store (distributed backend) |
 //! | `rcompss_sched_decision_us` | histogram | real time per `pop_placeable` decision |
 //! | `rcompss_dep_wait_us` | histogram | submission → dispatch wait per task |
 //! | `rcompss_transfer_time_us` | histogram | staging transfer durations |
@@ -103,6 +106,12 @@ pub(crate) struct RtMetrics {
     pub ready_depth: Gauge,
     /// In-flight executions.
     pub running: Gauge,
+    /// Unsettled tasks.
+    pub live_tasks: Gauge,
+    /// Data versions held.
+    pub live_versions: Gauge,
+    /// Encoded bytes in the driver's block store.
+    pub block_store_bytes: Gauge,
     /// Real time per scheduler placement decision.
     pub sched_decision: Histogram,
     /// Submission → dispatch wait.
@@ -153,6 +162,9 @@ impl RtMetrics {
             net_reconnects: registry.counter("rnet_reconnects_total"),
             ready_depth: registry.gauge("rcompss_ready_queue_depth"),
             running: registry.gauge("rcompss_running_tasks"),
+            live_tasks: registry.gauge("rcompss_live_tasks"),
+            live_versions: registry.gauge("rcompss_live_data_versions"),
+            block_store_bytes: registry.gauge("rcompss_block_store_bytes"),
             sched_decision: registry.histogram("rcompss_sched_decision_us"),
             dep_wait: registry.histogram("rcompss_dep_wait_us"),
             transfer_time: registry.histogram("rcompss_transfer_time_us"),
@@ -256,7 +268,15 @@ mod tests {
         ] {
             assert_eq!(snap.counter(series), Some(0), "{series} missing");
         }
-        assert_eq!(snap.gauge("rcompss_ready_queue_depth"), Some(0.0));
+        for series in [
+            "rcompss_ready_queue_depth",
+            "rcompss_running_tasks",
+            "rcompss_live_tasks",
+            "rcompss_live_data_versions",
+            "rcompss_block_store_bytes",
+        ] {
+            assert_eq!(snap.gauge(series), Some(0.0), "{series} missing");
+        }
         assert!(snap.histogram("rcompss_sched_decision_us").is_some());
         assert!(snap.histogram("rcompss_dep_wait_us").is_some());
         assert!(snap.histogram("rnet_rpc_latency_us").is_some());

@@ -7,7 +7,7 @@
 //! with [`Runtime::wait_on`] (the paper's `compss_wait_on`) or
 //! [`Runtime::barrier`].
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -20,7 +20,7 @@ use crate::backend::distributed::{connect_workers, ConnMgr, DistributedConfig};
 use crate::backend::sim::SimState;
 use crate::backend::threaded::{collect_dispatch, WorkerPool};
 use crate::blocks::BlockStore;
-use crate::data::{DataHandle, DataRegistry, DataVersion, Producer, Value};
+use crate::data::{DataHandle, DataRegistry, DataVersion, Value};
 use crate::fault::{RetryDecision, RetryPolicy};
 use crate::graph::{TaskGraph, TaskState};
 use crate::metrics::RtMetrics;
@@ -37,7 +37,10 @@ pub struct RuntimeConfig {
     pub reserved_cores: Vec<(u32, u32)>,
     /// Tracing flag — the paper's launch-time switch.
     pub tracing: bool,
-    /// Graph-recording flag (DOT export); also toggleable like tracing.
+    /// Record the graph for [`Runtime::dot`]: keep the nodes of settled
+    /// tasks and the `wait_on` sync marks. Off, a task's node goes when the
+    /// task settles and `dot` shows only what is still to run — a recorded
+    /// graph grows with every task ever submitted.
     pub graph: bool,
     /// Metrics flag: live counters/gauges/histograms ([`Runtime::metrics`]).
     /// Off means one relaxed atomic load per instrumentation site.
@@ -68,7 +71,7 @@ impl RuntimeConfig {
             cluster,
             reserved_cores: Vec::new(),
             tracing: true,
-            graph: true,
+            graph: false,
             metrics: true,
             retry: RetryPolicy::default(),
             failures: FailureInjector::none(),
@@ -133,7 +136,8 @@ pub enum SubmitError {
     /// An `In`/`InOut` argument references data that was never written and
     /// has no pending producer.
     UnwrittenData(DataHandle),
-    /// An argument references a handle from a different runtime.
+    /// An argument references a handle from a different runtime, or one
+    /// the main program [deleted](Runtime::delete).
     UnknownData(DataHandle),
 }
 
@@ -158,7 +162,7 @@ pub enum WaitError {
     ProducerFailed(DataHandle),
     /// The data was never written and nothing pending will write it.
     NeverWritten(DataHandle),
-    /// Handle from a different runtime.
+    /// Handle from a different runtime, or [deleted](Runtime::delete).
     UnknownData(DataHandle),
 }
 
@@ -213,6 +217,12 @@ pub(crate) struct Instance {
 }
 
 impl Instance {
+    /// Every version this instance names, reads and writes alike — one use
+    /// of each is held from submission until the task settles.
+    fn versions(&self) -> impl Iterator<Item = DataVersion> {
+        self.reads().into_iter().chain(self.writes())
+    }
+
     /// All versions this instance reads, in argument order.
     pub fn reads(&self) -> Vec<DataVersion> {
         self.args
@@ -277,9 +287,11 @@ pub(crate) struct Core {
     pub blocks: BlockStore,
     pub graph: TaskGraph,
     pub sched: Scheduler,
+    /// The unsettled tasks: an instance goes when its task settles.
     pub instances: HashMap<TaskId, Instance>,
     pub running: HashMap<u64, RunningExec>,
-    pub poisoned: HashSet<DataVersion>,
+    /// Ids of the permanently failed tasks, in the order they failed.
+    pub failed: Vec<TaskId>,
     pub sim: Option<SimState>,
     pub next_task: u64,
     pub next_seq: u64,
@@ -292,6 +304,49 @@ impl Core {
     /// with sim state), wall time since runtime start otherwise.
     pub fn now_us(&self, shared: &Shared) -> u64 {
         self.sim.as_ref().map_or_else(|| shared.wall_us(), |sim| sim.now())
+    }
+
+    /// Drop `v` if it is dead ([`DataRegistry::reap`]), its encoded block
+    /// with it.
+    fn reap(&mut self, v: DataVersion) {
+        if self.data.reap(v) {
+            self.blocks.retire(v);
+        }
+    }
+
+    /// One user of `v` is done with it; the last one out of a version
+    /// nobody can name any more takes it along.
+    fn release(&mut self, v: DataVersion) {
+        if self.data.release(v) {
+            self.blocks.retire(v);
+        }
+    }
+
+    /// `task` has settled, so it is dead: its instance goes, the versions
+    /// it named lose a user, and its node leaves the graph unless the graph
+    /// is being recorded. Call once its successors are released or failed.
+    fn retire_task(&mut self, shared: &Shared, task: TaskId) {
+        let inst = self.instances.remove(&task).expect("a task settles once");
+        for v in inst.versions() {
+            self.release(v);
+        }
+        if !shared.graph_enabled {
+            self.graph.retire(task);
+        }
+    }
+
+    /// Publish the scheduling and liveness gauges; one relaxed load when
+    /// metrics are off.
+    pub fn publish_gauges(&self, shared: &Shared) {
+        let m = &shared.metrics;
+        if !m.enabled() {
+            return;
+        }
+        m.ready_depth.set(self.sched.ready_len() as f64);
+        m.running.set(self.running.len() as f64);
+        m.live_tasks.set(self.instances.len() as f64);
+        m.live_versions.set(self.data.live_versions() as f64);
+        m.block_store_bytes.set(self.blocks.bytes() as f64);
     }
 }
 
@@ -444,7 +499,7 @@ impl Runtime {
                 sched,
                 instances: HashMap::new(),
                 running: HashMap::new(),
-                poisoned: HashSet::new(),
+                failed: Vec::new(),
                 sim: None,
                 next_task: 1,
                 next_seq: 0,
@@ -466,7 +521,7 @@ impl Runtime {
     /// Register a task definition — the `@task`/`@constraint` decorators.
     /// `returns` is the number of values the body yields *for its return
     /// slots*; bodies must additionally yield one value per OUT/INOUT
-    /// argument, after the return slots.
+    /// argument, in argument order, before the return slots.
     pub fn register(
         &self,
         name: &str,
@@ -521,46 +576,58 @@ impl Runtime {
         if !def.variant_constraints().iter().any(|c| core.sched.satisfiable(c)) {
             return Err(SubmitError::Unsatisfiable(def.constraint));
         }
-        let id = TaskId(core.next_task);
-        let seq = core.next_seq;
-
-        // Resolve arguments: compute dependencies and version bumps.
-        let mut deps: Vec<(TaskId, DataVersion)> = Vec::new();
-        let mut resolved: Vec<ResolvedArg> = Vec::with_capacity(args.len());
+        // Check every argument before touching anything, so a refused
+        // submission leaves no version behind.
         for arg in &args {
             let h = arg.handle();
             if !core.data.knows(h) {
                 return Err(SubmitError::UnknownData(h));
             }
-            match arg {
+            if !matches!(arg, ArgSpec::Out(_)) && core.data.current_version(h).version == 0 {
+                return Err(SubmitError::UnwrittenData(h));
+            }
+        }
+        let id = TaskId(core.next_task);
+        let seq = core.next_seq;
+
+        // Resolve arguments: compute dependencies and version bumps. The
+        // task becomes a user of every version it names until it settles
+        // (`Core::retire_task`).
+        let mut deps: Vec<(TaskId, DataVersion)> = Vec::new();
+        let mut resolved: Vec<ResolvedArg> = Vec::with_capacity(args.len());
+        let write_to = |core: &mut Core, h: DataHandle| {
+            let v = core.data.new_version(h, id);
+            core.data.acquire(v);
+            v
+        };
+        for arg in &args {
+            let h = arg.handle();
+            let current = core.data.current_version(h);
+            resolved.push(match arg {
                 ArgSpec::In(_) | ArgSpec::InOut(_) => {
-                    let read = core.data.current_version(h);
-                    match core.data.producer(read) {
-                        None => return Err(SubmitError::UnwrittenData(h)),
-                        Some(Producer::Main) => {}
-                        Some(Producer::Task(t)) => {
-                            if core.graph.state(t) != Some(TaskState::Done) {
-                                deps.push((t, read));
-                            }
-                        }
-                    }
+                    // A read waits for its writer; one that already settled
+                    // left a value or a poison mark, and no edge.
+                    deps.extend(core.data.pending_on(current).map(|t| (t, current)));
+                    core.data.acquire(current);
                     if matches!(arg, ArgSpec::In(_)) {
-                        resolved.push(ResolvedArg::Read(read));
+                        ResolvedArg::Read(current)
                     } else {
-                        let write = core.data.new_version(h, Producer::Task(id));
-                        resolved.push(ResolvedArg::ReadWrite { read, write });
+                        ResolvedArg::ReadWrite { read: current, write: write_to(&mut core, h) }
                     }
                 }
                 ArgSpec::Out(_) => {
-                    let write = core.data.new_version(h, Producer::Task(id));
-                    resolved.push(ResolvedArg::Write(write));
+                    let write = write_to(&mut core, h);
+                    // Renamed past without being read: dead unless an
+                    // earlier task or a `wait_on` still uses it.
+                    core.reap(current);
+                    ResolvedArg::Write(write)
                 }
-            }
+            });
         }
         let returns: Vec<DataVersion> = (0..def.returns)
             .map(|_| {
                 let h = core.data.declare();
-                core.data.new_version(h, Producer::Task(id))
+                write_to(&mut core, h)
             })
             .collect();
         let return_handles: Vec<DataHandle> = returns.iter().map(|v| v.handle).collect();
@@ -589,7 +656,7 @@ impl Runtime {
         // A read of an already-poisoned version (its producer failed
         // permanently before this submission) can never be satisfied:
         // propagate the failure to this task right away.
-        let reads_poisoned = core.instances[&id].reads().iter().any(|v| core.poisoned.contains(v));
+        let reads_poisoned = core.instances[&id].reads().iter().any(|v| core.data.is_poisoned(*v));
         if reads_poisoned {
             fail_task_cascade(&self.shared, &mut core, id);
         } else if state == TaskState::Ready {
@@ -627,38 +694,49 @@ impl Runtime {
         if self.shared.graph_enabled {
             core.graph.add_sync(target);
         }
+        // The wait is a user of its target: a rename or a delete from
+        // another thread must not take the version from under it.
+        core.data.acquire(target);
+        let settled = |c: &Core| c.data.is_ready(target) || c.data.is_poisoned(target);
         match &self.backend {
             BackendHandle::Sim => {
-                crate::backend::sim::run_until(&self.shared, &mut core, |c| {
-                    c.data.is_ready(target) || c.poisoned.contains(&target)
-                });
-                self.finish_wait(&core, *h, target)
+                crate::backend::sim::run_until(&self.shared, &mut core, settled);
             }
-            BackendHandle::Threaded(_) | BackendHandle::Distributed(_) => loop {
-                if core.data.is_ready(target) || core.poisoned.contains(&target) {
-                    return self.finish_wait(&core, *h, target);
+            BackendHandle::Threaded(_) | BackendHandle::Distributed(_) => {
+                // Version 0 has no writer: once nothing is left to run,
+                // nothing will write it.
+                let hopeless = |c: &Core| target.version == 0 && c.graph.all_settled();
+                while !(settled(&core) || hopeless(&core)) {
+                    self.shared.cv.wait_for(&mut core, std::time::Duration::from_millis(100));
                 }
-                if core.data.producer(target).is_none() && core.graph.all_settled() {
-                    return Err(WaitError::NeverWritten(*h));
-                }
-                self.shared.cv.wait_for(&mut core, std::time::Duration::from_millis(100));
-            },
+            }
         }
+        let result = if core.data.is_poisoned(target) {
+            Err(WaitError::ProducerFailed(*h))
+        } else {
+            core.data.get(target).ok_or(WaitError::NeverWritten(*h))
+        };
+        core.release(target);
+        core.publish_gauges(&self.shared);
+        result
     }
 
-    fn finish_wait(
-        &self,
-        core: &Core,
-        h: DataHandle,
-        target: DataVersion,
-    ) -> Result<Value, WaitError> {
-        if core.poisoned.contains(&target) {
-            return Err(WaitError::ProducerFailed(h));
+    /// PyCOMPSs' `compss_delete_object`: the main program's promise not to
+    /// use `h` again. From here on the handle is unknown
+    /// ([`SubmitError::UnknownData`], [`WaitError::UnknownData`]), and the
+    /// runtime drops each of its versions — value, residency marks, encoded
+    /// block — as soon as no submitted task reads or writes it and no
+    /// `wait_on` targets it. Never blocks, and never pulls data from under
+    /// a running or retryable task: such a version goes when the task
+    /// settles. Without it, the current version of every handle lives as
+    /// long as the runtime. Deleting twice, or a handle of another runtime,
+    /// does nothing.
+    pub fn delete(&self, h: DataHandle) {
+        let mut core = self.shared.core.lock();
+        for v in core.data.delete(h) {
+            core.blocks.retire(v);
         }
-        match core.data.get(target) {
-            Some(v) => Ok(v),
-            None => Err(WaitError::NeverWritten(h)),
-        }
+        core.publish_gauges(&self.shared);
     }
 
     /// Wait for every submitted task to settle (done or permanently failed).
@@ -674,6 +752,7 @@ impl Runtime {
                 }
             }
         }
+        core.publish_gauges(&self.shared);
     }
 
     /// Current runtime time, µs: virtual for the simulated backend, wall
@@ -744,7 +823,9 @@ impl Runtime {
         }
     }
 
-    /// DOT rendering of the dependency graph (paper Figure 3).
+    /// DOT rendering of the dependency graph (paper Figure 3): everything
+    /// submitted so far under [`RuntimeConfig::graph`], otherwise only the
+    /// tasks that have not settled.
     pub fn dot(&self) -> String {
         self.shared.core.lock().graph.to_dot()
     }
@@ -754,9 +835,11 @@ impl Runtime {
         self.shared.core.lock().stats.clone()
     }
 
-    /// Ids of permanently-failed tasks.
+    /// Ids of permanently-failed tasks, ascending.
     pub fn failed_tasks(&self) -> Vec<TaskId> {
-        self.shared.core.lock().graph.tasks_in_state(TaskState::Failed)
+        let mut failed = self.shared.core.lock().failed.clone();
+        failed.sort_unstable();
+        failed
     }
 }
 
@@ -831,8 +914,7 @@ pub(crate) fn place_ready<S: Ord>(
         core.graph.set_running(task);
         launch(core, Placed { exec_id, task, attempt, placement, now_us });
     }
-    shared.metrics.ready_depth.set(core.sched.ready_len() as f64);
-    shared.metrics.running.set(core.running.len() as f64);
+    core.publish_gauges(shared);
 }
 
 /// The trace records of one ended attempt: a `task_run` bar on every core
@@ -907,6 +989,7 @@ pub(crate) fn complete_attempt(
             for t in core.graph.set_done(task) {
                 core.instances[&t].push_ready(t, &mut core.sched);
             }
+            core.retire_task(shared, task);
         }
         Err(_) => {
             core.stats.failed_attempts += 1;
@@ -959,39 +1042,148 @@ pub(crate) fn complete_attempt(
 
 /// Permanently fail `task` and transitively fail all dependents, poisoning
 /// every version they would have produced ("the failure of task does not
-/// affect the other tasks unless there are some dependencies").
+/// affect the other tasks unless there are some dependencies"). The
+/// dependents are the graph's successor edges: a task that reads a version
+/// of a still-unsettled writer got one at submission, and a later one finds
+/// the poison mark instead.
 pub(crate) fn fail_task_cascade(shared: &Shared, core: &mut Core, task: TaskId) {
     let mut stack = vec![task];
-    let mut seen: HashSet<TaskId> = HashSet::new();
     while let Some(t) = stack.pop() {
-        if !seen.insert(t) {
-            continue;
+        // Reached over a second edge: it failed, and went, the first time.
+        let Some(inst) = core.instances.get(&t) else { continue };
+        for v in inst.writes() {
+            core.data.poison(v);
         }
-        if core.graph.state(t) == Some(TaskState::Done) {
-            continue;
-        }
-        core.graph.set_failed(t);
+        stack.extend(core.graph.set_failed(t));
         core.stats.failed += 1;
         shared.metrics.failed.incr();
-        let writes: Vec<DataVersion> =
-            core.instances.get(&t).map(|i| i.writes()).unwrap_or_default();
-        for v in &writes {
-            core.poisoned.insert(*v);
+        core.failed.push(t);
+        core.retire_task(shared, t);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    use super::*;
+    use crate::{TaskRegistry, WorkerConfig, WorkerServer};
+
+    #[test]
+    fn wait_on_keeps_its_target_through_a_rename() {
+        // Version 2 of `h` is being written by a task parked on a gate. A
+        // waiter targets it; only then does an INOUT task rename `h` past
+        // it and the gate open. However the waiter's wake-up interleaves
+        // with the two completions — after both, version 2 is superseded
+        // and has no task left — the wait returns the version it targeted.
+        for _ in 0..40 {
+            let rt = Runtime::threaded(RuntimeConfig::single_node(2).with_tracing(false));
+            let (open, gate) = mpsc::channel::<()>();
+            let gate = Mutex::new(gate);
+            let slow = rt.register("slow", Constraint::cpus(1), 0, move |_, i| {
+                gate.lock().recv().ok();
+                Ok(vec![Value::new(i[0].downcast_ref::<u64>().unwrap() + 1)])
+            });
+            let bump = rt.register("bump", Constraint::cpus(1), 0, |_, i| {
+                Ok(vec![Value::new(i[0].downcast_ref::<u64>().unwrap() + 10)])
+            });
+            let h = rt.literal(1u64);
+            rt.submit(&slow, vec![ArgSpec::InOut(h)]).unwrap();
+            let v2 = DataVersion { handle: h, version: 2 };
+            let value = |v: Value| *v.downcast_ref::<u64>().unwrap();
+            std::thread::scope(|s| {
+                let waiter = s.spawn(|| rt.wait_on(&h).map(value));
+                // The waiter is in: its target has the writer and the wait.
+                while rt.shared.core.lock().data.users(v2) < 2 {
+                    std::thread::yield_now();
+                }
+                rt.submit(&bump, vec![ArgSpec::InOut(h)]).unwrap();
+                open.send(()).unwrap();
+                assert_eq!(waiter.join().unwrap(), Ok(2));
+            });
+            assert_eq!(rt.wait_on(&h).map(value), Ok(12));
+            let core = rt.shared.core.lock();
+            assert!(core.data.get(v2).is_none(), "the superseded version went with the wait");
+            assert_eq!((core.data.live_versions(), core.instances.len()), (1, 0));
         }
-        // Any instance reading a poisoned version can never run.
-        let dependents: Vec<TaskId> = core
-            .instances
-            .iter()
-            .filter(|(id, inst)| {
-                !seen.contains(id)
-                    && !matches!(
-                        core.graph.state(**id),
-                        Some(TaskState::Done) | Some(TaskState::Failed)
-                    )
-                    && inst.reads().iter().any(|v| writes.contains(v))
+    }
+
+    #[test]
+    fn deleted_block_input_is_still_there_for_the_retry_on_the_survivor() {
+        // The reader of a block-sized input is running on one of two
+        // loopback workers when the main program deletes the input and the
+        // worker dies. The retry needs the block again, on the other node.
+        runmetrics::global().set_enabled(true);
+        let (started, running_on) = mpsc::channel::<u32>();
+        let started = Mutex::new(started);
+        let sum = TaskDef {
+            name: "sum".into(),
+            constraint: Constraint::cpus(1),
+            returns: 1,
+            priority: false,
+            body: Arc::new(move |ctx: &crate::task::TaskContext, inputs: &[Value]| {
+                started.lock().send(ctx.node).ok();
+                if ctx.attempt == 1 {
+                    // Outlive the kill; a halted worker reports nothing.
+                    std::thread::sleep(Duration::from_millis(400));
+                }
+                let data: &Vec<f64> = inputs[0].downcast_ref().unwrap();
+                Ok(vec![Value::new(data.iter().sum::<f64>())])
+            }),
+            alternatives: Vec::new(),
+        };
+        let workers: Vec<_> = (0..2)
+            .map(|i| {
+                let cfg = WorkerConfig { name: format!("w{i}"), cores: 1, ..Default::default() };
+                let registry = TaskRegistry::new().with(sum.clone());
+                WorkerServer::bind("127.0.0.1:0", cfg, registry).unwrap().spawn().unwrap()
             })
-            .map(|(&id, _)| id)
             .collect();
-        stack.extend(dependents);
+        let addrs: Vec<String> = workers.iter().map(|w| w.addr()).collect();
+        let rt = Runtime::distributed(
+            RuntimeConfig::single_node(1)
+                .with_tracing(false)
+                .with_retry(RetryPolicy { max_attempts: 4, same_node_first: false }),
+            &addrs,
+            DistributedConfig {
+                heartbeat_interval: Duration::from_millis(50),
+                heartbeat_timeout: Duration::from_millis(300),
+                inline_threshold: 16 * 1024,
+                ..DistributedConfig::default()
+            },
+        )
+        .unwrap();
+
+        let dataset: Vec<f64> = (0..4096).map(|i| (i as f64).sin()).collect();
+        let block_bytes =
+            crate::codec::encode_value(&Value::new(dataset.clone())).unwrap().bytes.len();
+        let input = rt.literal(dataset.clone());
+        rt.set_data_bytes(input, (dataset.len() * 8) as u64);
+        let out = rt.submit(&sum, vec![ArgSpec::In(input)]).unwrap().returns[0];
+        let node = running_on.recv().expect("first attempt started");
+        rt.delete(input);
+        assert!(matches!(rt.wait_on(&input), Err(WaitError::UnknownData(_))));
+        assert_eq!(rt.shared.core.lock().blocks.bytes(), block_bytes as u64, "deferred");
+        workers[node as usize].halt();
+
+        let got = rt.wait_on(&out).expect("the survivor finishes the task");
+        assert_eq!(
+            got.downcast_ref::<f64>().unwrap().to_bits(),
+            dataset.iter().sum::<f64>().to_bits()
+        );
+        assert_ne!(running_on.recv().expect("second attempt started"), node);
+        assert_eq!(rt.metrics().snapshot().counter("rcompss_tasks_retried_total"), Some(1));
+        rt.delete(out);
+
+        // Nothing is live any more, and what the driver believes resident is
+        // what the workers cache: nothing on the dead node, the one block on
+        // the survivor.
+        let core = rt.shared.core.lock();
+        assert_eq!((core.instances.len(), core.data.live_versions()), (0, 0));
+        assert_eq!((core.blocks.bytes(), core.graph.len()), (0, 0));
+        assert_eq!((core.blocks.resident_on(node), core.blocks.resident_on(1 - node)), (0, 1));
+        let cached = runmetrics::global().snapshot().gauge("rcompss_block_cache_resident_bytes");
+        assert_eq!(cached, Some(block_bytes as f64));
     }
 }

@@ -236,6 +236,78 @@ fn scripted_peer_sees_every_input_in_the_submit() {
     assert!(seen.iter().any(|f| matches!(f, Frame::Heartbeat { .. })), "heartbeats flowed");
 }
 
+/// Play the driver by hand against a real worker: submit `name` as
+/// execution `exec_id` and return every frame the worker sends up to and
+/// including the `Done`.
+fn scripted_submit(
+    sock: &mut std::net::TcpStream,
+    recv: &mut RecvBuf,
+    exec_id: u64,
+    name: &str,
+) -> Vec<Frame> {
+    let submit = Frame::Submit {
+        exec_id,
+        task_id: exec_id,
+        attempt: 1,
+        node: 0,
+        fn_id: exec_id,
+        fn_name: Some(name.to_string()),
+        variant: 0,
+        cores: vec![0],
+        gpus: Vec::new(),
+        args: Vec::new(),
+    };
+    write_frame(sock, &submit).unwrap();
+    let mut seen = Vec::new();
+    loop {
+        let frame = read_frame(sock, recv).unwrap().expect("the worker stays connected");
+        let done = matches!(frame, Frame::Done { .. });
+        seen.push(frame);
+        if done {
+            return seen;
+        }
+    }
+}
+
+#[test]
+fn worker_sends_no_tombstone_for_a_snapshot_nobody_saved() {
+    // Every stage and trial body ends with `snapshot::discard(key)`. With
+    // checkpointing off nothing was saved or loaded under that key, the
+    // driver holds nothing to drop, and a `Data` frame per task is noise.
+    let quiet = def("quiet", |_, _| {
+        rcompss::snapshot::discard(7);
+        Ok(vec![Value::new(1i64)])
+    });
+    let saver = def("saver", |_, _| {
+        rcompss::snapshot::save(8, b"state");
+        rcompss::snapshot::discard(8);
+        Ok(vec![Value::new(2i64)])
+    });
+    let cfg = WorkerConfig { name: "w".into(), cores: 1, ..WorkerConfig::default() };
+    let worker =
+        WorkerServer::bind("127.0.0.1:0", cfg, TaskRegistry::new().with(quiet).with(saver))
+            .expect("bind loopback")
+            .spawn()
+            .expect("spawn worker");
+    let mut sock = std::net::TcpStream::connect(worker.addr()).expect("connect");
+    let mut recv = RecvBuf::new();
+    let hello = read_frame(&mut sock, &mut recv).unwrap();
+    assert!(matches!(hello, Some(Frame::Hello { .. })), "{hello:?}");
+
+    let frames = scripted_submit(&mut sock, &mut recv, 1, "quiet");
+    assert!(matches!(frames.as_slice(), [Frame::Done { exec_id: 1, .. }]), "{frames:?}");
+    // A task that did save still tombstones, after the save it supersedes.
+    let frames = scripted_submit(&mut sock, &mut recv, 2, "saver");
+    let snapshot_sizes: Vec<usize> = frames
+        .iter()
+        .filter_map(|f| match f {
+            Frame::Data { key: 8, blob } => Some(blob.bytes.len()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(snapshot_sizes, [5, 0], "{frames:?}");
+}
+
 #[test]
 fn killed_worker_mid_run_resubmits_to_survivors() {
     let workers = spawn_workers(3, 2);

@@ -435,7 +435,9 @@ fn trace_disabled_by_flag() {
 fn dot_export_shows_hpo_application_structure() {
     // The paper's Figure 3 graph: experiments → per-experiment
     // visualisation → final plot, with dNvM edge labels and a sync node.
-    let rt = Runtime::simulated(RuntimeConfig::single_node(8));
+    let mut cfg = RuntimeConfig::single_node(8);
+    cfg.graph = true;
+    let rt = Runtime::simulated(cfg);
     let experiment = rt
         .register("graph.experiment", Constraint::cpus(1), 1, |_, _| Ok(vec![Value::new(0.9f64)]));
     let visualisation = rt.register("graph.visualisation", Constraint::cpus(1), 1, |_, inputs| {

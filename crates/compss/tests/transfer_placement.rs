@@ -10,7 +10,7 @@ use cluster::{Cluster, NodeSpec};
 use proptest::prelude::*;
 use rcompss::data::DataRegistry;
 use rcompss::scheduler::{Placement, ReadyEntry, Scheduler};
-use rcompss::{Constraint, DataVersion, TaskId};
+use rcompss::{Constraint, DataVersion, TaskId, Value};
 
 const NODES: u32 = 3;
 
@@ -58,7 +58,7 @@ proptest! {
         let versions: Vec<DataVersion> = items
             .iter()
             .map(|spec| {
-                let h = reg.declare();
+                let h = reg.literal(Value::new(()));
                 reg.set_bytes(h, spec.bytes);
                 DataVersion { handle: h, version: 1 }
             })
@@ -128,7 +128,7 @@ proptest! {
         let versions: Vec<DataVersion> = sizes
             .iter()
             .map(|&b| {
-                let h = reg.declare();
+                let h = reg.literal(Value::new(()));
                 reg.set_bytes(h, b);
                 DataVersion { handle: h, version: 1 }
             })

@@ -390,67 +390,75 @@ impl HpoRunner {
         let mut history: Vec<TrialResult> = Vec::new();
         let mut early_stopped = false;
         let mut halted = false;
-        while !early_stopped && !halted && !control.is_some_and(|c| c.is_cancelled()) {
-            let (configs, budget) = source.next_batch(&history, wave);
-            if configs.is_empty() {
-                break;
-            }
-            // `Some` = replayed from the journal, `None` = the evaluator's
-            // next trial.
-            let mut slots: Vec<Option<TrialResult>> = Vec::with_capacity(configs.len());
-            for config in configs {
-                let key = || journal_key(&config, budget);
-                if let Some((outcome, task_us)) = resume.and_then(|s| s.complete.get(&key())) {
-                    stats.skipped_complete += 1;
-                    if let Some(tm) = &trial_metrics {
-                        tm.resumed.incr();
-                    }
-                    slots.push(Some(TrialResult {
-                        config,
-                        outcome: outcome.clone(),
-                        task_us: *task_us,
-                    }));
-                    continue;
-                }
-                // The gate may block (fair-share turn, rate-limit token).
-                // The denied config and the rest of the batch are
-                // deliberately dropped — a cancelled or quota-stopped
-                // sweep reports only complete trials.
-                if control.is_some_and(|c| !c.admit()) {
-                    halted = true;
+        // The evaluator gives back what it holds in the runtime whichever
+        // way the loop ends, so a refused submission gets there too.
+        let swept = (|| -> Result<(), SubmitError> {
+            while !early_stopped && !halted && !control.is_some_and(|c| c.is_cancelled()) {
+                let (configs, budget) = source.next_batch(&history, wave);
+                if configs.is_empty() {
                     break;
                 }
-                if resume.is_some_and(|s| s.in_flight.contains(&key())) {
-                    stats.reenqueued += 1;
-                }
-                if let Some(j) = journal {
-                    let _ = j.record(&SweepRecord::Submitted { key: key(), label: config.label() });
-                }
-                eval.admit(rt, &self.opts, config, budget)?;
-                slots.push(None);
-            }
-            eval.launch(rt, budget)?;
-            for slot in slots {
-                let trial = slot.unwrap_or_else(|| {
-                    let trial = eval.next(rt);
-                    if let Some(j) = journal {
-                        let _ = j.record(&SweepRecord::Finished {
-                            key: journal_key(&trial.config, budget),
-                            outcome: trial.outcome.clone(),
-                            task_us: trial.task_us,
-                        });
+                // `Some` = replayed from the journal, `None` = the evaluator's
+                // next trial.
+                let mut slots: Vec<Option<TrialResult>> = Vec::with_capacity(configs.len());
+                for config in configs {
+                    let key = || journal_key(&config, budget);
+                    if let Some((outcome, task_us)) = resume.and_then(|s| s.complete.get(&key())) {
+                        stats.skipped_complete += 1;
+                        if let Some(tm) = &trial_metrics {
+                            tm.resumed.incr();
+                        }
+                        slots.push(Some(TrialResult {
+                            config,
+                            outcome: outcome.clone(),
+                            task_us: *task_us,
+                        }));
+                        continue;
                     }
-                    trial
-                });
-                if let Some(tm) = &trial_metrics {
-                    tm.observe(&trial);
+                    // The gate may block (fair-share turn, rate-limit token).
+                    // The denied config and the rest of the batch are
+                    // deliberately dropped — a cancelled or quota-stopped
+                    // sweep reports only complete trials.
+                    if control.is_some_and(|c| !c.admit()) {
+                        halted = true;
+                        break;
+                    }
+                    if resume.is_some_and(|s| s.in_flight.contains(&key())) {
+                        stats.reenqueued += 1;
+                    }
+                    if let Some(j) = journal {
+                        let _ =
+                            j.record(&SweepRecord::Submitted { key: key(), label: config.label() });
+                    }
+                    eval.admit(rt, &self.opts, config, budget)?;
+                    slots.push(None);
                 }
-                observer(&trial);
-                early_stopped |=
-                    early_stop.is_some_and(|es| es.target_reached(trial.outcome.accuracy));
-                history.push(trial);
+                eval.launch(rt, budget)?;
+                for slot in slots {
+                    let trial = slot.unwrap_or_else(|| {
+                        let trial = eval.next(rt);
+                        if let Some(j) = journal {
+                            let _ = j.record(&SweepRecord::Finished {
+                                key: journal_key(&trial.config, budget),
+                                outcome: trial.outcome.clone(),
+                                task_us: trial.task_us,
+                            });
+                        }
+                        trial
+                    });
+                    if let Some(tm) = &trial_metrics {
+                        tm.observe(&trial);
+                    }
+                    observer(&trial);
+                    early_stopped |=
+                        early_stop.is_some_and(|es| es.target_reached(trial.outcome.accuracy));
+                    history.push(trial);
+                }
             }
-        }
+            Ok(())
+        })();
+        let stages = eval.finish(rt);
+        swept?;
         Ok(SweepOutcome {
             report: HpoReport {
                 algorithm: source.algorithm().to_string(),
@@ -459,7 +467,7 @@ impl HpoRunner {
                 early_stopped,
             },
             resume: stats,
-            stages: eval.finish(rt),
+            stages,
         })
     }
 
@@ -513,7 +521,11 @@ impl HpoRunner {
     }
 }
 
-/// An [`Evaluator`]'s state over one [`HpoRunner::execute`] call.
+/// An [`Evaluator`]'s state over one [`HpoRunner::execute`] call. It
+/// [deletes](Runtime::delete) every handle it makes as soon as the sweep has
+/// no further use for it — the runtime defers the actual drop until the
+/// tasks that read it have settled, so "no further use" only ever means the
+/// sweep's own — and [`Evaluation::finish`] gives back the rest.
 enum Evaluation {
     Trials {
         def: TaskDef,
@@ -528,11 +540,31 @@ enum Evaluation {
         admitted: Vec<Config>,
         /// The launched batch's trials, in input order.
         ready: VecDeque<TrialResult>,
+        /// The fork snapshots of the batch being launched: on a refused
+        /// submission, what is still to give back.
+        batch: Vec<DataHandle>,
         /// Under a budgeted source: config label → its latest fork
-        /// snapshot and the epochs that snapshot has trained.
+        /// snapshot and the epochs that snapshot has trained. Configs that
+        /// collapsed into one segment share its handle.
         snaps: HashMap<String, (DataHandle, u32)>,
         stats: StageStats,
     },
+}
+
+/// Submit `def` over `literals` followed by `parent`. The literals are
+/// the task's alone, so they are deleted on the spot: they go when the task
+/// settles.
+fn submit_over_literals(
+    rt: &Runtime,
+    def: &TaskDef,
+    literals: Vec<DataHandle>,
+    parent: Option<DataHandle>,
+    opts: SubmitOpts,
+) -> Result<SubmitResult, SubmitError> {
+    let args = literals.iter().copied().chain(parent).map(ArgSpec::In).collect();
+    let sub = rt.submit_with(def, args, opts);
+    literals.into_iter().for_each(|h| rt.delete(h));
+    sub
 }
 
 impl Evaluation {
@@ -550,6 +582,7 @@ impl Evaluation {
                 root: rt.literal(StagePayload::root()),
                 admitted: Vec::new(),
                 ready: VecDeque::new(),
+                batch: Vec::new(),
                 snaps: HashMap::new(),
                 stats: StageStats::default(),
             },
@@ -569,11 +602,9 @@ impl Evaluation {
         match self {
             Evaluation::Trials { def, subs } => {
                 let sim_duration_us = opts.sim_duration.as_ref().map(|f| f(&config));
-                let sub = rt.submit_with(
-                    def,
-                    vec![ArgSpec::In(rt.literal(config.clone())), ArgSpec::In(rt.literal(budget))],
-                    SubmitOpts { sim_duration_us },
-                )?;
+                let literals = vec![rt.literal(config.clone()), rt.literal(budget)];
+                let sub =
+                    submit_over_literals(rt, def, literals, None, SubmitOpts { sim_duration_us })?;
                 subs.push_back((config, sub));
             }
             Evaluation::Stages { admitted, .. } => admitted.push(config),
@@ -588,25 +619,24 @@ impl Evaluation {
     /// snapshot content-addressed through the block plane — then wait for
     /// every terminal segment and rebuild the trials from the snapshots.
     fn launch(&mut self, rt: &Runtime, budget: Option<u32>) -> Result<(), SubmitError> {
-        let Evaluation::Stages { def, root, admitted, ready, snaps, stats } = self else {
+        let Evaluation::Stages { def, root, admitted, ready, batch, snaps, stats } = self else {
             return Ok(());
         };
         let mut segment =
             |config: &Config, parent: Option<(DataHandle, u32)>, end: u32, total: u32| {
                 let (from, start) = parent.unwrap_or((*root, 0));
-                let sub = rt.submit_with(
+                let literals = vec![rt.literal(config.clone()), rt.literal(end), rt.literal(total)];
+                let sub = submit_over_literals(
+                    rt,
                     def,
-                    vec![
-                        ArgSpec::In(rt.literal(config.clone())),
-                        ArgSpec::In(rt.literal(end)),
-                        ArgSpec::In(rt.literal(total)),
-                        ArgSpec::In(from),
-                    ],
+                    literals,
+                    Some(from),
                     SubmitOpts { sim_duration_us: None },
                 )?;
                 stats.segments += 1;
                 stats.forks += usize::from(parent.is_some());
                 stats.staged_epochs += u64::from(end - start);
+                batch.push(sub.returns[0]);
                 Ok::<DataHandle, SubmitError>(sub.returns[0])
             };
 
@@ -637,15 +667,28 @@ impl Evaluation {
             let parent = seg.parent.map(|p| (handles[p], seg.start));
             handles.push(segment(&seg.rep, parent, seg.end, seg.total_epochs)?);
         }
+        // Every child is submitted, so an inner segment's snapshot has no
+        // reader to come: it goes when the last child has loaded it.
+        for (_, &h) in tree.segments.iter().zip(&handles).filter(|(s, _)| s.trials.is_empty()) {
+            rt.delete(h);
+        }
 
         // Everything is submitted: wait once per terminal segment (trials
         // that collapsed into it share its outcome) and per continuation.
+        // A budgeted source may come back to continue a trial, so there its
+        // snapshot is kept, in place of the shorter one it replaces;
+        // otherwise the outcome is all the sweep wants from it.
         let mut trials: Vec<Option<TrialResult>> = Vec::new();
         trials.resize_with(n, || None);
         let mut place = |i: usize, config: Config, h, end: u32, outcome, task_us| {
             stats.naive_epochs += u64::from(end);
             if let Some(b) = budget {
-                snaps.insert(config.label(), (h, b));
+                let replaced = snaps.insert(config.label(), (h, b));
+                if let Some((old, _)) = replaced.filter(|(old, _)| *old != h) {
+                    if !snaps.values().any(|(kept, _)| *kept == old) {
+                        rt.delete(old);
+                    }
+                }
             }
             trials[i] = Some(TrialResult { config, outcome, task_us });
         };
@@ -661,11 +704,16 @@ impl Evaluation {
                     task_us,
                 );
             }
+            if budget.is_none() {
+                rt.delete(h);
+            }
         }
         for (i, config, h, b) in resumed {
             let (outcome, task_us) = wait_stage(rt, &h);
             place(i, config, h, b, outcome, task_us);
         }
+        // Each of the batch's snapshots is deleted or kept by now.
+        batch.clear();
         ready.reserve(n);
         ready.extend(trials.into_iter().flatten());
         Ok(())
@@ -683,6 +731,7 @@ impl Evaluation {
                         .expect("experiment task returns (TrialOutcome, u64)"),
                     Err(e) => (TrialOutcome::failed(e.to_string()), 0),
                 };
+                rt.delete(sub.returns[0]);
                 TrialResult { config, outcome, task_us }
             }
             Evaluation::Stages { ready, .. } => {
@@ -691,17 +740,28 @@ impl Evaluation {
         }
     }
 
-    /// What the run shared. A staged run publishes it onto the runtime's
-    /// registry even when nothing was saved, so a sweep that shared no
-    /// prefixes still exports explicit zeros.
+    /// Give back every handle still held — submissions a refused one left
+    /// uncollected, the kept snapshots, the root — and report what the run
+    /// shared. A staged run publishes it onto the runtime's registry even
+    /// when nothing was saved, so a sweep that shared no prefixes still
+    /// exports explicit zeros.
     fn finish(self, rt: &Runtime) -> StageStats {
-        let Evaluation::Stages { stats, .. } = self else { return StageStats::default() };
-        if rt.metrics_enabled() {
-            let reg = rt.metrics();
-            reg.counter("hpo_stage_epochs_saved_total").add(stats.epochs_saved());
-            reg.counter("hpo_prefix_forks_total").add(stats.forks as u64);
+        match self {
+            Evaluation::Trials { subs, .. } => {
+                subs.iter().for_each(|(_, sub)| rt.delete(sub.returns[0]));
+                StageStats::default()
+            }
+            Evaluation::Stages { root, batch, snaps, stats, .. } => {
+                let kept = snaps.values().map(|&(h, _)| h);
+                batch.into_iter().chain(kept).chain([root]).for_each(|h| rt.delete(h));
+                if rt.metrics_enabled() {
+                    let reg = rt.metrics();
+                    reg.counter("hpo_stage_epochs_saved_total").add(stats.epochs_saved());
+                    reg.counter("hpo_prefix_forks_total").add(stats.forks as u64);
+                }
+                stats
+            }
         }
-        stats
     }
 }
 
@@ -921,6 +981,107 @@ mod tests {
         let lb = crate::dashboard::leaderboard(&report, 3);
         assert_eq!(lb.lines().count(), 4);
         assert!(lb.lines().nth(1).unwrap().contains("Adam"));
+    }
+
+    /// Run `sweep` on a fresh two-core threaded runtime that already holds
+    /// one bystander literal, and check the sweep left the runtime as it
+    /// found it: no task, no data but the bystander's.
+    fn assert_gives_everything_back<T>(what: &str, sweep: impl FnOnce(&Runtime) -> T) -> T {
+        let rt = Runtime::threaded(RuntimeConfig::single_node(2).with_tracing(false));
+        let live = |series: &str| rt.metrics().snapshot().gauge(series).unwrap();
+        let bystander = rt.literal(7u8);
+        rt.delete(rt.literal(8u8)); // publishes the gauges
+        assert_eq!(live("rcompss_live_data_versions"), 1.0);
+        let out = sweep(&rt);
+        assert_eq!(live("rcompss_live_data_versions"), 1.0, "{what}: data left behind");
+        assert_eq!(live("rcompss_live_tasks"), 0.0, "{what}: tasks left behind");
+        assert!(rt.wait_on(&bystander).is_ok());
+        out
+    }
+
+    #[test]
+    fn every_sweep_gives_back_the_handles_it_made() {
+        let runner = HpoRunner::new(ExperimentOptions::default());
+        let stage = StageObjective::new(Arc::new(tinyml::Dataset::synthetic_mnist(96, 3)), vec![6]);
+        let staged_space = |optimizers: &[&str]| {
+            SearchSpace::new()
+                .with("optimizer", ParamDomain::choice_strs(optimizers))
+                .with("num_epochs", ParamDomain::choice_ints(&[1, 2]))
+                .with("lr_decay_every", ParamDomain::choice_ints(&[0, 1]))
+        };
+        let execute = |rt: &Runtime, source: &mut dyn Suggester, plan: SweepPlan<'_>| {
+            runner.execute(rt, source, plan, |_| {}).expect("sweep submits")
+        };
+
+        // A grid, one task per trial and as one stage tree.
+        let report = assert_gives_everything_back("grid, trials", |rt| {
+            let space = SearchSpace::paper_grid();
+            let plan = SweepPlan::new(Evaluator::Trials(synthetic_objective()));
+            execute(rt, &mut GridSearch::new(&space), plan).report
+        });
+        assert_eq!((report.trials.len(), report.failures()), (27, 0));
+        let stages = assert_gives_everything_back("grid, stages", |rt| {
+            let space = staged_space(&["Adam", "SGD"]);
+            let out = execute(
+                rt,
+                &mut GridSearch::new(&space),
+                SweepPlan::new(Evaluator::Stages(&stage)),
+            );
+            assert_eq!((out.report.trials.len(), out.report.failures()), (8, 0));
+            out.stages
+        });
+        assert!(stages.forks > 0, "the tree shared prefixes: {stages:?}");
+
+        // Staged successive halving: promoted configs continue the snapshot
+        // kept from their shorter rung, the others' are given back at the end.
+        let stages = assert_gives_everything_back("bracket, stages", |rt| {
+            let bracket = Bracket::new(4, 1, 4, 2);
+            let source = &mut BracketSource::new(&staged_space(&["Adam", "SGD"]), &bracket, 5);
+            let plan = SweepPlan::new(Evaluator::Stages(&stage));
+            let out = runner.execute(rt, source, plan, |_| {}).expect("bracket submits");
+            assert_eq!((out.report.trials.len(), out.report.failures()), (4 + 2 + 1, 0));
+            out.stages
+        });
+        assert!(stages.forks > 0, "promotions continued their snapshots: {stages:?}");
+
+        // Halted by the gate in the middle of a batch, on both evaluators.
+        for evaluator in [Evaluator::Trials(synthetic_objective()), Evaluator::Stages(&stage)] {
+            let report = assert_gives_everything_back("halted mid-batch", |rt| {
+                let admitted = std::sync::atomic::AtomicUsize::new(0);
+                let control = SweepControl::new()
+                    .with_gate(move || admitted.fetch_add(1, Ordering::Relaxed) < 3);
+                let plan = SweepPlan { control: Some(&control), ..SweepPlan::new(evaluator) };
+                execute(rt, &mut GridSearch::new(&staged_space(&["Adam", "SGD"])), plan).report
+            });
+            assert_eq!(report.trials.len(), 3, "the admitted trials drained");
+        }
+
+        // Trials that fail for good — a task's outputs stay poisoned in the
+        // runtime until their handles are deleted like any other.
+        let failing: Objective = Arc::new(|config: &Config, _| match config.get_str("optimizer") {
+            Some("Broken") => Err(TaskError::new("unsupported optimizer")),
+            _ => Ok(TrialOutcome::with_accuracy(0.8)),
+        });
+        for evaluator in [Evaluator::Trials(failing), Evaluator::Stages(&stage)] {
+            let report = assert_gives_everything_back("failed trials", |rt| {
+                let space = staged_space(&["Adam", "Broken"]);
+                execute(rt, &mut GridSearch::new(&space), SweepPlan::new(evaluator)).report
+            });
+            assert_eq!((report.trials.len(), report.failures()), (8, 4));
+        }
+
+        // A refused submission ends the sweep with an error, not with the
+        // literals and the root it had already made.
+        let greedy = HpoRunner::new(
+            ExperimentOptions::default().with_constraint(rcompss::Constraint::cpus(64)),
+        );
+        for evaluator in [Evaluator::Trials(synthetic_objective()), Evaluator::Stages(&stage)] {
+            let refused = assert_gives_everything_back("refused submission", |rt| {
+                let space = staged_space(&["Adam"]);
+                greedy.execute(rt, &mut GridSearch::new(&space), SweepPlan::new(evaluator), |_| {})
+            });
+            assert!(matches!(refused, Err(SubmitError::Unsatisfiable(_))));
+        }
     }
 
     impl ExperimentOptions {

@@ -385,7 +385,7 @@ OPTIONS:
     --trace                enable Extrae-style tracing
     --trace-out <file>     write a Chrome trace_event JSON trace
                            (implies --trace; open in Perfetto)
-    --graph <file>         write the task graph as DOT
+    --graph <file>         record the task graph and write it as DOT
     --out <file>           write trial results as CSV
     --metrics-out <prefix> write runtime metrics to <prefix>.prom
                            (Prometheus text) and <prefix>.jsonl

@@ -139,25 +139,25 @@ fn run(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
     // 2. Runtime. `Arc`ed so the emergency flush hook (panic/SIGINT) can
     // reach the live metrics and trace buffers.
     let metrics_on = !args.no_metrics;
+    // `--graph` is the one consumer of a recorded graph: without it a
+    // settled task's node is retired.
+    let configure = |mut cfg: RuntimeConfig| {
+        cfg.graph = args.graph_out.is_some();
+        cfg.with_tracing(args.trace).with_metrics(metrics_on)
+    };
     let rt = Arc::new(match args.backend {
         BackendChoice::Threaded => {
             let cores = std::thread::available_parallelism().map(|n| n.get() as u32).unwrap_or(4);
-            Runtime::threaded(
-                RuntimeConfig::single_node(cores.max(args.cores_per_task))
-                    .with_tracing(args.trace)
-                    .with_metrics(metrics_on),
-            )
+            Runtime::threaded(configure(RuntimeConfig::single_node(cores.max(args.cores_per_task))))
         }
-        BackendChoice::Sim => Runtime::simulated(
-            RuntimeConfig::on_cluster(Cluster::homogeneous(args.nodes, NodeSpec::marenostrum4()))
-                .with_tracing(args.trace)
-                .with_metrics(metrics_on),
-        ),
+        BackendChoice::Sim => Runtime::simulated(configure(RuntimeConfig::on_cluster(
+            Cluster::homogeneous(args.nodes, NodeSpec::marenostrum4()),
+        ))),
         BackendChoice::Distributed => {
             // Values and results cross process boundaries: codecs first.
             hpo::wire::register_hpo_codecs();
             let rt = Runtime::distributed(
-                RuntimeConfig::single_node(1).with_tracing(args.trace).with_metrics(metrics_on),
+                configure(RuntimeConfig::single_node(1)),
                 &args.workers,
                 DistributedConfig {
                     inline_threshold: args.inline_threshold,

@@ -14,7 +14,10 @@
 # (the number every simplicity PR quotes in CHANGES.md, so it comes from
 # here and not from a hand-run). The five pure-virtual-time figure bins
 # (Figs 3-6 and 9) then rerun and must rewrite their results/ artefacts
-# byte-for-byte, and ablation_retry runs for its built-in assertions.
+# byte-for-byte, and ablation_retry runs for its built-in assertions; the
+# two real-training figure bins (Figs 7 and 8) rerun too and must reproduce
+# the checked-in config, accuracy and epochs_run columns (training is
+# deterministic; only task_us, wall time, may differ).
 # Right after them the standalone benchmark package is built against the
 # crates and run once in --quick mode (all four workloads verified against
 # their oracles) with its Cargo.lock unchanged, so a broken pinned
@@ -57,6 +60,14 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# The deterministic columns of a trial CSV: config, accuracy, epochs_run.
+# The quoted config label holds commas of its own, so `cut -d,` would split
+# inside it. What follows the third column is dropped: task_us is wall
+# time, and the standalone CSV has an error column the served one lacks.
+trial_table() {
+    sed -E 's/^("[^"]*"|[^",]*),([^,]*),([^,]*).*/\1,\2,\3/' "$@"
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
@@ -88,6 +99,23 @@ done
 git diff --exit-code -- results/fig3_task_graph.dot 'results/fig4_single_task.*' \
     'results/fig5_single_node.*' 'results/fig6*' results/fig9_time_vs_cores.csv
 cargo run --release --quiet -p hpo-bench --bin ablation_retry > /dev/null
+
+echo "==> real-training figures: Figs 7 and 8 reproduce the checked-in accuracy columns"
+# Each bin trains its 27-config grid for real and rewrites its CSV (fig7
+# also its .prom / .metrics.jsonl, which hold timings). The checked-in files
+# are put back afterwards so a green run leaves the tree clean; on a
+# mismatch the rerun's files stay in results/ for `git diff`.
+FIG_KEEP=$(mktemp -d)
+cp results/fig7_mnist_hpo.* results/fig8_cifar_hpo.csv "$FIG_KEEP/"
+for fig in fig7_mnist_hpo fig8_cifar_hpo; do
+    cargo run --release --quiet -p hpo-bench --bin "$fig" > /dev/null
+    if ! diff <(trial_table "$FIG_KEEP/$fig.csv") <(trial_table "results/$fig.csv"); then
+        echo "$fig FAILED: accuracy columns differ from the checked-in results/$fig.csv" >&2
+        exit 1
+    fi
+done
+cp "$FIG_KEEP"/* results/
+rm -rf "$FIG_KEEP"
 
 echo "==> stackbench (quick): benchmark/ still compiles, verifies, and keeps its lock"
 cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- run --quick
@@ -151,8 +179,8 @@ sleep 1
     --samples 200 --out "$SMOKE_DIR/threaded.csv"
 # Per-trial config + accuracy + epochs must match bit-for-bit; only the
 # timing column may differ.
-if ! diff <(sort "$SMOKE_DIR/distributed.csv" | cut -d, -f1-3) \
-          <(sort "$SMOKE_DIR/threaded.csv" | cut -d, -f1-3); then
+if ! diff <(trial_table "$SMOKE_DIR/distributed.csv" | sort) \
+          <(trial_table "$SMOKE_DIR/threaded.csv" | sort); then
     echo "distributed loopback smoke FAILED: trial results diverge" >&2
     exit 1
 fi
@@ -166,8 +194,8 @@ echo "==> stage-tree smoke: --share-prefixes is bit-identical and saves epochs"
 ./target/release/hpo-run --config "$SMOKE_DIR/space.json" --backend distributed \
     --workers 127.0.0.1:7191,127.0.0.1:7192 --samples 200 --share-prefixes \
     --out "$SMOKE_DIR/staged.csv" --metrics-out "$SMOKE_DIR/stage_metrics"
-if ! diff <(cut -d, -f1-3 "$SMOKE_DIR/staged.csv") \
-          <(cut -d, -f1-3 "$SMOKE_DIR/threaded.csv"); then
+if ! diff <(trial_table "$SMOKE_DIR/staged.csv") \
+          <(trial_table "$SMOKE_DIR/threaded.csv"); then
     echo "stage-tree smoke FAILED: --share-prefixes changed the trial table" >&2
     exit 1
 fi
@@ -283,8 +311,8 @@ fi
     --config "$SMOKE_DIR/space.json" --name ci-sweep --algo grid \
     --out "$SMOKE_DIR/served.csv"
 # Served leaderboard == standalone run: config, accuracy, epochs columns.
-if ! diff <(sort "$SMOKE_DIR/served.csv" | cut -d, -f1-3) \
-          <(sort "$SMOKE_DIR/threaded.csv" | cut -d, -f1-3); then
+if ! diff <(trial_table "$SMOKE_DIR/served.csv" | sort) \
+          <(trial_table "$SMOKE_DIR/threaded.csv" | sort); then
     echo "sweep-server smoke FAILED: served leaderboard diverges from standalone" >&2
     exit 1
 fi

@@ -59,6 +59,34 @@ fn gemm(c: &mut Criterion) {
     });
 }
 
+/// The three products of one training step of the `grid_threaded` MLP
+/// (784-32-10, batch 32) at layer 0 — forward, `dW`, and the input gradient
+/// a middle layer of that width would compute — and the small forward
+/// product of its `n = 10` output layer, whose edge tiles must not fall off
+/// a cliff. The kernel table in EXPERIMENTS.md "The training step".
+fn step_products(c: &mut Criterion) {
+    use tinyml::Matrix;
+    let mut group = c.benchmark_group("step_products");
+    let x = Matrix::from_fn(32, 784, |r, col| ((r * 31 + col * 7) as f32).sin());
+    let w0 = Matrix::from_fn(784, 32, |r, col| ((r + col * 3) as f32).cos() * 0.1);
+    let dz = Matrix::from_fn(32, 32, |r, col| ((r * 5 + col) as f32).sin() * 0.1);
+    let h = Matrix::from_fn(32, 32, |r, col| ((r + col * 11) as f32).sin());
+    let w1 = Matrix::from_fn(32, 10, |r, col| ((r * 3 + col) as f32).cos() * 0.1);
+    group.bench_function("matmul_32x784_784x32", |b| {
+        b.iter(|| black_box(black_box(&x).matmul(&w0)));
+    });
+    group.bench_function("t_matmul_32x784T_32x32", |b| {
+        b.iter(|| black_box(black_box(&x).t_matmul(&dz)));
+    });
+    group.bench_function("matmul_t_32x32_784x32T", |b| {
+        b.iter(|| black_box(black_box(&dz).matmul_t(&w0)));
+    });
+    group.bench_function("matmul_32x32_32x10", |b| {
+        b.iter(|| black_box(black_box(&h).matmul(&w1)));
+    });
+    group.finish();
+}
+
 /// Intra-task scaling of the dense kernel: the same GEMM under 1/2/4/8
 /// worker threads, i.e. what an experiment task gains from a
 /// `@constraint(computing_units=N)` core grant (paper Figures 5/9).
@@ -80,7 +108,7 @@ fn gemm_threads(c: &mut Criterion) {
     group.finish();
 }
 
-/// Conv2d forward + backward (im2col → blocked GEMM) under 1/2/4/8 worker
+/// Conv2d forward + backward (im2col → GEMM) under 1/2/4/8 worker
 /// threads, on an MNIST-shaped batch — the CNN trial's inner loop.
 fn conv_threads(c: &mut Criterion) {
     use tinyml::conv::{Conv2d, Tensor4};
@@ -127,5 +155,14 @@ fn epoch_threads(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, one_epoch, optimizers, gemm, gemm_threads, conv_threads, epoch_threads);
+criterion_group!(
+    benches,
+    one_epoch,
+    optimizers,
+    gemm,
+    step_products,
+    gemm_threads,
+    conv_threads,
+    epoch_threads
+);
 criterion_main!(benches);

@@ -129,7 +129,8 @@ impl Model for Cnn {
         let (dw2, db2, dp1) = self.conv2.backward(&p1, &da2);
         let mut da1 = self.pool.backward(&dp1, &arg1, (a1.n, a1.c, a1.h, a1.w));
         relu_tensor_backward(&mut da1, &pre1);
-        let (dw1, db1, _dx) = self.conv1.backward(&x, &da1);
+        // nothing is upstream of conv1: parameters only
+        let (dw1, db1) = self.conv1.param_grads(&x, &da1);
 
         // apply
         opt.begin_step();

@@ -7,7 +7,9 @@
 //! sample's padded patches are unrolled into an `(oh·ow, c·k·k)` matrix
 //! (`im2col`) and the convolution lowers to the GEMM kernels of
 //! [`crate::tensor`]; backward is the two transposed products
-//! (`dW += dy_sᵀ·cols_s`, `dcols_s = dy_s·W`) plus a col2im scatter. The
+//! (`dW += dy_sᵀ·cols_s`, `dcols_s = dy_s·W`) plus a col2im scatter — the
+//! second product and the scatter only when the caller wants `dx`
+//! ([`Conv2d::param_grads`] is the backward pass of a first layer). The
 //! unroll stays per-sample *on purpose*: for these kernel sizes the
 //! `cols_s` matrix is a few tens of KiB, so the whole
 //! im2col → GEMM → scatter pipeline runs out of L1/L2 — a whole-batch
@@ -249,26 +251,44 @@ impl Conv2d {
     /// into per-`SAMPLE_BLOCK` partials reduced block-ascending, so the
     /// result is bit-identical at any thread count (see module docs).
     pub fn backward(&self, x: &Tensor4, dy: &Tensor4) -> (Matrix, Vec<f32>, Tensor4) {
+        let mut dx = Tensor4::zeros(x.n, x.c, x.h, x.w);
+        let (dw, db) = self.grads(x, dy, Some(&mut dx));
+        (dw, db, dx)
+    }
+
+    /// The parameter half of [`Conv2d::backward`]: the same `(dw, db)`, bit
+    /// for bit, without the per-sample `dy_s · W` product and col2im
+    /// scatter behind `dx`. All a network's first layer needs (see
+    /// [`crate::net::Model::train_batch`]).
+    pub fn param_grads(&self, x: &Tensor4, dy: &Tensor4) -> (Matrix, Vec<f32>) {
+        self.grads(x, dy, None)
+    }
+
+    /// `(dw, db)`, and the input gradient accumulated into `dx` (zeroed, the
+    /// shape of `x`) when the caller wants one.
+    fn grads(&self, x: &Tensor4, dy: &Tensor4, dx: Option<&mut Tensor4>) -> (Matrix, Vec<f32>) {
         let (oh, ow) = self.out_hw(x.h, x.w);
         assert_eq!((dy.c, dy.h, dy.w), (self.out_c, oh, ow), "dy shape");
         let p = oh * ow;
         let out_c = self.out_c;
         let fan_in = self.in_c * self.k * self.k;
-        let mut dx = Tensor4::zeros(x.n, x.c, x.h, x.w);
         let n = x.n;
         if n == 0 || p == 0 || out_c == 0 {
-            return (Matrix::zeros(out_c, fan_in), vec![0.0; out_c], dx);
+            return (Matrix::zeros(out_c, fan_in), vec![0.0; out_c]);
         }
 
-        let chw = x.c * x.h * x.w;
+        let want_dx = dx.is_some();
+        // Floats of `dx` per sample; without one, every worker's share of
+        // it is the empty slice.
+        let dx_len = if want_dx { x.c * x.h * x.w } else { 0 };
         let dw_len = out_c * fan_in;
         let blocks = n.div_ceil(SAMPLE_BLOCK);
         let mut pdw = vec![0.0f32; blocks * dw_len];
         let mut pdb = vec![0.0f32; blocks * out_c];
         let dy_flat = dy.as_slice();
 
-        // ~2 GEMMs' worth of FMAs per output element.
-        let threads = par::degree_for(2 * n * p * fan_in * out_c);
+        // One GEMM's worth of FMAs per output element for `dW`, one for `dx`.
+        let threads = par::degree_for((1 + usize::from(want_dx)) * n * p * fan_in * out_c);
         // One contiguous block range per worker; slice dx / the partial
         // buffers to match, so every write target is a disjoint `&mut`.
         let ranges = par::split_ranges(blocks, threads);
@@ -297,15 +317,17 @@ impl Conv2d {
                         for (o, &v) in dw_b.iter_mut().zip(contrib.as_slice()) {
                             *o += v;
                         }
-                        // dcols = dy_s (p × out_c) · w (out_c × fan_in)
-                        let dcols = dy_s.matmul(&self.w);
-                        col2im_into(
-                            &dcols,
-                            (x.c, x.h, x.w),
-                            self.k,
-                            self.pad,
-                            &mut dx_chunk[(s - s0) * chw..(s - s0 + 1) * chw],
-                        );
+                        if want_dx {
+                            // dcols = dy_s (p × out_c) · w (out_c × fan_in)
+                            let dcols = dy_s.matmul(&self.w);
+                            col2im_into(
+                                &dcols,
+                                (x.c, x.h, x.w),
+                                self.k,
+                                self.pad,
+                                &mut dx_chunk[(s - s0) * dx_len..(s - s0 + 1) * dx_len],
+                            );
+                        }
                     }
                 }
             });
@@ -313,11 +335,11 @@ impl Conv2d {
 
         // Carve the three output buffers into per-range disjoint chunks.
         let mut items = Vec::with_capacity(ranges.len());
-        let (mut dx_rest, mut pdw_rest, mut pdb_rest) =
-            (dx.as_mut_slice(), pdw.as_mut_slice(), pdb.as_mut_slice());
+        let mut dx_rest: &mut [f32] = dx.map_or(&mut [], Tensor4::as_mut_slice);
+        let (mut pdw_rest, mut pdb_rest) = (pdw.as_mut_slice(), pdb.as_mut_slice());
         for r in ranges {
-            let samples = ((r.end * SAMPLE_BLOCK).min(n) - r.start * SAMPLE_BLOCK) * chw;
-            let (dx_c, rest) = std::mem::take(&mut dx_rest).split_at_mut(samples);
+            let samples = (r.end * SAMPLE_BLOCK).min(n) - r.start * SAMPLE_BLOCK;
+            let (dx_c, rest) = std::mem::take(&mut dx_rest).split_at_mut(samples * dx_len);
             dx_rest = rest;
             let (pdw_c, rest) = std::mem::take(&mut pdw_rest).split_at_mut(r.len() * dw_len);
             pdw_rest = rest;
@@ -346,7 +368,7 @@ impl Conv2d {
                 *o += v;
             }
         }
-        (dw, db, dx)
+        (dw, db)
     }
 
     /// Trainable parameter count.
@@ -503,6 +525,30 @@ mod tests {
             let num = (loss(&conv, &plus) - loss(&conv, &minus)) / (2.0 * eps);
             let ana = dx.as_slice()[flat];
             assert!((num - ana).abs() < 0.05, "dx[{flat}]: analytic {ana} vs numeric {num}");
+        }
+    }
+
+    #[test]
+    fn param_grads_equal_the_full_backward_bit_for_bit() {
+        // 19 samples: two whole SAMPLE_BLOCKs and a ragged third, and
+        // enough work that three threads really get a block each.
+        let conv = Conv2d::new(2, 8, 3, 1, 13);
+        let x = Tensor4::from_vec(
+            19,
+            2,
+            12,
+            12,
+            (0..19 * 2 * 12 * 12).map(|i| ((i * 29) as f32 * 0.019).sin()).collect(),
+        );
+        let y = conv.forward(&x);
+        let dy = Tensor4::from_vec(y.n, y.c, y.h, y.w, y.as_slice().to_vec());
+        let (dw, db, dx) = conv.backward(&x, &dy);
+        assert!(dx.as_slice().iter().any(|&v| v != 0.0), "the full pass does compute dx");
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        for threads in [1usize, 3] {
+            let (pdw, pdb) = crate::par::with_threads(threads, || conv.param_grads(&x, &dy));
+            assert_eq!(bits(pdw.as_slice()), bits(dw.as_slice()), "dw, {threads} threads");
+            assert_eq!(bits(&pdb), bits(&db), "db, {threads} threads");
         }
     }
 

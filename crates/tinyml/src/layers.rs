@@ -41,12 +41,19 @@ impl Dense {
         z
     }
 
-    /// Backward pass. Given the input `x` that produced the forward output
-    /// and the gradient `dz` w.r.t. that output, returns
-    /// `(dw, db, dx)`.
-    pub fn backward(&self, x: &Matrix, dz: &Matrix) -> (Matrix, Vec<f32>, Matrix) {
+    /// The parameter half of the backward pass: `(dw, db)` for the input
+    /// `x` that produced the forward output and the gradient `dz` w.r.t.
+    /// that output. All a network's first layer needs — nothing consumes
+    /// its input gradient (see [`crate::net::Model::train_batch`]).
+    pub fn param_grads(&self, x: &Matrix, dz: &Matrix) -> (Matrix, Vec<f32>) {
         let dw = x.t_matmul(dz); // xᵀ · dz : in × out
-        let db = dz.col_sums();
+        (dw, dz.col_sums())
+    }
+
+    /// Backward pass: [`Dense::param_grads`] plus the gradient w.r.t. the
+    /// input, as `(dw, db, dx)`.
+    pub fn backward(&self, x: &Matrix, dz: &Matrix) -> (Matrix, Vec<f32>, Matrix) {
+        let (dw, db) = self.param_grads(x, dz);
         let dx = dz.matmul_t(&self.w); // dz · wᵀ : batch × in
         (dw, db, dx)
     }

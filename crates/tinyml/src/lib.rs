@@ -42,6 +42,8 @@
 //! ```
 
 #![warn(missing_docs)]
+// The kernels are fast because of their shape, not because of `unsafe`.
+#![forbid(unsafe_code)]
 
 pub mod cnn;
 pub mod conv;

@@ -27,6 +27,13 @@ pub trait Model {
     fn forward(&self, x: &Matrix) -> Matrix;
 
     /// One optimisation step on a mini-batch; returns the batch loss.
+    ///
+    /// The step does the work the update needs and no more: a layer's
+    /// input gradient is computed only where a layer upstream consumes it,
+    /// so the first layer is asked for its parameter gradients alone
+    /// ([`crate::layers::Dense::param_grads`],
+    /// [`crate::conv::Conv2d::param_grads`]) — at the shapes this repo
+    /// trains, a third of the step's arithmetic.
     fn train_batch(&mut self, opt: &mut Optimizer, x: &Matrix, labels: &[usize]) -> f32;
 
     /// Number of trainable parameters.
@@ -121,12 +128,10 @@ impl Mlp {
 
     /// Forward pass producing logits.
     pub fn forward(&self, x: &Matrix) -> Matrix {
-        let mut h = x.clone();
-        for (i, layer) in self.layers.iter().enumerate() {
+        let mut h = self.layers[0].forward(x);
+        for layer in &self.layers[1..] {
+            relu_inplace(&mut h);
             h = layer.forward(&h);
-            if i + 1 < self.layers.len() {
-                relu_inplace(&mut h);
-            }
         }
         h
     }
@@ -138,34 +143,30 @@ impl Mlp {
 
     /// Forward + backward on one mini-batch. Returns `(loss, gradients)`.
     pub fn loss_and_gradients(&self, x: &Matrix, labels: &[usize]) -> (f32, Gradients) {
-        // Forward, caching inputs and pre-activations per layer.
-        let mut inputs: Vec<Matrix> = Vec::with_capacity(self.layers.len());
-        let mut pre_acts: Vec<Option<Matrix>> = Vec::with_capacity(self.layers.len());
-        let mut h = x.clone();
-        for (i, layer) in self.layers.iter().enumerate() {
-            inputs.push(h.clone());
-            h = layer.forward(&h);
-            if i + 1 < self.layers.len() {
-                pre_acts.push(Some(relu_inplace(&mut h)));
-            } else {
-                pre_acts.push(None);
-            }
+        // Forward. Layer 0 reads the caller's `x` in place; layer `i ≥ 1`
+        // reads `inputs[i - 1]`, the ReLU of `pre_acts[i - 1]`.
+        let depth = self.layers.len();
+        let mut inputs: Vec<Matrix> = Vec::with_capacity(depth - 1);
+        let mut pre_acts: Vec<Matrix> = Vec::with_capacity(depth - 1);
+        let mut h = self.layers[0].forward(x);
+        for layer in &self.layers[1..] {
+            pre_acts.push(relu_inplace(&mut h));
+            let z = layer.forward(&h);
+            inputs.push(std::mem::replace(&mut h, z));
         }
         let (loss, mut dz) = softmax_cross_entropy(&h, labels);
 
-        // Backward.
-        let mut per_layer: Vec<(Matrix, Vec<f32>)> = Vec::with_capacity(self.layers.len());
-        for i in (0..self.layers.len()).rev() {
-            let (dw, db, dx) = self.layers[i].backward(&inputs[i], &dz);
+        // Backward. Each layer above the first hands its input gradient
+        // down through the ReLU before it; layer 0 has nothing upstream,
+        // so it is asked for its parameters only.
+        let mut per_layer: Vec<(Matrix, Vec<f32>)> = Vec::with_capacity(depth);
+        for i in (1..depth).rev() {
+            let (dw, db, dx) = self.layers[i].backward(&inputs[i - 1], &dz);
             per_layer.push((dw, db));
             dz = dx;
-            if i > 0 {
-                // dz now flows through the ReLU that preceded layer i.
-                if let Some(pre) = &pre_acts[i - 1] {
-                    relu_backward(&mut dz, pre);
-                }
-            }
+            relu_backward(&mut dz, &pre_acts[i - 1]);
         }
+        per_layer.push(self.layers[0].param_grads(x, &dz));
         per_layer.reverse();
         (loss, Gradients { per_layer })
     }
@@ -265,7 +266,10 @@ mod tests {
 
     #[test]
     fn full_network_numerical_gradient_check() {
-        let net = Mlp::new(3, &[4], 2, 9);
+        // Two hidden layers: layer 0 skips its input gradient, layers 1 and
+        // 2 hand theirs down, and every layer's dW must still be right.
+        let net = Mlp::new(3, &[4, 5], 2, 9);
+        assert_eq!(net.depth(), 3);
         let x = Matrix::from_fn(5, 3, |r, c| ((r * 3 + c) as f32 * 0.37).sin());
         let labels = [0usize, 1, 0, 1, 1];
         let (_, grads) = net.loss_and_gradients(&x, &labels);

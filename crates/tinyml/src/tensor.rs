@@ -1,69 +1,186 @@
 //! Dense row-major `f32` matrices and the handful of BLAS-like kernels the
 //! training loop needs.
 //!
-//! # Kernel strategy: blocked ikj order, row-parallel
+//! # Kernel strategy: one register-tiled micro-kernel, three entry points
 //!
 //! The GEMM family ([`Matrix::matmul`], [`Matrix::matmul_into`],
-//! [`Matrix::matmul_t`], [`Matrix::t_matmul`]) shares one design:
+//! [`Matrix::matmul_t`], [`Matrix::t_matmul`]) is one loop nest:
 //!
-//! * **ikj loop order** — the innermost loop is a contiguous saxpy over an
-//!   output row, which auto-vectorises well; slices are hoisted out of
-//!   loops to elide bounds checks, and hot-loop buffers are reused via
-//!   `&mut` outputs.
-//! * **Cache blocking over k** (panel size `KC`) — each pass streams a
-//!   `KC × n` panel of the right-hand operand while sweeping the rows of a
-//!   thread's output chunk, so the panel stays resident in L1/L2 instead
-//!   of being evicted once per output row.
+//! * **A register tile.** The micro-kernel computes
+//!   `out[i, j] += Σₖ a(i, k) · b[k, j]` for an `MR × NR` = 2 × 16 block of
+//!   the output whose accumulators are a fixed-size local array — eight
+//!   four-lane vector registers at the baseline x86-64 width — for a whole
+//!   `KC`-deep panel of `k`: loaded from `out` when the panel starts, stored
+//!   when it ends. Per step of `k` that is four loads of `b`, two broadcasts
+//!   of `a` and sixteen multiply/adds, where a saxpy over an output row
+//!   reloads and stores the row for every `k`. 2 × 16 was measured against
+//!   its neighbours at the training step's shapes (`32×784 · 784×32`
+//!   forward, `(32×784)ᵀ · 32×32` for `dW`, medians of five alternating
+//!   runs, GFLOP/s): saxpy 12.1 / 10.9, **2 × 16 24.5 / 20.7**, 4 × 8
+//!   21.5 / 20.1, 3 × 16 20.1 / 19.2, 4 × 16 17.2 / 19.1 (sixteen
+//!   accumulators spill), 1 × 16 13.7 / 13.4, 2 × 8 11.2 / 10.9.
+//! * **Strides for the left operand.** `a(i, k)` is read as
+//!   `data[i * row_stride + k * k_stride]`, so `A · B` (`cols`, 1) and
+//!   `Aᵀ · B` (1, `cols`) are the same code and no transpose is
+//!   materialised.
+//! * **Packing for the right one.** The kernel wants `b`'s rows contiguous;
+//!   `A · Bᵀ` packs `Bᵀ` once per call into a transient `k × n` buffer
+//!   (≤ 100 KiB at this repo's shapes) and is the same code again.
+//! * **Edges through the same body.** A ragged right edge runs the kernel
+//!   at widths 8, 4, 2, 1 and an odd last row at `MR` = 1 — const
+//!   instantiations, not a scalar fallback — so an `n = 10` output layer or
+//!   a short last batch costs in proportion.
 //! * **Row parallelism** — when the ambient degree of parallelism (see
 //!   [`crate::par`]) and the problem size warrant it, the *output rows*
 //!   are split into contiguous chunks ([`par::par_row_chunks`]), one
 //!   scoped worker per chunk. Problems under `par::degree_for`'s work
 //!   floor run serially, so tiny matrices never pay a thread spawn.
 //!
-//! # Serial-equivalence guarantee
+//! Safe Rust throughout (the crate forbids `unsafe`): no intrinsics, no
+//! `target_feature`, no runtime dispatch. An AVX2 instantiation of the same
+//! body was prototyped at ≈ 10 % more on the end-to-end sweep and left out:
+//! not worth the crate's first `unsafe` and a second instantiation to test.
 //!
-//! Parallelism only partitions output rows; each output element is
-//! produced by exactly one thread using the same k-ascending (respectively
-//! r-ascending) accumulation order as the serial kernel. Results are
-//! therefore **bit-identical** at every thread count, which is what lets
-//! the HPO layer treat the degree of parallelism as a pure performance
-//! knob that cannot perturb a trial's accuracy.
+//! # The identity every caller relies on
+//!
+//! Each output element is produced by exactly one thread, which adds its
+//! products in `k`-ascending order starting from `+0.0`, one rounding per
+//! multiply and one per add (no fused multiply-add, no reassociation); a
+//! panel boundary stores and reloads the partial sum exactly. Tiling,
+//! panel depth and the row split decide *when* a product is added, never in
+//! which order, so results are **bit-identical** at every thread count — the
+//! HPO layer treats the degree of parallelism as a pure performance knob —
+//! and, for finite operands, bit-identical to the three separate loop nests
+//! this kernel replaced (kept as the oracle of the tests below;
+//! `tests/golden_history.rs` pins whole training curves).
+//!
+//! One difference is deliberate. Two of the old loops skipped a zero of the
+//! left operand before multiplying; a multi-row tile cannot. With finite
+//! operands the skip never showed — `±0 · b` is `±0`, and adding it to a sum
+//! that started at `+0.0` changes nothing — but `0 · ∞` and `0 · NaN` now
+//! yield the IEEE 754 `NaN` the skip used to hide.
+
+use std::ops::Range;
 
 use crate::par;
 
-/// k-panel size of the blocked GEMM: the `KC × n` slab of the right-hand
-/// matrix revisited per output-row sweep (64 KiB at n = 64 — comfortably
-/// L2-resident, several rows' worth of L1 reuse).
+/// Depth of a `k` panel: a tile's accumulators stay in registers for this
+/// many steps of `k` between their load from `out` and their store back.
 const KC: usize = 256;
+/// Rows of the full register tile.
+const MR: usize = 2;
+/// Columns of the full register tile; `band`'s edge widths halve down from it.
+const NR: usize = 16;
 
-/// The blocked ikj GEMM body for one contiguous chunk of output rows:
-/// `out[rows] += a[rows] × b`, where `out` is the chunk itself (its row 0
-/// is `rows.start` of the full product). Accumulates in k-ascending order
-/// per element regardless of blocking, preserving serial equivalence.
-fn gemm_rows(
-    a: &[f32],
+/// The left operand as the micro-kernel reads it: element `(i, k)` is
+/// `data[i * row_stride + k * k_stride]`, so `A` (`cols`, 1) and `Aᵀ`
+/// (1, `cols`) are the same code.
+#[derive(Clone, Copy)]
+struct Lhs<'a> {
+    data: &'a [f32],
+    row_stride: usize,
+    k_stride: usize,
+}
+
+/// The micro-kernel: `out[r, j0 + c] += Σₖ a(i0 + r, k) · b[k, j0 + c]` for
+/// an `R × C` tile over one panel `ks` of `k`. `b` is row-major with `n`
+/// columns, `out` the tile's `R` rows of `n` columns. The accumulators are
+/// a fixed-size local — vector registers — loaded from `out` before the
+/// panel and stored after it; each takes its products in `k`-ascending
+/// order, one rounding per multiply and per add.
+#[inline(always)]
+fn tile<const R: usize, const C: usize>(
+    a: Lhs<'_>,
+    i0: usize,
     b: &[f32],
-    k_dim: usize,
     n: usize,
-    rows: std::ops::Range<usize>,
+    j0: usize,
+    ks: Range<usize>,
     out: &mut [f32],
 ) {
-    for kb in (0..k_dim).step_by(KC) {
-        let kend = (kb + KC).min(k_dim);
-        for (ri, i) in rows.clone().enumerate() {
-            let a_row = &a[i * k_dim + kb..i * k_dim + kend];
-            let out_row = &mut out[ri * n..(ri + 1) * n];
-            for (dk, &av) in a_row.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let b_row = &b[(kb + dk) * n..(kb + dk + 1) * n];
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += av * bv;
-                }
+    let mut acc = [[0.0f32; C]; R];
+    for (r, acc_r) in acc.iter_mut().enumerate() {
+        acc_r.copy_from_slice(&out[r * n + j0..r * n + j0 + C]);
+    }
+    for k in ks {
+        let b_k = &b[k * n + j0..k * n + j0 + C];
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            let a_v = a.data[(i0 + r) * a.row_stride + k * a.k_stride];
+            for c in 0..C {
+                acc_r[c] += a_v * b_k[c];
             }
         }
     }
+    for (r, acc_r) in acc.iter().enumerate() {
+        out[r * n + j0..r * n + j0 + C].copy_from_slice(acc_r);
+    }
+}
+
+/// One band of `R` output rows over one `k` panel: full `NR`-wide tiles,
+/// then the ragged right edge through the same body at halving widths, so
+/// an `n = 10` output layer is an 8 and a 2, not a scalar loop.
+fn band<const R: usize>(
+    a: Lhs<'_>,
+    i0: usize,
+    b: &[f32],
+    n: usize,
+    ks: Range<usize>,
+    out: &mut [f32],
+) {
+    let mut j = 0;
+    while j + NR <= n {
+        tile::<R, NR>(a, i0, b, n, j, ks.clone(), out);
+        j += NR;
+    }
+    if j + 8 <= n {
+        tile::<R, 8>(a, i0, b, n, j, ks.clone(), out);
+        j += 8;
+    }
+    if j + 4 <= n {
+        tile::<R, 4>(a, i0, b, n, j, ks.clone(), out);
+        j += 4;
+    }
+    if j + 2 <= n {
+        tile::<R, 2>(a, i0, b, n, j, ks.clone(), out);
+        j += 2;
+    }
+    if j < n {
+        tile::<R, 1>(a, i0, b, n, j, ks, out);
+    }
+}
+
+/// The GEMM body for one contiguous chunk of output rows: `out += a × b`
+/// for the rows of the product from `first_row` on, as many as `out` (the
+/// chunk itself) holds; `b` is `k_dim × n`. Panels run `k`-ascending and a
+/// tile's partial sums round-trip through `out` exactly, so neither the
+/// panel size nor where a chunk starts changes a bit of the result.
+fn gemm_rows(a: Lhs<'_>, b: &[f32], k_dim: usize, n: usize, first_row: usize, out: &mut [f32]) {
+    for kb in (0..k_dim).step_by(KC) {
+        let ks = kb..(kb + KC).min(k_dim);
+        let mut bands = out.chunks_exact_mut(MR * n);
+        let mut i = first_row;
+        for band_out in &mut bands {
+            band::<MR>(a, i, b, n, ks.clone(), band_out);
+            i += MR;
+        }
+        for row_out in bands.into_remainder().chunks_exact_mut(n) {
+            band::<1>(a, i, b, n, ks.clone(), row_out);
+            i += 1;
+        }
+    }
+}
+
+/// `out += a × b`, where `out` is `m × n` and `b` is `k_dim × n`: the one
+/// product behind every entry point, its output rows split across the
+/// ambient workers when there is work enough for them.
+fn gemm(a: Lhs<'_>, b: &[f32], k_dim: usize, n: usize, out: &mut [f32]) {
+    if out.is_empty() || k_dim == 0 {
+        return;
+    }
+    let threads = par::degree_for(out.len() * k_dim);
+    par::par_row_chunks(out, n, threads, |rows, chunk| {
+        gemm_rows(a, b, k_dim, n, rows.start, chunk);
+    });
 }
 
 /// A dense row-major matrix of `f32`.
@@ -156,8 +273,8 @@ impl Matrix {
         out
     }
 
-    /// `out = self × other` reusing `out`'s buffer — the blocked, optionally
-    /// row-parallel GEMM (see the module docs for the strategy).
+    /// `out = self × other` reusing `out`'s buffer (see the module docs for
+    /// the kernel).
     ///
     /// # Panics
     /// Panics on shape mismatch.
@@ -166,72 +283,36 @@ impl Matrix {
         assert_eq!(out.rows, self.rows, "output rows");
         assert_eq!(out.cols, other.cols, "output cols");
         out.data.fill(0.0);
-        let (k_dim, n) = (self.cols, other.cols);
-        if self.rows == 0 || n == 0 || k_dim == 0 {
-            return;
-        }
-        let threads = par::degree_for(self.rows * k_dim * n);
-        let (a, b) = (&self.data, &other.data);
-        par::par_row_chunks(&mut out.data, n, threads, |rows, chunk| {
-            gemm_rows(a, b, k_dim, n, rows, chunk);
-        });
+        let a = Lhs { data: &self.data, row_stride: self.cols, k_stride: 1 };
+        gemm(a, &other.data, self.cols, other.cols, &mut out.data);
     }
 
-    /// `selfᵀ × other` without materialising the transpose. Output rows
-    /// (= `self` columns) are split across workers; each worker sweeps the
-    /// shared operands top-to-bottom, accumulating its own rows only.
+    /// `selfᵀ × other` without materialising the transpose: the same
+    /// kernel as [`Matrix::matmul_into`], reading `self` with its strides
+    /// swapped.
     pub fn t_matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.rows, other.rows, "row counts must agree for AᵀB");
         let mut out = Matrix::zeros(self.cols, other.cols);
-        let n = other.cols;
-        if self.rows == 0 || self.cols == 0 || n == 0 {
-            return out;
-        }
-        let threads = par::degree_for(self.rows * self.cols * n);
-        par::par_row_chunks(&mut out.data, n, threads, |irange, chunk| {
-            for r in 0..self.rows {
-                let a_row = self.row(r);
-                let b_row = other.row(r);
-                for (ri, i) in irange.clone().enumerate() {
-                    let a = a_row[i];
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let out_row = &mut chunk[ri * n..(ri + 1) * n];
-                    for (o, &b) in out_row.iter_mut().zip(b_row) {
-                        *o += a * b;
-                    }
-                }
-            }
-        });
+        let a = Lhs { data: &self.data, row_stride: 1, k_stride: self.cols };
+        gemm(a, &other.data, self.rows, other.cols, &mut out.data);
         out
     }
 
-    /// `self × otherᵀ` without materialising the transpose: a row-parallel
-    /// panel of dot products (each output element is one `self` row ·
-    /// one `other` row).
+    /// `self × otherᵀ`: `otherᵀ` is packed once into a transient `k × n`
+    /// buffer (so the kernel's `b` rows are contiguous) and the product is
+    /// the same kernel again.
     pub fn matmul_t(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "col counts must agree for ABᵀ");
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        let n = other.rows;
-        if self.rows == 0 || n == 0 {
-            return out;
-        }
-        let threads = par::degree_for(self.rows * self.cols.max(1) * n);
-        par::par_row_chunks(&mut out.data, n, threads, |rows, chunk| {
-            for (ri, i) in rows.clone().enumerate() {
-                let a_row = self.row(i);
-                let out_row = &mut chunk[ri * n..(ri + 1) * n];
-                for (j, o) in out_row.iter_mut().enumerate() {
-                    let b_row = other.row(j);
-                    let mut acc = 0.0f32;
-                    for (&a, &b) in a_row.iter().zip(b_row) {
-                        acc += a * b;
-                    }
-                    *o = acc;
-                }
+        let (k_dim, n) = (self.cols, other.rows);
+        let mut packed = vec![0.0f32; k_dim * n];
+        for j in 0..n {
+            for (k, &v) in other.row(j).iter().enumerate() {
+                packed[k * n + j] = v;
             }
-        });
+        }
+        let mut out = Matrix::zeros(self.rows, n);
+        let a = Lhs { data: &self.data, row_stride: k_dim, k_stride: 1 };
+        gemm(a, &packed, k_dim, n, &mut out.data);
         out
     }
 
@@ -376,6 +457,178 @@ mod tests {
         for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
             assert!((g - w).abs() <= 1e-3 * w.abs().max(1.0), "{g} vs {w}");
         }
+    }
+
+    /// The three loop nests the micro-kernel replaced, kept verbatim (minus
+    /// their `par_row_chunks` wrappers: one chunk, all rows) as the oracle
+    /// of `kernels_equal_the_loop_nests_they_replaced`.
+    mod reference {
+        use super::Matrix;
+
+        const KC: usize = 256;
+
+        fn gemm_rows(
+            a: &[f32],
+            b: &[f32],
+            k_dim: usize,
+            n: usize,
+            rows: std::ops::Range<usize>,
+            out: &mut [f32],
+        ) {
+            for kb in (0..k_dim).step_by(KC) {
+                let kend = (kb + KC).min(k_dim);
+                for (ri, i) in rows.clone().enumerate() {
+                    let a_row = &a[i * k_dim + kb..i * k_dim + kend];
+                    let out_row = &mut out[ri * n..(ri + 1) * n];
+                    for (dk, &av) in a_row.iter().enumerate() {
+                        if av == 0.0 {
+                            continue;
+                        }
+                        let b_row = &b[(kb + dk) * n..(kb + dk + 1) * n];
+                        for (o, &bv) in out_row.iter_mut().zip(b_row) {
+                            *o += av * bv;
+                        }
+                    }
+                }
+            }
+        }
+
+        pub fn matmul(this: &Matrix, other: &Matrix) -> Matrix {
+            let mut out = Matrix::zeros(this.rows, other.cols);
+            let (k_dim, n) = (this.cols, other.cols);
+            gemm_rows(&this.data, &other.data, k_dim, n, 0..this.rows, &mut out.data);
+            out
+        }
+
+        pub fn t_matmul(this: &Matrix, other: &Matrix) -> Matrix {
+            let mut out = Matrix::zeros(this.cols, other.cols);
+            let n = other.cols;
+            let (irange, chunk) = (0..this.cols, &mut out.data);
+            for r in 0..this.rows {
+                let a_row = this.row(r);
+                let b_row = other.row(r);
+                for (ri, i) in irange.clone().enumerate() {
+                    let a = a_row[i];
+                    if a == 0.0 {
+                        continue;
+                    }
+                    let out_row = &mut chunk[ri * n..(ri + 1) * n];
+                    for (o, &b) in out_row.iter_mut().zip(b_row) {
+                        *o += a * b;
+                    }
+                }
+            }
+            out
+        }
+
+        pub fn matmul_t(this: &Matrix, other: &Matrix) -> Matrix {
+            let mut out = Matrix::zeros(this.rows, other.rows);
+            let n = other.rows;
+            let (rows, chunk) = (0..this.rows, &mut out.data);
+            for (ri, i) in rows.clone().enumerate() {
+                let a_row = this.row(i);
+                let out_row = &mut chunk[ri * n..(ri + 1) * n];
+                for (j, o) in out_row.iter_mut().enumerate() {
+                    let b_row = other.row(j);
+                    let mut acc = 0.0f32;
+                    for (&a, &b) in a_row.iter().zip(b_row) {
+                        acc += a * b;
+                    }
+                    *o = acc;
+                }
+            }
+            out
+        }
+    }
+
+    /// Finite values in `[-1, 1)`, one in four an exact zero of either sign.
+    fn random_matrix(rows: usize, cols: usize, rng: &mut rand::rngs::StdRng) -> Matrix {
+        use rand::Rng;
+        Matrix::from_fn(rows, cols, |_, _| match rng.gen_range(0u32..8) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.gen_range(-1.0f32..1.0),
+        })
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn kernels_equal_the_loop_nests_they_replaced() {
+        use rand::SeedableRng;
+        // Around every tile and panel boundary, plus the shapes in use
+        // (n = 10 output layers, the n = 13 of the test below, an odd 33).
+        let mut dims = vec![0, 1, 2, MR - 1, MR + 1, NR - 1, NR + 1, 10, 13, 33, KC, KC + 1];
+        dims.sort_unstable();
+        dims.dedup();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(20);
+        for &m in &dims {
+            for &k in &dims {
+                for &n in &dims {
+                    // Two panel-sized dimensions with a wide third only cost
+                    // time (this runs unoptimised); what is left still
+                    // clears `degree_for`'s floor for two and three workers.
+                    if m * k * n > 1_000_000 {
+                        continue;
+                    }
+                    let a = random_matrix(m, k, &mut rng);
+                    let b = random_matrix(k, n, &mut rng);
+                    let a_t = Matrix::from_fn(k, m, |r, c| a.get(c, r));
+                    let b_t = Matrix::from_fn(n, k, |r, c| b.get(c, r));
+                    let want = [
+                        bits(&reference::matmul(&a, &b)),
+                        bits(&reference::t_matmul(&a_t, &b)),
+                        bits(&reference::matmul_t(&a, &b_t)),
+                    ];
+                    assert_eq!(want[0], want[2], "the oracles agree among themselves");
+                    for threads in 1..=3 {
+                        let got = crate::par::with_threads(threads, || {
+                            [a.matmul(&b), a_t.t_matmul(&b), a.matmul_t(&b_t)]
+                        });
+                        for (name, got, want) in [
+                            ("matmul", &got[0], &want[0]),
+                            ("t_matmul", &got[1], &want[1]),
+                            ("matmul_t", &got[2], &want[2]),
+                        ] {
+                            assert_eq!((got.rows(), got.cols()), (m, n));
+                            assert!(bits(got) == *want, "{name} {m}x{k}x{n}, {threads} threads");
+                        }
+                        // `degree_for` keeps small products on one thread;
+                        // split these rows regardless, so a chunk starts
+                        // on every row a tile can.
+                        if n > 0 && threads > 1 {
+                            let lhs = Lhs { data: &a.data, row_stride: k, k_stride: 1 };
+                            let mut out = vec![0.0f32; m * n];
+                            crate::par::par_row_chunks(&mut out, n, threads, |rows, chunk| {
+                                gemm_rows(lhs, &b.data, k, n, rows.start, chunk);
+                            });
+                            let out = Matrix::from_vec(m, n, out);
+                            assert!(bits(&out) == want[0], "split {m}x{k}x{n}, {threads} chunks");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_times_infinity_is_nan_where_the_old_kernels_skipped_it() {
+        // The one documented difference (module docs): the replaced loops
+        // skipped a zero of `A` before multiplying; a register tile cannot,
+        // so a non-finite partner now propagates as IEEE 754 says.
+        let a = Matrix::from_vec(1, 2, vec![0.0, 1.0]);
+        let b = Matrix::from_vec(2, 1, vec![f32::INFINITY, 2.0]);
+        assert_eq!(reference::matmul(&a, &b).as_slice(), &[2.0]);
+        assert!(a.matmul(&b).get(0, 0).is_nan());
+        let a_t = Matrix::from_vec(2, 1, vec![0.0, 1.0]);
+        assert_eq!(reference::t_matmul(&a_t, &b).as_slice(), &[2.0]);
+        assert!(a_t.t_matmul(&b).get(0, 0).is_nan());
+        // `matmul_t` never skipped: NaN before and after.
+        let b_t = Matrix::from_vec(1, 2, vec![f32::INFINITY, 2.0]);
+        assert!(reference::matmul_t(&a, &b_t).get(0, 0).is_nan());
+        assert!(a.matmul_t(&b_t).get(0, 0).is_nan());
     }
 
     #[test]

@@ -55,8 +55,9 @@
 # two dial-in workers, submits a sweep over the client CLI, and checks the
 # served leaderboard matches the standalone run and the hposerver_ metric
 # family scrapes clean — and, the long-lived server's leak gate, that once
-# the sweep is done the runtime holds no task and no data version
-# (rcompss_live_tasks and rcompss_live_data_versions read 0).
+# the sweep is done the runtime holds no task, no data version and no
+# task snapshot (rcompss_live_tasks, rcompss_live_data_versions and
+# rcompss_live_snapshot_bytes read 0).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -331,8 +332,9 @@ if [ "${COMPLETED:-0}" -lt 1 ]; then
     exit 1
 fi
 # The leak gate: a finished sweep has given back every handle it made and
-# all of its tasks are retired, so an idle server holds nothing.
-for series in rcompss_live_tasks rcompss_live_data_versions; do
+# all of its tasks are retired, their snapshots with them, so an idle
+# server holds nothing.
+for series in rcompss_live_tasks rcompss_live_data_versions rcompss_live_snapshot_bytes; do
     LIVE=$(echo "$SERVER_METRICS" | awk -v s="$series" '$1 == s {print $2}')
     if [ "${LIVE:-absent}" != "0" ]; then
         echo "sweep-server smoke FAILED: $series=${LIVE:-absent} after the sweep finished" >&2

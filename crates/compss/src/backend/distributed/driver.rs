@@ -51,6 +51,9 @@ pub(crate) struct RemoteDispatch {
     placed: Placed,
     args: Vec<PreparedArg>,
     name: Arc<str>,
+    /// What an earlier attempt of the task last saved (see
+    /// [`crate::snapshot`]): travels to the worker just ahead of the `Submit`.
+    snapshot: Option<Vec<u8>>,
 }
 
 /// Mutable per-connection state, all under one lock: the socket, both
@@ -418,7 +421,8 @@ pub(crate) fn collect_dispatch_remote(shared: &Shared, core: &mut Core) -> Vec<R
                 args.push(PreparedArg::Inline { key, value });
             }
             shared.metrics.phase_queue.record(placed.now_us.saturating_sub(inst.submitted_us));
-            msgs.push(RemoteDispatch { placed, args, name });
+            let snapshot = inst.snapshot.clone();
+            msgs.push(RemoteDispatch { placed, args, name, snapshot });
         },
     );
     msgs
@@ -485,7 +489,7 @@ fn send_dispatches(inner: &Arc<Inner>, work: Vec<RemoteDispatch>) {
     for (node, batch) in by_node {
         let link = &inner.workers[node as usize];
         let mut st = link.state.lock();
-        for RemoteDispatch { placed: d, args: prepared, name } in batch {
+        for RemoteDispatch { placed: d, args: prepared, name, snapshot } in batch {
             let mut args = Vec::with_capacity(prepared.len());
             let mut encode_err = None;
             for a in &prepared {
@@ -524,6 +528,12 @@ fn send_dispatches(inner: &Arc<Inner>, work: Vec<RemoteDispatch>) {
                 Some(name.to_string())
             };
             let fn_id = st.fn_ids[&name];
+            if let Some(bytes) = snapshot {
+                // Like a block, the snapshot must be there when the Submit
+                // lands: same socket, pushed under the same lock.
+                let blob = Blob { tag: SNAP_TAG.to_string(), bytes };
+                st.send.push(&Frame::Data { key: d.task.0, blob });
+            }
             st.send.push(&Frame::Submit {
                 exec_id: d.exec_id,
                 task_id: d.task.0,
@@ -671,10 +681,9 @@ type ExecStamps = Option<(u64, u64, u64)>;
 /// frame (zero-copy decode), then act on what arrived.
 fn service_link(inner: &Arc<Inner>, link: &Arc<WorkerLink>, readable: bool, writable: bool) {
     let mut completions: Vec<(u64, Result<Vec<Value>, TaskError>, ExecStamps)> = Vec::new();
-    let mut fetches: Vec<u64> = Vec::new();
     let mut block_reqs: Vec<u128> = Vec::new();
     let mut block_evicts: Vec<u128> = Vec::new();
-    let mut snap_updates: Vec<(u64, Vec<u8>)> = Vec::new();
+    let mut saves: Vec<(TaskId, Vec<u8>)> = Vec::new();
     let mut acks: Vec<(u64, u64, u64)> = Vec::new();
     let mut chunks: Vec<Vec<u8>> = Vec::new();
     let mut stats_seen = false;
@@ -728,11 +737,10 @@ fn service_link(inner: &Arc<Inner>, link: &Arc<WorkerLink>, readable: bool, writ
                             FrameRef::HeartbeatAck { t_send_us, recv_us, reply_us, .. } => {
                                 acks.push((t_send_us, recv_us, reply_us));
                             }
-                            FrameRef::Fetch { key } => fetches.push(key),
                             FrameRef::BlockRequest { hash } => block_reqs.push(hash),
                             FrameRef::BlockEvict { hash } => block_evicts.push(hash),
                             FrameRef::Data { key, blob } => {
-                                snap_updates.push((key, blob.bytes.to_vec()));
+                                saves.push((TaskId(key), blob.bytes.to_vec()));
                             }
                             FrameRef::TraceChunk { bytes } => chunks.push(bytes.to_vec()),
                             FrameRef::StatsSnapshot { .. } => stats_seen = true,
@@ -768,24 +776,12 @@ fn service_link(inner: &Arc<Inner>, link: &Arc<WorkerLink>, readable: bool, writ
         }
     }
     ingest_telemetry(inner, link, chunks, stats_seen);
-    // Snapshot saves/tombstones from the worker: keep the latest per key so
-    // the retry path can ship it to whichever worker inherits the task.
-    if !snap_updates.is_empty() {
-        let mut snaps = inner.shared.snapshots.lock();
-        for (key, bytes) in snap_updates {
-            if bytes.is_empty() {
-                snaps.remove(&key);
-            } else {
-                snaps.insert(key, bytes);
-            }
-        }
-    }
     if !completions.is_empty()
-        || !fetches.is_empty()
+        || !saves.is_empty()
         || !block_reqs.is_empty()
         || !block_evicts.is_empty()
     {
-        apply_frames(inner, link, completions, fetches, block_reqs, block_evicts);
+        apply_frames(inner, link, completions, saves, block_reqs, block_evicts);
     }
     if !alive {
         start_failover(inner, link);
@@ -838,7 +834,7 @@ fn apply_frames(
     inner: &Arc<Inner>,
     link: &Arc<WorkerLink>,
     completions: Vec<(u64, Result<Vec<Value>, TaskError>, ExecStamps)>,
-    fetches: Vec<u64>,
+    saves: Vec<(TaskId, Vec<u8>)>,
     block_reqs: Vec<u128>,
     block_evicts: Vec<u128>,
 ) {
@@ -848,6 +844,12 @@ fn apply_frames(
     let mut replies: Vec<Frame> = Vec::new();
     let follow = {
         let mut core = inner.shared.core.lock();
+        // Saves first: a worker's snapshots precede its `Done` or `Failed`
+        // on the wire, and a failed attempt's last one is what the retry
+        // placed below takes along.
+        for (task, blob) in saves {
+            core.save_snapshot(task, blob);
+        }
         for (exec_id, result, stamps) in completions {
             // Late frames for already-failed-over executions are ignored
             // (`running` no longer knows the exec id).
@@ -877,13 +879,6 @@ fn apply_frames(
         }
         collect_dispatch_remote(&inner.shared, &mut core)
     };
-    for key in fetches {
-        // Snapshot fetch: always reply — an empty blob means "no
-        // snapshot", so a fresh trial starts immediately instead of
-        // blocking out the worker's fetch deadline.
-        let bytes = inner.shared.snapshots.lock().get(&key).cloned().unwrap_or_default();
-        replies.push(Frame::Data { key, blob: Blob { tag: SNAP_TAG.to_string(), bytes } });
-    }
     let mut alive = true;
     if !replies.is_empty() {
         let mut st = link.state.lock();

@@ -44,8 +44,7 @@
 //! [`DistributedConfig::inline_threshold`] travels in the `Submit`
 //! ([`rnet::WireArg::Inline`]) and is decoded straight into the queued
 //! job — every task that reads it gets its own copy, so declare the size
-//! of anything shared with `set_data_bytes`. `Fetch`/`Data` frames carry
-//! task snapshots only (see the `snapshot` module).
+//! of anything shared with `set_data_bytes`.
 //!
 //! Values whose declared size meets the threshold ride the
 //! content-addressed block plane (see the `blocks` module): the driver
@@ -58,6 +57,22 @@
 //! `BlockData` round trip, deduplicated across concurrently-starting
 //! tasks. The upshot: a shared dataset crosses the wire O(workers) times
 //! per sweep, not O(trials).
+//!
+//! # Task snapshots
+//!
+//! `Data` frames carry nothing but mid-task snapshots (see the `snapshot`
+//! module), keyed by task id. A worker mirrors every save to the driver at
+//! once — the copy that survives the worker being killed — and the driver
+//! keeps the latest on the task's record until the task settles. When it
+//! dispatches a later attempt of that task it writes the blob right ahead
+//! of the `Submit`, on the same socket under the same lock, exactly as a
+//! `BlockPut` precedes the `Submit` that names its hash; the worker's event
+//! loop holds it from the one frame to the next and moves it into the job.
+//! A load is therefore local on both ends and a first attempt puts nothing
+//! on the wire before its first save. A same-node retry re-sends the
+//! driver's copy rather than finding one cached on the worker: the bytes
+//! cross once more, on a retry only, and the worker keeps no snapshot
+//! beyond the job that uses it.
 //!
 //! # Fault tolerance
 //!

@@ -322,6 +322,9 @@ struct Job {
     /// Worker clock when the `Submit` frame was decoded — the first
     /// lifecycle stamp echoed back in `Done`.
     recv_us: u64,
+    /// What an earlier attempt of the task last saved: the `Data` frame the
+    /// driver sent just ahead of this job's `Submit`, if it did.
+    snapshot: Option<Vec<u8>>,
 }
 
 /// Content-addressed block cache plus the in-flight request set that
@@ -356,12 +359,6 @@ struct ConnShared {
     jobs_cv: Condvar,
     closed: AtomicBool,
     stop: Arc<AtomicBool>,
-    /// Snapshot blobs by key. `Some` = blob in hand; `None` = the driver
-    /// confirmed it has none (a cached miss, so a fresh trial asks at most
-    /// once). Waiters sync on `snaps_cv` (its own condvar: parking_lot
-    /// condvars are bound to one mutex at a time).
-    snaps: Mutex<HashMap<u64, Option<Vec<u8>>>>,
-    snaps_cv: Condvar,
     /// Worker-side span collector, always recording (executions are rare
     /// and records are tiny). Each telemetry-flagged heartbeat drains it to
     /// a `TraceChunk`; unflagged heartbeats drain-and-drop, so memory stays
@@ -402,63 +399,40 @@ struct WorkerConn {
     recv: RecvBuf,
     /// Interned function names (`fn_id` → name), per connection.
     fn_names: HashMap<u64, Arc<str>>,
+    /// Snapshots by task id, each held from its `Data` frame to the `Submit`
+    /// right behind it, which takes it into the job.
+    handed_over: HashMap<u64, Vec<u8>>,
     shared: Arc<ConnShared>,
     /// What the poller currently believes about write interest.
     registered_write: bool,
 }
 
-/// The distributed worker's ambient snapshot channel: saves stream to the
-/// driver as `Data` frames (the driver keeps the latest per key), loads
-/// check the local map first and fall back to one `Fetch` round trip.
-/// This is the vehicle for resubmit-with-snapshot: the worker that
-/// inherits a dead peer's task fetches the dead peer's last checkpoint
-/// from the driver and resumes from it.
-struct WorkerSnapshotChannel(Arc<ConnShared>);
+/// One executor's ambient snapshot channel. A save is mirrored to the
+/// driver as a `Data` frame keyed by the task id (the driver keeps the
+/// latest on the task's record); a load is what the running job last saved,
+/// else what the driver sent with it — never a round trip. This is the
+/// vehicle for resubmit-with-snapshot: the worker that inherits a dead
+/// peer's task gets the dead peer's last checkpoint along with the job.
+struct WorkerSnapshotChannel {
+    conn: Arc<ConnShared>,
+    /// The running job's latest snapshot: the executor sets it from the job
+    /// and clears it when the body returns.
+    latest: Mutex<Option<Vec<u8>>>,
+}
 
 impl crate::snapshot::SnapshotChannel for WorkerSnapshotChannel {
-    fn save(&self, key: u64, blob: &[u8]) {
-        self.0.snaps.lock().insert(key, Some(blob.to_vec()));
+    fn save(&self, task: TaskId, blob: &[u8]) {
+        *self.latest.lock() = Some(blob.to_vec());
         // Best-effort ship to the driver; a torn connection surfaces later
-        // as the job failing, at which point the retry re-saves anyway.
-        self.0.push_out(&Frame::Data {
-            key,
+        // as the job failing, and the retry resumes from what did arrive.
+        self.conn.push_out(&Frame::Data {
+            key: task.0,
             blob: Blob { tag: SNAP_TAG.to_string(), bytes: blob.to_vec() },
         });
     }
 
-    fn load(&self, key: u64) -> Option<Vec<u8>> {
-        {
-            let snaps = self.0.snaps.lock();
-            if let Some(entry) = snaps.get(&key) {
-                return entry.clone();
-            }
-        }
-        self.0.push_out(&Frame::Fetch { key });
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        let mut snaps = self.0.snaps.lock();
-        loop {
-            if let Some(entry) = snaps.get(&key) {
-                return entry.clone();
-            }
-            if self.0.closed.load(Ordering::SeqCst) || std::time::Instant::now() >= deadline {
-                // Degrade to "no snapshot": the task trains from scratch.
-                return None;
-            }
-            self.0.snaps_cv.wait_for(&mut snaps, Duration::from_millis(50));
-        }
-    }
-
-    fn discard(&self, key: u64) {
-        // A task that neither saved nor loaded on this connection left
-        // nothing on the driver to drop.
-        if self.0.snaps.lock().remove(&key).is_none() {
-            return;
-        }
-        // Empty blob = tombstone on the driver.
-        self.0.push_out(&Frame::Data {
-            key,
-            blob: Blob { tag: SNAP_TAG.to_string(), bytes: Vec::new() },
-        });
+    fn load(&self, _task: TaskId) -> Option<Vec<u8>> {
+        self.latest.lock().clone()
     }
 }
 
@@ -496,8 +470,6 @@ fn accept_conn(
         jobs_cv: Condvar::new(),
         closed: AtomicBool::new(false),
         stop: Arc::clone(stop),
-        snaps: Mutex::new(HashMap::new()),
-        snaps_cv: Condvar::new(),
         trace: TraceCollector::enabled(),
         epoch: std::time::Instant::now(),
     });
@@ -521,6 +493,7 @@ fn accept_conn(
         stream,
         recv: RecvBuf::new(),
         fn_names: HashMap::new(),
+        handed_over: HashMap::new(),
         shared,
         registered_write: false,
     })
@@ -530,7 +503,7 @@ fn accept_conn(
 /// decoding and dispatching frames in place. Returns `false` on EOF,
 /// error, or `Shutdown`.
 fn service_worker_read(conn: &mut WorkerConn) -> bool {
-    let WorkerConn { stream, recv, fn_names, shared, .. } = conn;
+    let WorkerConn { stream, recv, fn_names, handed_over, shared, .. } = conn;
     'fill: loop {
         match recv.fill_from(stream) {
             Ok(Fill::Bytes(_)) => {}
@@ -540,7 +513,7 @@ fn service_worker_read(conn: &mut WorkerConn) -> bool {
         loop {
             match recv.next_frame() {
                 Ok(Some(frame)) => {
-                    if !handle_worker_frame(frame, fn_names, shared) {
+                    if !handle_worker_frame(frame, fn_names, handed_over, shared) {
                         return false;
                     }
                 }
@@ -558,6 +531,7 @@ fn service_worker_read(conn: &mut WorkerConn) -> bool {
 fn handle_worker_frame(
     frame: FrameRef<'_>,
     fn_names: &mut HashMap<u64, Arc<str>>,
+    handed_over: &mut HashMap<u64, Vec<u8>>,
     conn: &Arc<ConnShared>,
 ) -> bool {
     match frame {
@@ -577,6 +551,7 @@ fn handle_worker_frame(
                 fn_names.insert(fn_id, Arc::from(name));
             }
             let name = fn_names.get(&fn_id).cloned().unwrap_or_else(|| Arc::from("?"));
+            let snapshot = handed_over.remove(&task_id);
             let mut job_args = Vec::with_capacity(args.len());
             let mut bad_arg = None;
             for a in args {
@@ -609,6 +584,7 @@ fn handle_worker_frame(
                 gpus,
                 args: job_args,
                 recv_us: conn.wall_us(),
+                snapshot,
             };
             conn.jobs.lock().push_back(job);
             conn.jobs_cv.notify_one();
@@ -632,11 +608,8 @@ fn handle_worker_frame(
             }
         }
         FrameRef::Data { key, blob } => {
-            // Snapshot fetch reply: raw bytes, empty = confirmed miss.
-            // Both cases are cached so each trial asks at most once.
-            let entry = if blob.bytes.is_empty() { None } else { Some(blob.bytes.to_vec()) };
-            conn.snaps.lock().insert(key, entry);
-            conn.snaps_cv.notify_all();
+            // The snapshot of the task whose Submit is next on this socket.
+            handed_over.insert(key, blob.bytes.to_vec());
         }
         // Unsolicited push (rides ahead of the Submit referencing it) and
         // fetch reply land identically: decode once, admit to the LRU.
@@ -703,7 +676,6 @@ fn close_worker_conn(poller: &Poller, conn: WorkerConn) {
     conn.shared.closed.store(true, Ordering::SeqCst);
     conn.shared.jobs_cv.notify_all();
     conn.shared.blocks_cv.notify_all();
-    conn.shared.snaps_cv.notify_all();
 }
 
 /// Decode an incoming block and admit it to the LRU cache, waking any
@@ -771,11 +743,11 @@ fn resolve_block(conn: &ConnShared, hash: u128) -> Result<Value, TaskError> {
 
 fn executor_loop(conn: Arc<ConnShared>, registry: Arc<TaskRegistry>) {
     // Task bodies on this worker snapshot through the driver: saves are
-    // mirrored over the wire, loads fall back to a Fetch round trip.
-    let snap_channel: Arc<dyn crate::snapshot::SnapshotChannel> =
-        Arc::new(WorkerSnapshotChannel(Arc::clone(&conn)));
+    // mirrored over the wire, loads read what came with the job.
+    let snaps =
+        Arc::new(WorkerSnapshotChannel { conn: Arc::clone(&conn), latest: Mutex::new(None) });
     loop {
-        let job = {
+        let mut job = {
             let mut jobs = conn.jobs.lock();
             loop {
                 if let Some(j) = jobs.pop_front() {
@@ -787,9 +759,11 @@ fn executor_loop(conn: Arc<ConnShared>, registry: Arc<TaskRegistry>) {
                 conn.jobs_cv.wait(&mut jobs);
             }
         };
-        let frame = crate::snapshot::with_channel(Arc::clone(&snap_channel), || {
+        *snaps.latest.lock() = job.snapshot.take();
+        let frame = crate::snapshot::with_channel(snaps.clone(), TaskId(job.task_id), || {
             run_job(&conn, &registry, &job)
         });
+        *snaps.latest.lock() = None;
         // A halted worker goes silent — the driver must see it as a crash,
         // not a graceful completion.
         if conn.stop.load(Ordering::SeqCst) {

@@ -253,14 +253,15 @@ fn next_msg(shared: &Shared, pool: &PoolShared, me: usize) -> Option<ExecMsg> {
 
 fn worker_loop(shared: Arc<Shared>, pool: Arc<PoolShared>, me: usize) {
     // Ambient snapshot channel for every body this worker runs: blobs land
-    // in the runtime's in-process store, so a retried attempt (this thread
+    // on the task's record in the runtime, so a retried attempt (this thread
     // or a sibling) resumes from the latest snapshot (see crate::snapshot).
     let snap_channel: Arc<dyn crate::snapshot::SnapshotChannel> =
         Arc::new(crate::snapshot::InProcessChannel(Arc::clone(&shared)));
     while let Some(msg) = next_msg(&shared, &pool, me) {
-        let result = crate::snapshot::with_channel(Arc::clone(&snap_channel), || {
-            run_body(&*msg.body, &msg.ctx, &msg.inputs)
-        });
+        let result =
+            crate::snapshot::with_channel(Arc::clone(&snap_channel), msg.placed.task, || {
+                run_body(&*msg.body, &msg.ctx, &msg.inputs)
+            });
 
         // Trace emission needs only the message's own Arcs — no core lock.
         // (Nothing else completes a threaded exec, so the records are never

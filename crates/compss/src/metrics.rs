@@ -28,6 +28,7 @@
 //! | `rcompss_live_tasks` | gauge | submitted tasks that have not settled (settled ones are retired) |
 //! | `rcompss_live_data_versions` | gauge | data versions the runtime still holds; idle, it equals the undeleted written handles |
 //! | `rcompss_block_store_bytes` | gauge | encoded bytes in the driver's block store (distributed backend) |
+//! | `rcompss_live_snapshot_bytes` | gauge | mid-task snapshot bytes held for unsettled tasks; idle, 0 |
 //! | `rcompss_sched_decision_us` | histogram | real time per `pop_placeable` decision |
 //! | `rcompss_dep_wait_us` | histogram | submission → dispatch wait per task |
 //! | `rcompss_transfer_time_us` | histogram | staging transfer durations |
@@ -112,6 +113,8 @@ pub(crate) struct RtMetrics {
     pub live_versions: Gauge,
     /// Encoded bytes in the driver's block store.
     pub block_store_bytes: Gauge,
+    /// Snapshot bytes held for unsettled tasks.
+    pub live_snapshot_bytes: Gauge,
     /// Real time per scheduler placement decision.
     pub sched_decision: Histogram,
     /// Submission → dispatch wait.
@@ -165,6 +168,7 @@ impl RtMetrics {
             live_tasks: registry.gauge("rcompss_live_tasks"),
             live_versions: registry.gauge("rcompss_live_data_versions"),
             block_store_bytes: registry.gauge("rcompss_block_store_bytes"),
+            live_snapshot_bytes: registry.gauge("rcompss_live_snapshot_bytes"),
             sched_decision: registry.histogram("rcompss_sched_decision_us"),
             dep_wait: registry.histogram("rcompss_dep_wait_us"),
             transfer_time: registry.histogram("rcompss_transfer_time_us"),
@@ -274,6 +278,7 @@ mod tests {
             "rcompss_live_tasks",
             "rcompss_live_data_versions",
             "rcompss_block_store_bytes",
+            "rcompss_live_snapshot_bytes",
         ] {
             assert_eq!(snap.gauge(series), Some(0.0), "{series} missing");
         }

@@ -214,6 +214,9 @@ pub(crate) struct Instance {
     /// Submission timestamp, µs (virtual for the sim backend, wall
     /// otherwise) — the start of the dependency-wait interval.
     pub submitted_us: u64,
+    /// The latest state an attempt saved through [`crate::snapshot`]: what
+    /// the next attempt resumes from. Set by [`Core::save_snapshot`] only.
+    pub snapshot: Option<Vec<u8>>,
 }
 
 impl Instance {
@@ -297,6 +300,8 @@ pub(crate) struct Core {
     pub next_seq: u64,
     pub next_exec: u64,
     pub stats: RuntimeStats,
+    /// Bytes of snapshot held across `instances`, kept as a running total.
+    pub snapshot_bytes: u64,
 }
 
 impl Core {
@@ -322,11 +327,24 @@ impl Core {
         }
     }
 
-    /// `task` has settled, so it is dead: its instance goes, the versions
-    /// it named lose a user, and its node leaves the graph unless the graph
-    /// is being recorded. Call once its successors are released or failed.
+    /// An attempt of `task` saved `blob`: it replaces the task's previous
+    /// snapshot. A task that has settled has no attempt left to read one, so
+    /// a save that arrives late (a worker failed over mid-frame) is dropped.
+    pub fn save_snapshot(&mut self, task: TaskId, blob: Vec<u8>) {
+        let Some(inst) = self.instances.get_mut(&task) else { return };
+        self.snapshot_bytes += blob.len() as u64;
+        if let Some(old) = inst.snapshot.replace(blob) {
+            self.snapshot_bytes -= old.len() as u64;
+        }
+    }
+
+    /// `task` has settled, so it is dead: its instance goes and its snapshot
+    /// with it, the versions it named lose a user, and its node leaves the
+    /// graph unless the graph is being recorded. Call once its successors
+    /// are released or failed.
     fn retire_task(&mut self, shared: &Shared, task: TaskId) {
         let inst = self.instances.remove(&task).expect("a task settles once");
+        self.snapshot_bytes -= inst.snapshot.as_ref().map_or(0, |b| b.len() as u64);
         for v in inst.versions() {
             self.release(v);
         }
@@ -347,6 +365,7 @@ impl Core {
         m.live_tasks.set(self.instances.len() as f64);
         m.live_versions.set(self.data.live_versions() as f64);
         m.block_store_bytes.set(self.blocks.bytes() as f64);
+        m.live_snapshot_bytes.set(self.snapshot_bytes as f64);
     }
 }
 
@@ -360,13 +379,6 @@ pub(crate) struct Shared {
     pub failures: FailureInjector,
     pub transfer: TransferModel,
     pub graph_enabled: bool,
-    /// Latest task-state snapshot per caller key (see [`crate::snapshot`]):
-    /// written by running bodies through the ambient channel, read back by
-    /// retried attempts so a resubmitted task resumes instead of
-    /// restarting. Distributed workers mirror theirs here via `Data`
-    /// frames, which is what lets a *replacement* worker pick up where a
-    /// killed one stopped.
-    pub snapshots: Mutex<HashMap<u64, Vec<u8>>>,
 }
 
 impl Shared {
@@ -505,6 +517,7 @@ impl Runtime {
                 next_seq: 0,
                 next_exec: 0,
                 stats: RuntimeStats::default(),
+                snapshot_bytes: 0,
             }),
             cv: Condvar::new(),
             trace: Arc::new(TraceCollector::with_flag(cfg.tracing)),
@@ -514,7 +527,6 @@ impl Runtime {
             failures: cfg.failures.clone(),
             transfer: TransferModel::for_cluster(&cfg.cluster),
             graph_enabled: cfg.graph,
-            snapshots: Mutex::new(HashMap::new()),
         })
     }
 
@@ -651,6 +663,7 @@ impl Runtime {
                 sim_duration_us: opts.sim_duration_us.unwrap_or(self.default_sim_duration_us),
                 seq,
                 submitted_us,
+                snapshot: None,
             },
         );
         // A read of an already-poisoned version (its producer failed

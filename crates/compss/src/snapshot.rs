@@ -5,13 +5,16 @@
 //! resubmit elsewhere — see [`crate::fault`]) restarts a failed task from
 //! scratch. For long-running bodies (model training), that forfeits all
 //! completed work. This module closes the gap: a task body periodically
-//! calls [`save`] with an opaque blob keyed by a caller-chosen `u64`
-//! (the HPO layer keys by trial), and a retried attempt calls [`load`]
-//! first — on the threaded backend the blob comes back from the runtime's
-//! in-process store; on the distributed backend the worker ships it to
-//! the driver over the existing `Data` frame, the driver keeps the latest
-//! per key, and the replacement worker pulls it with a `Fetch` — so a
-//! killed worker costs at most one snapshot interval, not the whole task.
+//! calls [`save`] with an opaque blob, and a retried attempt calls [`load`]
+//! first. A snapshot belongs to the task that saved it — there is no key:
+//! the runtime keeps the latest blob on the unsettled task's own record, so
+//! only a later attempt *of that task* can read it, and it goes when the
+//! task settles, done or failed for good. On the threaded backend that
+//! record is in-process; on the distributed backend a worker mirrors each
+//! save to the driver in a `Data` frame, and the driver sends the blob
+//! along with the `Submit` of the next attempt — so a killed worker costs
+//! at most one snapshot interval, not the whole task, and a load never
+//! waits on the wire.
 //!
 //! The channel is *ambient*: backends install it around the task body
 //! with [`with_channel`], and bodies call the free functions without
@@ -23,66 +26,61 @@
 use std::cell::RefCell;
 use std::sync::Arc;
 
-/// Where snapshots go and come back from. Implementations are the
-/// backend's business: an in-process map (threaded), a driver round trip
-/// (distributed).
+use crate::task::TaskId;
+
+/// Where a task's snapshots go and come back from. Implementations are the
+/// backend's business: the task's record (threaded), a mirror to the driver
+/// and what the driver sent with the job (distributed).
 pub trait SnapshotChannel: Send + Sync {
-    /// Store `blob` as the latest snapshot for `key`, replacing any
+    /// Store `blob` as the latest snapshot of `task`, replacing any
     /// previous one.
-    fn save(&self, key: u64, blob: &[u8]);
-    /// The latest snapshot for `key`, if any survives.
-    fn load(&self, key: u64) -> Option<Vec<u8>>;
-    /// Drop the snapshot for `key` (the task finished; its result
-    /// supersedes the snapshot).
-    fn discard(&self, key: u64);
+    fn save(&self, task: TaskId, blob: &[u8]);
+    /// The latest snapshot of `task`, if an attempt of it saved one.
+    fn load(&self, task: TaskId) -> Option<Vec<u8>>;
 }
 
 thread_local! {
-    static CHANNEL: RefCell<Option<Arc<dyn SnapshotChannel>>> = const { RefCell::new(None) };
+    static CHANNEL: RefCell<Option<(Arc<dyn SnapshotChannel>, TaskId)>> =
+        const { RefCell::new(None) };
 }
 
-/// Install `channel` for the duration of `f` on this thread (panic-safe:
-/// the previous channel is restored even if `f` unwinds). Backends wrap
-/// task-body invocation in this; nesting restores the outer channel on
-/// exit.
-pub fn with_channel<R>(channel: Arc<dyn SnapshotChannel>, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<Arc<dyn SnapshotChannel>>);
+/// Install `channel` for the body of `task` for the duration of `f` on this
+/// thread (panic-safe: the previous channel is restored even if `f`
+/// unwinds). Backends wrap task-body invocation in this; nesting restores
+/// the outer channel on exit.
+pub fn with_channel<R>(
+    channel: Arc<dyn SnapshotChannel>,
+    task: TaskId,
+    f: impl FnOnce() -> R,
+) -> R {
+    struct Restore(Option<(Arc<dyn SnapshotChannel>, TaskId)>);
     impl Drop for Restore {
         fn drop(&mut self) {
             CHANNEL.with(|c| *c.borrow_mut() = self.0.take());
         }
     }
-    let prev = CHANNEL.with(|c| c.borrow_mut().replace(channel));
+    let prev = CHANNEL.with(|c| c.borrow_mut().replace((channel, task)));
     let _restore = Restore(prev);
     f()
 }
 
-/// Save a snapshot through the ambient channel. Returns `false` when no
-/// channel is installed (snapshot silently skipped).
-pub fn save(key: u64, blob: &[u8]) -> bool {
+/// Save a snapshot of the running task through the ambient channel.
+/// Returns `false` when no channel is installed (snapshot silently
+/// skipped).
+pub fn save(blob: &[u8]) -> bool {
     CHANNEL.with(|c| match &*c.borrow() {
-        Some(ch) => {
-            ch.save(key, blob);
+        Some((ch, task)) => {
+            ch.save(*task, blob);
             true
         }
         None => false,
     })
 }
 
-/// Load the latest snapshot for `key` through the ambient channel, if one
-/// is installed and holds one.
-pub fn load(key: u64) -> Option<Vec<u8>> {
-    CHANNEL.with(|c| c.borrow().as_ref().and_then(|ch| ch.load(key)))
-}
-
-/// Discard the snapshot for `key` through the ambient channel (no-op
-/// without one).
-pub fn discard(key: u64) {
-    CHANNEL.with(|c| {
-        if let Some(ch) = &*c.borrow() {
-            ch.discard(key);
-        }
-    });
+/// The running task's latest snapshot — this attempt's, else an earlier
+/// attempt's — if a channel is installed and holds one.
+pub fn load() -> Option<Vec<u8>> {
+    CHANNEL.with(|c| c.borrow().as_ref().and_then(|(ch, task)| ch.load(*task)))
 }
 
 /// Whether a channel is installed on this thread (lets bodies skip
@@ -91,39 +89,17 @@ pub fn active() -> bool {
     CHANNEL.with(|c| c.borrow().is_some())
 }
 
-/// Derive a sub-key from a base snapshot key and a salt, for bodies that
-/// checkpoint several independent pieces of state under one logical
-/// identity — the HPO stage tree keys each *segment* of a trial's training
-/// by `derive_key(trial_key, segment_end)`, so a retried segment recovers
-/// its own mid-segment snapshot without colliding with sibling segments.
-///
-/// The mix is an FNV-1a fold of the salt into the base, with bit 63
-/// cleared: the distributed backend reserves the high bit of wire keys for
-/// snapshot traffic, so derived keys must stay inside the 63-bit space
-/// exactly like the base keys the HPO layer produces.
-pub fn derive_key(base: u64, salt: u64) -> u64 {
-    let mut h = base ^ 0xcbf2_9ce4_8422_2325;
-    for b in salt.to_le_bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h >> 1
-}
-
-/// The threaded backend's channel: the runtime's own in-process store, so
+/// The threaded backend's channel: the task's own record in the runtime, so
 /// a retried attempt (same process, any worker thread) finds the blob.
 pub(crate) struct InProcessChannel(pub Arc<crate::runtime::Shared>);
 
 impl SnapshotChannel for InProcessChannel {
-    fn save(&self, key: u64, blob: &[u8]) {
-        self.0.snapshots.lock().insert(key, blob.to_vec());
+    fn save(&self, task: TaskId, blob: &[u8]) {
+        self.0.core.lock().save_snapshot(task, blob.to_vec());
     }
 
-    fn load(&self, key: u64) -> Option<Vec<u8>> {
-        self.0.snapshots.lock().get(&key).cloned()
-    }
-
-    fn discard(&self, key: u64) {
-        self.0.snapshots.lock().remove(&key);
+    fn load(&self, task: TaskId) -> Option<Vec<u8>> {
+        self.0.core.lock().instances.get(&task)?.snapshot.clone()
     }
 }
 
@@ -133,79 +109,64 @@ mod tests {
     use parking_lot::Mutex;
     use std::collections::HashMap;
 
-    struct MapChannel(Mutex<HashMap<u64, Vec<u8>>>);
+    #[derive(Default)]
+    struct MapChannel(Mutex<HashMap<TaskId, Vec<u8>>>);
 
     impl SnapshotChannel for MapChannel {
-        fn save(&self, key: u64, blob: &[u8]) {
-            self.0.lock().insert(key, blob.to_vec());
+        fn save(&self, task: TaskId, blob: &[u8]) {
+            self.0.lock().insert(task, blob.to_vec());
         }
-        fn load(&self, key: u64) -> Option<Vec<u8>> {
-            self.0.lock().get(&key).cloned()
-        }
-        fn discard(&self, key: u64) {
-            self.0.lock().remove(&key);
+        fn load(&self, task: TaskId) -> Option<Vec<u8>> {
+            self.0.lock().get(&task).cloned()
         }
     }
 
     #[test]
     fn inert_outside_any_scope() {
         assert!(!active());
-        assert!(!save(1, b"x"));
-        assert!(load(1).is_none());
-        discard(1); // no-op, no panic
+        assert!(!save(b"x"));
+        assert!(load().is_none());
     }
 
     #[test]
     fn scoped_channel_receives_and_serves() {
-        let ch = Arc::new(MapChannel(Mutex::new(HashMap::new())));
-        with_channel(ch.clone(), || {
+        let ch = Arc::new(MapChannel::default());
+        with_channel(ch.clone(), TaskId(7), || {
             assert!(active());
-            assert!(save(7, b"state"));
-            assert_eq!(load(7).unwrap(), b"state");
-            assert!(save(7, b"newer"), "latest wins");
-            assert_eq!(load(7).unwrap(), b"newer");
-            discard(7);
-            assert!(load(7).is_none());
+            assert!(load().is_none());
+            assert!(save(b"state"));
+            assert_eq!(load().unwrap(), b"state");
+            assert!(save(b"newer"), "latest wins");
+            assert_eq!(load().unwrap(), b"newer");
         });
         assert!(!active(), "channel uninstalled on exit");
+        // A later attempt of the same task finds it; another task does not.
+        with_channel(ch.clone(), TaskId(7), || assert_eq!(load().unwrap(), b"newer"));
+        with_channel(ch, TaskId(8), || assert!(load().is_none()));
     }
 
     #[test]
-    fn nesting_restores_the_outer_channel() {
-        let outer = Arc::new(MapChannel(Mutex::new(HashMap::new())));
-        let inner = Arc::new(MapChannel(Mutex::new(HashMap::new())));
-        with_channel(outer.clone(), || {
-            save(1, b"outer");
-            with_channel(inner.clone(), || {
-                assert!(load(1).is_none(), "inner channel is fresh");
-                save(1, b"inner");
+    fn nesting_restores_the_outer_channel_and_task() {
+        let outer = Arc::new(MapChannel::default());
+        let inner = Arc::new(MapChannel::default());
+        with_channel(outer.clone(), TaskId(1), || {
+            save(b"outer");
+            with_channel(inner.clone(), TaskId(2), || {
+                assert!(load().is_none(), "inner channel is fresh");
+                save(b"inner");
             });
-            assert_eq!(load(1).unwrap(), b"outer", "outer restored");
+            assert_eq!(load().unwrap(), b"outer", "outer restored");
         });
-        assert_eq!(inner.0.lock().get(&1).unwrap(), b"inner");
-    }
-
-    #[test]
-    fn derived_keys_are_distinct_stable_and_63_bit() {
-        let base = 0x1234_5678_9ABC_DEF0u64 >> 1;
-        let a = derive_key(base, 2);
-        let b = derive_key(base, 5);
-        assert_ne!(a, b, "different salts diverge");
-        assert_ne!(a, base, "derived key leaves the base key alone");
-        assert_eq!(a, derive_key(base, 2), "stable");
-        for salt in 0..64u64 {
-            assert_eq!(derive_key(base, salt) >> 63, 0, "bit 63 must stay clear");
-        }
-        // distinct bases with the same salt diverge too
-        assert_ne!(derive_key(1, 3), derive_key(2, 3));
+        assert_eq!(inner.0.lock().get(&TaskId(2)).unwrap(), b"inner");
+        assert_eq!(outer.0.lock().len(), 1);
     }
 
     #[test]
     fn channel_survives_a_panicking_body() {
-        let ch = Arc::new(MapChannel(Mutex::new(HashMap::new())));
+        let ch = Arc::new(MapChannel::default());
         let _ = std::panic::catch_unwind(|| {
-            with_channel(ch, || {
-                save(9, b"pre-panic");
+            with_channel(ch, TaskId(9), || {
+                save(b"pre-panic");
                 panic!("boom");
             })
         });

@@ -7,7 +7,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use rnet::{read_frame, write_frame, Frame, RecvBuf, WireArg};
+use rnet::{read_frame, write_frame, Blob, Frame, RecvBuf, WireArg};
 
 use rcompss::{
     ArgSpec, Constraint, DistributedConfig, RetryPolicy, Runtime, RuntimeConfig, TaskContext,
@@ -269,43 +269,149 @@ fn scripted_submit(
     }
 }
 
+/// The snapshot frames among `frames`, as `(task id, bytes)`.
+fn snapshot_frames(frames: &[Frame]) -> Vec<(u64, &[u8])> {
+    frames
+        .iter()
+        .filter_map(|f| match f {
+            Frame::Data { key, blob } => Some((*key, blob.bytes.as_slice())),
+            _ => None,
+        })
+        .collect()
+}
+
 #[test]
-fn worker_sends_no_tombstone_for_a_snapshot_nobody_saved() {
-    // Every stage and trial body ends with `snapshot::discard(key)`. With
-    // checkpointing off nothing was saved or loaded under that key, the
-    // driver holds nothing to drop, and a `Data` frame per task is noise.
-    let quiet = def("quiet", |_, _| {
-        rcompss::snapshot::discard(7);
-        Ok(vec![Value::new(1i64)])
-    });
+fn a_checkpointing_task_puts_its_saves_on_the_wire_and_nothing_else() {
+    // The driver here is this test, and it answers nothing: a body that
+    // completes waited on no reply. Frames are read back to back, so one
+    // the worker sent after a `Done` would head the next submit's list.
+    let quiet = def("quiet", |_, _| Ok(vec![Value::new(1i64)]));
     let saver = def("saver", |_, _| {
-        rcompss::snapshot::save(8, b"state");
-        rcompss::snapshot::discard(8);
+        rcompss::snapshot::save(b"one");
+        rcompss::snapshot::save(b"three");
         Ok(vec![Value::new(2i64)])
     });
+    let resumer = def("resumer", |_, _| {
+        let mut state = rcompss::snapshot::load().unwrap_or_default();
+        state.push(b'!');
+        rcompss::snapshot::save(&state);
+        Ok(vec![Value::new(3i64)])
+    });
     let cfg = WorkerConfig { name: "w".into(), cores: 1, ..WorkerConfig::default() };
-    let worker =
-        WorkerServer::bind("127.0.0.1:0", cfg, TaskRegistry::new().with(quiet).with(saver))
-            .expect("bind loopback")
-            .spawn()
-            .expect("spawn worker");
+    let registry = TaskRegistry::new().with(quiet).with(saver).with(resumer);
+    let worker = WorkerServer::bind("127.0.0.1:0", cfg, registry)
+        .expect("bind loopback")
+        .spawn()
+        .expect("spawn worker");
     let mut sock = std::net::TcpStream::connect(worker.addr()).expect("connect");
     let mut recv = RecvBuf::new();
     let hello = read_frame(&mut sock, &mut recv).unwrap();
     assert!(matches!(hello, Some(Frame::Hello { .. })), "{hello:?}");
 
+    // (a) A body that never saves: its `Done`, nothing before it.
     let frames = scripted_submit(&mut sock, &mut recv, 1, "quiet");
     assert!(matches!(frames.as_slice(), [Frame::Done { exec_id: 1, .. }]), "{frames:?}");
-    // A task that did save still tombstones, after the save it supersedes.
+
+    // (b) Two saves: two frames keyed by the task, then the `Done`.
     let frames = scripted_submit(&mut sock, &mut recv, 2, "saver");
-    let snapshot_sizes: Vec<usize> = frames
+    assert_eq!(snapshot_frames(&frames), [(2, &b"one"[..]), (2, &b"three"[..])], "{frames:?}");
+    assert!(matches!(frames.as_slice(), [_, _, Frame::Done { exec_id: 2, .. }]), "{frames:?}");
+
+    // (c) A snapshot written ahead of the `Submit` is what the body loads;
+    // the first frame back is already its save.
+    let handed = Blob { tag: "ckpt.snap".into(), bytes: b"handed over".to_vec() };
+    write_frame(&mut sock, &Frame::Data { key: 3, blob: handed }).unwrap();
+    let frames = scripted_submit(&mut sock, &mut recv, 3, "resumer");
+    assert_eq!(snapshot_frames(&frames), [(3, &b"handed over!"[..])], "{frames:?}");
+    assert!(matches!(frames.as_slice(), [_, Frame::Done { exec_id: 3, .. }]), "{frames:?}");
+    // It went with that job: the next task starts from nothing, at once.
+    let frames = scripted_submit(&mut sock, &mut recv, 4, "resumer");
+    assert_eq!(snapshot_frames(&frames), [(4, &b"!"[..])], "{frames:?}");
+    assert!(matches!(frames.as_slice(), [_, Frame::Done { exec_id: 4, .. }]), "{frames:?}");
+}
+
+#[test]
+fn a_retry_costs_one_snapshot_on_the_wire_and_a_settled_task_keeps_none() {
+    // The worker is this test. It fails the first attempt after one save,
+    // finishes the second, and saves once more for the task after its
+    // `Done`; it records what the driver sent in between.
+    const STATE: &[u8] = b"epoch 3 of 10";
+    let save = |task_id: u64| Frame::Data {
+        key: task_id,
+        blob: Blob { tag: "ckpt.snap".into(), bytes: STATE.to_vec() },
+    };
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let peer = std::thread::spawn(move || {
+        let (mut sock, _) = listener.accept().expect("driver connects");
+        let hello = Frame::Hello { name: "script".into(), cores: 1, gpus: 0, mem_gib: 1 };
+        write_frame(&mut sock, &hello).unwrap();
+        let mut recv = RecvBuf::new();
+        let mut seen = Vec::new();
+        loop {
+            let frame = read_frame(&mut sock, &mut recv).unwrap().expect("Shutdown precedes EOF");
+            let replies = match &frame {
+                Frame::Shutdown => return seen,
+                Frame::Heartbeat { seq, t_send_us, .. } => {
+                    let (seq, t_send_us) = (*seq, *t_send_us);
+                    vec![Frame::HeartbeatAck { seq, t_send_us, recv_us: 0, reply_us: 0 }]
+                }
+                Frame::Submit { exec_id, task_id, attempt: 1, .. } => {
+                    let message = "lost the node after epoch 3".to_string();
+                    vec![save(*task_id), Frame::Failed { exec_id: *exec_id, message }]
+                }
+                Frame::Submit { exec_id, task_id, .. } => {
+                    let outputs = vec![rcompss::codec::encode_value(&Value::new(10i64)).unwrap()];
+                    let (exec_id, recv_us, start_us, end_us) = (*exec_id, 1, 2, 3);
+                    vec![
+                        Frame::Done { exec_id, recv_us, start_us, end_us, outputs },
+                        save(*task_id),
+                    ]
+                }
+                _ => Vec::new(),
+            };
+            if !matches!(frame, Frame::Heartbeat { .. }) {
+                seen.push(frame);
+            }
+            for reply in &replies {
+                write_frame(&mut sock, reply).unwrap();
+            }
+        }
+    });
+    let rt =
+        Runtime::distributed(RuntimeConfig::single_node(1), &[addr], DistributedConfig::default())
+            .expect("connect");
+    let live = |rt: &Runtime| rt.metrics().snapshot().gauge("rcompss_live_snapshot_bytes");
+    let square = task_set().get("square").unwrap().clone();
+    let three = rt.literal(3i64);
+    let first = rt.submit(&square, vec![ArgSpec::In(three)]).unwrap();
+    assert_eq!(*rt.wait_on(&first.returns[0]).unwrap().downcast_ref::<i64>().unwrap(), 10);
+    // A second task behind the late save on the same socket: once it is
+    // done the driver has seen that save, and dropped it.
+    let second = rt.submit(&square, vec![ArgSpec::In(three)]).unwrap();
+    rt.wait_on(&second.returns[0]).unwrap();
+    assert_eq!(live(&rt), Some(0.0), "settled tasks hold no snapshot");
+    assert_eq!(rt.stats().failed_attempts, 2);
+    drop(rt);
+
+    // Driver → worker, heartbeats aside: a first attempt is its Submit, a
+    // retry is the snapshot and then its Submit. No other frame, either way.
+    let seen = peer.join().expect("peer thread");
+    let summary: Vec<(&str, u64, u32)> = seen
         .iter()
-        .filter_map(|f| match f {
-            Frame::Data { key: 8, blob } => Some(blob.bytes.len()),
-            _ => None,
+        .map(|f| match f {
+            Frame::Submit { task_id, attempt, .. } => ("submit", *task_id, *attempt),
+            Frame::Data { key, blob } if blob.bytes == STATE => ("snapshot", *key, 0),
+            other => panic!("driver sent {other:?}"),
         })
         .collect();
-    assert_eq!(snapshot_sizes, [5, 0], "{frames:?}");
+    let (a, b) = (first.task.0, second.task.0);
+    let per_task = |t| [("submit", t, 1), ("snapshot", t, 0), ("submit", t, 2)];
+    assert_eq!(summary, [per_task(a), per_task(b)].concat());
+    // So what a retry adds to the wire is that one frame: the snapshot's
+    // bytes under a fixed header (magic, type, length, task id, tag).
+    let extra = seen[1].encode().len();
+    assert!((STATE.len()..=STATE.len() + 24).contains(&extra), "{extra} bytes");
 }
 
 #[test]
@@ -357,22 +463,20 @@ fn killed_worker_resumes_from_snapshot_not_epoch_zero() {
     use std::sync::Mutex;
 
     const EPOCHS: u32 = 10;
-    const SNAP_KEY: u64 = 0x5EED;
 
     // Each attempt records (node, start_epoch) when it begins; loopback
     // workers run in this process, so the statics are shared.
     static ATTEMPTS: Mutex<Vec<(u32, u32)>> = Mutex::new(Vec::new());
 
     let stepper = def("stepper", |ctx, _| {
-        let start = rcompss::snapshot::load(SNAP_KEY)
+        let start = rcompss::snapshot::load()
             .map(|b| u32::from_le_bytes(b[..4].try_into().unwrap()))
             .unwrap_or(0);
         ATTEMPTS.lock().unwrap().push((ctx.node, start));
         for epoch in start..EPOCHS {
             std::thread::sleep(Duration::from_millis(40));
-            rcompss::snapshot::save(SNAP_KEY, &(epoch + 1).to_le_bytes());
+            rcompss::snapshot::save(&(epoch + 1).to_le_bytes());
         }
-        rcompss::snapshot::discard(SNAP_KEY);
         Ok(vec![Value::new(i64::from(EPOCHS))])
     });
     let registry = TaskRegistry::new().with(stepper.clone());

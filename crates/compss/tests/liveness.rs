@@ -3,9 +3,12 @@
 //! arguments and return values, `wait_on`, `delete`, stray handles, injected
 //! attempt failures — runs on the threaded backend (one worker and four) and
 //! on the simulated one, next to a sequential model that never forgets
-//! anything. Every value, every [`SubmitError`] and [`WaitError`] and the
+//! anything. Every task body checkpoints what it read through
+//! [`rcompss::snapshot`], the ones that go on to exhaust their retries
+//! included. Every value, every [`SubmitError`] and [`WaitError`] and the
 //! set of failed tasks must agree, and once the program is idle the runtime
-//! may hold nothing but the current version of each undeleted handle.
+//! may hold nothing but the current version of each undeleted handle — no
+//! task, and no task's snapshot.
 
 use std::collections::BTreeSet;
 
@@ -123,6 +126,7 @@ fn run_program(rt: &Runtime, seed: u64, steps: usize) {
     assert_eq!(stats.completed, m.tasks - m.failed.len() as u64, "{tag}");
     let nameable = m.slots.iter().filter(|s| !s.deleted && s.cell != Cell::Unwritten).count();
     assert_eq!(gauge(rt, "rcompss_live_tasks"), 0.0, "{tag}");
+    assert_eq!(gauge(rt, "rcompss_live_snapshot_bytes"), 0.0, "{tag}");
     assert_eq!(gauge(rt, "rcompss_live_data_versions"), nameable as f64, "{tag}");
     assert!(m.failed.len() > 3 && m.tasks > 100, "{tag}: the program exercised failures");
 
@@ -163,8 +167,17 @@ fn submit_random_task(rt: &Runtime, m: &mut Model, rng: &mut rand::rngs::StdRng,
     }
     let returns = rng.gen_range(0..=2usize);
     let writes = dirs.iter().filter(|&&d| d != 0).count();
-    let def = rt.register("step", Constraint::cpus(1), returns, move |_, inputs| {
+    let def = rt.register("step", Constraint::cpus(1), returns, move |ctx, inputs| {
         let read = fold(inputs.iter().map(|v| *v.downcast_ref::<u64>().expect("u64 input")));
+        // Checkpoint, whether or not this attempt is one the injector fails.
+        // A retry finds what the attempt before it saved, and nobody else's:
+        // `read` differs from task to task. (The simulated backend has no
+        // channel; there `save` is inert.)
+        let state = [read.to_le_bytes(), ctx.task.0.to_le_bytes()].concat();
+        if ctx.attempt > 1 && rcompss::snapshot::active() {
+            assert_eq!(rcompss::snapshot::load(), Some(state.clone()), "a retry loads its own");
+        }
+        rcompss::snapshot::save(&state);
         Ok((0..returns + writes).map(|j| Value::new(output(read, j))).collect())
     });
     let got = rt.submit_with(&def, args.clone(), SubmitOpts { sim_duration_us: Some(50) });

@@ -28,16 +28,27 @@ use crate::experiment::TrialOutcome;
 use crate::space::Config;
 use crate::wire::{put_outcome, read_outcome};
 
-/// Stable identity of a trial across runs: FNV-1a over the config label,
-/// shifted right so bit 63 stays clear — the distributed backend reserves
-/// the high bit of wire keys for snapshot traffic, and this key doubles
-/// as the trial's snapshot key.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a: fold `bytes` into `h`.
+pub(crate) fn fnv1a(h: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3))
+}
+
+/// Stable identity of a trial across runs: FNV-1a over the config label.
+/// It names the trial in the journal and in the on-disk snapshot store, so
+/// its value is pinned — the one-bit shift included, a leftover of a wire
+/// format that no longer exists.
 pub fn trial_key(config: &Config) -> u64 {
-    let h = config
-        .label()
-        .bytes()
-        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3));
-    h >> 1
+    fnv1a(FNV_OFFSET, config.label().bytes()) >> 1
+}
+
+/// Journal identity of one evaluation: the trial key, with the budget folded
+/// in when a source evaluates the same config at several. Pinned like
+/// [`trial_key`]: a journal written before a restart must resolve after it.
+pub(crate) fn journal_key(config: &Config, budget: Option<u32>) -> u64 {
+    let key = trial_key(config);
+    budget.map_or(key, |b| fnv1a(key ^ FNV_OFFSET, u64::from(b).to_le_bytes()) >> 1)
 }
 
 /// One record of the sweep journal.
@@ -286,8 +297,19 @@ mod tests {
         let c = trial_key(&cfg("SGD", 10));
         assert_eq!(a, b);
         assert_ne!(a, c);
-        assert_eq!(a & (1 << 63), 0, "bit 63 reserved for snapshot wire keys");
+        assert_eq!(a & (1 << 63), 0, "the shift is part of the pinned value");
         assert_eq!(c & (1 << 63), 0);
+    }
+
+    #[test]
+    fn journal_keys_are_the_ones_existing_journals_hold() {
+        // Printed by the commit before the budget salt moved here from the
+        // runtime's snapshot module.
+        let c = cfg("Adam", 10);
+        assert_eq!(journal_key(&c, None), 0x7c69_e639_ef8e_bfb2);
+        assert_eq!(journal_key(&c, None), trial_key(&c));
+        assert_eq!(journal_key(&c, Some(5)), 0x786b_0d88_5368_3169);
+        assert_eq!(journal_key(&c, Some(45)), 0x6402_9a3d_2e19_fbfd);
     }
 
     #[test]
@@ -446,7 +468,6 @@ mod tests {
                                     ConfigValue::Float(f64::from(lr) / 16384.0),
                                 );
                             let key = trial_key(&c);
-                            prop_assert!(key & (1 << 63) == 0, "bit 63 must stay clear");
                             if let Some(prev) = seen.insert(key, c.label()) {
                                 prop_assert!(
                                     false,

@@ -13,7 +13,7 @@ use tinyml::optim::OptimizerKind;
 use tinyml::train::{train_with_checkpoints, Checkpointing, EpochSignal, TrainConfig};
 use tinyml::TrainSnapshot;
 
-use crate::ckpt::{trial_key, SweepJournal, SweepRecord};
+use crate::ckpt::{fnv1a, trial_key, SweepJournal, SweepRecord, FNV_OFFSET};
 use crate::early_stop::EarlyStop;
 use crate::space::Config;
 
@@ -187,9 +187,7 @@ pub fn train_config_from(
     // training prefix therefore share a seed — which is exactly what makes
     // stage-tree prefix sharing bit-identical to naive retraining — while
     // configs that diverge from epoch 0 still get distinct seeds.
-    let seed = crate::stagetree::seed_label(config)
-        .bytes()
-        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3));
+    let seed = fnv1a(FNV_OFFSET, crate::stagetree::seed_label(config).bytes());
     Ok(TrainConfig {
         epochs: epochs as u32,
         batch_size: batch as usize,
@@ -233,9 +231,10 @@ pub fn tinyml_objective_with_early_stop(
 pub struct TrialCheckpoints {
     /// Snapshot every `every` epochs (0 = off).
     pub every: u32,
-    /// Durable on-disk store — survives a driver restart. `None` leaves
-    /// only the runtime's in-memory snapshot channel (still enough for
-    /// same-run retries and killed distributed workers).
+    /// Durable on-disk store, keyed by [`trial_key`] — survives a driver
+    /// restart. `None` leaves only the runtime's snapshot channel, where a
+    /// snapshot lives as long as its task (still enough for same-run
+    /// retries and killed distributed workers).
     pub store: Option<Arc<ckpt::DirStore>>,
     /// Where to journal `Epoch` records (threaded runs; a distributed
     /// worker has no journal and simply leaves this `None`).
@@ -243,10 +242,11 @@ pub struct TrialCheckpoints {
 }
 
 /// Like [`tinyml_objective_with_early_stop`], and additionally resumable:
-/// each trial restores the latest model snapshot for its [`trial_key`] —
-/// from the runtime's snapshot channel (a retried attempt, possibly on a
-/// replacement worker) or from `ckpts.store` (a restarted driver) — and
-/// publishes a new snapshot every `ckpts.every` epochs. Restoring costs
+/// each trial restores its latest model snapshot — from the runtime's
+/// snapshot channel (a retried attempt of the same task, possibly on a
+/// replacement worker) or from `ckpts.store` under its [`trial_key`] (a
+/// restarted driver) — and publishes a new snapshot every `ckpts.every`
+/// epochs. Restoring costs
 /// nothing when no snapshot exists; the trial trains from scratch.
 ///
 /// Because a [`TrainSnapshot`] carries the *original* seed, optimizer
@@ -268,7 +268,7 @@ pub fn tinyml_objective_checkpointed(
         let reg = runmetrics::global();
         let resume = (ckpts.every > 0)
             .then(|| {
-                rcompss::snapshot::load(key).and_then(|b| TrainSnapshot::decode(&b)).or_else(|| {
+                rcompss::snapshot::load().and_then(|b| TrainSnapshot::decode(&b)).or_else(|| {
                     let store = ckpts.store.as_ref()?;
                     let (_, blob) = store.latest(key).ok().flatten()?;
                     TrainSnapshot::decode(&blob)
@@ -285,7 +285,7 @@ pub fn tinyml_objective_checkpointed(
             let bytes = snap.encode();
             reg.counter("ckpt_bytes_written").add(bytes.len() as u64);
             reg.counter("ckpt_snapshots_saved_total").incr();
-            rcompss::snapshot::save(key, &bytes);
+            rcompss::snapshot::save(&bytes);
             if let Some(store) = &store {
                 if store.save(key, snap.next_epoch, &bytes).is_ok() {
                     if let Some(j) = &journal {
@@ -308,9 +308,9 @@ pub fn tinyml_objective_checkpointed(
                 }
             },
         );
-        // The outcome supersedes the snapshots: drop them so the next
-        // sweep in the same directory starts clean.
-        rcompss::snapshot::discard(key);
+        // The outcome supersedes the stored snapshots: drop them so the next
+        // sweep in the same directory starts clean. (The runtime drops its
+        // own when this task settles.)
         if let Some(store) = &ckpts.store {
             let _ = store.clear(key);
         }

@@ -19,7 +19,7 @@ use tinyml::TrainSnapshot;
 use crate::algo::hyperband::Bracket;
 use crate::algo::random::RandomSearch;
 use crate::algo::Suggester;
-use crate::ckpt::{trial_key, ResumeStats, SweepJournal, SweepRecord, SweepState};
+use crate::ckpt::{journal_key, ResumeStats, SweepJournal, SweepRecord, SweepState};
 use crate::experiment::{ExperimentOptions, Objective, TrialOutcome};
 use crate::results::{HpoReport, TrialResult};
 use crate::space::{Config, SearchSpace};
@@ -348,13 +348,6 @@ impl TrialMetrics {
             self.trial_task_us.record(trial.task_us);
         }
     }
-}
-
-/// Journal identity of one evaluation: the trial key, salted with the
-/// budget when a source evaluates the same config at several.
-fn journal_key(config: &Config, budget: Option<u32>) -> u64 {
-    let key = trial_key(config);
-    budget.map_or(key, |b| rcompss::snapshot::derive_key(key, u64::from(b)))
 }
 
 impl HpoRunner {

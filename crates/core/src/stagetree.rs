@@ -61,7 +61,6 @@ use tinyml::data::Dataset;
 use tinyml::train::Checkpointing;
 use tinyml::TrainSnapshot;
 
-use crate::ckpt::trial_key;
 use crate::experiment::{train_config_from, ExperimentOptions, TrialOutcome};
 use crate::space::{Config, ConfigValue};
 
@@ -306,8 +305,8 @@ pub struct StageObjective {
     pub default_arch_cnn: bool,
     /// Mid-segment snapshot cadence through the runtime's ambient
     /// snapshot channel (0 = off): a retried segment resumes its own
-    /// partial work instead of its parent's fork. Keys derive from the
-    /// segment identity via [`rcompss::snapshot::derive_key`].
+    /// partial work instead of its parent's fork. A segment is one task,
+    /// so its snapshots are its own without any key.
     pub ckpt_every: u32,
 }
 
@@ -413,30 +412,27 @@ fn run_segment(
     };
     let start = parent_snap.as_ref().map_or(0, |s| s.next_epoch);
     // Mid-segment recovery: the snapshot channel the checkpointing layer
-    // already runs for whole trials, keyed per segment so siblings and
-    // ancestors never collide. Only a snapshot from this very segment
-    // (same seed, strictly inside (start, until]) is trusted.
-    let key = rcompss::snapshot::derive_key(trial_key(config), u64::from(until));
+    // already runs for whole trials. A segment is a task of its own, so
+    // what it loads is what an earlier attempt of this very segment saved;
+    // the filter (same seed, strictly inside (start, until]) only guards
+    // against a blob that does not decode to that.
     let resume = (stage.ckpt_every > 0)
         .then(|| {
-            rcompss::snapshot::load(key)
+            rcompss::snapshot::load()
                 .and_then(|b| TrainSnapshot::decode(&b))
                 .filter(|s| s.seed == cfg.seed && s.next_epoch > start && s.next_epoch <= until)
         })
         .flatten()
         .or(parent_snap);
     let mut sink = |snap: &TrainSnapshot| {
-        rcompss::snapshot::save(key, &snap.encode());
+        rcompss::snapshot::save(&snap.encode());
     };
-    let snap = tinyml::train_segment(
+    Ok(tinyml::train_segment(
         &cfg,
         &stage.data,
         Checkpointing { every: stage.ckpt_every, resume, sink: Some(&mut sink) },
         until,
-    );
-    // The fork payload supersedes any mid-segment snapshot.
-    rcompss::snapshot::discard(key);
-    Ok(snap)
+    ))
 }
 
 #[cfg(test)]

@@ -108,9 +108,9 @@ fn grid_search_distributed_matches_threaded_exactly() {
 
 /// A snapshot-aware objective with deterministic "training": each epoch
 /// sleeps, then extends an accuracy curve that is a pure function of the
-/// config and epoch index. Snapshots (epoch counter + curve) ride the
-/// runtime's ambient channel keyed by [`hpo::ckpt::trial_key`], exactly
-/// like `tinyml_objective_checkpointed` — so a killed worker's trials
+/// config and epoch index. Snapshots (the epoch counter) ride the
+/// runtime's ambient channel, each trial's task its own, exactly like
+/// `tinyml_objective_checkpointed` — so a killed worker's trials
 /// resume mid-curve on the survivor, and the final table must still be
 /// bit-identical to an uninterrupted run.
 fn snapshotting_objective(
@@ -119,13 +119,12 @@ fn snapshotting_objective(
 ) -> Objective {
     Arc::new(move |config: &Config, _budget: Option<u32>| {
         let epochs = config.get_int("num_epochs").unwrap_or(10) as u32;
-        let key = hpo::ckpt::trial_key(config);
         let base = match config.get_str("optimizer") {
             Some("Adam") => 0.6,
             _ => 0.5,
         };
         let acc_at = |e: u32| base + 0.01 * f64::from(e + 1);
-        let start = rcompss::snapshot::load(key)
+        let start = rcompss::snapshot::load()
             .map(|b| u32::from_le_bytes(b[..4].try_into().unwrap()))
             .unwrap_or(0);
         attempts.lock().unwrap().push((config.label(), start));
@@ -133,9 +132,8 @@ fn snapshotting_objective(
         for e in start..epochs {
             std::thread::sleep(Duration::from_millis(epoch_ms));
             curve.push(acc_at(e));
-            rcompss::snapshot::save(key, &(e + 1).to_le_bytes());
+            rcompss::snapshot::save(&(e + 1).to_le_bytes());
         }
-        rcompss::snapshot::discard(key);
         Ok(TrialOutcome {
             accuracy: *curve.last().unwrap(),
             epochs_run: epochs,
@@ -270,4 +268,46 @@ fn killed_worker_mid_hpo_run_completes_via_resubmission() {
         snap.counter("rcompss_tasks_retried_total").unwrap_or(0) > 0,
         "tasks in flight on the killed worker were resubmitted"
     );
+}
+
+#[test]
+fn checkpointed_sweep_with_a_trial_failed_for_good_leaves_no_snapshot_behind() {
+    // Every trial saves a snapshot per epoch; the SGD one then fails, on
+    // every attempt, so it settles as failed with a snapshot on its record.
+    // Nobody is left to resume it: it must go with the task.
+    let sgd_starts = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let starts = Arc::clone(&sgd_starts);
+    let objective: Objective = Arc::new(move |config: &Config, _| {
+        let start = rcompss::snapshot::load().map_or(0, |b| b[0]);
+        for epoch in start..start + 3 {
+            rcompss::snapshot::save(&[epoch + 1; 64]);
+        }
+        if config.get_str("optimizer") == Some("SGD") {
+            starts.lock().unwrap().push(start);
+            return Err(rcompss::TaskError::new("diverged"));
+        }
+        Ok(TrialOutcome::with_accuracy(0.9))
+    });
+    let space = SearchSpace::new().with(
+        "optimizer",
+        ParamDomain::Choice(vec![ConfigValue::Str("Adam".into()), ConfigValue::Str("SGD".into())]),
+    );
+    let opts = ExperimentOptions::default();
+    let runner = HpoRunner::new(opts.clone());
+    let sweep = |rt: &Runtime| {
+        let report = runner.run(rt, &mut GridSearch::new(&space), Arc::clone(&objective)).unwrap();
+        let failed: Vec<_> = report.trials.iter().filter(|t| t.outcome.is_failed()).collect();
+        assert_eq!((report.trials.len(), failed.len()), (2, 1));
+        // Each retry resumed where the attempt before it stopped.
+        assert_eq!(std::mem::take(&mut *sgd_starts.lock().unwrap()), [0, 3, 6]);
+        let snap = rt.metrics().snapshot();
+        assert_eq!(snap.gauge("rcompss_live_snapshot_bytes"), Some(0.0));
+        assert_eq!(snap.gauge("rcompss_live_tasks"), Some(0.0));
+    };
+
+    sweep(&Runtime::threaded(RuntimeConfig::single_node(2)));
+    let workers = spawn_workers(2, &opts, &objective);
+    let addrs: Vec<String> = workers.iter().map(|w| w.addr()).collect();
+    let config = RuntimeConfig::single_node(1);
+    sweep(&Runtime::distributed(config, &addrs, DistributedConfig::default()).expect("connect"));
 }

@@ -243,17 +243,13 @@ pub enum Frame {
         /// Receiver's clock when this ack was built, µs on its own epoch.
         reply_us: u64,
     },
-    /// Worker → driver: load the task snapshot saved under `key`. The
-    /// snapshot channel is the only user of `Fetch`/`Data`; task inputs
-    /// travel in the `Submit` or on the block plane.
-    Fetch {
-        /// The snapshot key.
-        key: u64,
-    },
-    /// A snapshot blob. Worker → driver: save (empty = discard). Driver →
-    /// worker: the always-sent reply to a [`Frame::Fetch`] (empty = none).
+    /// A task's mid-run snapshot, keyed by task id. Worker → driver: the
+    /// running attempt saved it. Driver → worker: what an earlier attempt
+    /// saved, sent right ahead of the [`Frame::Submit`] of the next one.
+    /// Nothing else travels this way: task inputs ride the `Submit` or the
+    /// block plane.
     Data {
-        /// The snapshot key.
+        /// The id of the task the snapshot belongs to.
         key: u64,
         /// The snapshot bytes, opaque to the runtime.
         blob: Blob,
@@ -490,11 +486,6 @@ pub enum FrameRef<'a> {
         /// Receiver's clock when this ack was built.
         reply_us: u64,
     },
-    /// See [`Frame::Fetch`].
-    Fetch {
-        /// The missing data key.
-        key: u64,
-    },
     /// See [`Frame::Data`].
     Data {
         /// The data key.
@@ -660,7 +651,8 @@ const T_DONE: u8 = 3;
 const T_FAILED: u8 = 4;
 const T_HEARTBEAT: u8 = 5;
 const T_HEARTBEAT_ACK: u8 = 6;
-const T_FETCH: u8 = 7;
+/// Was `Fetch` (a worker asking for a snapshot by key): retired, never reused.
+const T_FETCH_RETIRED: u8 = 7;
 const T_DATA: u8 = 8;
 const T_SHUTDOWN: u8 = 9;
 const T_TRACE_CHUNK: u8 = 10;
@@ -717,7 +709,8 @@ fn frame_extent(buf: &[u8]) -> Result<Option<(usize, usize, u8)>, DecodeError> {
     if buf.len() >= 3 && buf[2] != VERSION {
         return Err(DecodeError::BadVersion(buf[2]));
     }
-    if buf.len() >= 4 && !(T_HELLO..=T_SWEEP_DONE).contains(&buf[3]) {
+    if buf.len() >= 4 && (!(T_HELLO..=T_SWEEP_DONE).contains(&buf[3]) || buf[3] == T_FETCH_RETIRED)
+    {
         return Err(DecodeError::UnknownFrameType(buf[3]));
     }
     if buf.len() < 4 {
@@ -749,7 +742,6 @@ impl Frame {
             Frame::Failed { .. } => T_FAILED,
             Frame::Heartbeat { .. } => T_HEARTBEAT,
             Frame::HeartbeatAck { .. } => T_HEARTBEAT_ACK,
-            Frame::Fetch { .. } => T_FETCH,
             Frame::Data { .. } => T_DATA,
             Frame::TraceChunk { .. } => T_TRACE_CHUNK,
             Frame::StatsSnapshot { .. } => T_STATS_SNAPSHOT,
@@ -850,7 +842,6 @@ impl Frame {
                 wire::put_u64(out, *recv_us);
                 wire::put_u64(out, *reply_us);
             }
-            Frame::Fetch { key } => wire::put_u64(out, *key),
             Frame::Data { key, blob } => {
                 wire::put_u64(out, *key);
                 put_blob(out, blob);
@@ -987,11 +978,11 @@ impl Frame {
     /// ```
     /// use rnet::Frame;
     ///
-    /// let wire = Frame::Fetch { key: 42 }.encode();
+    /// let wire = Frame::BlockRequest { hash: 42 }.encode();
     /// // A prefix asks for more bytes; the full buffer decodes.
     /// assert_eq!(Frame::decode(&wire[..3]).unwrap(), None);
     /// let (frame, used) = Frame::decode(&wire).unwrap().expect("complete");
-    /// assert_eq!(frame, Frame::Fetch { key: 42 });
+    /// assert_eq!(frame, Frame::BlockRequest { hash: 42 });
     /// assert_eq!(used, wire.len());
     /// ```
     pub fn decode(buf: &[u8]) -> Result<Option<(Frame, usize)>, DecodeError> {
@@ -1083,7 +1074,6 @@ impl<'a> FrameRef<'a> {
                 recv_us: r.u64()?,
                 reply_us: r.u64()?,
             },
-            T_FETCH => FrameRef::Fetch { key: r.u64()? },
             T_DATA => FrameRef::Data { key: r.u64()?, blob: read_blob_ref(&mut r)? },
             T_TRACE_CHUNK => FrameRef::TraceChunk { bytes: r.bytes()? },
             T_STATS_SNAPSHOT => {
@@ -1219,7 +1209,6 @@ impl<'a> FrameRef<'a> {
                 recv_us: *recv_us,
                 reply_us: *reply_us,
             },
-            FrameRef::Fetch { key } => Frame::Fetch { key: *key },
             FrameRef::Data { key, blob } => Frame::Data { key: *key, blob: blob.to_owned() },
             FrameRef::TraceChunk { bytes } => Frame::TraceChunk { bytes: bytes.to_vec() },
             FrameRef::StatsSnapshot { wall_us, counters, gauges } => Frame::StatsSnapshot {
@@ -1337,8 +1326,7 @@ mod tests {
             Frame::Heartbeat { seq: 9, t_send_us: 123_456, telemetry: true },
             Frame::Heartbeat { seq: 10, t_send_us: 123_789, telemetry: false },
             Frame::HeartbeatAck { seq: 9, t_send_us: 123_456, recv_us: 99_000, reply_us: 99_004 },
-            Frame::Fetch { key: 1 << 40 },
-            Frame::Data { key: 1 << 40, blob: Blob { tag: "rnet.u64".into(), bytes: vec![5] } },
+            Frame::Data { key: 1 << 40, blob: Blob { tag: "ckpt.snap".into(), bytes: vec![5] } },
             Frame::TraceChunk { bytes: vec![0xde, 0xad, 0xbe, 0xef] },
             Frame::TraceChunk { bytes: vec![] },
             Frame::StatsSnapshot {
@@ -1463,10 +1451,14 @@ mod tests {
     }
 
     #[test]
-    fn wrong_version_and_type_are_rejected() {
+    fn wrong_version_unknown_and_retired_types_are_rejected() {
         assert_eq!(Frame::decode(b"RN\x02\x05\x00"), Err(DecodeError::BadVersion(2)));
         assert_eq!(Frame::decode(b"RN\x01\x63\x00"), Err(DecodeError::UnknownFrameType(0x63)));
         assert_eq!(Frame::decode(b"RN\x01\x00\x00"), Err(DecodeError::UnknownFrameType(0)));
+        // Type 7 was `Fetch` (retired): once valid, it is rejected like a
+        // type that never was, whatever follows the header.
+        assert_eq!(Frame::decode(b"RN\x01\x07"), Err(DecodeError::UnknownFrameType(7)));
+        assert_eq!(Frame::decode(b"RN\x01\x07\x01\x2a"), Err(DecodeError::UnknownFrameType(7)));
     }
 
     #[test]
@@ -1486,8 +1478,9 @@ mod tests {
         varint::put(&mut bad, payload.len() as u64);
         bad.extend_from_slice(payload);
         assert!(matches!(Frame::decode(&bad), Err(DecodeError::Malformed(_))));
-        // Trailing payload bytes are equally malformed (Fetch = one u64).
-        let mut padded = b"RN\x01\x07".to_vec();
+        // Trailing payload bytes are equally malformed (BlockRequest = two
+        // one-byte varints here).
+        let mut padded = b"RN\x01\x0d".to_vec();
         varint::put(&mut padded, 3);
         padded.extend_from_slice(&[1, 0, 0]);
         assert!(matches!(Frame::decode(&padded), Err(DecodeError::Malformed(_))));

@@ -8,8 +8,8 @@
 //!   a sequential payload [`wire::Reader`]; application value codecs build
 //!   on these so driver and worker agree byte for byte;
 //! * [`frame`] — the versioned, magic-prefixed frame model (task submit
-//!   with interned function names, done/failed, heartbeat, data fetch,
-//!   shutdown), with both owning ([`Frame::decode`]) and zero-copy
+//!   with interned function names, done/failed, heartbeat, task snapshots,
+//!   content-addressed blocks, shutdown), with both owning ([`Frame::decode`]) and zero-copy
 //!   ([`frame::FrameRef::decode`]) decode paths;
 //! * [`poll`] + [`nonblock`] — the readiness layer: an epoll/poll
 //!   [`poll::Poller`] with a self-pipe [`poll::Waker`], and per-connection
@@ -29,11 +29,12 @@
 //! ```
 //! use rnet::{Blob, Frame, RecvBuf};
 //!
-//! let submit = Frame::Data {
-//!     key: (3 << 32) | 1,
-//!     blob: Blob { tag: "hpo.config".into(), bytes: vec![1, 2, 3] },
+//! // Task 7 checkpoints: three opaque bytes for whichever attempt is next.
+//! let save = Frame::Data {
+//!     key: 7,
+//!     blob: Blob { tag: "ckpt.snap".into(), bytes: vec![1, 2, 3] },
 //! };
-//! let wire = submit.encode();
+//! let wire = save.encode();
 //!
 //! // The incremental decoder tolerates any read boundary.
 //! let mut recv = RecvBuf::new();
@@ -41,7 +42,7 @@
 //! recv.fill_from(&mut a).unwrap();
 //! assert!(recv.next_frame().unwrap().is_none(), "half a frame: wait");
 //! recv.fill_from(&mut b).unwrap();
-//! assert_eq!(recv.next_frame().unwrap().map(|f| f.to_owned()), Some(submit));
+//! assert_eq!(recv.next_frame().unwrap().map(|f| f.to_owned()), Some(save));
 //! ```
 
 #![deny(missing_docs)]

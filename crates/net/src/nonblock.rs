@@ -23,7 +23,7 @@
 //! // Coalesce two frames into one write burst…
 //! let mut send = SendBuf::new();
 //! send.push(&Frame::Heartbeat { seq: 1, t_send_us: 2, telemetry: false });
-//! send.push(&Frame::Fetch { key: 9 });
+//! send.push(&Frame::BlockRequest { hash: 9 });
 //! let mut wire = Vec::new();
 //! let (n, drained) = send.flush(&mut wire).unwrap();
 //! assert!(drained);
@@ -34,7 +34,7 @@
 //! let mut src = std::io::Cursor::new(wire);
 //! assert!(matches!(recv.fill_from(&mut src).unwrap(), Fill::Bytes(_)));
 //! assert!(matches!(recv.next_frame().unwrap(), Some(FrameRef::Heartbeat { seq: 1, .. })));
-//! assert!(matches!(recv.next_frame().unwrap(), Some(FrameRef::Fetch { key: 9 })));
+//! assert!(matches!(recv.next_frame().unwrap(), Some(FrameRef::BlockRequest { hash: 9 })));
 //! assert!(recv.next_frame().unwrap().is_none());
 //! ```
 

@@ -88,7 +88,6 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
                 reply_us
             }
         ),
-        any::<u64>().prop_map(|key| Frame::Fetch { key }),
         (any::<u64>(), arb_blob()).prop_map(|(key, blob)| Frame::Data { key, blob }),
         proptest::collection::vec(any::<u8>(), 0..200)
             .prop_map(|bytes| Frame::TraceChunk { bytes }),

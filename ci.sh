@@ -7,7 +7,9 @@
 # Lints run on the crates this repo actively grows (tinyml, rcompss, hpo,
 # hpo-bench, rnet, runmetrics, paratrace, cluster, ckpt) plus the workspace
 # root package, and rustdoc must build warning-free across the workspace
-# (RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace);
+# (RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace). The frame
+# table gate holds DESIGN.md's two frame catalogues to the type bytes in
+# crates/net/src/frame.rs, live and retired, number and name;
 # tier-1 is the ROADMAP.md contract, `cargo build --release && cargo test
 # -q`, widened to `--workspace` so every crate's unit, property and
 # integration suites gate too, followed by the non-test source line count
@@ -50,14 +52,16 @@
 # accuracies of the same run on the threaded backend; the telemetry smoke
 # re-runs a sweep with --status-addr on the driver and workers, scrapes
 # GET /metrics live over bash's /dev/tcp, validates the exposition with
-# prom-check, and diffs the merged-trace execution-span count against the
-# trial CSV. The sweep-server smoke boots a long-lived rcompss-server with
+# prom-check, and diffs the execution-span count of the --trace-out trace
+# (spans built from the workers' Done stamps) against the trial CSV. The
+# sweep-server smoke boots a long-lived rcompss-server with
 # two dial-in workers, submits a sweep over the client CLI, and checks the
 # served leaderboard matches the standalone run and the hposerver_ metric
 # family scrapes clean — and, the long-lived server's leak gate, that once
 # the sweep is done the runtime holds no task, no data version and no
 # task snapshot (rcompss_live_tasks, rcompss_live_data_versions and
-# rcompss_live_snapshot_bytes read 0).
+# rcompss_live_snapshot_bytes read 0), and that its scrape carries neither
+# of the series the retired telemetry frames fed.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -71,6 +75,25 @@ trial_table() {
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check
+
+echo "==> frame table: DESIGN.md's catalogues == crates/net/src/frame.rs"
+# "<byte> <name>" per live frame, "<byte> -" per retired one; names compared
+# without case or underscores (T_HEARTBEAT_ACK is `HeartbeatAck`).
+frames_in_code() {
+    sed -nE 's/^const T_([A-Z_]+): u8 = ([0-9]+);$/\2 \1/p' crates/net/src/frame.rs \
+        | tr -d '_' | tr '[:upper:]' '[:lower:]'
+    sed -nE 's/^const RETIRED_TYPES: \[u8; [0-9]+\] = \[(.*)\];$/\1/p' crates/net/src/frame.rs \
+        | tr ',' '\n' | awk 'NF {print $1, "-"}'
+}
+frames_in_design() {
+    sed -nE 's/^\| ([0-9]+) \| (`([A-Za-z]+)`|—) \|.*/\1 \3/p' DESIGN.md \
+        | awk '{print $1, ($2 == "" ? "-" : tolower($2))}'
+}
+if ! diff <(frames_in_code | sort -n) <(frames_in_design | sort -n); then
+    echo "frame table FAILED: frame.rs (<) and DESIGN.md (>) disagree" >&2
+    exit 1
+fi
+echo "frame table: $(frames_in_code | grep -vc ' -$') live, $(frames_in_code | grep -c ' -$') retired"
 
 echo "==> cargo clippy (-D warnings)"
 cargo clippy -p pycompss-hpo-repro -p tinyml -p rcompss -p hpo -p hpo-bench -p rnet -p runmetrics -p paratrace -p cluster -p ckpt --all-targets -- -D warnings
@@ -209,7 +232,7 @@ fi
 FORKS=$(awk '$1 == "hpo_prefix_forks_total" {print $2}' "$SMOKE_DIR/stage_metrics.prom")
 echo "stage-tree smoke: staged == naive, $SAVED epochs saved across $FORKS forks"
 
-echo "==> telemetry smoke: live /metrics scrape + merged-trace/trial diff"
+echo "==> telemetry smoke: live /metrics scrape + trace/trial diff"
 # GET <path> from 127.0.0.1:<port> over bash's /dev/tcp, body on stdout.
 scrape() {
     local port="$1" path="$2"
@@ -271,12 +294,12 @@ if ! echo "$WORKER_METRICS" | grep -q 'rcompss_block_cache_hits_total'; then
     echo "telemetry smoke FAILED: worker scrape lacks block-cache series" >&2
     exit 1
 fi
-# The merged Chrome trace must hold exactly one execution span per trial
+# The Chrome trace must hold exactly one execution span per trial
 # in the CSV (4 grid points, no retries on a healthy loopback run).
 SPANS=$(grep -c '"cat":"task"' "$SMOKE_DIR/smoke.trace.json")
 TRIALS=$(($(wc -l < "$SMOKE_DIR/telemetry.csv") - 1))
 if [ "$SPANS" -ne "$TRIALS" ]; then
-    echo "telemetry smoke FAILED: $SPANS merged exec spans != $TRIALS journaled trials" >&2
+    echo "telemetry smoke FAILED: $SPANS exec spans != $TRIALS journaled trials" >&2
     exit 1
 fi
 echo "telemetry smoke: scrapes valid, $SPANS exec spans == $TRIALS trials"
@@ -341,6 +364,12 @@ for series in rcompss_live_tasks rcompss_live_data_versions rcompss_live_snapsho
         exit 1
     fi
 done
+# The daemon runs untraced and no worker ships it telemetry: the two series
+# those frames fed are gone from the scrape, not merely zero.
+if echo "$SERVER_METRICS" | grep -Eq 'rnet_(telemetry_bytes_total|last_stats_us)'; then
+    echo "sweep-server smoke FAILED: scrape still carries a retired telemetry series" >&2
+    exit 1
+fi
 echo "sweep-server smoke: served == standalone, $COMPLETED sweep(s) completed, nothing left live"
 
 echo "ci.sh: all green"

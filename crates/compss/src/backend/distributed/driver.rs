@@ -11,8 +11,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use paratrace::merge::TaskBounds;
-use paratrace::{ClockSync, CoreId, EventKind, Record, TaskRef, WorkerTrace};
+use paratrace::{ClockSync, CoreId, EventKind, TaskRef};
 use parking_lot::Mutex;
 use rnet::{
     read_frame, Blob, Fill, Frame, FrameRef, Interest, Poller, RecvBuf, SendBuf, Waker, WireArg,
@@ -40,7 +39,7 @@ enum PreparedArg {
     Inline { key: u64, value: Value },
     /// Block-plane value already resident on the worker: hash only.
     BlockRef { key: u64, hash: u128 },
-    /// Block-plane value the worker lacks: a `BlockPut` with the bytes
+    /// Block-plane value the worker lacks: a `BlockData` with the bytes
     /// precedes the `Submit` that references the hash.
     BlockShip { key: u64, block: Arc<EncodedBlock> },
 }
@@ -101,9 +100,6 @@ struct WorkerLink {
     clock_offset_us: AtomicI64,
     /// Lock-free mirror of the best (smallest) observed heartbeat RTT.
     clock_rtt_us: AtomicU64,
-    /// Worker-side trace records shipped via `TraceChunk`, decoded and
-    /// accumulated on the worker's own clock until the merge at export.
-    trace_records: Mutex<Vec<Record>>,
 }
 
 struct Inner {
@@ -119,10 +115,6 @@ struct Inner {
     /// Failover helper threads (reconnects block in `connect`, so they
     /// must not run on the event loop).
     helpers: Mutex<Vec<JoinHandle<()>>>,
-    /// Driver-observed `[dispatch, completion]` window per task id — the
-    /// clamp that keeps rebased worker spans inside driver-timeline causality
-    /// at merge time.
-    exec_bounds: Mutex<TaskBounds>,
 }
 
 /// Driver-side connection manager: one event-loop thread owning readiness
@@ -275,7 +267,6 @@ impl ConnMgr {
                     hb_seq: AtomicU64::new(0),
                     clock_offset_us: AtomicI64::new(0),
                     clock_rtt_us: AtomicU64::new(0),
-                    trace_records: Mutex::new(Vec::new()),
                 })
             })
             .collect();
@@ -291,7 +282,6 @@ impl ConnMgr {
             wake,
             registrations,
             helpers: Mutex::new(Vec::new()),
-            exec_bounds: Mutex::new(TaskBounds::new()),
         });
         let loop_inner = Arc::clone(&inner);
         let threads = vec![std::thread::spawn(move || driver_loop(loop_inner))];
@@ -301,24 +291,6 @@ impl ConnMgr {
     /// Worker display labels, indexed by node id: `name@addr`.
     pub fn labels(&self) -> Vec<String> {
         self.inner.workers.iter().map(|w| format!("{}@{}", w.name, w.addr)).collect()
-    }
-
-    /// Everything the trace merge needs: each worker's shipped records with
-    /// its current clock-offset estimate, plus the driver-observed
-    /// dispatch→completion bounds. Records are cloned, not drained, so the
-    /// merged trace can be exported more than once.
-    pub fn telemetry(&self) -> (Vec<WorkerTrace>, TaskBounds) {
-        let workers = self
-            .inner
-            .workers
-            .iter()
-            .map(|w| WorkerTrace {
-                node: w.node,
-                offset_us: w.clock_offset_us.load(Ordering::Relaxed),
-                records: w.trace_records.lock().clone(),
-            })
-            .collect();
-        (workers, self.inner.exec_bounds.lock().clone())
     }
 
     /// Per-worker clock sync estimates, indexed by node id:
@@ -501,7 +473,7 @@ fn send_dispatches(inner: &Arc<Inner>, work: Vec<RemoteDispatch>) {
                         // The block's bytes must precede the Submit that
                         // references them (same socket, so ordering holds).
                         st.send
-                            .push(&Frame::BlockPut { hash: block.hash, blob: block.blob.clone() });
+                            .push(&Frame::BlockData { hash: block.hash, blob: block.blob.clone() });
                         args.push(WireArg::Block { key: *key, hash: block.hash });
                     }
                     PreparedArg::Inline { key, value } => match codec::encode_value(value) {
@@ -585,8 +557,8 @@ fn driver_loop(inner: Arc<Inner>) {
     let hb = inner.cfg.heartbeat_interval;
     let mut events = Vec::new();
     // First heartbeat fires immediately: it seeds the clock-offset estimate
-    // so even tasks completing before the first interval elapses get
-    // rebased worker telemetry.
+    // so even tasks completing before the first interval elapses get their
+    // worker stamps rebased.
     let mut next_hb = std::time::Instant::now();
     loop {
         if inner.stop.load(Ordering::SeqCst) {
@@ -639,14 +611,11 @@ fn register_link(inner: &Inner, link: &WorkerLink) {
 
 /// Write a heartbeat to every live link and declare silent ones dead.
 ///
-/// Each probe carries the driver's clock (for the NTP exchange the ack
-/// completes) and the telemetry gate: workers flush trace chunks and stats
-/// only when the driver's tracing flag is on, so a tracing-disabled run
-/// sees zero telemetry bytes on the wire.
+/// Each probe carries the driver's clock, for the NTP exchange the ack
+/// completes. Its `telemetry` field is reserved: always `false`.
 fn heartbeat_pass(inner: &Arc<Inner>) {
     let timeout_us = inner.cfg.heartbeat_timeout.as_micros() as u64;
     let now = inner.shared.wall_us();
-    let telemetry = inner.shared.trace.is_enabled();
     let mut dead = Vec::new();
     for link in &inner.workers {
         {
@@ -655,7 +624,11 @@ fn heartbeat_pass(inner: &Arc<Inner>) {
                 continue;
             }
             let seq = link.hb_seq.fetch_add(1, Ordering::Relaxed);
-            st.send.push(&Frame::Heartbeat { seq, t_send_us: inner.shared.wall_us(), telemetry });
+            st.send.push(&Frame::Heartbeat {
+                seq,
+                t_send_us: inner.shared.wall_us(),
+                telemetry: false,
+            });
             if pump_link(&inner.shared, &mut st) {
                 sync_interest(inner, link.node, &mut st);
             } else {
@@ -685,8 +658,6 @@ fn service_link(inner: &Arc<Inner>, link: &Arc<WorkerLink>, readable: bool, writ
     let mut block_evicts: Vec<u128> = Vec::new();
     let mut saves: Vec<(TaskId, Vec<u8>)> = Vec::new();
     let mut acks: Vec<(u64, u64, u64)> = Vec::new();
-    let mut chunks: Vec<Vec<u8>> = Vec::new();
-    let mut stats_seen = false;
     let mut alive = true;
     let mut saw_bytes = false;
     {
@@ -742,8 +713,6 @@ fn service_link(inner: &Arc<Inner>, link: &Arc<WorkerLink>, readable: bool, writ
                             FrameRef::Data { key, blob } => {
                                 saves.push((TaskId(key), blob.bytes.to_vec()));
                             }
-                            FrameRef::TraceChunk { bytes } => chunks.push(bytes.to_vec()),
-                            FrameRef::StatsSnapshot { .. } => stats_seen = true,
                             // Workers don't originate these driver-bound
                             // frames.
                             _ => {}
@@ -765,7 +734,7 @@ fn service_link(inner: &Arc<Inner>, link: &Arc<WorkerLink>, readable: bool, writ
             // One wall read serves the batch — acks decoded together arrived
             // together within the fill's granularity.
             let t3 = inner.shared.wall_us();
-            for (t0, t1, t2) in acks.drain(..) {
+            for &(t0, t1, t2) in &acks {
                 st.clock.observe(t0, t1, t2, t3);
             }
             link.clock_offset_us.store(st.clock.offset_us(), Ordering::Relaxed);
@@ -775,7 +744,9 @@ fn service_link(inner: &Arc<Inner>, link: &Arc<WorkerLink>, readable: bool, writ
             sync_interest(inner, link.node, &mut st);
         }
     }
-    ingest_telemetry(inner, link, chunks, stats_seen);
+    if !acks.is_empty() {
+        publish_clock_gauges(inner, link);
+    }
     if !completions.is_empty()
         || !saves.is_empty()
         || !block_reqs.is_empty()
@@ -788,43 +759,41 @@ fn service_link(inner: &Arc<Inner>, link: &Arc<WorkerLink>, readable: bool, writ
     }
 }
 
-/// Fold one readiness event's telemetry frames into driver state: decode
-/// shipped trace chunks onto the link's record store, account their payload
-/// bytes, and refresh the per-worker clock/freshness gauges.
-fn ingest_telemetry(
-    inner: &Arc<Inner>,
-    link: &Arc<WorkerLink>,
-    chunks: Vec<Vec<u8>>,
-    stats_seen: bool,
-) {
-    let label = || format!("{}@{}", link.name, link.addr);
-    if !chunks.is_empty() {
-        let mut records = link.trace_records.lock();
-        for chunk in &chunks {
-            inner.shared.metrics.telemetry_bytes.add(chunk.len() as u64);
-            // A malformed chunk loses those spans but not the run: the
-            // driver-side estimates still cover the trace.
-            if let Ok(mut rs) = paratrace::wire::decode_records(chunk) {
-                records.append(&mut rs);
-            }
-        }
-    }
-    if stats_seen {
-        inner.shared.metrics.set_node_gauge(
-            "rnet_last_stats_us",
-            &label(),
-            inner.shared.wall_us() as f64,
-        );
-    }
+/// Refresh the per-worker clock gauges from the link's best estimate.
+fn publish_clock_gauges(inner: &Inner, link: &WorkerLink) {
     let rtt = link.clock_rtt_us.load(Ordering::Relaxed);
     if rtt > 0 {
-        inner.shared.metrics.set_node_gauge("rnet_rtt_us", &label(), rtt as f64);
+        let label = format!("{}@{}", link.name, link.addr);
+        inner.shared.metrics.set_node_gauge("rnet_rtt_us", &label, rtt as f64);
         inner.shared.metrics.set_node_gauge(
             "rnet_clock_offset_us",
-            &label(),
+            &label,
             link.clock_offset_us.load(Ordering::Relaxed) as f64,
         );
     }
+}
+
+/// Map a worker-clock stamp onto the driver timeline, saturating at zero.
+/// `offset_us` is the link's `worker_clock − driver_clock` estimate.
+fn rebase(t: u64, offset_us: i64) -> u64 {
+    (t as i64 - offset_us).max(0) as u64
+}
+
+/// Where an attempt's execution bars go on the driver timeline: the `Done`
+/// frame's body-start and body-end stamps, rebased and clamped into the
+/// driver-observed `[dispatch, completion]` window — residual clock error
+/// (≤ RTT/2) must never draw an execution before its own dispatch or past
+/// its observed completion.
+fn exec_span(
+    w_start: u64,
+    w_end: u64,
+    offset_us: i64,
+    dispatch: u64,
+    completion: u64,
+) -> (u64, u64) {
+    let start = rebase(w_start, offset_us).clamp(dispatch, completion);
+    let end = rebase(w_end, offset_us).clamp(dispatch, completion);
+    (start, end.max(start))
 }
 
 /// Completions and requests collected from one readiness event: one core
@@ -890,30 +859,26 @@ fn apply_frames(
             sync_interest(inner, link.node, &mut st);
         }
     }
-    if !infos.is_empty() && inner.shared.trace.is_enabled() {
-        // Driver-observed dispatch→completion windows: the causality clamp
-        // applied to this worker's rebased spans at merge time. Untraced,
-        // there are no spans to clamp and the map would only grow.
-        let mut bounds = inner.exec_bounds.lock();
-        for (task, _, start_us, _, _) in &infos {
-            bounds.insert(task.0, (*start_us, now));
-        }
-    }
     let offset = link.clock_offset_us.load(Ordering::Relaxed);
+    let synced = link.clock_rtt_us.load(Ordering::Relaxed) > 0;
     for (task, placement, start_us, name, stamps) in infos {
         inner.shared.metrics.rpc_latency.record(now.saturating_sub(start_us));
         inner.shared.metrics.record_node_task(&format!("{}@{}", link.name, link.addr));
+        // What the trace shows for the attempt: the driver-observed window,
+        // narrowed to the body's own span once the stamps can be placed.
+        let mut span = (start_us, now);
         if let Some((w_recv, w_start, w_end)) = stamps {
-            // Rebase the worker stamps onto the driver timeline; exec is a
-            // worker-clock difference, so the offset cancels there.
-            let rebase = |t: u64| (t as i64 - offset).max(0) as u64;
+            // Exec is a worker-clock difference, so the offset cancels there.
             let m = &inner.shared.metrics;
-            m.phase_wire.record(rebase(w_recv).saturating_sub(start_us));
+            m.phase_wire.record(rebase(w_recv, offset).saturating_sub(start_us));
             m.phase_exec.record(w_end.saturating_sub(w_start));
-            m.phase_ship.record(now.saturating_sub(rebase(w_end)));
+            m.phase_ship.record(now.saturating_sub(rebase(w_end, offset)));
+            if synced {
+                span = exec_span(w_start, w_end, offset, start_us, now);
+            }
         }
         let task_ref = TaskRef::new(task.0, name);
-        emit_attempt_spans(&inner.shared, &placement, task_ref, start_us, now, false);
+        emit_attempt_spans(&inner.shared, &placement, task_ref, span.0, span.1, false);
     }
     inner.shared.cv.notify_all();
     send_dispatches(inner, follow);
@@ -1031,6 +996,22 @@ fn failover(inner: &Arc<Inner>, link: &Arc<WorkerLink>) {
 mod tests {
     use super::*;
     use crate::data::DataHandle;
+
+    #[test]
+    fn exec_spans_are_rebased_and_never_leave_the_driver_window() {
+        // Worker clock 1_000 ahead: stamps [1_200, 1_300] are [200, 300] on
+        // the driver timeline, inside the window, so the length is exact.
+        assert_eq!(exec_span(1_200, 1_300, 1_000, 150, 400), (200, 300));
+        // Offset error puts the start before the dispatch: clamped to it.
+        assert_eq!(exec_span(1_100, 1_200, 1_000, 150, 400), (150, 200));
+        // An offset so wrong the whole span rebases below zero collapses
+        // onto the window floor, a worker behind the driver lands past the
+        // ceiling; neither inverts.
+        assert_eq!(exec_span(1_100, 1_200, 10_000, 150, 400), (150, 150));
+        assert_eq!(exec_span(100, 200, -1_000, 150, 400), (400, 400));
+        // Stamps a hostile peer inverted still give a forward span.
+        assert_eq!(exec_span(1_300, 1_200, 1_000, 150, 400), (300, 300));
+    }
 
     #[test]
     fn data_keys_roundtrip() {

@@ -49,7 +49,7 @@
 //! Values whose declared size meets the threshold ride the
 //! content-addressed block plane (see the `blocks` module): the driver
 //! encodes the value once, hashes it, pushes the bytes ahead of the first
-//! `Submit` that needs them on a node (`BlockPut`), and every later submit —
+//! `Submit` that needs them on a node (`BlockData`), and every later submit —
 //! any trial, same content — sends only the 16-byte hash
 //! ([`rnet::WireArg::Block`]). Workers hold decoded blocks in an LRU cache
 //! bounded by `--cache-mem`, reporting evictions (`BlockEvict`) so the
@@ -66,7 +66,7 @@
 //! keeps the latest on the task's record until the task settles. When it
 //! dispatches a later attempt of that task it writes the blob right ahead
 //! of the `Submit`, on the same socket under the same lock, exactly as a
-//! `BlockPut` precedes the `Submit` that names its hash; the worker's event
+//! `BlockData` precedes the `Submit` that names its hash; the worker's event
 //! loop holds it from the one frame to the next and moves it into the job.
 //! A load is therefore local on both ends and a first attempt puts nothing
 //! on the wire before its first save. A same-node retry re-sends the

@@ -10,7 +10,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use paratrace::{CoreId, TaskRef, TraceCollector};
 use parking_lot::{Condvar, Mutex};
 use rnet::{Blob, Fill, Frame, FrameRef, Interest, Poller, RecvBuf, SendBuf, Waker, WireArgRef};
 
@@ -97,8 +96,8 @@ impl WorkerServer {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         // Preregister the block-cache series in the process-global registry
-        // so worker scrapes and StatsSnapshots show them from zero — a
-        // cold cache reads as 0, not as a missing series.
+        // so worker scrapes show them from zero — a cold cache reads as 0,
+        // not as a missing series.
         let global = runmetrics::global();
         global.counter("rcompss_block_cache_hits_total");
         global.counter("rcompss_block_cache_misses_total");
@@ -359,14 +358,9 @@ struct ConnShared {
     jobs_cv: Condvar,
     closed: AtomicBool,
     stop: Arc<AtomicBool>,
-    /// Worker-side span collector, always recording (executions are rare
-    /// and records are tiny). Each telemetry-flagged heartbeat drains it to
-    /// a `TraceChunk`; unflagged heartbeats drain-and-drop, so memory stays
-    /// bounded and a tracing-disabled driver costs zero telemetry bytes.
-    trace: TraceCollector,
-    /// The clock every worker-side stamp shares: heartbeat-ack times, the
-    /// `Done` lifecycle stamps, and trace record times — one epoch, so the
-    /// driver's single offset estimate rebases all of them.
+    /// The clock every worker-side stamp shares: heartbeat-ack times and the
+    /// `Done` lifecycle stamps — one epoch, so the driver's single offset
+    /// estimate rebases all of them.
     epoch: std::time::Instant,
 }
 
@@ -470,7 +464,6 @@ fn accept_conn(
         jobs_cv: Condvar::new(),
         closed: AtomicBool::new(false),
         stop: Arc::clone(stop),
-        trace: TraceCollector::enabled(),
         epoch: std::time::Instant::now(),
     });
     if poller.register(stream.as_raw_fd(), token, Interest::READ).is_err() {
@@ -562,7 +555,7 @@ fn handle_worker_frame(
                             Err(e) => bad_arg = Some(e.to_string()),
                         }
                     }
-                    // Content-addressed: either a BlockPut landed earlier
+                    // Content-addressed: either a BlockData landed earlier
                     // on this socket, or the block cache still holds it
                     // from a previous task; a miss (eviction raced the
                     // driver's residency view) re-fetches on demand.
@@ -589,9 +582,7 @@ fn handle_worker_frame(
             conn.jobs.lock().push_back(job);
             conn.jobs_cv.notify_one();
         }
-        FrameRef::Heartbeat { seq, t_send_us, telemetry } => {
-            // Ack first — the clock exchange must not queue behind
-            // telemetry payloads — then flush or drop buffered spans.
+        FrameRef::Heartbeat { seq, t_send_us, .. } => {
             let recv_us = conn.wall_us();
             conn.push_out(&Frame::HeartbeatAck {
                 seq,
@@ -599,21 +590,14 @@ fn handle_worker_frame(
                 recv_us,
                 reply_us: conn.wall_us(),
             });
-            if telemetry {
-                flush_telemetry_frames(conn);
-            } else {
-                // The driver is not tracing: drop buffered spans so the
-                // collector stays bounded and the wire stays silent.
-                drop(conn.trace.drain());
-            }
         }
         FrameRef::Data { key, blob } => {
             // The snapshot of the task whose Submit is next on this socket.
             handed_over.insert(key, blob.bytes.to_vec());
         }
-        // Unsolicited push (rides ahead of the Submit referencing it) and
-        // fetch reply land identically: decode once, admit to the LRU.
-        FrameRef::BlockPut { hash, blob } | FrameRef::BlockData { hash, blob } => {
+        // Pushed ahead of the Submit referencing it, or the reply to a
+        // fetch: decode once, admit to the LRU.
+        FrameRef::BlockData { hash, blob } => {
             admit_block(conn, hash, blob.tag, blob.bytes);
         }
         FrameRef::Shutdown => return false,
@@ -621,28 +605,6 @@ fn handle_worker_frame(
         _ => {}
     }
     true
-}
-
-/// Ship buffered telemetry to the driver: one `TraceChunk` with every span
-/// recorded since the last flush, plus a `StatsSnapshot` of the worker's
-/// global metrics registry. Backpressure-aware: while the outbound buffer
-/// still holds a backlog (a large result mid-flight), telemetry stays in
-/// the collector for the next heartbeat — it must never wedge behind (or
-/// in front of) task results.
-fn flush_telemetry_frames(conn: &Arc<ConnShared>) {
-    if !conn.out.lock().is_empty() {
-        return;
-    }
-    let records = conn.trace.drain();
-    if !records.is_empty() {
-        conn.push_out(&Frame::TraceChunk { bytes: paratrace::wire::encode_records(&records) });
-    }
-    let snap = runmetrics::global().snapshot();
-    conn.push_out(&Frame::StatsSnapshot {
-        wall_us: conn.wall_us(),
-        counters: snap.counters,
-        gauges: snap.gauges,
-    });
 }
 
 /// Drain a connection's outbound backlog and reconcile write interest.
@@ -801,11 +763,6 @@ fn run_job(conn: &ConnShared, registry: &TaskRegistry, job: &Job) -> Frame {
     let start_us = conn.wall_us();
     let result = run_body(&*body, &ctx, &inputs);
     let end_us = conn.wall_us().max(start_us + 1);
-    // The ground-truth execution span, on the worker's clock and worker-
-    // local node 0 (the merge rewrites it to the driver-side node id). The
-    // worker's global registry feeds the StatsSnapshot stream.
-    let core = CoreId::new(0, job.cores.first().copied().unwrap_or(0));
-    conn.trace.task_run(core, start_us, end_us, TaskRef::new(job.task_id, Arc::clone(&job.name)));
     let global = runmetrics::global();
     global.counter("worker_tasks_executed_total").incr();
     global.histogram("worker_task_exec_us").record(end_us - start_us);

@@ -57,7 +57,7 @@ pub(crate) fn content_hash(tag: &str, bytes: &[u8]) -> u128 {
 pub(crate) struct EncodedBlock {
     /// Content hash of `(tag, bytes)` — the block's identity everywhere.
     pub hash: u128,
-    /// The encoded bytes as they travel in `BlockPut`/`BlockData`.
+    /// The encoded bytes as they travel in `BlockData`.
     pub blob: Blob,
 }
 
@@ -65,7 +65,7 @@ pub(crate) struct EncodedBlock {
 /// per-node residency map behind transfer-aware placement.
 ///
 /// Residency here is *optimistic*: a block is marked resident when its
-/// `BlockPut` is queued, not when the worker acks it. Frames on one link
+/// `BlockData` is queued, not when the worker acks it. Frames on one link
 /// are ordered, so any `Submit` that relies on the mark is decoded after
 /// the bytes arrived. Worker evictions (`BlockEvict`) and node death
 /// (`clear_node`) retract marks. The marks follow the worker's cache, not

@@ -39,17 +39,14 @@
 //! | `rnet_reconnects_total` | counter | successful worker reconnections |
 //! | `rnet_rpc_latency_us` | histogram | submit → done/failed round trip per remote task |
 //! | `rcompss_node_tasks_completed_total{node="…"}` | counter | completions per remote worker (addr-labelled) |
-//! | `rnet_telemetry_bytes_total` | counter | trace/stats payload bytes received from workers |
 //! | `rcompss_task_phase_us{phase="…"}` | histogram | per-phase task lifecycle latency (queue/wire/exec/ship) |
 //! | `rnet_rtt_us{node="…"}` | gauge | best heartbeat round-trip time per worker |
 //! | `rnet_clock_offset_us{node="…"}` | gauge | estimated worker−driver clock offset |
-//! | `rnet_last_stats_us{node="…"}` | gauge | driver wall-µs of the last stats snapshot per worker |
 //! | `rnet_bytes_sent_total{node="…"}` | counter | protocol bytes written, per worker link |
 //! | `rnet_bytes_received_total{node="…"}` | counter | protocol bytes read, per worker link |
 //!
 //! Workers additionally keep block-cache series in their process-global
-//! registry — they reach the driver's aggregate through `StatsSnapshot`
-//! heartbeats and are scrapeable at the worker's own `--status-addr`:
+//! registry, not the driver's: scrape the worker's `--status-addr`.
 //!
 //! | series | kind | meaning |
 //! |---|---|---|
@@ -123,8 +120,6 @@ pub(crate) struct RtMetrics {
     pub transfer_time: Histogram,
     /// Submit → done/failed round trip per remote task (distributed).
     pub rpc_latency: Histogram,
-    /// Trace/stats payload bytes received from workers (distributed).
-    pub telemetry_bytes: Counter,
     /// Submission → dispatch wait, as a lifecycle phase.
     pub phase_queue: Histogram,
     /// Dispatch → worker submit-decode (driver timeline, offset-rebased).
@@ -173,7 +168,6 @@ impl RtMetrics {
             dep_wait: registry.histogram("rcompss_dep_wait_us"),
             transfer_time: registry.histogram("rcompss_transfer_time_us"),
             rpc_latency: registry.histogram("rnet_rpc_latency_us"),
-            telemetry_bytes: registry.counter("rnet_telemetry_bytes_total"),
             phase_queue: registry.histogram(&labeled("rcompss_task_phase_us", "phase", "queue")),
             phase_wire: registry.histogram(&labeled("rcompss_task_phase_us", "phase", "wire")),
             phase_exec: registry.histogram(&labeled("rcompss_task_phase_us", "phase", "exec")),
@@ -227,7 +221,7 @@ impl RtMetrics {
     }
 
     /// Set a per-worker gauge, e.g. `set_node_gauge("rnet_rtt_us", label,
-    /// rtt as f64)` — the clock-sync and telemetry-freshness lanes.
+    /// rtt as f64)` — the clock-sync lanes.
     pub fn set_node_gauge(&self, base: &str, node_label: &str, value: f64) {
         if !self.registry.enabled() {
             return;
@@ -268,7 +262,6 @@ mod tests {
             "rnet_bytes_sent_total",
             "rnet_bytes_received_total",
             "rnet_reconnects_total",
-            "rnet_telemetry_bytes_total",
         ] {
             assert_eq!(snap.counter(series), Some(0), "{series} missing");
         }

@@ -794,22 +794,14 @@ impl Runtime {
     /// Snapshot the trace, including synthetic `RuntimeReserved` intervals
     /// for worker-reserved cores so Gantt renders match the paper's figures.
     ///
-    /// On the distributed backend this is the *merged* trace: worker-shipped
-    /// execution spans are rebased onto the driver timeline with each
-    /// worker's heartbeat clock-offset estimate
-    /// ([`paratrace::merge::merge`]), replacing the driver's
-    /// completion-time estimates wherever ground truth arrived.
+    /// On the distributed backend a completed attempt's bars are the
+    /// worker's own execution stamps (they ride its `Done` frame), rebased
+    /// onto the driver timeline with the link's heartbeat clock-offset
+    /// estimate — in the trace by the time `wait_on` returns.
     pub fn trace(&self) -> Vec<paratrace::Record> {
-        let driver = {
+        let mut records = {
             let _core = self.shared.core.lock();
             self.shared.trace.snapshot()
-        };
-        let mut records = match &self.backend {
-            BackendHandle::Distributed(mgr) => {
-                let (workers, bounds) = mgr.telemetry();
-                paratrace::merge::merge(driver, workers, &bounds)
-            }
-            _ => driver,
         };
         let core = self.shared.core.lock();
         let horizon = records.iter().map(|r| r.end_time()).max().unwrap_or(0);

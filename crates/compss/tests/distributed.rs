@@ -9,6 +9,7 @@ use std::time::Duration;
 
 use rnet::{read_frame, write_frame, Blob, Frame, RecvBuf, WireArg};
 
+use paratrace::{EventKind, Record};
 use rcompss::{
     ArgSpec, Constraint, DistributedConfig, RetryPolicy, Runtime, RuntimeConfig, TaskContext,
     TaskDef, TaskError, TaskRegistry, Value, WorkerConfig, WorkerHandle, WorkerServer,
@@ -144,10 +145,14 @@ fn loopback_dependent_chain_and_labels() {
 
 /// Play the worker by hand: one `Hello { cores: 1 }`, an ack per heartbeat,
 /// a `Done` per `Submit` (computed from the inline args — a peer that holds
-/// no state between submits), nothing else. Returns every frame the driver
-/// sent between the `Hello` and its `Shutdown`.
-fn scripted_peer(listener: std::net::TcpListener) -> Vec<Frame> {
+/// no state between submits), nothing else. Its clock starts at the accept;
+/// a body "runs" for `exec`, idle for as long before and after it, and the
+/// `Done` is stamped `[s, s + exec]`. Returns every frame the driver sent
+/// between the `Hello` and its `Shutdown`.
+fn scripted_peer(listener: std::net::TcpListener, exec: Duration) -> Vec<Frame> {
     let (mut sock, _) = listener.accept().expect("driver connects");
+    let epoch = std::time::Instant::now();
+    let clock = || epoch.elapsed().as_micros() as u64;
     let hello = Frame::Hello { name: "script".into(), cores: 1, gpus: 0, mem_gib: 1 };
     write_frame(&mut sock, &hello).unwrap();
     let mut recv = RecvBuf::new();
@@ -157,12 +162,15 @@ fn scripted_peer(listener: std::net::TcpListener) -> Vec<Frame> {
         let frame = read_frame(&mut sock, &mut recv).unwrap().expect("Shutdown precedes EOF");
         let reply = match &frame {
             Frame::Shutdown => return seen,
-            Frame::Heartbeat { seq, t_send_us, .. } => Some(Frame::HeartbeatAck {
-                seq: *seq,
-                t_send_us: *t_send_us,
-                recv_us: 0,
-                reply_us: 0,
-            }),
+            Frame::Heartbeat { seq, t_send_us, .. } => {
+                let now = clock();
+                Some(Frame::HeartbeatAck {
+                    seq: *seq,
+                    t_send_us: *t_send_us,
+                    recv_us: now,
+                    reply_us: now,
+                })
+            }
             Frame::Submit { exec_id, fn_id, fn_name, args, .. } => {
                 if let Some(name) = fn_name {
                     fn_names.insert(*fn_id, name.clone());
@@ -174,7 +182,12 @@ fn scripted_peer(listener: std::net::TcpListener) -> Vec<Frame> {
                     other => panic!("unscripted task {other}"),
                 };
                 let outputs = vec![rcompss::codec::encode_value(&Value::new(out)).unwrap()];
-                Some(Frame::Done { exec_id: *exec_id, recv_us: 1, start_us: 2, end_us: 3, outputs })
+                let recv_us = clock();
+                std::thread::sleep(exec);
+                let start_us = clock();
+                std::thread::sleep(2 * exec);
+                let end_us = start_us + exec.as_micros() as u64;
+                Some(Frame::Done { exec_id: *exec_id, recv_us, start_us, end_us, outputs })
             }
             _ => None,
         };
@@ -199,14 +212,23 @@ fn inline_args(args: &[WireArg]) -> Vec<i64> {
         .collect()
 }
 
-#[test]
-fn scripted_peer_sees_every_input_in_the_submit() {
+/// Connect a driver to a [`scripted_peer`] whose bodies take `exec`.
+fn scripted_runtime(
+    tracing: bool,
+    exec: Duration,
+) -> (Runtime, std::thread::JoinHandle<Vec<Frame>>) {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
-    let peer = std::thread::spawn(move || scripted_peer(listener));
-    let rt =
-        Runtime::distributed(RuntimeConfig::single_node(1), &[addr], DistributedConfig::default())
-            .expect("connect");
+    let peer = std::thread::spawn(move || scripted_peer(listener, exec));
+    let cfg = RuntimeConfig::single_node(1).with_tracing(tracing);
+    let rt = Runtime::distributed(cfg, &[addr], DistributedConfig::default()).expect("connect");
+    (rt, peer)
+}
+
+/// The square → square → add chain against a scripted peer; returns what
+/// the driver put on the wire.
+fn scripted_chain(tracing: bool) -> Vec<Frame> {
+    let (rt, peer) = scripted_runtime(tracing, Duration::ZERO);
 
     // Chain a → b, then a join over both outputs — all on the one node, so
     // every dependent is placed where its inputs were produced.
@@ -220,20 +242,71 @@ fn scripted_peer_sees_every_input_in_the_submit() {
     // at all means the driver waited on no other reply.
     assert_eq!(*rt.wait_on(&join).unwrap().downcast_ref::<i64>().unwrap(), 90);
     drop(rt);
+    peer.join().expect("peer thread")
+}
 
-    let seen = peer.join().expect("peer thread");
+#[test]
+fn scripted_peer_sees_every_input_in_the_submit() {
+    let traced = scripted_chain(true);
     let mut submits = Vec::new();
-    for f in &seen {
+    for f in &traced {
         match f {
             Frame::Submit { args, .. } => submits.push(inline_args(args)),
-            Frame::Heartbeat { .. } | Frame::BlockPut { .. } | Frame::BlockData { .. } => {}
+            // The flag that used to solicit telemetry is reserved.
+            Frame::Heartbeat { telemetry, .. } => assert!(!telemetry, "{f:?}"),
             other => panic!("driver sent {other:?} between Hello and Shutdown"),
         }
     }
     // b's Submit carries a's output (9), the join's carries both outputs.
     assert_eq!(submits, [vec![3], vec![9], vec![9, 81]]);
     // The first heartbeat leaves before the loop first polls.
-    assert!(seen.iter().any(|f| matches!(f, Frame::Heartbeat { .. })), "heartbeats flowed");
+    assert!(traced.iter().any(|f| matches!(f, Frame::Heartbeat { .. })), "heartbeats flowed");
+
+    // Tracing changes nothing on the wire: heartbeats aside (their count
+    // and clock are timing), the untraced run sends the very same frames.
+    let paced = |frames: &[Frame]| -> Vec<Frame> {
+        frames.iter().filter(|f| !matches!(f, Frame::Heartbeat { .. })).cloned().collect()
+    };
+    let untraced = scripted_chain(false);
+    assert_eq!(paced(&untraced), paced(&traced));
+    assert!(untraced.iter().all(|f| !matches!(f, Frame::Heartbeat { telemetry: true, .. })));
+}
+
+#[test]
+fn done_stamps_alone_give_the_trace_its_exec_span() {
+    // The peer sends a `Hello`, heartbeat acks and one `Done` — nothing
+    // else exists for a trace to be built from.
+    const EXEC: Duration = Duration::from_millis(20);
+    let (rt, peer) = scripted_runtime(true, EXEC);
+    // A stamp can only be placed once the link has a clock sample.
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while rt.clock_stats()[0].1 == 0 {
+        assert!(std::time::Instant::now() < deadline, "no heartbeat ack in 5 s");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let square = task_set().get("square").unwrap().clone();
+    let three = rt.literal(3i64);
+    let out = rt.submit(&square, vec![ArgSpec::In(three)]).unwrap().returns[0];
+    assert_eq!(*rt.wait_on(&out).unwrap().downcast_ref::<i64>().unwrap(), 9);
+    // Complete the moment `wait_on` returns: no later frame adds to it.
+    let done_by = rt.now_us();
+    let trace = rt.trace();
+    drop(rt);
+    peer.join().expect("peer thread");
+
+    let dispatched = trace
+        .iter()
+        .find_map(|r| match r {
+            Record::Event { time, kind: EventKind::TaskDispatch(_), .. } => Some(*time),
+            _ => None,
+        })
+        .expect("a dispatch event");
+    let spans: Vec<&Record> = trace.iter().filter(|r| r.running_task().is_some()).collect();
+    assert_eq!(spans.len(), 1, "{trace:?}");
+    let (start, end) = (spans[0].time(), spans[0].end_time());
+    // The body's own length, not the 3 × EXEC the driver saw go by.
+    assert_eq!(end - start, EXEC.as_micros() as u64, "{:?}", spans[0]);
+    assert!(dispatched <= start && end <= done_by, "{dispatched} ≤ [{start}, {end}] ≤ {done_by}");
 }
 
 /// Play the driver by hand against a real worker: submit `name` as
@@ -557,39 +630,20 @@ fn all_workers_dead_fails_tasks_instead_of_hanging() {
 }
 
 #[test]
-fn tracing_disabled_ships_zero_telemetry_bytes() {
+fn tracing_off_keeps_no_records() {
     let workers = spawn_workers(2, 2);
-    let dcfg = DistributedConfig {
-        heartbeat_interval: Duration::from_millis(30),
-        ..DistributedConfig::default()
-    };
     let rt = Runtime::distributed(
         RuntimeConfig::single_node(1).with_tracing(false),
         &addrs(&workers),
-        dcfg,
+        DistributedConfig::default(),
     )
     .expect("connect");
     assert_eq!(run_fan_out_fan_in(&rt, 16), (1..=16i64).map(|i| i * i).sum::<i64>());
-
-    // Give several heartbeats a chance to (incorrectly) solicit telemetry.
-    std::thread::sleep(Duration::from_millis(120));
-
-    // With tracing off the heartbeat advertises `telemetry: false`, workers
-    // drop their buffered spans locally, and not a single TraceChunk or
-    // StatsSnapshot byte crosses the wire.
-    let snap = rt.metrics().snapshot();
-    assert_eq!(
-        snap.counter("rnet_telemetry_bytes_total").unwrap_or(0),
-        0,
-        "telemetry frames must not ship when tracing is disabled"
-    );
     assert!(rt.trace().is_empty(), "no trace records when tracing is disabled");
-    for (name, _) in &snap.gauges {
-        assert!(
-            !name.starts_with("rnet_last_stats_us"),
-            "no worker stats snapshot should have arrived: {name}"
-        );
-    }
+    // The `Done` stamps are read all the same: they feed the phase
+    // histograms whether or not anything draws them.
+    let exec = runmetrics::labeled("rcompss_task_phase_us", "phase", "exec");
+    assert_eq!(rt.metrics().snapshot().histogram(&exec).map(|h| h.count), Some(17));
 }
 
 #[test]
@@ -618,7 +672,7 @@ fn merged_trace_has_worker_spans_for_every_completed_task() {
         .collect();
 
     // Kill one worker mid-run: its in-flight tasks are resubmitted, and the
-    // merged trace must still account for every *completed* execution.
+    // trace must still account for every *completed* execution.
     std::thread::sleep(Duration::from_millis(60));
     workers[0].halt();
     for (i, h) in handles.iter().enumerate() {
@@ -627,35 +681,39 @@ fn merged_trace_has_worker_spans_for_every_completed_task() {
     }
     assert_eq!(rt.stats().completed, N as u64);
 
-    // A couple more heartbeats so survivors ship their last trace chunks.
-    std::thread::sleep(Duration::from_millis(150));
-
+    // No waiting for a later frame: a span arrives with its completion.
+    let done_by = rt.now_us();
     let records = rt.trace();
-    // Worker span shipping actually happened (ground truth, not estimates).
     let snap = rt.metrics().snapshot();
-    assert!(
-        snap.counter("rnet_telemetry_bytes_total").unwrap_or(0) > 0,
-        "workers shipped trace chunks over the wire"
-    );
 
-    // Every completed slow_square has an execution span in the merged trace.
+    // Every completed slow_square has an execution span in the trace: the
+    // worker's own (the body sleeps 15 ms), inside the attempt's window —
+    // after its dispatch to that node, before the driver saw it complete.
     let mut seen = std::collections::HashSet::new();
     for r in &records {
         if let Some(t) = r.running_task() {
             if &*t.name == "slow_square" {
-                assert!(r.end_time() > r.time(), "non-empty exec span: {r:?}");
+                assert!(r.end_time() - r.time() >= 10_000, "the 15 ms body: {r:?}");
+                let dispatched = records.iter().any(|d| {
+                    matches!(d, Record::Event { kind: EventKind::TaskDispatch(dt), .. }
+                        if dt.id == t.id)
+                        && d.core().node == r.core().node
+                        && d.time() <= r.time()
+                });
+                assert!(dispatched, "span precedes every dispatch of its task: {r:?}");
+                assert!(r.end_time() <= done_by, "span outlasts its completion: {r:?}");
                 seen.insert(t.id);
             }
         }
     }
     assert_eq!(seen.len() as i64, N, "one exec span per completed task");
 
-    // Rebasing kept the merged timeline monotonic — records sorted by start
-    // time with no span extending past the run horizon.
+    // Rebasing kept the timeline monotonic — records sorted by start time
+    // with no span extending past the run horizon.
     let horizon = records.iter().map(|r| r.end_time()).max().unwrap_or(0);
     let mut prev = 0;
     for r in &records {
-        assert!(r.time() >= prev, "merged trace sorted on driver timeline");
+        assert!(r.time() >= prev, "trace sorted on driver timeline");
         assert!(r.end_time() <= horizon);
         prev = r.time();
     }
@@ -671,6 +729,44 @@ fn merged_trace_has_worker_spans_for_every_completed_task() {
     // median must sit at or above that floor.
     let exec = snap.histogram(&runmetrics::labeled("rcompss_task_phase_us", "phase", "exec"));
     assert!(exec.unwrap().p50 >= 10_000, "exec phase reflects the 15 ms body");
+}
+
+#[test]
+fn a_two_core_task_has_a_bar_on_each_granted_core() {
+    let pair = TaskDef {
+        constraint: Constraint::cpus(2),
+        ..def("pair", |ctx, _| {
+            std::thread::sleep(Duration::from_millis(5));
+            Ok(vec![Value::new(ctx.cores.len() as i64)])
+        })
+    };
+    let cfg = WorkerConfig { name: "w".into(), cores: 2, ..WorkerConfig::default() };
+    let worker = WorkerServer::bind("127.0.0.1:0", cfg, TaskRegistry::new().with(pair.clone()))
+        .expect("bind loopback")
+        .spawn()
+        .expect("spawn worker");
+    let dcfg = DistributedConfig {
+        heartbeat_interval: Duration::from_millis(20),
+        ..DistributedConfig::default()
+    };
+    let rt = Runtime::distributed(RuntimeConfig::single_node(1), &[worker.addr()], dcfg)
+        .expect("connect");
+    let zero = rt.literal(0i64);
+    let out = rt.submit(&pair, vec![ArgSpec::In(zero)]).unwrap().returns[0];
+    assert_eq!(*rt.wait_on(&out).unwrap().downcast_ref::<i64>().unwrap(), 2);
+
+    let bars = |trace: Vec<Record>| -> Vec<Record> {
+        trace.into_iter().filter(|r| r.running_task().is_some()).collect()
+    };
+    let at_completion = bars(rt.trace());
+    assert_eq!(at_completion.len(), 2, "{at_completion:?}");
+    let (a, b) = (&at_completion[0], &at_completion[1]);
+    assert_ne!(a.core(), b.core(), "one bar per granted core");
+    assert_eq!((a.time(), a.end_time()), (b.time(), b.end_time()), "one attempt, one span");
+    // Nothing arrives later to redraw a settled attempt, however many
+    // heartbeats go by.
+    std::thread::sleep(Duration::from_millis(100));
+    assert_eq!(bars(rt.trace()), at_completion);
 }
 
 /// Task set for the block-plane tests: `dot` folds a shared `Vec<f64>`
@@ -786,7 +882,7 @@ fn block_plane_ships_shared_dataset_once_per_worker_not_once_per_trial() {
     );
 
     // Every trial resolved the dataset from the local cache: the block
-    // rode a BlockPut ahead of the first Submit on each link.
+    // rode a BlockData ahead of the first Submit on each link.
     let hits_after =
         runmetrics::global().snapshot().counter("rcompss_block_cache_hits_total").unwrap_or(0);
     assert!(

@@ -19,7 +19,6 @@
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rnet::{Reader, WireError};
@@ -62,7 +61,10 @@ pub enum SweepRecord {
         /// in flight without the original search space).
         label: String,
     },
-    /// A trial's model snapshot reached durable storage.
+    /// A trial's model snapshot reached durable storage. No longer written:
+    /// a resumed trial restarts from what the snapshot store holds, not from
+    /// a mark. Still decoded, and skipped on recovery, so a journal from a
+    /// release that wrote these resumes.
     Epoch {
         /// The trial's [`trial_key`].
         key: u64,
@@ -122,17 +124,14 @@ impl SweepRecord {
     }
 }
 
-/// Thread-safe, cloneable handle on the sweep journal. The runner holds
-/// one for `Submitted`/`Finished`; the checkpointed objective holds a
-/// clone for `Epoch` records (same process — distributed workers journal
-/// nothing, their snapshots travel through the runtime instead).
-#[derive(Clone)]
-pub struct SweepJournal(Arc<Mutex<ckpt::Journal>>);
+/// Thread-safe handle on the sweep journal: the runner appends
+/// `Submitted`/`Finished` through a shared reference.
+pub struct SweepJournal(Mutex<ckpt::Journal>);
 
 impl SweepJournal {
     /// Open (or create) the journal at `path`, truncating any torn tail.
     pub fn open(path: impl AsRef<Path>) -> io::Result<SweepJournal> {
-        Ok(SweepJournal(Arc::new(Mutex::new(ckpt::Journal::open(path)?))))
+        Ok(SweepJournal(Mutex::new(ckpt::Journal::open(path)?)))
     }
 
     /// Append one record (fsynced before returning).
@@ -156,8 +155,6 @@ pub struct SweepState {
     pub in_flight: Vec<u64>,
     /// Config labels seen in `Submitted` records.
     pub labels: HashMap<u64, String>,
-    /// Highest journaled snapshot epoch per trial (resume floor).
-    pub last_epoch: HashMap<u64, u32>,
     /// Whether the journal ended in a torn write (now truncated).
     pub tail_truncated: bool,
     /// CRC-clean records that nevertheless failed to parse (a newer or
@@ -179,10 +176,7 @@ impl SweepState {
                         state.in_flight.push(key);
                     }
                 }
-                Ok(SweepRecord::Epoch { key, epoch }) => {
-                    let e = state.last_epoch.entry(key).or_default();
-                    *e = (*e).max(epoch);
-                }
+                Ok(SweepRecord::Epoch { .. }) => {}
                 Ok(SweepRecord::Finished { key, outcome, task_us }) => {
                     state.in_flight.retain(|&k| k != key);
                     state.complete.insert(key, (outcome, task_us));
@@ -341,7 +335,7 @@ mod tests {
         let j = spec.journal().unwrap();
         j.record(&SweepRecord::Submitted { key: 1, label: "a".into() }).unwrap();
         j.record(&SweepRecord::Submitted { key: 2, label: "b".into() }).unwrap();
-        j.record(&SweepRecord::Epoch { key: 2, epoch: 1 }).unwrap();
+        // What an earlier release wrote per snapshot: read past, not malformed.
         j.record(&SweepRecord::Epoch { key: 2, epoch: 4 }).unwrap();
         j.record(&SweepRecord::Finished {
             key: 1,
@@ -355,7 +349,6 @@ mod tests {
         assert_eq!(state.complete.len(), 1);
         assert_eq!(state.complete[&1].0.accuracy, 0.5);
         assert_eq!(state.in_flight, vec![2], "submitted-but-unfinished");
-        assert_eq!(state.last_epoch[&2], 4, "highest snapshot epoch wins");
         assert_eq!(state.labels[&2], "b");
         assert!(!state.tail_truncated);
         assert_eq!(state.malformed, 0);
@@ -368,7 +361,7 @@ mod tests {
         let spec = CheckpointSpec::new(&dir);
         let j = spec.journal().unwrap();
         j.record(&SweepRecord::Submitted { key: 5, label: "x".into() }).unwrap();
-        j.record(&SweepRecord::Epoch { key: 5, epoch: 2 }).unwrap();
+        j.record(&SweepRecord::Submitted { key: 6, label: "y".into() }).unwrap();
         drop(j);
         // Simulate a crash mid-append: chop bytes off the file tail.
         let path = spec.journal_path();
@@ -378,8 +371,7 @@ mod tests {
 
         let state = spec.recover().unwrap();
         assert!(state.tail_truncated);
-        assert_eq!(state.in_flight, vec![5], "clean prefix fully recovered");
-        assert!(state.last_epoch.is_empty(), "torn epoch record dropped");
+        assert_eq!(state.in_flight, vec![5], "clean prefix recovered, torn record dropped");
 
         // Re-opening truncates the torn tail and appends cleanly after it.
         let j = spec.journal().unwrap();

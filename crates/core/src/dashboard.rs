@@ -174,17 +174,15 @@ impl Dashboard {
     /// ordered by `labels`:
     ///
     /// ```text
-    /// worker w0@host:port: 8 tasks · rtt 1.2 ms · offset +3.4 ms · stats 0.8 s ago
+    /// worker w0@host:port: 8 tasks · rtt 1.2 ms · offset +3.4 ms
     /// ```
     ///
     /// Reads the `rcompss_node_tasks_completed_total{node=...}` counters
-    /// plus the telemetry gauges the heartbeat clock-sync maintains
-    /// (`rnet_rtt_us`, `rnet_clock_offset_us`, `rnet_last_stats_us`);
-    /// telemetry columns are omitted per-worker until the first estimate
-    /// lands. `now_us` is the driver clock used for the last-scrape age.
-    /// Empty string when no per-node counters exist (threaded/sim runs)
-    /// or metrics are off.
-    pub fn node_lanes(&self, labels: &[String], now_us: u64) -> String {
+    /// plus the gauges the heartbeat clock-sync maintains (`rnet_rtt_us`,
+    /// `rnet_clock_offset_us`); those columns are omitted per-worker until
+    /// the first estimate lands. Empty string when no per-node counters
+    /// exist (threaded/sim runs) or metrics are off.
+    pub fn node_lanes(&self, labels: &[String]) -> String {
         let Some((registry, _)) = &self.metrics else { return String::new() };
         let snap = registry.snapshot();
         let mut out = String::new();
@@ -198,10 +196,6 @@ impl Dashboard {
             }
             if let Some(offset) = gauge("rnet_clock_offset_us") {
                 out.push_str(&format!(" · offset {:+.1} ms", offset / 1e3));
-            }
-            if let Some(at) = gauge("rnet_last_stats_us") {
-                let age_us = now_us.saturating_sub(at as u64);
-                out.push_str(&format!(" · stats {:.1} s ago", age_us as f64 / 1e6));
             }
             out.push('\n');
         }
@@ -321,19 +315,19 @@ mod tests {
         reg.counter(&runmetrics::labeled("rcompss_node_tasks_completed_total", "node", &w0)).add(8);
         reg.counter(&runmetrics::labeled("rcompss_node_tasks_completed_total", "node", &w1)).add(4);
         let d = Dashboard::new().with_metrics(std::sync::Arc::clone(&reg), 10);
-        let lanes = d.node_lanes(&[w0.clone(), w1.clone()], 0);
+        let lanes = d.node_lanes(&[w0.clone(), w1.clone()]);
         let lines: Vec<&str> = lanes.lines().collect();
         assert_eq!(lines.len(), 2, "{lanes}");
         assert_eq!(lines[0], format!("worker {w0}: 8 tasks"));
         assert_eq!(lines[1], format!("worker {w1}: 4 tasks"));
         // Threaded runs have no per-node series: silent.
-        assert!(d.node_lanes(&["node0".to_string()], 0).is_empty());
+        assert!(d.node_lanes(&["node0".to_string()]).is_empty());
         // No registry: silent.
-        assert!(Dashboard::new().node_lanes(&[w0], 0).is_empty());
+        assert!(Dashboard::new().node_lanes(&[w0]).is_empty());
     }
 
     #[test]
-    fn node_lanes_show_clock_sync_and_scrape_age() {
+    fn node_lanes_show_clock_sync() {
         let reg = std::sync::Arc::new(runmetrics::MetricsRegistry::new(true));
         let w0 = "w0@127.0.0.1:7077".to_string();
         let w1 = "w1@127.0.0.1:7078".to_string();
@@ -341,15 +335,11 @@ mod tests {
         reg.counter(&runmetrics::labeled("rcompss_node_tasks_completed_total", "node", &w1)).add(4);
         reg.gauge(&runmetrics::labeled("rnet_rtt_us", "node", &w0)).set(1_200.0);
         reg.gauge(&runmetrics::labeled("rnet_clock_offset_us", "node", &w0)).set(-3_400.0);
-        reg.gauge(&runmetrics::labeled("rnet_last_stats_us", "node", &w0)).set(1_500_000.0);
         let d = Dashboard::new().with_metrics(std::sync::Arc::clone(&reg), 10);
-        let lanes = d.node_lanes(&[w0.clone(), w1.clone()], 2_300_000);
+        let lanes = d.node_lanes(&[w0.clone(), w1.clone()]);
         let lines: Vec<&str> = lanes.lines().collect();
-        assert_eq!(
-            lines[0],
-            format!("worker {w0}: 8 tasks · rtt 1.2 ms · offset -3.4 ms · stats 0.8 s ago")
-        );
-        // No telemetry for w1 yet: columns omitted, not zero-filled.
+        assert_eq!(lines[0], format!("worker {w0}: 8 tasks · rtt 1.2 ms · offset -3.4 ms"));
+        // No clock estimate for w1 yet: columns omitted, not zero-filled.
         assert_eq!(lines[1], format!("worker {w1}: 4 tasks"));
     }
 

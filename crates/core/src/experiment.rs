@@ -13,7 +13,7 @@ use tinyml::optim::OptimizerKind;
 use tinyml::train::{train_with_checkpoints, Checkpointing, EpochSignal, TrainConfig};
 use tinyml::TrainSnapshot;
 
-use crate::ckpt::{fnv1a, trial_key, SweepJournal, SweepRecord, FNV_OFFSET};
+use crate::ckpt::{fnv1a, trial_key, FNV_OFFSET};
 use crate::early_stop::EarlyStop;
 use crate::space::Config;
 
@@ -225,8 +225,7 @@ pub fn tinyml_objective_with_early_stop(
 }
 
 /// How a single trial checkpoints its model (the sweep-level journal is
-/// [`crate::ckpt`]'s business; `journal` here only receives the `Epoch`
-/// marks that record a snapshot reaching disk).
+/// [`crate::ckpt`]'s business).
 #[derive(Clone, Default)]
 pub struct TrialCheckpoints {
     /// Snapshot every `every` epochs (0 = off).
@@ -236,9 +235,6 @@ pub struct TrialCheckpoints {
     /// snapshot lives as long as its task (still enough for same-run
     /// retries and killed distributed workers).
     pub store: Option<Arc<ckpt::DirStore>>,
-    /// Where to journal `Epoch` records (threaded runs; a distributed
-    /// worker has no journal and simply leaves this `None`).
-    pub journal: Option<SweepJournal>,
 }
 
 /// Like [`tinyml_objective_with_early_stop`], and additionally resumable:
@@ -280,18 +276,13 @@ pub fn tinyml_objective_checkpointed(
             reg.counter("ckpt_restored_epochs_total").add(u64::from(snap.next_epoch));
         }
         let store = ckpts.store.clone();
-        let journal = ckpts.journal.clone();
         let mut sink = move |snap: &TrainSnapshot| {
             let bytes = snap.encode();
             reg.counter("ckpt_bytes_written").add(bytes.len() as u64);
             reg.counter("ckpt_snapshots_saved_total").incr();
             rcompss::snapshot::save(&bytes);
             if let Some(store) = &store {
-                if store.save(key, snap.next_epoch, &bytes).is_ok() {
-                    if let Some(j) = &journal {
-                        let _ = j.record(&SweepRecord::Epoch { key, epoch: snap.next_epoch });
-                    }
-                }
+                let _ = store.save(key, snap.next_epoch, &bytes);
             }
         };
         let mut tracker = early_stop.map(|es| es.tracker());
@@ -470,26 +461,23 @@ mod tests {
     }
 
     #[test]
-    fn checkpointed_objective_journals_epochs_and_cleans_up() {
+    fn checkpointed_objective_cleans_up_and_changes_no_result() {
         let data = Arc::new(Dataset::synthetic_mnist(200, 3));
         let dir = std::env::temp_dir().join(format!("hpo-exp-ckpt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let spec = crate::ckpt::CheckpointSpec::new(&dir).with_every(2);
-        let journal = spec.journal().unwrap();
         let store = Arc::new(spec.store().unwrap());
         let obj = tinyml_objective_checkpointed(
             Arc::clone(&data),
             vec![8],
             None,
-            TrialCheckpoints { every: 2, store: Some(Arc::clone(&store)), journal: Some(journal) },
+            TrialCheckpoints { every: 2, store: Some(Arc::clone(&store)) },
         );
         let cfg = paper_config("Adam", 5, 32);
         let out = obj(&cfg, None).unwrap();
         assert_eq!(out.epochs_run, 5);
 
         let key = trial_key(&cfg);
-        let state = spec.recover().unwrap();
-        assert_eq!(state.last_epoch[&key], 4, "snapshots at epochs 2 and 4 journaled");
         assert!(store.epochs(key).unwrap().is_empty(), "completion clears the trial's store");
 
         // With no snapshot to resume from, checkpointing changes nothing

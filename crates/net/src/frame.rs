@@ -226,10 +226,9 @@ pub enum Frame {
         seq: u64,
         /// Sender's clock at transmission, µs on its own epoch.
         t_send_us: u64,
-        /// Whether the sender wants the peer to flush telemetry
-        /// ([`Frame::TraceChunk`] / [`Frame::StatsSnapshot`]) frames. When
-        /// false the peer must stay silent on those frame types, keeping
-        /// the tracing flag a true wire-level no-op.
+        /// Reserved: always sent `false`, ignored on receipt. It solicited
+        /// the worker-shipped telemetry frames (type bytes 10 and 11) until
+        /// those were retired.
         telemetry: bool,
     },
     /// Worker → driver reply to [`Frame::Heartbeat`].
@@ -254,42 +253,15 @@ pub enum Frame {
         /// The snapshot bytes, opaque to the runtime.
         blob: Blob,
     },
-    /// A batch of trace records, shipped worker → driver only while the
-    /// peer's last [`Frame::Heartbeat`] asked for telemetry. The payload is
-    /// opaque to the protocol layer — the application's trace codec
-    /// produced it — keeping `rnet` ignorant of trace semantics the same
-    /// way task payloads stay opaque [`Blob`]s.
-    TraceChunk {
-        /// Application-encoded trace records.
-        bytes: Vec<u8>,
-    },
-    /// A point-in-time stat sample, shipped worker → driver on the same
-    /// telemetry gate as [`Frame::TraceChunk`]. Generic name/value pairs:
-    /// the protocol layer carries them, the application names them.
-    StatsSnapshot {
-        /// Sender's clock when the sample was taken, µs on its own epoch.
-        wall_us: u64,
-        /// Monotonically increasing counters, `(name, value)`.
-        counters: Vec<(String, u64)>,
-        /// Instantaneous values, `(name, value)`.
-        gauges: Vec<(String, f64)>,
-    },
-    /// Driver → worker: proactively seed one content-addressed block into
-    /// the worker's block cache, ahead of a `Submit` whose args reference
-    /// it by hash. Idempotent: a worker already holding `hash` ignores the
-    /// payload.
-    BlockPut {
-        /// Content hash of `blob`'s encoded bytes.
-        hash: u128,
-        /// The serialised value.
-        blob: Blob,
-    },
     /// Worker → driver: a [`WireArg::Block`] input missed the block cache.
     BlockRequest {
         /// The missing content hash.
         hash: u128,
     },
-    /// Driver → worker: the block for an earlier [`Frame::BlockRequest`].
+    /// Driver → worker: one content-addressed block for the worker's block
+    /// cache — pushed ahead of the first `Submit` on this connection whose
+    /// args reference `hash`, or sent in answer to a [`Frame::BlockRequest`].
+    /// Idempotent: a worker already holding `hash` ignores the payload.
     BlockData {
         /// The content hash.
         hash: u128,
@@ -472,7 +444,7 @@ pub enum FrameRef<'a> {
         seq: u64,
         /// Sender's clock at transmission, µs on its own epoch.
         t_send_us: u64,
-        /// Whether the sender wants telemetry frames flushed.
+        /// Reserved; see [`Frame::Heartbeat`].
         telemetry: bool,
     },
     /// See [`Frame::HeartbeatAck`].
@@ -490,27 +462,6 @@ pub enum FrameRef<'a> {
     Data {
         /// The data key.
         key: u64,
-        /// The serialised value, borrowed.
-        blob: BlobRef<'a>,
-    },
-    /// See [`Frame::TraceChunk`].
-    TraceChunk {
-        /// Application-encoded trace records, borrowed.
-        bytes: &'a [u8],
-    },
-    /// See [`Frame::StatsSnapshot`].
-    StatsSnapshot {
-        /// Sender's clock when the sample was taken.
-        wall_us: u64,
-        /// Monotonically increasing counters, names borrowed.
-        counters: Vec<(&'a str, u64)>,
-        /// Instantaneous values, names borrowed.
-        gauges: Vec<(&'a str, f64)>,
-    },
-    /// See [`Frame::BlockPut`].
-    BlockPut {
-        /// Content hash of `blob`'s encoded bytes.
-        hash: u128,
         /// The serialised value, borrowed.
         blob: BlobRef<'a>,
     },
@@ -651,13 +602,8 @@ const T_DONE: u8 = 3;
 const T_FAILED: u8 = 4;
 const T_HEARTBEAT: u8 = 5;
 const T_HEARTBEAT_ACK: u8 = 6;
-/// Was `Fetch` (a worker asking for a snapshot by key): retired, never reused.
-const T_FETCH_RETIRED: u8 = 7;
 const T_DATA: u8 = 8;
 const T_SHUTDOWN: u8 = 9;
-const T_TRACE_CHUNK: u8 = 10;
-const T_STATS_SNAPSHOT: u8 = 11;
-const T_BLOCK_PUT: u8 = 12;
 const T_BLOCK_REQUEST: u8 = 13;
 const T_BLOCK_DATA: u8 = 14;
 const T_BLOCK_EVICT: u8 = 15;
@@ -668,6 +614,12 @@ const T_SWEEP_STATUS: u8 = 19;
 const T_LEADERBOARD_CHUNK: u8 = 20;
 const T_CANCEL_SWEEP: u8 = 21;
 const T_SWEEP_DONE: u8 = 22;
+/// Type bytes that once named a frame: rejected like a byte that never did,
+/// and never reused. 7 was `Fetch` (a worker asking for a snapshot by key),
+/// 10 `TraceChunk` and 11 `StatsSnapshot` (worker-shipped telemetry; the
+/// `Done` stamps carry the execution span), 12 `BlockPut` (a block pushed
+/// ahead of its `Submit`; `BlockData` carries it).
+const RETIRED_TYPES: [u8; 4] = [7, 10, 11, 12];
 
 fn put_blob(out: &mut Vec<u8>, blob: &Blob) {
     wire::put_str(out, &blob.tag);
@@ -709,7 +661,8 @@ fn frame_extent(buf: &[u8]) -> Result<Option<(usize, usize, u8)>, DecodeError> {
     if buf.len() >= 3 && buf[2] != VERSION {
         return Err(DecodeError::BadVersion(buf[2]));
     }
-    if buf.len() >= 4 && (!(T_HELLO..=T_SWEEP_DONE).contains(&buf[3]) || buf[3] == T_FETCH_RETIRED)
+    if buf.len() >= 4
+        && (!(T_HELLO..=T_SWEEP_DONE).contains(&buf[3]) || RETIRED_TYPES.contains(&buf[3]))
     {
         return Err(DecodeError::UnknownFrameType(buf[3]));
     }
@@ -743,9 +696,6 @@ impl Frame {
             Frame::Heartbeat { .. } => T_HEARTBEAT,
             Frame::HeartbeatAck { .. } => T_HEARTBEAT_ACK,
             Frame::Data { .. } => T_DATA,
-            Frame::TraceChunk { .. } => T_TRACE_CHUNK,
-            Frame::StatsSnapshot { .. } => T_STATS_SNAPSHOT,
-            Frame::BlockPut { .. } => T_BLOCK_PUT,
             Frame::BlockRequest { .. } => T_BLOCK_REQUEST,
             Frame::BlockData { .. } => T_BLOCK_DATA,
             Frame::BlockEvict { .. } => T_BLOCK_EVICT,
@@ -844,24 +794,6 @@ impl Frame {
             }
             Frame::Data { key, blob } => {
                 wire::put_u64(out, *key);
-                put_blob(out, blob);
-            }
-            Frame::TraceChunk { bytes } => wire::put_bytes(out, bytes),
-            Frame::StatsSnapshot { wall_us, counters, gauges } => {
-                wire::put_u64(out, *wall_us);
-                wire::put_u64(out, counters.len() as u64);
-                for (name, v) in counters {
-                    wire::put_str(out, name);
-                    wire::put_u64(out, *v);
-                }
-                wire::put_u64(out, gauges.len() as u64);
-                for (name, v) in gauges {
-                    wire::put_str(out, name);
-                    wire::put_f64(out, *v);
-                }
-            }
-            Frame::BlockPut { hash, blob } => {
-                put_hash(out, *hash);
                 put_blob(out, blob);
             }
             Frame::BlockRequest { hash } => put_hash(out, *hash),
@@ -1075,24 +1007,6 @@ impl<'a> FrameRef<'a> {
                 reply_us: r.u64()?,
             },
             T_DATA => FrameRef::Data { key: r.u64()?, blob: read_blob_ref(&mut r)? },
-            T_TRACE_CHUNK => FrameRef::TraceChunk { bytes: r.bytes()? },
-            T_STATS_SNAPSHOT => {
-                let wall_us = r.u64()?;
-                let n_counters = r.u64()? as usize;
-                let mut counters = Vec::with_capacity(n_counters.min(1024));
-                for _ in 0..n_counters {
-                    counters.push((r.str_ref()?, r.u64()?));
-                }
-                let n_gauges = r.u64()? as usize;
-                let mut gauges = Vec::with_capacity(n_gauges.min(1024));
-                for _ in 0..n_gauges {
-                    gauges.push((r.str_ref()?, r.f64()?));
-                }
-                FrameRef::StatsSnapshot { wall_us, counters, gauges }
-            }
-            T_BLOCK_PUT => {
-                FrameRef::BlockPut { hash: read_hash(&mut r)?, blob: read_blob_ref(&mut r)? }
-            }
             T_BLOCK_REQUEST => FrameRef::BlockRequest { hash: read_hash(&mut r)? },
             T_BLOCK_DATA => {
                 FrameRef::BlockData { hash: read_hash(&mut r)?, blob: read_blob_ref(&mut r)? }
@@ -1210,15 +1124,6 @@ impl<'a> FrameRef<'a> {
                 reply_us: *reply_us,
             },
             FrameRef::Data { key, blob } => Frame::Data { key: *key, blob: blob.to_owned() },
-            FrameRef::TraceChunk { bytes } => Frame::TraceChunk { bytes: bytes.to_vec() },
-            FrameRef::StatsSnapshot { wall_us, counters, gauges } => Frame::StatsSnapshot {
-                wall_us: *wall_us,
-                counters: counters.iter().map(|&(n, v)| (n.to_string(), v)).collect(),
-                gauges: gauges.iter().map(|&(n, v)| (n.to_string(), v)).collect(),
-            },
-            FrameRef::BlockPut { hash, blob } => {
-                Frame::BlockPut { hash: *hash, blob: blob.to_owned() }
-            }
             FrameRef::BlockRequest { hash } => Frame::BlockRequest { hash: *hash },
             FrameRef::BlockData { hash, blob } => {
                 Frame::BlockData { hash: *hash, blob: blob.to_owned() }
@@ -1327,19 +1232,11 @@ mod tests {
             Frame::Heartbeat { seq: 10, t_send_us: 123_789, telemetry: false },
             Frame::HeartbeatAck { seq: 9, t_send_us: 123_456, recv_us: 99_000, reply_us: 99_004 },
             Frame::Data { key: 1 << 40, blob: Blob { tag: "ckpt.snap".into(), bytes: vec![5] } },
-            Frame::TraceChunk { bytes: vec![0xde, 0xad, 0xbe, 0xef] },
-            Frame::TraceChunk { bytes: vec![] },
-            Frame::StatsSnapshot {
-                wall_us: 5_000_000,
-                counters: vec![("tasks_total".into(), 42), ("bytes_total".into(), 1 << 33)],
-                gauges: vec![("depth".into(), 2.5), ("neg".into(), -1.0)],
-            },
-            Frame::StatsSnapshot { wall_us: 0, counters: vec![], gauges: vec![] },
-            Frame::BlockPut {
+            Frame::BlockRequest { hash: 1 },
+            Frame::BlockData {
                 hash: u128::MAX - 3,
                 blob: Blob { tag: "tinyml.dataset".into(), bytes: vec![0x5a; 256] },
             },
-            Frame::BlockRequest { hash: 1 },
             Frame::BlockData {
                 hash: 1,
                 blob: Blob { tag: "tinyml.dataset".into(), bytes: vec![] },
@@ -1455,10 +1352,14 @@ mod tests {
         assert_eq!(Frame::decode(b"RN\x02\x05\x00"), Err(DecodeError::BadVersion(2)));
         assert_eq!(Frame::decode(b"RN\x01\x63\x00"), Err(DecodeError::UnknownFrameType(0x63)));
         assert_eq!(Frame::decode(b"RN\x01\x00\x00"), Err(DecodeError::UnknownFrameType(0)));
-        // Type 7 was `Fetch` (retired): once valid, it is rejected like a
-        // type that never was, whatever follows the header.
-        assert_eq!(Frame::decode(b"RN\x01\x07"), Err(DecodeError::UnknownFrameType(7)));
-        assert_eq!(Frame::decode(b"RN\x01\x07\x01\x2a"), Err(DecodeError::UnknownFrameType(7)));
+        // Retired types (`Fetch`, `TraceChunk`, `StatsSnapshot`, `BlockPut`):
+        // once valid, each is rejected like a type that never was, whatever
+        // follows the header.
+        for t in [7u8, 10, 11, 12] {
+            let unknown = Err(DecodeError::UnknownFrameType(t));
+            assert_eq!(Frame::decode(&[b'R', b'N', 1, t]), unknown);
+            assert_eq!(Frame::decode(&[b'R', b'N', 1, t, 1, 0x2a]), unknown);
+        }
     }
 
     #[test]

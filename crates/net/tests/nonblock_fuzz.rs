@@ -81,18 +81,6 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
             }
         ),
         (any::<u64>(), arb_blob()).prop_map(|(key, blob)| Frame::Data { key, blob }),
-        proptest::collection::vec(any::<u8>(), 0..200)
-            .prop_map(|bytes| Frame::TraceChunk { bytes }),
-        (
-            any::<u64>(),
-            proptest::collection::vec(("[a-z_]{1,20}", any::<u64>()), 0..6),
-            proptest::collection::vec(("[a-z_]{1,20}", -1e300f64..1e300f64), 0..6),
-        )
-            .prop_map(|(wall_us, counters, gauges)| Frame::StatsSnapshot {
-                wall_us,
-                counters,
-                gauges
-            }),
         Just(Frame::Shutdown),
     ]
 }

@@ -4,7 +4,7 @@
 //! arbitrary boundaries is `nonblock_fuzz.rs`'s subject.)
 
 use proptest::prelude::*;
-use rnet::{Blob, Frame, LeaderRow, WireArg};
+use rnet::{Blob, DecodeError, Frame, LeaderRow, WireArg};
 
 fn arb_blob() -> impl Strategy<Value = Blob> {
     ("[a-z.]{0,12}", proptest::collection::vec(any::<u8>(), 0..200))
@@ -89,19 +89,6 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
             }
         ),
         (any::<u64>(), arb_blob()).prop_map(|(key, blob)| Frame::Data { key, blob }),
-        proptest::collection::vec(any::<u8>(), 0..200)
-            .prop_map(|bytes| Frame::TraceChunk { bytes }),
-        (
-            any::<u64>(),
-            proptest::collection::vec(("[a-z_]{1,20}", any::<u64>()), 0..6),
-            proptest::collection::vec(("[a-z_]{1,20}", -1e300f64..1e300f64), 0..6),
-        )
-            .prop_map(|(wall_us, counters, gauges)| Frame::StatsSnapshot {
-                wall_us,
-                counters,
-                gauges
-            }),
-        (arb_hash(), arb_blob()).prop_map(|(hash, blob)| Frame::BlockPut { hash, blob }),
         arb_hash().prop_map(|hash| Frame::BlockRequest { hash }),
         (arb_hash(), arb_blob()).prop_map(|(hash, blob)| Frame::BlockData { hash, blob }),
         arb_hash().prop_map(|hash| Frame::BlockEvict { hash }),
@@ -181,6 +168,19 @@ proptest! {
         for cut in 1..buf.len() {
             prop_assert_eq!(Frame::decode(&buf[..cut]).unwrap(), None);
         }
+    }
+
+    /// A retired type byte (7 `Fetch`, 10 `TraceChunk`, 11 `StatsSnapshot`,
+    /// 12 `BlockPut`) is an unknown frame type from the header alone,
+    /// whatever length and payload follow it.
+    #[test]
+    fn retired_type_bytes_decode_as_unknown(
+        t in prop_oneof![Just(7u8), Just(10u8), Just(11u8), Just(12u8)],
+        tail in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let mut buf = vec![b'R', b'N', 1, t];
+        buf.extend_from_slice(&tail);
+        prop_assert_eq!(Frame::decode(&buf), Err(DecodeError::UnknownFrameType(t)));
     }
 
     /// Random bytes never panic the decoder: they either fail cleanly or

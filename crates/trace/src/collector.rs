@@ -149,16 +149,6 @@ impl TraceCollector {
         out.sort_by_key(|r| (r.time(), r.core(), r.end_time()));
         out
     }
-
-    /// Drain all records, leaving the collector empty.
-    pub fn drain(&self) -> Vec<Record> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            out.append(&mut shard.records.lock());
-        }
-        out.sort_by_key(|r| (r.time(), r.core(), r.end_time()));
-        out
-    }
 }
 
 #[cfg(test)]
@@ -195,14 +185,6 @@ mod tests {
         let times: Vec<u64> = snap.iter().map(|r| r.time()).collect();
         assert_eq!(times, vec![0, 20, 50]);
         assert_eq!(c.len(), 3, "snapshot must not consume");
-    }
-
-    #[test]
-    fn drain_empties_collector() {
-        let c = TraceCollector::enabled();
-        c.task_run(CoreId::new(0, 0), 0, 1, task(1));
-        assert_eq!(c.drain().len(), 1);
-        assert!(c.is_empty());
     }
 
     #[test]
@@ -254,8 +236,5 @@ mod tests {
         let snap = c.snapshot();
         assert_eq!(snap.len(), 300);
         assert!(snap.windows(2).all(|w| w[0].time() <= w[1].time()), "sorted by time");
-        let drained = c.drain();
-        assert_eq!(drained.len(), 300);
-        assert!(c.is_empty());
     }
 }

@@ -19,10 +19,9 @@
 //!   parallelism profile) standing in for Paraver's analysis views.
 //! * [`report`] — per-task-function profiles and busy-core timelines, the
 //!   Paraver "profile" tables as data/CSV.
-//! * [`wire`] — a compact binary codec for record batches, the payload of
-//!   the distributed backend's `TraceChunk` frames.
-//! * [`merge`] — NTP-style clock-offset estimation plus the rebase/splice
-//!   step that turns per-worker traces into one driver-timeline trace.
+//! * [`clock`] — NTP-style clock-offset estimation, what lets the
+//!   distributed backend draw a worker's execution stamps on the driver
+//!   timeline.
 //!
 //! All timestamps are `u64` microseconds. Traces produced from the simulated
 //! backend use virtual time; traces from the threaded backend use wall time
@@ -35,17 +34,16 @@
 #![deny(missing_docs)]
 
 pub mod chrome;
+pub mod clock;
 pub mod collector;
 pub mod gantt;
-pub mod merge;
 pub mod prv;
 pub mod record;
 pub mod report;
 pub mod stats;
-pub mod wire;
 
+pub use clock::{ClockSample, ClockSync};
 pub use collector::TraceCollector;
-pub use merge::{ClockSample, ClockSync, WorkerTrace};
 pub use record::{CoreId, EventKind, Record, StateKind, TaskRef};
 pub use stats::TraceStats;
 

@@ -2,7 +2,7 @@
 //! simulated skew and any asymmetric network delay, the recovered offset is
 //! within RTT/2 of the true offset (the classic NTP error bound).
 
-use paratrace::merge::{estimate_offset, ClockSync};
+use paratrace::clock::{estimate_offset, ClockSync};
 use proptest::prelude::*;
 
 /// Simulate one probe exchange: the driver clock reads `t0` at send, each

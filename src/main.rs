@@ -117,7 +117,7 @@ fn write_metrics_export(rt: &Runtime, prefix: &str) -> std::io::Result<(String, 
     Ok((prom, jsonl))
 }
 
-/// Write the merged Chrome trace to `path`.
+/// Write the Chrome trace to `path`.
 fn write_trace_export(rt: &Runtime, path: &str) -> std::io::Result<Vec<paratrace::Record>> {
     let records = rt.trace();
     let doc = paratrace::chrome::export_named("hpo-run", &records, &rt.node_labels());
@@ -197,15 +197,13 @@ fn run(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
             );
             resume_state = Some(state);
         }
-        let j = spec.journal().map_err(|e| format!("cannot open journal in {dir}: {e}"))?;
+        journal = Some(spec.journal().map_err(|e| format!("cannot open journal in {dir}: {e}"))?);
         ckpts = hpo::experiment::TrialCheckpoints {
             every: args.ckpt_every,
             store: Some(std::sync::Arc::new(
                 spec.store().map_err(|e| format!("cannot open snapshot store in {dir}: {e}"))?,
             )),
-            journal: Some(j.clone()),
         };
-        journal = Some(j);
         println!(
             "checkpointing to {dir}: snapshot every {} epoch(s), retaining {}",
             args.ckpt_every, args.ckpt_retain
@@ -326,7 +324,7 @@ fn run(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
         println!("metrics written to {prom} and {jsonl}");
     }
     if args.backend == BackendChoice::Distributed && metrics_on {
-        print!("{}", dash.node_lanes(&rt.node_labels(), rt.now_us()));
+        print!("{}", dash.node_lanes(&rt.node_labels()));
     }
     if args.trace {
         let records = match &args.trace_out {

@@ -22,6 +22,13 @@ use crate::worker;
 
 type AnyError = Box<dyn std::error::Error>;
 
+/// The runtime configuration of a server's pool, local or remote. Untraced:
+/// `serve` has no `--trace` and no export path, and a collector that
+/// records would hold every span of every sweep for the life of the daemon.
+fn pool_config(cores: u32) -> RuntimeConfig {
+    RuntimeConfig::single_node(cores).with_tracing(false).with_metrics(true)
+}
+
 /// Run a sweep server until killed.
 pub fn serve(args: &ServeArgs) -> Result<(), AnyError> {
     hpo::wire::register_hpo_codecs();
@@ -41,7 +48,7 @@ pub fn serve(args: &ServeArgs) -> Result<(), AnyError> {
 
     let rt = if args.local_cores > 0 {
         println!("local pool: {} thread(s)", args.local_cores);
-        Runtime::threaded(RuntimeConfig::single_node(args.local_cores).with_metrics(true))
+        Runtime::threaded(pool_config(args.local_cores))
     } else {
         println!(
             "gathering pool: dialing {} worker(s), expecting {} dial-in(s)",
@@ -58,7 +65,7 @@ pub fn serve(args: &ServeArgs) -> Result<(), AnyError> {
             boots.iter().map(|b| format!("{} ({} cores)", b.name(), b.cores())).collect();
         println!("pool sealed: {}", roster.join(", "));
         Runtime::from_bootstraps(
-            RuntimeConfig::single_node(1).with_metrics(true),
+            pool_config(1),
             boots,
             DistributedConfig { inline_threshold: args.inline_threshold, ..Default::default() },
         )
@@ -252,4 +259,16 @@ fn stream_to_end(
         println!("leaderboard CSV written to {path}");
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_server_pool_runs_untraced_with_metrics_on() {
+        let rt = Runtime::threaded(pool_config(2));
+        assert!(!rt.tracing_enabled(), "a daemon has nowhere to export a trace to");
+        assert!(rt.metrics_enabled(), "the scrape endpoint reads the runtime's registry");
+    }
 }

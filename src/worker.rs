@@ -91,8 +91,7 @@ pub fn build_stage_objective(data: Arc<Dataset>, cnn: bool, ckpt_every: u32) -> 
 pub fn serve(args: &WorkerArgs) -> Result<(), Box<dyn std::error::Error>> {
     register_hpo_codecs();
     // Worker-local counters (task executions, epoch timing) report to the
-    // process-global registry: they feed the StatsSnapshot frames shipped
-    // to the driver on every heartbeat, and the local scrape endpoint.
+    // process-global registry, which the local scrape endpoint serves.
     runmetrics::global().set_enabled(true);
     // Cadence only: a worker has no journal or on-disk store — its
     // snapshots ride the runtime's ambient channel back to the driver.

@@ -41,8 +41,10 @@
 # after intentional snapshot-format or store changes). The stage-tree
 # savings bench gates prefix dedup exactly (deterministic epoch counts vs
 # baselines/stagetree_savings.json), and the stage-tree smoke reruns the
-# loopback grid with --share-prefixes: the trial table must not change
-# and the metrics exposition must show hpo_stage_epochs_saved_total > 0.
+# loopback grid with --share-prefixes: the trial table must not change,
+# the metrics exposition must show hpo_stage_epochs_saved_total > 0, and
+# the workers' block caches must have been used (fork snapshots are sized
+# by their `Done`, so they leave the inline path at the default threshold).
 # The block-cache
 # smoke exercises the content-addressed data plane end to end: hit-rate,
 # bytes-on-wire bound, threaded-vs-distributed bit-identity, and
@@ -210,6 +212,15 @@ if ! diff <(trial_table "$SMOKE_DIR/distributed.csv" | sort) \
 fi
 echo "distributed == threaded: trial tables identical"
 
+# GET <path> from 127.0.0.1:<port> over bash's /dev/tcp, body on stdout.
+scrape() {
+    local port="$1" path="$2"
+    exec 3<>"/dev/tcp/127.0.0.1/$port" || return 1
+    printf 'GET %s HTTP/1.0\r\n\r\n' "$path" >&3
+    sed '1,/^\r*$/d' <&3
+    exec 3<&- 3>&-
+}
+
 echo "==> stage-tree smoke: --share-prefixes is bit-identical and saves epochs"
 # Same grid again, this time prefix-deduped over the same two workers
 # (their registries carry the stage task): the per-trial table must match
@@ -230,17 +241,20 @@ if [ "${SAVED:-0}" -lt 1 ]; then
     exit 1
 fi
 FORKS=$(awk '$1 == "hpo_prefix_forks_total" {print $2}' "$SMOKE_DIR/stage_metrics.prom")
-echo "stage-tree smoke: staged == naive, $SAVED epochs saved across $FORKS forks"
+# Nothing sized the fork snapshots and the inline threshold is the default:
+# they reach the children through the workers' block caches only because a
+# task return is sized by what its `Done` carried.
+BLOCK_USES=$({ scrape 7193 /metrics; scrape 7194 /metrics; } | awk '
+    $1 == "rcompss_block_cache_hits_total" || $1 == "rcompss_block_cache_misses_total" {n += $2}
+    END {print n + 0}')
+if [ "$BLOCK_USES" -lt 1 ]; then
+    echo "stage-tree smoke FAILED: no fork snapshot went through a worker block cache" >&2
+    exit 1
+fi
+echo "stage-tree smoke: staged == naive, $SAVED epochs saved across $FORKS forks," \
+    "$BLOCK_USES block-cache uses"
 
 echo "==> telemetry smoke: live /metrics scrape + trace/trial diff"
-# GET <path> from 127.0.0.1:<port> over bash's /dev/tcp, body on stdout.
-scrape() {
-    local port="$1" path="$2"
-    exec 3<>"/dev/tcp/127.0.0.1/$port" || return 1
-    printf 'GET %s HTTP/1.0\r\n\r\n' "$path" >&3
-    sed '1,/^\r*$/d' <&3
-    exec 3<&- 3>&-
-}
 # More epochs than the diff smoke: the run must outlive the first
 # successful mid-flight scrape, and 1-2 epoch trials finish in ~0.1 s
 # on a warm box — too fast for the retry loop to win the race.

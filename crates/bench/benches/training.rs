@@ -155,6 +155,60 @@ fn epoch_threads(c: &mut Criterion) {
     group.finish();
 }
 
+/// What a stage-tree child pays between its parent's last step and its own
+/// first, at the `staged_net` shape (320 × 784, hidden 16, batch 32): the
+/// driver's content hash of the fork snapshot, the whole resumed one-epoch
+/// segment with its fixed costs, and the two ways to split. The table in
+/// EXPERIMENTS.md "The fork hop".
+fn fork_hop(c: &mut Criterion) {
+    use tinyml::train::{train_segment, Checkpointing};
+    let mut group = c.benchmark_group("fork_hop");
+    let data = Dataset::synthetic_mnist(320, 1);
+    let segment_cfg = |optimizer| TrainConfig {
+        epochs: 6,
+        batch_size: 32,
+        optimizer,
+        hidden_layers: vec![16],
+        ..TrainConfig::default()
+    };
+    for kind in [OptimizerKind::Adam, OptimizerKind::Sgd] {
+        let cfg = segment_cfg(kind);
+        let fork = train_segment(&cfg, &data, Checkpointing::default(), 2);
+        group.bench_function(format!("resumed_one_epoch_segment/{kind}").as_str(), |b| {
+            b.iter(|| {
+                let resume = Checkpointing { every: 0, resume: Some(fork.clone()), sink: None };
+                black_box(train_segment(&cfg, &data, resume, 3))
+            });
+        });
+        // What the segment above pays that is not its epoch, piece by piece.
+        let bytes = fork.encode();
+        group.bench_function(format!("snapshot_clone/{kind}").as_str(), |b| {
+            b.iter(|| black_box(fork.clone()));
+        });
+        group.bench_function(format!("snapshot_encode/{kind}").as_str(), |b| {
+            b.iter(|| black_box(fork.encode()));
+        });
+        group.bench_function(format!("snapshot_decode/{kind}").as_str(), |b| {
+            b.iter(|| black_box(tinyml::TrainSnapshot::decode(black_box(&bytes))));
+        });
+        if kind == OptimizerKind::Adam {
+            group.bench_function(format!("content_hash/{}B", bytes.len()).as_str(), |b| {
+                b.iter(|| black_box(rcompss::content_hash("hpo.stage", black_box(&bytes))));
+            });
+        }
+    }
+    group.bench_function("split/copy_both_halves", |b| {
+        b.iter(|| black_box(data.split(0.2, 7)));
+    });
+    group.bench_function("split/index_and_copy_validation", |b| {
+        b.iter(|| {
+            let (train_idx, val_idx) = data.split_indices(0.2, 7);
+            black_box((train_idx, data.subset(&val_idx, "val")))
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     one_epoch,
@@ -163,6 +217,7 @@ criterion_group!(
     step_products,
     gemm_threads,
     conv_threads,
-    epoch_threads
+    epoch_threads,
+    fork_hop
 );
 criterion_main!(benches);

@@ -472,8 +472,7 @@ fn send_dispatches(inner: &Arc<Inner>, work: Vec<RemoteDispatch>) {
                     PreparedArg::BlockShip { key, block } => {
                         // The block's bytes must precede the Submit that
                         // references them (same socket, so ordering holds).
-                        st.send
-                            .push(&Frame::BlockData { hash: block.hash, blob: block.blob.clone() });
+                        st.send.push_block(block.hash, &block.blob);
                         args.push(WireArg::Block { key: *key, hash: block.hash });
                     }
                     PreparedArg::Inline { key, value } => match codec::encode_value(value) {
@@ -650,10 +649,19 @@ fn heartbeat_pass(inner: &Arc<Inner>) {
 /// body start, body end. `None` for failures.
 type ExecStamps = Option<(u64, u64, u64)>;
 
+/// A `Done` or `Failed` as decoded off a link, before the core sees it.
+struct Completion {
+    exec_id: u64,
+    result: Result<Vec<Value>, TaskError>,
+    stamps: ExecStamps,
+    /// Encoded length of each output, in return order (none on failure).
+    output_bytes: Vec<u64>,
+}
+
 /// One readiness event for a link: drain writes, then drain reads frame by
 /// frame (zero-copy decode), then act on what arrived.
 fn service_link(inner: &Arc<Inner>, link: &Arc<WorkerLink>, readable: bool, writable: bool) {
-    let mut completions: Vec<(u64, Result<Vec<Value>, TaskError>, ExecStamps)> = Vec::new();
+    let mut completions: Vec<Completion> = Vec::new();
     let mut block_reqs: Vec<u128> = Vec::new();
     let mut block_evicts: Vec<u128> = Vec::new();
     let mut saves: Vec<(TaskId, Vec<u8>)> = Vec::new();
@@ -696,14 +704,23 @@ fn service_link(inner: &Arc<Inner>, link: &Arc<WorkerLink>, readable: bool, writ
                                         })
                                     })
                                     .collect();
-                                completions.push((
+                                completions.push(Completion {
                                     exec_id,
                                     result,
-                                    Some((recv_us, start_us, end_us)),
-                                ));
+                                    stamps: Some((recv_us, start_us, end_us)),
+                                    output_bytes: outputs
+                                        .iter()
+                                        .map(|b| b.bytes.len() as u64)
+                                        .collect(),
+                                });
                             }
                             FrameRef::Failed { exec_id, message } => {
-                                completions.push((exec_id, Err(TaskError::new(message)), None));
+                                completions.push(Completion {
+                                    exec_id,
+                                    result: Err(TaskError::new(message)),
+                                    stamps: None,
+                                    output_bytes: Vec::new(),
+                                });
                             }
                             FrameRef::HeartbeatAck { t_send_us, recv_us, reply_us, .. } => {
                                 acks.push((t_send_us, recv_us, reply_us));
@@ -802,7 +819,7 @@ fn exec_span(
 fn apply_frames(
     inner: &Arc<Inner>,
     link: &Arc<WorkerLink>,
-    completions: Vec<(u64, Result<Vec<Value>, TaskError>, ExecStamps)>,
+    completions: Vec<Completion>,
     saves: Vec<(TaskId, Vec<u8>)>,
     block_reqs: Vec<u128>,
     block_evicts: Vec<u128>,
@@ -810,7 +827,7 @@ fn apply_frames(
     let now = inner.shared.wall_us();
     type Info = (TaskId, Arc<crate::scheduler::Placement>, u64, Arc<str>, ExecStamps);
     let mut infos: Vec<Info> = Vec::new();
-    let mut replies: Vec<Frame> = Vec::new();
+    let mut replies: Vec<Arc<EncodedBlock>> = Vec::new();
     let follow = {
         let mut core = inner.shared.core.lock();
         // Saves first: a worker's snapshots precede its `Done` or `Failed`
@@ -819,12 +836,18 @@ fn apply_frames(
         for (task, blob) in saves {
             core.save_snapshot(task, blob);
         }
-        for (exec_id, result, stamps) in completions {
+        for Completion { exec_id, result, stamps, output_bytes } in completions {
             // Late frames for already-failed-over executions are ignored
             // (`running` no longer knows the exec id).
             if let Some(run) = core.running.get(&exec_id) {
-                let name = Arc::clone(&core.instances[&run.task].def.name);
+                let inst = &core.instances[&run.task];
+                let name = Arc::clone(&inst.def.name);
                 infos.push((run.task, Arc::clone(&run.placement), run.start_us, name, stamps));
+                // What an output weighs on the wire is what moving it costs,
+                // and what decides inline-vs-block for its readers.
+                for (v, bytes) in inst.writes().iter().zip(output_bytes) {
+                    core.data.observe_bytes(v.handle, bytes);
+                }
             }
             complete_attempt(&inner.shared, &mut core, exec_id, result, now, false);
         }
@@ -843,7 +866,7 @@ fn apply_frames(
             // the worker's own fetch deadline.
             if let Some(block) = core.blocks.lookup(hash) {
                 core.blocks.add_resident(link.node, hash);
-                replies.push(Frame::BlockData { hash, blob: block.blob.clone() });
+                replies.push(block);
             }
         }
         collect_dispatch_remote(&inner.shared, &mut core)
@@ -851,8 +874,8 @@ fn apply_frames(
     let mut alive = true;
     if !replies.is_empty() {
         let mut st = link.state.lock();
-        for f in &replies {
-            st.send.push(f);
+        for block in &replies {
+            st.send.push_block(block.hash, &block.blob);
         }
         alive = pump_link(&inner.shared, &mut st);
         if alive {

@@ -151,6 +151,9 @@ struct Version {
 #[derive(Debug)]
 struct Item {
     bytes: u64,
+    /// The main program sized the item ([`DataRegistry::set_bytes`]): what
+    /// a writer's output measures does not replace that.
+    declared: bool,
     /// The latest version; 0 until the first write.
     current: u32,
     /// The main program gave the handle up ([`DataRegistry::delete`]): no
@@ -208,7 +211,13 @@ impl DataRegistry {
         self.next_id += 1;
         self.items.insert(
             id,
-            Item { bytes: self.default_bytes, current: 0, deleted: false, live: Vec::new() },
+            Item {
+                bytes: self.default_bytes,
+                declared: false,
+                current: 0,
+                deleted: false,
+                live: Vec::new(),
+            },
         );
         DataHandle(id)
     }
@@ -216,6 +225,18 @@ impl DataRegistry {
     /// Declare the in-memory size of a data item for the transfer model.
     pub fn set_bytes(&mut self, h: DataHandle, bytes: u64) {
         if let Some(item) = self.items.get_mut(&h.0) {
+            item.bytes = bytes;
+            item.declared = true;
+        }
+    }
+
+    /// A writer's output for `h` came back `bytes` long encoded: that is the
+    /// item's size from now on, unless the main program declared one. Until
+    /// an output has been measured an item weighs the default guess, which
+    /// is wrong by orders of magnitude for anything model-sized and would
+    /// keep it out of the block plane whatever it weighs.
+    pub(crate) fn observe_bytes(&mut self, h: DataHandle, bytes: u64) {
+        if let Some(item) = self.items.get_mut(&h.0).filter(|i| !i.declared) {
             item.bytes = bytes;
         }
     }
@@ -636,6 +657,14 @@ mod tests {
         reg.set_bytes(h, 4096);
         assert_eq!(reg.bytes(h), 4096);
         assert_eq!(reg.bytes(DataHandle(999)), 128, "unknown handles fall back");
+        // A measured output replaces the guess, never a declaration.
+        reg.observe_bytes(h, 7);
+        assert_eq!(reg.bytes(h), 4096);
+        let out = reg.declare();
+        reg.observe_bytes(out, 150_000);
+        assert_eq!(reg.bytes(out), 150_000);
+        reg.observe_bytes(out, 9);
+        assert_eq!(reg.bytes(out), 9, "the latest version's size");
     }
 
     #[test]

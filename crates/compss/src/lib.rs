@@ -86,6 +86,7 @@ pub use api::{wait_on_all, TypedHandle};
 pub use backend::distributed::{
     connect_workers, DistributedConfig, WorkerBootstrap, WorkerConfig, WorkerHandle, WorkerServer,
 };
+pub use blocks::content_hash;
 pub use codec::register_codec;
 pub use data::{DataHandle, DataVersion, Value};
 pub use fault::RetryPolicy;

@@ -773,6 +773,11 @@ fn a_two_core_task_has_a_bar_on_each_granted_core() {
 /// dataset with a per-trial scale — the dataset is what the block plane
 /// should ship once per worker instead of once per trial.
 fn block_task_set(sleep: Duration) -> TaskRegistry {
+    // A fork-snapshot-sized task *return*: nobody declares its size.
+    let ramp = def("ramp", |_, inputs| {
+        let n: i64 = *inputs[0].downcast_ref::<i64>().unwrap();
+        Ok(vec![Value::new((0..n).map(|i| (i as f64).sqrt()).collect::<Vec<f64>>())])
+    });
     let dot = def("dot", move |_, inputs| {
         std::thread::sleep(sleep);
         let data: &Vec<f64> = inputs[0].downcast_ref().unwrap();
@@ -780,7 +785,7 @@ fn block_task_set(sleep: Duration) -> TaskRegistry {
         let sum: f64 = data.iter().sum();
         Ok(vec![Value::new(sum * scale as f64)])
     });
-    TaskRegistry::new().with(dot)
+    TaskRegistry::new().with(dot).with(ramp)
 }
 
 fn spawn_block_workers(n: usize, cores: u32, sleep: Duration) -> Vec<WorkerHandle> {
@@ -897,6 +902,42 @@ fn block_plane_ships_shared_dataset_once_per_worker_not_once_per_trial() {
         .filter_map(|l| snap.counter(&runmetrics::labeled("rnet_bytes_sent_total", "node", l)))
         .sum();
     assert_eq!(labelled, sent, "per-node byte counters partition the total");
+}
+
+#[test]
+fn a_large_task_return_travels_once_as_a_block_at_the_default_threshold() {
+    // One parent returns ≈ 160 KB; three children on the same (only) worker
+    // read it. Nothing declares a size and the threshold is the product
+    // default, so it is the size measured off the parent's `Done` that
+    // routes the value through the block plane: one `BlockData`, three
+    // references. Sized by the 1 KiB guess it rode inline in all three
+    // `Submit`s.
+    const N: i64 = 20_000;
+    let registry = block_task_set(Duration::ZERO);
+    let workers = spawn_block_workers(1, 1, Duration::ZERO);
+    let rt = Runtime::distributed(
+        RuntimeConfig::single_node(1),
+        &addrs(&workers),
+        DistributedConfig::default(),
+    )
+    .expect("connect");
+    let ramp = registry.get("ramp").unwrap().clone();
+    let dot = registry.get("dot").unwrap().clone();
+    let parent = rt.submit(&ramp, vec![ArgSpec::In(rt.literal(N))]).unwrap().returns[0];
+    let children: Vec<_> = (1..=3i64)
+        .map(|scale| {
+            let scale = rt.literal(scale);
+            rt.submit(&dot, vec![ArgSpec::In(parent), ArgSpec::In(scale)]).unwrap().returns[0]
+        })
+        .collect();
+    let got: Vec<f64> =
+        children.iter().map(|h| *rt.wait_on(h).unwrap().downcast_ref::<f64>().unwrap()).collect();
+    let sum: f64 = (0..N).map(|i| (i as f64).sqrt()).sum();
+    assert_eq!(got, vec![sum, sum * 2.0, sum * 3.0]);
+    let snapshot = (N * 8) as u64;
+    let sent = rt.metrics().snapshot().counter("rnet_bytes_sent_total").expect("bytes counted");
+    assert!(sent >= snapshot, "the children's input did cross the wire ({sent} bytes)");
+    assert!(sent < 2 * snapshot, "sent {sent} bytes for one {snapshot}-byte return read thrice");
 }
 
 #[test]

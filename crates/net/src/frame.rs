@@ -686,6 +686,13 @@ fn frame_extent(buf: &[u8]) -> Result<Option<(usize, usize, u8)>, DecodeError> {
     Ok(Some((4 + len_bytes, total, buf[3])))
 }
 
+/// What precedes a block's bytes in a `BlockData` payload.
+fn put_block_head(out: &mut Vec<u8>, hash: u128, blob: &Blob) {
+    put_hash(out, hash);
+    wire::put_str(out, &blob.tag);
+    varint::put(out, blob.bytes.len() as u64);
+}
+
 impl Frame {
     fn frame_type(&self) -> u8 {
         match self {
@@ -798,8 +805,8 @@ impl Frame {
             }
             Frame::BlockRequest { hash } => put_hash(out, *hash),
             Frame::BlockData { hash, blob } => {
-                put_hash(out, *hash);
-                put_blob(out, blob);
+                put_block_head(out, *hash, blob);
+                out.extend_from_slice(&blob.bytes);
             }
             Frame::BlockEvict { hash } => put_hash(out, *hash),
             Frame::ClientHello { tenant, proto } => {
@@ -887,6 +894,23 @@ impl Frame {
                 payload.shrink_to(1024 * 1024);
             }
         });
+    }
+
+    /// Append a complete [`Frame::BlockData`] for a block the caller only
+    /// borrows: the bytes [`Frame::encode_into`] gives for the owned frame,
+    /// without building one and without staging the block — its bytes are
+    /// copied once, from `blob` into `out` (behind
+    /// [`crate::SendBuf::push_block`]).
+    pub(crate) fn encode_block_data_into(hash: u128, blob: &Blob, out: &mut Vec<u8>) {
+        // Two hash halves, a codec tag, a length: small, next to the block.
+        let mut head = Vec::with_capacity(64);
+        put_block_head(&mut head, hash, blob);
+        out.extend_from_slice(&MAGIC);
+        out.push(VERSION);
+        out.push(T_BLOCK_DATA);
+        varint::put(out, (head.len() + blob.bytes.len()) as u64);
+        out.extend_from_slice(&head);
+        out.extend_from_slice(&blob.bytes);
     }
 
     /// The complete encoded frame as a fresh buffer.

@@ -40,7 +40,7 @@
 
 use std::io::{self, Read, Write};
 
-use crate::frame::{DecodeError, Frame, FrameRef};
+use crate::frame::{Blob, DecodeError, Frame, FrameRef};
 
 /// Bytes of spare tail capacity guaranteed before each socket read.
 const READ_CHUNK: usize = 64 * 1024;
@@ -183,6 +183,13 @@ impl SendBuf {
         frame.encode_into(&mut self.buf);
     }
 
+    /// Encode a `BlockData` frame onto the backlog from a block the caller
+    /// keeps (no I/O): what `push(&Frame::BlockData { .. })` appends, without
+    /// cloning the block's bytes into a frame first.
+    pub fn push_block(&mut self, hash: u128, blob: &Blob) {
+        Frame::encode_block_data_into(hash, blob, &mut self.buf);
+    }
+
     /// Bytes encoded but not yet written.
     pub fn pending(&self) -> usize {
         self.buf.len() - self.pos
@@ -243,7 +250,7 @@ impl SendBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{Blob, WireArg};
+    use crate::frame::WireArg;
 
     fn frames() -> Vec<Frame> {
         vec![
@@ -311,6 +318,25 @@ mod tests {
         }
         assert_eq!(seen, frames());
         assert_eq!(recv.pending(), 0);
+    }
+
+    #[test]
+    fn borrowed_block_push_appends_the_owned_frames_bytes() {
+        // Empty, shorter than the staged head, and large enough that the
+        // payload length takes a three-byte varint.
+        for len in [0usize, 5, 150_000] {
+            let blob = Blob { tag: "hpo.stage".into(), bytes: (0..len).map(|i| i as u8).collect() };
+            let hash = (0xfeed_u128 << 64) | len as u128;
+            let (mut owned, mut borrowed) = (SendBuf::new(), SendBuf::new());
+            owned.push(&Frame::Shutdown);
+            borrowed.push(&Frame::Shutdown);
+            owned.push(&Frame::BlockData { hash, blob: blob.clone() });
+            borrowed.push_block(hash, &blob);
+            assert_eq!(borrowed.buf, owned.buf, "{len}-byte block");
+            let (frame, used) = Frame::decode(&borrowed.buf[5..]).unwrap().expect("complete");
+            assert_eq!(frame, Frame::BlockData { hash, blob });
+            assert_eq!(used + 5, borrowed.buf.len());
+        }
     }
 
     #[test]

@@ -63,13 +63,31 @@ impl Cnn {
         c2: usize,
         seed: u64,
     ) -> Self {
+        Cnn::build(input, classes, c1, c2, Some(seed))
+    }
+
+    /// [`Cnn::new`] when `seed` is given; without one every parameter is zero
+    /// and nothing is drawn — what a resumed training restores its snapshot
+    /// into ([`Model::restore_params`]).
+    pub(crate) fn build(
+        input: (usize, usize, usize),
+        classes: usize,
+        c1: usize,
+        c2: usize,
+        seed: Option<u64>,
+    ) -> Self {
         let (c, h, w) = input;
         assert!(h >= 4 && w >= 4, "need at least 4×4 images for two poolings");
-        let conv1 = Conv2d::new(c, c1, 3, 1, seed ^ 0x1111);
-        let conv2 = Conv2d::new(c1, c2, 3, 1, seed ^ 0x2222);
+        let conv = |in_c, out_c, salt| match seed {
+            Some(seed) => Conv2d::new(in_c, out_c, 3, 1, seed ^ salt),
+            None => Conv2d::zeros(in_c, out_c, 3, 1),
+        };
         let (h2, w2) = (h / 2 / 2, w / 2 / 2);
-        let head = Dense::new(c2 * h2 * w2, classes, seed ^ 0x3333);
-        Cnn { input, conv1, conv2, head, pool: MaxPool2 }
+        let head = match seed {
+            Some(seed) => Dense::new(c2 * h2 * w2, classes, seed ^ 0x3333),
+            None => Dense::zeros(c2 * h2 * w2, classes),
+        };
+        Cnn { input, conv1: conv(c, c1, 0x1111), conv2: conv(c1, c2, 0x2222), head, pool: MaxPool2 }
     }
 
     /// Guess an image shape from a flat feature length: tries 1 then 3

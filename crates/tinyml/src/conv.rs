@@ -201,6 +201,11 @@ impl Conv2d {
         Conv2d { in_c, out_c, k, pad, w, b: vec![0.0; out_c] }
     }
 
+    /// All-zero parameters (see [`crate::layers::Dense::zeros`]).
+    pub(crate) fn zeros(in_c: usize, out_c: usize, k: usize, pad: usize) -> Self {
+        Conv2d { in_c, out_c, k, pad, w: Matrix::zeros(out_c, in_c * k * k), b: vec![0.0; out_c] }
+    }
+
     /// Output spatial size for an input of `(h, w)`.
     pub fn out_hw(&self, h: usize, w: usize) -> (usize, usize) {
         (h + 2 * self.pad - self.k + 1, w + 2 * self.pad - self.k + 1)

@@ -217,17 +217,27 @@ impl Dataset {
         self.x.cols()
     }
 
-    /// Deterministic train/validation split; `val_frac` of the examples go
-    /// to validation. Examples are shuffled before splitting.
-    pub fn split(&self, val_frac: f64, seed: u64) -> (Dataset, Dataset) {
+    /// The one shuffle behind a train/validation split: the row indices of
+    /// the training and of the validation examples, `(train, val)`, with
+    /// `val_frac` of the rows (rounded) in the second. Deterministic in
+    /// `seed`. The training loop works through these and never copies the
+    /// training rows; [`Dataset::split`] materialises both halves.
+    pub fn split_indices(&self, val_frac: f64, seed: u64) -> (Vec<usize>, Vec<usize>) {
         assert!((0.0..1.0).contains(&val_frac), "val_frac in [0,1)");
         let mut idx: Vec<usize> = (0..self.len()).collect();
         idx.shuffle(&mut StdRng::seed_from_u64(seed));
         let n_val = (self.len() as f64 * val_frac).round() as usize;
-        let (val_idx, train_idx) = idx.split_at(n_val);
+        let train = idx.split_off(n_val);
+        (train, idx)
+    }
+
+    /// Deterministic train/validation split; `val_frac` of the examples go
+    /// to validation. Examples are shuffled before splitting.
+    pub fn split(&self, val_frac: f64, seed: u64) -> (Dataset, Dataset) {
+        let (train_idx, val_idx) = self.split_indices(val_frac, seed);
         (
-            self.subset(train_idx, &format!("{}-train", self.name)),
-            self.subset(val_idx, &format!("{}-val", self.name)),
+            self.subset(&train_idx, &format!("{}-train", self.name)),
+            self.subset(&val_idx, &format!("{}-val", self.name)),
         )
     }
 
@@ -245,10 +255,16 @@ impl Dataset {
     /// `(seed, epoch)`. The final batch may be smaller.
     pub fn batches(&self, batch_size: usize, seed: u64, epoch: u32) -> Vec<Vec<usize>> {
         assert!(batch_size > 0, "batch_size must be positive");
-        let mut idx: Vec<usize> = (0..self.len()).collect();
-        idx.shuffle(&mut StdRng::seed_from_u64(seed ^ (epoch as u64).wrapping_mul(0x9E37_79B9)));
-        idx.chunks(batch_size).map(<[usize]>::to_vec).collect()
+        epoch_order(self.len(), seed, epoch).chunks(batch_size).map(<[usize]>::to_vec).collect()
     }
+}
+
+/// The order one epoch visits `n` examples in: `0..n` shuffled,
+/// deterministic in `(seed, epoch)`.
+pub(crate) fn epoch_order(n: usize, seed: u64, epoch: u32) -> Vec<usize> {
+    let mut idx: Vec<usize> = (0..n).collect();
+    idx.shuffle(&mut StdRng::seed_from_u64(seed ^ (epoch as u64).wrapping_mul(0x9E37_79B9)));
+    idx
 }
 
 #[cfg(test)]
@@ -309,6 +325,11 @@ mod tests {
         // same split twice is identical
         let (train2, _) = d.split(0.2, 1);
         assert_eq!(train.y, train2.y);
+        // and it is the index split, materialised
+        let (train_idx, val_idx) = d.split_indices(0.2, 1);
+        assert_eq!(train.x, d.x.gather_rows(&train_idx));
+        assert_eq!(val.x, d.x.gather_rows(&val_idx));
+        assert_eq!(val.y, val_idx.iter().map(|&i| d.y[i]).collect::<Vec<_>>());
     }
 
     #[test]

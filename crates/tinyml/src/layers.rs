@@ -24,6 +24,12 @@ impl Dense {
         Dense { w, b: vec![0.0; out_dim] }
     }
 
+    /// All-zero parameters: the shape a snapshot's tensors are restored
+    /// into, with no weights drawn only to be overwritten.
+    pub(crate) fn zeros(in_dim: usize, out_dim: usize) -> Self {
+        Dense { w: Matrix::zeros(in_dim, out_dim), b: vec![0.0; out_dim] }
+    }
+
     /// Input dimensionality.
     pub fn in_dim(&self) -> usize {
         self.w.rows()

@@ -102,6 +102,18 @@ impl Mlp {
     /// # Panics
     /// Panics on zero input dimension or zero classes.
     pub fn new(input_dim: usize, hidden: &[usize], classes: usize, seed: u64) -> Self {
+        Mlp::build(input_dim, hidden, classes, Some(seed))
+    }
+
+    /// [`Mlp::new`] when `seed` is given; without one every parameter is zero
+    /// and nothing is drawn — what a resumed training restores its snapshot
+    /// into ([`Model::restore_params`]).
+    pub(crate) fn build(
+        input_dim: usize,
+        hidden: &[usize],
+        classes: usize,
+        seed: Option<u64>,
+    ) -> Self {
         assert!(input_dim > 0, "input_dim must be positive");
         assert!(classes > 0, "classes must be positive");
         let mut dims = Vec::with_capacity(hidden.len() + 2);
@@ -111,7 +123,10 @@ impl Mlp {
         let layers = dims
             .windows(2)
             .enumerate()
-            .map(|(i, w)| Dense::new(w[0], w[1], seed.wrapping_add(i as u64 * 0x9E37)))
+            .map(|(i, w)| match seed {
+                Some(seed) => Dense::new(w[0], w[1], seed.wrapping_add(i as u64 * 0x9E37)),
+                None => Dense::zeros(w[0], w[1]),
+            })
             .collect();
         Mlp { layers }
     }

@@ -171,29 +171,27 @@ impl Optimizer {
         }
     }
 
-    /// Rebuild an optimiser from exported state. `lr` seeds the learning
-    /// rate (schedules overwrite it per epoch); the momenta and step clock
-    /// come back bit-identical to the exporting optimiser's.
+    /// Rebuild an optimiser from exported state, taking its tensors over.
+    /// `lr` seeds the learning rate (schedules overwrite it per epoch); the
+    /// momenta and step clock come back bit-identical to the exporting
+    /// optimiser's.
     ///
     /// # Panics
     /// Panics on a non-positive `lr` or when a slot's family does not
     /// match `state.kind`.
-    pub fn from_state(state: &OptimizerState, lr: f32) -> Self {
+    pub fn from_state(state: OptimizerState, lr: f32) -> Self {
+        let kind = state.kind;
         let slots = state
             .slots
-            .iter()
-            .map(|s| match (s, state.kind) {
-                (SlotState::Sgd(v), OptimizerKind::Sgd) => Slot::Sgd { velocity: v.clone() },
-                (SlotState::RmsProp(s), OptimizerKind::RmsProp) => {
-                    Slot::RmsProp { sq_avg: s.clone() }
-                }
-                (SlotState::Adam(m, v), OptimizerKind::Adam) => {
-                    Slot::Adam { m: m.clone(), v: v.clone() }
-                }
-                _ => panic!("optimizer slot family does not match kind {:?}", state.kind),
+            .into_iter()
+            .map(|s| match (s, kind) {
+                (SlotState::Sgd(velocity), OptimizerKind::Sgd) => Slot::Sgd { velocity },
+                (SlotState::RmsProp(sq_avg), OptimizerKind::RmsProp) => Slot::RmsProp { sq_avg },
+                (SlotState::Adam(m, v), OptimizerKind::Adam) => Slot::Adam { m, v },
+                _ => panic!("optimizer slot family does not match kind {kind:?}"),
             })
             .collect();
-        let mut opt = Optimizer::new(state.kind, lr).with_weight_decay(state.weight_decay);
+        let mut opt = Optimizer::new(kind, lr).with_weight_decay(state.weight_decay);
         opt.t = state.t;
         opt.slots = slots;
         opt
@@ -391,7 +389,7 @@ mod tests {
             opt.step(0, &mut x, &g);
         }
         let st = opt.state();
-        let mut restored = Optimizer::from_state(&st, opt.lr());
+        let mut restored = Optimizer::from_state(st.clone(), opt.lr());
         assert_eq!(restored.state(), st, "export/import round trip");
         let mut x2 = x.clone();
         for i in 0..5 {
@@ -429,6 +427,6 @@ mod tests {
             t: 1,
             slots: vec![SlotState::Sgd(vec![0.0])],
         };
-        let _ = Optimizer::from_state(&st, 0.1);
+        let _ = Optimizer::from_state(st, 0.1);
     }
 }

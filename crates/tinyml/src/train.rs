@@ -13,7 +13,7 @@
 //! pure speed knob: results are bit-identical at any degree.
 
 use crate::cnn::Cnn;
-use crate::data::Dataset;
+use crate::data::{epoch_order, Dataset};
 use crate::metrics::evaluate;
 use crate::net::{Mlp, Model};
 use crate::optim::{Optimizer, OptimizerKind};
@@ -281,25 +281,32 @@ fn train_inner(
     // The seed governing the split and every epoch's shuffle: on resume it
     // travels with the snapshot (re-deriving it here would silently change
     // the minibatch stream of a retried trial).
-    let seed = ckpt.resume.as_ref().map_or(cfg.seed, |s| s.seed);
-    let (train_set, val_set) = data.split(cfg.val_fraction, seed);
+    let resume = ckpt.resume.take();
+    let seed = resume.as_ref().map_or(cfg.seed, |s| s.seed);
+    // Split by index: a mini-batch gathers its rows straight from `data`,
+    // only the validation rows are copied out.
+    let (train_idx, val_idx) = data.split_indices(cfg.val_fraction, seed);
+    let val_set = data.subset(&val_idx, "val");
+    // A resumed run restores every parameter from its snapshot, so it draws
+    // none.
+    let init = resume.is_none().then_some(seed);
     let mut net: Box<dyn Model> = match cfg.arch {
         ModelArch::Dense => {
-            Box::new(Mlp::new(data.dim(), &cfg.hidden_layers, data.n_classes, seed))
+            Box::new(Mlp::build(data.dim(), &cfg.hidden_layers, data.n_classes, init))
         }
         ModelArch::Cnn { conv1_channels, conv2_channels } => {
             let shape = Cnn::infer_shape(data.dim()).unwrap_or_else(|| {
                 panic!("CNN needs square 1/3-channel images; dim {} is neither", data.dim())
             });
-            Box::new(Cnn::new(shape, data.n_classes, conv1_channels, conv2_channels, seed))
+            Box::new(Cnn::build(shape, data.n_classes, conv1_channels, conv2_channels, init))
         }
     };
     let base_lr = cfg.effective_lr();
     let mut opt = Optimizer::new(cfg.optimizer, base_lr).with_weight_decay(cfg.weight_decay);
 
     let mut start_epoch = 0u32;
-    let mut resumed_history = History::default();
-    if let Some(snap) = ckpt.resume.take() {
+    let mut history = History::default();
+    if let Some(snap) = resume {
         assert!(
             net.restore_params(&snap.params),
             "snapshot does not match the model architecture \
@@ -307,9 +314,9 @@ fn train_inner(
             snap.params.len(),
             net.params().len(),
         );
-        opt = Optimizer::from_state(&snap.opt, base_lr);
+        opt = Optimizer::from_state(snap.opt, base_lr);
         start_epoch = snap.next_epoch.min(stop_epoch);
-        resumed_history = snap.history;
+        history = snap.history;
     }
 
     // Process-global observability: handles fetched once per training run,
@@ -320,16 +327,15 @@ fn train_inner(
             .then(|| (reg.histogram("tinyml_epoch_us"), reg.gauge("tinyml_samples_per_sec")))
     };
 
-    let mut history = resumed_history;
     for epoch in start_epoch..stop_epoch {
         opt.set_lr(cfg.lr_schedule.lr_at(base_lr, epoch, cfg.epochs).max(1e-8));
         let epoch_started = epoch_metrics.as_ref().map(|_| std::time::Instant::now());
         let mut loss_sum = 0.0f64;
-        let batches = train_set.batches(cfg.batch_size, seed, epoch);
-        let n_batches = batches.len().max(1);
-        for batch in batches {
-            let x = train_set.x.gather_rows(&batch);
-            let y: Vec<usize> = batch.iter().map(|&i| train_set.y[i]).collect();
+        let rows = epoch_rows(&train_idx, seed, epoch);
+        let n_batches = rows.len().div_ceil(cfg.batch_size).max(1);
+        for batch in rows.chunks(cfg.batch_size) {
+            let x = data.x.gather_rows(batch);
+            let y: Vec<usize> = batch.iter().map(|&i| data.y[i]).collect();
             loss_sum += net.train_batch(&mut opt, &x, &y) as f64;
         }
         let train_loss = loss_sum / n_batches as f64;
@@ -338,7 +344,7 @@ fn train_inner(
             let us = t0.elapsed().as_micros() as u64;
             epoch_us.record(us);
             if us > 0 {
-                samples_per_sec.set(train_set.len() as f64 / (us as f64 / 1e6));
+                samples_per_sec.set(train_idx.len() as f64 / (us as f64 / 1e6));
             }
         }
         history.train_loss.push(train_loss);
@@ -380,6 +386,17 @@ fn train_inner(
         });
     }
     history
+}
+
+/// The rows of `data` one epoch trains on, in mini-batch order: the epoch's
+/// shuffle of the training subset ([`Dataset::batches`] over the
+/// materialised split), mapped back through the split's index.
+fn epoch_rows(train_idx: &[usize], seed: u64, epoch: u32) -> Vec<usize> {
+    let mut rows = epoch_order(train_idx.len(), seed, epoch);
+    for r in &mut rows {
+        *r = train_idx[*r];
+    }
+    rows
 }
 
 /// Train to completion without an observer.
@@ -673,6 +690,98 @@ mod tests {
             &mut |_, _, _| EpochSignal::Continue,
         );
         assert_eq!(resumed, uninterrupted);
+    }
+
+    proptest::proptest! {
+        /// The index split feeds `train_batch` what the materialised split
+        /// did: same rows, same labels, same batch boundaries.
+        #[test]
+        fn index_split_feeds_the_rows_the_copied_split_did(
+            n in 1usize..90,
+            val_pct in 0u32..95,
+            seed in proptest::prelude::any::<u64>(),
+            batch_size in 1usize..40,
+            epoch in 0u32..50,
+        ) {
+            let spec = crate::data::SyntheticSpec { dim: 6, ..crate::data::SyntheticSpec::mnist_like() };
+            let data = Dataset::synthetic("p", n, &spec, seed ^ 1);
+            let val_frac = f64::from(val_pct) / 100.0;
+            let (train_set, val_set) = data.split(val_frac, seed);
+            let (train_idx, val_idx) = data.split_indices(val_frac, seed);
+            proptest::prop_assert_eq!(&data.subset(&val_idx, "v").x, &val_set.x);
+            proptest::prop_assert_eq!(&data.subset(&val_idx, "v").y, &val_set.y);
+            let rows = epoch_rows(&train_idx, seed, epoch);
+            let old = train_set.batches(batch_size, seed, epoch);
+            proptest::prop_assert_eq!(rows.chunks(batch_size).count(), old.len());
+            for (batch, old) in rows.chunks(batch_size).zip(&old) {
+                proptest::prop_assert_eq!(data.x.gather_rows(batch), train_set.x.gather_rows(old));
+                let y: Vec<usize> = batch.iter().map(|&i| data.y[i]).collect();
+                let old_y: Vec<usize> = old.iter().map(|&i| train_set.y[i]).collect();
+                proptest::prop_assert_eq!(y, old_y);
+            }
+        }
+    }
+
+    #[test]
+    fn resuming_into_a_zero_model_equals_resuming_over_drawn_weights() {
+        // What `train_inner` does on resume (zero model, snapshot restored
+        // into it, optimiser state taken over) against what it used to do
+        // (draw `Mlp::new` / `Cnn::new`, overwrite): same parameters, and
+        // the same losses and parameters after further steps.
+        let data = Dataset::synthetic(
+            "mnist-spatial",
+            96,
+            &crate::data::SyntheticSpec::mnist_like_spatial(),
+            4,
+        );
+        let shape = Cnn::infer_shape(data.dim()).unwrap();
+        for (arch, kind) in [
+            (ModelArch::Dense, OptimizerKind::Adam),
+            (ModelArch::Dense, OptimizerKind::Sgd),
+            (ModelArch::Cnn { conv1_channels: 3, conv2_channels: 4 }, OptimizerKind::Adam),
+        ] {
+            let cfg = TrainConfig { epochs: 3, arch, ..quick_cfg(kind) };
+            let fork = train_segment(&cfg, &data, Checkpointing::default(), 1);
+            let build = |seed: Option<u64>| -> Box<dyn Model> {
+                match arch {
+                    ModelArch::Dense => {
+                        Box::new(Mlp::build(data.dim(), &cfg.hidden_layers, data.n_classes, seed))
+                    }
+                    ModelArch::Cnn { conv1_channels, conv2_channels } => Box::new(Cnn::build(
+                        shape,
+                        data.n_classes,
+                        conv1_channels,
+                        conv2_channels,
+                        seed,
+                    )),
+                }
+            };
+            let (mut zero, mut drawn) = (build(None), build(Some(cfg.seed)));
+            assert!(zero.params().iter().flatten().all(|&w| w == 0.0));
+            assert!(zero.restore_params(&fork.params) && drawn.restore_params(&fork.params));
+            assert_eq!(zero.params(), drawn.params());
+            let mut opt_z = Optimizer::from_state(fork.opt.clone(), cfg.effective_lr());
+            let mut opt_d = Optimizer::from_state(fork.opt.clone(), cfg.effective_lr());
+            for batch in data.batches(32, 9, 0) {
+                let x = data.x.gather_rows(&batch);
+                let y: Vec<usize> = batch.iter().map(|&i| data.y[i]).collect();
+                let (lz, ld) =
+                    (zero.train_batch(&mut opt_z, &x, &y), drawn.train_batch(&mut opt_d, &x, &y));
+                assert_eq!(lz.to_bits(), ld.to_bits());
+            }
+            assert_eq!(zero.params(), drawn.params());
+            assert_eq!(opt_z.state(), opt_d.state());
+            // And through the loop itself: the resumed chain is the
+            // uninterrupted run, history and final parameters.
+            let whole = train_segment(&cfg, &data, Checkpointing::default(), 3);
+            let chained = train_segment(
+                &cfg,
+                &data,
+                Checkpointing { every: 0, resume: Some(fork), sink: None },
+                3,
+            );
+            assert_eq!(chained, whole, "{arch:?} {kind}");
+        }
     }
 
     #[test]

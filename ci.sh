@@ -19,7 +19,9 @@
 # byte-for-byte, and ablation_retry runs for its built-in assertions; the
 # two real-training figure bins (Figs 7 and 8) rerun too and must reproduce
 # the checked-in config, accuracy and epochs_run columns (training is
-# deterministic; only task_us, wall time, may differ).
+# deterministic; only task_us, wall time, may differ), and Fig 7's rerun
+# metrics exposition must declare the same series names as its checked-in
+# copy.
 # Right after them the standalone benchmark package is built against the
 # crates and run once in --quick mode (all four workloads verified against
 # their oracles) with its Cargo.lock unchanged, so a broken pinned
@@ -140,6 +142,13 @@ for fig in fig7_mnist_hpo fig8_cifar_hpo; do
         exit 1
     fi
 done
+# Fig 7's exposition must declare the series the code registers: names
+# only, since the values are timings.
+prom_types() { awk '$1 == "#" && $2 == "TYPE" {print $3}' "$1" | sort; }
+if ! diff <(prom_types "$FIG_KEEP/fig7_mnist_hpo.prom") <(prom_types results/fig7_mnist_hpo.prom); then
+    echo "fig7 FAILED: series in the checked-in (<) and rerun (>) .prom differ" >&2
+    exit 1
+fi
 cp "$FIG_KEEP"/* results/
 rm -rf "$FIG_KEEP"
 

@@ -1,7 +1,7 @@
-//! Ergonomic helpers over the raw runtime API.
+//! Ergonomic wrappers over the raw runtime API.
 //!
 //! PyCOMPSs users write `result = compss_wait_on(results)` over whole lists;
-//! these helpers give the Rust equivalent plus typed handles so application
+//! these wrappers give the Rust equivalent plus typed handles so application
 //! code doesn't juggle `downcast_ref` everywhere.
 
 use std::marker::PhantomData;

@@ -58,11 +58,11 @@ pub(crate) struct RemoteDispatch {
 /// Mutable per-connection state, all under one lock: the socket, both
 /// direction buffers, and the poll-interest shadow.
 struct LinkState {
-    /// `None` while the link is mid-failover (the event loop then ignores
-    /// stale readiness events for this token).
+    /// `None` once the link is lost — for good: the event loop then ignores
+    /// stale readiness events for this token.
     stream: Option<TcpStream>,
     /// Interned function names: first submit of a name carries it in full,
-    /// later ones send only the id. Reset on reconnect.
+    /// later ones send only the id.
     fn_ids: HashMap<Arc<str>, u64>,
     next_fn_id: u64,
     /// Coalescing write backlog.
@@ -74,10 +74,8 @@ struct LinkState {
     want_write: bool,
     /// What the poller currently believes (shadow of `want_write`).
     registered_write: bool,
-    /// The fd is registered with the poller (cleared on failover).
-    registered: bool,
-    /// NTP-style clock-offset estimator fed by heartbeat acks; survives
-    /// failover (the worker's clock does not reset with its socket).
+    /// NTP-style clock-offset estimator fed by heartbeat acks. The worker's
+    /// clock starts with its connection, so the estimate is this socket's.
     clock: ClockSync,
     /// Node-labelled mirror of `rnet_bytes_sent_total` — per-worker
     /// attribution of the transfer collapse in `/metrics`.
@@ -109,19 +107,13 @@ struct Inner {
     stop: AtomicBool,
     poller: Poller,
     wake: Waker,
-    /// Nodes whose fresh (reconnected) sockets await registration by the
-    /// event loop; paired with a [`Waker::wake`].
-    registrations: Mutex<Vec<u32>>,
-    /// Failover helper threads (reconnects block in `connect`, so they
-    /// must not run on the event loop).
-    helpers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 /// Driver-side connection manager: one event-loop thread owning readiness
 /// for every [`WorkerLink`].
 pub(crate) struct ConnMgr {
     inner: Arc<Inner>,
-    threads: Vec<JoinHandle<()>>,
+    thread: Option<JoinHandle<()>>,
 }
 
 /// A freshly connected worker before the runtime exists: the socket plus
@@ -227,19 +219,25 @@ fn hello_handshake(mut stream: TcpStream, addr: String) -> io::Result<WorkerBoot
 }
 
 impl ConnMgr {
-    /// Wire up the links and spawn the event-loop thread. `boots` are in
-    /// node-id order (the same order the cluster spec was built in).
+    /// Wire up the links, register every socket with the poller, and spawn
+    /// the event-loop thread. `boots` are in node-id order (the same order
+    /// the cluster spec was built in).
     pub fn start(
         shared: Arc<Shared>,
         boots: Vec<WorkerBootstrap>,
         cfg: DistributedConfig,
     ) -> ConnMgr {
         shared.core.lock().blocks.set_inline_threshold(cfg.inline_threshold);
+        let poller = Poller::new().unwrap_or_else(|_| Poller::fallback());
+        let wake = Waker::new(&poller, WAKE_TOKEN).expect("self-pipe waker");
         let workers: Vec<Arc<WorkerLink>> = boots
             .into_iter()
             .enumerate()
             .map(|(i, b)| {
                 b.stream.set_nonblocking(true).ok();
+                // A socket the poller refuses is never readable: heartbeat
+                // silence loses its link like any other.
+                let _ = poller.register(b.stream.as_raw_fd(), i as u64, Interest::READ);
                 let label = format!("{}@{}", b.name, b.addr);
                 let reg = shared.metrics.registry();
                 let sent_bytes =
@@ -258,7 +256,6 @@ impl ConnMgr {
                         recv: RecvBuf::new(),
                         want_write: false,
                         registered_write: false,
-                        registered: false,
                         clock: ClockSync::default(),
                         sent_bytes,
                         recv_bytes,
@@ -270,22 +267,11 @@ impl ConnMgr {
                 })
             })
             .collect();
-        let poller = Poller::new().unwrap_or_else(|_| Poller::fallback());
-        let wake = Waker::new(&poller, WAKE_TOKEN).expect("self-pipe waker");
-        let registrations = Mutex::new((0..workers.len() as u32).collect());
-        let inner = Arc::new(Inner {
-            shared,
-            workers,
-            cfg,
-            stop: AtomicBool::new(false),
-            poller,
-            wake,
-            registrations,
-            helpers: Mutex::new(Vec::new()),
-        });
+        let inner =
+            Arc::new(Inner { shared, workers, cfg, stop: AtomicBool::new(false), poller, wake });
         let loop_inner = Arc::clone(&inner);
-        let threads = vec![std::thread::spawn(move || driver_loop(loop_inner))];
-        ConnMgr { inner, threads }
+        let thread = Some(std::thread::spawn(move || driver_loop(loop_inner)));
+        ConnMgr { inner, thread }
     }
 
     /// Worker display labels, indexed by node id: `name@addr`.
@@ -317,18 +303,14 @@ impl ConnMgr {
         send_dispatches(&self.inner, work);
     }
 
-    /// Graceful stop: join the loop and helpers, then drain each link's
-    /// backlog (blocking again) and append `Shutdown` so the goodbye never
-    /// splices into a partially-written frame.
+    /// Graceful stop: join the loop, then drain each link's backlog
+    /// (blocking again) and append `Shutdown` so the goodbye never splices
+    /// into a partially-written frame.
     pub fn shutdown(&mut self) {
         self.inner.stop.store(true, Ordering::SeqCst);
         let _ = self.inner.wake.wake();
-        for t in self.threads.drain(..) {
+        if let Some(t) = self.thread.take() {
             let _ = t.join();
-        }
-        let helpers: Vec<_> = self.inner.helpers.lock().drain(..).collect();
-        for h in helpers {
-            let _ = h.join();
         }
         for link in &self.inner.workers {
             let mut st = link.state.lock();
@@ -406,7 +388,7 @@ pub(crate) fn collect_dispatch_remote(shared: &Shared, core: &mut Core) -> Vec<R
 fn pump_link(shared: &Shared, st: &mut LinkState) -> bool {
     let LinkState { stream, send, want_write, sent_bytes, .. } = &mut *st;
     let Some(sock) = stream.as_mut() else {
-        return true; // mid-failover; frames stay buffered until resolution
+        return true; // lost link: nothing buffered here is ever sent
     };
     if send.is_empty() {
         *want_write = false;
@@ -428,7 +410,7 @@ fn pump_link(shared: &Shared, st: &mut LinkState) -> bool {
 /// Reconcile the poller's write interest with `want_write`. Call with the
 /// link lock held, after any pump.
 fn sync_interest(inner: &Inner, node: u32, st: &mut LinkState) {
-    if !st.registered || st.want_write == st.registered_write {
+    if st.want_write == st.registered_write {
         return;
     }
     let Some(fd) = st.stream.as_ref().map(|s| s.as_raw_fd()) else { return };
@@ -546,7 +528,7 @@ fn send_dispatches(inner: &Arc<Inner>, work: Vec<RemoteDispatch>) {
         send_dispatches(inner, follow);
     }
     for link in dead_links {
-        start_failover(inner, &link);
+        failover(inner, &link);
     }
 }
 
@@ -562,11 +544,6 @@ fn driver_loop(inner: Arc<Inner>) {
     loop {
         if inner.stop.load(Ordering::SeqCst) {
             return;
-        }
-        // Register freshly (re)connected sockets queued by start / helpers.
-        let regs: Vec<u32> = std::mem::take(&mut *inner.registrations.lock());
-        for node in regs {
-            register_link(&inner, &inner.workers[node as usize]);
         }
         let now = std::time::Instant::now();
         if now >= next_hb {
@@ -589,22 +566,6 @@ fn driver_loop(inner: Arc<Inner>) {
             let Some(link) = inner.workers.get(ev.token as usize) else { continue };
             service_link(&inner, link, ev.readable, ev.writable);
         }
-    }
-}
-
-/// Add a link's socket to the poll set (event-loop thread only).
-fn register_link(inner: &Inner, link: &WorkerLink) {
-    let mut st = link.state.lock();
-    let Some(fd) = st.stream.as_ref().map(|s| {
-        s.set_nonblocking(true).ok();
-        s.as_raw_fd()
-    }) else {
-        return;
-    };
-    let interest = if st.want_write { Interest::READ_WRITE } else { Interest::READ };
-    if inner.poller.register(fd, u64::from(link.node), interest).is_ok() {
-        st.registered = true;
-        st.registered_write = st.want_write;
     }
 }
 
@@ -641,7 +602,7 @@ fn heartbeat_pass(inner: &Arc<Inner>) {
         }
     }
     for link in dead {
-        start_failover(inner, &link);
+        failover(inner, &link);
     }
 }
 
@@ -772,7 +733,7 @@ fn service_link(inner: &Arc<Inner>, link: &Arc<WorkerLink>, readable: bool, writ
         apply_frames(inner, link, completions, saves, block_reqs, block_evicts);
     }
     if !alive {
-        start_failover(inner, link);
+        failover(inner, link);
     }
 }
 
@@ -906,24 +867,19 @@ fn apply_frames(
     inner.shared.cv.notify_all();
     send_dispatches(inner, follow);
     if !alive {
-        start_failover(inner, link);
+        failover(inner, link);
     }
 }
 
-/// Tear the socket out of a dead link (idempotent: `stream == None` means
-/// failover is already in flight) and run the slow recovery on a helper
-/// thread so reconnect's blocking `connect` never stalls the event loop.
-fn start_failover(inner: &Arc<Inner>, link: &Arc<WorkerLink>) {
-    let sock = {
-        let mut st = link.state.lock();
-        let Some(sock) = st.stream.take() else { return };
-        st.send.clear();
-        st.recv = RecvBuf::new();
-        st.want_write = false;
-        st.registered_write = false;
-        st.registered = false;
-        sock
-    };
+/// Write off a dead link, inline on whichever thread saw it die. A lost
+/// worker stays lost for the life of the runtime: its node is killed, its
+/// in-flight executions fail over to the survivors (`node_gone`), and
+/// ready tasks the surviving cluster can never run fail now rather than
+/// hanging the barrier. Idempotent — `stream == None` means the link is
+/// already written off — so the recursion through `send_dispatches` ends.
+/// Call with no link lock and no core lock held.
+fn failover(inner: &Arc<Inner>, link: &Arc<WorkerLink>) {
+    let Some(sock) = link.state.lock().stream.take() else { return };
     // Deregister before the fd closes on drop.
     let _ = inner.poller.deregister(sock.as_raw_fd());
     let _ = sock.shutdown(std::net::Shutdown::Both);
@@ -931,22 +887,12 @@ fn start_failover(inner: &Arc<Inner>, link: &Arc<WorkerLink>) {
     if inner.stop.load(Ordering::SeqCst) {
         return;
     }
-    let inner2 = Arc::clone(inner);
-    let link2 = Arc::clone(link);
-    let h = std::thread::spawn(move || failover(&inner2, &link2));
-    inner.helpers.lock().push(h);
-}
-
-/// Failover for a dead connection: fail over orphaned executions, wipe
-/// stale per-link state, then either reconnect (reviving the node) or
-/// cascade-fail tasks the surviving cluster can never run.
-fn failover(inner: &Arc<Inner>, link: &Arc<WorkerLink>) {
     let node = link.node;
     let now = inner.shared.wall_us();
     inner.shared.metrics.workers_lost.incr();
     inner.shared.metrics.node_failures.incr();
     inner.shared.trace.event(CoreId::new(node, 0), now, EventKind::NodeFailure);
-    {
+    let follow = {
         let mut core = inner.shared.core.lock();
         core.sched.kill_node(node);
         core.data.clear_node_locations(node);
@@ -967,50 +913,19 @@ fn failover(inner: &Arc<Inner>, link: &Arc<WorkerLink>) {
                 true,
             );
         }
-    }
-    {
-        let mut st = link.state.lock();
-        st.fn_ids.clear();
-        st.next_fn_id = 1;
-        // Submits buffered since the socket was torn out are for
-        // executions just failed over; drop them.
-        st.send.clear();
-    }
-    if inner.cfg.reconnect && !inner.stop.load(Ordering::SeqCst) {
-        if let Ok(boot) =
-            connect_workers(std::slice::from_ref(&link.addr), inner.cfg.connect_timeout)
-                .map(|mut v| v.remove(0))
-        {
-            {
-                let mut st = link.state.lock();
-                boot.stream.set_nonblocking(true).ok();
-                st.stream = Some(boot.stream);
-            }
-            link.last_seen_us.store(inner.shared.wall_us(), Ordering::Relaxed);
-            inner.shared.metrics.net_reconnects.incr();
-            let follow = {
-                let mut core = inner.shared.core.lock();
-                core.sched.revive_node(node);
-                collect_dispatch_remote(&inner.shared, &mut core)
-            };
-            // Hand the fresh socket to the event loop for registration.
-            inner.registrations.lock().push(node);
-            let _ = inner.wake.wake();
-            inner.shared.cv.notify_all();
-            send_dispatches(inner, follow);
-            return;
-        }
-    }
-    // No way back: anything the surviving cluster can never run fails now
-    // rather than hanging the barrier; the rest re-dispatches.
-    let follow = {
-        let mut core = inner.shared.core.lock();
         let doomed = core.sched.drain_unsatisfiable();
         for entry in doomed {
             fail_task_cascade(&inner.shared, &mut core, entry.task);
         }
         collect_dispatch_remote(&inner.shared, &mut core)
     };
+    {
+        // Frames buffered since the socket was torn out are for executions
+        // just failed over; neither buffer is read again.
+        let mut st = link.state.lock();
+        st.send.clear();
+        st.recv = RecvBuf::new();
+    }
     inner.shared.cv.notify_all();
     send_dispatches(inner, follow);
 }

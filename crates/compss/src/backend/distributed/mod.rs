@@ -15,10 +15,9 @@
 //!   ([`rnet::FrameRef`] borrows the buffer; `Done` outputs go straight
 //!   into [`crate::codec::decode_tagged`] without an owned `Blob`). A
 //!   writable event resumes draining the link's `SendBuf`. Heartbeats are
-//!   paced by the poll timeout — no separate monitor thread. Reconnect
-//!   attempts (which block in `connect`) run on short-lived helper threads that
-//!   hand the fresh socket back to the loop through a registration queue
-//!   and the waker.
+//!   paced by the poll timeout — no separate monitor thread. Every socket
+//!   is registered before the loop starts, and the waker only interrupts a
+//!   poll for shutdown.
 //! * **Worker.** One loop thread owns the listener and every driver
 //!   connection. Executor threads never touch the socket: they push result
 //!   frames into the connection's shared `SendBuf` and nudge the loop via
@@ -77,12 +76,12 @@
 //! # Fault tolerance
 //!
 //! A worker is declared dead on connection error, EOF, or heartbeat
-//! timeout. Its in-flight executions are failed with `node_gone = true`, so
+//! timeout, and a lost worker stays lost for the life of the runtime: the
+//! thread that sees the loss writes the node off inline. Its in-flight
+//! executions are failed with `node_gone = true`, so
 //! [`crate::fault::RetryPolicy`] re-routes them to surviving workers; ready
 //! tasks that no surviving node could ever run are failed immediately
-//! (cascade) instead of hanging the barrier. With
-//! [`DistributedConfig::reconnect`] enabled the driver attempts one
-//! reconnect first and revives the node on success.
+//! (cascade) instead of hanging the barrier.
 //!
 //! Multi-node (`@multinode`) constraints are not dispatched remotely — the
 //! simulated backend remains the home for those experiments.
@@ -108,9 +107,6 @@ pub struct DistributedConfig {
     pub heartbeat_interval: Duration,
     /// Silence longer than this declares the worker dead.
     pub heartbeat_timeout: Duration,
-    /// Attempt one reconnect (and revive the node) before failing a dead
-    /// worker's tasks over to the survivors.
-    pub reconnect: bool,
     /// How long to keep retrying the initial connection to each worker.
     pub connect_timeout: Duration,
     /// Values whose declared size (`DataRegistry::bytes`, the same size
@@ -125,7 +121,6 @@ impl Default for DistributedConfig {
         DistributedConfig {
             heartbeat_interval: Duration::from_millis(200),
             heartbeat_timeout: Duration::from_millis(1500),
-            reconnect: false,
             connect_timeout: Duration::from_secs(5),
             inline_threshold: DEFAULT_INLINE_THRESHOLD,
         }
@@ -146,7 +141,6 @@ mod tests {
     fn default_config_is_sane() {
         let c = DistributedConfig::default();
         assert!(c.heartbeat_timeout > c.heartbeat_interval);
-        assert!(!c.reconnect);
         let w = WorkerConfig::default();
         assert!(w.cores >= 1);
     }

@@ -245,11 +245,7 @@ impl WorkerHandle {
     /// result frames leave this worker), and sever all connections. From
     /// the driver's point of view the worker vanishes mid-task.
     pub fn halt(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let _ = self.wake.wake();
-        for c in self.conns.lock().iter() {
-            let _ = c.shutdown(std::net::Shutdown::Both);
-        }
+        (self.stopper())()
     }
 
     /// A detached closure that [`Self::halt`]s this worker — hand it to a
@@ -267,8 +263,8 @@ impl WorkerHandle {
         }
     }
 
-    /// Sever current connections but keep serving new ones — the
-    /// transient-network-failure half of the reconnect story.
+    /// Sever current connections but keep listening — how a test cuts a
+    /// live worker off from its driver, which writes it off like a dead one.
     pub fn drop_connections(&self) {
         for c in self.conns.lock().drain(..) {
             let _ = c.shutdown(std::net::Shutdown::Both);

@@ -416,8 +416,7 @@ impl DataRegistry {
     }
 
     /// Forget every residency claim for `node` — called when a remote
-    /// worker dies or reconnects with a cold cache, so the dispatcher goes
-    /// back to shipping blocks instead of trusting stale residency.
+    /// worker is lost, so no placement score counts its stale residency.
     pub fn clear_node_locations(&mut self, node: u32) {
         for ver in self.items.values_mut().flat_map(|i| &mut i.live) {
             ver.nodes.remove(node);

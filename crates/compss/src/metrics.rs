@@ -33,10 +33,9 @@
 //! | `rcompss_dep_wait_us` | histogram | submission → dispatch wait per task |
 //! | `rcompss_transfer_time_us` | histogram | staging transfer durations |
 //! | `rcompss_task_latency_us{fn="…"}` | histogram | dispatch → completion per task function |
-//! | `rcompss_workers_lost_total` | counter | remote workers declared dead (distributed backend) |
+//! | `rcompss_workers_lost_total` | counter | remote workers declared dead, for good (distributed backend) |
 //! | `rnet_bytes_sent_total` | counter | protocol bytes written to workers |
 //! | `rnet_bytes_received_total` | counter | protocol bytes read from workers |
-//! | `rnet_reconnects_total` | counter | successful worker reconnections |
 //! | `rnet_rpc_latency_us` | histogram | submit → done/failed round trip per remote task |
 //! | `rcompss_node_tasks_completed_total{node="…"}` | counter | completions per remote worker (addr-labelled) |
 //! | `rcompss_task_phase_us{phase="…"}` | histogram | per-phase task lifecycle latency (queue/wire/exec/ship) |
@@ -98,8 +97,6 @@ pub(crate) struct RtMetrics {
     pub net_bytes_sent: Counter,
     /// Protocol bytes read from remote workers.
     pub net_bytes_received: Counter,
-    /// Successful worker reconnections.
-    pub net_reconnects: Counter,
     /// Ready tasks not yet placeable.
     pub ready_depth: Gauge,
     /// In-flight executions.
@@ -157,7 +154,6 @@ impl RtMetrics {
             workers_lost: registry.counter("rcompss_workers_lost_total"),
             net_bytes_sent: registry.counter("rnet_bytes_sent_total"),
             net_bytes_received: registry.counter("rnet_bytes_received_total"),
-            net_reconnects: registry.counter("rnet_reconnects_total"),
             ready_depth: registry.gauge("rcompss_ready_queue_depth"),
             running: registry.gauge("rcompss_running_tasks"),
             live_tasks: registry.gauge("rcompss_live_tasks"),
@@ -261,7 +257,6 @@ mod tests {
             "rcompss_workers_lost_total",
             "rnet_bytes_sent_total",
             "rnet_bytes_received_total",
-            "rnet_reconnects_total",
         ] {
             assert_eq!(snap.counter(series), Some(0), "{series} missing");
         }

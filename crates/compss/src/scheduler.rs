@@ -48,9 +48,6 @@ pub struct NodeResources {
     pub core_perf: f64,
     /// Allocatable core count at full idle (total minus reserved).
     pub capacity_cores: u32,
-    /// Lowest allocatable core id (everything below is runtime-reserved);
-    /// [`Scheduler::revive_node`] refills the pool from here.
-    pub first_core: u32,
     /// GPU count.
     pub capacity_gpus: u32,
     /// Memory capacity, GiB.
@@ -201,7 +198,6 @@ impl Scheduler {
                     alive: true,
                     core_perf: spec.core_perf,
                     capacity_cores: spec.cores - reserve,
-                    first_core: reserve,
                     capacity_gpus: spec.gpu_count(),
                     capacity_mem_gib: spec.mem_gib,
                 }
@@ -411,7 +407,7 @@ impl Scheduler {
         }
     }
 
-    /// Kill a node: mark dead and wipe its free pools.
+    /// Kill a node for good: mark dead and wipe its free pools.
     pub fn kill_node(&mut self, node: u32) {
         if let Some(n) = self.nodes.get_mut(node as usize) {
             n.alive = false;
@@ -419,20 +415,6 @@ impl Scheduler {
             n.free_gpus.clear();
             n.free_mem_gib = 0;
         }
-    }
-
-    /// Bring a killed node back at full idle capacity — the distributed
-    /// backend's reconnect path. Any task the node was running was already
-    /// failed over when it died, so the free pools refill completely.
-    pub fn revive_node(&mut self, node: u32) {
-        let Some(n) = self.nodes.get_mut(node as usize) else { return };
-        n.alive = true;
-        n.free_cores = (n.first_core..n.first_core + n.capacity_cores).collect();
-        n.free_gpus = (0..n.capacity_gpus).collect();
-        n.free_mem_gib = n.capacity_mem_gib;
-        // Capacity changed: previously unplaceable classes may fit again.
-        self.infeasible.clear();
-        self.all_blocked = false;
     }
 
     /// Remove and return every ready task that can no longer be satisfied
@@ -561,26 +543,6 @@ mod tests {
     }
 
     #[test]
-    fn revive_restores_full_capacity_after_kill() {
-        let mut s =
-            Scheduler::new(&Cluster::homogeneous(2, NodeSpec::marenostrum4()), &[(0, 1), (1, 1)]);
-        let cap = s.node(1).capacity_cores;
-        s.push_ready(entry(1, 2, 0));
-        let (e, p) = s.pop_placeable(|_, _| 0).unwrap();
-        s.kill_node(p.node);
-        assert!(!s.node(p.node).alive);
-        assert_eq!(s.node(p.node).free_cores.len(), 0);
-        s.revive_node(p.node);
-        let n = s.node(p.node);
-        assert!(n.alive);
-        assert_eq!(n.free_cores.len() as u32, cap);
-        // Reserved cores stay reserved: core 0 never re-enters the pool.
-        assert!(!n.free_cores.contains(&0));
-        assert_eq!(n.free_mem_gib, n.capacity_mem_gib);
-        let _ = e;
-    }
-
-    #[test]
     fn drain_unsatisfiable_removes_only_doomed_entries() {
         let mut s = sched(2);
         let fat = NodeSpec::marenostrum4().cores + 1;
@@ -594,6 +556,12 @@ mod tests {
         // Kill both nodes: everything left becomes unsatisfiable.
         s.kill_node(0);
         s.kill_node(1);
+        for node in 0..2 {
+            let n = s.node(node);
+            assert!(!n.alive);
+            assert!(n.free_cores.is_empty() && n.free_gpus.is_empty());
+            assert_eq!(n.free_mem_gib, 0);
+        }
         let drained = s.drain_unsatisfiable();
         assert_eq!(drained.len(), 2);
         assert_eq!(s.ready_len(), 0);

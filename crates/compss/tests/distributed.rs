@@ -992,12 +992,11 @@ fn killed_worker_block_inputs_refetch_cleanly_on_survivors() {
 }
 
 #[test]
-fn reconnect_resumes_after_connection_drop() {
+fn severed_live_worker_is_written_off() {
     let workers = spawn_workers(2, 2);
     let dcfg = DistributedConfig {
         heartbeat_interval: Duration::from_millis(50),
         heartbeat_timeout: Duration::from_millis(300),
-        reconnect: true,
         ..DistributedConfig::default()
     };
     let rt = Runtime::distributed(
@@ -1016,16 +1015,22 @@ fn reconnect_resumes_after_connection_drop() {
         })
         .collect();
     std::thread::sleep(Duration::from_millis(40));
-    // Sever the TCP connections but keep the server alive: the driver
-    // should reconnect and resume, not write the node off.
+    // Sever the TCP connections but keep the worker listening: a lost
+    // worker stays lost, so its in-flight tasks resubmit to the survivor
+    // and nothing dials it again.
     workers[0].drop_connections();
 
     for (i, h) in handles.iter().enumerate() {
-        let v = rt.wait_on(h).expect("run resumes after reconnect");
+        let v = rt.wait_on(h).expect("survivor finishes the run");
         let x = (i + 1) as i64;
         assert_eq!(*v.downcast_ref::<i64>().unwrap(), x * x);
     }
     let snap = rt.metrics().snapshot();
-    assert!(snap.counter("rnet_reconnects_total").unwrap_or(0) >= 1, "reconnect path exercised");
+    assert_eq!(snap.counter("rcompss_workers_lost_total"), Some(1));
+    assert!(
+        snap.counter("rcompss_tasks_retried_total").unwrap_or(0) > 0,
+        "in-flight tasks on the severed worker were resubmitted"
+    );
+    assert_eq!(snap.counter("rnet_reconnects_total"), None, "no redial series");
     assert_eq!(rt.stats().completed, 24);
 }

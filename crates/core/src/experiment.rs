@@ -68,8 +68,6 @@ pub struct ExperimentOptions {
     pub early_stop: Option<EarlyStop>,
     /// For the simulated backend: virtual duration of a config's training.
     pub sim_duration: Option<SimDurationFn>,
-    /// Task name used in traces and graphs.
-    pub task_name: String,
     /// Cap on trials submitted per wave (default: the algorithm's own
     /// parallelism). Set to roughly the cluster's slot count when using
     /// across-trial early stopping, so remaining waves can be skipped.
@@ -82,7 +80,7 @@ impl std::fmt::Debug for ExperimentOptions {
             .field("constraint", &self.constraint)
             .field("early_stop", &self.early_stop)
             .field("sim_duration", &self.sim_duration.is_some())
-            .field("task_name", &self.task_name)
+            .field("wave_size", &self.wave_size)
             .finish()
     }
 }
@@ -93,7 +91,6 @@ impl Default for ExperimentOptions {
             constraint: Constraint::cpus(1),
             early_stop: None,
             sim_duration: None,
-            task_name: "graph.experiment".to_string(),
             wave_size: None,
         }
     }
@@ -507,6 +504,6 @@ mod tests {
         assert!(o.early_stop.is_some());
         assert_eq!((o.sim_duration.unwrap())(&Config::new()), 42);
         let dbg = format!("{:?}", ExperimentOptions::default());
-        assert!(dbg.contains("graph.experiment"));
+        assert!(dbg.contains("sim_duration: false") && dbg.contains("wave_size: None"), "{dbg}");
     }
 }

@@ -65,7 +65,8 @@ use crate::experiment::{train_config_from, ExperimentOptions, TrialOutcome};
 use crate::space::{Config, ConfigValue};
 
 /// Task name of a stage segment (both ends of a distributed run register
-/// the definition under this name, like `graph.experiment`).
+/// the definition under this name, like
+/// [`crate::wire::EXPERIMENT_TASK_NAME`]).
 pub const STAGE_TASK_NAME: &str = "graph.stage";
 
 /// Whether `config` uses the cosine LR schedule — the one schedule whose

@@ -23,6 +23,10 @@ use crate::stagetree::StagePayload;
 /// outcome plus the task-side wall time in microseconds.
 pub type TaskPayload = (TrialOutcome, u64);
 
+/// Task name of one trial (both ends of a distributed run register the
+/// definition under this name, like [`crate::stagetree::STAGE_TASK_NAME`]).
+pub const EXPERIMENT_TASK_NAME: &str = "graph.experiment";
+
 fn put_vec_f64(b: &mut Vec<u8>, v: &[f64]) {
     rnet::wire::put_u64(b, v.len() as u64);
     for x in v {
@@ -163,12 +167,12 @@ pub fn register_hpo_codecs() {
 /// The body runs the objective under a `tinyml::par::with_threads` scope
 /// sized by the placement's core grant (`TaskContext::parallelism`), so a
 /// task constrained to N CPUs really trains on N worker threads. The
-/// driver submits by this def; a worker registers the identical def (same
-/// `opts.task_name`, same objective) in its task registry.
+/// driver submits by this def; a worker registers the identical def
+/// ([`EXPERIMENT_TASK_NAME`], same objective) in its task registry.
 pub fn experiment_task_def(opts: &ExperimentOptions, objective: &Objective) -> TaskDef {
     let obj = Arc::clone(objective);
     TaskDef {
-        name: opts.task_name.as_str().into(),
+        name: EXPERIMENT_TASK_NAME.into(),
         constraint: opts.constraint,
         returns: 1,
         priority: false,
@@ -253,6 +257,7 @@ mod tests {
             Ok(TrialOutcome::with_accuracy(lr * 10.0))
         });
         let def = experiment_task_def(&ExperimentOptions::default(), &objective);
+        assert_eq!(def.name.as_ref(), EXPERIMENT_TASK_NAME);
         let ctx = rcompss::TaskContext {
             task: rcompss::TaskId(1),
             attempt: 1,

@@ -27,20 +27,14 @@
 # their oracles) with its Cargo.lock unchanged, so a broken pinned
 # signature or a re-lock fails here.
 # The overhead bench runs in smoke mode as a regression guard on the
-# metrics disabled hot path (must stay ~one relaxed atomic load), and the
-# runtime-throughput bench runs in smoke + net_throughput modes as
-# tasks/sec gates — threaded churn and loopback-TCP distributed churn
-# respectively (fail on a >20% regression vs
-# crates/bench/baselines/runtime_throughput.json that persists across
-# four re-measurements — transient slow windows on a shared box don't
-# flake the gate; regenerate with
-# `runtime_throughput rebaseline` after intentional scheduler or wire
-# changes). `net_throughput` also gates scaling on process CPU, which a
-# slow window cannot fake: CPU per no-op task over two one-core loopback
-# daemons at 100k tasks must stay within 2x of 10k (median of three).
-# The checkpoint-overhead bench gates the snapshot cost the
-# same way (baselines/ckpt_overhead.json, `ckpt_overhead rebaseline`
-# after intentional snapshot-format or store changes). The stage-tree
+# metrics disabled hot path (must stay ~one relaxed atomic load). The ratio
+# gates (crates/bench/tests/ratio_gates.rs, release only) hold overheads to
+# the work they ride on, measured in the same process, so a slow box cannot
+# fake them and no baseline is read: CPU per no-op task at 100k tasks must
+# stay within 2x of 10k (median of three) on a 2-core threaded pool and on
+# two one-core loopback daemons, and MLP training that snapshots every
+# epoch must keep 80% of the epochs/s of the same training with snapshots
+# off (median of five alternating pairs). The stage-tree
 # savings bench gates prefix dedup exactly (deterministic epoch counts vs
 # baselines/stagetree_savings.json), and the stage-tree smoke reruns the
 # loopback grid with --share-prefixes: the trial table must not change,
@@ -65,9 +59,16 @@
 # the sweep is done the runtime holds no task, no data version and no
 # task snapshot (rcompss_live_tasks, rcompss_live_data_versions and
 # rcompss_live_snapshot_bytes read 0), and that its scrape carries neither
-# of the series the retired telemetry frames fed.
+# of the series the retired telemetry frames fed. Last, the tracked
+# artefacts under results/ and crates/bench/baselines/ must be as the run
+# found them.
 set -euo pipefail
 cd "$(dirname "$0")"
+
+# What `git status` says of the tracked artefacts before any stage runs:
+# the last stage fails if a green run left them otherwise.
+artefact_status() { git status --porcelain -- results crates/bench/baselines; }
+ARTEFACTS_AT_START=$(artefact_status)
 
 # The deterministic columns of a trial CSV: config, accuracy, epochs_run.
 # The quoted config label holds commas of its own, so `cut -d,` would split
@@ -159,14 +160,8 @@ git diff --exit-code benchmark/Cargo.lock
 echo "==> overhead bench (smoke): disabled-path regression guard"
 cargo run --release -p hpo-bench --bin overhead_tracing -- smoke
 
-echo "==> runtime throughput (smoke): tasks/sec regression gate"
-cargo run --release -p hpo-bench --bin runtime_throughput -- smoke
-
-echo "==> runtime throughput (net): loopback wire-protocol regression gate"
-cargo run --release -p hpo-bench --bin runtime_throughput -- net_throughput
-
-echo "==> checkpoint overhead (smoke): snapshot-cost regression gate"
-cargo run --release -p hpo-bench --bin ckpt_overhead -- smoke
+echo "==> ratio gates: CPU per task flat in graph size, snapshots cheap against their epochs"
+cargo test --release -q -p hpo-bench --test ratio_gates -- --nocapture
 
 echo "==> stage-tree savings (smoke): exact epochs-saved regression gate"
 # Deterministic planning counts (paper grid + eta-3 bracket) compared
@@ -394,5 +389,12 @@ if echo "$SERVER_METRICS" | grep -Eq 'rnet_(telemetry_bytes_total|last_stats_us)
     exit 1
 fi
 echo "sweep-server smoke: served == standalone, $COMPLETED sweep(s) completed, nothing left live"
+
+echo "==> tracked artefacts: results/ and crates/bench/baselines/ as the run found them"
+if [ "$(artefact_status)" != "$ARTEFACTS_AT_START" ]; then
+    echo "tracked artefacts FAILED: a stage left them changed; git status now reads:" >&2
+    artefact_status >&2
+    exit 1
+fi
 
 echo "ci.sh: all green"

@@ -5,9 +5,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
+use tinyml::data::SyntheticSpec;
 use tinyml::optim::OptimizerKind;
 use tinyml::train::{train, TrainConfig};
-use tinyml::Dataset;
+use tinyml::{Dataset, ModelArch};
 
 fn one_epoch(c: &mut Criterion) {
     let mut group = c.benchmark_group("train_one_epoch");
@@ -24,6 +25,21 @@ fn one_epoch(c: &mut Criterion) {
             b.iter(|| black_box(train(&cfg, &data)).final_val_accuracy());
         });
     }
+    // The paper's models are CNNs: a small two-block one on spatial
+    // MNIST-like images, one thread.
+    group.bench_function("cnn_4x8_mnist_like_spatial", |b| {
+        let data =
+            Dataset::synthetic("mnist-spatial", 400, &SyntheticSpec::mnist_like_spatial(), 7);
+        let cfg = TrainConfig {
+            epochs: 1,
+            batch_size: 64,
+            arch: ModelArch::Cnn { conv1_channels: 4, conv2_channels: 8 },
+            hidden_layers: vec![32],
+            threads: 1,
+            ..TrainConfig::default()
+        };
+        b.iter(|| black_box(train(&cfg, &data)).final_val_accuracy());
+    });
     group.finish();
 }
 

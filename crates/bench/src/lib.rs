@@ -13,6 +13,12 @@
 //! | `fig9_time_vs_cores` | Fig 9 — HPO makespan vs cores-per-task |
 //! | `overhead_tracing` | §5 — tracing on/off overhead |
 //! | `fault_tolerance` | §3/§4 — retry + node-failure recovery |
+//! | `ablation_*` | beyond the paper — transfers, retry, early stopping |
+//! | `stagetree_savings` | prefix sharing — exact epochs-saved counts |
+//!
+//! The overhead contract is held by ratios measured in one process
+//! (`tests/ratio_gates.rs`), and the runtime's absolute per-task costs by
+//! the `stackbench` probes in `benchmark/`.
 //!
 //! The figures and ablations whose workload is N independent rigid tasks
 //! (Figs 5, 6, 9, the retry ablation, the scheduler microbenchmark) all run

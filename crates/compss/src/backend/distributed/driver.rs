@@ -90,8 +90,10 @@ struct WorkerLink {
     addr: String,
     name: String,
     state: Mutex<LinkState>,
-    /// Wall-µs of the last bytes received (any frame kind).
-    last_seen_us: AtomicU64,
+    /// Wall-µs send time of the oldest heartbeat no received byte has
+    /// followed yet, [`ANSWERED`] when there is none: the silence a loss
+    /// verdict judges.
+    unanswered_us: AtomicU64,
     hb_seq: AtomicU64,
     /// Lock-free mirror of the best clock-sync estimate
     /// (`worker_clock − driver_clock`), for readers outside the link lock.
@@ -99,6 +101,10 @@ struct WorkerLink {
     /// Lock-free mirror of the best (smallest) observed heartbeat RTT.
     clock_rtt_us: AtomicU64,
 }
+
+/// [`WorkerLink::unanswered_us`] while no heartbeat is outstanding. As a
+/// send time it lies in the future, so it reads as no silence at all.
+const ANSWERED: u64 = u64::MAX;
 
 struct Inner {
     shared: Arc<Shared>,
@@ -260,7 +266,7 @@ impl ConnMgr {
                         sent_bytes,
                         recv_bytes,
                     }),
-                    last_seen_us: AtomicU64::new(shared.wall_us()),
+                    unanswered_us: AtomicU64::new(ANSWERED),
                     hb_seq: AtomicU64::new(0),
                     clock_offset_us: AtomicI64::new(0),
                     clock_rtt_us: AtomicU64::new(0),
@@ -533,24 +539,36 @@ fn send_dispatches(inner: &Arc<Inner>, work: Vec<RemoteDispatch>) {
 }
 
 /// The driver's event loop: readiness for every link and the waker, with
-/// heartbeat pacing folded into the poll timeout.
+/// heartbeat pacing folded into the poll timeout. A turn sends the probes
+/// that are due, polls, services what is ready, and only then judges
+/// silence, against the moment its poll began: an answer that sat unread
+/// while the loop was stalled has just been read, so the loop's own stall
+/// is never charged to a live peer.
 fn driver_loop(inner: Arc<Inner>) {
-    let hb = inner.cfg.heartbeat_interval;
+    let hb_us = inner.cfg.heartbeat_interval.as_micros() as u64;
+    let timeout_us = inner.cfg.heartbeat_timeout.as_micros() as u64;
     let mut events = Vec::new();
     // First heartbeat fires immediately: it seeds the clock-offset estimate
     // so even tasks completing before the first interval elapses get their
     // worker stamps rebased.
-    let mut next_hb = std::time::Instant::now();
+    let mut next_hb = 0;
     loop {
         if inner.stop.load(Ordering::SeqCst) {
             return;
         }
-        let now = std::time::Instant::now();
-        if now >= next_hb {
-            heartbeat_pass(&inner);
-            next_hb = now + hb;
+        let turn_start = inner.shared.wall_us();
+        if turn_start >= next_hb {
+            send_heartbeats(&inner);
+            next_hb = turn_start + hb_us;
         }
-        let timeout = next_hb.saturating_duration_since(std::time::Instant::now());
+        // Wake for the next probe, or as soon as an unanswered one is old
+        // enough to judge.
+        let wake_us = inner
+            .workers
+            .iter()
+            .map(|l| l.unanswered_us.load(Ordering::Relaxed).saturating_add(timeout_us + 1))
+            .fold(next_hb, u64::min);
+        let timeout = Duration::from_micros(wake_us.saturating_sub(turn_start));
         if inner.poller.wait(&mut events, Some(timeout)).is_err() {
             std::thread::sleep(Duration::from_millis(1));
             continue;
@@ -566,38 +584,37 @@ fn driver_loop(inner: Arc<Inner>) {
             let Some(link) = inner.workers.get(ev.token as usize) else { continue };
             service_link(&inner, link, ev.readable, ev.writable);
         }
+        // Whatever a live peer sent before `turn_start` has now been read:
+        // a probe older than the timeout still unanswered is silence.
+        for link in &inner.workers {
+            let since = link.unanswered_us.load(Ordering::Relaxed);
+            if turn_start.saturating_sub(since) > timeout_us {
+                failover(&inner, link);
+            }
+        }
     }
 }
 
-/// Write a heartbeat to every live link and declare silent ones dead.
-///
-/// Each probe carries the driver's clock, for the NTP exchange the ack
-/// completes. Its `telemetry` field is reserved: always `false`.
-fn heartbeat_pass(inner: &Arc<Inner>) {
-    let timeout_us = inner.cfg.heartbeat_timeout.as_micros() as u64;
-    let now = inner.shared.wall_us();
+/// Write a heartbeat to every live link. Each probe carries the driver's
+/// clock, for the NTP exchange the ack completes; its `telemetry` field is
+/// reserved: always `false`. On a link with none outstanding, the probe
+/// starts the silence the loop judges.
+fn send_heartbeats(inner: &Arc<Inner>) {
     let mut dead = Vec::new();
     for link in &inner.workers {
-        {
-            let mut st = link.state.lock();
-            if st.stream.is_none() {
-                continue;
-            }
-            let seq = link.hb_seq.fetch_add(1, Ordering::Relaxed);
-            st.send.push(&Frame::Heartbeat {
-                seq,
-                t_send_us: inner.shared.wall_us(),
-                telemetry: false,
-            });
-            if pump_link(&inner.shared, &mut st) {
-                sync_interest(inner, link.node, &mut st);
-            } else {
-                dead.push(Arc::clone(link));
-                continue;
-            }
+        let mut st = link.state.lock();
+        if st.stream.is_none() {
+            continue;
         }
-        let silent = now.saturating_sub(link.last_seen_us.load(Ordering::Relaxed));
-        if silent > timeout_us {
+        let seq = link.hb_seq.fetch_add(1, Ordering::Relaxed);
+        let t_send_us = inner.shared.wall_us();
+        st.send.push(&Frame::Heartbeat { seq, t_send_us, telemetry: false });
+        if link.unanswered_us.load(Ordering::Relaxed) == ANSWERED {
+            link.unanswered_us.store(t_send_us, Ordering::Relaxed);
+        }
+        if pump_link(&inner.shared, &mut st) {
+            sync_interest(inner, link.node, &mut st);
+        } else {
             dead.push(Arc::clone(link));
         }
     }
@@ -705,7 +722,7 @@ fn service_link(inner: &Arc<Inner>, link: &Arc<WorkerLink>, readable: bool, writ
             }
         }
         if saw_bytes {
-            link.last_seen_us.store(inner.shared.wall_us(), Ordering::Relaxed);
+            link.unanswered_us.store(ANSWERED, Ordering::Relaxed);
         }
         if !acks.is_empty() {
             // Complete the NTP exchange: t3 is "now" on the driver clock.
@@ -879,7 +896,13 @@ fn apply_frames(
 /// already written off — so the recursion through `send_dispatches` ends.
 /// Call with no link lock and no core lock held.
 fn failover(inner: &Arc<Inner>, link: &Arc<WorkerLink>) {
-    let Some(sock) = link.state.lock().stream.take() else { return };
+    let sock = {
+        let mut st = link.state.lock();
+        // A lost link is never probed or judged again.
+        link.unanswered_us.store(ANSWERED, Ordering::Relaxed);
+        st.stream.take()
+    };
+    let Some(sock) = sock else { return };
     // Deregister before the fd closes on drop.
     let _ = inner.poller.deregister(sock.as_raw_fd());
     let _ = sock.shutdown(std::net::Shutdown::Both);

@@ -76,7 +76,11 @@
 //! # Fault tolerance
 //!
 //! A worker is declared dead on connection error, EOF, or heartbeat
-//! timeout, and a lost worker stays lost for the life of the runtime: the
+//! timeout. The timeout is judged after the driver loop has read what
+//! arrived: a heartbeat counts as unanswered only if it was sent more than
+//! the timeout before the loop's latest poll began and no byte has come
+//! back since, so a stalled driver never charges its own stall to a live
+//! peer. A lost worker stays lost for the life of the runtime: the
 //! thread that sees the loss writes the node off inline. Its in-flight
 //! executions are failed with `node_gone = true`, so
 //! [`crate::fault::RetryPolicy`] re-routes them to surviving workers; ready
@@ -105,7 +109,8 @@ const WAKE_TOKEN: u64 = u64::MAX;
 pub struct DistributedConfig {
     /// How often the driver loop pings each worker.
     pub heartbeat_interval: Duration,
-    /// Silence longer than this declares the worker dead.
+    /// A heartbeat left unanswered longer than this declares the worker
+    /// dead.
     pub heartbeat_timeout: Duration,
     /// How long to keep retrying the initial connection to each worker.
     pub connect_timeout: Duration,

@@ -1191,4 +1191,94 @@ mod tests {
         let cached = runmetrics::global().snapshot().gauge("rcompss_block_cache_resident_bytes");
         assert_eq!(cached, Some(block_bytes as f64));
     }
+
+    /// Heartbeat every 50 ms, written off after 300 ms unanswered: the
+    /// cadence of the kill drills in `tests/distributed.rs`.
+    fn drill_heartbeats() -> DistributedConfig {
+        DistributedConfig {
+            heartbeat_interval: Duration::from_millis(50),
+            heartbeat_timeout: Duration::from_millis(300),
+            ..DistributedConfig::default()
+        }
+    }
+
+    #[test]
+    fn a_driver_stall_loses_no_worker() {
+        // Two live workers. The test thread holds the core lock for a second
+        // and lets a task finish inside it, so the driver loop blocks in that
+        // task's `Done` bookkeeping: for a second it sends no heartbeat and
+        // reads no ack. Neither worker went quiet, so neither is lost, and
+        // the pool still runs the next task.
+        let (open, gate) = mpsc::channel::<()>();
+        let gate = Mutex::new(gate);
+        let gated = TaskDef {
+            name: "gated".into(),
+            constraint: Constraint::cpus(1),
+            returns: 1,
+            priority: false,
+            body: Arc::new(move |_: &crate::task::TaskContext, _: &[Value]| {
+                // Bounded: where a worker is wrongly lost, its task runs a
+                // second time elsewhere with no token left to take.
+                gate.lock().recv_timeout(Duration::from_secs(5)).ok();
+                Ok(vec![Value::new(7u64)])
+            }),
+            alternatives: Vec::new(),
+        };
+        let workers: Vec<_> = (0..2)
+            .map(|i| {
+                let cfg = WorkerConfig { name: format!("w{i}"), cores: 1, ..Default::default() };
+                let registry = TaskRegistry::new().with(gated.clone());
+                WorkerServer::bind("127.0.0.1:0", cfg, registry).unwrap().spawn().unwrap()
+            })
+            .collect();
+        let addrs: Vec<String> = workers.iter().map(|w| w.addr()).collect();
+        let rt = Runtime::distributed(
+            RuntimeConfig::single_node(1).with_tracing(false),
+            &addrs,
+            drill_heartbeats(),
+        )
+        .unwrap();
+        let value = |v: Value| *v.downcast_ref::<u64>().unwrap();
+
+        let first = rt.submit(&gated, vec![]).unwrap().returns[0];
+        {
+            let _stall = rt.shared.core.lock();
+            open.send(()).unwrap();
+            std::thread::sleep(Duration::from_secs(1));
+        }
+        assert_eq!(rt.wait_on(&first).map(value), Ok(7));
+        open.send(()).unwrap();
+        let second = rt.submit(&gated, vec![]).expect("the pool is whole").returns[0];
+        assert_eq!(rt.wait_on(&second).map(value), Ok(7));
+        let lost = rt.metrics().snapshot().counter("rcompss_workers_lost_total");
+        assert_eq!(lost, Some(0), "a stalled driver wrote off live workers");
+    }
+
+    #[test]
+    fn a_silent_peer_is_written_off_within_timeout_and_one_interval() {
+        // A peer that says `Hello` and then nothing, its socket open: no
+        // EOF, no error, only heartbeats that are never answered.
+        use std::io::Write;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let peer = std::thread::spawn(move || {
+            let (mut sock, _) = listener.accept().unwrap();
+            let hello = rnet::Frame::Hello { name: "mute".into(), cores: 1, gpus: 0, mem_gib: 1 };
+            sock.write_all(&hello.encode()).unwrap();
+            sock
+        });
+        let dcfg = drill_heartbeats();
+        let (timeout, interval) = (dcfg.heartbeat_timeout, dcfg.heartbeat_interval);
+        let t0 = Instant::now();
+        let rt = Runtime::distributed(RuntimeConfig::single_node(1), &[addr], dcfg).unwrap();
+        let _open = peer.join().unwrap();
+        let lost = || rt.metrics().snapshot().counter("rcompss_workers_lost_total") == Some(1);
+        while !lost() && t0.elapsed() < 10 * timeout {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let took = t0.elapsed();
+        assert!(lost(), "a silent peer was never written off");
+        assert!(took >= timeout, "written off after {took:?}, before the timeout");
+        assert!(took <= timeout + interval, "written off after {took:?}");
+    }
 }

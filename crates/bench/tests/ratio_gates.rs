@@ -9,7 +9,7 @@
 //! cargo test --release -p hpo-bench --test ratio_gates
 //! ```
 //!
-//! The two tests take turns on the CPUs (`one_at_a_time`), whatever
+//! The tests take turns on the CPUs (`one_at_a_time`), whatever
 //! `--test-threads` says.
 
 use std::path::Path;
@@ -73,11 +73,17 @@ fn no_op() -> TaskDef {
     }
 }
 
+/// The fan-out on a `workers`-wide threaded pool.
+fn threaded_pool(workers: u32, tasks: u64) {
+    let rt = Runtime::threaded(
+        RuntimeConfig::single_node(workers).with_tracing(false).with_metrics(false),
+    );
+    no_op_fan_out(&rt, &no_op(), tasks);
+}
+
 /// The fan-out on a 2-core threaded pool.
 fn threaded(tasks: u64) {
-    let rt =
-        Runtime::threaded(RuntimeConfig::single_node(2).with_tracing(false).with_metrics(false));
-    no_op_fan_out(&rt, &no_op(), tasks);
+    threaded_pool(2, tasks);
 }
 
 /// The fan-out on two one-core loopback daemons: every task crosses a TCP
@@ -105,30 +111,35 @@ fn loopback(tasks: u64) {
     no_op_fan_out(&rt, &task, tasks);
 }
 
-/// Median of three CPU-per-task ratios, 100k tasks ÷ 10k. CPU time, not
-/// wall time: a box's 100k wall rates spread 2–4× between runs, its
-/// CPU-per-task ratios about 1.0–1.3.
-fn cpu_growth(backend: &str, run: fn(u64)) -> f64 {
-    let cpu_us_per_task = |tasks: u64| {
-        let c0 = process_cpu_s();
-        run(tasks);
-        (process_cpu_s() - c0) * 1e6 / tasks as f64
-    };
-    let mut ratios: Vec<f64> = (0..3)
-        .map(|_| {
-            // Large first: a 10k run on a heap no 100k run has grown yet
-            // reads about half the CPU per task it reads after one, which
-            // would inflate the first ratio only.
-            let (large, small) = (cpu_us_per_task(100_000), cpu_us_per_task(10_000));
-            println!(
-                "{backend:<9} 10k {small:>6.1} us/task   100k {large:>6.1} us/task   ratio {:.2}",
-                large / small
-            );
-            large / small
-        })
-        .collect();
+/// CPU µs per task of `run` over `tasks` tasks. CPU time, not wall time:
+/// a box's 100k wall rates spread 2–4× between runs, its CPU-per-task
+/// ratios about 1.0–1.3.
+fn cpu_us_per_task(tasks: u64, run: impl FnOnce(u64)) -> f64 {
+    let c0 = process_cpu_s();
+    run(tasks);
+    (process_cpu_s() - c0) * 1e6 / tasks as f64
+}
+
+/// The median of three readings of `ratio`.
+fn median_of_three(mut ratio: impl FnMut() -> f64) -> f64 {
+    let mut ratios = [ratio(), ratio(), ratio()];
     ratios.sort_by(f64::total_cmp);
     ratios[1]
+}
+
+/// Median of three CPU-per-task ratios, 100k tasks ÷ 10k.
+fn cpu_growth(backend: &str, run: fn(u64)) -> f64 {
+    median_of_three(|| {
+        // Large first: a 10k run on a heap no 100k run has grown yet reads
+        // about half the CPU per task it reads after one, which would
+        // inflate the first ratio only.
+        let (large, small) = (cpu_us_per_task(100_000, run), cpu_us_per_task(10_000, run));
+        println!(
+            "{backend:<9} 10k {small:>6.1} us/task   100k {large:>6.1} us/task   ratio {:.2}",
+            large / small
+        );
+        large / small
+    })
 }
 
 #[test]
@@ -144,6 +155,25 @@ fn cpu_per_task_does_not_grow_with_the_graph() {
             "{backend}: CPU per task grows with the graph, median ratio {median:.2}"
         );
     }
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "times release code")]
+fn a_wide_pool_costs_what_a_narrow_one_does() {
+    let _turn = one_at_a_time();
+    // 64 workers park on one queue: a push must wake one of them, not all.
+    // For scale: waking every parked worker per push read 23–34.
+    let median = median_of_three(|| {
+        // Wide first, so any warm-heap advantage goes to the narrow side.
+        let wide = cpu_us_per_task(20_000, |n| threaded_pool(64, n));
+        let narrow = cpu_us_per_task(20_000, |n| threaded_pool(2, n));
+        println!(
+            "threaded   2 workers {narrow:>6.1} us/task   64 workers {wide:>6.1} us/task   ratio {:.2}",
+            wide / narrow
+        );
+        wide / narrow
+    });
+    assert!(median <= 3.0, "a 64-worker pool costs {median:.2}x a 2-worker one per task");
 }
 
 const EPOCHS: u32 = 12;

@@ -21,8 +21,6 @@
 //! | `rcompss_task_attempts_failed_total` | counter | individual failed attempts |
 //! | `rcompss_node_failures_total` | counter | node failures observed |
 //! | `rcompss_transfer_bytes_total` | counter | bytes staged to nodes (sim backend) |
-//! | `rcompss_worker_steals_total` | counter | tasks taken from a sibling worker's shard |
-//! | `rcompss_worker_wakeups_total` | counter | targeted `notify_one` signals to worker shards |
 //! | `rcompss_ready_queue_depth` | gauge | ready tasks not yet placeable |
 //! | `rcompss_running_tasks` | gauge | in-flight executions |
 //! | `rcompss_live_tasks` | gauge | submitted tasks that have not settled (settled ones are retired) |
@@ -87,10 +85,6 @@ pub(crate) struct RtMetrics {
     pub node_failures: Counter,
     /// Bytes staged to nodes.
     pub transfer_bytes: Counter,
-    /// Tasks a worker took from a sibling's shard (threaded backend).
-    pub steals: Counter,
-    /// Targeted `notify_one` signals issued to worker shards.
-    pub wakeups: Counter,
     /// Remote workers declared dead (distributed backend).
     pub workers_lost: Counter,
     /// Protocol bytes written to remote workers.
@@ -149,8 +143,6 @@ impl RtMetrics {
             failed_attempts: registry.counter("rcompss_task_attempts_failed_total"),
             node_failures: registry.counter("rcompss_node_failures_total"),
             transfer_bytes: registry.counter("rcompss_transfer_bytes_total"),
-            steals: registry.counter("rcompss_worker_steals_total"),
-            wakeups: registry.counter("rcompss_worker_wakeups_total"),
             workers_lost: registry.counter("rcompss_workers_lost_total"),
             net_bytes_sent: registry.counter("rnet_bytes_sent_total"),
             net_bytes_received: registry.counter("rnet_bytes_received_total"),
@@ -252,8 +244,6 @@ mod tests {
             "rcompss_task_attempts_failed_total",
             "rcompss_node_failures_total",
             "rcompss_transfer_bytes_total",
-            "rcompss_worker_steals_total",
-            "rcompss_worker_wakeups_total",
             "rcompss_workers_lost_total",
             "rnet_bytes_sent_total",
             "rnet_bytes_received_total",

@@ -678,8 +678,8 @@ impl Runtime {
         }
 
         // Nudge the backend: place under the lock, hand the placed work to
-        // the worker shards after dropping it (trace emission and shard
-        // locks must not nest inside the core lock).
+        // the worker queue after dropping it (trace emission and the queue
+        // lock must not nest inside the core lock).
         match &self.backend {
             BackendHandle::Threaded(pool) => {
                 let msgs = collect_dispatch(&self.shared, &mut core);

@@ -767,9 +767,9 @@ fn pfs_cluster_needs_no_staging_between_nodes() {
 
 #[test]
 fn worker_shutdown_is_signal_driven_and_prompt() {
-    // Workers park on their shard condvars with no poll timeout; shutdown
-    // signals each shard once and joins. With the old 50 ms polling loop a
-    // 64-worker pool took up to one poll period to notice the flag — the
+    // Workers park on the pool's condvar with no poll timeout; shutdown
+    // sets the flag, wakes them all and joins. With the old 50 ms polling
+    // loop a 64-worker pool took up to one poll period to notice the flag — the
     // signal-driven pool must wind down in single-digit milliseconds even
     // with every worker parked idle.
     let rt = Runtime::threaded(RuntimeConfig::single_node(64));

@@ -1,4 +1,4 @@
-//! Stress tests for the threaded backend's sharded run queues: thousands of
+//! Stress tests for the threaded backend's run queue: thousands of
 //! tiny tasks with randomized IN/INOUT dependency chains, checked against a
 //! sequential replay of the same submissions. Dataflow semantics make the
 //! replay exact: whatever order the workers interleave in, each INOUT
@@ -69,7 +69,7 @@ fn run_random_chains(workers: u32, n: u64, slots: usize, seed: u64) -> (Vec<u64>
 
 #[test]
 fn ten_thousand_random_chains_match_sequential_replay() {
-    // 10k tasks across pool sizes spanning serial, few-shard, many-shard.
+    // 10k tasks across pool sizes from serial to more workers than cores.
     for (workers, seed) in [(1u32, 7u64), (4, 11), (16, 13)] {
         let (got, want) = run_random_chains(workers, 10_000, 24, seed);
         assert_eq!(got, want, "workers={workers}: final slot values diverge");

@@ -31,7 +31,7 @@
 
 use std::io;
 use std::os::fd::RawFd;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Which readiness a registration asks for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,8 +176,9 @@ fn nonblocking_pipe() -> io::Result<(RawFd, RawFd)> {
 ///
 /// On Linux this is an `epoll` instance; elsewhere it is the portable
 /// [`PollFallback`]. Both are safe to drive from one thread while other
-/// threads call `register`/`modify` (epoll is kernel-side thread-safe; the
-/// fallback serialises its fd table behind a mutex).
+/// threads call `register`/`modify`, and in both such a change reaches a
+/// `wait` already blocked (epoll is kernel-side thread-safe; the fallback
+/// serialises its fd table behind a mutex and wakes its own wait).
 #[derive(Debug)]
 pub enum Poller {
     /// Linux epoll instance.
@@ -230,10 +231,7 @@ impl Poller {
         match self {
             #[cfg(target_os = "linux")]
             Poller::Epoll(p) => p.ctl(sys::EPOLL_CTL_DEL, fd, 0, Interest::READ),
-            Poller::Fallback(p) => {
-                p.deregister(fd);
-                Ok(())
-            }
+            Poller::Fallback(p) => p.deregister(fd),
         }
     }
 
@@ -324,9 +322,24 @@ impl Drop for Epoll {
 /// space behind a mutex and is rebuilt into a `pollfd` array per wait.
 /// O(fds) per call — fine at the handful-of-workers scale this runtime
 /// drives, and available on every Unix.
+///
+/// `poll(2)` only sees the array it was given, so a `register`, `modify` or
+/// `deregister` that changes the table while a `wait` is blocked writes to
+/// a self-pipe polled beside the fds: the wait wakes, rebuilds its array
+/// and polls again for what is left of its timeout, as an epoll wait sees
+/// a concurrent `epoll_ctl`.
 #[derive(Debug, Default)]
 pub struct PollFallback {
-    fds: std::sync::Mutex<Vec<(RawFd, u64, Interest)>>,
+    table: std::sync::Mutex<Table>,
+}
+
+#[derive(Debug, Default)]
+struct Table {
+    fds: Vec<(RawFd, u64, Interest)>,
+    /// `wait` calls between building their array and leaving `poll(2)`.
+    waiting: usize,
+    /// The self-pipe, made by the first `wait`.
+    wake: Option<Waker>,
 }
 
 impl PollFallback {
@@ -334,51 +347,94 @@ impl PollFallback {
         PollFallback::default()
     }
 
-    fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        let mut fds = self.fds.lock().expect("poller table poisoned");
-        if let Some(slot) = fds.iter_mut().find(|(f, _, _)| *f == fd) {
-            *slot = (fd, token, interest);
-        } else {
-            fds.push((fd, token, interest));
+    /// Apply `change` to the table; if it changed anything while a wait is
+    /// in flight, wake that wait so it polls the new table.
+    fn update(
+        &self,
+        change: impl FnOnce(&mut Vec<(RawFd, u64, Interest)>) -> bool,
+    ) -> io::Result<()> {
+        let mut table = self.table.lock().expect("poller table poisoned");
+        if change(&mut table.fds) && table.waiting > 0 {
+            table.wake.as_ref().expect("a waiting poll made the pipe").wake()?;
         }
         Ok(())
     }
 
-    fn deregister(&self, fd: RawFd) {
-        self.fds.lock().expect("poller table poisoned").retain(|(f, _, _)| *f != fd);
+    fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        let entry = (fd, token, interest);
+        self.update(|fds| match fds.iter_mut().find(|(f, _, _)| *f == fd) {
+            Some(slot) if *slot == entry => false,
+            Some(slot) => {
+                *slot = entry;
+                true
+            }
+            None => {
+                fds.push(entry);
+                true
+            }
+        })
+    }
+
+    fn deregister(&self, fd: RawFd) -> io::Result<()> {
+        self.update(|fds| {
+            let before = fds.len();
+            fds.retain(|(f, _, _)| *f != fd);
+            fds.len() != before
+        })
     }
 
     fn wait(&self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize> {
         events.clear();
-        let (mut pollfds, tokens): (Vec<sys::PollFd>, Vec<u64>) = {
-            let fds = self.fds.lock().expect("poller table poisoned");
-            fds.iter()
-                .map(|&(fd, token, interest)| {
-                    let mut ev = 0i16;
-                    if interest.read {
-                        ev |= sys::POLLIN;
-                    }
-                    if interest.write {
-                        ev |= sys::POLLOUT;
-                    }
-                    (sys::PollFd { fd, events: ev, revents: 0 }, token)
-                })
-                .unzip()
-        };
-        let n = loop {
-            let rc = unsafe {
-                sys::poll(pollfds.as_mut_ptr(), pollfds.len() as u64, timeout_ms(timeout))
+        let deadline = timeout.map(|t| Instant::now() + t);
+        loop {
+            // Slot 0 is the self-pipe; the registered fds follow.
+            let (mut pollfds, tokens): (Vec<sys::PollFd>, Vec<u64>) = {
+                let mut table = self.table.lock().expect("poller table poisoned");
+                if table.wake.is_none() {
+                    table.wake = Some(Waker::pipe()?);
+                }
+                table.waiting += 1;
+                let pipe = table.wake.as_ref().map(|w| (w.read_fd, u64::MAX, Interest::READ));
+                pipe.into_iter()
+                    .chain(table.fds.iter().copied())
+                    .map(|(fd, token, interest)| {
+                        let mut ev = 0i16;
+                        if interest.read {
+                            ev |= sys::POLLIN;
+                        }
+                        if interest.write {
+                            ev |= sys::POLLOUT;
+                        }
+                        (sys::PollFd { fd, events: ev, revents: 0 }, token)
+                    })
+                    .unzip()
             };
-            if rc >= 0 {
-                break rc;
-            }
-            let e = io::Error::last_os_error();
-            if e.kind() != io::ErrorKind::Interrupted {
-                return Err(e);
-            }
-        };
-        if n > 0 {
-            for (pfd, &token) in pollfds.iter().zip(&tokens) {
+            let remaining = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            let polled = loop {
+                // SAFETY: `pollfds` is an owned array of `pollfds.len()`
+                // initialised `pollfd`s, borrowed mutably for the whole call.
+                let rc = unsafe {
+                    sys::poll(pollfds.as_mut_ptr(), pollfds.len() as u64, timeout_ms(remaining))
+                };
+                if rc >= 0 {
+                    break Ok(());
+                }
+                let e = io::Error::last_os_error();
+                if e.kind() != io::ErrorKind::Interrupted {
+                    break Err(e);
+                }
+            };
+            let changed = {
+                let mut table = self.table.lock().expect("poller table poisoned");
+                table.waiting -= 1;
+                let changed = pollfds[0].revents != 0;
+                if changed {
+                    table.wake.as_ref().expect("made above").drain();
+                }
+                changed
+            };
+            polled?;
+            for (pfd, &token) in pollfds.iter().zip(&tokens).skip(1) {
                 let re = pfd.revents;
                 if re != 0 {
                     events.push(Event {
@@ -388,8 +444,11 @@ impl PollFallback {
                     });
                 }
             }
+            let expired = remaining.is_some_and(|r| r.is_zero());
+            if !events.is_empty() || !changed || expired {
+                return Ok(events.len());
+            }
         }
-        Ok(events.len())
     }
 }
 
@@ -405,8 +464,14 @@ pub struct Waker {
 impl Waker {
     /// Build a waker and register its read end on `poller` under `token`.
     pub fn new(poller: &Poller, token: u64) -> io::Result<Waker> {
+        let waker = Waker::pipe()?;
+        poller.register(waker.read_fd, token, Interest::READ)?;
+        Ok(waker)
+    }
+
+    /// A waker registered nowhere: the fallback poller's own self-pipe.
+    fn pipe() -> io::Result<Waker> {
         let (read_fd, write_fd) = nonblocking_pipe()?;
-        poller.register(read_fd, token, Interest::READ)?;
         Ok(Waker { read_fd, write_fd })
     }
 
@@ -456,7 +521,7 @@ mod tests {
     use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
     use std::os::fd::AsRawFd;
-    use std::time::Instant;
+    use std::sync::Arc;
 
     fn loopback_pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -541,6 +606,33 @@ mod tests {
             let n = poller.wait(&mut events, Some(Duration::from_millis(10))).unwrap();
             assert_eq!(n, 0, "drained waker stays quiet");
             handle.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn an_interest_change_from_another_thread_wakes_a_blocked_wait() {
+        for poller in pollers() {
+            let (a, _b) = loopback_pair();
+            a.set_nonblocking(true).unwrap();
+            let fd = a.as_raw_fd();
+            poller.register(fd, 3, Interest::READ).unwrap();
+            let poller = Arc::new(poller);
+            let p = Arc::clone(&poller);
+            let t0 = Instant::now();
+            let handle = std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(50));
+                p.modify(fd, 3, Interest::READ_WRITE).unwrap();
+            });
+            let mut events = Vec::new();
+            let n = poller.wait(&mut events, Some(Duration::from_secs(2))).unwrap();
+            let took = t0.elapsed();
+            handle.join().unwrap();
+            assert_eq!(n, 1, "{poller:?}: the new write interest must fire");
+            assert!(events[0].writable && events[0].token == 3);
+            assert!(
+                took < Duration::from_secs(1),
+                "{poller:?}: woke after {took:?}, not on the change"
+            );
         }
     }
 

@@ -16,9 +16,9 @@
 //! compute kernels ([`tensor`], [`conv`]) split work across the scoped
 //! worker pool in [`par`] in a way that preserves accumulation order, so a
 //! training run is bit-identical at any thread count. The degree of
-//! parallelism flows in from the task runtime's core grant (or the
-//! `TINYML_THREADS` environment variable standalone) — see [`par`] for the
-//! full story.
+//! parallelism flows in from the task runtime's core grant (standalone, a
+//! [`par::with_threads`] scope; without one, 1) — see [`par`] for the full
+//! story.
 //!
 //! # Quick start
 //!

@@ -21,11 +21,9 @@
 //!    [`crate::tensor`] / [`crate::conv`] consults [`current_threads`] and
 //!    splits its output rows across that many scoped workers.
 //!
-//! Standalone users (benches, scripts) either call [`with_threads`]
-//! directly or set the `TINYML_THREADS` environment variable, which acts
-//! as the default when no scope is active. The default without either is
-//! **1** — fully serial, so library behaviour is unchanged unless a caller
-//! opts in.
+//! Standalone users (benches, scripts) call [`with_threads`] directly.
+//! Outside every scope the degree is **1** — fully serial, so library
+//! behaviour is unchanged unless a caller opts in.
 //!
 //! # Serial-equivalence guarantee
 //!
@@ -56,7 +54,6 @@
 
 use std::cell::Cell;
 use std::ops::Range;
-use std::sync::OnceLock;
 
 /// Minimum fused multiply-adds a worker must have before an extra thread
 /// pays for its ~tens-of-µs spawn cost (scoped threads are spawned per
@@ -64,31 +61,14 @@ use std::sync::OnceLock;
 const MIN_WORK_PER_THREAD: usize = 128 * 1024;
 
 thread_local! {
-    /// Ambient degree for the current thread; 0 = unset (fall back to env).
-    static AMBIENT: Cell<usize> = const { Cell::new(0) };
-}
-
-/// `TINYML_THREADS` parsed once per process (≥ 1; absent/invalid ⇒ 1).
-fn env_threads() -> usize {
-    static ENV: OnceLock<usize> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("TINYML_THREADS")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(1)
-    })
+    /// Ambient degree for the current thread; 1 outside every scope.
+    static AMBIENT: Cell<usize> = const { Cell::new(1) };
 }
 
 /// The degree of parallelism in effect on this thread: the innermost
-/// [`with_threads`] scope, else `TINYML_THREADS`, else 1.
+/// [`with_threads`] scope, else 1.
 pub fn current_threads() -> usize {
-    let scoped = AMBIENT.with(Cell::get);
-    if scoped == 0 {
-        env_threads()
-    } else {
-        scoped
-    }
+    AMBIENT.with(Cell::get)
 }
 
 /// Run `f` with the ambient degree of parallelism set to `threads`,
@@ -235,7 +215,7 @@ mod tests {
     #[test]
     fn ambient_default_scoping_and_restore() {
         let default = current_threads();
-        assert_eq!(default, env_threads(), "no scope ⇒ the TINYML_THREADS default");
+        assert_eq!(default, 1, "no scope ⇒ serial");
         let inner = with_threads(6, || {
             let nested = with_threads(2, current_threads);
             assert_eq!(nested, 2, "innermost scope wins");

@@ -101,10 +101,10 @@ pub struct TrainConfig {
     /// Intra-task worker threads for the compute kernels (GEMM, im2col
     /// convolution). `0` (the default) inherits the ambient degree — the
     /// enclosing [`crate::par::with_threads`] scope that the HPO runner
-    /// opens from the task's granted core set, or the `TINYML_THREADS`
-    /// environment variable for standalone use. Any thread count produces
-    /// bit-identical results (see [`crate::par`]); this knob only changes
-    /// speed, never the trained model.
+    /// opens from the task's granted core set, or 1 outside every scope.
+    /// Any thread count produces bit-identical results (see
+    /// [`crate::par`]); this knob only changes speed, never the trained
+    /// model.
     pub threads: usize,
 }
 

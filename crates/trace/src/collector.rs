@@ -4,54 +4,20 @@
 //! Mirroring the paper ("both tracing and graph generation create a
 //! performance overhead. These two features can easily be turned off by a
 //! simple flag"), the collector can be constructed disabled, in which case
-//! recording is a single relaxed atomic load.
+//! recording is a single branch.
 //!
-//! When enabled, records land in one of `SHARDS` cache-line-aligned,
-//! independently locked buffers. Each recording thread is pinned to a shard
-//! on first use (round-robin), so worker threads reporting task runs do not
-//! contend on one global lock — the pre-shard design made every `task_run`
-//! serialise the whole pool through a single `Mutex<Vec>`. Snapshots merge
-//! and sort the shards, preserving the chronological contract downstream
-//! consumers rely on.
-
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+//! When enabled, every record is pushed onto one locked buffer; snapshots
+//! sort it, preserving the chronological contract downstream consumers
+//! rely on.
 
 use parking_lot::Mutex;
 
 use crate::record::{CoreId, EventKind, Record, StateKind, TaskRef};
 
-/// Number of independently locked record buffers.
-const SHARDS: usize = 16;
-
-/// One record buffer, padded to its own cache line so shard locks do not
-/// false-share.
-#[repr(align(64))]
-#[derive(Default)]
-struct Shard {
-    records: Mutex<Vec<Record>>,
-}
-
-/// Index of the shard this thread writes to: assigned round-robin on first
-/// use so a fixed worker pool spreads evenly across shards.
-fn shard_index() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static IDX: std::cell::Cell<usize> = const { std::cell::Cell::new(usize::MAX) };
-    }
-    IDX.with(|cell| {
-        let mut idx = cell.get();
-        if idx == usize::MAX {
-            idx = NEXT.fetch_add(1, Ordering::Relaxed) % SHARDS;
-            cell.set(idx);
-        }
-        idx
-    })
-}
-
 /// Accumulates trace records from any number of threads.
 pub struct TraceCollector {
-    enabled: AtomicBool,
-    shards: [Shard; SHARDS],
+    enabled: bool,
+    records: Mutex<Vec<Record>>,
 }
 
 impl std::fmt::Debug for TraceCollector {
@@ -63,50 +29,23 @@ impl std::fmt::Debug for TraceCollector {
     }
 }
 
-impl Default for TraceCollector {
-    fn default() -> Self {
-        Self::enabled()
-    }
-}
-
 impl TraceCollector {
-    fn with_enabled(enabled: bool) -> Self {
-        TraceCollector {
-            enabled: AtomicBool::new(enabled),
-            shards: std::array::from_fn(|_| Shard::default()),
-        }
-    }
-
-    /// A collector that records everything (tracing flag on).
-    pub fn enabled() -> Self {
-        Self::with_enabled(true)
-    }
-
-    /// A collector that drops everything (tracing flag off).
-    pub fn disabled() -> Self {
-        Self::with_enabled(false)
-    }
-
-    /// Construct with an explicit flag, matching the paper's launch-time
-    /// `--tracing` switch.
+    /// A collector that records everything (`tracing` on) or drops
+    /// everything (off), matching the paper's launch-time `--tracing`
+    /// switch.
     pub fn with_flag(tracing: bool) -> Self {
-        Self::with_enabled(tracing)
+        TraceCollector { enabled: tracing, records: Mutex::new(Vec::new()) }
     }
 
-    /// Whether records are currently kept.
+    /// Whether records are kept.
     pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Toggle collection at runtime.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
+        self.enabled
     }
 
     /// Record an arbitrary record.
     pub fn record(&self, record: Record) {
         if self.is_enabled() {
-            self.shards[shard_index()].records.lock().push(record);
+            self.records.lock().push(record);
         }
     }
 
@@ -128,7 +67,7 @@ impl TraceCollector {
 
     /// Number of records collected so far.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.records.lock().len()).sum()
+        self.records.lock().len()
     }
 
     /// Whether no records have been collected.
@@ -142,10 +81,7 @@ impl TraceCollector {
     /// (the PRV writer, the Gantt renderer, statistics) can assume order
     /// regardless of which thread reported what first.
     pub fn snapshot(&self) -> Vec<Record> {
-        let mut out = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            out.extend(shard.records.lock().iter().cloned());
-        }
+        let mut out = self.records.lock().clone();
         out.sort_by_key(|r| (r.time(), r.core(), r.end_time()));
         out
     }
@@ -162,7 +98,7 @@ mod tests {
 
     #[test]
     fn disabled_collector_drops_records() {
-        let c = TraceCollector::disabled();
+        let c = TraceCollector::with_flag(false);
         c.task_run(CoreId::new(0, 0), 0, 10, task(1));
         c.event(CoreId::new(0, 0), 5, EventKind::TaskEnd(task(1)));
         assert!(c.is_empty());
@@ -177,7 +113,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_chronological() {
-        let c = TraceCollector::enabled();
+        let c = TraceCollector::with_flag(true);
         c.task_run(CoreId::new(0, 1), 50, 80, task(2));
         c.task_run(CoreId::new(0, 0), 0, 40, task(1));
         c.event(CoreId::new(0, 0), 20, EventKind::TaskDispatch(task(9)));
@@ -188,18 +124,8 @@ mod tests {
     }
 
     #[test]
-    fn toggling_enables_and_disables_recording() {
-        let c = TraceCollector::disabled();
-        c.set_enabled(true);
-        c.task_run(CoreId::new(0, 0), 0, 1, task(1));
-        c.set_enabled(false);
-        c.task_run(CoreId::new(0, 0), 1, 2, task(2));
-        assert_eq!(c.len(), 1);
-    }
-
-    #[test]
     fn concurrent_recording_is_lossless() {
-        let c = Arc::new(TraceCollector::enabled());
+        let c = Arc::new(TraceCollector::with_flag(true));
         let mut handles = Vec::new();
         for t in 0..8u64 {
             let c = Arc::clone(&c);
@@ -216,10 +142,10 @@ mod tests {
     }
 
     #[test]
-    fn sharded_records_still_snapshot_in_order() {
-        // Many threads, interleaved timestamps: the merged snapshot must be
-        // globally sorted even though shards fill independently.
-        let c = Arc::new(TraceCollector::enabled());
+    fn concurrent_records_still_snapshot_in_order() {
+        // Many threads, interleaved timestamps: the snapshot must be
+        // globally sorted whatever order the threads pushed in.
+        let c = Arc::new(TraceCollector::with_flag(true));
         let mut handles = Vec::new();
         for t in 0..6u64 {
             let c = Arc::clone(&c);

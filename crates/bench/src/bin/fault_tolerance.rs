@@ -67,10 +67,7 @@ fn main() {
         rt.stats().failed_attempts
     );
     println!("\ntimeline (node rows; the truncated bar on node 1 is the killed attempt):");
-    print!(
-        "{}",
-        render(&records, &GanttOptions { width: 72, per_node: true, ..Default::default() })
-    );
+    print!("{}", render(&records, &GanttOptions { width: 72, per_node: true }));
     assert_eq!(rt.stats().completed, 8, "every task recovers");
     assert!(rt.stats().failed_attempts >= 1, "the kill is recorded");
     // no task may complete on the dead node after t=30s

@@ -67,9 +67,9 @@ fn main() {
     assert!(u14 > u28, "14-node run utilises its cores better");
 
     println!("\n(a) per-node busy-core counts, 28 nodes:");
-    print!("{}", render(&rec28, &GanttOptions { width: 64, per_node: true, ..Default::default() }));
+    print!("{}", render(&rec28, &GanttOptions { width: 64, per_node: true }));
     println!("\n(b) per-node busy-core counts, 14 nodes:");
-    print!("{}", render(&rec14, &GanttOptions { width: 64, per_node: true, ..Default::default() }));
+    print!("{}", render(&rec14, &GanttOptions { width: 64, per_node: true }));
 
     for (records, name) in [(&rec28, "fig6a_28nodes"), (&rec14, "fig6b_14nodes")] {
         let prv = paratrace::prv::export(name, records);

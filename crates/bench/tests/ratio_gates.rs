@@ -189,11 +189,11 @@ fn epochs_per_s(data: &Dataset, every: u32, dir: &Path) -> f64 {
         threads: 1,
         ..TrainConfig::default()
     };
-    let store = ckpt::DirStore::open(dir, 2).expect("open snapshot store");
+    let store = ckpt::DirStore::open(dir).expect("open snapshot store");
     let mut saves = 0u32;
     let mut sink = |snap: &TrainSnapshot| {
         saves += 1;
-        store.save(0x8E7C, snap.next_epoch, &snap.encode()).expect("save snapshot");
+        store.save(0x8E7C, &snap.encode()).expect("save snapshot");
     };
     let t0 = Instant::now();
     let history = train_with_checkpoints(

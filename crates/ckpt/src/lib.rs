@@ -10,10 +10,10 @@
 //!   frame, so every fully-framed record before a crash survives, and
 //!   re-opening for append truncates the torn tail before continuing.
 //! - [`snapshot`] — a directory store of point-in-time blobs (model
-//!   weights + optimizer state, in this repo). Each snapshot is written
-//!   to a temp file then atomically renamed into place, so a reader never
-//!   observes a half-written snapshot; a retention policy bounds disk use
-//!   by keeping only the newest N per trial.
+//!   weights + optimizer state, in this repo), one file per trial. Each
+//!   snapshot is written to a temp file of its own then atomically renamed
+//!   over the trial's file, so a reader never observes a half-written
+//!   snapshot and disk use is one snapshot per in-flight trial.
 //!
 //! The sweep-level record types (trial submitted / epoch / finished) live
 //! in the `hpo` crate; the training-level snapshot payload lives in

@@ -1,37 +1,45 @@
-//! Atomic per-trial snapshot store with retention.
+//! Atomic snapshot store: one file per trial.
 //!
 //! Layout under the store root:
 //!
 //! ```text
-//! <root>/<trial-key-hex>/e<epoch>.snap
+//! <root>/<trial-key-hex>.snap
 //! ```
 //!
-//! One subdirectory per trial (callers key trials however they like — the
-//! hpo layer uses an FNV-64 of the config label), one file per retained
-//! epoch. Every write goes to `.tmp-e<epoch>.snap` in the same directory
-//! and is renamed into place after fsync, so a concurrent or post-crash
-//! reader only ever sees complete snapshots. [`DirStore::save`] applies
-//! the retention policy after the rename, deleting the oldest snapshots
-//! beyond the configured count.
+//! Callers key trials however they like (the hpo layer uses an FNV-64 of
+//! the config label). A save writes a tmp file of its own in the same
+//! directory, fsyncs it and renames it over the trial's file, so a
+//! concurrent or post-crash reader only ever sees a complete snapshot, and
+//! two saves of one trial never share a path: the last rename wins whole.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Snapshot store rooted at a directory, keeping the newest `retain`
-/// snapshots per trial.
+/// Prefix of in-progress writes. A file with it is never read.
+const TMP_PREFIX: &str = ".tmp-";
+
+/// Snapshot store rooted at a directory, holding the newest snapshot of
+/// each trial.
 #[derive(Debug, Clone)]
 pub struct DirStore {
     root: PathBuf,
-    retain: usize,
 }
 
 impl DirStore {
-    /// Open (creating if needed) a store rooted at `root`, retaining the
-    /// newest `retain` snapshots per trial (minimum 1).
-    pub fn open(root: impl AsRef<Path>, retain: usize) -> std::io::Result<DirStore> {
+    /// Open (creating if needed) a store rooted at `root`. Tmp files left by
+    /// a writer that died mid-save are deleted: a store directory has one
+    /// writing process.
+    pub fn open(root: impl AsRef<Path>) -> std::io::Result<DirStore> {
         let root = root.as_ref().to_path_buf();
         std::fs::create_dir_all(&root)?;
-        Ok(DirStore { root, retain: retain.max(1) })
+        for entry in std::fs::read_dir(&root)? {
+            let entry = entry?;
+            if entry.file_name().to_string_lossy().starts_with(TMP_PREFIX) {
+                let _ = std::fs::remove_file(entry.path());
+            }
+        }
+        Ok(DirStore { root })
     }
 
     /// The store's root directory.
@@ -39,94 +47,42 @@ impl DirStore {
         &self.root
     }
 
-    fn trial_dir(&self, trial: u64) -> PathBuf {
-        self.root.join(format!("{trial:016x}"))
+    fn path(&self, trial: u64) -> PathBuf {
+        self.root.join(format!("{trial:016x}.snap"))
     }
 
-    /// Atomically write the snapshot for (`trial`, `epoch`), then prune
-    /// snapshots beyond the retention count. Returns bytes written.
-    pub fn save(&self, trial: u64, epoch: u32, blob: &[u8]) -> std::io::Result<u64> {
-        let dir = self.trial_dir(trial);
-        std::fs::create_dir_all(&dir)?;
-        let tmp = dir.join(format!(".tmp-e{epoch}.snap"));
-        let final_path = dir.join(format!("e{epoch}.snap"));
+    /// Atomically replace `trial`'s snapshot with `blob`. Returns bytes
+    /// written.
+    pub fn save(&self, trial: u64, blob: &[u8]) -> std::io::Result<u64> {
+        static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT_TMP.fetch_add(1, Ordering::Relaxed);
+        let tmp = self.root.join(format!("{TMP_PREFIX}{trial:016x}-{}-{n}", std::process::id()));
         {
             let mut f = std::fs::File::create(&tmp)?;
             f.write_all(blob)?;
-            f.flush()?;
             f.sync_data()?;
         }
-        std::fs::rename(&tmp, &final_path)?;
-        self.prune(trial)?;
+        std::fs::rename(&tmp, self.path(trial))?;
         Ok(blob.len() as u64)
     }
 
-    /// Load the snapshot for (`trial`, `epoch`), or `None` if absent.
-    pub fn load(&self, trial: u64, epoch: u32) -> std::io::Result<Option<Vec<u8>>> {
-        let path = self.trial_dir(trial).join(format!("e{epoch}.snap"));
-        match std::fs::read(&path) {
+    /// Load `trial`'s snapshot, or `None` if it has none.
+    pub fn load(&self, trial: u64) -> std::io::Result<Option<Vec<u8>>> {
+        match std::fs::read(self.path(trial)) {
             Ok(b) => Ok(Some(b)),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(e),
         }
     }
 
-    /// The highest-epoch snapshot for `trial`: `(epoch, blob)`, or `None`
-    /// when the trial has none.
-    pub fn latest(&self, trial: u64) -> std::io::Result<Option<(u32, Vec<u8>)>> {
-        let mut epochs = self.epochs(trial)?;
-        while let Some(epoch) = epochs.pop() {
-            // A snapshot could be pruned between listing and reading; fall
-            // back to the next-newest rather than erroring.
-            if let Some(blob) = self.load(trial, epoch)? {
-                return Ok(Some((epoch, blob)));
-            }
-        }
-        Ok(None)
-    }
-
-    /// All retained snapshot epochs for `trial`, ascending.
-    pub fn epochs(&self, trial: u64) -> std::io::Result<Vec<u32>> {
-        let dir = self.trial_dir(trial);
-        let entries = match std::fs::read_dir(&dir) {
-            Ok(it) => it,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(e),
-        };
-        let mut epochs = Vec::new();
-        for entry in entries {
-            let name = entry?.file_name();
-            let name = name.to_string_lossy();
-            if let Some(num) = name.strip_prefix('e').and_then(|s| s.strip_suffix(".snap")) {
-                if let Ok(epoch) = num.parse::<u32>() {
-                    epochs.push(epoch);
-                }
-            }
-        }
-        epochs.sort_unstable();
-        Ok(epochs)
-    }
-
-    /// Delete every snapshot for `trial` (called when the trial finishes —
-    /// a journaled outcome supersedes its snapshots).
+    /// Delete `trial`'s snapshot (called when the trial finishes — a
+    /// journaled outcome supersedes it).
     pub fn clear(&self, trial: u64) -> std::io::Result<()> {
-        let dir = self.trial_dir(trial);
-        match std::fs::remove_dir_all(&dir) {
+        match std::fs::remove_file(self.path(trial)) {
             Ok(()) => Ok(()),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
             Err(e) => Err(e),
         }
-    }
-
-    fn prune(&self, trial: u64) -> std::io::Result<()> {
-        let epochs = self.epochs(trial)?;
-        if epochs.len() > self.retain {
-            let dir = self.trial_dir(trial);
-            for &epoch in &epochs[..epochs.len() - self.retain] {
-                let _ = std::fs::remove_file(dir.join(format!("e{epoch}.snap")));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -134,58 +90,86 @@ impl DirStore {
 mod tests {
     use super::*;
 
-    fn store(tag: &str, retain: usize) -> DirStore {
+    fn store(tag: &str) -> DirStore {
         let dir = std::env::temp_dir().join(format!("ckpt-store-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        DirStore::open(dir, retain).unwrap()
+        DirStore::open(dir).unwrap()
+    }
+
+    fn names(s: &DirStore) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(s.root())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
     }
 
     #[test]
-    fn save_load_latest_round_trip() {
-        let s = store("roundtrip", 3);
-        assert!(s.latest(7).unwrap().is_none());
-        s.save(7, 1, b"epoch-one").unwrap();
-        s.save(7, 4, b"epoch-four").unwrap();
-        assert_eq!(s.load(7, 1).unwrap().unwrap(), b"epoch-one");
-        assert_eq!(s.latest(7).unwrap().unwrap(), (4, b"epoch-four".to_vec()));
-        assert!(s.load(7, 2).unwrap().is_none());
-        std::fs::remove_dir_all(s.root()).unwrap();
-    }
-
-    #[test]
-    fn retention_keeps_newest_n() {
-        let s = store("retain", 2);
-        for epoch in 1..=5 {
-            s.save(1, epoch, format!("e{epoch}").as_bytes()).unwrap();
-        }
-        assert_eq!(s.epochs(1).unwrap(), vec![4, 5]);
-        assert_eq!(s.latest(1).unwrap().unwrap().0, 5);
+    fn save_load_round_trip() {
+        let s = store("roundtrip");
+        assert!(s.load(7).unwrap().is_none());
+        s.save(7, b"epoch-one").unwrap();
+        s.save(7, b"epoch-four").unwrap();
+        assert_eq!(s.load(7).unwrap().unwrap(), b"epoch-four", "a save replaces the last");
+        assert_eq!(names(&s), vec![format!("{:016x}.snap", 7u64)], "one file per trial");
         std::fs::remove_dir_all(s.root()).unwrap();
     }
 
     #[test]
     fn trials_are_isolated_and_clear_removes_one() {
-        let s = store("isolate", 3);
-        s.save(1, 1, b"one").unwrap();
-        s.save(2, 9, b"two").unwrap();
+        let s = store("isolate");
+        s.save(1, b"one").unwrap();
+        s.save(2, b"two").unwrap();
         s.clear(1).unwrap();
-        assert!(s.latest(1).unwrap().is_none());
-        assert_eq!(s.latest(2).unwrap().unwrap(), (9, b"two".to_vec()));
+        assert!(s.load(1).unwrap().is_none());
+        assert_eq!(s.load(2).unwrap().unwrap(), b"two");
         s.clear(999).unwrap(); // clearing an unknown trial is a no-op
         std::fs::remove_dir_all(s.root()).unwrap();
     }
 
     #[test]
     fn no_tmp_files_survive_a_save() {
-        let s = store("tmp", 3);
-        s.save(3, 2, &[0u8; 4096]).unwrap();
-        let dir = s.root().join(format!("{:016x}", 3u64));
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .filter(|n| n.starts_with(".tmp"))
-            .collect();
+        let s = store("tmp");
+        s.save(3, &[0u8; 4096]).unwrap();
+        let leftovers: Vec<_> =
+            names(&s).into_iter().filter(|n| n.starts_with(TMP_PREFIX)).collect();
         assert!(leftovers.is_empty(), "tmp files left behind: {leftovers:?}");
+        std::fs::remove_dir_all(s.root()).unwrap();
+    }
+
+    #[test]
+    fn open_sweeps_the_tmp_files_of_a_dead_writer() {
+        let s = store("orphan");
+        s.save(4, b"kept").unwrap();
+        std::fs::write(s.root().join(format!("{TMP_PREFIX}{:016x}-1-0", 4u64)), b"torn").unwrap();
+        let s = DirStore::open(s.root()).unwrap();
+        assert_eq!(names(&s), vec![format!("{:016x}.snap", 4u64)]);
+        assert_eq!(s.load(4).unwrap().unwrap(), b"kept");
+        std::fs::remove_dir_all(s.root()).unwrap();
+    }
+
+    /// Two saves of one trial at once (a random sweep can run one config
+    /// twice) each write a tmp file of their own: both succeed, and the
+    /// trial's file is one of the two payloads, whole.
+    #[test]
+    fn concurrent_saves_of_one_trial_both_land() {
+        let s = store("race");
+        let a = vec![0xAAu8; 1 << 20];
+        let b = vec![0xBBu8; 1 << 20];
+        for round in 0..20 {
+            let results = std::thread::scope(|scope| {
+                let ta = scope.spawn(|| s.save(7, &a));
+                let tb = scope.spawn(|| s.save(7, &b));
+                [ta.join().unwrap(), tb.join().unwrap()]
+            });
+            for r in &results {
+                assert!(r.is_ok(), "round {round}: a save failed: {r:?}");
+            }
+            let got = s.load(7).unwrap().expect("a snapshot");
+            assert!(got == a || got == b, "round {round}: a torn snapshot was published");
+        }
+        assert_eq!(names(&s), vec![format!("{:016x}.snap", 7u64)]);
         std::fs::remove_dir_all(s.root()).unwrap();
     }
 }

@@ -38,27 +38,18 @@ pub struct NodeSpec {
     pub gpus: Vec<GpuModel>,
     /// Memory in GiB (only used for constraint matching).
     pub mem_gib: u32,
-    /// Relative per-core speed versus the MareNostrum 4 Xeon Platinum
-    /// reference core (1.0).
-    pub core_perf: f64,
 }
 
 impl NodeSpec {
     /// Custom node.
     pub fn new(name: impl Into<String>, cores: u32, gpus: Vec<GpuModel>, mem_gib: u32) -> Self {
-        NodeSpec { name: name.into(), cores, gpus, mem_gib, core_perf: 1.0 }
+        NodeSpec { name: name.into(), cores, gpus, mem_gib }
     }
 
     /// MareNostrum 4 compute node: "two Intel Xeon Platinum chips, each with
     /// 24 processors, a total of 48 per node" (paper §5).
     pub fn marenostrum4() -> Self {
-        NodeSpec {
-            name: "MareNostrum4".into(),
-            cores: 48,
-            gpus: Vec::new(),
-            mem_gib: 96,
-            core_perf: 1.0,
-        }
+        NodeSpec::new("MareNostrum4", 48, Vec::new(), 96)
     }
 
     /// MinoTauro GPU node: "2 K80 NVIDIA GPU Cards and 2 Intel Xeon E5-2630
@@ -66,25 +57,13 @@ impl NodeSpec {
     /// logical GPUs; we model the two cards as 2 schedulable GPUs, matching
     /// how the paper assigns "a single GPU" per task.
     pub fn minotauro() -> Self {
-        NodeSpec {
-            name: "MinoTauro".into(),
-            cores: 16,
-            gpus: vec![GpuModel::K80, GpuModel::K80],
-            mem_gib: 128,
-            core_perf: 0.8,
-        }
+        NodeSpec::new("MinoTauro", 16, vec![GpuModel::K80, GpuModel::K80], 128)
     }
 
     /// CTE-POWER9 node: "2 x IBM Power9 ... total 160 threads per node and
     /// 4 x GPU NVIDIA V100 (Volta) with 16GB HBM2" (paper §5).
     pub fn cte_power9() -> Self {
-        NodeSpec {
-            name: "CTE-POWER9".into(),
-            cores: 160,
-            gpus: vec![GpuModel::V100; 4],
-            mem_gib: 512,
-            core_perf: 0.9,
-        }
+        NodeSpec::new("CTE-POWER9", 160, vec![GpuModel::V100; 4], 512)
     }
 
     /// Number of GPUs in the node.

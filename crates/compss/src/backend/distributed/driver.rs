@@ -180,7 +180,7 @@ impl WorkerBootstrap {
 }
 
 /// Connect to every worker and collect their `Hello`s. Retries each
-/// address until `connect_timeout` so workers racing the driver to start
+/// address until `timeout` so workers racing the driver to start
 /// (the ci.sh smoke pattern) are tolerated.
 pub fn connect_workers(addrs: &[String], timeout: Duration) -> io::Result<Vec<WorkerBootstrap>> {
     addrs

@@ -112,8 +112,6 @@ pub struct DistributedConfig {
     /// A heartbeat left unanswered longer than this declares the worker
     /// dead.
     pub heartbeat_timeout: Duration,
-    /// How long to keep retrying the initial connection to each worker.
-    pub connect_timeout: Duration,
     /// Values whose declared size (`DataRegistry::bytes`, the same size
     /// model the transfer-aware scheduler scores with) is at least this
     /// many bytes travel as content-addressed blocks instead of inline
@@ -126,7 +124,6 @@ impl Default for DistributedConfig {
         DistributedConfig {
             heartbeat_interval: Duration::from_millis(200),
             heartbeat_timeout: Duration::from_millis(1500),
-            connect_timeout: Duration::from_secs(5),
             inline_threshold: DEFAULT_INLINE_THRESHOLD,
         }
     }

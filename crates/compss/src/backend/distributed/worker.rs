@@ -23,6 +23,12 @@ use crate::task::{run_body, TaskContext, TaskError, TaskId};
 /// Poll token of the worker's listening socket.
 const LISTEN_TOKEN: u64 = u64::MAX - 1;
 
+/// Memory a worker advertises in its `Hello`, GiB. It advertises no GPUs.
+const HELLO_MEM_GIB: u32 = 16;
+
+/// How long a worker keeps retrying each [`WorkerConfig::dial`] address.
+const DIAL_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// Resources a worker daemon advertises in its `Hello`.
 #[derive(Debug, Clone)]
 pub struct WorkerConfig {
@@ -30,10 +36,6 @@ pub struct WorkerConfig {
     pub name: String,
     /// Executor threads / schedulable cores.
     pub cores: u32,
-    /// GPUs to advertise.
-    pub gpus: u32,
-    /// Memory to advertise, GiB.
-    pub mem_gib: u32,
     /// Byte budget for the decoded-block LRU cache (`--cache-mem`).
     /// Blocks beyond it are evicted least-recently-used and re-fetched on
     /// demand; see `blocks::BlockCache`.
@@ -43,10 +45,8 @@ pub struct WorkerConfig {
     /// itself and sends its `Hello` — the pattern a long-lived
     /// `rcompss-server` behind one shared listener relies on. Each dialled
     /// connection is serviced exactly like an accepted one; dial failures
-    /// are retried until [`WorkerConfig::dial_timeout`].
+    /// are retried for 10 s.
     pub dial: Vec<String>,
-    /// How long to keep retrying each [`WorkerConfig::dial`] address.
-    pub dial_timeout: Duration,
 }
 
 impl Default for WorkerConfig {
@@ -54,11 +54,8 @@ impl Default for WorkerConfig {
         WorkerConfig {
             name: "worker".to_string(),
             cores: std::thread::available_parallelism().map_or(1, |n| n.get() as u32),
-            gpus: 0,
-            mem_gib: 16,
             cache_mem_bytes: 256 * 1024 * 1024,
             dial: Vec::new(),
-            dial_timeout: Duration::from_secs(10),
         }
     }
 }
@@ -131,7 +128,7 @@ impl WorkerServer {
         // accepted one — the `Hello` goes out the moment the connection is
         // adopted, so the server's listener can role-negotiate on it.
         for addr in &cfg.dial {
-            let deadline = std::time::Instant::now() + cfg.dial_timeout;
+            let deadline = std::time::Instant::now() + DIAL_TIMEOUT;
             let stream = loop {
                 match TcpStream::connect(addr.as_str()) {
                     Ok(s) => break s,
@@ -470,8 +467,8 @@ fn accept_conn(
     shared.push_out(&Frame::Hello {
         name: cfg.name.clone(),
         cores: cfg.cores,
-        gpus: cfg.gpus,
-        mem_gib: cfg.mem_gib,
+        gpus: 0,
+        mem_gib: HELLO_MEM_GIB,
     });
     for _ in 0..cfg.cores.max(1) {
         let conn = Arc::clone(&shared);

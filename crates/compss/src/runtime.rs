@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use cluster::transfer::TransferModel;
 use cluster::{Cluster, FailureInjector, NodeSpec};
@@ -49,11 +49,19 @@ pub struct RuntimeConfig {
     pub retry: RetryPolicy,
     /// Failure injection plan.
     pub failures: FailureInjector,
-    /// Assumed size of task values for the transfer model, bytes.
-    pub default_value_bytes: u64,
-    /// Default simulated duration of a task whose submission gives none.
-    pub default_sim_duration_us: u64,
 }
+
+/// Assumed size, bytes, of a value whose size nobody declared
+/// ([`Runtime::set_data_bytes`]): what the transfer model charges for it.
+const DEFAULT_VALUE_BYTES: u64 = 1024;
+
+/// Simulated duration of a task whose submission gives none
+/// ([`SubmitOpts::sim_duration_us`]).
+const DEFAULT_SIM_DURATION_US: u64 = 1_000;
+
+/// How long [`Runtime::distributed`] keeps retrying each worker address,
+/// so workers racing the driver to start are tolerated.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
 
 impl RuntimeConfig {
     /// A single node with `cores` CPU computing units — the typical
@@ -75,8 +83,6 @@ impl RuntimeConfig {
             metrics: true,
             retry: RetryPolicy::default(),
             failures: FailureInjector::none(),
-            default_value_bytes: 1024,
-            default_sim_duration_us: 1_000,
         }
     }
 
@@ -398,7 +404,6 @@ enum BackendHandle {
 pub struct Runtime {
     shared: Arc<Shared>,
     backend: BackendHandle,
-    default_sim_duration_us: u64,
 }
 
 impl Runtime {
@@ -407,11 +412,7 @@ impl Runtime {
     pub fn threaded(cfg: RuntimeConfig) -> Runtime {
         let shared = Self::make_shared(&cfg);
         let pool = WorkerPool::start(Arc::clone(&shared), &cfg.cluster);
-        Runtime {
-            shared,
-            backend: BackendHandle::Threaded(pool),
-            default_sim_duration_us: cfg.default_sim_duration_us,
-        }
+        Runtime { shared, backend: BackendHandle::Threaded(pool) }
     }
 
     /// Build a runtime on the distributed backend: connect to running
@@ -419,7 +420,7 @@ impl Runtime {
     /// (host:port strings), build the cluster from what their `Hello`s
     /// advertise, and execute every task remotely. `cfg.cluster` is
     /// ignored — the real cluster is whatever answered. Fails if any
-    /// worker stays unreachable past `dcfg.connect_timeout`.
+    /// worker stays unreachable for 5 s.
     pub fn distributed(
         cfg: RuntimeConfig,
         workers: &[String],
@@ -431,7 +432,7 @@ impl Runtime {
                 "distributed runtime needs at least one worker address",
             ));
         }
-        let boots = connect_workers(workers, dcfg.connect_timeout)?;
+        let boots = connect_workers(workers, CONNECT_TIMEOUT)?;
         Ok(Self::from_bootstraps(cfg, boots, dcfg))
     }
 
@@ -462,11 +463,7 @@ impl Runtime {
         cfg.reserved_cores.clear();
         let shared = Self::make_shared(&cfg);
         let mgr = ConnMgr::start(Arc::clone(&shared), boots, dcfg);
-        Runtime {
-            shared,
-            backend: BackendHandle::Distributed(mgr),
-            default_sim_duration_us: cfg.default_sim_duration_us,
-        }
+        Runtime { shared, backend: BackendHandle::Distributed(mgr) }
     }
 
     /// Worker display labels by node id: `name@addr` for the distributed
@@ -494,18 +491,14 @@ impl Runtime {
             }
             core.sim = Some(sim);
         }
-        Runtime {
-            shared,
-            backend: BackendHandle::Sim,
-            default_sim_duration_us: cfg.default_sim_duration_us,
-        }
+        Runtime { shared, backend: BackendHandle::Sim }
     }
 
     fn make_shared(cfg: &RuntimeConfig) -> Arc<Shared> {
         let sched = Scheduler::new(&cfg.cluster, &cfg.reserved_cores);
         Arc::new(Shared {
             core: Mutex::new(Core {
-                data: DataRegistry::new(cfg.default_value_bytes),
+                data: DataRegistry::new(DEFAULT_VALUE_BYTES),
                 blocks: BlockStore::new(),
                 graph: TaskGraph::new(),
                 sched,
@@ -660,7 +653,7 @@ impl Runtime {
                 attempt: 1,
                 prefer_node: None,
                 exclude_node: None,
-                sim_duration_us: opts.sim_duration_us.unwrap_or(self.default_sim_duration_us),
+                sim_duration_us: opts.sim_duration_us.unwrap_or(DEFAULT_SIM_DURATION_US),
                 seq,
                 submitted_us,
                 snapshot: None,
@@ -1155,7 +1148,6 @@ mod tests {
                 heartbeat_interval: Duration::from_millis(50),
                 heartbeat_timeout: Duration::from_millis(300),
                 inline_threshold: 16 * 1024,
-                ..DistributedConfig::default()
             },
         )
         .unwrap();

@@ -44,8 +44,6 @@ pub struct NodeResources {
     pub free_mem_gib: u32,
     /// Whether the node is alive.
     pub alive: bool,
-    /// Relative per-core speed (from the node spec).
-    pub core_perf: f64,
     /// Allocatable core count at full idle (total minus reserved).
     pub capacity_cores: u32,
     /// GPU count.
@@ -196,7 +194,6 @@ impl Scheduler {
                     free_gpus: (0..spec.gpu_count()).collect(),
                     free_mem_gib: spec.mem_gib,
                     alive: true,
-                    core_perf: spec.core_perf,
                     capacity_cores: spec.cores - reserve,
                     capacity_gpus: spec.gpu_count(),
                     capacity_mem_gib: spec.mem_gib,
@@ -449,26 +446,6 @@ impl Scheduler {
             })
             .count();
         capable >= c.nodes.max(1) as usize
-    }
-
-    /// Cores currently allocated to running tasks on `node`.
-    pub fn in_use_cores(&self, node: u32) -> u32 {
-        let n = &self.nodes[node as usize];
-        if n.alive {
-            n.capacity_cores - n.free_cores.len() as u32
-        } else {
-            0
-        }
-    }
-
-    /// GPUs currently allocated to running tasks on `node`.
-    pub fn in_use_gpus(&self, node: u32) -> u32 {
-        let n = &self.nodes[node as usize];
-        if n.alive {
-            n.capacity_gpus - n.free_gpus.len() as u32
-        } else {
-            0
-        }
     }
 
     /// Direct access for tests and backends.

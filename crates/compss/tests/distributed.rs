@@ -950,7 +950,6 @@ fn killed_worker_block_inputs_refetch_cleanly_on_survivors() {
         heartbeat_interval: Duration::from_millis(50),
         heartbeat_timeout: Duration::from_millis(300),
         inline_threshold: 16 * 1024,
-        ..DistributedConfig::default()
     };
     let rt = Runtime::distributed(
         RuntimeConfig::single_node(1)

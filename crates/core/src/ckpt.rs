@@ -189,11 +189,11 @@ impl SweepState {
 }
 
 /// Where and how often a sweep checkpoints. One directory holds both the
-/// journal and the per-trial model snapshots:
+/// journal and the in-flight trials' model snapshots:
 ///
 /// ```text
-/// <dir>/sweep.journal            append-only CRC-framed records
-/// <dir>/snapshots/<key>/eN.snap  model + optimizer state at epoch N
+/// <dir>/sweep.journal          append-only CRC-framed records
+/// <dir>/snapshots/<key>.snap   the trial's newest model + optimizer state
 /// ```
 #[derive(Debug, Clone)]
 pub struct CheckpointSpec {
@@ -202,25 +202,17 @@ pub struct CheckpointSpec {
     /// Snapshot the model every `every` epochs (0 = journal only, no
     /// model snapshots — a crash then restarts trials from epoch 0).
     pub every: u32,
-    /// Snapshots kept per trial (older ones are pruned).
-    pub retain: usize,
 }
 
 impl CheckpointSpec {
-    /// Spec with the default cadence: snapshot every epoch, keep 2.
+    /// Spec with the default cadence: snapshot every epoch.
     pub fn new(dir: impl Into<PathBuf>) -> CheckpointSpec {
-        CheckpointSpec { dir: dir.into(), every: 1, retain: 2 }
+        CheckpointSpec { dir: dir.into(), every: 1 }
     }
 
     /// Set the snapshot cadence (chainable).
     pub fn with_every(mut self, every: u32) -> CheckpointSpec {
         self.every = every;
-        self
-    }
-
-    /// Set the retention count (chainable).
-    pub fn with_retain(mut self, retain: usize) -> CheckpointSpec {
-        self.retain = retain;
         self
     }
 
@@ -236,7 +228,7 @@ impl CheckpointSpec {
 
     /// Open the model-snapshot store.
     pub fn store(&self) -> io::Result<ckpt::DirStore> {
-        ckpt::DirStore::open(self.dir.join("snapshots"), self.retain)
+        ckpt::DirStore::open(self.dir.join("snapshots"))
     }
 
     /// Replay whatever journal exists under this spec.

@@ -2,66 +2,29 @@
 //!
 //! The paper (§6.2): "For such task, early stopping is of paramount
 //! significance as it makes no sense to continue with other tasks after one
-//! has achieved the desired accuracy." Two levels are supported:
+//! has achieved the desired accuracy." One target serves two levels:
 //!
 //! * **within a trial** — stop training once the validation accuracy
-//!   reaches the target, or stops improving for `patience` epochs;
+//!   reaches the target;
 //! * **across trials** — once any completed experiment reaches the target,
 //!   the runner stops launching further waves.
 
-/// Early-stopping criteria.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// Early-stopping criterion: a target validation accuracy.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EarlyStop {
     /// Stop when validation accuracy reaches this value.
-    pub target_accuracy: Option<f64>,
-    /// Stop a trial after this many epochs without improvement.
-    pub patience: Option<u32>,
+    pub target_accuracy: f64,
 }
 
 impl EarlyStop {
-    /// Target-accuracy criterion only.
+    /// Stop once validation accuracy reaches `target`.
     pub fn at_accuracy(target: f64) -> Self {
-        EarlyStop { target_accuracy: Some(target), patience: None }
-    }
-
-    /// Patience criterion only.
-    pub fn with_patience(epochs: u32) -> Self {
-        EarlyStop { target_accuracy: None, patience: Some(epochs) }
+        EarlyStop { target_accuracy: target }
     }
 
     /// Whether an accuracy satisfies the target.
     pub fn target_reached(&self, accuracy: f64) -> bool {
-        self.target_accuracy.is_some_and(|t| accuracy >= t)
-    }
-
-    /// Build a per-epoch stopping judge for one trial.
-    pub fn tracker(&self) -> EarlyStopTracker {
-        EarlyStopTracker { criteria: *self, best: f64::NEG_INFINITY, since_best: 0 }
-    }
-}
-
-/// Per-trial mutable state for epoch-by-epoch decisions.
-#[derive(Debug, Clone)]
-pub struct EarlyStopTracker {
-    criteria: EarlyStop,
-    best: f64,
-    since_best: u32,
-}
-
-impl EarlyStopTracker {
-    /// Observe one epoch's validation accuracy; returns `true` if training
-    /// should stop now.
-    pub fn observe(&mut self, accuracy: f64) -> bool {
-        if self.criteria.target_reached(accuracy) {
-            return true;
-        }
-        if accuracy > self.best {
-            self.best = accuracy;
-            self.since_best = 0;
-        } else {
-            self.since_best += 1;
-        }
-        self.criteria.patience.is_some_and(|p| self.since_best >= p)
+        accuracy >= self.target_accuracy
     }
 }
 
@@ -71,47 +34,10 @@ mod tests {
 
     #[test]
     fn target_stops_immediately_when_reached() {
-        let mut t = EarlyStop::at_accuracy(0.9).tracker();
-        assert!(!t.observe(0.5));
-        assert!(!t.observe(0.89));
-        assert!(t.observe(0.9));
-        assert!(t.observe(0.95));
-    }
-
-    #[test]
-    fn patience_counts_stagnant_epochs() {
-        let mut t = EarlyStop::with_patience(2).tracker();
-        assert!(!t.observe(0.5)); // best=0.5
-        assert!(!t.observe(0.4)); // 1 stagnant
-        assert!(t.observe(0.45)); // 2 stagnant → stop
-    }
-
-    #[test]
-    fn improvement_resets_patience() {
-        let mut t = EarlyStop::with_patience(2).tracker();
-        assert!(!t.observe(0.5));
-        assert!(!t.observe(0.4)); // 1
-        assert!(!t.observe(0.6)); // new best, reset
-        assert!(!t.observe(0.55)); // 1
-        assert!(t.observe(0.50)); // 2 → stop
-    }
-
-    #[test]
-    fn default_never_stops() {
-        let mut t = EarlyStop::default().tracker();
-        for i in 0..100 {
-            assert!(!t.observe((i % 7) as f64 / 10.0));
-        }
-        assert!(!EarlyStop::default().target_reached(1.0));
-    }
-
-    #[test]
-    fn combined_criteria_either_stops() {
-        let es = EarlyStop { target_accuracy: Some(0.99), patience: Some(1) };
-        let mut t = es.tracker();
-        assert!(!t.observe(0.5));
-        assert!(t.observe(0.5), "patience hit first");
-        let mut t2 = es.tracker();
-        assert!(t2.observe(0.99), "target hit first");
+        let es = EarlyStop::at_accuracy(0.9);
+        assert!(!es.target_reached(0.5));
+        assert!(!es.target_reached(0.89));
+        assert!(es.target_reached(0.9));
+        assert!(es.target_reached(0.95));
     }
 }

@@ -262,8 +262,7 @@ pub fn tinyml_objective_checkpointed(
         let resume = (ckpts.every > 0)
             .then(|| {
                 rcompss::snapshot::load().and_then(|b| TrainSnapshot::decode(&b)).or_else(|| {
-                    let store = ckpts.store.as_ref()?;
-                    let (_, blob) = store.latest(key).ok().flatten()?;
+                    let blob = ckpts.store.as_ref()?.load(key).ok().flatten()?;
                     TrainSnapshot::decode(&blob)
                 })
             })
@@ -279,24 +278,22 @@ pub fn tinyml_objective_checkpointed(
             reg.counter("ckpt_snapshots_saved_total").incr();
             rcompss::snapshot::save(&bytes);
             if let Some(store) = &store {
-                let _ = store.save(key, snap.next_epoch, &bytes);
+                let _ = store.save(key, &bytes);
             }
         };
-        let mut tracker = early_stop.map(|es| es.tracker());
         let history = train_with_checkpoints(
             &cfg,
             &data,
             Checkpointing { every: ckpts.every, resume, sink: Some(&mut sink) },
             &mut |_, _, val_acc| {
-                let stop = tracker.as_mut().is_some_and(|t| t.observe(val_acc));
-                if stop {
+                if early_stop.is_some_and(|es| es.target_reached(val_acc)) {
                     EpochSignal::Stop
                 } else {
                     EpochSignal::Continue
                 }
             },
         );
-        // The outcome supersedes the stored snapshots: drop them so the next
+        // The outcome supersedes the stored snapshot: drop it so the next
         // sweep in the same directory starts clean. (The runtime drops its
         // own when this task settles.)
         if let Some(store) = &ckpts.store {
@@ -475,7 +472,7 @@ mod tests {
         assert_eq!(out.epochs_run, 5);
 
         let key = trial_key(&cfg);
-        assert!(store.epochs(key).unwrap().is_empty(), "completion clears the trial's store");
+        assert!(store.load(key).unwrap().is_none(), "completion clears the trial's snapshot");
 
         // With no snapshot to resume from, checkpointing changes nothing
         // about the result.

@@ -192,8 +192,9 @@ pub struct Checkpointing<'a> {
     /// trial replays the exact batch stream of the original run even if
     /// the resuming process derived a different ambient seed.
     pub resume: Option<TrainSnapshot>,
-    /// Receives each saved snapshot. The `ckpt` crate's `DirStore` (or
-    /// the distributed backend's driver channel) sits behind this.
+    /// Receives each saved snapshot. The HPO objective hands it to the
+    /// runtime's per-task snapshot and, under `--ckpt-dir`, to the `ckpt`
+    /// crate's `DirStore`, where it replaces the trial's previous one.
     pub sink: Option<&'a mut dyn FnMut(&TrainSnapshot)>,
 }
 

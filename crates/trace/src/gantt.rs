@@ -15,8 +15,6 @@ use crate::record::{CoreId, Record, StateKind};
 pub struct GanttOptions {
     /// Number of character columns the time axis is divided into.
     pub width: usize,
-    /// Only render rows for these nodes (empty = all nodes).
-    pub nodes: Vec<u32>,
     /// Collapse nodes: one row per node showing the number of busy cores
     /// (0-9, `+` for ≥10) instead of one row per core. Useful for the
     /// 28-node view of Figure 6.
@@ -25,7 +23,7 @@ pub struct GanttOptions {
 
 impl Default for GanttOptions {
     fn default() -> Self {
-        GanttOptions { width: 80, nodes: Vec::new(), per_node: false }
+        GanttOptions { width: 80, per_node: false }
     }
 }
 
@@ -48,9 +46,6 @@ pub fn render(records: &[Record], opts: &GanttOptions) -> String {
     let mut rows: BTreeMap<CoreId, Vec<char>> = BTreeMap::new();
     for r in records {
         let core = r.core();
-        if !opts.nodes.is_empty() && !opts.nodes.contains(&core.node) {
-            continue;
-        }
         if let Record::State { start, end, state, .. } = r {
             let row = rows.entry(core).or_insert_with(|| vec!['.'; width]);
             let c0 = col_of(*start).min(width - 1);
@@ -158,21 +153,13 @@ mod tests {
     }
 
     #[test]
-    fn node_filter_hides_other_nodes() {
-        let records = vec![run(CoreId::new(0, 0), 0, 10, 1), run(CoreId::new(1, 0), 0, 10, 2)];
-        let s = render(&records, &GanttOptions { width: 10, nodes: vec![1], ..Default::default() });
-        assert!(!s.contains("n0c0"), "{s}");
-        assert!(s.contains("n1c0"), "{s}");
-    }
-
-    #[test]
     fn per_node_mode_counts_busy_cores() {
         let records = vec![
             run(CoreId::new(0, 0), 0, 100, 1),
             run(CoreId::new(0, 1), 0, 100, 2),
             run(CoreId::new(0, 2), 0, 50, 3),
         ];
-        let s = render(&records, &GanttOptions { width: 10, per_node: true, ..Default::default() });
+        let s = render(&records, &GanttOptions { width: 10, per_node: true });
         let row = s.lines().next().unwrap();
         assert!(row.starts_with("   node0"), "{s}");
         assert!(row.contains('3'), "first half has 3 busy cores:\n{s}");

@@ -51,9 +51,6 @@ fn main() {
         stats.peak_parallelism
     );
     println!("\nper-node busy-core timeline (rows = nodes):");
-    print!(
-        "{}",
-        render(&records, &GanttOptions { width: 70, per_node: true, ..Default::default() })
-    );
+    print!("{}", render(&records, &GanttOptions { width: 70, per_node: true }));
     println!("\nno code changed versus the single-node run — only the cluster config.");
 }

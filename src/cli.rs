@@ -96,8 +96,6 @@ pub struct CliArgs {
     pub ckpt_dir: Option<String>,
     /// Snapshot cadence in epochs when checkpointing.
     pub ckpt_every: u32,
-    /// Snapshots retained per trial.
-    pub ckpt_retain: usize,
     /// Resume an interrupted sweep from `ckpt_dir`'s journal
     /// (`--resume <dir>` sets both).
     pub resume: bool,
@@ -138,7 +136,6 @@ impl Default for CliArgs {
             trace_out: None,
             ckpt_dir: None,
             ckpt_every: 1,
-            ckpt_retain: 2,
             resume: false,
             status_addr: None,
             inline_threshold: 64 * 1024,
@@ -392,13 +389,13 @@ OPTIONS:
     --no-metrics           disable runtime metrics collection
     --cnn                  train CNNs instead of dense nets
     --ckpt-dir <dir>       checkpoint the sweep: crash-safe journal plus
-                           periodic model snapshots under <dir>
+                           each in-flight trial's newest model snapshot
+                           under <dir>
     --ckpt-every <n>       snapshot cadence in epochs            [1]
-    --ckpt-retain <n>      snapshots retained per trial          [2]
     --resume <dir>         resume an interrupted sweep from its
                            checkpoint directory: journaled-complete
                            trials are skipped, in-flight trials restart
-                           from their latest snapshot
+                           from their snapshot
     --status-addr <addr>   serve live GET /metrics + /healthz here while
                            the run is in flight (Prometheus text format;
                            curl-able, e.g. 127.0.0.1:9100)
@@ -492,7 +489,7 @@ pub fn parse(args: &[&str]) -> Result<CliArgs, CliError> {
     let mut out = CliArgs::default();
     let mut it = args.iter().copied();
     let mut saw_config = false;
-    let mut saw_ckpt_knob = false;
+    let mut saw_ckpt_every = false;
     let mut resume_dir: Option<String> = None;
     while let Some(arg) = it.next() {
         match arg {
@@ -533,11 +530,7 @@ pub fn parse(args: &[&str]) -> Result<CliArgs, CliError> {
             "--ckpt-dir" => out.ckpt_dir = Some(take_value(arg, &mut it)?.to_string()),
             "--ckpt-every" => {
                 out.ckpt_every = parse_num(arg, take_value(arg, &mut it)?)?;
-                saw_ckpt_knob = true;
-            }
-            "--ckpt-retain" => {
-                out.ckpt_retain = parse_num(arg, take_value(arg, &mut it)?)?;
-                saw_ckpt_knob = true;
+                saw_ckpt_every = true;
             }
             "--resume" => {
                 resume_dir = Some(take_value(arg, &mut it)?.to_string());
@@ -578,16 +571,11 @@ pub fn parse(args: &[&str]) -> Result<CliArgs, CliError> {
         }
         out.ckpt_dir = Some(dir);
     }
-    if saw_ckpt_knob && out.ckpt_dir.is_none() {
-        return Err(CliError(
-            "--ckpt-every/--ckpt-retain require --ckpt-dir or --resume".to_string(),
-        ));
+    if saw_ckpt_every && out.ckpt_dir.is_none() {
+        return Err(CliError("--ckpt-every requires --ckpt-dir or --resume".to_string()));
     }
     if out.ckpt_every == 0 {
         return Err(CliError("--ckpt-every must be at least 1".to_string()));
-    }
-    if out.ckpt_retain == 0 {
-        return Err(CliError("--ckpt-retain must be at least 1".to_string()));
     }
     Ok(out)
 }
@@ -930,24 +918,15 @@ mod tests {
 
     #[test]
     fn checkpoint_flags_parse() {
-        let a = parse(&[
-            "--config",
-            "s.json",
-            "--ckpt-dir",
-            "ckpts/run1",
-            "--ckpt-every",
-            "5",
-            "--ckpt-retain",
-            "3",
-        ])
-        .unwrap();
+        let a = parse(&["--config", "s.json", "--ckpt-dir", "ckpts/run1", "--ckpt-every", "5"])
+            .unwrap();
         assert_eq!(a.ckpt_dir.as_deref(), Some("ckpts/run1"));
-        assert_eq!((a.ckpt_every, a.ckpt_retain), (5, 3));
+        assert_eq!(a.ckpt_every, 5);
         assert!(!a.resume);
         // Defaults without any checkpoint flag: off.
         let b = parse(&["--config", "s.json"]).unwrap();
         assert_eq!(b.ckpt_dir, None);
-        assert_eq!((b.ckpt_every, b.ckpt_retain), (1, 2));
+        assert_eq!(b.ckpt_every, 1);
     }
 
     #[test]
@@ -963,12 +942,9 @@ mod tests {
     #[test]
     fn checkpoint_knobs_are_validated() {
         let e = parse(&["--config", "s.json", "--ckpt-every", "5"]).unwrap_err();
-        assert!(e.0.contains("require --ckpt-dir"), "{e}");
+        assert!(e.0.contains("requires --ckpt-dir"), "{e}");
         let e = parse(&["--config", "s.json", "--ckpt-dir", "d", "--ckpt-every", "0"]).unwrap_err();
         assert!(e.0.contains("--ckpt-every"), "{e}");
-        let e =
-            parse(&["--config", "s.json", "--ckpt-dir", "d", "--ckpt-retain", "0"]).unwrap_err();
-        assert!(e.0.contains("--ckpt-retain"), "{e}");
         assert!(parse(&["--config", "s.json", "--resume"]).is_err(), "dangling value");
     }
 

@@ -184,9 +184,7 @@ fn run(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
     let mut journal = None;
     let mut resume_state = None;
     if let Some(dir) = &args.ckpt_dir {
-        let spec = hpo::ckpt::CheckpointSpec::new(dir)
-            .with_every(args.ckpt_every)
-            .with_retain(args.ckpt_retain);
+        let spec = hpo::ckpt::CheckpointSpec::new(dir).with_every(args.ckpt_every);
         if args.resume {
             let state = spec.recover().map_err(|e| format!("cannot resume from {dir}: {e}"))?;
             println!(
@@ -204,10 +202,7 @@ fn run(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
                 spec.store().map_err(|e| format!("cannot open snapshot store in {dir}: {e}"))?,
             )),
         };
-        println!(
-            "checkpointing to {dir}: snapshot every {} epoch(s), retaining {}",
-            args.ckpt_every, args.ckpt_retain
-        );
+        println!("checkpointing to {dir}: snapshot every {} epoch(s)", args.ckpt_every);
     }
 
     // 4. Objective: real training for the chosen dataset. Shared with the

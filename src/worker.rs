@@ -122,7 +122,6 @@ pub fn serve(args: &WorkerArgs) -> Result<(), Box<dyn std::error::Error>> {
         cores,
         cache_mem_bytes: args.cache_mem_mib * 1024 * 1024,
         dial: args.dial.clone(),
-        ..WorkerConfig::default()
     };
     let server = WorkerServer::bind(&args.listen, cfg, registry)?;
     println!(

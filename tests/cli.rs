@@ -110,6 +110,75 @@ fn checkpointed_run_can_be_resumed_without_rerunning_trials() {
     let _ = std::fs::remove_dir_all(&ckpt_dir);
 }
 
+/// The deterministic columns of a trial CSV — config, accuracy, epochs_run —
+/// one string per row. The quoted config label holds commas of its own, so
+/// the two trailing columns (task_us, error) are cut from the right.
+fn trial_table(csv: &std::path::Path) -> Vec<String> {
+    let text = std::fs::read_to_string(csv).unwrap();
+    text.lines().skip(1).map(|row| row.rsplitn(3, ',').nth(2).unwrap().to_string()).collect()
+}
+
+#[test]
+fn killed_driver_resumes_bit_identical() {
+    let space =
+        write_space("space5.json", r#"{"num_epochs": [100], "batch_size": [32], "hidden": [4]}"#);
+    let ckpt_dir = space.with_file_name("kill-ckpts");
+    let snapshots = ckpt_dir.join("snapshots");
+    let _ = std::fs::remove_dir_all(&ckpt_dir);
+    let has_snapshot = || {
+        std::fs::read_dir(&snapshots).is_ok_and(|mut it| {
+            it.any(|e| e.is_ok_and(|e| e.file_name().to_string_lossy().ends_with(".snap")))
+        })
+    };
+
+    // SIGKILL the driver once its trial has a snapshot on disk.
+    let mut child = hpo_run()
+        .args(["--config", space.to_str().unwrap(), "--samples", "200"])
+        .args(["--ckpt-dir", ckpt_dir.to_str().unwrap(), "--ckpt-every", "1"])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("binary starts");
+    while !has_snapshot() {
+        assert!(child.try_wait().unwrap().is_none(), "the run ended before any snapshot landed");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    child.kill().unwrap();
+    assert!(!child.wait().unwrap().success(), "the kill landed after the trial finished");
+
+    let resumed = space.with_file_name("resumed.csv");
+    let metrics = space.with_file_name("resumed-metrics");
+    let output = hpo_run()
+        .args(["--config", space.to_str().unwrap(), "--samples", "200"])
+        .args(["--resume", ckpt_dir.to_str().unwrap(), "--out", resumed.to_str().unwrap()])
+        .args(["--metrics-out", metrics.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(output.status.success(), "stderr: {}", String::from_utf8_lossy(&output.stderr));
+    assert!(stdout.contains("resumed sweep: 0 complete, 1 re-enqueued"), "{stdout}");
+
+    let plain = space.with_file_name("uninterrupted.csv");
+    let output = hpo_run()
+        .args(["--config", space.to_str().unwrap(), "--samples", "200"])
+        .args(["--out", plain.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    assert!(output.status.success(), "stderr: {}", String::from_utf8_lossy(&output.stderr));
+    assert_eq!(trial_table(&resumed), trial_table(&plain), "resumed == uninterrupted");
+
+    let prom = std::fs::read_to_string(metrics.with_extension("prom")).unwrap();
+    let restores: u64 = prom
+        .lines()
+        .find_map(|l| l.strip_prefix("ckpt_restore_total "))
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or(0);
+    assert!(restores >= 1, "the trial restarted from its snapshot:\n{prom}");
+    let left: Vec<_> = std::fs::read_dir(&snapshots).unwrap().collect();
+    assert!(left.is_empty(), "a finished sweep leaves no snapshot: {left:?}");
+    let _ = std::fs::remove_dir_all(&ckpt_dir);
+}
+
 #[test]
 fn bad_flags_fail_with_usage() {
     let out = hpo_run().args(["--nope"]).output().unwrap();

@@ -9,7 +9,9 @@
 # root package, and rustdoc must build warning-free across the workspace
 # (RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace). The frame
 # table gate holds DESIGN.md's two frame catalogues to the type bytes in
-# crates/net/src/frame.rs, live and retired, number and name;
+# crates/net/src/frame.rs, live and retired, number and name, and
+# `Poller::fallback`, an alias for `Poller::new` that only benchmark/ still
+# names, must have no caller anywhere else;
 # tier-1 is the ROADMAP.md contract, `cargo build --release && cargo test
 # -q`, widened to `--workspace` so every crate's unit, property and
 # integration suites gate too, followed by the non-test source line count
@@ -101,6 +103,12 @@ if ! diff <(frames_in_code | sort -n) <(frames_in_design | sort -n); then
     exit 1
 fi
 echo "frame table: $(frames_in_code | grep -vc ' -$') live, $(frames_in_code | grep -c ' -$') retired"
+
+echo "==> Poller::fallback: an alias with no caller outside benchmark/"
+if git grep -n 'Poller::fallback' -- ':!benchmark' ':!*.md' ':!ci.sh'; then
+    echo "Poller::fallback FAILED: called outside benchmark/; call Poller::new" >&2
+    exit 1
+fi
 
 echo "==> cargo clippy (-D warnings)"
 cargo clippy -p pycompss-hpo-repro -p tinyml -p rcompss -p hpo -p hpo-bench -p rnet -p runmetrics -p paratrace -p cluster -p ckpt --all-targets -- -D warnings

@@ -227,15 +227,16 @@ fn hello_handshake(mut stream: TcpStream, addr: String) -> io::Result<WorkerBoot
 impl ConnMgr {
     /// Wire up the links, register every socket with the poller, and spawn
     /// the event-loop thread. `boots` are in node-id order (the same order
-    /// the cluster spec was built in).
+    /// the cluster spec was built in). Fails if the poller or its waker
+    /// cannot be made (out of fds, say).
     pub fn start(
         shared: Arc<Shared>,
         boots: Vec<WorkerBootstrap>,
         cfg: DistributedConfig,
-    ) -> ConnMgr {
+    ) -> io::Result<ConnMgr> {
         shared.core.lock().blocks.set_inline_threshold(cfg.inline_threshold);
-        let poller = Poller::new().unwrap_or_else(|_| Poller::fallback());
-        let wake = Waker::new(&poller, WAKE_TOKEN).expect("self-pipe waker");
+        let poller = Poller::new()?;
+        let wake = Waker::new(&poller, WAKE_TOKEN)?;
         let workers: Vec<Arc<WorkerLink>> = boots
             .into_iter()
             .enumerate()
@@ -277,7 +278,7 @@ impl ConnMgr {
             Arc::new(Inner { shared, workers, cfg, stop: AtomicBool::new(false), poller, wake });
         let loop_inner = Arc::clone(&inner);
         let thread = Some(std::thread::spawn(move || driver_loop(loop_inner)));
-        ConnMgr { inner, thread }
+        Ok(ConnMgr { inner, thread })
     }
 
     /// Worker display labels, indexed by node id: `name@addr`.

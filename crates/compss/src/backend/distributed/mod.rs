@@ -4,10 +4,9 @@
 //! # Architecture
 //!
 //! Both sides of the wire are single-threaded event loops over
-//! non-blocking sockets ([`rnet::poll::Poller`]: epoll on Linux, `poll(2)`
-//! elsewhere), with per-connection reusable buffers
-//! ([`rnet::nonblock::RecvBuf`] / [`rnet::nonblock::SendBuf`]) instead of
-//! per-connection blocking threads:
+//! non-blocking sockets ([`rnet::poll::Poller`], an epoll instance), with
+//! per-connection reusable buffers ([`rnet::nonblock::RecvBuf`] /
+//! [`rnet::nonblock::SendBuf`]) instead of per-connection blocking threads:
 //!
 //! * **Driver.** One loop thread owns readiness for every worker link plus
 //!   a self-pipe [`rnet::poll::Waker`]. A readable event drains the socket

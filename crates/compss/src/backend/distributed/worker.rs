@@ -100,7 +100,7 @@ impl WorkerServer {
         global.counter("rcompss_block_cache_misses_total");
         global.counter("rcompss_block_cache_evictions_total");
         global.gauge("rcompss_block_cache_resident_bytes");
-        let poller = Poller::new().unwrap_or_else(|_| Poller::fallback());
+        let poller = Poller::new()?;
         let wake = Arc::new(Waker::new(&poller, WAKE_TOKEN)?);
         Ok(WorkerServer {
             listener,
@@ -121,7 +121,7 @@ impl WorkerServer {
     /// Serve connections until halted: the worker's event loop.
     pub fn run(self) -> io::Result<()> {
         let WorkerServer { listener, cfg, registry, stop, conns, poller, wake } = self;
-        let _ = poller.register(listener.as_raw_fd(), LISTEN_TOKEN, Interest::READ);
+        poller.register(listener.as_raw_fd(), LISTEN_TOKEN, Interest::READ)?;
         let mut table: HashMap<u64, WorkerConn> = HashMap::new();
         let mut next_token: u64 = 0;
         // Dial-out connections first: each is serviced exactly like an

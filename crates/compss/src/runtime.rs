@@ -433,7 +433,7 @@ impl Runtime {
             ));
         }
         let boots = connect_workers(workers, CONNECT_TIMEOUT)?;
-        Ok(Self::from_bootstraps(cfg, boots, dcfg))
+        Self::from_bootstraps(cfg, boots, dcfg)
     }
 
     /// Build a distributed runtime over workers someone else already
@@ -444,12 +444,13 @@ impl Runtime {
     /// adopting dial-ins with
     /// [`WorkerBootstrap::from_hello`](crate::backend::distributed::WorkerBootstrap::from_hello),
     /// or both — and then own the runtime it builds on top. `cfg.cluster`
-    /// is ignored; the real cluster is what the bootstraps advertise.
+    /// is ignored; the real cluster is what the bootstraps advertise. Fails
+    /// if the event loop cannot be built (out of fds, say).
     pub fn from_bootstraps(
         cfg: RuntimeConfig,
         boots: Vec<crate::backend::distributed::WorkerBootstrap>,
         dcfg: DistributedConfig,
-    ) -> Runtime {
+    ) -> std::io::Result<Runtime> {
         let nodes: Vec<NodeSpec> = boots
             .iter()
             .map(|b| {
@@ -462,8 +463,8 @@ impl Runtime {
         // Worker cores are remote: nothing to reserve driver-side.
         cfg.reserved_cores.clear();
         let shared = Self::make_shared(&cfg);
-        let mgr = ConnMgr::start(Arc::clone(&shared), boots, dcfg);
-        Runtime { shared, backend: BackendHandle::Distributed(mgr) }
+        let mgr = ConnMgr::start(Arc::clone(&shared), boots, dcfg)?;
+        Ok(Runtime { shared, backend: BackendHandle::Distributed(mgr) })
     }
 
     /// Worker display labels by node id: `name@addr` for the distributed

@@ -4,6 +4,7 @@
 //! be identical. Also exercises the failure path: a worker killed mid-run
 //! must not sink the run; its in-flight tasks are resubmitted to survivors.
 
+use std::os::fd::AsRawFd;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -1032,4 +1033,54 @@ fn severed_live_worker_is_written_off() {
     );
     assert_eq!(snap.counter("rnet_reconnects_total"), None, "no redial series");
     assert_eq!(rt.stats().completed, 24);
+}
+
+/// `setrlimit(2)` and the one resource it is called with here: the approved
+/// dependency set has no libc crate, and the test needs the one call.
+mod rlimit {
+    pub const RLIMIT_NOFILE: i32 = 7;
+    #[repr(C)]
+    pub struct Rlimit {
+        pub cur: u64,
+        pub max: u64,
+    }
+    extern "C" {
+        pub fn setrlimit(resource: i32, rlim: *const Rlimit) -> i32;
+    }
+}
+
+#[test]
+fn out_of_fds_for_the_event_loop_is_an_error_not_a_panic() {
+    // The fd limit is per process: lower it in a child that runs only this
+    // test, and read the verdict from its exit status.
+    const CHILD: &str = "RCOMPSS_TEST_OUT_OF_FDS_CHILD";
+    if std::env::var_os(CHILD).is_none() {
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", "out_of_fds_for_the_event_loop_is_an_error_not_a_panic"])
+            .args(["--nocapture", "--test-threads=1"])
+            .env(CHILD, "1")
+            .output()
+            .expect("re-run the test binary");
+        let log = String::from_utf8_lossy(&out.stdout) + String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "child failed ({}):\n{log}", out.status);
+        assert!(log.contains("1 passed"), "child ran no test:\n{log}");
+        return;
+    }
+    let workers = spawn_workers(1, 1);
+    let boots =
+        rcompss::connect_workers(&addrs(&workers), Duration::from_secs(5)).expect("connect");
+    // The next fd is the lowest free one. A limit one above it leaves room
+    // for `epoll_create1` and none for the waker's pipe.
+    let next_fd = std::fs::File::open("/dev/null").unwrap().as_raw_fd() as u64;
+    let limit = rlimit::Rlimit { cur: next_fd + 1, max: next_fd + 1 };
+    // SAFETY: `limit` is a live `struct rlimit` for the whole call.
+    assert_eq!(unsafe { rlimit::setrlimit(rlimit::RLIMIT_NOFILE, &limit) }, 0);
+    let err = Runtime::from_bootstraps(
+        RuntimeConfig::single_node(1),
+        boots,
+        DistributedConfig::default(),
+    )
+    .err()
+    .expect("built an event loop with no fd left for its waker");
+    assert_eq!(err.raw_os_error(), Some(24), "EMFILE, got {err}");
 }

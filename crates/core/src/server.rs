@@ -578,7 +578,7 @@ impl SweepServer {
     ) -> io::Result<SweepServer> {
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let poller = Poller::new().unwrap_or_else(|_| Poller::fallback());
+        let poller = Poller::new()?;
         let wake = Arc::new(Waker::new(&poller, WAKE_TOKEN)?);
         poller.register(listener.as_raw_fd(), LISTEN_TOKEN, Interest::READ)?;
         let registry = rt.metrics();

@@ -86,7 +86,8 @@ fn start_server(
         RuntimeConfig::single_node(1).with_metrics(true),
         boots,
         DistributedConfig::default(),
-    );
+    )
+    .expect("build runtime");
     SweepServer::start_staged(listener, rt, Arc::clone(obj), None, opts.clone(), cfg)
         .expect("start server")
 }
@@ -393,7 +394,8 @@ fn staged_server_shares_prefixes_and_stays_bit_identical() {
         RuntimeConfig::single_node(1).with_metrics(true),
         boots,
         DistributedConfig::default(),
-    );
+    )
+    .expect("build runtime");
     let server = SweepServer::start_staged(
         listener,
         rt,

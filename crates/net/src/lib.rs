@@ -11,7 +11,7 @@
 //!   with interned function names, done/failed, heartbeat, task snapshots,
 //!   content-addressed blocks, shutdown), with both owning ([`Frame::decode`]) and zero-copy
 //!   ([`frame::FrameRef::decode`]) decode paths;
-//! * [`poll`] + [`nonblock`] — the readiness layer: an epoll/poll
+//! * [`poll`] + [`nonblock`] — the readiness layer: an epoll
 //!   [`poll::Poller`] with a self-pipe [`poll::Waker`], and per-connection
 //!   [`nonblock::RecvBuf`]/[`nonblock::SendBuf`] reusable buffers that the
 //!   event-loop backend builds its connection state machines from;

@@ -68,7 +68,7 @@ pub fn serve(args: &ServeArgs) -> Result<(), AnyError> {
             pool_config(1),
             boots,
             DistributedConfig { inline_threshold: args.inline_threshold, ..Default::default() },
-        )
+        )?
     };
 
     let mut opts =

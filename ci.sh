@@ -14,7 +14,10 @@
 # names, must have no caller anywhere else;
 # tier-1 is the ROADMAP.md contract, `cargo build --release && cargo test
 # -q`, widened to `--workspace` so every crate's unit, property and
-# integration suites gate too, followed by the non-test source line count
+# integration suites gate too (tests/bench_trajectory.rs among them: the
+# benchmark trajectory BENCH_stackbench.json rises by PR, every point holds
+# all 20 end-to-end medians and names a commit that exists), then the last
+# three trajectory points side by side and the non-test source line count
 # (the number every simplicity PR quotes in CHANGES.md, so it comes from
 # here and not from a hand-run). The five pure-virtual-time figure bins
 # (Figs 3-6 and 9) then rerun and must rewrite their results/ artefacts
@@ -126,6 +129,9 @@ cargo build --release
 
 echo "==> tier-1: cargo test --workspace -q"
 cargo test --workspace -q
+
+echo "==> benchmark trajectory: the last three points of BENCH_stackbench.json"
+cargo test -q --test bench_trajectory -- --nocapture
 
 echo "==> non-test source lines (crates/*/src + src, up to each file's #[cfg(test)])"
 git ls-files 'crates/*/src/*.rs' 'crates/*/src/**/*.rs' 'src/*.rs' 'src/**/*.rs' | sort -u \

@@ -14,7 +14,7 @@ use std::time::Duration;
 use paratrace::{ClockSync, CoreId, EventKind, TaskRef};
 use parking_lot::Mutex;
 use rnet::{
-    read_frame, Blob, Fill, Frame, FrameRef, Interest, Poller, RecvBuf, SendBuf, Waker, WireArg,
+    read_frame, BlobRef, Fill, Frame, FrameRef, Interest, Poller, RecvBuf, SendBuf, Waker, WireArg,
 };
 
 use super::{DistributedConfig, SNAP_TAG, WAKE_TOKEN};
@@ -52,7 +52,7 @@ pub(crate) struct RemoteDispatch {
     name: Arc<str>,
     /// What an earlier attempt of the task last saved (see
     /// [`crate::snapshot`]): travels to the worker just ahead of the `Submit`.
-    snapshot: Option<Vec<u8>>,
+    snapshot: Option<Arc<[u8]>>,
 }
 
 /// Mutable per-connection state, all under one lock: the socket, both
@@ -382,6 +382,7 @@ pub(crate) fn collect_dispatch_remote(shared: &Shared, core: &mut Core) -> Vec<R
                 args.push(PreparedArg::Inline { key, value });
             }
             shared.metrics.phase_queue.record(placed.now_us.saturating_sub(inst.submitted_us));
+            // An `Arc` bump: the bytes are not copied under the core lock.
             let snapshot = inst.snapshot.clone();
             msgs.push(RemoteDispatch { placed, args, name, snapshot });
         },
@@ -461,7 +462,8 @@ fn send_dispatches(inner: &Arc<Inner>, work: Vec<RemoteDispatch>) {
                     PreparedArg::BlockShip { key, block } => {
                         // The block's bytes must precede the Submit that
                         // references them (same socket, so ordering holds).
-                        st.send.push_block(block.hash, &block.blob);
+                        let blob = block.blob.as_ref();
+                        st.send.push(&FrameRef::BlockData { hash: block.hash, blob });
                         args.push(WireArg::Block { key: *key, hash: block.hash });
                     }
                     PreparedArg::Inline { key, value } => match codec::encode_value(value) {
@@ -488,11 +490,11 @@ fn send_dispatches(inner: &Arc<Inner>, work: Vec<RemoteDispatch>) {
                 Some(name.to_string())
             };
             let fn_id = st.fn_ids[&name];
-            if let Some(bytes) = snapshot {
+            if let Some(snap) = snapshot {
                 // Like a block, the snapshot must be there when the Submit
                 // lands: same socket, pushed under the same lock.
-                let blob = Blob { tag: SNAP_TAG.to_string(), bytes };
-                st.send.push(&Frame::Data { key: d.task.0, blob });
+                let blob = BlobRef { tag: SNAP_TAG, bytes: &snap };
+                st.send.push(&FrameRef::Data { key: d.task.0, blob });
             }
             st.send.push(&Frame::Submit {
                 exec_id: d.exec_id,
@@ -643,7 +645,7 @@ fn service_link(inner: &Arc<Inner>, link: &Arc<WorkerLink>, readable: bool, writ
     let mut completions: Vec<Completion> = Vec::new();
     let mut block_reqs: Vec<u128> = Vec::new();
     let mut block_evicts: Vec<u128> = Vec::new();
-    let mut saves: Vec<(TaskId, Vec<u8>)> = Vec::new();
+    let mut saves: Vec<(TaskId, Arc<[u8]>)> = Vec::new();
     let mut acks: Vec<(u64, u64, u64)> = Vec::new();
     let mut alive = true;
     let mut saw_bytes = false;
@@ -707,7 +709,7 @@ fn service_link(inner: &Arc<Inner>, link: &Arc<WorkerLink>, readable: bool, writ
                             FrameRef::BlockRequest { hash } => block_reqs.push(hash),
                             FrameRef::BlockEvict { hash } => block_evicts.push(hash),
                             FrameRef::Data { key, blob } => {
-                                saves.push((TaskId(key), blob.bytes.to_vec()));
+                                saves.push((TaskId(key), Arc::from(blob.bytes)));
                             }
                             // Workers don't originate these driver-bound
                             // frames.
@@ -799,7 +801,7 @@ fn apply_frames(
     inner: &Arc<Inner>,
     link: &Arc<WorkerLink>,
     completions: Vec<Completion>,
-    saves: Vec<(TaskId, Vec<u8>)>,
+    saves: Vec<(TaskId, Arc<[u8]>)>,
     block_reqs: Vec<u128>,
     block_evicts: Vec<u128>,
 ) {
@@ -854,7 +856,7 @@ fn apply_frames(
     if !replies.is_empty() {
         let mut st = link.state.lock();
         for block in &replies {
-            st.send.push_block(block.hash, &block.blob);
+            st.send.push(&FrameRef::BlockData { hash: block.hash, blob: block.blob.as_ref() });
         }
         alive = pump_link(&inner.shared, &mut st);
         if alive {

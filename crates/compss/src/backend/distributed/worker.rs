@@ -11,7 +11,9 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
-use rnet::{Blob, Fill, Frame, FrameRef, Interest, Poller, RecvBuf, SendBuf, Waker, WireArgRef};
+use rnet::{
+    BlobRef, Fill, Frame, FrameOf, FrameRef, Interest, Poller, RecvBuf, SendBuf, Waker, WireArgRef,
+};
 
 use super::{SNAP_TAG, WAKE_TOKEN};
 use crate::blocks::BlockCache;
@@ -368,7 +370,7 @@ impl ConnShared {
     /// socket accepts right now. Only backpressure (or a dead socket,
     /// which the event loop discovers on its read side) defers to the
     /// loop via the waker.
-    fn push_out(&self, frame: &Frame) {
+    fn push_out<S: AsRef<str>, B: AsRef<[u8]>>(&self, frame: &FrameOf<S, B>) {
         let mut out = self.out.lock();
         out.push(frame);
         match out.flush(&mut &self.stream) {
@@ -412,9 +414,9 @@ impl crate::snapshot::SnapshotChannel for WorkerSnapshotChannel {
         *self.latest.lock() = Some(blob.to_vec());
         // Best-effort ship to the driver; a torn connection surfaces later
         // as the job failing, and the retry resumes from what did arrive.
-        self.conn.push_out(&Frame::Data {
+        self.conn.push_out(&FrameRef::Data {
             key: task.0,
-            blob: Blob { tag: SNAP_TAG.to_string(), bytes: blob.to_vec() },
+            blob: BlobRef { tag: SNAP_TAG, bytes: blob },
         });
     }
 

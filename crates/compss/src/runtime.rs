@@ -222,7 +222,7 @@ pub(crate) struct Instance {
     pub submitted_us: u64,
     /// The latest state an attempt saved through [`crate::snapshot`]: what
     /// the next attempt resumes from. Set by [`Core::save_snapshot`] only.
-    pub snapshot: Option<Vec<u8>>,
+    pub snapshot: Option<Arc<[u8]>>,
 }
 
 impl Instance {
@@ -336,7 +336,7 @@ impl Core {
     /// An attempt of `task` saved `blob`: it replaces the task's previous
     /// snapshot. A task that has settled has no attempt left to read one, so
     /// a save that arrives late (a worker failed over mid-frame) is dropped.
-    pub fn save_snapshot(&mut self, task: TaskId, blob: Vec<u8>) {
+    pub fn save_snapshot(&mut self, task: TaskId, blob: Arc<[u8]>) {
         let Some(inst) = self.instances.get_mut(&task) else { return };
         self.snapshot_bytes += blob.len() as u64;
         if let Some(old) = inst.snapshot.replace(blob) {

@@ -95,11 +95,11 @@ pub(crate) struct InProcessChannel(pub Arc<crate::runtime::Shared>);
 
 impl SnapshotChannel for InProcessChannel {
     fn save(&self, task: TaskId, blob: &[u8]) {
-        self.0.core.lock().save_snapshot(task, blob.to_vec());
+        self.0.core.lock().save_snapshot(task, Arc::from(blob));
     }
 
     fn load(&self, task: TaskId) -> Option<Vec<u8>> {
-        self.0.core.lock().instances.get(&task)?.snapshot.clone()
+        Some(self.0.core.lock().instances.get(&task)?.snapshot.as_deref()?.to_vec())
     }
 }
 

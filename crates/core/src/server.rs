@@ -61,7 +61,8 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 use rcompss::{connect_workers, Runtime, WorkerBootstrap};
 use rnet::{
-    read_frame, write_frame, Fill, Frame, Interest, LeaderRow, Poller, RecvBuf, SendBuf, Waker,
+    read_frame, write_frame, Fill, Frame, FrameRef, Interest, LeaderRow, Poller, RecvBuf, SendBuf,
+    Waker,
 };
 
 use crate::algo::bayes::BayesSearch;
@@ -533,8 +534,14 @@ struct ClientConn {
     stream: TcpStream,
     token: u64,
     recv: RecvBuf,
-    out: SendBuf,
     registered_write: bool,
+    session: Session,
+}
+
+/// What a client's frames act on, apart from the `recv` a decoded frame
+/// borrows.
+struct Session {
+    out: SendBuf,
     /// Set by `ClientHello`; required before any sweep verb.
     tenant: Option<String>,
     /// Sweep ids this connection streams events for.
@@ -802,21 +809,33 @@ fn finish_sweep(inner: &Arc<ServerInner>, id: u64, state: u32, message: String) 
     pump(inner);
 }
 
+/// The client plane's longest wait for readiness.
+const TICK: Duration = Duration::from_millis(200);
+
 /// The client plane: accept clients, decode their frames, answer, and
 /// fan sweep events out to subscribers — all on one readiness loop.
 fn serve_loop(inner: Arc<ServerInner>, poller: Poller, listener: TcpListener) {
     let mut conns: HashMap<u64, ClientConn> = HashMap::new();
     let mut next_token: u64 = 0;
     let mut events: Vec<rnet::Event> = Vec::new();
+    // When the listener left the poller: an accept failed (out of fds, say)
+    // with the connection still queued, and a level-triggered listener
+    // would end every wait at once until an fd frees.
+    let mut parked: Option<Instant> = None;
     while !inner.stop.load(Ordering::Relaxed) {
-        if poller.wait(&mut events, Some(Duration::from_millis(200))).is_err() {
+        if poller.wait(&mut events, Some(TICK)).is_err() {
             break;
         }
         let mut dead: Vec<u64> = Vec::new();
         for ev in &events {
             match ev.token {
                 WAKE_TOKEN => inner.wake.drain(),
-                LISTEN_TOKEN => accept_clients(&poller, &listener, &mut conns, &mut next_token),
+                LISTEN_TOKEN => {
+                    if accept_clients(&poller, &listener, &mut conns, &mut next_token).is_err() {
+                        let _ = poller.deregister(listener.as_raw_fd());
+                        parked = Some(Instant::now());
+                    }
+                }
                 token => {
                     if let Some(conn) = conns.get_mut(&token) {
                         if ev.readable && !service_read(&inner, conn) {
@@ -833,8 +852,8 @@ fn serve_loop(inner: Arc<ServerInner>, poller: Poller, listener: TcpListener) {
         };
         for (sweep_id, frame) in &pending {
             for conn in conns.values_mut() {
-                if conn.watching.contains(sweep_id) {
-                    conn.out.push(frame);
+                if conn.session.watching.contains(sweep_id) {
+                    conn.session.out.push(frame);
                 }
             }
         }
@@ -843,10 +862,15 @@ fn serve_loop(inner: Arc<ServerInner>, poller: Poller, listener: TcpListener) {
                 dead.push(*token);
             }
         }
+        // A closed connection frees an fd; without one, retry each tick.
+        let retry = parked.is_some_and(|at| !dead.is_empty() || at.elapsed() >= TICK);
         for token in dead {
             if let Some(conn) = conns.remove(&token) {
                 let _ = poller.deregister(conn.stream.as_raw_fd());
             }
+        }
+        if retry && poller.register(listener.as_raw_fd(), LISTEN_TOKEN, Interest::READ).is_ok() {
+            parked = None;
         }
     }
     for (_, conn) in conns.drain() {
@@ -856,12 +880,13 @@ fn serve_loop(inner: Arc<ServerInner>, poller: Poller, listener: TcpListener) {
 }
 
 /// Accept every pending client connection and register it for reads.
+/// An error leaves the rest of the queue where it is.
 fn accept_clients(
     poller: &Poller,
     listener: &TcpListener,
     conns: &mut HashMap<u64, ClientConn>,
     next_token: &mut u64,
-) {
+) -> io::Result<()> {
     loop {
         match listener.accept() {
             Ok((stream, _peer)) => {
@@ -880,15 +905,17 @@ fn accept_clients(
                         stream,
                         token,
                         recv: RecvBuf::new(),
-                        out: SendBuf::new(),
                         registered_write: false,
-                        tenant: None,
-                        watching: HashSet::new(),
+                        session: Session {
+                            out: SendBuf::new(),
+                            tenant: None,
+                            watching: HashSet::new(),
+                        },
                     },
                 );
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-            Err(_) => return,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+            Err(e) => return Err(e),
         }
     }
 }
@@ -896,15 +923,18 @@ fn accept_clients(
 /// Drain readable bytes and handle every complete frame. `false` means
 /// the connection is finished (EOF, protocol error, or a fatal verb).
 fn service_read(inner: &Arc<ServerInner>, conn: &mut ClientConn) -> bool {
+    // Split the borrows: the frame borrows `recv`, its handler writes the
+    // session.
+    let ClientConn { stream, recv, session, .. } = conn;
     loop {
-        match conn.recv.fill_from(&mut conn.stream) {
+        match recv.fill_from(stream) {
             Ok(Fill::Bytes(_)) => loop {
-                let owned = match conn.recv.next_frame() {
-                    Ok(Some(frame)) => frame.to_owned(),
+                let frame = match recv.next_frame() {
+                    Ok(Some(frame)) => frame,
                     Ok(None) => break,
                     Err(_) => return false,
                 };
-                if !handle_frame(inner, conn, owned) {
+                if !handle_frame(inner, session, frame) {
                     return false;
                 }
             },
@@ -916,10 +946,10 @@ fn service_read(inner: &Arc<ServerInner>, conn: &mut ClientConn) -> bool {
 
 /// Flush a connection's backlog and keep its write interest in sync.
 fn flush_conn(poller: &Poller, conn: &mut ClientConn) -> bool {
-    if conn.out.is_empty() && !conn.registered_write {
+    if conn.session.out.is_empty() && !conn.registered_write {
         return true;
     }
-    let drained = match conn.out.flush(&mut conn.stream) {
+    let drained = match conn.session.out.flush(&mut conn.stream) {
         Ok((_, drained)) => drained,
         Err(_) => return false,
     };
@@ -934,49 +964,47 @@ fn flush_conn(poller: &Poller, conn: &mut ClientConn) -> bool {
 }
 
 /// Dispatch one decoded client frame. Returns `false` to close.
-fn handle_frame(inner: &Arc<ServerInner>, conn: &mut ClientConn, frame: Frame) -> bool {
+fn handle_frame(inner: &Arc<ServerInner>, session: &mut Session, frame: FrameRef<'_>) -> bool {
     match frame {
-        Frame::ClientHello { tenant, proto: _ } => {
-            conn.tenant = Some(tenant);
+        FrameRef::ClientHello { tenant, proto: _ } => {
+            session.tenant = Some(tenant.to_string());
             true
         }
-        Frame::SubmitSweep { name, space_json, algo, trials, seed, wave } => {
-            handle_submit(inner, conn, name, space_json, algo, trials, seed, wave);
+        FrameRef::SubmitSweep { name, space_json, algo, trials, seed, wave } => {
+            handle_submit(inner, session, name, space_json, algo, trials, seed, wave);
             true
         }
-        Frame::SweepStatus { sweep_id, follow, .. } => {
+        FrameRef::SweepStatus { sweep_id, follow, .. } => {
             let st = inner.state.lock();
             match st.sweeps.get(&sweep_id) {
-                None => conn.out.push(&Frame::SweepReject {
+                None => session.out.push(&Frame::SweepReject {
                     code: REJECT_UNKNOWN_SWEEP,
                     message: format!("no sweep with id {sweep_id}"),
                 }),
                 Some(sweep) => {
-                    conn.out.push(&inner.status_frame(sweep_id, sweep));
+                    session.out.push(&inner.status_frame(sweep_id, sweep));
                     if follow != 0 {
-                        conn.watching.insert(sweep_id);
+                        session.watching.insert(sweep_id);
                         if !sweep.rows.is_empty() {
-                            conn.out.push(&Frame::LeaderboardChunk {
-                                sweep_id,
-                                rows: sweep.rows.clone(),
-                            });
+                            let rows = sweep.rows.iter().map(LeaderRow::as_ref).collect();
+                            session.out.push(&FrameRef::LeaderboardChunk { sweep_id, rows });
                         }
                         if is_terminal(sweep.state) {
-                            conn.out.push(&inner.done_frame(sweep_id, sweep));
+                            session.out.push(&inner.done_frame(sweep_id, sweep));
                         }
                     }
                 }
             }
             true
         }
-        Frame::CancelSweep { sweep_id } => {
-            handle_cancel(inner, conn, sweep_id);
+        FrameRef::CancelSweep { sweep_id } => {
+            handle_cancel(inner, session, sweep_id);
             true
         }
         // A worker Hello after the pool was sealed, or any other worker
         // protocol frame on the client plane: turn it away.
-        Frame::Hello { .. } => {
-            conn.out.push(&Frame::SweepReject {
+        FrameRef::Hello { .. } => {
+            session.out.push(&Frame::SweepReject {
                 code: REJECT_NOT_READY,
                 message: "worker pool is sealed; restart the server to add workers".to_string(),
             });
@@ -990,46 +1018,50 @@ fn handle_frame(inner: &Arc<ServerInner>, conn: &mut ClientConn, frame: Frame) -
 #[allow(clippy::too_many_arguments)]
 fn handle_submit(
     inner: &Arc<ServerInner>,
-    conn: &mut ClientConn,
-    name: String,
-    space_json: String,
-    algo: String,
+    session: &mut Session,
+    name: &str,
+    space_json: &str,
+    algo: &str,
     trials: u32,
     seed: u64,
     wave: u32,
 ) {
-    let reject = |conn: &mut ClientConn, code: u32, message: String| {
+    let reject = |session: &mut Session, code: u32, message: String| {
         inner.metrics.rejected.incr();
-        conn.out.push(&Frame::SweepReject { code, message });
+        session.out.push(&Frame::SweepReject { code, message });
     };
-    let Some(tenant) = conn.tenant.clone() else {
-        reject(conn, REJECT_BAD_REQUEST, "ClientHello must precede SubmitSweep".to_string());
+    let Some(tenant) = session.tenant.clone() else {
+        reject(session, REJECT_BAD_REQUEST, "ClientHello must precede SubmitSweep".to_string());
         return;
     };
-    let space = match SearchSpace::from_json(&space_json) {
+    let space = match SearchSpace::from_json(space_json) {
         Ok(s) => s,
         Err(e) => {
-            reject(conn, REJECT_BAD_REQUEST, format!("bad search space: {e}"));
+            reject(session, REJECT_BAD_REQUEST, format!("bad search space: {e}"));
             return;
         }
     };
     if algo != "grid" && trials == 0 {
-        reject(conn, REJECT_BAD_REQUEST, "trials must be > 0 for sampled algorithms".to_string());
+        reject(
+            session,
+            REJECT_BAD_REQUEST,
+            "trials must be > 0 for sampled algorithms".to_string(),
+        );
         return;
     }
-    if let Err(e) = build_algo(&algo, &space, trials.max(1) as usize, seed) {
-        reject(conn, REJECT_BAD_REQUEST, e);
+    if let Err(e) = build_algo(algo, &space, trials.max(1) as usize, seed) {
+        reject(session, REJECT_BAD_REQUEST, e);
         return;
     }
     if inner.cfg.quota_trials > 0 && inner.gate.spent(&tenant) >= inner.cfg.quota_trials {
         reject(
-            conn,
+            session,
             REJECT_QUOTA,
             format!("tenant '{tenant}' has spent its {}-trial quota", inner.cfg.quota_trials),
         );
         return;
     }
-    let total = match algo.as_str() {
+    let total = match algo {
         "grid" => space.grid_size().map_or(0, |n| n as u32),
         _ => trials,
     };
@@ -1040,7 +1072,7 @@ fn handle_submit(
         if st.active >= inner.cfg.max_active && st.queue.len() >= inner.cfg.max_queued {
             drop(st);
             reject(
-                conn,
+                session,
                 REJECT_QUEUE_FULL,
                 format!("sweep queue is full ({} deep)", inner.cfg.max_queued),
             );
@@ -1068,7 +1100,7 @@ fn handle_submit(
             id,
             Sweep {
                 tenant: tenant.clone(),
-                name,
+                name: name.to_string(),
                 state: SWEEP_QUEUED,
                 total,
                 done: 0,
@@ -1078,7 +1110,13 @@ fn handle_submit(
                 rows: Vec::new(),
                 control,
                 halt_reason,
-                spec: Some(SweepSpec { space_json, algo, trials, seed, wave }),
+                spec: Some(SweepSpec {
+                    space_json: space_json.to_string(),
+                    algo: algo.to_string(),
+                    trials,
+                    seed,
+                    wave,
+                }),
                 started: None,
                 wall_us: 0,
                 message: String::new(),
@@ -1086,25 +1124,25 @@ fn handle_submit(
         );
         st.queue.push_back(id);
         inner.refresh_gauges(&st);
-        conn.watching.insert(id);
+        session.watching.insert(id);
         inner.status_frame(id, &st.sweeps[&id])
     };
-    conn.out.push(&ack);
+    session.out.push(&ack);
     pump(inner);
 }
 
 /// Cancel a sweep: a queued one dies in place, a running one gets its
 /// control flag set and finishes through the normal drain path.
-fn handle_cancel(inner: &Arc<ServerInner>, conn: &mut ClientConn, sweep_id: u64) {
+fn handle_cancel(inner: &Arc<ServerInner>, session: &mut Session, sweep_id: u64) {
     let mut st = inner.state.lock();
     let Some(sweep) = st.sweeps.get_mut(&sweep_id) else {
-        conn.out.push(&Frame::SweepReject {
+        session.out.push(&Frame::SweepReject {
             code: REJECT_UNKNOWN_SWEEP,
             message: format!("no sweep with id {sweep_id}"),
         });
         return;
     };
-    conn.watching.insert(sweep_id);
+    session.watching.insert(sweep_id);
     match sweep.state {
         SWEEP_QUEUED => {
             sweep.state = SWEEP_CANCELLED;
@@ -1114,20 +1152,20 @@ fn handle_cancel(inner: &Arc<ServerInner>, conn: &mut ClientConn, sweep_id: u64)
             st.queue.retain(|id| *id != sweep_id);
             inner.metrics.completed.incr();
             inner.refresh_gauges(&st);
-            conn.out.push(&status);
+            session.out.push(&status);
             drop(st);
             inner.emit(sweep_id, done);
         }
         SWEEP_RUNNING => {
             sweep.control.cancel();
             let status = inner.status_frame(sweep_id, sweep);
-            conn.out.push(&status);
+            session.out.push(&status);
         }
         _ => {
             let status = inner.status_frame(sweep_id, sweep);
             let done = inner.done_frame(sweep_id, sweep);
-            conn.out.push(&status);
-            conn.out.push(&done);
+            session.out.push(&status);
+            session.out.push(&done);
         }
     }
 }

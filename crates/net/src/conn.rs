@@ -19,10 +19,10 @@ use crate::nonblock::{Fill, RecvBuf};
 pub fn read_frame(stream: &mut impl Read, recv: &mut RecvBuf) -> io::Result<Option<Frame>> {
     loop {
         let next = recv
-            .next_frame()
+            .next_frame_as()
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         if let Some(frame) = next {
-            return Ok(Some(frame.to_owned()));
+            return Ok(Some(frame));
         }
         match recv.fill_from(stream)? {
             Fill::Bytes(_) => {}

@@ -15,6 +15,12 @@
 //! shutdowns) at single-digit bytes — the "lean length-prefixed frame"
 //! style of rpc-perf rather than a general-purpose serialisation stack.
 //!
+//! Every frame is defined once, in [`FrameOf`], generic over how strings
+//! and byte strings are held: [`Frame`] owns them, [`FrameRef`] borrows them
+//! (from the buffer it was decoded from, or from what a sender keeps), and
+//! so do the parts, [`Blob`] / [`BlobRef`] and so on. One encoder serves
+//! both forms, byte for byte, and one decoder is instantiated for each.
+//!
 //! Decoding is incremental: [`Frame::decode`] returns `Ok(None)` while the
 //! buffer holds only a frame prefix, so a reader can accumulate bytes from
 //! the socket at arbitrary boundaries and retry.
@@ -35,17 +41,30 @@ pub const MAX_PAYLOAD: u64 = 64 * 1024 * 1024;
 /// A tagged, opaque serialised value: `tag` names the application codec
 /// that produced `bytes` (e.g. `"hpo.config"`). The protocol layer never
 /// interprets the bytes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Blob {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlobOf<S, B> {
     /// Codec tag.
-    pub tag: String,
+    pub tag: S,
     /// Encoded value.
-    pub bytes: Vec<u8>,
+    pub bytes: B,
+}
+
+/// A [`BlobOf`] that owns its tag and bytes.
+pub type Blob = BlobOf<String, Vec<u8>>;
+
+/// A [`BlobOf`] that borrows its tag and bytes.
+pub type BlobRef<'a> = BlobOf<&'a str, &'a [u8]>;
+
+impl<S: AsRef<str>, B: AsRef<[u8]>> BlobOf<S, B> {
+    /// Borrow tag and bytes, e.g. to send a kept blob in a [`FrameRef`].
+    pub fn as_ref(&self) -> BlobRef<'_> {
+        BlobOf { tag: self.tag.as_ref(), bytes: self.bytes.as_ref() }
+    }
 }
 
 /// One task input as shipped in a [`Frame::Submit`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireArg {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WireArgOf<S, B> {
     /// Value shipped inline: the worker decodes it straight into the
     /// queued job. `key` names the data version in traces and debug
     /// output; nothing is indexed by it.
@@ -53,7 +72,7 @@ pub enum WireArg {
         /// Driver-side data key (`handle << 32 | version`).
         key: u64,
         /// The serialised value.
-        blob: Blob,
+        blob: BlobOf<S, B>,
     },
     /// Value stored in the content-addressed block plane: the worker
     /// resolves `hash` against its local block cache and issues a
@@ -67,60 +86,20 @@ pub enum WireArg {
     },
 }
 
-/// Borrowed view of a [`Blob`]: tag and payload point straight into the
-/// receive buffer the frame was decoded from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlobRef<'a> {
-    /// Codec tag.
-    pub tag: &'a str,
-    /// Encoded value.
-    pub bytes: &'a [u8],
-}
+/// A [`WireArgOf`] that owns its blob.
+pub type WireArg = WireArgOf<String, Vec<u8>>;
 
-impl BlobRef<'_> {
-    /// Copy into an owned [`Blob`].
-    pub fn to_owned(&self) -> Blob {
-        Blob { tag: self.tag.to_string(), bytes: self.bytes.to_vec() }
-    }
-}
-
-/// Borrowed view of a [`WireArg`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireArgRef<'a> {
-    /// See [`WireArg::Inline`].
-    Inline {
-        /// Driver-side data key (`handle << 32 | version`).
-        key: u64,
-        /// The serialised value, borrowed from the receive buffer.
-        blob: BlobRef<'a>,
-    },
-    /// See [`WireArg::Block`].
-    Block {
-        /// Driver-side data key.
-        key: u64,
-        /// Content hash of the encoded value.
-        hash: u128,
-    },
-}
-
-impl WireArgRef<'_> {
-    /// Copy into an owned [`WireArg`].
-    pub fn to_owned(&self) -> WireArg {
-        match *self {
-            WireArgRef::Inline { key, blob } => WireArg::Inline { key, blob: blob.to_owned() },
-            WireArgRef::Block { key, hash } => WireArg::Block { key, hash },
-        }
-    }
-}
+/// A [`WireArgOf`] that borrows its blob.
+pub type WireArgRef<'a> = WireArgOf<&'a str, &'a [u8]>;
 
 /// One leaderboard entry as streamed in a [`Frame::LeaderboardChunk`]:
 /// a finished trial's config label and headline numbers. The protocol
 /// layer carries the rows; what "accuracy" means is the application's
 /// business.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LeaderRow {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LeaderRowOf<S> {
     /// Human-readable config label (e.g. `optimizer=Adam num_epochs=2`).
-    pub label: String,
+    pub label: S,
     /// Final objective value (higher is better).
     pub accuracy: f64,
     /// Epochs actually run (early-stopped trials report fewer).
@@ -129,38 +108,28 @@ pub struct LeaderRow {
     pub task_us: u64,
 }
 
-/// Borrowed view of a [`LeaderRow`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LeaderRowRef<'a> {
-    /// Human-readable config label.
-    pub label: &'a str,
-    /// Final objective value (higher is better).
-    pub accuracy: f64,
-    /// Epochs actually run.
-    pub epochs: u32,
-    /// Task wall time, µs.
-    pub task_us: u64,
-}
+/// A [`LeaderRowOf`] that owns its label.
+pub type LeaderRow = LeaderRowOf<String>;
 
-impl LeaderRowRef<'_> {
-    /// Copy into an owned [`LeaderRow`].
-    pub fn to_owned(&self) -> LeaderRow {
-        LeaderRow {
-            label: self.label.to_string(),
-            accuracy: self.accuracy,
-            epochs: self.epochs,
-            task_us: self.task_us,
-        }
+/// A [`LeaderRowOf`] that borrows its label.
+pub type LeaderRowRef<'a> = LeaderRowOf<&'a str>;
+
+impl<S: AsRef<str>> LeaderRowOf<S> {
+    /// Borrow the label, e.g. to send a kept row in a [`FrameRef`].
+    pub fn as_ref(&self) -> LeaderRowRef<'_> {
+        let LeaderRowOf { ref label, accuracy, epochs, task_us } = *self;
+        LeaderRowOf { label: label.as_ref(), accuracy, epochs, task_us }
     }
 }
 
-/// Every message of the protocol.
+/// Every message of the protocol, with strings held as `S` and byte
+/// strings as `B`: see [`Frame`] and [`FrameRef`].
 #[derive(Debug, Clone, PartialEq)]
-pub enum Frame {
+pub enum FrameOf<S, B> {
     /// Worker → driver, once per connection: resource registration.
     Hello {
         /// Worker display name (defaults to its listen address).
-        name: String,
+        name: S,
         /// CPU cores offered.
         cores: u32,
         /// GPUs offered.
@@ -182,7 +151,7 @@ pub enum Frame {
         fn_id: u64,
         /// Function name, present only the first time `fn_id` is used on
         /// this connection — later submits send just the id.
-        fn_name: Option<String>,
+        fn_name: Option<S>,
         /// Which task implementation to run (0 = primary).
         variant: u32,
         /// Exact core ids granted on the worker.
@@ -190,7 +159,7 @@ pub enum Frame {
         /// Exact GPU ids granted on the worker.
         gpus: Vec<u32>,
         /// Inputs, in argument order.
-        args: Vec<WireArg>,
+        args: Vec<WireArgOf<S, B>>,
     },
     /// Worker → driver: task attempt succeeded.
     ///
@@ -209,14 +178,14 @@ pub enum Frame {
         /// Worker clock when the task body returned, µs.
         end_us: u64,
         /// Serialised outputs, in declaration order.
-        outputs: Vec<Blob>,
+        outputs: Vec<BlobOf<S, B>>,
     },
     /// Worker → driver: task attempt failed (body error or panic).
     Failed {
         /// Echoed execution id.
         exec_id: u64,
         /// Human-readable reason.
-        message: String,
+        message: S,
     },
     /// Driver → worker liveness probe, doubling as a clock-sync sample
     /// (NTP-style: the ack echoes `t_send_us` and adds the receiver's own
@@ -251,7 +220,7 @@ pub enum Frame {
         /// The id of the task the snapshot belongs to.
         key: u64,
         /// The snapshot bytes, opaque to the runtime.
-        blob: Blob,
+        blob: BlobOf<S, B>,
     },
     /// Worker → driver: a [`WireArg::Block`] input missed the block cache.
     BlockRequest {
@@ -266,7 +235,7 @@ pub enum Frame {
         /// The content hash.
         hash: u128,
         /// The serialised value.
-        blob: Blob,
+        blob: BlobOf<S, B>,
     },
     /// Worker → driver: the LRU budget evicted a block; the driver must
     /// drop its residency record so future placements re-ship it.
@@ -280,18 +249,18 @@ pub enum Frame {
     /// follows from that first frame type.
     ClientHello {
         /// Tenant identity the connection's sweeps are accounted to.
-        tenant: String,
+        tenant: S,
         /// Client-side protocol revision (forward-compat gate).
         proto: u32,
     },
     /// Client → server: run one hyperparameter sweep on the shared pool.
     SubmitSweep {
         /// Display name for the sweep (logs, metrics labels).
-        name: String,
+        name: S,
         /// The JSON search-space document (the paper's config file).
-        space_json: String,
+        space_json: S,
         /// Search algorithm (`grid` | `random` | `tpe` | `bayes`).
-        algo: String,
+        algo: S,
         /// Trial budget for the sampling algorithms (grid ignores it).
         trials: u32,
         /// RNG seed — same seed + space + algo ⇒ same trial sequence.
@@ -306,7 +275,7 @@ pub enum Frame {
         /// Machine-readable reject class (see the application's catalogue).
         code: u32,
         /// Human-readable reason.
-        message: String,
+        message: S,
     },
     /// Sweep status, in both directions. Client → server it is a query:
     /// only `sweep_id` and `follow` are meaningful (`follow != 0`
@@ -327,7 +296,7 @@ pub enum Frame {
         /// Best objective value so far (NaN-free: 0 until a trial lands).
         best_acc: f64,
         /// Config label of the best trial so far (empty until one lands).
-        best_label: String,
+        best_label: S,
         /// Times this sweep's tenant hit its rate limit so far.
         throttled: u64,
         /// Query direction only: subscribe to the live leaderboard.
@@ -340,7 +309,7 @@ pub enum Frame {
         /// The sweep the rows belong to.
         sweep_id: u64,
         /// Finished trials, in completion order.
-        rows: Vec<LeaderRow>,
+        rows: Vec<LeaderRowOf<S>>,
     },
     /// Client → server: stop a sweep. In-flight trials drain; the sweep
     /// ends in the `cancelled` state and its workers return to the pool.
@@ -358,19 +327,23 @@ pub enum Frame {
         /// Sweep wall time, µs.
         wall_us: u64,
         /// Empty on success; the error for failed sweeps.
-        message: String,
+        message: S,
     },
     /// Driver → worker: drain and close the connection.
     Shutdown,
 }
 
-/// Borrowed view of a [`Frame`], decoded in place from a receive buffer.
+/// A [`FrameOf`] that owns its strings and bytes: what outlives the buffer
+/// it came from, and what tests and the blocking [`crate::read_frame`] use.
+pub type Frame = FrameOf<String, Vec<u8>>;
+
+/// A [`FrameOf`] that borrows its strings and bytes.
 ///
-/// This is the zero-copy half of the decode API: strings and blob payloads
-/// point straight into the buffer the bytes arrived in, so a hot loop can
+/// Decoded, it points straight into the receive buffer, so a hot loop can
 /// hand a `Done` frame's outputs to the value codecs without an
-/// intermediate copy. Call [`FrameRef::to_owned`] when the data must
+/// intermediate copy; call [`FrameRef::to_owned`] when the data must
 /// outlive the buffer (which invalidates on the next compaction or fill).
+/// Sent, it encodes from what the sender keeps, without an owned copy.
 ///
 /// ```
 /// use rnet::{Frame, FrameRef};
@@ -380,184 +353,10 @@ pub enum Frame {
 /// let (frame, used) = FrameRef::decode(&wire).unwrap().expect("complete");
 /// assert_eq!(used, wire.len());
 /// assert!(matches!(frame, FrameRef::Heartbeat { seq: 7, .. }));
+/// assert_eq!(frame.encode(), wire);
 /// assert_eq!(frame.to_owned(), hb);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-pub enum FrameRef<'a> {
-    /// See [`Frame::Hello`].
-    Hello {
-        /// Worker display name.
-        name: &'a str,
-        /// CPU cores offered.
-        cores: u32,
-        /// GPUs offered.
-        gpus: u32,
-        /// Memory offered, GiB.
-        mem_gib: u32,
-    },
-    /// See [`Frame::Submit`].
-    Submit {
-        /// Driver-side execution id.
-        exec_id: u64,
-        /// Task instance id.
-        task_id: u64,
-        /// 1-based attempt number.
-        attempt: u32,
-        /// The driver's node id for this worker.
-        node: u32,
-        /// Interned function id.
-        fn_id: u64,
-        /// Function name, present only on the first use of `fn_id`.
-        fn_name: Option<&'a str>,
-        /// Which task implementation to run.
-        variant: u32,
-        /// Exact core ids granted.
-        cores: Vec<u32>,
-        /// Exact GPU ids granted.
-        gpus: Vec<u32>,
-        /// Inputs, in argument order, blobs borrowed.
-        args: Vec<WireArgRef<'a>>,
-    },
-    /// See [`Frame::Done`].
-    Done {
-        /// Echoed execution id.
-        exec_id: u64,
-        /// Worker clock when the `Submit` frame was decoded, µs.
-        recv_us: u64,
-        /// Worker clock when the task body started, µs.
-        start_us: u64,
-        /// Worker clock when the task body returned, µs.
-        end_us: u64,
-        /// Serialised outputs, borrowed.
-        outputs: Vec<BlobRef<'a>>,
-    },
-    /// See [`Frame::Failed`].
-    Failed {
-        /// Echoed execution id.
-        exec_id: u64,
-        /// Human-readable reason.
-        message: &'a str,
-    },
-    /// See [`Frame::Heartbeat`].
-    Heartbeat {
-        /// Monotonic per-connection sequence number.
-        seq: u64,
-        /// Sender's clock at transmission, µs on its own epoch.
-        t_send_us: u64,
-        /// Reserved; see [`Frame::Heartbeat`].
-        telemetry: bool,
-    },
-    /// See [`Frame::HeartbeatAck`].
-    HeartbeatAck {
-        /// Echoed sequence number.
-        seq: u64,
-        /// Echo of the probe's `t_send_us` (sender clock).
-        t_send_us: u64,
-        /// Receiver's clock when the probe arrived.
-        recv_us: u64,
-        /// Receiver's clock when this ack was built.
-        reply_us: u64,
-    },
-    /// See [`Frame::Data`].
-    Data {
-        /// The data key.
-        key: u64,
-        /// The serialised value, borrowed.
-        blob: BlobRef<'a>,
-    },
-    /// See [`Frame::BlockRequest`].
-    BlockRequest {
-        /// The missing content hash.
-        hash: u128,
-    },
-    /// See [`Frame::BlockData`].
-    BlockData {
-        /// The content hash.
-        hash: u128,
-        /// The serialised value, borrowed.
-        blob: BlobRef<'a>,
-    },
-    /// See [`Frame::BlockEvict`].
-    BlockEvict {
-        /// The evicted content hash.
-        hash: u128,
-    },
-    /// See [`Frame::ClientHello`].
-    ClientHello {
-        /// Tenant identity.
-        tenant: &'a str,
-        /// Client-side protocol revision.
-        proto: u32,
-    },
-    /// See [`Frame::SubmitSweep`].
-    SubmitSweep {
-        /// Display name for the sweep.
-        name: &'a str,
-        /// The JSON search-space document.
-        space_json: &'a str,
-        /// Search algorithm.
-        algo: &'a str,
-        /// Trial budget for the sampling algorithms.
-        trials: u32,
-        /// RNG seed.
-        seed: u64,
-        /// Wave size override (0 = server default).
-        wave: u32,
-    },
-    /// See [`Frame::SweepReject`].
-    SweepReject {
-        /// Machine-readable reject class.
-        code: u32,
-        /// Human-readable reason.
-        message: &'a str,
-    },
-    /// See [`Frame::SweepStatus`].
-    SweepStatus {
-        /// Server-assigned sweep id.
-        sweep_id: u64,
-        /// Lifecycle state.
-        state: u32,
-        /// Trials finished successfully.
-        done: u32,
-        /// Trials failed.
-        failed: u32,
-        /// Total trial budget (0 = unknown).
-        total: u32,
-        /// Best objective value so far.
-        best_acc: f64,
-        /// Config label of the best trial so far.
-        best_label: &'a str,
-        /// Times this sweep's tenant hit its rate limit so far.
-        throttled: u64,
-        /// Query direction only: subscribe to the live leaderboard.
-        follow: u32,
-    },
-    /// See [`Frame::LeaderboardChunk`].
-    LeaderboardChunk {
-        /// The sweep the rows belong to.
-        sweep_id: u64,
-        /// Finished trials, labels borrowed.
-        rows: Vec<LeaderRowRef<'a>>,
-    },
-    /// See [`Frame::CancelSweep`].
-    CancelSweep {
-        /// The sweep to cancel.
-        sweep_id: u64,
-    },
-    /// See [`Frame::SweepDone`].
-    SweepDone {
-        /// The finished sweep.
-        sweep_id: u64,
-        /// Terminal lifecycle state.
-        state: u32,
-        /// Sweep wall time, µs.
-        wall_us: u64,
-        /// Empty on success; the error for failed sweeps.
-        message: &'a str,
-    },
-    /// See [`Frame::Shutdown`].
-    Shutdown,
-}
+pub type FrameRef<'a> = FrameOf<&'a str, &'a [u8]>;
 
 /// Why a buffer cannot be decoded as a frame. All variants are fatal for
 /// the connection — only `Ok(None)` from [`Frame::decode`] means "wait for
@@ -621,15 +420,30 @@ const T_SWEEP_DONE: u8 = 22;
 /// ahead of its `Submit`; `BlockData` carries it).
 const RETIRED_TYPES: [u8; 4] = [7, 10, 11, 12];
 
-fn put_blob(out: &mut Vec<u8>, blob: &Blob) {
-    wire::put_str(out, &blob.tag);
-    wire::put_bytes(out, &blob.bytes);
+/// Put a blob's tag and length, and return its bytes, which come next.
+fn put_blob_head<'b, S: AsRef<str>, B: AsRef<[u8]>>(
+    out: &mut Vec<u8>,
+    blob: &'b BlobOf<S, B>,
+) -> &'b [u8] {
+    wire::put_str(out, blob.tag.as_ref());
+    let bytes = blob.bytes.as_ref();
+    varint::put(out, bytes.len() as u64);
+    bytes
 }
 
-fn read_blob_ref<'a>(r: &mut Reader<'a>) -> Result<BlobRef<'a>, WireError> {
-    let tag = r.str_ref()?;
-    let bytes = r.bytes()?;
-    Ok(BlobRef { tag, bytes })
+fn put_blob<S: AsRef<str>, B: AsRef<[u8]>>(out: &mut Vec<u8>, blob: &BlobOf<S, B>) {
+    let bytes = put_blob_head(out, blob);
+    out.extend_from_slice(bytes);
+}
+
+fn read_str<'a, S: From<&'a str>>(r: &mut Reader<'a>) -> Result<S, WireError> {
+    Ok(r.str_ref()?.into())
+}
+
+fn read_blob<'a, S: From<&'a str>, B: From<&'a [u8]>>(
+    r: &mut Reader<'a>,
+) -> Result<BlobOf<S, B>, WireError> {
+    Ok(BlobOf { tag: read_str(r)?, bytes: r.bytes()?.into() })
 }
 
 /// A 128-bit content hash crosses the wire as two varint u64 halves
@@ -686,46 +500,43 @@ fn frame_extent(buf: &[u8]) -> Result<Option<(usize, usize, u8)>, DecodeError> {
     Ok(Some((4 + len_bytes, total, buf[3])))
 }
 
-/// What precedes a block's bytes in a `BlockData` payload.
-fn put_block_head(out: &mut Vec<u8>, hash: u128, blob: &Blob) {
-    put_hash(out, hash);
-    wire::put_str(out, &blob.tag);
-    varint::put(out, blob.bytes.len() as u64);
-}
-
-impl Frame {
+impl<S, B> FrameOf<S, B> {
     fn frame_type(&self) -> u8 {
         match self {
-            Frame::Hello { .. } => T_HELLO,
-            Frame::Submit { .. } => T_SUBMIT,
-            Frame::Done { .. } => T_DONE,
-            Frame::Failed { .. } => T_FAILED,
-            Frame::Heartbeat { .. } => T_HEARTBEAT,
-            Frame::HeartbeatAck { .. } => T_HEARTBEAT_ACK,
-            Frame::Data { .. } => T_DATA,
-            Frame::BlockRequest { .. } => T_BLOCK_REQUEST,
-            Frame::BlockData { .. } => T_BLOCK_DATA,
-            Frame::BlockEvict { .. } => T_BLOCK_EVICT,
-            Frame::ClientHello { .. } => T_CLIENT_HELLO,
-            Frame::SubmitSweep { .. } => T_SUBMIT_SWEEP,
-            Frame::SweepReject { .. } => T_SWEEP_REJECT,
-            Frame::SweepStatus { .. } => T_SWEEP_STATUS,
-            Frame::LeaderboardChunk { .. } => T_LEADERBOARD_CHUNK,
-            Frame::CancelSweep { .. } => T_CANCEL_SWEEP,
-            Frame::SweepDone { .. } => T_SWEEP_DONE,
-            Frame::Shutdown => T_SHUTDOWN,
+            FrameOf::Hello { .. } => T_HELLO,
+            FrameOf::Submit { .. } => T_SUBMIT,
+            FrameOf::Done { .. } => T_DONE,
+            FrameOf::Failed { .. } => T_FAILED,
+            FrameOf::Heartbeat { .. } => T_HEARTBEAT,
+            FrameOf::HeartbeatAck { .. } => T_HEARTBEAT_ACK,
+            FrameOf::Data { .. } => T_DATA,
+            FrameOf::BlockRequest { .. } => T_BLOCK_REQUEST,
+            FrameOf::BlockData { .. } => T_BLOCK_DATA,
+            FrameOf::BlockEvict { .. } => T_BLOCK_EVICT,
+            FrameOf::ClientHello { .. } => T_CLIENT_HELLO,
+            FrameOf::SubmitSweep { .. } => T_SUBMIT_SWEEP,
+            FrameOf::SweepReject { .. } => T_SWEEP_REJECT,
+            FrameOf::SweepStatus { .. } => T_SWEEP_STATUS,
+            FrameOf::LeaderboardChunk { .. } => T_LEADERBOARD_CHUNK,
+            FrameOf::CancelSweep { .. } => T_CANCEL_SWEEP,
+            FrameOf::SweepDone { .. } => T_SWEEP_DONE,
+            FrameOf::Shutdown => T_SHUTDOWN,
         }
     }
+}
 
-    fn encode_payload(&self, out: &mut Vec<u8>) {
+impl<S: AsRef<str>, B: AsRef<[u8]>> FrameOf<S, B> {
+    /// Put the payload into `out`, except for the bytes of the blob a `Data`
+    /// or `BlockData` payload ends with: those come back, to be copied once.
+    fn encode_payload(&self, out: &mut Vec<u8>) -> &[u8] {
         match self {
-            Frame::Hello { name, cores, gpus, mem_gib } => {
-                wire::put_str(out, name);
+            FrameOf::Hello { name, cores, gpus, mem_gib } => {
+                wire::put_str(out, name.as_ref());
                 wire::put_u32(out, *cores);
                 wire::put_u32(out, *gpus);
                 wire::put_u32(out, *mem_gib);
             }
-            Frame::Submit {
+            FrameOf::Submit {
                 exec_id,
                 task_id,
                 attempt,
@@ -745,7 +556,7 @@ impl Frame {
                 match fn_name {
                     Some(name) => {
                         out.push(1);
-                        wire::put_str(out, name);
+                        wire::put_str(out, name.as_ref());
                     }
                     None => out.push(0),
                 }
@@ -761,12 +572,12 @@ impl Frame {
                 wire::put_u64(out, args.len() as u64);
                 for arg in args {
                     match arg {
-                        WireArg::Inline { key, blob } => {
+                        WireArgOf::Inline { key, blob } => {
                             out.push(0);
                             wire::put_u64(out, *key);
                             put_blob(out, blob);
                         }
-                        WireArg::Block { key, hash } => {
+                        WireArgOf::Block { key, hash } => {
                             out.push(2);
                             wire::put_u64(out, *key);
                             put_hash(out, *hash);
@@ -774,7 +585,7 @@ impl Frame {
                     }
                 }
             }
-            Frame::Done { exec_id, recv_us, start_us, end_us, outputs } => {
+            FrameOf::Done { exec_id, recv_us, start_us, end_us, outputs } => {
                 wire::put_u64(out, *exec_id);
                 wire::put_u64(out, *recv_us);
                 wire::put_u64(out, *start_us);
@@ -784,48 +595,48 @@ impl Frame {
                     put_blob(out, b);
                 }
             }
-            Frame::Failed { exec_id, message } => {
+            FrameOf::Failed { exec_id, message } => {
                 wire::put_u64(out, *exec_id);
-                wire::put_str(out, message);
+                wire::put_str(out, message.as_ref());
             }
-            Frame::Heartbeat { seq, t_send_us, telemetry } => {
+            FrameOf::Heartbeat { seq, t_send_us, telemetry } => {
                 wire::put_u64(out, *seq);
                 wire::put_u64(out, *t_send_us);
                 wire::put_u64(out, u64::from(*telemetry));
             }
-            Frame::HeartbeatAck { seq, t_send_us, recv_us, reply_us } => {
+            FrameOf::HeartbeatAck { seq, t_send_us, recv_us, reply_us } => {
                 wire::put_u64(out, *seq);
                 wire::put_u64(out, *t_send_us);
                 wire::put_u64(out, *recv_us);
                 wire::put_u64(out, *reply_us);
             }
-            Frame::Data { key, blob } => {
+            FrameOf::Data { key, blob } => {
                 wire::put_u64(out, *key);
-                put_blob(out, blob);
+                return put_blob_head(out, blob);
             }
-            Frame::BlockRequest { hash } => put_hash(out, *hash),
-            Frame::BlockData { hash, blob } => {
-                put_block_head(out, *hash, blob);
-                out.extend_from_slice(&blob.bytes);
+            FrameOf::BlockRequest { hash } => put_hash(out, *hash),
+            FrameOf::BlockData { hash, blob } => {
+                put_hash(out, *hash);
+                return put_blob_head(out, blob);
             }
-            Frame::BlockEvict { hash } => put_hash(out, *hash),
-            Frame::ClientHello { tenant, proto } => {
-                wire::put_str(out, tenant);
+            FrameOf::BlockEvict { hash } => put_hash(out, *hash),
+            FrameOf::ClientHello { tenant, proto } => {
+                wire::put_str(out, tenant.as_ref());
                 wire::put_u32(out, *proto);
             }
-            Frame::SubmitSweep { name, space_json, algo, trials, seed, wave } => {
-                wire::put_str(out, name);
-                wire::put_str(out, space_json);
-                wire::put_str(out, algo);
+            FrameOf::SubmitSweep { name, space_json, algo, trials, seed, wave } => {
+                wire::put_str(out, name.as_ref());
+                wire::put_str(out, space_json.as_ref());
+                wire::put_str(out, algo.as_ref());
                 wire::put_u32(out, *trials);
                 wire::put_u64(out, *seed);
                 wire::put_u32(out, *wave);
             }
-            Frame::SweepReject { code, message } => {
+            FrameOf::SweepReject { code, message } => {
                 wire::put_u32(out, *code);
-                wire::put_str(out, message);
+                wire::put_str(out, message.as_ref());
             }
-            Frame::SweepStatus {
+            FrameOf::SweepStatus {
                 sweep_id,
                 state,
                 done,
@@ -842,38 +653,41 @@ impl Frame {
                 wire::put_u32(out, *failed);
                 wire::put_u32(out, *total);
                 wire::put_f64(out, *best_acc);
-                wire::put_str(out, best_label);
+                wire::put_str(out, best_label.as_ref());
                 wire::put_u64(out, *throttled);
                 wire::put_u32(out, *follow);
             }
-            Frame::LeaderboardChunk { sweep_id, rows } => {
+            FrameOf::LeaderboardChunk { sweep_id, rows } => {
                 wire::put_u64(out, *sweep_id);
                 wire::put_u64(out, rows.len() as u64);
                 for row in rows {
-                    wire::put_str(out, &row.label);
+                    wire::put_str(out, row.label.as_ref());
                     wire::put_f64(out, row.accuracy);
                     wire::put_u32(out, row.epochs);
                     wire::put_u64(out, row.task_us);
                 }
             }
-            Frame::CancelSweep { sweep_id } => wire::put_u64(out, *sweep_id),
-            Frame::SweepDone { sweep_id, state, wall_us, message } => {
+            FrameOf::CancelSweep { sweep_id } => wire::put_u64(out, *sweep_id),
+            FrameOf::SweepDone { sweep_id, state, wall_us, message } => {
                 wire::put_u64(out, *sweep_id);
                 wire::put_u32(out, *state);
                 wire::put_u64(out, *wall_us);
-                wire::put_str(out, message);
+                wire::put_str(out, message.as_ref());
             }
-            Frame::Shutdown => {}
+            FrameOf::Shutdown => {}
         }
+        &[]
     }
 
-    /// Append the complete frame (header + payload) to `out`.
+    /// Append the complete frame (header + payload) to `out`. An owned
+    /// frame and its borrowed twin append the same bytes.
     ///
     /// The payload is staged in a thread-local scratch buffer (the varint
     /// length prefix needs the payload size before the payload bytes), so
     /// steady-state encoding allocates nothing per frame — at 100k-task
     /// graph sizes the per-`Submit` `Vec` this replaces was a measurable
-    /// slice of per-task overhead.
+    /// slice of per-task overhead. A snapshot's or a block's bytes are not
+    /// staged: they go from the frame's blob straight into `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         thread_local! {
             static SCRATCH: std::cell::RefCell<Vec<u8>> =
@@ -882,35 +696,19 @@ impl Frame {
         SCRATCH.with(|cell| {
             let mut payload = cell.borrow_mut();
             payload.clear();
-            self.encode_payload(&mut payload);
+            let tail = self.encode_payload(&mut payload);
             out.extend_from_slice(&MAGIC);
             out.push(VERSION);
             out.push(self.frame_type());
-            varint::put(out, payload.len() as u64);
+            varint::put(out, (payload.len() + tail.len()) as u64);
             out.extend_from_slice(&payload);
-            // Don't let one huge Data/Block frame pin its footprint.
+            out.extend_from_slice(tail);
+            // Don't let one huge Done or Submit pin its footprint.
             if payload.capacity() > 1024 * 1024 {
                 payload.clear();
                 payload.shrink_to(1024 * 1024);
             }
         });
-    }
-
-    /// Append a complete [`Frame::BlockData`] for a block the caller only
-    /// borrows: the bytes [`Frame::encode_into`] gives for the owned frame,
-    /// without building one and without staging the block — its bytes are
-    /// copied once, from `blob` into `out` (behind
-    /// [`crate::SendBuf::push_block`]).
-    pub(crate) fn encode_block_data_into(hash: u128, blob: &Blob, out: &mut Vec<u8>) {
-        // Two hash halves, a codec tag, a length: small, next to the block.
-        let mut head = Vec::with_capacity(64);
-        put_block_head(&mut head, hash, blob);
-        out.extend_from_slice(&MAGIC);
-        out.push(VERSION);
-        out.push(T_BLOCK_DATA);
-        varint::put(out, (head.len() + blob.bytes.len()) as u64);
-        out.extend_from_slice(&head);
-        out.extend_from_slice(&blob.bytes);
     }
 
     /// The complete encoded frame as a fresh buffer.
@@ -919,39 +717,14 @@ impl Frame {
         self.encode_into(&mut out);
         out
     }
-
-    /// Try to decode one frame from the front of `buf`.
-    ///
-    /// * `Ok(Some((frame, consumed)))` — a complete frame; the caller drops
-    ///   the first `consumed` bytes and may retry for pipelined frames.
-    /// * `Ok(None)` — `buf` holds a valid prefix; read more bytes.
-    /// * `Err(_)` — the stream is corrupt; close the connection.
-    ///
-    /// This is the owning convenience over [`FrameRef::decode`]: it pays
-    /// one copy per string/blob field. Hot paths decode a [`FrameRef`] and
-    /// borrow instead.
-    ///
-    /// ```
-    /// use rnet::Frame;
-    ///
-    /// let wire = Frame::BlockRequest { hash: 42 }.encode();
-    /// // A prefix asks for more bytes; the full buffer decodes.
-    /// assert_eq!(Frame::decode(&wire[..3]).unwrap(), None);
-    /// let (frame, used) = Frame::decode(&wire).unwrap().expect("complete");
-    /// assert_eq!(frame, Frame::BlockRequest { hash: 42 });
-    /// assert_eq!(used, wire.len());
-    /// ```
-    pub fn decode(buf: &[u8]) -> Result<Option<(Frame, usize)>, DecodeError> {
-        Ok(FrameRef::decode(buf)?.map(|(f, n)| (f.to_owned(), n)))
-    }
 }
 
-impl<'a> FrameRef<'a> {
-    fn decode_payload(frame_type: u8, payload: &'a [u8]) -> Result<FrameRef<'a>, DecodeError> {
+impl<'a, S: From<&'a str>, B: From<&'a [u8]>> FrameOf<S, B> {
+    fn decode_payload(frame_type: u8, payload: &'a [u8]) -> Result<Self, DecodeError> {
         let mut r = Reader::new(payload);
         let frame = match frame_type {
-            T_HELLO => FrameRef::Hello {
-                name: r.str_ref()?,
+            T_HELLO => FrameOf::Hello {
+                name: read_str(&mut r)?,
                 cores: r.u32()?,
                 gpus: r.u32()?,
                 mem_gib: r.u32()?,
@@ -964,7 +737,7 @@ impl<'a> FrameRef<'a> {
                 let fn_id = r.u64()?;
                 let fn_name = match r.u64()? {
                     0 => None,
-                    1 => Some(r.str_ref()?),
+                    1 => Some(read_str(&mut r)?),
                     other => {
                         return Err(DecodeError::Malformed(format!("bad option flag {other}")))
                     }
@@ -979,14 +752,14 @@ impl<'a> FrameRef<'a> {
                 let mut args = Vec::with_capacity(n_args.min(1024));
                 for _ in 0..n_args {
                     args.push(match r.u64()? {
-                        0 => WireArgRef::Inline { key: r.u64()?, blob: read_blob_ref(&mut r)? },
-                        2 => WireArgRef::Block { key: r.u64()?, hash: read_hash(&mut r)? },
+                        0 => WireArgOf::Inline { key: r.u64()?, blob: read_blob(&mut r)? },
+                        2 => WireArgOf::Block { key: r.u64()?, hash: read_hash(&mut r)? },
                         other => {
                             return Err(DecodeError::Malformed(format!("bad arg kind {other}")))
                         }
                     });
                 }
-                FrameRef::Submit {
+                FrameOf::Submit {
                     exec_id,
                     task_id,
                     attempt,
@@ -1007,11 +780,11 @@ impl<'a> FrameRef<'a> {
                 let n = r.u64()? as usize;
                 let mut outputs = Vec::with_capacity(n.min(1024));
                 for _ in 0..n {
-                    outputs.push(read_blob_ref(&mut r)?);
+                    outputs.push(read_blob(&mut r)?);
                 }
-                FrameRef::Done { exec_id, recv_us, start_us, end_us, outputs }
+                FrameOf::Done { exec_id, recv_us, start_us, end_us, outputs }
             }
-            T_FAILED => FrameRef::Failed { exec_id: r.u64()?, message: r.str_ref()? },
+            T_FAILED => FrameOf::Failed { exec_id: r.u64()?, message: read_str(&mut r)? },
             T_HEARTBEAT => {
                 let seq = r.u64()?;
                 let t_send_us = r.u64()?;
@@ -1022,38 +795,38 @@ impl<'a> FrameRef<'a> {
                         return Err(DecodeError::Malformed(format!("bad telemetry flag {other}")))
                     }
                 };
-                FrameRef::Heartbeat { seq, t_send_us, telemetry }
+                FrameOf::Heartbeat { seq, t_send_us, telemetry }
             }
-            T_HEARTBEAT_ACK => FrameRef::HeartbeatAck {
+            T_HEARTBEAT_ACK => FrameOf::HeartbeatAck {
                 seq: r.u64()?,
                 t_send_us: r.u64()?,
                 recv_us: r.u64()?,
                 reply_us: r.u64()?,
             },
-            T_DATA => FrameRef::Data { key: r.u64()?, blob: read_blob_ref(&mut r)? },
-            T_BLOCK_REQUEST => FrameRef::BlockRequest { hash: read_hash(&mut r)? },
+            T_DATA => FrameOf::Data { key: r.u64()?, blob: read_blob(&mut r)? },
+            T_BLOCK_REQUEST => FrameOf::BlockRequest { hash: read_hash(&mut r)? },
             T_BLOCK_DATA => {
-                FrameRef::BlockData { hash: read_hash(&mut r)?, blob: read_blob_ref(&mut r)? }
+                FrameOf::BlockData { hash: read_hash(&mut r)?, blob: read_blob(&mut r)? }
             }
-            T_BLOCK_EVICT => FrameRef::BlockEvict { hash: read_hash(&mut r)? },
-            T_CLIENT_HELLO => FrameRef::ClientHello { tenant: r.str_ref()?, proto: r.u32()? },
-            T_SUBMIT_SWEEP => FrameRef::SubmitSweep {
-                name: r.str_ref()?,
-                space_json: r.str_ref()?,
-                algo: r.str_ref()?,
+            T_BLOCK_EVICT => FrameOf::BlockEvict { hash: read_hash(&mut r)? },
+            T_CLIENT_HELLO => FrameOf::ClientHello { tenant: read_str(&mut r)?, proto: r.u32()? },
+            T_SUBMIT_SWEEP => FrameOf::SubmitSweep {
+                name: read_str(&mut r)?,
+                space_json: read_str(&mut r)?,
+                algo: read_str(&mut r)?,
                 trials: r.u32()?,
                 seed: r.u64()?,
                 wave: r.u32()?,
             },
-            T_SWEEP_REJECT => FrameRef::SweepReject { code: r.u32()?, message: r.str_ref()? },
-            T_SWEEP_STATUS => FrameRef::SweepStatus {
+            T_SWEEP_REJECT => FrameOf::SweepReject { code: r.u32()?, message: read_str(&mut r)? },
+            T_SWEEP_STATUS => FrameOf::SweepStatus {
                 sweep_id: r.u64()?,
                 state: r.u32()?,
                 done: r.u32()?,
                 failed: r.u32()?,
                 total: r.u32()?,
                 best_acc: r.f64()?,
-                best_label: r.str_ref()?,
+                best_label: read_str(&mut r)?,
                 throttled: r.u64()?,
                 follow: r.u32()?,
             },
@@ -1062,147 +835,65 @@ impl<'a> FrameRef<'a> {
                 let n = r.u64()? as usize;
                 let mut rows = Vec::with_capacity(n.min(1024));
                 for _ in 0..n {
-                    rows.push(LeaderRowRef {
-                        label: r.str_ref()?,
+                    rows.push(LeaderRowOf {
+                        label: read_str(&mut r)?,
                         accuracy: r.f64()?,
                         epochs: r.u32()?,
                         task_us: r.u64()?,
                     });
                 }
-                FrameRef::LeaderboardChunk { sweep_id, rows }
+                FrameOf::LeaderboardChunk { sweep_id, rows }
             }
-            T_CANCEL_SWEEP => FrameRef::CancelSweep { sweep_id: r.u64()? },
-            T_SWEEP_DONE => FrameRef::SweepDone {
+            T_CANCEL_SWEEP => FrameOf::CancelSweep { sweep_id: r.u64()? },
+            T_SWEEP_DONE => FrameOf::SweepDone {
                 sweep_id: r.u64()?,
                 state: r.u32()?,
                 wall_us: r.u64()?,
-                message: r.str_ref()?,
+                message: read_str(&mut r)?,
             },
-            T_SHUTDOWN => FrameRef::Shutdown,
+            T_SHUTDOWN => FrameOf::Shutdown,
             other => return Err(DecodeError::UnknownFrameType(other)),
         };
         r.finish()?;
         Ok(frame)
     }
 
-    /// Zero-copy decode of one frame from the front of `buf`; the same
-    /// contract as [`Frame::decode`], but string and blob fields borrow
-    /// from `buf` instead of copying.
-    pub fn decode(buf: &'a [u8]) -> Result<Option<(FrameRef<'a>, usize)>, DecodeError> {
+    /// Try to decode one frame from the front of `buf`.
+    ///
+    /// * `Ok(Some((frame, consumed)))` — a complete frame; the caller drops
+    ///   the first `consumed` bytes and may retry for pipelined frames.
+    /// * `Ok(None)` — `buf` holds a valid prefix; read more bytes.
+    /// * `Err(_)` — the stream is corrupt; close the connection.
+    ///
+    /// [`FrameRef::decode`] borrows every string and blob from `buf`;
+    /// [`Frame::decode`] copies each one.
+    ///
+    /// ```
+    /// use rnet::Frame;
+    ///
+    /// let wire = Frame::BlockRequest { hash: 42 }.encode();
+    /// // A prefix asks for more bytes; the full buffer decodes.
+    /// assert_eq!(Frame::decode(&wire[..3]).unwrap(), None);
+    /// let (frame, used) = Frame::decode(&wire).unwrap().expect("complete");
+    /// assert_eq!(frame, Frame::BlockRequest { hash: 42 });
+    /// assert_eq!(used, wire.len());
+    /// ```
+    pub fn decode(buf: &'a [u8]) -> Result<Option<(Self, usize)>, DecodeError> {
         let Some((payload_at, total, frame_type)) = frame_extent(buf)? else {
             return Ok(None);
         };
-        let payload = &buf[payload_at..total];
-        Ok(Some((Self::decode_payload(frame_type, payload)?, total)))
+        Ok(Some((Self::decode_payload(frame_type, &buf[payload_at..total])?, total)))
     }
+}
 
-    /// Materialise an owned [`Frame`], copying every borrowed field.
+impl FrameRef<'_> {
+    /// Materialise an owned [`Frame`], copying every borrowed field: the
+    /// owned decode of this frame's own payload.
     pub fn to_owned(&self) -> Frame {
-        match self {
-            FrameRef::Hello { name, cores, gpus, mem_gib } => Frame::Hello {
-                name: name.to_string(),
-                cores: *cores,
-                gpus: *gpus,
-                mem_gib: *mem_gib,
-            },
-            FrameRef::Submit {
-                exec_id,
-                task_id,
-                attempt,
-                node,
-                fn_id,
-                fn_name,
-                variant,
-                cores,
-                gpus,
-                args,
-            } => Frame::Submit {
-                exec_id: *exec_id,
-                task_id: *task_id,
-                attempt: *attempt,
-                node: *node,
-                fn_id: *fn_id,
-                fn_name: fn_name.map(|s| s.to_string()),
-                variant: *variant,
-                cores: cores.clone(),
-                gpus: gpus.clone(),
-                args: args.iter().map(|a| a.to_owned()).collect(),
-            },
-            FrameRef::Done { exec_id, recv_us, start_us, end_us, outputs } => Frame::Done {
-                exec_id: *exec_id,
-                recv_us: *recv_us,
-                start_us: *start_us,
-                end_us: *end_us,
-                outputs: outputs.iter().map(|b| b.to_owned()).collect(),
-            },
-            FrameRef::Failed { exec_id, message } => {
-                Frame::Failed { exec_id: *exec_id, message: message.to_string() }
-            }
-            FrameRef::Heartbeat { seq, t_send_us, telemetry } => {
-                Frame::Heartbeat { seq: *seq, t_send_us: *t_send_us, telemetry: *telemetry }
-            }
-            FrameRef::HeartbeatAck { seq, t_send_us, recv_us, reply_us } => Frame::HeartbeatAck {
-                seq: *seq,
-                t_send_us: *t_send_us,
-                recv_us: *recv_us,
-                reply_us: *reply_us,
-            },
-            FrameRef::Data { key, blob } => Frame::Data { key: *key, blob: blob.to_owned() },
-            FrameRef::BlockRequest { hash } => Frame::BlockRequest { hash: *hash },
-            FrameRef::BlockData { hash, blob } => {
-                Frame::BlockData { hash: *hash, blob: blob.to_owned() }
-            }
-            FrameRef::BlockEvict { hash } => Frame::BlockEvict { hash: *hash },
-            FrameRef::ClientHello { tenant, proto } => {
-                Frame::ClientHello { tenant: tenant.to_string(), proto: *proto }
-            }
-            FrameRef::SubmitSweep { name, space_json, algo, trials, seed, wave } => {
-                Frame::SubmitSweep {
-                    name: name.to_string(),
-                    space_json: space_json.to_string(),
-                    algo: algo.to_string(),
-                    trials: *trials,
-                    seed: *seed,
-                    wave: *wave,
-                }
-            }
-            FrameRef::SweepReject { code, message } => {
-                Frame::SweepReject { code: *code, message: message.to_string() }
-            }
-            FrameRef::SweepStatus {
-                sweep_id,
-                state,
-                done,
-                failed,
-                total,
-                best_acc,
-                best_label,
-                throttled,
-                follow,
-            } => Frame::SweepStatus {
-                sweep_id: *sweep_id,
-                state: *state,
-                done: *done,
-                failed: *failed,
-                total: *total,
-                best_acc: *best_acc,
-                best_label: best_label.to_string(),
-                throttled: *throttled,
-                follow: *follow,
-            },
-            FrameRef::LeaderboardChunk { sweep_id, rows } => Frame::LeaderboardChunk {
-                sweep_id: *sweep_id,
-                rows: rows.iter().map(|row| row.to_owned()).collect(),
-            },
-            FrameRef::CancelSweep { sweep_id } => Frame::CancelSweep { sweep_id: *sweep_id },
-            FrameRef::SweepDone { sweep_id, state, wall_us, message } => Frame::SweepDone {
-                sweep_id: *sweep_id,
-                state: *state,
-                wall_us: *wall_us,
-                message: message.to_string(),
-            },
-            FrameRef::Shutdown => Frame::Shutdown,
-        }
+        let mut payload = Vec::new();
+        let tail = self.encode_payload(&mut payload);
+        payload.extend_from_slice(tail);
+        Frame::decode_payload(self.frame_type(), &payload).expect("the decoder reads the encoder")
     }
 }
 

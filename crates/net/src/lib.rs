@@ -9,8 +9,9 @@
 //!   on these so driver and worker agree byte for byte;
 //! * [`frame`] — the versioned, magic-prefixed frame model (task submit
 //!   with interned function names, done/failed, heartbeat, task snapshots,
-//!   content-addressed blocks, shutdown), with both owning ([`Frame::decode`]) and zero-copy
-//!   ([`frame::FrameRef::decode`]) decode paths;
+//!   content-addressed blocks, shutdown), defined once as [`FrameOf`] with
+//!   one encoder and one decoder: [`Frame`] owns its strings and blobs,
+//!   [`FrameRef`] borrows them;
 //! * [`poll`] + [`nonblock`] — the readiness layer: an epoll
 //!   [`poll::Poller`] with a self-pipe [`poll::Waker`], and per-connection
 //!   [`nonblock::RecvBuf`]/[`nonblock::SendBuf`] reusable buffers that the
@@ -57,8 +58,8 @@ pub mod wire;
 
 pub use conn::{read_frame, write_frame, write_frames};
 pub use frame::{
-    Blob, BlobRef, DecodeError, Frame, FrameRef, LeaderRow, LeaderRowRef, WireArg, WireArgRef,
-    MAGIC, MAX_PAYLOAD, VERSION,
+    Blob, BlobOf, BlobRef, DecodeError, Frame, FrameOf, FrameRef, LeaderRow, LeaderRowOf,
+    LeaderRowRef, WireArg, WireArgOf, WireArgRef, MAGIC, MAX_PAYLOAD, VERSION,
 };
 pub use nonblock::{Fill, RecvBuf, SendBuf};
 pub use poll::{Event, Interest, Poller, Waker};

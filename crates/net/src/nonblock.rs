@@ -7,10 +7,11 @@
 //!   and peels complete frames off the front as zero-copy
 //!   [`FrameRef`]s — the decoded strings and blobs
 //!   point straight into the buffer.
-//! * [`SendBuf`] coalesces any number of encoded frames into one
-//!   contiguous backlog and drains it with as few `write` calls as the
-//!   socket accepts, reporting `WouldBlock` as "not drained" so the caller
-//!   can re-register write interest instead of spinning.
+//! * [`SendBuf`] coalesces any number of encoded frames, owned or
+//!   borrowed, into one contiguous backlog and drains it with as few
+//!   `write` calls as the socket accepts, reporting `WouldBlock` as "not
+//!   drained" so the caller can re-register write interest instead of
+//!   spinning.
 //!
 //! Both reuse their allocation across frames and shrink it back after
 //! bursts, so a long-lived connection settles into zero steady-state
@@ -40,7 +41,7 @@
 
 use std::io::{self, Read, Write};
 
-use crate::frame::{Blob, DecodeError, Frame, FrameRef};
+use crate::frame::{DecodeError, FrameOf, FrameRef};
 
 /// Bytes of spare tail capacity guaranteed before each socket read.
 const READ_CHUNK: usize = 64 * 1024;
@@ -144,11 +145,19 @@ impl RecvBuf {
     /// buffer holds at most a frame prefix; errors are fatal to the
     /// stream. The returned frame borrows this buffer.
     pub fn next_frame(&mut self) -> Result<Option<FrameRef<'_>>, DecodeError> {
+        self.next_frame_as()
+    }
+
+    /// [`RecvBuf::next_frame`] in either form: a [`crate::Frame`] copies
+    /// its strings and blobs out, and then borrows nothing.
+    pub(crate) fn next_frame_as<'a, S: From<&'a str>, B: From<&'a [u8]>>(
+        &'a mut self,
+    ) -> Result<Option<FrameOf<S, B>>, DecodeError> {
         self.compact();
         // Split the borrows: the frame borrows `buf`, the cursor advance
         // touches only `start`.
         let RecvBuf { buf, start, end } = self;
-        match FrameRef::decode(&buf[*start..*end])? {
+        match FrameOf::decode(&buf[*start..*end])? {
             Some((frame, used)) => {
                 *start += used;
                 Ok(Some(frame))
@@ -178,16 +187,11 @@ impl SendBuf {
         SendBuf::default()
     }
 
-    /// Encode `frame` onto the backlog (no I/O).
-    pub fn push(&mut self, frame: &Frame) {
+    /// Encode `frame` onto the backlog (no I/O). A [`FrameRef`] encodes
+    /// from what the caller keeps: a borrowed block is copied once, into
+    /// the backlog.
+    pub fn push<S: AsRef<str>, B: AsRef<[u8]>>(&mut self, frame: &FrameOf<S, B>) {
         frame.encode_into(&mut self.buf);
-    }
-
-    /// Encode a `BlockData` frame onto the backlog from a block the caller
-    /// keeps (no I/O): what `push(&Frame::BlockData { .. })` appends, without
-    /// cloning the block's bytes into a frame first.
-    pub fn push_block(&mut self, hash: u128, blob: &Blob) {
-        Frame::encode_block_data_into(hash, blob, &mut self.buf);
     }
 
     /// Bytes encoded but not yet written.
@@ -250,7 +254,7 @@ impl SendBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::WireArg;
+    use crate::frame::{Blob, BlobRef, Frame, WireArg};
 
     fn frames() -> Vec<Frame> {
         vec![
@@ -325,16 +329,21 @@ mod tests {
         // Empty, shorter than the staged head, and large enough that the
         // payload length takes a three-byte varint.
         for len in [0usize, 5, 150_000] {
-            let blob = Blob { tag: "hpo.stage".into(), bytes: (0..len).map(|i| i as u8).collect() };
+            let bytes: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let blob = BlobRef { tag: "hpo.stage", bytes: &bytes };
             let hash = (0xfeed_u128 << 64) | len as u128;
+            let owned_frame = Frame::BlockData {
+                hash,
+                blob: Blob { tag: blob.tag.into(), bytes: bytes.clone() },
+            };
             let (mut owned, mut borrowed) = (SendBuf::new(), SendBuf::new());
             owned.push(&Frame::Shutdown);
             borrowed.push(&Frame::Shutdown);
-            owned.push(&Frame::BlockData { hash, blob: blob.clone() });
-            borrowed.push_block(hash, &blob);
+            owned.push(&owned_frame);
+            borrowed.push(&FrameRef::BlockData { hash, blob });
             assert_eq!(borrowed.buf, owned.buf, "{len}-byte block");
             let (frame, used) = Frame::decode(&borrowed.buf[5..]).unwrap().expect("complete");
-            assert_eq!(frame, Frame::BlockData { hash, blob });
+            assert_eq!(frame, owned_frame);
             assert_eq!(used + 5, borrowed.buf.len());
         }
     }

@@ -6,11 +6,16 @@
 //! The decoder is incremental-friendly: it distinguishes "need more bytes"
 //! from "malformed", which is what lets [`crate::nonblock::RecvBuf`] resume
 //! across arbitrary read boundaries.
+//!
+//! Both functions are `#[inline]`, like the [`crate::wire`] primitives: the
+//! frame codec is generic, so it is compiled in the crates that use it, and
+//! a field write there must not become a call into this crate.
 
 /// Maximum encoded length of a `u64` (⌈64/7⌉ bytes).
 pub const MAX_LEN: usize = 10;
 
 /// Append the LEB128 encoding of `v` to `out`.
+#[inline]
 pub fn put(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
@@ -35,6 +40,7 @@ pub enum Take {
 }
 
 /// Decode one LEB128 value from the front of `buf`.
+#[inline]
 pub fn take(buf: &[u8]) -> Take {
     let mut v: u64 = 0;
     for (i, &byte) in buf.iter().enumerate() {

@@ -4,6 +4,10 @@
 //!
 //! Integers are LEB128 varints ([`crate::varint`]), floats are IEEE-754
 //! little-endian, byte strings and UTF-8 strings are length-prefixed.
+//!
+//! The field primitives are `#[inline]`: the frame codec is generic over
+//! owned and borrowed frames, so it is compiled in the crates that use it,
+//! and each field it writes or reads must stay inlinable there.
 
 use crate::varint;
 
@@ -20,27 +24,32 @@ impl std::fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 /// Append a varint.
+#[inline]
 pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     varint::put(out, v);
 }
 
 /// Append a varint (32-bit convenience).
+#[inline]
 pub fn put_u32(out: &mut Vec<u8>, v: u32) {
     varint::put(out, u64::from(v));
 }
 
 /// Append an IEEE-754 double, little-endian.
+#[inline]
 pub fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Append a length-prefixed byte string.
+#[inline]
 pub fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
     varint::put(out, b.len() as u64);
     out.extend_from_slice(b);
 }
 
 /// Append a length-prefixed UTF-8 string.
+#[inline]
 pub fn put_str(out: &mut Vec<u8>, s: &str) {
     put_bytes(out, s.as_bytes());
 }
@@ -67,6 +76,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Next varint.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, WireError> {
         match varint::take(&self.buf[self.pos..]) {
             varint::Take::Got(v, n) => {
@@ -79,11 +89,13 @@ impl<'a> Reader<'a> {
     }
 
     /// Next varint, checked to fit `u32`.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, WireError> {
         u32::try_from(self.u64()?).map_err(|_| WireError("varint exceeds u32".into()))
     }
 
     /// Next IEEE-754 double.
+    #[inline]
     pub fn f64(&mut self) -> Result<f64, WireError> {
         let end = self.pos.checked_add(8).filter(|&e| e <= self.buf.len());
         let end = end.ok_or_else(|| WireError("truncated f64".into()))?;
@@ -94,6 +106,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Next length-prefixed byte string (borrowed).
+    #[inline]
     pub fn bytes(&mut self) -> Result<&'a [u8], WireError> {
         let len = self.u64()? as usize;
         let end = self.pos.checked_add(len).filter(|&e| e <= self.buf.len());
@@ -105,6 +118,7 @@ impl<'a> Reader<'a> {
 
     /// Next length-prefixed UTF-8 string, borrowed from the payload —
     /// the zero-copy accessor behind [`crate::frame::FrameRef`].
+    #[inline]
     pub fn str_ref(&mut self) -> Result<&'a str, WireError> {
         std::str::from_utf8(self.bytes()?).map_err(|_| WireError("invalid UTF-8 string".into()))
     }

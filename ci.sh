@@ -9,7 +9,9 @@
 # root package, and rustdoc must build warning-free across the workspace
 # (RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace). The frame
 # table gate holds DESIGN.md's two frame catalogues to the type bytes in
-# crates/net/src/frame.rs, live and retired, number and name, and
+# crates/net/src/frame.rs, live and retired, number and name, every --flag
+# README.md names must be in `hpo-run --help` (rendered from src/cli.rs's
+# flag table, whose unit test names a gate for every flag), and
 # `Poller::fallback`, an alias for `Poller::new` that only benchmark/ still
 # names, must have no caller anywhere else;
 # tier-1 is the ROADMAP.md contract, `cargo build --release && cargo test
@@ -59,10 +61,10 @@
 # GET /metrics live over bash's /dev/tcp, validates the exposition with
 # prom-check, and diffs the execution-span count of the --trace-out trace
 # (spans built from the workers' Done stamps) against the trial CSV. The
-# sweep-server smoke boots a long-lived rcompss-server with
-# two dial-in workers, submits a sweep over the client CLI, and checks the
-# served leaderboard matches the standalone run and the hposerver_ metric
-# family scrapes clean — and, the long-lived server's leak gate, that once
+# sweep-server smoke boots a long-lived rcompss-server with one dialled-out
+# and one dial-in worker, submits a sweep over the client CLI, and checks
+# the served leaderboard matches the standalone run and the hposerver_
+# metric family scrapes clean — and, the long-lived server's leak gate, that once
 # the sweep is done the runtime holds no task, no data version and no
 # task snapshot (rcompss_live_tasks, rcompss_live_data_versions and
 # rcompss_live_snapshot_bytes read 0), and that its scrape carries neither
@@ -106,6 +108,24 @@ if ! diff <(frames_in_code | sort -n) <(frames_in_design | sort -n); then
     exit 1
 fi
 echo "frame table: $(frames_in_code | grep -vc ' -$') live, $(frames_in_code | grep -c ' -$') retired"
+
+echo "==> README flags: every --flag README.md names is in hpo-run --help"
+# The help is rendered from src/cli.rs's flag table, whose unit test
+# (`every_flag_pair_names_a_live_gate`, in tier-1) holds each (subcommand,
+# flag) pair to a test or stage here that sets it. Cargo's flags are not
+# hpo-run's.
+HELP=$(cargo run --release --quiet --bin hpo-run -- --help)
+README_FLAGS=$(grep -oE -- '--[a-z][a-z0-9-]*' README.md | sort -u \
+    | grep -vxE -- '--(release|bin|example|workspace|bench|test)')
+MISSING=$(for flag in $README_FLAGS; do
+    grep -qE -- "(^|[^a-z0-9-])$flag([^a-z0-9-]|\$)" <<< "$HELP" || echo "$flag"
+done)
+if [ -n "$MISSING" ]; then
+    echo "README flags FAILED: README.md names flags hpo-run --help lacks:" $MISSING >&2
+    exit 1
+fi
+echo "README flags: $(wc -w <<< "$README_FLAGS") named, all in --help;" \
+    "$(grep -c '^    --' <<< "$HELP") (subcommand, flag) pairs in --help"
 
 echo "==> Poller::fallback: an alias with no caller outside benchmark/"
 if git grep -n 'Poller::fallback' -- ':!benchmark' ':!*.md' ':!ci.sh'; then
@@ -339,21 +359,21 @@ fi
 echo "telemetry smoke: scrapes valid, $SPANS exec spans == $TRIALS trials"
 
 echo "==> sweep-server smoke: multi-tenant daemon, client CLI, /metrics"
-# Long-lived rcompss-server owns the pool (two workers dial in), a tenant
-# submits the same grid over the client CLI and streams the leaderboard to
-# CSV. The served per-trial table must match the standalone threaded run
-# bit-for-bit, and the scrape must expose a valid hposerver_ family.
-./target/release/rcompss-server --listen 127.0.0.1:7296 --expect-workers 2 \
-    --samples 200 --status-addr 127.0.0.1:7295 &
+# Long-lived rcompss-server owns a mixed pool: it dials out to one worker
+# and one worker dials in. A tenant submits the same grid over the client
+# CLI and streams the leaderboard to CSV. The served per-trial table must
+# match the standalone threaded run bit-for-bit, and the scrape must expose
+# a valid hposerver_ family.
+./target/release/rcompss-worker --listen 127.0.0.1:7297 --name srv-w0 --samples 200 &
 WORKER_PIDS+=($!)
-./target/release/rcompss-worker --listen 127.0.0.1:7297 --name srv-w0 --samples 200 \
-    --dial 127.0.0.1:7296 &
+./target/release/rcompss-server --listen 127.0.0.1:7296 --workers 127.0.0.1:7297 \
+    --expect-workers 1 --samples 200 --status-addr 127.0.0.1:7295 &
 WORKER_PIDS+=($!)
 ./target/release/rcompss-worker --listen 127.0.0.1:7298 --name srv-w1 --samples 200 \
     --dial 127.0.0.1:7296 &
 WORKER_PIDS+=($!)
-# The pool forms (dial-ins are retried for up to 10s), then the status
-# endpoint comes up: poll it as the readiness gate.
+# The pool forms (the dial-out and the dial-in are each retried for a
+# while), then the status endpoint comes up: poll it as the readiness gate.
 SERVER_UP=""
 for _ in $(seq 1 400); do
     if SERVER_UP=$(scrape 7295 /metrics 2>/dev/null) && [ -n "$SERVER_UP" ]; then

@@ -25,7 +25,8 @@ pub struct SubmitSpec {
     pub trials: u32,
     /// RNG seed — same seed, same space, same algorithm ⇒ same trials.
     pub seed: u64,
-    /// Requested wave size; `0` accepts the server default.
+    /// Wave size: at most this many trials per round (`0` = no bound
+    /// beyond the algorithm's own parallelism).
     pub wave: u32,
 }
 

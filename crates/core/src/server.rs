@@ -135,20 +135,11 @@ pub struct ServerConfig {
     /// An exhausted tenant's running sweeps halt cleanly and further
     /// submissions get [`REJECT_QUOTA`].
     pub quota_trials: u64,
-    /// Default wave size applied to sweeps that do not request one.
-    pub wave: Option<usize>,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        ServerConfig {
-            max_active: 4,
-            max_queued: 16,
-            rate: 0.0,
-            burst: 8.0,
-            quota_trials: 0,
-            wave: None,
-        }
+        ServerConfig { max_active: 4, max_queued: 16, rate: 0.0, burst: 8.0, quota_trials: 0 }
     }
 }
 
@@ -720,8 +711,6 @@ fn run_sweep(inner: Arc<ServerInner>, id: u64) {
     let mut opts = inner.opts.clone();
     if spec.wave > 0 {
         opts.wave_size = Some(spec.wave as usize);
-    } else if let Some(w) = inner.cfg.wave {
-        opts.wave_size = Some(w);
     }
     let runner = HpoRunner::new(opts);
     let latency = inner.rt.metrics().histogram(&runmetrics::labeled(

@@ -213,12 +213,7 @@ fn cancel_mid_sweep_drains_cleanly_and_the_pool_is_reused() {
     // Slow trials + 2-wide waves so the cancel lands mid-run.
     let obj = objective(Duration::from_millis(60));
     let workers = spawn_workers(2, &opts, &obj);
-    let server = start_server(
-        &workers,
-        &opts,
-        &obj,
-        ServerConfig { wave: Some(2), ..ServerConfig::default() },
-    );
+    let server = start_server(&workers, &opts, &obj, ServerConfig::default());
 
     let mut watcher = connect(&server, "carol");
     let spec = SubmitSpec {
@@ -227,7 +222,7 @@ fn cancel_mid_sweep_drains_cleanly_and_the_pool_is_reused() {
         algo: "grid".to_string(),
         trials: 0,
         seed: 0,
-        wave: 0,
+        wave: 2,
     };
     let info = watcher.submit(&spec).expect("io").expect("accepted");
 

@@ -265,7 +265,7 @@ pub enum FrameOf<S, B> {
         trials: u32,
         /// RNG seed — same seed + space + algo ⇒ same trial sequence.
         seed: u64,
-        /// Wave size override (0 = server default).
+        /// Wave size: at most this many trials per round (0 = no bound).
         wave: u32,
     },
     /// Server → client: a request was refused (admission control, quota,

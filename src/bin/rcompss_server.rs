@@ -22,10 +22,7 @@ fn main() -> ExitCode {
     let refs: Vec<&str> = raw.iter().map(String::as_str).collect();
     let args = match cli::parse_serve(&refs) {
         Ok(a) => a,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return e.report(),
     };
     match server_cmd::serve(&args) {
         Ok(()) => ExitCode::SUCCESS,

@@ -21,10 +21,7 @@ fn main() -> ExitCode {
     let refs: Vec<&str> = raw.iter().map(String::as_str).collect();
     let args = match cli::parse_worker(&refs) {
         Ok(a) => a,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return e.report(),
     };
     match worker::serve(&args) {
         Ok(()) => ExitCode::SUCCESS,

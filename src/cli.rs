@@ -2,9 +2,14 @@
 //! paper's `runcompss application.py json_file` entry point.
 //!
 //! Hand-rolled argument parsing (no CLI crates in the approved dependency
-//! set), exposed as a library module so it is unit-testable.
+//! set), exposed as a library module so it is unit-testable. Every flag is
+//! one row of `FLAGS`: one scanner reads a command line against the rows
+//! of its subcommand, and `--help` is rendered from the same rows, so the
+//! two cannot drift apart.
 
 use std::fmt;
+use std::process::ExitCode;
+use std::str::FromStr;
 
 /// Which search algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,6 +36,20 @@ impl AlgoChoice {
     }
 }
 
+impl FromStr for AlgoChoice {
+    type Err = &'static str;
+
+    fn from_str(v: &str) -> Result<Self, Self::Err> {
+        match v {
+            "grid" => Ok(AlgoChoice::Grid),
+            "random" => Ok(AlgoChoice::Random),
+            "tpe" => Ok(AlgoChoice::Tpe),
+            "bayes" => Ok(AlgoChoice::Bayes),
+            _ => Err("expected grid | random | tpe | bayes"),
+        }
+    }
+}
+
 /// Which dataset to train on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DatasetChoice {
@@ -38,6 +57,18 @@ pub enum DatasetChoice {
     Mnist,
     /// CIFAR-10-difficulty synthetic data.
     Cifar10,
+}
+
+impl FromStr for DatasetChoice {
+    type Err = &'static str;
+
+    fn from_str(v: &str) -> Result<Self, Self::Err> {
+        match v {
+            "mnist" => Ok(DatasetChoice::Mnist),
+            "cifar10" | "cifar" => Ok(DatasetChoice::Cifar10),
+            _ => Err("expected mnist | cifar10"),
+        }
+    }
 }
 
 /// Which execution backend to use.
@@ -51,6 +82,56 @@ pub enum BackendChoice {
     Distributed,
 }
 
+impl FromStr for BackendChoice {
+    type Err = &'static str;
+
+    fn from_str(v: &str) -> Result<Self, Self::Err> {
+        match v {
+            "threaded" => Ok(BackendChoice::Threaded),
+            "sim" => Ok(BackendChoice::Sim),
+            "distributed" => Ok(BackendChoice::Distributed),
+            _ => Err("expected threaded | sim | distributed"),
+        }
+    }
+}
+
+/// The dataset recipe: what a driver, its workers and a sweep server must
+/// agree on so that each of them builds the identical objective (see
+/// `worker::build_objective`). One group of `FLAGS` rows, shared by
+/// `run`, `worker` and `serve`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DatasetRecipe {
+    /// Dataset.
+    pub dataset: DatasetChoice,
+    /// Dataset size (examples), at least 1.
+    pub samples: usize,
+    /// Dataset RNG seed (a run's algorithm seed too).
+    pub seed: u64,
+    /// Train CNNs instead of dense nets.
+    pub cnn: bool,
+    /// Early-stop target accuracy, in [0, 1].
+    pub target_accuracy: Option<f64>,
+}
+
+impl DatasetRecipe {
+    fn from_scan(s: &Scan<'_>) -> Result<Self, CliError> {
+        let recipe = DatasetRecipe {
+            dataset: s.req("--dataset")?,
+            samples: s.req("--samples")?,
+            seed: s.req("--seed")?,
+            cnn: s.given("--cnn"),
+            target_accuracy: s.get("--target-accuracy")?,
+        };
+        if recipe.samples == 0 {
+            return Err(bad("--samples must be at least 1"));
+        }
+        if recipe.target_accuracy.is_some_and(|t| !(0.0..=1.0).contains(&t)) {
+            return Err(bad("--target-accuracy must be a number in [0, 1]"));
+        }
+        Ok(recipe)
+    }
+}
+
 /// Parsed command line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CliArgs {
@@ -58,10 +139,8 @@ pub struct CliArgs {
     pub config: String,
     /// Algorithm.
     pub algo: AlgoChoice,
-    /// Dataset.
-    pub dataset: DatasetChoice,
-    /// Dataset size (examples).
-    pub samples: usize,
+    /// Dataset recipe; its seed seeds the algorithm too.
+    pub recipe: DatasetRecipe,
     /// Backend.
     pub backend: BackendChoice,
     /// Virtual cluster size (sim backend) or ignored (threaded).
@@ -70,18 +149,12 @@ pub struct CliArgs {
     pub cores_per_task: u32,
     /// Trial budget for random/TPE/Bayes (grid ignores it).
     pub trials: usize,
-    /// RNG seed.
-    pub seed: u64,
-    /// Early-stop target accuracy.
-    pub target_accuracy: Option<f64>,
     /// Enable tracing (paper's tracing flag).
     pub trace: bool,
     /// Write the task graph DOT here.
     pub graph_out: Option<String>,
     /// Write the trial CSV here.
     pub csv_out: Option<String>,
-    /// Train CNNs instead of dense nets.
-    pub cnn: bool,
     /// Disable runtime metrics (on by default; off = one relaxed atomic
     /// load per instrumentation site).
     pub no_metrics: bool,
@@ -102,46 +175,11 @@ pub struct CliArgs {
     /// Serve live `GET /metrics` + `GET /healthz` on this address while
     /// the run is in flight (e.g. `127.0.0.1:9100`). `None` = no endpoint.
     pub status_addr: Option<String>,
-    /// Declared-size threshold (bytes) above which distributed-backend
-    /// values travel content-addressed through the block plane instead of
-    /// inline in each `Submit`. `u64::MAX` disables the block plane.
-    pub inline_threshold: u64,
     /// Stage-tree prefix sharing: train the prefixes the configs of a
     /// wave share once and fork the rest from snapshots (any algorithm,
     /// threaded or distributed backend; bit-identical leaderboard, fewer
     /// epochs).
     pub share_prefixes: bool,
-}
-
-impl Default for CliArgs {
-    fn default() -> Self {
-        CliArgs {
-            config: String::new(),
-            algo: AlgoChoice::Grid,
-            dataset: DatasetChoice::Mnist,
-            samples: 1_000,
-            backend: BackendChoice::Threaded,
-            nodes: 1,
-            cores_per_task: 1,
-            trials: 20,
-            seed: 42,
-            target_accuracy: None,
-            trace: false,
-            graph_out: None,
-            csv_out: None,
-            cnn: false,
-            no_metrics: false,
-            metrics_out: None,
-            workers: Vec::new(),
-            trace_out: None,
-            ckpt_dir: None,
-            ckpt_every: 1,
-            resume: false,
-            status_addr: None,
-            inline_threshold: 64 * 1024,
-            share_prefixes: false,
-        }
-    }
 }
 
 /// Parsed `worker` subcommand: what an `rcompss-worker` daemon needs to
@@ -157,15 +195,7 @@ pub struct WorkerArgs {
     /// Advertised CPU cores (0 = autodetect).
     pub cores: u32,
     /// Dataset recipe — must match the driver invocation.
-    pub dataset: DatasetChoice,
-    /// Dataset size — must match the driver invocation.
-    pub samples: usize,
-    /// Dataset RNG seed — must match the driver invocation.
-    pub seed: u64,
-    /// CNN architectures — must match the driver invocation.
-    pub cnn: bool,
-    /// In-trial early-stop target — must match the driver invocation.
-    pub target_accuracy: Option<f64>,
+    pub recipe: DatasetRecipe,
     /// Snapshot cadence in epochs (0 = off). Worker-side snapshots ride
     /// back to the driver over the wire, so a trial retried after a worker
     /// loss resumes mid-training instead of from epoch 0.
@@ -182,25 +212,6 @@ pub struct WorkerArgs {
     pub dial: Vec<String>,
 }
 
-impl Default for WorkerArgs {
-    fn default() -> Self {
-        WorkerArgs {
-            listen: "127.0.0.1:7077".to_string(),
-            name: "worker".to_string(),
-            cores: 0,
-            dataset: DatasetChoice::Mnist,
-            samples: 1_000,
-            seed: 42,
-            cnn: false,
-            target_accuracy: None,
-            ckpt_every: 0,
-            status_addr: None,
-            cache_mem_mib: 256,
-            dial: Vec::new(),
-        }
-    }
-}
-
 /// Parsed `serve` subcommand: a long-lived multi-tenant sweep server
 /// (`rcompss-server` / `hpo-run serve`) that owns the worker pool and
 /// runs sweeps submitted by clients.
@@ -213,8 +224,6 @@ pub struct ServeArgs {
     /// Workers expected to dial *in* (started with `--dial` at us)
     /// before the pool is sealed.
     pub expect_workers: usize,
-    /// Deadline (seconds) for gathering the whole pool.
-    pub pool_timeout_secs: u64,
     /// Local thread-pool cores when serving without remote workers
     /// (`0` = distributed mode, require a pool).
     pub local_cores: u32,
@@ -228,53 +237,14 @@ pub struct ServeArgs {
     pub burst: f64,
     /// Per-tenant total trial budget (`0` = unlimited).
     pub quota_trials: u64,
-    /// Default wave size applied to sweeps that do not request one.
-    pub wave: usize,
     /// Dataset recipe — must match the pool's workers.
-    pub dataset: DatasetChoice,
-    /// Dataset size — must match the pool's workers.
-    pub samples: usize,
-    /// Dataset RNG seed — must match the pool's workers.
-    pub seed: u64,
-    /// CNN architectures — must match the pool's workers.
-    pub cnn: bool,
-    /// In-trial early-stop target — must match the pool's workers.
-    pub target_accuracy: Option<f64>,
+    pub recipe: DatasetRecipe,
     /// CPU cores per experiment task.
     pub cores_per_task: u32,
     /// Serve live `GET /metrics` + `/healthz` here.
     pub status_addr: Option<String>,
-    /// Block-plane inline threshold (see the run flag of the same name).
-    pub inline_threshold: u64,
     /// Stage-tree prefix sharing for served sweeps.
     pub share_prefixes: bool,
-}
-
-impl Default for ServeArgs {
-    fn default() -> Self {
-        ServeArgs {
-            listen: "127.0.0.1:7070".to_string(),
-            workers: Vec::new(),
-            expect_workers: 0,
-            pool_timeout_secs: 30,
-            local_cores: 0,
-            max_active: 4,
-            max_queued: 16,
-            rate: 0.0,
-            burst: 8.0,
-            quota_trials: 0,
-            wave: 0,
-            dataset: DatasetChoice::Mnist,
-            samples: 1_000,
-            seed: 42,
-            cnn: false,
-            target_accuracy: None,
-            cores_per_task: 1,
-            status_addr: None,
-            inline_threshold: 64 * 1024,
-            share_prefixes: false,
-        }
-    }
 }
 
 /// What a sweep-client subcommand does once connected.
@@ -282,17 +252,19 @@ impl Default for ServeArgs {
 pub enum ClientAction {
     /// Submit a sweep; optionally stream it to completion.
     Submit {
+        /// Tenant the sweep is charged to.
+        tenant: String,
         /// JSON search-space file.
         config: String,
         /// Sweep display name.
         name: String,
         /// Search algorithm.
         algo: AlgoChoice,
-        /// Trial budget for sampled algorithms.
-        trials: usize,
+        /// Trial budget for sampled algorithms (the wire's `u32`).
+        trials: u32,
         /// RNG seed.
         seed: u64,
-        /// Requested wave size (`0` = server default).
+        /// Wave size (`0` = no bound).
         wave: u32,
         /// Stay connected and stream the leaderboard to completion.
         watch: bool,
@@ -322,8 +294,6 @@ pub enum ClientAction {
 pub struct ClientArgs {
     /// Sweep server address.
     pub server: String,
-    /// Tenant identity this connection submits under.
-    pub tenant: String,
     /// The verb.
     pub action: ClientAction,
 }
@@ -343,239 +313,282 @@ pub enum Command {
     Client(ClientArgs),
 }
 
-/// Parse error with a usage-worthy message.
+/// Why a command line did not yield a [`Command`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CliError(pub String);
+pub enum CliError {
+    /// `-h`/`--help`: the help text, for stdout.
+    Help(String),
+    /// A bad command line: the message, for stderr.
+    Bad(String),
+}
+
+impl CliError {
+    /// Print the text where it belongs and give the exit code: help goes
+    /// to stdout and exits 0, a bad command line to stderr and exits 1.
+    pub fn report(&self) -> ExitCode {
+        match self {
+            CliError::Help(text) => {
+                print!("{text}");
+                ExitCode::SUCCESS
+            }
+            CliError::Bad(msg) => {
+                eprintln!("{msg}");
+                ExitCode::FAILURE
+            }
+        }
+    }
+}
 
 impl fmt::Display for CliError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
+        match self {
+            CliError::Help(text) | CliError::Bad(text) => f.write_str(text),
+        }
     }
 }
 
 impl std::error::Error for CliError {}
 
-/// The `--help` text.
-pub const USAGE: &str = "\
-hpo-run — distributed hyperparameter optimisation (PyCOMPSs-style)
-
-USAGE:
-    hpo-run --config <space.json> [OPTIONS]
-    hpo-run worker [WORKER OPTIONS]
-    hpo-run serve [SERVER OPTIONS]
-    hpo-run submit --server <addr> --config <space.json> [CLIENT OPTIONS]
-    hpo-run status|watch|cancel --server <addr> --sweep <id> [--tenant <t>]
-
-OPTIONS:
-    --config <file>        JSON search-space file (required)
-    --algo <a>             grid | random | tpe | bayes      [grid]
-    --dataset <d>          mnist | cifar10                  [mnist]
-    --samples <n>          synthetic dataset size           [1000]
-    --backend <b>          threaded | sim | distributed     [threaded]
-    --workers <a,b,...>    worker host:port list (required for
-                           --backend distributed)
-    --nodes <n>            virtual nodes for --backend sim  [1]
-    --cores-per-task <n>   CPU units per experiment         [1]
-    --trials <n>           budget for random/tpe/bayes      [20]
-    --seed <n>             RNG seed                         [42]
-    --target-accuracy <x>  early-stop when reached
-    --trace                enable Extrae-style tracing
-    --trace-out <file>     write a Chrome trace_event JSON trace
-                           (implies --trace; open in Perfetto)
-    --graph <file>         record the task graph and write it as DOT
-    --out <file>           write trial results as CSV
-    --metrics-out <prefix> write runtime metrics to <prefix>.prom
-                           (Prometheus text) and <prefix>.jsonl
-    --no-metrics           disable runtime metrics collection
-    --cnn                  train CNNs instead of dense nets
-    --ckpt-dir <dir>       checkpoint the sweep: crash-safe journal plus
-                           each in-flight trial's newest model snapshot
-                           under <dir>
-    --ckpt-every <n>       snapshot cadence in epochs            [1]
-    --resume <dir>         resume an interrupted sweep from its
-                           checkpoint directory: journaled-complete
-                           trials are skipped, in-flight trials restart
-                           from their snapshot
-    --status-addr <addr>   serve live GET /metrics + /healthz here while
-                           the run is in flight (Prometheus text format;
-                           curl-able, e.g. 127.0.0.1:9100)
-    --inline-threshold <n> distributed backend: values whose declared size
-                           is >= n bytes travel content-addressed through
-                           the block plane (cached per worker, shipped
-                           once per node); smaller values are re-sent
-                           inline in every Submit that reads them;
-                           0 = everything, huge = never          [65536]
-    --share-prefixes       stage-tree dedup: train the prefixes the
-                           configs of a wave share once, fork the rest
-                           from bit-exact snapshots (leaderboard
-                           identical, fewer epochs; composes with every
-                           --algo and with --ckpt-dir/--resume; ignored
-                           under --target-accuracy and --backend sim)
-    --help                 show this text
-
-WORKER OPTIONS (hpo-run worker / rcompss-worker):
-    --listen <addr>        listen address        [127.0.0.1:7077]
-    --name <s>             worker display name   [worker]
-    --cores <n>            advertised CPU cores  [autodetect]
-    --ckpt-every <n>       snapshot cadence in epochs (0 = off); snapshots
-                           ride back to the driver so retried trials
-                           resume mid-training after a worker loss
-    --status-addr <addr>   serve this worker's live GET /metrics +
-                           /healthz here (Prometheus text format)
-    --cache-mem <mib>      decoded-block cache budget in MiB; least-
-                           recently-used blocks are evicted and re-
-                           fetched on demand                   [256]
-    --dial <a,b,...>       dial into these driver/server addresses at
-                           startup and join their pools (the worker still
-                           listens as usual)
-    --dataset, --samples, --seed, --cnn, --target-accuracy
-                           dataset recipe — must match the driver, so the
-                           worker rebuilds the identical objective
-
-SERVER OPTIONS (hpo-run serve / rcompss-server):
-    --listen <addr>        one listener for workers and sweep clients
-                                                 [127.0.0.1:7070]
-    --workers <a,b,...>    worker addresses to dial out to at startup
-    --expect-workers <n>   workers expected to dial in (started with
-                           --dial at this server) before serving  [0]
-    --pool-timeout <s>     deadline in seconds for gathering the pool [30]
-    --local-cores <n>      serve from a local thread pool of n cores
-                           instead of remote workers (dev/test mode)
-    --max-active <n>       sweeps running concurrently             [4]
-    --max-queued <n>       queued sweeps before rejection          [16]
-    --rate <r>             per-tenant trial admissions per second
-                           (token bucket; 0 = unlimited)           [0]
-    --burst <n>            token-bucket burst capacity             [8]
-    --quota-trials <n>     per-tenant total trial budget
-                           (0 = unlimited)                         [0]
-    --wave <n>             default wave size for sweeps that do not
-                           request one
-    --status-addr <addr>   serve live GET /metrics + /healthz here
-    --share-prefixes       stage-tree dedup for served sweeps, within
-                           each wave (pool workers must also register
-                           the stage task; leaderboards stay
-                           bit-identical; ignored under
-                           --target-accuracy)
-    --cores-per-task, --inline-threshold,
-    --dataset, --samples, --seed, --cnn, --target-accuracy
-                           as for a driver run; the dataset recipe must
-                           match the pool's workers
-
-CLIENT OPTIONS (hpo-run submit / status / watch / cancel):
-    --server <addr>        sweep server address (required)
-    --tenant <name>        tenant identity                  [default]
-    --config <file>        JSON search-space file (submit; required)
-    --name <s>             sweep display name               [file stem]
-    --algo <a>             grid | random | tpe | bayes      [grid]
-    --trials <n>           budget for random/tpe/bayes      [20]
-    --seed <n>             RNG seed                         [42]
-    --wave <n>             requested wave size (0 = server default)
-    --watch                stream the leaderboard until the sweep ends
-    --out <file>           write the final leaderboard CSV (implies
-                           --watch)
-    --sweep <id>           sweep id (status/watch/cancel; required)
-";
-
-fn take_value<'a>(flag: &str, it: &mut impl Iterator<Item = &'a str>) -> Result<&'a str, CliError> {
-    it.next().ok_or_else(|| CliError(format!("{flag} needs a value")))
+fn bad(msg: impl Into<String>) -> CliError {
+    CliError::Bad(msg.into())
 }
 
-fn parse_num<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, CliError> {
-    v.parse().map_err(|_| CliError(format!("{flag}: invalid value '{v}'")))
+/// The subcommands a flag can serve; `Query` is `status`, `watch` and
+/// `cancel`, which take the same flags.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Sub {
+    Run,
+    Worker,
+    Serve,
+    Submit,
+    Query,
+}
+
+impl Sub {
+    const ALL: [Sub; 5] = [Sub::Run, Sub::Worker, Sub::Serve, Sub::Submit, Sub::Query];
+
+    fn usage(self) -> &'static str {
+        match self {
+            Sub::Run => "hpo-run --config <space.json> [OPTIONS]",
+            Sub::Worker => "hpo-run worker [WORKER OPTIONS]  (or: rcompss-worker [WORKER OPTIONS])",
+            Sub::Serve => "hpo-run serve [SERVER OPTIONS]  (or: rcompss-server [SERVER OPTIONS])",
+            Sub::Submit => "hpo-run submit --server <addr> --config <space.json> [CLIENT OPTIONS]",
+            Sub::Query => "hpo-run status|watch|cancel --server <addr> --sweep <id>",
+        }
+    }
+}
+
+/// One flag of one or more subcommands: its name, the subcommands it
+/// serves, a value placeholder for `--help` (`None` for a switch), the
+/// default used when it is absent (printed as `[..]`) and a help line.
+struct Flag(&'static str, &'static [Sub], Option<&'static str>, Option<&'static str>, &'static str);
+
+/// The tenant a `submit` without `--tenant` is charged to, and the one a
+/// query connects as: the server charges only submissions to a tenant.
+pub const DEFAULT_TENANT: &str = "default";
+
+/// Every flag of every subcommand. A name may have one row per meaning
+/// (`--out` of a run writes trials, of `submit` the leaderboard).
+#[rustfmt::skip]
+const FLAGS: &[Flag] = {
+    use Sub::*;
+    const RECIPE: &[Sub] = &[Run, Worker, Serve];
+    &[
+    Flag("--config", &[Run, Submit], Some("<file>"), None, "JSON search-space file (required)"),
+    Flag("--algo", &[Run, Submit], Some("<a>"), Some("grid"), "grid | random | tpe | bayes"),
+    Flag("--trials", &[Run, Submit], Some("<n>"), Some("20"), "trial budget for random / tpe / bayes"),
+    Flag("--backend", &[Run], Some("<b>"), Some("threaded"), "threaded | sim | distributed"),
+    Flag("--workers", &[Run], Some("<a,b,..>"), None, "worker host:port list (--backend distributed)"),
+    Flag("--nodes", &[Run], Some("<n>"), Some("1"), "virtual nodes for --backend sim"),
+    Flag("--trace", &[Run], None, None, "enable Extrae-style tracing"),
+    Flag("--trace-out", &[Run], Some("<file>"), None, "write a Chrome trace_event JSON trace (implies --trace)"),
+    Flag("--graph", &[Run], Some("<file>"), None, "record the task graph and write it as DOT"),
+    Flag("--out", &[Run], Some("<file>"), None, "write trial results as CSV"),
+    Flag("--metrics-out", &[Run], Some("<prefix>"), None, "write runtime metrics to <prefix>.prom and <prefix>.jsonl"),
+    Flag("--no-metrics", &[Run], None, None, "disable runtime metrics collection"),
+    Flag("--ckpt-dir", &[Run], Some("<dir>"), None, "checkpoint the sweep: journal + in-flight trials' snapshots"),
+    Flag("--ckpt-every", &[Run], Some("<n>"), Some("1"), "snapshot cadence in epochs (with --ckpt-dir or --resume)"),
+    Flag("--resume", &[Run], Some("<dir>"), None, "resume an interrupted sweep from its checkpoint directory"),
+    Flag("--listen", &[Worker], Some("<addr>"), Some("127.0.0.1:7077"), "listen address"),
+    Flag("--name", &[Worker], Some("<s>"), Some("worker"), "worker display name"),
+    Flag("--cores", &[Worker], Some("<n>"), Some("0"), "advertised CPU cores (0 = autodetect)"),
+    Flag("--ckpt-every", &[Worker], Some("<n>"), Some("0"), "snapshot cadence in epochs, shipped to the driver (0 = off)"),
+    Flag("--cache-mem", &[Worker], Some("<mib>"), Some("256"), "decoded-block cache budget in MiB, least recently used out"),
+    Flag("--dial", &[Worker], Some("<a,b,..>"), None, "dial into these driver / server addresses and join their pools"),
+    Flag("--listen", &[Serve], Some("<addr>"), Some("127.0.0.1:7070"), "one listener for workers and sweep clients"),
+    Flag("--workers", &[Serve], Some("<a,b,..>"), None, "worker addresses to dial out to at startup"),
+    Flag("--expect-workers", &[Serve], Some("<n>"), Some("0"), "workers expected to dial in (started with --dial)"),
+    Flag("--local-cores", &[Serve], Some("<n>"), Some("0"), "serve from a local thread pool of n cores instead"),
+    Flag("--max-active", &[Serve], Some("<n>"), Some("4"), "sweeps running concurrently"),
+    Flag("--max-queued", &[Serve], Some("<n>"), Some("16"), "queued sweeps before rejection"),
+    Flag("--rate", &[Serve], Some("<r>"), Some("0"), "per-tenant trial admissions per second (0 = unlimited)"),
+    Flag("--burst", &[Serve], Some("<n>"), Some("8"), "token-bucket burst capacity"),
+    Flag("--quota-trials", &[Serve], Some("<n>"), Some("0"), "per-tenant total trial budget (0 = unlimited)"),
+    Flag("--cores-per-task", &[Run, Serve], Some("<n>"), Some("1"), "CPU units per experiment task"),
+    Flag("--status-addr", &[Run, Worker, Serve], Some("<addr>"), None, "serve live GET /metrics + /healthz here"),
+    Flag("--share-prefixes", &[Run, Serve], None, None, "train the prefixes a wave's configs share once (same leaderboard)"),
+    Flag("--dataset", RECIPE, Some("<d>"), Some("mnist"), "mnist | cifar10; the recipe flags must match across processes"),
+    Flag("--samples", RECIPE, Some("<n>"), Some("1000"), "synthetic dataset size"),
+    Flag("--seed", RECIPE, Some("<n>"), Some("42"), "RNG seed (the dataset's; a run's algorithm too)"),
+    Flag("--cnn", RECIPE, None, None, "train CNNs instead of dense nets"),
+    Flag("--target-accuracy", RECIPE, Some("<x>"), None, "stop a trial (and a run's sweep) at this accuracy, in [0, 1]"),
+    Flag("--server", &[Submit, Query], Some("<addr>"), None, "sweep server address (required)"),
+    Flag("--tenant", &[Submit], Some("<name>"), Some(DEFAULT_TENANT), "tenant the sweep is charged to"),
+    Flag("--name", &[Submit], Some("<s>"), None, "sweep display name (default: the config file's stem)"),
+    Flag("--seed", &[Submit], Some("<n>"), Some("42"), "RNG seed"),
+    Flag("--wave", &[Submit], Some("<n>"), Some("0"), "trials per wave, each wave one stage tree (0 = no bound)"),
+    Flag("--watch", &[Submit], None, None, "stream the leaderboard until the sweep ends"),
+    Flag("--out", &[Submit], Some("<file>"), None, "write the final leaderboard CSV (implies --watch)"),
+    Flag("--sweep", &[Query], Some("<id>"), None, "sweep id (required)"),
+    ]
+};
+
+/// The rows of `sub`, in table order.
+fn rows(sub: Sub) -> impl Iterator<Item = &'static Flag> {
+    FLAGS.iter().filter(move |f| f.1.contains(&sub))
+}
+
+/// The help text of `sub`, rendered from [`FLAGS`]: its own section, or
+/// every subcommand's for a run, the command a bare `hpo-run` starts.
+fn help(sub: Sub) -> String {
+    let mut out = String::from(
+        "hpo-run — distributed hyperparameter optimisation (PyCOMPSs-style)\n\
+         Every subcommand takes -h / --help.\n",
+    );
+    let subs = if sub == Sub::Run { &Sub::ALL[..] } else { std::slice::from_ref(&sub) };
+    for &sub in subs {
+        out += &format!("\nUSAGE: {}\n", sub.usage());
+        for Flag(name, _, value, default, text) in rows(sub) {
+            let head = format!("{name} {}", value.unwrap_or_default());
+            let default = default.map(|d| format!(" [{d}]")).unwrap_or_default();
+            out += &format!("    {head:<28} {text}{default}\n");
+        }
+    }
+    out
+}
+
+/// A command line read against the rows of one subcommand.
+struct Scan<'a> {
+    sub: Sub,
+    /// Flags in command-line order, with their values (`None` for a
+    /// switch); a repeated flag's last value wins.
+    given: Vec<(&'static str, Option<&'a str>)>,
+}
+
+/// Read `args` as `sub`'s flags: `-h`/`--help` ends the scan with the help
+/// text, an unknown flag or a flag without its value is an error.
+fn scan<'a>(sub: Sub, args: &[&'a str]) -> Result<Scan<'a>, CliError> {
+    let mut given = Vec::new();
+    let mut it = args.iter().copied();
+    while let Some(arg) = it.next() {
+        if arg == "--help" || arg == "-h" {
+            return Err(CliError::Help(help(sub)));
+        }
+        let Some(&Flag(name, _, value, ..)) = rows(sub).find(|f| f.0 == arg) else {
+            return Err(bad(format!("unknown flag '{arg}'\n{}", help(sub))));
+        };
+        let value = match value {
+            Some(_) => Some(it.next().ok_or_else(|| bad(format!("{arg} needs a value")))?),
+            None => None,
+        };
+        given.push((name, value));
+    }
+    Ok(Scan { sub, given })
+}
+
+impl<'a> Scan<'a> {
+    /// The row of `name`; a name `sub` has no row for is a bug here.
+    fn row(&self, name: &str) -> &'static Flag {
+        rows(self.sub)
+            .find(|f| f.0 == name)
+            .unwrap_or_else(|| panic!("{name} is not a flag of `{}`", self.sub.usage()))
+    }
+
+    /// Whether `name` is on the command line.
+    fn given(&self, name: &str) -> bool {
+        let _ = self.row(name);
+        self.given.iter().any(|(n, _)| *n == name)
+    }
+
+    /// The last value given for `name`, else its row's default.
+    fn value(&self, name: &str) -> Option<&'a str> {
+        let given = self.given.iter().rev().find(|(n, _)| *n == name).and_then(|(_, v)| *v);
+        given.or(self.row(name).3)
+    }
+
+    /// [`Self::value`], parsed as a `T`.
+    fn get<T: FromStr>(&self, name: &str) -> Result<Option<T>, CliError>
+    where
+        T::Err: fmt::Display,
+    {
+        self.value(name)
+            .map(|v| v.parse().map_err(|e| bad(format!("{name}: invalid value '{v}' ({e})"))))
+            .transpose()
+    }
+
+    /// [`Self::get`] for a flag that must have a value.
+    fn req<T: FromStr>(&self, name: &str) -> Result<T, CliError>
+    where
+        T::Err: fmt::Display,
+    {
+        self.get(name)?.ok_or_else(|| bad(format!("{name} is required")))
+    }
+
+    /// A comma-separated `host:port` list.
+    fn addrs(&self, name: &str) -> Vec<String> {
+        let list = self.value(name).unwrap_or_default().split(',');
+        list.map(str::trim).filter(|w| !w.is_empty()).map(str::to_string).collect()
+    }
 }
 
 /// Parse an argument list (without the binary name).
 pub fn parse(args: &[&str]) -> Result<CliArgs, CliError> {
-    let mut out = CliArgs::default();
-    let mut it = args.iter().copied();
-    let mut saw_config = false;
-    let mut saw_ckpt_every = false;
-    let mut resume_dir: Option<String> = None;
-    while let Some(arg) = it.next() {
-        match arg {
-            "--help" | "-h" => return Err(CliError(USAGE.to_string())),
-            "--config" => {
-                out.config = take_value(arg, &mut it)?.to_string();
-                saw_config = true;
-            }
-            "--algo" => out.algo = parse_algo(take_value(arg, &mut it)?)?,
-            "--dataset" => out.dataset = parse_dataset(take_value(arg, &mut it)?)?,
-            "--backend" => {
-                out.backend = match take_value(arg, &mut it)? {
-                    "threaded" => BackendChoice::Threaded,
-                    "sim" => BackendChoice::Sim,
-                    "distributed" => BackendChoice::Distributed,
-                    other => return Err(CliError(format!("unknown backend '{other}'"))),
-                };
-            }
-            "--workers" => out.workers = parse_addr_list(take_value(arg, &mut it)?),
-            "--samples" => out.samples = parse_num(arg, take_value(arg, &mut it)?)?,
-            "--nodes" => out.nodes = parse_num(arg, take_value(arg, &mut it)?)?,
-            "--cores-per-task" => out.cores_per_task = parse_num(arg, take_value(arg, &mut it)?)?,
-            "--trials" => out.trials = parse_num(arg, take_value(arg, &mut it)?)?,
-            "--seed" => out.seed = parse_num(arg, take_value(arg, &mut it)?)?,
-            "--target-accuracy" => {
-                out.target_accuracy = Some(parse_num(arg, take_value(arg, &mut it)?)?);
-            }
-            "--trace" => out.trace = true,
-            "--trace-out" => {
-                out.trace_out = Some(take_value(arg, &mut it)?.to_string());
-                out.trace = true;
-            }
-            "--graph" => out.graph_out = Some(take_value(arg, &mut it)?.to_string()),
-            "--out" => out.csv_out = Some(take_value(arg, &mut it)?.to_string()),
-            "--metrics-out" => out.metrics_out = Some(take_value(arg, &mut it)?.to_string()),
-            "--no-metrics" => out.no_metrics = true,
-            "--cnn" => out.cnn = true,
-            "--ckpt-dir" => out.ckpt_dir = Some(take_value(arg, &mut it)?.to_string()),
-            "--ckpt-every" => {
-                out.ckpt_every = parse_num(arg, take_value(arg, &mut it)?)?;
-                saw_ckpt_every = true;
-            }
-            "--resume" => {
-                resume_dir = Some(take_value(arg, &mut it)?.to_string());
-                out.resume = true;
-            }
-            "--status-addr" => out.status_addr = Some(take_value(arg, &mut it)?.to_string()),
-            "--inline-threshold" => {
-                out.inline_threshold = parse_num(arg, take_value(arg, &mut it)?)?;
-            }
-            "--share-prefixes" => out.share_prefixes = true,
-            other => return Err(CliError(format!("unknown flag '{other}'\n\n{USAGE}"))),
-        }
+    let s = scan(Sub::Run, args)?;
+    if s.given("--resume") && s.given("--ckpt-dir") {
+        return Err(bad("--resume <dir> already names the checkpoint directory; drop --ckpt-dir"));
     }
-    if !saw_config {
-        return Err(CliError(format!("--config is required\n\n{USAGE}")));
-    }
+    let out = CliArgs {
+        // A bare `hpo-run` lands here: show it every subcommand.
+        config: s.req("--config").map_err(|e| bad(format!("{e}\n{}", help(Sub::Run))))?,
+        algo: s.req("--algo")?,
+        recipe: DatasetRecipe::from_scan(&s)?,
+        backend: s.req("--backend")?,
+        nodes: s.req("--nodes")?,
+        cores_per_task: s.req("--cores-per-task")?,
+        trials: s.req("--trials")?,
+        trace: s.given("--trace") || s.given("--trace-out"),
+        graph_out: s.get("--graph")?,
+        csv_out: s.get("--out")?,
+        no_metrics: s.given("--no-metrics"),
+        metrics_out: s.get("--metrics-out")?,
+        workers: s.addrs("--workers"),
+        trace_out: s.get("--trace-out")?,
+        ckpt_dir: s.get("--ckpt-dir")?.or(s.get("--resume")?),
+        ckpt_every: s.req("--ckpt-every")?,
+        resume: s.given("--resume"),
+        status_addr: s.get("--status-addr")?,
+        share_prefixes: s.given("--share-prefixes"),
+    };
     if out.no_metrics && out.metrics_out.is_some() {
-        return Err(CliError("--metrics-out conflicts with --no-metrics".to_string()));
+        return Err(bad("--metrics-out conflicts with --no-metrics"));
     }
     if out.nodes == 0 {
-        return Err(CliError("--nodes must be at least 1".to_string()));
+        return Err(bad("--nodes must be at least 1"));
     }
     if out.cores_per_task == 0 {
-        return Err(CliError("--cores-per-task must be at least 1".to_string()));
+        return Err(bad("--cores-per-task must be at least 1"));
     }
     if out.backend == BackendChoice::Distributed && out.workers.is_empty() {
-        return Err(CliError("--backend distributed requires --workers <addr,...>".to_string()));
+        return Err(bad("--backend distributed requires --workers <addr,...>"));
     }
     if out.backend != BackendChoice::Distributed && !out.workers.is_empty() {
-        return Err(CliError("--workers only applies to --backend distributed".to_string()));
+        return Err(bad("--workers only applies to --backend distributed"));
     }
-    if let Some(dir) = resume_dir {
-        if out.ckpt_dir.is_some() {
-            return Err(CliError(
-                "--resume <dir> already names the checkpoint directory; drop --ckpt-dir"
-                    .to_string(),
-            ));
-        }
-        out.ckpt_dir = Some(dir);
-    }
-    if saw_ckpt_every && out.ckpt_dir.is_none() {
-        return Err(CliError("--ckpt-every requires --ckpt-dir or --resume".to_string()));
+    if s.given("--ckpt-every") && out.ckpt_dir.is_none() {
+        return Err(bad("--ckpt-every requires --ckpt-dir or --resume"));
     }
     if out.ckpt_every == 0 {
-        return Err(CliError("--ckpt-every must be at least 1".to_string()));
+        return Err(bad("--ckpt-every must be at least 1"));
     }
     Ok(out)
 }
@@ -594,77 +607,43 @@ pub fn parse_command(args: &[&str]) -> Result<Command, CliError> {
     }
 }
 
-fn parse_dataset(v: &str) -> Result<DatasetChoice, CliError> {
-    match v {
-        "mnist" => Ok(DatasetChoice::Mnist),
-        "cifar10" | "cifar" => Ok(DatasetChoice::Cifar10),
-        other => Err(CliError(format!("unknown dataset '{other}'"))),
-    }
-}
-
-fn parse_algo(v: &str) -> Result<AlgoChoice, CliError> {
-    match v {
-        "grid" => Ok(AlgoChoice::Grid),
-        "random" => Ok(AlgoChoice::Random),
-        "tpe" => Ok(AlgoChoice::Tpe),
-        "bayes" => Ok(AlgoChoice::Bayes),
-        other => Err(CliError(format!("unknown algorithm '{other}'"))),
-    }
-}
-
-fn parse_addr_list(v: &str) -> Vec<String> {
-    v.split(',').map(str::trim).filter(|w| !w.is_empty()).map(str::to_string).collect()
-}
-
 /// Parse the flags of the `serve` subcommand.
 pub fn parse_serve(args: &[&str]) -> Result<ServeArgs, CliError> {
-    let mut out = ServeArgs::default();
-    let mut it = args.iter().copied();
-    while let Some(arg) = it.next() {
-        match arg {
-            "--help" | "-h" => return Err(CliError(USAGE.to_string())),
-            "--listen" => out.listen = take_value(arg, &mut it)?.to_string(),
-            "--workers" => out.workers = parse_addr_list(take_value(arg, &mut it)?),
-            "--expect-workers" => out.expect_workers = parse_num(arg, take_value(arg, &mut it)?)?,
-            "--pool-timeout" => out.pool_timeout_secs = parse_num(arg, take_value(arg, &mut it)?)?,
-            "--local-cores" => out.local_cores = parse_num(arg, take_value(arg, &mut it)?)?,
-            "--max-active" => out.max_active = parse_num(arg, take_value(arg, &mut it)?)?,
-            "--max-queued" => out.max_queued = parse_num(arg, take_value(arg, &mut it)?)?,
-            "--rate" => out.rate = parse_num(arg, take_value(arg, &mut it)?)?,
-            "--burst" => out.burst = parse_num(arg, take_value(arg, &mut it)?)?,
-            "--quota-trials" => out.quota_trials = parse_num(arg, take_value(arg, &mut it)?)?,
-            "--wave" => out.wave = parse_num(arg, take_value(arg, &mut it)?)?,
-            "--dataset" => out.dataset = parse_dataset(take_value(arg, &mut it)?)?,
-            "--samples" => out.samples = parse_num(arg, take_value(arg, &mut it)?)?,
-            "--seed" => out.seed = parse_num(arg, take_value(arg, &mut it)?)?,
-            "--cnn" => out.cnn = true,
-            "--target-accuracy" => {
-                out.target_accuracy = Some(parse_num(arg, take_value(arg, &mut it)?)?);
-            }
-            "--cores-per-task" => out.cores_per_task = parse_num(arg, take_value(arg, &mut it)?)?,
-            "--status-addr" => out.status_addr = Some(take_value(arg, &mut it)?.to_string()),
-            "--inline-threshold" => {
-                out.inline_threshold = parse_num(arg, take_value(arg, &mut it)?)?;
-            }
-            "--share-prefixes" => out.share_prefixes = true,
-            other => return Err(CliError(format!("unknown serve flag '{other}'\n\n{USAGE}"))),
+    let s = scan(Sub::Serve, args)?;
+    let out = ServeArgs {
+        listen: s.req("--listen")?,
+        workers: s.addrs("--workers"),
+        expect_workers: s.req("--expect-workers")?,
+        local_cores: s.req("--local-cores")?,
+        max_active: s.req("--max-active")?,
+        max_queued: s.req("--max-queued")?,
+        rate: s.req("--rate")?,
+        burst: s.req("--burst")?,
+        quota_trials: s.req("--quota-trials")?,
+        recipe: DatasetRecipe::from_scan(&s)?,
+        cores_per_task: s.req("--cores-per-task")?,
+        status_addr: s.get("--status-addr")?,
+        share_prefixes: s.given("--share-prefixes"),
+    };
+    if out.max_active == 0 {
+        return Err(bad("--max-active must be at least 1"));
+    }
+    for (name, v) in [("--rate", out.rate), ("--burst", out.burst)] {
+        if !(v.is_finite() && v >= 0.0) {
+            return Err(bad(format!("{name} must be a finite number, at least 0")));
         }
     }
-    if out.max_active == 0 {
-        return Err(CliError("--max-active must be at least 1".to_string()));
-    }
     if out.cores_per_task == 0 {
-        return Err(CliError("--cores-per-task must be at least 1".to_string()));
+        return Err(bad("--cores-per-task must be at least 1"));
     }
     if out.local_cores == 0 && out.workers.is_empty() && out.expect_workers == 0 {
-        return Err(CliError(
+        return Err(bad(
             "serve needs a pool: --workers and/or --expect-workers, or --local-cores for a \
-             local thread pool"
-                .to_string(),
+             local thread pool",
         ));
     }
     if out.local_cores > 0 && (!out.workers.is_empty() || out.expect_workers > 0) {
-        return Err(CliError("--local-cores excludes --workers/--expect-workers".to_string()));
+        return Err(bad("--local-cores excludes --workers/--expect-workers"));
     }
     Ok(out)
 }
@@ -672,95 +651,199 @@ pub fn parse_serve(args: &[&str]) -> Result<ServeArgs, CliError> {
 /// Parse the flags of one sweep-client verb (`submit`, `status`,
 /// `watch`, `cancel`).
 pub fn parse_client(verb: &str, args: &[&str]) -> Result<ClientArgs, CliError> {
-    let mut server: Option<String> = None;
-    let mut tenant = "default".to_string();
-    let mut config: Option<String> = None;
-    let mut name: Option<String> = None;
-    let mut algo = AlgoChoice::Grid;
-    let mut trials = 20usize;
-    let mut seed = 42u64;
-    let mut wave = 0u32;
-    let mut watch = false;
-    let mut csv_out: Option<String> = None;
-    let mut sweep_id: Option<u64> = None;
-    let mut it = args.iter().copied();
-    while let Some(arg) = it.next() {
-        match arg {
-            "--help" | "-h" => return Err(CliError(USAGE.to_string())),
-            "--server" => server = Some(take_value(arg, &mut it)?.to_string()),
-            "--tenant" => tenant = take_value(arg, &mut it)?.to_string(),
-            "--config" => config = Some(take_value(arg, &mut it)?.to_string()),
-            "--name" => name = Some(take_value(arg, &mut it)?.to_string()),
-            "--algo" => algo = parse_algo(take_value(arg, &mut it)?)?,
-            "--trials" => trials = parse_num(arg, take_value(arg, &mut it)?)?,
-            "--seed" => seed = parse_num(arg, take_value(arg, &mut it)?)?,
-            "--wave" => wave = parse_num(arg, take_value(arg, &mut it)?)?,
-            "--watch" => watch = true,
-            "--out" => {
-                csv_out = Some(take_value(arg, &mut it)?.to_string());
-                watch = true;
-            }
-            "--sweep" => sweep_id = Some(parse_num(arg, take_value(arg, &mut it)?)?),
-            other => return Err(CliError(format!("unknown {verb} flag '{other}'\n\n{USAGE}"))),
-        }
-    }
-    let server = server.ok_or_else(|| CliError(format!("{verb} requires --server <addr>")))?;
+    let s = scan(if verb == "submit" { Sub::Submit } else { Sub::Query }, args)?;
+    let server = s.req("--server")?;
     let action = match verb {
         "submit" => {
-            let config =
-                config.ok_or_else(|| CliError("submit requires --config <file>".to_string()))?;
-            let name = name.unwrap_or_else(|| {
+            let config: String = s.req("--config")?;
+            let name = s.get("--name")?.unwrap_or_else(|| {
                 std::path::Path::new(&config)
                     .file_stem()
                     .map(|s| s.to_string_lossy().into_owned())
                     .unwrap_or_else(|| "sweep".to_string())
             });
-            ClientAction::Submit { config, name, algo, trials, seed, wave, watch, csv_out }
-        }
-        _ => {
-            let sweep_id =
-                sweep_id.ok_or_else(|| CliError(format!("{verb} requires --sweep <id>")))?;
-            match verb {
-                "status" => ClientAction::Status { sweep_id },
-                "watch" => ClientAction::Watch { sweep_id },
-                "cancel" => ClientAction::Cancel { sweep_id },
-                _ => unreachable!("verbs are matched in parse_command"),
+            ClientAction::Submit {
+                tenant: s.req("--tenant")?,
+                config,
+                name,
+                algo: s.req("--algo")?,
+                trials: s.req("--trials")?,
+                seed: s.req("--seed")?,
+                wave: s.req("--wave")?,
+                watch: s.given("--watch") || s.given("--out"),
+                csv_out: s.get("--out")?,
             }
         }
+        "status" => ClientAction::Status { sweep_id: s.req("--sweep")? },
+        "watch" => ClientAction::Watch { sweep_id: s.req("--sweep")? },
+        "cancel" => ClientAction::Cancel { sweep_id: s.req("--sweep")? },
+        _ => unreachable!("verbs are matched in parse_command"),
     };
-    Ok(ClientArgs { server, tenant, action })
+    Ok(ClientArgs { server, action })
 }
 
 /// Parse the flags of the `worker` subcommand.
 pub fn parse_worker(args: &[&str]) -> Result<WorkerArgs, CliError> {
-    let mut out = WorkerArgs::default();
-    let mut it = args.iter().copied();
-    while let Some(arg) = it.next() {
-        match arg {
-            "--help" | "-h" => return Err(CliError(USAGE.to_string())),
-            "--listen" => out.listen = take_value(arg, &mut it)?.to_string(),
-            "--name" => out.name = take_value(arg, &mut it)?.to_string(),
-            "--cores" => out.cores = parse_num(arg, take_value(arg, &mut it)?)?,
-            "--dataset" => out.dataset = parse_dataset(take_value(arg, &mut it)?)?,
-            "--samples" => out.samples = parse_num(arg, take_value(arg, &mut it)?)?,
-            "--seed" => out.seed = parse_num(arg, take_value(arg, &mut it)?)?,
-            "--cnn" => out.cnn = true,
-            "--target-accuracy" => {
-                out.target_accuracy = Some(parse_num(arg, take_value(arg, &mut it)?)?);
-            }
-            "--ckpt-every" => out.ckpt_every = parse_num(arg, take_value(arg, &mut it)?)?,
-            "--status-addr" => out.status_addr = Some(take_value(arg, &mut it)?.to_string()),
-            "--cache-mem" => out.cache_mem_mib = parse_num(arg, take_value(arg, &mut it)?)?,
-            "--dial" => out.dial = parse_addr_list(take_value(arg, &mut it)?),
-            other => return Err(CliError(format!("unknown worker flag '{other}'\n\n{USAGE}"))),
-        }
-    }
-    Ok(out)
+    let s = scan(Sub::Worker, args)?;
+    Ok(WorkerArgs {
+        listen: s.req("--listen")?,
+        name: s.req("--name")?,
+        cores: s.req("--cores")?,
+        recipe: DatasetRecipe::from_scan(&s)?,
+        ckpt_every: s.req("--ckpt-every")?,
+        status_addr: s.get("--status-addr")?,
+        cache_mem_mib: s.req("--cache-mem")?,
+        dial: s.addrs("--dial"),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The gate of every (subcommand, flag) pair: the test in
+    /// `tests/cli.rs` or the `ci.sh` stage whose command lines set it.
+    /// This file's own parse tests do not count. The check is textual: a
+    /// gate's text must hold the flag, not its subcommand's command line,
+    /// so a flag that a gate also passes to another subcommand (serve's
+    /// `--seed` beside the standalone run's) stays green here when dropped
+    /// from its own line; the gate's assertions are what catch that.
+    const GATES: &[(Sub, &str, &[&str])] = &[
+        (
+            Sub::Run,
+            "tests/cli.rs::grid_run_produces_leaderboard_and_csv",
+            &["--config", "--samples", "--out"],
+        ),
+        (
+            Sub::Run,
+            "tests/cli.rs::sim_backend_and_trace_flags_work",
+            &["--backend", "--nodes", "--cores-per-task", "--trace", "--graph"],
+        ),
+        (
+            Sub::Run,
+            "tests/cli.rs::random_with_target_accuracy_early_stops",
+            &["--algo", "--trials", "--seed", "--target-accuracy"],
+        ),
+        (
+            Sub::Run,
+            "tests/cli.rs::checkpointed_run_can_be_resumed_without_rerunning_trials",
+            &["--ckpt-dir", "--ckpt-every", "--resume"],
+        ),
+        (Sub::Run, "tests/cli.rs::killed_driver_resumes_bit_identical", &["--metrics-out"]),
+        (
+            Sub::Run,
+            "tests/cli.rs::a_distributed_recipe_equals_threaded",
+            &["--workers", "--dataset"],
+        ),
+        (
+            Sub::Run,
+            "tests/cli.rs::a_cnn_run_without_metrics_serves_alike",
+            &["--cnn", "--no-metrics"],
+        ),
+        (Sub::Run, "ci.sh: telemetry smoke", &["--status-addr", "--trace-out"]),
+        (Sub::Run, "ci.sh: stage-tree smoke", &["--share-prefixes"]),
+        (
+            Sub::Worker,
+            "ci.sh: distributed loopback smoke",
+            &["--listen", "--name", "--samples", "--status-addr"],
+        ),
+        (Sub::Worker, "ci.sh: sweep-server smoke", &["--dial"]),
+        (
+            Sub::Worker,
+            "tests/cli.rs::a_distributed_recipe_equals_threaded",
+            &[
+                "--cores",
+                "--cache-mem",
+                "--ckpt-every",
+                "--dataset",
+                "--seed",
+                "--cnn",
+                "--target-accuracy",
+            ],
+        ),
+        (
+            Sub::Serve,
+            "tests/cli.rs::served_sweeps_equal_a_run_and_the_wave_decides_the_savings",
+            &[
+                "--listen",
+                "--local-cores",
+                "--max-active",
+                "--max-queued",
+                "--rate",
+                "--burst",
+                "--quota-trials",
+                "--cores-per-task",
+                "--share-prefixes",
+                "--dataset",
+                "--samples",
+                "--seed",
+            ],
+        ),
+        (
+            Sub::Serve,
+            "tests/cli.rs::a_cnn_run_without_metrics_serves_alike",
+            &["--cnn", "--target-accuracy"],
+        ),
+        (
+            Sub::Serve,
+            "ci.sh: sweep-server smoke",
+            &["--workers", "--expect-workers", "--status-addr"],
+        ),
+        (
+            Sub::Submit,
+            "tests/cli.rs::served_sweeps_equal_a_run_and_the_wave_decides_the_savings",
+            &[
+                "--server", "--tenant", "--config", "--name", "--algo", "--trials", "--seed",
+                "--wave", "--watch", "--out",
+            ],
+        ),
+        (
+            Sub::Query,
+            "tests/cli.rs::served_sweeps_equal_a_run_and_the_wave_decides_the_savings",
+            &["--server", "--sweep"],
+        ),
+    ];
+
+    /// The text of a gate: a test fn of `tests/cli.rs` up to its closing
+    /// brace, or a `ci.sh` stage up to the next stage's `echo "==>`.
+    fn gate_text<'t>(gate: &str, tests: &'t str, ci: &'t str) -> Option<&'t str> {
+        if let Some(name) = gate.strip_prefix("tests/cli.rs::") {
+            let body = &tests[tests.find(&format!("\nfn {name}("))?..];
+            return Some(&body[..body.find("\n}\n")?]);
+        }
+        let header = gate.strip_prefix("ci.sh: ")?;
+        let body = &ci[ci.find(&format!("echo \"==> {header}"))?..];
+        Some(&body[..body[1..].find("echo \"==>").map_or(body.len(), |i| i + 1)])
+    }
+
+    /// Whether `text` holds `flag` as a whole token (`--workers` is not in
+    /// `--expect-workers`).
+    fn mentions(text: &str, flag: &str) -> bool {
+        let word = |c: Option<char>| c.is_some_and(|c| c.is_alphanumeric() || c == '-' || c == '_');
+        text.match_indices(flag).any(|(i, _)| {
+            !word(text[..i].chars().next_back()) && !word(text[i + flag.len()..].chars().next())
+        })
+    }
+
+    #[test]
+    fn every_flag_pair_names_a_live_gate() {
+        let (tests, ci) = (include_str!("../tests/cli.rs"), include_str!("../ci.sh"));
+        let mut gated: Vec<(Sub, &str)> = Vec::new();
+        for &(sub, gate, flags) in GATES {
+            let text = gate_text(gate, tests, ci).unwrap_or_else(|| panic!("no gate `{gate}`"));
+            for &flag in flags {
+                assert!(rows(sub).any(|f| f.0 == flag), "`{gate}` gates {sub:?} {flag}: no row");
+                assert!(mentions(text, flag), "`{gate}` never sets {flag}");
+                assert!(!gated.contains(&(sub, flag)), "{sub:?} {flag} is gated twice");
+                gated.push((sub, flag));
+            }
+        }
+        for sub in Sub::ALL {
+            for f in rows(sub) {
+                assert!(gated.contains(&(sub, f.0)), "{sub:?} {} names no gate", f.0);
+            }
+        }
+    }
 
     #[test]
     fn minimal_invocation() {
@@ -769,6 +852,15 @@ mod tests {
         assert_eq!(a.algo, AlgoChoice::Grid);
         assert_eq!(a.backend, BackendChoice::Threaded);
         assert!(!a.trace);
+        let recipe = DatasetRecipe {
+            dataset: DatasetChoice::Mnist,
+            samples: 1_000,
+            seed: 42,
+            cnn: false,
+            target_accuracy: None,
+        };
+        assert_eq!(a.recipe, recipe, "the table's defaults");
+        assert_eq!((a.nodes, a.cores_per_task, a.trials, a.ckpt_every), (1, 1, 20, 1));
     }
 
     #[test]
@@ -803,11 +895,11 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(a.algo, AlgoChoice::Tpe);
-        assert_eq!(a.dataset, DatasetChoice::Cifar10);
+        assert_eq!(a.recipe.dataset, DatasetChoice::Cifar10);
         assert_eq!(a.backend, BackendChoice::Sim);
-        assert_eq!((a.nodes, a.cores_per_task, a.trials, a.seed), (28, 48, 64, 7));
-        assert_eq!(a.target_accuracy, Some(0.95));
-        assert!(a.trace && a.cnn);
+        assert_eq!((a.nodes, a.cores_per_task, a.trials, a.recipe.seed), (28, 48, 64, 7));
+        assert_eq!(a.recipe.target_accuracy, Some(0.95));
+        assert!(a.trace && a.recipe.cnn);
         assert_eq!(a.graph_out.as_deref(), Some("g.dot"));
         assert_eq!(a.csv_out.as_deref(), Some("r.csv"));
     }
@@ -820,31 +912,85 @@ mod tests {
         let b = parse(&["--config", "s.json", "--no-metrics"]).unwrap();
         assert!(b.no_metrics && b.metrics_out.is_none());
         let e = parse(&["--config", "s.json", "--no-metrics", "--metrics-out", "x"]).unwrap_err();
-        assert!(e.0.contains("conflicts"), "{e}");
+        assert!(e.to_string().contains("conflicts"), "{e}");
     }
 
     #[test]
     fn missing_config_is_an_error() {
-        let e = parse(&["--algo", "grid"]).unwrap_err();
-        assert!(e.0.contains("--config is required"));
+        // A bad run line, a bare `hpo-run` among them, names every subcommand.
+        for (args, head) in [(&[][..], "--config is required"), (&["--nope"][..], "unknown flag")] {
+            let Err(CliError::Bad(e)) = parse(args) else { panic!("{args:?} was accepted") };
+            assert!(e.starts_with(head), "{e}");
+            assert_eq!(e.matches("\nUSAGE: ").count(), Sub::ALL.len(), "{args:?}: {e}");
+        }
     }
 
     #[test]
     fn bad_values_are_reported() {
-        assert!(parse(&["--config", "x", "--algo", "sgd"]).is_err());
-        assert!(parse(&["--config", "x", "--trials", "lots"]).is_err());
-        assert!(parse(&["--config", "x", "--nodes", "0"]).is_err());
-        assert!(parse(&["--config", "x", "--wat"]).is_err());
+        let bad_run = |extra: &[&str]| {
+            let args = [&["--config", "x"][..], extra].concat();
+            match parse(&args) {
+                Err(CliError::Bad(msg)) => msg,
+                other => panic!("{extra:?} was accepted: {other:?}"),
+            }
+        };
+        assert!(bad_run(&["--algo", "sgd"]).contains("--algo"));
+        assert!(bad_run(&["--trials", "lots"]).contains("--trials"));
+        assert!(bad_run(&["--nodes", "0"]).contains("--nodes"));
+        assert!(bad_run(&["--wat"]).contains("unknown flag '--wat'"));
         assert!(parse(&["--config"]).is_err(), "dangling value");
+        // Values from outside the program are checked where they enter it.
+        assert!(bad_run(&["--samples", "0"]).contains("--samples"));
+        for t in ["NaN", "inf", "-0.1", "1.5"] {
+            assert!(bad_run(&["--target-accuracy", t]).contains("--target-accuracy"), "{t}");
+        }
+        assert!(parse(&["--config", "x", "--target-accuracy", "1"]).is_ok(), "1 is a target");
+        let e = parse_worker(&["--samples", "0"]).unwrap_err();
+        assert!(e.to_string().contains("--samples"), "{e}");
+        for (flag, v) in
+            [("--rate", "-1"), ("--rate", "NaN"), ("--burst", "-0.5"), ("--burst", "inf")]
+        {
+            let e = parse_serve(&["--local-cores", "1", flag, v]).unwrap_err();
+            assert!(e.to_string().contains(flag), "{flag} {v}: {e}");
+        }
+    }
+
+    #[test]
+    fn submit_counts_must_fit_the_wire() {
+        let submit = |flag: &str, v: &str| {
+            parse_client("submit", &["--server", "s:1", "--config", "x.json", flag, v])
+        };
+        for flag in ["--trials", "--wave"] {
+            let e = submit(flag, "4294967297").unwrap_err();
+            assert!(e.to_string().starts_with(flag), "{e}");
+        }
+        let c = submit("--trials", "4294967295").unwrap();
+        assert!(matches!(c.action, ClientAction::Submit { trials: u32::MAX, .. }));
     }
 
     #[test]
     fn help_returns_usage() {
         let e = parse(&["--help"]).unwrap_err();
-        assert!(e.0.contains("USAGE"));
-        assert!(e.0.contains("distributed"), "help documents the distributed backend");
-        assert!(e.0.contains("--workers"));
-        assert!(e.0.contains("worker [WORKER OPTIONS]"));
+        assert!(matches!(e, CliError::Help(_)), "help is not an error");
+        let e = e.to_string();
+        assert!(e.contains("USAGE"));
+        assert!(e.contains("distributed"), "help documents the distributed backend");
+        assert!(e.contains("--workers"));
+        assert!(e.contains("worker [WORKER OPTIONS]"));
+        assert_eq!(e.matches("\nUSAGE: ").count(), Sub::ALL.len(), "every section");
+        // A subcommand's help is its own section, rendered from its rows.
+        for (sub, text) in [
+            (Sub::Worker, parse_worker(&["-h"]).unwrap_err()),
+            (Sub::Serve, parse_serve(&["--help"]).unwrap_err()),
+            (Sub::Submit, parse_client("submit", &["--help"]).unwrap_err()),
+            (Sub::Query, parse_client("cancel", &["-h"]).unwrap_err()),
+        ] {
+            let text = text.to_string();
+            assert_eq!(text.matches("\nUSAGE: ").count(), 1, "{text}");
+            let flags = text.lines().filter(|l| l.starts_with("    --")).count();
+            assert_eq!(flags, rows(sub).count(), "{text}");
+            assert!(rows(sub).all(|f| text.contains(f.4)), "{text}");
+        }
     }
 
     #[test]
@@ -865,9 +1011,9 @@ mod tests {
     #[test]
     fn distributed_backend_requires_workers() {
         let e = parse(&["--config", "s.json", "--backend", "distributed"]).unwrap_err();
-        assert!(e.0.contains("--workers"), "{e}");
+        assert!(e.to_string().contains("--workers"), "{e}");
         let e = parse(&["--config", "s.json", "--workers", "127.0.0.1:7077"]).unwrap_err();
-        assert!(e.0.contains("only applies"), "{e}");
+        assert!(e.to_string().contains("only applies"), "{e}");
     }
 
     #[test]
@@ -900,9 +1046,9 @@ mod tests {
         assert_eq!(w.listen, "0.0.0.0:9000");
         assert_eq!(w.name, "gpu-box");
         assert_eq!(w.cores, 8);
-        assert_eq!(w.dataset, DatasetChoice::Cifar10);
-        assert_eq!((w.samples, w.seed), (500, 7));
-        assert!(w.cnn);
+        assert_eq!(w.recipe.dataset, DatasetChoice::Cifar10);
+        assert_eq!((w.recipe.samples, w.recipe.seed), (500, 7));
+        assert!(w.recipe.cnn);
     }
 
     #[test]
@@ -910,8 +1056,9 @@ mod tests {
         let Command::Worker(w) = parse_command(&["worker"]).unwrap() else {
             panic!("expected worker")
         };
-        assert_eq!(w, WorkerArgs::default());
         assert_eq!(w.listen, "127.0.0.1:7077");
+        assert_eq!((w.name.as_str(), w.cores, w.ckpt_every), ("worker", 0, 0));
+        assert_eq!(w.recipe, parse(&["--config", "s.json"]).unwrap().recipe, "same recipe");
         assert!(parse_worker(&["--wat"]).is_err());
         assert!(parse_worker(&["--listen"]).is_err(), "dangling value");
     }
@@ -936,15 +1083,15 @@ mod tests {
         assert_eq!(a.ckpt_dir.as_deref(), Some("ckpts/run1"));
         let e = parse(&["--config", "s.json", "--resume", "ckpts/run1", "--ckpt-dir", "elsewhere"])
             .unwrap_err();
-        assert!(e.0.contains("already names"), "{e}");
+        assert!(e.to_string().contains("already names"), "{e}");
     }
 
     #[test]
     fn checkpoint_knobs_are_validated() {
         let e = parse(&["--config", "s.json", "--ckpt-every", "5"]).unwrap_err();
-        assert!(e.0.contains("requires --ckpt-dir"), "{e}");
+        assert!(e.to_string().contains("requires --ckpt-dir"), "{e}");
         let e = parse(&["--config", "s.json", "--ckpt-dir", "d", "--ckpt-every", "0"]).unwrap_err();
-        assert!(e.0.contains("--ckpt-every"), "{e}");
+        assert!(e.to_string().contains("--ckpt-every"), "{e}");
         assert!(parse(&["--config", "s.json", "--resume"]).is_err(), "dangling value");
     }
 
@@ -952,15 +1099,15 @@ mod tests {
     fn worker_checkpoint_cadence_parses() {
         let w = parse_worker(&["--ckpt-every", "3"]).unwrap();
         assert_eq!(w.ckpt_every, 3);
-        assert_eq!(WorkerArgs::default().ckpt_every, 0, "worker snapshots default off");
+        assert_eq!(parse_worker(&[]).unwrap().ckpt_every, 0, "worker snapshots default off");
     }
 
     #[test]
     fn help_documents_checkpointing() {
-        let e = parse(&["--help"]).unwrap_err();
-        assert!(e.0.contains("--ckpt-dir"));
-        assert!(e.0.contains("--resume"));
-        assert!(e.0.contains("--ckpt-every"));
+        let e = parse(&["--help"]).unwrap_err().to_string();
+        assert!(e.contains("--ckpt-dir"));
+        assert!(e.contains("--resume"));
+        assert!(e.contains("--ckpt-every"));
     }
 
     #[test]
@@ -971,25 +1118,23 @@ mod tests {
         let w = parse_worker(&["--status-addr", "0.0.0.0:9101"]).unwrap();
         assert_eq!(w.status_addr.as_deref(), Some("0.0.0.0:9101"));
         assert!(parse(&["--config", "s.json", "--status-addr"]).is_err(), "dangling value");
-        let e = parse(&["--help"]).unwrap_err();
-        assert!(e.0.contains("--status-addr"), "help documents the scrape endpoint");
+        let e = parse(&["--help"]).unwrap_err().to_string();
+        assert!(e.contains("--status-addr"), "help documents the scrape endpoint");
     }
 
     #[test]
     fn data_plane_flags_parse() {
-        let a = parse(&["--config", "s.json", "--inline-threshold", "4096"]).unwrap();
-        assert_eq!(a.inline_threshold, 4096);
-        assert_eq!(
-            parse(&["--config", "s.json"]).unwrap().inline_threshold,
-            64 * 1024,
-            "block plane on by default above 64 KiB"
-        );
         let w = parse_worker(&["--cache-mem", "64"]).unwrap();
         assert_eq!(w.cache_mem_mib, 64);
-        assert_eq!(WorkerArgs::default().cache_mem_mib, 256);
+        assert_eq!(parse_worker(&[]).unwrap().cache_mem_mib, 256);
         assert!(parse_worker(&["--cache-mem", "lots"]).is_err(), "non-numeric rejected");
-        let e = parse(&["--help"]).unwrap_err();
-        assert!(e.0.contains("--inline-threshold") && e.0.contains("--cache-mem"));
+        let e = parse(&["--help"]).unwrap_err().to_string();
+        assert!(e.contains("--cache-mem"));
+        // The inline threshold is `DistributedConfig::inline_threshold`,
+        // set through the API; no command line sets it.
+        assert!(!e.contains("--inline-threshold"));
+        assert!(parse(&["--config", "s.json", "--inline-threshold", "4096"]).is_err());
+        assert!(parse_serve(&["--local-cores", "1", "--inline-threshold", "1"]).is_err());
     }
 
     #[test]
@@ -1000,9 +1145,9 @@ mod tests {
         assert!(!b.share_prefixes, "prefix sharing is opt-in");
         let s = parse_serve(&["--local-cores", "2", "--share-prefixes"]).unwrap();
         assert!(s.share_prefixes);
-        assert!(!ServeArgs::default().share_prefixes);
-        let e = parse(&["--help"]).unwrap_err();
-        assert!(e.0.contains("--share-prefixes"), "help documents prefix sharing");
+        assert!(!parse_serve(&["--local-cores", "2"]).unwrap().share_prefixes);
+        let e = parse(&["--help"]).unwrap_err().to_string();
+        assert!(e.contains("--share-prefixes"), "help documents prefix sharing");
     }
 
     #[test]
@@ -1015,7 +1160,7 @@ mod tests {
     fn worker_dial_flag_parses() {
         let w = parse_worker(&["--dial", "10.0.0.1:7070, 10.0.0.2:7070"]).unwrap();
         assert_eq!(w.dial, vec!["10.0.0.1:7070", "10.0.0.2:7070"]);
-        assert!(WorkerArgs::default().dial.is_empty(), "dial-out off by default");
+        assert!(parse_worker(&[]).unwrap().dial.is_empty(), "dial-out off by default");
         assert!(parse_worker(&["--dial"]).is_err(), "dangling value");
     }
 
@@ -1035,8 +1180,6 @@ mod tests {
             "3",
             "--quota-trials",
             "100",
-            "--wave",
-            "4",
             "--dataset",
             "cifar10",
         ])
@@ -1046,20 +1189,23 @@ mod tests {
         assert_eq!(s.workers, vec!["w1:7077", "w2:7077"]);
         assert_eq!((s.max_active, s.max_queued), (2, 16));
         assert_eq!((s.rate, s.burst), (5.5, 3.0));
-        assert_eq!((s.quota_trials, s.wave), (100, 4));
-        assert_eq!(s.dataset, DatasetChoice::Cifar10);
+        assert_eq!(s.quota_trials, 100);
+        assert_eq!(s.recipe.dataset, DatasetChoice::Cifar10);
+        // The wave is each sweep's own (`submit --wave`); serve has none.
+        assert!(parse_serve(&["--workers", "w:1", "--wave", "4"]).is_err());
+        assert!(parse_serve(&["--workers", "w:1", "--pool-timeout", "5"]).is_err());
     }
 
     #[test]
     fn serve_requires_a_pool() {
         let e = parse_serve(&[]).unwrap_err();
-        assert!(e.0.contains("needs a pool"), "{e}");
+        assert!(e.to_string().contains("needs a pool"), "{e}");
         assert!(parse_serve(&["--local-cores", "4"]).is_ok(), "local pool is a pool");
         assert!(parse_serve(&["--expect-workers", "2"]).is_ok(), "dial-ins are a pool");
         let e = parse_serve(&["--local-cores", "4", "--workers", "w:1"]).unwrap_err();
-        assert!(e.0.contains("excludes"), "{e}");
+        assert!(e.to_string().contains("excludes"), "{e}");
         let e = parse_serve(&["--workers", "w:1", "--max-active", "0"]).unwrap_err();
-        assert!(e.0.contains("--max-active"), "{e}");
+        assert!(e.to_string().contains("--max-active"), "{e}");
     }
 
     #[test]
@@ -1083,10 +1229,11 @@ mod tests {
         .unwrap();
         let Command::Client(c) = cmd else { panic!("expected client subcommand") };
         assert_eq!(c.server, "127.0.0.1:7070");
-        assert_eq!(c.tenant, "acme");
-        let ClientAction::Submit { config, name, algo, trials, seed, watch, .. } = c.action else {
+        let ClientAction::Submit { tenant, config, name, algo, trials, seed, watch, .. } = c.action
+        else {
             panic!("expected submit action")
         };
+        assert_eq!(tenant, "acme");
         assert_eq!(config, "sweeps/nightly.json");
         assert_eq!(name, "nightly", "name defaults to the config file stem");
         assert_eq!(algo, AlgoChoice::Random);
@@ -1107,26 +1254,28 @@ mod tests {
     #[test]
     fn client_verbs_require_their_arguments() {
         let e = parse_client("submit", &["--config", "x.json"]).unwrap_err();
-        assert!(e.0.contains("--server"), "{e}");
+        assert!(e.to_string().contains("--server"), "{e}");
         let e = parse_client("submit", &["--server", "s:1"]).unwrap_err();
-        assert!(e.0.contains("--config"), "{e}");
+        assert!(e.to_string().contains("--config"), "{e}");
         let e = parse_client("cancel", &["--server", "s:1"]).unwrap_err();
-        assert!(e.0.contains("--sweep"), "{e}");
+        assert!(e.to_string().contains("--sweep"), "{e}");
         let c = parse_client("status", &["--server", "s:1", "--sweep", "3"]).unwrap();
         assert_eq!(c.action, ClientAction::Status { sweep_id: 3 });
-        assert_eq!(c.tenant, "default");
+        // Only a submission is charged to a tenant.
+        let e = parse_client("status", &["--server", "s:1", "--sweep", "3", "--tenant", "t"]);
+        assert!(e.unwrap_err().to_string().contains("unknown flag '--tenant'"));
         let c = parse_client("watch", &["--server", "s:1", "--sweep", "9"]).unwrap();
         assert_eq!(c.action, ClientAction::Watch { sweep_id: 9 });
     }
 
     #[test]
     fn help_documents_the_sweep_server() {
-        let e = parse(&["--help"]).unwrap_err();
-        assert!(e.0.contains("serve [SERVER OPTIONS]"));
-        assert!(e.0.contains("--max-active"));
-        assert!(e.0.contains("--quota-trials"));
-        assert!(e.0.contains("--expect-workers"));
-        assert!(e.0.contains("--dial"));
-        assert!(e.0.contains("submit --server"));
+        let e = parse(&["--help"]).unwrap_err().to_string();
+        assert!(e.contains("serve [SERVER OPTIONS]"));
+        assert!(e.contains("--max-active"));
+        assert!(e.contains("--quota-trials"));
+        assert!(e.contains("--expect-workers"));
+        assert!(e.contains("--dial"));
+        assert!(e.contains("submit --server"));
     }
 }

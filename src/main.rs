@@ -18,10 +18,7 @@ fn main() -> ExitCode {
     let refs: Vec<&str> = raw.iter().map(String::as_str).collect();
     let cmd = match cli::parse_command(&refs) {
         Ok(c) => c,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return e.report(),
     };
     let result = match &cmd {
         Command::Worker(w) => worker::serve(w),
@@ -159,10 +156,7 @@ fn run(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
             let rt = Runtime::distributed(
                 configure(RuntimeConfig::single_node(1)),
                 &args.workers,
-                DistributedConfig {
-                    inline_threshold: args.inline_threshold,
-                    ..DistributedConfig::default()
-                },
+                DistributedConfig::default(),
             )?;
             println!("distributed cluster: {}", rt.node_labels().join(", "));
             rt
@@ -210,27 +204,20 @@ fn run(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
     // flags executes the identical function (see `worker::build_objective`).
     // In a distributed run the driver's store/journal stay local; workers
     // started with --ckpt-every snapshot over the wire instead.
-    let (data, objective) = worker::build_objective(
-        args.dataset,
-        args.samples,
-        args.seed,
-        args.cnn,
-        args.target_accuracy,
-        ckpts,
-    );
+    let (data, objective) = worker::build_objective(&args.recipe, ckpts);
     println!("dataset: {} ({} examples, {} features)", data.name, data.len(), data.dim());
 
     // 5. Runner options.
     let mut opts =
         ExperimentOptions::default().with_constraint(Constraint::cpus(args.cores_per_task));
-    if let Some(t) = args.target_accuracy {
+    if let Some(t) = args.recipe.target_accuracy {
         opts.early_stop = Some(EarlyStop::at_accuracy(t));
         opts.wave_size = Some((args.nodes * 4).max(4));
     }
     if args.backend == BackendChoice::Sim {
         // cost-model durations for the virtual cluster
         let cores = args.cores_per_task;
-        let is_cifar = args.dataset == DatasetChoice::Cifar10;
+        let is_cifar = args.recipe.dataset == DatasetChoice::Cifar10;
         opts = opts.with_sim_duration(move |c: &Config| {
             let epochs = c.get_int("num_epochs").unwrap_or(10) as u32;
             let batch = c.get_int("batch_size").unwrap_or(64) as u32;
@@ -249,7 +236,8 @@ fn run(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
     if metrics_on {
         dash = dash.with_metrics(rt.metrics(), 10);
     }
-    let mut algo = hpo::server::build_algo(args.algo.wire_name(), &space, args.trials, args.seed)?;
+    let mut algo =
+        hpo::server::build_algo(args.algo.wire_name(), &space, args.trials, args.recipe.seed)?;
 
     // Prefix sharing plans a stage tree over every wave; trials cut short
     // by --target-accuracy leave no fork snapshot and the simulated
@@ -257,7 +245,7 @@ fn run(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
     // (Distributed workers register the same stage task — see
     // `worker::serve`.)
     let stage = (args.share_prefixes && args.backend != BackendChoice::Sim)
-        .then(|| worker::build_stage_objective(Arc::clone(&data), args.cnn, 0));
+        .then(|| worker::build_stage_objective(Arc::clone(&data), args.recipe.cnn, 0));
     let evaluator = Evaluator::pick(&runner.opts, objective, stage.as_ref());
     if args.share_prefixes && matches!(evaluator, Evaluator::Trials(_)) {
         eprintln!(

@@ -17,10 +17,13 @@ use hpo::{EarlyStop, Evaluator};
 use rcompss::{Constraint, DistributedConfig, Runtime, RuntimeConfig};
 use rnet::LeaderRow;
 
-use crate::cli::{ClientAction, ClientArgs, ServeArgs};
+use crate::cli::{ClientAction, ClientArgs, ServeArgs, DEFAULT_TENANT};
 use crate::worker;
 
 type AnyError = Box<dyn std::error::Error>;
+
+/// Deadline for gathering the whole worker pool, dial-outs and dial-ins.
+const POOL_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// The runtime configuration of a server's pool, local or remote. Untraced:
 /// `serve` has no `--trace` and no export path, and a collector that
@@ -33,14 +36,7 @@ fn pool_config(cores: u32) -> RuntimeConfig {
 pub fn serve(args: &ServeArgs) -> Result<(), AnyError> {
     hpo::wire::register_hpo_codecs();
     runmetrics::global().set_enabled(true);
-    let (data, objective) = worker::build_objective(
-        args.dataset,
-        args.samples,
-        args.seed,
-        args.cnn,
-        args.target_accuracy,
-        TrialCheckpoints::default(),
-    );
+    let (data, objective) = worker::build_objective(&args.recipe, TrialCheckpoints::default());
     let listener = TcpListener::bind(&args.listen)
         .map_err(|e| format!("cannot listen on {}: {e}", args.listen))?;
     let addr = listener.local_addr()?;
@@ -58,22 +54,18 @@ pub fn serve(args: &ServeArgs) -> Result<(), AnyError> {
         let plan = PoolPlan {
             dial: args.workers.clone(),
             expect_dial_in: args.expect_workers,
-            timeout: Duration::from_secs(args.pool_timeout_secs.max(1)),
+            timeout: POOL_TIMEOUT,
         };
         let boots = gather_workers(&listener, &plan)?;
         let roster: Vec<String> =
             boots.iter().map(|b| format!("{} ({} cores)", b.name(), b.cores())).collect();
         println!("pool sealed: {}", roster.join(", "));
-        Runtime::from_bootstraps(
-            pool_config(1),
-            boots,
-            DistributedConfig { inline_threshold: args.inline_threshold, ..Default::default() },
-        )?
+        Runtime::from_bootstraps(pool_config(1), boots, DistributedConfig::default())?
     };
 
     let mut opts =
         ExperimentOptions::default().with_constraint(Constraint::cpus(args.cores_per_task));
-    if let Some(t) = args.target_accuracy {
+    if let Some(t) = args.recipe.target_accuracy {
         opts.early_stop = Some(EarlyStop::at_accuracy(t));
     }
     let cfg = ServerConfig {
@@ -82,7 +74,6 @@ pub fn serve(args: &ServeArgs) -> Result<(), AnyError> {
         rate: args.rate,
         burst: args.burst,
         quota_trials: args.quota_trials,
-        wave: (args.wave > 0).then_some(args.wave),
     };
     println!(
         "admission: {} active / {} queued; rate {}/s burst {}; quota {}",
@@ -96,7 +87,7 @@ pub fn serve(args: &ServeArgs) -> Result<(), AnyError> {
     // sweep may use it is `Evaluator::pick`'s call, per sweep.
     let stage = args
         .share_prefixes
-        .then(|| worker::build_stage_objective(std::sync::Arc::clone(&data), args.cnn, 0));
+        .then(|| worker::build_stage_objective(std::sync::Arc::clone(&data), args.recipe.cnn, 0));
     if args.share_prefixes {
         match Evaluator::pick(&opts, objective.clone(), stage.as_ref()) {
             Evaluator::Stages(_) => println!("stage-tree prefix sharing enabled"),
@@ -121,17 +112,22 @@ pub fn serve(args: &ServeArgs) -> Result<(), AnyError> {
 
 /// Run one sweep-client verb.
 pub fn client(args: &ClientArgs) -> Result<(), AnyError> {
-    let mut client = SweepClient::connect(&args.server, &args.tenant)
+    // A query names its sweep by id; only a submission is charged to a tenant.
+    let tenant = match &args.action {
+        ClientAction::Submit { tenant, .. } => tenant.as_str(),
+        _ => DEFAULT_TENANT,
+    };
+    let mut client = SweepClient::connect(&args.server, tenant)
         .map_err(|e| format!("cannot reach sweep server {}: {e}", args.server))?;
     match &args.action {
-        ClientAction::Submit { config, name, algo, trials, seed, wave, watch, csv_out } => {
+        ClientAction::Submit { tenant, config, name, algo, trials, seed, wave, watch, csv_out } => {
             let space_json = std::fs::read_to_string(config)
                 .map_err(|e| format!("cannot read {config}: {e}"))?;
             let spec = SubmitSpec {
                 name: name.clone(),
                 space_json,
                 algo: algo.wire_name().to_string(),
-                trials: *trials as u32,
+                trials: *trials,
                 seed: *seed,
                 wave: *wave,
             };
@@ -141,7 +137,7 @@ pub fn client(args: &ClientArgs) -> Result<(), AnyError> {
                 info.sweep_id,
                 name,
                 state_name(info.state),
-                args.tenant,
+                tenant,
                 info.total
             );
             if !*watch {

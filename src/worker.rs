@@ -3,11 +3,11 @@
 //! A distributed run needs the experiment task to exist on both sides of
 //! the wire under the same name, closed over the same objective — the
 //! COMPSs equivalent of every worker node importing the user's Python
-//! module. [`build_objective`] is that shared recipe: the driver and the
-//! worker both call it with the same dataset parameters (`--dataset`,
-//! `--samples`, `--seed`, `--cnn`, `--target-accuracy`), so the function
-//! the worker executes is bit-identical to the one a threaded run would
-//! execute locally.
+//! module. [`build_objective`] builds it from a [`DatasetRecipe`]: the
+//! driver and the worker both call it with the same recipe flags
+//! (`--dataset`, `--samples`, `--seed`, `--cnn`, `--target-accuracy`), so
+//! the function the worker executes is bit-identical to the one a threaded
+//! run would execute locally.
 
 use std::sync::Arc;
 
@@ -20,25 +20,22 @@ use rcompss::{TaskRegistry, WorkerConfig, WorkerServer};
 use tinyml::data::SyntheticSpec;
 use tinyml::Dataset;
 
-use crate::cli::{DatasetChoice, WorkerArgs};
+use crate::cli::{DatasetChoice, DatasetRecipe, WorkerArgs};
 
 /// Build the training dataset and objective from the CLI dataset recipe.
 ///
-/// Deterministic in its arguments: the same `(dataset, samples, seed,
-/// cnn, target_accuracy)` tuple yields the same synthetic data and the
-/// same objective on every process that calls it. `ckpts` layers
+/// Deterministic in its arguments: the same recipe yields the same
+/// synthetic data and the same objective on every process that calls
+/// it. `ckpts` layers
 /// checkpointing on top without changing the training trajectory: the
 /// driver passes its snapshot store and sweep journal, a worker passes
 /// just a cadence (its snapshots travel over the runtime's ambient
 /// channel), and `TrialCheckpoints::default()` turns it off.
 pub fn build_objective(
-    dataset: DatasetChoice,
-    samples: usize,
-    seed: u64,
-    cnn: bool,
-    target_accuracy: Option<f64>,
+    recipe: &DatasetRecipe,
     ckpts: TrialCheckpoints,
 ) -> (Arc<Dataset>, Objective) {
+    let DatasetRecipe { dataset, samples, seed, cnn, target_accuracy } = *recipe;
     let spec = match (dataset, cnn) {
         (DatasetChoice::Mnist, false) => SyntheticSpec::mnist_like(),
         (DatasetChoice::Mnist, true) => SyntheticSpec::mnist_like_spatial(),
@@ -96,18 +93,11 @@ pub fn serve(args: &WorkerArgs) -> Result<(), Box<dyn std::error::Error>> {
     // Cadence only: a worker has no journal or on-disk store — its
     // snapshots ride the runtime's ambient channel back to the driver.
     let ckpts = TrialCheckpoints { every: args.ckpt_every, ..TrialCheckpoints::default() };
-    let (data, objective) = build_objective(
-        args.dataset,
-        args.samples,
-        args.seed,
-        args.cnn,
-        args.target_accuracy,
-        ckpts,
-    );
+    let (data, objective) = build_objective(&args.recipe, ckpts);
     // Register the stage-segment task alongside the experiment task: the
     // same pool then serves naive and prefix-shared sweeps alike, and the
     // driver decides per run which one to submit.
-    let stage = build_stage_objective(Arc::clone(&data), args.cnn, args.ckpt_every);
+    let stage = build_stage_objective(Arc::clone(&data), args.recipe.cnn, args.ckpt_every);
     let registry = TaskRegistry::new()
         .with(experiment_task_def(&ExperimentOptions::default(), &objective))
         .with(stage_task_def(&ExperimentOptions::default(), &stage));

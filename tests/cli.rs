@@ -1,10 +1,47 @@
 //! End-to-end tests of the `hpo-run` launcher binary (the `runcompss`
 //! analogue), exercised as a real subprocess.
 
-use std::process::Command;
+use std::io::{BufRead, BufReader, Lines};
+use std::process::{Child, ChildStdout, Command, Output, Stdio};
 
 fn hpo_run() -> Command {
     Command::new(env!("CARGO_BIN_EXE_hpo-run"))
+}
+
+/// A daemon child (`serve`, `worker`), killed when dropped. Its stdout
+/// stays open so a late line cannot kill it with `EPIPE`.
+struct Daemon {
+    child: Child,
+    _stdout: Lines<BufReader<ChildStdout>>,
+}
+
+impl Daemon {
+    /// Start `cmd` and return it with the address its stdout names after
+    /// `ready` (it binds `127.0.0.1:0` and prints where it landed).
+    fn start(cmd: &mut Command, ready: &str) -> (Daemon, String) {
+        let mut child = cmd.stdout(Stdio::piped()).spawn().expect("daemon starts");
+        let mut lines = BufReader::new(child.stdout.take().unwrap()).lines();
+        let addr = lines
+            .by_ref()
+            .map_while(Result::ok)
+            .find_map(|l| Some(l.split_once(ready)?.1.split_whitespace().next()?.to_string()));
+        let daemon = Daemon { child, _stdout: lines };
+        (daemon, addr.unwrap_or_else(|| panic!("the daemon exited before printing '{ready}'")))
+    }
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// Stdout of a command that must succeed.
+fn stdout_of(cmd: &mut Command) -> String {
+    let out = cmd.output().expect("binary runs");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    String::from_utf8(out.stdout).unwrap()
 }
 
 fn write_space(name: &str, body: &str) -> std::path::PathBuf {
@@ -20,6 +57,10 @@ const SMALL_SPACE: &str = r#"{
     "num_epochs": [1, 2],
     "batch_size": [64]
 }"#;
+
+/// Two CNN trials small enough for a debug build, one per optimizer.
+const TWO_CNN_TRIALS: &str =
+    r#"{"optimizer": ["Adam", "SGD"], "num_epochs": [2], "batch_size": [16]}"#;
 
 #[test]
 fn grid_run_produces_leaderboard_and_csv() {
@@ -111,11 +152,24 @@ fn checkpointed_run_can_be_resumed_without_rerunning_trials() {
 }
 
 /// The deterministic columns of a trial CSV — config, accuracy, epochs_run —
-/// one string per row. The quoted config label holds commas of its own, so
-/// the two trailing columns (task_us, error) are cut from the right.
+/// one string per row, in file order. The quoted config label holds commas
+/// of its own; what follows epochs_run is wall time, and a standalone run's
+/// CSV has an error column a served leaderboard lacks.
 fn trial_table(csv: &std::path::Path) -> Vec<String> {
     let text = std::fs::read_to_string(csv).unwrap();
-    text.lines().skip(1).map(|row| row.rsplitn(3, ',').nth(2).unwrap().to_string()).collect()
+    let row = |row: &str| {
+        let label = row[1..].find('"').unwrap() + 2;
+        let mut rest = row[label + 1..].split(',');
+        format!("{},{},{}", &row[..label], rest.next().unwrap(), rest.next().unwrap())
+    };
+    text.lines().skip(1).map(row).collect()
+}
+
+/// [`trial_table`], sorted: a served leaderboard lists rows as trials end.
+fn sorted_table(csv: &std::path::Path) -> Vec<String> {
+    let mut rows = trial_table(csv);
+    rows.sort();
+    rows
 }
 
 #[test]
@@ -197,4 +251,187 @@ fn malformed_json_is_reported() {
     let out = hpo_run().args(["--config", space.to_str().unwrap()]).output().unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("JSON error"));
+}
+
+#[test]
+fn help_goes_to_stdout_and_exits_zero() {
+    let help = |out: Output| {
+        assert!(out.status.success(), "asking for help is not an error");
+        assert!(out.stderr.is_empty(), "{}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let all = help(hpo_run().arg("--help").output().unwrap());
+    assert_eq!(all.matches("\nUSAGE: ").count(), 5, "every section: {all}");
+    let worker = Command::new(env!("CARGO_BIN_EXE_rcompss-worker"));
+    let server = Command::new(env!("CARGO_BIN_EXE_rcompss-server"));
+    for (mut cmd, args, own, other) in [
+        (hpo_run(), &["worker", "-h"][..], "--cache-mem", "--max-active"),
+        (worker, &["--help"][..], "--cache-mem", "--max-active"),
+        (server, &["-h"][..], "--max-active", "--cache-mem"),
+        (hpo_run(), &["submit", "--help"][..], "--watch", "--sweep"),
+        (hpo_run(), &["cancel", "--help"][..], "--sweep", "--watch"),
+    ] {
+        let text = help(cmd.args(args).output().unwrap());
+        assert_eq!(text.matches("\nUSAGE: ").count(), 1, "{args:?}: {text}");
+        assert!(text.contains(own) && !text.contains(other), "{args:?}: {text}");
+    }
+}
+
+#[test]
+fn served_sweeps_equal_a_run_and_the_wave_decides_the_savings() {
+    let space = write_space("served.json", SMALL_SPACE);
+    let (_server, addr) = Daemon::start(
+        hpo_run().args(["serve", "--listen", "127.0.0.1:0", "--local-cores", "2"]).args([
+            "--share-prefixes",
+            "--max-active",
+            "2",
+            "--max-queued",
+            "3",
+            "--rate",
+            "500",
+            "--burst",
+            "16",
+            "--quota-trials",
+            "64",
+            "--cores-per-task",
+            "2",
+            "--dataset",
+            "cifar10",
+            "--samples",
+            "60",
+            "--seed",
+            "7",
+        ]),
+        "sweep server ready on ",
+    );
+    let standalone = space.with_file_name("served-standalone.csv");
+    stdout_of(
+        hpo_run().args(["--config", space.to_str().unwrap(), "--dataset", "cifar10"]).args([
+            "--samples",
+            "60",
+            "--seed",
+            "7",
+            "--out",
+            standalone.to_str().unwrap(),
+        ]),
+    );
+
+    // The same grid twice: one config per wave shares nothing, one wave of
+    // four shares each optimizer's first epoch. The leaderboard must not
+    // notice.
+    let mut sweep_id = String::new();
+    for (wave, saves) in [("1", false), ("4", true)] {
+        let csv = space.with_file_name(format!("served-wave{wave}.csv"));
+        let out = stdout_of(
+            hpo_run()
+                .args(["submit", "--server", &addr, "--tenant", "acme"])
+                .args(["--config", space.to_str().unwrap(), "--name", &format!("wave{wave}")])
+                .args(["--algo", "grid", "--trials", "4", "--seed", "7", "--wave", wave])
+                .args(["--watch", "--out", csv.to_str().unwrap()]),
+        );
+        let done = out.lines().find(|l| l.contains(" done: 4 trials")).expect(&out);
+        assert_eq!(done.contains("epochs saved"), saves, "--wave {wave}: {done}");
+        assert_eq!(sorted_table(&csv), sorted_table(&standalone), "--wave {wave}");
+        sweep_id = out.split_whitespace().nth(1).unwrap().to_string();
+    }
+
+    let query =
+        |verb: &str| stdout_of(hpo_run().args([verb, "--server", &addr, "--sweep", &sweep_id]));
+    assert!(query("status").contains(&format!("sweep {sweep_id}: done — 4/4 done")));
+    assert!(query("watch").contains(&format!("sweep {sweep_id}: done")));
+    assert!(query("cancel").contains(&format!("sweep {sweep_id} already done")));
+}
+
+#[test]
+fn a_distributed_recipe_equals_threaded() {
+    let space = write_space("recipe.json", TWO_CNN_TRIALS);
+    // At this target the Adam trial stops after one of its two epochs: a
+    // worker that dropped any part of the recipe would train another table.
+    let recipe = [
+        "--dataset",
+        "cifar10",
+        "--samples",
+        "30",
+        "--seed",
+        "7",
+        "--cnn",
+        "--target-accuracy",
+        "0.1",
+    ];
+    let (_worker, addr) = Daemon::start(
+        hpo_run()
+            .args(["worker", "--listen", "127.0.0.1:0", "--name", "w-recipe", "--cores", "1"])
+            .args(["--cache-mem", "64", "--ckpt-every", "1"])
+            .args(recipe),
+        " listening on ",
+    );
+    let run = |backend: &[&str], csv: &std::path::Path| {
+        hpo_run()
+            .args(["--config", space.to_str().unwrap(), "--out", csv.to_str().unwrap()])
+            .args(backend)
+            .args(recipe)
+            .stdout(Stdio::null())
+            .spawn()
+            .unwrap()
+    };
+    let (threaded, distributed) =
+        (space.with_file_name("recipe-threaded.csv"), space.with_file_name("recipe-dist.csv"));
+    let mut runs = [
+        run(&["--backend", "threaded"], &threaded),
+        run(&["--backend", "distributed", "--workers", &addr], &distributed),
+    ];
+    for child in &mut runs {
+        assert!(child.wait().unwrap().success());
+    }
+    let table = sorted_table(&threaded);
+    assert!(
+        table.iter().any(|row| row.ends_with("num_epochs=2,optimizer=Adam\",0.166667,1")),
+        "{table:?}"
+    );
+    assert_eq!(sorted_table(&distributed), table);
+}
+
+#[test]
+fn a_cnn_run_without_metrics_serves_alike() {
+    // Ten trials: with metrics on, the dashboard prints its metrics line
+    // after the tenth.
+    let ten = write_space(
+        "cnn-ten.json",
+        r#"{"num_epochs": [1], "batch_size": [8, 9, 10, 11, 12, 13, 14, 15, 16, 17]}"#,
+    );
+    let out = stdout_of(hpo_run().args([
+        "--config",
+        ten.to_str().unwrap(),
+        "--samples",
+        "20",
+        "--cnn",
+        "--no-metrics",
+    ]));
+    assert!(out.contains("grid: 10 trials") && !out.contains("metrics:"), "{out}");
+
+    // The CNN and early-stop recipe reaches a served sweep's objective.
+    let space = write_space("cnn-served.json", TWO_CNN_TRIALS);
+    let recipe = ["--samples", "20", "--seed", "5", "--cnn", "--target-accuracy", "0.1"];
+    let (_server, addr) = Daemon::start(
+        hpo_run().args(["serve", "--listen", "127.0.0.1:0", "--local-cores", "1"]).args(recipe),
+        "sweep server ready on ",
+    );
+    let (standalone, served) =
+        (space.with_file_name("cnn-standalone.csv"), space.with_file_name("cnn-served.csv"));
+    stdout_of(
+        hpo_run()
+            .args(["--config", space.to_str().unwrap(), "--out", standalone.to_str().unwrap()])
+            .args(recipe),
+    );
+    stdout_of(
+        hpo_run()
+            .args(["submit", "--server", &addr, "--config", space.to_str().unwrap()])
+            .args(["--out", served.to_str().unwrap()]),
+    );
+    let table = sorted_table(&standalone);
+    assert!(
+        table.iter().any(|row| row.ends_with("num_epochs=2,optimizer=Adam\",0.250000,1")),
+        "{table:?}"
+    );
+    assert_eq!(sorted_table(&served), table);
 }

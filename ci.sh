@@ -215,6 +215,8 @@ echo "==> block-cache smoke: shared dataset ships once per worker, not per trial
 cargo test --release -p rcompss --test distributed -q -- block_plane killed_worker_block
 
 echo "==> distributed loopback smoke: 2 workers, distributed == threaded"
+# One core per worker and eight configs: each worker runs one trial while
+# it holds the next, dispatched ahead, so the diff covers that path too.
 SMOKE_DIR=$(mktemp -d)
 WORKER_PIDS=()
 cleanup() {
@@ -228,14 +230,14 @@ cat > "$SMOKE_DIR/space.json" <<'EOF'
 {
   "optimizer": ["Adam", "SGD"],
   "num_epochs": [1, 2],
-  "batch_size": [32]
+  "batch_size": [32, 64]
 }
 EOF
 ./target/release/rcompss-worker --listen 127.0.0.1:7191 --name ci-w0 --samples 200 \
-    --status-addr 127.0.0.1:7193 &
+    --cores 1 --status-addr 127.0.0.1:7193 &
 WORKER_PIDS+=($!)
 ./target/release/rcompss-worker --listen 127.0.0.1:7192 --name ci-w1 --samples 200 \
-    --status-addr 127.0.0.1:7194 &
+    --cores 1 --status-addr 127.0.0.1:7194 &
 WORKER_PIDS+=($!)
 sleep 1
 ./target/release/hpo-run --config "$SMOKE_DIR/space.json" --backend distributed \

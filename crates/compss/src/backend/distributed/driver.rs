@@ -87,8 +87,8 @@ struct LinkState {
 /// One remote worker as seen by the driver.
 struct WorkerLink {
     node: u32,
-    addr: String,
-    name: String,
+    /// `name@addr`: the worker's label in metrics and the trace.
+    label: String,
     state: Mutex<LinkState>,
     /// Wall-µs send time of the oldest heartbeat no received byte has
     /// followed yet, [`ANSWERED`] when there is none: the silence a loss
@@ -234,7 +234,13 @@ impl ConnMgr {
         boots: Vec<WorkerBootstrap>,
         cfg: DistributedConfig,
     ) -> io::Result<ConnMgr> {
-        shared.core.lock().blocks.set_inline_threshold(cfg.inline_threshold);
+        {
+            let mut core = shared.core.lock();
+            core.blocks.set_inline_threshold(cfg.inline_threshold);
+            // A worker holds the next one-core task while it runs one, so
+            // it never idles for a round trip between tasks.
+            core.sched.enable_dispatch_ahead();
+        }
         let poller = Poller::new()?;
         let wake = Waker::new(&poller, WAKE_TOKEN)?;
         let workers: Vec<Arc<WorkerLink>> = boots
@@ -253,8 +259,7 @@ impl ConnMgr {
                     reg.counter(&runmetrics::labeled("rnet_bytes_received_total", "node", &label));
                 Arc::new(WorkerLink {
                     node: i as u32,
-                    addr: b.addr,
-                    name: b.name,
+                    label,
                     state: Mutex::new(LinkState {
                         stream: Some(b.stream),
                         fn_ids: HashMap::new(),
@@ -283,7 +288,7 @@ impl ConnMgr {
 
     /// Worker display labels, indexed by node id: `name@addr`.
     pub fn labels(&self) -> Vec<String> {
-        self.inner.workers.iter().map(|w| format!("{}@{}", w.name, w.addr)).collect()
+        self.inner.workers.iter().map(|w| w.label.clone()).collect()
     }
 
     /// Per-worker clock sync estimates, indexed by node id:
@@ -381,7 +386,6 @@ pub(crate) fn collect_dispatch_remote(shared: &Shared, core: &mut Core) -> Vec<R
                 }
                 args.push(PreparedArg::Inline { key, value });
             }
-            shared.metrics.phase_queue.record(placed.now_us.saturating_sub(inst.submitted_us));
             // An `Arc` bump: the bytes are not copied under the core lock.
             let snapshot = inst.snapshot.clone();
             msgs.push(RemoteDispatch { placed, args, name, snapshot });
@@ -761,11 +765,11 @@ fn service_link(inner: &Arc<Inner>, link: &Arc<WorkerLink>, readable: bool, writ
 fn publish_clock_gauges(inner: &Inner, link: &WorkerLink) {
     let rtt = link.clock_rtt_us.load(Ordering::Relaxed);
     if rtt > 0 {
-        let label = format!("{}@{}", link.name, link.addr);
-        inner.shared.metrics.set_node_gauge("rnet_rtt_us", &label, rtt as f64);
-        inner.shared.metrics.set_node_gauge(
+        let m = &inner.shared.metrics;
+        m.set_node_gauge("rnet_rtt_us", &link.label, rtt as f64);
+        m.set_node_gauge(
             "rnet_clock_offset_us",
-            &label,
+            &link.label,
             link.clock_offset_us.load(Ordering::Relaxed) as f64,
         );
     }
@@ -794,6 +798,19 @@ fn exec_span(
     (start, end.max(start))
 }
 
+/// What the trace and the phase histograms need of one ended attempt: read
+/// under the core lock, used after it.
+struct Ended {
+    task: TaskId,
+    placement: Arc<crate::scheduler::Placement>,
+    name: Arc<str>,
+    /// Dispatch time, driver clock.
+    start_us: u64,
+    /// Submission → dispatch, driver clock.
+    dispatch_wait_us: u64,
+    stamps: ExecStamps,
+}
+
 /// Completions and requests collected from one readiness event: one core
 /// lock pass for bookkeeping + follow-on placement, replies pushed onto
 /// the link's backlog, traces emitted off-lock.
@@ -806,8 +823,7 @@ fn apply_frames(
     block_evicts: Vec<u128>,
 ) {
     let now = inner.shared.wall_us();
-    type Info = (TaskId, Arc<crate::scheduler::Placement>, u64, Arc<str>, ExecStamps);
-    let mut infos: Vec<Info> = Vec::new();
+    let mut ended: Vec<Ended> = Vec::new();
     let mut replies: Vec<Arc<EncodedBlock>> = Vec::new();
     let follow = {
         let mut core = inner.shared.core.lock();
@@ -822,8 +838,14 @@ fn apply_frames(
             // (`running` no longer knows the exec id).
             if let Some(run) = core.running.get(&exec_id) {
                 let inst = &core.instances[&run.task];
-                let name = Arc::clone(&inst.def.name);
-                infos.push((run.task, Arc::clone(&run.placement), run.start_us, name, stamps));
+                ended.push(Ended {
+                    task: run.task,
+                    placement: Arc::clone(&run.placement),
+                    name: Arc::clone(&inst.def.name),
+                    start_us: run.start_us,
+                    dispatch_wait_us: run.start_us.saturating_sub(inst.submitted_us),
+                    stamps,
+                });
                 // What an output weighs on the wire is what moving it costs,
                 // and what decides inline-vs-block for its readers.
                 for (v, bytes) in inst.writes().iter().zip(output_bytes) {
@@ -865,15 +887,19 @@ fn apply_frames(
     }
     let offset = link.clock_offset_us.load(Ordering::Relaxed);
     let synced = link.clock_rtt_us.load(Ordering::Relaxed) > 0;
-    for (task, placement, start_us, name, stamps) in infos {
-        inner.shared.metrics.rpc_latency.record(now.saturating_sub(start_us));
-        inner.shared.metrics.record_node_task(&format!("{}@{}", link.name, link.addr));
+    let m = &inner.shared.metrics;
+    for Ended { task, placement, name, start_us, dispatch_wait_us, stamps } in ended {
+        m.rpc_latency.record(now.saturating_sub(start_us));
+        m.record_node_task(&link.label);
         // What the trace shows for the attempt: the driver-observed window,
         // narrowed to the body's own span once the stamps can be placed.
         let mut span = (start_us, now);
+        let mut queue_us = dispatch_wait_us;
         if let Some((w_recv, w_start, w_end)) = stamps {
-            // Exec is a worker-clock difference, so the offset cancels there.
-            let m = &inner.shared.metrics;
+            // A task dispatched ahead waits on the worker for the one before
+            // it: that wait is queueing too. Both it and exec are
+            // worker-clock differences, so the offset cancels there.
+            queue_us += w_start.saturating_sub(w_recv);
             m.phase_wire.record(rebase(w_recv, offset).saturating_sub(start_us));
             m.phase_exec.record(w_end.saturating_sub(w_start));
             m.phase_ship.record(now.saturating_sub(rebase(w_end, offset)));
@@ -881,6 +907,7 @@ fn apply_frames(
                 span = exec_span(w_start, w_end, offset, start_us, now);
             }
         }
+        m.phase_queue.record(queue_us);
         let task_ref = TaskRef::new(task.0, name);
         emit_attempt_spans(&inner.shared, &placement, task_ref, span.0, span.1, false);
     }
@@ -934,7 +961,7 @@ fn failover(inner: &Arc<Inner>, link: &Arc<WorkerLink>) {
                 &inner.shared,
                 &mut core,
                 e,
-                Err(TaskError::new(format!("worker {} connection lost", link.addr))),
+                Err(TaskError::new(format!("worker {} connection lost", link.label))),
                 now,
                 true,
             );

@@ -33,8 +33,15 @@
 //! # Pipelining
 //!
 //! Submits to one worker coalesce into the link's `SendBuf` (one `write`
-//! for a burst). The scheduler bounds in-flight work per worker by the
-//! cores its `Hello` advertised, so the link needs no queue of its own.
+//! for a burst). The scheduler dispatches ahead: a core its `Hello`
+//! advertised holds the task it runs plus, once no ready task fits an idle
+//! core, one queued one-core task, so in-flight work per worker is at most
+//! twice its cores and the link needs no queue of its own. The queued
+//! task's `Submit` crosses the wire while the core is still busy; the
+//! worker's per-connection core gate starts it the moment the task ahead of
+//! it ends, so a worker never idles for a round trip between two tasks. The
+//! driver keeps a queued execution in `running` like any other, so
+//! failover, retries and the trace treat it as running.
 //!
 //! # Data movement
 //!

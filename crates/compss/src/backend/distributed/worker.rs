@@ -321,6 +321,39 @@ struct Job {
     snapshot: Option<Vec<u8>>,
 }
 
+/// One connection's jobs that have not started, and the cores its running
+/// jobs hold: the core gate. The driver may dispatch a one-core job ahead,
+/// behind a core that is still running one; the gate keeps it waiting until
+/// that core is free, so two jobs never run on one core.
+#[derive(Default)]
+struct JobQueue {
+    /// Jobs not yet started, in arrival order.
+    waiting: VecDeque<Job>,
+    /// Cores granted to this connection's running jobs.
+    held: Vec<u32>,
+}
+
+impl JobQueue {
+    /// Whether none of `job`'s cores is held by a running job.
+    fn startable(&self, job: &Job) -> bool {
+        job.cores.iter().all(|c| !self.held.contains(c))
+    }
+
+    /// Start the first waiting job, in arrival order, whose cores are all
+    /// free: take it and hold its cores.
+    fn start_next(&mut self) -> Option<Job> {
+        let i = self.waiting.iter().position(|j| self.startable(j))?;
+        let job = self.waiting.remove(i).expect("position is in range");
+        self.held.extend(&job.cores);
+        Some(job)
+    }
+
+    /// A running job ended: its cores are free again.
+    fn release(&mut self, cores: &[u32]) {
+        self.held.retain(|c| !cores.contains(c));
+    }
+}
+
 /// Content-addressed block cache plus the in-flight request set that
 /// coalesces concurrent misses: one `BlockRequest` per missing hash no
 /// matter how many tasks are blocked on it.
@@ -349,7 +382,7 @@ struct ConnShared {
     /// condvars are bound to one mutex at a time.
     blocks: Mutex<BlockCacheState>,
     blocks_cv: Condvar,
-    jobs: Mutex<VecDeque<Job>>,
+    jobs: Mutex<JobQueue>,
     jobs_cv: Condvar,
     closed: AtomicBool,
     stop: Arc<AtomicBool>,
@@ -455,7 +488,7 @@ fn accept_conn(
             inflight: HashSet::new(),
         }),
         blocks_cv: Condvar::new(),
-        jobs: Mutex::new(VecDeque::new()),
+        jobs: Mutex::new(JobQueue::default()),
         jobs_cv: Condvar::new(),
         closed: AtomicBool::new(false),
         stop: Arc::clone(stop),
@@ -574,8 +607,15 @@ fn handle_worker_frame(
                 recv_us: conn.wall_us(),
                 snapshot,
             };
-            conn.jobs.lock().push_back(job);
-            conn.jobs_cv.notify_one();
+            let mut jobs = conn.jobs.lock();
+            // A job dispatched ahead waits for the core it names; an idle
+            // executor could not start it, so none is woken for it.
+            let startable = jobs.startable(&job);
+            jobs.waiting.push_back(job);
+            drop(jobs);
+            if startable {
+                conn.jobs_cv.notify_one();
+            }
         }
         FrameRef::Heartbeat { seq, t_send_us, .. } => {
             let recv_us = conn.wall_us();
@@ -703,18 +743,29 @@ fn executor_loop(conn: Arc<ConnShared>, registry: Arc<TaskRegistry>) {
     // mirrored over the wire, loads read what came with the job.
     let snaps =
         Arc::new(WorkerSnapshotChannel { conn: Arc::clone(&conn), latest: Mutex::new(None) });
+    // Cores of the job this executor ran last, freed when it looks for the
+    // next: with a job queued behind them it starts at once, no sleep.
+    let mut finished: Vec<u32> = Vec::new();
     loop {
         let mut job = {
             let mut jobs = conn.jobs.lock();
-            loop {
-                if let Some(j) = jobs.pop_front() {
-                    break j;
-                }
+            jobs.release(&finished);
+            let job = loop {
+                // A closed connection's waiting jobs are dropped, not run.
                 if conn.closed.load(Ordering::SeqCst) {
                     return;
                 }
+                if let Some(j) = jobs.start_next() {
+                    break j;
+                }
                 conn.jobs_cv.wait(&mut jobs);
+            };
+            // Freed cores may let more than one waiting job start: pass
+            // the turn on.
+            if jobs.waiting.iter().any(|j| jobs.startable(j)) {
+                conn.jobs_cv.notify_one();
             }
+            job
         };
         *snaps.latest.lock() = job.snapshot.take();
         let frame = crate::snapshot::with_channel(snaps.clone(), TaskId(job.task_id), || {
@@ -727,6 +778,7 @@ fn executor_loop(conn: Arc<ConnShared>, registry: Arc<TaskRegistry>) {
             return;
         }
         conn.push_out(&frame);
+        finished = std::mem::take(&mut job.cores);
     }
 }
 

@@ -22,7 +22,7 @@
 //! | `rcompss_node_failures_total` | counter | node failures observed |
 //! | `rcompss_transfer_bytes_total` | counter | bytes staged to nodes (sim backend) |
 //! | `rcompss_ready_queue_depth` | gauge | ready tasks not yet placeable |
-//! | `rcompss_running_tasks` | gauge | in-flight executions |
+//! | `rcompss_running_tasks` | gauge | in-flight executions, counting tasks queued on a worker behind a running one |
 //! | `rcompss_live_tasks` | gauge | submitted tasks that have not settled (settled ones are retired) |
 //! | `rcompss_live_data_versions` | gauge | data versions the runtime still holds; idle, it equals the undeleted written handles |
 //! | `rcompss_block_store_bytes` | gauge | encoded bytes in the driver's block store (distributed backend) |
@@ -53,12 +53,15 @@
 //! | `rcompss_block_cache_resident_bytes` | gauge | decoded bytes currently cached |
 //!
 //! The `task_phase_us` phases decompose a remote task's life on the driver
-//! timeline: **queue** (submission → dispatch), **wire** (dispatch →
-//! worker decode of the submit), **exec** (the body itself, measured on the
-//! worker's clock so the offset cancels), **ship** (body return → driver
-//! applying the result). Wire and ship cross clock domains and are rebased
-//! with the heartbeat offset estimate, so they carry up to RTT/2 of noise —
-//! fine for the "where does runtime time go" question they answer.
+//! timeline: **queue** (submission → dispatch, plus the worker-side wait
+//! from submit decode to body start of a task dispatched ahead), **wire**
+//! (dispatch → worker decode of the submit), **exec** (the body itself,
+//! measured on the worker's clock so the offset cancels), **ship** (body
+//! return → driver applying the result). The four sum to the task's
+//! latency, one sample each per attempt that reports back. Wire and ship
+//! cross clock domains and are rebased with the heartbeat offset estimate,
+//! so they carry up to RTT/2 of noise — fine for the "where does runtime
+//! time go" question they answer.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -111,7 +114,8 @@ pub(crate) struct RtMetrics {
     pub transfer_time: Histogram,
     /// Submit → done/failed round trip per remote task (distributed).
     pub rpc_latency: Histogram,
-    /// Submission → dispatch wait, as a lifecycle phase.
+    /// Submission → dispatch wait plus the worker-side wait before the
+    /// body starts, as a lifecycle phase.
     pub phase_queue: Histogram,
     /// Dispatch → worker submit-decode (driver timeline, offset-rebased).
     pub phase_wire: Histogram,
@@ -185,10 +189,15 @@ impl RtMetrics {
             return;
         }
         let mut cache = self.task_latency.lock();
-        let h = cache.entry(fn_name.to_string()).or_insert_with(|| {
-            self.registry.histogram(&labeled("rcompss_task_latency_us", "fn", fn_name))
-        });
+        // Look up before building a key: only a function's first
+        // completion allocates.
+        if let Some(h) = cache.get(fn_name) {
+            h.record(us);
+            return;
+        }
+        let h = self.registry.histogram(&labeled("rcompss_task_latency_us", "fn", fn_name));
         h.record(us);
+        cache.insert(fn_name.to_string(), h);
     }
 
     /// Count a completed remote execution against its worker's
@@ -198,14 +207,17 @@ impl RtMetrics {
             return;
         }
         let mut cache = self.node_tasks.lock();
-        let c = cache.entry(node_label.to_string()).or_insert_with(|| {
-            self.registry.counter(&labeled(
-                "rcompss_node_tasks_completed_total",
-                "node",
-                node_label,
-            ))
-        });
+        if let Some(c) = cache.get(node_label) {
+            c.incr();
+            return;
+        }
+        let c = self.registry.counter(&labeled(
+            "rcompss_node_tasks_completed_total",
+            "node",
+            node_label,
+        ));
         c.incr();
+        cache.insert(node_label.to_string(), c);
     }
 
     /// Set a per-worker gauge, e.g. `set_node_gauge("rnet_rtt_us", label,

@@ -26,6 +26,19 @@
 //! backend and all recorded makespans depend on that, and
 //! [`Scheduler::pop_placeable_reference`] keeps the plain linear scan
 //! around as a differential-testing oracle.
+//!
+//! # Dispatch-ahead
+//!
+//! A core holds 0 tasks (idle), 1 (running) or, on a scheduler built
+//! with [`Scheduler::enable_dispatch_ahead`], 2: one running and one queued
+//! behind it. The distributed backend turns this on so a worker starts its
+//! next task the moment the running one ends, instead of idling for the
+//! round trip that fetches it. Placement onto idle cores is unchanged and
+//! always comes first; only when it places nothing does a second pass queue
+//! the first ready single-implementation, one-core, GPU-less task behind a
+//! core that runs exactly one task, on the node the usual score picks. A
+//! multi-core task is never queued ahead, and a queued task never takes an
+//! idle core: either would leave a core idle that backfilling could use.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
@@ -38,6 +51,9 @@ use crate::task::{Constraint, TaskId};
 pub struct NodeResources {
     /// Free CPU core ids.
     pub free_cores: BTreeSet<u32>,
+    /// Cores running exactly one task that may queue one more behind it
+    /// (dispatch-ahead schedulers only; always empty otherwise).
+    pub one_task_cores: BTreeSet<u32>,
     /// Free GPU ids.
     pub free_gpus: BTreeSet<u32>,
     /// Memory left, GiB.
@@ -165,6 +181,8 @@ pub struct Scheduler {
     /// O(1) until a release or a new-class push. This is what keeps a
     /// submission storm against a full cluster linear instead of quadratic.
     all_blocked: bool,
+    /// Whether a core may hold a queued task behind its running one.
+    dispatch_ahead: bool,
     /// Reserved `(node, core)` pairs, for rendering.
     pub reserved: Vec<(u32, u32)>,
 }
@@ -191,6 +209,7 @@ impl Scheduler {
                 }
                 NodeResources {
                     free_cores: (reserve..spec.cores).collect(),
+                    one_task_cores: BTreeSet::new(),
                     free_gpus: (0..spec.gpu_count()).collect(),
                     free_mem_gib: spec.mem_gib,
                     alive: true,
@@ -206,8 +225,16 @@ impl Scheduler {
             by_class: HashMap::new(),
             infeasible: HashSet::new(),
             all_blocked: false,
+            dispatch_ahead: false,
             reserved: reserved_pairs,
         }
+    }
+
+    /// Let every core hold one queued task behind the one it runs (see
+    /// "Dispatch-ahead" above). The distributed backend calls this when it
+    /// builds its runtime; nothing else does.
+    pub fn enable_dispatch_ahead(&mut self) {
+        self.dispatch_ahead = true;
     }
 
     /// Whether the cluster could *ever* satisfy `c` (at full capacity,
@@ -281,9 +308,20 @@ impl Scheduler {
     /// differential-testing oracle). Cost is O(classes · log) per pop and
     /// O(1) while the whole set is known blocked, where the linear scan
     /// paid O(ready) every call.
+    ///
+    /// Under dispatch-ahead, a pop that places nothing on an idle core
+    /// then tries to queue a one-core task behind a busy one.
     pub fn pop_placeable<S: Ord>(
         &mut self,
         locality: impl Fn(TaskId, u32) -> S,
+    ) -> Option<(ReadyEntry, Placement)> {
+        self.pop_idle(&locality).or_else(|| self.pop_ahead(&locality))
+    }
+
+    /// The first pass of [`Scheduler::pop_placeable`]: idle resources only.
+    fn pop_idle<S: Ord>(
+        &mut self,
+        locality: &impl Fn(TaskId, u32) -> S,
     ) -> Option<(ReadyEntry, Placement)> {
         if self.all_blocked {
             return None;
@@ -299,7 +337,7 @@ impl Scheduler {
         let mut found: Option<(ReadyKey, u32, usize)> = None;
         for (key, class) in candidates {
             let entry = &self.ready[&key];
-            match choose_node(&self.nodes, entry, &locality) {
+            match choose_node(&self.nodes, entry, locality) {
                 Some((node, variant)) => {
                     found = Some((key, node, variant));
                     break;
@@ -315,10 +353,33 @@ impl Scheduler {
             self.all_blocked = !self.ready.is_empty();
             return None;
         };
-        let entry = self.remove_ready(key);
-        let constraint = entry.variant_constraints()[variant];
-        let placement = self.allocate(node, &constraint, variant);
-        Some((entry, placement))
+        Some(self.place(key, node, variant))
+    }
+
+    /// The second pass of [`Scheduler::pop_placeable`]: queue the first
+    /// one-core task that fits behind a busy core. Feasibility is uniform
+    /// within a class here too, so one probe per class decides it. No memo:
+    /// placing on an idle core adds busy cores, so a miss does not stay one.
+    fn pop_ahead<S: Ord>(
+        &mut self,
+        locality: &impl Fn(TaskId, u32) -> S,
+    ) -> Option<(ReadyEntry, Placement)> {
+        if !self.dispatch_ahead
+            || !self.nodes.iter().any(|n| n.alive && !n.one_task_cores.is_empty())
+        {
+            return None;
+        }
+        let mut candidates: Vec<ReadyKey> = self
+            .by_class
+            .iter()
+            .filter(|(class, _)| queues_ahead(&class.constraint, &class.alternatives))
+            .map(|(_, keys)| *keys.first().expect("buckets are non-empty"))
+            .collect();
+        candidates.sort_unstable();
+        let (key, node) = candidates.into_iter().find_map(|key| {
+            choose_ahead_node(&self.nodes, &self.ready[&key], locality).map(|node| (key, node))
+        })?;
+        Some(self.queue_behind(key, node))
     }
 
     /// The pre-index linear scan, kept as a differential-testing oracle:
@@ -329,18 +390,42 @@ impl Scheduler {
         &mut self,
         locality: impl Fn(TaskId, u32) -> S,
     ) -> Option<(ReadyEntry, Placement)> {
-        let mut found: Option<(ReadyKey, u32, usize)> = None;
-        for (key, entry) in &self.ready {
-            if let Some((node, variant)) = choose_node(&self.nodes, entry, &locality) {
-                found = Some((*key, node, variant));
-                break;
-            }
+        let idle = self.ready.iter().find_map(|(key, entry)| {
+            choose_node(&self.nodes, entry, &locality).map(|(node, variant)| (*key, node, variant))
+        });
+        if let Some((key, node, variant)) = idle {
+            return Some(self.place(key, node, variant));
         }
-        let (key, node, variant) = found?;
+        if !self.dispatch_ahead {
+            return None;
+        }
+        let (key, node) = self
+            .ready
+            .iter()
+            .filter(|(_, e)| queues_ahead(&e.constraint, &e.alternatives))
+            .find_map(|(key, e)| choose_ahead_node(&self.nodes, e, &locality).map(|n| (*key, n)))?;
+        Some(self.queue_behind(key, node))
+    }
+
+    /// Pop ready entry `key` onto idle resources of `node`.
+    fn place(&mut self, key: ReadyKey, node: u32, variant: usize) -> (ReadyEntry, Placement) {
         let entry = self.remove_ready(key);
         let constraint = entry.variant_constraints()[variant];
         let placement = self.allocate(node, &constraint, variant);
-        Some((entry, placement))
+        (entry, placement)
+    }
+
+    /// Pop ready entry `key` and queue it behind the lowest busy core of
+    /// `node` that runs exactly one task. Its memory is reserved as for a
+    /// running task.
+    fn queue_behind(&mut self, key: ReadyKey, node: u32) -> (ReadyEntry, Placement) {
+        let entry = self.remove_ready(key);
+        let n = &mut self.nodes[node as usize];
+        let core = n.one_task_cores.pop_first().expect("choose_ahead_node vetted this");
+        n.free_mem_gib -= entry.constraint.mem_gib;
+        let placement =
+            Placement { node, cores: vec![core], gpus: Vec::new(), variant: 0, extra: Vec::new() };
+        (entry, placement)
     }
 
     /// Take `(cores, gpus, mem)` from one node's free pools.
@@ -349,6 +434,9 @@ impl Scheduler {
         let cores: Vec<u32> = n.free_cores.iter().copied().take(c.cpus as usize).collect();
         for core in &cores {
             n.free_cores.remove(core);
+        }
+        if self.dispatch_ahead {
+            n.one_task_cores.extend(&cores);
         }
         let gpus: Vec<u32> = n.free_gpus.iter().copied().take(c.gpus as usize).collect();
         for g in &gpus {
@@ -383,18 +471,26 @@ impl Scheduler {
     }
 
     /// Return the resources of a finished/killed placement to the pool.
-    /// Dead nodes are skipped. Freed resources can make previously
-    /// unplaceable constraint classes feasible again, so the class memo is
-    /// reset here.
+    /// Dead nodes are skipped. Under dispatch-ahead a core that still holds
+    /// a second task goes back to the one-task pool, not the idle pool.
+    /// Freed resources can make previously unplaceable constraint classes
+    /// feasible again, so the class memo is reset here.
     pub fn release(&mut self, p: &Placement, c: &Constraint) {
         self.infeasible.clear();
         self.all_blocked = false;
+        let ahead = self.dispatch_ahead;
         let mut give_back = |node: u32, cores: &[u32], gpus: &[u32]| {
             let n = &mut self.nodes[node as usize];
             if !n.alive {
                 return;
             }
-            n.free_cores.extend(cores.iter().copied());
+            for &core in cores {
+                if !ahead || n.one_task_cores.remove(&core) {
+                    n.free_cores.insert(core);
+                } else {
+                    n.one_task_cores.insert(core);
+                }
+            }
             n.free_gpus.extend(gpus.iter().copied());
             n.free_mem_gib += c.mem_gib;
         };
@@ -404,11 +500,13 @@ impl Scheduler {
         }
     }
 
-    /// Kill a node for good: mark dead and wipe its free pools.
+    /// Kill a node for good: mark dead and wipe its free and one-task
+    /// pools.
     pub fn kill_node(&mut self, node: u32) {
         if let Some(n) = self.nodes.get_mut(node as usize) {
             n.alive = false;
             n.free_cores.clear();
+            n.one_task_cores.clear();
             n.free_gpus.clear();
             n.free_mem_gib = 0;
         }
@@ -488,14 +586,51 @@ fn choose_node<S: Ord>(
                         >= c.nodes as usize - 1)
         })
     };
+    best_node(nodes.len(), entry, locality, first_fitting)
+}
+
+/// The node a one-core `entry` queues behind under dispatch-ahead, by the
+/// same preference, exclusion and score as [`choose_node`]: one with a core
+/// that runs exactly one task, and the memory to spare.
+fn choose_ahead_node<S: Ord>(
+    nodes: &[NodeResources],
+    entry: &ReadyEntry,
+    locality: &impl Fn(TaskId, u32) -> S,
+) -> Option<u32> {
+    let fits = |i: u32| {
+        let n = &nodes[i as usize];
+        (n.alive
+            && Some(i) != entry.exclude_node
+            && !n.one_task_cores.is_empty()
+            && n.free_mem_gib >= entry.constraint.mem_gib)
+            .then_some(0)
+    };
+    best_node(nodes.len(), entry, locality, fits).map(|(node, _)| node)
+}
+
+/// The retry-preferred node if `fits` accepts it, else the accepted node
+/// with the best score, ties to the lowest id. `fits` names the
+/// implementation variant a node can host.
+fn best_node<S: Ord>(
+    node_count: usize,
+    entry: &ReadyEntry,
+    locality: &impl Fn(TaskId, u32) -> S,
+    fits: impl Fn(u32) -> Option<usize>,
+) -> Option<(u32, usize)> {
     if let Some(p) = entry.prefer_node {
-        if let Some(v) = first_fitting(p) {
+        if let Some(v) = fits(p) {
             return Some((p, v));
         }
     }
-    (0..nodes.len() as u32)
-        .filter_map(|i| first_fitting(i).map(|v| (i, v)))
+    (0..node_count as u32)
+        .filter_map(|i| fits(i).map(|v| (i, v)))
         .max_by_key(|&(i, _)| (locality(entry.task, i), std::cmp::Reverse(i)))
+}
+
+/// Whether a task of these implementations may queue behind a busy core:
+/// one implementation, one core, no GPU, one node.
+fn queues_ahead(constraint: &Constraint, alternatives: &[Constraint]) -> bool {
+    alternatives.is_empty() && constraint.cpus == 1 && constraint.gpus == 0 && constraint.nodes <= 1
 }
 
 #[cfg(test)]
@@ -782,6 +917,95 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `nodes` dispatch-ahead nodes of `cores` cores each.
+    fn ahead(nodes: usize, cores: u32) -> Scheduler {
+        let spec = NodeSpec::new("w", cores, Vec::new(), 16);
+        let mut s = Scheduler::new(&Cluster::homogeneous(nodes, spec), &[]);
+        s.enable_dispatch_ahead();
+        s
+    }
+
+    #[test]
+    fn no_task_is_queued_while_a_feasible_idle_core_exists() {
+        // Node 0 runs one task and has the better score; node 1 is idle.
+        let mut s = ahead(2, 2);
+        let loc = |_: TaskId, node: u32| u32::from(node == 0);
+        s.push_ready(entry(1, 1, 0));
+        let (_, first) = s.pop_placeable(loc).unwrap();
+        assert_eq!((first.node, s.node(0).free_cores.len()), (0, 1));
+        // Three more: the idle core of node 0, then both of node 1, all
+        // before anything is queued behind a busy core.
+        for seq in 1..4 {
+            s.push_ready(entry(1 + seq, 1, seq));
+            let (_, p) = s.pop_placeable(loc).unwrap();
+            // A core taken idle runs one task; a queued task's core holds two.
+            assert!(s.node(p.node).one_task_cores.contains(&p.cores[0]), "queued: {p:?}");
+        }
+        assert!(s.node(0).free_cores.is_empty() && s.node(1).free_cores.is_empty());
+        // Only now does a task queue, on the node the score picks.
+        s.push_ready(entry(9, 1, 9));
+        let (_, p) = s.pop_placeable(loc).unwrap();
+        assert_eq!((p.node, p.cores.len()), (0, 1));
+        assert_eq!(s.node(0).one_task_cores.len(), 1, "one core of node 0 holds two tasks");
+    }
+
+    #[test]
+    fn a_two_cpu_task_is_never_dispatched_ahead() {
+        let mut s = ahead(1, 2);
+        s.push_ready(entry(1, 1, 0));
+        s.push_ready(entry(2, 1, 1));
+        let _ = s.pop_placeable(|_, _| 0).unwrap();
+        let _ = s.pop_placeable(|_, _| 0).unwrap();
+        assert_eq!(s.node(0).one_task_cores.len(), 2, "both cores run one task");
+        s.push_ready(entry(3, 2, 2));
+        assert!(s.pop_placeable(|_, _| 0).is_none(), "a 2-CPU task waits for idle cores");
+        assert!(s.pop_placeable_reference(|_, _| 0).is_none());
+        // Nor does a one-core task with an `@implement` alternative.
+        let mut alt = entry(4, 1, 3);
+        alt.alternatives.push(Constraint::cpus(2));
+        s.push_ready(alt);
+        assert!(s.pop_placeable(|_, _| 0).is_none(), "a multi-variant task is not queued");
+        // A plain one-core task behind it is.
+        s.push_ready(entry(5, 1, 4));
+        let (e, _) = s.pop_placeable(|_, _| 0).unwrap();
+        assert_eq!(e.task, TaskId(5));
+    }
+
+    #[test]
+    fn release_hands_a_queued_core_back_to_the_one_task_pool() {
+        let mut s = ahead(1, 1);
+        s.push_ready(entry(1, 1, 0));
+        s.push_ready(entry(2, 1, 1));
+        s.push_ready(entry(3, 1, 2));
+        let (running, p1) = s.pop_placeable(|_, _| 0).unwrap();
+        let (queued, p2) = s.pop_placeable(|_, _| 0).unwrap();
+        assert_eq!(p1.cores, p2.cores, "queued behind the core it will run on");
+        assert!(s.pop_placeable(|_, _| 0).is_none(), "one queued task per core");
+        assert!(s.node(0).free_cores.is_empty() && s.node(0).one_task_cores.is_empty());
+        s.release(&p1, &running.constraint);
+        assert!(s.node(0).free_cores.is_empty());
+        assert_eq!(s.node(0).one_task_cores.iter().copied().collect::<Vec<_>>(), p1.cores);
+        // The freed slot takes the next task ahead at once.
+        let (third, p3) = s.pop_placeable(|_, _| 0).unwrap();
+        assert_eq!((third.task, &p3.cores), (TaskId(3), &p1.cores));
+        s.release(&p2, &queued.constraint);
+        s.release(&p3, &third.constraint);
+        assert_eq!(s.node(0).free_cores.iter().copied().collect::<Vec<_>>(), p1.cores);
+        assert!(s.node(0).one_task_cores.is_empty());
+    }
+
+    #[test]
+    fn kill_node_clears_both_pools() {
+        let mut s = ahead(1, 2);
+        s.push_ready(entry(1, 1, 0));
+        let _ = s.pop_placeable(|_, _| 0).unwrap();
+        assert_eq!((s.node(0).free_cores.len(), s.node(0).one_task_cores.len()), (1, 1));
+        s.kill_node(0);
+        assert!(s.node(0).free_cores.is_empty() && s.node(0).one_task_cores.is_empty());
+        s.push_ready(entry(2, 1, 1));
+        assert!(s.pop_placeable(|_, _| 0).is_none(), "a dead node takes nothing ahead");
     }
 
     #[test]

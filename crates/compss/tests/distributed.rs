@@ -310,16 +310,10 @@ fn done_stamps_alone_give_the_trace_its_exec_span() {
     assert!(dispatched <= start && end <= done_by, "{dispatched} ≤ [{start}, {end}] ≤ {done_by}");
 }
 
-/// Play the driver by hand against a real worker: submit `name` as
-/// execution `exec_id` and return every frame the worker sends up to and
-/// including the `Done`.
-fn scripted_submit(
-    sock: &mut std::net::TcpStream,
-    recv: &mut RecvBuf,
-    exec_id: u64,
-    name: &str,
-) -> Vec<Frame> {
-    let submit = Frame::Submit {
+/// A hand-made `Submit` of `name` as execution (and task) `exec_id`, on
+/// core 0, with no arguments.
+fn submit_frame(exec_id: u64, name: &str) -> Frame {
+    Frame::Submit {
         exec_id,
         task_id: exec_id,
         attempt: 1,
@@ -330,8 +324,19 @@ fn scripted_submit(
         cores: vec![0],
         gpus: Vec::new(),
         args: Vec::new(),
-    };
-    write_frame(sock, &submit).unwrap();
+    }
+}
+
+/// Play the driver by hand against a real worker: submit `name` as
+/// execution `exec_id` and return every frame the worker sends up to and
+/// including the `Done`.
+fn scripted_submit(
+    sock: &mut std::net::TcpStream,
+    recv: &mut RecvBuf,
+    exec_id: u64,
+    name: &str,
+) -> Vec<Frame> {
+    write_frame(sock, &submit_frame(exec_id, name)).unwrap();
     let mut seen = Vec::new();
     loop {
         let frame = read_frame(sock, recv).unwrap().expect("the worker stays connected");
@@ -768,6 +773,153 @@ fn a_two_core_task_has_a_bar_on_each_granted_core() {
     // heartbeats go by.
     std::thread::sleep(Duration::from_millis(100));
     assert_eq!(bars(rt.trace()), at_completion);
+}
+
+#[test]
+fn the_core_gate_never_runs_two_bodies_on_one_core() {
+    use std::sync::Mutex;
+    use std::time::Instant;
+
+    // `(core, start, end)` of every body; loopback workers run in this
+    // process, so the static is shared.
+    static SPANS: Mutex<Vec<(u32, Instant, Instant)>> = Mutex::new(Vec::new());
+    fn record(ctx: &TaskContext) -> Result<Vec<Value>, TaskError> {
+        let start = Instant::now();
+        std::thread::sleep(Duration::from_millis(20));
+        let end = Instant::now();
+        SPANS.lock().unwrap().extend(ctx.cores.iter().map(|&c| (c, start, end)));
+        Ok(vec![Value::new(ctx.cores.len() as i64)])
+    }
+    let pair = TaskDef { constraint: Constraint::cpus(2), ..def("pair", |ctx, _| record(ctx)) };
+    let one = def("one", |ctx, _| record(ctx));
+    let cfg = WorkerConfig { name: "w".into(), cores: 2, ..WorkerConfig::default() };
+    let registry = TaskRegistry::new().with(pair.clone()).with(one.clone());
+    let worker = WorkerServer::bind("127.0.0.1:0", cfg, registry)
+        .expect("bind loopback")
+        .spawn()
+        .expect("spawn worker");
+    let rt = Runtime::distributed(
+        RuntimeConfig::single_node(1),
+        &[worker.addr()],
+        DistributedConfig::default(),
+    )
+    .expect("connect");
+    // The pair holds both cores; the first two one-core tasks are sent
+    // ahead, one behind each of them, while the pair still runs.
+    let zero = rt.literal(0i64);
+    let mut outs = vec![rt.submit(&pair, vec![ArgSpec::In(zero)]).unwrap().returns[0]];
+    for _ in 0..6 {
+        outs.push(rt.submit(&one, vec![ArgSpec::In(zero)]).unwrap().returns[0]);
+    }
+    let got: Vec<i64> =
+        outs.iter().map(|h| *rt.wait_on(h).unwrap().downcast_ref::<i64>().unwrap()).collect();
+    assert_eq!(got, [2, 1, 1, 1, 1, 1, 1]);
+
+    let mut spans = SPANS.lock().unwrap().clone();
+    assert_eq!(spans.len(), 8, "{spans:?}");
+    spans.sort_by_key(|&(core, start, _)| (core, start));
+    for w in spans.windows(2) {
+        let ((a_core, _, a_end), (b_core, b_start, _)) = (w[0], w[1]);
+        assert!(a_core != b_core || a_end <= b_start, "two bodies overlap on core {a_core}");
+    }
+}
+
+#[test]
+fn a_killed_worker_holding_a_queued_task_matches_threaded_and_leaks_nothing() {
+    let workers = spawn_workers(2, 1);
+    let rt = Runtime::distributed(
+        RuntimeConfig::single_node(1)
+            .with_retry(RetryPolicy { max_attempts: 4, same_node_first: false }),
+        &addrs(&workers),
+        DistributedConfig {
+            heartbeat_interval: Duration::from_millis(50),
+            heartbeat_timeout: Duration::from_millis(300),
+            ..DistributedConfig::default()
+        },
+    )
+    .expect("connect");
+    let slow = task_set().get("slow_square").unwrap().clone();
+    let inputs: Vec<_> = (1..=8i64).map(|i| rt.literal(i)).collect();
+    let outs: Vec<_> = inputs
+        .iter()
+        .map(|&h| rt.submit(&slow, vec![ArgSpec::In(h)]).unwrap().returns[0])
+        .collect();
+    // More tasks than cores: each one-core worker runs one and holds the
+    // next, and the driver counts both as running.
+    let running = rt.metrics().snapshot().gauge("rcompss_running_tasks");
+    assert_eq!(running, Some(4.0), "two per worker in flight");
+    // Halt worker 0 inside its first 15 ms body, the second job queued.
+    std::thread::sleep(Duration::from_millis(5));
+    workers[0].halt();
+
+    let distributed: Vec<i64> =
+        outs.iter().map(|h| *rt.wait_on(h).unwrap().downcast_ref::<i64>().unwrap()).collect();
+    let threaded: Vec<i64> = {
+        let rt = Runtime::threaded(RuntimeConfig::single_node(2));
+        let outs: Vec<_> = (1..=8i64)
+            .map(|i| rt.submit(&slow, vec![ArgSpec::In(rt.literal(i))]).unwrap().returns[0])
+            .collect();
+        outs.iter().map(|h| *rt.wait_on(h).unwrap().downcast_ref::<i64>().unwrap()).collect()
+    };
+    assert_eq!(distributed, threaded);
+    let snap = rt.metrics().snapshot();
+    assert_eq!(snap.counter("rcompss_workers_lost_total"), Some(1));
+    assert!(snap.counter("rcompss_tasks_retried_total").unwrap_or(0) >= 2, "both resubmitted");
+
+    for h in inputs.into_iter().chain(outs) {
+        rt.delete(h);
+    }
+    let snap = rt.metrics().snapshot();
+    for gauge in ["rcompss_live_tasks", "rcompss_live_data_versions", "rcompss_live_snapshot_bytes"]
+    {
+        assert_eq!(snap.gauge(gauge), Some(0.0), "{gauge}");
+    }
+}
+
+#[test]
+fn a_job_queued_on_a_closed_connection_never_starts() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc;
+    use std::sync::Mutex;
+
+    // The driver is this test: it sends a job that holds the worker's one
+    // core until told to finish, and a second one queued behind it.
+    static LATE_STARTED: AtomicBool = AtomicBool::new(false);
+    let (started_tx, started) = mpsc::channel::<()>();
+    let (finish, finish_rx) = mpsc::channel::<()>();
+    let (started_tx, finish_rx) = (Mutex::new(started_tx), Mutex::new(finish_rx));
+    let hold = def("hold", move |_, _| {
+        started_tx.lock().unwrap().send(()).ok();
+        finish_rx.lock().unwrap().recv_timeout(Duration::from_secs(5)).ok();
+        Ok(vec![Value::new(1i64)])
+    });
+    let late = def("late", |_, _| {
+        LATE_STARTED.store(true, Ordering::SeqCst);
+        Ok(vec![Value::new(2i64)])
+    });
+    let cfg = WorkerConfig { name: "w".into(), cores: 1, ..WorkerConfig::default() };
+    let worker = WorkerServer::bind("127.0.0.1:0", cfg, TaskRegistry::new().with(hold).with(late))
+        .expect("bind loopback")
+        .spawn()
+        .expect("spawn worker");
+    let mut sock = std::net::TcpStream::connect(worker.addr()).expect("connect");
+    let mut recv = RecvBuf::new();
+    let hello = read_frame(&mut sock, &mut recv).unwrap();
+    assert!(matches!(hello, Some(Frame::Hello { .. })), "{hello:?}");
+    // Both on core 0: the second is queued behind the first, as the
+    // driver's dispatch-ahead sends it.
+    for (exec_id, name) in [(1, "hold"), (2, "late")] {
+        write_frame(&mut sock, &submit_frame(exec_id, name)).unwrap();
+    }
+    started.recv_timeout(Duration::from_secs(5)).expect("the first job started");
+    worker.drop_connections();
+    // The worker's loop marks the connection closed when it reads the EOF,
+    // which nothing outside the worker can observe: allow it ample time,
+    // then let the running job end, and allow the late one time to start.
+    std::thread::sleep(Duration::from_millis(300));
+    finish.send(()).unwrap();
+    std::thread::sleep(Duration::from_millis(300));
+    assert!(!LATE_STARTED.load(Ordering::SeqCst), "a job queued on a closed connection ran");
 }
 
 /// Task set for the block-plane tests: `dot` folds a shared `Vec<f64>`

@@ -3,9 +3,10 @@
 //! (`Scheduler::pop_placeable_reference`), across random entry mixes
 //! (priorities, constraint classes, exclusions, preferences, multi-variant
 //! implementations) and random pop/release interleavings. The sim backend's
-//! bit-identical makespans rest on this equivalence.
+//! bit-identical makespans rest on this equivalence. A second property
+//! checks the same with dispatch-ahead on.
 
-use cluster::{Cluster, NodeSpec};
+use cluster::{Cluster, GpuModel, NodeSpec};
 use proptest::prelude::*;
 use rcompss::scheduler::{Placement, ReadyEntry, Scheduler};
 use rcompss::{Constraint, TaskId};
@@ -97,6 +98,92 @@ proptest! {
             if indexed.ready_len() == 0 && running.is_empty() {
                 break;
             }
+        }
+    }
+}
+
+/// Half the entries are plain one-core tasks, the only kind that may queue
+/// behind a busy core, so the second pass has work in most cases.
+fn ahead_entry_strategy() -> impl Strategy<Value = EntrySpec> {
+    prop_oneof![
+        entry_strategy(),
+        (any::<bool>(), proptest::option::of(0u32..3), proptest::option::of(0u32..3)).prop_map(
+            |(priority, exclude, prefer)| EntrySpec {
+                cpus: 1,
+                gpus: 0,
+                priority,
+                exclude,
+                prefer,
+                alt_cpus: None,
+            }
+        ),
+    ]
+}
+
+proptest! {
+    /// The same equivalence with dispatch-ahead on: both scans make the
+    /// idle-core pass and then the queue-behind pass, and releases run in
+    /// any order, a queued task's before the one it waits behind included.
+    #[test]
+    fn indexed_pop_sequence_equals_linear_scan_with_dispatch_ahead(
+        specs in proptest::collection::vec(ahead_entry_strategy(), 1..80),
+        steps in proptest::collection::vec(any::<u8>(), 1..250),
+    ) {
+        // 3 nodes of 8 cores and 2 GPUs: every core busy, the only state
+        // the second pass acts in, is a few pops away.
+        let ahead = || {
+            let spec = NodeSpec::new("w", 8, vec![GpuModel::Generic; 2], 64);
+            let mut s = Scheduler::new(&Cluster::homogeneous(3, spec), &[]);
+            s.enable_dispatch_ahead();
+            s
+        };
+        let (mut indexed, mut linear) = (ahead(), ahead());
+        for (seq, spec) in specs.iter().enumerate() {
+            indexed.push_ready(build(spec, seq as u64));
+            linear.push_ready(build(spec, seq as u64));
+        }
+        let mut running: Vec<(ReadyEntry, Placement)> = Vec::new();
+        for (i, &step) in steps.iter().enumerate() {
+            let loc = move |t: TaskId, n: u32| ((t.0 + n as u64 + step as u64) % 7) as usize;
+            let a = indexed.pop_placeable(loc);
+            let b = linear.pop_placeable_reference(loc);
+            match (&a, &b) {
+                (Some((ea, pa)), Some((eb, pb))) => {
+                    prop_assert_eq!(ea.task, eb.task, "step {}", i);
+                    prop_assert_eq!(pa, pb, "step {}", i);
+                }
+                (None, None) => {}
+                _ => prop_assert!(false, "step {}: indexed {:?} vs linear {:?}", i, a, b),
+            }
+            if let Some(p) = a {
+                running.push(p);
+            }
+            if !running.is_empty() && (b.is_none() || step % 3 == 0) {
+                let (e, p) = running.remove(step as usize % running.len());
+                let c = e.variant_constraints()[p.variant];
+                indexed.release(&p, &c);
+                linear.release(&p, &c);
+            }
+            for node in 0..3 {
+                prop_assert_eq!(&indexed.node(node).free_cores, &linear.node(node).free_cores);
+                prop_assert_eq!(
+                    &indexed.node(node).one_task_cores,
+                    &linear.node(node).one_task_cores
+                );
+            }
+            if indexed.ready_len() == 0 && running.is_empty() {
+                break;
+            }
+        }
+        // Everything released: every core is idle again, none half-held.
+        for (e, p) in running.drain(..) {
+            let c = e.variant_constraints()[p.variant];
+            indexed.release(&p, &c);
+        }
+        for node in 0..3 {
+            prop_assert!(indexed.node(node).one_task_cores.is_empty());
+            let n = indexed.node(node);
+            prop_assert_eq!(n.free_cores.len(), n.capacity_cores as usize);
         }
     }
 }

@@ -117,6 +117,15 @@ pub const REJECT_QUOTA: u32 = 3;
 pub const REJECT_NOT_READY: u32 = 4;
 /// Reject code: no sweep with that id.
 pub const REJECT_UNKNOWN_SWEEP: u32 = 5;
+/// Reject code: the client left more than [`MAX_CLIENT_BACKLOG`] bytes
+/// unread, and the connection is closed.
+pub const REJECT_BACKLOG_FULL: u32 = 6;
+
+/// Bytes the server queues for one client connection that does not read
+/// them. Past this the connection is closed with [`REJECT_BACKLOG_FULL`]:
+/// the backlog is the server's memory, and a watcher that never reads
+/// would otherwise grow it without bound.
+pub const MAX_CLIENT_BACKLOG: usize = 8 << 20;
 
 /// Tuning knobs for a [`SweepServer`].
 #[derive(Debug, Clone)]
@@ -840,9 +849,12 @@ fn serve_loop(inner: Arc<ServerInner>, poller: Poller, listener: TcpListener) {
             q.drain(..).collect()
         };
         for (sweep_id, frame) in &pending {
-            for conn in conns.values_mut() {
+            for (token, conn) in conns.iter_mut() {
                 if conn.session.watching.contains(sweep_id) {
                     conn.session.out.push(frame);
+                    if !within_backlog(&mut conn.session) {
+                        dead.push(*token);
+                    }
                 }
             }
         }
@@ -923,7 +935,7 @@ fn service_read(inner: &Arc<ServerInner>, conn: &mut ClientConn) -> bool {
                     Ok(None) => break,
                     Err(_) => return false,
                 };
-                if !handle_frame(inner, session, frame) {
+                if !handle_frame(inner, session, frame) || !within_backlog(session) {
                     return false;
                 }
             },
@@ -931,6 +943,20 @@ fn service_read(inner: &Arc<ServerInner>, conn: &mut ClientConn) -> bool {
             Ok(Fill::Eof) | Err(_) => return false,
         }
     }
+}
+
+/// Whether a session's unsent backlog is within [`MAX_CLIENT_BACKLOG`].
+/// Past it, the reject is queued behind the backlog (a client that reads
+/// again learns why it was cut off) and the connection is to be closed.
+fn within_backlog(session: &mut Session) -> bool {
+    if session.out.pending() <= MAX_CLIENT_BACKLOG {
+        return true;
+    }
+    session.out.push(&Frame::SweepReject {
+        code: REJECT_BACKLOG_FULL,
+        message: format!("more than {MAX_CLIENT_BACKLOG} bytes left unread"),
+    });
+    false
 }
 
 /// Flush a connection's backlog and keep its write interest in sync.

@@ -43,7 +43,9 @@
 # 64-worker threaded pool must stay within 3x of a 2-worker pool's (median
 # of three; one wake-up per push, not one per parked worker), and MLP
 # training that snapshots every epoch must keep 80% of the epochs/s of the
-# same training with snapshots off (median of five alternating pairs). The
+# same training with snapshots off (median of five alternating pairs), and
+# encoding or decoding a staged_net-sized fork snapshot must cost at most 6x
+# a copy of its bytes (median of three). The
 # stage-tree savings bench gates prefix dedup exactly (deterministic epoch
 # counts vs baselines/stagetree_savings.json), and the stage-tree smoke reruns the
 # loopback grid with --share-prefixes: the trial table must not change,
@@ -196,7 +198,7 @@ git diff --exit-code benchmark/Cargo.lock
 echo "==> overhead bench (smoke): disabled-path regression guard"
 cargo run --release -p hpo-bench --bin overhead_tracing -- smoke
 
-echo "==> ratio gates: CPU per task flat in graph size and pool width, snapshots cheap against their epochs"
+echo "==> ratio gates: CPU per task flat in graph size and pool width, snapshots cheap against their epochs, the snapshot codec at copy speed"
 cargo test --release -q -p hpo-bench --test ratio_gates -- --nocapture
 
 echo "==> stage-tree savings (smoke): exact epochs-saved regression gate"

@@ -22,7 +22,7 @@ use rcompss::{
 };
 use tinyml::data::SyntheticSpec;
 use tinyml::train::{train_with_checkpoints, Checkpointing, EpochSignal, TrainConfig};
-use tinyml::{Dataset, TrainSnapshot};
+use tinyml::{train_segment, Dataset, OptimizerKind, TrainSnapshot};
 
 /// Serialises the tests of this file: each ratio is only as good as the
 /// CPUs its two sides had to themselves.
@@ -232,4 +232,67 @@ fn a_snapshot_every_epoch_costs_little() {
     ratios.sort_by(f64::total_cmp);
     let median = ratios[2];
     assert!(median >= 0.8, "a snapshot every epoch costs over 20 %: median ratio {median:.3}");
+}
+
+/// Process CPU seconds per call of `f`, over `calls` calls.
+fn cpu_s_per_call(calls: u32, mut f: impl FnMut()) -> f64 {
+    let c0 = process_cpu_s();
+    for _ in 0..calls {
+        f();
+    }
+    (process_cpu_s() - c0) / f64::from(calls)
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "times release code")]
+fn a_snapshot_codes_at_copy_speed() {
+    let _turn = one_at_a_time();
+    // A `staged_net` fork: 784→16→10 MLP, Adam, one epoch (≈ 150 KB).
+    let data = Dataset::synthetic("gate-fork", 500, &SyntheticSpec::mnist_like(), 7);
+    let cfg = TrainConfig {
+        epochs: 1,
+        batch_size: 32,
+        optimizer: OptimizerKind::Adam,
+        hidden_layers: vec![16],
+        threads: 1,
+        ..TrainConfig::default()
+    };
+    let snap = train_segment(&cfg, &data, Checkpointing::default(), 1);
+    let bytes = snap.encode();
+    assert_eq!(TrainSnapshot::decode(&bytes).as_ref(), Some(&snap), "the snapshot round-trips");
+    const CALLS: u32 = 2_000;
+    // Copy, encode and decode take turns in each round, so all three
+    // share whatever the box was doing at the time.
+    let rounds: Vec<[f64; 3]> = (0..3)
+        .map(|_| {
+            let copy = cpu_s_per_call(CALLS, || {
+                std::hint::black_box(std::hint::black_box(&bytes).to_vec());
+            });
+            let encode = cpu_s_per_call(CALLS, || {
+                std::hint::black_box(std::hint::black_box(&snap).encode());
+            });
+            let decode = cpu_s_per_call(CALLS, || {
+                std::hint::black_box(TrainSnapshot::decode(std::hint::black_box(&bytes)));
+            });
+            println!(
+                "{} bytes   copy {:>6.1} us   encode {:>6.1} us ({:.1}x)   decode {:>6.1} us ({:.1}x)",
+                bytes.len(),
+                copy * 1e6,
+                encode * 1e6,
+                encode / copy,
+                decode * 1e6,
+                decode / copy
+            );
+            [copy, encode, decode]
+        })
+        .collect();
+    let median = |i: usize| {
+        let mut v: Vec<f64> = rounds.iter().map(|r| r[i]).collect();
+        v.sort_by(f64::total_cmp);
+        v[1]
+    };
+    let (copy, encode, decode) = (median(0), median(1), median(2));
+    // For scale: one element at a time read 12.8–16.2x.
+    assert!(encode <= 6.0 * copy, "encode costs {:.1}x a copy of its bytes", encode / copy);
+    assert!(decode <= 6.0 * copy, "decode costs {:.1}x a copy of its bytes", decode / copy);
 }

@@ -677,6 +677,10 @@ fn service_link(inner: &Arc<Inner>, link: &Arc<WorkerLink>, readable: bool, writ
                         break;
                     }
                 }
+                // A short read emptied the socket: once its frames are
+                // decoded, back to epoll, which re-raises the event for
+                // later bytes.
+                let short = recv.last_read_short();
                 loop {
                     match recv.next_frame() {
                         Ok(Some(frame)) => match frame {
@@ -719,6 +723,7 @@ fn service_link(inner: &Arc<Inner>, link: &Arc<WorkerLink>, readable: bool, writ
                             // frames.
                             _ => {}
                         },
+                        Ok(None) if short => break 'fill,
                         Ok(None) => continue 'fill,
                         Err(_) => {
                             alive = false;

@@ -14,6 +14,7 @@ use parking_lot::{Condvar, Mutex};
 use rnet::{
     BlobRef, Fill, Frame, FrameOf, FrameRef, Interest, Poller, RecvBuf, SendBuf, Waker, WireArgRef,
 };
+use runmetrics::{Counter, Gauge, Histogram};
 
 use super::{SNAP_TAG, WAKE_TOKEN};
 use crate::blocks::BlockCache;
@@ -390,6 +391,33 @@ struct ConnShared {
     /// `Done` lifecycle stamps — one epoch, so the driver's single offset
     /// estimate rebases all of them.
     epoch: std::time::Instant,
+    /// Process-global series this connection records into, looked up
+    /// once here rather than by name on every task and block.
+    series: WorkerSeries,
+}
+
+/// Handles on the worker's series in [`runmetrics::global`].
+struct WorkerSeries {
+    tasks_executed: Counter,
+    task_exec_us: Histogram,
+    cache_hits: Counter,
+    cache_misses: Counter,
+    cache_evictions: Counter,
+    cache_resident_bytes: Gauge,
+}
+
+impl WorkerSeries {
+    fn new() -> WorkerSeries {
+        let global = runmetrics::global();
+        WorkerSeries {
+            tasks_executed: global.counter("worker_tasks_executed_total"),
+            task_exec_us: global.histogram("worker_task_exec_us"),
+            cache_hits: global.counter("rcompss_block_cache_hits_total"),
+            cache_misses: global.counter("rcompss_block_cache_misses_total"),
+            cache_evictions: global.counter("rcompss_block_cache_evictions_total"),
+            cache_resident_bytes: global.gauge("rcompss_block_cache_resident_bytes"),
+        }
+    }
 }
 
 impl ConnShared {
@@ -493,6 +521,7 @@ fn accept_conn(
         closed: AtomicBool::new(false),
         stop: Arc::clone(stop),
         epoch: std::time::Instant::now(),
+        series: WorkerSeries::new(),
     });
     if poller.register(stream.as_raw_fd(), token, Interest::READ).is_err() {
         return None;
@@ -520,9 +549,9 @@ fn accept_conn(
     })
 }
 
-/// Drain a readable event: fill the receive buffer until `WouldBlock`,
-/// decoding and dispatching frames in place. Returns `false` on EOF,
-/// error, or `Shutdown`.
+/// Drain a readable event: fill the receive buffer until a read comes
+/// back short (or `WouldBlock`), decoding and dispatching frames in place.
+/// Returns `false` on EOF, error, or `Shutdown`.
 fn service_worker_read(conn: &mut WorkerConn) -> bool {
     let WorkerConn { stream, recv, fn_names, handed_over, shared, .. } = conn;
     'fill: loop {
@@ -531,6 +560,7 @@ fn service_worker_read(conn: &mut WorkerConn) -> bool {
             Ok(Fill::WouldBlock) => return true,
             Ok(Fill::Eof) | Err(_) => return false,
         }
+        let short = recv.last_read_short();
         loop {
             match recv.next_frame() {
                 Ok(Some(frame)) => {
@@ -538,6 +568,7 @@ fn service_worker_read(conn: &mut WorkerConn) -> bool {
                         return false;
                     }
                 }
+                Ok(None) if short => return true,
                 Ok(None) => continue 'fill,
                 Err(_) => return false,
             }
@@ -694,10 +725,9 @@ fn admit_block(conn: &Arc<ConnShared>, hash: u128, tag: &str, bytes: &[u8]) {
     let resident = blocks.cache.resident_bytes();
     drop(blocks);
     conn.blocks_cv.notify_all();
-    let global = runmetrics::global();
-    global.gauge("rcompss_block_cache_resident_bytes").set(resident as f64);
+    conn.series.cache_resident_bytes.set(resident as f64);
     if !evicted.is_empty() {
-        global.counter("rcompss_block_cache_evictions_total").add(evicted.len() as u64);
+        conn.series.cache_evictions.add(evicted.len() as u64);
     }
     for h in evicted {
         conn.push_out(&Frame::BlockEvict { hash: h });
@@ -709,14 +739,13 @@ fn admit_block(conn: &Arc<ConnShared>, hash: u128, tag: &str, bytes: &[u8]) {
 /// first requester puts a `BlockRequest` on the wire, the rest wait on the
 /// same condvar.
 fn resolve_block(conn: &ConnShared, hash: u128) -> Result<Value, TaskError> {
-    let global = runmetrics::global();
     let mut blocks = conn.blocks.lock();
     if let Some(v) = blocks.cache.get(hash) {
         drop(blocks);
-        global.counter("rcompss_block_cache_hits_total").incr();
+        conn.series.cache_hits.incr();
         return Ok(v);
     }
-    global.counter("rcompss_block_cache_misses_total").incr();
+    conn.series.cache_misses.incr();
     let leader = blocks.inflight.insert(hash);
     drop(blocks);
     if leader {
@@ -810,9 +839,8 @@ fn run_job(conn: &ConnShared, registry: &TaskRegistry, job: &Job) -> Frame {
     let start_us = conn.wall_us();
     let result = run_body(&*body, &ctx, &inputs);
     let end_us = conn.wall_us().max(start_us + 1);
-    let global = runmetrics::global();
-    global.counter("worker_tasks_executed_total").incr();
-    global.histogram("worker_task_exec_us").record(end_us - start_us);
+    conn.series.tasks_executed.incr();
+    conn.series.task_exec_us.record(end_us - start_us);
     match result {
         Ok(values) => {
             let mut outputs = Vec::with_capacity(values.len());

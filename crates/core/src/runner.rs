@@ -24,7 +24,7 @@ use crate::experiment::{ExperimentOptions, Objective, TrialOutcome};
 use crate::results::{HpoReport, TrialResult};
 use crate::space::{Config, SearchSpace};
 use crate::stagetree::{
-    is_cosine, outcome_from_snapshot, stage_task_def, StageObjective, StagePayload, StagePlan,
+    is_cosine, outcome_from_history, stage_task_def, StageObjective, StagePayload, StagePlan,
 };
 use crate::wire::{experiment_task_def, TaskPayload};
 
@@ -760,14 +760,15 @@ impl Evaluation {
 
 /// Wait on one stage segment and turn its fork payload into an outcome
 /// (task failure or an undecodable payload becomes a failed trial, like
-/// a failed experiment task).
+/// a failed experiment task). Only the history is decoded: the weights
+/// and optimiser moments are validated, never materialised.
 fn wait_stage(rt: &Runtime, h: &DataHandle) -> (TrialOutcome, u64) {
     match rt.wait_on(h) {
         Ok(v) => match v
             .downcast_ref::<StagePayload>()
-            .and_then(|p| Some((TrainSnapshot::decode(&p.snapshot)?, p.task_us)))
+            .and_then(|p| Some((TrainSnapshot::decode_history(&p.snapshot)?, p.task_us)))
         {
-            Some((snap, task_us)) => (outcome_from_snapshot(&snap), task_us),
+            Some((history, task_us)) => (outcome_from_history(history), task_us),
             None => (TrialOutcome::failed("stage task returned an undecodable payload"), 0),
         },
         Err(e) => (TrialOutcome::failed(e.to_string()), 0),

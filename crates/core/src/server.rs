@@ -921,24 +921,30 @@ fn accept_clients(
     }
 }
 
-/// Drain readable bytes and handle every complete frame. `false` means
-/// the connection is finished (EOF, protocol error, or a fatal verb).
+/// Drain readable bytes and handle every complete frame, reading until a
+/// read comes back short (level-triggered epoll re-raises the event for
+/// later bytes). `false` means the connection is finished (EOF, protocol
+/// error, or a fatal verb).
 fn service_read(inner: &Arc<ServerInner>, conn: &mut ClientConn) -> bool {
     // Split the borrows: the frame borrows `recv`, its handler writes the
     // session.
     let ClientConn { stream, recv, session, .. } = conn;
     loop {
         match recv.fill_from(stream) {
-            Ok(Fill::Bytes(_)) => loop {
-                let frame = match recv.next_frame() {
-                    Ok(Some(frame)) => frame,
-                    Ok(None) => break,
-                    Err(_) => return false,
-                };
-                if !handle_frame(inner, session, frame) || !within_backlog(session) {
-                    return false;
+            Ok(Fill::Bytes(_)) => {
+                let short = recv.last_read_short();
+                loop {
+                    let frame = match recv.next_frame() {
+                        Ok(Some(frame)) => frame,
+                        Ok(None) if short => return true,
+                        Ok(None) => break,
+                        Err(_) => return false,
+                    };
+                    if !handle_frame(inner, session, frame) || !within_backlog(session) {
+                        return false;
+                    }
                 }
-            },
+            }
             Ok(Fill::WouldBlock) => return true,
             Ok(Fill::Eof) | Err(_) => return false,
         }

@@ -59,7 +59,7 @@ use std::time::Instant;
 use rcompss::{TaskDef, TaskError, Value};
 use tinyml::data::Dataset;
 use tinyml::train::Checkpointing;
-use tinyml::TrainSnapshot;
+use tinyml::{History, TrainSnapshot};
 
 use crate::experiment::{train_config_from, ExperimentOptions, TrialOutcome};
 use crate::space::{Config, ConfigValue};
@@ -328,16 +328,16 @@ impl std::fmt::Debug for StageObjective {
     }
 }
 
-/// Reconstruct the trial outcome from a terminal segment's fork snapshot:
-/// the accumulated history covers every epoch from 0, so the derived
-/// outcome equals what `tinyml_objective` returns for the same config —
-/// bit for bit.
-pub fn outcome_from_snapshot(snap: &TrainSnapshot) -> TrialOutcome {
+/// Reconstruct the trial outcome from a terminal segment's fork snapshot
+/// history ([`TrainSnapshot::decode_history`]): the accumulated history
+/// covers every epoch from 0, so the derived outcome equals what
+/// `tinyml_objective` returns for the same config — bit for bit.
+pub fn outcome_from_history(history: History) -> TrialOutcome {
     TrialOutcome {
-        accuracy: snap.history.final_val_accuracy(),
-        epochs_run: snap.history.epochs_run() as u32,
-        epoch_loss: snap.history.train_loss.clone(),
-        epoch_accuracy: snap.history.val_accuracy.clone(),
+        accuracy: history.final_val_accuracy(),
+        epochs_run: history.epochs_run() as u32,
+        epoch_loss: history.train_loss,
+        epoch_accuracy: history.val_accuracy,
         error: None,
     }
 }
@@ -598,23 +598,10 @@ mod tests {
 
     #[test]
     fn outcome_reconstruction_matches_objective_shape() {
-        let snap = TrainSnapshot {
-            seed: 1,
-            epochs_total: 3,
-            next_epoch: 3,
-            params: vec![],
-            opt: tinyml::optim::OptimizerState {
-                kind: tinyml::OptimizerKind::Sgd,
-                weight_decay: 0.0,
-                t: 0,
-                slots: vec![],
-            },
-            history: tinyml::History {
-                train_loss: vec![1.0, 0.5, 0.2],
-                val_accuracy: vec![0.3, 0.6, 0.9],
-            },
-        };
-        let out = outcome_from_snapshot(&snap);
+        let out = outcome_from_history(History {
+            train_loss: vec![1.0, 0.5, 0.2],
+            val_accuracy: vec![0.3, 0.6, 0.9],
+        });
         assert_eq!(out.accuracy, 0.9);
         assert_eq!(out.epochs_run, 3);
         assert_eq!(out.epoch_loss, vec![1.0, 0.5, 0.2]);
@@ -653,7 +640,7 @@ mod tests {
             vec![Value::new(config.clone()), Value::new(4u32), Value::new(4u32), Value::new(fork)];
         let out = (def.body)(&ctx, &inputs).expect("child trains");
         let done = out[0].downcast_ref::<StagePayload>().unwrap();
-        let staged = outcome_from_snapshot(&TrainSnapshot::decode(&done.snapshot).unwrap());
+        let staged = outcome_from_history(TrainSnapshot::decode_history(&done.snapshot).unwrap());
         let naive =
             crate::experiment::tinyml_objective(data, vec![16])(&config, None).expect("naive runs");
         assert_eq!(staged, naive, "chained segments must equal the naive trial bit-for-bit");

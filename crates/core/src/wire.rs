@@ -148,7 +148,14 @@ pub fn register_hpo_codecs() {
     register_codec::<StagePayload, _, _>(
         "hpo.stage",
         |payload| {
-            let mut b = Vec::new();
+            // Sized exactly: a fork snapshot is ≈ 150 KB, and growing the
+            // buffer by doubling would copy it again.
+            let n = payload.snapshot.len();
+            let mut b = Vec::with_capacity(
+                rnet::varint::encoded_len(n as u64)
+                    + n
+                    + rnet::varint::encoded_len(payload.task_us),
+            );
             rnet::wire::put_bytes(&mut b, &payload.snapshot);
             rnet::wire::put_u64(&mut b, payload.task_us);
             b
@@ -236,6 +243,12 @@ mod tests {
         let payload = StagePayload { snapshot: vec![0, 1, 2, 255, 7], task_us: 99 };
         let got = roundtrip(Value::new(payload.clone()));
         assert_eq!(got.downcast_ref::<StagePayload>(), Some(&payload));
+        // One buffer of exactly the encoded size, long length prefixes
+        // included.
+        let big = StagePayload { snapshot: vec![3; 200_000], task_us: u64::MAX };
+        let blob = rcompss::codec::encode_value(&Value::new(big)).unwrap();
+        assert_eq!(blob.bytes.len(), 3 + 200_000 + 10);
+        assert_eq!(blob.bytes.capacity(), blob.bytes.len());
         let root = roundtrip(Value::new(StagePayload::root()));
         assert_eq!(root.downcast_ref::<StagePayload>(), Some(&StagePayload::root()));
     }

@@ -102,6 +102,15 @@ struct Metrics {
     histograms: BTreeMap<String, Arc<HistogramCore>>,
 }
 
+/// The cell registered under `name`, created by `make` on first use. Looks
+/// up by `&str` first: only a series' registration allocates its key.
+fn fetch<T>(map: &mut BTreeMap<String, Arc<T>>, name: &str, make: impl FnOnce() -> T) -> Arc<T> {
+    if let Some(cell) = map.get(name) {
+        return Arc::clone(cell);
+    }
+    Arc::clone(map.entry(name.to_string()).or_insert_with(|| Arc::new(make())))
+}
+
 /// The registry: enabled flag + named metrics.
 pub struct MetricsRegistry {
     on: Arc<Switch>,
@@ -137,31 +146,19 @@ impl MetricsRegistry {
     /// it exports as `0` even before the first event — the acceptance shape
     /// for "retry counter present in every snapshot".
     pub fn counter(&self, name: &str) -> Counter {
-        let cell = Arc::clone(self.metrics.lock().counters.entry(name.to_string()).or_default());
+        let cell = fetch(&mut self.metrics.lock().counters, name, || AtomicU64::new(0));
         Counter { on: Arc::clone(&self.on), cell }
     }
 
     /// Register (or fetch) a gauge.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let cell = Arc::clone(
-            self.metrics
-                .lock()
-                .gauges
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(AtomicU64::new(0f64.to_bits()))),
-        );
+        let cell = fetch(&mut self.metrics.lock().gauges, name, || AtomicU64::new(0f64.to_bits()));
         Gauge { on: Arc::clone(&self.on), cell }
     }
 
     /// Register (or fetch) a histogram.
     pub fn histogram(&self, name: &str) -> Histogram {
-        let core = Arc::clone(
-            self.metrics
-                .lock()
-                .histograms
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(HistogramCore::new())),
-        );
+        let core = fetch(&mut self.metrics.lock().histograms, name, HistogramCore::new);
         Histogram { on: Arc::clone(&self.on), core }
     }
 

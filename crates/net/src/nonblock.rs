@@ -68,18 +68,22 @@ pub enum Fill {
 /// Reusable receive buffer: accumulate socket bytes, decode frames in
 /// place.
 ///
-/// The intended loop is: on a readable event, call [`RecvBuf::fill_from`]
-/// until it reports [`Fill::WouldBlock`], interleaving
-/// [`RecvBuf::next_frame`] drains; each returned
-/// [`FrameRef`] borrows from the buffer and must
-/// be consumed before the next `fill_from`/`next_frame` call (the borrow
-/// checker enforces this).
+/// The intended loop is: on a readable event, call [`RecvBuf::fill_from`],
+/// drain [`RecvBuf::next_frame`], and read again only while
+/// [`RecvBuf::last_read_short`] is false — a short read means the socket
+/// was empty, and level-triggered readiness re-raises the event for bytes
+/// that arrive later, so no read is spent learning `WouldBlock`. Each
+/// returned [`FrameRef`] borrows from the buffer and must be consumed
+/// before the next `fill_from`/`next_frame` call (the borrow checker
+/// enforces this).
 #[derive(Debug, Default)]
 pub struct RecvBuf {
     /// Initialised storage; live bytes occupy `start..end`.
     buf: Vec<u8>,
     start: usize,
     end: usize,
+    /// The last fill delivered bytes but fewer than the space it offered.
+    short: bool,
 }
 
 impl RecvBuf {
@@ -106,10 +110,10 @@ impl RecvBuf {
         }
     }
 
-    /// Issue **one** read into spare capacity. Call in a loop until
-    /// [`Fill::WouldBlock`] to drain a level-triggered readiness event.
-    /// `Interrupted` is retried internally; other errors are fatal to the
-    /// connection.
+    /// Issue **one** read into spare capacity. To drain a level-triggered
+    /// readiness event, call again while [`RecvBuf::last_read_short`] is
+    /// false and the result is not [`Fill::WouldBlock`]. `Interrupted` is
+    /// retried internally; other errors are fatal to the connection.
     pub fn fill_from(&mut self, src: &mut impl Read) -> io::Result<Fill> {
         self.compact();
         if self.buf.len() - self.end < READ_CHUNK {
@@ -127,10 +131,12 @@ impl RecvBuf {
             self.buf.truncate(RETAIN_CAP);
             self.buf.shrink_to_fit();
         }
+        self.short = false;
         loop {
             match src.read(&mut self.buf[self.end..]) {
                 Ok(0) => return Ok(Fill::Eof),
                 Ok(n) => {
+                    self.short = self.end + n < self.buf.len();
                     self.end += n;
                     return Ok(Fill::Bytes(n));
                 }
@@ -139,6 +145,15 @@ impl RecvBuf {
                 Err(e) => return Err(e),
             }
         }
+    }
+
+    /// Whether the last [`RecvBuf::fill_from`] delivered bytes but fewer
+    /// than the space it offered: the source had nothing more at that
+    /// moment, so an event loop goes back to its poller instead of
+    /// reading again into `WouldBlock`. False after a read that filled
+    /// the space (more may be waiting), `WouldBlock` or `Eof`.
+    pub fn last_read_short(&self) -> bool {
+        self.short
     }
 
     /// Decode the next complete frame in place. `Ok(None)` means the
@@ -156,7 +171,7 @@ impl RecvBuf {
         self.compact();
         // Split the borrows: the frame borrows `buf`, the cursor advance
         // touches only `start`.
-        let RecvBuf { buf, start, end } = self;
+        let RecvBuf { buf, start, end, .. } = self;
         match FrameOf::decode(&buf[*start..*end])? {
             Some((frame, used)) => {
                 *start += used;
@@ -322,6 +337,71 @@ mod tests {
         }
         assert_eq!(seen, frames());
         assert_eq!(recv.pending(), 0);
+    }
+
+    /// A [`Script`] that counts its `read` calls.
+    struct Counted {
+        script: Script,
+        reads: usize,
+    }
+
+    impl Read for Counted {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            self.script.read(out)
+        }
+    }
+
+    /// Service one readable event the way the event loops do: fill,
+    /// drain frames, read again only after a read that filled its space.
+    fn service_event(recv: &mut RecvBuf, src: &mut Counted) -> usize {
+        let mut frames = 0;
+        loop {
+            match recv.fill_from(src).unwrap() {
+                Fill::Bytes(_) => {}
+                Fill::WouldBlock => return frames,
+                Fill::Eof => panic!("script never EOFs"),
+            }
+            while recv.next_frame().unwrap().is_some() {
+                frames += 1;
+            }
+            if recv.last_read_short() {
+                return frames;
+            }
+        }
+    }
+
+    #[test]
+    fn a_short_read_ends_the_event_without_a_wouldblock_read() {
+        let mut wire = Vec::new();
+        for f in frames() {
+            f.encode_into(&mut wire);
+        }
+        let mut src = Counted { script: Script { chunks: vec![wire], at: 0 }, reads: 0 };
+        let mut recv = RecvBuf::new();
+        assert_eq!(service_event(&mut recv, &mut src), frames().len());
+        assert!(recv.last_read_short());
+        assert_eq!(src.reads, 1, "one short read is one read call");
+    }
+
+    #[test]
+    fn a_read_that_fills_its_space_is_followed_by_another() {
+        // A fresh buffer offers exactly READ_CHUNK bytes: a frame larger
+        // than that arrives as one full read and one short one.
+        let big = Frame::Done {
+            exec_id: 1,
+            recv_us: 0,
+            start_us: 0,
+            end_us: 0,
+            outputs: vec![Blob { tag: "t".into(), bytes: vec![5; READ_CHUNK + 100] }],
+        };
+        let wire = big.encode();
+        let (head, tail) = wire.split_at(READ_CHUNK);
+        let chunks = vec![head.to_vec(), tail.to_vec()];
+        let mut src = Counted { script: Script { chunks, at: 0 }, reads: 0 };
+        let mut recv = RecvBuf::new();
+        assert_eq!(service_event(&mut recv, &mut src), 1);
+        assert_eq!(src.reads, 2, "the full read is followed by a second, short one");
     }
 
     #[test]

@@ -28,6 +28,13 @@ pub fn put(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+/// Bytes [`put`] writes for `v`, so a caller can size a buffer exactly
+/// before encoding into it.
+#[inline]
+pub fn encoded_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
 /// Decode result of [`take`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Take {
@@ -67,11 +74,12 @@ mod tests {
         let mut buf = Vec::new();
         put(&mut buf, v);
         assert_eq!(take(&buf), Take::Got(v, buf.len()), "value {v}");
+        assert_eq!(encoded_len(v), buf.len(), "value {v}");
     }
 
     #[test]
     fn encodes_boundaries() {
-        for v in [0, 1, 127, 128, 16_383, 16_384, u32::MAX as u64, u64::MAX] {
+        for v in [0, 1, 127, 128, 16_383, 16_384, u32::MAX as u64, 1 << 63, u64::MAX] {
             roundtrip(v);
         }
     }

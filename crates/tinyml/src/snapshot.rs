@@ -17,8 +17,12 @@
 //!   equals the uninterrupted one.
 //!
 //! The encoding is a versioned little-endian binary layout with floats
-//! stored via `to_bits`, so decode(encode(s)) == s exactly — no text
-//! round-tripping, no precision loss. Integrity (checksums, atomic
+//! stored as their bit patterns, so decode(encode(s)) == s exactly — no
+//! text round-tripping, no precision loss, NaN payloads included. The
+//! codec moves whole slices into one buffer of exactly the encoded size,
+//! so a snapshot costs about what copying its bytes costs; a reader that
+//! needs only the history ([`TrainSnapshot::decode_history`]) validates
+//! everything but materialises no tensor. Integrity (checksums, atomic
 //! writes) is the `ckpt` crate's job; this module only defines the
 //! payload.
 
@@ -54,28 +58,44 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_vec_f32(out: &mut Vec<u8>, v: &[f32]) {
+/// Length prefix, then the whole slice in one pass over a pre-grown tail
+/// (a plain copy on a little-endian host), not one push per element.
+fn put_f32s(out: &mut Vec<u8>, v: &[f32]) {
     put_u32(out, v.len() as u32);
-    for &x in v {
-        out.extend_from_slice(&x.to_bits().to_le_bytes());
+    let at = out.len();
+    out.resize(at + 4 * v.len(), 0);
+    for (dst, x) in out[at..].chunks_exact_mut(4).zip(v) {
+        dst.copy_from_slice(&x.to_le_bytes());
     }
 }
 
-fn put_vec_f64(out: &mut Vec<u8>, v: &[f64]) {
+fn put_f64s(out: &mut Vec<u8>, v: &[f64]) {
     put_u32(out, v.len() as u32);
-    for &x in v {
-        out.extend_from_slice(&x.to_bits().to_le_bytes());
+    let at = out.len();
+    out.resize(at + 8 * v.len(), 0);
+    for (dst, x) in out[at..].chunks_exact_mut(8).zip(v) {
+        dst.copy_from_slice(&x.to_le_bytes());
     }
+}
+
+/// Encoded size of a length-prefixed tensor of `n` elements of `width`
+/// bytes.
+fn tensor_len(n: usize, width: usize) -> usize {
+    4 + width * n
 }
 
 struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Validate and step over the `f32` tensors without materialising
+    /// them ([`TrainSnapshot::decode_history`]): every check still runs,
+    /// so both reads reject exactly the same inputs.
+    skip_tensors: bool,
 }
 
 impl<'a> Reader<'a> {
     fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let s = self.bytes.get(self.pos..self.pos + n)?;
+        let s = self.bytes.get(self.pos..self.pos.checked_add(n)?)?;
         self.pos += n;
         Some(s)
     }
@@ -88,28 +108,32 @@ impl<'a> Reader<'a> {
         Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
     }
 
-    fn vec_f32(&mut self) -> Option<Vec<f32>> {
+    /// Bytes left to read: every count is checked against this before
+    /// anything is allocated, so a garbage length is rejected, not
+    /// attempted.
+    fn left(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
+    fn f32s(&mut self) -> Option<Vec<f32>> {
         let n = self.u32()? as usize;
-        // 4 bytes per element must fit in what's left: rejects garbage
-        // lengths without attempting a huge allocation.
-        if self.bytes.len() - self.pos < n * 4 {
-            return None;
+        let raw = self.take(n.checked_mul(4)?)?;
+        if self.skip_tensors {
+            return Some(Vec::new());
         }
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(f32::from_bits(u32::from_le_bytes(self.take(4)?.try_into().ok()?)));
+        let mut v = vec![0f32; n];
+        for (x, b) in v.iter_mut().zip(raw.chunks_exact(4)) {
+            *x = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
         }
         Some(v)
     }
 
-    fn vec_f64(&mut self) -> Option<Vec<f64>> {
+    fn f64s(&mut self) -> Option<Vec<f64>> {
         let n = self.u32()? as usize;
-        if self.bytes.len() - self.pos < n * 8 {
-            return None;
-        }
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(f64::from_bits(u64::from_le_bytes(self.take(8)?.try_into().ok()?)));
+        let raw = self.take(n.checked_mul(8)?)?;
+        let mut v = vec![0f64; n];
+        for (x, b) in v.iter_mut().zip(raw.chunks_exact(8)) {
+            *x = f64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]);
         }
         Some(v)
     }
@@ -133,16 +157,17 @@ fn tag_kind(tag: u32) -> Option<OptimizerKind> {
 }
 
 impl TrainSnapshot {
-    /// Serialize to the versioned binary layout.
+    /// Serialize to the versioned binary layout, in one allocation of
+    /// exactly [`TrainSnapshot::encoded_len`] bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.encoded_len());
         put_u32(&mut out, MAGIC);
         put_u64(&mut out, self.seed);
         put_u32(&mut out, self.epochs_total);
         put_u32(&mut out, self.next_epoch);
         put_u32(&mut out, self.params.len() as u32);
         for p in &self.params {
-            put_vec_f32(&mut out, p);
+            put_f32s(&mut out, p);
         }
         put_u32(&mut out, kind_tag(self.opt.kind));
         out.extend_from_slice(&self.opt.weight_decay.to_bits().to_le_bytes());
@@ -152,21 +177,21 @@ impl TrainSnapshot {
             match slot {
                 SlotState::Sgd(v) => {
                     put_u32(&mut out, 0);
-                    put_vec_f32(&mut out, v);
+                    put_f32s(&mut out, v);
                 }
                 SlotState::RmsProp(s) => {
                     put_u32(&mut out, 1);
-                    put_vec_f32(&mut out, s);
+                    put_f32s(&mut out, s);
                 }
                 SlotState::Adam(m, v) => {
                     put_u32(&mut out, 2);
-                    put_vec_f32(&mut out, m);
-                    put_vec_f32(&mut out, v);
+                    put_f32s(&mut out, m);
+                    put_f32s(&mut out, v);
                 }
             }
         }
-        put_vec_f64(&mut out, &self.history.train_loss);
-        put_vec_f64(&mut out, &self.history.val_accuracy);
+        put_f64s(&mut out, &self.history.train_loss);
+        put_f64s(&mut out, &self.history.val_accuracy);
         out
     }
 
@@ -175,7 +200,18 @@ impl TrainSnapshot {
     /// corrupt snapshot file degrades to "no checkpoint" rather than a
     /// crashed resume.
     pub fn decode(bytes: &[u8]) -> Option<TrainSnapshot> {
-        let mut r = Reader { bytes, pos: 0 };
+        Self::read(Reader { bytes, pos: 0, skip_tensors: false })
+    }
+
+    /// Only the per-epoch history of an encoded snapshot — what a
+    /// finished trial's outcome is built from. Validates the whole
+    /// layout exactly like [`TrainSnapshot::decode`] (`None` on the same
+    /// inputs) but never materialises the weights or optimiser moments.
+    pub fn decode_history(bytes: &[u8]) -> Option<History> {
+        Self::read(Reader { bytes, pos: 0, skip_tensors: true }).map(|s| s.history)
+    }
+
+    fn read(mut r: Reader<'_>) -> Option<TrainSnapshot> {
         if r.u32()? != MAGIC {
             return None;
         }
@@ -183,32 +219,32 @@ impl TrainSnapshot {
         let epochs_total = r.u32()?;
         let next_epoch = r.u32()?;
         let n_params = r.u32()? as usize;
-        if bytes.len() - r.pos < n_params * 4 {
+        if r.left() < n_params * 4 {
             return None;
         }
         let mut params = Vec::with_capacity(n_params);
         for _ in 0..n_params {
-            params.push(r.vec_f32()?);
+            params.push(r.f32s()?);
         }
         let kind = tag_kind(r.u32()?)?;
-        let weight_decay = f32::from_bits(u32::from_le_bytes(r.take(4)?.try_into().ok()?));
+        let weight_decay = f32::from_bits(r.u32()?);
         let t = r.u64()?;
         let n_slots = r.u32()? as usize;
-        if bytes.len() - r.pos < n_slots * 4 {
+        if r.left() < n_slots * 4 {
             return None;
         }
         let mut slots = Vec::with_capacity(n_slots);
         for _ in 0..n_slots {
             slots.push(match r.u32()? {
-                0 => SlotState::Sgd(r.vec_f32()?),
-                1 => SlotState::RmsProp(r.vec_f32()?),
-                2 => SlotState::Adam(r.vec_f32()?, r.vec_f32()?),
+                0 => SlotState::Sgd(r.f32s()?),
+                1 => SlotState::RmsProp(r.f32s()?),
+                2 => SlotState::Adam(r.f32s()?, r.f32s()?),
                 _ => return None,
             });
         }
-        let train_loss = r.vec_f64()?;
-        let val_accuracy = r.vec_f64()?;
-        if r.pos != bytes.len() {
+        let train_loss = r.f64s()?;
+        let val_accuracy = r.f64s()?;
+        if r.left() != 0 {
             return None; // trailing garbage
         }
         Some(TrainSnapshot {
@@ -221,9 +257,28 @@ impl TrainSnapshot {
         })
     }
 
-    /// Serialized size in bytes (what a save will write).
+    /// Serialized size in bytes (what a save will write), summed from the
+    /// tensor lengths.
     pub fn encoded_len(&self) -> usize {
-        self.encode().len()
+        let params: usize = self.params.iter().map(|p| tensor_len(p.len(), 4)).sum();
+        let slots: usize = self
+            .opt
+            .slots
+            .iter()
+            .map(|slot| {
+                4 + match slot {
+                    SlotState::Sgd(v) | SlotState::RmsProp(v) => tensor_len(v.len(), 4),
+                    SlotState::Adam(m, v) => tensor_len(m.len(), 4) + tensor_len(v.len(), 4),
+                }
+            })
+            .sum();
+        // magic, seed, epochs_total, next_epoch, params count
+        24 + params
+            // kind, weight_decay, t, slots count
+            + 20
+            + slots
+            + tensor_len(self.history.train_loss.len(), 8)
+            + tensor_len(self.history.val_accuracy.len(), 8)
     }
 }
 
@@ -258,6 +313,7 @@ mod tests {
         let s = sample();
         let bytes = s.encode();
         assert_eq!(bytes.len(), s.encoded_len());
+        assert_eq!(bytes.capacity(), bytes.len(), "one exact-size buffer");
         let back = TrainSnapshot::decode(&bytes).unwrap();
         assert_eq!(back, s);
         // Bit-exactness, not just PartialEq: negative zero survives.
@@ -274,22 +330,38 @@ mod tests {
                 opt: OptimizerState { kind, weight_decay: 0.0, t: 1, slots: vec![slot] },
                 ..sample()
             };
-            assert_eq!(TrainSnapshot::decode(&s.encode()).unwrap(), s);
+            let bytes = s.encode();
+            assert_eq!(bytes.len(), s.encoded_len(), "{kind:?}");
+            assert_eq!(bytes.capacity(), bytes.len(), "{kind:?}: one exact-size buffer");
+            assert_eq!(TrainSnapshot::decode(&bytes).unwrap(), s);
         }
+    }
+
+    /// Neither the full decode nor the history read accepts `bytes`.
+    fn rejected(bytes: &[u8]) -> bool {
+        TrainSnapshot::decode(bytes).is_none() && TrainSnapshot::decode_history(bytes).is_none()
     }
 
     #[test]
     fn truncation_and_garbage_decode_to_none() {
         let bytes = sample().encode();
+        assert_eq!(TrainSnapshot::decode_history(&bytes), Some(sample().history));
         for cut in 0..bytes.len() {
-            assert!(TrainSnapshot::decode(&bytes[..cut]).is_none(), "cut at {cut}");
+            assert!(rejected(&bytes[..cut]), "cut at {cut}");
         }
         let mut extended = bytes.clone();
         extended.push(0);
-        assert!(TrainSnapshot::decode(&extended).is_none(), "trailing byte accepted");
-        let mut bad_magic = bytes;
+        assert!(rejected(&extended), "trailing byte accepted");
+        let mut bad_magic = bytes.clone();
         bad_magic[0] ^= 0xFF;
-        assert!(TrainSnapshot::decode(&bad_magic).is_none());
+        assert!(rejected(&bad_magic));
+        // The first slot tag follows the header, both params and the
+        // optimiser header.
+        let tag_at = 24 + (4 + 3 * 4) + (4 + 2 * 4) + 20;
+        assert_eq!(bytes[tag_at..tag_at + 4], 2u32.to_le_bytes());
+        let mut bad_tag = bytes;
+        bad_tag[tag_at] = 3;
+        assert!(rejected(&bad_tag), "unknown slot tag accepted");
     }
 
     #[test]
@@ -301,6 +373,56 @@ mod tests {
         put_u32(&mut bytes, 10);
         put_u32(&mut bytes, 2);
         put_u32(&mut bytes, u32::MAX);
-        assert!(TrainSnapshot::decode(&bytes).is_none());
+        assert!(rejected(&bytes));
+        // …and one tensor claiming 16 GiB.
+        let at = bytes.len() - 4;
+        bytes[at..].copy_from_slice(&1u32.to_le_bytes());
+        put_u32(&mut bytes, u32::MAX);
+        assert!(rejected(&bytes));
+    }
+
+    /// `sample().encode()` as the element-at-a-time codec wrote it: the
+    /// layout is a file format (`--ckpt-dir` snapshots), so a faster
+    /// codec must reproduce it byte for byte.
+    const SAMPLE_HEX: &str = concat!(
+        "31534e54fecaefbeadde0000140000000500000002000000030000000000c03f",
+        "000010c0000080000200000000000000000000800200000017b7d13838010000",
+        "00000000020000000200000003000000cdcccc3dcdcc4c3e9a99993e03000000",
+        "cdcccc3e0000003f9a99193f0200000002000000cdccccbdcdcc4cbe02000000",
+        "6042a20dcaf2497105000000cdcccccccccc0040666666666666f63fcdcccccc",
+        "ccccec3f666666666666e63f9a9999999999e13f05000000333333333333d33f",
+        "000000000000e03f666666666666e63f9a9999999999e93f333333333333eb3f",
+    );
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len()).step_by(2).map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap()).collect()
+    }
+
+    #[test]
+    fn encoding_matches_the_recorded_layout() {
+        let golden = unhex(SAMPLE_HEX);
+        assert_eq!(sample().encode(), golden);
+        assert_eq!(TrainSnapshot::decode(&golden).unwrap(), sample());
+    }
+
+    #[test]
+    fn nan_payloads_survive_bit_for_bit() {
+        // A quiet NaN carrying payload bits and a signalling-NaN pattern.
+        let f32_nans = [f32::from_bits(0x7FC0_1234), f32::from_bits(0xFF80_0001)];
+        let f64_nans =
+            [f64::from_bits(0x7FF8_0000_DEAD_BEEF), f64::from_bits(0xFFF0_0000_0000_0001)];
+        let mut s = sample();
+        s.params[0] = f32_nans.to_vec();
+        s.history.train_loss = f64_nans.to_vec();
+        s.history.val_accuracy = f64_nans.to_vec();
+        let bytes = s.encode();
+        let back = TrainSnapshot::decode(&bytes).unwrap();
+        let bits32 = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let bits64 = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits32(&back.params[0]), bits32(&f32_nans));
+        assert_eq!(bits64(&back.history.train_loss), bits64(&f64_nans));
+        assert_eq!(bits64(&back.history.val_accuracy), bits64(&f64_nans));
+        let history = TrainSnapshot::decode_history(&bytes).unwrap();
+        assert_eq!(bits64(&history.train_loss), bits64(&f64_nans));
     }
 }

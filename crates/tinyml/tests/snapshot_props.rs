@@ -1,7 +1,8 @@
 //! Property tests for training snapshots: encode/decode (and a real
 //! `ckpt::DirStore` save/load) round-trips random MLP/CNN weights and
 //! random optimiser state bit-exactly — including non-finite floats and
-//! negative zero, hence the bitwise comparisons.
+//! negative zero, hence the bitwise comparisons — and the history-only
+//! read accepts exactly the corrupted encodings `decode` accepts.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -100,6 +101,58 @@ fn cnn_case() -> impl Strategy<Value = (usize, usize, usize, usize, u64, TrainSn
     )
 }
 
+/// `decode_history` accepts `bytes` exactly when `decode` does, and then
+/// returns the same history, bit for bit.
+fn history_read_agrees(bytes: &[u8]) -> Result<(), TestCaseError> {
+    match (TrainSnapshot::decode(bytes), TrainSnapshot::decode_history(bytes)) {
+        (None, None) => Ok(()),
+        (Some(full), Some(history)) => {
+            prop_assert_eq!(f64_bits(&full.history.train_loss), f64_bits(&history.train_loss));
+            prop_assert_eq!(f64_bits(&full.history.val_accuracy), f64_bits(&history.val_accuracy));
+            Ok(())
+        }
+        (full, history) => Err(TestCaseError::fail(format!(
+            "decode accepts: {}, history read accepts: {}",
+            full.is_some(),
+            history.is_some()
+        ))),
+    }
+}
+
+/// Every truncation, a flipped magic, an unknown slot tag, a trailing
+/// byte and the given random byte flips of one encoded snapshot.
+fn history_read_agrees_on_corruptions(
+    snap: &TrainSnapshot,
+    flips: &[(usize, u8)],
+) -> Result<(), TestCaseError> {
+    let bytes = snap.encode();
+    history_read_agrees(&bytes)?;
+    for cut in 0..bytes.len() {
+        history_read_agrees(&bytes[..cut])?;
+    }
+    let mut trailing = bytes.clone();
+    trailing.push(0);
+    history_read_agrees(&trailing)?;
+    let mut bad_magic = bytes.clone();
+    bad_magic[0] ^= 0x01;
+    history_read_agrees(&bad_magic)?;
+    if !snap.opt.slots.is_empty() {
+        // The first slot tag follows the header, the params and the
+        // optimiser header.
+        let params: usize = snap.params.iter().map(|p| 4 + 4 * p.len()).sum();
+        let tag_at = 24 + params + 20;
+        let mut bad_tag = bytes.clone();
+        bad_tag[tag_at] = 7;
+        history_read_agrees(&bad_tag)?;
+    }
+    for &(at, x) in flips {
+        let mut flipped = bytes.clone();
+        flipped[at % bytes.len()] ^= x.max(1);
+        history_read_agrees(&flipped)?;
+    }
+    Ok(())
+}
+
 fn store() -> ckpt::DirStore {
     let dir = std::env::temp_dir().join(format!("tinyml-snap-props-{}", std::process::id()));
     ckpt::DirStore::open(dir).unwrap()
@@ -153,5 +206,21 @@ proptest! {
         for (a, b) in wrong.params().iter().zip(&before) {
             prop_assert_eq!(f32_bits(a), f32_bits(b));
         }
+    }
+
+    #[test]
+    fn mlp_history_read_accepts_what_decode_accepts(
+        (_, _, _, _, snap) in mlp_case(),
+        flips in vec((any::<usize>(), any::<u8>()), 32),
+    ) {
+        history_read_agrees_on_corruptions(&snap, &flips)?;
+    }
+
+    #[test]
+    fn cnn_history_read_accepts_what_decode_accepts(
+        (_, _, _, _, _, snap) in cnn_case(),
+        flips in vec((any::<usize>(), any::<u8>()), 32),
+    ) {
+        history_read_agrees_on_corruptions(&snap, &flips)?;
     }
 }

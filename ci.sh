@@ -64,7 +64,8 @@
 # prom-check, and diffs the execution-span count of the --trace-out trace
 # (spans built from the workers' Done stamps) against the trial CSV. The
 # sweep-server smoke boots a long-lived rcompss-server with one dialled-out
-# and one dial-in worker, submits a sweep over the client CLI, and checks
+# and one dial-in worker, has a hostile grid-over-a-continuous-space submit
+# rejected as a bad request, submits a sweep over the client CLI, and checks
 # the served leaderboard matches the standalone run and the hposerver_
 # metric family scrapes clean — and, the long-lived server's leak gate, that once
 # the sweep is done the runtime holds no task, no data version and no
@@ -387,6 +388,21 @@ for _ in $(seq 1 400); do
 done
 if [ -z "$SERVER_UP" ]; then
     echo "sweep-server smoke FAILED: server never became ready" >&2
+    exit 1
+fi
+# A hostile request first: a grid over a continuous space is refused at
+# admission with a bad-request reject (code 2), and the honest submit and
+# the diff below show the daemon still serves every tenant.
+printf '{"lr": {"uniform": [0.1, 1.0]}}' > "$SMOKE_DIR/continuous.json"
+if ./target/release/hpo-run submit --server 127.0.0.1:7296 --tenant mallory \
+    --config "$SMOKE_DIR/continuous.json" --name hostile --algo grid \
+    2> "$SMOKE_DIR/hostile.err"; then
+    echo "sweep-server smoke FAILED: a grid over a continuous space was admitted" >&2
+    exit 1
+fi
+if ! grep -q "rejected (code 2): grid search needs discrete domains" "$SMOKE_DIR/hostile.err"; then
+    echo "sweep-server smoke FAILED: the hostile submit's error does not name the bad request:" >&2
+    cat "$SMOKE_DIR/hostile.err" >&2
     exit 1
 fi
 ./target/release/hpo-run submit --server 127.0.0.1:7296 --tenant ci \

@@ -88,11 +88,17 @@ pub fn space_from_json(text: &str) -> Result<SearchSpace, JsonError> {
                     ParamDomain::IntRange { min: v[0] as i64, max: v[1] as i64, step: v[2] as i64 }
                 } else if value.get("uniform").is_some() {
                     let v = nums("uniform", 2)?;
+                    if v[0] > v[1] {
+                        return Err(bad("uniform min must be <= max"));
+                    }
                     ParamDomain::Uniform { min: v[0], max: v[1] }
                 } else if value.get("log_uniform").is_some() {
                     let v = nums("log_uniform", 2)?;
                     if v[0] <= 0.0 {
                         return Err(bad("log_uniform min must be > 0"));
+                    }
+                    if v[0] > v[1] {
+                        return Err(bad("log_uniform min must be <= max"));
                     }
                     ParamDomain::LogUniform { min: v[0], max: v[1] }
                 } else {
@@ -166,6 +172,16 @@ mod tests {
     fn log_uniform_requires_positive_min() {
         let e = space_from_json(r#"{"lr": {"log_uniform": [0.0, 1.0]}}"#).unwrap_err();
         assert!(e.message.contains("log_uniform"));
+    }
+
+    #[test]
+    fn inverted_ranges_are_errors() {
+        let e = space_from_json(r#"{"lr": {"uniform": [1.0, 0.1]}}"#).unwrap_err();
+        assert!(e.message.contains("uniform min must be <= max"), "{e}");
+        let e = space_from_json(r#"{"lr": {"log_uniform": [1e-1, 1e-4]}}"#).unwrap_err();
+        assert!(e.message.contains("log_uniform min must be <= max"), "{e}");
+        // A single point is a range.
+        assert!(space_from_json(r#"{"lr": {"uniform": [0.5, 0.5]}}"#).is_ok());
     }
 
     #[test]

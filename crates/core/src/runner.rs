@@ -102,9 +102,8 @@ impl SweepControl {
 
     /// Install the admission gate: called (and allowed to block) before
     /// every trial submission. Returning `false` ends the sweep cleanly
-    /// after draining the in-flight batch — the server's quota-exhausted
-    /// path. A blocking gate should watch [`SweepControl::is_cancelled`]
-    /// so a cancel interrupts the wait.
+    /// after draining the in-flight batch — the sweep server's quota and
+    /// cancel paths. A gate that blocks must itself return on a cancel.
     pub fn with_gate(mut self, gate: impl Fn() -> bool + Send + Sync + 'static) -> SweepControl {
         self.gate = Some(Arc::new(gate));
         self
@@ -119,13 +118,6 @@ impl SweepControl {
     /// Whether [`SweepControl::cancel`] was called.
     pub fn is_cancelled(&self) -> bool {
         self.cancelled.load(Ordering::Relaxed)
-    }
-
-    /// Shared view of the cancel flag. A blocking gate installed with
-    /// [`SweepControl::with_gate`] captures this so a cancel interrupts
-    /// its wait (the closure cannot capture the control that owns it).
-    pub fn cancel_token(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.cancelled)
     }
 
     /// May the next trial be submitted? `false` ends the sweep.

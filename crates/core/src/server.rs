@@ -4,34 +4,21 @@
 //! therefore the whole worker pool) and runs **many concurrent sweeps from
 //! many tenants** over it. Clients speak the same `rnet` wire protocol as
 //! workers — the first frame on a fresh connection decides the role
-//! ([`Frame::Hello`] ⇒ worker, [`Frame::ClientHello`] ⇒ sweep client) —
-//! and drive sweeps with five client-facing frames:
+//! ([`Frame::Hello`] ⇒ worker, [`Frame::ClientHello`] ⇒ sweep client).
+//! A client submits a sweep ([`Frame::SubmitSweep`], answered by a
+//! [`Frame::SweepStatus`] ack or a [`Frame::SweepReject`]), queries or
+//! follows it ([`Frame::SweepStatus`]), receives its rows
+//! ([`Frame::LeaderboardChunk`]) and its end ([`Frame::SweepDone`]), and
+//! may cancel it ([`Frame::CancelSweep`]): in-flight trials drain, and the
+//! workers return to the pool.
 //!
-//! * [`Frame::SubmitSweep`] — tenant submits a named sweep (search-space
-//!   JSON, algorithm, trial budget, seed). Answered with a
-//!   [`Frame::SweepStatus`] ack carrying the assigned sweep id, or a
-//!   [`Frame::SweepReject`] (admission control / bad request / quota).
-//! * [`Frame::SweepStatus`] — point-in-time query; with `follow != 0` the
-//!   connection also subscribes to the sweep's live event stream.
-//! * [`Frame::LeaderboardChunk`] — streamed to subscribers after every
-//!   collected trial.
-//! * [`Frame::CancelSweep`] — cooperative abort: nothing further is
-//!   submitted, in-flight trials drain normally, workers return to the
-//!   pool.
-//! * [`Frame::SweepDone`] — terminal notification with the final state.
-//!
-//! **Fair share.** Every trial submission passes through a fair gate:
-//! a weighted round-robin over the tenants currently waiting to submit,
-//! with a per-tenant token bucket (`rate`/`burst`) and an optional total
-//! trial quota on top. The gate blocks inside the sweep's submission loop
-//! (via [`SweepControl::with_gate`]), so a throttled tenant's sweep simply
-//! pauses between waves while other tenants' trials flow — the shared
-//! pool stays busy. Quota exhaustion ends the sweep cleanly after the
-//! in-flight wave drains.
-//!
-//! **Admission control.** At most `max_active` sweeps run concurrently;
-//! further submissions queue up to `max_queued` deep and are rejected
-//! beyond that with [`REJECT_QUEUE_FULL`].
+//! **Fair share.** The runner consults a fair gate before every trial (via
+//! [`SweepControl::with_gate`]): round-robin over the tenants waiting to
+//! submit, a per-tenant token bucket (`rate`/`burst`) and an optional
+//! total trial quota, whose exhaustion ends the sweep cleanly. A throttled
+//! sweep waits for its grant while other tenants' trials flow.
+//! **Admission.** At most `max_active` sweeps run and `max_queued` more
+//! wait; the rest get [`REJECT_QUEUE_FULL`].
 //!
 //! **Parity.** A served sweep drives the exact same
 //! [`HpoRunner::execute`] loop as the standalone `hpo-run` binary with
@@ -48,17 +35,21 @@
 //! `hposerver_tenant_throttled_total{tenant=…}`,
 //! `hposerver_trial_latency_us{sweep=…}`) and exports through the usual
 //! `/metrics` status endpoint.
+//!
+//! **Shape.** Every decision above is made by one sans-IO `State`
+//! (see `server/state.rs`): events in, actions out, the time passed in
+//! with each event. This module is the shell around it — the sockets, the
+//! threads, the clock and the one lock the state sits behind.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use rcompss::{connect_workers, Runtime, WorkerBootstrap};
 use rnet::{
     read_frame, write_frame, Fill, Frame, FrameRef, Interest, LeaderRow, Poller, RecvBuf, SendBuf,
@@ -70,12 +61,16 @@ use crate::algo::grid::GridSearch;
 use crate::algo::random::RandomSearch;
 use crate::algo::tpe::TpeSearch;
 use crate::algo::Suggester;
+use crate::client::SubmitSpec;
 use crate::dashboard::stage_banner;
 use crate::experiment::{ExperimentOptions, Objective};
 use crate::results::TrialResult;
 use crate::runner::{Evaluator, HpoRunner, SweepControl, SweepPlan};
 use crate::space::SearchSpace;
 use crate::stagetree::StageObjective;
+
+mod state;
+use state::{Action, Admit, ConnId, Event, State, SweepId};
 
 /// Sweep accepted, waiting for a free run slot.
 pub const SWEEP_QUEUED: u32 = 0;
@@ -154,7 +149,7 @@ impl Default for ServerConfig {
 
 /// Build a suggester from its wire name — the vocabulary of
 /// [`Frame::SubmitSweep`]'s `algo` field (`grid`, `random`, `tpe`,
-/// `bayes`).
+/// `bayes`). Grid search needs a space with a finite grid.
 pub fn build_algo(
     algo: &str,
     space: &SearchSpace,
@@ -162,6 +157,9 @@ pub fn build_algo(
     seed: u64,
 ) -> Result<Box<dyn Suggester>, String> {
     match algo {
+        "grid" if space.grid_size().is_none() => {
+            Err("grid search needs discrete domains; the space has a continuous one".to_string())
+        }
         "grid" => Ok(Box::new(GridSearch::new(space))),
         "random" => Ok(Box::new(RandomSearch::new(space, trials, seed))),
         "tpe" => Ok(Box::new(TpeSearch::new(space, trials, seed))),
@@ -250,277 +248,131 @@ fn adopt_dial_in(stream: TcpStream, peer: SocketAddr) -> Option<WorkerBootstrap>
     }
 }
 
-/// The fair-share admission gate: weighted round-robin across tenants
-/// with a per-tenant token bucket and total-trial quota. One `acquire`
-/// admits one trial submission; callers block until it is their turn
-/// (or their sweep is cancelled, or their quota is gone).
-struct FairGate {
-    rate: f64,
-    burst: f64,
-    quota: u64,
-    registry: Arc<runmetrics::MetricsRegistry>,
-    state: Mutex<FairState>,
-    cv: Condvar,
-}
-
-/// One tenant's lane through the gate.
-struct TenantLane {
-    tokens: f64,
-    last_refill: Instant,
-    /// Trials admitted so far, charged against the quota.
-    spent: u64,
-    /// Sweeps currently blocked in `acquire` for this tenant.
-    waiting: usize,
-    /// Times an `acquire` had to wait (one count per wait, not per
-    /// retry); mirrored into `hposerver_tenant_throttled_total{tenant=…}`.
-    throttled: u64,
-    throttled_metric: runmetrics::Counter,
-}
-
-struct FairState {
-    lanes: HashMap<String, TenantLane>,
-    /// Round-robin order; the granted tenant rotates to the back.
-    ring: VecDeque<String>,
-}
-
-/// Outcome of one [`FairGate::acquire`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Admit {
-    /// The tenant may submit one trial.
-    Granted,
-    /// The tenant's total trial quota is spent; the sweep should halt.
-    Quota,
-    /// The wait was abandoned (sweep cancelled / server stopping).
-    Halted,
-}
-
-impl FairGate {
-    fn new(cfg: &ServerConfig, registry: Arc<runmetrics::MetricsRegistry>) -> FairGate {
-        FairGate {
-            rate: cfg.rate,
-            burst: cfg.burst.max(1.0),
-            quota: cfg.quota_trials,
-            registry,
-            state: Mutex::new(FairState { lanes: HashMap::new(), ring: VecDeque::new() }),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn ensure_lane(&self, st: &mut FairState, tenant: &str) {
-        if !st.lanes.contains_key(tenant) {
-            let metric = self.registry.counter(&runmetrics::labeled(
-                "hposerver_tenant_throttled_total",
-                "tenant",
-                tenant,
-            ));
-            st.lanes.insert(
-                tenant.to_string(),
-                TenantLane {
-                    tokens: self.burst,
-                    last_refill: Instant::now(),
-                    spent: 0,
-                    waiting: 0,
-                    throttled: 0,
-                    throttled_metric: metric,
-                },
-            );
-            st.ring.push_back(tenant.to_string());
-        }
-    }
-
-    fn refill(&self, st: &mut FairState, now: Instant) {
-        if self.rate <= 0.0 {
-            return;
-        }
-        for lane in st.lanes.values_mut() {
-            let dt = now.duration_since(lane.last_refill).as_secs_f64();
-            lane.last_refill = now;
-            lane.tokens = (lane.tokens + dt * self.rate).min(self.burst);
-        }
-    }
-
-    /// The tenant whose turn it is: first lane in ring order that has a
-    /// waiter, quota headroom and (when rate limiting) a whole token.
-    /// Skipping token-less lanes keeps the gate work-conserving — one
-    /// throttled tenant never stalls the others.
-    fn next_grant(&self, st: &FairState) -> Option<String> {
-        st.ring
-            .iter()
-            .find(|name| {
-                let lane = &st.lanes[*name];
-                lane.waiting > 0
-                    && (self.quota == 0 || lane.spent < self.quota)
-                    && (self.rate <= 0.0 || lane.tokens >= 1.0)
-            })
-            .cloned()
-    }
-
-    /// Block until this tenant wins an admission (or can never win one).
-    /// `halt` is the sweep's cancel token: setting it abandons the wait.
-    fn acquire(&self, tenant: &str, halt: &AtomicBool) -> Admit {
-        let mut st = self.state.lock();
-        self.ensure_lane(&mut st, tenant);
-        st.lanes.get_mut(tenant).expect("lane just ensured").waiting += 1;
-        let mut counted_wait = false;
-        let verdict = loop {
-            if halt.load(Ordering::Relaxed) {
-                break Admit::Halted;
-            }
-            self.refill(&mut st, Instant::now());
-            let me = &st.lanes[tenant];
-            if self.quota > 0 && me.spent >= self.quota {
-                break Admit::Quota;
-            }
-            if self.next_grant(&st).as_deref() == Some(tenant) {
-                let lane = st.lanes.get_mut(tenant).expect("lane exists");
-                if self.rate > 0.0 {
-                    lane.tokens -= 1.0;
-                }
-                lane.spent += 1;
-                if let Some(pos) = st.ring.iter().position(|n| n == tenant) {
-                    let name = st.ring.remove(pos).expect("position in bounds");
-                    st.ring.push_back(name);
-                }
-                break Admit::Granted;
-            }
-            if !counted_wait {
-                counted_wait = true;
-                let lane = st.lanes.get_mut(tenant).expect("lane exists");
-                lane.throttled += 1;
-                lane.throttled_metric.incr();
-            }
-            // Timed wait doubles as the token-refill clock under rate
-            // limiting and keeps cancellation latency bounded.
-            self.cv.wait_for(&mut st, Duration::from_millis(5));
-        };
-        st.lanes.get_mut(tenant).expect("lane exists").waiting -= 1;
-        drop(st);
-        self.cv.notify_all();
-        verdict
-    }
-
-    fn throttled_total(&self, tenant: &str) -> u64 {
-        self.state.lock().lanes.get(tenant).map_or(0, |l| l.throttled)
-    }
-
-    fn spent(&self, tenant: &str) -> u64 {
-        self.state.lock().lanes.get(tenant).map_or(0, |l| l.spent)
-    }
-}
-
-/// Everything a queued sweep needs to start running.
-struct SweepSpec {
-    space_json: String,
-    algo: String,
-    trials: u32,
-    seed: u64,
-    wave: u32,
-}
-
-/// Server-side record of one sweep, shared between the client plane and
-/// the sweep's driver thread.
-struct Sweep {
-    tenant: String,
-    name: String,
-    state: u32,
-    total: u32,
-    done: u32,
-    failed: u32,
-    best_acc: f64,
-    best_label: String,
-    /// Full leaderboard in completion order — replayed to late
-    /// subscribers, streamed row-by-row to live ones.
-    rows: Vec<LeaderRow>,
-    control: SweepControl,
-    /// Why the sweep halted early, if it did (quota message).
-    halt_reason: Arc<Mutex<String>>,
-    spec: Option<SweepSpec>,
-    started: Option<Instant>,
-    wall_us: u64,
-    message: String,
-}
-
-struct ServeState {
-    sweeps: HashMap<u64, Sweep>,
-    queue: VecDeque<u64>,
-    active: usize,
-    next_id: u64,
-    drivers: Vec<JoinHandle<()>>,
-}
-
-/// Handles for the server-level metric series, pre-registered so they
-/// export at zero.
-struct ServerMetrics {
-    active: runmetrics::Gauge,
-    queued: runmetrics::Gauge,
-    completed: runmetrics::Counter,
-    rejected: runmetrics::Counter,
-}
-
-impl ServerMetrics {
-    fn new(reg: &runmetrics::MetricsRegistry) -> ServerMetrics {
-        ServerMetrics {
-            active: reg.gauge("hposerver_sweeps_active"),
-            queued: reg.gauge("hposerver_sweeps_queued"),
-            completed: reg.counter("hposerver_sweeps_completed_total"),
-            rejected: reg.counter("hposerver_sweeps_rejected_total"),
-        }
-    }
-}
-
-struct ServerInner {
+/// What every server thread shares: the runtime and the one lock around
+/// the server's decisions.
+struct Server {
     rt: Runtime,
     objective: Objective,
-    /// When set, [`Evaluator::pick`] may evaluate each wave of a sweep as
-    /// a stage tree — shared prefixes trained once, trial tables
-    /// bit-identical to one task per trial. Workers in the pool must have
-    /// registered [`crate::stagetree::stage_task_def`] for the same
-    /// objective.
+    /// When set, [`Evaluator::pick`] may evaluate each wave as a stage
+    /// tree; the pool's workers must have registered
+    /// [`crate::stagetree::stage_task_def`] for the same objective.
     stage: Option<StageObjective>,
     opts: ExperimentOptions,
-    cfg: ServerConfig,
-    gate: Arc<FairGate>,
-    state: Mutex<ServeState>,
-    /// Sweep-thread → client-plane event mailbox: frames to fan out to
-    /// the sweep's subscribers, paired with a waker kick.
-    events: Mutex<VecDeque<(u64, Frame)>>,
-    wake: Arc<Waker>,
-    stop: AtomicBool,
-    metrics: ServerMetrics,
+    /// Zero of the microsecond clock [`State`] is fed.
+    epoch: Instant,
+    wake: Waker,
+    core: Mutex<Core>,
 }
 
-impl ServerInner {
-    fn emit(&self, sweep_id: u64, frame: Frame) {
-        self.events.lock().push_back((sweep_id, frame));
-        let _ = self.wake.wake();
+/// The decisions and the mailboxes their actions fill.
+struct Core {
+    state: State,
+    /// Frames for the client plane, the only owner of sockets, in the
+    /// order they were decided.
+    outbox: Vec<(ConnId, Frame)>,
+    drivers: HashMap<SweepId, Driver>,
+    /// Sweeps started, for [`Server::unlock`] to spawn.
+    starts: Vec<(SweepId, SubmitSpec, Arc<Condvar>)>,
+    /// Sweep threads, for the client plane to join once exited.
+    reap: Vec<JoinHandle<()>>,
+    /// When the client plane's current wait ends, µs on the state clock.
+    plane_wakes_at: u64,
+}
+
+/// The mailbox a running sweep's gate waits on.
+struct Driver {
+    cv: Arc<Condvar>,
+    grant: Option<Admit>,
+}
+
+/// Who applies an event: the client plane (which sends the outbox before
+/// it waits again), the plane handling a connection's frame (frames for it
+/// go straight to its buffer), or another thread (`Some(id)`: sweep `id`'s
+/// gate, which gets its own grant back inline).
+enum By<'a> {
+    Plane,
+    Conn(ConnId, &'a mut SendBuf),
+    Other(Option<SweepId>),
+}
+
+impl Server {
+    /// Apply `event` and carry out its actions, all but thread spawns,
+    /// with the lock held: frames go to `by`'s connection or the outbox,
+    /// grants to their sweep's mailbox; a started sweep gets its mailbox
+    /// here, so no grant can miss it, and an ended one's is dropped.
+    /// Another thread wakes the client plane when it left frames to send
+    /// or an earlier deadline.
+    fn apply(&self, core: &mut Core, ev: Event, mut by: By<'_>) -> Option<Admit> {
+        let sends = core.outbox.len();
+        let mut mine = None;
+        for action in core.state.apply(ev, self.epoch.elapsed().as_micros() as u64) {
+            match action {
+                Action::Send(to, frame) => match &mut by {
+                    By::Conn(conn, out) if *conn == to => out.push(&frame),
+                    _ => core.outbox.push((to, frame)),
+                },
+                Action::Grant(id, admit) if matches!(by, By::Other(Some(me)) if me == id) => {
+                    mine = Some(admit)
+                }
+                Action::Grant(id, admit) => {
+                    if let Some(driver) = core.drivers.get_mut(&id) {
+                        driver.grant = Some(admit);
+                        driver.cv.notify_one();
+                    }
+                }
+                Action::Start(id, spec) => {
+                    let cv = Arc::new(Condvar::new());
+                    core.drivers.insert(id, Driver { cv: Arc::clone(&cv), grant: None });
+                    core.starts.push((id, spec, cv));
+                }
+                Action::Join(id) => drop(core.drivers.remove(&id)),
+            }
+        }
+        let sooner = core.state.next_deadline().is_some_and(|d| d < core.plane_wakes_at);
+        if matches!(by, By::Other(_)) && ((sends == 0 && !core.outbox.is_empty()) || sooner) {
+            let _ = self.wake.wake();
+        }
+        mine
     }
 
-    fn refresh_gauges(&self, st: &ServeState) {
-        self.metrics.active.set(st.active as f64);
-        self.metrics.queued.set(st.queue.len() as f64);
+    /// Apply `event` under the lock, then [`Server::unlock`].
+    fn event(self: &Arc<Self>, ev: Event, by: By<'_>) {
+        let mut core = self.core.lock();
+        self.apply(&mut core, ev, by);
+        self.unlock(core);
     }
 
-    fn status_frame(&self, sweep_id: u64, s: &Sweep) -> Frame {
-        Frame::SweepStatus {
-            sweep_id,
-            state: s.state,
-            done: s.done,
-            failed: s.failed,
-            total: s.total,
-            best_acc: s.best_acc,
-            best_label: s.best_label.clone(),
-            throttled: self.gate.throttled_total(&s.tenant),
-            follow: 0,
+    /// Release the lock, spawning the started sweeps' threads outside it.
+    /// A sweep whose thread cannot be spawned ends [`SWEEP_FAILED`].
+    fn unlock<'a>(self: &'a Arc<Self>, mut core: MutexGuard<'a, Core>) {
+        while let Some((id, spec, cv)) = core.starts.pop() {
+            drop(core);
+            let srv = Arc::clone(self);
+            let run = move || run_sweep(srv, id, spec, cv);
+            let spawned = thread::Builder::new().name(format!("sweep-{id}")).spawn(run);
+            core = self.core.lock();
+            match spawned {
+                Ok(handle) => core.reap.push(handle),
+                Err(e) => {
+                    let message = format!("cannot start the sweep: {e}");
+                    let ended = Event::SweepEnded { sweep: id, state: SWEEP_FAILED, message };
+                    self.apply(&mut core, ended, By::Other(None));
+                }
+            }
         }
     }
 
-    fn done_frame(&self, sweep_id: u64, s: &Sweep) -> Frame {
-        Frame::SweepDone {
-            sweep_id,
-            state: s.state,
-            wall_us: s.wall_us,
-            message: s.message.clone(),
+    /// The fair gate, as the sweep's runner sees it: wait for the state's
+    /// answer to this sweep's next trial.
+    fn admit(self: &Arc<Self>, id: SweepId, cv: &Condvar) -> bool {
+        let mut core = self.core.lock();
+        let mut grant = self.apply(&mut core, Event::WantTrial { sweep: id }, By::Other(Some(id)));
+        while grant.is_none() {
+            cv.wait(&mut core);
+            grant = core.drivers.get_mut(&id).and_then(|d| d.grant.take());
         }
+        self.unlock(core);
+        grant == Some(Admit::Granted)
     }
 }
 
@@ -529,23 +381,13 @@ const WAKE_TOKEN: u64 = u64::MAX;
 /// Poll token of the listening socket.
 const LISTEN_TOKEN: u64 = u64::MAX - 1;
 
-/// One connected sweep client on the nonblocking plane.
+/// One connected sweep client on the nonblocking plane, keyed by its poll
+/// token, which is its [`ConnId`].
 struct ClientConn {
     stream: TcpStream,
-    token: u64,
     recv: RecvBuf,
     registered_write: bool,
-    session: Session,
-}
-
-/// What a client's frames act on, apart from the `recv` a decoded frame
-/// borrows.
-struct Session {
     out: SendBuf,
-    /// Set by `ClientHello`; required before any sweep verb.
-    tenant: Option<String>,
-    /// Sweep ids this connection streams events for.
-    watching: HashSet<u64>,
 }
 
 /// A long-lived, multi-tenant HPO sweep server over one shared runtime.
@@ -556,7 +398,7 @@ struct Session {
 /// connection — and each admitted sweep drives [`HpoRunner::execute`] on
 /// a thread of its own, all sharing the one runtime.
 pub struct SweepServer {
-    inner: Arc<ServerInner>,
+    srv: Arc<Server>,
     addr: SocketAddr,
     plane: Option<JoinHandle<()>>,
 }
@@ -586,35 +428,30 @@ impl SweepServer {
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let poller = Poller::new()?;
-        let wake = Arc::new(Waker::new(&poller, WAKE_TOKEN)?);
+        let wake = Waker::new(&poller, WAKE_TOKEN)?;
         poller.register(listener.as_raw_fd(), LISTEN_TOKEN, Interest::READ)?;
-        let registry = rt.metrics();
-        let gate = Arc::new(FairGate::new(&cfg, Arc::clone(&registry)));
-        let metrics = ServerMetrics::new(&registry);
-        let inner = Arc::new(ServerInner {
+        let state = State::new(&cfg, rt.metrics());
+        let srv = Arc::new(Server {
             rt,
             objective,
             stage,
             opts,
-            cfg,
-            gate,
-            state: Mutex::new(ServeState {
-                sweeps: HashMap::new(),
-                queue: VecDeque::new(),
-                active: 0,
-                next_id: 1,
-                drivers: Vec::new(),
-            }),
-            events: Mutex::new(VecDeque::new()),
+            epoch: Instant::now(),
             wake,
-            stop: AtomicBool::new(false),
-            metrics,
+            core: Mutex::new(Core {
+                state,
+                outbox: Vec::new(),
+                drivers: HashMap::new(),
+                starts: Vec::new(),
+                reap: Vec::new(),
+                plane_wakes_at: u64::MAX,
+            }),
         });
-        let loop_inner = Arc::clone(&inner);
+        let plane_srv = Arc::clone(&srv);
         let plane = thread::Builder::new()
             .name("hpo-sweep-server".to_string())
-            .spawn(move || serve_loop(loop_inner, poller, listener))?;
-        Ok(SweepServer { inner, addr, plane: Some(plane) })
+            .spawn(move || serve_loop(plane_srv, poller, listener))?;
+        Ok(SweepServer { srv, addr, plane: Some(plane) })
     }
 
     /// The address the client plane listens on.
@@ -625,209 +462,97 @@ impl SweepServer {
     /// The owned runtime's metrics registry (feed this to a
     /// [`rnet::StatusServer`] for `/metrics`).
     pub fn metrics(&self) -> Arc<runmetrics::MetricsRegistry> {
-        self.inner.rt.metrics()
+        self.srv.rt.metrics()
     }
 
     /// Stop serving: cancel every live sweep, drain their in-flight
     /// trials, close all client connections and join every thread.
-    pub fn shutdown(mut self) {
-        self.stop_inner();
-    }
-
-    fn stop_inner(&mut self) {
-        self.inner.stop.store(true, Ordering::SeqCst);
-        {
-            let st = self.inner.state.lock();
-            for sweep in st.sweeps.values() {
-                sweep.control.cancel();
-            }
-        }
-        let _ = self.inner.wake.wake();
-        if let Some(plane) = self.plane.take() {
-            let _ = plane.join();
-        }
-        loop {
-            let drivers: Vec<JoinHandle<()>> = {
-                let mut st = self.inner.state.lock();
-                st.drivers.drain(..).collect()
-            };
-            if drivers.is_empty() {
-                break;
-            }
-            for d in drivers {
-                let _ = d.join();
-            }
-        }
-    }
+    pub fn shutdown(self) {}
 }
 
 impl Drop for SweepServer {
     fn drop(&mut self) {
-        self.stop_inner();
-    }
-}
-
-/// Start queued sweeps while run slots are free. Called from the client
-/// plane on submit and from a finishing driver thread; a stopped server
-/// starts nothing.
-fn pump(inner: &Arc<ServerInner>) {
-    let mut st = inner.state.lock();
-    while st.active < inner.cfg.max_active && !inner.stop.load(Ordering::Relaxed) {
-        let Some(id) = st.queue.pop_front() else { break };
-        let Some(sweep) = st.sweeps.get_mut(&id) else { continue };
-        if sweep.state != SWEEP_QUEUED {
-            continue;
+        let Some(plane) = self.plane.take() else { return };
+        self.srv.event(Event::Stop, By::Other(None));
+        let _ = self.srv.wake.wake();
+        let _ = plane.join();
+        // A sweep started just before the stop may still be spawning; its
+        // spawner is joined first, so take threads until none is left.
+        loop {
+            let Some(thread) = self.srv.core.lock().reap.pop() else { break };
+            let _ = thread.join();
         }
-        sweep.state = SWEEP_RUNNING;
-        sweep.started = Some(Instant::now());
-        st.active += 1;
-        let driver_inner = Arc::clone(inner);
-        let handle = thread::Builder::new()
-            .name(format!("sweep-{id}"))
-            .spawn(move || run_sweep(driver_inner, id))
-            .expect("spawn sweep driver");
-        st.drivers.push(handle);
     }
-    inner.refresh_gauges(&st);
 }
 
 /// Drive one sweep to completion on its own thread, streaming every
-/// collected trial to the client plane.
-fn run_sweep(inner: Arc<ServerInner>, id: u64) {
-    let (spec, control, halt_reason, sweep_name) = {
-        let mut st = inner.state.lock();
-        let sweep = st.sweeps.get_mut(&id).expect("sweep exists while running");
-        (
-            sweep.spec.take().expect("queued sweep has a spec"),
-            sweep.control.clone(),
-            Arc::clone(&sweep.halt_reason),
-            sweep.name.clone(),
-        )
-    };
-    // Space and algorithm were validated at admission; a failure here is
-    // still reported, not unwound.
-    let result =
-        SearchSpace::from_json(&spec.space_json).map_err(|e| e.to_string()).and_then(|space| {
-            build_algo(&spec.algo, &space, spec.trials as usize, spec.seed).map(|a| (space, a))
-        });
-    let (_space, mut algo) = match result {
-        Ok(pair) => pair,
-        Err(msg) => {
-            finish_sweep(&inner, id, SWEEP_FAILED, msg);
-            return;
-        }
-    };
-    let mut opts = inner.opts.clone();
-    if spec.wave > 0 {
-        opts.wave_size = Some(spec.wave as usize);
-    }
-    let runner = HpoRunner::new(opts);
-    let latency = inner.rt.metrics().histogram(&runmetrics::labeled(
-        "hposerver_trial_latency_us",
-        "sweep",
-        &sweep_name,
-    ));
-    let trial_inner = Arc::clone(&inner);
+/// collected trial to the state.
+fn run_sweep(srv: Arc<Server>, id: SweepId, spec: SubmitSpec, cv: Arc<Condvar>) {
+    let name = runmetrics::labeled("hposerver_trial_latency_us", "sweep", &spec.name);
+    let latency = srv.rt.metrics().histogram(&name);
     let observer = |trial: &TrialResult| {
         latency.record(trial.task_us);
-        on_trial(&trial_inner, id, trial);
+        // The bare config label (accuracy travels in its own field),
+        // matching the `config` column of `HpoReport::to_csv` so served
+        // and standalone leaderboards diff clean.
+        let row = LeaderRow {
+            label: trial.config.label(),
+            accuracy: trial.outcome.accuracy,
+            epochs: trial.outcome.epochs_run,
+            task_us: trial.task_us,
+        };
+        let failed = trial.outcome.is_failed();
+        srv.event(Event::TrialDone { sweep: id, row, failed }, By::Other(Some(id)));
     };
-    let plan = SweepPlan {
-        control: Some(&control),
-        ..SweepPlan::new(Evaluator::pick(
-            &runner.opts,
-            inner.objective.clone(),
-            inner.stage.as_ref(),
-        ))
-    };
-    let outcome = runner.execute(&inner.rt, algo.as_mut(), plan, observer).map(|o| o.stages);
-    let (state, message) = match outcome {
-        Err(e) => (SWEEP_FAILED, format!("submission failed: {e}")),
-        Ok(_) if control.is_cancelled() => (SWEEP_CANCELLED, "cancelled".to_string()),
-        Ok(stats) => {
-            let mut message = halt_reason.lock().clone();
-            // Surface the savings banner in the done message so sweep
-            // clients see "N epochs saved" without scraping /metrics.
-            let banner = stage_banner(&stats);
-            if !banner.is_empty() {
-                message =
-                    if message.is_empty() { banner } else { format!("{message} · {banner}") };
+    let gate_srv = Arc::clone(&srv);
+    let control = SweepControl::new().with_gate(move || gate_srv.admit(id, &cv));
+    // Space and algorithm were validated at admission; a failure here is
+    // still reported, not unwound.
+    let swept =
+        SearchSpace::from_json(&spec.space_json).map_err(|e| e.to_string()).and_then(|space| {
+            let mut algo = build_algo(&spec.algo, &space, spec.trials as usize, spec.seed)?;
+            let mut opts = srv.opts.clone();
+            if spec.wave > 0 {
+                opts.wave_size = Some(spec.wave as usize);
             }
-            (SWEEP_DONE, message)
-        }
+            let runner = HpoRunner::new(opts);
+            let evaluator =
+                Evaluator::pick(&runner.opts, srv.objective.clone(), srv.stage.as_ref());
+            let plan = SweepPlan { control: Some(&control), ..SweepPlan::new(evaluator) };
+            let outcome = runner.execute(&srv.rt, algo.as_mut(), plan, observer);
+            outcome.map_err(|e| format!("submission failed: {e}"))
+        });
+    let (state, message) = match swept {
+        Ok(outcome) => (SWEEP_DONE, stage_banner(&outcome.stages)),
+        Err(message) => (SWEEP_FAILED, message),
     };
-    finish_sweep(&inner, id, state, message);
-}
-
-/// Fold one collected trial into the sweep record and stream it out.
-fn on_trial(inner: &Arc<ServerInner>, id: u64, trial: &TrialResult) {
-    // The bare config label (accuracy travels in its own field), matching
-    // the `config` column of `HpoReport::to_csv` so served and standalone
-    // leaderboards diff clean.
-    let row = LeaderRow {
-        label: trial.config.label(),
-        accuracy: trial.outcome.accuracy,
-        epochs: trial.outcome.epochs_run,
-        task_us: trial.task_us,
-    };
-    {
-        let mut st = inner.state.lock();
-        let Some(sweep) = st.sweeps.get_mut(&id) else { return };
-        if trial.outcome.is_failed() {
-            sweep.failed += 1;
-        } else {
-            sweep.done += 1;
-            if trial.outcome.accuracy > sweep.best_acc || sweep.best_label.is_empty() {
-                sweep.best_acc = trial.outcome.accuracy;
-                sweep.best_label = row.label.clone();
-            }
-        }
-        sweep.rows.push(row.clone());
-    }
-    inner.emit(id, Frame::LeaderboardChunk { sweep_id: id, rows: vec![row] });
-}
-
-/// Move a sweep to a terminal state, free its run slot, notify
-/// subscribers and start whatever was queued behind it.
-fn finish_sweep(inner: &Arc<ServerInner>, id: u64, state: u32, message: String) {
-    let done = {
-        let mut st = inner.state.lock();
-        let sweep = st.sweeps.get_mut(&id).expect("sweep exists while finishing");
-        sweep.wall_us = sweep.started.map_or(0, |t| t.elapsed().as_micros() as u64);
-        sweep.state = state;
-        sweep.message = message;
-        st.active = st.active.saturating_sub(1);
-        inner.metrics.completed.incr();
-        let sweep = &st.sweeps[&id];
-        let frame = inner.done_frame(id, sweep);
-        inner.refresh_gauges(&st);
-        frame
-    };
-    inner.emit(id, done);
-    pump(inner);
+    srv.event(Event::SweepEnded { sweep: id, state, message }, By::Other(Some(id)));
 }
 
 /// The client plane's longest wait for readiness.
 const TICK: Duration = Duration::from_millis(200);
 
-/// The client plane: accept clients, decode their frames, answer, and
-/// fan sweep events out to subscribers — all on one readiness loop.
-fn serve_loop(inner: Arc<ServerInner>, poller: Poller, listener: TcpListener) {
+/// The client plane: accept clients, decode their frames into events,
+/// send what the state decided, and wake the state when its deadline is
+/// due — all on one readiness loop.
+fn serve_loop(srv: Arc<Server>, poller: Poller, listener: TcpListener) {
     let mut conns: HashMap<u64, ClientConn> = HashMap::new();
     let mut next_token: u64 = 0;
     let mut events: Vec<rnet::Event> = Vec::new();
+    let mut outbox: Vec<(ConnId, Frame)> = Vec::new();
+    let mut dead: Vec<u64> = Vec::new();
+    let mut timeout = TICK;
     // When the listener left the poller: an accept failed (out of fds, say)
     // with the connection still queued, and a level-triggered listener
     // would end every wait at once until an fd frees.
     let mut parked: Option<Instant> = None;
-    while !inner.stop.load(Ordering::Relaxed) {
-        if poller.wait(&mut events, Some(TICK)).is_err() {
+    loop {
+        if poller.wait(&mut events, Some(timeout)).is_err() {
             break;
         }
-        let mut dead: Vec<u64> = Vec::new();
         for ev in &events {
             match ev.token {
-                WAKE_TOKEN => inner.wake.drain(),
+                WAKE_TOKEN => srv.wake.drain(),
                 LISTEN_TOKEN => {
                     if accept_clients(&poller, &listener, &mut conns, &mut next_token).is_err() {
                         let _ = poller.deregister(listener.as_raw_fd());
@@ -836,48 +561,59 @@ fn serve_loop(inner: Arc<ServerInner>, poller: Poller, listener: TcpListener) {
                 }
                 token => {
                     if let Some(conn) = conns.get_mut(&token) {
-                        if ev.readable && !service_read(&inner, conn) {
+                        if ev.readable && !service_read(&srv, token, conn) {
                             dead.push(token);
                         }
                     }
                 }
             }
         }
-        // Deliver sweep-thread events to every subscribed connection.
-        let pending: Vec<(u64, Frame)> = {
-            let mut q = inner.events.lock();
-            q.drain(..).collect()
-        };
-        for (sweep_id, frame) in &pending {
-            for (token, conn) in conns.iter_mut() {
-                if conn.session.watching.contains(sweep_id) {
-                    conn.session.out.push(frame);
-                    if !within_backlog(&mut conn.session) {
-                        dead.push(*token);
-                    }
-                }
+        let mut core = srv.core.lock();
+        let now = srv.epoch.elapsed().as_micros() as u64;
+        if core.state.next_deadline().is_some_and(|d| d <= now) {
+            srv.apply(&mut core, Event::Tick, By::Plane);
+        }
+        timeout = core.state.next_deadline().map_or(TICK, |d| {
+            TICK.min(Duration::from_millis(d.saturating_sub(now).div_ceil(1000)))
+        });
+        core.plane_wakes_at = now + timeout.as_micros() as u64;
+        std::mem::swap(&mut core.outbox, &mut outbox);
+        // Only threads that have exited, so a join never blocks the plane.
+        let exited: Vec<JoinHandle<()>> = core.reap.extract_if(.., |h| h.is_finished()).collect();
+        let stopping = core.state.stopping();
+        srv.unlock(core);
+        if stopping {
+            break;
+        }
+        for (token, frame) in outbox.drain(..) {
+            let Some(conn) = conns.get_mut(&token).filter(|_| !dead.contains(&token)) else {
+                continue;
+            };
+            conn.out.push(&frame);
+            if !within_backlog(&mut conn.out) {
+                dead.push(token);
             }
         }
         for (token, conn) in conns.iter_mut() {
-            if !flush_conn(&poller, conn) {
+            if !flush_conn(&poller, *token, conn) {
                 dead.push(*token);
             }
         }
+        for handle in exited {
+            let _ = handle.join();
+        }
         // A closed connection frees an fd; without one, retry each tick.
         let retry = parked.is_some_and(|at| !dead.is_empty() || at.elapsed() >= TICK);
-        for token in dead {
+        for token in dead.drain(..) {
             if let Some(conn) = conns.remove(&token) {
                 let _ = poller.deregister(conn.stream.as_raw_fd());
+                srv.event(Event::Closed { conn: token }, By::Plane);
             }
         }
         if retry && poller.register(listener.as_raw_fd(), LISTEN_TOKEN, Interest::READ).is_ok() {
             parked = None;
         }
     }
-    for (_, conn) in conns.drain() {
-        let _ = poller.deregister(conn.stream.as_raw_fd());
-    }
-    let _ = poller.deregister(listener.as_raw_fd());
 }
 
 /// Accept every pending client connection and register it for reads.
@@ -900,20 +636,8 @@ fn accept_clients(
                 if poller.register(stream.as_raw_fd(), token, Interest::READ).is_err() {
                     continue;
                 }
-                conns.insert(
-                    token,
-                    ClientConn {
-                        stream,
-                        token,
-                        recv: RecvBuf::new(),
-                        registered_write: false,
-                        session: Session {
-                            out: SendBuf::new(),
-                            tenant: None,
-                            watching: HashSet::new(),
-                        },
-                    },
-                );
+                let (recv, out) = (RecvBuf::new(), SendBuf::new());
+                conns.insert(token, ClientConn { stream, recv, registered_write: false, out });
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
             Err(e) => return Err(e),
@@ -925,10 +649,9 @@ fn accept_clients(
 /// read comes back short (level-triggered epoll re-raises the event for
 /// later bytes). `false` means the connection is finished (EOF, protocol
 /// error, or a fatal verb).
-fn service_read(inner: &Arc<ServerInner>, conn: &mut ClientConn) -> bool {
-    // Split the borrows: the frame borrows `recv`, its handler writes the
-    // session.
-    let ClientConn { stream, recv, session, .. } = conn;
+fn service_read(srv: &Arc<Server>, token: ConnId, conn: &mut ClientConn) -> bool {
+    // Split the borrows: the frame borrows `recv`, its handler writes `out`.
+    let ClientConn { stream, recv, out, .. } = conn;
     loop {
         match recv.fill_from(stream) {
             Ok(Fill::Bytes(_)) => {
@@ -940,7 +663,7 @@ fn service_read(inner: &Arc<ServerInner>, conn: &mut ClientConn) -> bool {
                         Ok(None) => break,
                         Err(_) => return false,
                     };
-                    if !handle_frame(inner, session, frame) || !within_backlog(session) {
+                    if !handle_frame(srv, token, out, frame) || !within_backlog(out) {
                         return false;
                     }
                 }
@@ -951,242 +674,59 @@ fn service_read(inner: &Arc<ServerInner>, conn: &mut ClientConn) -> bool {
     }
 }
 
-/// Whether a session's unsent backlog is within [`MAX_CLIENT_BACKLOG`].
-/// Past it, the reject is queued behind the backlog (a client that reads
-/// again learns why it was cut off) and the connection is to be closed.
-fn within_backlog(session: &mut Session) -> bool {
-    if session.out.pending() <= MAX_CLIENT_BACKLOG {
+/// Past [`MAX_CLIENT_BACKLOG`], queue the reject behind the backlog (a
+/// client that reads again learns why it was cut off) and return `false`
+/// to close the connection.
+fn within_backlog(out: &mut SendBuf) -> bool {
+    if out.pending() <= MAX_CLIENT_BACKLOG {
         return true;
     }
-    session.out.push(&Frame::SweepReject {
-        code: REJECT_BACKLOG_FULL,
-        message: format!("more than {MAX_CLIENT_BACKLOG} bytes left unread"),
-    });
+    let message = format!("more than {MAX_CLIENT_BACKLOG} bytes left unread");
+    out.push(&Frame::SweepReject { code: REJECT_BACKLOG_FULL, message });
     false
 }
 
 /// Flush a connection's backlog and keep its write interest in sync.
-fn flush_conn(poller: &Poller, conn: &mut ClientConn) -> bool {
-    if conn.session.out.is_empty() && !conn.registered_write {
+fn flush_conn(poller: &Poller, token: ConnId, conn: &mut ClientConn) -> bool {
+    if conn.out.is_empty() && !conn.registered_write {
         return true;
     }
-    let drained = match conn.session.out.flush(&mut conn.stream) {
+    let drained = match conn.out.flush(&mut conn.stream) {
         Ok((_, drained)) => drained,
         Err(_) => return false,
     };
     let want_write = !drained;
     if want_write != conn.registered_write {
         let interest = if want_write { Interest::READ_WRITE } else { Interest::READ };
-        if poller.modify(conn.stream.as_raw_fd(), conn.token, interest).is_ok() {
+        if poller.modify(conn.stream.as_raw_fd(), token, interest).is_ok() {
             conn.registered_write = want_write;
         }
     }
     true
 }
 
-/// Dispatch one decoded client frame. Returns `false` to close.
-fn handle_frame(inner: &Arc<ServerInner>, session: &mut Session, frame: FrameRef<'_>) -> bool {
-    match frame {
-        FrameRef::ClientHello { tenant, proto: _ } => {
-            session.tenant = Some(tenant.to_string());
-            true
-        }
+/// Turn one decoded client frame into an event for the state. Returns
+/// `false` to close.
+fn handle_frame(srv: &Arc<Server>, conn: ConnId, out: &mut SendBuf, frame: FrameRef<'_>) -> bool {
+    let event = match frame {
+        FrameRef::ClientHello { tenant, .. } => Event::Hello { conn, tenant: tenant.into() },
         FrameRef::SubmitSweep { name, space_json, algo, trials, seed, wave } => {
-            handle_submit(inner, session, name, space_json, algo, trials, seed, wave);
-            true
+            let (name, space_json, algo) = (name.into(), space_json.into(), algo.into());
+            Event::Submit { conn, spec: SubmitSpec { name, space_json, algo, trials, seed, wave } }
         }
         FrameRef::SweepStatus { sweep_id, follow, .. } => {
-            let st = inner.state.lock();
-            match st.sweeps.get(&sweep_id) {
-                None => session.out.push(&Frame::SweepReject {
-                    code: REJECT_UNKNOWN_SWEEP,
-                    message: format!("no sweep with id {sweep_id}"),
-                }),
-                Some(sweep) => {
-                    session.out.push(&inner.status_frame(sweep_id, sweep));
-                    if follow != 0 {
-                        session.watching.insert(sweep_id);
-                        if !sweep.rows.is_empty() {
-                            let rows = sweep.rows.iter().map(LeaderRow::as_ref).collect();
-                            session.out.push(&FrameRef::LeaderboardChunk { sweep_id, rows });
-                        }
-                        if is_terminal(sweep.state) {
-                            session.out.push(&inner.done_frame(sweep_id, sweep));
-                        }
-                    }
-                }
-            }
-            true
+            Event::Status { conn, sweep: sweep_id, follow: follow != 0 }
         }
-        FrameRef::CancelSweep { sweep_id } => {
-            handle_cancel(inner, session, sweep_id);
-            true
-        }
+        FrameRef::CancelSweep { sweep_id } => Event::Cancel { conn, sweep: sweep_id },
         // A worker Hello after the pool was sealed, or any other worker
         // protocol frame on the client plane: turn it away.
         FrameRef::Hello { .. } => {
-            session.out.push(&Frame::SweepReject {
-                code: REJECT_NOT_READY,
-                message: "worker pool is sealed; restart the server to add workers".to_string(),
-            });
-            false
+            let message = "worker pool is sealed; restart the server to add workers".to_string();
+            out.push(&Frame::SweepReject { code: REJECT_NOT_READY, message });
+            return false;
         }
-        _ => false,
-    }
-}
-
-/// Admission control for one `SubmitSweep`.
-#[allow(clippy::too_many_arguments)]
-fn handle_submit(
-    inner: &Arc<ServerInner>,
-    session: &mut Session,
-    name: &str,
-    space_json: &str,
-    algo: &str,
-    trials: u32,
-    seed: u64,
-    wave: u32,
-) {
-    let reject = |session: &mut Session, code: u32, message: String| {
-        inner.metrics.rejected.incr();
-        session.out.push(&Frame::SweepReject { code, message });
+        _ => return false,
     };
-    let Some(tenant) = session.tenant.clone() else {
-        reject(session, REJECT_BAD_REQUEST, "ClientHello must precede SubmitSweep".to_string());
-        return;
-    };
-    let space = match SearchSpace::from_json(space_json) {
-        Ok(s) => s,
-        Err(e) => {
-            reject(session, REJECT_BAD_REQUEST, format!("bad search space: {e}"));
-            return;
-        }
-    };
-    if algo != "grid" && trials == 0 {
-        reject(
-            session,
-            REJECT_BAD_REQUEST,
-            "trials must be > 0 for sampled algorithms".to_string(),
-        );
-        return;
-    }
-    if let Err(e) = build_algo(algo, &space, trials.max(1) as usize, seed) {
-        reject(session, REJECT_BAD_REQUEST, e);
-        return;
-    }
-    if inner.cfg.quota_trials > 0 && inner.gate.spent(&tenant) >= inner.cfg.quota_trials {
-        reject(
-            session,
-            REJECT_QUOTA,
-            format!("tenant '{tenant}' has spent its {}-trial quota", inner.cfg.quota_trials),
-        );
-        return;
-    }
-    let total = match algo {
-        "grid" => space.grid_size().map_or(0, |n| n as u32),
-        _ => trials,
-    };
-    let ack = {
-        let mut st = inner.state.lock();
-        // A submission that can start immediately never queues, so the
-        // queue-depth bound only applies once the active slots are taken.
-        if st.active >= inner.cfg.max_active && st.queue.len() >= inner.cfg.max_queued {
-            drop(st);
-            reject(
-                session,
-                REJECT_QUEUE_FULL,
-                format!("sweep queue is full ({} deep)", inner.cfg.max_queued),
-            );
-            return;
-        }
-        let id = st.next_id;
-        st.next_id += 1;
-        let control = SweepControl::new();
-        let token = control.cancel_token();
-        let halt_reason = Arc::new(Mutex::new(String::new()));
-        let gate = Arc::clone(&inner.gate);
-        let gate_tenant = tenant.clone();
-        let gate_reason = Arc::clone(&halt_reason);
-        let quota = inner.cfg.quota_trials;
-        let control = control.with_gate(move || match gate.acquire(&gate_tenant, &token) {
-            Admit::Granted => true,
-            Admit::Quota => {
-                *gate_reason.lock() =
-                    format!("tenant '{gate_tenant}' spent its {quota}-trial quota");
-                false
-            }
-            Admit::Halted => false,
-        });
-        st.sweeps.insert(
-            id,
-            Sweep {
-                tenant: tenant.clone(),
-                name: name.to_string(),
-                state: SWEEP_QUEUED,
-                total,
-                done: 0,
-                failed: 0,
-                best_acc: 0.0,
-                best_label: String::new(),
-                rows: Vec::new(),
-                control,
-                halt_reason,
-                spec: Some(SweepSpec {
-                    space_json: space_json.to_string(),
-                    algo: algo.to_string(),
-                    trials,
-                    seed,
-                    wave,
-                }),
-                started: None,
-                wall_us: 0,
-                message: String::new(),
-            },
-        );
-        st.queue.push_back(id);
-        inner.refresh_gauges(&st);
-        session.watching.insert(id);
-        inner.status_frame(id, &st.sweeps[&id])
-    };
-    session.out.push(&ack);
-    pump(inner);
-}
-
-/// Cancel a sweep: a queued one dies in place, a running one gets its
-/// control flag set and finishes through the normal drain path.
-fn handle_cancel(inner: &Arc<ServerInner>, session: &mut Session, sweep_id: u64) {
-    let mut st = inner.state.lock();
-    let Some(sweep) = st.sweeps.get_mut(&sweep_id) else {
-        session.out.push(&Frame::SweepReject {
-            code: REJECT_UNKNOWN_SWEEP,
-            message: format!("no sweep with id {sweep_id}"),
-        });
-        return;
-    };
-    session.watching.insert(sweep_id);
-    match sweep.state {
-        SWEEP_QUEUED => {
-            sweep.state = SWEEP_CANCELLED;
-            sweep.message = "cancelled while queued".to_string();
-            let status = inner.status_frame(sweep_id, sweep);
-            let done = inner.done_frame(sweep_id, sweep);
-            st.queue.retain(|id| *id != sweep_id);
-            inner.metrics.completed.incr();
-            inner.refresh_gauges(&st);
-            session.out.push(&status);
-            drop(st);
-            inner.emit(sweep_id, done);
-        }
-        SWEEP_RUNNING => {
-            sweep.control.cancel();
-            let status = inner.status_frame(sweep_id, sweep);
-            session.out.push(&status);
-        }
-        _ => {
-            let status = inner.status_frame(sweep_id, sweep);
-            let done = inner.done_frame(sweep_id, sweep);
-            session.out.push(&status);
-            session.out.push(&done);
-        }
-    }
+    srv.event(event, By::Conn(conn, out));
+    true
 }

@@ -160,6 +160,9 @@ echo "==> non-test source lines (crates/*/src + src, up to each file's #[cfg(tes
 git ls-files 'crates/*/src/*.rs' 'crates/*/src/**/*.rs' 'src/*.rs' 'src/**/*.rs' | sort -u \
     | xargs awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n}'
 
+echo "==> allocations per no-op task (the churn_net cell on two loopback workers; budget in the test)"
+cargo test -q -p rcompss --test task_allocations -- --nocapture | grep 'allocations per no-op task'
+
 echo "==> deterministic figures: virtual-time bins rewrite results/ byte-identically"
 for fig in fig3_task_graph fig4_single_task fig5_single_node fig6_multinode fig9_time_vs_cores; do
     cargo run --release --quiet -p hpo-bench --bin "$fig" > /dev/null

@@ -2,9 +2,11 @@
 //! connection manager's event loop, how a placed task's inputs travel, and
 //! failover.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::io;
 use std::net::TcpStream;
+use std::ops::Range;
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -14,7 +16,8 @@ use std::time::Duration;
 use paratrace::{ClockSync, CoreId, EventKind, TaskRef};
 use parking_lot::Mutex;
 use rnet::{
-    read_frame, BlobRef, Fill, Frame, FrameRef, Interest, Poller, RecvBuf, SendBuf, Waker, WireArg,
+    read_frame, Blob, BlobRef, Fill, Frame, FrameRef, Interest, Poller, RecvBuf, SendBuf, Waker,
+    WireArg,
 };
 
 use super::{DistributedConfig, SNAP_TAG, WAKE_TOKEN};
@@ -22,8 +25,10 @@ use crate::blocks::EncodedBlock;
 use crate::codec;
 use crate::data::{DataVersion, Value};
 use crate::runtime::{
-    complete_attempt, emit_attempt_spans, fail_task_cascade, place_ready, Core, Placed, Shared,
+    complete_attempt, emit_attempt_spans, fail_attempt, fail_task_cascade, place_ready, Core,
+    RunningExec, Shared,
 };
+use crate::scheduler::Placement;
 use crate::task::{TaskError, TaskId};
 
 /// Wire key for a data version: handle id in the high 32 bits, version in
@@ -45,14 +50,39 @@ enum PreparedArg {
 }
 
 /// A placed task bound for a remote worker, prepared under the core lock
-/// and encoded/sent outside it.
-pub(crate) struct RemoteDispatch {
-    placed: Placed,
-    args: Vec<PreparedArg>,
+/// and encoded/sent outside it; cores, GPUs and inputs index its batch.
+struct RemoteDispatch {
+    exec_id: u64,
+    task: TaskId,
+    attempt: u32,
+    node: u32,
+    variant: u32,
+    lead: CoreId,
+    now_us: u64,
+    cores: Range<usize>,
+    gpus: Range<usize>,
+    args: Range<usize>,
     name: Arc<str>,
     /// What an earlier attempt of the task last saved (see
     /// [`crate::snapshot`]): travels to the worker just ahead of the `Submit`.
     snapshot: Option<Arc<[u8]>>,
+}
+
+/// The dispatches of one scheduling turn, and the `Submit` they travel in
+/// with the emptied blobs of its inline inputs. Each thread keeps its batch
+/// from one turn to the next, so a turn allocates nothing once it is grown.
+#[derive(Default)]
+pub(crate) struct Dispatches {
+    msgs: Vec<RemoteDispatch>,
+    /// Core and GPU ids of every dispatch.
+    ids: Vec<u32>,
+    args: Vec<PreparedArg>,
+    submit: (Vec<u32>, Vec<u32>, Vec<WireArg>),
+    blobs: Vec<Blob>,
+}
+
+thread_local! {
+    static SPARE: Cell<Dispatches> = Cell::default();
 }
 
 /// Mutable per-connection state, all under one lock: the socket, both
@@ -305,13 +335,13 @@ impl ConnMgr {
 
     /// Place every placeable ready task for remote execution. Call with the
     /// core locked; pair with [`ConnMgr::send`] after unlocking.
-    pub fn collect_dispatch_remote(&self, core: &mut Core) -> Vec<RemoteDispatch> {
+    pub fn collect_dispatch_remote(&self, core: &mut Core) -> Dispatches {
         collect_dispatch_remote(&self.inner.shared, core)
     }
 
     /// Encode and transmit prepared dispatches (coalesced per worker), then
     /// emit their dispatch trace events. Call *without* the core lock.
-    pub fn send(&self, work: Vec<RemoteDispatch>) {
+    pub fn send(&self, work: Dispatches) {
         send_dispatches(&self.inner, work);
     }
 
@@ -346,8 +376,8 @@ impl ConnMgr {
 /// The core-locked half of dispatch: place every placeable ready task and
 /// decide inline-vs-block per input. Values are cloned (`Arc` bumps) here
 /// and encoded later, off-lock.
-pub(crate) fn collect_dispatch_remote(shared: &Shared, core: &mut Core) -> Vec<RemoteDispatch> {
-    let mut msgs = Vec::new();
+pub(crate) fn collect_dispatch_remote(shared: &Shared, core: &mut Core) -> Dispatches {
+    let mut batch = SPARE.take();
     // Transfer-aware placement: fewest bytes-to-move first (declared size ×
     // missing residency), most resident inputs as the tie-break — the
     // remote analogue of `locality_score`, weighted by what a wrong
@@ -355,43 +385,60 @@ pub(crate) fn collect_dispatch_remote(shared: &Shared, core: &mut Core) -> Vec<R
     place_ready(
         shared,
         core,
-        |data, instances, task, node| data.transfer_score(&instances[&task].reads(), node),
+        |data, instances, task, node| data.transfer_score(instances[&task].reads(), node),
         |core, placed| {
-            let node = placed.placement.node;
-            let inst = &core.instances[&placed.task];
-            let name = Arc::clone(&inst.def.name);
-            let reads = inst.reads();
-            let mut args = Vec::with_capacity(reads.len());
-            for v in reads {
+            let Core { instances, data, blocks, running, .. } = core;
+            let inst = &instances[&placed.task];
+            let placement = &running[&placed.exec_id].placement;
+            let node = placement.node;
+            let first_id = batch.ids.len();
+            batch.ids.extend(&placement.cores);
+            let cores = first_id..batch.ids.len();
+            batch.ids.extend(&placement.gpus);
+            let gpus = cores.end..batch.ids.len();
+            let first_arg = batch.args.len();
+            for v in inst.reads() {
                 let key = data_key(v);
-                let value = core.data.get(v).expect("ready task inputs are computed");
-                if core.blocks.routes_block(core.data.bytes(v.handle)) {
+                let value = data.get(v).expect("ready task inputs are computed");
+                if blocks.routes_block(data.bytes(v.handle)) {
                     // Content-address the value; the encode is memoised, so a
                     // dataset shared by a hundred trials pays the codec once.
-                    if let Some(block) = core.blocks.encode(v, &value) {
+                    if let Some(block) = blocks.encode(v, &value) {
                         // Optimistic residency, both granularities: versions
                         // drive scheduling scores, hashes drive ship-vs-ref.
                         // Cleared if the connection drops (or on BlockEvict).
-                        core.data.add_location(v, node);
-                        if core.blocks.is_resident(node, block.hash) {
-                            args.push(PreparedArg::BlockRef { key, hash: block.hash });
+                        data.add_location(v, node);
+                        if blocks.is_resident(node, block.hash) {
+                            batch.args.push(PreparedArg::BlockRef { key, hash: block.hash });
                         } else {
-                            core.blocks.add_resident(node, block.hash);
-                            args.push(PreparedArg::BlockShip { key, block });
+                            blocks.add_resident(node, block.hash);
+                            batch.args.push(PreparedArg::BlockShip { key, block });
                         }
                         continue;
                     }
                     // No codec: fall through to the inline path, whose
                     // failed-attempt reporting stands.
                 }
-                args.push(PreparedArg::Inline { key, value });
+                batch.args.push(PreparedArg::Inline { key, value });
             }
-            // An `Arc` bump: the bytes are not copied under the core lock.
-            let snapshot = inst.snapshot.clone();
-            msgs.push(RemoteDispatch { placed, args, name, snapshot });
+            batch.msgs.push(RemoteDispatch {
+                exec_id: placed.exec_id,
+                task: placed.task,
+                attempt: placed.attempt,
+                node,
+                variant: placement.variant as u32,
+                lead: placement.lead_core(),
+                now_us: placed.now_us,
+                cores,
+                gpus,
+                args: first_arg..batch.args.len(),
+                name: Arc::clone(&inst.def.name),
+                // An `Arc` bump: the bytes are not copied under the core lock.
+                snapshot: inst.snapshot.clone(),
+            });
         },
     );
-    msgs
+    batch
 }
 
 /// Drain as much of the send backlog as the socket accepts right now. Sets
@@ -432,86 +479,111 @@ fn sync_interest(inner: &Inner, node: u32, st: &mut LinkState) {
     }
 }
 
+/// Push one dispatch's frames onto its link's backlog: the blocks it ships,
+/// its snapshot, its `Submit`. Fails when an inline input has no codec.
+fn push_submit(
+    st: &mut LinkState,
+    d: &RemoteDispatch,
+    batch: &mut Dispatches,
+) -> Result<(), String> {
+    let LinkState { send, fn_ids, next_fn_id, .. } = st;
+    let Dispatches { ids, args, submit: (cores, gpus, wire_args), blobs, .. } = batch;
+    for a in &args[d.args.clone()] {
+        wire_args.push(match a {
+            PreparedArg::BlockRef { key, hash } => WireArg::Block { key: *key, hash: *hash },
+            PreparedArg::BlockShip { key, block } => {
+                // The block's bytes must precede the Submit that references
+                // them (same socket, so ordering holds).
+                send.push(&FrameRef::BlockData { hash: block.hash, blob: block.blob.as_ref() });
+                WireArg::Block { key: *key, hash: block.hash }
+            }
+            PreparedArg::Inline { key, value } => {
+                let mut blob = blobs.pop().unwrap_or_default();
+                if !codec::encode_into(value, &mut blob) {
+                    blobs.push(blob);
+                    batch.recycle();
+                    return Err(format!(
+                        "no wire codec registered for an input of task '{}'",
+                        d.name
+                    ));
+                }
+                WireArg::Inline { key: *key, blob }
+            }
+        });
+    }
+    let fn_name = if fn_ids.contains_key(&d.name) {
+        None
+    } else {
+        fn_ids.insert(Arc::clone(&d.name), *next_fn_id);
+        *next_fn_id += 1;
+        Some(d.name.to_string())
+    };
+    if let Some(snap) = &d.snapshot {
+        // Like a block, the snapshot must be there when the Submit lands:
+        // same socket, pushed under the same lock.
+        let blob = BlobRef { tag: SNAP_TAG, bytes: snap };
+        send.push(&FrameRef::Data { key: d.task.0, blob });
+    }
+    cores.extend_from_slice(&ids[d.cores.clone()]);
+    gpus.extend_from_slice(&ids[d.gpus.clone()]);
+    let submit = Frame::Submit {
+        exec_id: d.exec_id,
+        task_id: d.task.0,
+        attempt: d.attempt,
+        node: d.node,
+        fn_id: fn_ids[&d.name],
+        fn_name,
+        variant: d.variant,
+        cores: std::mem::take(cores),
+        gpus: std::mem::take(gpus),
+        args: std::mem::take(wire_args),
+    };
+    send.push(&submit);
+    if let Frame::Submit { cores, gpus, args, .. } = submit {
+        batch.submit = (cores, gpus, args);
+    }
+    batch.recycle();
+    Ok(())
+}
+
+impl Dispatches {
+    /// Empty the `Submit` for the next task, keeping its lists and blobs.
+    fn recycle(&mut self) {
+        let (cores, gpus, wire_args) = &mut self.submit;
+        cores.clear();
+        gpus.clear();
+        for arg in wire_args.drain(..) {
+            if let WireArg::Inline { blob, .. } = arg {
+                self.blobs.extend(Some(blob).filter(codec::worth_keeping));
+            }
+        }
+    }
+}
+
 /// Off-lock half of dispatch: encode values, intern names, coalesce frames
 /// per worker, flush each link's backlog once.
-fn send_dispatches(inner: &Arc<Inner>, work: Vec<RemoteDispatch>) {
-    if work.is_empty() {
-        return;
-    }
+fn send_dispatches(inner: &Arc<Inner>, mut batch: Dispatches) {
+    let mut msgs = std::mem::take(&mut batch.msgs);
     // Dispatch trace events first (cheap, lock-free collector).
-    for d in &work {
-        inner.shared.trace.event(
-            d.placed.placement.lead_core(),
-            d.placed.now_us,
-            EventKind::TaskDispatch(TaskRef::new(d.placed.task.0, Arc::clone(&d.name))),
-        );
+    if inner.shared.trace.is_enabled() {
+        for d in msgs.iter() {
+            let task = TaskRef::new(d.task.0, Arc::clone(&d.name));
+            inner.shared.trace.event(d.lead, d.now_us, EventKind::TaskDispatch(task));
+        }
     }
     let mut undeliverable: Vec<(u64, String)> = Vec::new();
     let mut dead_links: Vec<Arc<WorkerLink>> = Vec::new();
-    let mut by_node: HashMap<u32, Vec<RemoteDispatch>> = HashMap::new();
-    for d in work {
-        by_node.entry(d.placed.placement.node).or_default().push(d);
-    }
-    for (node, batch) in by_node {
+    // One lock and one flush per worker; exec ids keep each worker's
+    // Submits in placement order.
+    msgs.sort_unstable_by_key(|d| (d.node, d.exec_id));
+    for same_node in msgs.chunk_by(|a, b| a.node == b.node) {
+        let node = same_node[0].node;
         let link = &inner.workers[node as usize];
         let mut st = link.state.lock();
-        for RemoteDispatch { placed: d, args: prepared, name, snapshot } in batch {
-            let mut args = Vec::with_capacity(prepared.len());
-            let mut encode_err = None;
-            for a in &prepared {
-                match a {
-                    PreparedArg::BlockRef { key, hash } => {
-                        args.push(WireArg::Block { key: *key, hash: *hash })
-                    }
-                    PreparedArg::BlockShip { key, block } => {
-                        // The block's bytes must precede the Submit that
-                        // references them (same socket, so ordering holds).
-                        let blob = block.blob.as_ref();
-                        st.send.push(&FrameRef::BlockData { hash: block.hash, blob });
-                        args.push(WireArg::Block { key: *key, hash: block.hash });
-                    }
-                    PreparedArg::Inline { key, value } => match codec::encode_value(value) {
-                        Some(blob) => args.push(WireArg::Inline { key: *key, blob }),
-                        None => {
-                            encode_err = Some(format!(
-                                "no wire codec registered for an input of task '{name}'"
-                            ));
-                            break;
-                        }
-                    },
-                }
-            }
-            if let Some(msg) = encode_err {
+        for d in same_node {
+            if let Err(msg) = push_submit(&mut st, d, &mut batch) {
                 undeliverable.push((d.exec_id, msg));
-                continue;
             }
-            let fn_name = if st.fn_ids.contains_key(&name) {
-                None
-            } else {
-                let id = st.next_fn_id;
-                st.next_fn_id += 1;
-                st.fn_ids.insert(Arc::clone(&name), id);
-                Some(name.to_string())
-            };
-            let fn_id = st.fn_ids[&name];
-            if let Some(snap) = snapshot {
-                // Like a block, the snapshot must be there when the Submit
-                // lands: same socket, pushed under the same lock.
-                let blob = BlobRef { tag: SNAP_TAG, bytes: &snap };
-                st.send.push(&FrameRef::Data { key: d.task.0, blob });
-            }
-            st.send.push(&Frame::Submit {
-                exec_id: d.exec_id,
-                task_id: d.task.0,
-                attempt: d.attempt,
-                node,
-                fn_id,
-                fn_name,
-                variant: d.placement.variant as u32,
-                cores: d.placement.cores.clone(),
-                gpus: d.placement.gpus.clone(),
-                args,
-            });
         }
         if pump_link(&inner.shared, &mut st) {
             sync_interest(inner, node, &mut st);
@@ -519,6 +591,10 @@ fn send_dispatches(inner: &Arc<Inner>, work: Vec<RemoteDispatch>) {
             dead_links.push(Arc::clone(link));
         }
     }
+    msgs.clear();
+    batch.ids.clear();
+    batch.args.clear();
+    SPARE.set(Dispatches { msgs, ..batch });
     // Encoding failures become failed attempts under the normal retry
     // machinery (they will exhaust retries and cascade).
     if !undeliverable.is_empty() {
@@ -526,14 +602,7 @@ fn send_dispatches(inner: &Arc<Inner>, work: Vec<RemoteDispatch>) {
         let follow = {
             let mut core = inner.shared.core.lock();
             for (exec_id, msg) in undeliverable {
-                complete_attempt(
-                    &inner.shared,
-                    &mut core,
-                    exec_id,
-                    Err(TaskError::new(msg)),
-                    now,
-                    false,
-                );
+                fail_attempt(&inner.shared, &mut core, exec_id, TaskError::new(msg), now, false);
             }
             collect_dispatch_remote(&inner.shared, &mut core)
         };
@@ -555,6 +624,7 @@ fn driver_loop(inner: Arc<Inner>) {
     let hb_us = inner.cfg.heartbeat_interval.as_micros() as u64;
     let timeout_us = inner.cfg.heartbeat_timeout.as_micros() as u64;
     let mut events = Vec::new();
+    let mut inbox = Inbox::default();
     // First heartbeat fires immediately: it seeds the clock-offset estimate
     // so even tasks completing before the first interval elapses get their
     // worker stamps rebased.
@@ -589,7 +659,7 @@ fn driver_loop(inner: Arc<Inner>) {
                 continue;
             }
             let Some(link) = inner.workers.get(ev.token as usize) else { continue };
-            service_link(&inner, link, ev.readable, ev.writable);
+            service_link(&inner, link, ev.readable, ev.writable, &mut inbox);
         }
         // Whatever a live peer sent before `turn_start` has now been read:
         // a probe older than the timeout still unanswered is silence.
@@ -637,20 +707,35 @@ type ExecStamps = Option<(u64, u64, u64)>;
 /// A `Done` or `Failed` as decoded off a link, before the core sees it.
 struct Completion {
     exec_id: u64,
-    result: Result<Vec<Value>, TaskError>,
+    /// Where the outputs are in [`Inbox::outputs`], in return order.
+    result: Result<Range<usize>, TaskError>,
     stamps: ExecStamps,
-    /// Encoded length of each output, in return order (none on failure).
-    output_bytes: Vec<u64>,
+}
+
+/// What one readiness event read off a link, and what acting on it needs:
+/// kept by the event loop, so servicing a link allocates nothing.
+#[derive(Default)]
+struct Inbox {
+    completions: Vec<Completion>,
+    /// Every `Done`'s decoded outputs, with the encoded length of each.
+    outputs: Vec<(Value, u64)>,
+    saves: Vec<(TaskId, Arc<[u8]>)>,
+    block_reqs: Vec<u128>,
+    block_evicts: Vec<u128>,
+    acks: Vec<(u64, u64, u64)>,
+    ended: Vec<Ended>,
+    replies: Vec<Arc<EncodedBlock>>,
 }
 
 /// One readiness event for a link: drain writes, then drain reads frame by
 /// frame (zero-copy decode), then act on what arrived.
-fn service_link(inner: &Arc<Inner>, link: &Arc<WorkerLink>, readable: bool, writable: bool) {
-    let mut completions: Vec<Completion> = Vec::new();
-    let mut block_reqs: Vec<u128> = Vec::new();
-    let mut block_evicts: Vec<u128> = Vec::new();
-    let mut saves: Vec<(TaskId, Arc<[u8]>)> = Vec::new();
-    let mut acks: Vec<(u64, u64, u64)> = Vec::new();
+fn service_link(
+    inner: &Arc<Inner>,
+    link: &Arc<WorkerLink>,
+    readable: bool,
+    writable: bool,
+    inbox: &mut Inbox,
+) {
     let mut alive = true;
     let mut saw_bytes = false;
     {
@@ -685,39 +770,36 @@ fn service_link(inner: &Arc<Inner>, link: &Arc<WorkerLink>, readable: bool, writ
                     match recv.next_frame() {
                         Ok(Some(frame)) => match frame {
                             FrameRef::Done { exec_id, recv_us, start_us, end_us, outputs } => {
-                                let result = outputs
-                                    .iter()
-                                    .map(|b| {
-                                        codec::decode_tagged(b.tag, b.bytes).map_err(|e| {
-                                            TaskError::new(format!("undecodable task output: {e}"))
-                                        })
-                                    })
-                                    .collect();
-                                completions.push(Completion {
-                                    exec_id,
-                                    result,
-                                    stamps: Some((recv_us, start_us, end_us)),
-                                    output_bytes: outputs
-                                        .iter()
-                                        .map(|b| b.bytes.len() as u64)
-                                        .collect(),
-                                });
+                                let first = inbox.outputs.len();
+                                let mut result = Ok(first..first + outputs.len());
+                                for b in &outputs {
+                                    match codec::decode_tagged(b.tag, b.bytes) {
+                                        Ok(v) => inbox.outputs.push((v, b.bytes.len() as u64)),
+                                        Err(e) => {
+                                            inbox.outputs.truncate(first);
+                                            let msg = format!("undecodable task output: {e}");
+                                            result = Err(TaskError::new(msg));
+                                            break;
+                                        }
+                                    }
+                                }
+                                let stamps = Some((recv_us, start_us, end_us));
+                                inbox.completions.push(Completion { exec_id, result, stamps });
                             }
                             FrameRef::Failed { exec_id, message } => {
-                                completions.push(Completion {
+                                inbox.completions.push(Completion {
                                     exec_id,
                                     result: Err(TaskError::new(message)),
                                     stamps: None,
-                                    output_bytes: Vec::new(),
                                 });
                             }
                             FrameRef::HeartbeatAck { t_send_us, recv_us, reply_us, .. } => {
-                                acks.push((t_send_us, recv_us, reply_us));
+                                inbox.acks.push((t_send_us, recv_us, reply_us));
                             }
-                            FrameRef::BlockRequest { hash } => block_reqs.push(hash),
-                            FrameRef::BlockEvict { hash } => block_evicts.push(hash),
+                            FrameRef::BlockRequest { hash } => inbox.block_reqs.push(hash),
+                            FrameRef::BlockEvict { hash } => inbox.block_evicts.push(hash),
                             FrameRef::Data { key, blob } => {
-                                saves.push((TaskId(key), Arc::from(blob.bytes)));
+                                inbox.saves.push((TaskId(key), Arc::from(blob.bytes)));
                             }
                             // Workers don't originate these driver-bound
                             // frames.
@@ -736,12 +818,12 @@ fn service_link(inner: &Arc<Inner>, link: &Arc<WorkerLink>, readable: bool, writ
         if saw_bytes {
             link.unanswered_us.store(ANSWERED, Ordering::Relaxed);
         }
-        if !acks.is_empty() {
+        if !inbox.acks.is_empty() {
             // Complete the NTP exchange: t3 is "now" on the driver clock.
             // One wall read serves the batch — acks decoded together arrived
             // together within the fill's granularity.
             let t3 = inner.shared.wall_us();
-            for &(t0, t1, t2) in &acks {
+            for &(t0, t1, t2) in &inbox.acks {
                 st.clock.observe(t0, t1, t2, t3);
             }
             link.clock_offset_us.store(st.clock.offset_us(), Ordering::Relaxed);
@@ -751,15 +833,16 @@ fn service_link(inner: &Arc<Inner>, link: &Arc<WorkerLink>, readable: bool, writ
             sync_interest(inner, link.node, &mut st);
         }
     }
-    if !acks.is_empty() {
+    if !inbox.acks.is_empty() {
         publish_clock_gauges(inner, link);
+        inbox.acks.clear();
     }
-    if !completions.is_empty()
-        || !saves.is_empty()
-        || !block_reqs.is_empty()
-        || !block_evicts.is_empty()
+    if !inbox.completions.is_empty()
+        || !inbox.saves.is_empty()
+        || !inbox.block_reqs.is_empty()
+        || !inbox.block_evicts.is_empty()
     {
-        apply_frames(inner, link, completions, saves, block_reqs, block_evicts);
+        apply_frames(inner, link, inbox);
     }
     if !alive {
         failover(inner, link);
@@ -807,7 +890,7 @@ fn exec_span(
 /// under the core lock, used after it.
 struct Ended {
     task: TaskId,
-    placement: Arc<crate::scheduler::Placement>,
+    placement: Placement,
     name: Arc<str>,
     /// Dispatch time, driver clock.
     start_us: u64,
@@ -819,57 +902,51 @@ struct Ended {
 /// Completions and requests collected from one readiness event: one core
 /// lock pass for bookkeeping + follow-on placement, replies pushed onto
 /// the link's backlog, traces emitted off-lock.
-fn apply_frames(
-    inner: &Arc<Inner>,
-    link: &Arc<WorkerLink>,
-    completions: Vec<Completion>,
-    saves: Vec<(TaskId, Arc<[u8]>)>,
-    block_reqs: Vec<u128>,
-    block_evicts: Vec<u128>,
-) {
+fn apply_frames(inner: &Arc<Inner>, link: &Arc<WorkerLink>, inbox: &mut Inbox) {
     let now = inner.shared.wall_us();
-    let mut ended: Vec<Ended> = Vec::new();
-    let mut replies: Vec<Arc<EncodedBlock>> = Vec::new();
+    let Inbox { completions, outputs, saves, block_reqs, block_evicts, ended, replies, .. } = inbox;
     let follow = {
         let mut core = inner.shared.core.lock();
         // Saves first: a worker's snapshots precede its `Done` or `Failed`
         // on the wire, and a failed attempt's last one is what the retry
         // placed below takes along.
-        for (task, blob) in saves {
+        for (task, blob) in saves.drain(..) {
             core.save_snapshot(task, blob);
         }
-        for Completion { exec_id, result, stamps, output_bytes } in completions {
+        for Completion { exec_id, result, stamps } in completions.drain(..) {
             // Late frames for already-failed-over executions are ignored
             // (`running` no longer knows the exec id).
-            if let Some(run) = core.running.get(&exec_id) {
-                let inst = &core.instances[&run.task];
-                ended.push(Ended {
-                    task: run.task,
-                    placement: Arc::clone(&run.placement),
-                    name: Arc::clone(&inst.def.name),
-                    start_us: run.start_us,
-                    dispatch_wait_us: run.start_us.saturating_sub(inst.submitted_us),
-                    stamps,
-                });
+            let Core { running, instances, data, .. } = &mut *core;
+            let dispatched = running.get(&exec_id).map(|run| {
+                let inst = &instances[&run.task];
                 // What an output weighs on the wire is what moving it costs,
                 // and what decides inline-vs-block for its readers.
-                for (v, bytes) in inst.writes().iter().zip(output_bytes) {
-                    core.data.observe_bytes(v.handle, bytes);
+                if let Ok(outs) = &result {
+                    for (v, &(_, bytes)) in inst.writes().zip(&outputs[outs.clone()]) {
+                        data.observe_bytes(v.handle, bytes);
+                    }
                 }
+                (Arc::clone(&inst.def.name), run.start_us.saturating_sub(inst.submitted_us))
+            });
+            let values = result.map(|outs| outputs[outs].iter().map(|(v, _)| v.clone()));
+            let run = complete_attempt(&inner.shared, &mut core, exec_id, values, now, false);
+            if let (Some(run), Some((name, dispatch_wait_us))) = (run, dispatched) {
+                let RunningExec { task, placement, start_us, .. } = run;
+                ended.push(Ended { task, placement, name, start_us, dispatch_wait_us, stamps });
             }
-            complete_attempt(&inner.shared, &mut core, exec_id, result, now, false);
         }
-        for &hash in &block_evicts {
+        outputs.clear();
+        for hash in block_evicts.drain(..) {
             // The worker dropped the block under memory pressure: retract
             // residency at both granularities so the next dispatch ships
             // the bytes again (and scores the node honestly).
             core.blocks.evict(link.node, hash);
-            let versions: Vec<DataVersion> = core.blocks.versions_of(hash).to_vec();
-            for v in versions {
-                core.data.remove_location(v, link.node);
+            let Core { blocks, data, .. } = &mut *core;
+            for &v in blocks.versions_of(hash) {
+                data.remove_location(v, link.node);
             }
         }
-        for &hash in &block_reqs {
+        for hash in block_reqs.drain(..) {
             // Cache-miss refill; silence on an unknown hash is handled by
             // the worker's own fetch deadline.
             if let Some(block) = core.blocks.lookup(hash) {
@@ -882,7 +959,7 @@ fn apply_frames(
     let mut alive = true;
     if !replies.is_empty() {
         let mut st = link.state.lock();
-        for block in &replies {
+        for block in replies.drain(..) {
             st.send.push(&FrameRef::BlockData { hash: block.hash, blob: block.blob.as_ref() });
         }
         alive = pump_link(&inner.shared, &mut st);
@@ -893,7 +970,7 @@ fn apply_frames(
     let offset = link.clock_offset_us.load(Ordering::Relaxed);
     let synced = link.clock_rtt_us.load(Ordering::Relaxed) > 0;
     let m = &inner.shared.metrics;
-    for Ended { task, placement, name, start_us, dispatch_wait_us, stamps } in ended {
+    for Ended { task, placement, name, start_us, dispatch_wait_us, stamps } in ended.drain(..) {
         m.rpc_latency.record(now.saturating_sub(start_us));
         m.record_node_task(&link.label);
         // What the trace shows for the attempt: the driver-observed window,
@@ -962,14 +1039,8 @@ fn failover(inner: &Arc<Inner>, link: &Arc<WorkerLink>) {
             .map(|(&e, _)| e)
             .collect();
         for e in orphans {
-            complete_attempt(
-                &inner.shared,
-                &mut core,
-                e,
-                Err(TaskError::new(format!("worker {} connection lost", link.label))),
-                now,
-                true,
-            );
+            let error = TaskError::new(format!("worker {} connection lost", link.label));
+            fail_attempt(&inner.shared, &mut core, e, error, now, true);
         }
         let doomed = core.sched.drain_unsatisfiable();
         for entry in doomed {

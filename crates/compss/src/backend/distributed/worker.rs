@@ -1,7 +1,7 @@
 //! Worker side of the distributed backend: the daemon's event loop, its
 //! per-connection executors, and argument and snapshot resolution.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -12,7 +12,8 @@ use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 use rnet::{
-    BlobRef, Fill, Frame, FrameOf, FrameRef, Interest, Poller, RecvBuf, SendBuf, Waker, WireArgRef,
+    Blob, BlobRef, Fill, Frame, FrameOf, FrameRef, Interest, Poller, RecvBuf, SendBuf, Waker,
+    WireArgRef,
 };
 use runmetrics::{Counter, Gauge, Histogram};
 
@@ -20,6 +21,7 @@ use super::{SNAP_TAG, WAKE_TOKEN};
 use crate::blocks::BlockCache;
 use crate::codec;
 use crate::data::Value;
+use crate::ids::{IdMap, IdSet};
 use crate::registry::TaskRegistry;
 use crate::task::{run_body, TaskContext, TaskError, TaskId};
 
@@ -125,7 +127,7 @@ impl WorkerServer {
     pub fn run(self) -> io::Result<()> {
         let WorkerServer { listener, cfg, registry, stop, conns, poller, wake } = self;
         poller.register(listener.as_raw_fd(), LISTEN_TOKEN, Interest::READ)?;
-        let mut table: HashMap<u64, WorkerConn> = HashMap::new();
+        let mut table: IdMap<u64, WorkerConn> = IdMap::default();
         let mut next_token: u64 = 0;
         // Dial-out connections first: each is serviced exactly like an
         // accepted one — the `Hello` goes out the moment the connection is
@@ -360,7 +362,7 @@ impl JobQueue {
 /// matter how many tasks are blocked on it.
 struct BlockCacheState {
     cache: BlockCache,
-    inflight: HashSet<u128>,
+    inflight: IdSet<u128>,
 }
 
 /// State shared between one connection's event-loop side and its executor
@@ -448,10 +450,10 @@ struct WorkerConn {
     stream: TcpStream,
     recv: RecvBuf,
     /// Interned function names (`fn_id` → name), per connection.
-    fn_names: HashMap<u64, Arc<str>>,
+    fn_names: IdMap<u64, Arc<str>>,
     /// Snapshots by task id, each held from its `Data` frame to the `Submit`
     /// right behind it, which takes it into the job.
-    handed_over: HashMap<u64, Vec<u8>>,
+    handed_over: IdMap<u64, Vec<u8>>,
     shared: Arc<ConnShared>,
     /// What the poller currently believes about write interest.
     registered_write: bool,
@@ -513,7 +515,7 @@ fn accept_conn(
         wake: Arc::clone(wake),
         blocks: Mutex::new(BlockCacheState {
             cache: BlockCache::new(cfg.cache_mem_bytes),
-            inflight: HashSet::new(),
+            inflight: IdSet::default(),
         }),
         blocks_cv: Condvar::new(),
         jobs: Mutex::new(JobQueue::default()),
@@ -542,8 +544,8 @@ fn accept_conn(
     Some(WorkerConn {
         stream,
         recv: RecvBuf::new(),
-        fn_names: HashMap::new(),
-        handed_over: HashMap::new(),
+        fn_names: IdMap::default(),
+        handed_over: IdMap::default(),
         shared,
         registered_write: false,
     })
@@ -582,8 +584,8 @@ fn service_worker_read(conn: &mut WorkerConn) -> bool {
 /// owned intermediate). Returns `false` on `Shutdown`.
 fn handle_worker_frame(
     frame: FrameRef<'_>,
-    fn_names: &mut HashMap<u64, Arc<str>>,
-    handed_over: &mut HashMap<u64, Vec<u8>>,
+    fn_names: &mut IdMap<u64, Arc<str>>,
+    handed_over: &mut IdMap<u64, Vec<u8>>,
     conn: &Arc<ConnShared>,
 ) -> bool {
     match frame {
@@ -701,7 +703,12 @@ fn flush_worker_conn(poller: &Poller, token: u64, conn: &mut WorkerConn) -> bool
 fn close_worker_conn(poller: &Poller, conn: WorkerConn) {
     let _ = poller.deregister(conn.stream.as_raw_fd());
     let _ = conn.stream.shutdown(std::net::Shutdown::Both);
+    // Under the queue lock: an executor that saw the flag down is then
+    // asleep in `jobs_cv.wait`, not between its check and the wait, so the
+    // wake-up below reaches it. (A block fetch waits at most 50 ms a turn.)
+    let jobs = conn.shared.jobs.lock();
     conn.shared.closed.store(true, Ordering::SeqCst);
+    drop(jobs);
     conn.shared.jobs_cv.notify_all();
     conn.shared.blocks_cv.notify_all();
 }
@@ -767,11 +774,20 @@ fn resolve_block(conn: &ConnShared, hash: u128) -> Result<Value, TaskError> {
     }
 }
 
+/// One executor's buffers, kept from one job to the next: the inputs it
+/// hands a body and the blobs its outputs are encoded into.
+#[derive(Default)]
+struct ExecScratch {
+    inputs: Vec<Value>,
+    outputs: Vec<Blob>,
+}
+
 fn executor_loop(conn: Arc<ConnShared>, registry: Arc<TaskRegistry>) {
     // Task bodies on this worker snapshot through the driver: saves are
     // mirrored over the wire, loads read what came with the job.
     let snaps =
         Arc::new(WorkerSnapshotChannel { conn: Arc::clone(&conn), latest: Mutex::new(None) });
+    let mut scratch = ExecScratch::default();
     // Cores of the job this executor ran last, freed when it looks for the
     // next: with a job queued behind them it starts at once, no sleep.
     let mut finished: Vec<u32> = Vec::new();
@@ -798,7 +814,7 @@ fn executor_loop(conn: Arc<ConnShared>, registry: Arc<TaskRegistry>) {
         };
         *snaps.latest.lock() = job.snapshot.take();
         let frame = crate::snapshot::with_channel(snaps.clone(), TaskId(job.task_id), || {
-            run_job(&conn, &registry, &job)
+            run_job(&conn, &registry, &mut job, &mut scratch)
         });
         *snaps.latest.lock() = None;
         // A halted worker goes silent — the driver must see it as a crash,
@@ -807,55 +823,68 @@ fn executor_loop(conn: Arc<ConnShared>, registry: Arc<TaskRegistry>) {
             return;
         }
         conn.push_out(&frame);
+        if let Frame::Done { mut outputs, .. } = frame {
+            outputs.retain(codec::worth_keeping);
+            scratch.outputs = outputs;
+        }
         finished = std::mem::take(&mut job.cores);
     }
 }
 
-fn run_job(conn: &ConnShared, registry: &TaskRegistry, job: &Job) -> Frame {
-    let fail = |message: String| Frame::Failed { exec_id: job.exec_id, message };
+fn run_job(
+    conn: &ConnShared,
+    registry: &TaskRegistry,
+    job: &mut Job,
+    scratch: &mut ExecScratch,
+) -> Frame {
+    let exec_id = job.exec_id;
+    let fail = |message: String| Frame::Failed { exec_id, message };
     let Some(body) = registry.body(&job.name, job.variant) else {
         return fail(format!("worker has no task '{}' (variant {})", job.name, job.variant));
     };
-    let mut inputs = Vec::with_capacity(job.args.len());
+    let inputs = &mut scratch.inputs;
+    inputs.clear();
     for a in &job.args {
-        let resolved = match a {
-            JobArg::Value(v) => Ok(v.clone()),
-            JobArg::Block(hash) => resolve_block(conn, *hash),
-        };
-        match resolved {
-            Ok(v) => inputs.push(v),
-            Err(e) => return fail(e.message),
+        match a {
+            JobArg::Value(v) => inputs.push(v.clone()),
+            JobArg::Block(hash) => match resolve_block(conn, *hash) {
+                Ok(v) => inputs.push(v),
+                Err(e) => return fail(e.message),
+            },
         }
     }
+    // The job lends the body its cores and GPUs and takes them back.
     let ctx = TaskContext {
         task: TaskId(job.task_id),
         attempt: job.attempt,
         node: job.node,
-        cores: job.cores.clone(),
-        gpus: job.gpus.clone(),
+        cores: std::mem::take(&mut job.cores),
+        gpus: std::mem::take(&mut job.gpus),
         peer_nodes: Vec::new(),
         simulated: false,
     };
     let start_us = conn.wall_us();
-    let result = run_body(&*body, &ctx, &inputs);
+    let result = run_body(&*body, &ctx, inputs);
     let end_us = conn.wall_us().max(start_us + 1);
+    inputs.clear();
+    (job.cores, job.gpus) = (ctx.cores, ctx.gpus);
     conn.series.tasks_executed.incr();
     conn.series.task_exec_us.record(end_us - start_us);
     match result {
         Ok(values) => {
-            let mut outputs = Vec::with_capacity(values.len());
-            for v in &values {
-                match codec::encode_value(v) {
-                    Some(blob) => outputs.push(blob),
-                    None => {
-                        return fail(format!(
-                            "no wire codec registered for an output of task '{}'",
-                            job.name
-                        ))
-                    }
+            let outputs = &mut scratch.outputs;
+            outputs.truncate(values.len());
+            outputs.resize_with(values.len(), Blob::default);
+            for (blob, v) in outputs.iter_mut().zip(&values) {
+                if !codec::encode_into(v, blob) {
+                    return fail(format!(
+                        "no wire codec registered for an output of task '{}'",
+                        job.name
+                    ));
                 }
             }
-            Frame::Done { exec_id: job.exec_id, recv_us: job.recv_us, start_us, end_us, outputs }
+            let outputs = std::mem::take(outputs);
+            Frame::Done { exec_id, recv_us: job.recv_us, start_us, end_us, outputs }
         }
         Err(e) => fail(e.message),
     }

@@ -16,8 +16,10 @@ use cluster::transfer::DataLocation;
 use cluster::EventQueue;
 use paratrace::{CoreId, EventKind, StateKind, TaskRef};
 
-use crate::data::Value;
-use crate::runtime::{complete_attempt, emit_attempt_spans, place_ready, Core, Shared};
+use crate::data::{DataVersion, Value};
+use crate::runtime::{
+    complete_attempt, emit_attempt_spans, fail_attempt, place_ready, Core, Shared,
+};
 use crate::task::{run_body, TaskContext, TaskError, TaskFn};
 
 #[derive(Debug)]
@@ -79,7 +81,7 @@ pub(crate) fn run_until(shared: &Shared, core: &mut Core, cond: impl Fn(&Core) -
                 let task_ref = TaskRef::new(se.ctx.task.0, se.name);
                 emit_attempt_spans(shared, &run.placement, task_ref, run.start_us, t, false);
                 let result = run_body(&*se.body, &se.ctx, &se.inputs);
-                complete_attempt(shared, core, exec, result, t, false);
+                complete_attempt(shared, core, exec, result.map(Vec::into_iter), t, false);
             }
             SimEvent::NodeFail { node } => {
                 core.sched.kill_node(node);
@@ -98,14 +100,8 @@ pub(crate) fn run_until(shared: &Shared, core: &mut Core, cond: impl Fn(&Core) -
                         let task_ref = TaskRef::new(se.ctx.task.0, se.name);
                         emit_attempt_spans(shared, &run.placement, task_ref, run.start_us, t, true);
                     }
-                    complete_attempt(
-                        shared,
-                        core,
-                        exec,
-                        Err(TaskError::new(format!("node {node} failed"))),
-                        t,
-                        true,
-                    );
+                    let error = TaskError::new(format!("node {node} failed"));
+                    fail_attempt(shared, core, exec, error, t, true);
                 }
             }
         }
@@ -122,15 +118,16 @@ fn dispatch_sim(shared: &Shared, core: &mut Core) {
         core,
         |data, instances, task, node| {
             if use_locality {
-                data.locality_score(&instances[&task].reads(), node)
+                data.locality_score(instances[&task].reads(), node)
             } else {
                 0
             }
         },
         |core, placed| {
-            let (now, placement) = (placed.now_us, &placed.placement);
+            let now = placed.now_us;
+            let placement = core.running[&placed.exec_id].placement.clone();
             let inst = &core.instances[&placed.task];
-            let reads = inst.reads();
+            let reads: Vec<DataVersion> = inst.reads().collect();
             let inputs: Vec<Value> =
                 reads.iter().map(|v| core.data.get(*v).expect("inputs computed")).collect();
             let name = Arc::clone(&inst.def.name);
@@ -166,7 +163,7 @@ fn dispatch_sim(shared: &Shared, core: &mut Core) {
                 now,
                 EventKind::TaskDispatch(TaskRef::new(placed.task.0, Arc::clone(&name))),
             );
-            let ctx = TaskContext::placed(placed.task, placed.attempt, placement, true);
+            let ctx = TaskContext::placed(placed.task, placed.attempt, &placement, true);
             let sim = core.sim.as_mut().expect("sim state");
             sim.execs.insert(placed.exec_id, SimExec { ctx, body, inputs, name });
             sim.queue.schedule_at(

@@ -19,9 +19,9 @@
 //! worker; each drains what is still queued before it exits, so shutdown
 //! is purely signal-driven — no poll timeout anywhere in the worker loop.
 //!
-//! Trace emission happens *outside* the core lock (placements ride along
-//! as `Arc<Placement>`, names as interned `Arc<str>`), so the lock is held
-//! only for the dependency-graph/scheduler bookkeeping itself.
+//! Trace emission happens *outside* the core lock (a placement rides along
+//! as a copy, names as interned `Arc<str>`), so the lock is held only for
+//! the dependency-graph/scheduler bookkeeping itself.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -33,13 +33,15 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::data::Value;
 use crate::runtime::{complete_attempt, emit_attempt_spans, place_ready, Core, Placed, Shared};
+use crate::scheduler::Placement;
 use crate::task::{run_body, TaskContext, TaskFn};
 
 /// A placed task ready for a worker. Carries everything the worker needs to
 /// run the body *and* emit its trace records without touching the core
-/// lock; the placement `Arc` is shared with the runtime's `RunningExec`.
+/// lock: a copy of the placement its `RunningExec` holds.
 pub(crate) struct ExecMsg {
     pub placed: Placed,
+    pub placement: Placement,
     pub ctx: TaskContext,
     pub body: Arc<TaskFn>,
     pub inputs: Vec<Value>,
@@ -113,17 +115,18 @@ pub(crate) fn collect_dispatch(shared: &Shared, core: &mut Core) -> Vec<ExecMsg>
         |_, _, _, _| 0,
         |core, placed| {
             let inst = &core.instances[&placed.task];
+            let placement = core.running[&placed.exec_id].placement.clone();
             let inputs: Vec<Value> = inst
                 .reads()
-                .iter()
-                .map(|v| core.data.get(*v).expect("ready task inputs are computed"))
+                .map(|v| core.data.get(v).expect("ready task inputs are computed"))
                 .collect();
             msgs.push(ExecMsg {
-                ctx: TaskContext::placed(placed.task, placed.attempt, &placed.placement, false),
-                body: inst.body(placed.placement.variant),
+                ctx: TaskContext::placed(placed.task, placed.attempt, &placement, false),
+                body: inst.body(placement.variant),
                 inputs,
                 name: Arc::clone(&inst.def.name),
                 placed,
+                placement,
             });
         },
     );
@@ -135,7 +138,7 @@ pub(crate) fn collect_dispatch(shared: &Shared, core: &mut Core) -> Vec<ExecMsg>
 pub(crate) fn enqueue(pool: &PoolShared, shared: &Shared, msgs: Vec<ExecMsg>) {
     for msg in msgs {
         shared.trace.event(
-            msg.placed.placement.lead_core(),
+            msg.placement.lead_core(),
             msg.placed.now_us,
             EventKind::TaskDispatch(TaskRef::new(msg.placed.task.0, Arc::clone(&msg.name))),
         );
@@ -177,11 +180,11 @@ fn worker_loop(shared: Arc<Shared>, pool: Arc<PoolShared>) {
         let end = shared.wall_us();
         let p = &msg.placed;
         let task_ref = TaskRef::new(p.task.0, Arc::clone(&msg.name));
-        emit_attempt_spans(&shared, &p.placement, task_ref, p.now_us, end, false);
+        emit_attempt_spans(&shared, &msg.placement, task_ref, p.now_us, end, false);
 
         let follow_on = {
             let mut core = shared.core.lock();
-            complete_attempt(&shared, &mut core, p.exec_id, result, end, false);
+            complete_attempt(&shared, &mut core, p.exec_id, result.map(Vec::into_iter), end, false);
             collect_dispatch(&shared, &mut core)
         };
         // Waiters in `wait_on`/`barrier` park on the core condvar; workers

@@ -18,13 +18,14 @@
 //! has: a value below the inline threshold travels in every `Submit` that
 //! reads it.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use rnet::Blob;
 
 use crate::codec;
 use crate::data::{DataVersion, Value};
+use crate::ids::{IdMap, IdSet};
 
 /// Declared sizes at or above this many bytes route through the block
 /// plane by default; smaller values stay inline in the `Submit` frame.
@@ -112,10 +113,10 @@ pub(crate) struct EncodedBlock {
 pub(crate) struct BlockStore {
     inline_threshold: u64,
     /// The memo: the block of each live version that was ever dispatched.
-    encoded: HashMap<DataVersion, Arc<EncodedBlock>>,
+    encoded: IdMap<DataVersion, Arc<EncodedBlock>>,
     /// Each distinct block once, with the live versions that hold it.
-    by_hash: HashMap<u128, (Arc<EncodedBlock>, Vec<DataVersion>)>,
-    resident: HashMap<u32, HashSet<u128>>,
+    by_hash: IdMap<u128, (Arc<EncodedBlock>, Vec<DataVersion>)>,
+    resident: IdMap<u32, IdSet<u128>>,
     /// Encoded bytes held, each distinct block counted once.
     bytes: u64,
 }
@@ -125,9 +126,9 @@ impl BlockStore {
     pub fn new() -> BlockStore {
         BlockStore {
             inline_threshold: DEFAULT_INLINE_THRESHOLD,
-            encoded: HashMap::new(),
-            by_hash: HashMap::new(),
-            resident: HashMap::new(),
+            encoded: IdMap::default(),
+            by_hash: IdMap::default(),
+            resident: IdMap::default(),
             bytes: 0,
         }
     }
@@ -214,7 +215,7 @@ impl BlockStore {
     /// Blocks marked resident on `node`.
     #[cfg(test)]
     pub fn resident_on(&self, node: u32) -> usize {
-        self.resident.get(&node).map_or(0, HashSet::len)
+        self.resident.get(&node).map_or(0, IdSet::len)
     }
 
     /// Drop every mark for `node` — worker death, alongside
@@ -239,14 +240,14 @@ pub(crate) struct BlockCache {
     budget: u64,
     used: u64,
     tick: u64,
-    slots: HashMap<u128, Slot>,
+    slots: IdMap<u128, Slot>,
     lru: BTreeMap<u64, u128>,
 }
 
 impl BlockCache {
     /// Empty cache bounded by `budget` bytes of encoded-payload size.
     pub fn new(budget: u64) -> BlockCache {
-        BlockCache { budget, used: 0, tick: 0, slots: HashMap::new(), lru: BTreeMap::new() }
+        BlockCache { budget, used: 0, tick: 0, slots: IdMap::default(), lru: BTreeMap::new() }
     }
 
     fn touch(slot: &mut Slot, lru: &mut BTreeMap<u64, u128>, tick: &mut u64, hash: u128) {
@@ -307,6 +308,8 @@ impl BlockCache {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::{HashMap, HashSet};
+
     use super::*;
 
     fn val(n: i64) -> Value {

@@ -19,15 +19,27 @@ use std::sync::{Arc, OnceLock, RwLock};
 use rnet::{Blob, Reader, WireError};
 
 use crate::data::Value;
+use crate::ids::IdMap;
+
+/// A built-in primitive's encoder: appends to the caller's buffer, which a
+/// hot path reuses from one value to the next.
+type AppendFn = Box<dyn Fn(&Value, &mut Vec<u8>) -> bool + Send + Sync>;
+/// An application codec's encoder: bytes of its own, taken as they are.
+type OwnedFn = Box<dyn Fn(&Value) -> Option<Vec<u8>> + Send + Sync>;
 
 /// Serialise the concrete value behind a [`Value`] into bytes.
-type EncodeFn = Arc<dyn Fn(&Value) -> Option<Vec<u8>> + Send + Sync>;
+enum EncodeFn {
+    Append(AppendFn),
+    Owned(OwnedFn),
+}
 /// Rebuild a [`Value`] from codec bytes.
 type DecodeFn = Arc<dyn Fn(&[u8]) -> Result<Value, WireError> + Send + Sync>;
 
+/// Encoders by the `TypeId` of what they encode (a runtime-made key),
+/// decoders by the tag a peer's blob names.
 #[derive(Default)]
 struct Registry {
-    by_type: HashMap<TypeId, (Arc<str>, EncodeFn)>,
+    by_type: IdMap<TypeId, (Arc<str>, EncodeFn)>,
     by_tag: HashMap<Arc<str>, DecodeFn>,
 }
 
@@ -52,22 +64,51 @@ where
     E: Fn(&T) -> Vec<u8> + Send + Sync + 'static,
     D: Fn(&[u8]) -> Result<T, WireError> + Send + Sync + 'static,
 {
-    let tag: Arc<str> = tag.into();
-    let encode: EncodeFn = Arc::new(move |v: &Value| v.downcast_ref::<T>().map(&enc));
+    let encode = EncodeFn::Owned(Box::new(move |v: &Value| v.downcast_ref::<T>().map(&enc)));
     let decode: DecodeFn = Arc::new(move |bytes| dec(bytes).map(Value::new));
     let mut reg = registry().write().expect("codec registry poisoned");
-    reg.by_type.insert(TypeId::of::<T>(), (tag.clone(), encode));
-    reg.by_tag.insert(tag, decode);
+    reg.insert(TypeId::of::<T>(), tag, encode, decode);
+}
+
+impl Registry {
+    fn insert(&mut self, ty: TypeId, tag: &str, encode: EncodeFn, decode: DecodeFn) {
+        let tag: Arc<str> = tag.into();
+        self.by_type.insert(ty, (tag.clone(), encode));
+        self.by_tag.insert(tag, decode);
+    }
 }
 
 /// Encode a [`Value`] into a tagged [`Blob`], or `None` if no codec is
 /// registered for its concrete type (the caller fails the task with a
 /// useful message rather than panicking the runtime).
 pub fn encode_value(value: &Value) -> Option<Blob> {
+    let mut blob = Blob::default();
+    encode_into(value, &mut blob).then_some(blob)
+}
+
+/// Whether a blob [`encode_into`] filled is worth keeping for the next
+/// value: one that grew past the inline threshold is let go, so a single
+/// large value pins no memory on a hot path.
+pub(crate) fn worth_keeping(blob: &Blob) -> bool {
+    blob.bytes.capacity() <= crate::blocks::DEFAULT_INLINE_THRESHOLD as usize
+}
+
+/// [`encode_value`] into a blob that is kept from one value to the next:
+/// tag and bytes are replaced, and a built-in primitive's bytes land in
+/// the capacity the blob already has. `false` if no codec is registered
+/// for the value's type.
+pub fn encode_into(value: &Value, blob: &mut Blob) -> bool {
     let reg = registry().read().expect("codec registry poisoned");
-    let (tag, enc) = reg.by_type.get(&value.concrete_type_id())?;
-    let bytes = enc(value)?;
-    Some(Blob { tag: tag.to_string(), bytes })
+    let Some((tag, enc)) = reg.by_type.get(&value.concrete_type_id()) else { return false };
+    blob.tag.clear();
+    blob.tag.push_str(tag);
+    match enc {
+        EncodeFn::Append(enc) => {
+            blob.bytes.clear();
+            enc(value, &mut blob.bytes)
+        }
+        EncodeFn::Owned(enc) => enc(value).map(|bytes| blob.bytes = bytes).is_some(),
+    }
 }
 
 /// Decode a tagged [`Blob`] back into a [`Value`].
@@ -92,27 +133,21 @@ pub fn decode_tagged(tag: &str, bytes: &[u8]) -> Result<Value, WireError> {
     }
 }
 
-/// Whether a codec exists for the concrete type inside `value`.
-pub fn can_encode(value: &Value) -> bool {
-    let reg = registry().read().expect("codec registry poisoned");
-    reg.by_type.contains_key(&value.concrete_type_id())
-}
-
 fn register_builtins(lock: &RwLock<Registry>) {
     // Inlined register_codec against an explicit lock, because the global
     // registry() is still mid-initialisation when this runs.
     fn put<T, E, D>(lock: &RwLock<Registry>, tag: &str, enc: E, dec: D)
     where
         T: Any + Send + Sync,
-        E: Fn(&T) -> Vec<u8> + Send + Sync + 'static,
+        E: Fn(&T, &mut Vec<u8>) + Send + Sync + 'static,
         D: Fn(&[u8]) -> Result<T, WireError> + Send + Sync + 'static,
     {
-        let tag: Arc<str> = tag.into();
-        let encode: EncodeFn = Arc::new(move |v: &Value| v.downcast_ref::<T>().map(&enc));
+        let encode = EncodeFn::Append(Box::new(move |v: &Value, out: &mut Vec<u8>| {
+            v.downcast_ref::<T>().map(|v| enc(v, out)).is_some()
+        }));
         let decode: DecodeFn = Arc::new(move |bytes| dec(bytes).map(Value::new));
         let mut reg = lock.write().expect("codec registry poisoned");
-        reg.by_type.insert(TypeId::of::<T>(), (tag.clone(), encode));
-        reg.by_tag.insert(tag, decode);
+        reg.insert(TypeId::of::<T>(), tag, encode, decode);
     }
 
     fn whole(bytes: &[u8]) -> Reader<'_> {
@@ -122,47 +157,31 @@ fn register_builtins(lock: &RwLock<Registry>) {
     put::<i64, _, _>(
         lock,
         "std.i64",
-        |v| {
-            let mut b = Vec::new();
-            rnet::wire::put_u64(&mut b, *v as u64);
-            b
-        },
+        |v, b| rnet::wire::put_u64(b, *v as u64),
         |bytes| whole(bytes).u64().map(|v| v as i64),
     );
     put::<u64, _, _>(
         lock,
         "std.u64",
-        |v| {
-            let mut b = Vec::new();
-            rnet::wire::put_u64(&mut b, *v);
-            b
-        },
+        |v, b| rnet::wire::put_u64(b, *v),
         |bytes| whole(bytes).u64(),
     );
     put::<u32, _, _>(
         lock,
         "std.u32",
-        |v| {
-            let mut b = Vec::new();
-            rnet::wire::put_u32(&mut b, *v);
-            b
-        },
+        |v, b| rnet::wire::put_u32(b, *v),
         |bytes| whole(bytes).u32(),
     );
     put::<f64, _, _>(
         lock,
         "std.f64",
-        |v| {
-            let mut b = Vec::new();
-            rnet::wire::put_f64(&mut b, *v);
-            b
-        },
+        |v, b| rnet::wire::put_f64(b, *v),
         |bytes| whole(bytes).f64(),
     );
     put::<bool, _, _>(
         lock,
         "std.bool",
-        |v| vec![u8::from(*v)],
+        |v, b| b.push(u8::from(*v)),
         |bytes| match bytes {
             [0] => Ok(false),
             [1] => Ok(true),
@@ -172,24 +191,18 @@ fn register_builtins(lock: &RwLock<Registry>) {
     put::<String, _, _>(
         lock,
         "std.string",
-        |v| {
-            let mut b = Vec::new();
-            rnet::wire::put_str(&mut b, v);
-            b
-        },
+        |v, b| rnet::wire::put_str(b, v),
         |bytes| whole(bytes).str(),
     );
-    put::<(), _, _>(lock, "std.unit", |_| Vec::new(), |_| Ok(()));
+    put::<(), _, _>(lock, "std.unit", |_, _| {}, |_| Ok(()));
     put::<Vec<f64>, _, _>(
         lock,
         "std.vec_f64",
-        |v| {
-            let mut b = Vec::new();
-            rnet::wire::put_u64(&mut b, v.len() as u64);
+        |v, b| {
+            rnet::wire::put_u64(b, v.len() as u64);
             for x in v {
-                rnet::wire::put_f64(&mut b, *x);
+                rnet::wire::put_f64(b, *x);
             }
-            b
         },
         |bytes| {
             let mut r = Reader::new(bytes);
@@ -207,16 +220,12 @@ fn register_builtins(lock: &RwLock<Registry>) {
     put::<Option<u32>, _, _>(
         lock,
         "std.opt_u32",
-        |v| {
-            let mut b = Vec::new();
-            match v {
-                Some(x) => {
-                    b.push(1);
-                    rnet::wire::put_u32(&mut b, *x);
-                }
-                None => b.push(0),
+        |v, b| match v {
+            Some(x) => {
+                b.push(1);
+                rnet::wire::put_u32(b, *x);
             }
-            b
+            None => b.push(0),
         },
         |bytes| match bytes.split_first() {
             Some((0, [])) => Ok(None),
@@ -256,11 +265,21 @@ mod tests {
     }
 
     #[test]
+    fn a_kept_blob_takes_the_next_value_in_place() {
+        let mut blob = encode_value(&Value::new(u64::MAX)).expect("u64 codec");
+        let (tag, bytes) = (blob.tag.as_ptr(), blob.bytes.as_ptr());
+        for v in [Value::new(7u64), Value::new(-1i64)] {
+            assert!(encode_into(&v, &mut blob));
+            assert_eq!(blob, encode_value(&v).expect("codec"));
+        }
+        assert_eq!((blob.tag.as_ptr(), blob.bytes.as_ptr()), (tag, bytes), "no new buffers");
+        assert!(!encode_into(&Value::new(std::time::Duration::ZERO), &mut blob));
+    }
+
+    #[test]
     fn unregistered_type_is_refused_not_panicked() {
         struct Opaque;
-        let v = Value::new(Opaque);
-        assert!(!can_encode(&v));
-        assert!(encode_value(&v).is_none());
+        assert!(encode_value(&Value::new(Opaque)).is_none());
     }
 
     #[test]

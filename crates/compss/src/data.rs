@@ -13,10 +13,11 @@
 //! pickled Python objects.
 
 use std::any::Any;
-use std::collections::HashMap;
+use std::borrow::Borrow;
 use std::fmt;
 use std::sync::Arc;
 
+use crate::ids::IdMap;
 use crate::task::TaskId;
 
 /// A type-erased, shareable task value.
@@ -174,7 +175,7 @@ struct Item {
 /// resolve the current version) or its item was deleted.
 #[derive(Debug)]
 pub struct DataRegistry {
-    items: HashMap<u64, Item>,
+    items: IdMap<u64, Item>,
     /// Version records across all items.
     live_versions: usize,
     next_id: u64,
@@ -185,7 +186,7 @@ impl DataRegistry {
     /// Empty registry; `default_bytes` is the assumed size of values whose
     /// size was never declared (transfer model input).
     pub fn new(default_bytes: u64) -> Self {
-        DataRegistry { items: HashMap::new(), live_versions: 0, next_id: 1, default_bytes }
+        DataRegistry { items: IdMap::default(), live_versions: 0, next_id: 1, default_bytes }
     }
 
     fn version(&self, v: DataVersion) -> Option<&Version> {
@@ -356,27 +357,24 @@ impl DataRegistry {
 
     /// The main program's promise not to name `h` again: from now on the
     /// handle is unknown, and each of its versions goes as soon as it has no
-    /// users. Returns the versions that went right away; unknown and already
-    /// deleted handles are left alone.
-    pub(crate) fn delete(&mut self, h: DataHandle) -> Vec<DataVersion> {
-        let Some(item) = self.items.get_mut(&h.0).filter(|i| !i.deleted) else {
-            return Vec::new();
-        };
+    /// users. Hands `gone` the versions that went right away; unknown and
+    /// already deleted handles are left alone.
+    pub(crate) fn delete(&mut self, h: DataHandle, mut gone: impl FnMut(DataVersion)) {
+        let Some(item) = self.items.get_mut(&h.0).filter(|i| !i.deleted) else { return };
         item.deleted = true;
-        let mut idle = Vec::new();
+        let before = item.live.len();
         item.live.retain(|x| {
             if x.users == 0 {
-                idle.push(DataVersion { handle: h, version: x.number });
+                gone(DataVersion { handle: h, version: x.number });
             }
             x.users > 0
         });
+        self.live_versions -= before - item.live.len();
         // Versions still in use take the record along when the last of them
         // is reaped.
         if item.live.is_empty() {
             self.items.remove(&h.0);
         }
-        self.live_versions -= idle.len();
-        idle
     }
 
     /// Users of `v` right now.
@@ -424,8 +422,12 @@ impl DataRegistry {
     }
 
     /// Number of the given versions resident on `node` (locality score).
-    pub fn locality_score(&self, versions: &[DataVersion], node: u32) -> usize {
-        versions.iter().filter(|&&v| self.is_on_node(v, node)).count()
+    pub fn locality_score<V: Borrow<DataVersion>>(
+        &self,
+        versions: impl IntoIterator<Item = V>,
+        node: u32,
+    ) -> usize {
+        versions.into_iter().filter(|v| self.is_on_node(*v.borrow(), node)).count()
     }
 
     /// Transfer-aware placement score for running a task that reads
@@ -438,11 +440,16 @@ impl DataRegistry {
     /// declared size the ordering degenerates to exactly
     /// [`DataRegistry::locality_score`], so enabling it does not perturb
     /// sim determinism.
-    pub fn transfer_score(&self, versions: &[DataVersion], node: u32) -> TransferScore {
+    pub fn transfer_score<V: Borrow<DataVersion>>(
+        &self,
+        versions: impl IntoIterator<Item = V>,
+        node: u32,
+    ) -> TransferScore {
         let mut bytes_to_move = 0u64;
         let mut resident = 0usize;
         for v in versions {
-            if self.is_on_node(*v, node) {
+            let v = *v.borrow();
+            if self.is_on_node(v, node) {
                 resident += 1;
             } else {
                 bytes_to_move = bytes_to_move.saturating_add(self.bytes(v.handle));
@@ -538,22 +545,27 @@ mod tests {
         reg.set_bytes(h, 4096);
         let v = reg.current_version(h);
         reg.acquire(v); // a submitted reader, possibly to be retried
-        assert!(reg.delete(h).is_empty(), "in use: nothing goes yet");
+        let deleted = |reg: &mut DataRegistry, h| {
+            let mut gone = Vec::new();
+            reg.delete(h, |v| gone.push(v));
+            gone
+        };
+        assert!(deleted(&mut reg, h).is_empty(), "in use: nothing goes yet");
         assert!(!reg.knows(h), "but the handle is gone for the main program");
         assert!(reg.get(v).is_some(), "the reader still finds its input");
         assert_eq!(reg.bytes(h), 4096, "and its declared size (block routing)");
-        assert!(reg.delete(h).is_empty(), "deleting twice does nothing");
+        assert!(deleted(&mut reg, h).is_empty(), "deleting twice does nothing");
         assert!(reg.release(v));
         assert_eq!(reg.live_versions(), 0);
         assert_eq!(reg.bytes(h), 64, "the item's record went with its last version");
 
         let idle = reg.literal(Value::new(8u8));
-        assert_eq!(reg.delete(idle), vec![DataVersion { handle: idle, version: 1 }]);
+        assert_eq!(deleted(&mut reg, idle), vec![DataVersion { handle: idle, version: 1 }]);
         let unwritten = reg.declare();
-        assert!(reg.delete(unwritten).is_empty());
+        assert!(deleted(&mut reg, unwritten).is_empty());
         assert!(!reg.knows(unwritten));
         assert!(reg.items.is_empty(), "nothing left behind");
-        assert!(reg.delete(DataHandle(999)).is_empty(), "unknown handles are left alone");
+        assert!(deleted(&mut reg, DataHandle(999)).is_empty(), "unknown handles are left alone");
     }
 
     #[test]
@@ -562,7 +574,7 @@ mod tests {
         let h = reg.declare();
         let v = reg.new_version(h, TaskId(3));
         reg.acquire(v);
-        assert!(reg.delete(h).is_empty());
+        reg.delete(h, |v| panic!("{v} is in use"));
         reg.poison(v);
         assert!(reg.is_poisoned(v) && !reg.is_ready(v));
         assert!(reg.release(v));
@@ -601,9 +613,9 @@ mod tests {
         reg.add_location(vb, 2);
         assert!(reg.is_on_node(va, 0));
         assert!(!reg.is_on_node(vb, 0));
-        assert_eq!(reg.locality_score(&[va, vb], 2), 2);
-        assert_eq!(reg.locality_score(&[va, vb], 0), 1);
-        assert_eq!(reg.locality_score(&[va, vb], 7), 0);
+        assert_eq!(reg.locality_score([va, vb], 2), 2);
+        assert_eq!(reg.locality_score([va, vb], 0), 1);
+        assert_eq!(reg.locality_score([va, vb], 7), 0);
     }
 
     #[test]
@@ -619,15 +631,15 @@ mod tests {
         reg.add_location(vb, 0);
         reg.add_location(vs, 1);
         let reads = [vb, vs];
-        let s0 = reg.transfer_score(&reads, 0);
-        let s1 = reg.transfer_score(&reads, 1);
-        let s2 = reg.transfer_score(&reads, 2);
+        let s0 = reg.transfer_score(reads, 0);
+        let s1 = reg.transfer_score(reads, 1);
+        let s2 = reg.transfer_score(reads, 2);
         assert_eq!(s0, (std::cmp::Reverse(10), 1));
         assert_eq!(s1, (std::cmp::Reverse(1_000_000), 1));
         assert_eq!(s2, (std::cmp::Reverse(1_000_010), 0));
         // Equal resident *counts*, but node 0 moves fewer bytes: it wins
         // where the plain locality score could not tell them apart.
-        assert_eq!(reg.locality_score(&reads, 0), reg.locality_score(&reads, 1));
+        assert_eq!(reg.locality_score(reads, 0), reg.locality_score(reads, 1));
         assert!(s0 > s1 && s1 > s2);
     }
 

@@ -11,10 +11,11 @@
 //! were released (done) or failed with it — so the runtime takes its node
 //! out again unless the graph is being recorded for [`TaskGraph::to_dot`].
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use crate::data::DataVersion;
+use crate::ids::IdMap;
 use crate::task::TaskId;
 
 /// Lifecycle of a task in the graph.
@@ -34,18 +35,27 @@ pub enum TaskState {
 
 #[derive(Debug)]
 struct Node {
-    name: String,
+    /// The task definition's own name: a reference, not a copy.
+    name: Arc<str>,
     state: TaskState,
-    /// predecessor → data versions flowing along that edge
-    preds: BTreeMap<TaskId, BTreeSet<DataVersion>>,
-    succs: BTreeMap<TaskId, BTreeSet<DataVersion>>,
+    /// `(successor, version it reads from this task)`, one entry per
+    /// dependency, in the order the successors were added. A successor's
+    /// entries are adjacent: all of them are pushed by its one `add_task`.
+    succs: Vec<(TaskId, DataVersion)>,
+    /// Distinct predecessors not yet done.
     unmet: usize,
+}
+
+/// The distinct successor ids of a node's edges, in the order added.
+fn successors(succs: &[(TaskId, DataVersion)]) -> impl Iterator<Item = TaskId> + '_ {
+    let mut last = None;
+    succs.iter().map(|&(s, _)| s).filter(move |&s| last.replace(s) != Some(s))
 }
 
 /// The dependency graph.
 #[derive(Debug, Default)]
 pub struct TaskGraph {
-    nodes: BTreeMap<TaskId, Node>,
+    nodes: IdMap<TaskId, Node>,
     /// Nodes not yet `Done` or `Failed`: what `barrier` asks once per
     /// wake-up, so it is counted where the state changes, not rescanned.
     unsettled: usize,
@@ -66,27 +76,22 @@ impl TaskGraph {
     pub fn add_task(
         &mut self,
         id: TaskId,
-        name: &str,
+        name: impl Into<Arc<str>>,
         deps: &[(TaskId, DataVersion)],
     ) -> TaskState {
-        let mut preds: BTreeMap<TaskId, BTreeSet<DataVersion>> = BTreeMap::new();
+        let mut unmet = 0;
         for &(p, v) in deps {
-            preds.entry(p).or_default().insert(v);
-        }
-        let unmet = preds
-            .keys()
-            .filter(|p| self.nodes.get(p).is_some_and(|n| !matches!(n.state, TaskState::Done)))
-            .count();
-        for (&p, versions) in &preds {
-            if let Some(pn) = self.nodes.get_mut(&p) {
-                pn.succs.entry(id).or_default().extend(versions.iter().copied());
+            let Some(pn) = self.nodes.get_mut(&p) else { continue };
+            // This call pushes all of `id`'s edges, so a producer seen
+            // before in `deps` has `id` last.
+            if pn.succs.last().map(|&(s, _)| s) != Some(id) && pn.state != TaskState::Done {
+                unmet += 1;
             }
+            pn.succs.push((id, v));
         }
         let state = if unmet == 0 { TaskState::Ready } else { TaskState::Pending };
-        let evicted = self.nodes.insert(
-            id,
-            Node { name: name.to_string(), state, preds, succs: BTreeMap::new(), unmet },
-        );
+        let node = Node { name: name.into(), state, succs: Vec::new(), unmet };
+        let evicted = self.nodes.insert(id, node);
         debug_assert!(evicted.is_none(), "task ids are unique per submission");
         self.unsettled += 1;
         state
@@ -118,7 +123,7 @@ impl TaskGraph {
 
     /// Move `id` into a settled state, counting it out of `unsettled` only
     /// if it was not settled before (a repeated call must not double-count).
-    fn settle(&mut self, id: TaskId, state: TaskState) -> Option<&Node> {
+    fn settle(&mut self, id: TaskId, state: TaskState) -> Option<&mut Node> {
         let n = self.nodes.get_mut(&id)?;
         if !matches!(n.state, TaskState::Done | TaskState::Failed) {
             self.unsettled -= 1;
@@ -130,8 +135,7 @@ impl TaskGraph {
     /// Mark `id` permanently failed; returns its successors, none of which
     /// can run any more.
     pub fn set_failed(&mut self, id: TaskId) -> Vec<TaskId> {
-        self.settle(id, TaskState::Failed)
-            .map_or_else(Vec::new, |n| n.succs.keys().copied().collect())
+        self.settle(id, TaskState::Failed).map_or_else(Vec::new, |n| successors(&n.succs).collect())
     }
 
     /// Take a settled task's node out of the graph. Its successors keep
@@ -144,12 +148,12 @@ impl TaskGraph {
 
     /// Mark `id` done; returns the successors that became ready.
     pub fn set_done(&mut self, id: TaskId) -> Vec<TaskId> {
-        let succs: Vec<TaskId> = match self.settle(id, TaskState::Done) {
-            Some(n) => n.succs.keys().copied().collect(),
-            None => return Vec::new(),
-        };
+        // The edges leave the node for the walk and come back: a recorded
+        // graph still draws them.
+        let Some(n) = self.settle(id, TaskState::Done) else { return Vec::new() };
+        let succs = std::mem::take(&mut n.succs);
         let mut newly_ready = Vec::new();
-        for s in succs {
+        for s in successors(&succs) {
             if let Some(sn) = self.nodes.get_mut(&s) {
                 sn.unmet = sn.unmet.saturating_sub(1);
                 if sn.unmet == 0 && sn.state == TaskState::Pending {
@@ -158,6 +162,7 @@ impl TaskGraph {
                 }
             }
         }
+        self.nodes.get_mut(&id).expect("settled above").succs = succs;
         newly_ready
     }
 
@@ -184,23 +189,17 @@ impl TaskGraph {
     /// Length (in tasks) of the longest dependency chain — the critical
     /// path, a lower bound on parallel makespan in task counts.
     pub fn critical_path_len(&self) -> usize {
-        let mut memo: BTreeMap<TaskId, usize> = BTreeMap::new();
-        fn depth(
-            id: TaskId,
-            nodes: &BTreeMap<TaskId, super::graph::Node>,
-            memo: &mut BTreeMap<TaskId, usize>,
-        ) -> usize {
-            if let Some(&d) = memo.get(&id) {
-                return d;
+        fn height(id: TaskId, g: &TaskGraph, memo: &mut IdMap<TaskId, usize>) -> usize {
+            if let Some(&h) = memo.get(&id) {
+                return h;
             }
-            let d = 1 + nodes
-                .get(&id)
-                .map(|n| n.preds.keys().map(|&p| depth(p, nodes, memo)).max().unwrap_or(0))
-                .unwrap_or(0);
-            memo.insert(id, d);
-            d
+            let below =
+                successors(&g.nodes[&id].succs).map(|s| height(s, g, memo)).max().unwrap_or(0);
+            memo.insert(id, 1 + below);
+            1 + below
         }
-        self.nodes.keys().map(|&id| depth(id, &self.nodes, &mut memo)).max().unwrap_or(0)
+        let mut memo = IdMap::default();
+        self.nodes.keys().map(|&id| height(id, self, &mut memo)).max().unwrap_or(0)
     }
 
     /// Graphviz DOT rendering in the visual language of the paper's
@@ -211,22 +210,30 @@ impl TaskGraph {
             String::from("digraph compss {\n  rankdir=TB;\n  node [shape=circle, style=filled];\n");
         // Colour per task name so "graph.experiment" vs "graph.plot" differ.
         let palette = ["#4f81bd", "#9bbb59", "#c0504d", "#8064a2", "#f79646"];
-        let mut names: Vec<&str> = self.nodes.values().map(|n| n.name.as_str()).collect();
+        let mut names: Vec<&str> = self.nodes.values().map(|n| &*n.name).collect();
         names.sort_unstable();
         names.dedup();
-        for (id, n) in &self.nodes {
+        let mut ids: Vec<TaskId> = self.nodes.keys().copied().collect();
+        ids.sort_unstable();
+        for id in &ids {
+            let n = &self.nodes[id];
             let color =
-                palette[names.iter().position(|&x| x == n.name).unwrap_or(0) % palette.len()];
+                palette[names.iter().position(|&x| x == &*n.name).unwrap_or(0) % palette.len()];
             let _ = writeln!(
                 out,
                 "  {} [label=\"{}\", fillcolor=\"{}\", tooltip=\"{}\"];",
                 id.0, id.0, color, n.name
             );
         }
-        for (id, n) in &self.nodes {
-            for (succ, versions) in &n.succs {
-                let labels: Vec<String> = versions.iter().map(|v| v.to_string()).collect();
-                let _ = writeln!(out, "  {} -> {} [label=\"{}\"];", id.0, succ.0, labels.join(","));
+        for id in &ids {
+            // Successors ascending, each edge's versions sorted and once.
+            let mut edges = self.nodes[id].succs.clone();
+            edges.sort_unstable();
+            edges.dedup();
+            for edge in edges.chunk_by(|a, b| a.0 == b.0) {
+                let (succ, labels) = (edge[0].0, edge.iter().map(|(_, v)| v.to_string()));
+                let labels = labels.collect::<Vec<_>>().join(",");
+                let _ = writeln!(out, "  {} -> {} [label=\"{labels}\"];", id.0, succ.0);
             }
         }
         if !self.syncs.is_empty() {

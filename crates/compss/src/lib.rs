@@ -75,6 +75,7 @@ pub mod codec;
 pub mod data;
 pub mod fault;
 pub mod graph;
+pub(crate) mod ids;
 pub(crate) mod metrics;
 pub mod registry;
 pub mod runtime;

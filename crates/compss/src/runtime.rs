@@ -7,7 +7,6 @@
 //! with [`Runtime::wait_on`] (the paper's `compss_wait_on`) or
 //! [`Runtime::barrier`].
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -23,6 +22,7 @@ use crate::blocks::BlockStore;
 use crate::data::{DataHandle, DataRegistry, DataVersion, Value};
 use crate::fault::{RetryDecision, RetryPolicy};
 use crate::graph::{TaskGraph, TaskState};
+use crate::ids::IdMap;
 use crate::metrics::RtMetrics;
 use crate::scheduler::{Placement, ReadyEntry, Scheduler};
 use crate::task::{ArgSpec, Constraint, TaskDef, TaskError, TaskFn, TaskId};
@@ -210,8 +210,8 @@ pub(crate) enum ResolvedArg {
 /// A submitted task instance.
 pub(crate) struct Instance {
     pub def: TaskDef,
+    /// The resolved arguments in order, then one `Write` per return slot.
     pub args: Vec<ResolvedArg>,
-    pub returns: Vec<DataVersion>,
     pub attempt: u32,
     pub prefer_node: Option<u32>,
     pub exclude_node: Option<u32>,
@@ -226,33 +226,20 @@ pub(crate) struct Instance {
 }
 
 impl Instance {
-    /// Every version this instance names, reads and writes alike — one use
-    /// of each is held from submission until the task settles.
-    fn versions(&self) -> impl Iterator<Item = DataVersion> {
-        self.reads().into_iter().chain(self.writes())
-    }
-
     /// All versions this instance reads, in argument order.
-    pub fn reads(&self) -> Vec<DataVersion> {
-        self.args
-            .iter()
-            .filter_map(|a| match a {
-                ResolvedArg::Read(v) | ResolvedArg::ReadWrite { read: v, .. } => Some(*v),
-                ResolvedArg::Write(_) => None,
-            })
-            .collect()
+    pub fn reads(&self) -> impl Iterator<Item = DataVersion> + '_ {
+        self.args.iter().filter_map(|a| match a {
+            ResolvedArg::Read(v) | ResolvedArg::ReadWrite { read: v, .. } => Some(*v),
+            ResolvedArg::Write(_) => None,
+        })
     }
 
     /// All versions this instance writes: OUT/INOUT params then returns.
-    pub fn writes(&self) -> Vec<DataVersion> {
-        self.args
-            .iter()
-            .filter_map(|a| match a {
-                ResolvedArg::Write(v) | ResolvedArg::ReadWrite { write: v, .. } => Some(*v),
-                ResolvedArg::Read(_) => None,
-            })
-            .chain(self.returns.iter().copied())
-            .collect()
+    pub fn writes(&self) -> impl Iterator<Item = DataVersion> + '_ {
+        self.args.iter().filter_map(|a| match a {
+            ResolvedArg::Write(v) | ResolvedArg::ReadWrite { write: v, .. } => Some(*v),
+            ResolvedArg::Read(_) => None,
+        })
     }
 
     /// Queue this instance (of `task`) as ready, retry placement hints
@@ -279,12 +266,11 @@ impl Instance {
     }
 }
 
-/// One in-flight execution. The placement is shared (`Arc`) with the
-/// backend's in-flight message so completion-side trace emission can run
-/// without the core lock.
+/// One in-flight execution. [`complete_attempt`] hands it back, so the
+/// caller can draw its trace bars once the core lock is dropped.
 pub(crate) struct RunningExec {
     pub task: TaskId,
-    pub placement: Arc<Placement>,
+    pub placement: Placement,
     pub constraint: Constraint,
     pub attempt: u32,
     pub start_us: u64,
@@ -297,8 +283,8 @@ pub(crate) struct Core {
     pub graph: TaskGraph,
     pub sched: Scheduler,
     /// The unsettled tasks: an instance goes when its task settles.
-    pub instances: HashMap<TaskId, Instance>,
-    pub running: HashMap<u64, RunningExec>,
+    pub instances: IdMap<TaskId, Instance>,
+    pub running: IdMap<u64, RunningExec>,
     /// Ids of the permanently failed tasks, in the order they failed.
     pub failed: Vec<TaskId>,
     pub sim: Option<SimState>,
@@ -351,7 +337,8 @@ impl Core {
     fn retire_task(&mut self, shared: &Shared, task: TaskId) {
         let inst = self.instances.remove(&task).expect("a task settles once");
         self.snapshot_bytes -= inst.snapshot.as_ref().map_or(0, |b| b.len() as u64);
-        for v in inst.versions() {
+        // One use of each version it named was held since submission.
+        for v in inst.reads().chain(inst.writes()) {
             self.release(v);
         }
         if !shared.graph_enabled {
@@ -503,8 +490,8 @@ impl Runtime {
                 blocks: BlockStore::new(),
                 graph: TaskGraph::new(),
                 sched,
-                instances: HashMap::new(),
-                running: HashMap::new(),
+                instances: IdMap::default(),
+                running: IdMap::default(),
                 failed: Vec::new(),
                 sim: None,
                 next_task: 1,
@@ -579,7 +566,7 @@ impl Runtime {
         let mut core = self.shared.core.lock();
         // With @implement alternatives a submission is admissible if ANY
         // implementation could ever run somewhere.
-        if !def.variant_constraints().iter().any(|c| core.sched.satisfiable(c)) {
+        if !def.variant_constraints().any(|c| core.sched.satisfiable(&c)) {
             return Err(SubmitError::Unsatisfiable(def.constraint));
         }
         // Check every argument before touching anything, so a refused
@@ -600,7 +587,7 @@ impl Runtime {
         // task becomes a user of every version it names until it settles
         // (`Core::retire_task`).
         let mut deps: Vec<(TaskId, DataVersion)> = Vec::new();
-        let mut resolved: Vec<ResolvedArg> = Vec::with_capacity(args.len());
+        let mut resolved: Vec<ResolvedArg> = Vec::with_capacity(args.len() + def.returns);
         let write_to = |core: &mut Core, h: DataHandle| {
             let v = core.data.new_version(h, id);
             core.data.acquire(v);
@@ -630,13 +617,12 @@ impl Runtime {
                 }
             });
         }
-        let returns: Vec<DataVersion> = (0..def.returns)
-            .map(|_| {
-                let h = core.data.declare();
-                write_to(&mut core, h)
-            })
-            .collect();
-        let return_handles: Vec<DataHandle> = returns.iter().map(|v| v.handle).collect();
+        let mut return_handles = Vec::with_capacity(def.returns);
+        for _ in 0..def.returns {
+            let h = core.data.declare();
+            resolved.push(ResolvedArg::Write(write_to(&mut core, h)));
+            return_handles.push(h);
+        }
 
         core.next_task += 1;
         core.next_seq += 1;
@@ -644,13 +630,12 @@ impl Runtime {
         self.shared.metrics.submitted.incr();
         let submitted_us = core.now_us(&self.shared);
 
-        let state = core.graph.add_task(id, &def.name, &deps);
+        let state = core.graph.add_task(id, Arc::clone(&def.name), &deps);
         core.instances.insert(
             id,
             Instance {
                 def: def.clone(),
                 args: resolved,
-                returns,
                 attempt: 1,
                 prefer_node: None,
                 exclude_node: None,
@@ -663,7 +648,7 @@ impl Runtime {
         // A read of an already-poisoned version (its producer failed
         // permanently before this submission) can never be satisfied:
         // propagate the failure to this task right away.
-        let reads_poisoned = core.instances[&id].reads().iter().any(|v| core.data.is_poisoned(*v));
+        let reads_poisoned = core.instances[&id].reads().any(|v| core.data.is_poisoned(v));
         if reads_poisoned {
             fail_task_cascade(&self.shared, &mut core, id);
         } else if state == TaskState::Ready {
@@ -740,9 +725,8 @@ impl Runtime {
     /// does nothing.
     pub fn delete(&self, h: DataHandle) {
         let mut core = self.shared.core.lock();
-        for v in core.data.delete(h) {
-            core.blocks.retire(v);
-        }
+        let Core { data, blocks, .. } = &mut *core;
+        data.delete(h, |v| blocks.retire(v));
         core.publish_gauges(&self.shared);
     }
 
@@ -853,12 +837,12 @@ impl Drop for Runtime {
 }
 
 /// A ready task the place step has just put on resources: what a backend's
-/// launch step gets, next to `&mut Core`.
+/// launch step gets, next to `&mut Core`. Its placement is the
+/// `RunningExec`'s, in `core.running` under `exec_id`.
 pub(crate) struct Placed {
     pub exec_id: u64,
     pub task: TaskId,
     pub attempt: u32,
-    pub placement: Arc<Placement>,
     /// Dispatch time on the backend's clock; the `RunningExec` starts here
     /// unless the launch step moves it (sim staging).
     pub now_us: u64,
@@ -874,7 +858,7 @@ pub(crate) struct Placed {
 pub(crate) fn place_ready<S: Ord>(
     shared: &Shared,
     core: &mut Core,
-    score: impl Fn(&DataRegistry, &HashMap<TaskId, Instance>, TaskId, u32) -> S,
+    score: impl Fn(&DataRegistry, &IdMap<TaskId, Instance>, TaskId, u32) -> S,
     mut launch: impl FnMut(&mut Core, Placed),
 ) {
     // One relaxed load up front decides whether this round pays for
@@ -891,7 +875,6 @@ pub(crate) fn place_ready<S: Ord>(
             shared.metrics.sched_decision.record(t0.elapsed().as_micros() as u64);
         }
         let Some((entry, placement)) = popped else { break };
-        let placement = Arc::new(placement);
         let task = entry.task;
         let inst = core.instances.get(&task).expect("ready task has an instance");
         let attempt = inst.attempt;
@@ -900,25 +883,23 @@ pub(crate) fn place_ready<S: Ord>(
         shared.metrics.dep_wait.record(now_us.saturating_sub(inst.submitted_us));
         let exec_id = core.next_exec;
         core.next_exec += 1;
-        core.running.insert(
-            exec_id,
-            RunningExec {
-                task,
-                placement: Arc::clone(&placement),
-                constraint: entry.constraint,
-                attempt,
-                start_us: now_us,
-            },
-        );
+        let run = RunningExec {
+            task,
+            placement,
+            constraint: entry.constraint,
+            attempt,
+            start_us: now_us,
+        };
+        core.running.insert(exec_id, run);
         core.graph.set_running(task);
-        launch(core, Placed { exec_id, task, attempt, placement, now_us });
+        launch(core, Placed { exec_id, task, attempt, now_us });
     }
     core.publish_gauges(shared);
 }
 
 /// The trace records of one ended attempt: a `task_run` bar on every core
 /// of the placement and, unless the attempt was `killed` with its node, the
-/// `TaskEnd` event. Needs no core lock.
+/// `TaskEnd` event. Needs no core lock, and builds nothing with tracing off.
 pub(crate) fn emit_attempt_spans(
     shared: &Shared,
     placement: &Placement,
@@ -927,6 +908,9 @@ pub(crate) fn emit_attempt_spans(
     end_us: u64,
     killed: bool,
 ) {
+    if !shared.trace.is_enabled() {
+        return;
+    }
     for (node, cores) in placement.node_cores() {
         for &c in cores {
             shared.trace.task_run(
@@ -945,16 +929,18 @@ pub(crate) fn emit_attempt_spans(
 
 /// The second half of the scheduling turn: store an ended attempt's outputs
 /// and release its successors, or drive the retry policy. Called with the
-/// core locked, from every backend.
+/// core locked, from every backend. Returns the ended execution, `None` for
+/// an exec id no longer running (a late frame of a failed-over attempt);
+/// `values` is then left unread.
 pub(crate) fn complete_attempt(
     shared: &Shared,
     core: &mut Core,
     exec_id: u64,
-    result: Result<Vec<Value>, TaskError>,
+    result: Result<impl ExactSizeIterator<Item = Value>, TaskError>,
     now_us: u64,
     node_gone: bool,
-) {
-    let Some(run) = core.running.remove(&exec_id) else { return };
+) -> Option<RunningExec> {
+    let run = core.running.remove(&exec_id)?;
     let task = run.task;
     if !node_gone {
         core.sched.release(&run.placement, &run.constraint);
@@ -966,21 +952,22 @@ pub(crate) fn complete_attempt(
 
     match outcome {
         Ok(values) => {
-            let inst = core.instances.get(&task).expect("instance exists");
+            let Core { instances, data, .. } = &mut *core;
+            let inst = instances.get(&task).expect("instance exists");
             shared.metrics.record_task_latency(&inst.def.name, now_us.saturating_sub(run.start_us));
-            let writes = inst.writes();
+            let writes = inst.writes().count();
             assert_eq!(
                 values.len(),
-                writes.len(),
+                writes,
                 "task '{}' returned {} values but declares {} outputs",
                 inst.def.name,
                 values.len(),
-                writes.len()
+                writes
             );
             let node = run.placement.node;
-            for (v, value) in writes.iter().zip(values) {
-                core.data.put(*v, value);
-                core.data.add_location(*v, node);
+            for (v, value) in inst.writes().zip(values) {
+                data.put(v, value);
+                data.add_location(v, node);
             }
             core.stats.completed += 1;
             shared.metrics.completed.incr();
@@ -1015,8 +1002,7 @@ pub(crate) fn complete_attempt(
                         let inst = &core.instances[&task];
                         inst.def
                             .variant_constraints()
-                            .iter()
-                            .any(|c| core.sched.satisfiable_excluding(c, run.placement.node))
+                            .any(|c| core.sched.satisfiable_excluding(&c, run.placement.node))
                     };
                     let inst = core.instances.get_mut(&task).expect("instance exists");
                     inst.attempt = run.attempt + 1;
@@ -1037,6 +1023,20 @@ pub(crate) fn complete_attempt(
             }
         }
     }
+    Some(run)
+}
+
+/// [`complete_attempt`] for an attempt that failed before any result came.
+pub(crate) fn fail_attempt(
+    shared: &Shared,
+    core: &mut Core,
+    exec_id: u64,
+    error: TaskError,
+    now_us: u64,
+    node_gone: bool,
+) -> Option<RunningExec> {
+    let nothing = Err::<std::iter::Empty<Value>, _>(error);
+    complete_attempt(shared, core, exec_id, nothing, now_us, node_gone)
 }
 
 /// Permanently fail `task` and transitively fail all dependents, poisoning
@@ -1049,9 +1049,10 @@ pub(crate) fn fail_task_cascade(shared: &Shared, core: &mut Core, task: TaskId) 
     let mut stack = vec![task];
     while let Some(t) = stack.pop() {
         // Reached over a second edge: it failed, and went, the first time.
-        let Some(inst) = core.instances.get(&t) else { continue };
+        let Core { instances, data, .. } = &mut *core;
+        let Some(inst) = instances.get(&t) else { continue };
         for v in inst.writes() {
-            core.data.poison(v);
+            data.poison(v);
         }
         stack.extend(core.graph.set_failed(t));
         core.stats.failed += 1;

@@ -91,21 +91,15 @@ impl Placement {
     }
 
     /// Every `(node, cores)` pair of the allocation, primary first.
-    pub fn node_cores(&self) -> Vec<(u32, &[u32])> {
+    pub fn node_cores(&self) -> impl Iterator<Item = (u32, &[u32])> {
         std::iter::once((self.node, self.cores.as_slice()))
             .chain(self.extra.iter().map(|(n, c, _)| (*n, c.as_slice())))
-            .collect()
     }
 
     /// The trace lane of this placement's point events (dispatch, end,
     /// failure): the first core granted on the primary node.
     pub(crate) fn lead_core(&self) -> paratrace::CoreId {
         paratrace::CoreId::new(self.node, self.cores.first().copied().unwrap_or(0))
-    }
-
-    /// All node ids, primary first.
-    pub fn nodes(&self) -> Vec<u32> {
-        self.node_cores().iter().map(|&(n, _)| n).collect()
     }
 }
 
@@ -132,7 +126,11 @@ pub struct ReadyEntry {
 impl ReadyEntry {
     /// Constraints of every implementation, primary first.
     pub fn variant_constraints(&self) -> Vec<Constraint> {
-        std::iter::once(self.constraint).chain(self.alternatives.iter().copied()).collect()
+        self.variants().collect()
+    }
+
+    fn variants(&self) -> impl Iterator<Item = Constraint> + '_ {
+        std::iter::once(self.constraint).chain(self.alternatives.iter().copied())
     }
 }
 
@@ -171,7 +169,8 @@ pub struct Scheduler {
     /// Ready entries ordered by pop key (priority desc, seq asc).
     ready: BTreeMap<ReadyKey, ReadyEntry>,
     /// Ready keys bucketed by feasibility class: one placement probe per
-    /// *class* answers for every entry in the bucket.
+    /// *class* answers for every entry in the bucket. A bucket that empties
+    /// stays, so the next entry of its class finds it allocated.
     by_class: HashMap<ClassKey, BTreeSet<ReadyKey>>,
     /// Constraint classes proven unplaceable since the last resource
     /// release. Resources only shrink between releases, so a miss stays a
@@ -275,9 +274,6 @@ impl Scheduler {
         let class = ClassKey::of(&entry);
         if let Some(bucket) = self.by_class.get_mut(&class) {
             bucket.remove(&key);
-            if bucket.is_empty() {
-                self.by_class.remove(&class);
-            }
         }
         entry
     }
@@ -305,9 +301,9 @@ impl Scheduler {
     /// earliest entry *is* the globally first placeable entry, so the pop
     /// order is bit-identical to the linear scan
     /// ([`Scheduler::pop_placeable_reference`] keeps that scan around as a
-    /// differential-testing oracle). Cost is O(classes · log) per pop and
-    /// O(1) while the whole set is known blocked, where the linear scan
-    /// paid O(ready) every call.
+    /// differential-testing oracle). Cost is O(classes²) per pop at worst,
+    /// for a handful of classes, and O(1) while the whole set is known
+    /// blocked, where the linear scan paid O(ready) every call.
     ///
     /// Under dispatch-ahead, a pop that places nothing on an idle core
     /// then tries to queue a one-core task behind a busy one.
@@ -326,34 +322,27 @@ impl Scheduler {
         if self.all_blocked {
             return None;
         }
-        // Candidate classes ordered by their earliest ready key.
-        let mut candidates: Vec<(ReadyKey, ClassKey)> = self
-            .by_class
-            .iter()
-            .filter(|(class, _)| !self.infeasible.contains(*class))
-            .map(|(class, keys)| (*keys.first().expect("buckets are non-empty"), class.clone()))
-            .collect();
-        candidates.sort_unstable_by_key(|&(key, _)| key);
-        let mut found: Option<(ReadyKey, u32, usize)> = None;
-        for (key, class) in candidates {
-            let entry = &self.ready[&key];
-            match choose_node(&self.nodes, entry, locality) {
-                Some((node, variant)) => {
-                    found = Some((key, node, variant));
-                    break;
-                }
+        loop {
+            // The earliest ready key of a class not yet proven infeasible.
+            let first = self
+                .by_class
+                .iter()
+                .filter(|(class, _)| !self.infeasible.contains(*class))
+                .filter_map(|(class, keys)| Some((*keys.first()?, class)))
+                .min_by_key(|&(key, _)| key);
+            let Some((key, class)) = first else {
+                // Every class probed infeasible: stay O(1) until something
+                // changes (release / new-class push).
+                self.all_blocked = !self.ready.is_empty();
+                return None;
+            };
+            match choose_node(&self.nodes, &self.ready[&key], locality) {
+                Some((node, variant)) => return Some(self.place(key, node, variant)),
                 None => {
-                    self.infeasible.insert(class);
+                    self.infeasible.insert(class.clone());
                 }
             }
         }
-        let Some((key, node, variant)) = found else {
-            // Every class probed infeasible: stay O(1) until something
-            // changes (release / new-class push).
-            self.all_blocked = !self.ready.is_empty();
-            return None;
-        };
-        Some(self.place(key, node, variant))
     }
 
     /// The second pass of [`Scheduler::pop_placeable`]: queue the first
@@ -369,16 +358,15 @@ impl Scheduler {
         {
             return None;
         }
-        let mut candidates: Vec<ReadyKey> = self
+        let (key, node) = self
             .by_class
             .iter()
             .filter(|(class, _)| queues_ahead(&class.constraint, &class.alternatives))
-            .map(|(_, keys)| *keys.first().expect("buckets are non-empty"))
-            .collect();
-        candidates.sort_unstable();
-        let (key, node) = candidates.into_iter().find_map(|key| {
-            choose_ahead_node(&self.nodes, &self.ready[&key], locality).map(|node| (key, node))
-        })?;
+            .filter_map(|(_, keys)| {
+                let key = *keys.first()?;
+                choose_ahead_node(&self.nodes, &self.ready[&key], locality).map(|node| (key, node))
+            })
+            .min_by_key(|&(key, _)| key)?;
         Some(self.queue_behind(key, node))
     }
 
@@ -410,7 +398,7 @@ impl Scheduler {
     /// Pop ready entry `key` onto idle resources of `node`.
     fn place(&mut self, key: ReadyKey, node: u32, variant: usize) -> (ReadyEntry, Placement) {
         let entry = self.remove_ready(key);
-        let constraint = entry.variant_constraints()[variant];
+        let constraint = entry.variants().nth(variant).expect("choose_node picked a variant");
         let placement = self.allocate(node, &constraint, variant);
         (entry, placement)
     }
@@ -567,7 +555,6 @@ fn choose_node<S: Ord>(
     entry: &ReadyEntry,
     locality: &impl Fn(TaskId, u32) -> S,
 ) -> Option<(u32, usize)> {
-    let variants = entry.variant_constraints();
     let node_fits = |i: u32, c: &Constraint| -> bool {
         let n = &nodes[i as usize];
         n.alive
@@ -579,10 +566,10 @@ fn choose_node<S: Ord>(
     // First implementation variant that fits on node `i` (a `@multinode`
     // variant also needs enough peer nodes to fill the allocation).
     let first_fitting = |i: u32| -> Option<usize> {
-        variants.iter().position(|c| {
-            node_fits(i, c)
+        entry.variants().position(|c| {
+            node_fits(i, &c)
                 && (c.nodes <= 1
-                    || (0..nodes.len() as u32).filter(|&j| j != i && node_fits(j, c)).count()
+                    || (0..nodes.len() as u32).filter(|&j| j != i && node_fits(j, &c)).count()
                         >= c.nodes as usize - 1)
         })
     };
@@ -838,7 +825,7 @@ mod tests {
         assert_eq!(p.cores.len(), 48);
         assert_eq!(p.extra.len(), 1);
         assert_eq!(p.extra[0].1.len(), 48);
-        assert_eq!(p.nodes().len(), 2);
+        assert_eq!(p.node_cores().count(), 2);
         assert!(p.involves(p.node));
         assert!(p.involves(p.extra[0].0));
         // only one free node left: a second 2-node task cannot start

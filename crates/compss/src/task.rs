@@ -281,19 +281,9 @@ impl TaskDef {
         self
     }
 
-    /// All implementations: the primary first, then alternatives.
-    pub fn variants(&self) -> Vec<TaskVariant> {
-        let mut out =
-            vec![TaskVariant { constraint: self.constraint, body: Arc::clone(&self.body) }];
-        out.extend(self.alternatives.iter().cloned());
-        out
-    }
-
     /// Constraints of every implementation, primary first.
-    pub fn variant_constraints(&self) -> Vec<Constraint> {
-        std::iter::once(self.constraint)
-            .chain(self.alternatives.iter().map(|v| v.constraint))
-            .collect()
+    pub fn variant_constraints(&self) -> impl Iterator<Item = Constraint> + '_ {
+        std::iter::once(self.constraint).chain(self.alternatives.iter().map(|v| v.constraint))
     }
 }
 

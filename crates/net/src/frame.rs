@@ -41,7 +41,7 @@ pub const MAX_PAYLOAD: u64 = 64 * 1024 * 1024;
 /// A tagged, opaque serialised value: `tag` names the application codec
 /// that produced `bytes` (e.g. `"hpo.config"`). The protocol layer never
 /// interprets the bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BlobOf<S, B> {
     /// Codec tag.
     pub tag: S,

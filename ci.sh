@@ -13,7 +13,9 @@
 # README.md names must be in `hpo-run --help` (rendered from src/cli.rs's
 # flag table, whose unit test names a gate for every flag), and
 # `Poller::fallback`, an alias for `Poller::new` that only benchmark/ still
-# names, must have no caller anywhere else;
+# names, must have no caller anywhere else, and no program code outside
+# crates/net/src may fill a RecvBuf, arm write interest or accept (the
+# connection state machine is rnet::link's alone);
 # tier-1 is the ROADMAP.md contract, `cargo build --release && cargo test
 # -q`, widened to `--workspace` so every crate's unit, property and
 # integration suites gate too (tests/bench_trajectory.rs among them: the
@@ -133,6 +135,22 @@ echo "README flags: $(wc -w <<< "$README_FLAGS") named, all in --help;" \
 echo "==> Poller::fallback: an alias with no caller outside benchmark/"
 if git grep -n 'Poller::fallback' -- ':!benchmark' ':!*.md' ':!ci.sh'; then
     echo "Poller::fallback FAILED: called outside benchmark/; call Poller::new" >&2
+    exit 1
+fi
+
+echo "==> one connection: only rnet::link and rnet::poll read, flush, arm write interest and accept"
+# Program code outside crates/net/src reaches its sockets through
+# rnet::link (Link reads and flushes, Acceptor accepts, dial connects).
+# Each file is read up to its #[cfg(test)], as the line count below reads
+# it; test files and benchmark/ are exempt.
+CONN_PATTERN='fill_from[(]|last_read_short[(]|Interest::READ_WRITE|[.]accept[(][)]'
+CONN_HITS=$(git ls-files 'crates/*/src/*.rs' 'crates/*/src/**/*.rs' 'src/*.rs' 'src/**/*.rs' \
+    | grep -v '^crates/net/src/' | sort -u \
+    | xargs awk -v pat="$CONN_PATTERN" \
+        'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && $0 ~ pat {print FILENAME ":" FNR ": " $0}')
+if [ -n "$CONN_HITS" ]; then
+    echo "$CONN_HITS" >&2
+    echo "one connection FAILED: socket reads, flushes or accepts outside rnet::link" >&2
     exit 1
 fi
 

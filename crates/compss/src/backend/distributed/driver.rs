@@ -7,7 +7,6 @@ use std::collections::HashMap;
 use std::io;
 use std::net::TcpStream;
 use std::ops::Range;
-use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -15,12 +14,13 @@ use std::time::Duration;
 
 use paratrace::{ClockSync, CoreId, EventKind, TaskRef};
 use parking_lot::Mutex;
+use rnet::link::dial;
 use rnet::{
-    read_frame, Blob, BlobRef, Fill, Frame, FrameRef, Interest, Poller, RecvBuf, SendBuf, Waker,
-    WireArg,
+    read_frame, Blob, BlobRef, Frame, FrameRef, Link, Poller, RecvBuf, SendBuf, Waker, WireArg,
+    WAKE_TOKEN,
 };
 
-use super::{DistributedConfig, SNAP_TAG, WAKE_TOKEN};
+use super::{DistributedConfig, SNAP_TAG};
 use crate::blocks::EncodedBlock;
 use crate::codec;
 use crate::data::{DataVersion, Value};
@@ -85,25 +85,18 @@ thread_local! {
     static SPARE: Cell<Dispatches> = Cell::default();
 }
 
-/// Mutable per-connection state, all under one lock: the socket, both
-/// direction buffers, and the poll-interest shadow.
+/// Mutable per-connection state, all under one lock: the connection and
+/// its write backlog.
 struct LinkState {
     /// `None` once the link is lost — for good: the event loop then ignores
     /// stale readiness events for this token.
-    stream: Option<TcpStream>,
+    conn: Option<Link>,
     /// Interned function names: first submit of a name carries it in full,
     /// later ones send only the id.
     fn_ids: HashMap<Arc<str>, u64>,
     next_fn_id: u64,
     /// Coalescing write backlog.
     send: SendBuf,
-    /// Incremental read/decode buffer.
-    recv: RecvBuf,
-    /// The send buffer has a backlog the socket would not accept — the
-    /// loop must arm write interest and resume on writable.
-    want_write: bool,
-    /// What the poller currently believes (shadow of `want_write`).
-    registered_write: bool,
     /// NTP-style clock-offset estimator fed by heartbeat acks. The worker's
     /// clock starts with its connection, so the estimate is this socket's.
     clock: ClockSync,
@@ -156,7 +149,7 @@ pub(crate) struct ConnMgr {
 /// what its `Hello` advertised. This is the unit of worker *acquisition*,
 /// split from runtime construction so a long-lived server can gather
 /// workers its own way — dialling out ([`connect_workers`]) and/or
-/// accepting dial-ins on a shared listener ([`WorkerBootstrap::from_hello`])
+/// accepting dial-ins on a shared listener ([`WorkerBootstrap::handshake`])
 /// — and only then build the [`crate::Runtime`] it owns (see
 /// [`crate::Runtime::from_bootstraps`]).
 pub struct WorkerBootstrap {
@@ -181,21 +174,30 @@ impl std::fmt::Debug for WorkerBootstrap {
 }
 
 impl WorkerBootstrap {
-    /// Adopt a worker that dialled *us*: `stream` is an accepted
-    /// connection whose first frame was a `Hello` carrying these
-    /// resources. The caller has already read that frame (that is how it
-    /// knew the peer was a worker and not a sweep client); nothing else
-    /// may have been read from the socket.
-    pub fn from_hello(
-        stream: TcpStream,
+    /// Read the `Hello` a worker opens every connection with, whichever
+    /// side dialled: the one blocking read the driver ever does, for at
+    /// most 5 s (the runtime makes the socket non-blocking when it takes
+    /// it over). A first frame that is not a `Hello` is `InvalidData`, and
+    /// the socket comes back with the error, so a listener shared with
+    /// other roles can answer the peer before it closes.
+    pub fn handshake(
+        mut stream: TcpStream,
         addr: String,
-        name: String,
-        cores: u32,
-        gpus: u32,
-        mem_gib: u32,
-    ) -> WorkerBootstrap {
-        stream.set_nodelay(true).ok();
-        WorkerBootstrap { stream, addr, name, cores, gpus, mem_gib }
+    ) -> Result<WorkerBootstrap, (io::Error, TcpStream)> {
+        let hello = stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .and_then(|()| read_frame(&mut stream, &mut RecvBuf::new()))
+            .and_then(|frame| stream.set_read_timeout(None).map(|()| frame));
+        match hello {
+            Ok(Some(Frame::Hello { name, cores, gpus, mem_gib })) => {
+                Ok(WorkerBootstrap { stream, addr, name, cores, gpus, mem_gib })
+            }
+            Ok(other) => {
+                let msg = format!("{addr} did not say Hello (got {other:?})");
+                Err((io::Error::new(io::ErrorKind::InvalidData, msg), stream))
+            }
+            Err(e) => Err((e, stream)),
+        }
     }
 
     /// The worker's display name (from its `Hello`).
@@ -215,50 +217,15 @@ impl WorkerBootstrap {
 pub fn connect_workers(addrs: &[String], timeout: Duration) -> io::Result<Vec<WorkerBootstrap>> {
     addrs
         .iter()
-        .map(|addr| {
-            let deadline = std::time::Instant::now() + timeout;
-            let stream = loop {
-                match TcpStream::connect(addr.as_str()) {
-                    Ok(s) => break s,
-                    Err(_) if std::time::Instant::now() < deadline => {
-                        std::thread::sleep(Duration::from_millis(50));
-                    }
-                    Err(e) => {
-                        return Err(io::Error::new(
-                            e.kind(),
-                            format!("connecting to worker {addr}: {e}"),
-                        ))
-                    }
-                }
-            };
-            stream.set_nodelay(true).ok();
-            hello_handshake(stream, addr.clone())
-        })
+        .map(|addr| WorkerBootstrap::handshake(dial(addr, timeout)?, addr.clone()).map_err(|e| e.0))
         .collect()
-}
-
-/// Read the `Hello` a worker sends on connect (the one blocking read the
-/// driver ever does — the socket goes non-blocking right after).
-fn hello_handshake(mut stream: TcpStream, addr: String) -> io::Result<WorkerBootstrap> {
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    let frame = read_frame(&mut stream, &mut RecvBuf::new())?;
-    stream.set_read_timeout(None)?;
-    match frame {
-        Some(Frame::Hello { name, cores, gpus, mem_gib }) => {
-            Ok(WorkerBootstrap { stream, addr, name, cores, gpus, mem_gib })
-        }
-        other => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("worker {addr} did not say Hello (got {other:?})"),
-        )),
-    }
 }
 
 impl ConnMgr {
     /// Wire up the links, register every socket with the poller, and spawn
     /// the event-loop thread. `boots` are in node-id order (the same order
     /// the cluster spec was built in). Fails if the poller or its waker
-    /// cannot be made (out of fds, say).
+    /// cannot be made (out of fds, say), or the poller refuses a socket.
     pub fn start(
         shared: Arc<Shared>,
         boots: Vec<WorkerBootstrap>,
@@ -273,31 +240,25 @@ impl ConnMgr {
         }
         let poller = Poller::new()?;
         let wake = Waker::new(&poller, WAKE_TOKEN)?;
-        let workers: Vec<Arc<WorkerLink>> = boots
+        let workers = boots
             .into_iter()
             .enumerate()
             .map(|(i, b)| {
-                b.stream.set_nonblocking(true).ok();
-                // A socket the poller refuses is never readable: heartbeat
-                // silence loses its link like any other.
-                let _ = poller.register(b.stream.as_raw_fd(), i as u64, Interest::READ);
+                let conn = Link::adopt(b.stream, &poller, i as u64)?;
                 let label = format!("{}@{}", b.name, b.addr);
                 let reg = shared.metrics.registry();
                 let sent_bytes =
                     reg.counter(&runmetrics::labeled("rnet_bytes_sent_total", "node", &label));
                 let recv_bytes =
                     reg.counter(&runmetrics::labeled("rnet_bytes_received_total", "node", &label));
-                Arc::new(WorkerLink {
+                Ok(Arc::new(WorkerLink {
                     node: i as u32,
                     label,
                     state: Mutex::new(LinkState {
-                        stream: Some(b.stream),
+                        conn: Some(conn),
                         fn_ids: HashMap::new(),
                         next_fn_id: 1,
                         send: SendBuf::new(),
-                        recv: RecvBuf::new(),
-                        want_write: false,
-                        registered_write: false,
                         clock: ClockSync::default(),
                         sent_bytes,
                         recv_bytes,
@@ -306,9 +267,9 @@ impl ConnMgr {
                     hb_seq: AtomicU64::new(0),
                     clock_offset_us: AtomicI64::new(0),
                     clock_rtt_us: AtomicU64::new(0),
-                })
+                }))
             })
-            .collect();
+            .collect::<io::Result<Vec<_>>>()?;
         let inner =
             Arc::new(Inner { shared, workers, cfg, stop: AtomicBool::new(false), poller, wake });
         let loop_inner = Arc::clone(&inner);
@@ -356,19 +317,12 @@ impl ConnMgr {
         }
         for link in &self.inner.workers {
             let mut st = link.state.lock();
-            let LinkState { stream, send, .. } = &mut *st;
-            if let Some(sock) = stream.as_mut() {
-                let _ = sock.set_nonblocking(false);
-                send.push(&Frame::Shutdown);
-                while !send.is_empty() {
-                    match send.flush(sock) {
-                        Ok((_, true)) => break,
-                        Ok((_, false)) => std::thread::yield_now(),
-                        Err(_) => break,
-                    }
-                }
-                let _ = sock.shutdown(std::net::Shutdown::Both);
+            let Some(conn) = st.conn.take() else { continue };
+            st.send.push(&Frame::Shutdown);
+            if conn.stream().set_nonblocking(false).is_ok() {
+                let _ = st.send.flush(&mut conn.stream());
             }
+            conn.close(&self.inner.poller);
         }
     }
 }
@@ -441,41 +395,22 @@ pub(crate) fn collect_dispatch_remote(shared: &Shared, core: &mut Core) -> Dispa
     batch
 }
 
-/// Drain as much of the send backlog as the socket accepts right now. Sets
-/// `want_write` when a backlog remains. Returns `false` when the socket
-/// died.
-fn pump_link(shared: &Shared, st: &mut LinkState) -> bool {
-    let LinkState { stream, send, want_write, sent_bytes, .. } = &mut *st;
-    let Some(sock) = stream.as_mut() else {
+/// Flush the link's backlog as far as the socket takes it (see
+/// [`Link::flush`]). Returns `false` when the socket died.
+fn flush_link(inner: &Inner, st: &mut LinkState) -> bool {
+    let LinkState { conn, send, sent_bytes, .. } = st;
+    let Some(conn) = conn else {
         return true; // lost link: nothing buffered here is ever sent
     };
-    if send.is_empty() {
-        *want_write = false;
-        return true;
-    }
-    match send.flush(sock) {
-        Ok((n, drained)) => {
+    match conn.flush(&inner.poller, send) {
+        Ok(n) => {
             if n > 0 {
-                shared.metrics.net_bytes_sent.add(n as u64);
+                inner.shared.metrics.net_bytes_sent.add(n as u64);
                 sent_bytes.add(n as u64);
             }
-            *want_write = !drained;
             true
         }
         Err(_) => false,
-    }
-}
-
-/// Reconcile the poller's write interest with `want_write`. Call with the
-/// link lock held, after any pump.
-fn sync_interest(inner: &Inner, node: u32, st: &mut LinkState) {
-    if st.want_write == st.registered_write {
-        return;
-    }
-    let Some(fd) = st.stream.as_ref().map(|s| s.as_raw_fd()) else { return };
-    let interest = if st.want_write { Interest::READ_WRITE } else { Interest::READ };
-    if inner.poller.modify(fd, u64::from(node), interest).is_ok() {
-        st.registered_write = st.want_write;
     }
 }
 
@@ -585,9 +520,7 @@ fn send_dispatches(inner: &Arc<Inner>, mut batch: Dispatches) {
                 undeliverable.push((d.exec_id, msg));
             }
         }
-        if pump_link(&inner.shared, &mut st) {
-            sync_interest(inner, node, &mut st);
-        } else {
+        if !flush_link(inner, &mut st) {
             dead_links.push(Arc::clone(link));
         }
     }
@@ -680,7 +613,7 @@ fn send_heartbeats(inner: &Arc<Inner>) {
     let mut dead = Vec::new();
     for link in &inner.workers {
         let mut st = link.state.lock();
-        if st.stream.is_none() {
+        if st.conn.is_none() {
             continue;
         }
         let seq = link.hb_seq.fetch_add(1, Ordering::Relaxed);
@@ -689,9 +622,7 @@ fn send_heartbeats(inner: &Arc<Inner>) {
         if link.unanswered_us.load(Ordering::Relaxed) == ANSWERED {
             link.unanswered_us.store(t_send_us, Ordering::Relaxed);
         }
-        if pump_link(&inner.shared, &mut st) {
-            sync_interest(inner, link.node, &mut st);
-        } else {
+        if !flush_link(inner, &mut st) {
             dead.push(Arc::clone(link));
         }
     }
@@ -727,8 +658,8 @@ struct Inbox {
     replies: Vec<Arc<EncodedBlock>>,
 }
 
-/// One readiness event for a link: drain writes, then drain reads frame by
-/// frame (zero-copy decode), then act on what arrived.
+/// One readiness event for a link: drain writes, then read frame by frame
+/// (zero-copy decode), then act on what arrived.
 fn service_link(
     inner: &Arc<Inner>,
     link: &Arc<WorkerLink>,
@@ -737,100 +668,37 @@ fn service_link(
     inbox: &mut Inbox,
 ) {
     let mut alive = true;
-    let mut saw_bytes = false;
     {
         let mut st = link.state.lock();
-        if st.stream.is_none() {
+        if st.conn.is_none() {
             return; // stale event for a link mid-failover
         }
         if writable {
-            alive = pump_link(&inner.shared, &mut st);
+            alive = flush_link(inner, &mut st);
         }
         if readable && alive {
-            let LinkState { stream, recv, recv_bytes, .. } = &mut *st;
-            let sock = stream.as_mut().expect("checked above");
-            'fill: loop {
-                match recv.fill_from(sock) {
-                    Ok(Fill::Bytes(n)) => {
-                        saw_bytes = true;
-                        inner.shared.metrics.net_bytes_received.add(n as u64);
-                        recv_bytes.add(n as u64);
-                    }
-                    Ok(Fill::WouldBlock) => break,
-                    Ok(Fill::Eof) | Err(_) => {
-                        alive = false;
-                        break;
-                    }
-                }
-                // A short read emptied the socket: once its frames are
-                // decoded, back to epoll, which re-raises the event for
-                // later bytes.
-                let short = recv.last_read_short();
-                loop {
-                    match recv.next_frame() {
-                        Ok(Some(frame)) => match frame {
-                            FrameRef::Done { exec_id, recv_us, start_us, end_us, outputs } => {
-                                let first = inbox.outputs.len();
-                                let mut result = Ok(first..first + outputs.len());
-                                for b in &outputs {
-                                    match codec::decode_tagged(b.tag, b.bytes) {
-                                        Ok(v) => inbox.outputs.push((v, b.bytes.len() as u64)),
-                                        Err(e) => {
-                                            inbox.outputs.truncate(first);
-                                            let msg = format!("undecodable task output: {e}");
-                                            result = Err(TaskError::new(msg));
-                                            break;
-                                        }
-                                    }
-                                }
-                                let stamps = Some((recv_us, start_us, end_us));
-                                inbox.completions.push(Completion { exec_id, result, stamps });
-                            }
-                            FrameRef::Failed { exec_id, message } => {
-                                inbox.completions.push(Completion {
-                                    exec_id,
-                                    result: Err(TaskError::new(message)),
-                                    stamps: None,
-                                });
-                            }
-                            FrameRef::HeartbeatAck { t_send_us, recv_us, reply_us, .. } => {
-                                inbox.acks.push((t_send_us, recv_us, reply_us));
-                            }
-                            FrameRef::BlockRequest { hash } => inbox.block_reqs.push(hash),
-                            FrameRef::BlockEvict { hash } => inbox.block_evicts.push(hash),
-                            FrameRef::Data { key, blob } => {
-                                inbox.saves.push((TaskId(key), Arc::from(blob.bytes)));
-                            }
-                            // Workers don't originate these driver-bound
-                            // frames.
-                            _ => {}
-                        },
-                        Ok(None) if short => break 'fill,
-                        Ok(None) => continue 'fill,
-                        Err(_) => {
-                            alive = false;
-                            break 'fill;
-                        }
-                    }
-                }
+            let LinkState { conn, recv_bytes, .. } = &mut *st;
+            let got = conn.as_mut().expect("checked above").read(|frame| {
+                inbox.take(frame);
+                true
+            });
+            alive = got.open;
+            if got.bytes > 0 {
+                link.unanswered_us.store(ANSWERED, Ordering::Relaxed);
+                inner.shared.metrics.net_bytes_received.add(got.bytes as u64);
+                recv_bytes.add(got.bytes as u64);
             }
-        }
-        if saw_bytes {
-            link.unanswered_us.store(ANSWERED, Ordering::Relaxed);
         }
         if !inbox.acks.is_empty() {
             // Complete the NTP exchange: t3 is "now" on the driver clock.
             // One wall read serves the batch — acks decoded together arrived
-            // together within the fill's granularity.
+            // together within the read's granularity.
             let t3 = inner.shared.wall_us();
             for &(t0, t1, t2) in &inbox.acks {
                 st.clock.observe(t0, t1, t2, t3);
             }
             link.clock_offset_us.store(st.clock.offset_us(), Ordering::Relaxed);
             link.clock_rtt_us.store(st.clock.rtt_us(), Ordering::Relaxed);
-        }
-        if alive {
-            sync_interest(inner, link.node, &mut st);
         }
     }
     if !inbox.acks.is_empty() {
@@ -846,6 +714,46 @@ fn service_link(
     }
     if !alive {
         failover(inner, link);
+    }
+}
+
+impl Inbox {
+    /// File one frame a worker sent; it borrows the link's receive buffer,
+    /// so what outlives the read is decoded or copied out here.
+    fn take(&mut self, frame: FrameRef<'_>) {
+        match frame {
+            FrameRef::Done { exec_id, recv_us, start_us, end_us, outputs } => {
+                let first = self.outputs.len();
+                let mut result = Ok(first..first + outputs.len());
+                for b in &outputs {
+                    match codec::decode_tagged(b.tag, b.bytes) {
+                        Ok(v) => self.outputs.push((v, b.bytes.len() as u64)),
+                        Err(e) => {
+                            self.outputs.truncate(first);
+                            let msg = format!("undecodable task output: {e}");
+                            result = Err(TaskError::new(msg));
+                            break;
+                        }
+                    }
+                }
+                let stamps = Some((recv_us, start_us, end_us));
+                self.completions.push(Completion { exec_id, result, stamps });
+            }
+            FrameRef::Failed { exec_id, message } => {
+                let result = Err(TaskError::new(message));
+                self.completions.push(Completion { exec_id, result, stamps: None });
+            }
+            FrameRef::HeartbeatAck { t_send_us, recv_us, reply_us, .. } => {
+                self.acks.push((t_send_us, recv_us, reply_us));
+            }
+            FrameRef::BlockRequest { hash } => self.block_reqs.push(hash),
+            FrameRef::BlockEvict { hash } => self.block_evicts.push(hash),
+            FrameRef::Data { key, blob } => {
+                self.saves.push((TaskId(key), Arc::from(blob.bytes)));
+            }
+            // Workers don't originate these driver-bound frames.
+            _ => {}
+        }
     }
 }
 
@@ -962,10 +870,7 @@ fn apply_frames(inner: &Arc<Inner>, link: &Arc<WorkerLink>, inbox: &mut Inbox) {
         for block in replies.drain(..) {
             st.send.push(&FrameRef::BlockData { hash: block.hash, blob: block.blob.as_ref() });
         }
-        alive = pump_link(&inner.shared, &mut st);
-        if alive {
-            sync_interest(inner, link.node, &mut st);
-        }
+        alive = flush_link(inner, &mut st);
     }
     let offset = link.clock_offset_us.load(Ordering::Relaxed);
     let synced = link.clock_rtt_us.load(Ordering::Relaxed) > 0;
@@ -1004,21 +909,18 @@ fn apply_frames(inner: &Arc<Inner>, link: &Arc<WorkerLink>, inbox: &mut Inbox) {
 /// worker stays lost for the life of the runtime: its node is killed, its
 /// in-flight executions fail over to the survivors (`node_gone`), and
 /// ready tasks the surviving cluster can never run fail now rather than
-/// hanging the barrier. Idempotent — `stream == None` means the link is
+/// hanging the barrier. Idempotent — `conn == None` means the link is
 /// already written off — so the recursion through `send_dispatches` ends.
 /// Call with no link lock and no core lock held.
 fn failover(inner: &Arc<Inner>, link: &Arc<WorkerLink>) {
-    let sock = {
+    let conn = {
         let mut st = link.state.lock();
         // A lost link is never probed or judged again.
         link.unanswered_us.store(ANSWERED, Ordering::Relaxed);
-        st.stream.take()
+        st.conn.take()
     };
-    let Some(sock) = sock else { return };
-    // Deregister before the fd closes on drop.
-    let _ = inner.poller.deregister(sock.as_raw_fd());
-    let _ = sock.shutdown(std::net::Shutdown::Both);
-    drop(sock);
+    let Some(conn) = conn else { return };
+    conn.close(&inner.poller);
     if inner.stop.load(Ordering::SeqCst) {
         return;
     }
@@ -1048,13 +950,9 @@ fn failover(inner: &Arc<Inner>, link: &Arc<WorkerLink>) {
         }
         collect_dispatch_remote(&inner.shared, &mut core)
     };
-    {
-        // Frames buffered since the socket was torn out are for executions
-        // just failed over; neither buffer is read again.
-        let mut st = link.state.lock();
-        st.send.clear();
-        st.recv = RecvBuf::new();
-    }
+    // Frames buffered since the socket was torn out are for executions
+    // just failed over; they are never sent.
+    link.state.lock().send.clear();
     inner.shared.cv.notify_all();
     send_dispatches(inner, follow);
 }

@@ -18,17 +18,22 @@
 //!   is registered before the loop starts, and the waker only interrupts a
 //!   poll for shutdown.
 //! * **Worker.** One loop thread owns the listener and every driver
-//!   connection. Executor threads never touch the socket: they push result
-//!   frames into the connection's shared `SendBuf` and nudge the loop via
-//!   the waker, which flushes and re-arms write interest as needed.
+//!   connection. Executor threads push result frames into the
+//!   connection's shared `SendBuf` and flush it straight to the socket;
+//!   only when the socket pushes back do they nudge the loop via the
+//!   waker, which flushes and re-arms write interest as needed.
 //!
 //! # Connection state machine
 //!
 //! Each connection cycles through: read-buffer accumulation → in-place
-//! frame decode → dispatch → write-buffer drain. Write interest is
-//! registered only while the `SendBuf` holds a partially-written backlog
-//! (`want_write`), so an idle connection costs one `EPOLLIN` registration
-//! and zero syscalls.
+//! frame decode → dispatch → write-buffer drain. Both loops run it as an
+//! [`rnet::Link`], the one implementation (the sweep server's client plane
+//! is a third user), and accept through an [`rnet::Acceptor`]. Write
+//! interest is registered only while the `SendBuf` holds a
+//! partially-written backlog, so an idle connection costs one `EPOLLIN`
+//! registration and zero syscalls. The `SendBuf` lives outside the link: on
+//! the driver beside it under the link lock, on the worker under a lock of
+//! its own, which executors flush through directly while the loop reads.
 //!
 //! # Pipelining
 //!
@@ -106,9 +111,6 @@ mod worker;
 pub(crate) use driver::ConnMgr;
 pub use driver::{connect_workers, WorkerBootstrap};
 pub use worker::{WorkerConfig, WorkerHandle, WorkerServer};
-
-/// Poll token of the self-pipe waker (driver and worker loops alike).
-const WAKE_TOKEN: u64 = u64::MAX;
 
 /// Tuning knobs for the driver side of a distributed runtime.
 #[derive(Debug, Clone)]

@@ -4,29 +4,26 @@
 use std::collections::VecDeque;
 use std::io;
 use std::net::{TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
+use rnet::link::dial;
 use rnet::{
-    Blob, BlobRef, Fill, Frame, FrameOf, FrameRef, Interest, Poller, RecvBuf, SendBuf, Waker,
-    WireArgRef,
+    Acceptor, Blob, BlobRef, Frame, FrameOf, FrameRef, Link, Poller, SendBuf, Waker, WireArgRef,
+    LISTEN_TOKEN, WAKE_TOKEN,
 };
 use runmetrics::{Counter, Gauge, Histogram};
 
-use super::{SNAP_TAG, WAKE_TOKEN};
+use super::SNAP_TAG;
 use crate::blocks::BlockCache;
 use crate::codec;
 use crate::data::Value;
 use crate::ids::{IdMap, IdSet};
 use crate::registry::TaskRegistry;
 use crate::task::{run_body, TaskContext, TaskError, TaskId};
-
-/// Poll token of the worker's listening socket.
-const LISTEN_TOKEN: u64 = u64::MAX - 1;
 
 /// Memory a worker advertises in its `Hello`, GiB. It advertises no GPUs.
 const HELLO_MEM_GIB: u32 = 16;
@@ -73,20 +70,30 @@ impl Default for WorkerConfig {
 /// the job queue and communicate results back through the connection's
 /// shared send buffer plus the loop's waker.
 pub struct WorkerServer {
-    listener: TcpListener,
+    acceptor: Acceptor,
+    daemon: Daemon,
+}
+
+/// What adopting a connection needs, apart from the listener.
+struct Daemon {
     cfg: WorkerConfig,
     registry: Arc<TaskRegistry>,
     stop: Arc<AtomicBool>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
+    conns: Conns,
     poller: Poller,
     wake: Arc<Waker>,
 }
+
+/// Every open connection's executor side, by poll token: how a halt severs
+/// the sockets from another thread. An entry leaves when its connection
+/// closes.
+type Conns = Arc<Mutex<IdMap<u64, Arc<ConnShared>>>>;
 
 /// Control handle for a worker running on a background thread.
 pub struct WorkerHandle {
     addr: std::net::SocketAddr,
     stop: Arc<AtomicBool>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
+    conns: Conns,
     wake: Arc<Waker>,
     thread: Option<JoinHandle<io::Result<()>>>,
 }
@@ -96,7 +103,6 @@ impl WorkerServer {
     /// tests) with the given resources and task registry.
     pub fn bind(addr: &str, cfg: WorkerConfig, registry: TaskRegistry) -> io::Result<WorkerServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         // Preregister the block-cache series in the process-global registry
         // so worker scrapes show them from zero — a cold cache reads as 0,
         // not as a missing series.
@@ -107,97 +113,63 @@ impl WorkerServer {
         global.gauge("rcompss_block_cache_resident_bytes");
         let poller = Poller::new()?;
         let wake = Arc::new(Waker::new(&poller, WAKE_TOKEN)?);
-        Ok(WorkerServer {
-            listener,
+        let acceptor = Acceptor::new(listener, &poller, LISTEN_TOKEN)?;
+        let daemon = Daemon {
             cfg,
             registry: Arc::new(registry),
             stop: Arc::new(AtomicBool::new(false)),
-            conns: Arc::new(Mutex::new(Vec::new())),
+            conns: Arc::default(),
             poller,
             wake,
-        })
+        };
+        Ok(WorkerServer { acceptor, daemon })
     }
 
     /// The bound address (resolves port 0).
     pub fn local_addr(&self) -> io::Result<std::net::SocketAddr> {
-        self.listener.local_addr()
+        self.acceptor.local_addr()
     }
 
-    /// Serve connections until halted: the worker's event loop.
+    /// Serve connections until halted: the worker's event loop. Dialling
+    /// out fails it; nothing after that does.
     pub fn run(self) -> io::Result<()> {
-        let WorkerServer { listener, cfg, registry, stop, conns, poller, wake } = self;
-        poller.register(listener.as_raw_fd(), LISTEN_TOKEN, Interest::READ)?;
+        let WorkerServer { mut acceptor, daemon } = self;
+        let Daemon { stop, poller, wake, .. } = &daemon;
         let mut table: IdMap<u64, WorkerConn> = IdMap::default();
         let mut next_token: u64 = 0;
-        // Dial-out connections first: each is serviced exactly like an
-        // accepted one — the `Hello` goes out the moment the connection is
-        // adopted, so the server's listener can role-negotiate on it.
-        for addr in &cfg.dial {
-            let deadline = std::time::Instant::now() + DIAL_TIMEOUT;
-            let stream = loop {
-                match TcpStream::connect(addr.as_str()) {
-                    Ok(s) => break s,
-                    Err(_)
-                        if std::time::Instant::now() < deadline && !stop.load(Ordering::SeqCst) =>
-                    {
-                        std::thread::sleep(Duration::from_millis(50));
-                    }
-                    Err(e) => {
-                        return Err(io::Error::new(e.kind(), format!("dialling {addr}: {e}")));
-                    }
-                }
-            };
-            stream.set_nodelay(true).ok();
-            if let Some(conn) =
-                accept_conn(stream, &cfg, &registry, &stop, &conns, &poller, &wake, next_token)
-            {
+        let mut adopt = |stream: TcpStream, table: &mut IdMap<u64, WorkerConn>| {
+            if let Some(conn) = daemon.adopt(stream, next_token) {
                 table.insert(next_token, conn);
                 next_token += 1;
             }
+        };
+        // Dial-out connections first: each is serviced exactly like an
+        // accepted one — the `Hello` goes out the moment the connection is
+        // adopted, so the server's listener can role-negotiate on it.
+        for addr in &daemon.cfg.dial {
+            adopt(dial(addr, DIAL_TIMEOUT)?, &mut table);
         }
         let mut events = Vec::new();
-        let mut result = Ok(());
-        'serve: loop {
-            if stop.load(Ordering::SeqCst) {
-                break;
-            }
-            if poller.wait(&mut events, Some(Duration::from_millis(500))).is_err() {
+        let mut dead: Vec<u64> = Vec::new();
+        while !stop.load(Ordering::SeqCst) {
+            let timeout = acceptor.bound(Some(Duration::from_millis(500)));
+            if poller.wait(&mut events, timeout).is_err() {
                 std::thread::sleep(Duration::from_millis(1));
                 continue;
             }
             if stop.load(Ordering::SeqCst) {
                 break;
             }
-            let mut dead: Vec<u64> = Vec::new();
             for ev in &events {
-                if ev.token == WAKE_TOKEN {
-                    wake.drain();
-                    continue;
-                }
-                if ev.token == LISTEN_TOKEN {
-                    loop {
-                        match listener.accept() {
-                            Ok((stream, _)) => {
-                                if let Some(conn) = accept_conn(
-                                    stream, &cfg, &registry, &stop, &conns, &poller, &wake,
-                                    next_token,
-                                ) {
-                                    table.insert(next_token, conn);
-                                    next_token += 1;
-                                }
-                            }
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                            Err(e) => {
-                                result = Err(e);
-                                break 'serve;
+                match ev.token {
+                    WAKE_TOKEN => wake.drain(),
+                    LISTEN_TOKEN => acceptor.accept(poller, |stream, _| adopt(stream, &mut table)),
+                    token => {
+                        if let Some(conn) = table.get_mut(&token) {
+                            if ev.readable && !conn.read() {
+                                dead.push(token);
                             }
                         }
-                    }
-                    continue;
-                }
-                if let Some(conn) = table.get_mut(&ev.token) {
-                    if ev.readable && !service_worker_read(conn) {
-                        dead.push(ev.token);
                     }
                 }
             }
@@ -205,33 +177,33 @@ impl WorkerServer {
             // backpressure via writable events — either way, drain every
             // backlog and reconcile write interest.
             for (&token, conn) in table.iter_mut() {
-                if dead.contains(&token) {
-                    continue;
-                }
-                if !flush_worker_conn(&poller, token, conn) {
+                if !dead.contains(&token)
+                    && conn.link.flush(poller, &mut conn.shared.out.lock()).is_err()
+                {
                     dead.push(token);
                 }
             }
-            for token in dead {
+            // A closed connection frees an fd for a parked listener.
+            acceptor.unpark(poller, !dead.is_empty());
+            for token in dead.drain(..) {
                 if let Some(conn) = table.remove(&token) {
-                    close_worker_conn(&poller, conn);
+                    daemon.close(token, conn);
                 }
             }
         }
-        for (_, conn) in table {
-            close_worker_conn(&poller, conn);
+        for (token, conn) in table {
+            daemon.close(token, conn);
         }
-        let _ = poller.deregister(listener.as_raw_fd());
-        result
+        Ok(())
     }
 
     /// Run on a background thread, returning a control handle (the
     /// in-process form the loopback tests and benches use).
     pub fn spawn(self) -> io::Result<WorkerHandle> {
         let addr = self.local_addr()?;
-        let stop = Arc::clone(&self.stop);
-        let conns = Arc::clone(&self.conns);
-        let wake = Arc::clone(&self.wake);
+        let stop = Arc::clone(&self.daemon.stop);
+        let conns = Arc::clone(&self.daemon.conns);
+        let wake = Arc::clone(&self.daemon.wake);
         let thread = std::thread::spawn(move || self.run());
         Ok(WorkerHandle { addr, stop, conns, wake, thread: Some(thread) })
     }
@@ -259,8 +231,8 @@ impl WorkerHandle {
         move || {
             stop.store(true, Ordering::SeqCst);
             let _ = wake.wake();
-            for c in conns.lock().iter() {
-                let _ = c.shutdown(std::net::Shutdown::Both);
+            for c in conns.lock().values() {
+                let _ = c.stream.shutdown(std::net::Shutdown::Both);
             }
         }
     }
@@ -268,8 +240,8 @@ impl WorkerHandle {
     /// Sever current connections but keep listening — how a test cuts a
     /// live worker off from its driver, which writes it off like a dead one.
     pub fn drop_connections(&self) {
-        for c in self.conns.lock().drain(..) {
-            let _ = c.shutdown(std::net::Shutdown::Both);
+        for c in self.conns.lock().values() {
+            let _ = c.stream.shutdown(std::net::Shutdown::Both);
         }
         let _ = self.wake.wake();
     }
@@ -447,16 +419,13 @@ impl ConnShared {
 
 /// Per-connection state owned by the worker's event loop.
 struct WorkerConn {
-    stream: TcpStream,
-    recv: RecvBuf,
+    link: Link,
     /// Interned function names (`fn_id` → name), per connection.
     fn_names: IdMap<u64, Arc<str>>,
     /// Snapshots by task id, each held from its `Data` frame to the `Submit`
     /// right behind it, which takes it into the job.
     handed_over: IdMap<u64, Vec<u8>>,
     shared: Arc<ConnShared>,
-    /// What the poller currently believes about write interest.
-    registered_write: bool,
 }
 
 /// One executor's ambient snapshot channel. A save is mirrored to the
@@ -488,93 +457,72 @@ impl crate::snapshot::SnapshotChannel for WorkerSnapshotChannel {
     }
 }
 
-/// Set up a freshly accepted driver connection: non-blocking socket, Hello
-/// queued, executor threads spawned, fd registered.
-#[allow(clippy::too_many_arguments)]
-fn accept_conn(
-    stream: TcpStream,
-    cfg: &WorkerConfig,
-    registry: &Arc<TaskRegistry>,
-    stop: &Arc<AtomicBool>,
-    conns: &Arc<Mutex<Vec<TcpStream>>>,
-    poller: &Poller,
-    wake: &Arc<Waker>,
-    token: u64,
-) -> Option<WorkerConn> {
-    stream.set_nodelay(true).ok();
-    if stream.set_nonblocking(true).is_err() {
-        return None;
+impl Daemon {
+    /// Set up a driver connection, accepted or dialled: adopt the socket,
+    /// queue the `Hello`, spawn the executor threads.
+    fn adopt(&self, stream: TcpStream, token: u64) -> Option<WorkerConn> {
+        let link = Link::adopt(stream, &self.poller, token).ok()?;
+        let Ok(write_half) = link.stream().try_clone() else {
+            link.close(&self.poller);
+            return None;
+        };
+        let cfg = &self.cfg;
+        let shared = Arc::new(ConnShared {
+            out: Mutex::new(SendBuf::new()),
+            stream: write_half,
+            wake: Arc::clone(&self.wake),
+            blocks: Mutex::new(BlockCacheState {
+                cache: BlockCache::new(cfg.cache_mem_bytes),
+                inflight: IdSet::default(),
+            }),
+            blocks_cv: Condvar::new(),
+            jobs: Mutex::new(JobQueue::default()),
+            jobs_cv: Condvar::new(),
+            closed: AtomicBool::new(false),
+            stop: Arc::clone(&self.stop),
+            epoch: std::time::Instant::now(),
+            series: WorkerSeries::new(),
+        });
+        self.conns.lock().insert(token, Arc::clone(&shared));
+        // Direct-flushes like every other outbound frame; leftovers drain via
+        // the loop's flush pass.
+        shared.push_out(&Frame::Hello {
+            name: cfg.name.clone(),
+            cores: cfg.cores,
+            gpus: 0,
+            mem_gib: HELLO_MEM_GIB,
+        });
+        for _ in 0..cfg.cores.max(1) {
+            let conn = Arc::clone(&shared);
+            let registry = Arc::clone(&self.registry);
+            std::thread::spawn(move || executor_loop(conn, registry));
+        }
+        Some(WorkerConn { link, fn_names: IdMap::default(), handed_over: IdMap::default(), shared })
     }
-    if let Ok(clone) = stream.try_clone() {
-        conns.lock().push(clone);
+
+    /// Tear down a dead connection: close its link, forget it, and release
+    /// its executors (closed flag + every condvar).
+    fn close(&self, token: u64, conn: WorkerConn) {
+        conn.link.close(&self.poller);
+        self.conns.lock().remove(&token);
+        // Under the queue lock: an executor that saw the flag down is then
+        // asleep in `jobs_cv.wait`, not between its check and the wait, so the
+        // wake-up below reaches it. (A block fetch waits at most 50 ms a turn.)
+        let jobs = conn.shared.jobs.lock();
+        conn.shared.closed.store(true, Ordering::SeqCst);
+        drop(jobs);
+        conn.shared.jobs_cv.notify_all();
+        conn.shared.blocks_cv.notify_all();
     }
-    let Ok(write_half) = stream.try_clone() else { return None };
-    let shared = Arc::new(ConnShared {
-        out: Mutex::new(SendBuf::new()),
-        stream: write_half,
-        wake: Arc::clone(wake),
-        blocks: Mutex::new(BlockCacheState {
-            cache: BlockCache::new(cfg.cache_mem_bytes),
-            inflight: IdSet::default(),
-        }),
-        blocks_cv: Condvar::new(),
-        jobs: Mutex::new(JobQueue::default()),
-        jobs_cv: Condvar::new(),
-        closed: AtomicBool::new(false),
-        stop: Arc::clone(stop),
-        epoch: std::time::Instant::now(),
-        series: WorkerSeries::new(),
-    });
-    if poller.register(stream.as_raw_fd(), token, Interest::READ).is_err() {
-        return None;
-    }
-    // Direct-flushes like every other outbound frame; leftovers drain via
-    // the loop's flush pass.
-    shared.push_out(&Frame::Hello {
-        name: cfg.name.clone(),
-        cores: cfg.cores,
-        gpus: 0,
-        mem_gib: HELLO_MEM_GIB,
-    });
-    for _ in 0..cfg.cores.max(1) {
-        let conn = Arc::clone(&shared);
-        let registry = Arc::clone(registry);
-        std::thread::spawn(move || executor_loop(conn, registry));
-    }
-    Some(WorkerConn {
-        stream,
-        recv: RecvBuf::new(),
-        fn_names: IdMap::default(),
-        handed_over: IdMap::default(),
-        shared,
-        registered_write: false,
-    })
 }
 
-/// Drain a readable event: fill the receive buffer until a read comes
-/// back short (or `WouldBlock`), decoding and dispatching frames in place.
-/// Returns `false` on EOF, error, or `Shutdown`.
-fn service_worker_read(conn: &mut WorkerConn) -> bool {
-    let WorkerConn { stream, recv, fn_names, handed_over, shared, .. } = conn;
-    'fill: loop {
-        match recv.fill_from(stream) {
-            Ok(Fill::Bytes(_)) => {}
-            Ok(Fill::WouldBlock) => return true,
-            Ok(Fill::Eof) | Err(_) => return false,
-        }
-        let short = recv.last_read_short();
-        loop {
-            match recv.next_frame() {
-                Ok(Some(frame)) => {
-                    if !handle_worker_frame(frame, fn_names, handed_over, shared) {
-                        return false;
-                    }
-                }
-                Ok(None) if short => return true,
-                Ok(None) => continue 'fill,
-                Err(_) => return false,
-            }
-        }
+impl WorkerConn {
+    /// Service a readable event, handing each frame to
+    /// [`handle_worker_frame`]. Returns `false` on EOF, error, or
+    /// `Shutdown`.
+    fn read(&mut self) -> bool {
+        let WorkerConn { link, fn_names, handed_over, shared } = self;
+        link.read(|frame| handle_worker_frame(frame, fn_names, handed_over, shared)).open
     }
 }
 
@@ -673,44 +621,6 @@ fn handle_worker_frame(
         _ => {}
     }
     true
-}
-
-/// Drain a connection's outbound backlog and reconcile write interest.
-/// Returns `false` when the socket died.
-fn flush_worker_conn(poller: &Poller, token: u64, conn: &mut WorkerConn) -> bool {
-    let mut out = conn.shared.out.lock();
-    let drained = if out.is_empty() {
-        true
-    } else {
-        match out.flush(&mut conn.stream) {
-            Ok((_, drained)) => drained,
-            Err(_) => return false,
-        }
-    };
-    drop(out);
-    let want_write = !drained;
-    if want_write != conn.registered_write {
-        let interest = if want_write { Interest::READ_WRITE } else { Interest::READ };
-        if poller.modify(conn.stream.as_raw_fd(), token, interest).is_ok() {
-            conn.registered_write = want_write;
-        }
-    }
-    true
-}
-
-/// Tear down a dead connection: release its executors (closed flag + every
-/// condvar) and remove the fd from the poll set before it closes.
-fn close_worker_conn(poller: &Poller, conn: WorkerConn) {
-    let _ = poller.deregister(conn.stream.as_raw_fd());
-    let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-    // Under the queue lock: an executor that saw the flag down is then
-    // asleep in `jobs_cv.wait`, not between its check and the wait, so the
-    // wake-up below reaches it. (A block fetch waits at most 50 ms a turn.)
-    let jobs = conn.shared.jobs.lock();
-    conn.shared.closed.store(true, Ordering::SeqCst);
-    drop(jobs);
-    conn.shared.jobs_cv.notify_all();
-    conn.shared.blocks_cv.notify_all();
 }
 
 /// Decode an incoming block and admit it to the LRU cache, waking any
@@ -887,19 +797,5 @@ fn run_job(
             Frame::Done { exec_id, recv_us: job.recv_us, start_us, end_us, outputs }
         }
         Err(e) => fail(e.message),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn wake_and_listen_tokens_clear_node_range() {
-        // Node indices are dense small integers; the reserved tokens must
-        // never collide with them.
-        assert_eq!(WAKE_TOKEN, u64::MAX);
-        assert_eq!(LISTEN_TOKEN, u64::MAX - 1);
-        assert!(LISTEN_TOKEN > u32::MAX as u64);
     }
 }

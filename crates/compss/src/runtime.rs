@@ -429,7 +429,7 @@ impl Runtime {
     /// likes — dialling out with
     /// [`connect_workers`],
     /// adopting dial-ins with
-    /// [`WorkerBootstrap::from_hello`](crate::backend::distributed::WorkerBootstrap::from_hello),
+    /// [`WorkerBootstrap::handshake`](crate::backend::distributed::WorkerBootstrap::handshake),
     /// or both — and then own the runtime it builds on top. `cfg.cluster`
     /// is ignored; the real cluster is what the bootstraps advertise. Fails
     /// if the event loop cannot be built (out of fds, say).

@@ -43,8 +43,7 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -52,8 +51,8 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use rcompss::{connect_workers, Runtime, WorkerBootstrap};
 use rnet::{
-    read_frame, write_frame, Fill, Frame, FrameRef, Interest, LeaderRow, Poller, RecvBuf, SendBuf,
-    Waker,
+    write_frame, Acceptor, Frame, FrameRef, LeaderRow, Link, Poller, SendBuf, Waker, LISTEN_TOKEN,
+    WAKE_TOKEN,
 };
 
 use crate::algo::bayes::BayesSearch;
@@ -200,52 +199,33 @@ pub fn gather_workers(listener: &TcpListener, plan: &PoolPlan) -> io::Result<Vec
     }
     let want = plan.dial.len() + plan.expect_dial_in;
     let deadline = Instant::now() + plan.timeout;
-    listener.set_nonblocking(true)?;
+    let poller = Poller::new()?;
+    let mut acceptor = Acceptor::new(listener.try_clone()?, &poller, LISTEN_TOKEN)?;
+    let mut events = Vec::new();
     while boots.len() < want {
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                if let Some(boot) = adopt_dial_in(stream, peer) {
-                    boots.push(boot);
+        let Some(left) = deadline.checked_duration_since(Instant::now()) else {
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                format!("gathered {} of {want} workers before the deadline", boots.len()),
+            ));
+        };
+        poller.wait(&mut events, acceptor.bound(Some(left)))?;
+        // The first frame names the peer: a worker's `Hello` joins the
+        // pool, anything else is turned away.
+        acceptor.accept(&poller, |stream, peer| {
+            match WorkerBootstrap::handshake(stream, peer.to_string()) {
+                Ok(boot) => boots.push(boot),
+                Err((e, mut stream)) if e.kind() == io::ErrorKind::InvalidData => {
+                    let message = "server is still gathering its worker pool".to_string();
+                    let reject = Frame::SweepReject { code: REJECT_NOT_READY, message };
+                    let _ = write_frame(&mut stream, &reject);
                 }
+                Err(_) => {}
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if Instant::now() >= deadline {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        format!("gathered {} of {want} workers before the deadline", boots.len()),
-                    ));
-                }
-                thread::sleep(Duration::from_millis(25));
-            }
-            Err(e) => return Err(e),
-        }
+        });
+        acceptor.unpark(&poller, false);
     }
     Ok(boots)
-}
-
-/// Read the first frame off a fresh connection and decide its role:
-/// `Hello` becomes a worker bootstrap, anything else is turned away.
-fn adopt_dial_in(stream: TcpStream, peer: SocketAddr) -> Option<WorkerBootstrap> {
-    stream.set_nonblocking(false).ok()?;
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-    let mut stream = stream;
-    match read_frame(&mut stream, &mut RecvBuf::new()) {
-        Ok(Some(Frame::Hello { name, cores, gpus, mem_gib })) => {
-            let _ = stream.set_read_timeout(None);
-            Some(WorkerBootstrap::from_hello(stream, peer.to_string(), name, cores, gpus, mem_gib))
-        }
-        Ok(Some(_)) => {
-            let _ = write_frame(
-                &mut stream,
-                &Frame::SweepReject {
-                    code: REJECT_NOT_READY,
-                    message: "server is still gathering its worker pool".to_string(),
-                },
-            );
-            None
-        }
-        _ => None,
-    }
 }
 
 /// What every server thread shares: the runtime and the one lock around
@@ -376,17 +356,10 @@ impl Server {
     }
 }
 
-/// Poll token of the client plane's self-pipe waker.
-const WAKE_TOKEN: u64 = u64::MAX;
-/// Poll token of the listening socket.
-const LISTEN_TOKEN: u64 = u64::MAX - 1;
-
 /// One connected sweep client on the nonblocking plane, keyed by its poll
 /// token, which is its [`ConnId`].
 struct ClientConn {
-    stream: TcpStream,
-    recv: RecvBuf,
-    registered_write: bool,
+    link: Link,
     out: SendBuf,
 }
 
@@ -426,10 +399,9 @@ impl SweepServer {
         cfg: ServerConfig,
     ) -> io::Result<SweepServer> {
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let poller = Poller::new()?;
         let wake = Waker::new(&poller, WAKE_TOKEN)?;
-        poller.register(listener.as_raw_fd(), LISTEN_TOKEN, Interest::READ)?;
+        let acceptor = Acceptor::new(listener, &poller, LISTEN_TOKEN)?;
         let state = State::new(&cfg, rt.metrics());
         let srv = Arc::new(Server {
             rt,
@@ -450,7 +422,7 @@ impl SweepServer {
         let plane_srv = Arc::clone(&srv);
         let plane = thread::Builder::new()
             .name("hpo-sweep-server".to_string())
-            .spawn(move || serve_loop(plane_srv, poller, listener))?;
+            .spawn(move || serve_loop(plane_srv, poller, acceptor))?;
         Ok(SweepServer { srv, addr, plane: Some(plane) })
     }
 
@@ -535,17 +507,13 @@ const TICK: Duration = Duration::from_millis(200);
 /// The client plane: accept clients, decode their frames into events,
 /// send what the state decided, and wake the state when its deadline is
 /// due — all on one readiness loop.
-fn serve_loop(srv: Arc<Server>, poller: Poller, listener: TcpListener) {
+fn serve_loop(srv: Arc<Server>, poller: Poller, mut acceptor: Acceptor) {
     let mut conns: HashMap<u64, ClientConn> = HashMap::new();
     let mut next_token: u64 = 0;
     let mut events: Vec<rnet::Event> = Vec::new();
     let mut outbox: Vec<(ConnId, Frame)> = Vec::new();
     let mut dead: Vec<u64> = Vec::new();
     let mut timeout = TICK;
-    // When the listener left the poller: an accept failed (out of fds, say)
-    // with the connection still queued, and a level-triggered listener
-    // would end every wait at once until an fd frees.
-    let mut parked: Option<Instant> = None;
     loop {
         if poller.wait(&mut events, Some(timeout)).is_err() {
             break;
@@ -553,12 +521,12 @@ fn serve_loop(srv: Arc<Server>, poller: Poller, listener: TcpListener) {
         for ev in &events {
             match ev.token {
                 WAKE_TOKEN => srv.wake.drain(),
-                LISTEN_TOKEN => {
-                    if accept_clients(&poller, &listener, &mut conns, &mut next_token).is_err() {
-                        let _ = poller.deregister(listener.as_raw_fd());
-                        parked = Some(Instant::now());
+                LISTEN_TOKEN => acceptor.accept(&poller, |stream, _| {
+                    if let Ok(link) = Link::adopt(stream, &poller, next_token) {
+                        conns.insert(next_token, ClientConn { link, out: SendBuf::new() });
+                        next_token += 1;
                     }
-                }
+                }),
                 token => {
                     if let Some(conn) = conns.get_mut(&token) {
                         if ev.readable && !service_read(&srv, token, conn) {
@@ -573,6 +541,7 @@ fn serve_loop(srv: Arc<Server>, poller: Poller, listener: TcpListener) {
         if core.state.next_deadline().is_some_and(|d| d <= now) {
             srv.apply(&mut core, Event::Tick, By::Plane);
         }
+        // The tick also bounds a parked listener's wait for its retry.
         timeout = core.state.next_deadline().map_or(TICK, |d| {
             TICK.min(Duration::from_millis(d.saturating_sub(now).div_ceil(1000)))
         });
@@ -595,83 +564,31 @@ fn serve_loop(srv: Arc<Server>, poller: Poller, listener: TcpListener) {
             }
         }
         for (token, conn) in conns.iter_mut() {
-            if !flush_conn(&poller, *token, conn) {
+            if conn.link.flush(&poller, &mut conn.out).is_err() {
                 dead.push(*token);
             }
         }
         for handle in exited {
             let _ = handle.join();
         }
-        // A closed connection frees an fd; without one, retry each tick.
-        let retry = parked.is_some_and(|at| !dead.is_empty() || at.elapsed() >= TICK);
+        // A closed connection frees an fd for a parked listener.
+        acceptor.unpark(&poller, !dead.is_empty());
         for token in dead.drain(..) {
             if let Some(conn) = conns.remove(&token) {
-                let _ = poller.deregister(conn.stream.as_raw_fd());
+                conn.link.close(&poller);
                 srv.event(Event::Closed { conn: token }, By::Plane);
             }
         }
-        if retry && poller.register(listener.as_raw_fd(), LISTEN_TOKEN, Interest::READ).is_ok() {
-            parked = None;
-        }
     }
 }
 
-/// Accept every pending client connection and register it for reads.
-/// An error leaves the rest of the queue where it is.
-fn accept_clients(
-    poller: &Poller,
-    listener: &TcpListener,
-    conns: &mut HashMap<u64, ClientConn>,
-    next_token: &mut u64,
-) -> io::Result<()> {
-    loop {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                let _ = stream.set_nodelay(true);
-                let token = *next_token;
-                *next_token += 1;
-                if poller.register(stream.as_raw_fd(), token, Interest::READ).is_err() {
-                    continue;
-                }
-                let (recv, out) = (RecvBuf::new(), SendBuf::new());
-                conns.insert(token, ClientConn { stream, recv, registered_write: false, out });
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Drain readable bytes and handle every complete frame, reading until a
-/// read comes back short (level-triggered epoll re-raises the event for
-/// later bytes). `false` means the connection is finished (EOF, protocol
-/// error, or a fatal verb).
+/// Service a readable event, turning every frame into an event. `false`
+/// means the connection is finished (EOF, protocol error, a fatal verb, or
+/// a backlog past [`MAX_CLIENT_BACKLOG`]).
 fn service_read(srv: &Arc<Server>, token: ConnId, conn: &mut ClientConn) -> bool {
-    // Split the borrows: the frame borrows `recv`, its handler writes `out`.
-    let ClientConn { stream, recv, out, .. } = conn;
-    loop {
-        match recv.fill_from(stream) {
-            Ok(Fill::Bytes(_)) => {
-                let short = recv.last_read_short();
-                loop {
-                    let frame = match recv.next_frame() {
-                        Ok(Some(frame)) => frame,
-                        Ok(None) if short => return true,
-                        Ok(None) => break,
-                        Err(_) => return false,
-                    };
-                    if !handle_frame(srv, token, out, frame) || !within_backlog(out) {
-                        return false;
-                    }
-                }
-            }
-            Ok(Fill::WouldBlock) => return true,
-            Ok(Fill::Eof) | Err(_) => return false,
-        }
-    }
+    // Split the borrows: the frame borrows the link, its handler writes `out`.
+    let ClientConn { link, out } = conn;
+    link.read(|frame| handle_frame(srv, token, out, frame) && within_backlog(out)).open
 }
 
 /// Past [`MAX_CLIENT_BACKLOG`], queue the reject behind the backlog (a
@@ -684,25 +601,6 @@ fn within_backlog(out: &mut SendBuf) -> bool {
     let message = format!("more than {MAX_CLIENT_BACKLOG} bytes left unread");
     out.push(&Frame::SweepReject { code: REJECT_BACKLOG_FULL, message });
     false
-}
-
-/// Flush a connection's backlog and keep its write interest in sync.
-fn flush_conn(poller: &Poller, token: ConnId, conn: &mut ClientConn) -> bool {
-    if conn.out.is_empty() && !conn.registered_write {
-        return true;
-    }
-    let drained = match conn.out.flush(&mut conn.stream) {
-        Ok((_, drained)) => drained,
-        Err(_) => return false,
-    };
-    let want_write = !drained;
-    if want_write != conn.registered_write {
-        let interest = if want_write { Interest::READ_WRITE } else { Interest::READ };
-        if poller.modify(conn.stream.as_raw_fd(), token, interest).is_ok() {
-            conn.registered_write = want_write;
-        }
-    }
-    true
 }
 
 /// Turn one decoded client frame into an event for the state. Returns

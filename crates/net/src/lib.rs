@@ -16,6 +16,10 @@
 //!   [`poll::Poller`] with a self-pipe [`poll::Waker`], and per-connection
 //!   [`nonblock::RecvBuf`]/[`nonblock::SendBuf`] reusable buffers that the
 //!   event-loop backend builds its connection state machines from;
+//! * [`link`] — the connection state machine itself, once: a
+//!   [`link::Link`] reads and flushes one registered socket, an
+//!   [`link::Acceptor`] accepts (and parks its listener while accept
+//!   fails), [`link::dial`] connects with retries;
 //! * [`conn`] — blocking helpers ([`read_frame`], [`write_frames`]) over
 //!   the same [`nonblock::RecvBuf`], used for handshakes and by the sweep
 //!   client.
@@ -50,6 +54,7 @@
 
 pub mod conn;
 pub mod frame;
+pub mod link;
 pub mod nonblock;
 pub mod poll;
 pub mod status;
@@ -61,7 +66,8 @@ pub use frame::{
     Blob, BlobOf, BlobRef, DecodeError, Frame, FrameOf, FrameRef, LeaderRow, LeaderRowOf,
     LeaderRowRef, WireArg, WireArgOf, WireArgRef, MAGIC, MAX_PAYLOAD, VERSION,
 };
+pub use link::{Acceptor, Link};
 pub use nonblock::{Fill, RecvBuf, SendBuf};
-pub use poll::{Event, Interest, Poller, Waker};
+pub use poll::{Event, Interest, Poller, Waker, LISTEN_TOKEN, WAKE_TOKEN};
 pub use status::StatusServer;
 pub use wire::{Reader, WireError};

@@ -52,6 +52,14 @@ impl Interest {
     pub const READ_WRITE: Interest = Interest { read: true, write: true };
 }
 
+/// Poll token of an event loop's self-pipe [`Waker`]. Connection tokens
+/// are dense small integers, so the two reserved tokens at the top of the
+/// range never meet one.
+pub const WAKE_TOKEN: u64 = u64::MAX;
+
+/// Poll token of an event loop's listening socket.
+pub const LISTEN_TOKEN: u64 = u64::MAX - 1;
+
 /// One readiness event out of [`Poller::wait`].
 #[derive(Debug, Clone, Copy)]
 pub struct Event {
@@ -280,6 +288,15 @@ mod tests {
         let a = TcpStream::connect(addr).unwrap();
         let (b, _) = listener.accept().unwrap();
         (a, b)
+    }
+
+    #[test]
+    fn reserved_tokens_clear_the_connection_range() {
+        // Connection tokens are dense small integers (a driver's node ids
+        // among them); the reserved tokens must never collide with one.
+        assert_eq!(WAKE_TOKEN, u64::MAX);
+        assert_eq!(LISTEN_TOKEN, u64::MAX - 1);
+        assert!(LISTEN_TOKEN > u64::from(u32::MAX));
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! response) keep the state machine trivial and every client compatible.
 //!
 //! The server owns one background thread built on the same [`crate::poll`]
-//! readiness layer as the event-loop backend: the listener and a
-//! [`Waker`] are the only registrations, and each
+//! readiness layer as the event-loop backend: the listener, behind the
+//! same [`Acceptor`] every loop accepts through, and a [`Waker`] are the
+//! only registrations, and each
 //! accepted connection is served synchronously with short socket timeouts —
 //! a scrape is a few hundred bytes, so there is nothing to gain from
 //! keeping per-connection state. Dropping the handle wakes the thread and
@@ -36,12 +37,12 @@
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::poll::{Event, Interest, Poller, Waker};
+use crate::link::Acceptor;
+use crate::poll::{Event, Poller, Waker, LISTEN_TOKEN, WAKE_TOKEN};
 
 /// Renders a response body for a request path: `Some((content_type, body))`
 /// to answer 200, `None` for 404. `/healthz` is answered by the server
@@ -81,11 +82,10 @@ impl StatusServer {
         F: Fn(&str) -> Option<(String, String)> + Send + Sync + 'static,
     {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let poller = Poller::new()?;
-        poller.register(listener.as_raw_fd(), 0, Interest::READ)?;
-        let waker = Arc::new(Waker::new(&poller, 1)?);
+        let acceptor = Acceptor::new(listener, &poller, LISTEN_TOKEN)?;
+        let waker = Arc::new(Waker::new(&poller, WAKE_TOKEN)?);
         let stop = Arc::new(AtomicBool::new(false));
         let thread = {
             let stop = Arc::clone(&stop);
@@ -93,7 +93,7 @@ impl StatusServer {
             let render: Box<Render> = Box::new(render);
             std::thread::Builder::new()
                 .name("rnet-status".into())
-                .spawn(move || serve_loop(listener, poller, &waker, &stop, &render))?
+                .spawn(move || serve_loop(acceptor, poller, &waker, &stop, &render))?
         };
         Ok(StatusServer { addr: local, stop, waker, thread: Some(thread) })
     }
@@ -115,7 +115,7 @@ impl Drop for StatusServer {
 }
 
 fn serve_loop(
-    listener: TcpListener,
+    mut acceptor: Acceptor,
     poller: Poller,
     waker: &Waker,
     stop: &AtomicBool,
@@ -123,26 +123,20 @@ fn serve_loop(
 ) {
     let mut events: Vec<Event> = Vec::new();
     loop {
-        if poller.wait(&mut events, None).is_err() {
+        if poller.wait(&mut events, acceptor.bound(None)).is_err() {
             return;
         }
         if stop.load(Ordering::Acquire) {
             return;
         }
         for ev in &events {
-            if ev.token == 1 {
-                waker.drain();
-                continue;
-            }
-            // Level-triggered listener: accept until drained.
-            loop {
-                match listener.accept() {
-                    Ok((conn, _)) => serve_one(conn, render),
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(_) => break,
-                }
+            match ev.token {
+                WAKE_TOKEN => waker.drain(),
+                _ => acceptor.accept(&poller, |conn, _| serve_one(conn, render)),
             }
         }
+        // Every connection was served and closed in the accept above.
+        acceptor.unpark(&poller, false);
     }
 }
 

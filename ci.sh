@@ -30,7 +30,7 @@
 # the checked-in config, accuracy and epochs_run columns (training is
 # deterministic; only task_us, wall time, may differ), and Fig 7's rerun
 # metrics exposition must declare the same series names as its checked-in
-# copy.
+# copy and hold one exec phase sample per trial.
 # Right after them the standalone benchmark package is built against the
 # crates and run once in --quick mode (all four workloads verified against
 # their oracles) with its Cargo.lock unchanged, so a broken pinned
@@ -208,6 +208,11 @@ done
 prom_types() { awk '$1 == "#" && $2 == "TYPE" {print $3}' "$1" | sort; }
 if ! diff <(prom_types "$FIG_KEEP/fig7_mnist_hpo.prom") <(prom_types results/fig7_mnist_hpo.prom); then
     echo "fig7 FAILED: series in the checked-in (<) and rerun (>) .prom differ" >&2
+    exit 1
+fi
+# The threaded runtime times every attempt's body: 27 trials, 27 samples.
+if ! grep -qxF 'rcompss_task_phase_us_count{phase="exec"} 27' results/fig7_mnist_hpo.prom; then
+    echo "fig7 FAILED: the rerun's .prom lacks one exec phase sample per trial" >&2
     exit 1
 fi
 cp "$FIG_KEEP"/* results/

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use paratrace::{ClockSync, CoreId, EventKind, TaskRef};
+use paratrace::ClockSync;
 use parking_lot::Mutex;
 use rnet::link::dial;
 use rnet::{
@@ -25,10 +25,8 @@ use crate::blocks::EncodedBlock;
 use crate::codec;
 use crate::data::{DataVersion, Value};
 use crate::runtime::{
-    complete_attempt, emit_attempt_spans, fail_attempt, fail_task_cascade, place_ready, Core,
-    RunningExec, Shared,
+    complete_attempt, fail_attempt, lose_node, place_ready, Core, Ended, Shared, Window,
 };
-use crate::scheduler::Placement;
 use crate::task::{TaskError, TaskId};
 
 /// Wire key for a data version: handle id in the high 32 bits, version in
@@ -57,8 +55,6 @@ struct RemoteDispatch {
     attempt: u32,
     node: u32,
     variant: u32,
-    lead: CoreId,
-    now_us: u64,
     cores: Range<usize>,
     gpus: Range<usize>,
     args: Range<usize>,
@@ -95,6 +91,8 @@ struct LinkState {
     /// later ones send only the id.
     fn_ids: HashMap<Arc<str>, u64>,
     next_fn_id: u64,
+    /// Sequence number of the next heartbeat.
+    hb_seq: u64,
     /// Coalescing write backlog.
     send: SendBuf,
     /// NTP-style clock-offset estimator fed by heartbeat acks. The worker's
@@ -117,7 +115,6 @@ struct WorkerLink {
     /// followed yet, [`ANSWERED`] when there is none: the silence a loss
     /// verdict judges.
     unanswered_us: AtomicU64,
-    hb_seq: AtomicU64,
     /// Lock-free mirror of the best clock-sync estimate
     /// (`worker_clock − driver_clock`), for readers outside the link lock.
     clock_offset_us: AtomicI64,
@@ -258,13 +255,13 @@ impl ConnMgr {
                         conn: Some(conn),
                         fn_ids: HashMap::new(),
                         next_fn_id: 1,
+                        hb_seq: 0,
                         send: SendBuf::new(),
                         clock: ClockSync::default(),
                         sent_bytes,
                         recv_bytes,
                     }),
                     unanswered_us: AtomicU64::new(ANSWERED),
-                    hb_seq: AtomicU64::new(0),
                     clock_offset_us: AtomicI64::new(0),
                     clock_rtt_us: AtomicU64::new(0),
                 }))
@@ -294,14 +291,8 @@ impl ConnMgr {
             .collect()
     }
 
-    /// Place every placeable ready task for remote execution. Call with the
-    /// core locked; pair with [`ConnMgr::send`] after unlocking.
-    pub fn collect_dispatch_remote(&self, core: &mut Core) -> Dispatches {
-        collect_dispatch_remote(&self.inner.shared, core)
-    }
-
-    /// Encode and transmit prepared dispatches (coalesced per worker), then
-    /// emit their dispatch trace events. Call *without* the core lock.
+    /// Encode and transmit prepared dispatches, coalesced per worker. Call
+    /// *without* the core lock.
     pub fn send(&self, work: Dispatches) {
         send_dispatches(&self.inner, work);
     }
@@ -329,7 +320,7 @@ impl ConnMgr {
 
 /// The core-locked half of dispatch: place every placeable ready task and
 /// decide inline-vs-block per input. Values are cloned (`Arc` bumps) here
-/// and encoded later, off-lock.
+/// and encoded later, off-lock, by [`ConnMgr::send`].
 pub(crate) fn collect_dispatch_remote(shared: &Shared, core: &mut Core) -> Dispatches {
     let mut batch = SPARE.take();
     // Transfer-aware placement: fewest bytes-to-move first (declared size ×
@@ -381,8 +372,6 @@ pub(crate) fn collect_dispatch_remote(shared: &Shared, core: &mut Core) -> Dispa
                 attempt: placed.attempt,
                 node,
                 variant: placement.variant as u32,
-                lead: placement.lead_core(),
-                now_us: placed.now_us,
                 cores,
                 gpus,
                 args: first_arg..batch.args.len(),
@@ -499,13 +488,6 @@ impl Dispatches {
 /// per worker, flush each link's backlog once.
 fn send_dispatches(inner: &Arc<Inner>, mut batch: Dispatches) {
     let mut msgs = std::mem::take(&mut batch.msgs);
-    // Dispatch trace events first (cheap, lock-free collector).
-    if inner.shared.trace.is_enabled() {
-        for d in msgs.iter() {
-            let task = TaskRef::new(d.task.0, Arc::clone(&d.name));
-            inner.shared.trace.event(d.lead, d.now_us, EventKind::TaskDispatch(task));
-        }
-    }
     let mut undeliverable: Vec<(u64, String)> = Vec::new();
     let mut dead_links: Vec<Arc<WorkerLink>> = Vec::new();
     // One lock and one flush per worker; exec ids keep each worker's
@@ -616,7 +598,8 @@ fn send_heartbeats(inner: &Arc<Inner>) {
         if st.conn.is_none() {
             continue;
         }
-        let seq = link.hb_seq.fetch_add(1, Ordering::Relaxed);
+        let seq = st.hb_seq;
+        st.hb_seq += 1;
         let t_send_us = inner.shared.wall_us();
         st.send.push(&Frame::Heartbeat { seq, t_send_us, telemetry: false });
         if link.unanswered_us.load(Ordering::Relaxed) == ANSWERED {
@@ -654,7 +637,7 @@ struct Inbox {
     block_reqs: Vec<u128>,
     block_evicts: Vec<u128>,
     acks: Vec<(u64, u64, u64)>,
-    ended: Vec<Ended>,
+    ended: Vec<(Ended, ExecStamps)>,
     replies: Vec<Arc<EncodedBlock>>,
 }
 
@@ -794,17 +777,24 @@ fn exec_span(
     (start, end.max(start))
 }
 
-/// What the trace and the phase histograms need of one ended attempt: read
-/// under the core lock, used after it.
-struct Ended {
-    task: TaskId,
-    placement: Placement,
-    name: Arc<str>,
-    /// Dispatch time, driver clock.
-    start_us: u64,
-    /// Submission → dispatch, driver clock.
-    dispatch_wait_us: u64,
-    stamps: ExecStamps,
+/// What a `Done`'s stamps say of an attempt dispatched at `dispatch` and
+/// applied at `completion`: the driver-observed window, narrowed to the
+/// body's own span once the stamps can be placed (`synced`), and the wire,
+/// exec and ship phases. A `Failed` has no stamps: the window alone.
+fn window(stamps: ExecStamps, offset: i64, synced: bool, dispatch: u64, completion: u64) -> Window {
+    let observed = Window { span: (dispatch, completion), ..Window::default() };
+    let Some((w_recv, w_start, w_end)) = stamps else { return observed };
+    let body = exec_span(w_start, w_end, offset, dispatch, completion);
+    Window {
+        span: if synced { body } else { observed.span },
+        // A task dispatched ahead waits on the worker for the one before
+        // it: that wait is queueing too. Both it and exec are worker-clock
+        // differences, so the offset cancels there.
+        held_us: w_start.saturating_sub(w_recv),
+        wire_us: Some(rebase(w_recv, offset).saturating_sub(dispatch)),
+        exec_us: Some(w_end.saturating_sub(w_start)),
+        ship_us: Some(completion.saturating_sub(rebase(w_end, offset))),
+    }
 }
 
 /// Completions and requests collected from one readiness event: one core
@@ -825,22 +815,17 @@ fn apply_frames(inner: &Arc<Inner>, link: &Arc<WorkerLink>, inbox: &mut Inbox) {
             // Late frames for already-failed-over executions are ignored
             // (`running` no longer knows the exec id).
             let Core { running, instances, data, .. } = &mut *core;
-            let dispatched = running.get(&exec_id).map(|run| {
-                let inst = &instances[&run.task];
+            if let (Some(run), Ok(outs)) = (running.get(&exec_id), &result) {
                 // What an output weighs on the wire is what moving it costs,
                 // and what decides inline-vs-block for its readers.
-                if let Ok(outs) = &result {
-                    for (v, &(_, bytes)) in inst.writes().zip(&outputs[outs.clone()]) {
-                        data.observe_bytes(v.handle, bytes);
-                    }
+                for (v, &(_, bytes)) in instances[&run.task].writes().zip(&outputs[outs.clone()]) {
+                    data.observe_bytes(v.handle, bytes);
                 }
-                (Arc::clone(&inst.def.name), run.start_us.saturating_sub(inst.submitted_us))
-            });
+            }
             let values = result.map(|outs| outputs[outs].iter().map(|(v, _)| v.clone()));
-            let run = complete_attempt(&inner.shared, &mut core, exec_id, values, now, false);
-            if let (Some(run), Some((name, dispatch_wait_us))) = (run, dispatched) {
-                let RunningExec { task, placement, start_us, .. } = run;
-                ended.push(Ended { task, placement, name, start_us, dispatch_wait_us, stamps });
+            if let Some(e) = complete_attempt(&inner.shared, &mut core, exec_id, values, now, false)
+            {
+                ended.push((e, stamps));
             }
         }
         outputs.clear();
@@ -875,28 +860,10 @@ fn apply_frames(inner: &Arc<Inner>, link: &Arc<WorkerLink>, inbox: &mut Inbox) {
     let offset = link.clock_offset_us.load(Ordering::Relaxed);
     let synced = link.clock_rtt_us.load(Ordering::Relaxed) > 0;
     let m = &inner.shared.metrics;
-    for Ended { task, placement, name, start_us, dispatch_wait_us, stamps } in ended.drain(..) {
-        m.rpc_latency.record(now.saturating_sub(start_us));
+    for (e, stamps) in ended.drain(..) {
+        m.rpc_latency.record(now.saturating_sub(e.dispatched_us));
         m.record_node_task(&link.label);
-        // What the trace shows for the attempt: the driver-observed window,
-        // narrowed to the body's own span once the stamps can be placed.
-        let mut span = (start_us, now);
-        let mut queue_us = dispatch_wait_us;
-        if let Some((w_recv, w_start, w_end)) = stamps {
-            // A task dispatched ahead waits on the worker for the one before
-            // it: that wait is queueing too. Both it and exec are
-            // worker-clock differences, so the offset cancels there.
-            queue_us += w_start.saturating_sub(w_recv);
-            m.phase_wire.record(rebase(w_recv, offset).saturating_sub(start_us));
-            m.phase_exec.record(w_end.saturating_sub(w_start));
-            m.phase_ship.record(now.saturating_sub(rebase(w_end, offset)));
-            if synced {
-                span = exec_span(w_start, w_end, offset, start_us, now);
-            }
-        }
-        m.phase_queue.record(queue_us);
-        let task_ref = TaskRef::new(task.0, name);
-        emit_attempt_spans(&inner.shared, &placement, task_ref, span.0, span.1, false);
+        e.publish(&inner.shared, window(stamps, offset, synced, e.dispatched_us, now));
     }
     inner.shared.cv.notify_all();
     send_dispatches(inner, follow);
@@ -906,12 +873,11 @@ fn apply_frames(inner: &Arc<Inner>, link: &Arc<WorkerLink>, inbox: &mut Inbox) {
 }
 
 /// Write off a dead link, inline on whichever thread saw it die. A lost
-/// worker stays lost for the life of the runtime: its node is killed, its
-/// in-flight executions fail over to the survivors (`node_gone`), and
-/// ready tasks the surviving cluster can never run fail now rather than
-/// hanging the barrier. Idempotent — `conn == None` means the link is
-/// already written off — so the recursion through `send_dispatches` ends.
-/// Call with no link lock and no core lock held.
+/// worker stays lost for the life of the runtime: its socket is torn down
+/// and its node goes through the runtime's one node-loss path,
+/// [`lose_node`]. Idempotent — `conn == None` means the link is already
+/// written off — so the recursion through `send_dispatches` ends. Call with
+/// no link lock and no core lock held.
 fn failover(inner: &Arc<Inner>, link: &Arc<WorkerLink>) {
     let conn = {
         let mut st = link.state.lock();
@@ -924,30 +890,11 @@ fn failover(inner: &Arc<Inner>, link: &Arc<WorkerLink>) {
     if inner.stop.load(Ordering::SeqCst) {
         return;
     }
-    let node = link.node;
-    let now = inner.shared.wall_us();
     inner.shared.metrics.workers_lost.incr();
-    inner.shared.metrics.node_failures.incr();
-    inner.shared.trace.event(CoreId::new(node, 0), now, EventKind::NodeFailure);
     let follow = {
         let mut core = inner.shared.core.lock();
-        core.sched.kill_node(node);
-        core.data.clear_node_locations(node);
-        core.blocks.clear_node(node);
-        let orphans: Vec<u64> = core
-            .running
-            .iter()
-            .filter(|(_, r)| r.placement.involves(node))
-            .map(|(&e, _)| e)
-            .collect();
-        for e in orphans {
-            let error = TaskError::new(format!("worker {} connection lost", link.label));
-            fail_attempt(&inner.shared, &mut core, e, error, now, true);
-        }
-        let doomed = core.sched.drain_unsatisfiable();
-        for entry in doomed {
-            fail_task_cascade(&inner.shared, &mut core, entry.task);
-        }
+        let now = inner.shared.wall_us();
+        lose_node(&inner.shared, &mut core, link.node, now);
         collect_dispatch_remote(&inner.shared, &mut core)
     };
     // Frames buffered since the socket was torn out are for executions

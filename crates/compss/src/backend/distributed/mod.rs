@@ -45,8 +45,8 @@
 //! task's `Submit` crosses the wire while the core is still busy; the
 //! worker's per-connection core gate starts it the moment the task ahead of
 //! it ends, so a worker never idles for a round trip between two tasks. The
-//! driver keeps a queued execution in `running` like any other, so
-//! failover, retries and the trace treat it as running.
+//! driver keeps a queued execution in `running` like any other, so a lost
+//! worker fails it over too; killed still queued, it draws no trace bar.
 //!
 //! # Data movement
 //!
@@ -108,7 +108,7 @@ use crate::blocks::DEFAULT_INLINE_THRESHOLD;
 mod driver;
 mod worker;
 
-pub(crate) use driver::ConnMgr;
+pub(crate) use driver::{collect_dispatch_remote, ConnMgr};
 pub use driver::{connect_workers, WorkerBootstrap};
 pub use worker::{WorkerConfig, WorkerHandle, WorkerServer};
 

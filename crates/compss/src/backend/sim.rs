@@ -5,8 +5,8 @@
 //! first pays data-staging time (per the cluster's transfer model, zero
 //! under a PFS), then occupies its cores for its submitted
 //! `sim_duration_us`, and completes at `t + staging + duration`. Node
-//! failures fire as scheduled events, killing and requeueing the tasks that
-//! were running there — exactly the scenario of the paper's fault-tolerance
+//! failures fire as scheduled events and take the runtime's one node-loss
+//! path, `lose_node` — the scenario of the paper's fault-tolerance
 //! discussion.
 
 use std::collections::HashMap;
@@ -14,13 +14,11 @@ use std::sync::Arc;
 
 use cluster::transfer::DataLocation;
 use cluster::EventQueue;
-use paratrace::{CoreId, EventKind, StateKind, TaskRef};
+use paratrace::StateKind;
 
 use crate::data::{DataVersion, Value};
-use crate::runtime::{
-    complete_attempt, emit_attempt_spans, fail_attempt, place_ready, Core, Shared,
-};
-use crate::task::{run_body, TaskContext, TaskError, TaskFn};
+use crate::runtime::{complete_attempt, lose_node, place_ready, Core, Shared, Window};
+use crate::task::{run_body, TaskContext, TaskFn};
 
 #[derive(Debug)]
 enum SimEvent {
@@ -33,7 +31,8 @@ struct SimExec {
     ctx: TaskContext,
     body: Arc<TaskFn>,
     inputs: Vec<Value>,
-    name: Arc<str>,
+    /// When the body starts occupying its cores: dispatch plus staging.
+    start_us: u64,
 }
 
 /// Virtual-time state of the simulated backend.
@@ -74,36 +73,19 @@ pub(crate) fn run_until(shared: &Shared, core: &mut Core, cond: impl Fn(&Core) -
         };
         match event {
             SimEvent::Finish { exec } => {
-                let Some(se) = core.sim.as_mut().expect("sim state").execs.remove(&exec) else {
+                let se = core.sim.as_mut().expect("sim state").execs.remove(&exec);
+                let Some(se) = se.filter(|_| core.running.contains_key(&exec)) else {
                     continue; // execution was killed by a node failure
                 };
-                let Some(run) = core.running.get(&exec) else { continue };
-                let task_ref = TaskRef::new(se.ctx.task.0, se.name);
-                emit_attempt_spans(shared, &run.placement, task_ref, run.start_us, t, false);
-                let result = run_body(&*se.body, &se.ctx, &se.inputs);
-                complete_attempt(shared, core, exec, result.map(Vec::into_iter), t, false);
+                let result = run_body(&*se.body, &se.ctx, &se.inputs).map(Vec::into_iter);
+                let ended =
+                    complete_attempt(shared, core, exec, result, t, false).expect("running");
+                // Staging is the simulated wire.
+                let wire_us = Some(se.start_us - ended.dispatched_us);
+                let (span, exec_us) = ((se.start_us, t), Some(t - se.start_us));
+                ended.publish(shared, Window { span, wire_us, exec_us, ..Window::default() });
             }
-            SimEvent::NodeFail { node } => {
-                core.sched.kill_node(node);
-                shared.metrics.node_failures.incr();
-                shared.trace.event(CoreId::new(node, 0), t, EventKind::NodeFailure);
-                let victims: Vec<u64> = core
-                    .running
-                    .iter()
-                    .filter(|(_, r)| r.placement.involves(node))
-                    .map(|(&e, _)| e)
-                    .collect();
-                for exec in victims {
-                    let se = core.sim.as_mut().expect("sim state").execs.remove(&exec);
-                    // Truncated run bar so the kill is visible in traces.
-                    if let (Some(se), Some(run)) = (se, core.running.get(&exec)) {
-                        let task_ref = TaskRef::new(se.ctx.task.0, se.name);
-                        emit_attempt_spans(shared, &run.placement, task_ref, run.start_us, t, true);
-                    }
-                    let error = TaskError::new(format!("node {node} failed"));
-                    fail_attempt(shared, core, exec, error, t, true);
-                }
-            }
+            SimEvent::NodeFail { node } => lose_node(shared, core, node, t),
         }
     }
 }
@@ -130,7 +112,6 @@ fn dispatch_sim(shared: &Shared, core: &mut Core) {
             let reads: Vec<DataVersion> = inst.reads().collect();
             let inputs: Vec<Value> =
                 reads.iter().map(|v| core.data.get(*v).expect("inputs computed")).collect();
-            let name = Arc::clone(&inst.def.name);
             let body = inst.body(placement.variant);
             let duration = inst.sim_duration_us;
 
@@ -155,17 +136,11 @@ fn dispatch_sim(shared: &Shared, core: &mut Core) {
                 staging += t;
                 core.data.add_location(*v, placement.node);
             }
-            // The attempt occupies its cores once its inputs have arrived.
-            core.running.get_mut(&placed.exec_id).expect("just placed").start_us = now + staging;
-
-            shared.trace.event(
-                placement.lead_core(),
-                now,
-                EventKind::TaskDispatch(TaskRef::new(placed.task.0, Arc::clone(&name))),
-            );
+            // The body occupies its cores once its inputs have arrived.
+            let start_us = now + staging;
             let ctx = TaskContext::placed(placed.task, placed.attempt, &placement, true);
             let sim = core.sim.as_mut().expect("sim state");
-            sim.execs.insert(placed.exec_id, SimExec { ctx, body, inputs, name });
+            sim.execs.insert(placed.exec_id, SimExec { ctx, body, inputs, start_us });
             sim.queue.schedule_at(
                 now + staging + duration.max(1),
                 SimEvent::Finish { exec: placed.exec_id },

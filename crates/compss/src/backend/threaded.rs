@@ -19,33 +19,27 @@
 //! worker; each drains what is still queued before it exits, so shutdown
 //! is purely signal-driven — no poll timeout anywhere in the worker loop.
 //!
-//! Trace emission happens *outside* the core lock (a placement rides along
-//! as a copy, names as interned `Arc<str>`), so the lock is held only for
-//! the dependency-graph/scheduler bookkeeping itself.
+//! A worker times its body, one clock read on each side, and publishes the
+//! attempt before it drops the core lock: whoever sees it settled sees that.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use cluster::Cluster;
-use paratrace::{EventKind, TaskRef};
 use parking_lot::{Condvar, Mutex};
 
 use crate::data::Value;
-use crate::runtime::{complete_attempt, emit_attempt_spans, place_ready, Core, Placed, Shared};
-use crate::scheduler::Placement;
+use crate::runtime::{complete_attempt, place_ready, Core, Placed, Shared, Window};
 use crate::task::{run_body, TaskContext, TaskFn};
 
-/// A placed task ready for a worker. Carries everything the worker needs to
-/// run the body *and* emit its trace records without touching the core
-/// lock: a copy of the placement its `RunningExec` holds.
+/// A placed task ready for a worker: everything it needs to run the body
+/// without touching the core lock.
 pub(crate) struct ExecMsg {
     pub placed: Placed,
-    pub placement: Placement,
     pub ctx: TaskContext,
     pub body: Arc<TaskFn>,
     pub inputs: Vec<Value>,
-    pub name: Arc<str>,
 }
 
 /// The run queue and the shutdown flag, under one lock.
@@ -85,9 +79,9 @@ impl WorkerPool {
     }
 
     /// Hand a batch of prepared messages to the workers. Call *without* the
-    /// core lock: this emits dispatch trace events and takes the queue lock.
-    pub fn enqueue(&self, shared: &Shared, msgs: Vec<ExecMsg>) {
-        enqueue(&self.pool, shared, msgs);
+    /// core lock: this takes the queue lock.
+    pub fn enqueue(&self, msgs: Vec<ExecMsg>) {
+        self.pool.enqueue(msgs);
     }
 
     /// Stop workers and join them. Signal-driven: the flag is set under the
@@ -104,8 +98,7 @@ impl WorkerPool {
 
 /// Place every placeable ready task, building one [`ExecMsg`] per
 /// placement. Call with the core locked; everything Arc-cheap happens here,
-/// everything slow (trace emission, queue pushes) in [`enqueue`] after the
-/// lock is dropped.
+/// the queue pushes in [`WorkerPool::enqueue`] after the lock is dropped.
 pub(crate) fn collect_dispatch(shared: &Shared, core: &mut Core) -> Vec<ExecMsg> {
     let mut msgs = Vec::new();
     // Threaded deployments are single-machine; locality is moot.
@@ -115,35 +108,29 @@ pub(crate) fn collect_dispatch(shared: &Shared, core: &mut Core) -> Vec<ExecMsg>
         |_, _, _, _| 0,
         |core, placed| {
             let inst = &core.instances[&placed.task];
-            let placement = core.running[&placed.exec_id].placement.clone();
+            let placement = &core.running[&placed.exec_id].placement;
             let inputs: Vec<Value> = inst
                 .reads()
                 .map(|v| core.data.get(v).expect("ready task inputs are computed"))
                 .collect();
             msgs.push(ExecMsg {
-                ctx: TaskContext::placed(placed.task, placed.attempt, &placement, false),
+                ctx: TaskContext::placed(placed.task, placed.attempt, placement, false),
                 body: inst.body(placement.variant),
                 inputs,
-                name: Arc::clone(&inst.def.name),
                 placed,
-                placement,
             });
         },
     );
     msgs
 }
 
-/// Emit dispatch trace events and queue the messages, waking one worker
-/// per message. Call without the core lock.
-pub(crate) fn enqueue(pool: &PoolShared, shared: &Shared, msgs: Vec<ExecMsg>) {
-    for msg in msgs {
-        shared.trace.event(
-            msg.placement.lead_core(),
-            msg.placed.now_us,
-            EventKind::TaskDispatch(TaskRef::new(msg.placed.task.0, Arc::clone(&msg.name))),
-        );
-        pool.queue.lock().msgs.push_back(msg);
-        pool.cv.notify_one();
+impl PoolShared {
+    /// Queue the messages, waking one worker per message.
+    fn enqueue(&self, msgs: Vec<ExecMsg>) {
+        for msg in msgs {
+            self.queue.lock().msgs.push_back(msg);
+            self.cv.notify_one();
+        }
     }
 }
 
@@ -169,27 +156,25 @@ fn worker_loop(shared: Arc<Shared>, pool: Arc<PoolShared>) {
     let snap_channel: Arc<dyn crate::snapshot::SnapshotChannel> =
         Arc::new(crate::snapshot::InProcessChannel(Arc::clone(&shared)));
     while let Some(msg) = next_msg(&pool) {
-        let result =
-            crate::snapshot::with_channel(Arc::clone(&snap_channel), msg.placed.task, || {
-                run_body(&*msg.body, &msg.ctx, &msg.inputs)
-            });
-
-        // Trace emission needs only the message's own Arcs — no core lock.
-        // (Nothing else completes a threaded exec, so the records are never
-        // for a stale execution.)
-        let end = shared.wall_us();
         let p = &msg.placed;
-        let task_ref = TaskRef::new(p.task.0, Arc::clone(&msg.name));
-        emit_attempt_spans(&shared, &msg.placement, task_ref, p.now_us, end, false);
-
+        let start = shared.wall_us();
+        let result = crate::snapshot::with_channel(Arc::clone(&snap_channel), p.task, || {
+            run_body(&*msg.body, &msg.ctx, &msg.inputs)
+        });
+        let end = shared.wall_us();
         let follow_on = {
             let mut core = shared.core.lock();
-            complete_attempt(&shared, &mut core, p.exec_id, result.map(Vec::into_iter), end, false);
+            let values = result.map(Vec::into_iter);
+            let ended = complete_attempt(&shared, &mut core, p.exec_id, values, end, false)
+                .expect("a threaded attempt ends once");
+            let (span, exec_us) = ((start, end), Some(end - start));
+            let held_us = start.saturating_sub(ended.dispatched_us);
+            ended.publish(&shared, Window { span, held_us, exec_us, ..Window::default() });
             collect_dispatch(&shared, &mut core)
         };
         // Waiters in `wait_on`/`barrier` park on the core condvar; workers
         // never do, so this broadcast reaches at most the main thread(s).
         shared.cv.notify_all();
-        enqueue(&pool, &shared, follow_on);
+        pool.enqueue(follow_on);
     }
 }

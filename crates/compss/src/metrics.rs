@@ -36,7 +36,7 @@
 //! | `rnet_bytes_received_total` | counter | protocol bytes read from workers |
 //! | `rnet_rpc_latency_us` | histogram | submit → done/failed round trip per remote task |
 //! | `rcompss_node_tasks_completed_total{node="…"}` | counter | completions per remote worker (addr-labelled) |
-//! | `rcompss_task_phase_us{phase="…"}` | histogram | per-phase task lifecycle latency (queue/wire/exec/ship) |
+//! | `rcompss_task_phase_us{phase="…"}` | histogram | per-phase attempt latency: queue/wire/exec/ship distributed, queue/wire/exec simulated, queue/exec threaded |
 //! | `rnet_rtt_us{node="…"}` | gauge | best heartbeat round-trip time per worker |
 //! | `rnet_clock_offset_us{node="…"}` | gauge | estimated worker−driver clock offset |
 //! | `rnet_bytes_sent_total{node="…"}` | counter | protocol bytes written, per worker link |
@@ -52,16 +52,21 @@
 //! | `rcompss_block_cache_evictions_total` | counter | blocks pushed out by the `--cache-mem` budget |
 //! | `rcompss_block_cache_resident_bytes` | gauge | decoded bytes currently cached |
 //!
-//! The `task_phase_us` phases decompose a remote task's life on the driver
-//! timeline: **queue** (submission → dispatch, plus the worker-side wait
-//! from submit decode to body start of a task dispatched ahead), **wire**
-//! (dispatch → worker decode of the submit), **exec** (the body itself,
-//! measured on the worker's clock so the offset cancels), **ship** (body
-//! return → driver applying the result). The four sum to the task's
-//! latency, one sample each per attempt that reports back. Wire and ship
-//! cross clock domains and are rebased with the heartbeat offset estimate,
-//! so they carry up to RTT/2 of noise — fine for the "where does runtime
-//! time go" question they answer.
+//! The `task_phase_us` phases decompose an attempt's life on the runtime's
+//! clock, one sample per phase a backend can time, per attempt that reports
+//! back (one killed with its node reports nothing):
+//!
+//! | phase | distributed | simulated | threaded |
+//! |---|---|---|---|
+//! | **queue** | submission → dispatch, plus a task dispatched ahead's wait on the worker | submission → dispatch | submission → body start (dispatch plus the run queue) |
+//! | **wire** | dispatch → worker decode of the submit | staging | — |
+//! | **exec** | the body, on the worker's clock | the body's virtual duration | the body, wall time |
+//! | **ship** | body return → driver applying the result | — | — |
+//!
+//! On each backend the phases it has sum to the attempt's latency. The
+//! distributed wire and ship cross clock domains and are rebased with the
+//! heartbeat offset estimate, so they carry up to RTT/2 of noise — fine for
+//! the "where does runtime time go" question they answer.
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -12,10 +12,12 @@ use std::time::{Duration, Instant};
 
 use cluster::transfer::TransferModel;
 use cluster::{Cluster, FailureInjector, NodeSpec};
-use paratrace::TraceCollector;
+use paratrace::{CoreId, EventKind, TaskRef, TraceCollector};
 use parking_lot::{Condvar, Mutex};
 
-use crate::backend::distributed::{connect_workers, ConnMgr, DistributedConfig};
+use crate::backend::distributed::{
+    collect_dispatch_remote, connect_workers, ConnMgr, DistributedConfig,
+};
 use crate::backend::sim::SimState;
 use crate::backend::threaded::{collect_dispatch, WorkerPool};
 use crate::blocks::BlockStore;
@@ -266,14 +268,14 @@ impl Instance {
     }
 }
 
-/// One in-flight execution. [`complete_attempt`] hands it back, so the
-/// caller can draw its trace bars once the core lock is dropped.
+/// One in-flight execution.
 pub(crate) struct RunningExec {
     pub task: TaskId,
     pub placement: Placement,
     pub constraint: Constraint,
     pub attempt: u32,
-    pub start_us: u64,
+    /// Dispatch time on the backend's clock.
+    pub dispatched_us: u64,
 }
 
 /// Mutable runtime state, shared under one lock.
@@ -657,16 +659,16 @@ impl Runtime {
         }
 
         // Nudge the backend: place under the lock, hand the placed work to
-        // the worker queue after dropping it (trace emission and the queue
-        // lock must not nest inside the core lock).
+        // the worker queue or the wire after dropping it (the queue lock and
+        // the encoding must not nest inside the core lock).
         match &self.backend {
             BackendHandle::Threaded(pool) => {
                 let msgs = collect_dispatch(&self.shared, &mut core);
                 drop(core);
-                pool.enqueue(&self.shared, msgs);
+                pool.enqueue(msgs);
             }
             BackendHandle::Distributed(mgr) => {
-                let work = mgr.collect_dispatch_remote(&mut core);
+                let work = collect_dispatch_remote(&self.shared, &mut core);
                 drop(core);
                 mgr.send(work);
             }
@@ -777,16 +779,13 @@ impl Runtime {
     /// onto the driver timeline with the link's heartbeat clock-offset
     /// estimate — in the trace by the time `wait_on` returns.
     pub fn trace(&self) -> Vec<paratrace::Record> {
-        let mut records = {
-            let _core = self.shared.core.lock();
-            self.shared.trace.snapshot()
-        };
         let core = self.shared.core.lock();
+        let mut records = self.shared.trace.snapshot();
         let horizon = records.iter().map(|r| r.end_time()).max().unwrap_or(0);
         if horizon > 0 {
             for &(node, c) in &core.sched.reserved {
                 records.push(paratrace::Record::State {
-                    core: paratrace::CoreId::new(node, c),
+                    core: CoreId::new(node, c),
                     start: 0,
                     end: horizon,
                     state: paratrace::StateKind::RuntimeReserved,
@@ -843,8 +842,7 @@ pub(crate) struct Placed {
     pub exec_id: u64,
     pub task: TaskId,
     pub attempt: u32,
-    /// Dispatch time on the backend's clock; the `RunningExec` starts here
-    /// unless the launch step moves it (sim staging).
+    /// Dispatch time on the backend's clock.
     pub now_us: u64,
 }
 
@@ -852,9 +850,10 @@ pub(crate) struct Placed {
 /// each placeable ready task — timed scheduler decision, attempt and exec
 /// id, `RunningExec`, graph state, dispatch metrics — and hand it to
 /// `launch`, which does only what is the backend's own (build the message,
-/// pay staging, choose how inputs travel). `score` ranks feasible nodes for
-/// a task and sees the registry and instances the pop cannot borrow through
-/// `Core`. Call with the core locked; [`complete_attempt`] is the other half.
+/// pay staging, choose how inputs travel); the `TaskDispatch` event follows
+/// it. `score` ranks feasible nodes for a task and sees the registry and
+/// instances the pop cannot borrow through `Core`. Call with the core
+/// locked; [`complete_attempt`] is the other half.
 pub(crate) fn place_ready<S: Ord>(
     shared: &Shared,
     core: &mut Core,
@@ -888,50 +887,95 @@ pub(crate) fn place_ready<S: Ord>(
             placement,
             constraint: entry.constraint,
             attempt,
-            start_us: now_us,
+            dispatched_us: now_us,
         };
         core.running.insert(exec_id, run);
         core.graph.set_running(task);
         launch(core, Placed { exec_id, task, attempt, now_us });
+        if shared.trace.is_enabled() {
+            let lead = core.running[&exec_id].placement.lead_core();
+            let task_ref = TaskRef::new(task.0, Arc::clone(&core.instances[&task].def.name));
+            shared.trace.event(lead, now_us, EventKind::TaskDispatch(task_ref));
+        }
     }
     core.publish_gauges(shared);
 }
 
-/// The trace records of one ended attempt: a `task_run` bar on every core
-/// of the placement and, unless the attempt was `killed` with its node, the
-/// `TaskEnd` event. Needs no core lock, and builds nothing with tracing off.
-pub(crate) fn emit_attempt_spans(
-    shared: &Shared,
-    placement: &Placement,
-    task_ref: paratrace::TaskRef,
-    start_us: u64,
-    end_us: u64,
-    killed: bool,
-) {
+/// An attempt that has left `core.running`, as [`complete_attempt`] hands it
+/// back: what publishing its phases and bars needs, without the core.
+pub(crate) struct Ended {
+    pub task: TaskId,
+    pub name: Arc<str>,
+    pub placement: Placement,
+    /// The task's submission time, backend clock.
+    pub submitted_us: u64,
+    /// This attempt's dispatch time, backend clock.
+    pub dispatched_us: u64,
+    /// Ended by the loss of a node it ran on ([`lose_node`]): it reported
+    /// nothing.
+    pub killed: bool,
+}
+
+/// What a backend saw of an ended attempt's body, on the runtime's clock:
+/// the span its bars cover and the phases it can time. A phase it cannot
+/// time stays `None` and gets no sample.
+#[derive(Default)]
+pub(crate) struct Window {
+    /// Where the bars go: the body's own span where the backend knows it.
+    pub span: (u64, u64),
+    /// Time the attempt waited where it runs before its body started (a
+    /// task dispatched ahead, the threaded run queue): counted as queue.
+    pub held_us: u64,
+    pub wire_us: Option<u64>,
+    pub exec_us: Option<u64>,
+    pub ship_us: Option<u64>,
+}
+
+impl Ended {
+    /// Publish an attempt that reported back: one `rcompss_task_phase_us`
+    /// sample per phase `w` times — queue always, as submission → dispatch
+    /// plus what was held — and its bars over `w.span`, `TaskEnd` at the
+    /// span's end. Needs no core lock.
+    pub fn publish(&self, shared: &Shared, w: Window) {
+        let m = &shared.metrics;
+        m.phase_queue.record(self.dispatched_us.saturating_sub(self.submitted_us) + w.held_us);
+        for (phase, us) in
+            [(&m.phase_wire, w.wire_us), (&m.phase_exec, w.exec_us), (&m.phase_ship, w.ship_us)]
+        {
+            if let Some(us) = us {
+                phase.record(us);
+            }
+        }
+        emit_attempt_spans(shared, self, w.span);
+    }
+}
+
+/// The trace records of one ended attempt: a `task_run` bar over `span` on
+/// every core of the placement and, unless the attempt was killed with its
+/// node, the `TaskEnd` event at the span's end. Builds nothing with tracing
+/// off.
+fn emit_attempt_spans(shared: &Shared, ended: &Ended, (start_us, end_us): (u64, u64)) {
     if !shared.trace.is_enabled() {
         return;
     }
-    for (node, cores) in placement.node_cores() {
+    let task_ref = TaskRef::new(ended.task.0, Arc::clone(&ended.name));
+    for (node, cores) in ended.placement.node_cores() {
         for &c in cores {
-            shared.trace.task_run(
-                paratrace::CoreId::new(node, c),
-                // A kill can land while the attempt is still staging.
-                start_us.min(end_us),
-                end_us.max(start_us + 1),
-                task_ref.clone(),
-            );
+            let core = CoreId::new(node, c);
+            shared.trace.task_run(core, start_us, end_us.max(start_us + 1), task_ref.clone());
         }
     }
-    if !killed {
-        shared.trace.event(placement.lead_core(), end_us, paratrace::EventKind::TaskEnd(task_ref));
+    if !ended.killed {
+        shared.trace.event(ended.placement.lead_core(), end_us, EventKind::TaskEnd(task_ref));
     }
 }
 
 /// The second half of the scheduling turn: store an ended attempt's outputs
 /// and release its successors, or drive the retry policy. Called with the
-/// core locked, from every backend. Returns the ended execution, `None` for
-/// an exec id no longer running (a late frame of a failed-over attempt);
-/// `values` is then left unread.
+/// core locked, from every backend. Returns the attempt's [`Ended`] record,
+/// `None` for an exec id no longer running (a late frame of a failed-over
+/// attempt); `values` is then left unread. `node_gone`: the attempt died
+/// with its node, in [`lose_node`].
 pub(crate) fn complete_attempt(
     shared: &Shared,
     core: &mut Core,
@@ -939,9 +983,11 @@ pub(crate) fn complete_attempt(
     result: Result<impl ExactSizeIterator<Item = Value>, TaskError>,
     now_us: u64,
     node_gone: bool,
-) -> Option<RunningExec> {
+) -> Option<Ended> {
     let run = core.running.remove(&exec_id)?;
     let task = run.task;
+    let inst = &core.instances[&task];
+    let (name, submitted_us) = (Arc::clone(&inst.def.name), inst.submitted_us);
     if !node_gone {
         core.sched.release(&run.placement, &run.constraint);
     }
@@ -954,7 +1000,7 @@ pub(crate) fn complete_attempt(
         Ok(values) => {
             let Core { instances, data, .. } = &mut *core;
             let inst = instances.get(&task).expect("instance exists");
-            shared.metrics.record_task_latency(&inst.def.name, now_us.saturating_sub(run.start_us));
+            shared.metrics.record_task_latency(&name, now_us.saturating_sub(run.dispatched_us));
             let writes = inst.writes().count();
             assert_eq!(
                 values.len(),
@@ -983,11 +1029,8 @@ pub(crate) fn complete_attempt(
             shared.trace.event(
                 run.placement.lead_core(),
                 now_us,
-                paratrace::EventKind::TaskFailure {
-                    task: paratrace::TaskRef::new(
-                        task.0,
-                        Arc::clone(&core.instances[&task].def.name),
-                    ),
+                EventKind::TaskFailure {
+                    task: TaskRef::new(task.0, Arc::clone(&name)),
                     attempt: run.attempt,
                 },
             );
@@ -1023,7 +1066,8 @@ pub(crate) fn complete_attempt(
             }
         }
     }
-    Some(run)
+    let RunningExec { placement, dispatched_us, .. } = run;
+    Some(Ended { task, name, placement, submitted_us, dispatched_us, killed: node_gone })
 }
 
 /// [`complete_attempt`] for an attempt that failed before any result came.
@@ -1034,9 +1078,44 @@ pub(crate) fn fail_attempt(
     error: TaskError,
     now_us: u64,
     node_gone: bool,
-) -> Option<RunningExec> {
+) -> Option<Ended> {
     let nothing = Err::<std::iter::Empty<Value>, _>(error);
     complete_attempt(shared, core, exec_id, nothing, now_us, node_gone)
+}
+
+/// Lose `node` for good: the one node-loss path of every backend, a
+/// simulated node failure and a written-off worker link alike. The node is
+/// killed and forgets its data and block residency; the loss is counted and
+/// traced. Every attempt that touched the node fails with `node_gone`, so
+/// the retry policy moves it. One that had its cores keeps a bar from its
+/// dispatch to the loss with no `TaskEnd`, as nothing is known of a body
+/// that never reported; one still queued behind another on its cores
+/// (dispatch-ahead) never ran and draws nothing. Last, every ready task no
+/// surviving node can run fails now rather than hanging a barrier. Call
+/// with the core locked.
+pub(crate) fn lose_node(shared: &Shared, core: &mut Core, node: u32, now_us: u64) {
+    core.sched.kill_node(node);
+    core.data.clear_node_locations(node);
+    core.blocks.clear_node(node);
+    shared.metrics.node_failures.incr();
+    shared.trace.event(CoreId::new(node, 0), now_us, EventKind::NodeFailure);
+    let mut victims: Vec<u64> =
+        core.running.iter().filter(|(_, r)| r.placement.involves(node)).map(|(&e, _)| e).collect();
+    // Dispatch order: a core's running attempt comes before the one queued
+    // behind it.
+    victims.sort_unstable();
+    let mut killed: Vec<Ended> = Vec::with_capacity(victims.len());
+    for exec_id in victims {
+        let lost = TaskError::new("node lost");
+        let ended = fail_attempt(shared, core, exec_id, lost, now_us, true).expect("running");
+        if !killed.iter().any(|k| k.placement.shares_core(&ended.placement)) {
+            emit_attempt_spans(shared, &ended, (ended.dispatched_us, now_us));
+        }
+        killed.push(ended);
+    }
+    for entry in core.sched.drain_unsatisfiable() {
+        fail_task_cascade(shared, core, entry.task);
+    }
 }
 
 /// Permanently fail `task` and transitively fail all dependents, poisoning

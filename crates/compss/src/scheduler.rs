@@ -90,6 +90,13 @@ impl Placement {
         self.node == node || self.extra.iter().any(|(n, _, _)| *n == node)
     }
 
+    /// Whether the two allocations hold a core in common.
+    pub fn shares_core(&self, other: &Placement) -> bool {
+        self.node_cores().any(|(n, cores)| {
+            other.node_cores().any(|(m, theirs)| n == m && cores.iter().any(|c| theirs.contains(c)))
+        })
+    }
+
     /// Every `(node, cores)` pair of the allocation, primary first.
     pub fn node_cores(&self) -> impl Iterator<Item = (u32, &[u32])> {
         std::iter::once((self.node, self.cores.as_slice()))

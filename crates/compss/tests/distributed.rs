@@ -603,6 +603,29 @@ fn killed_worker_resumes_from_snapshot_not_epoch_zero() {
          not epoch 0: {attempts:?}"
     );
     assert_eq!(rt.metrics().snapshot().counter("rcompss_workers_lost_total"), Some(1));
+
+    // The trace tells the kill as the simulator does: the killed attempt
+    // keeps one bar on the lost node, cut at the loss, with no `TaskEnd`;
+    // the retry's bar and `TaskEnd` are on the survivor.
+    let records = rt.trace();
+    let lost_at = records
+        .iter()
+        .find_map(|r| match r {
+            Record::Event { time, kind: EventKind::NodeFailure, .. } => Some(*time),
+            _ => None,
+        })
+        .expect("the loss is traced");
+    let on = |n: u32| -> Vec<&Record> {
+        records.iter().filter(|r| r.running_task().is_some() && r.core().node == n).collect()
+    };
+    let ends = |n: u32| {
+        let end = |r: &&Record| matches!(r, Record::Event { kind: EventKind::TaskEnd(_), .. });
+        records.iter().filter(end).filter(|r| r.core().node == n).count()
+    };
+    let killed = on(node);
+    assert_eq!(killed.len(), 1, "{killed:?}");
+    assert_eq!(killed[0].end_time(), lost_at, "{killed:?}");
+    assert_eq!((ends(node), on(1 - node).len(), ends(1 - node)), (0, 1, 1));
 }
 
 #[test]

@@ -236,27 +236,47 @@ mod parking_lot_for_tests {
 #[test]
 fn failed_task_is_retried_and_recovers() {
     // Fail attempts 1 and 2 of task 1: the paper's escalation retries on
-    // the same node, then elsewhere; attempt 3 succeeds.
-    let cfg = RuntimeConfig::on_cluster(Cluster::homogeneous(2, NodeSpec::new("n", 4, vec![], 8)))
-        .with_failures(FailureInjector::none().with_task_failure(1, 1).with_task_failure(1, 2));
-    let rt = Runtime::threaded(cfg);
-    let nodes = Arc::new(std::sync::Mutex::new(Vec::<u32>::new()));
-    let n = Arc::clone(&nodes);
-    let flaky = rt.register("flaky", Constraint::cpus(1), 1, move |ctx, _| {
-        n.lock().unwrap().push(ctx.node);
-        Ok(vec![Value::new(ctx.attempt)])
-    });
-    let out = rt.submit(&flaky, vec![]).unwrap().returns[0];
-    let v = rt.wait_on(&out).unwrap();
-    assert_eq!(*v.downcast_ref::<u32>().unwrap(), 3, "succeeded on 3rd attempt");
-    let nodes = nodes.lock().unwrap();
-    assert_eq!(nodes.len(), 3);
-    assert_eq!(nodes[1], nodes[0], "2nd attempt: same node");
-    assert_ne!(nodes[2], nodes[0], "3rd attempt moves to the other node");
-    let stats = rt.stats();
-    assert_eq!(stats.failed_attempts, 2);
-    assert_eq!(stats.completed, 1);
-    assert_eq!(stats.failed, 0);
+    // the same node, then elsewhere; attempt 3 succeeds. Both local
+    // backends, each attempt's body taking 5 ms of real time.
+    for (threaded, backend) in
+        [(true, Runtime::threaded as fn(_) -> _), (false, Runtime::simulated)]
+    {
+        let cluster = Cluster::homogeneous(2, NodeSpec::new("n", 4, vec![], 8));
+        let cfg = RuntimeConfig::on_cluster(cluster)
+            .with_failures(FailureInjector::none().with_task_failure(1, 1).with_task_failure(1, 2));
+        let rt: Runtime = backend(cfg);
+        let nodes = Arc::new(std::sync::Mutex::new(Vec::<u32>::new()));
+        let n = Arc::clone(&nodes);
+        let flaky = rt.register("flaky", Constraint::cpus(1), 1, move |ctx, _| {
+            n.lock().unwrap().push(ctx.node);
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            Ok(vec![Value::new(ctx.attempt)])
+        });
+        let out = rt.submit(&flaky, vec![]).unwrap().returns[0];
+        let v = rt.wait_on(&out).unwrap();
+        assert_eq!(*v.downcast_ref::<u32>().unwrap(), 3, "succeeded on 3rd attempt");
+        let nodes = nodes.lock().unwrap();
+        assert_eq!(nodes.len(), 3);
+        assert_eq!(nodes[1], nodes[0], "2nd attempt: same node");
+        assert_ne!(nodes[2], nodes[0], "3rd attempt moves to the other node");
+        let stats = rt.stats();
+        assert_eq!(stats.failed_attempts, 2);
+        assert_eq!(stats.completed, 1);
+        assert_eq!(stats.failed, 0);
+
+        // Every attempt that reported back, the two failed ones included,
+        // has one queue and one exec sample by the time `wait_on` returns.
+        let snap = rt.metrics().snapshot();
+        let phase = |p| snap.histogram(&runmetrics::labeled("rcompss_task_phase_us", "phase", p));
+        let (queue, exec) = (phase("queue").unwrap(), phase("exec").unwrap());
+        assert_eq!((queue.count, exec.count), (3, 3), "threaded: {threaded}");
+        if threaded {
+            assert!(exec.p50 >= 4_000, "exec is the 5 ms body: {exec:?}");
+        } else {
+            // Virtual time: each attempt runs the default 1 ms.
+            assert_eq!(exec.sum, 3_000);
+        }
+    }
 }
 
 #[test]
@@ -347,6 +367,25 @@ fn simulated_node_failure_moves_tasks() {
         trace.iter().filter(|r| r.running_task().is_some() && r.core().node == 0).collect();
     assert_eq!(on_dead.len(), 4);
     assert!(on_dead.iter().all(|r| r.end_time() == 5_000), "{on_dead:?}");
+}
+
+#[test]
+fn losing_the_only_node_fails_its_task_for_good() {
+    // The one node dies at 5 ms under a 10 ms task: no survivor can run the
+    // retry, so the task fails rather than waiting for ever.
+    let cluster = Cluster::homogeneous(1, NodeSpec::new("n", 4, vec![], 8));
+    let cfg = RuntimeConfig::on_cluster(cluster)
+        .with_failures(FailureInjector::none().with_node_failure(5_000, 0));
+    let rt = Runtime::simulated(cfg);
+    let work = rt.register("work", Constraint::cpus(1), 1, |_, _| Ok(vec![Value::new(())]));
+    let opts = SubmitOpts { sim_duration_us: Some(10_000) };
+    let submitted = rt.submit_with(&work, vec![], opts).unwrap();
+    let out = submitted.returns[0];
+    assert_eq!(rt.wait_on(&out).err(), Some(WaitError::ProducerFailed(out)));
+    assert_eq!(rt.failed_tasks(), vec![submitted.task]);
+    let snap = rt.metrics().snapshot();
+    assert_eq!(snap.gauge("rcompss_live_tasks"), Some(0.0));
+    assert_eq!(snap.counter("rcompss_tasks_failed_total"), Some(1));
 }
 
 #[test]

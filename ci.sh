@@ -28,9 +28,10 @@
 # byte-for-byte, and ablation_retry runs for its built-in assertions; the
 # two real-training figure bins (Figs 7 and 8) rerun too and must reproduce
 # the checked-in config, accuracy and epochs_run columns (training is
-# deterministic; only task_us, wall time, may differ), and Fig 7's rerun
-# metrics exposition must declare the same series names as its checked-in
-# copy and hold one exec phase sample per trial.
+# deterministic; only task_us, the attempt's exec time, may differ), and
+# Fig 7's rerun metrics exposition must declare the same series names as
+# its checked-in copy, hold one exec phase sample per trial, and sum the
+# trials' task_us to exactly the exec phase's sum.
 # Right after them the standalone benchmark package is built against the
 # crates and run once in --quick mode (all four workloads verified against
 # their oracles) with its Cargo.lock unchanged, so a broken pinned
@@ -86,8 +87,8 @@ ARTEFACTS_AT_START=$(artefact_status)
 
 # The deterministic columns of a trial CSV: config, accuracy, epochs_run.
 # The quoted config label holds commas of its own, so `cut -d,` would split
-# inside it. What follows the third column is dropped: task_us is wall
-# time, and the standalone CSV has an error column the served one lacks.
+# inside it. What follows the third column is dropped: task_us is a
+# timing, and the standalone CSV has an error column the served one lacks.
 trial_table() {
     sed -E 's/^("[^"]*"|[^",]*),([^,]*),([^,]*).*/\1,\2,\3/' "$@"
 }
@@ -213,6 +214,14 @@ fi
 # The threaded runtime times every attempt's body: 27 trials, 27 samples.
 if ! grep -qxF 'rcompss_task_phase_us_count{phase="exec"} 27' results/fig7_mnist_hpo.prom; then
     echo "fig7 FAILED: the rerun's .prom lacks one exec phase sample per trial" >&2
+    exit 1
+fi
+# One clock: a trial's task_us is its attempt's exec time, so the sums agree.
+prom_value() { awk -v series="$2" '$1 == series {print $2}' "$1"; }
+trial_sum=$(prom_value results/fig7_mnist_hpo.prom hpo_trial_task_us_sum)
+exec_sum=$(prom_value results/fig7_mnist_hpo.prom 'rcompss_task_phase_us_sum{phase="exec"}')
+if [ -z "$trial_sum" ] || [ "$trial_sum" != "$exec_sum" ]; then
+    echo "fig7 FAILED: hpo_trial_task_us_sum ($trial_sum) != the exec phase sum ($exec_sum)" >&2
     exit 1
 fi
 cp "$FIG_KEEP"/* results/

@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use std::io;
 use std::net::TcpStream;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -115,11 +115,6 @@ struct WorkerLink {
     /// followed yet, [`ANSWERED`] when there is none: the silence a loss
     /// verdict judges.
     unanswered_us: AtomicU64,
-    /// Lock-free mirror of the best clock-sync estimate
-    /// (`worker_clock − driver_clock`), for readers outside the link lock.
-    clock_offset_us: AtomicI64,
-    /// Lock-free mirror of the best (smallest) observed heartbeat RTT.
-    clock_rtt_us: AtomicU64,
 }
 
 /// [`WorkerLink::unanswered_us`] while no heartbeat is outstanding. As a
@@ -262,8 +257,6 @@ impl ConnMgr {
                         recv_bytes,
                     }),
                     unanswered_us: AtomicU64::new(ANSWERED),
-                    clock_offset_us: AtomicI64::new(0),
-                    clock_rtt_us: AtomicU64::new(0),
                 }))
             })
             .collect::<io::Result<Vec<_>>>()?;
@@ -286,7 +279,8 @@ impl ConnMgr {
             .workers
             .iter()
             .map(|w| {
-                (w.clock_offset_us.load(Ordering::Relaxed), w.clock_rtt_us.load(Ordering::Relaxed))
+                let st = w.state.lock();
+                (st.clock.offset_us(), st.clock.rtt_us())
             })
             .collect()
     }
@@ -651,7 +645,8 @@ fn service_link(
     inbox: &mut Inbox,
 ) {
     let mut alive = true;
-    {
+    // The link's clock estimate, read under its lock for what follows it.
+    let clock = {
         let mut st = link.state.lock();
         if st.conn.is_none() {
             return; // stale event for a link mid-failover
@@ -680,12 +675,11 @@ fn service_link(
             for &(t0, t1, t2) in &inbox.acks {
                 st.clock.observe(t0, t1, t2, t3);
             }
-            link.clock_offset_us.store(st.clock.offset_us(), Ordering::Relaxed);
-            link.clock_rtt_us.store(st.clock.rtt_us(), Ordering::Relaxed);
         }
-    }
+        st.clock
+    };
     if !inbox.acks.is_empty() {
-        publish_clock_gauges(inner, link);
+        publish_clock_gauges(inner, link, clock);
         inbox.acks.clear();
     }
     if !inbox.completions.is_empty()
@@ -693,7 +687,7 @@ fn service_link(
         || !inbox.block_reqs.is_empty()
         || !inbox.block_evicts.is_empty()
     {
-        apply_frames(inner, link, inbox);
+        apply_frames(inner, link, clock, inbox);
     }
     if !alive {
         failover(inner, link);
@@ -741,16 +735,11 @@ impl Inbox {
 }
 
 /// Refresh the per-worker clock gauges from the link's best estimate.
-fn publish_clock_gauges(inner: &Inner, link: &WorkerLink) {
-    let rtt = link.clock_rtt_us.load(Ordering::Relaxed);
-    if rtt > 0 {
+fn publish_clock_gauges(inner: &Inner, link: &WorkerLink, clock: ClockSync) {
+    if clock.rtt_us() > 0 {
         let m = &inner.shared.metrics;
-        m.set_node_gauge("rnet_rtt_us", &link.label, rtt as f64);
-        m.set_node_gauge(
-            "rnet_clock_offset_us",
-            &link.label,
-            link.clock_offset_us.load(Ordering::Relaxed) as f64,
-        );
+        m.set_node_gauge("rnet_rtt_us", &link.label, clock.rtt_us() as f64);
+        m.set_node_gauge("rnet_clock_offset_us", &link.label, clock.offset_us() as f64);
     }
 }
 
@@ -779,8 +768,8 @@ fn exec_span(
 
 /// What a `Done`'s stamps say of an attempt dispatched at `dispatch` and
 /// applied at `completion`: the driver-observed window, narrowed to the
-/// body's own span once the stamps can be placed (`synced`), and the wire,
-/// exec and ship phases. A `Failed` has no stamps: the window alone.
+/// body's own span once the stamps can be placed (`synced`), and the wire
+/// and ship phases. A `Failed` has no stamps: the window alone.
 fn window(stamps: ExecStamps, offset: i64, synced: bool, dispatch: u64, completion: u64) -> Window {
     let observed = Window { span: (dispatch, completion), ..Window::default() };
     let Some((w_recv, w_start, w_end)) = stamps else { return observed };
@@ -788,11 +777,10 @@ fn window(stamps: ExecStamps, offset: i64, synced: bool, dispatch: u64, completi
     Window {
         span: if synced { body } else { observed.span },
         // A task dispatched ahead waits on the worker for the one before
-        // it: that wait is queueing too. Both it and exec are worker-clock
-        // differences, so the offset cancels there.
+        // it: that wait is queueing too. Like exec, it is a worker-clock
+        // difference, so the offset cancels there.
         held_us: w_start.saturating_sub(w_recv),
         wire_us: Some(rebase(w_recv, offset).saturating_sub(dispatch)),
-        exec_us: Some(w_end.saturating_sub(w_start)),
         ship_us: Some(completion.saturating_sub(rebase(w_end, offset))),
     }
 }
@@ -800,7 +788,7 @@ fn window(stamps: ExecStamps, offset: i64, synced: bool, dispatch: u64, completi
 /// Completions and requests collected from one readiness event: one core
 /// lock pass for bookkeeping + follow-on placement, replies pushed onto
 /// the link's backlog, traces emitted off-lock.
-fn apply_frames(inner: &Arc<Inner>, link: &Arc<WorkerLink>, inbox: &mut Inbox) {
+fn apply_frames(inner: &Arc<Inner>, link: &Arc<WorkerLink>, clock: ClockSync, inbox: &mut Inbox) {
     let now = inner.shared.wall_us();
     let Inbox { completions, outputs, saves, block_reqs, block_evicts, ended, replies, .. } = inbox;
     let follow = {
@@ -823,10 +811,11 @@ fn apply_frames(inner: &Arc<Inner>, link: &Arc<WorkerLink>, inbox: &mut Inbox) {
                 }
             }
             let values = result.map(|outs| outputs[outs].iter().map(|(v, _)| v.clone()));
-            if let Some(e) = complete_attempt(&inner.shared, &mut core, exec_id, values, now, false)
-            {
-                ended.push((e, stamps));
-            }
+            // The body's time on the worker's clock: no offset needed.
+            let exec_us = stamps.map(|(_, start, end)| end.saturating_sub(start));
+            let shared = &inner.shared;
+            let applied = complete_attempt(shared, &mut core, exec_id, values, exec_us, now, false);
+            ended.extend(applied.map(|e| (e, stamps)));
         }
         outputs.clear();
         for hash in block_evicts.drain(..) {
@@ -857,8 +846,7 @@ fn apply_frames(inner: &Arc<Inner>, link: &Arc<WorkerLink>, inbox: &mut Inbox) {
         }
         alive = flush_link(inner, &mut st);
     }
-    let offset = link.clock_offset_us.load(Ordering::Relaxed);
-    let synced = link.clock_rtt_us.load(Ordering::Relaxed) > 0;
+    let (offset, synced) = (clock.offset_us(), clock.rtt_us() > 0);
     let m = &inner.shared.metrics;
     for (e, stamps) in ended.drain(..) {
         m.rpc_latency.record(now.saturating_sub(e.dispatched_us));

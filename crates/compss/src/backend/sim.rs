@@ -78,12 +78,13 @@ pub(crate) fn run_until(shared: &Shared, core: &mut Core, cond: impl Fn(&Core) -
                     continue; // execution was killed by a node failure
                 };
                 let result = run_body(&*se.body, &se.ctx, &se.inputs).map(Vec::into_iter);
-                let ended =
-                    complete_attempt(shared, core, exec, result, t, false).expect("running");
+                let exec_us = Some(t - se.start_us);
+                let ended = complete_attempt(shared, core, exec, result, exec_us, t, false)
+                    .expect("running");
                 // Staging is the simulated wire.
                 let wire_us = Some(se.start_us - ended.dispatched_us);
-                let (span, exec_us) = ((se.start_us, t), Some(t - se.start_us));
-                ended.publish(shared, Window { span, wire_us, exec_us, ..Window::default() });
+                let span = (se.start_us, t);
+                ended.publish(shared, Window { span, wire_us, ..Window::default() });
             }
             SimEvent::NodeFail { node } => lose_node(shared, core, node, t),
         }

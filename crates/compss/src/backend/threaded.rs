@@ -165,11 +165,12 @@ fn worker_loop(shared: Arc<Shared>, pool: Arc<PoolShared>) {
         let follow_on = {
             let mut core = shared.core.lock();
             let values = result.map(Vec::into_iter);
-            let ended = complete_attempt(&shared, &mut core, p.exec_id, values, end, false)
-                .expect("a threaded attempt ends once");
-            let (span, exec_us) = ((start, end), Some(end - start));
+            let exec_us = Some(end - start);
+            let ended =
+                complete_attempt(&shared, &mut core, p.exec_id, values, exec_us, end, false)
+                    .expect("a threaded attempt ends once");
             let held_us = start.saturating_sub(ended.dispatched_us);
-            ended.publish(&shared, Window { span, held_us, exec_us, ..Window::default() });
+            ended.publish(&shared, Window { span: (start, end), held_us, ..Window::default() });
             collect_dispatch(&shared, &mut core)
         };
         // Waiters in `wait_on`/`barrier` park on the core condvar; workers

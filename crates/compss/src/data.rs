@@ -127,15 +127,16 @@ impl NodeSet {
     }
 }
 
-/// What a live version holds.
+/// What a live version holds. Two variants, so that the slot fits in the
+/// value's 24 bytes: every live version has one.
 #[derive(Debug)]
 enum Slot {
-    /// Its writer has not settled yet.
-    Pending(TaskId),
-    /// Computed by its writer, or written by the main program.
-    Ready(Value),
-    /// Its writer failed permanently: there will never be a value.
-    Poisoned,
+    /// No value: its writer has not settled yet (`Some(writer)`), or it
+    /// failed permanently (`None`, poisoned) and there will never be one.
+    Unready(Option<TaskId>),
+    /// Computed by its writer, with the writing attempt's exec time in µs
+    /// on the runtime's clock, or written by the main program (0).
+    Ready(Value, u64),
 }
 
 /// Everything the runtime knows about one live version.
@@ -201,7 +202,7 @@ impl DataRegistry {
     /// `value` (main-program data, like the paper's parsed config objects).
     pub fn literal(&mut self, value: Value) -> DataHandle {
         let h = self.declare();
-        self.push_version(h, Slot::Ready(value));
+        self.push_version(h, Slot::Ready(value, 0));
         h
     }
 
@@ -266,7 +267,7 @@ impl DataRegistry {
     /// The version it supersedes stays until it is dead (see the type's
     /// documentation).
     pub fn new_version(&mut self, h: DataHandle, writer: TaskId) -> DataVersion {
-        self.push_version(h, Slot::Pending(writer))
+        self.push_version(h, Slot::Unready(Some(writer)))
     }
 
     fn push_version(&mut self, h: DataHandle, slot: Slot) -> DataVersion {
@@ -283,41 +284,48 @@ impl DataRegistry {
     /// The task `v` is waiting for, while its writer has not settled.
     pub(crate) fn pending_on(&self, v: DataVersion) -> Option<TaskId> {
         match self.version(v)?.slot {
-            Slot::Pending(t) => Some(t),
+            Slot::Unready(writer) => writer,
             _ => None,
         }
     }
 
-    /// Store the computed value for `v`.
-    pub fn put(&mut self, v: DataVersion, value: Value) {
+    /// Store the computed value for `v`, and the exec time of the attempt
+    /// that computed it.
+    pub fn put(&mut self, v: DataVersion, value: Value, exec_us: u64) {
         if let Some(ver) = self.version_mut(v) {
-            ver.slot = Slot::Ready(value);
+            ver.slot = Slot::Ready(value, exec_us);
         }
     }
 
     /// The value of `v` if already computed.
     pub fn get(&self, v: DataVersion) -> Option<Value> {
+        self.get_timed(v).map(|(value, _)| value)
+    }
+
+    /// The value of `v` if already computed, with the exec time of the
+    /// attempt that wrote it (0 for main-program data).
+    pub fn get_timed(&self, v: DataVersion) -> Option<(Value, u64)> {
         match &self.version(v)?.slot {
-            Slot::Ready(value) => Some(value.clone()),
+            Slot::Ready(value, exec_us) => Some((value.clone(), *exec_us)),
             _ => None,
         }
     }
 
     /// Whether `v` has been computed.
     pub fn is_ready(&self, v: DataVersion) -> bool {
-        matches!(self.version(v), Some(Version { slot: Slot::Ready(_), .. }))
+        matches!(self.version(v), Some(Version { slot: Slot::Ready(..), .. }))
     }
 
     /// Mark `v` as never to be computed: its writer failed permanently.
     pub(crate) fn poison(&mut self, v: DataVersion) {
         if let Some(ver) = self.version_mut(v) {
-            ver.slot = Slot::Poisoned;
+            ver.slot = Slot::Unready(None);
         }
     }
 
     /// Whether the writer of `v` failed permanently.
     pub(crate) fn is_poisoned(&self, v: DataVersion) -> bool {
-        matches!(self.version(v), Some(Version { slot: Slot::Poisoned, .. }))
+        matches!(self.version(v), Some(Version { slot: Slot::Unready(None), .. }))
     }
 
     /// Count one more user of `v`: a submitted task that reads or writes it,
@@ -499,6 +507,14 @@ mod tests {
     }
 
     #[test]
+    fn a_version_record_stays_seven_words() {
+        // Every live version has one: a workload that keeps its handles
+        // pays for each word in peak memory. The exec time rides in the
+        // slot without growing it.
+        assert_eq!(std::mem::size_of::<Version>(), 56);
+    }
+
+    #[test]
     fn versions_bump_and_track_their_writer() {
         let mut reg = DataRegistry::new(64);
         let h = reg.literal(Value::new(0u8));
@@ -509,7 +525,7 @@ mod tests {
         assert_eq!(reg.current_version(h), v2);
         assert_eq!(reg.pending_on(v2), Some(TaskId(5)));
         assert!(!reg.is_ready(v2), "new version not computed yet");
-        reg.put(v2, Value::new(1u8));
+        reg.put(v2, Value::new(1u8), 0);
         assert!(reg.is_ready(v2));
         assert_eq!(reg.pending_on(v2), None);
         // version 1 still readable by its reader — renaming, not overwriting
@@ -529,7 +545,7 @@ mod tests {
         assert!(!reg.reap(v1), "superseded, but in use");
         assert_eq!(reg.live_versions(), 2);
         // The task settles: its read and its write are released.
-        reg.put(v2, Value::new(2u8));
+        reg.put(v2, Value::new(2u8), 0);
         assert!(!reg.release(v1), "the waiter still holds its target");
         assert!(!reg.release(v2), "current");
         assert!(reg.get(v1).is_some(), "the wait returns the version it targeted");

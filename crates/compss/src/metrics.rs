@@ -63,6 +63,10 @@
 //! | **exec** | the body, on the worker's clock | the body's virtual duration | the body, wall time |
 //! | **ship** | body return → driver applying the result | — | — |
 //!
+//! The exec time is also what the runtime keeps with every version the
+//! attempt wrote, and what `Runtime::wait_on_timed` hands the waiter: an
+//! HPO trial's `task_us` is its attempt's exec sample, not a second clock.
+//!
 //! On each backend the phases it has sum to the attempt's latency. The
 //! distributed wire and ship cross clock domains and are rebased with the
 //! heartbeat offset estimate, so they carry up to RTT/2 of noise — fine for

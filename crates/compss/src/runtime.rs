@@ -680,6 +680,15 @@ impl Runtime {
     /// The paper's `compss_wait_on`: block (or drive the simulation) until
     /// the current version of `h` is available, then return its value.
     pub fn wait_on(&self, h: &DataHandle) -> Result<Value, WaitError> {
+        self.wait_on_timed(h).map(|(value, _)| value)
+    }
+
+    /// [`Runtime::wait_on`], plus the exec time in µs of the attempt that
+    /// wrote the value, on the runtime's clock: the body's wall time
+    /// threaded, its virtual duration simulated, the worker's own stamps
+    /// distributed — the time its `rcompss_task_phase_us{phase="exec"}`
+    /// sample holds. 0 for main-program data.
+    pub fn wait_on_timed(&self, h: &DataHandle) -> Result<(Value, u64), WaitError> {
         let mut core = self.shared.core.lock();
         if !core.data.knows(*h) {
             return Err(WaitError::UnknownData(*h));
@@ -708,7 +717,7 @@ impl Runtime {
         let result = if core.data.is_poisoned(target) {
             Err(WaitError::ProducerFailed(*h))
         } else {
-            core.data.get(target).ok_or(WaitError::NeverWritten(*h))
+            core.data.get_timed(target).ok_or(WaitError::NeverWritten(*h))
         };
         core.release(target);
         core.publish_gauges(&self.shared);
@@ -914,11 +923,15 @@ pub(crate) struct Ended {
     /// Ended by the loss of a node it ran on ([`lose_node`]): it reported
     /// nothing.
     pub killed: bool,
+    /// The body's run time as its backend timed it, `None` when no body
+    /// reported: the exec phase, stored with every version it wrote.
+    pub exec_us: Option<u64>,
 }
 
 /// What a backend saw of an ended attempt's body, on the runtime's clock:
-/// the span its bars cover and the phases it can time. A phase it cannot
-/// time stays `None` and gets no sample.
+/// the span its bars cover and the phases it can time besides exec, which
+/// [`Ended`] carries. A phase it cannot time stays `None` and gets no
+/// sample.
 #[derive(Default)]
 pub(crate) struct Window {
     /// Where the bars go: the body's own span where the backend knows it.
@@ -927,20 +940,20 @@ pub(crate) struct Window {
     /// task dispatched ahead, the threaded run queue): counted as queue.
     pub held_us: u64,
     pub wire_us: Option<u64>,
-    pub exec_us: Option<u64>,
     pub ship_us: Option<u64>,
 }
 
 impl Ended {
     /// Publish an attempt that reported back: one `rcompss_task_phase_us`
-    /// sample per phase `w` times — queue always, as submission → dispatch
-    /// plus what was held — and its bars over `w.span`, `TaskEnd` at the
-    /// span's end. Needs no core lock.
+    /// sample per phase timed — queue always, as submission → dispatch
+    /// plus what was held, exec from the record, the rest as `w` has them
+    /// — and its bars over `w.span`, `TaskEnd` at the span's end. Needs no
+    /// core lock.
     pub fn publish(&self, shared: &Shared, w: Window) {
         let m = &shared.metrics;
         m.phase_queue.record(self.dispatched_us.saturating_sub(self.submitted_us) + w.held_us);
         for (phase, us) in
-            [(&m.phase_wire, w.wire_us), (&m.phase_exec, w.exec_us), (&m.phase_ship, w.ship_us)]
+            [(&m.phase_wire, w.wire_us), (&m.phase_exec, self.exec_us), (&m.phase_ship, w.ship_us)]
         {
             if let Some(us) = us {
                 phase.record(us);
@@ -974,13 +987,16 @@ fn emit_attempt_spans(shared: &Shared, ended: &Ended, (start_us, end_us): (u64, 
 /// and release its successors, or drive the retry policy. Called with the
 /// core locked, from every backend. Returns the attempt's [`Ended`] record,
 /// `None` for an exec id no longer running (a late frame of a failed-over
-/// attempt); `values` is then left unread. `node_gone`: the attempt died
-/// with its node, in [`lose_node`].
+/// attempt); `values` is then left unread. `exec_us` is the body's run time
+/// as the backend timed it, `None` when no body reported: the one place it
+/// enters the runtime. `node_gone`: the attempt died with its node, in
+/// [`lose_node`].
 pub(crate) fn complete_attempt(
     shared: &Shared,
     core: &mut Core,
     exec_id: u64,
     result: Result<impl ExactSizeIterator<Item = Value>, TaskError>,
+    exec_us: Option<u64>,
     now_us: u64,
     node_gone: bool,
 ) -> Option<Ended> {
@@ -1012,7 +1028,7 @@ pub(crate) fn complete_attempt(
             );
             let node = run.placement.node;
             for (v, value) in inst.writes().zip(values) {
-                data.put(v, value);
+                data.put(v, value, exec_us.unwrap_or(0));
                 data.add_location(v, node);
             }
             core.stats.completed += 1;
@@ -1067,7 +1083,7 @@ pub(crate) fn complete_attempt(
         }
     }
     let RunningExec { placement, dispatched_us, .. } = run;
-    Some(Ended { task, name, placement, submitted_us, dispatched_us, killed: node_gone })
+    Some(Ended { task, name, placement, submitted_us, dispatched_us, killed: node_gone, exec_us })
 }
 
 /// [`complete_attempt`] for an attempt that failed before any result came.
@@ -1080,7 +1096,7 @@ pub(crate) fn fail_attempt(
     node_gone: bool,
 ) -> Option<Ended> {
     let nothing = Err::<std::iter::Empty<Value>, _>(error);
-    complete_attempt(shared, core, exec_id, nothing, now_us, node_gone)
+    complete_attempt(shared, core, exec_id, nothing, None, now_us, node_gone)
 }
 
 /// Lose `node` for good: the one node-loss path of every backend, a

@@ -10,7 +10,6 @@
 //! the observer and across-trial early stopping wrap every batch.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use rcompss::{ArgSpec, DataHandle, Runtime, SubmitError, SubmitOpts, SubmitResult, TaskDef};
@@ -26,7 +25,7 @@ use crate::space::{Config, SearchSpace};
 use crate::stagetree::{
     is_cosine, outcome_from_history, stage_task_def, StageObjective, StagePayload, StagePlan,
 };
-use crate::wire::{experiment_task_def, TaskPayload};
+use crate::wire::experiment_task_def;
 
 /// Executes HPO runs.
 #[derive(Debug, Clone)]
@@ -68,67 +67,35 @@ pub fn materialize(algo: &mut dyn Suggester) -> Vec<Config> {
     configs
 }
 
-/// Cooperative controls threaded through [`HpoRunner::execute`]: an
-/// admission gate consulted before every trial submission and a cancel
-/// flag checked before every batch. The sweep server uses the gate for
-/// per-tenant fair-share and rate limiting, and the cancel flag for
-/// client-requested aborts — in both cases the run stops *admitting* and
-/// drains the in-flight batch normally, so every collected trial is a
-/// complete, journal-identical result.
-///
-/// Cloning is cheap and shares the underlying flag: keep one clone on the
-/// control plane to call [`SweepControl::cancel`] while the sweep thread
-/// runs with the other.
+/// Cooperative control threaded through [`HpoRunner::execute`]: an
+/// admission gate consulted before every trial submission, and the one way
+/// to stop a sweep. The sweep server's gate decides fair share, rate
+/// limits, quotas and client-requested cancels alike; a denial makes the
+/// run stop *admitting* and drain the in-flight batch normally, so every
+/// collected trial is a complete, journal-identical result.
 #[derive(Clone, Default)]
 pub struct SweepControl {
-    cancelled: Arc<AtomicBool>,
     gate: Option<Arc<dyn Fn() -> bool + Send + Sync>>,
 }
 
-impl std::fmt::Debug for SweepControl {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SweepControl")
-            .field("cancelled", &self.is_cancelled())
-            .field("gated", &self.gate.is_some())
-            .finish()
-    }
-}
-
 impl SweepControl {
-    /// No gate, not cancelled: behaves exactly like an uncontrolled run.
+    /// No gate: behaves exactly like an uncontrolled run.
     pub fn new() -> SweepControl {
         SweepControl::default()
     }
 
     /// Install the admission gate: called (and allowed to block) before
     /// every trial submission. Returning `false` ends the sweep cleanly
-    /// after draining the in-flight batch — the sweep server's quota and
-    /// cancel paths. A gate that blocks must itself return on a cancel.
+    /// after draining the in-flight batch. A gate that blocks must itself
+    /// return on a cancel.
     pub fn with_gate(mut self, gate: impl Fn() -> bool + Send + Sync + 'static) -> SweepControl {
         self.gate = Some(Arc::new(gate));
         self
     }
 
-    /// Ask the sweep to stop: nothing further is suggested or submitted;
-    /// in-flight trials drain normally and land in the report.
-    pub fn cancel(&self) {
-        self.cancelled.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether [`SweepControl::cancel`] was called.
-    pub fn is_cancelled(&self) -> bool {
-        self.cancelled.load(Ordering::Relaxed)
-    }
-
     /// May the next trial be submitted? `false` ends the sweep.
     fn admit(&self) -> bool {
-        if self.is_cancelled() {
-            return false;
-        }
-        match &self.gate {
-            Some(gate) => gate() && !self.is_cancelled(),
-            None => true,
-        }
+        self.gate.as_ref().is_none_or(|gate| gate())
     }
 }
 
@@ -270,8 +237,7 @@ impl<'a> Evaluator<'a> {
 pub struct SweepPlan<'a> {
     /// How a batch becomes trials.
     pub evaluator: Evaluator<'a>,
-    /// Cancel flag checked before every batch, admission gate consulted
-    /// before every trial.
+    /// Admission gate consulted before every trial.
     pub control: Option<&'a SweepControl>,
     /// Journal every submission and completion.
     pub journal: Option<&'a SweepJournal>,
@@ -378,7 +344,7 @@ impl HpoRunner {
         // The evaluator gives back what it holds in the runtime whichever
         // way the loop ends, so a refused submission gets there too.
         let swept = (|| -> Result<(), SubmitError> {
-            while !early_stopped && !halted && !control.is_some_and(|c| c.is_cancelled()) {
+            while !early_stopped && !halted {
                 let (configs, budget) = source.next_batch(&history, wave);
                 if configs.is_empty() {
                     break;
@@ -709,11 +675,13 @@ impl Evaluation {
         match self {
             Evaluation::Trials { subs, .. } => {
                 let (config, sub) = subs.pop_front().expect("one submission per admitted config");
-                let (outcome, task_us) = match rt.wait_on(&sub.returns[0]) {
-                    Ok(v) => v
-                        .downcast_ref::<TaskPayload>()
-                        .cloned()
-                        .expect("experiment task returns (TrialOutcome, u64)"),
+                let (outcome, task_us) = match rt.wait_on_timed(&sub.returns[0]) {
+                    Ok((v, exec_us)) => (
+                        v.downcast_ref::<TrialOutcome>()
+                            .cloned()
+                            .expect("experiment task returns a TrialOutcome"),
+                        exec_us,
+                    ),
                     Err(e) => (TrialOutcome::failed(e.to_string()), 0),
                 };
                 rt.delete(sub.returns[0]);
@@ -752,15 +720,16 @@ impl Evaluation {
 
 /// Wait on one stage segment and turn its fork payload into an outcome
 /// (task failure or an undecodable payload becomes a failed trial, like
-/// a failed experiment task). Only the history is decoded: the weights
-/// and optimiser moments are validated, never materialised.
+/// a failed experiment task), timed by the segment's exec time. Only the
+/// history is decoded: the weights and optimiser moments are validated,
+/// never materialised.
 fn wait_stage(rt: &Runtime, h: &DataHandle) -> (TrialOutcome, u64) {
-    match rt.wait_on(h) {
-        Ok(v) => match v
+    match rt.wait_on_timed(h) {
+        Ok((v, exec_us)) => match v
             .downcast_ref::<StagePayload>()
-            .and_then(|p| Some((TrainSnapshot::decode_history(&p.snapshot)?, p.task_us)))
+            .and_then(|p| TrainSnapshot::decode_history(&p.snapshot))
         {
-            Some((history, task_us)) => (outcome_from_history(history), task_us),
+            Some(history) => (outcome_from_history(history), exec_us),
             None => (TrialOutcome::failed("stage task returned an undecodable payload"), 0),
         },
         Err(e) => (TrialOutcome::failed(e.to_string()), 0),
@@ -775,6 +744,7 @@ mod tests {
     use crate::early_stop::EarlyStop;
     use crate::space::ParamDomain;
     use rcompss::{RuntimeConfig, TaskError};
+    use std::sync::atomic::Ordering;
     use std::sync::Arc;
 
     /// A fast, deterministic synthetic objective: accuracy increases with
@@ -829,6 +799,20 @@ mod tests {
         // 27 tasks on 8 slots with heterogeneous durations: virtual time is
         // at least total_work/slots = (9*(20+50+100)*1000)/8
         assert!(report.wall_us >= 9 * 170 * 1000 / 8, "virtual {}", report.wall_us);
+    }
+
+    #[test]
+    fn simulated_trials_take_their_virtual_duration() {
+        // A trial's time is the runtime's exec time of its attempt: on the
+        // simulator the virtual duration, not what the body took for real.
+        let rt = Runtime::simulated(RuntimeConfig::single_node(2));
+        let space = SearchSpace::new()
+            .with("optimizer", ParamDomain::choice_strs(&["Adam", "SGD"]))
+            .with("num_epochs", ParamDomain::choice_ints(&[1, 2]));
+        let runner = HpoRunner::new(ExperimentOptions::default().with_sim_duration(|_| 7_000));
+        let report = runner.run(&rt, &mut GridSearch::new(&space), synthetic_objective()).unwrap();
+        let task_us: Vec<u64> = report.trials.iter().map(|t| t.task_us).collect();
+        assert_eq!(task_us, [7_000; 4]);
     }
 
     #[test]

@@ -54,7 +54,6 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Instant;
 
 use rcompss::{TaskDef, TaskError, Value};
 use tinyml::data::Dataset;
@@ -271,8 +270,7 @@ fn build_node(
 }
 
 /// The value a stage task returns (and the root literal children of the
-/// tree roots receive): an encoded [`TrainSnapshot`] plus the task-side
-/// wall time. Registered on the wire as the `hpo.stage` codec, so on the
+/// tree roots receive): an encoded [`TrainSnapshot`]. Registered on the wire as the `hpo.stage` codec, so on the
 /// distributed backend fork payloads ship content-addressed through the
 /// block plane like any other sizeable value.
 #[derive(Debug, Clone, PartialEq)]
@@ -280,14 +278,12 @@ pub struct StagePayload {
     /// [`TrainSnapshot::encode`] bytes; empty at the root (train from
     /// scratch).
     pub snapshot: Vec<u8>,
-    /// Task wall time in µs.
-    pub task_us: u64,
 }
 
 impl StagePayload {
     /// The root parent: no snapshot, children train from scratch.
     pub fn root() -> StagePayload {
-        StagePayload { snapshot: Vec::new(), task_us: 0 }
+        StagePayload { snapshot: Vec::new() }
     }
 }
 
@@ -372,13 +368,10 @@ pub fn stage_task_def(opts: &ExperimentOptions, stage: &StageObjective) -> TaskD
             let parent = inputs[3]
                 .downcast_ref::<StagePayload>()
                 .ok_or_else(|| TaskError::new("stage input 3 must be a StagePayload"))?;
-            let t0 = Instant::now();
             let snap = tinyml::par::with_threads(ctx.parallelism(), || {
                 run_segment(&stage, config, until, total, parent)
             })?;
-            let payload =
-                StagePayload { snapshot: snap.encode(), task_us: t0.elapsed().as_micros() as u64 };
-            Ok(vec![Value::new(payload)])
+            Ok(vec![Value::new(StagePayload { snapshot: snap.encode() })])
         }),
         alternatives: Vec::new(),
     }
@@ -666,7 +659,7 @@ mod tests {
             Value::new(Config::new()),
             Value::new(2u32),
             Value::new(10u32),
-            Value::new(StagePayload { snapshot: vec![1, 2, 3], task_us: 0 }),
+            Value::new(StagePayload { snapshot: vec![1, 2, 3] }),
         ];
         let err = (def.body)(&ctx, &corrupt).unwrap_err();
         assert!(err.to_string().contains("corrupt"), "{err}");

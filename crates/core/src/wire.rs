@@ -1,7 +1,7 @@
 //! Wire codecs and the shared experiment task for distributed HPO.
 //!
-//! A distributed run ships [`Config`]s to workers and `(TrialOutcome,
-//! task_us)` payloads back, so both ends must register codecs for them
+//! A distributed run ships [`Config`]s to workers and [`TrialOutcome`]s
+//! back, so both ends must register codecs for them
 //! (see [`rcompss::register_codec`]) and agree on the experiment task
 //! body by name. The driver calls [`register_hpo_codecs`] before building
 //! the runtime; an `rcompss-worker` process calls it too, then registers
@@ -10,7 +10,6 @@
 //! function exists on both sides.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use rcompss::{register_codec, TaskDef, TaskError, Value};
 use rnet::{Reader, WireError};
@@ -18,10 +17,6 @@ use rnet::{Reader, WireError};
 use crate::experiment::{ExperimentOptions, Objective, TrialOutcome};
 use crate::space::{Config, ConfigValue};
 use crate::stagetree::StagePayload;
-
-/// What the experiment task returns through the data registry: the trial
-/// outcome plus the task-side wall time in microseconds.
-pub type TaskPayload = (TrialOutcome, u64);
 
 /// Task name of one trial (both ends of a distributed run register the
 /// definition under this name, like [`crate::stagetree::STAGE_TASK_NAME`]).
@@ -79,7 +74,7 @@ pub(crate) fn read_outcome(r: &mut Reader<'_>) -> Result<TrialOutcome, WireError
 
 /// Register the HPO-layer codecs (idempotent; call freely).
 ///
-/// Tags: `hpo.config` for [`Config`], `hpo.trial` for [`TaskPayload`],
+/// Tags: `hpo.config` for [`Config`], `hpo.trial` for [`TrialOutcome`],
 /// `hpo.stage` for [`StagePayload`] (stage-tree fork snapshots, which ride
 /// the content-addressed block plane like any other task output).
 pub fn register_hpo_codecs() {
@@ -129,20 +124,14 @@ pub fn register_hpo_codecs() {
         },
     );
 
-    register_codec::<TaskPayload, _, _>(
+    register_codec::<TrialOutcome, _, _>(
         "hpo.trial",
-        |(outcome, task_us)| {
+        |outcome| {
             let mut b = Vec::new();
             put_outcome(&mut b, outcome);
-            rnet::wire::put_u64(&mut b, *task_us);
             b
         },
-        |bytes| {
-            let mut r = Reader::new(bytes);
-            let outcome = read_outcome(&mut r)?;
-            let task_us = r.u64()?;
-            Ok((outcome, task_us))
-        },
+        |bytes| read_outcome(&mut Reader::new(bytes)),
     );
 
     register_codec::<StagePayload, _, _>(
@@ -151,21 +140,11 @@ pub fn register_hpo_codecs() {
             // Sized exactly: a fork snapshot is ≈ 150 KB, and growing the
             // buffer by doubling would copy it again.
             let n = payload.snapshot.len();
-            let mut b = Vec::with_capacity(
-                rnet::varint::encoded_len(n as u64)
-                    + n
-                    + rnet::varint::encoded_len(payload.task_us),
-            );
+            let mut b = Vec::with_capacity(rnet::varint::encoded_len(n as u64) + n);
             rnet::wire::put_bytes(&mut b, &payload.snapshot);
-            rnet::wire::put_u64(&mut b, payload.task_us);
             b
         },
-        |bytes| {
-            let mut r = Reader::new(bytes);
-            let snapshot = r.bytes()?.to_vec();
-            let task_us = r.u64()?;
-            Ok(StagePayload { snapshot, task_us })
-        },
+        |bytes| Ok(StagePayload { snapshot: Reader::new(bytes).bytes()?.to_vec() }),
     );
 }
 
@@ -191,10 +170,8 @@ pub fn experiment_task_def(opts: &ExperimentOptions, objective: &Objective) -> T
                 .downcast_ref::<Option<u32>>()
                 .copied()
                 .ok_or_else(|| TaskError::new("experiment input 1 must be Option<u32>"))?;
-            let t0 = Instant::now();
             let outcome = tinyml::par::with_threads(ctx.parallelism(), || obj(config, budget))?;
-            let payload: TaskPayload = (outcome, t0.elapsed().as_micros() as u64);
-            Ok(vec![Value::new(payload)])
+            Ok(vec![Value::new(outcome)])
         }),
         alternatives: Vec::new(),
     }
@@ -230,24 +207,22 @@ mod tests {
             epochs_run: 3,
             error: None,
         };
-        let payload: TaskPayload = (outcome.clone(), 12_345);
-        let got = roundtrip(Value::new(payload));
-        let (o, us) = got.downcast_ref::<TaskPayload>().expect("payload type");
+        let got = roundtrip(Value::new(outcome.clone()));
+        let o = got.downcast_ref::<TrialOutcome>().expect("payload type");
         assert_eq!(o, &outcome);
-        assert_eq!(*us, 12_345);
     }
 
     #[test]
     fn stage_payload_codec_roundtrips() {
         register_hpo_codecs();
-        let payload = StagePayload { snapshot: vec![0, 1, 2, 255, 7], task_us: 99 };
+        let payload = StagePayload { snapshot: vec![0, 1, 2, 255, 7] };
         let got = roundtrip(Value::new(payload.clone()));
         assert_eq!(got.downcast_ref::<StagePayload>(), Some(&payload));
         // One buffer of exactly the encoded size, long length prefixes
         // included.
-        let big = StagePayload { snapshot: vec![3; 200_000], task_us: u64::MAX };
+        let big = StagePayload { snapshot: vec![3; 200_000] };
         let blob = rcompss::codec::encode_value(&Value::new(big)).unwrap();
-        assert_eq!(blob.bytes.len(), 3 + 200_000 + 10);
+        assert_eq!(blob.bytes.len(), 3 + 200_000);
         assert_eq!(blob.bytes.capacity(), blob.bytes.len());
         let root = roundtrip(Value::new(StagePayload::root()));
         assert_eq!(root.downcast_ref::<StagePayload>(), Some(&StagePayload::root()));
@@ -256,9 +231,8 @@ mod tests {
     #[test]
     fn failed_trial_payload_keeps_error_text() {
         register_hpo_codecs();
-        let payload: TaskPayload = (TrialOutcome::failed("diverged"), 7);
-        let got = roundtrip(Value::new(payload));
-        let (o, _) = got.downcast_ref::<TaskPayload>().unwrap();
+        let got = roundtrip(Value::new(TrialOutcome::failed("diverged")));
+        let o = got.downcast_ref::<TrialOutcome>().unwrap();
         assert_eq!(o.error.as_deref(), Some("diverged"));
     }
 
@@ -283,7 +257,7 @@ mod tests {
         let cfg = Config::new().with("lr", ConfigValue::Float(0.05));
         let inputs = vec![Value::new(cfg), Value::new(Some(2u32))];
         let out = (def.body)(&ctx, &inputs).expect("objective runs");
-        let (outcome, _) = out[0].downcast_ref::<TaskPayload>().unwrap();
+        let outcome = out[0].downcast_ref::<TrialOutcome>().unwrap();
         assert!((outcome.accuracy - 0.5).abs() < 1e-12);
     }
 }

@@ -81,13 +81,16 @@ fn trial_table(report: &hpo::HpoReport) -> Vec<(String, String)> {
 #[test]
 fn grid_search_distributed_matches_threaded_exactly() {
     let opts = ExperimentOptions::default();
-    let obj = objective(Duration::ZERO);
+    // Long enough that a second clock around the body would read otherwise.
+    let obj = objective(Duration::from_millis(2));
     let runner = HpoRunner::new(opts.clone());
 
     let threaded_report = {
         let rt = Runtime::threaded(RuntimeConfig::single_node(4));
         let mut algo = GridSearch::new(&space());
-        runner.run(&rt, &mut algo, Arc::clone(&obj)).expect("threaded run")
+        let report = runner.run(&rt, &mut algo, Arc::clone(&obj)).expect("threaded run");
+        assert_trial_time_is_exec_time(&rt, &report);
+        report
     };
 
     let workers = spawn_workers(2, &opts, &obj);
@@ -97,6 +100,7 @@ fn grid_search_distributed_matches_threaded_exactly() {
             .expect("connect");
     let mut algo = GridSearch::new(&space());
     let distributed_report = runner.run(&rt, &mut algo, obj).expect("distributed run");
+    assert_trial_time_is_exec_time(&rt, &distributed_report);
 
     assert_eq!(distributed_report.trials.len(), 12, "3 optimizers × 2 epochs × 2 lrs");
     assert_eq!(trial_table(&distributed_report), trial_table(&threaded_report));
@@ -104,6 +108,17 @@ fn grid_search_distributed_matches_threaded_exactly() {
     let best_t = threaded_report.best().expect("has best");
     assert_eq!(best_d.config.label(), best_t.config.label());
     assert_eq!(best_d.outcome.accuracy, best_t.outcome.accuracy);
+}
+
+/// One clock per trial: the report's `task_us` are the runtime's exec
+/// phase samples of the attempts that produced them, to the microsecond.
+fn assert_trial_time_is_exec_time(rt: &Runtime, report: &hpo::HpoReport) {
+    let snap = rt.metrics().snapshot();
+    let exec = snap.histogram("rcompss_task_phase_us{phase=\"exec\"}").expect("exec phase");
+    let trials = snap.histogram("hpo_trial_task_us").expect("trial time");
+    let report_sum: u64 = report.trials.iter().map(|t| t.task_us).sum();
+    assert_eq!((report.trials.len(), exec.count, trials.count), (12, 12, 12));
+    assert_eq!((report_sum, trials.sum), (exec.sum, exec.sum));
 }
 
 /// A snapshot-aware objective with deterministic "training": each epoch

@@ -8,6 +8,7 @@
 //! snapshots carry enough optimiser/RNG state for a resumed child to be
 //! indistinguishable from an uninterrupted run.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use hpo::algo::grid::GridSearch;
@@ -254,7 +255,9 @@ fn cancelled_bracket_stops_after_the_current_rung() {
         let spec = CheckpointSpec::new(&dir);
         let journal = spec.journal().expect("journal");
         let rt = Runtime::threaded(RuntimeConfig::single_node(4));
-        let control = SweepControl::new();
+        let rung_seen = Arc::new(AtomicBool::new(false));
+        let seen_by_gate = Arc::clone(&rung_seen);
+        let control = SweepControl::new().with_gate(move || !seen_by_gate.load(Ordering::Relaxed));
         let mut seen = 0;
         let plan = SweepPlan {
             control: Some(&control),
@@ -264,7 +267,7 @@ fn cancelled_bracket_stops_after_the_current_rung() {
         let report = runner
             .execute(&rt, &mut BracketSource::new(&space, &bracket, 5), plan, |_| {
                 seen += 1;
-                control.cancel();
+                rung_seen.store(true, Ordering::Relaxed);
             })
             .expect("cancelled bracket")
             .report;

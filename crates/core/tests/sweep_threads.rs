@@ -2,8 +2,10 @@
 //! server shuts down: an unjoined thread keeps its stack mapped, so a
 //! long-lived server's address space would grow by a stack per sweep.
 //!
-//! One test in its own binary, so no other test's threads share the
-//! process whose `VmSize` it reads.
+//! The check counts thread-stack mappings rather than reading `VmSize`,
+//! which one new 64 MiB malloc arena moves by more than a leaked stack
+//! does. One test in its own binary, so no other test's threads share the
+//! process whose mappings it reads.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -13,11 +15,25 @@ use hpo::experiment::{ExperimentOptions, TrialOutcome};
 use hpo::server::{ServerConfig, SweepServer, SWEEP_DONE};
 use rcompss::{Runtime, RuntimeConfig};
 
-/// This process's virtual size, KiB.
-fn vm_size_kib() -> u64 {
-    let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
-    let line = status.lines().find(|l| l.starts_with("VmSize:")).expect("VmSize line");
-    line.split_whitespace().nth(1).unwrap().parse().unwrap()
+/// Thread stacks mapped in this process: an anonymous read-write mapping
+/// right above a small inaccessible one, its guard. A thread that ended
+/// keeps its stack until it is joined; a joined thread's stack is unmapped
+/// or cached for the next thread to reuse.
+fn thread_stacks() -> usize {
+    let maps = std::fs::read_to_string("/proc/self/maps").expect("procfs");
+    let mut stacks = 0;
+    let mut guard_end = None;
+    for line in maps.lines() {
+        let fields: Vec<&str> = line.split_whitespace().collect();
+        let (lo, hi) = fields[0].split_once('-').expect("address range");
+        let (lo, hi) = (u64::from_str_radix(lo, 16).unwrap(), u64::from_str_radix(hi, 16).unwrap());
+        let anonymous = fields.len() == 5;
+        if fields[1] == "rw-p" && anonymous && guard_end == Some(lo) {
+            stacks += 1;
+        }
+        guard_end = (fields[1] == "---p" && anonymous && hi - lo <= 64 << 10).then_some(hi);
+    }
+    stacks
 }
 
 #[test]
@@ -49,12 +65,13 @@ fn sequential_sweeps_leave_no_thread_stacks_behind() {
             assert_eq!(end.state, SWEEP_DONE, "{}", end.message);
         }
     };
-    // Warm up allocator arenas and the runtime's own threads first.
+    // Warm up the runtime's own threads first.
     run(8);
-    let before = vm_size_kib();
+    let before = thread_stacks();
     run(128);
-    let grown = vm_size_kib().saturating_sub(before);
-    // One unjoined 2 MiB stack per sweep would be 256 MiB.
-    assert!(grown < 32 << 10, "128 one-trial sweeps grew VmSize by {grown} KiB");
+    let grown = thread_stacks().saturating_sub(before);
+    // One unjoined stack per sweep would be 128; glibc's cache of joined
+    // threads' stacks holds at most 40 MiB, about 19 of them.
+    assert!(grown < 32, "128 one-trial sweeps left {grown} more thread stacks mapped");
     server.shutdown();
 }

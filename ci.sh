@@ -155,6 +155,21 @@ if [ -n "$CONN_HITS" ]; then
     exit 1
 fi
 
+echo "==> sans-IO driver: the distributed driver's decisions read no clock, take no lock, touch no socket"
+# crates/compss/src/backend/distributed/driver/state.rs holds every decision
+# the driver makes; driver.rs around it holds the clock, the locks and the
+# sockets. The file is read up to its #[cfg(test)]: the property's harness
+# below it may time itself.
+SANS_IO_PATTERN='wall_us|Instant|SystemTime|Mutex|[.]lock[(][)]|Atomic|Ordering::|TcpStream|Poller'
+SANS_IO_HITS=$(awk -v pat="$SANS_IO_PATTERN" \
+    '/^#\[cfg\(test\)\]/{t=1} !t && $0 ~ pat {print FILENAME ":" FNR ": " $0}' \
+    crates/compss/src/backend/distributed/driver/state.rs)
+if [ -n "$SANS_IO_HITS" ]; then
+    echo "$SANS_IO_HITS" >&2
+    echo "sans-IO driver FAILED: driver/state.rs reads a clock, locks or touches a socket" >&2
+    exit 1
+fi
+
 echo "==> cargo clippy (-D warnings)"
 cargo clippy -p pycompss-hpo-repro -p tinyml -p rcompss -p hpo -p hpo-bench -p rnet -p runmetrics -p paratrace -p cluster -p ckpt --all-targets -- -D warnings
 

@@ -1,32 +1,31 @@
-//! Driver side of the distributed backend: worker acquisition, the
-//! connection manager's event loop, how a placed task's inputs travel, and
-//! failover.
+//! Driver side of the distributed backend: worker acquisition, how a
+//! placed task's inputs travel, and the shell that holds the sockets, the
+//! backlogs and the clock and carries out what [`state`] decides.
+
+mod state;
 
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::io;
 use std::net::TcpStream;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use paratrace::ClockSync;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use rnet::link::dial;
 use rnet::{
     read_frame, Blob, BlobRef, Frame, FrameRef, Link, Poller, RecvBuf, SendBuf, Waker, WireArg,
     WAKE_TOKEN,
 };
+use runmetrics::labeled;
 
+use self::state::{Action, DriverState, Event};
 use super::{DistributedConfig, SNAP_TAG};
 use crate::blocks::EncodedBlock;
 use crate::codec;
 use crate::data::{DataVersion, Value};
-use crate::runtime::{
-    complete_attempt, fail_attempt, lose_node, place_ready, Core, Ended, Shared, Window,
-};
+use crate::runtime::{complete_attempt, lose_node, place_ready, Core, Ended, Shared, Window};
 use crate::task::{TaskError, TaskId};
 
 /// Wire key for a data version: handle id in the high 32 bits, version in
@@ -55,6 +54,11 @@ struct RemoteDispatch {
     attempt: u32,
     node: u32,
     variant: u32,
+    dispatched_us: u64,
+    /// The function's id on the link (0: the link is lost), and whether it
+    /// is new there, so the `Submit` names it: the state's to set.
+    fn_id: u64,
+    fn_new: bool,
     cores: Range<usize>,
     gpus: Range<usize>,
     args: Range<usize>,
@@ -81,57 +85,34 @@ thread_local! {
     static SPARE: Cell<Dispatches> = Cell::default();
 }
 
-/// Mutable per-connection state, all under one lock: the connection and
-/// its write backlog.
-struct LinkState {
-    /// `None` once the link is lost — for good: the event loop then ignores
-    /// stale readiness events for this token.
+/// One worker link's socket and write backlog.
+struct Wire {
+    /// `None` once the state has closed the link, for good.
     conn: Option<Link>,
-    /// Interned function names: first submit of a name carries it in full,
-    /// later ones send only the id.
-    fn_ids: HashMap<Arc<str>, u64>,
-    next_fn_id: u64,
-    /// Sequence number of the next heartbeat.
-    hb_seq: u64,
-    /// Coalescing write backlog.
     send: SendBuf,
-    /// NTP-style clock-offset estimator fed by heartbeat acks. The worker's
-    /// clock starts with its connection, so the estimate is this socket's.
-    clock: ClockSync,
-    /// Node-labelled mirror of `rnet_bytes_sent_total` — per-worker
-    /// attribution of the transfer collapse in `/metrics`.
+    /// Node-labelled mirrors of `rnet_bytes_sent_total` and
+    /// `rnet_bytes_received_total`: per-worker transfer in `/metrics`.
     sent_bytes: runmetrics::Counter,
-    /// Node-labelled mirror of `rnet_bytes_received_total`.
     recv_bytes: runmetrics::Counter,
 }
 
-/// One remote worker as seen by the driver.
-struct WorkerLink {
-    node: u32,
-    /// `name@addr`: the worker's label in metrics and the trace.
-    label: String,
-    state: Mutex<LinkState>,
-    /// Wall-µs send time of the oldest heartbeat no received byte has
-    /// followed yet, [`ANSWERED`] when there is none: the silence a loss
-    /// verdict judges.
-    unanswered_us: AtomicU64,
+/// What the driver lock guards: the decisions, and the links they act on.
+struct Io {
+    state: DriverState,
+    wires: Vec<Wire>,
 }
-
-/// [`WorkerLink::unanswered_us`] while no heartbeat is outstanding. As a
-/// send time it lies in the future, so it reads as no silence at all.
-const ANSWERED: u64 = u64::MAX;
 
 struct Inner {
     shared: Arc<Shared>,
-    workers: Vec<Arc<WorkerLink>>,
-    cfg: DistributedConfig,
-    stop: AtomicBool,
+    /// `name@addr` of each worker, by node id: its metrics and trace label.
+    labels: Vec<String>,
+    io: Mutex<Io>,
     poller: Poller,
     wake: Waker,
 }
 
 /// Driver-side connection manager: one event-loop thread owning readiness
-/// for every [`WorkerLink`].
+/// for every worker link.
 pub(crate) struct ConnMgr {
     inner: Arc<Inner>,
     thread: Option<JoinHandle<()>>,
@@ -232,82 +213,56 @@ impl ConnMgr {
         }
         let poller = Poller::new()?;
         let wake = Waker::new(&poller, WAKE_TOKEN)?;
-        let workers = boots
-            .into_iter()
-            .enumerate()
-            .map(|(i, b)| {
-                let conn = Link::adopt(b.stream, &poller, i as u64)?;
-                let label = format!("{}@{}", b.name, b.addr);
-                let reg = shared.metrics.registry();
-                let sent_bytes =
-                    reg.counter(&runmetrics::labeled("rnet_bytes_sent_total", "node", &label));
-                let recv_bytes =
-                    reg.counter(&runmetrics::labeled("rnet_bytes_received_total", "node", &label));
-                Ok(Arc::new(WorkerLink {
-                    node: i as u32,
-                    label,
-                    state: Mutex::new(LinkState {
-                        conn: Some(conn),
-                        fn_ids: HashMap::new(),
-                        next_fn_id: 1,
-                        hb_seq: 0,
-                        send: SendBuf::new(),
-                        clock: ClockSync::default(),
-                        sent_bytes,
-                        recv_bytes,
-                    }),
-                    unanswered_us: AtomicU64::new(ANSWERED),
-                }))
-            })
-            .collect::<io::Result<Vec<_>>>()?;
-        let inner =
-            Arc::new(Inner { shared, workers, cfg, stop: AtomicBool::new(false), poller, wake });
+        let (mut labels, mut wires) = (Vec::new(), Vec::new());
+        for (i, b) in boots.into_iter().enumerate() {
+            let label = format!("{}@{}", b.name, b.addr);
+            let counter = |base| shared.metrics.registry().counter(&labeled(base, "node", &label));
+            let (sent_bytes, recv_bytes) =
+                (counter("rnet_bytes_sent_total"), counter("rnet_bytes_received_total"));
+            let conn = Some(Link::adopt(b.stream, &poller, i as u64)?);
+            wires.push(Wire { conn, send: SendBuf::new(), sent_bytes, recv_bytes });
+            labels.push(label);
+        }
+        let [hb, timeout] =
+            [cfg.heartbeat_interval, cfg.heartbeat_timeout].map(|d| d.as_micros() as u64);
+        let io = Mutex::new(Io { state: DriverState::new(wires.len(), hb, timeout), wires });
+        let inner = Arc::new(Inner { shared, labels, io, poller, wake });
         let loop_inner = Arc::clone(&inner);
-        let thread = Some(std::thread::spawn(move || driver_loop(loop_inner)));
-        Ok(ConnMgr { inner, thread })
+        Ok(ConnMgr { inner, thread: Some(std::thread::spawn(move || driver_loop(&loop_inner))) })
     }
 
     /// Worker display labels, indexed by node id: `name@addr`.
     pub fn labels(&self) -> Vec<String> {
-        self.inner.workers.iter().map(|w| w.label.clone()).collect()
+        self.inner.labels.clone()
     }
 
     /// Per-worker clock sync estimates, indexed by node id:
     /// `(offset_us, rtt_us)`. RTT 0 means no heartbeat ack was observed yet.
     pub fn clock_stats(&self) -> Vec<(i64, u64)> {
-        self.inner
-            .workers
-            .iter()
-            .map(|w| {
-                let st = w.state.lock();
-                (st.clock.offset_us(), st.clock.rtt_us())
-            })
-            .collect()
+        let io = self.inner.io.lock();
+        let clocks = (0..io.wires.len() as u32).map(|l| io.state.clock(l));
+        clocks.map(|c| (c.offset_us(), c.rtt_us())).collect()
     }
 
     /// Encode and transmit prepared dispatches, coalesced per worker. Call
     /// *without* the core lock.
     pub fn send(&self, work: Dispatches) {
-        send_dispatches(&self.inner, work);
+        // A submit reads no clock: its batch's placement time stands for now.
+        let (inner, now) = (&*self.inner, work.msgs.last().map_or(0, |d| d.dispatched_us));
+        pump(inner, inner.io.lock(), &mut Vec::new(), &mut Inbox::default(), Some(work), now);
     }
 
-    /// Graceful stop: join the loop, then drain each link's backlog
-    /// (blocking again) and append `Shutdown` so the goodbye never splices
-    /// into a partially-written frame.
+    /// Graceful stop: `Stop` queues a `Shutdown` behind each link's backlog,
+    /// and the loop flushes without blocking until each has drained or
+    /// `heartbeat_timeout` has passed, closes them and ends.
     pub fn shutdown(&mut self) {
-        self.inner.stop.store(true, Ordering::SeqCst);
-        let _ = self.inner.wake.wake();
+        let (inner, now, mut acts) = (&*self.inner, self.inner.shared.wall_us(), Vec::new());
+        let mut io = inner.io.lock();
+        io.state.apply(Event::Stop, now, &mut acts);
+        pump(inner, io, &mut acts, &mut Inbox::default(), None, now);
+        let _ = inner.wake.wake();
         if let Some(t) = self.thread.take() {
             let _ = t.join();
-        }
-        for link in &self.inner.workers {
-            let mut st = link.state.lock();
-            let Some(conn) = st.conn.take() else { continue };
-            st.send.push(&Frame::Shutdown);
-            if conn.stream().set_nonblocking(false).is_ok() {
-                let _ = st.send.flush(&mut conn.stream());
-            }
-            conn.close(&self.inner.poller);
         }
     }
 }
@@ -366,6 +321,9 @@ pub(crate) fn collect_dispatch_remote(shared: &Shared, core: &mut Core) -> Dispa
                 attempt: placed.attempt,
                 node,
                 variant: placement.variant as u32,
+                dispatched_us: placed.now_us,
+                fn_id: 0,
+                fn_new: false,
                 cores,
                 gpus,
                 args: first_arg..batch.args.len(),
@@ -378,33 +336,13 @@ pub(crate) fn collect_dispatch_remote(shared: &Shared, core: &mut Core) -> Dispa
     batch
 }
 
-/// Flush the link's backlog as far as the socket takes it (see
-/// [`Link::flush`]). Returns `false` when the socket died.
-fn flush_link(inner: &Inner, st: &mut LinkState) -> bool {
-    let LinkState { conn, send, sent_bytes, .. } = st;
-    let Some(conn) = conn else {
-        return true; // lost link: nothing buffered here is ever sent
-    };
-    match conn.flush(&inner.poller, send) {
-        Ok(n) => {
-            if n > 0 {
-                inner.shared.metrics.net_bytes_sent.add(n as u64);
-                sent_bytes.add(n as u64);
-            }
-            true
-        }
-        Err(_) => false,
-    }
-}
-
 /// Push one dispatch's frames onto its link's backlog: the blocks it ships,
 /// its snapshot, its `Submit`. Fails when an inline input has no codec.
 fn push_submit(
-    st: &mut LinkState,
+    send: &mut SendBuf,
     d: &RemoteDispatch,
     batch: &mut Dispatches,
 ) -> Result<(), String> {
-    let LinkState { send, fn_ids, next_fn_id, .. } = st;
     let Dispatches { ids, args, submit: (cores, gpus, wire_args), blobs, .. } = batch;
     for a in &args[d.args.clone()] {
         wire_args.push(match a {
@@ -429,16 +367,9 @@ fn push_submit(
             }
         });
     }
-    let fn_name = if fn_ids.contains_key(&d.name) {
-        None
-    } else {
-        fn_ids.insert(Arc::clone(&d.name), *next_fn_id);
-        *next_fn_id += 1;
-        Some(d.name.to_string())
-    };
     if let Some(snap) = &d.snapshot {
         // Like a block, the snapshot must be there when the Submit lands:
-        // same socket, pushed under the same lock.
+        // same socket, the same backlog.
         let blob = BlobRef { tag: SNAP_TAG, bytes: snap };
         send.push(&FrameRef::Data { key: d.task.0, blob });
     }
@@ -449,8 +380,8 @@ fn push_submit(
         task_id: d.task.0,
         attempt: d.attempt,
         node: d.node,
-        fn_id: fn_ids[&d.name],
-        fn_name,
+        fn_id: d.fn_id,
+        fn_name: d.fn_new.then(|| d.name.to_string()),
         variant: d.variant,
         cores: std::mem::take(cores),
         gpus: std::mem::take(gpus),
@@ -478,133 +409,204 @@ impl Dispatches {
     }
 }
 
-/// Off-lock half of dispatch: encode values, intern names, coalesce frames
-/// per worker, flush each link's backlog once.
-fn send_dispatches(inner: &Arc<Inner>, mut batch: Dispatches) {
-    let mut msgs = std::mem::take(&mut batch.msgs);
-    let mut undeliverable: Vec<(u64, String)> = Vec::new();
-    let mut dead_links: Vec<Arc<WorkerLink>> = Vec::new();
-    // One lock and one flush per worker; exec ids keep each worker's
-    // Submits in placement order.
-    msgs.sort_unstable_by_key(|d| (d.node, d.exec_id));
-    for same_node in msgs.chunk_by(|a, b| a.node == b.node) {
-        let node = same_node[0].node;
-        let link = &inner.workers[node as usize];
-        let mut st = link.state.lock();
-        for d in same_node {
-            if let Err(msg) = push_submit(&mut st, d, &mut batch) {
-                undeliverable.push((d.exec_id, msg));
+impl Wire {
+    /// Flush the backlog as far as the socket takes it. A failed write leaves
+    /// the link to its next read, which the poller raises at once for a
+    /// socket in error; a closed link's backlog is dropped.
+    fn flush(&mut self, poller: &Poller, shared: &Shared) {
+        match &mut self.conn {
+            Some(conn) => {
+                let n = conn.flush(poller, &mut self.send).unwrap_or(0) as u64;
+                shared.metrics.net_bytes_sent.add(n);
+                self.sent_bytes.add(n);
             }
+            None => self.send.clear(),
         }
-        if !flush_link(inner, &mut st) {
-            dead_links.push(Arc::clone(link));
-        }
-    }
-    msgs.clear();
-    batch.ids.clear();
-    batch.args.clear();
-    SPARE.set(Dispatches { msgs, ..batch });
-    // Encoding failures become failed attempts under the normal retry
-    // machinery (they will exhaust retries and cascade).
-    if !undeliverable.is_empty() {
-        let now = inner.shared.wall_us();
-        let follow = {
-            let mut core = inner.shared.core.lock();
-            for (exec_id, msg) in undeliverable {
-                fail_attempt(&inner.shared, &mut core, exec_id, TaskError::new(msg), now, false);
-            }
-            collect_dispatch_remote(&inner.shared, &mut core)
-        };
-        inner.shared.cv.notify_all();
-        send_dispatches(inner, follow);
-    }
-    for link in dead_links {
-        failover(inner, &link);
     }
 }
 
-/// The driver's event loop: readiness for every link and the waker, with
-/// heartbeat pacing folded into the poll timeout. A turn sends the probes
-/// that are due, polls, services what is ready, and only then judges
-/// silence, against the moment its poll began: an answer that sat unread
-/// while the loop was stalled has just been read, so the loop's own stall
-/// is never charged to a live peer.
-fn driver_loop(inner: Arc<Inner>) {
-    let hb_us = inner.cfg.heartbeat_interval.as_micros() as u64;
-    let timeout_us = inner.cfg.heartbeat_timeout.as_micros() as u64;
-    let mut events = Vec::new();
-    let mut inbox = Inbox::default();
-    // First heartbeat fires immediately: it seeds the clock-offset estimate
-    // so even tasks completing before the first interval elapses get their
-    // worker stamps rebased.
-    let mut next_hb = 0;
+/// Put a dispatch batch on the links the state keeps: per dispatch, in
+/// placement order, the blocks it ships, its snapshot and its `Submit`. An
+/// input with no codec fails its attempt as a `Failed` from its worker
+/// would, so the retry machinery takes it from there.
+fn encode(io: &mut Io, b: &mut Dispatches, acts: &mut Vec<Action>, inbox: &mut Inbox, now: u64) {
+    let mut msgs = std::mem::take(&mut b.msgs);
+    io.state.apply(Event::Dispatch(&mut msgs), now, acts);
+    for d in msgs.iter().filter(|d| d.fn_id != 0) {
+        if let Err(msg) = push_submit(&mut io.wires[d.node as usize].send, d, b) {
+            let result = Err(TaskError::new(msg));
+            inbox.completions.push(Completion { exec_id: d.exec_id, result, stamps: None });
+            io.state.apply(Event::Read { link: d.node, bytes: 0, inbox }, now, acts);
+        }
+    }
+    msgs.clear();
+    b.ids.clear();
+    b.args.clear();
+    b.msgs = msgs;
+}
+
+/// Carry out what the state decided, and what follows, until nothing is
+/// left: `batch`, block replies, frames, closes and flushes under the driver
+/// lock; then, with it released (the locks never nest), the core's actions
+/// and the follow-on placement, whose dispatches go out on the next round.
+fn pump<'a>(
+    inner: &'a Inner,
+    mut io: MutexGuard<'a, Io>,
+    acts: &mut Vec<Action>,
+    inbox: &mut Inbox,
+    mut batch: Option<Dispatches>,
+    now: u64,
+) {
     loop {
-        if inner.stop.load(Ordering::SeqCst) {
+        if let Some(mut b) = batch.take() {
+            encode(&mut io, &mut b, acts, inbox, now);
+            SPARE.set(b);
+        }
+        let Io { wires, .. } = &mut *io;
+        for (l, block) in inbox.replies.drain(..) {
+            let reply = FrameRef::BlockData { hash: block.hash, blob: block.blob.as_ref() };
+            wires[l as usize].send.push(&reply);
+        }
+        acts.retain(|act| {
+            match *act {
+                Action::Push(l, ref frame) => wires[l as usize].send.push(frame),
+                Action::Close(l) => {
+                    wires[l as usize].conn.take().map_or((), |c| c.close(&inner.poller))
+                }
+                _ => return true,
+            }
+            false
+        });
+        for wire in wires.iter_mut().filter(|w| !w.send.is_empty()) {
+            wire.flush(&inner.poller, &inner.shared);
+        }
+        if acts.is_empty() && inbox.saves.is_empty() {
             return;
         }
-        let turn_start = inner.shared.wall_us();
-        if turn_start >= next_hb {
-            send_heartbeats(&inner);
-            next_hb = turn_start + hb_us;
+        drop(io);
+        let follow = apply_core(&inner.shared, &mut inner.shared.core.lock(), acts, inbox, now);
+        let m = &inner.shared.metrics;
+        for (e, w) in inbox.ended.drain(..) {
+            m.rpc_latency.record(now.saturating_sub(e.dispatched_us));
+            m.record_node_task(&inner.labels[e.placement.node as usize]);
+            e.publish(&inner.shared, w);
         }
-        // Wake for the next probe, or as soon as an unanswered one is old
-        // enough to judge.
-        let wake_us = inner
-            .workers
-            .iter()
-            .map(|l| l.unanswered_us.load(Ordering::Relaxed).saturating_add(timeout_us + 1))
-            .fold(next_hb, u64::min);
-        let timeout = Duration::from_micros(wake_us.saturating_sub(turn_start));
+        inner.shared.cv.notify_all();
+        io = inner.io.lock();
+        batch = Some(follow);
+    }
+}
+
+/// The core's half of the actions, under the core lock, then the follow-on
+/// placement. What the settles ended and the blocks to send stay in `inbox`.
+fn apply_core(
+    shared: &Shared,
+    core: &mut Core,
+    acts: &mut Vec<Action>,
+    inbox: &mut Inbox,
+    now: u64,
+) -> Dispatches {
+    let Inbox { outputs, saves, ended, replies, .. } = inbox;
+    // A worker's snapshots precede its `Done` or `Failed` on the wire, and
+    // a failed attempt's last one is what the retry placed below takes.
+    for (task, blob) in saves.drain(..) {
+        core.save_snapshot(task, blob);
+    }
+    for act in acts.drain(..) {
+        match act {
+            Action::Settle(Completion { exec_id, result, stamps }, window) => {
+                let Core { running, instances, data, .. } = &mut *core;
+                if let (Some(run), Ok(outs)) = (running.get(&exec_id), &result) {
+                    // What an output weighs on the wire is what moving it
+                    // costs, and what decides inline-vs-block for its readers.
+                    for (v, (_, bytes)) in instances[&run.task].writes().zip(&outputs[outs.clone()])
+                    {
+                        data.observe_bytes(v.handle, *bytes);
+                    }
+                }
+                let values = result.map(|outs| outputs[outs].iter().map(|(v, _)| v.clone()));
+                // The body's time on the worker's clock: no offset needed.
+                let exec_us = stamps.map(|(_, start, end)| end.saturating_sub(start));
+                let settled = complete_attempt(shared, core, exec_id, values, exec_us, now, false);
+                ended.extend(settled.map(|e| (e, window)));
+            }
+            Action::Evict(node, hash) => {
+                // The worker dropped the block under memory pressure: retract
+                // residency at both granularities so the next dispatch ships
+                // the bytes again (and scores the node honestly).
+                core.blocks.evict(node, hash);
+                let Core { blocks, data, .. } = &mut *core;
+                blocks.versions_of(hash).iter().for_each(|&v| data.remove_location(v, node));
+            }
+            // Cache-miss refill; silence on an unknown hash is handled by the
+            // worker's own fetch deadline.
+            Action::Ship(node, hash) => {
+                if let Some(block) = core.blocks.lookup(hash) {
+                    core.blocks.add_resident(node, hash);
+                    replies.push((node, block));
+                }
+            }
+            Action::Lose(node) => {
+                shared.metrics.workers_lost.incr();
+                lose_node(shared, core, node, now);
+            }
+            Action::Push(..) | Action::Close(_) => unreachable!("done under the driver lock"),
+        }
+    }
+    outputs.clear();
+    collect_dispatch_remote(shared, core)
+}
+
+/// The driver's event loop. A turn polls until the state's next deadline,
+/// reads the clock once, flushes and reads (zero-copy) every ready link,
+/// ends with a `Tick` and carries out what all of it decided in one `pump`.
+/// Once stopping, a drained link is closed.
+fn driver_loop(inner: &Inner) {
+    let (mut events, mut acts, mut inbox) = (Vec::new(), Vec::new(), Inbox::default());
+    let (mut deadline, mut now) = (Some(0u64), inner.shared.wall_us());
+    while let Some(due) = deadline {
+        let timeout = Duration::from_micros(due.saturating_sub(now));
         if inner.poller.wait(&mut events, Some(timeout)).is_err() {
             std::thread::sleep(Duration::from_millis(1));
             continue;
         }
-        if inner.stop.load(Ordering::SeqCst) {
-            return;
-        }
+        now = inner.shared.wall_us();
+        let mut io = inner.io.lock();
         for ev in &events {
-            if ev.token == WAKE_TOKEN {
-                inner.wake.drain();
+            let link = ev.token as u32;
+            let Some(wire) = io.wires.get_mut(link as usize).filter(|w| w.conn.is_some()) else {
+                inner.wake.drain(); // the waker, or a stale event for a closed link
                 continue;
+            };
+            if ev.writable {
+                wire.flush(&inner.poller, &inner.shared);
             }
-            let Some(link) = inner.workers.get(ev.token as usize) else { continue };
-            service_link(&inner, link, ev.readable, ev.writable, &mut inbox);
-        }
-        // Whatever a live peer sent before `turn_start` has now been read:
-        // a probe older than the timeout still unanswered is silence.
-        for link in &inner.workers {
-            let since = link.unanswered_us.load(Ordering::Relaxed);
-            if turn_start.saturating_sub(since) > timeout_us {
-                failover(&inner, link);
+            if ev.readable {
+                let got = wire.conn.as_mut().expect("open").read(|frame| inbox.take(frame));
+                inner.shared.metrics.net_bytes_received.add(got.bytes as u64);
+                wire.recv_bytes.add(got.bytes as u64);
+                let (acked, bytes) = (!inbox.acks.is_empty(), got.bytes);
+                io.state.apply(Event::Read { link, bytes, inbox: &mut inbox }, now, &mut acts);
+                let clock = io.state.clock(link);
+                if acked && clock.rtt_us() > 0 {
+                    let (m, label) = (&inner.shared.metrics, &inner.labels[link as usize]);
+                    m.set_node_gauge("rnet_rtt_us", label, clock.rtt_us() as f64);
+                    m.set_node_gauge("rnet_clock_offset_us", label, clock.offset_us() as f64);
+                }
+                if !got.open {
+                    io.state.apply(Event::Closed(link), now, &mut acts);
+                }
             }
         }
-    }
-}
-
-/// Write a heartbeat to every live link. Each probe carries the driver's
-/// clock, for the NTP exchange the ack completes; its `telemetry` field is
-/// reserved: always `false`. On a link with none outstanding, the probe
-/// starts the silence the loop judges.
-fn send_heartbeats(inner: &Arc<Inner>) {
-    let mut dead = Vec::new();
-    for link in &inner.workers {
-        let mut st = link.state.lock();
-        if st.conn.is_none() {
-            continue;
+        io.state.apply(Event::Tick, now, &mut acts);
+        for l in 0..io.wires.len() {
+            let wire = &io.wires[l];
+            if io.state.stopping() && wire.conn.is_some() && wire.send.is_empty() {
+                io.state.apply(Event::Closed(l as u32), now, &mut acts);
+            }
         }
-        let seq = st.hb_seq;
-        st.hb_seq += 1;
-        let t_send_us = inner.shared.wall_us();
-        st.send.push(&Frame::Heartbeat { seq, t_send_us, telemetry: false });
-        if link.unanswered_us.load(Ordering::Relaxed) == ANSWERED {
-            link.unanswered_us.store(t_send_us, Ordering::Relaxed);
-        }
-        if !flush_link(inner, &mut st) {
-            dead.push(Arc::clone(link));
-        }
-    }
-    for link in dead {
-        failover(inner, &link);
+        deadline = io.state.next_deadline();
+        pump(inner, io, &mut acts, &mut inbox, None, now);
     }
 }
 
@@ -631,73 +633,16 @@ struct Inbox {
     block_reqs: Vec<u128>,
     block_evicts: Vec<u128>,
     acks: Vec<(u64, u64, u64)>,
-    ended: Vec<(Ended, ExecStamps)>,
-    replies: Vec<Arc<EncodedBlock>>,
-}
-
-/// One readiness event for a link: drain writes, then read frame by frame
-/// (zero-copy decode), then act on what arrived.
-fn service_link(
-    inner: &Arc<Inner>,
-    link: &Arc<WorkerLink>,
-    readable: bool,
-    writable: bool,
-    inbox: &mut Inbox,
-) {
-    let mut alive = true;
-    // The link's clock estimate, read under its lock for what follows it.
-    let clock = {
-        let mut st = link.state.lock();
-        if st.conn.is_none() {
-            return; // stale event for a link mid-failover
-        }
-        if writable {
-            alive = flush_link(inner, &mut st);
-        }
-        if readable && alive {
-            let LinkState { conn, recv_bytes, .. } = &mut *st;
-            let got = conn.as_mut().expect("checked above").read(|frame| {
-                inbox.take(frame);
-                true
-            });
-            alive = got.open;
-            if got.bytes > 0 {
-                link.unanswered_us.store(ANSWERED, Ordering::Relaxed);
-                inner.shared.metrics.net_bytes_received.add(got.bytes as u64);
-                recv_bytes.add(got.bytes as u64);
-            }
-        }
-        if !inbox.acks.is_empty() {
-            // Complete the NTP exchange: t3 is "now" on the driver clock.
-            // One wall read serves the batch — acks decoded together arrived
-            // together within the read's granularity.
-            let t3 = inner.shared.wall_us();
-            for &(t0, t1, t2) in &inbox.acks {
-                st.clock.observe(t0, t1, t2, t3);
-            }
-        }
-        st.clock
-    };
-    if !inbox.acks.is_empty() {
-        publish_clock_gauges(inner, link, clock);
-        inbox.acks.clear();
-    }
-    if !inbox.completions.is_empty()
-        || !inbox.saves.is_empty()
-        || !inbox.block_reqs.is_empty()
-        || !inbox.block_evicts.is_empty()
-    {
-        apply_frames(inner, link, clock, inbox);
-    }
-    if !alive {
-        failover(inner, link);
-    }
+    /// What the settles ended, and where their bars go.
+    ended: Vec<(Ended, Window)>,
+    /// Blocks a `BlockRequest` asked for, by link.
+    replies: Vec<(u32, Arc<EncodedBlock>)>,
 }
 
 impl Inbox {
     /// File one frame a worker sent; it borrows the link's receive buffer,
     /// so what outlives the read is decoded or copied out here.
-    fn take(&mut self, frame: FrameRef<'_>) {
+    fn take(&mut self, frame: FrameRef<'_>) -> bool {
         match frame {
             FrameRef::Done { exec_id, recv_us, start_us, end_us, outputs } => {
                 let first = self.outputs.len();
@@ -731,187 +676,14 @@ impl Inbox {
             // Workers don't originate these driver-bound frames.
             _ => {}
         }
+        true
     }
-}
-
-/// Refresh the per-worker clock gauges from the link's best estimate.
-fn publish_clock_gauges(inner: &Inner, link: &WorkerLink, clock: ClockSync) {
-    if clock.rtt_us() > 0 {
-        let m = &inner.shared.metrics;
-        m.set_node_gauge("rnet_rtt_us", &link.label, clock.rtt_us() as f64);
-        m.set_node_gauge("rnet_clock_offset_us", &link.label, clock.offset_us() as f64);
-    }
-}
-
-/// Map a worker-clock stamp onto the driver timeline, saturating at zero.
-/// `offset_us` is the link's `worker_clock − driver_clock` estimate.
-fn rebase(t: u64, offset_us: i64) -> u64 {
-    (t as i64 - offset_us).max(0) as u64
-}
-
-/// Where an attempt's execution bars go on the driver timeline: the `Done`
-/// frame's body-start and body-end stamps, rebased and clamped into the
-/// driver-observed `[dispatch, completion]` window — residual clock error
-/// (≤ RTT/2) must never draw an execution before its own dispatch or past
-/// its observed completion.
-fn exec_span(
-    w_start: u64,
-    w_end: u64,
-    offset_us: i64,
-    dispatch: u64,
-    completion: u64,
-) -> (u64, u64) {
-    let start = rebase(w_start, offset_us).clamp(dispatch, completion);
-    let end = rebase(w_end, offset_us).clamp(dispatch, completion);
-    (start, end.max(start))
-}
-
-/// What a `Done`'s stamps say of an attempt dispatched at `dispatch` and
-/// applied at `completion`: the driver-observed window, narrowed to the
-/// body's own span once the stamps can be placed (`synced`), and the wire
-/// and ship phases. A `Failed` has no stamps: the window alone.
-fn window(stamps: ExecStamps, offset: i64, synced: bool, dispatch: u64, completion: u64) -> Window {
-    let observed = Window { span: (dispatch, completion), ..Window::default() };
-    let Some((w_recv, w_start, w_end)) = stamps else { return observed };
-    let body = exec_span(w_start, w_end, offset, dispatch, completion);
-    Window {
-        span: if synced { body } else { observed.span },
-        // A task dispatched ahead waits on the worker for the one before
-        // it: that wait is queueing too. Like exec, it is a worker-clock
-        // difference, so the offset cancels there.
-        held_us: w_start.saturating_sub(w_recv),
-        wire_us: Some(rebase(w_recv, offset).saturating_sub(dispatch)),
-        ship_us: Some(completion.saturating_sub(rebase(w_end, offset))),
-    }
-}
-
-/// Completions and requests collected from one readiness event: one core
-/// lock pass for bookkeeping + follow-on placement, replies pushed onto
-/// the link's backlog, traces emitted off-lock.
-fn apply_frames(inner: &Arc<Inner>, link: &Arc<WorkerLink>, clock: ClockSync, inbox: &mut Inbox) {
-    let now = inner.shared.wall_us();
-    let Inbox { completions, outputs, saves, block_reqs, block_evicts, ended, replies, .. } = inbox;
-    let follow = {
-        let mut core = inner.shared.core.lock();
-        // Saves first: a worker's snapshots precede its `Done` or `Failed`
-        // on the wire, and a failed attempt's last one is what the retry
-        // placed below takes along.
-        for (task, blob) in saves.drain(..) {
-            core.save_snapshot(task, blob);
-        }
-        for Completion { exec_id, result, stamps } in completions.drain(..) {
-            // Late frames for already-failed-over executions are ignored
-            // (`running` no longer knows the exec id).
-            let Core { running, instances, data, .. } = &mut *core;
-            if let (Some(run), Ok(outs)) = (running.get(&exec_id), &result) {
-                // What an output weighs on the wire is what moving it costs,
-                // and what decides inline-vs-block for its readers.
-                for (v, &(_, bytes)) in instances[&run.task].writes().zip(&outputs[outs.clone()]) {
-                    data.observe_bytes(v.handle, bytes);
-                }
-            }
-            let values = result.map(|outs| outputs[outs].iter().map(|(v, _)| v.clone()));
-            // The body's time on the worker's clock: no offset needed.
-            let exec_us = stamps.map(|(_, start, end)| end.saturating_sub(start));
-            let shared = &inner.shared;
-            let applied = complete_attempt(shared, &mut core, exec_id, values, exec_us, now, false);
-            ended.extend(applied.map(|e| (e, stamps)));
-        }
-        outputs.clear();
-        for hash in block_evicts.drain(..) {
-            // The worker dropped the block under memory pressure: retract
-            // residency at both granularities so the next dispatch ships
-            // the bytes again (and scores the node honestly).
-            core.blocks.evict(link.node, hash);
-            let Core { blocks, data, .. } = &mut *core;
-            for &v in blocks.versions_of(hash) {
-                data.remove_location(v, link.node);
-            }
-        }
-        for hash in block_reqs.drain(..) {
-            // Cache-miss refill; silence on an unknown hash is handled by
-            // the worker's own fetch deadline.
-            if let Some(block) = core.blocks.lookup(hash) {
-                core.blocks.add_resident(link.node, hash);
-                replies.push(block);
-            }
-        }
-        collect_dispatch_remote(&inner.shared, &mut core)
-    };
-    let mut alive = true;
-    if !replies.is_empty() {
-        let mut st = link.state.lock();
-        for block in replies.drain(..) {
-            st.send.push(&FrameRef::BlockData { hash: block.hash, blob: block.blob.as_ref() });
-        }
-        alive = flush_link(inner, &mut st);
-    }
-    let (offset, synced) = (clock.offset_us(), clock.rtt_us() > 0);
-    let m = &inner.shared.metrics;
-    for (e, stamps) in ended.drain(..) {
-        m.rpc_latency.record(now.saturating_sub(e.dispatched_us));
-        m.record_node_task(&link.label);
-        e.publish(&inner.shared, window(stamps, offset, synced, e.dispatched_us, now));
-    }
-    inner.shared.cv.notify_all();
-    send_dispatches(inner, follow);
-    if !alive {
-        failover(inner, link);
-    }
-}
-
-/// Write off a dead link, inline on whichever thread saw it die. A lost
-/// worker stays lost for the life of the runtime: its socket is torn down
-/// and its node goes through the runtime's one node-loss path,
-/// [`lose_node`]. Idempotent — `conn == None` means the link is already
-/// written off — so the recursion through `send_dispatches` ends. Call with
-/// no link lock and no core lock held.
-fn failover(inner: &Arc<Inner>, link: &Arc<WorkerLink>) {
-    let conn = {
-        let mut st = link.state.lock();
-        // A lost link is never probed or judged again.
-        link.unanswered_us.store(ANSWERED, Ordering::Relaxed);
-        st.conn.take()
-    };
-    let Some(conn) = conn else { return };
-    conn.close(&inner.poller);
-    if inner.stop.load(Ordering::SeqCst) {
-        return;
-    }
-    inner.shared.metrics.workers_lost.incr();
-    let follow = {
-        let mut core = inner.shared.core.lock();
-        let now = inner.shared.wall_us();
-        lose_node(&inner.shared, &mut core, link.node, now);
-        collect_dispatch_remote(&inner.shared, &mut core)
-    };
-    // Frames buffered since the socket was torn out are for executions
-    // just failed over; they are never sent.
-    link.state.lock().send.clear();
-    inner.shared.cv.notify_all();
-    send_dispatches(inner, follow);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::data::DataHandle;
-
-    #[test]
-    fn exec_spans_are_rebased_and_never_leave_the_driver_window() {
-        // Worker clock 1_000 ahead: stamps [1_200, 1_300] are [200, 300] on
-        // the driver timeline, inside the window, so the length is exact.
-        assert_eq!(exec_span(1_200, 1_300, 1_000, 150, 400), (200, 300));
-        // Offset error puts the start before the dispatch: clamped to it.
-        assert_eq!(exec_span(1_100, 1_200, 1_000, 150, 400), (150, 200));
-        // An offset so wrong the whole span rebases below zero collapses
-        // onto the window floor, a worker behind the driver lands past the
-        // ceiling; neither inverts.
-        assert_eq!(exec_span(1_100, 1_200, 10_000, 150, 400), (150, 150));
-        assert_eq!(exec_span(100, 200, -1_000, 150, 400), (400, 400));
-        // Stamps a hostile peer inverted still give a forward span.
-        assert_eq!(exec_span(1_300, 1_200, 1_000, 150, 400), (300, 300));
-    }
 
     #[test]
     fn data_keys_roundtrip() {

@@ -1,0 +1,813 @@
+//! Every decision the distributed driver makes, in one plain value.
+//!
+//! [`DriverState`] keeps, per worker link, the next heartbeat's sequence
+//! number, the send time of the oldest probe no byte has answered yet, the
+//! clock-offset estimate, the interned function names and whether the link
+//! is lost; and, for the driver, the heartbeat schedule, the node and
+//! dispatch time of every attempt on the wire, and the shutdown deadline.
+//! [`DriverState::apply`] takes one [`Event`] with the time it happened and
+//! appends the [`Action`]s the shell must carry out, in order;
+//! [`DriverState::next_deadline`] names the time by which the shell must
+//! come back with an [`Event::Tick`]. Nothing here reads a clock, takes a
+//! lock or touches a socket: the tests below run it against a real runtime
+//! core and scripted workers on virtual time.
+//!
+//! A read of a link the state has lost settles nothing, as its attempts
+//! left `on_wire` with it.
+
+use std::collections::HashMap;
+use std::sync::Arc;
+
+use paratrace::ClockSync;
+use rnet::Frame;
+
+use super::{Completion, ExecStamps, Inbox, RemoteDispatch};
+use crate::ids::IdMap;
+use crate::runtime::Window;
+
+/// What happened, as the shell saw it.
+pub(super) enum Event<'a> {
+    /// One read of a link: the frames it brought, filed in `inbox`, and the
+    /// bytes it took off the socket.
+    Read {
+        link: u32,
+        bytes: usize,
+        inbox: &'a mut Inbox,
+    },
+    /// Placed attempts about to be encoded: each learns its function's id
+    /// on its link, 0 if the link is lost and nothing goes out.
+    Dispatch(&'a mut [RemoteDispatch]),
+    /// A link ended: a read error or EOF, or its goodbye drained.
+    Closed(u32),
+    /// A loop turn ended: what was readable when its poll began is read.
+    Tick,
+    Stop,
+}
+
+/// What the shell must do, in order.
+pub(super) enum Action {
+    /// Push a frame onto the link's backlog.
+    Push(u32, Frame),
+    /// Settle the attempt a `Done` or `Failed` names, its bars over the
+    /// window.
+    Settle(Completion, Window),
+    /// Send the block to the link, if the store still has it.
+    Ship(u32, u128),
+    /// The link's worker dropped the block: retract its residency.
+    Evict(u32, u128),
+    /// Write the link's node off: [`crate::runtime::lose_node`].
+    Lose(u32),
+    /// Take the link off the poller, shut it and drop its backlog.
+    Close(u32),
+}
+
+/// One worker link, as the decisions see it.
+#[derive(Default)]
+struct LinkState {
+    hb_seq: u64,
+    /// Send time of the oldest heartbeat no received byte has followed yet:
+    /// the silence a loss verdict judges.
+    unanswered: Option<u64>,
+    /// NTP-style clock-offset estimate fed by heartbeat acks. The worker's
+    /// clock starts with its connection, so the estimate is this socket's.
+    clock: ClockSync,
+    /// Interned function names, from 1: a name crosses the link once.
+    fn_ids: HashMap<Arc<str>, u64>,
+    lost: bool,
+}
+
+/// See the module docs.
+#[derive(Default)]
+pub(super) struct DriverState {
+    hb_us: u64,
+    timeout_us: u64,
+    links: Vec<LinkState>,
+    /// Node and dispatch time of every attempt sent and not yet settled.
+    on_wire: IdMap<u64, (u32, u64)>,
+    /// When the next heartbeat is due: at once, so even a task that ends
+    /// before the first interval has its stamps rebased.
+    next_hb: u64,
+    /// Time of the latest `Tick`.
+    turn: u64,
+    /// When `Stop` gives up on goodbyes that have not drained.
+    stop_at: Option<u64>,
+}
+
+impl DriverState {
+    pub fn new(links: usize, hb_us: u64, timeout_us: u64) -> DriverState {
+        let links = (0..links).map(|_| LinkState::default()).collect();
+        DriverState { hb_us, timeout_us, links, ..DriverState::default() }
+    }
+
+    pub fn apply(&mut self, event: Event<'_>, now_us: u64, out: &mut Vec<Action>) {
+        match event {
+            Event::Read { link, bytes, inbox } => self.read(link, bytes, inbox, now_us, out),
+            Event::Dispatch(batch) => {
+                for d in batch.iter_mut() {
+                    let link = &mut self.links[d.node as usize];
+                    // On a lost link `lose_node` fails the attempt, or has.
+                    d.fn_id = 0;
+                    if !link.lost {
+                        self.on_wire.insert(d.exec_id, (d.node, d.dispatched_us));
+                        let next = link.fn_ids.len() as u64 + 1;
+                        d.fn_id = link.fn_ids.get(&d.name).copied().unwrap_or(next);
+                        d.fn_new = d.fn_id == next;
+                        if d.fn_new {
+                            link.fn_ids.insert(Arc::clone(&d.name), next);
+                        }
+                    }
+                }
+            }
+            Event::Closed(link) => self.close(link, out),
+            Event::Tick if self.stop_at.is_some() => {
+                if self.stop_at <= Some(now_us) {
+                    (0..self.links.len() as u32).for_each(|l| self.close(l, out));
+                }
+            }
+            Event::Tick => {
+                // Everything a live peer sent before the last turn ended has
+                // been read: a probe older than the timeout then is silence.
+                // Judged against that turn, never this one, a driver stall
+                // is charged to no peer.
+                for l in 0..self.links.len() as u32 {
+                    let since = self.links[l as usize].unanswered.unwrap_or(u64::MAX);
+                    if self.turn.saturating_sub(since) > self.timeout_us {
+                        self.close(l, out);
+                    }
+                }
+                self.turn = now_us;
+                if now_us >= self.next_hb {
+                    self.next_hb = now_us + self.hb_us;
+                    for (l, link) in self.links.iter_mut().enumerate().filter(|(_, k)| !k.lost) {
+                        // The `telemetry` field is reserved: always false.
+                        let probe = Frame::Heartbeat {
+                            seq: link.hb_seq,
+                            t_send_us: now_us,
+                            telemetry: false,
+                        };
+                        out.push(Action::Push(l as u32, probe));
+                        link.hb_seq += 1;
+                        link.unanswered.get_or_insert(now_us);
+                    }
+                }
+            }
+            Event::Stop => {
+                self.stop_at = Some(now_us + self.timeout_us);
+                let live = self.links.iter().enumerate().filter(|(_, k)| !k.lost);
+                out.extend(live.map(|(l, _)| Action::Push(l as u32, Frame::Shutdown)));
+            }
+        }
+    }
+
+    /// When the shell must next send a `Tick`: the next heartbeat, or as
+    /// soon as an unanswered one is old enough to judge, or when `Stop`
+    /// gives up. `None` once stopped with every link closed: the loop ends.
+    pub fn next_deadline(&self) -> Option<u64> {
+        if self.stop_at.is_some() {
+            return self.stop_at.filter(|_| self.links.iter().any(|l| !l.lost));
+        }
+        let silences = self.links.iter().filter_map(|l| l.unanswered);
+        Some(silences.map(|since| since + self.timeout_us + 1).fold(self.next_hb, u64::min))
+    }
+
+    pub fn stopping(&self) -> bool {
+        self.stop_at.is_some()
+    }
+
+    pub fn clock(&self, link: u32) -> ClockSync {
+        self.links[link as usize].clock
+    }
+
+    fn read(&mut self, l: u32, bytes: usize, inbox: &mut Inbox, now: u64, out: &mut Vec<Action>) {
+        let link = &mut self.links[l as usize];
+        if bytes > 0 {
+            link.unanswered = None;
+        }
+        // Acks read together arrived together: `now` is t3 of each.
+        for (t0, t1, t2) in inbox.acks.drain(..) {
+            link.clock.observe(t0, t1, t2, now);
+        }
+        let (offset, synced) = (link.clock.offset_us(), link.clock.rtt_us() > 0);
+        for c in inbox.completions.drain(..) {
+            // Only the link an attempt went out on settles it: a late frame
+            // of a failed-over attempt, or one naming an attempt sent to
+            // another node, is ignored.
+            let Some((node, dispatched_us)) = self.on_wire.remove(&c.exec_id) else { continue };
+            if node != l {
+                self.on_wire.insert(c.exec_id, (node, dispatched_us));
+                continue;
+            }
+            // The turn read the clock before this read; another thread may
+            // have dispatched since.
+            let span = window(c.stamps, offset, synced, dispatched_us, now.max(dispatched_us));
+            out.push(Action::Settle(c, span));
+        }
+        out.extend(inbox.block_evicts.drain(..).map(|hash| Action::Evict(l, hash)));
+        let ships = inbox.block_reqs.drain(..).filter(|_| !link.lost); // none to a lost link
+        out.extend(ships.map(|hash| Action::Ship(l, hash)));
+    }
+
+    /// Write a link off, once: its attempts leave `on_wire` (`lose_node`
+    /// fails them), and unless stopping its node is lost.
+    fn close(&mut self, l: u32, out: &mut Vec<Action>) {
+        let link = &mut self.links[l as usize];
+        if !std::mem::replace(&mut link.lost, true) {
+            link.unanswered = None;
+            self.on_wire.retain(|_, &mut (node, _)| node != l);
+            out.push(Action::Close(l));
+            out.extend(self.stop_at.is_none().then_some(Action::Lose(l)));
+        }
+    }
+}
+
+/// Map a worker-clock stamp onto the driver timeline, saturating at zero.
+/// `offset_us` is the link's `worker_clock − driver_clock` estimate.
+fn rebase(t: u64, offset_us: i64) -> u64 {
+    (t as i64 - offset_us).max(0) as u64
+}
+
+/// What a `Done`'s stamps say of an attempt dispatched at `dispatch` and
+/// applied at `completion`: the driver-observed window, narrowed to the
+/// body's own span once the stamps can be placed (`synced`), and the wire
+/// and ship phases. A `Failed` has no stamps: the window alone. The span is
+/// rebased and clamped into the window, as residual clock error (≤ RTT/2)
+/// must never draw a body before its dispatch or past its completion.
+fn window(stamps: ExecStamps, offset: i64, synced: bool, dispatch: u64, completion: u64) -> Window {
+    let observed = Window { span: (dispatch, completion), ..Window::default() };
+    let Some((w_recv, w_start, w_end)) = stamps else { return observed };
+    let start = rebase(w_start, offset).clamp(dispatch, completion);
+    let end = rebase(w_end, offset).clamp(dispatch, completion).max(start);
+    Window {
+        span: if synced { (start, end) } else { observed.span },
+        // A task dispatched ahead waits on the worker for the one before
+        // it: that wait is queueing too. Like exec, it is a worker-clock
+        // difference, so the offset cancels there.
+        held_us: w_start.saturating_sub(w_recv),
+        wire_us: Some(rebase(w_recv, offset).saturating_sub(dispatch)),
+        ship_us: Some(completion.saturating_sub(rebase(w_end, offset))),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The property: the state and a real runtime core, driven by a shell
+    //! on virtual time against scripted workers that answer
+    //! deterministically, with no socket and no sleep. Each seed draws a
+    //! task graph and a fault per worker; every run must settle before a
+    //! virtual deadline with the threaded oracle's values or a typed error,
+    //! settle only attempts running where their frame came from, write off
+    //! only a worker that went quiet or away, leave nothing live, and stop.
+
+    use std::collections::VecDeque;
+    use std::time::Instant;
+
+    use cluster::{Cluster, NodeSpec};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use rnet::{FrameRef, SendBuf, WireArg};
+
+    use super::super::{apply_core, collect_dispatch_remote, encode, Dispatches, Io, Wire, SPARE};
+    use super::*;
+    use crate::data::{DataHandle, Value};
+    use crate::{codec, ArgSpec, Constraint, Runtime, RuntimeConfig, TaskDef};
+
+    const HB_US: u64 = 50_000;
+    const TIMEOUT_US: u64 = 300_000;
+    /// A run that has not settled by then hangs.
+    const DEADLINE_US: u64 = 120_000_000;
+
+    /// How one scripted worker misbehaves. A time is when it starts.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Fault {
+        None,
+        /// The link fails: what is still in flight is lost, then the read
+        /// errors.
+        Dies(u64),
+        /// The worker shuts its sending half: what it sent before arrives,
+        /// then EOF. It still reads, and answers nothing.
+        HalfCloses(u64),
+        /// The worker says nothing more, its link open. Once it is written
+        /// off, one more `Done` of its arrives on the lost link.
+        Silent(u64),
+        DupAcks,
+        /// Acks every other probe.
+        DropsAcks,
+        /// Answers every `Submit` with a `Done` of no outputs.
+        WrongCount,
+        /// Answers, besides its own, for an attempt sent to another node,
+        /// with a wrong value.
+        Forges,
+    }
+
+    impl Fault {
+        fn draw(rng: &mut StdRng) -> Fault {
+            let t = rng.gen_range(0..400_000);
+            match rng.gen_range(0..10) {
+                0 => Fault::Dies(t),
+                1 => Fault::HalfCloses(t),
+                2 => Fault::Silent(t),
+                3 => Fault::DupAcks,
+                4 => Fault::DropsAcks,
+                5 => Fault::WrongCount,
+                6 => Fault::Forges,
+                _ => Fault::None,
+            }
+        }
+
+        /// When the worker stops sending, if it does.
+        fn gone(self) -> Option<u64> {
+            match self {
+                Fault::Dies(t) | Fault::HalfCloses(t) | Fault::Silent(t) => Some(t),
+                _ => None,
+            }
+        }
+    }
+
+    /// A scripted worker on virtual time with one core: it runs what it is
+    /// sent in order, dispatched-ahead attempts after the one before.
+    struct Peer {
+        fault: Fault,
+        /// Its clock minus the driver's.
+        offset: u64,
+        /// Frames on their way to the driver, with arrival times that TCP
+        /// keeps in order.
+        outbox: VecDeque<(u64, Frame)>,
+        fn_names: HashMap<u64, String>,
+        busy_until: u64,
+        probes: u64,
+        /// Exec ids it was sent.
+        execs: Vec<u64>,
+        /// The driver closed the link, or the link ended.
+        closed: bool,
+        /// Latency and body time, µs.
+        lat: u64,
+        exec: u64,
+    }
+
+    impl Peer {
+        fn post(&mut self, at: u64, frame: Frame) {
+            let at = self.outbox.back().map_or(at, |&(last, _)| last.max(at));
+            self.outbox.push_back((at, frame));
+        }
+
+        /// The worker's side of one frame the driver sent at `now`.
+        /// `victim` is an attempt sent to another node, for a forger.
+        fn receive(&mut self, frame: Frame, now: u64, victim: Option<u64>) {
+            if let Frame::Submit { exec_id, .. } = frame {
+                self.execs.push(exec_id);
+            }
+            if self.fault.gone().is_some_and(|t| now >= t) {
+                return;
+            }
+            let (at, off) = (now + self.lat, self.offset);
+            match frame {
+                Frame::Heartbeat { seq, t_send_us, .. } => {
+                    self.probes += 1;
+                    if self.fault == Fault::DropsAcks && self.probes.is_multiple_of(2) {
+                        return;
+                    }
+                    let (recv_us, reply_us) = (now + off, now + off);
+                    for _ in 0..1 + u32::from(self.fault == Fault::DupAcks) {
+                        self.post(at, Frame::HeartbeatAck { seq, t_send_us, recv_us, reply_us });
+                    }
+                }
+                Frame::Submit { exec_id, fn_id, fn_name, args, .. } => {
+                    if let Some(name) = fn_name {
+                        self.fn_names.insert(fn_id, name);
+                    }
+                    let inputs = args.iter().map(|a| match a {
+                        WireArg::Inline { blob, .. } => {
+                            let v = codec::decode_tagged(&blob.tag, &blob.bytes).unwrap();
+                            *v.downcast_ref::<i64>().unwrap()
+                        }
+                        WireArg::Block { .. } => panic!("8-byte values stay inline"),
+                    });
+                    let out = match self.fn_names[&fn_id].as_str() {
+                        "inc" => inputs.sum::<i64>() + 1,
+                        "add" => inputs.sum::<i64>(),
+                        other => panic!("unscripted task {other}"),
+                    };
+                    let start = at.max(self.busy_until);
+                    self.busy_until = start + self.exec;
+                    let encoded = codec::encode_value(&Value::new(out)).unwrap();
+                    let outputs =
+                        if self.fault == Fault::WrongCount { vec![] } else { vec![encoded] };
+                    let (recv_us, start_us, end_us) =
+                        (at + off, start + off, start + self.exec + off);
+                    let done = Frame::Done { exec_id, recv_us, start_us, end_us, outputs };
+                    self.post(self.busy_until + self.lat, done);
+                    if let (Fault::Forges, Some(victim)) = (self.fault, victim) {
+                        self.post(at, forged(victim));
+                    }
+                }
+                _ => {}
+            }
+        }
+
+        /// Frames that have arrived by `t`, and whether the link is still
+        /// open then.
+        fn arrived(&mut self, t: u64) -> (Vec<Frame>, bool) {
+            let gone = self.fault.gone().filter(|&g| g <= t);
+            if let (Fault::Dies(_), Some(g)) = (self.fault, gone) {
+                self.outbox.retain(|&(at, _)| at <= g);
+            }
+            if let (Fault::Silent(_), Some(g)) = (self.fault, gone) {
+                self.outbox.retain(|&(at, _)| at <= g);
+            }
+            let n = self.outbox.iter().take_while(|&&(at, _)| at <= t).count();
+            let frames = self.outbox.drain(..n).map(|(_, f)| f).collect();
+            let open = match self.fault {
+                Fault::Dies(_) | Fault::HalfCloses(_) => gone.is_none() || !self.outbox.is_empty(),
+                _ => true,
+            };
+            (frames, open)
+        }
+
+        /// When the driver's poll next sees this link ready.
+        fn next_event(&self) -> Option<u64> {
+            let front = self.outbox.front().map(|&(at, _)| at);
+            match self.fault {
+                _ if self.closed => None,
+                Fault::Dies(t) => Some(front.map_or(t, |at| at.min(t))),
+                Fault::HalfCloses(t) => Some(front.unwrap_or(t)),
+                Fault::Silent(t) => front.filter(|&at| at <= t),
+                _ => front,
+            }
+        }
+    }
+
+    /// A `Done` of 999 for an attempt the sender never ran.
+    fn forged(exec_id: u64) -> Frame {
+        let outputs = vec![codec::encode_value(&Value::new(999i64)).unwrap()];
+        Frame::Done { exec_id, recv_us: 0, start_us: 0, end_us: 0, outputs }
+    }
+
+    /// The shell, for the property: what `driver.rs` does with sockets and
+    /// the clock, done with scripted workers and virtual time, checking each
+    /// apply's actions as they come.
+    struct Harness {
+        rt: Runtime,
+        io: Io,
+        peers: Vec<Peer>,
+        acts: Vec<Action>,
+        inbox: Inbox,
+        now: u64,
+        rng: StdRng,
+        /// Chance that a turn stalls between its poll and its clock read.
+        stalls: f64,
+        /// Wall time spent in the driver's half: state, encode, decode and
+        /// the core's actions.
+        driver_ns: u128,
+    }
+
+    impl Harness {
+        fn new(seed: u64, faults: &[Fault], lat: u64, exec: u64, stalls: f64) -> Harness {
+            let mut cfg = RuntimeConfig::single_node(1).with_tracing(false);
+            let nodes = (0..faults.len()).map(|i| NodeSpec::new(format!("w{i}"), 1, vec![], 1));
+            cfg.cluster = Cluster::from_nodes(nodes.collect());
+            cfg.reserved_cores.clear();
+            let rt = Runtime::simulated(cfg);
+            rt.shared.core.lock().sched.enable_dispatch_ahead();
+            let counter = rt.shared.metrics.registry().counter("harness_bytes");
+            let wires = faults.iter().map(|_| Wire {
+                conn: None,
+                send: SendBuf::new(),
+                sent_bytes: counter.clone(),
+                recv_bytes: counter.clone(),
+            });
+            let state = DriverState::new(faults.len(), HB_US, TIMEOUT_US);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let peers = faults
+                .iter()
+                .map(|&fault| Peer {
+                    fault,
+                    offset: rng.gen_range(0..1_000_000),
+                    outbox: VecDeque::new(),
+                    fn_names: HashMap::new(),
+                    busy_until: 0,
+                    probes: 0,
+                    execs: Vec::new(),
+                    closed: false,
+                    lat: rng.gen_range(0..=lat),
+                    exec: rng.gen_range(0..=exec),
+                })
+                .collect();
+            let io = Io { state, wires: wires.collect() };
+            let (acts, inbox, driver_ns) = (Vec::new(), Inbox::default(), 0);
+            Harness { rt, io, peers, acts, inbox, now: 0, rng, stalls, driver_ns }
+        }
+
+        /// Place what is ready and send it, as `Runtime::submit` does.
+        fn dispatch(&mut self) -> Result<(), String> {
+            let t0 = Instant::now();
+            let batch = collect_dispatch_remote(&self.rt.shared, &mut self.rt.shared.core.lock());
+            self.driver_ns += t0.elapsed().as_nanos();
+            self.pump(Some(batch))
+        }
+
+        /// `driver.rs`'s `pump`, with the workers reading every backlog at
+        /// once.
+        fn pump(&mut self, mut batch: Option<Dispatches>) -> Result<(), String> {
+            loop {
+                let t0 = Instant::now();
+                if let Some(mut b) = batch.take() {
+                    encode(&mut self.io, &mut b, &mut self.acts, &mut self.inbox, self.now);
+                    SPARE.set(b);
+                }
+                let wires = &mut self.io.wires;
+                for (l, block) in self.inbox.replies.drain(..) {
+                    let reply = FrameRef::BlockData { hash: block.hash, blob: block.blob.as_ref() };
+                    wires[l as usize].send.push(&reply);
+                }
+                let mut closed = Vec::new();
+                self.acts.retain(|act| {
+                    match *act {
+                        Action::Push(l, ref frame) => wires[l as usize].send.push(frame),
+                        Action::Close(l) => closed.push(l),
+                        _ => return true,
+                    }
+                    false
+                });
+                self.driver_ns += t0.elapsed().as_nanos();
+                for l in closed {
+                    self.close(l)?;
+                }
+                self.deliver();
+                if self.acts.is_empty() && self.inbox.saves.is_empty() {
+                    return Ok(());
+                }
+                for act in &self.acts {
+                    if let Action::Lose(l) = *act {
+                        let fault = self.peers[l as usize].fault;
+                        if fault.gone().is_none() {
+                            return Err(format!(
+                                "wrote off worker {l}, which was live ({fault:?})"
+                            ));
+                        }
+                    }
+                }
+                let t0 = Instant::now();
+                let (shared, now) = (&self.rt.shared, self.now);
+                let follow = apply_core(
+                    shared,
+                    &mut shared.core.lock(),
+                    &mut self.acts,
+                    &mut self.inbox,
+                    now,
+                );
+                for (e, w) in self.inbox.ended.drain(..) {
+                    e.publish(shared, w);
+                }
+                self.driver_ns += t0.elapsed().as_nanos();
+                batch = Some(follow);
+            }
+        }
+
+        /// The link is closed: its backlog goes, and a worker that went
+        /// silent gets one more `Done` read on it, as a readiness event the
+        /// loop had collected before the loss.
+        fn close(&mut self, l: u32) -> Result<(), String> {
+            let peer = &mut self.peers[l as usize];
+            peer.closed = true;
+            self.io.wires[l as usize].send.clear();
+            if let (Fault::Silent(_), Some(&exec)) = (peer.fault, peer.execs.last()) {
+                let frame = forged(exec);
+                let encoded = frame.encode();
+                self.inbox.take(FrameRef::decode(&encoded).unwrap().unwrap().0);
+                let (bytes, inbox, from) = (encoded.len(), &mut self.inbox, self.acts.len());
+                self.io.state.apply(
+                    Event::Read { link: l, bytes, inbox },
+                    self.now,
+                    &mut self.acts,
+                );
+                self.check_settles(l, from)?;
+            }
+            Ok(())
+        }
+
+        /// Hand every backlog to its worker, which reads it at once.
+        fn deliver(&mut self) {
+            for l in 0..self.peers.len() {
+                let mut bytes = Vec::new();
+                self.io.wires[l].send.flush(&mut bytes).unwrap();
+                if self.peers[l].closed {
+                    continue;
+                }
+                let mut at = 0;
+                while let Some((frame, used)) = Frame::decode(&bytes[at..]).unwrap() {
+                    at += used;
+                    let victim = self.victim(l);
+                    self.peers[l].receive(frame, self.now, victim);
+                }
+            }
+        }
+
+        /// The newest attempt sent to another live node.
+        fn victim(&mut self, l: usize) -> Option<u64> {
+            let others = self.peers.iter().enumerate().filter(|(o, p)| *o != l && !p.closed);
+            others.filter_map(|(_, p)| p.execs.last().copied()).max()
+        }
+
+        /// Every settle a read of link `l` added from `acts[from]` on must
+        /// name an attempt running on `l`'s node, which no pending `Lose`
+        /// writes off.
+        fn check_settles(&self, l: u32, from: usize) -> Result<(), String> {
+            let core = self.rt.shared.core.lock();
+            let (before, added) = self.acts.split_at(from);
+            for act in added {
+                if let Action::Settle(c, _) = act {
+                    let on = core.running.get(&c.exec_id).map(|r| r.placement.node);
+                    let lost = before.iter().any(|a| matches!(a, Action::Lose(n) if *n == l));
+                    if on != Some(l) || lost {
+                        let exec = c.exec_id;
+                        return Err(format!(
+                            "link {l} settled exec {exec} (on {on:?}, lost {lost})"
+                        ));
+                    }
+                }
+            }
+            Ok(())
+        }
+
+        /// One loop turn: poll until the deadline or the first link ready,
+        /// read the clock (late, on a stalled turn), read the links that
+        /// were ready when the poll returned, `Tick`, then one `pump`.
+        fn turn(&mut self) -> Result<(), String> {
+            let deadline = self.io.state.next_deadline().ok_or("the loop ended")?;
+            let ready_at = self.peers.iter().filter_map(Peer::next_event).min();
+            let polled = ready_at.map_or(deadline, |at| at.min(deadline)).max(self.now);
+            let ready: Vec<u32> = (0..self.peers.len() as u32)
+                .filter(|&l| self.peers[l as usize].next_event().is_some_and(|at| at <= polled))
+                .collect();
+            let stall = self.rng.gen_bool(self.stalls);
+            self.now =
+                polled + if stall { self.rng.gen_range(TIMEOUT_US..3 * TIMEOUT_US) } else { 0 };
+            for l in ready {
+                self.read(l)?;
+            }
+            let t0 = Instant::now();
+            self.io.state.apply(Event::Tick, self.now, &mut self.acts);
+            if self.io.state.stopping() {
+                for l in 0..self.peers.len() as u32 {
+                    if !self.peers[l as usize].closed && self.io.wires[l as usize].send.is_empty() {
+                        self.io.state.apply(Event::Closed(l), self.now, &mut self.acts);
+                    }
+                }
+            }
+            self.driver_ns += t0.elapsed().as_nanos();
+            self.pump(None)
+        }
+
+        /// Read a link: every frame that has arrived, then EOF or an error
+        /// if the link has ended.
+        fn read(&mut self, l: u32) -> Result<(), String> {
+            let (frames, open) = self.peers[l as usize].arrived(self.now);
+            let encoded: Vec<Vec<u8>> = frames.iter().map(Frame::encode).collect();
+            let t0 = Instant::now();
+            for e in &encoded {
+                self.inbox.take(FrameRef::decode(e).unwrap().unwrap().0);
+            }
+            let (bytes, from) = (encoded.iter().map(Vec::len).sum(), self.acts.len());
+            let inbox = &mut self.inbox;
+            self.io.state.apply(Event::Read { link: l, bytes, inbox }, self.now, &mut self.acts);
+            self.driver_ns += t0.elapsed().as_nanos();
+            self.check_settles(l, from)?;
+            if !open {
+                self.peers[l as usize].closed = true;
+                self.io.state.apply(Event::Closed(l), self.now, &mut self.acts);
+            }
+            Ok(())
+        }
+
+        /// Turn until every task has settled, then stop.
+        fn run(&mut self) -> Result<(), String> {
+            while !self.rt.shared.core.lock().graph.all_settled() {
+                if self.now > DEADLINE_US {
+                    let core = self.rt.shared.core.lock();
+                    let (running, ready) = (core.running.len(), core.sched.ready_len());
+                    return Err(format!("{running} running, {ready} ready after {DEADLINE_US} µs"));
+                }
+                self.turn()?;
+            }
+            if !self.io.state.on_wire.is_empty() {
+                return Err(format!("{} attempts left on the wire", self.io.state.on_wire.len()));
+            }
+            self.io.state.apply(Event::Stop, self.now, &mut self.acts);
+            self.pump(None)?;
+            while self.io.state.next_deadline().is_some() {
+                if self.now > DEADLINE_US + TIMEOUT_US {
+                    return Err("the stop never ended".into());
+                }
+                self.turn()?;
+            }
+            Ok(())
+        }
+    }
+
+    fn tasks(rt: &Runtime) -> (TaskDef, TaskDef) {
+        let arg = |v: &Value| *v.downcast_ref::<i64>().unwrap();
+        let inc = rt.register("inc", Constraint::cpus(1), 1, move |_, i| {
+            Ok(vec![Value::new(arg(&i[0]) + 1)])
+        });
+        let add = rt.register("add", Constraint::cpus(1), 1, move |_, i| {
+            Ok(vec![Value::new(i.iter().map(arg).sum::<i64>())])
+        });
+        (inc, add)
+    }
+
+    /// A random graph of `inc` and `add` over a few literals; the literals'
+    /// handles, then every task's output.
+    fn build(rt: &Runtime, seed: u64) -> Vec<DataHandle> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (inc, add) = tasks(rt);
+        let mut handles: Vec<DataHandle> =
+            (0..rng.gen_range(2..5i64)).map(|i| rt.literal(i)).collect();
+        for _ in 0..rng.gen_range(6..24) {
+            let (def, reads) =
+                if rng.gen_bool(0.4) { (&inc, 1) } else { (&add, rng.gen_range(2..4)) };
+            let args = (0..reads).map(|_| ArgSpec::In(handles[rng.gen_range(0..handles.len())]));
+            handles.push(rt.submit(def, args.collect()).unwrap().returns[0]);
+        }
+        handles
+    }
+
+    /// One seeded case.
+    fn case(seed: u64) -> Result<(), String> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let faults: Vec<Fault> = (0..rng.gen_range(2..4)).map(|_| Fault::draw(&mut rng)).collect();
+        let oracle: Vec<i64> = {
+            let rt = Runtime::threaded(RuntimeConfig::single_node(2).with_tracing(false));
+            let all = build(&rt, seed);
+            all.iter().map(|h| *rt.wait_on(h).unwrap().downcast_ref::<i64>().unwrap()).collect()
+        };
+        let mut h = Harness::new(seed, &faults, 2_000, 20_000, 1.0 / 16.0);
+        let outs = build(&h.rt, seed);
+        h.dispatch()?;
+        h.run().map_err(|e| format!("{e} (faults {faults:?})"))?;
+        let may_fail = faults.iter().any(|f| f.gone().is_some() || *f == Fault::WrongCount);
+        let core = h.rt.shared.core.lock();
+        for (out, want) in outs.iter().zip(&oracle) {
+            let v = core.data.current_version(*out);
+            let got = core.data.get(v).map(|v| *v.downcast_ref::<i64>().unwrap());
+            if !(got == Some(*want) || (got.is_none() && may_fail && core.data.is_poisoned(v))) {
+                return Err(format!(
+                    "{out:?} is {got:?}, the oracle says {want} (faults {faults:?})"
+                ));
+            }
+        }
+        drop(core);
+        outs.iter().for_each(|&out| h.rt.delete(out));
+        let core = h.rt.shared.core.lock();
+        let live = (core.instances.len(), core.data.live_versions(), core.snapshot_bytes);
+        if live != (0, 0, 0) {
+            return Err(format!("left live (tasks, versions, snapshot bytes) {live:?}"));
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn every_fault_schedule_ends_in_the_oracles_values_or_a_typed_error() {
+        let failures: Vec<String> = (0..96)
+            .filter_map(|seed| case(seed).err().map(|e| format!("seed {seed}: {e}")))
+            .collect();
+        assert!(failures.is_empty(), "{}", failures.join("\n"));
+    }
+
+    #[test]
+    #[ignore = "a measurement: cargo test --release -p rcompss --lib -- --ignored --nocapture driver_cpu"]
+    fn driver_cpu_per_noop_task() {
+        const TASKS: u64 = 20_000;
+        for round in 0..5 {
+            let mut h = Harness::new(round, &[Fault::None; 2], 0, 0, 0.0);
+            let noop =
+                h.rt.register("inc", Constraint::cpus(1), 1, |_, _| Ok(vec![Value::new(0i64)]));
+            let root = h.rt.literal(0i64);
+            for _ in 0..TASKS {
+                h.rt.submit(&noop, vec![ArgSpec::In(root)]).unwrap();
+            }
+            h.dispatch().unwrap();
+            h.run().unwrap();
+            let ns = h.driver_ns as f64 / TASKS as f64;
+            println!("driver CPU per no-op task (state + core apply, no sockets): {ns:.0} ns");
+        }
+    }
+
+    #[test]
+    fn exec_spans_are_rebased_and_never_leave_the_driver_window() {
+        let span = |start, end, offset| window(Some((0, start, end)), offset, true, 150, 400).span;
+        // Worker clock 1_000 ahead: stamps [1_200, 1_300] are [200, 300] on
+        // the driver timeline, inside the window, so the length is exact.
+        assert_eq!(span(1_200, 1_300, 1_000), (200, 300));
+        // Offset error puts the start before the dispatch: clamped to it.
+        assert_eq!(span(1_100, 1_200, 1_000), (150, 200));
+        // An offset so wrong the whole span rebases below zero collapses
+        // onto the window floor, a worker behind the driver lands past the
+        // ceiling; neither inverts.
+        assert_eq!(span(1_100, 1_200, 10_000), (150, 150));
+        assert_eq!(span(100, 200, -1_000), (400, 400));
+        // Stamps a hostile peer inverted still give a forward span.
+        assert_eq!(span(1_300, 1_200, 1_000), (300, 300));
+        // Before any ack the span is the window the driver saw.
+        assert_eq!(window(Some((0, 1_200, 1_300)), 0, false, 150, 400).span, (150, 400));
+    }
+}

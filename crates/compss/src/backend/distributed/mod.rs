@@ -16,7 +16,9 @@
 //!   writable event resumes draining the link's `SendBuf`. Heartbeats are
 //!   paced by the poll timeout — no separate monitor thread. Every socket
 //!   is registered before the loop starts, and the waker only interrupts a
-//!   poll for shutdown.
+//!   poll for shutdown. What to do with each read, tick and dispatch is
+//!   decided by a sans-IO `DriverState` (`driver/state.rs`); the loop and
+//!   the submitting threads carry its actions out.
 //! * **Worker.** One loop thread owns the listener and every driver
 //!   connection. Executor threads push result frames into the
 //!   connection's shared `SendBuf` and flush it straight to the socket;
@@ -32,7 +34,7 @@
 //! interest is registered only while the `SendBuf` holds a
 //! partially-written backlog, so an idle connection costs one `EPOLLIN`
 //! registration and zero syscalls. The `SendBuf` lives outside the link: on
-//! the driver beside it under the link lock, on the worker under a lock of
+//! the driver beside it under the driver lock, on the worker under a lock of
 //! its own, which executors flush through directly while the loop reads.
 //!
 //! # Pipelining
@@ -91,12 +93,13 @@
 //! arrived: a heartbeat counts as unanswered only if it was sent more than
 //! the timeout before the loop's latest poll began and no byte has come
 //! back since, so a stalled driver never charges its own stall to a live
-//! peer. A lost worker stays lost for the life of the runtime: the
-//! thread that sees the loss writes the node off inline. Its in-flight
-//! executions are failed with `node_gone = true`, so
-//! [`crate::fault::RetryPolicy`] re-routes them to surviving workers; ready
-//! tasks that no surviving node could ever run are failed immediately
-//! (cascade) instead of hanging the barrier.
+//! peer. A completion counts only on the link its attempt went out on. A
+//! lost worker stays lost for the life of the runtime: the loop writes the
+//! node off once. Its in-flight executions are failed with `node_gone =
+//! true`, so [`crate::fault::RetryPolicy`] re-routes them to surviving
+//! workers; ready tasks that no surviving node could ever run are failed
+//! immediately (cascade) instead of hanging the barrier. A goodbye that has
+//! not drained within the timeout is abandoned: no peer holds a shutdown.
 //!
 //! Multi-node (`@multinode`) constraints are not dispatched remotely — the
 //! simulated backend remains the home for those experiments.

@@ -391,7 +391,7 @@ enum BackendHandle {
 
 /// The runtime. Cheap to share behind `&`; internally synchronised.
 pub struct Runtime {
-    shared: Arc<Shared>,
+    pub(crate) shared: Arc<Shared>,
     backend: BackendHandle,
 }
 
@@ -1010,22 +1010,22 @@ pub(crate) fn complete_attempt(
 
     // Consult the failure injector (deterministic chaos for tests/benches).
     let injected = shared.failures.attempt_fails(task.0, run.attempt);
-    let outcome = if injected { Err(TaskError::new("injected failure")) } else { result };
+    let writes = inst.writes().count();
+    let outcome = match result {
+        _ if injected => Err(TaskError::new("injected failure")),
+        // A body, or a peer, that returns the wrong number of values failed.
+        Ok(values) if values.len() != writes => Err(TaskError::new(format!(
+            "task '{name}' returned {} values but declares {writes} outputs",
+            values.len()
+        ))),
+        result => result,
+    };
 
     match outcome {
         Ok(values) => {
             let Core { instances, data, .. } = &mut *core;
             let inst = instances.get(&task).expect("instance exists");
             shared.metrics.record_task_latency(&name, now_us.saturating_sub(run.dispatched_us));
-            let writes = inst.writes().count();
-            assert_eq!(
-                values.len(),
-                writes,
-                "task '{}' returned {} values but declares {} outputs",
-                inst.def.name,
-                values.len(),
-                writes
-            );
             let node = run.placement.node;
             for (v, value) in inst.writes().zip(values) {
                 data.put(v, value, exec_us.unwrap_or(0));
@@ -1086,19 +1086,6 @@ pub(crate) fn complete_attempt(
     Some(Ended { task, name, placement, submitted_us, dispatched_us, killed: node_gone, exec_us })
 }
 
-/// [`complete_attempt`] for an attempt that failed before any result came.
-pub(crate) fn fail_attempt(
-    shared: &Shared,
-    core: &mut Core,
-    exec_id: u64,
-    error: TaskError,
-    now_us: u64,
-    node_gone: bool,
-) -> Option<Ended> {
-    let nothing = Err::<std::iter::Empty<Value>, _>(error);
-    complete_attempt(shared, core, exec_id, nothing, None, now_us, node_gone)
-}
-
 /// Lose `node` for good: the one node-loss path of every backend, a
 /// simulated node failure and a written-off worker link alike. The node is
 /// killed and forgets its data and block residency; the loss is counted and
@@ -1122,8 +1109,9 @@ pub(crate) fn lose_node(shared: &Shared, core: &mut Core, node: u32, now_us: u64
     victims.sort_unstable();
     let mut killed: Vec<Ended> = Vec::with_capacity(victims.len());
     for exec_id in victims {
-        let lost = TaskError::new("node lost");
-        let ended = fail_attempt(shared, core, exec_id, lost, now_us, true).expect("running");
+        let lost = Err::<std::iter::Empty<Value>, _>(TaskError::new("node lost"));
+        let ended =
+            complete_attempt(shared, core, exec_id, lost, None, now_us, true).expect("running");
         if !killed.iter().any(|k| k.placement.shares_core(&ended.placement)) {
             emit_attempt_spans(shared, &ended, (ended.dispatched_us, now_us));
         }

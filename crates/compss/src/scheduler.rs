@@ -510,8 +510,17 @@ impl Scheduler {
     /// Remove and return every ready task that can no longer be satisfied
     /// by the surviving cluster at *full capacity* — no implementation
     /// variant fits any alive node. After a node death the runtime fails
-    /// these immediately instead of letting a barrier hang forever.
+    /// these immediately instead of letting a barrier hang forever. A retry
+    /// barred from its node to move elsewhere, with nowhere left to move,
+    /// stays instead, as it would have had that been so when it failed.
     pub fn drain_unsatisfiable(&mut self) -> Vec<ReadyEntry> {
+        let stranded = self.ready.iter().filter(|(_, e)| {
+            e.exclude_node.is_some_and(|x| !e.variants().any(|c| self.satisfiable_excluding(&c, x)))
+        });
+        for key in stranded.map(|(k, _)| *k).collect::<Vec<_>>() {
+            let entry = self.remove_ready(key);
+            self.push_ready(ReadyEntry { exclude_node: None, ..entry });
+        }
         let doomed: Vec<ReadyKey> = self
             .ready
             .iter()
@@ -768,6 +777,20 @@ mod tests {
         s.push_ready(e);
         let (_, p) = s.pop_placeable(|_, _| 0).unwrap();
         assert_ne!(p.node, 0);
+    }
+
+    #[test]
+    fn a_retry_barred_from_the_last_live_node_runs_there() {
+        // Excluded from node 0 to move to node 1, which then dies: the task
+        // stays on node 0 rather than waiting forever for a node to move to.
+        let mut s = sched(2);
+        let mut e = entry(1, 1, 0);
+        e.exclude_node = Some(0);
+        s.push_ready(e);
+        s.kill_node(1);
+        assert!(s.drain_unsatisfiable().is_empty());
+        let (_, p) = s.pop_placeable(|_, _| 0).expect("placeable on node 0");
+        assert_eq!(p.node, 0);
     }
 
     #[test]

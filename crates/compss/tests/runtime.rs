@@ -820,3 +820,27 @@ fn worker_shutdown_is_signal_driven_and_prompt() {
     let took = t0.elapsed();
     assert!(took.as_millis() < 10, "shutdown of 64 idle workers took {took:?}");
 }
+
+/// A body that declares one return and yields none: its attempts fail like
+/// any other error, so the wait answers `ProducerFailed` instead of hanging,
+/// and the runtime still runs what is submitted next.
+fn a_wrong_value_count_fails_the_task(rt: Runtime) {
+    let empty = rt.register("empty", Constraint::cpus(1), 1, |_, _| Ok(vec![]));
+    let add = add_task(&rt);
+    let h = rt.submit(&empty, vec![]).unwrap().returns[0];
+    assert_eq!(rt.wait_on(&h).err(), Some(WaitError::ProducerFailed(h)));
+    let (one, two) = (rt.literal(1i64), rt.literal(2i64));
+    let sum = rt.submit(&add, vec![ArgSpec::In(one), ArgSpec::In(two)]).unwrap().returns[0];
+    assert_eq!(rt.wait_on(&sum).map(|v| *v.downcast_ref::<i64>().unwrap()), Ok(3));
+    assert_eq!(rt.stats().failed, 1);
+}
+
+#[test]
+fn a_wrong_value_count_fails_the_task_threaded() {
+    a_wrong_value_count_fails_the_task(Runtime::threaded(RuntimeConfig::single_node(2)));
+}
+
+#[test]
+fn a_wrong_value_count_fails_the_task_simulated() {
+    a_wrong_value_count_fails_the_task(Runtime::simulated(RuntimeConfig::single_node(2)));
+}

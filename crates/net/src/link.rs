@@ -144,8 +144,7 @@ impl Link {
     }
 
     /// The socket, for what is not a readiness read or flush: a second
-    /// handle (`try_clone`), a shutdown from another thread, a blocking
-    /// goodbye.
+    /// handle (`try_clone`), a shutdown from another thread.
     pub fn stream(&self) -> &TcpStream {
         &self.stream
     }

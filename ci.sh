@@ -155,18 +155,20 @@ if [ -n "$CONN_HITS" ]; then
     exit 1
 fi
 
-echo "==> sans-IO driver: the distributed driver's decisions read no clock, take no lock, touch no socket"
-# crates/compss/src/backend/distributed/driver/state.rs holds every decision
-# the driver makes; driver.rs around it holds the clock, the locks and the
-# sockets. The file is read up to its #[cfg(test)]: the property's harness
-# below it may time itself.
+echo "==> sans-IO driver and worker: the distributed backend's decisions read no clock, take no lock, touch no socket"
+# driver/state.rs holds every decision the distributed driver makes, and
+# worker/state.rs every decision a worker makes for one connection; driver.rs
+# and worker.rs around them hold the clocks, the locks and the sockets. Each
+# file is read up to its #[cfg(test)]: the properties' harnesses below it may
+# time themselves.
 SANS_IO_PATTERN='wall_us|Instant|SystemTime|Mutex|[.]lock[(][)]|Atomic|Ordering::|TcpStream|Poller'
 SANS_IO_HITS=$(awk -v pat="$SANS_IO_PATTERN" \
-    '/^#\[cfg\(test\)\]/{t=1} !t && $0 ~ pat {print FILENAME ":" FNR ": " $0}' \
-    crates/compss/src/backend/distributed/driver/state.rs)
+    'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && $0 ~ pat {print FILENAME ":" FNR ": " $0}' \
+    crates/compss/src/backend/distributed/driver/state.rs \
+    crates/compss/src/backend/distributed/worker/state.rs)
 if [ -n "$SANS_IO_HITS" ]; then
     echo "$SANS_IO_HITS" >&2
-    echo "sans-IO driver FAILED: driver/state.rs reads a clock, locks or touches a socket" >&2
+    echo "sans-IO driver and worker FAILED: a state.rs reads a clock, locks or touches a socket" >&2
     exit 1
 fi
 

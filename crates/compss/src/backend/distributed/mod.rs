@@ -25,6 +25,14 @@
 //!   only when the socket pushes back do they nudge the loop via the
 //!   waker, which flushes and re-arms write interest as needed.
 //!
+//! # Worker state
+//!
+//! | a sans-IO `WorkerState` per connection (`worker/state.rs`) decides | the shell does |
+//! |---|---|
+//! | function names, each `Data` snapshot held until its task's `Submit`, inline-argument decoding and the `Failed` for a bad one, the heartbeat ack, `Shutdown` and close | reads frames off the `Link`, stamps them with its clock, pushes what the state queued; `halt` and `drop_connections` |
+//! | the core gate: arrival order, dispatch-ahead holds, release | one `Mutex<WorkerState>` per connection with a job and a block condvar on it; the executor threads, which time each body and encode its outputs |
+//! | the block cache: in-flight requests, evictions to report, the fetch deadline, undecodable bytes | pushes `BlockRequest`s with the state's lock released, sleeps until the deadline, moves the resident gauge |
+//!
 //! # Connection state machine
 //!
 //! Each connection cycles through: read-buffer accumulation → in-place
@@ -64,7 +72,7 @@
 //! `Submit` that needs them on a node (`BlockData`), and every later submit —
 //! any trial, same content — sends only the 16-byte hash
 //! ([`rnet::WireArg::Block`]). Workers hold decoded blocks in an LRU cache
-//! bounded by `--cache-mem`, reporting evictions (`BlockEvict`) so the
+//! per driver connection bounded by `--cache-mem`, reporting evictions (`BlockEvict`) so the
 //! driver's residency stays honest; a miss is one `BlockRequest`/
 //! `BlockData` round trip, deduplicated across concurrently-starting
 //! tasks. The upshot: a shared dataset crosses the wire O(workers) times

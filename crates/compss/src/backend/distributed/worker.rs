@@ -1,7 +1,6 @@
 //! Worker side of the distributed backend: the daemon's event loop, its
 //! per-connection executors, and argument and snapshot resolution.
 
-use std::collections::VecDeque;
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -12,18 +11,20 @@ use std::time::Duration;
 use parking_lot::{Condvar, Mutex};
 use rnet::link::dial;
 use rnet::{
-    Acceptor, Blob, BlobRef, Frame, FrameOf, FrameRef, Link, Poller, SendBuf, Waker, WireArgRef,
-    LISTEN_TOKEN, WAKE_TOKEN,
+    Acceptor, Blob, BlobRef, Frame, FrameOf, FrameRef, Link, Poller, SendBuf, Waker, LISTEN_TOKEN,
+    WAKE_TOKEN,
 };
 use runmetrics::{Counter, Gauge, Histogram};
 
+use self::state::{Fetch, Job, JobArg, Start, Wake, WorkerState};
 use super::SNAP_TAG;
-use crate::blocks::BlockCache;
 use crate::codec;
 use crate::data::Value;
-use crate::ids::{IdMap, IdSet};
+use crate::ids::IdMap;
 use crate::registry::TaskRegistry;
-use crate::task::{run_body, TaskContext, TaskError, TaskId};
+use crate::task::{run_body, TaskId};
+
+mod state;
 
 /// Memory a worker advertises in its `Hello`, GiB. It advertises no GPUs.
 const HELLO_MEM_GIB: u32 = 16;
@@ -38,16 +39,13 @@ pub struct WorkerConfig {
     pub name: String,
     /// Executor threads / schedulable cores.
     pub cores: u32,
-    /// Byte budget for the decoded-block LRU cache (`--cache-mem`).
-    /// Blocks beyond it are evicted least-recently-used and re-fetched on
-    /// demand; see `blocks::BlockCache`.
+    /// Byte budget of each driver connection's decoded-block LRU cache
+    /// (`--cache-mem`): the driver's residency view is per link, so each
+    /// connection keeps its own. See `blocks::BlockCache`.
     pub cache_mem_bytes: u64,
-    /// Driver/server addresses to dial on startup (`--dial`). Instead of
-    /// waiting to be connected to, the worker opens these connections
-    /// itself and sends its `Hello` — the pattern a long-lived
-    /// `rcompss-server` behind one shared listener relies on. Each dialled
-    /// connection is serviced exactly like an accepted one; dial failures
-    /// are retried for 10 s.
+    /// Driver/server addresses to dial on startup (`--dial`), each serviced
+    /// like an accepted connection — how a worker joins a long-lived
+    /// `rcompss-server`. Dial failures are retried for 10 s.
     pub dial: Vec<String>,
 }
 
@@ -63,12 +61,10 @@ impl Default for WorkerConfig {
 }
 
 /// A task execution daemon: accepts driver connections, executes submitted
-/// tasks from a [`TaskRegistry`], and streams results back.
-///
-/// One event-loop thread ([`WorkerServer::run`]) owns the listener and
-/// every connection socket; per-connection executor threads only block on
-/// the job queue and communicate results back through the connection's
-/// shared send buffer plus the loop's waker.
+/// tasks from a [`TaskRegistry`], and streams results back. One event-loop
+/// thread ([`WorkerServer::run`]) owns the listener and every socket; each
+/// connection's executor threads wait on its state and send results through
+/// its send buffer and the loop's waker.
 pub struct WorkerServer {
     acceptor: Acceptor,
     daemon: Daemon,
@@ -103,14 +99,9 @@ impl WorkerServer {
     /// tests) with the given resources and task registry.
     pub fn bind(addr: &str, cfg: WorkerConfig, registry: TaskRegistry) -> io::Result<WorkerServer> {
         let listener = TcpListener::bind(addr)?;
-        // Preregister the block-cache series in the process-global registry
-        // so worker scrapes show them from zero — a cold cache reads as 0,
-        // not as a missing series.
-        let global = runmetrics::global();
-        global.counter("rcompss_block_cache_hits_total");
-        global.counter("rcompss_block_cache_misses_total");
-        global.counter("rcompss_block_cache_evictions_total");
-        global.gauge("rcompss_block_cache_resident_bytes");
+        // Preregister the worker's series so scrapes show them from zero: a
+        // cold cache reads as 0, not as a missing series.
+        WorkerSeries::new();
         let poller = Poller::new()?;
         let wake = Arc::new(Waker::new(&poller, WAKE_TOKEN)?);
         let acceptor = Acceptor::new(listener, &poller, LISTEN_TOKEN)?;
@@ -143,8 +134,7 @@ impl WorkerServer {
                 next_token += 1;
             }
         };
-        // Dial-out connections first: each is serviced exactly like an
-        // accepted one — the `Hello` goes out the moment the connection is
+        // Dial-out connections first: the `Hello` goes out the moment one is
         // adopted, so the server's listener can role-negotiate on it.
         for addr in &daemon.cfg.dial {
             adopt(dial(addr, DIAL_TIMEOUT)?, &mut table);
@@ -201,9 +191,8 @@ impl WorkerServer {
     /// in-process form the loopback tests and benches use).
     pub fn spawn(self) -> io::Result<WorkerHandle> {
         let addr = self.local_addr()?;
-        let stop = Arc::clone(&self.daemon.stop);
-        let conns = Arc::clone(&self.daemon.conns);
-        let wake = Arc::clone(&self.daemon.wake);
+        let Daemon { stop, conns, wake, .. } = &self.daemon;
+        let (stop, conns, wake) = (stop.clone(), conns.clone(), wake.clone());
         let thread = std::thread::spawn(move || self.run());
         Ok(WorkerHandle { addr, stop, conns, wake, thread: Some(thread) })
     }
@@ -225,37 +214,33 @@ impl WorkerHandle {
     /// A detached closure that [`Self::halt`]s this worker — hand it to a
     /// killer thread while the test's main thread is blocked in a run.
     pub fn stopper(&self) -> impl Fn() + Send + 'static {
-        let stop = Arc::clone(&self.stop);
-        let conns = Arc::clone(&self.conns);
-        let wake = Arc::clone(&self.wake);
+        let (stop, conns, wake) = (self.stop.clone(), self.conns.clone(), self.wake.clone());
         move || {
             stop.store(true, Ordering::SeqCst);
-            let _ = wake.wake();
-            for c in conns.lock().values() {
-                let _ = c.stream.shutdown(std::net::Shutdown::Both);
-            }
+            sever(&conns, &wake);
         }
     }
 
     /// Sever current connections but keep listening — how a test cuts a
     /// live worker off from its driver, which writes it off like a dead one.
     pub fn drop_connections(&self) {
-        for c in self.conns.lock().values() {
-            let _ = c.stream.shutdown(std::net::Shutdown::Both);
-        }
-        let _ = self.wake.wake();
+        sever(&self.conns, &self.wake);
     }
 
     /// Halt and join the event loop.
     pub fn join(mut self) -> io::Result<()> {
         self.halt();
-        match self.thread.take() {
-            Some(t) => {
-                t.join().unwrap_or_else(|_| Err(io::Error::other("worker event loop panicked")))
-            }
-            None => Ok(()),
-        }
+        let panicked = |_| Err(io::Error::other("worker event loop panicked"));
+        self.thread.take().map_or(Ok(()), |t| t.join().unwrap_or_else(panicked))
     }
+}
+
+/// Shut every connection's socket and wake the loop to reap them.
+fn sever(conns: &Conns, wake: &Waker) {
+    for c in conns.lock().values() {
+        let _ = c.stream.shutdown(std::net::Shutdown::Both);
+    }
+    let _ = wake.wake();
 }
 
 impl Drop for WorkerHandle {
@@ -267,110 +252,30 @@ impl Drop for WorkerHandle {
     }
 }
 
-/// How one queued argument resolves on the worker: it travelled in the
-/// `Submit`, or it is a content-addressed block.
-enum JobArg {
-    /// Inline: decoded by the event loop before queueing.
-    Value(Value),
-    /// Content-addressed: resolved from the block cache, misses
-    /// `BlockRequest`.
-    Block(u128),
-}
+/// Bytes the block caches of this process's open connections hold: the gauge.
+static RESIDENT_BYTES: Mutex<i64> = Mutex::new(0);
 
-/// One submitted task as queued on the worker.
-struct Job {
-    exec_id: u64,
-    task_id: u64,
-    attempt: u32,
-    node: u32,
-    name: Arc<str>,
-    variant: u32,
-    cores: Vec<u32>,
-    gpus: Vec<u32>,
-    args: Vec<JobArg>,
-    /// Worker clock when the `Submit` frame was decoded — the first
-    /// lifecycle stamp echoed back in `Done`.
-    recv_us: u64,
-    /// What an earlier attempt of the task last saved: the `Data` frame the
-    /// driver sent just ahead of this job's `Submit`, if it did.
-    snapshot: Option<Vec<u8>>,
-}
-
-/// One connection's jobs that have not started, and the cores its running
-/// jobs hold: the core gate. The driver may dispatch a one-core job ahead,
-/// behind a core that is still running one; the gate keeps it waiting until
-/// that core is free, so two jobs never run on one core.
-#[derive(Default)]
-struct JobQueue {
-    /// Jobs not yet started, in arrival order.
-    waiting: VecDeque<Job>,
-    /// Cores granted to this connection's running jobs.
-    held: Vec<u32>,
-}
-
-impl JobQueue {
-    /// Whether none of `job`'s cores is held by a running job.
-    fn startable(&self, job: &Job) -> bool {
-        job.cores.iter().all(|c| !self.held.contains(c))
-    }
-
-    /// Start the first waiting job, in arrival order, whose cores are all
-    /// free: take it and hold its cores.
-    fn start_next(&mut self) -> Option<Job> {
-        let i = self.waiting.iter().position(|j| self.startable(j))?;
-        let job = self.waiting.remove(i).expect("position is in range");
-        self.held.extend(&job.cores);
-        Some(job)
-    }
-
-    /// A running job ended: its cores are free again.
-    fn release(&mut self, cores: &[u32]) {
-        self.held.retain(|c| !cores.contains(c));
-    }
-}
-
-/// Content-addressed block cache plus the in-flight request set that
-/// coalesces concurrent misses: one `BlockRequest` per missing hash no
-/// matter how many tasks are blocked on it.
-struct BlockCacheState {
-    cache: BlockCache,
-    inflight: IdSet<u128>,
-}
-
-/// State shared between one connection's event-loop side and its executor
-/// threads. Executors never write the socket: outbound frames go through
-/// `out` and the loop's waker.
+/// What one connection's event-loop side and its executor threads share.
 struct ConnShared {
-    /// Outbound backlog. Pushers flush it straight to the socket while
-    /// they hold the lock (one thread hop fewer per result — on a serial
-    /// RPC chain that is the whole round trip); the event loop drains
-    /// whatever `WouldBlock` leaves behind.
-    out: Mutex<SendBuf>,
-    /// Write half of the socket (`try_clone` of the loop's fd) for the
-    /// opportunistic flush above. Non-blocking, like the original.
-    stream: TcpStream,
-    /// Kicks the event loop when a push could not fully flush, so it arms
-    /// write interest and resumes on the writable event.
-    wake: Arc<Waker>,
-    /// Decoded-block LRU under the `--cache-mem` budget, plus its
-    /// in-flight request set. Own condvar (`blocks_cv`): parking_lot
-    /// condvars are bound to one mutex at a time.
-    blocks: Mutex<BlockCacheState>,
-    blocks_cv: Condvar,
-    jobs: Mutex<JobQueue>,
+    /// The connection's decisions; executors wait on it for a job or a block.
+    state: Mutex<WorkerState>,
     jobs_cv: Condvar,
-    closed: AtomicBool,
+    blocks_cv: Condvar,
+    /// Outbound backlog, never taken under `state`. Pushers flush it to the socket themselves,
+    /// one thread hop fewer per result; the loop drains what `WouldBlock` leaves behind.
+    out: Mutex<SendBuf>,
+    /// Write half of the socket (`try_clone` of the loop's fd).
+    stream: TcpStream,
+    /// Kicks the event loop when a push could not fully flush.
+    wake: Arc<Waker>,
     stop: Arc<AtomicBool>,
-    /// The clock every worker-side stamp shares: heartbeat-ack times and the
-    /// `Done` lifecycle stamps — one epoch, so the driver's single offset
-    /// estimate rebases all of them.
+    /// The clock of every worker-side stamp (heartbeat acks, `Done`), so the
+    /// driver's one offset estimate rebases all of them.
     epoch: std::time::Instant,
-    /// Process-global series this connection records into, looked up
-    /// once here rather than by name on every task and block.
     series: WorkerSeries,
 }
 
-/// Handles on the worker's series in [`runmetrics::global`].
+/// The worker's series in [`runmetrics::global`], looked up once a connection.
 struct WorkerSeries {
     tasks_executed: Counter,
     task_exec_us: Histogram,
@@ -401,39 +306,52 @@ impl ConnShared {
         self.epoch.elapsed().as_micros() as u64
     }
 
-    /// Queue an outbound frame and flush as much of the backlog as the
-    /// socket accepts right now. Only backpressure (or a dead socket,
-    /// which the event loop discovers on its read side) defers to the
-    /// loop via the waker.
-    fn push_out<S: AsRef<str>, B: AsRef<[u8]>>(&self, frame: &FrameOf<S, B>) {
+    /// Queue outbound frames and flush what the socket takes now; only
+    /// backpressure or a dead socket defers to the loop, via the waker.
+    fn push_out<S: AsRef<str>, B: AsRef<[u8]>>(&self, frames: &[FrameOf<S, B>]) {
         let mut out = self.out.lock();
-        out.push(frame);
-        match out.flush(&mut &self.stream) {
-            Ok((_, true)) => {}
-            Ok((_, false)) | Err(_) => {
-                let _ = self.wake.wake();
-            }
+        frames.iter().for_each(|f| out.push(f));
+        if !matches!(out.flush(&mut &self.stream), Ok((_, true))) {
+            let _ = self.wake.wake();
         }
+    }
+
+    /// Push what a state call queued in `out`, and wake the waiters it named.
+    fn carry_out(&self, out: &mut Vec<Frame>, wake: Wake) {
+        if !out.is_empty() {
+            let evicted = out.iter().filter(|f| matches!(f, Frame::BlockEvict { .. })).count();
+            self.series.cache_evictions.add(evicted as u64);
+            self.push_out(out);
+            out.clear();
+        }
+        if wake.job {
+            self.jobs_cv.notify_one();
+        }
+        if wake.blocks {
+            self.blocks_cv.notify_all();
+        }
+    }
+
+    /// Add `delta` bytes to the process's resident gauge.
+    fn resident(&self, delta: i64) {
+        let mut total = RESIDENT_BYTES.lock();
+        *total += delta;
+        self.series.cache_resident_bytes.set(*total as f64);
     }
 }
 
 /// Per-connection state owned by the worker's event loop.
 struct WorkerConn {
     link: Link,
-    /// Interned function names (`fn_id` → name), per connection.
-    fn_names: IdMap<u64, Arc<str>>,
-    /// Snapshots by task id, each held from its `Data` frame to the `Submit`
-    /// right behind it, which takes it into the job.
-    handed_over: IdMap<u64, Vec<u8>>,
+    /// Frames a state call queued, pushed once its lock is released.
+    out: Vec<Frame>,
     shared: Arc<ConnShared>,
 }
 
 /// One executor's ambient snapshot channel. A save is mirrored to the
-/// driver as a `Data` frame keyed by the task id (the driver keeps the
-/// latest on the task's record); a load is what the running job last saved,
-/// else what the driver sent with it — never a round trip. This is the
-/// vehicle for resubmit-with-snapshot: the worker that inherits a dead
-/// peer's task gets the dead peer's last checkpoint along with the job.
+/// driver as a `Data` frame keyed by the task id; a load is what the running
+/// job last saved, else what the driver sent with it — never a round trip.
+/// So the worker that inherits a dead peer's task gets its last checkpoint.
 struct WorkerSnapshotChannel {
     conn: Arc<ConnShared>,
     /// The running job's latest snapshot: the executor sets it from the job
@@ -446,10 +364,10 @@ impl crate::snapshot::SnapshotChannel for WorkerSnapshotChannel {
         *self.latest.lock() = Some(blob.to_vec());
         // Best-effort ship to the driver; a torn connection surfaces later
         // as the job failing, and the retry resumes from what did arrive.
-        self.conn.push_out(&FrameRef::Data {
+        self.conn.push_out(&[FrameRef::Data {
             key: task.0,
             blob: BlobRef { tag: SNAP_TAG, bytes: blob },
-        });
+        }]);
     }
 
     fn load(&self, _task: TaskId) -> Option<Vec<u8>> {
@@ -468,17 +386,12 @@ impl Daemon {
         };
         let cfg = &self.cfg;
         let shared = Arc::new(ConnShared {
+            state: Mutex::new(WorkerState::new(cfg.cache_mem_bytes)),
+            jobs_cv: Condvar::new(),
+            blocks_cv: Condvar::new(),
             out: Mutex::new(SendBuf::new()),
             stream: write_half,
             wake: Arc::clone(&self.wake),
-            blocks: Mutex::new(BlockCacheState {
-                cache: BlockCache::new(cfg.cache_mem_bytes),
-                inflight: IdSet::default(),
-            }),
-            blocks_cv: Condvar::new(),
-            jobs: Mutex::new(JobQueue::default()),
-            jobs_cv: Condvar::new(),
-            closed: AtomicBool::new(false),
             stop: Arc::clone(&self.stop),
             epoch: std::time::Instant::now(),
             series: WorkerSeries::new(),
@@ -486,210 +399,90 @@ impl Daemon {
         self.conns.lock().insert(token, Arc::clone(&shared));
         // Direct-flushes like every other outbound frame; leftovers drain via
         // the loop's flush pass.
-        shared.push_out(&Frame::Hello {
+        shared.push_out(&[Frame::Hello {
             name: cfg.name.clone(),
             cores: cfg.cores,
             gpus: 0,
             mem_gib: HELLO_MEM_GIB,
-        });
+        }]);
         for _ in 0..cfg.cores.max(1) {
             let conn = Arc::clone(&shared);
             let registry = Arc::clone(&self.registry);
             std::thread::spawn(move || executor_loop(conn, registry));
         }
-        Some(WorkerConn { link, fn_names: IdMap::default(), handed_over: IdMap::default(), shared })
+        Some(WorkerConn { link, out: Vec::new(), shared })
     }
 
-    /// Tear down a dead connection: close its link, forget it, and release
-    /// its executors (closed flag + every condvar).
+    /// Tear down a dead connection: close its link, forget it, close its
+    /// state and release its executors.
     fn close(&self, token: u64, conn: WorkerConn) {
         conn.link.close(&self.poller);
         self.conns.lock().remove(&token);
-        // Under the queue lock: an executor that saw the flag down is then
-        // asleep in `jobs_cv.wait`, not between its check and the wait, so the
-        // wake-up below reaches it. (A block fetch waits at most 50 ms a turn.)
-        let jobs = conn.shared.jobs.lock();
-        conn.shared.closed.store(true, Ordering::SeqCst);
-        drop(jobs);
+        let held = conn.shared.state.lock().close();
         conn.shared.jobs_cv.notify_all();
         conn.shared.blocks_cv.notify_all();
+        conn.shared.resident(-(held as i64));
     }
 }
 
 impl WorkerConn {
-    /// Service a readable event, handing each frame to
-    /// [`handle_worker_frame`]. Returns `false` on EOF, error, or
-    /// `Shutdown`.
+    /// Service a readable event, handing each frame to the state. Returns
+    /// `false` on EOF, error, or `Shutdown`.
     fn read(&mut self) -> bool {
-        let WorkerConn { link, fn_names, handed_over, shared } = self;
-        link.read(|frame| handle_worker_frame(frame, fn_names, handed_over, shared)).open
+        let WorkerConn { link, out, shared } = self;
+        link.read(|frame| {
+            let now = shared.wall_us();
+            let mut state = shared.state.lock();
+            let before = state.resident_bytes();
+            let wake = state.frame(frame, now, out);
+            let grown = state.resident_bytes() as i64 - before as i64;
+            drop(state);
+            shared.carry_out(out, wake.unwrap_or_default());
+            if grown != 0 {
+                shared.resident(grown);
+            }
+            wake.is_some()
+        })
+        .open
     }
 }
 
-/// Dispatch one decoded frame. The frame borrows the receive buffer —
-/// everything it needs beyond this call is copied out here (and inline
-/// argument blobs go straight through [`codec::decode_tagged`] without an
-/// owned intermediate). Returns `false` on `Shutdown`.
-fn handle_worker_frame(
-    frame: FrameRef<'_>,
-    fn_names: &mut IdMap<u64, Arc<str>>,
-    handed_over: &mut IdMap<u64, Vec<u8>>,
-    conn: &Arc<ConnShared>,
-) -> bool {
-    match frame {
-        FrameRef::Submit {
-            exec_id,
-            task_id,
-            attempt,
-            node,
-            fn_id,
-            fn_name,
-            variant,
-            cores,
-            gpus,
-            args,
-        } => {
-            if let Some(name) = fn_name {
-                fn_names.insert(fn_id, Arc::from(name));
-            }
-            let name = fn_names.get(&fn_id).cloned().unwrap_or_else(|| Arc::from("?"));
-            let snapshot = handed_over.remove(&task_id);
-            let mut job_args = Vec::with_capacity(args.len());
-            let mut bad_arg = None;
-            for a in args {
-                match a {
-                    WireArgRef::Inline { blob, .. } => {
-                        match codec::decode_tagged(blob.tag, blob.bytes) {
-                            Ok(v) => job_args.push(JobArg::Value(v)),
-                            Err(e) => bad_arg = Some(e.to_string()),
-                        }
-                    }
-                    // Content-addressed: either a BlockData landed earlier
-                    // on this socket, or the block cache still holds it
-                    // from a previous task; a miss (eviction raced the
-                    // driver's residency view) re-fetches on demand.
-                    WireArgRef::Block { hash, .. } => job_args.push(JobArg::Block(hash)),
-                }
-            }
-            if let Some(msg) = bad_arg {
-                conn.push_out(&Frame::Failed { exec_id, message: msg });
-                return true;
-            }
-            let job = Job {
-                exec_id,
-                task_id,
-                attempt,
-                node,
-                name,
-                variant,
-                cores,
-                gpus,
-                args: job_args,
-                recv_us: conn.wall_us(),
-                snapshot,
-            };
-            let mut jobs = conn.jobs.lock();
-            // A job dispatched ahead waits for the core it names; an idle
-            // executor could not start it, so none is woken for it.
-            let startable = jobs.startable(&job);
-            jobs.waiting.push_back(job);
-            drop(jobs);
-            if startable {
-                conn.jobs_cv.notify_one();
-            }
-        }
-        FrameRef::Heartbeat { seq, t_send_us, .. } => {
-            let recv_us = conn.wall_us();
-            conn.push_out(&Frame::HeartbeatAck {
-                seq,
-                t_send_us,
-                recv_us,
-                reply_us: conn.wall_us(),
-            });
-        }
-        FrameRef::Data { key, blob } => {
-            // The snapshot of the task whose Submit is next on this socket.
-            handed_over.insert(key, blob.bytes.to_vec());
-        }
-        // Pushed ahead of the Submit referencing it, or the reply to a
-        // fetch: decode once, admit to the LRU.
-        FrameRef::BlockData { hash, blob } => {
-            admit_block(conn, hash, blob.tag, blob.bytes);
-        }
-        FrameRef::Shutdown => return false,
-        // Other frames are driver-bound; ignore.
-        _ => {}
-    }
-    true
-}
-
-/// Decode an incoming block and admit it to the LRU cache, waking any
-/// executor parked on its hash and reporting what the budget pushed out
-/// (`BlockEvict`, so the driver retracts its residency claims). Runs on
-/// the event loop — decode cost is bounded by the same frames that would
-/// otherwise decode inline.
-fn admit_block(conn: &Arc<ConnShared>, hash: u128, tag: &str, bytes: &[u8]) {
-    let Ok(v) = codec::decode_tagged(tag, bytes) else {
-        // No codec for the tag: clear the in-flight mark so a waiter's
-        // deadline produces a timeout error instead of a silent hang.
-        conn.blocks.lock().inflight.remove(&hash);
-        conn.blocks_cv.notify_all();
-        return;
-    };
-    let mut blocks = conn.blocks.lock();
-    blocks.inflight.remove(&hash);
-    let evicted = blocks.cache.insert(hash, v, bytes.len() as u64);
-    let resident = blocks.cache.resident_bytes();
-    drop(blocks);
-    conn.blocks_cv.notify_all();
-    conn.series.cache_resident_bytes.set(resident as f64);
-    if !evicted.is_empty() {
-        conn.series.cache_evictions.add(evicted.len() as u64);
-    }
-    for h in evicted {
-        conn.push_out(&Frame::BlockEvict { hash: h });
-    }
-}
-
-/// Look up a content hash in the LRU cache, requesting the block from the
-/// driver on a miss. Concurrent misses on the same hash coalesce: only the
-/// first requester puts a `BlockRequest` on the wire, the rest wait on the
-/// same condvar.
-fn resolve_block(conn: &ConnShared, hash: u128) -> Result<Value, TaskError> {
-    let mut blocks = conn.blocks.lock();
-    if let Some(v) = blocks.cache.get(hash) {
-        drop(blocks);
-        conn.series.cache_hits.incr();
-        return Ok(v);
-    }
-    conn.series.cache_misses.incr();
-    let leader = blocks.inflight.insert(hash);
-    drop(blocks);
-    if leader {
-        conn.push_out(&Frame::BlockRequest { hash });
-    }
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    let mut blocks = conn.blocks.lock();
+/// Resolve a block argument: ask the state, and sleep on the block condvar
+/// until it lands, fails or the state's deadline passes.
+fn resolve_block(conn: &ConnShared, hash: u128, out: &mut Vec<Frame>) -> Result<Value, String> {
+    let since = conn.wall_us();
+    let mut first = true;
+    let mut state = conn.state.lock();
     loop {
-        if let Some(v) = blocks.cache.get(hash) {
-            return Ok(v);
+        let now = conn.wall_us();
+        let fetch = state.block(hash, since, now, out);
+        if std::mem::take(&mut first) {
+            let hit = matches!(fetch, Fetch::Ready(_));
+            if hit { &conn.series.cache_hits } else { &conn.series.cache_misses }.incr();
         }
-        if conn.closed.load(Ordering::SeqCst) || std::time::Instant::now() >= deadline {
-            // Clear the mark so a later attempt re-requests instead of
-            // waiting on a reply that will never land.
-            blocks.inflight.remove(&hash);
-            return Err(TaskError::new("timed out fetching a task input block"));
+        match fetch {
+            Fetch::Ready(v) => return Ok(v),
+            Fetch::Failed(e) => return Err(e),
+            Fetch::Wait(until) if out.is_empty() => {
+                conn.blocks_cv.wait_for(&mut state, Duration::from_micros(until - now));
+            }
+            // The request goes out with the lock released; the next turn
+            // finds it in flight and waits.
+            Fetch::Wait(_) => {
+                drop(state);
+                conn.carry_out(out, Wake::default());
+                state = conn.state.lock();
+            }
         }
-        conn.blocks_cv.wait_for(&mut blocks, Duration::from_millis(50));
     }
 }
 
-/// One executor's buffers, kept from one job to the next: the inputs it
-/// hands a body and the blobs its outputs are encoded into.
+/// One executor's buffers, kept from one job to the next.
 #[derive(Default)]
 struct ExecScratch {
     inputs: Vec<Value>,
     outputs: Vec<Blob>,
+    requests: Vec<Frame>,
 }
 
 fn executor_loop(conn: Arc<ConnShared>, registry: Arc<TaskRegistry>) {
@@ -702,28 +495,23 @@ fn executor_loop(conn: Arc<ConnShared>, registry: Arc<TaskRegistry>) {
     // next: with a job queued behind them it starts at once, no sleep.
     let mut finished: Vec<u32> = Vec::new();
     loop {
-        let mut job = {
-            let mut jobs = conn.jobs.lock();
-            jobs.release(&finished);
-            let job = loop {
-                // A closed connection's waiting jobs are dropped, not run.
-                if conn.closed.load(Ordering::SeqCst) {
-                    return;
+        let (mut job, more) = {
+            let mut state = conn.state.lock();
+            state.end(&finished);
+            loop {
+                match state.start() {
+                    Start::Run(job, more) => break (job, more),
+                    Start::Wait => conn.jobs_cv.wait(&mut state),
+                    Start::Closed => return,
                 }
-                if let Some(j) = jobs.start_next() {
-                    break j;
-                }
-                conn.jobs_cv.wait(&mut jobs);
-            };
-            // Freed cores may let more than one waiting job start: pass
-            // the turn on.
-            if jobs.waiting.iter().any(|j| jobs.startable(j)) {
-                conn.jobs_cv.notify_one();
             }
-            job
         };
+        // Freed cores may let more than one waiting job start: pass the turn.
+        if more {
+            conn.jobs_cv.notify_one();
+        }
         *snaps.latest.lock() = job.snapshot.take();
-        let frame = crate::snapshot::with_channel(snaps.clone(), TaskId(job.task_id), || {
+        let frame = crate::snapshot::with_channel(snaps.clone(), job.ctx.task, || {
             run_job(&conn, &registry, &mut job, &mut scratch)
         });
         *snaps.latest.lock() = None;
@@ -732,57 +520,41 @@ fn executor_loop(conn: Arc<ConnShared>, registry: Arc<TaskRegistry>) {
         if conn.stop.load(Ordering::SeqCst) {
             return;
         }
-        conn.push_out(&frame);
+        conn.push_out(std::slice::from_ref(&frame));
         if let Frame::Done { mut outputs, .. } = frame {
             outputs.retain(codec::worth_keeping);
             scratch.outputs = outputs;
         }
-        finished = std::mem::take(&mut job.cores);
+        finished = std::mem::take(&mut job.ctx.cores);
     }
 }
 
-fn run_job(
-    conn: &ConnShared,
-    registry: &TaskRegistry,
-    job: &mut Job,
-    scratch: &mut ExecScratch,
-) -> Frame {
+fn run_job(conn: &ConnShared, reg: &TaskRegistry, job: &mut Job, s: &mut ExecScratch) -> Frame {
     let exec_id = job.exec_id;
     let fail = |message: String| Frame::Failed { exec_id, message };
-    let Some(body) = registry.body(&job.name, job.variant) else {
+    let Some(body) = reg.body(&job.name, job.variant) else {
         return fail(format!("worker has no task '{}' (variant {})", job.name, job.variant));
     };
-    let inputs = &mut scratch.inputs;
+    let inputs = &mut s.inputs;
     inputs.clear();
     for a in &job.args {
         match a {
             JobArg::Value(v) => inputs.push(v.clone()),
-            JobArg::Block(hash) => match resolve_block(conn, *hash) {
+            JobArg::Block(hash) => match resolve_block(conn, *hash, &mut s.requests) {
                 Ok(v) => inputs.push(v),
-                Err(e) => return fail(e.message),
+                Err(e) => return fail(e),
             },
         }
     }
-    // The job lends the body its cores and GPUs and takes them back.
-    let ctx = TaskContext {
-        task: TaskId(job.task_id),
-        attempt: job.attempt,
-        node: job.node,
-        cores: std::mem::take(&mut job.cores),
-        gpus: std::mem::take(&mut job.gpus),
-        peer_nodes: Vec::new(),
-        simulated: false,
-    };
     let start_us = conn.wall_us();
-    let result = run_body(&*body, &ctx, inputs);
+    let result = run_body(&*body, &job.ctx, inputs);
     let end_us = conn.wall_us().max(start_us + 1);
     inputs.clear();
-    (job.cores, job.gpus) = (ctx.cores, ctx.gpus);
     conn.series.tasks_executed.incr();
     conn.series.task_exec_us.record(end_us - start_us);
     match result {
         Ok(values) => {
-            let outputs = &mut scratch.outputs;
+            let outputs = &mut s.outputs;
             outputs.truncate(values.len());
             outputs.resize_with(values.len(), Blob::default);
             for (blob, v) in outputs.iter_mut().zip(&values) {

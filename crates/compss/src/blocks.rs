@@ -236,6 +236,7 @@ struct Slot {
 /// Blocks are immutable, so there is no dirtiness or write-back — only
 /// recency. The LRU order lives in a `BTreeMap<tick, hash>` (monotonic
 /// tick per touch): O(log n) touch/evict with no linked-list unsafe code.
+#[derive(Default)]
 pub(crate) struct BlockCache {
     budget: u64,
     used: u64,
@@ -280,12 +281,8 @@ impl BlockCache {
         self.used += bytes;
         let mut evicted = Vec::new();
         while self.used > self.budget && self.slots.len() > 1 {
+            // The fresh block has the newest tick: it is never the oldest.
             let (&old_tick, &old_hash) = self.lru.iter().next().expect("lru nonempty");
-            if old_hash == hash {
-                // Only the fresh block and older-but-refreshed ones left;
-                // never evict what we just inserted.
-                break;
-            }
             self.lru.remove(&old_tick);
             let slot = self.slots.remove(&old_hash).expect("slot exists");
             self.used -= slot.bytes;

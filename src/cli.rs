@@ -203,8 +203,8 @@ pub struct WorkerArgs {
     /// Serve live `GET /metrics` + `GET /healthz` on this address
     /// (worker-local counters). `None` = no endpoint.
     pub status_addr: Option<String>,
-    /// Block-cache memory budget, MiB (`--cache-mem`). Decoded blocks are
-    /// kept under this budget and evicted least-recently-used.
+    /// Block-cache memory budget per driver connection, MiB (`--cache-mem`),
+    /// over decoded blocks, evicted least-recently-used.
     pub cache_mem_mib: u64,
     /// Addresses this worker dials *into* at startup (`--dial`), joining
     /// a driver or sweep server's pool from behind NAT instead of waiting
@@ -413,7 +413,7 @@ const FLAGS: &[Flag] = {
     Flag("--name", &[Worker], Some("<s>"), Some("worker"), "worker display name"),
     Flag("--cores", &[Worker], Some("<n>"), Some("0"), "advertised CPU cores (0 = autodetect)"),
     Flag("--ckpt-every", &[Worker], Some("<n>"), Some("0"), "snapshot cadence in epochs, shipped to the driver (0 = off)"),
-    Flag("--cache-mem", &[Worker], Some("<mib>"), Some("256"), "decoded-block cache budget in MiB, least recently used out"),
+    Flag("--cache-mem", &[Worker], Some("<mib>"), Some("256"), "decoded-block cache budget per driver connection in MiB, least recently used out"),
     Flag("--dial", &[Worker], Some("<a,b,..>"), None, "dial into these driver / server addresses and join their pools"),
     Flag("--listen", &[Serve], Some("<addr>"), Some("127.0.0.1:7070"), "one listener for workers and sweep clients"),
     Flag("--workers", &[Serve], Some("<a,b,..>"), None, "worker addresses to dial out to at startup"),

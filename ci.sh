@@ -15,7 +15,9 @@
 # `Poller::fallback`, an alias for `Poller::new` that only benchmark/ still
 # names, must have no caller anywhere else, and no program code outside
 # crates/net/src may fill a RecvBuf, arm write interest or accept (the
-# connection state machine is rnet::link's alone);
+# connection state machine is rnet::link's alone), and no program code
+# outside crates/compss/src/{runtime,metrics}.rs may record an attempt's
+# phases or draw its bars (complete_attempt records an ended attempt);
 # tier-1 is the ROADMAP.md contract, `cargo build --release && cargo test
 # -q`, widened to `--workspace` so every crate's unit, property and
 # integration suites gate too (tests/bench_trajectory.rs among them: the
@@ -152,6 +154,22 @@ CONN_HITS=$(git ls-files 'crates/*/src/*.rs' 'crates/*/src/**/*.rs' 'src/*.rs' '
 if [ -n "$CONN_HITS" ]; then
     echo "$CONN_HITS" >&2
     echo "one connection FAILED: socket reads, flushes or accepts outside rnet::link" >&2
+    exit 1
+fi
+
+echo "==> one attempt report: only the runtime records an attempt's phases and draws its bars"
+# A backend hands its report of an ended attempt to complete_attempt once;
+# the phase samples and the bars are recorded there, under the core lock, so
+# a waiter that sees a value sees them too. Program code is read up to each
+# file's #[cfg(test)], as the line count below reads it.
+REPORT_PATTERN='phase_(queue|wire|exec|ship)|emit_attempt_spans[(]'
+REPORT_HITS=$(git ls-files 'crates/*/src/*.rs' 'crates/*/src/**/*.rs' 'src/*.rs' 'src/**/*.rs' \
+    | grep -vxE 'crates/compss/src/(runtime|metrics)[.]rs' | sort -u \
+    | xargs awk -v pat="$REPORT_PATTERN" \
+        'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && $0 ~ pat {print FILENAME ":" FNR ": " $0}')
+if [ -n "$REPORT_HITS" ]; then
+    echo "$REPORT_HITS" >&2
+    echo "one attempt report FAILED: phases recorded or bars drawn outside runtime.rs" >&2
     exit 1
 fi
 

@@ -25,7 +25,7 @@ use super::{DistributedConfig, SNAP_TAG};
 use crate::blocks::EncodedBlock;
 use crate::codec;
 use crate::data::{DataVersion, Value};
-use crate::runtime::{complete_attempt, lose_node, place_ready, Core, Ended, Shared, Window};
+use crate::runtime::{complete_attempt, lose_node, place_ready, Core, Shared};
 use crate::task::{TaskError, TaskId};
 
 /// Wire key for a data version: handle id in the high 32 bits, version in
@@ -484,29 +484,26 @@ fn pump<'a>(
             return;
         }
         drop(io);
-        let follow = apply_core(&inner.shared, &mut inner.shared.core.lock(), acts, inbox, now);
-        let m = &inner.shared.metrics;
-        for (e, w) in inbox.ended.drain(..) {
-            m.rpc_latency.record(now.saturating_sub(e.dispatched_us));
-            m.record_node_task(&inner.labels[e.placement.node as usize]);
-            e.publish(&inner.shared, w);
-        }
-        inner.shared.cv.notify_all();
+        let (shared, labels) = (&*inner.shared, &inner.labels);
+        let follow = apply_core(shared, &mut shared.core.lock(), labels, acts, inbox, now);
+        shared.cv.notify_all();
         io = inner.io.lock();
         batch = Some(follow);
     }
 }
 
 /// The core's half of the actions, under the core lock, then the follow-on
-/// placement. What the settles ended and the blocks to send stay in `inbox`.
+/// placement. Each settle is counted against its worker's `labels` entry;
+/// the blocks to send stay in `inbox`.
 fn apply_core(
     shared: &Shared,
     core: &mut Core,
+    labels: &[String],
     acts: &mut Vec<Action>,
     inbox: &mut Inbox,
     now: u64,
 ) -> Dispatches {
-    let Inbox { outputs, saves, ended, replies, .. } = inbox;
+    let Inbox { outputs, saves, replies, .. } = inbox;
     // A worker's snapshots precede its `Done` or `Failed` on the wire, and
     // a failed attempt's last one is what the retry placed below takes.
     for (task, blob) in saves.drain(..) {
@@ -514,7 +511,7 @@ fn apply_core(
     }
     for act in acts.drain(..) {
         match act {
-            Action::Settle(Completion { exec_id, result, stamps }, window) => {
+            Action::Settle(node, Completion { exec_id, result, .. }, report) => {
                 let Core { running, instances, data, .. } = &mut *core;
                 if let (Some(run), Ok(outs)) = (running.get(&exec_id), &result) {
                     // What an output weighs on the wire is what moving it
@@ -525,10 +522,9 @@ fn apply_core(
                     }
                 }
                 let values = result.map(|outs| outputs[outs].iter().map(|(v, _)| v.clone()));
-                // The body's time on the worker's clock: no offset needed.
-                let exec_us = stamps.map(|(_, start, end)| end.saturating_sub(start));
-                let settled = complete_attempt(shared, core, exec_id, values, exec_us, now, false);
-                ended.extend(settled.map(|e| (e, window)));
+                if complete_attempt(shared, core, exec_id, values, report, now, false) {
+                    shared.metrics.record_node_task(&labels[node as usize]);
+                }
             }
             Action::Evict(node, hash) => {
                 // The worker dropped the block under memory pressure: retract
@@ -633,8 +629,6 @@ struct Inbox {
     block_reqs: Vec<u128>,
     block_evicts: Vec<u128>,
     acks: Vec<(u64, u64, u64)>,
-    /// What the settles ended, and where their bars go.
-    ended: Vec<(Ended, Window)>,
     /// Blocks a `BlockRequest` asked for, by link.
     replies: Vec<(u32, Arc<EncodedBlock>)>,
 }

@@ -23,7 +23,7 @@ use rnet::Frame;
 
 use super::{Completion, ExecStamps, Inbox, RemoteDispatch};
 use crate::ids::IdMap;
-use crate::runtime::Window;
+use crate::runtime::Report;
 
 /// What happened, as the shell saw it.
 pub(super) enum Event<'a> {
@@ -48,9 +48,9 @@ pub(super) enum Event<'a> {
 pub(super) enum Action {
     /// Push a frame onto the link's backlog.
     Push(u32, Frame),
-    /// Settle the attempt a `Done` or `Failed` names, its bars over the
-    /// window.
-    Settle(Completion, Window),
+    /// Settle the attempt a `Done` or `Failed` from the link names, with
+    /// the report its stamps give.
+    Settle(u32, Completion, Report),
     /// Send the block to the link, if the store still has it.
     Ship(u32, u128),
     /// The link's worker dropped the block: retract its residency.
@@ -199,8 +199,8 @@ impl DriverState {
             }
             // The turn read the clock before this read; another thread may
             // have dispatched since.
-            let span = window(c.stamps, offset, synced, dispatched_us, now.max(dispatched_us));
-            out.push(Action::Settle(c, span));
+            let report = window(c.stamps, offset, synced, dispatched_us, now.max(dispatched_us));
+            out.push(Action::Settle(l, c, report));
         }
         out.extend(inbox.block_evicts.drain(..).map(|hash| Action::Evict(l, hash)));
         let ships = inbox.block_reqs.drain(..).filter(|_| !link.lost); // none to a lost link
@@ -228,22 +228,24 @@ fn rebase(t: u64, offset_us: i64) -> u64 {
 
 /// What a `Done`'s stamps say of an attempt dispatched at `dispatch` and
 /// applied at `completion`: the driver-observed window, narrowed to the
-/// body's own span once the stamps can be placed (`synced`), and the wire
-/// and ship phases. A `Failed` has no stamps: the window alone. The span is
-/// rebased and clamped into the window, as residual clock error (≤ RTT/2)
-/// must never draw a body before its dispatch or past its completion.
-fn window(stamps: ExecStamps, offset: i64, synced: bool, dispatch: u64, completion: u64) -> Window {
-    let observed = Window { span: (dispatch, completion), ..Window::default() };
+/// body's own span once the stamps can be placed (`synced`), and the wire,
+/// exec and ship phases. A `Failed` has no stamps: the window alone. The
+/// span is rebased and clamped into the window, as residual clock error
+/// (≤ RTT/2) must never draw a body before its dispatch or past its
+/// completion.
+fn window(stamps: ExecStamps, offset: i64, synced: bool, dispatch: u64, completion: u64) -> Report {
+    let observed = Report { span: Some((dispatch, completion)), ..Report::default() };
     let Some((w_recv, w_start, w_end)) = stamps else { return observed };
     let start = rebase(w_start, offset).clamp(dispatch, completion);
     let end = rebase(w_end, offset).clamp(dispatch, completion).max(start);
-    Window {
-        span: if synced { (start, end) } else { observed.span },
+    Report {
+        span: if synced { Some((start, end)) } else { observed.span },
         // A task dispatched ahead waits on the worker for the one before
         // it: that wait is queueing too. Like exec, it is a worker-clock
         // difference, so the offset cancels there.
         held_us: w_start.saturating_sub(w_recv),
         wire_us: Some(rebase(w_recv, offset).saturating_sub(dispatch)),
+        exec_us: Some(w_end.saturating_sub(w_start)),
         ship_us: Some(completion.saturating_sub(rebase(w_end, offset))),
     }
 }
@@ -447,6 +449,8 @@ mod tests {
     /// apply's actions as they come.
     struct Harness {
         rt: Runtime,
+        /// `w0`, `w1`, …: the per-worker counters' labels.
+        labels: Vec<String>,
         io: Io,
         peers: Vec<Peer>,
         acts: Vec<Action>,
@@ -458,11 +462,20 @@ mod tests {
         /// Wall time spent in the driver's half: state, encode, decode and
         /// the core's actions.
         driver_ns: u128,
+        /// Attempts settled with a `Done` so far.
+        dones: u64,
     }
 
     impl Harness {
-        fn new(seed: u64, faults: &[Fault], lat: u64, exec: u64, stalls: f64) -> Harness {
-            let mut cfg = RuntimeConfig::single_node(1).with_tracing(false);
+        fn new(
+            seed: u64,
+            faults: &[Fault],
+            lat: u64,
+            exec: u64,
+            stalls: f64,
+            tracing: bool,
+        ) -> Harness {
+            let mut cfg = RuntimeConfig::single_node(1).with_tracing(tracing);
             let nodes = (0..faults.len()).map(|i| NodeSpec::new(format!("w{i}"), 1, vec![], 1));
             cfg.cluster = Cluster::from_nodes(nodes.collect());
             cfg.reserved_cores.clear();
@@ -493,8 +506,9 @@ mod tests {
                 })
                 .collect();
             let io = Io { state, wires: wires.collect() };
-            let (acts, inbox, driver_ns) = (Vec::new(), Inbox::default(), 0);
-            Harness { rt, io, peers, acts, inbox, now: 0, rng, stalls, driver_ns }
+            let labels = (0..faults.len()).map(|i| format!("w{i}")).collect();
+            let (acts, inbox, driver_ns, dones) = (Vec::new(), Inbox::default(), 0, 0);
+            Harness { rt, labels, io, peers, acts, inbox, now: 0, rng, stalls, driver_ns, dones }
         }
 
         /// Place what is ready and send it, as `Runtime::submit` does.
@@ -546,21 +560,60 @@ mod tests {
                         }
                     }
                 }
+                let dones = self.dones();
                 let t0 = Instant::now();
                 let (shared, now) = (&self.rt.shared, self.now);
                 let follow = apply_core(
                     shared,
                     &mut shared.core.lock(),
+                    &self.labels,
                     &mut self.acts,
                     &mut self.inbox,
                     now,
                 );
-                for (e, w) in self.inbox.ended.drain(..) {
-                    e.publish(shared, w);
-                }
                 self.driver_ns += t0.elapsed().as_nanos();
+                self.check_recorded(dones)?;
                 batch = Some(follow);
             }
+        }
+
+        /// The `Done`s the pending actions settle: each attempt's task and the
+        /// span its bar must cover.
+        fn dones(&self) -> Vec<(u64, (u64, u64))> {
+            let core = self.rt.shared.core.lock();
+            let settles = self.acts.iter().filter_map(|act| match act {
+                Action::Settle(_, c, report) if c.stamps.is_some() => {
+                    Some((core.running.get(&c.exec_id)?.task.0, report.span?))
+                }
+                _ => None,
+            });
+            settles.collect()
+        }
+
+        /// Settled ⇒ recorded: once a settle round has released the core
+        /// lock, every attempt settled with a `Done` so far has its exec
+        /// sample, and each of this round's `dones` its bar.
+        fn check_recorded(&mut self, dones: Vec<(u64, (u64, u64))>) -> Result<(), String> {
+            self.dones += dones.len() as u64;
+            let series = runmetrics::labeled("rcompss_task_phase_us", "phase", "exec");
+            let execs = self.rt.metrics().snapshot().histogram(&series).map_or(0, |h| h.count);
+            if execs != self.dones {
+                return Err(format!(
+                    "{} attempts settled with a Done, {execs} exec samples",
+                    self.dones
+                ));
+            }
+            let trace = if self.rt.tracing_enabled() { self.rt.trace() } else { return Ok(()) };
+            for (task, (start, end)) in dones {
+                let bar = |r: &paratrace::Record| {
+                    r.running_task().is_some_and(|t| t.id == task)
+                        && (r.time(), r.end_time()) == (start, end.max(start + 1))
+                };
+                if !trace.iter().any(bar) {
+                    return Err(format!("task {task} settled with no bar over [{start}, {end}]"));
+                }
+            }
+            Ok(())
         }
 
         /// The link is closed: its backlog goes, and a worker that went
@@ -615,7 +668,7 @@ mod tests {
             let core = self.rt.shared.core.lock();
             let (before, added) = self.acts.split_at(from);
             for act in added {
-                if let Action::Settle(c, _) = act {
+                if let Action::Settle(_, c, _) = act {
                     let on = core.running.get(&c.exec_id).map(|r| r.placement.node);
                     let lost = before.iter().any(|a| matches!(a, Action::Lose(n) if *n == l));
                     if on != Some(l) || lost {
@@ -740,7 +793,7 @@ mod tests {
             let all = build(&rt, seed);
             all.iter().map(|h| *rt.wait_on(h).unwrap().downcast_ref::<i64>().unwrap()).collect()
         };
-        let mut h = Harness::new(seed, &faults, 2_000, 20_000, 1.0 / 16.0);
+        let mut h = Harness::new(seed, &faults, 2_000, 20_000, 1.0 / 16.0, true);
         let outs = build(&h.rt, seed);
         h.dispatch()?;
         h.run().map_err(|e| format!("{e} (faults {faults:?})"))?;
@@ -778,7 +831,7 @@ mod tests {
     fn driver_cpu_per_noop_task() {
         const TASKS: u64 = 20_000;
         for round in 0..5 {
-            let mut h = Harness::new(round, &[Fault::None; 2], 0, 0, 0.0);
+            let mut h = Harness::new(round, &[Fault::None; 2], 0, 0, 0.0, false);
             let noop =
                 h.rt.register("inc", Constraint::cpus(1), 1, |_, _| Ok(vec![Value::new(0i64)]));
             let root = h.rt.literal(0i64);
@@ -794,7 +847,9 @@ mod tests {
 
     #[test]
     fn exec_spans_are_rebased_and_never_leave_the_driver_window() {
-        let span = |start, end, offset| window(Some((0, start, end)), offset, true, 150, 400).span;
+        let span = |start, end, offset| {
+            window(Some((0, start, end)), offset, true, 150, 400).span.expect("a Done has bars")
+        };
         // Worker clock 1_000 ahead: stamps [1_200, 1_300] are [200, 300] on
         // the driver timeline, inside the window, so the length is exact.
         assert_eq!(span(1_200, 1_300, 1_000), (200, 300));
@@ -808,6 +863,6 @@ mod tests {
         // Stamps a hostile peer inverted still give a forward span.
         assert_eq!(span(1_300, 1_200, 1_000), (300, 300));
         // Before any ack the span is the window the driver saw.
-        assert_eq!(window(Some((0, 1_200, 1_300)), 0, false, 150, 400).span, (150, 400));
+        assert_eq!(window(Some((0, 1_200, 1_300)), 0, false, 150, 400).span, Some((150, 400)));
     }
 }

@@ -22,6 +22,11 @@ use crate::task::{TaskContext, TaskId};
 /// How long a job waits for a block it asked the driver for, µs.
 const FETCH_US: u64 = 10_000_000;
 
+/// Most undecodable hashes a connection remembers. Past it they are all
+/// forgotten: a job that still needs one asks for it again and fails on the
+/// bytes that answer.
+const MAX_UNDECODABLE: usize = 64;
+
 /// A job's argument: decoded from its `Submit`, or a content-addressed block.
 pub(super) enum JobArg {
     Value(Value),
@@ -148,6 +153,9 @@ impl WorkerState {
                         out.extend(evicted.into_iter().map(|hash| Frame::BlockEvict { hash }));
                     }
                     Err(e) => {
+                        if self.undecodable.len() >= MAX_UNDECODABLE {
+                            self.undecodable.clear();
+                        }
                         self.undecodable.insert(hash, e.to_string());
                     }
                 }
@@ -400,6 +408,9 @@ mod tests {
                     }
                     other => return Err(format!("unexpected frame {other:?}")),
                 }
+            }
+            if self.st.undecodable.len() > MAX_UNDECODABLE {
+                return Err(format!("{} undecodable hashes remembered", self.st.undecodable.len()));
             }
             let held = self.resident.iter().map(|h| self.blocks[h].bytes.len() as u64).sum();
             if self.st.resident_bytes() != held {
@@ -690,6 +701,17 @@ mod tests {
                 (t, f)
             })
             .collect();
+        play(rng, blocks, script, (end == 2).then_some(t + 5_000))
+    }
+
+    /// Run `script` against the state; with `eof_before`, the driver's side
+    /// closes at a random time before it.
+    fn play(
+        rng: StdRng,
+        blocks: HashMap<u128, Blob>,
+        script: Vec<(u64, Frame)>,
+        eof_before: Option<u64>,
+    ) -> Result<(), String> {
         let mut h = Harness {
             rng,
             st: WorkerState::new(BUDGET),
@@ -714,18 +736,34 @@ mod tests {
         for k in 0..h.script.len() {
             h.at(h.script[k].0, Ev::Send(k));
         }
-        if end == 2 {
-            let at = h.rng.gen_range(0..t + 5_000);
+        if let Some(before) = eof_before {
+            let at = h.rng.gen_range(0..before);
             h.at(at, Ev::Eof);
         }
         h.run()
     }
 
+    /// The scripted case: more distinct undecodable blocks than a connection
+    /// remembers land after the one a job needs and before its `Submit`, so
+    /// the job finds its hash forgotten. It asks once more and fails on the
+    /// codec's error, not at the fetch deadline.
+    fn forgotten_undecodable() -> Result<(), String> {
+        let bad = Blob { tag: BAD_TAG.into(), bytes: vec![1, 2] };
+        let hashes = 1..=MAX_UNDECODABLE as u128 + 1;
+        let blocks: HashMap<u128, Blob> = hashes.clone().map(|h| (h, bad.clone())).collect();
+        let mut script: Vec<(u64, Frame)> =
+            hashes.map(|hash| (0, Frame::BlockData { hash, blob: bad.clone() })).collect();
+        let args = vec![WireArg::Block { key: 0, hash: 1 }];
+        script.push((0, submit(1, Some("f"), vec![0], args)));
+        play(StdRng::seed_from_u64(0), blocks, script, None)
+    }
+
     #[test]
     fn every_frame_sequence_keeps_the_workers_promises() {
-        let failures: Vec<String> = (0..96)
+        let mut failures: Vec<String> = (0..96)
             .filter_map(|seed| case(seed).err().map(|e| format!("seed {seed}: {e}")))
             .collect();
+        failures.extend(forgotten_undecodable().err().map(|e| format!("forgotten block: {e}")));
         assert!(failures.is_empty(), "{}", failures.join("\n"));
     }
 
@@ -766,6 +804,25 @@ mod tests {
             assert!(e.contains("no codec"), "{e}");
         }
         assert!(out.iter().all(|f| matches!(f, Frame::BlockRequest { .. })) && out.len() == 1);
+    }
+
+    /// However many distinct undecodable blocks a driver sends, a connection
+    /// remembers at most `MAX_UNDECODABLE`; a job whose hash was forgotten
+    /// asks once more and fails on the codec's error.
+    #[test]
+    fn undecodable_blocks_are_remembered_within_a_bound() {
+        let (mut st, mut out) = (WorkerState::new(BUDGET), Vec::new());
+        let bad = || Blob { tag: BAD_TAG.into(), bytes: vec![1, 2] };
+        for hash in 1..=10 * MAX_UNDECODABLE as u128 {
+            feed(&mut st, &Frame::BlockData { hash, blob: bad() }, 0, &mut out);
+            assert!(st.undecodable.len() <= MAX_UNDECODABLE, "{}", st.undecodable.len());
+        }
+        assert!(matches!(st.block(1, 0, 1, &mut out), Fetch::Wait(_)));
+        assert_eq!(std::mem::take(&mut out), [Frame::BlockRequest { hash: 1 }]);
+        feed(&mut st, &Frame::BlockData { hash: 1, blob: bad() }, 2, &mut out);
+        let Fetch::Failed(e) = st.block(1, 0, 2, &mut out) else { panic!("fails") };
+        assert!(e.contains("no codec"), "{e}");
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -17,7 +17,7 @@ use cluster::EventQueue;
 use paratrace::StateKind;
 
 use crate::data::{DataVersion, Value};
-use crate::runtime::{complete_attempt, lose_node, place_ready, Core, Shared, Window};
+use crate::runtime::{complete_attempt, lose_node, place_ready, Core, Report, Shared};
 use crate::task::{run_body, TaskContext, TaskFn};
 
 #[derive(Debug)]
@@ -33,6 +33,7 @@ struct SimExec {
     inputs: Vec<Value>,
     /// When the body starts occupying its cores: dispatch plus staging.
     start_us: u64,
+    staging_us: u64,
 }
 
 /// Virtual-time state of the simulated backend.
@@ -78,13 +79,14 @@ pub(crate) fn run_until(shared: &Shared, core: &mut Core, cond: impl Fn(&Core) -
                     continue; // execution was killed by a node failure
                 };
                 let result = run_body(&*se.body, &se.ctx, &se.inputs).map(Vec::into_iter);
-                let exec_us = Some(t - se.start_us);
-                let ended = complete_attempt(shared, core, exec, result, exec_us, t, false)
-                    .expect("running");
-                // Staging is the simulated wire.
-                let wire_us = Some(se.start_us - ended.dispatched_us);
-                let span = (se.start_us, t);
-                ended.publish(shared, Window { span, wire_us, ..Window::default() });
+                let report = Report {
+                    span: Some((se.start_us, t)),
+                    // Staging is the simulated wire.
+                    wire_us: Some(se.staging_us),
+                    exec_us: Some(t - se.start_us),
+                    ..Report::default()
+                };
+                complete_attempt(shared, core, exec, result, report, t, false);
             }
             SimEvent::NodeFail { node } => lose_node(shared, core, node, t),
         }
@@ -117,7 +119,7 @@ fn dispatch_sim(shared: &Shared, core: &mut Core) {
             let duration = inst.sim_duration_us;
 
             // Staging: pay transfer time for inputs not resident on the node.
-            let mut staging = 0u64;
+            let mut staging_us = 0u64;
             for v in &reads {
                 if core.data.is_on_node(*v, placement.node) {
                     continue;
@@ -127,25 +129,23 @@ fn dispatch_sim(shared: &Shared, core: &mut Core) {
                 if t > 0 {
                     shared.trace.state(
                         placement.lead_core(),
-                        now + staging,
-                        now + staging + t,
+                        now + staging_us,
+                        now + staging_us + t,
                         StateKind::Transferring { bytes },
                     );
                     shared.metrics.transfer_bytes.add(bytes);
                     shared.metrics.transfer_time.record(t);
                 }
-                staging += t;
+                staging_us += t;
                 core.data.add_location(*v, placement.node);
             }
             // The body occupies its cores once its inputs have arrived.
-            let start_us = now + staging;
+            let start_us = now + staging_us;
             let ctx = TaskContext::placed(placed.task, placed.attempt, &placement, true);
             let sim = core.sim.as_mut().expect("sim state");
-            sim.execs.insert(placed.exec_id, SimExec { ctx, body, inputs, start_us });
-            sim.queue.schedule_at(
-                now + staging + duration.max(1),
-                SimEvent::Finish { exec: placed.exec_id },
-            );
+            sim.execs.insert(placed.exec_id, SimExec { ctx, body, inputs, start_us, staging_us });
+            sim.queue
+                .schedule_at(start_us + duration.max(1), SimEvent::Finish { exec: placed.exec_id });
         },
     );
 }

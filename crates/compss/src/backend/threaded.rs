@@ -19,8 +19,8 @@
 //! worker; each drains what is still queued before it exits, so shutdown
 //! is purely signal-driven — no poll timeout anywhere in the worker loop.
 //!
-//! A worker times its body, one clock read on each side, and publishes the
-//! attempt before it drops the core lock: whoever sees it settled sees that.
+//! A worker times its body, one clock read on each side, and reports the
+//! attempt in one `complete_attempt`: whoever sees it settled sees its bars.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -30,7 +30,7 @@ use cluster::Cluster;
 use parking_lot::{Condvar, Mutex};
 
 use crate::data::Value;
-use crate::runtime::{complete_attempt, place_ready, Core, Placed, Shared, Window};
+use crate::runtime::{complete_attempt, place_ready, Core, Placed, Report, Shared};
 use crate::task::{run_body, TaskContext, TaskFn};
 
 /// A placed task ready for a worker: everything it needs to run the body
@@ -162,15 +162,18 @@ fn worker_loop(shared: Arc<Shared>, pool: Arc<PoolShared>) {
             run_body(&*msg.body, &msg.ctx, &msg.inputs)
         });
         let end = shared.wall_us();
+        let report = Report {
+            span: Some((start, end)),
+            // The run queue's wait is queueing too.
+            held_us: start.saturating_sub(p.now_us),
+            exec_us: Some(end - start),
+            ..Report::default()
+        };
         let follow_on = {
             let mut core = shared.core.lock();
             let values = result.map(Vec::into_iter);
-            let exec_us = Some(end - start);
-            let ended =
-                complete_attempt(&shared, &mut core, p.exec_id, values, exec_us, end, false)
-                    .expect("a threaded attempt ends once");
-            let held_us = start.saturating_sub(ended.dispatched_us);
-            ended.publish(&shared, Window { span: (start, end), held_us, ..Window::default() });
+            let ended = complete_attempt(&shared, &mut core, p.exec_id, values, report, end, false);
+            assert!(ended, "a threaded attempt ends once");
             collect_dispatch(&shared, &mut core)
         };
         // Waiters in `wait_on`/`barrier` park on the core condvar; workers

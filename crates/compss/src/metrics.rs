@@ -34,7 +34,6 @@
 //! | `rcompss_workers_lost_total` | counter | remote workers declared dead, for good (distributed backend) |
 //! | `rnet_bytes_sent_total` | counter | protocol bytes written to workers |
 //! | `rnet_bytes_received_total` | counter | protocol bytes read from workers |
-//! | `rnet_rpc_latency_us` | histogram | submit → done/failed round trip per remote task |
 //! | `rcompss_node_tasks_completed_total{node="…"}` | counter | completions per remote worker (addr-labelled) |
 //! | `rcompss_task_phase_us{phase="…"}` | histogram | per-phase attempt latency: queue/wire/exec/ship distributed, queue/wire/exec simulated, queue/exec threaded |
 //! | `rnet_rtt_us{node="…"}` | gauge | best heartbeat round-trip time per worker |
@@ -54,7 +53,10 @@
 //!
 //! The `task_phase_us` phases decompose an attempt's life on the runtime's
 //! clock, one sample per phase a backend can time, per attempt that reports
-//! back (one killed with its node reports nothing):
+//! back (one killed with its node reports nothing). A backend hands its
+//! report of an ended attempt to `runtime::complete_attempt` once, and every
+//! sample — these, `task_latency_us` and the attempt's bars — is recorded
+//! there, under the core lock: a waiter that sees a value ready sees them.
 //!
 //! | phase | distributed | simulated | threaded |
 //! |---|---|---|---|
@@ -121,8 +123,6 @@ pub(crate) struct RtMetrics {
     pub dep_wait: Histogram,
     /// Staging transfer durations.
     pub transfer_time: Histogram,
-    /// Submit → done/failed round trip per remote task (distributed).
-    pub rpc_latency: Histogram,
     /// Submission → dispatch wait plus the worker-side wait before the
     /// body starts, as a lifecycle phase.
     pub phase_queue: Histogram,
@@ -138,9 +138,6 @@ pub(crate) struct RtMetrics {
     /// Per-worker completion counters, labelled by worker address
     /// (distributed backend; cold path, one insert per worker).
     node_tasks: Mutex<HashMap<String, Counter>>,
-    /// Per-worker gauges (RTT, clock offset, last-stats age), keyed by the
-    /// full labelled series name (cold path, one insert per series).
-    node_gauges: Mutex<HashMap<String, Gauge>>,
 }
 
 impl RtMetrics {
@@ -168,14 +165,12 @@ impl RtMetrics {
             sched_decision: registry.histogram("rcompss_sched_decision_us"),
             dep_wait: registry.histogram("rcompss_dep_wait_us"),
             transfer_time: registry.histogram("rcompss_transfer_time_us"),
-            rpc_latency: registry.histogram("rnet_rpc_latency_us"),
             phase_queue: registry.histogram(&labeled("rcompss_task_phase_us", "phase", "queue")),
             phase_wire: registry.histogram(&labeled("rcompss_task_phase_us", "phase", "wire")),
             phase_exec: registry.histogram(&labeled("rcompss_task_phase_us", "phase", "exec")),
             phase_ship: registry.histogram(&labeled("rcompss_task_phase_us", "phase", "ship")),
             task_latency: Mutex::new(HashMap::new()),
             node_tasks: Mutex::new(HashMap::new()),
-            node_gauges: Mutex::new(HashMap::new()),
             registry,
         }
     }
@@ -235,10 +230,7 @@ impl RtMetrics {
         if !self.registry.enabled() {
             return;
         }
-        let series = labeled(base, "node", node_label);
-        let mut cache = self.node_gauges.lock();
-        let g = cache.entry(series.clone()).or_insert_with(|| self.registry.gauge(&series));
-        g.set(value);
+        self.registry.gauge(&labeled(base, "node", node_label)).set(value);
     }
 }
 
@@ -283,7 +275,10 @@ mod tests {
         }
         assert!(snap.histogram("rcompss_sched_decision_us").is_some());
         assert!(snap.histogram("rcompss_dep_wait_us").is_some());
-        assert!(snap.histogram("rnet_rpc_latency_us").is_some());
+        assert!(
+            snap.histogram("rnet_rpc_latency_us").is_none(),
+            "retired: task_latency_us times it"
+        );
         for phase in ["queue", "wire", "exec", "ship"] {
             let series = labeled("rcompss_task_phase_us", "phase", phase);
             assert!(snap.histogram(&series).is_some(), "{series} missing");

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 use cluster::transfer::TransferModel;
 use cluster::{Cluster, FailureInjector, NodeSpec};
 use paratrace::{CoreId, EventKind, TaskRef, TraceCollector};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::backend::distributed::{
     collect_dispatch_remote, connect_workers, ConnMgr, DistributedConfig,
@@ -700,20 +700,13 @@ impl Runtime {
         // The wait is a user of its target: a rename or a delete from
         // another thread must not take the version from under it.
         core.data.acquire(target);
-        let settled = |c: &Core| c.data.is_ready(target) || c.data.is_poisoned(target);
-        match &self.backend {
-            BackendHandle::Sim => {
-                crate::backend::sim::run_until(&self.shared, &mut core, settled);
-            }
-            BackendHandle::Threaded(_) | BackendHandle::Distributed(_) => {
-                // Version 0 has no writer: once nothing is left to run,
-                // nothing will write it.
-                let hopeless = |c: &Core| target.version == 0 && c.graph.all_settled();
-                while !(settled(&core) || hopeless(&core)) {
-                    self.shared.cv.wait_for(&mut core, std::time::Duration::from_millis(100));
-                }
-            }
-        }
+        // Version 0 has no writer: once nothing is left to run, nothing will
+        // write it.
+        self.wait_until(&mut core, |c| {
+            c.data.is_ready(target)
+                || c.data.is_poisoned(target)
+                || (target.version == 0 && c.graph.all_settled())
+        });
         let result = if core.data.is_poisoned(target) {
             Err(WaitError::ProducerFailed(*h))
         } else {
@@ -744,17 +737,22 @@ impl Runtime {
     /// Wait for every submitted task to settle (done or permanently failed).
     pub fn barrier(&self) {
         let mut core = self.shared.core.lock();
+        self.wait_until(&mut core, |c| c.graph.all_settled());
+        core.publish_gauges(&self.shared);
+    }
+
+    /// Return once `done` holds, or under the sim backend once nothing can
+    /// change any more: drive the simulation there, park on the core condvar
+    /// otherwise.
+    fn wait_until(&self, core: &mut MutexGuard<'_, Core>, done: impl Fn(&Core) -> bool) {
         match &self.backend {
-            BackendHandle::Sim => {
-                crate::backend::sim::run_until(&self.shared, &mut core, |c| c.graph.all_settled());
-            }
+            BackendHandle::Sim => crate::backend::sim::run_until(&self.shared, core, done),
             BackendHandle::Threaded(_) | BackendHandle::Distributed(_) => {
-                while !core.graph.all_settled() {
-                    self.shared.cv.wait_for(&mut core, std::time::Duration::from_millis(100));
+                while !done(core) {
+                    self.shared.cv.wait_for(core, Duration::from_millis(100));
                 }
             }
         }
-        core.publish_gauges(&self.shared);
     }
 
     /// Current runtime time, µs: virtual for the simulated backend, wall
@@ -910,97 +908,70 @@ pub(crate) fn place_ready<S: Ord>(
     core.publish_gauges(shared);
 }
 
-/// An attempt that has left `core.running`, as [`complete_attempt`] hands it
-/// back: what publishing its phases and bars needs, without the core.
-pub(crate) struct Ended {
-    pub task: TaskId,
-    pub name: Arc<str>,
-    pub placement: Placement,
-    /// The task's submission time, backend clock.
-    pub submitted_us: u64,
-    /// This attempt's dispatch time, backend clock.
-    pub dispatched_us: u64,
-    /// Ended by the loss of a node it ran on ([`lose_node`]): it reported
-    /// nothing.
-    pub killed: bool,
-    /// The body's run time as its backend timed it, `None` when no body
-    /// reported: the exec phase, stored with every version it wrote.
-    pub exec_us: Option<u64>,
-}
-
-/// What a backend saw of an ended attempt's body, on the runtime's clock:
-/// the span its bars cover and the phases it can time besides exec, which
-/// [`Ended`] carries. A phase it cannot time stays `None` and gets no
+/// A backend's whole account of an ended attempt, on the runtime's clock, as
+/// it hands it to [`complete_attempt`] once: where the bars go and every
+/// phase it could time. A phase it cannot time stays `None` and gets no
 /// sample.
 #[derive(Default)]
-pub(crate) struct Window {
+pub(crate) struct Report {
     /// Where the bars go: the body's own span where the backend knows it.
-    pub span: (u64, u64),
+    /// `None` draws none (an attempt killed before its body started).
+    pub span: Option<(u64, u64)>,
     /// Time the attempt waited where it runs before its body started (a
     /// task dispatched ahead, the threaded run queue): counted as queue.
     pub held_us: u64,
     pub wire_us: Option<u64>,
+    /// The body's run time: the exec phase, stored with every version the
+    /// attempt wrote.
+    pub exec_us: Option<u64>,
     pub ship_us: Option<u64>,
-}
-
-impl Ended {
-    /// Publish an attempt that reported back: one `rcompss_task_phase_us`
-    /// sample per phase timed — queue always, as submission → dispatch
-    /// plus what was held, exec from the record, the rest as `w` has them
-    /// — and its bars over `w.span`, `TaskEnd` at the span's end. Needs no
-    /// core lock.
-    pub fn publish(&self, shared: &Shared, w: Window) {
-        let m = &shared.metrics;
-        m.phase_queue.record(self.dispatched_us.saturating_sub(self.submitted_us) + w.held_us);
-        for (phase, us) in
-            [(&m.phase_wire, w.wire_us), (&m.phase_exec, self.exec_us), (&m.phase_ship, w.ship_us)]
-        {
-            if let Some(us) = us {
-                phase.record(us);
-            }
-        }
-        emit_attempt_spans(shared, self, w.span);
-    }
 }
 
 /// The trace records of one ended attempt: a `task_run` bar over `span` on
 /// every core of the placement and, unless the attempt was killed with its
 /// node, the `TaskEnd` event at the span's end. Builds nothing with tracing
 /// off.
-fn emit_attempt_spans(shared: &Shared, ended: &Ended, (start_us, end_us): (u64, u64)) {
+fn emit_attempt_spans(
+    shared: &Shared,
+    task: TaskRef,
+    placement: &Placement,
+    (start_us, end_us): (u64, u64),
+    killed: bool,
+) {
     if !shared.trace.is_enabled() {
         return;
     }
-    let task_ref = TaskRef::new(ended.task.0, Arc::clone(&ended.name));
-    for (node, cores) in ended.placement.node_cores() {
+    for (node, cores) in placement.node_cores() {
         for &c in cores {
             let core = CoreId::new(node, c);
-            shared.trace.task_run(core, start_us, end_us.max(start_us + 1), task_ref.clone());
+            shared.trace.task_run(core, start_us, end_us.max(start_us + 1), task.clone());
         }
     }
-    if !ended.killed {
-        shared.trace.event(ended.placement.lead_core(), end_us, EventKind::TaskEnd(task_ref));
+    if !killed {
+        shared.trace.event(placement.lead_core(), end_us, EventKind::TaskEnd(task));
     }
 }
 
-/// The second half of the scheduling turn: store an ended attempt's outputs
-/// and release its successors, or drive the retry policy. Called with the
-/// core locked, from every backend. Returns the attempt's [`Ended`] record,
-/// `None` for an exec id no longer running (a late frame of a failed-over
-/// attempt); `values` is then left unread. `exec_us` is the body's run time
-/// as the backend timed it, `None` when no body reported: the one place it
-/// enters the runtime. `node_gone`: the attempt died with its node, in
-/// [`lose_node`].
+/// The second half of the scheduling turn, and the one place an ended
+/// attempt is recorded: store its outputs and release its successors, or
+/// drive the retry policy; then, unless it was killed, one
+/// `rcompss_task_phase_us` sample per phase `report` timed — queue always,
+/// as submission → dispatch plus what was held — and last its bars. All of
+/// it under the core lock, so whoever sees the attempt settled sees its
+/// record. Called from every backend. `false` for an exec id no longer
+/// running (a late frame of a failed-over attempt); `values` is then left
+/// unread. `node_gone`: the attempt died with its node, in [`lose_node`].
 pub(crate) fn complete_attempt(
     shared: &Shared,
     core: &mut Core,
     exec_id: u64,
     result: Result<impl ExactSizeIterator<Item = Value>, TaskError>,
-    exec_us: Option<u64>,
+    report: Report,
     now_us: u64,
     node_gone: bool,
-) -> Option<Ended> {
-    let run = core.running.remove(&exec_id)?;
+) -> bool {
+    let Some(run) = core.running.remove(&exec_id) else { return false };
+    let Report { span, held_us, wire_us, exec_us, ship_us } = report;
     let task = run.task;
     let inst = &core.instances[&task];
     let (name, submitted_us) = (Arc::clone(&inst.def.name), inst.submitted_us);
@@ -1082,8 +1053,21 @@ pub(crate) fn complete_attempt(
             }
         }
     }
-    let RunningExec { placement, dispatched_us, .. } = run;
-    Some(Ended { task, name, placement, submitted_us, dispatched_us, killed: node_gone, exec_us })
+    if !node_gone {
+        let m = &shared.metrics;
+        m.phase_queue.record(run.dispatched_us.saturating_sub(submitted_us) + held_us);
+        for (phase, us) in
+            [(&m.phase_wire, wire_us), (&m.phase_exec, exec_us), (&m.phase_ship, ship_us)]
+        {
+            if let Some(us) = us {
+                phase.record(us);
+            }
+        }
+    }
+    if let Some(span) = span {
+        emit_attempt_spans(shared, TaskRef::new(task.0, name), &run.placement, span, node_gone);
+    }
+    true
 }
 
 /// Lose `node` for good: the one node-loss path of every backend, a
@@ -1107,15 +1091,15 @@ pub(crate) fn lose_node(shared: &Shared, core: &mut Core, node: u32, now_us: u64
     // Dispatch order: a core's running attempt comes before the one queued
     // behind it.
     victims.sort_unstable();
-    let mut killed: Vec<Ended> = Vec::with_capacity(victims.len());
+    let mut killed: Vec<Placement> = Vec::with_capacity(victims.len());
     for exec_id in victims {
+        let run = &core.running[&exec_id];
+        let queued = killed.iter().any(|k| k.shares_core(&run.placement));
+        let report =
+            Report { span: (!queued).then_some((run.dispatched_us, now_us)), ..Report::default() };
+        killed.push(run.placement.clone());
         let lost = Err::<std::iter::Empty<Value>, _>(TaskError::new("node lost"));
-        let ended =
-            complete_attempt(shared, core, exec_id, lost, None, now_us, true).expect("running");
-        if !killed.iter().any(|k| k.placement.shares_core(&ended.placement)) {
-            emit_attempt_spans(shared, &ended, (ended.dispatched_us, now_us));
-        }
-        killed.push(ended);
+        complete_attempt(shared, core, exec_id, lost, report, now_us, true);
     }
     for entry in core.sched.drain_unsatisfiable() {
         fail_task_cascade(shared, core, entry.task);

@@ -760,6 +760,34 @@ fn merged_trace_has_worker_spans_for_every_completed_task() {
     assert!(exec.unwrap().p50 >= 10_000, "exec phase reflects the 15 ms body");
 }
 
+/// `loopback_dependent_chain_and_labels`, each link waited on as it is
+/// submitted: a value a `wait_on` returns already has its attempt's bar in
+/// the trace and its exec sample in the metrics.
+#[test]
+fn a_waited_value_already_has_its_bar_and_exec_sample() {
+    let workers = spawn_workers(2, 1);
+    let rt = Runtime::distributed(
+        RuntimeConfig::single_node(1),
+        &addrs(&workers),
+        DistributedConfig::default(),
+    )
+    .expect("connect");
+    let add = task_set().get("add").unwrap().clone();
+    let one = rt.literal(1i64);
+    let mut acc = rt.literal(0i64);
+    let exec = runmetrics::labeled("rcompss_task_phase_us", "phase", "exec");
+    for i in 1..=100 {
+        let step = rt.submit(&add, vec![ArgSpec::In(acc), ArgSpec::In(one)]).unwrap();
+        acc = step.returns[0];
+        assert_eq!(*rt.wait_on(&acc).unwrap().downcast_ref::<i64>().unwrap(), i);
+        let records = rt.trace();
+        let bars = records.iter().filter_map(Record::running_task);
+        assert_eq!(bars.filter(|t| t.id == step.task.0).count(), 1, "step {i} has no bar");
+        let samples = rt.metrics().snapshot().histogram(&exec).map_or(0, |h| h.count);
+        assert_eq!(samples, i as u64, "step {i}'s exec sample");
+    }
+}
+
 #[test]
 fn a_two_core_task_has_a_bar_on_each_granted_core() {
     let pair = TaskDef {

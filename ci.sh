@@ -25,9 +25,12 @@
 # all 20 end-to-end medians and names a commit that exists), then the last
 # three trajectory points side by side and the non-test source line count
 # (the number every simplicity PR quotes in CHANGES.md, so it comes from
-# here and not from a hand-run). The five pure-virtual-time figure bins
-# (Figs 3-6 and 9) then rerun and must rewrite their results/ artefacts
-# byte-for-byte, and ablation_retry runs for its built-in assertions; the
+# here and not from a hand-run), with the lines of examples/ beside it. The
+# five pure-virtual-time figure bins (Figs 3-6 and 9) then rerun and must
+# rewrite their results/ artefacts byte-for-byte; every example and every
+# ablation bin reruns and must print its checked-in results/<name>.txt,
+# wall times masked (the list is read from the tree, so a new one without
+# that file fails); the
 # two real-training figure bins (Figs 7 and 8) rerun too and must reproduce
 # the checked-in config, accuracy and epochs_run columns (training is
 # deterministic; only task_us, the attempt's exec time, may differ), and
@@ -213,6 +216,7 @@ cargo test -q --test bench_trajectory -- --nocapture
 echo "==> non-test source lines (crates/*/src + src, up to each file's #[cfg(test)])"
 git ls-files 'crates/*/src/*.rs' 'crates/*/src/**/*.rs' 'src/*.rs' 'src/**/*.rs' | sort -u \
     | xargs awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n}'
+echo "examples/*.rs: $(git ls-files 'examples/*.rs' | xargs -r cat | wc -l) lines"
 
 echo "==> allocations per no-op task (the churn_net cell on two loopback workers; budget in the test)"
 cargo test -q -p rcompss --test task_allocations -- --nocapture | grep 'allocations per no-op task'
@@ -223,7 +227,27 @@ for fig in fig3_task_graph fig4_single_task fig5_single_node fig6_multinode fig9
 done
 git diff --exit-code -- results/fig3_task_graph.dot 'results/fig4_single_task.*' \
     'results/fig5_single_node.*' 'results/fig6*' results/fig9_time_vs_cores.csv
-cargo run --release --quiet -p hpo-bench --bin ablation_retry > /dev/null
+
+echo "==> programs: every example and ablation bin prints its checked-in results/<name>.txt"
+# What each prints is virtual time or seeded training, except the wall time
+# in a report summary (" in 0.3s"), which is masked here and in the file.
+# A program that exits non-zero (a failed built-in assertion) fails too.
+wall_masked() { sed -E 's/ in [0-9]+[.][0-9]+s/ in <wall>s/g'; }
+PROGRAM_OUT=$(mktemp)
+PROGRAMS=(examples/*.rs crates/bench/src/bin/ablation_*.rs)
+for src in "${PROGRAMS[@]}"; do
+    name=$(basename "$src" .rs)
+    case "$src" in
+        examples/*) cargo run --release --quiet --example "$name" > "$PROGRAM_OUT" ;;
+        *) cargo run --release --quiet -p hpo-bench --bin "$name" > "$PROGRAM_OUT" ;;
+    esac
+    if ! diff "results/$name.txt" <(wall_masked < "$PROGRAM_OUT"); then
+        echo "programs FAILED: $name printed (>) other than results/$name.txt (<)" >&2
+        exit 1
+    fi
+done
+rm -f "$PROGRAM_OUT"
+echo "programs: ${#PROGRAMS[@]} outputs as checked in"
 
 echo "==> real-training figures: Figs 7 and 8 reproduce the checked-in accuracy columns"
 # Each bin trains its 27-config grid for real and rewrites its CSV (fig7

@@ -12,7 +12,6 @@
 //! | `fig8_cifar_hpo` | Fig 8 — real CIFAR-like grid-search accuracy curves |
 //! | `fig9_time_vs_cores` | Fig 9 — HPO makespan vs cores-per-task |
 //! | `overhead_tracing` | §5 — tracing on/off overhead |
-//! | `fault_tolerance` | §3/§4 — retry + node-failure recovery |
 //! | `ablation_*` | beyond the paper — transfers, retry, early stopping |
 //! | `stagetree_savings` | prefix sharing — exact epochs-saved counts |
 //!

@@ -25,7 +25,7 @@ use super::{DistributedConfig, SNAP_TAG};
 use crate::blocks::EncodedBlock;
 use crate::codec;
 use crate::data::{DataVersion, Value};
-use crate::runtime::{complete_attempt, lose_node, place_ready, Core, Shared};
+use crate::runtime::{complete_attempt, lose_node, place_ready, Core, Settled, Shared};
 use crate::task::{TaskError, TaskId};
 
 /// Wire key for a data version: handle id in the high 32 bits, version in
@@ -493,8 +493,8 @@ fn pump<'a>(
 }
 
 /// The core's half of the actions, under the core lock, then the follow-on
-/// placement. Each settle is counted against its worker's `labels` entry;
-/// the blocks to send stay in `inbox`.
+/// placement. Each attempt whose outputs were stored is counted against its
+/// worker's `labels` entry; the blocks to send stay in `inbox`.
 fn apply_core(
     shared: &Shared,
     core: &mut Core,
@@ -522,7 +522,9 @@ fn apply_core(
                     }
                 }
                 let values = result.map(|outs| outputs[outs].iter().map(|(v, _)| v.clone()));
-                if complete_attempt(shared, core, exec_id, values, report, now, false) {
+                if complete_attempt(shared, core, exec_id, values, report, now, false)
+                    == Settled::Stored
+                {
                     shared.metrics.record_node_task(&labels[node as usize]);
                 }
             }

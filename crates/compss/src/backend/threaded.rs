@@ -30,7 +30,7 @@ use cluster::Cluster;
 use parking_lot::{Condvar, Mutex};
 
 use crate::data::Value;
-use crate::runtime::{complete_attempt, place_ready, Core, Placed, Report, Shared};
+use crate::runtime::{complete_attempt, place_ready, Core, Placed, Report, Settled, Shared};
 use crate::task::{run_body, TaskContext, TaskFn};
 
 /// A placed task ready for a worker: everything it needs to run the body
@@ -172,8 +172,9 @@ fn worker_loop(shared: Arc<Shared>, pool: Arc<PoolShared>) {
         let follow_on = {
             let mut core = shared.core.lock();
             let values = result.map(Vec::into_iter);
-            let ended = complete_attempt(&shared, &mut core, p.exec_id, values, report, end, false);
-            assert!(ended, "a threaded attempt ends once");
+            let settled =
+                complete_attempt(&shared, &mut core, p.exec_id, values, report, end, false);
+            assert_ne!(settled, Settled::Stale, "a threaded attempt ends once");
             collect_dispatch(&shared, &mut core)
         };
         // Waiters in `wait_on`/`barrier` park on the core condvar; workers

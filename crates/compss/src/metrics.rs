@@ -34,7 +34,7 @@
 //! | `rcompss_workers_lost_total` | counter | remote workers declared dead, for good (distributed backend) |
 //! | `rnet_bytes_sent_total` | counter | protocol bytes written to workers |
 //! | `rnet_bytes_received_total` | counter | protocol bytes read from workers |
-//! | `rcompss_node_tasks_completed_total{node="…"}` | counter | completions per remote worker (addr-labelled) |
+//! | `rcompss_node_tasks_completed_total{node="…"}` | counter | successful completions per remote worker (addr-labelled) |
 //! | `rcompss_task_phase_us{phase="…"}` | histogram | per-phase attempt latency: queue/wire/exec/ship distributed, queue/wire/exec simulated, queue/exec threaded |
 //! | `rnet_rtt_us{node="…"}` | gauge | best heartbeat round-trip time per worker |
 //! | `rnet_clock_offset_us{node="…"}` | gauge | estimated worker−driver clock offset |
@@ -204,8 +204,9 @@ impl RtMetrics {
         cache.insert(fn_name.to_string(), h);
     }
 
-    /// Count a completed remote execution against its worker's
-    /// addr-labelled series — the per-node lane the dashboard renders.
+    /// Count a successful remote execution, one whose outputs were stored,
+    /// against its worker's addr-labelled series — the per-node lane the
+    /// dashboard renders.
     pub fn record_node_task(&self, node_label: &str) {
         if !self.registry.enabled() {
             return;

@@ -952,15 +952,27 @@ fn emit_attempt_spans(
     }
 }
 
+/// What [`complete_attempt`] made of an ended attempt.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Settled {
+    /// The exec id was no longer running (a late frame of a failed-over
+    /// attempt); its values were left unread.
+    Stale,
+    /// The attempt failed, whatever its body returned: an injected failure
+    /// or a wrong value count fails an `Ok` too.
+    Failed,
+    /// Its outputs are stored.
+    Stored,
+}
+
 /// The second half of the scheduling turn, and the one place an ended
 /// attempt is recorded: store its outputs and release its successors, or
 /// drive the retry policy; then, unless it was killed, one
 /// `rcompss_task_phase_us` sample per phase `report` timed — queue always,
 /// as submission → dispatch plus what was held — and last its bars. All of
 /// it under the core lock, so whoever sees the attempt settled sees its
-/// record. Called from every backend. `false` for an exec id no longer
-/// running (a late frame of a failed-over attempt); `values` is then left
-/// unread. `node_gone`: the attempt died with its node, in [`lose_node`].
+/// record. Called from every backend. `node_gone`: the attempt died with
+/// its node, in [`lose_node`].
 pub(crate) fn complete_attempt(
     shared: &Shared,
     core: &mut Core,
@@ -969,8 +981,8 @@ pub(crate) fn complete_attempt(
     report: Report,
     now_us: u64,
     node_gone: bool,
-) -> bool {
-    let Some(run) = core.running.remove(&exec_id) else { return false };
+) -> Settled {
+    let Some(run) = core.running.remove(&exec_id) else { return Settled::Stale };
     let Report { span, held_us, wire_us, exec_us, ship_us } = report;
     let task = run.task;
     let inst = &core.instances[&task];
@@ -992,7 +1004,7 @@ pub(crate) fn complete_attempt(
         result => result,
     };
 
-    match outcome {
+    let settled = match outcome {
         Ok(values) => {
             let Core { instances, data, .. } = &mut *core;
             let inst = instances.get(&task).expect("instance exists");
@@ -1009,6 +1021,7 @@ pub(crate) fn complete_attempt(
                 core.instances[&t].push_ready(t, &mut core.sched);
             }
             core.retire_task(shared, task);
+            Settled::Stored
         }
         Err(_) => {
             core.stats.failed_attempts += 1;
@@ -1051,8 +1064,9 @@ pub(crate) fn complete_attempt(
                     core.instances[&task].push_ready(task, &mut core.sched);
                 }
             }
+            Settled::Failed
         }
-    }
+    };
     if !node_gone {
         let m = &shared.metrics;
         m.phase_queue.record(run.dispatched_us.saturating_sub(submitted_us) + held_us);
@@ -1067,7 +1081,7 @@ pub(crate) fn complete_attempt(
     if let Some(span) = span {
         emit_attempt_spans(shared, TaskRef::new(task.0, name), &run.placement, span, node_gone);
     }
-    true
+    settled
 }
 
 /// Lose `node` for good: the one node-loss path of every backend, a

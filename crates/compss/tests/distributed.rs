@@ -10,6 +10,7 @@ use std::time::Duration;
 
 use rnet::{read_frame, write_frame, Blob, Frame, RecvBuf, WireArg};
 
+use cluster::FailureInjector;
 use paratrace::{EventKind, Record};
 use rcompss::{
     ArgSpec, Constraint, DistributedConfig, RetryPolicy, Runtime, RuntimeConfig, TaskContext,
@@ -51,7 +52,15 @@ fn task_set() -> TaskRegistry {
         let x: i64 = *inputs[0].downcast_ref::<i64>().unwrap();
         Ok(vec![Value::new(x * x)])
     });
-    TaskRegistry::new().with(add).with(square).with(sum).with(slow_square)
+    // Fails its first attempt on whichever worker runs it.
+    let flaky_square = def("flaky_square", |ctx, inputs| {
+        if ctx.attempt == 1 {
+            return Err(TaskError::new("first attempt fails"));
+        }
+        let x: i64 = *inputs[0].downcast_ref::<i64>().unwrap();
+        Ok(vec![Value::new(x * x)])
+    });
+    TaskRegistry::new().with(add).with(square).with(sum).with(slow_square).with(flaky_square)
 }
 
 fn spawn_workers(n: usize, cores: u32) -> Vec<WorkerHandle> {
@@ -142,6 +151,43 @@ fn loopback_dependent_chain_and_labels() {
         })
         .sum();
     assert_eq!(per_node, 10, "all completions attributed to workers");
+}
+
+/// A worker is credited with the attempts whose outputs were stored, and
+/// with nothing else: neither a `Failed` nor a `Done` the driver's failure
+/// injector turns into a failure. So the per-node series sum to the
+/// completed total.
+#[test]
+fn per_node_completions_count_stored_attempts_only() {
+    let workers = spawn_workers(2, 1);
+    // Task 2's first attempt reports `Done`, and the injector fails it.
+    let rt = Runtime::distributed(
+        RuntimeConfig::single_node(1)
+            .with_failures(FailureInjector::none().with_task_failure(2, 1)),
+        &addrs(&workers),
+        DistributedConfig::default(),
+    )
+    .expect("connect");
+    let flaky = task_set().get("flaky_square").unwrap().clone();
+    let square = task_set().get("square").unwrap().clone();
+    let (three, four) = (rt.literal(3i64), rt.literal(4i64));
+    let a = rt.submit(&flaky, vec![ArgSpec::In(three)]).unwrap().returns[0];
+    let b = rt.submit(&square, vec![ArgSpec::In(four)]).unwrap().returns[0];
+    assert_eq!(*rt.wait_on(&a).unwrap().downcast_ref::<i64>().unwrap(), 9);
+    assert_eq!(*rt.wait_on(&b).unwrap().downcast_ref::<i64>().unwrap(), 16);
+
+    let snap = rt.metrics().snapshot();
+    assert_eq!(snap.counter("rcompss_task_attempts_failed_total"), Some(2));
+    let completed = snap.counter("rcompss_tasks_completed_total");
+    let per_node: u64 = rt
+        .node_labels()
+        .iter()
+        .filter_map(|l| {
+            snap.counter(&runmetrics::labeled("rcompss_node_tasks_completed_total", "node", l))
+        })
+        .sum();
+    assert_eq!(completed, Some(2));
+    assert_eq!(Some(per_node), completed, "per-node completions sum to the completed total");
 }
 
 /// Play the worker by hand: one `Hello { cores: 1 }`, an ack per heartbeat,

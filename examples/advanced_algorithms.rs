@@ -6,6 +6,9 @@
 //! ```sh
 //! cargo run --release --example advanced_algorithms
 //! ```
+//!
+//! `ci.sh` diffs its output, wall times masked, against
+//! `results/advanced_algorithms.txt`.
 
 use std::sync::Arc;
 
@@ -27,7 +30,10 @@ fn main() {
     )
     .expect("valid config");
 
-    let cores = std::thread::available_parallelism().map(|n| n.get() as u32).unwrap_or(4);
+    // A fixed pool, not this machine's core count: random search launches
+    // one wave per `cores` trials, so where early stopping cuts it, and the
+    // output `ci.sh` diffs, would otherwise depend on the host.
+    let cores = 2;
     let data = Arc::new(Dataset::synthetic_mnist(1_000, 9));
 
     // --- random search, with across-trial early stopping ---

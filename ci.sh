@@ -221,6 +221,9 @@ echo "examples/*.rs: $(git ls-files 'examples/*.rs' | xargs -r cat | wc -l) line
 echo "==> allocations per no-op task (the churn_net cell on two loopback workers; budget in the test)"
 cargo test -q -p rcompss --test task_allocations -- --nocapture | grep 'allocations per no-op task'
 
+echo "==> context switches per no-op task (the same cell on one CPU; bound in the test)"
+cargo test -q -p rcompss --test task_switches -- --nocapture | grep 'context switches per no-op task'
+
 echo "==> deterministic figures: virtual-time bins rewrite results/ byte-identically"
 for fig in fig3_task_graph fig4_single_task fig5_single_node fig6_multinode fig9_time_vs_cores; do
     cargo run --release --quiet -p hpo-bench --bin "$fig" > /dev/null
@@ -394,16 +397,18 @@ echo "stage-tree smoke: staged == naive, $SAVED epochs saved across $FORKS forks
     "$BLOCK_USES block-cache uses"
 
 echo "==> telemetry smoke: live /metrics scrape + trace/trial diff"
-# More epochs than the diff smoke: the run must outlive the first
-# successful mid-flight scrape, and 1-2 epoch trials finish in ~0.1 s
-# on a warm box — too fast for the retry loop to win the race.
+# Many more epochs than the diff smoke: the run must outlive the first
+# successful mid-flight scrape. At 200 samples an epoch takes well under a
+# millisecond, so 10-20 epoch trials ended in ≈ 30 ms, before the 50 ms
+# retry loop got its turn; the printed wall times show the margin.
 cat > "$SMOKE_DIR/space_telemetry.json" <<'EOF'
 {
   "optimizer": ["Adam", "SGD"],
-  "num_epochs": [10, 20],
+  "num_epochs": [300, 600],
   "batch_size": [32]
 }
 EOF
+TELEMETRY_T0=$(date +%s%N)
 ./target/release/hpo-run --config "$SMOKE_DIR/space_telemetry.json" --backend distributed \
     --workers 127.0.0.1:7191,127.0.0.1:7192 --samples 200 \
     --status-addr 127.0.0.1:7195 --trace-out "$SMOKE_DIR/smoke.trace.json" \
@@ -425,6 +430,7 @@ if [ -z "$DRIVER_METRICS" ]; then
     echo "telemetry smoke FAILED: never scraped the driver /metrics mid-run" >&2
     exit 1
 fi
+SCRAPED_MS=$((($(date +%s%N) - TELEMETRY_T0) / 1000000))
 [ "$(scrape 7195 /healthz 2>/dev/null || true)" = "ok" ] \
     || echo "note: /healthz raced the end of the run (non-fatal)"
 echo "$DRIVER_METRICS" | ./target/release/prom-check
@@ -433,6 +439,8 @@ if ! echo "$DRIVER_METRICS" | grep -q 'rcompss_task_phase_us'; then
     exit 1
 fi
 wait "$DRIVER_PID"
+echo "telemetry smoke: driver scraped at ${SCRAPED_MS} ms, driver wall time" \
+    "$((($(date +%s%N) - TELEMETRY_T0) / 1000000)) ms"
 # Worker daemons outlive the run: their endpoints must still answer with a
 # valid exposition of worker-local counters.
 WORKER_METRICS=$(scrape 7193 /metrics)

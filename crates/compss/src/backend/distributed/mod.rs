@@ -23,14 +23,17 @@
 //!   connection. Executor threads push result frames into the
 //!   connection's shared `SendBuf` and flush it straight to the socket;
 //!   only when the socket pushes back do they nudge the loop via the
-//!   waker, which flushes and re-arms write interest as needed.
+//!   waker, which flushes and re-arms write interest as needed. A fast job
+//!   the loop may run itself skips the executor: its `Done` waits in the
+//!   `SendBuf` for the loop's flush pass, one write for the turn's answers.
 //!
 //! # Worker state
 //!
 //! | a sans-IO `WorkerState` per connection (`worker/state.rs`) decides | the shell does |
 //! |---|---|
 //! | function names, each `Data` snapshot held until its task's `Submit`, inline-argument decoding and the `Failed` for a bad one, the heartbeat ack, `Shutdown` and close | reads frames off the `Link`, stamps them with its clock, pushes what the state queued; `halt` and `drop_connections` |
-//! | the core gate: arrival order, dispatch-ahead holds, release | one `Mutex<WorkerState>` per connection with a job and a block condvar on it; the executor threads, which time each body and encode its outputs |
+//! | the core gate: arrival order, dispatch-ahead holds, release | one `Mutex<WorkerState>` per connection with a job and a block condvar on it; the executor threads, which time each body, report its time and encode its outputs |
+//! | the inline run: a `Submit` that finds no core held and no job waiting, needs no block, and whose function's last `INLINE_STREAK` bodies each took at most `INLINE_BUDGET_US`, runs on the loop thread while the turn's inline bodies stay under that budget | runs the job as an executor does, reports the body's time, leaves its `Done` unflushed for the flush pass; `worker_tasks_inline_total` |
 //! | the block cache: in-flight requests, evictions to report, the fetch deadline, undecodable bytes | pushes `BlockRequest`s with the state's lock released, sleeps until the deadline, moves the resident gauge |
 //!
 //! # Connection state machine

@@ -142,6 +142,8 @@ impl WorkerServer {
         let mut events = Vec::new();
         let mut dead: Vec<u64> = Vec::new();
         while !stop.load(Ordering::SeqCst) {
+            // Time of this turn's inline runs, µs.
+            let mut turn_us = 0;
             let timeout = acceptor.bound(Some(Duration::from_millis(500)));
             if poller.wait(&mut events, timeout).is_err() {
                 std::thread::sleep(Duration::from_millis(1));
@@ -156,7 +158,7 @@ impl WorkerServer {
                     LISTEN_TOKEN => acceptor.accept(poller, |stream, _| adopt(stream, &mut table)),
                     token => {
                         if let Some(conn) = table.get_mut(&token) {
-                            if ev.readable && !conn.read() {
+                            if ev.readable && !conn.read(&mut turn_us) {
                                 dead.push(token);
                             }
                         }
@@ -164,8 +166,9 @@ impl WorkerServer {
                 }
             }
             // Flush pass: executor output arrives via the waker, socket
-            // backpressure via writable events — either way, drain every
-            // backlog and reconcile write interest.
+            // backpressure via writable events, and the answers of this
+            // turn's inline runs wait here unflushed — drain every backlog in
+            // one write each and reconcile write interest.
             for (&token, conn) in table.iter_mut() {
                 if !dead.contains(&token)
                     && conn.link.flush(poller, &mut conn.shared.out.lock()).is_err()
@@ -278,6 +281,7 @@ struct ConnShared {
 /// The worker's series in [`runmetrics::global`], looked up once a connection.
 struct WorkerSeries {
     tasks_executed: Counter,
+    tasks_inline: Counter,
     task_exec_us: Histogram,
     cache_hits: Counter,
     cache_misses: Counter,
@@ -290,6 +294,7 @@ impl WorkerSeries {
         let global = runmetrics::global();
         WorkerSeries {
             tasks_executed: global.counter("worker_tasks_executed_total"),
+            tasks_inline: global.counter("worker_tasks_inline_total"),
             task_exec_us: global.histogram("worker_task_exec_us"),
             cache_hits: global.counter("rcompss_block_cache_hits_total"),
             cache_misses: global.counter("rcompss_block_cache_misses_total"),
@@ -346,6 +351,8 @@ struct WorkerConn {
     /// Frames a state call queued, pushed once its lock is released.
     out: Vec<Frame>,
     shared: Arc<ConnShared>,
+    /// Runs the jobs the state hands the loop itself.
+    runner: Runner,
 }
 
 /// One executor's ambient snapshot channel. A save is mirrored to the
@@ -406,11 +413,11 @@ impl Daemon {
             mem_gib: HELLO_MEM_GIB,
         }]);
         for _ in 0..cfg.cores.max(1) {
-            let conn = Arc::clone(&shared);
-            let registry = Arc::clone(&self.registry);
-            std::thread::spawn(move || executor_loop(conn, registry));
+            let runner = Runner::new(&shared, &self.registry);
+            std::thread::spawn(move || executor_loop(runner));
         }
-        Some(WorkerConn { link, out: Vec::new(), shared })
+        let runner = Runner::new(&shared, &self.registry);
+        Some(WorkerConn { link, out: Vec::new(), shared, runner })
     }
 
     /// Tear down a dead connection: close its link, forget it, close its
@@ -426,20 +433,38 @@ impl Daemon {
 }
 
 impl WorkerConn {
-    /// Service a readable event, handing each frame to the state. Returns
-    /// `false` on EOF, error, or `Shutdown`.
-    fn read(&mut self) -> bool {
-        let WorkerConn { link, out, shared } = self;
+    /// Service a readable event, handing each frame to the state and
+    /// running here a job the state says is the loop's; `turn_us` is the
+    /// time of the turn's inline runs. Returns `false` on EOF, error, or
+    /// `Shutdown`.
+    fn read(&mut self, turn_us: &mut u64) -> bool {
+        let WorkerConn { link, out, shared, runner } = self;
         link.read(|frame| {
             let now = shared.wall_us();
             let mut state = shared.state.lock();
             let before = state.resident_bytes();
-            let wake = state.frame(frame, now, out);
+            let mut wake = state.frame(frame, now, out);
+            let inline = match &mut wake {
+                Some(w) if w.job => state.inline(*turn_us).inspect(|_| w.job = false),
+                _ => None,
+            };
             let grown = state.resident_bytes() as i64 - before as i64;
             drop(state);
             shared.carry_out(out, wake.unwrap_or_default());
             if grown != 0 {
                 shared.resident(grown);
+            }
+            if let Some(mut job) = inline {
+                let start_us = shared.wall_us();
+                let frame = runner.run(&mut job);
+                *turn_us += shared.wall_us() - start_us;
+                shared.state.lock().end(&job.ctx.cores);
+                shared.series.tasks_inline.incr();
+                // Unflushed: the loop's flush pass writes the turn's answers.
+                if !shared.stop.load(Ordering::SeqCst) {
+                    shared.out.lock().push(&frame);
+                }
+                runner.reuse(frame);
             }
             wake.is_some()
         })
@@ -485,12 +510,45 @@ struct ExecScratch {
     requests: Vec<Frame>,
 }
 
-fn executor_loop(conn: Arc<ConnShared>, registry: Arc<TaskRegistry>) {
-    // Task bodies on this worker snapshot through the driver: saves are
-    // mirrored over the wire, loads read what came with the job.
-    let snaps =
-        Arc::new(WorkerSnapshotChannel { conn: Arc::clone(&conn), latest: Mutex::new(None) });
-    let mut scratch = ExecScratch::default();
+/// What running jobs takes, kept from one job to the next: one per executor
+/// thread, and one per connection for the jobs its event loop runs itself.
+struct Runner {
+    registry: Arc<TaskRegistry>,
+    /// Task bodies on this worker snapshot through the driver: saves are
+    /// mirrored over the wire, loads read what came with the job.
+    snaps: Arc<WorkerSnapshotChannel>,
+    scratch: ExecScratch,
+}
+
+impl Runner {
+    fn new(conn: &Arc<ConnShared>, registry: &Arc<TaskRegistry>) -> Runner {
+        let snaps = WorkerSnapshotChannel { conn: Arc::clone(conn), latest: Mutex::new(None) };
+        let (registry, snaps) = (Arc::clone(registry), Arc::new(snaps));
+        Runner { registry, snaps, scratch: ExecScratch::default() }
+    }
+
+    /// Run `job` to its answer.
+    fn run(&mut self, job: &mut Job) -> Frame {
+        let Runner { registry, snaps, scratch } = self;
+        *snaps.latest.lock() = job.snapshot.take();
+        let frame = crate::snapshot::with_channel(snaps.clone(), job.ctx.task, || {
+            run_job(&snaps.conn, registry, job, scratch)
+        });
+        *snaps.latest.lock() = None;
+        frame
+    }
+
+    /// Keep the output buffers of an answer that has been pushed.
+    fn reuse(&mut self, frame: Frame) {
+        if let Frame::Done { mut outputs, .. } = frame {
+            outputs.retain(codec::worth_keeping);
+            self.scratch.outputs = outputs;
+        }
+    }
+}
+
+fn executor_loop(mut runner: Runner) {
+    let conn = Arc::clone(&runner.snaps.conn);
     // Cores of the job this executor ran last, freed when it looks for the
     // next: with a job queued behind them it starts at once, no sleep.
     let mut finished: Vec<u32> = Vec::new();
@@ -510,25 +568,19 @@ fn executor_loop(conn: Arc<ConnShared>, registry: Arc<TaskRegistry>) {
         if more {
             conn.jobs_cv.notify_one();
         }
-        *snaps.latest.lock() = job.snapshot.take();
-        let frame = crate::snapshot::with_channel(snaps.clone(), job.ctx.task, || {
-            run_job(&conn, &registry, &mut job, &mut scratch)
-        });
-        *snaps.latest.lock() = None;
+        let frame = runner.run(&mut job);
         // A halted worker goes silent — the driver must see it as a crash,
         // not a graceful completion.
         if conn.stop.load(Ordering::SeqCst) {
             return;
         }
         conn.push_out(std::slice::from_ref(&frame));
-        if let Frame::Done { mut outputs, .. } = frame {
-            outputs.retain(codec::worth_keeping);
-            scratch.outputs = outputs;
-        }
+        runner.reuse(frame);
         finished = std::mem::take(&mut job.ctx.cores);
     }
 }
 
+/// Run `job` to its answer, telling the state how long a body that ran took.
 fn run_job(conn: &ConnShared, reg: &TaskRegistry, job: &mut Job, s: &mut ExecScratch) -> Frame {
     let exec_id = job.exec_id;
     let fail = |message: String| Frame::Failed { exec_id, message };
@@ -550,6 +602,7 @@ fn run_job(conn: &ConnShared, reg: &TaskRegistry, job: &mut Job, s: &mut ExecScr
     let result = run_body(&*body, &job.ctx, inputs);
     let end_us = conn.wall_us().max(start_us + 1);
     inputs.clear();
+    conn.state.lock().ran(job.fn_id, end_us - start_us);
     conn.series.tasks_executed.incr();
     conn.series.task_exec_us.record(end_us - start_us);
     match result {

@@ -2,11 +2,12 @@
 //! plain value: [`WorkerState`] interns function names, holds each `Data`
 //! snapshot until its task's `Submit`, decodes inline arguments, gates cores
 //! (arrival order, dispatch-ahead holds), keeps the block cache with its
-//! in-flight requests, and knows whether the connection is closed. Every call
-//! takes the time from the shell, appends the frames to push to `out` and
-//! says which waiters to wake. Nothing here reads a clock, takes a lock or
-//! touches a socket: the tests below drive it with a scripted driver and
-//! scripted executors on virtual time.
+//! in-flight requests, decides which fast job the event loop runs itself, and
+//! knows whether the connection is closed. Every call takes the time from the
+//! shell, appends the frames to push to `out` and says which waiters to wake.
+//! Nothing here reads a clock, takes a lock or touches a socket: the tests
+//! below drive it with a scripted driver and scripted executors on virtual
+//! time.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -27,6 +28,18 @@ const FETCH_US: u64 = 10_000_000;
 /// bytes that answer.
 const MAX_UNDECODABLE: usize = 64;
 
+/// The longest body, µs, that counts as fast, and the most time one
+/// event-loop turn spends on inline runs. Running a body on the loop saves an
+/// executor wake-up, a few µs; a body many times longer gains little from
+/// that, while a heartbeat ack and the turn's other answers wait behind it.
+/// Bodies near the budget are left to a multi-core worker's executors, which
+/// run them side by side.
+pub(super) const INLINE_BUDGET_US: u64 = 50;
+
+/// Fast runs in a row of a function before the event loop runs it itself: a
+/// function's first runs always go to an executor.
+pub(super) const INLINE_STREAK: u8 = 8;
+
 /// A job's argument: decoded from its `Submit`, or a content-addressed block.
 pub(super) enum JobArg {
     Value(Value),
@@ -36,6 +49,7 @@ pub(super) enum JobArg {
 /// One submitted task, from its `Submit` until an executor ends it.
 pub(super) struct Job {
     pub exec_id: u64,
+    pub fn_id: u64,
     pub name: Arc<str>,
     pub variant: u32,
     pub ctx: TaskContext,
@@ -75,6 +89,9 @@ pub(super) enum Fetch {
 #[derive(Default)]
 pub(super) struct WorkerState {
     fn_names: IdMap<u64, Arc<str>>,
+    /// Per function: its latest body runs in a row that took at most
+    /// `INLINE_BUDGET_US`.
+    streaks: IdMap<u64, u8>,
     /// Snapshots by task id, held from their `Data` frame to their `Submit`.
     handed_over: IdMap<u64, Vec<u8>>,
     /// Jobs not yet started, in arrival order.
@@ -131,7 +148,8 @@ impl WorkerState {
                 let (task, peer_nodes) = (TaskId(task_id), Vec::new());
                 let ctx =
                     TaskContext { task, attempt, node, cores, gpus, peer_nodes, simulated: false };
-                let job = Job { exec_id, name, variant, ctx, args, recv_us: now_us, snapshot };
+                let job =
+                    Job { exec_id, fn_id, name, variant, ctx, args, recv_us: now_us, snapshot };
                 self.waiting.push_back(job);
                 // A job dispatched ahead waits for the core it names; no idle
                 // executor could start it, so none is woken for it.
@@ -188,9 +206,37 @@ impl WorkerState {
         Start::Run(job, (0..self.waiting.len()).any(|i| self.free(i)))
     }
 
+    /// The event loop runs the job just submitted itself, having spent
+    /// `turn_us` of this turn on inline runs already, instead of waking an
+    /// executor: only if the connection is open, the job is the only one, no
+    /// job holds a core, the job needs no block (the loop reads them, so it
+    /// would wait for itself), its function's streak is reached and the
+    /// turn's budget is not used up. Holds its cores like [`Self::start`].
+    pub fn inline(&mut self, turn_us: u64) -> Option<Job> {
+        let job = match self.waiting.front() {
+            Some(job) if self.waiting.len() == 1 && self.held.is_empty() => job,
+            _ => return None,
+        };
+        let fast = self.streaks.get(&job.fn_id).is_some_and(|&s| s >= INLINE_STREAK);
+        let local = job.args.iter().all(|a| matches!(a, JobArg::Value(_)));
+        if self.closed || !fast || !local || turn_us >= INLINE_BUDGET_US {
+            return None;
+        }
+        let job = self.waiting.pop_front()?;
+        self.held.extend(&job.ctx.cores);
+        Some(job)
+    }
+
     /// A running job ended: its cores are free again.
     pub fn end(&mut self, cores: &[u32]) {
         self.held.retain(|c| !cores.contains(c));
+    }
+
+    /// A body of function `fn_id` returned after `body_us`: a fast run
+    /// lengthens its streak, a slower one starts it again from 0.
+    pub fn ran(&mut self, fn_id: u64, body_us: u64) {
+        let streak = self.streaks.entry(fn_id).or_default();
+        *streak = if body_us <= INLINE_BUDGET_US { streak.saturating_add(1) } else { 0 };
     }
 
     /// A job needs the block `hash` and has waited for it since `since_us`.
@@ -233,13 +279,16 @@ impl WorkerState {
 mod tests {
     //! The property: the state driven by a shell on virtual time, with a
     //! scripted driver on one side and scripted executors on the other, no
-    //! socket and no sleep. Each seed draws a frame sequence — `Submit`s
-    //! whose cores overlap as dispatch-ahead makes them, some with a `Data`
-    //! ahead, pushed and requested blocks (some undecodable, some large
-    //! enough to evict), heartbeats, then a `Shutdown` or a close at a random
-    //! point, or neither — and executors that take jobs, wait for blocks and
-    //! finish at random times. The shell checks, as it goes, every invariant
-    //! the module docs promise.
+    //! socket and no sleep. Each seed draws a frame sequence — `Submit`s of
+    //! up to three functions whose cores overlap as dispatch-ahead makes
+    //! them, some with a `Data` ahead, pushed and requested blocks (some
+    //! undecodable, some large enough to evict), heartbeats, then a
+    //! `Shutdown` or a close at a random point, or neither — and executors
+    //! that take jobs, wait for blocks and finish at random times. Each
+    //! function's bodies are fast, slow, or fast and then slow. After each
+    //! `Submit` the shell asks for an inline run, as the event loop does, and
+    //! while one runs the loop reads nothing. The shell checks, as it goes,
+    //! every invariant the module docs promise.
 
     use std::cmp::Reverse;
     use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -264,14 +313,15 @@ mod tests {
         codec::encode_value(&Value::new(vec![0.5f64; n])).unwrap()
     }
 
-    fn submit(exec_id: u64, fn_name: Option<&str>, cores: Vec<u32>, args: Vec<WireArg>) -> Frame {
+    /// A `Submit` of function `fn_id`, named `f<fn_id>` when `named`.
+    fn submit(exec_id: u64, fn_id: u64, named: bool, cores: Vec<u32>, args: Vec<WireArg>) -> Frame {
         Frame::Submit {
             exec_id,
             task_id: 100 + exec_id,
             attempt: 1,
             node: 0,
-            fn_id: 1,
-            fn_name: fn_name.map(String::from),
+            fn_id,
+            fn_name: named.then(|| format!("f{fn_id}")),
             variant: 0,
             cores,
             gpus: Vec::new(),
@@ -305,22 +355,27 @@ mod tests {
         Finish(usize),
         /// The block wait executor `i` began at this time reaches its end.
         Deadline(usize, u64),
+        /// The body the event loop runs itself returns.
+        LoopFree,
+    }
+
+    /// How long a function's bodies take.
+    #[derive(Clone, Copy, Debug)]
+    enum Body {
+        Fast,
+        Slow,
+        /// Fast for this many runs, then slow.
+        FastThenSlow(u32),
     }
 
     /// One scripted executor thread.
     enum Ex {
         /// Waiting for a job (`parked` on its condvar, or about to look).
-        Idle {
-            parked: bool,
-        },
+        Idle { parked: bool },
         /// Resolving argument `next` of its job, waiting since `since`.
-        Fetching {
-            job: Job,
-            next: usize,
-            since: u64,
-            parked: bool,
-        },
-        Running(Job),
+        Fetching { job: Job, next: usize, since: u64, parked: bool },
+        /// Running a body that takes this long.
+        Running(Job, u64),
         /// Exited: its connection closed.
         Gone,
     }
@@ -355,6 +410,18 @@ mod tests {
         resident: HashSet<u128>,
         heartbeats: u64,
         acks: u64,
+        /// Each function's bodies, and how many of them ran.
+        bodies: HashMap<u64, (Body, u32)>,
+        /// Each function's streak, as the runs reported tell it.
+        streaks: HashMap<u64, u8>,
+        /// The job the event loop runs itself, and its body's time.
+        inline: Option<(Job, u64)>,
+        /// Body time of inline runs this loop turn.
+        turn_us: u64,
+        /// Frames that landed while the loop ran a body, in order; `None`
+        /// is the driver's close.
+        backlog: VecDeque<Option<Vec<u8>>>,
+        inline_runs: u64,
     }
 
     impl Harness {
@@ -476,7 +543,7 @@ mod tests {
                 FrameRef::Heartbeat { .. } => self.heartbeats += 1,
                 _ => {}
             }
-            let wake = self.st.frame(frame, self.now, &mut self.out);
+            let mut wake = self.st.frame(frame, self.now, &mut self.out);
             if let Some((exec_id, cores)) = submitted {
                 if !self
                     .out
@@ -487,6 +554,12 @@ mod tests {
                 }
             }
             self.carry_out()?;
+            if let Some(w) = wake.as_mut().filter(|w| w.job) {
+                if let Some(job) = self.st.inline(self.turn_us) {
+                    w.job = false;
+                    self.run_inline(job)?;
+                }
+            }
             match wake {
                 Some(w) => self.wake(w),
                 None => self.close(),
@@ -503,7 +576,7 @@ mod tests {
                     }
                     let cores = &job.ctx.cores;
                     for e in &self.ex {
-                        if let Ex::Fetching { job: j, .. } | Ex::Running(j) = e {
+                        if let Ex::Fetching { job: j, .. } | Ex::Running(j, _) = e {
                             if j.ctx.cores.iter().any(|c| cores.contains(c)) {
                                 return Err(format!(
                                     "execs {} and {} share a core",
@@ -522,7 +595,7 @@ mod tests {
                     if job.snapshot.take() != self.snaps.remove(&job.exec_id).unwrap() {
                         return Err(format!("exec {} got another task's snapshot", job.exec_id));
                     }
-                    if &*job.name != "f" {
+                    if *job.name != format!("f{}", job.fn_id) {
                         return Err(format!("exec {} runs {:?}", job.exec_id, job.name));
                     }
                     if more {
@@ -572,10 +645,88 @@ mod tests {
             let Ex::Fetching { job, .. } = std::mem::replace(&mut self.ex[i], Ex::Gone) else {
                 unreachable!()
             };
-            self.ex[i] = Ex::Running(job);
-            let body = self.rng.gen_range(0..1_500u64);
+            let body = self.body(job.fn_id);
+            self.ex[i] = Ex::Running(job, body);
             self.at(self.now + body, Ev::Finish(i));
             Ok(())
+        }
+
+        /// How long the next body of `fn_id` takes.
+        fn body(&mut self, fn_id: u64) -> u64 {
+            let (body, runs) = self.bodies.get_mut(&fn_id).unwrap();
+            *runs += 1;
+            let fast = match *body {
+                Body::Fast => true,
+                Body::Slow => false,
+                Body::FastThenSlow(k) => *runs <= k,
+            };
+            let us = if fast { 0..=INLINE_BUDGET_US } else { INLINE_BUDGET_US + 1..=1_500 };
+            self.rng.gen_range(us)
+        }
+
+        /// A body of `fn_id` returned after `us`: the state hears it, and
+        /// the harness keeps its own streak.
+        fn ran(&mut self, fn_id: u64, us: u64) {
+            self.st.ran(fn_id, us);
+            let streak = self.streaks.entry(fn_id).or_default();
+            *streak = if us <= INLINE_BUDGET_US { streak.saturating_add(1) } else { 0 };
+        }
+
+        /// The state handed the loop the job just submitted: check it may
+        /// run there, then run it, the loop reading nothing meanwhile.
+        fn run_inline(&mut self, mut job: Job) -> Result<(), String> {
+            let exec_id = job.exec_id;
+            if self.queued.len() != 1 || self.queued[0].0 != exec_id {
+                return Err(format!(
+                    "exec {exec_id} inline with {} jobs waiting",
+                    self.queued.len()
+                ));
+            }
+            if self.ex.iter().any(|e| matches!(e, Ex::Fetching { .. } | Ex::Running(..))) {
+                return Err(format!("exec {exec_id} inline while a job holds a core"));
+            }
+            let streak = self.streaks.get(&job.fn_id).copied().unwrap_or(0);
+            if streak < INLINE_STREAK {
+                return Err(format!("exec {exec_id} inline after a streak of {streak}"));
+            }
+            if job.args.iter().any(|a| matches!(a, JobArg::Block(_))) {
+                return Err(format!("exec {exec_id} inline with a block argument"));
+            }
+            if self.turn_us >= INLINE_BUDGET_US {
+                return Err(format!("exec {exec_id} inline after {} µs this turn", self.turn_us));
+            }
+            if job.snapshot.take() != self.snaps.remove(&exec_id).unwrap() {
+                return Err(format!("exec {exec_id} got another task's snapshot"));
+            }
+            self.queued.clear();
+            self.inline_runs += 1;
+            let body = self.body(job.fn_id);
+            self.turn_us += body;
+            self.inline = Some((job, body));
+            self.at(self.now + body, Ev::LoopFree);
+            Ok(())
+        }
+
+        /// The event loop reads what landed, or the close; while it runs a
+        /// body, that waits behind it in order.
+        fn read(&mut self, landed: Option<Vec<u8>>) -> Result<(), String> {
+            if self.inline.is_some() || !self.backlog.is_empty() {
+                self.backlog.push_back(landed);
+                return Ok(());
+            }
+            self.turn_us = 0;
+            self.take(landed)
+        }
+
+        fn take(&mut self, landed: Option<Vec<u8>>) -> Result<(), String> {
+            match landed {
+                Some(bytes) => self.land(&bytes),
+                None if self.closed => Ok(()),
+                None => {
+                    self.close();
+                    Ok(())
+                }
+            }
         }
 
         fn step(&mut self, ev: Ev) -> Result<(), String> {
@@ -586,10 +737,17 @@ mod tests {
                     self.send(&frame, lat);
                     Ok(())
                 }
-                Ev::Land(bytes) => self.land(&bytes),
-                Ev::Eof if self.closed => Ok(()),
-                Ev::Eof => {
-                    self.close();
+                Ev::Land(bytes) => self.read(Some(bytes)),
+                Ev::Eof => self.read(None),
+                Ev::LoopFree => {
+                    let (mut job, body) = self.inline.take().unwrap();
+                    self.answer(job.exec_id)?;
+                    self.ran(job.fn_id, body);
+                    self.st.end(&std::mem::take(&mut job.ctx.cores));
+                    while self.inline.is_none() {
+                        let Some(landed) = self.backlog.pop_front() else { break };
+                        self.take(landed)?;
+                    }
                     Ok(())
                 }
                 Ev::Run(i) => match self.ex[i] {
@@ -598,10 +756,12 @@ mod tests {
                     _ => Ok(()),
                 },
                 Ev::Finish(i) => {
-                    let Ex::Running(mut job) = std::mem::replace(&mut self.ex[i], Ex::Gone) else {
+                    let Ex::Running(mut job, body) = std::mem::replace(&mut self.ex[i], Ex::Gone)
+                    else {
                         unreachable!()
                     };
                     self.answer(job.exec_id)?;
+                    self.ran(job.fn_id, body);
                     self.st.end(&std::mem::take(&mut job.ctx.cores));
                     self.look(i)
                 }
@@ -614,7 +774,8 @@ mod tests {
             }
         }
 
-        fn run(&mut self) -> Result<(), String> {
+        /// Play the queue out; the inline runs it took.
+        fn run(&mut self) -> Result<u64, String> {
             while let Some(Reverse((t, _, ev))) = self.queue.pop() {
                 if t > END_US {
                     return Err("hung".into());
@@ -626,7 +787,7 @@ mod tests {
                 if !self.ex.iter().all(|e| matches!(e, Ex::Gone)) {
                     return Err("an executor outlived its connection".into());
                 }
-                return Ok(());
+                return Ok(self.inline_runs);
             }
             if let Some((e, _)) = self.answers.iter().find(|(_, n)| **n != 1) {
                 return Err(format!("exec {e} never answered"));
@@ -636,12 +797,12 @@ mod tests {
             if left != (0, 0, 0, 0) || self.acks != self.heartbeats {
                 return Err(format!("left (waiting, held, snapshots, in flight) {left:?}"));
             }
-            Ok(())
+            Ok(self.inline_runs)
         }
     }
 
     /// One seeded case: its script, then the run.
-    fn case(seed: u64) -> Result<(), String> {
+    fn case(seed: u64) -> Result<u64, String> {
         let mut rng = StdRng::seed_from_u64(seed);
         let blocks: HashMap<u128, Blob> = (1..=5u128)
             .map(|h| {
@@ -652,8 +813,20 @@ mod tests {
                 (h, blob)
             })
             .collect();
+        let bodies: HashMap<u64, (Body, u32)> = (1..=rng.gen_range(1..=3u64))
+            .map(|fn_id| {
+                let streak = u32::from(INLINE_STREAK);
+                let body = match rng.gen_range(0..4) {
+                    0 | 1 => Body::Fast,
+                    2 => Body::Slow,
+                    _ => Body::FastThenSlow(rng.gen_range(streak..3 * streak)),
+                };
+                (fn_id, (body, 0))
+            })
+            .collect();
+        let mut named = HashSet::new();
         let mut frames: Vec<Frame> = Vec::new();
-        for exec_id in 1..rng.gen_range(4..28) {
+        for exec_id in 1..rng.gen_range(4..120) {
             if rng.gen_bool(0.2) {
                 frames.push(Frame::Heartbeat { seq: exec_id, t_send_us: 0, telemetry: false });
             }
@@ -686,32 +859,36 @@ mod tests {
                 let bytes = [seed, key].iter().flat_map(|x| x.to_le_bytes()).collect();
                 frames.insert(at, Frame::Data { key, blob: Blob { tag: "s".into(), bytes } });
             }
-            frames.push(submit(exec_id, (exec_id == 1).then_some("f"), cores, args));
+            let fn_id = rng.gen_range(1..=bodies.len() as u64);
+            frames.push(submit(exec_id, fn_id, named.insert(fn_id), cores, args));
         }
         let end = rng.gen_range(0..3);
         if end == 1 {
             let at = rng.gen_range(0..=frames.len());
             frames.insert(at, Frame::Shutdown);
         }
+        // Some cases crowd the cores, some leave them idle between `Submit`s.
+        let pace = if rng.gen_bool(0.5) { 400 } else { 3_000 };
         let mut t = 0;
         let script: Vec<(u64, Frame)> = frames
             .into_iter()
             .map(|f| {
-                t += if rng.gen_bool(0.4) { 0 } else { rng.gen_range(1..400) };
+                t += if rng.gen_bool(0.4) { 0 } else { rng.gen_range(1..pace) };
                 (t, f)
             })
             .collect();
-        play(rng, blocks, script, (end == 2).then_some(t + 5_000))
+        play(rng, blocks, bodies, script, (end == 2).then_some(t + 5_000))
     }
 
     /// Run `script` against the state; with `eof_before`, the driver's side
-    /// closes at a random time before it.
+    /// closes at a random time before it. The inline runs it took.
     fn play(
         rng: StdRng,
         blocks: HashMap<u128, Blob>,
+        bodies: HashMap<u64, (Body, u32)>,
         script: Vec<(u64, Frame)>,
         eof_before: Option<u64>,
-    ) -> Result<(), String> {
+    ) -> Result<u64, String> {
         let mut h = Harness {
             rng,
             st: WorkerState::new(BUDGET),
@@ -732,6 +909,12 @@ mod tests {
             resident: HashSet::new(),
             heartbeats: 0,
             acks: 0,
+            bodies,
+            streaks: HashMap::new(),
+            inline: None,
+            turn_us: 0,
+            backlog: VecDeque::new(),
+            inline_runs: 0,
         };
         for k in 0..h.script.len() {
             h.at(h.script[k].0, Ev::Send(k));
@@ -747,24 +930,31 @@ mod tests {
     /// remembers land after the one a job needs and before its `Submit`, so
     /// the job finds its hash forgotten. It asks once more and fails on the
     /// codec's error, not at the fetch deadline.
-    fn forgotten_undecodable() -> Result<(), String> {
+    fn forgotten_undecodable() -> Result<u64, String> {
         let bad = Blob { tag: BAD_TAG.into(), bytes: vec![1, 2] };
         let hashes = 1..=MAX_UNDECODABLE as u128 + 1;
         let blocks: HashMap<u128, Blob> = hashes.clone().map(|h| (h, bad.clone())).collect();
         let mut script: Vec<(u64, Frame)> =
             hashes.map(|hash| (0, Frame::BlockData { hash, blob: bad.clone() })).collect();
         let args = vec![WireArg::Block { key: 0, hash: 1 }];
-        script.push((0, submit(1, Some("f"), vec![0], args)));
-        play(StdRng::seed_from_u64(0), blocks, script, None)
+        script.push((0, submit(1, 1, true, vec![0], args)));
+        let bodies = HashMap::from([(1, (Body::Fast, 0))]);
+        play(StdRng::seed_from_u64(0), blocks, bodies, script, None)
     }
 
     #[test]
     fn every_frame_sequence_keeps_the_workers_promises() {
-        let mut failures: Vec<String> = (0..96)
-            .filter_map(|seed| case(seed).err().map(|e| format!("seed {seed}: {e}")))
-            .collect();
+        let (mut failures, mut inline_runs) = (Vec::new(), 0);
+        for seed in 0..96 {
+            match case(seed) {
+                Ok(n) => inline_runs += n,
+                Err(e) => failures.push(format!("seed {seed}: {e}")),
+            }
+        }
         failures.extend(forgotten_undecodable().err().map(|e| format!("forgotten block: {e}")));
         assert!(failures.is_empty(), "{}", failures.join("\n"));
+        // The rule is exercised, not only never broken.
+        assert!(inline_runs >= 200, "{inline_runs} inline runs over 96 seeds");
     }
 
     /// A block that lands and is evicted by the next one before its waiter
@@ -774,7 +964,7 @@ mod tests {
         let (mut st, mut out) = (WorkerState::new(BUDGET), Vec::new());
         feed(
             &mut st,
-            &submit(1, Some("f"), vec![0], vec![WireArg::Block { key: 0, hash: 1 }]),
+            &submit(1, 1, true, vec![0], vec![WireArg::Block { key: 0, hash: 1 }]),
             0,
             &mut out,
         );
@@ -829,9 +1019,8 @@ mod tests {
     #[ignore = "a measurement: cargo test --release -p rcompss --lib -- --ignored --nocapture worker_cpu"]
     fn worker_cpu_per_noop_task() {
         const TASKS: u64 = 100_000;
-        let submits: Vec<Vec<u8>> = (1..=TASKS)
-            .map(|e| submit(e, (e == 1).then_some("f"), vec![0], vec![inline(0)]).encode())
-            .collect();
+        let submits: Vec<Vec<u8>> =
+            (1..=TASKS).map(|e| submit(e, 1, e == 1, vec![0], vec![inline(0)]).encode()).collect();
         for _ in 0..5 {
             let (mut st, mut out) = (WorkerState::new(BUDGET), Vec::new());
             let t = Instant::now();

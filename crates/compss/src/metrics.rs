@@ -41,11 +41,13 @@
 //! | `rnet_bytes_sent_total{node="…"}` | counter | protocol bytes written, per worker link |
 //! | `rnet_bytes_received_total{node="…"}` | counter | protocol bytes read, per worker link |
 //!
-//! Workers additionally keep block-cache series in their process-global
-//! registry, not the driver's: scrape the worker's `--status-addr`.
+//! Workers additionally keep block-cache and task series in their
+//! process-global registry, not the driver's: scrape the worker's
+//! `--status-addr`.
 //!
 //! | series | kind | meaning |
 //! |---|---|---|
+//! | `worker_tasks_inline_total` | counter | jobs the worker's event loop ran itself instead of waking an executor: fast bodies on an otherwise idle connection |
 //! | `rcompss_block_cache_hits_total` | counter | task inputs served from the local block cache |
 //! | `rcompss_block_cache_misses_total` | counter | block-plane inputs that needed a transfer |
 //! | `rcompss_block_cache_evictions_total` | counter | blocks pushed out by the `--cache-mem` budget |

@@ -176,6 +176,23 @@ if [ -n "$REPORT_HITS" ]; then
     exit 1
 fi
 
+echo "==> one trial body: only the Trainer turns a config into training"
+# The experiment task and the stage task train a config through one
+# hpo::experiment::Trainer: one arch default and train_config_from call, one
+# snapshot resume, one counting sink. Program code is read up to each file's
+# #[cfg(test)], as the line count below reads it; tinyml's train.rs defines
+# the training entry points.
+BODY_PATTERN='train_config_from[(]|rcompss::snapshot::(save|load)[(]|train_with_checkpoints[(]|train_segment[(]'
+BODY_HITS=$(git ls-files 'crates/*/src/*.rs' 'crates/*/src/**/*.rs' 'src/*.rs' 'src/**/*.rs' \
+    | grep -vxE 'crates/(core/src/experiment|tinyml/src/train)[.]rs' | sort -u \
+    | xargs awk -v pat="$BODY_PATTERN" \
+        'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && $0 ~ pat {print FILENAME ":" FNR ": " $0}')
+if [ -n "$BODY_HITS" ]; then
+    echo "$BODY_HITS" >&2
+    echo "one trial body FAILED: a config trained outside hpo::experiment::Trainer" >&2
+    exit 1
+fi
+
 echo "==> sans-IO driver and worker: the distributed backend's decisions read no clock, take no lock, touch no socket"
 # driver/state.rs holds every decision the distributed driver makes, and
 # worker/state.rs every decision a worker makes for one connection; driver.rs

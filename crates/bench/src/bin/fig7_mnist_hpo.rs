@@ -12,21 +12,12 @@
 use std::sync::Arc;
 
 use hpo::prelude::*;
-use hpo_bench::{banner, epoch_scale, out_dir};
+use hpo_bench::{banner, out_dir, scaled_paper_grid};
 use tinyml::Dataset;
 
 fn main() {
     banner("Figure 7", "MNIST grid-search HPO — real training, accuracy curves");
-    let scale = epoch_scale();
-    println!("epoch scale: 1/{scale} (HPO_SCALE=full for the paper's grid)\n");
-
-    let space = SearchSpace::new()
-        .with("optimizer", ParamDomain::choice_strs(&["Adam", "SGD", "RMSprop"]))
-        .with(
-            "num_epochs",
-            ParamDomain::choice_ints(&[20 / scale as i64, 50 / scale as i64, 100 / scale as i64]),
-        )
-        .with("batch_size", ParamDomain::choice_ints(&[32, 64, 128]));
+    let space = scaled_paper_grid();
 
     let cores = std::thread::available_parallelism().map(|n| n.get() as u32).unwrap_or(4);
     let rt =

@@ -28,11 +28,11 @@ use std::time::Instant;
 
 use hpo::algo::hyperband::Bracket;
 use hpo::algo::random::RandomSearch;
-use hpo::experiment::{tinyml_objective, ExperimentOptions};
+use hpo::experiment::{tinyml_objective, ExperimentOptions, Trainer};
 use hpo::prelude::*;
 use hpo::runner::materialize;
 use hpo::space::{ConfigValue, ParamDomain};
-use hpo::stagetree::{StageObjective, StagePlan};
+use hpo::stagetree::StagePlan;
 use hpo_bench::{banner, out_dir, paper_grid_configs};
 use rcompss::{Runtime, RuntimeConfig};
 use tinyml::Dataset;
@@ -103,7 +103,7 @@ fn print_rows(rows: &[Row]) {
 /// the runner records into `hpo_stage_epochs_saved_total`.
 fn measured() {
     let data = Arc::new(Dataset::synthetic_mnist(400, 11));
-    let stage = StageObjective::new(Arc::clone(&data), vec![16]);
+    let stage = Trainer::new(Arc::clone(&data), vec![16]);
     let runner = HpoRunner::new(ExperimentOptions::default());
     let rt = Runtime::threaded(RuntimeConfig::single_node(4));
 

@@ -84,14 +84,26 @@ pub fn cifar_sim_duration(config: &Config, cores: u32, gpu: Option<GpuModel>, al
     cost.duration(&alloc)
 }
 
-/// Scale factor for the real-training figures: `HPO_SCALE=full` runs the
-/// paper's exact epoch grid; the default divides epochs by 10 so the
-/// binaries finish in minutes on a laptop.
-pub fn epoch_scale() -> u32 {
-    match std::env::var("HPO_SCALE").as_deref() {
+/// The real-training figures' grid: [`SearchSpace::paper_grid`] with every
+/// `num_epochs` choice divided by 10, so the binaries finish in minutes on a
+/// laptop, or as is under `HPO_SCALE=full`. Prints the scale.
+pub fn scaled_paper_grid() -> SearchSpace {
+    let scale = match std::env::var("HPO_SCALE").as_deref() {
         Ok("full") => 1,
         _ => 10,
+    };
+    println!("epoch scale: 1/{scale} (HPO_SCALE=full for the paper's grid)\n");
+    let mut space = SearchSpace::new();
+    for (name, domain) in SearchSpace::paper_grid().params() {
+        let domain = match domain {
+            ParamDomain::Choice(epochs) if name == "num_epochs" => ParamDomain::Choice(
+                epochs.iter().map(|e| ConfigValue::Int(e.as_int().unwrap() / scale)).collect(),
+            ),
+            _ => domain.clone(),
+        };
+        space = space.with(name, domain);
     }
+    space
 }
 
 /// Print a standard figure header.

@@ -61,11 +61,6 @@ pub struct WorkProfile {
 }
 
 impl WorkProfile {
-    /// Purely CPU-bound work.
-    pub fn cpu_bound(serial_us: f64, cpu_us: f64) -> Self {
-        WorkProfile { serial_us, cpu_us, accel_us: 0.0, alpha: 0.9 }
-    }
-
     /// Simulated duration under `alloc`, in µs.
     pub fn duration(&self, alloc: &Allocation) -> u64 {
         let cpu_thr = alloc.cpu_throughput(self.alpha);
@@ -224,7 +219,7 @@ mod tests {
 
     #[test]
     fn work_profile_generic_model() {
-        let w = WorkProfile::cpu_bound(10.0, 1000.0);
+        let w = WorkProfile { serial_us: 10.0, cpu_us: 1000.0, accel_us: 0.0, alpha: 0.9 };
         let t1 = w.duration(&Allocation::cpu(1));
         let t10 = w.duration(&Allocation::cpu(10));
         assert!(t10 < t1);

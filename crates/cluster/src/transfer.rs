@@ -61,13 +61,6 @@ impl TransferModel {
             }
         }
     }
-
-    /// Total staging time for a set of inputs `(bytes, location)` destined
-    /// for node `to`. Transfers are serialised through the node's NIC, which
-    /// is the conservative model COMPSs' single worker process exhibits.
-    pub fn stage_inputs(&self, inputs: &[(u64, DataLocation)], to: u32) -> u64 {
-        inputs.iter().map(|&(b, loc)| self.time_to_node(b, loc, to)).sum()
-    }
 }
 
 #[cfg(test)]
@@ -111,18 +104,5 @@ mod tests {
         // mount it directly.
         let m = TransferModel::for_cluster(&staged_cluster());
         assert!(m.time_to_node(1_000, DataLocation::Pfs, 0) > 0);
-    }
-
-    #[test]
-    fn stage_inputs_sums_serially() {
-        let m = TransferModel::for_cluster(&staged_cluster());
-        let inputs = [
-            (12_000u64, DataLocation::Node(0)),
-            (12_000, DataLocation::Node(1)),
-            (5, DataLocation::Node(2)),
-        ];
-        let total = m.stage_inputs(&inputs, 2);
-        // two remote transfers of (1+1)µs each + one local 0
-        assert_eq!(total, 2 * (1 + 1));
     }
 }

@@ -273,9 +273,8 @@ impl ConnMgr {
 pub(crate) fn collect_dispatch_remote(shared: &Shared, core: &mut Core) -> Dispatches {
     let mut batch = SPARE.take();
     // Transfer-aware placement: fewest bytes-to-move first (declared size ×
-    // missing residency), most resident inputs as the tie-break — the
-    // remote analogue of `locality_score`, weighted by what a wrong
-    // placement actually costs.
+    // missing residency), most resident inputs as the tie-break — the sim
+    // backend's score too, here weighted by what a wrong placement costs.
     place_ready(
         shared,
         core,

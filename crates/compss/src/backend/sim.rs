@@ -95,18 +95,14 @@ pub(crate) fn run_until(shared: &Shared, core: &mut Core, cond: impl Fn(&Core) -
 
 /// Place every placeable ready task at the current virtual time.
 fn dispatch_sim(shared: &Shared, core: &mut Core) {
-    // Locality: prefer nodes already holding the inputs (only relevant
-    // without a PFS).
+    // Locality: prefer nodes with the fewest input bytes to move (only
+    // relevant without a PFS).
     let use_locality = !shared.transfer.has_pfs();
     place_ready(
         shared,
         core,
         |data, instances, task, node| {
-            if use_locality {
-                data.locality_score(instances[&task].reads(), node)
-            } else {
-                0
-            }
+            use_locality.then(|| data.transfer_score(instances[&task].reads(), node))
         },
         |core, placed| {
             let now = placed.now_us;

@@ -429,25 +429,14 @@ impl DataRegistry {
         }
     }
 
-    /// Number of the given versions resident on `node` (locality score).
-    pub fn locality_score<V: Borrow<DataVersion>>(
-        &self,
-        versions: impl IntoIterator<Item = V>,
-        node: u32,
-    ) -> usize {
-        versions.into_iter().filter(|v| self.is_on_node(*v.borrow(), node)).count()
-    }
-
-    /// Transfer-aware placement score for running a task that reads
-    /// `versions` on `node`: primarily *fewest bytes to move* (declared
+    /// Placement score for running a task that reads `versions` on
+    /// `node`: primarily *fewest bytes to move* (declared
     /// [`DataRegistry::bytes`] summed over the non-resident inputs),
-    /// secondarily the plain resident count. Built to slot straight into
+    /// secondarily the resident count. Built to slot straight into
     /// `Scheduler::pop_placeable`'s `max_by_key` — `Reverse` turns
     /// min-bytes into max-score, and the scheduler's own final tie-break
     /// keeps ties on the lowest node id. When every input has the same
-    /// declared size the ordering degenerates to exactly
-    /// [`DataRegistry::locality_score`], so enabling it does not perturb
-    /// sim determinism.
+    /// declared size it orders nodes by resident count alone.
     pub fn transfer_score<V: Borrow<DataVersion>>(
         &self,
         versions: impl IntoIterator<Item = V>,
@@ -629,9 +618,6 @@ mod tests {
         reg.add_location(vb, 2);
         assert!(reg.is_on_node(va, 0));
         assert!(!reg.is_on_node(vb, 0));
-        assert_eq!(reg.locality_score([va, vb], 2), 2);
-        assert_eq!(reg.locality_score([va, vb], 0), 1);
-        assert_eq!(reg.locality_score([va, vb], 7), 0);
     }
 
     #[test]
@@ -653,27 +639,8 @@ mod tests {
         assert_eq!(s0, (std::cmp::Reverse(10), 1));
         assert_eq!(s1, (std::cmp::Reverse(1_000_000), 1));
         assert_eq!(s2, (std::cmp::Reverse(1_000_010), 0));
-        // Equal resident *counts*, but node 0 moves fewer bytes: it wins
-        // where the plain locality score could not tell them apart.
-        assert_eq!(reg.locality_score(reads, 0), reg.locality_score(reads, 1));
+        // Equal resident *counts*, but node 0 moves fewer bytes: it wins.
         assert!(s0 > s1 && s1 > s2);
-    }
-
-    #[test]
-    fn transfer_score_with_uniform_sizes_matches_locality_order() {
-        let mut reg = DataRegistry::new(64);
-        let handles: Vec<_> = (0..4).map(|i| reg.literal(Value::new(i))).collect();
-        let reads: Vec<_> = handles.iter().map(|&h| reg.current_version(h)).collect();
-        reg.add_location(reads[0], 1);
-        reg.add_location(reads[1], 1);
-        reg.add_location(reads[2], 2);
-        for a in 0..3u32 {
-            for b in 0..3u32 {
-                let by_transfer = reg.transfer_score(&reads, a).cmp(&reg.transfer_score(&reads, b));
-                let by_locality = reg.locality_score(&reads, a).cmp(&reg.locality_score(&reads, b));
-                assert_eq!(by_transfer, by_locality, "nodes {a} vs {b}");
-            }
-        }
     }
 
     #[test]

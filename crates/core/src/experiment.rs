@@ -3,19 +3,23 @@
 //! "Training and observing a model is an experiment and can be defined as a
 //! task in PyCOMPSs terms" (paper §4). An experiment is the pair of a
 //! [`Config`] and an *objective function*; the runner turns each pair into
-//! one rcompss task.
+//! one rcompss task. [`Trainer`] is the one body that trains a config: the
+//! experiment task runs it over a whole trial, the stage task
+//! ([`crate::stagetree`]) over one segment of a shared prefix.
 
 use std::sync::Arc;
 
 use rcompss::{Constraint, TaskError};
 use tinyml::data::Dataset;
 use tinyml::optim::OptimizerKind;
-use tinyml::train::{train_with_checkpoints, Checkpointing, EpochSignal, TrainConfig};
-use tinyml::TrainSnapshot;
+use tinyml::train::{
+    train_segment, train_with_checkpoints, Checkpointing, EpochSignal, TrainConfig,
+};
+use tinyml::{History, TrainSnapshot};
 
 use crate::ckpt::{fnv1a, trial_key, FNV_OFFSET};
 use crate::early_stop::EarlyStop;
-use crate::space::Config;
+use crate::space::{Config, ConfigValue};
 
 /// The result of one experiment — what the paper's `experiment` task
 /// returns ("the result which can be a performance measure such as
@@ -204,115 +208,176 @@ pub fn train_config_from(
 }
 
 /// Build an objective that really trains a tinyml MLP on `data` — the Rust
-/// stand-in for the paper's TensorFlow `experiment(config)` task.
+/// stand-in for the paper's TensorFlow `experiment(config)` task: a
+/// [`Trainer`] with early stopping and checkpointing off.
+pub fn tinyml_objective(data: Arc<Dataset>, hidden: Vec<usize>) -> Objective {
+    Trainer::new(data, hidden).objective()
+}
+
+/// The one trial body: what a process needs to train a config, for the
+/// experiment task (a whole trial, [`Trainer::trial`]) and the stage task
+/// (one segment of a shared prefix, [`Trainer::segment`]) alike. A process
+/// builds one; the driver and every distributed worker build it from the
+/// same dataset recipe, so both ends train the identical trajectory.
 ///
 /// The dataset is shared behind an `Arc`, mirroring the PFS deployment
 /// where "all tasks can read and write to the PFS".
-pub fn tinyml_objective(data: Arc<Dataset>, hidden: Vec<usize>) -> Objective {
-    tinyml_objective_with_early_stop(data, hidden, None)
-}
-
-/// Like [`tinyml_objective`] but stopping each trial early per `early_stop`.
-pub fn tinyml_objective_with_early_stop(
-    data: Arc<Dataset>,
-    hidden: Vec<usize>,
-    early_stop: Option<EarlyStop>,
-) -> Objective {
-    tinyml_objective_checkpointed(data, hidden, early_stop, TrialCheckpoints::default())
-}
-
-/// How a single trial checkpoints its model (the sweep-level journal is
-/// [`crate::ckpt`]'s business).
-#[derive(Clone, Default)]
-pub struct TrialCheckpoints {
-    /// Snapshot every `every` epochs (0 = off).
-    pub every: u32,
-    /// Durable on-disk store, keyed by [`trial_key`] — survives a driver
-    /// restart. `None` leaves only the runtime's snapshot channel, where a
-    /// snapshot lives as long as its task (still enough for same-run
-    /// retries and killed distributed workers).
+#[derive(Clone)]
+pub struct Trainer {
+    /// The training dataset.
+    pub data: Arc<Dataset>,
+    /// Hidden-layer widths when a config does not set `hidden`.
+    pub hidden: Vec<usize>,
+    /// Train a config that pins no `arch` as a CNN (the CLI's `--cnn`).
+    pub cnn: bool,
+    /// Stop a whole trial once it reaches this. A segment never stops
+    /// early: it would leave no fork for its children, which is why
+    /// [`crate::runner::Evaluator::pick`] keeps such sweeps off the tree.
+    pub early_stop: Option<EarlyStop>,
+    /// Save a model snapshot every `ckpt_every` epochs (0 = off) through
+    /// the runtime's snapshot channel, where it lives as long as its task:
+    /// a retried attempt, possibly on a replacement worker, resumes it.
+    pub ckpt_every: u32,
+    /// Durable on-disk store for whole trials, keyed by [`trial_key`]: a
+    /// restarted driver resumes a trial from it. Segments leave it alone;
+    /// a resumed staged sweep replans its tree over the unfinished trials.
     pub store: Option<Arc<ckpt::DirStore>>,
 }
 
-/// Like [`tinyml_objective_with_early_stop`], and additionally resumable:
-/// each trial restores its latest model snapshot — from the runtime's
-/// snapshot channel (a retried attempt of the same task, possibly on a
-/// replacement worker) or from `ckpts.store` under its [`trial_key`] (a
-/// restarted driver) — and publishes a new snapshot every `ckpts.every`
-/// epochs. Restoring costs
-/// nothing when no snapshot exists; the trial trains from scratch.
-///
-/// Because a [`TrainSnapshot`] carries the *original* seed, optimizer
-/// moments and history, a resumed trial replays the exact minibatch
-/// order and produces the same outcome bit-for-bit as an uninterrupted
-/// run.
-pub fn tinyml_objective_checkpointed(
-    data: Arc<Dataset>,
-    hidden: Vec<usize>,
-    early_stop: Option<EarlyStop>,
-    ckpts: TrialCheckpoints,
-) -> Objective {
-    Arc::new(move |config: &Config, budget: Option<u32>| {
-        let mut cfg = train_config_from(config, &hidden)?;
+impl Trainer {
+    /// A dense trainer with early stopping and checkpointing off.
+    pub fn new(data: Arc<Dataset>, hidden: Vec<usize>) -> Trainer {
+        Trainer { data, hidden, cnn: false, early_stop: None, ckpt_every: 0, store: None }
+    }
+
+    /// [`Trainer::trial`] as the experiment task's objective.
+    pub fn objective(&self) -> Objective {
+        let trainer = self.clone();
+        Arc::new(move |config: &Config, budget: Option<u32>| trainer.trial(config, budget))
+    }
+
+    /// Train `config` to its end — the experiment task body — over `budget`
+    /// epochs when given (successive halving), else its `num_epochs`.
+    ///
+    /// A snapshot carries the *original* seed, optimizer moments and
+    /// history, so a trial resumed from one replays the exact minibatch
+    /// order and ends bit-identical to an uninterrupted run. The outcome
+    /// supersedes the stored snapshot, which is dropped so the next sweep
+    /// in the same directory starts clean.
+    pub fn trial(&self, config: &Config, budget: Option<u32>) -> Result<TrialOutcome, TaskError> {
+        let mut cfg = self.train_config(config)?;
         if let Some(b) = budget {
             cfg.epochs = b.max(1);
         }
-        let key = trial_key(config);
-        let reg = runmetrics::global();
-        let resume = (ckpts.every > 0)
-            .then(|| {
-                rcompss::snapshot::load().and_then(|b| TrainSnapshot::decode(&b)).or_else(|| {
-                    let blob = ckpts.store.as_ref()?.load(key).ok().flatten()?;
-                    TrainSnapshot::decode(&blob)
-                })
-            })
-            .flatten();
-        if let Some(snap) = &resume {
-            reg.counter("ckpt_restore_total").incr();
-            reg.counter("ckpt_restored_epochs_total").add(u64::from(snap.next_epoch));
-        }
-        let store = ckpts.store.clone();
-        let mut sink = move |snap: &TrainSnapshot| {
-            let bytes = snap.encode();
-            reg.counter("ckpt_bytes_written").add(bytes.len() as u64);
-            reg.counter("ckpt_snapshots_saved_total").incr();
-            rcompss::snapshot::save(&bytes);
-            if let Some(store) = &store {
-                let _ = store.save(key, &bytes);
-            }
-        };
-        let history = train_with_checkpoints(
-            &cfg,
-            &data,
-            Checkpointing { every: ckpts.every, resume, sink: Some(&mut sink) },
-            &mut |_, _, val_acc| {
-                if early_stop.is_some_and(|es| es.target_reached(val_acc)) {
+        let key = self.store.as_ref().map(|_| trial_key(config));
+        let history = self.fit(&cfg, cfg.epochs, key, None, |ckpt| {
+            train_with_checkpoints(&cfg, &self.data, ckpt, &mut |_, _, val_acc| {
+                if self.early_stop.is_some_and(|es| es.target_reached(val_acc)) {
                     EpochSignal::Stop
                 } else {
                     EpochSignal::Continue
                 }
-            },
-        );
-        // The outcome supersedes the stored snapshot: drop it so the next
-        // sweep in the same directory starts clean. (The runtime drops its
-        // own when this task settles.)
-        if let Some(store) = &ckpts.store {
+            })
+        });
+        if let (Some(store), Some(key)) = (&self.store, key) {
             let _ = store.clear(key);
         }
-        Ok(TrialOutcome {
-            accuracy: history.final_val_accuracy(),
-            epochs_run: history.epochs_run() as u32,
-            epoch_loss: history.train_loss,
-            epoch_accuracy: history.val_accuracy,
-            error: None,
+        Ok(outcome_from_history(history))
+    }
+
+    /// Train epochs `[parent's next epoch or 0, until)` of `config` — the
+    /// stage task body — and return the fork snapshot at `until`. `total`
+    /// is the naive-equivalent epoch count (the config's own, or the rung
+    /// budget [`Trainer::trial`] would apply), which the LR schedule reads.
+    pub fn segment(
+        &self,
+        config: &Config,
+        until: u32,
+        total: u32,
+        parent: Option<TrainSnapshot>,
+    ) -> Result<TrainSnapshot, TaskError> {
+        let mut cfg = self.train_config(config)?;
+        cfg.epochs = total.max(until);
+        Ok(self.fit(&cfg, until, None, parent, |ckpt| train_segment(&cfg, &self.data, ckpt, until)))
+    }
+
+    /// [`train_config_from`] under the `--cnn` arch default.
+    fn train_config(&self, config: &Config) -> Result<TrainConfig, TaskError> {
+        let cnn;
+        let config = if self.cnn && config.get("arch").is_none() {
+            cnn = config.clone().with("arch", ConfigValue::Str("cnn".into()));
+            &cnn
+        } else {
+            config
+        };
+        train_config_from(config, &self.hidden)
+    }
+
+    /// Run `train` from the latest snapshot an earlier attempt of this task
+    /// saved — else, for a whole trial keyed `key`, the store's — when it
+    /// continues `cfg` past `from` and no further than `until`; else from
+    /// `from` (a segment's parent fork, or scratch). Every snapshot goes
+    /// through one sink that counts it, hands it to the channel and, for a
+    /// keyed trial, to the store.
+    fn fit<R>(
+        &self,
+        cfg: &TrainConfig,
+        until: u32,
+        key: Option<u64>,
+        from: Option<TrainSnapshot>,
+        train: impl FnOnce(Checkpointing<'_>) -> R,
+    ) -> R {
+        let reg = runmetrics::global();
+        let start = from.as_ref().map_or(0, |s| s.next_epoch);
+        let fits = |blob: Vec<u8>| {
+            TrainSnapshot::decode(&blob)
+                .filter(|s| s.seed == cfg.seed && s.next_epoch > start && s.next_epoch <= until)
+        };
+        let saved = (self.ckpt_every > 0)
+            .then(|| {
+                rcompss::snapshot::load()
+                    .and_then(fits)
+                    .or_else(|| fits(self.store.as_ref()?.load(key?).ok().flatten()?))
+            })
+            .flatten();
+        if let Some(snap) = &saved {
+            reg.counter("ckpt_restore_total").incr();
+            reg.counter("ckpt_restored_epochs_total").add(u64::from(snap.next_epoch - start));
+        }
+        let mut sink = |snap: &TrainSnapshot| {
+            let bytes = snap.encode();
+            reg.counter("ckpt_bytes_written").add(bytes.len() as u64);
+            reg.counter("ckpt_snapshots_saved_total").incr();
+            rcompss::snapshot::save(&bytes);
+            if let (Some(store), Some(key)) = (&self.store, key) {
+                let _ = store.save(key, &bytes);
+            }
+        };
+        train(Checkpointing {
+            every: self.ckpt_every,
+            resume: saved.or(from),
+            sink: Some(&mut sink),
         })
-    })
+    }
+}
+
+/// The outcome of a trial whose training history is `history`. A terminal
+/// stage segment's fork snapshot holds the history of every epoch from 0
+/// ([`TrainSnapshot::decode_history`]), so the outcome derived from it
+/// equals what [`Trainer::trial`] returns for the same config, bit for bit.
+pub fn outcome_from_history(history: History) -> TrialOutcome {
+    TrialOutcome {
+        accuracy: history.final_val_accuracy(),
+        epochs_run: history.epochs_run() as u32,
+        epoch_loss: history.train_loss,
+        epoch_accuracy: history.val_accuracy,
+        error: None,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::space::ConfigValue;
 
     fn paper_config(opt: &str, epochs: i64, batch: i64) -> Config {
         Config::new()
@@ -447,9 +512,11 @@ mod tests {
     fn within_trial_early_stop_cuts_epochs() {
         let data = Arc::new(Dataset::synthetic_mnist(800, 5));
         // very easy data: 0.5 target reached almost immediately
-        let obj =
-            tinyml_objective_with_early_stop(data, vec![32], Some(EarlyStop::at_accuracy(0.5)));
-        let out = obj(&paper_config("Adam", 20, 32), None).unwrap();
+        let trainer = Trainer {
+            early_stop: Some(EarlyStop::at_accuracy(0.5)),
+            ..Trainer::new(data, vec![32])
+        };
+        let out = trainer.trial(&paper_config("Adam", 20, 32), None).unwrap();
         assert!(out.epochs_run < 20, "stopped early at epoch {}", out.epochs_run);
         assert!(out.accuracy >= 0.5);
     }
@@ -461,14 +528,13 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let spec = crate::ckpt::CheckpointSpec::new(&dir).with_every(2);
         let store = Arc::new(spec.store().unwrap());
-        let obj = tinyml_objective_checkpointed(
-            Arc::clone(&data),
-            vec![8],
-            None,
-            TrialCheckpoints { every: 2, store: Some(Arc::clone(&store)) },
-        );
+        let trainer = Trainer {
+            ckpt_every: 2,
+            store: Some(Arc::clone(&store)),
+            ..Trainer::new(Arc::clone(&data), vec![8])
+        };
         let cfg = paper_config("Adam", 5, 32);
-        let out = obj(&cfg, None).unwrap();
+        let out = trainer.trial(&cfg, None).unwrap();
         assert_eq!(out.epochs_run, 5);
 
         let key = trial_key(&cfg);
@@ -479,6 +545,84 @@ mod tests {
         let plain = tinyml_objective(Arc::clone(&data), vec![8])(&cfg, None).unwrap();
         assert_eq!(plain, out, "checkpointing is observationally free");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_cnn_default_is_an_arch_key_the_config_lacks() {
+        use tinyml::data::SyntheticSpec;
+        let data =
+            Arc::new(Dataset::synthetic("spatial", 60, &SyntheticSpec::mnist_like_spatial(), 3));
+        let cnn = Trainer { cnn: true, ..Trainer::new(Arc::clone(&data), vec![8]) };
+        let plain = Trainer::new(data, vec![8]);
+        let config = paper_config("Adam", 1, 16);
+        let pinned = config.clone().with("arch", ConfigValue::Str("cnn".into()));
+        assert_eq!(cnn.trial(&config, None).unwrap(), plain.trial(&pinned, None).unwrap());
+        let dense = config.with("arch", ConfigValue::Str("dense".into()));
+        assert_eq!(cnn.trial(&dense, None).unwrap(), plain.trial(&dense, None).unwrap());
+        let cfg = |t: &Trainer, c: &Config| t.train_config(c).unwrap().arch;
+        assert_eq!(cfg(&cnn, &dense), tinyml::ModelArch::Dense, "a pinned arch wins");
+    }
+
+    /// The runtime's snapshot channel for one task, as a backend keeps it.
+    #[derive(Default)]
+    struct OneTask(std::sync::Mutex<Option<Vec<u8>>>);
+
+    impl rcompss::snapshot::SnapshotChannel for OneTask {
+        fn save(&self, _: rcompss::TaskId, blob: &[u8]) {
+            *self.0.lock().unwrap() = Some(blob.to_vec());
+        }
+        fn load(&self, _: rcompss::TaskId) -> Option<Vec<u8>> {
+            self.0.lock().unwrap().clone()
+        }
+    }
+
+    #[test]
+    fn a_retried_segment_resumes_its_own_snapshot_and_counts_both_ends() {
+        let data = Arc::new(Dataset::synthetic_mnist(120, 3));
+        let trainer = Trainer { ckpt_every: 1, ..Trainer::new(data, vec![8]) };
+        let config = paper_config("Adam", 4, 32);
+        let reg = runmetrics::global();
+        reg.set_enabled(true);
+        let count = |name: &str| reg.counter(name).value();
+        let (saved, restored) = (count("ckpt_snapshots_saved_total"), count("ckpt_restore_total"));
+
+        let channel = Arc::new(OneTask::default());
+        let task = rcompss::TaskId(7);
+        let run = || {
+            rcompss::snapshot::with_channel(channel.clone(), task, || {
+                trainer.segment(&config, 3, 4, None).unwrap()
+            })
+        };
+        let whole = run();
+        assert!(count("ckpt_snapshots_saved_total") >= saved + 2, "epochs 1 and 2 saved");
+        let mid = TrainSnapshot::decode(&channel.0.lock().unwrap().clone().unwrap()).unwrap();
+        assert_eq!(mid.next_epoch, 2, "the last snapshot inside [0, 3)");
+
+        // A second attempt of the same task picks the segment up at epoch 2
+        // and forks the same state at 3.
+        let retried = run();
+        assert!(count("ckpt_restore_total") > restored, "the retry restored");
+        assert_eq!(retried.encode(), whole.encode());
+
+        // A snapshot past the segment's end is not this segment's: scratch.
+        let other = Trainer::new(Arc::clone(&trainer.data), vec![8]);
+        let ahead = other.segment(&config, 4, 4, None).unwrap();
+        rcompss::snapshot::with_channel(channel.clone(), task, || {
+            rcompss::snapshot::save(&ahead.encode());
+            assert_eq!(trainer.segment(&config, 3, 4, None).unwrap().encode(), whole.encode());
+        });
+    }
+
+    #[test]
+    fn outcome_reconstruction_matches_objective_shape() {
+        let out = outcome_from_history(History {
+            train_loss: vec![1.0, 0.5, 0.2],
+            val_accuracy: vec![0.3, 0.6, 0.9],
+        });
+        assert_eq!(out.accuracy, 0.9);
+        assert_eq!(out.epochs_run, 3);
+        assert_eq!(out.epoch_loss, vec![1.0, 0.5, 0.2]);
+        assert!(!out.is_failed());
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //!    paper's §7 promises: [`algo::tpe`], [`algo::hyperband`]);
 //! 3. each config becomes an **experiment** — one training task submitted to
 //!    the `rcompss` runtime with a resource constraint
-//!    ([`experiment`], [`runner::HpoRunner`]);
+//!    ([`experiment`], [`runner::HpoRunner`]), whose body is one
+//!    [`experiment::Trainer`]; the stage tree ([`stagetree`]) trains shared
+//!    prefixes through the same value;
 //! 4. results are synchronised with `wait_on`, collected, and plotted
 //!    ([`results`]), with optional early stopping ([`early_stop`]) — "the
 //!    process can be stopped as soon as one task achieves a specified
@@ -61,13 +63,13 @@ pub mod prelude {
     pub use crate::algo::Suggester;
     pub use crate::ckpt::{CheckpointSpec, ResumeStats, SweepState};
     pub use crate::early_stop::EarlyStop;
-    pub use crate::experiment::{ExperimentOptions, TrialOutcome};
+    pub use crate::experiment::{ExperimentOptions, Trainer, TrialOutcome};
     pub use crate::results::{HpoReport, TrialResult};
     pub use crate::runner::{
         BracketSource, Evaluator, HpoRunner, SweepControl, SweepOutcome, SweepPlan, SweepSource,
     };
     pub use crate::space::{Config, ConfigValue, ParamDomain, SearchSpace};
-    pub use crate::stagetree::{StageObjective, StagePlan};
+    pub use crate::stagetree::StagePlan;
 }
 
 pub use prelude::*;

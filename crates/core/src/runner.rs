@@ -19,12 +19,12 @@ use crate::algo::hyperband::Bracket;
 use crate::algo::random::RandomSearch;
 use crate::algo::Suggester;
 use crate::ckpt::{journal_key, ResumeStats, SweepJournal, SweepRecord, SweepState};
-use crate::experiment::{ExperimentOptions, Objective, TrialOutcome};
+use crate::experiment::{
+    outcome_from_history, ExperimentOptions, Objective, Trainer, TrialOutcome,
+};
 use crate::results::{HpoReport, TrialResult};
 use crate::space::{Config, SearchSpace};
-use crate::stagetree::{
-    is_cosine, outcome_from_history, stage_task_def, StageObjective, StagePayload, StagePlan,
-};
+use crate::stagetree::{is_cosine, stage_task_def, StagePayload, StagePlan};
 use crate::wire::experiment_task_def;
 
 /// Executes HPO runs.
@@ -211,7 +211,7 @@ pub enum Evaluator<'a> {
     /// shorter batch instead of retraining (cosine shapes depend on the
     /// budget, so those retrain). Trials are reported in input order once
     /// the batch's tree has drained.
-    Stages(&'a StageObjective),
+    Stages(&'a Trainer),
 }
 
 impl<'a> Evaluator<'a> {
@@ -223,7 +223,7 @@ impl<'a> Evaluator<'a> {
     pub fn pick(
         opts: &ExperimentOptions,
         objective: Objective,
-        stage: Option<&'a StageObjective>,
+        stage: Option<&'a Trainer>,
     ) -> Evaluator<'a> {
         match stage {
             Some(stage) if opts.early_stop.is_none() => Evaluator::Stages(stage),
@@ -458,7 +458,7 @@ impl HpoRunner {
         rt: &Runtime,
         algo_name: &str,
         configs: &[Config],
-        stage: &StageObjective,
+        stage: &Trainer,
         control: Option<&SweepControl>,
         observer: impl FnMut(&TrialResult),
     ) -> Result<(HpoReport, StageStats), SubmitError> {
@@ -972,7 +972,7 @@ mod tests {
     #[test]
     fn every_sweep_gives_back_the_handles_it_made() {
         let runner = HpoRunner::new(ExperimentOptions::default());
-        let stage = StageObjective::new(Arc::new(tinyml::Dataset::synthetic_mnist(96, 3)), vec![6]);
+        let stage = Trainer::new(Arc::new(tinyml::Dataset::synthetic_mnist(96, 3)), vec![6]);
         let staged_space = |optimizers: &[&str]| {
             SearchSpace::new()
                 .with("optimizer", ParamDomain::choice_strs(optimizers))

@@ -24,7 +24,7 @@
 //! [`HpoRunner::execute`] loop as the standalone `hpo-run` binary with
 //! the same options, objective and seed — with an open gate the two
 //! produce bit-identical trial tables, and the integration tests assert
-//! it. A server started with a stage objective additionally evaluates
+//! it. A server started with a stage trainer additionally evaluates
 //! every wave as a stage tree ([`Evaluator::Stages`]): shared training
 //! prefixes run once, the trial table stays bit-identical, and the
 //! sweep's done message carries the "N epochs saved" banner.
@@ -62,11 +62,11 @@ use crate::algo::tpe::TpeSearch;
 use crate::algo::Suggester;
 use crate::client::SubmitSpec;
 use crate::dashboard::stage_banner;
+use crate::experiment::Trainer;
 use crate::experiment::{ExperimentOptions, Objective};
 use crate::results::TrialResult;
 use crate::runner::{Evaluator, HpoRunner, SweepControl, SweepPlan};
 use crate::space::SearchSpace;
-use crate::stagetree::StageObjective;
 
 mod state;
 use state::{Action, Admit, ConnId, Event, State, SweepId};
@@ -235,8 +235,8 @@ struct Server {
     objective: Objective,
     /// When set, [`Evaluator::pick`] may evaluate each wave as a stage
     /// tree; the pool's workers must have registered
-    /// [`crate::stagetree::stage_task_def`] for the same objective.
-    stage: Option<StageObjective>,
+    /// [`crate::stagetree::stage_task_def`] for the same trainer.
+    stage: Option<Trainer>,
     opts: ExperimentOptions,
     /// Zero of the microsecond clock [`State`] is fed.
     epoch: Instant,
@@ -386,7 +386,7 @@ impl SweepServer {
     /// Take ownership of `rt` and serve sweeps on `listener`. The
     /// `objective` and `opts` apply to every sweep (the task definition
     /// must match what the pool's workers registered). With a `stage`
-    /// objective, sweeps share training prefixes across the configs of
+    /// trainer, sweeps share training prefixes across the configs of
     /// each wave (see [`crate::stagetree`]) and report the epochs saved in
     /// the sweep's done message and the `hpo_stage_epochs_saved_total` /
     /// `hpo_prefix_forks_total` counters.
@@ -394,7 +394,7 @@ impl SweepServer {
         listener: TcpListener,
         rt: Runtime,
         objective: Objective,
-        stage: Option<StageObjective>,
+        stage: Option<Trainer>,
         opts: ExperimentOptions,
         cfg: ServerConfig,
     ) -> io::Result<SweepServer> {

@@ -47,6 +47,10 @@
 //!    a prefix trained under the representative config is exact for every
 //!    member.
 //!
+//! Both sides train through one [`Trainer`]: a segment
+//! ([`Trainer::segment`]) and the naive trial ([`Trainer::trial`]) share its
+//! arch default, its config translation and its checkpoint cadence.
+//!
 //! Fork payloads travel through the runtime as ordinary task outputs, so
 //! on the distributed backend they ride the content-addressed block plane:
 //! a fork scheduled on a remote worker fetches the parent snapshot once
@@ -56,12 +60,10 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use rcompss::{TaskDef, TaskError, Value};
-use tinyml::data::Dataset;
-use tinyml::train::Checkpointing;
-use tinyml::{History, TrainSnapshot};
+use tinyml::TrainSnapshot;
 
-use crate::experiment::{train_config_from, ExperimentOptions, TrialOutcome};
-use crate::space::{Config, ConfigValue};
+use crate::experiment::{ExperimentOptions, Trainer};
+use crate::space::Config;
 
 /// Task name of a stage segment (both ends of a distributed run register
 /// the definition under this name, like
@@ -287,67 +289,18 @@ impl StagePayload {
     }
 }
 
-/// What a stage task needs to train a segment — the staged counterpart of
-/// the closure state inside `tinyml_objective`. Both the driver and every
-/// distributed worker build one from the same dataset spec so the task
-/// body is identical on both ends.
-#[derive(Clone)]
-pub struct StageObjective {
-    /// The (shared) training dataset.
-    pub data: Arc<Dataset>,
-    /// Hidden-layer widths when the config doesn't say.
-    pub hidden: Vec<usize>,
-    /// Inject `arch=cnn` into configs that don't pin an architecture
-    /// (mirrors the CLI's `--cnn` objective wrapper).
-    pub default_arch_cnn: bool,
-    /// Mid-segment snapshot cadence through the runtime's ambient
-    /// snapshot channel (0 = off): a retried segment resumes its own
-    /// partial work instead of its parent's fork. A segment is one task,
-    /// so its snapshots are its own without any key.
-    pub ckpt_every: u32,
-}
-
-impl StageObjective {
-    /// Build with checkpointing off.
-    pub fn new(data: Arc<Dataset>, hidden: Vec<usize>) -> StageObjective {
-        StageObjective { data, hidden, default_arch_cnn: false, ckpt_every: 0 }
-    }
-}
-
-impl std::fmt::Debug for StageObjective {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StageObjective")
-            .field("hidden", &self.hidden)
-            .field("default_arch_cnn", &self.default_arch_cnn)
-            .field("ckpt_every", &self.ckpt_every)
-            .finish()
-    }
-}
-
-/// Reconstruct the trial outcome from a terminal segment's fork snapshot
-/// history ([`TrainSnapshot::decode_history`]): the accumulated history
-/// covers every epoch from 0, so the derived outcome equals what
-/// `tinyml_objective` returns for the same config — bit for bit.
-pub fn outcome_from_history(history: History) -> TrialOutcome {
-    TrialOutcome {
-        accuracy: history.final_val_accuracy(),
-        epochs_run: history.epochs_run() as u32,
-        epoch_loss: history.train_loss,
-        epoch_accuracy: history.val_accuracy,
-        error: None,
-    }
-}
+/// The stage task's name for a [`Trainer`], kept while callers outside
+/// this crate still build one under it.
+pub type StageObjective = Trainer;
 
 /// The stage-segment task definition both ends of a run agree on.
 ///
 /// Inputs: `[Config, u32 until, u32 total_epochs, StagePayload parent]`;
-/// returns one [`StagePayload`] holding the fork snapshot at `until`.
-/// Like the experiment task, the body trains under the placement's core
-/// grant. A retried attempt first checks the ambient snapshot channel for
-/// its own mid-segment snapshot (cadence [`StageObjective::ckpt_every`])
-/// before falling back to the parent fork.
-pub fn stage_task_def(opts: &ExperimentOptions, stage: &StageObjective) -> TaskDef {
-    let stage = stage.clone();
+/// returns one [`StagePayload`] holding the fork snapshot at `until`, which
+/// [`Trainer::segment`] trains. Like the experiment task, the body trains
+/// under the placement's core grant.
+pub fn stage_task_def(opts: &ExperimentOptions, trainer: &Trainer) -> TaskDef {
+    let trainer = trainer.clone();
     TaskDef {
         name: STAGE_TASK_NAME.into(),
         constraint: opts.constraint,
@@ -368,8 +321,14 @@ pub fn stage_task_def(opts: &ExperimentOptions, stage: &StageObjective) -> TaskD
             let parent = inputs[3]
                 .downcast_ref::<StagePayload>()
                 .ok_or_else(|| TaskError::new("stage input 3 must be a StagePayload"))?;
+            let parent = (!parent.snapshot.is_empty())
+                .then(|| {
+                    TrainSnapshot::decode(&parent.snapshot)
+                        .ok_or_else(|| TaskError::new("corrupt parent stage snapshot"))
+                })
+                .transpose()?;
             let snap = tinyml::par::with_threads(ctx.parallelism(), || {
-                run_segment(&stage, config, until, total, parent)
+                trainer.segment(config, until, total, parent)
             })?;
             Ok(vec![Value::new(StagePayload { snapshot: snap.encode() })])
         }),
@@ -377,62 +336,12 @@ pub fn stage_task_def(opts: &ExperimentOptions, stage: &StageObjective) -> TaskD
     }
 }
 
-fn run_segment(
-    stage: &StageObjective,
-    config: &Config,
-    until: u32,
-    total: u32,
-    parent: &StagePayload,
-) -> Result<TrainSnapshot, TaskError> {
-    let injected;
-    let config = if stage.default_arch_cnn && config.get("arch").is_none() {
-        injected = config.clone().with("arch", ConfigValue::Str("cnn".into()));
-        &injected
-    } else {
-        config
-    };
-    let mut cfg = train_config_from(config, &stage.hidden)?;
-    // `total` is the naive-equivalent epoch count: the config's own for
-    // grid sweeps (a no-op here), the rung budget for successive halving
-    // (the same override the naive objective applies).
-    cfg.epochs = total.max(until);
-    let parent_snap = if parent.snapshot.is_empty() {
-        None
-    } else {
-        Some(
-            TrainSnapshot::decode(&parent.snapshot)
-                .ok_or_else(|| TaskError::new("corrupt parent stage snapshot"))?,
-        )
-    };
-    let start = parent_snap.as_ref().map_or(0, |s| s.next_epoch);
-    // Mid-segment recovery: the snapshot channel the checkpointing layer
-    // already runs for whole trials. A segment is a task of its own, so
-    // what it loads is what an earlier attempt of this very segment saved;
-    // the filter (same seed, strictly inside (start, until]) only guards
-    // against a blob that does not decode to that.
-    let resume = (stage.ckpt_every > 0)
-        .then(|| {
-            rcompss::snapshot::load()
-                .and_then(|b| TrainSnapshot::decode(&b))
-                .filter(|s| s.seed == cfg.seed && s.next_epoch > start && s.next_epoch <= until)
-        })
-        .flatten()
-        .or(parent_snap);
-    let mut sink = |snap: &TrainSnapshot| {
-        rcompss::snapshot::save(&snap.encode());
-    };
-    Ok(tinyml::train_segment(
-        &cfg,
-        &stage.data,
-        Checkpointing { every: stage.ckpt_every, resume, sink: Some(&mut sink) },
-        until,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::space::SearchSpace;
+    use crate::experiment::outcome_from_history;
+    use crate::space::{ConfigValue, SearchSpace};
+    use tinyml::Dataset;
 
     fn cfg(entries: &[(&str, ConfigValue)]) -> Config {
         let mut c = Config::new();
@@ -590,21 +499,9 @@ mod tests {
     }
 
     #[test]
-    fn outcome_reconstruction_matches_objective_shape() {
-        let out = outcome_from_history(History {
-            train_loss: vec![1.0, 0.5, 0.2],
-            val_accuracy: vec![0.3, 0.6, 0.9],
-        });
-        assert_eq!(out.accuracy, 0.9);
-        assert_eq!(out.epochs_run, 3);
-        assert_eq!(out.epoch_loss, vec![1.0, 0.5, 0.2]);
-        assert!(!out.is_failed());
-    }
-
-    #[test]
     fn stage_task_def_trains_a_segment_and_forks() {
         let data = Arc::new(Dataset::synthetic_mnist(300, 5));
-        let stage = StageObjective::new(Arc::clone(&data), vec![16]);
+        let stage = Trainer::new(Arc::clone(&data), vec![16]);
         let def = stage_task_def(&ExperimentOptions::default(), &stage);
         assert_eq!(def.name.as_ref(), STAGE_TASK_NAME);
         let ctx = rcompss::TaskContext {
@@ -642,8 +539,7 @@ mod tests {
     #[test]
     fn stage_task_rejects_bad_inputs_and_corrupt_parents() {
         let data = Arc::new(Dataset::synthetic_mnist(100, 5));
-        let def =
-            stage_task_def(&ExperimentOptions::default(), &StageObjective::new(data, vec![8]));
+        let def = stage_task_def(&ExperimentOptions::default(), &Trainer::new(data, vec![8]));
         let ctx = rcompss::TaskContext {
             task: rcompss::TaskId(1),
             attempt: 1,

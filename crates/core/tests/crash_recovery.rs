@@ -10,8 +10,7 @@ use std::sync::Arc;
 use hpo::algo::grid::GridSearch;
 use hpo::ckpt::{trial_key, CheckpointSpec, SweepJournal, SweepRecord};
 use hpo::experiment::{
-    tinyml_objective, tinyml_objective_checkpointed, train_config_from, ExperimentOptions,
-    TrialCheckpoints, TrialOutcome,
+    tinyml_objective, train_config_from, ExperimentOptions, Trainer, TrialOutcome,
 };
 use hpo::runner::{Evaluator, SweepControl, SweepOutcome, SweepPlan};
 use hpo::space::{ConfigValue, ParamDomain, SearchSpace};
@@ -145,12 +144,12 @@ fn interrupted_and_resumed_sweep_is_bit_identical() {
     assert_eq!(state.malformed, 0, "the old `Epoch` mark is a known record, skipped");
 
     let rt = Runtime::threaded(RuntimeConfig::single_node(2));
-    let objective = tinyml_objective_checkpointed(
-        Arc::clone(&data),
-        vec![16],
-        None,
-        TrialCheckpoints { every: 2, store: Some(Arc::clone(&store)) },
-    );
+    let objective = Trainer {
+        ckpt_every: 2,
+        store: Some(Arc::clone(&store)),
+        ..Trainer::new(Arc::clone(&data), vec![16])
+    }
+    .objective();
     let SweepOutcome { report: resumed, resume: stats, .. } =
         resume_grid(&runner, &rt, Evaluator::Trials(objective), &journal, &state);
 

@@ -24,16 +24,6 @@ pub fn evaluate(net: &(impl Model + ?Sized), data: &Dataset) -> f64 {
     accuracy(&net.predict(&data.x), &data.y)
 }
 
-/// `classes × classes` confusion matrix; `m[true][pred]` counts.
-pub fn confusion_matrix(preds: &[usize], labels: &[usize], classes: usize) -> Vec<Vec<usize>> {
-    assert_eq!(preds.len(), labels.len());
-    let mut m = vec![vec![0usize; classes]; classes];
-    for (&p, &l) in preds.iter().zip(labels) {
-        m[l][p] += 1;
-    }
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -50,17 +40,6 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn accuracy_length_mismatch_panics() {
         let _ = accuracy(&[1], &[1, 2]);
-    }
-
-    #[test]
-    fn confusion_matrix_counts_pairs() {
-        let m = confusion_matrix(&[0, 1, 1, 2], &[0, 1, 2, 2], 3);
-        assert_eq!(m[0][0], 1);
-        assert_eq!(m[1][1], 1);
-        assert_eq!(m[2][1], 1, "true 2 predicted 1");
-        assert_eq!(m[2][2], 1);
-        let total: usize = m.iter().flatten().sum();
-        assert_eq!(total, 4);
     }
 
     #[test]

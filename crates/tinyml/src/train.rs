@@ -158,11 +158,6 @@ impl History {
         self.val_accuracy.last().copied().unwrap_or(0.0)
     }
 
-    /// Best validation accuracy over all epochs.
-    pub fn best_val_accuracy(&self) -> f64 {
-        self.val_accuracy.iter().copied().fold(0.0, f64::max)
-    }
-
     /// Number of completed epochs.
     pub fn epochs_run(&self) -> usize {
         self.val_accuracy.len()
@@ -192,27 +187,18 @@ pub struct Checkpointing<'a> {
     /// trial replays the exact batch stream of the original run even if
     /// the resuming process derived a different ambient seed.
     pub resume: Option<TrainSnapshot>,
-    /// Receives each saved snapshot. The HPO objective hands it to the
-    /// runtime's per-task snapshot and, under `--ckpt-dir`, to the `ckpt`
-    /// crate's `DirStore`, where it replaces the trial's previous one.
+    /// Receives each saved snapshot. The HPO trainer hands it to the
+    /// runtime's per-task snapshot and, for a whole trial under
+    /// `--ckpt-dir`, to the `ckpt` crate's `DirStore`, where it replaces
+    /// the trial's previous one.
     pub sink: Option<&'a mut dyn FnMut(&TrainSnapshot)>,
 }
 
-/// Train with a per-epoch observer. The observer receives
-/// `(epoch_index, train_loss, val_accuracy)` after every epoch and may stop
-/// training early.
-pub fn train_with_observer(
-    cfg: &TrainConfig,
-    data: &Dataset,
-    mut observer: impl FnMut(u32, f64, f64) -> EpochSignal,
-) -> History {
-    train_with_checkpoints(cfg, data, Checkpointing::default(), &mut observer)
-}
-
-/// Train with checkpointing: optionally resume from a snapshot, and emit a
-/// snapshot to `ckpt.sink` every `ckpt.every` epochs. With an inert
-/// [`Checkpointing`] this is exactly [`train_with_observer`]; a resumed
-/// run produces a [`History`] (and final weights) bit-identical to the
+/// Train with a per-epoch observer and checkpointing. The observer
+/// receives `(epoch_index, train_loss, val_accuracy)` after every epoch and
+/// may stop training early. Optionally resume from a snapshot, and emit a
+/// snapshot to `ckpt.sink` every `ckpt.every` epochs; a resumed run
+/// produces a [`History`] (and final weights) bit-identical to the
 /// uninterrupted run's, because the snapshot carries the weights, the
 /// optimiser momenta and step clock, and the original RNG seed.
 ///
@@ -402,7 +388,9 @@ fn epoch_rows(train_idx: &[usize], seed: u64, epoch: u32) -> Vec<usize> {
 
 /// Train to completion without an observer.
 pub fn train(cfg: &TrainConfig, data: &Dataset) -> History {
-    train_with_observer(cfg, data, |_, _, _| EpochSignal::Continue)
+    train_with_checkpoints(cfg, data, Checkpointing::default(), &mut |_, _, _| {
+        EpochSignal::Continue
+    })
 }
 
 #[cfg(test)]
@@ -503,7 +491,8 @@ mod tests {
     fn observer_can_stop_early() {
         let data = Dataset::synthetic_mnist(400, 2);
         let mut calls = 0;
-        let h = train_with_observer(&quick_cfg(OptimizerKind::Adam), &data, |_, _, _| {
+        let cfg = quick_cfg(OptimizerKind::Adam);
+        let h = train_with_checkpoints(&cfg, &data, Checkpointing::default(), &mut |_, _, _| {
             calls += 1;
             if calls == 2 {
                 EpochSignal::Stop
@@ -535,7 +524,6 @@ mod tests {
     fn history_helpers() {
         let h = History { train_loss: vec![1.0, 0.5], val_accuracy: vec![0.3, 0.8] };
         assert_eq!(h.final_val_accuracy(), 0.8);
-        assert_eq!(h.best_val_accuracy(), 0.8);
         assert_eq!(h.epochs_run(), 2);
         assert_eq!(History::default().final_val_accuracy(), 0.0);
     }

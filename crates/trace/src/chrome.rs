@@ -159,15 +159,6 @@ pub fn export_named(app_name: &str, records: &[Record], node_names: &[String]) -
     out
 }
 
-/// Write the export of `records` to `path` (conventionally `<stem>.trace.json`).
-pub fn write_file(
-    path: &std::path::Path,
-    app_name: &str,
-    records: &[Record],
-) -> std::io::Result<()> {
-    std::fs::write(path, export(app_name, records))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,16 +295,5 @@ mod tests {
         // Node 0 gets the worker label; node 1 is past the slice → generic.
         assert!(lane_names.contains(&"hpo w0@127.0.0.1:7077"), "{lane_names:?}");
         assert!(lane_names.contains(&"hpo node1"), "{lane_names:?}");
-    }
-
-    #[test]
-    fn write_file_emits_the_document() {
-        let dir = std::env::temp_dir().join(format!("chrome-trace-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("out.trace.json");
-        write_file(&path, "x", &sample_records()).unwrap();
-        let doc = std::fs::read_to_string(&path).unwrap();
-        assert!(validate_schema(&doc).is_ok());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

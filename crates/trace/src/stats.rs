@@ -117,27 +117,6 @@ impl TraceStats {
         }
         firsts.values().filter(|&&t| t <= window_us).count()
     }
-
-    /// Parallelism profile sampled at `samples` evenly spaced instants.
-    pub fn parallelism_profile(records: &[Record], samples: usize) -> Vec<usize> {
-        let horizon = records.iter().map(|r| r.end_time()).max().unwrap_or(0);
-        if horizon == 0 || samples == 0 {
-            return vec![0; samples];
-        }
-        let mut out = Vec::with_capacity(samples);
-        for i in 0..samples {
-            let t = (horizon as u128 * i as u128 / samples as u128) as u64;
-            let n = records
-                .iter()
-                .filter(|r| {
-                    matches!(r, Record::State { start, end, state: StateKind::Running(_), .. }
-                        if *start <= t && t < *end)
-                })
-                .count();
-            out.push(n);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -207,13 +186,6 @@ mod tests {
         ];
         assert_eq!(TraceStats::tasks_started_within(&records, 10), 2);
         assert_eq!(TraceStats::tasks_started_within(&records, 1000), 3);
-    }
-
-    #[test]
-    fn parallelism_profile_shape() {
-        let records = vec![run(CoreId::new(0, 0), 0, 100, 1), run(CoreId::new(0, 1), 0, 50, 2)];
-        let p = TraceStats::parallelism_profile(&records, 4);
-        assert_eq!(p, vec![2, 2, 1, 1]);
     }
 
     #[test]

@@ -96,8 +96,8 @@ impl FromStr for BackendChoice {
 }
 
 /// The dataset recipe: what a driver, its workers and a sweep server must
-/// agree on so that each of them builds the identical objective (see
-/// `worker::build_objective`). One group of `FLAGS` rows, shared by
+/// agree on so that each of them builds the identical trainer (see
+/// `worker::build_trainer`). One group of `FLAGS` rows, shared by
 /// `run`, `worker` and `serve`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DatasetRecipe {

@@ -172,9 +172,15 @@ fn run(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
     let _status =
         pycompss_hpo_repro::serve_status(args.status_addr.as_deref(), Some(rt.metrics()))?;
 
-    // 3. Checkpointing: journal + snapshot store under --ckpt-dir, and
-    // the recovered sweep state when resuming.
-    let mut ckpts = hpo::experiment::TrialCheckpoints::default();
+    // 3. Training: the one trainer both task bodies share, built from the
+    // same dataset flags a distributed worker is started with (see
+    // `worker::build_trainer`), so the function it executes is identical.
+    let mut trainer = worker::build_trainer(&args.recipe);
+
+    // 4. Checkpointing: journal + snapshot store under --ckpt-dir, and the
+    // recovered sweep state when resuming. In a distributed run the
+    // driver's store/journal stay local; workers started with
+    // --ckpt-every snapshot over the wire instead.
     let mut journal = None;
     let mut resume_state = None;
     if let Some(dir) = &args.ckpt_dir {
@@ -190,21 +196,13 @@ fn run(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
             resume_state = Some(state);
         }
         journal = Some(spec.journal().map_err(|e| format!("cannot open journal in {dir}: {e}"))?);
-        ckpts = hpo::experiment::TrialCheckpoints {
-            every: args.ckpt_every,
-            store: Some(std::sync::Arc::new(
-                spec.store().map_err(|e| format!("cannot open snapshot store in {dir}: {e}"))?,
-            )),
-        };
+        trainer.ckpt_every = args.ckpt_every;
+        trainer.store = Some(Arc::new(
+            spec.store().map_err(|e| format!("cannot open snapshot store in {dir}: {e}"))?,
+        ));
         println!("checkpointing to {dir}: snapshot every {} epoch(s)", args.ckpt_every);
     }
-
-    // 4. Objective: real training for the chosen dataset. Shared with the
-    // worker daemon, so a distributed worker started with the same dataset
-    // flags executes the identical function (see `worker::build_objective`).
-    // In a distributed run the driver's store/journal stay local; workers
-    // started with --ckpt-every snapshot over the wire instead.
-    let (data, objective) = worker::build_objective(&args.recipe, ckpts);
+    let data = &trainer.data;
     println!("dataset: {} ({} examples, {} features)", data.name, data.len(), data.dim());
 
     // 5. Runner options.
@@ -244,9 +242,8 @@ fn run(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
     // backend trains nothing, so both keep one task per trial.
     // (Distributed workers register the same stage task — see
     // `worker::serve`.)
-    let stage = (args.share_prefixes && args.backend != BackendChoice::Sim)
-        .then(|| worker::build_stage_objective(Arc::clone(&data), args.recipe.cnn, 0));
-    let evaluator = Evaluator::pick(&runner.opts, objective, stage.as_ref());
+    let stage = (args.share_prefixes && args.backend != BackendChoice::Sim).then_some(&trainer);
+    let evaluator = Evaluator::pick(&runner.opts, trainer.objective(), stage);
     if args.share_prefixes && matches!(evaluator, Evaluator::Trials(_)) {
         eprintln!(
             "--share-prefixes ignored: --target-accuracy and --backend sim run one task per trial"

@@ -2,16 +2,16 @@
 //! `hpo-run serve|submit|status|watch|cancel`.
 //!
 //! `serve` assembles the worker pool (dial-out, dial-in, or a local
-//! thread pool), builds the shared objective from the dataset recipe, and
-//! hands everything to [`hpo::server::SweepServer`] — then parks until
-//! killed. The client verbs are thin wrappers over
+//! thread pool), builds the one trainer both task bodies share from the
+//! dataset recipe, and hands everything to [`hpo::server::SweepServer`] —
+//! then parks until killed. The client verbs are thin wrappers over
 //! [`hpo::client::SweepClient`].
 
 use std::net::TcpListener;
 use std::time::Duration;
 
 use hpo::client::{SubmitSpec, SweepClient, SweepInfo};
-use hpo::experiment::{ExperimentOptions, TrialCheckpoints};
+use hpo::experiment::ExperimentOptions;
 use hpo::server::{gather_workers, state_name, PoolPlan, ServerConfig, SweepServer};
 use hpo::{EarlyStop, Evaluator};
 use rcompss::{Constraint, DistributedConfig, Runtime, RuntimeConfig};
@@ -36,10 +36,11 @@ fn pool_config(cores: u32) -> RuntimeConfig {
 pub fn serve(args: &ServeArgs) -> Result<(), AnyError> {
     hpo::wire::register_hpo_codecs();
     runmetrics::global().set_enabled(true);
-    let (data, objective) = worker::build_objective(&args.recipe, TrialCheckpoints::default());
+    let trainer = worker::build_trainer(&args.recipe);
     let listener = TcpListener::bind(&args.listen)
         .map_err(|e| format!("cannot listen on {}: {e}", args.listen))?;
     let addr = listener.local_addr()?;
+    let data = &trainer.data;
     println!("rcompss-server on {addr} (dataset {} × {} examples)", data.name, data.len());
 
     let rt = if args.local_cores > 0 {
@@ -85,9 +86,8 @@ pub fn serve(args: &ServeArgs) -> Result<(), AnyError> {
     );
     // The pool's workers register the stage task either way; whether a
     // sweep may use it is `Evaluator::pick`'s call, per sweep.
-    let stage = args
-        .share_prefixes
-        .then(|| worker::build_stage_objective(std::sync::Arc::clone(&data), args.recipe.cnn, 0));
+    let objective = trainer.objective();
+    let stage = args.share_prefixes.then(|| trainer.clone());
     if args.share_prefixes {
         match Evaluator::pick(&opts, objective.clone(), stage.as_ref()) {
             Evaluator::Stages(_) => println!("stage-tree prefix sharing enabled"),

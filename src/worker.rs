@@ -1,19 +1,18 @@
 //! The worker daemon behind `rcompss-worker` / `hpo-run worker`.
 //!
-//! A distributed run needs the experiment task to exist on both sides of
-//! the wire under the same name, closed over the same objective — the
-//! COMPSs equivalent of every worker node importing the user's Python
-//! module. [`build_objective`] builds it from a [`DatasetRecipe`]: the
-//! driver and the worker both call it with the same recipe flags
-//! (`--dataset`, `--samples`, `--seed`, `--cnn`, `--target-accuracy`), so
-//! the function the worker executes is bit-identical to the one a threaded
-//! run would execute locally.
+//! A distributed run needs the experiment and stage tasks to exist on both
+//! sides of the wire under the same names, closed over the same training —
+//! the COMPSs equivalent of every worker node importing the user's Python
+//! module. [`build_trainer`] builds the one [`Trainer`] behind both task
+//! bodies from a [`DatasetRecipe`]: `hpo-run`, `serve` and the worker each
+//! call it once with the same recipe flags (`--dataset`, `--samples`,
+//! `--seed`, `--cnn`, `--target-accuracy`), so what the worker executes is
+//! bit-identical to what a threaded run would execute locally.
 
 use std::sync::Arc;
 
-use hpo::experiment::{ExperimentOptions, Objective, TrialCheckpoints};
-use hpo::space::ConfigValue;
-use hpo::stagetree::{stage_task_def, StageObjective};
+use hpo::experiment::{ExperimentOptions, Trainer};
+use hpo::stagetree::stage_task_def;
 use hpo::wire::{experiment_task_def, register_hpo_codecs};
 use hpo::EarlyStop;
 use rcompss::{TaskRegistry, WorkerConfig, WorkerServer};
@@ -22,19 +21,14 @@ use tinyml::Dataset;
 
 use crate::cli::{DatasetChoice, DatasetRecipe, WorkerArgs};
 
-/// Build the training dataset and objective from the CLI dataset recipe.
+/// Build the training dataset and the trainer from the CLI dataset recipe,
+/// checkpointing off: the driver adds its cadence and snapshot store, a
+/// worker just a cadence (its snapshots ride the runtime's channel back to
+/// the driver).
 ///
 /// Deterministic in its arguments: the same recipe yields the same
-/// synthetic data and the same objective on every process that calls
-/// it. `ckpts` layers
-/// checkpointing on top without changing the training trajectory: the
-/// driver passes its snapshot store and sweep journal, a worker passes
-/// just a cadence (its snapshots travel over the runtime's ambient
-/// channel), and `TrialCheckpoints::default()` turns it off.
-pub fn build_objective(
-    recipe: &DatasetRecipe,
-    ckpts: TrialCheckpoints,
-) -> (Arc<Dataset>, Objective) {
+/// synthetic data and the same training on every process that calls it.
+pub fn build_trainer(recipe: &DatasetRecipe) -> Trainer {
     let DatasetRecipe { dataset, samples, seed, cnn, target_accuracy } = *recipe;
     let spec = match (dataset, cnn) {
         (DatasetChoice::Mnist, false) => SyntheticSpec::mnist_like(),
@@ -47,37 +41,11 @@ pub fn build_objective(
         DatasetChoice::Cifar10 => "cifar10-like",
     };
     let data = Arc::new(Dataset::synthetic(name, samples, &spec, seed));
-    let early = target_accuracy.map(EarlyStop::at_accuracy);
-    let objective = if cnn {
-        // Inject the arch key by wrapping the objective.
-        let inner = hpo::experiment::tinyml_objective_checkpointed(
-            Arc::clone(&data),
-            vec![64],
-            early,
-            ckpts,
-        );
-        let wrapped: Objective = Arc::new(move |cfg, budget| {
-            let mut cfg = cfg.clone();
-            if cfg.get_str("arch").is_none() {
-                cfg.set("arch", ConfigValue::Str("cnn".into()));
-            }
-            inner(&cfg, budget)
-        });
-        wrapped
-    } else {
-        hpo::experiment::tinyml_objective_checkpointed(Arc::clone(&data), vec![64], early, ckpts)
-    };
-    (data, objective)
-}
-
-/// The stage-tree counterpart of [`build_objective`]: same dataset
-/// recipe, same hidden widths, same `--cnn` arch injection — so a stage
-/// segment trains the identical trajectory the plain experiment task
-/// would, one fork at a time. (Early stop is a driver-side concern the
-/// stage tree refuses anyway: a mid-training halt would break segment
-/// chaining.)
-pub fn build_stage_objective(data: Arc<Dataset>, cnn: bool, ckpt_every: u32) -> StageObjective {
-    StageObjective { data, hidden: vec![64], default_arch_cnn: cnn, ckpt_every }
+    Trainer {
+        cnn,
+        early_stop: target_accuracy.map(EarlyStop::at_accuracy),
+        ..Trainer::new(data, vec![64])
+    }
 }
 
 /// Run a worker daemon until killed: register the HPO codecs and the
@@ -90,17 +58,15 @@ pub fn serve(args: &WorkerArgs) -> Result<(), Box<dyn std::error::Error>> {
     // Worker-local counters (task executions, epoch timing) report to the
     // process-global registry, which the local scrape endpoint serves.
     runmetrics::global().set_enabled(true);
-    // Cadence only: a worker has no journal or on-disk store — its
-    // snapshots ride the runtime's ambient channel back to the driver.
-    let ckpts = TrialCheckpoints { every: args.ckpt_every, ..TrialCheckpoints::default() };
-    let (data, objective) = build_objective(&args.recipe, ckpts);
-    // Register the stage-segment task alongside the experiment task: the
-    // same pool then serves naive and prefix-shared sweeps alike, and the
-    // driver decides per run which one to submit.
-    let stage = build_stage_objective(Arc::clone(&data), args.recipe.cnn, args.ckpt_every);
+    // Cadence only: a worker has no journal or on-disk store. Both task
+    // bodies are registered, so the same pool serves naive and
+    // prefix-shared sweeps alike and the driver decides per run which one
+    // to submit.
+    let trainer = Trainer { ckpt_every: args.ckpt_every, ..build_trainer(&args.recipe) };
+    let opts = ExperimentOptions::default();
     let registry = TaskRegistry::new()
-        .with(experiment_task_def(&ExperimentOptions::default(), &objective))
-        .with(stage_task_def(&ExperimentOptions::default(), &stage));
+        .with(experiment_task_def(&opts, &trainer.objective()))
+        .with(stage_task_def(&opts, &trainer));
 
     let cores = if args.cores > 0 {
         args.cores
@@ -119,8 +85,8 @@ pub fn serve(args: &WorkerArgs) -> Result<(), Box<dyn std::error::Error>> {
         args.name,
         server.local_addr()?,
         cores,
-        data.name,
-        data.len(),
+        trainer.data.name,
+        trainer.data.len(),
     );
     if !args.dial.is_empty() {
         println!("dialing into: {}", args.dial.join(", "));

@@ -149,6 +149,25 @@ fn checkpointed_run_can_be_resumed_without_rerunning_trials() {
     assert!(stdout.contains("resumed sweep: 4 complete, 0 re-enqueued"), "{stdout}");
     assert!(stdout.contains("grid: 4 trials"), "{stdout}");
     let _ = std::fs::remove_dir_all(&ckpt_dir);
+
+    // Prefix sharing takes the cadence too: segments [0, 2) and [2, 4)
+    // each snapshot once through the runtime's channel, and count it.
+    let space = write_space("space4-staged.json", r#"{"num_epochs": [2, 4], "batch_size": [64]}"#);
+    let metrics = space.with_file_name("staged-ckpt-metrics");
+    let stdout = stdout_of(
+        hpo_run()
+            .args(["--config", space.to_str().unwrap(), "--samples", "300", "--share-prefixes"])
+            .args(["--ckpt-dir", ckpt_dir.to_str().unwrap(), "--ckpt-every", "1"])
+            .args(["--metrics-out", metrics.to_str().unwrap()]),
+    );
+    assert!(stdout.contains("stage tree: 2 epochs saved"), "{stdout}");
+    let prom = std::fs::read_to_string(metrics.with_extension("prom")).unwrap();
+    let saved = prom
+        .lines()
+        .find_map(|l| l.strip_prefix("ckpt_snapshots_saved_total "))
+        .and_then(|v| v.parse::<f64>().ok());
+    assert!(saved.is_some_and(|n| n >= 1.0), "segments saved no snapshot: {saved:?}");
+    let _ = std::fs::remove_dir_all(&ckpt_dir);
 }
 
 /// The deterministic columns of a trial CSV — config, accuracy, epochs_run —
@@ -408,6 +427,20 @@ fn a_cnn_run_without_metrics_serves_alike() {
         "--no-metrics",
     ]));
     assert!(out.contains("grid: 10 trials") && !out.contains("metrics:"), "{out}");
+
+    // The stage task trains the same CNN the experiment task does.
+    let shared = write_space("cnn-shared.json", r#"{"num_epochs": [1, 2], "batch_size": [8]}"#);
+    let (naive, staged) =
+        (shared.with_file_name("cnn-naive.csv"), shared.with_file_name("cnn-staged.csv"));
+    for (csv, flags) in [(&naive, &[][..]), (&staged, &["--share-prefixes"][..])] {
+        stdout_of(
+            hpo_run()
+                .args(["--config", shared.to_str().unwrap(), "--samples", "20", "--cnn"])
+                .args(["--out", csv.to_str().unwrap()])
+                .args(flags),
+        );
+    }
+    assert_eq!(sorted_table(&staged), sorted_table(&naive));
 
     // The CNN and early-stop recipe reaches a served sweep's objective.
     let space = write_space("cnn-served.json", TWO_CNN_TRIALS);

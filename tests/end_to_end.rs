@@ -83,7 +83,7 @@ fn early_stopping_end_to_end() {
     let rt = Runtime::threaded(RuntimeConfig::single_node(2));
     let data = Arc::new(Dataset::synthetic_mnist(800, 8));
     let es = EarlyStop::at_accuracy(0.80);
-    let objective = hpo::experiment::tinyml_objective_with_early_stop(data, vec![32], Some(es));
+    let objective = Trainer { early_stop: Some(es), ..Trainer::new(data, vec![32]) }.objective();
     let mut opts = ExperimentOptions::default().with_early_stop(es);
     opts.wave_size = Some(1);
     let report = HpoRunner::new(opts).run(&rt, &mut GridSearch::new(&space), objective).unwrap();

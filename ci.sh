@@ -238,8 +238,10 @@ echo "examples/*.rs: $(git ls-files 'examples/*.rs' | xargs -r cat | wc -l) line
 echo "==> allocations per no-op task (the churn_net cell on two loopback workers; budget in the test)"
 cargo test -q -p rcompss --test task_allocations -- --nocapture | grep 'allocations per no-op task'
 
-echo "==> context switches per no-op task (the same cell on one CPU; bound in the test)"
+echo "==> context switches per no-op task (the same cell on one CPU; bounds in the test: debug, release)"
 cargo test -q -p rcompss --test task_switches -- --nocapture | grep 'context switches per no-op task'
+cargo test -q --release -p rcompss --test task_switches -- --nocapture release_no_op \
+    | grep 'context switches per no-op task'
 
 echo "==> deterministic figures: virtual-time bins rewrite results/ byte-identically"
 for fig in fig3_task_graph fig4_single_task fig5_single_node fig6_multinode fig9_time_vs_cores; do

@@ -1,6 +1,8 @@
 //! Driver side of the distributed backend: worker acquisition, how a
 //! placed task's inputs travel, and the shell that holds the sockets, the
-//! backlogs and the clock and carries out what [`state`] decides.
+//! backlogs and the clock and carries out what [`state`] decides. The event
+//! loop flushes every backlog each turn; a submitting thread flushes those
+//! the state did not hold for the link's next answer.
 
 mod state;
 
@@ -55,10 +57,14 @@ struct RemoteDispatch {
     node: u32,
     variant: u32,
     dispatched_us: u64,
-    /// The function's id on the link (0: the link is lost), and whether it
-    /// is new there, so the `Submit` names it: the state's to set.
+    /// Whether its function is fast as it is placed.
+    fast: bool,
+    /// The function's id on the link (0: the link is lost), whether it is
+    /// new there, so the `Submit` names it, and whether a submitting
+    /// thread's flush to the link may wait: the state's to set.
     fn_id: u64,
     fn_new: bool,
+    hold: bool,
     cores: Range<usize>,
     gpus: Range<usize>,
     args: Range<usize>,
@@ -90,6 +96,9 @@ struct Wire {
     /// `None` once the state has closed the link, for good.
     conn: Option<Link>,
     send: SendBuf,
+    /// The backlog waits for the link's next answer: a submitting thread
+    /// leaves it to the event loop's flush.
+    held: bool,
     /// Node-labelled mirrors of `rnet_bytes_sent_total` and
     /// `rnet_bytes_received_total`: per-worker transfer in `/metrics`.
     sent_bytes: runmetrics::Counter,
@@ -220,7 +229,8 @@ impl ConnMgr {
             let (sent_bytes, recv_bytes) =
                 (counter("rnet_bytes_sent_total"), counter("rnet_bytes_received_total"));
             let conn = Some(Link::adopt(b.stream, &poller, i as u64)?);
-            wires.push(Wire { conn, send: SendBuf::new(), sent_bytes, recv_bytes });
+            let send = SendBuf::new();
+            wires.push(Wire { conn, send, held: false, sent_bytes, recv_bytes });
             labels.push(label);
         }
         let [hb, timeout] =
@@ -244,12 +254,14 @@ impl ConnMgr {
         clocks.map(|c| (c.offset_us(), c.rtt_us())).collect()
     }
 
-    /// Encode and transmit prepared dispatches, coalesced per worker. Call
+    /// Encode and transmit prepared dispatches, coalesced per worker, each
+    /// link's flush left to the event loop where the state holds it. Call
     /// *without* the core lock.
     pub fn send(&self, work: Dispatches) {
         // A submit reads no clock: its batch's placement time stands for now.
         let (inner, now) = (&*self.inner, work.msgs.last().map_or(0, |d| d.dispatched_us));
-        pump(inner, inner.io.lock(), &mut Vec::new(), &mut Inbox::default(), Some(work), now);
+        let (io, acts, inbox) = (inner.io.lock(), &mut Vec::new(), &mut Inbox::default());
+        pump(inner, io, acts, inbox, Some(work), now, true);
     }
 
     /// Graceful stop: `Stop` queues a `Shutdown` behind each link's backlog,
@@ -259,7 +271,7 @@ impl ConnMgr {
         let (inner, now, mut acts) = (&*self.inner, self.inner.shared.wall_us(), Vec::new());
         let mut io = inner.io.lock();
         io.state.apply(Event::Stop, now, &mut acts);
-        pump(inner, io, &mut acts, &mut Inbox::default(), None, now);
+        pump(inner, io, &mut acts, &mut Inbox::default(), None, now, false);
         let _ = inner.wake.wake();
         if let Some(t) = self.thread.take() {
             let _ = t.join();
@@ -321,8 +333,10 @@ pub(crate) fn collect_dispatch_remote(shared: &Shared, core: &mut Core) -> Dispa
                 node,
                 variant: placement.variant as u32,
                 dispatched_us: placed.now_us,
+                fast: placed.fast,
                 fn_id: 0,
                 fn_new: false,
+                hold: false,
                 cores,
                 gpus,
                 args: first_arg..batch.args.len(),
@@ -409,10 +423,17 @@ impl Dispatches {
 }
 
 impl Wire {
+    /// Whether a flush pass writes this backlog: one that has bytes, unless
+    /// a `submit`ting thread's pass meets it held.
+    fn due(&self, submit: bool) -> bool {
+        !self.send.is_empty() && (!submit || !self.held)
+    }
+
     /// Flush the backlog as far as the socket takes it. A failed write leaves
     /// the link to its next read, which the poller raises at once for a
     /// socket in error; a closed link's backlog is dropped.
     fn flush(&mut self, poller: &Poller, shared: &Shared) {
+        self.held = false;
         match &mut self.conn {
             Some(conn) => {
                 let n = conn.flush(poller, &mut self.send).unwrap_or(0) as u64;
@@ -425,14 +446,17 @@ impl Wire {
 }
 
 /// Put a dispatch batch on the links the state keeps: per dispatch, in
-/// placement order, the blocks it ships, its snapshot and its `Submit`. An
-/// input with no codec fails its attempt as a `Failed` from its worker
-/// would, so the retry machinery takes it from there.
+/// placement order, the blocks it ships, its snapshot and its `Submit`, and
+/// whether its link's backlog is held. An input with no codec fails its
+/// attempt as a `Failed` from its worker would, so the retry machinery
+/// takes it from there.
 fn encode(io: &mut Io, b: &mut Dispatches, acts: &mut Vec<Action>, inbox: &mut Inbox, now: u64) {
     let mut msgs = std::mem::take(&mut b.msgs);
     io.state.apply(Event::Dispatch(&mut msgs), now, acts);
     for d in msgs.iter().filter(|d| d.fn_id != 0) {
-        if let Err(msg) = push_submit(&mut io.wires[d.node as usize].send, d, b) {
+        let wire = &mut io.wires[d.node as usize];
+        wire.held = d.hold;
+        if let Err(msg) = push_submit(&mut wire.send, d, b) {
             let result = Err(TaskError::new(msg));
             inbox.completions.push(Completion { exec_id: d.exec_id, result, stamps: None });
             io.state.apply(Event::Read { link: d.node, bytes: 0, inbox }, now, acts);
@@ -448,6 +472,8 @@ fn encode(io: &mut Io, b: &mut Dispatches, acts: &mut Vec<Action>, inbox: &mut I
 /// left: `batch`, block replies, frames, closes and flushes under the driver
 /// lock; then, with it released (the locks never nest), the core's actions
 /// and the follow-on placement, whose dispatches go out on the next round.
+/// A `submit`ting thread leaves held backlogs to the event loop, which
+/// flushes every backlog.
 fn pump<'a>(
     inner: &'a Inner,
     mut io: MutexGuard<'a, Io>,
@@ -455,6 +481,7 @@ fn pump<'a>(
     inbox: &mut Inbox,
     mut batch: Option<Dispatches>,
     now: u64,
+    submit: bool,
 ) {
     loop {
         if let Some(mut b) = batch.take() {
@@ -476,7 +503,7 @@ fn pump<'a>(
             }
             false
         });
-        for wire in wires.iter_mut().filter(|w| !w.send.is_empty()) {
+        for wire in wires.iter_mut().filter(|w| w.due(submit)) {
             wire.flush(&inner.poller, &inner.shared);
         }
         if acts.is_empty() && inbox.saves.is_empty() {
@@ -603,7 +630,7 @@ fn driver_loop(inner: &Inner) {
             }
         }
         deadline = io.state.next_deadline();
-        pump(inner, io, &mut acts, &mut inbox, None, now);
+        pump(inner, io, &mut acts, &mut inbox, None, now, false);
     }
 }
 

@@ -2,9 +2,10 @@
 //!
 //! [`DriverState`] keeps, per worker link, the next heartbeat's sequence
 //! number, the send time of the oldest probe no byte has answered yet, the
-//! clock-offset estimate, the interned function names and whether the link
-//! is lost; and, for the driver, the heartbeat schedule, the node and
-//! dispatch time of every attempt on the wire, and the shutdown deadline.
+//! clock-offset estimate, the interned function names, how many attempts
+//! are on the wire and how many of them are slow, and whether the link is
+//! lost; and, for the driver, the heartbeat schedule, the node, dispatch
+//! time and speed of every attempt on the wire, and the shutdown deadline.
 //! [`DriverState::apply`] takes one [`Event`] with the time it happened and
 //! appends the [`Action`]s the shell must carry out, in order;
 //! [`DriverState::next_deadline`] names the time by which the shell must
@@ -14,6 +15,15 @@
 //!
 //! A read of a link the state has lost settles nothing, as its attempts
 //! left `on_wire` with it.
+//!
+//! A submitting thread's flush to a link waits only if the link owes an
+//! answer, and soon: it had an attempt on the wire before the batch, and
+//! every such attempt is of a fast function. That attempt's `Done`, its
+//! `Failed` or the link's loss is a loop turn, and every loop turn flushes
+//! every backlog, so a held backlog goes out with the turn that reads the
+//! link's next answer. A backlog is thus only ever held behind an attempt
+//! that went out: the first attempt after a link's wire empties is never
+//! held.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -35,7 +45,8 @@ pub(super) enum Event<'a> {
         inbox: &'a mut Inbox,
     },
     /// Placed attempts about to be encoded: each learns its function's id
-    /// on its link, 0 if the link is lost and nothing goes out.
+    /// on its link, 0 if the link is lost and nothing goes out, and whether
+    /// a submitting thread's flush to the link may wait.
     Dispatch(&'a mut [RemoteDispatch]),
     /// A link ended: a read error or EOF, or its goodbye drained.
     Closed(u32),
@@ -73,7 +84,17 @@ struct LinkState {
     clock: ClockSync,
     /// Interned function names, from 1: a name crosses the link once.
     fn_ids: HashMap<Arc<str>, u64>,
+    /// Attempts on the wire, and how many of them are not fast.
+    in_flight: u32,
+    slow: u32,
     lost: bool,
+}
+
+/// An attempt sent and not yet settled.
+struct Sent {
+    node: u32,
+    dispatched_us: u64,
+    fast: bool,
 }
 
 /// See the module docs.
@@ -82,8 +103,8 @@ pub(super) struct DriverState {
     hb_us: u64,
     timeout_us: u64,
     links: Vec<LinkState>,
-    /// Node and dispatch time of every attempt sent and not yet settled.
-    on_wire: IdMap<u64, (u32, u64)>,
+    /// Every attempt sent and not yet settled.
+    on_wire: IdMap<u64, Sent>,
     /// When the next heartbeat is due: at once, so even a task that ends
     /// before the first interval has its stamps rebased.
     next_hb: u64,
@@ -104,11 +125,19 @@ impl DriverState {
             Event::Read { link, bytes, inbox } => self.read(link, bytes, inbox, now_us, out),
             Event::Dispatch(batch) => {
                 for d in batch.iter_mut() {
+                    let link = &self.links[d.node as usize];
+                    d.hold = link.in_flight > 0 && link.slow == 0;
+                }
+                for d in batch.iter_mut() {
                     let link = &mut self.links[d.node as usize];
                     // On a lost link `lose_node` fails the attempt, or has.
                     d.fn_id = 0;
                     if !link.lost {
-                        self.on_wire.insert(d.exec_id, (d.node, d.dispatched_us));
+                        link.in_flight += 1;
+                        link.slow += u32::from(!d.fast);
+                        let sent =
+                            Sent { node: d.node, dispatched_us: d.dispatched_us, fast: d.fast };
+                        self.on_wire.insert(d.exec_id, sent);
                         let next = link.fn_ids.len() as u64 + 1;
                         d.fn_id = link.fn_ids.get(&d.name).copied().unwrap_or(next);
                         d.fn_new = d.fn_id == next;
@@ -133,6 +162,14 @@ impl DriverState {
                     let since = self.links[l as usize].unanswered.unwrap_or(u64::MAX);
                     if self.turn.saturating_sub(since) > self.timeout_us {
                         self.close(l, out);
+                    }
+                }
+                // A turn that ends more than the timeout after the last one
+                // had the driver away, probing no one: silence that spans it
+                // says nothing of a peer, so each starts again from now.
+                if now_us.saturating_sub(self.turn) > self.timeout_us {
+                    for link in &mut self.links {
+                        link.unanswered = link.unanswered.map(|_| now_us);
                     }
                 }
                 self.turn = now_us;
@@ -192,13 +229,16 @@ impl DriverState {
             // Only the link an attempt went out on settles it: a late frame
             // of a failed-over attempt, or one naming an attempt sent to
             // another node, is ignored.
-            let Some((node, dispatched_us)) = self.on_wire.remove(&c.exec_id) else { continue };
-            if node != l {
-                self.on_wire.insert(c.exec_id, (node, dispatched_us));
+            let Some(sent) = self.on_wire.remove(&c.exec_id) else { continue };
+            if sent.node != l {
+                self.on_wire.insert(c.exec_id, sent);
                 continue;
             }
+            link.in_flight -= 1;
+            link.slow -= u32::from(!sent.fast);
             // The turn read the clock before this read; another thread may
             // have dispatched since.
+            let dispatched_us = sent.dispatched_us;
             let report = window(c.stamps, offset, synced, dispatched_us, now.max(dispatched_us));
             out.push(Action::Settle(l, c, report));
         }
@@ -212,8 +252,8 @@ impl DriverState {
     fn close(&mut self, l: u32, out: &mut Vec<Action>) {
         let link = &mut self.links[l as usize];
         if !std::mem::replace(&mut link.lost, true) {
-            link.unanswered = None;
-            self.on_wire.retain(|_, &mut (node, _)| node != l);
+            (link.unanswered, link.in_flight, link.slow) = (None, 0, 0);
+            self.on_wire.retain(|_, sent| sent.node != l);
             out.push(Action::Close(l));
             out.extend(self.stop_at.is_none().then_some(Action::Lose(l)));
         }
@@ -255,10 +295,14 @@ mod tests {
     //! The property: the state and a real runtime core, driven by a shell
     //! on virtual time against scripted workers that answer
     //! deterministically, with no socket and no sleep. Each seed draws a
-    //! task graph and a fault per worker; every run must settle before a
-    //! virtual deadline with the threaded oracle's values or a typed error,
-    //! settle only attempts running where their frame came from, write off
-    //! only a worker that went quiet or away, leave nothing live, and stop.
+    //! task graph submitted in waves as the run goes, a body time per
+    //! function, fast or slow, and a fault per worker; every run must settle
+    //! before a virtual deadline with the threaded oracle's values or a
+    //! typed error, settle only attempts running where their frame came
+    //! from, write off only a worker that went quiet or away, hold a
+    //! submit's flush to a link only while the link owes a fast answer,
+    //! flush every backlog each loop turn, queue no slow task more than one
+    //! deep, leave nothing live, and stop.
 
     use std::collections::VecDeque;
     use std::time::Instant;
@@ -270,8 +314,10 @@ mod tests {
 
     use super::super::{apply_core, collect_dispatch_remote, encode, Dispatches, Io, Wire, SPARE};
     use super::*;
+    use crate::backend::distributed::INLINE_BUDGET_US;
     use crate::data::{DataHandle, Value};
-    use crate::{codec, ArgSpec, Constraint, Runtime, RuntimeConfig, TaskDef};
+    use crate::scheduler::FAST_DEPTH;
+    use crate::{codec, ArgSpec, Constraint, Runtime, RuntimeConfig, SubmitError, TaskDef};
 
     const HB_US: u64 = 50_000;
     const TIMEOUT_US: u64 = 300_000;
@@ -341,9 +387,10 @@ mod tests {
         execs: Vec<u64>,
         /// The driver closed the link, or the link ended.
         closed: bool,
-        /// Latency and body time, µs.
+        /// Latency, µs.
         lat: u64,
-        exec: u64,
+        /// Body time of each function, µs.
+        bodies: HashMap<String, u64>,
     }
 
     impl Peer {
@@ -384,18 +431,19 @@ mod tests {
                         }
                         WireArg::Block { .. } => panic!("8-byte values stay inline"),
                     });
-                    let out = match self.fn_names[&fn_id].as_str() {
-                        "inc" => inputs.sum::<i64>() + 1,
-                        "add" => inputs.sum::<i64>(),
+                    let name = self.fn_names[&fn_id].as_str();
+                    let sum = inputs.fold(0, i64::wrapping_add);
+                    let out = match name {
+                        "inc" => sum.wrapping_add(1),
+                        "add" => sum,
                         other => panic!("unscripted task {other}"),
                     };
-                    let start = at.max(self.busy_until);
-                    self.busy_until = start + self.exec;
+                    let (start, exec) = (at.max(self.busy_until), self.bodies[name]);
+                    self.busy_until = start + exec;
                     let encoded = codec::encode_value(&Value::new(out)).unwrap();
                     let outputs =
                         if self.fault == Fault::WrongCount { vec![] } else { vec![encoded] };
-                    let (recv_us, start_us, end_us) =
-                        (at + off, start + off, start + self.exec + off);
+                    let (recv_us, start_us, end_us) = (at + off, start + off, start + exec + off);
                     let done = Frame::Done { exec_id, recv_us, start_us, end_us, outputs };
                     self.post(self.busy_until + self.lat, done);
                     if let (Fault::Forges, Some(victim)) = (self.fault, victim) {
@@ -464,6 +512,12 @@ mod tests {
         driver_ns: u128,
         /// Attempts settled with a `Done` so far.
         dones: u64,
+        /// Per link, the attempts on the wire as the shell sees them: exec
+        /// id, and whether its function was fast when it was sent.
+        sent: Vec<Vec<(u64, bool)>>,
+        /// Submit flushes held, and tasks queued more than one deep.
+        holds: u64,
+        deep: u64,
     }
 
     impl Harness {
@@ -471,7 +525,7 @@ mod tests {
             seed: u64,
             faults: &[Fault],
             lat: u64,
-            exec: u64,
+            bodies: &HashMap<String, u64>,
             stalls: f64,
             tracing: bool,
         ) -> Harness {
@@ -485,6 +539,7 @@ mod tests {
             let wires = faults.iter().map(|_| Wire {
                 conn: None,
                 send: SendBuf::new(),
+                held: false,
                 sent_bytes: counter.clone(),
                 recv_bytes: counter.clone(),
             });
@@ -502,13 +557,28 @@ mod tests {
                     execs: Vec::new(),
                     closed: false,
                     lat: rng.gen_range(0..=lat),
-                    exec: rng.gen_range(0..=exec),
+                    bodies: bodies.clone(),
                 })
                 .collect();
             let io = Io { state, wires: wires.collect() };
             let labels = (0..faults.len()).map(|i| format!("w{i}")).collect();
-            let (acts, inbox, driver_ns, dones) = (Vec::new(), Inbox::default(), 0, 0);
-            Harness { rt, labels, io, peers, acts, inbox, now: 0, rng, stalls, driver_ns, dones }
+            let sent = vec![Vec::new(); faults.len()];
+            Harness {
+                rt,
+                labels,
+                io,
+                peers,
+                acts: Vec::new(),
+                inbox: Inbox::default(),
+                now: 0,
+                rng,
+                stalls,
+                driver_ns: 0,
+                dones: 0,
+                sent,
+                holds: 0,
+                deep: 0,
+            }
         }
 
         /// Place what is ready and send it, as `Runtime::submit` does.
@@ -516,18 +586,74 @@ mod tests {
             let t0 = Instant::now();
             let batch = collect_dispatch_remote(&self.rt.shared, &mut self.rt.shared.core.lock());
             self.driver_ns += t0.elapsed().as_nanos();
-            self.pump(Some(batch))
+            self.pump(Some(batch), true)
         }
 
-        /// `driver.rs`'s `pump`, with the workers reading every backlog at
-        /// once.
-        fn pump(&mut self, mut batch: Option<Dispatches>) -> Result<(), String> {
+        /// Before `b` is encoded: no slow task is queued more than one
+        /// deep, nor a fast one more than `FAST_DEPTH`; and which links a
+        /// submit may hold, those with attempts on the wire, all fast. Then
+        /// the batch joins what is on the wire.
+        fn check_batch(&mut self, b: &Dispatches) -> Result<Vec<bool>, String> {
+            let core = self.rt.shared.core.lock();
+            let may_hold: Vec<bool> =
+                self.sent.iter().map(|s| !s.is_empty() && s.iter().all(|&(_, f)| f)).collect();
+            for d in &b.msgs {
+                let cores = &core.running[&d.exec_id].placement.cores;
+                // What the core held as the task was queued: exec ids rise
+                // with placement.
+                let held = core
+                    .running
+                    .iter()
+                    .filter(|(&e, r)| e <= d.exec_id && r.placement.node == d.node)
+                    .filter(|(_, r)| r.placement.cores == *cores)
+                    .count() as u32;
+                let slow = self.peers[d.node as usize].bodies[&*d.name] > INLINE_BUDGET_US;
+                if held > 1 + FAST_DEPTH || (slow && held > 2) {
+                    return Err(format!("{} (slow {slow}) queued {} deep", d.name, held - 1));
+                }
+                self.deep += u64::from(held > 2);
+                if !self.io.state.links[d.node as usize].lost {
+                    let fast = core.streaks.of(&d.name);
+                    self.sent[d.node as usize].push((d.exec_id, fast));
+                }
+            }
+            Ok(may_hold)
+        }
+
+        /// Every `Settle` the read of link `l` added from `acts[from]` on
+        /// takes its attempt off the wire.
+        fn answered(&mut self, l: u32, from: usize) {
+            for act in &self.acts[from..] {
+                if let Action::Settle(_, c, _) = act {
+                    self.sent[l as usize].retain(|&(exec, _)| exec != c.exec_id);
+                }
+            }
+        }
+
+        /// `driver.rs`'s `pump`, with the workers reading every backlog a
+        /// flush pass writes at once. A `submit`ting pass may leave a
+        /// backlog held only where [`Harness::check_batch`] allows it.
+        fn pump(&mut self, mut batch: Option<Dispatches>, submit: bool) -> Result<(), String> {
             loop {
-                let t0 = Instant::now();
-                if let Some(mut b) = batch.take() {
+                if let Some(b) = &batch {
+                    let may_hold = self.check_batch(b)?;
+                    let t0 = Instant::now();
+                    let mut b = batch.take().expect("checked");
                     encode(&mut self.io, &mut b, &mut self.acts, &mut self.inbox, self.now);
                     SPARE.set(b);
+                    self.driver_ns += t0.elapsed().as_nanos();
+                    for (l, wire) in self.io.wires.iter().enumerate() {
+                        let held = submit && !wire.send.is_empty() && !wire.due(true);
+                        if held && !may_hold[l] {
+                            let on = &self.sent[l];
+                            return Err(format!(
+                                "a submit held link {l}'s flush, on the wire {on:?}"
+                            ));
+                        }
+                        self.holds += u64::from(held);
+                    }
                 }
+                let t0 = Instant::now();
                 let wires = &mut self.io.wires;
                 for (l, block) in self.inbox.replies.drain(..) {
                     let reply = FrameRef::BlockData { hash: block.hash, blob: block.blob.as_ref() };
@@ -546,7 +672,7 @@ mod tests {
                 for l in closed {
                     self.close(l)?;
                 }
-                self.deliver();
+                self.deliver(submit);
                 if self.acts.is_empty() && self.inbox.saves.is_empty() {
                     return Ok(());
                 }
@@ -623,6 +749,7 @@ mod tests {
             let peer = &mut self.peers[l as usize];
             peer.closed = true;
             self.io.wires[l as usize].send.clear();
+            self.sent[l as usize].clear();
             if let (Fault::Silent(_), Some(&exec)) = (peer.fault, peer.execs.last()) {
                 let frame = forged(exec);
                 let encoded = frame.encode();
@@ -638,11 +765,17 @@ mod tests {
             Ok(())
         }
 
-        /// Hand every backlog to its worker, which reads it at once.
-        fn deliver(&mut self) {
+        /// Hand every backlog a flush pass writes to its worker, which reads
+        /// it at once.
+        fn deliver(&mut self, submit: bool) {
             for l in 0..self.peers.len() {
+                let wire = &mut self.io.wires[l];
+                if !wire.due(submit) {
+                    continue;
+                }
                 let mut bytes = Vec::new();
-                self.io.wires[l].send.flush(&mut bytes).unwrap();
+                wire.held = false;
+                wire.send.flush(&mut bytes).unwrap();
                 if self.peers[l].closed {
                     continue;
                 }
@@ -708,7 +841,13 @@ mod tests {
                 }
             }
             self.driver_ns += t0.elapsed().as_nanos();
-            self.pump(None)
+            self.pump(None, false)?;
+            // Whatever a submit held goes out with the turn that read the
+            // answer it waited for, or the loss of its link.
+            match self.io.wires.iter().position(|w| !w.send.is_empty()) {
+                Some(l) => Err(format!("link {l}'s backlog outlived a loop turn")),
+                None => Ok(()),
+            }
         }
 
         /// Read a link: every frame that has arrived, then EOF or an error
@@ -725,6 +864,7 @@ mod tests {
             self.io.state.apply(Event::Read { link: l, bytes, inbox }, self.now, &mut self.acts);
             self.driver_ns += t0.elapsed().as_nanos();
             self.check_settles(l, from)?;
+            self.answered(l, from);
             if !open {
                 self.peers[l as usize].closed = true;
                 self.io.state.apply(Event::Closed(l), self.now, &mut self.acts);
@@ -732,13 +872,24 @@ mod tests {
             Ok(())
         }
 
-        /// Turn until every task has settled, then stop.
-        fn run(&mut self) -> Result<(), String> {
-            while !self.rt.shared.core.lock().graph.all_settled() {
+        /// Turn until every task of `script` is submitted and has settled,
+        /// then stop. Before a turn, the next wave of the script may be
+        /// submitted and dispatched, as a main program's `submit` would,
+        /// at once when all that was submitted has settled.
+        fn run(&mut self, script: &mut Script) -> Result<(), String> {
+            loop {
+                let settled = self.rt.shared.core.lock().graph.all_settled();
+                if settled && script.is_done() {
+                    break;
+                }
                 if self.now > DEADLINE_US {
                     let core = self.rt.shared.core.lock();
                     let (running, ready) = (core.running.len(), core.sched.ready_len());
                     return Err(format!("{running} running, {ready} ready after {DEADLINE_US} µs"));
+                }
+                if !script.is_done() && (settled || self.rng.gen_bool(0.5)) {
+                    script.wave(&self.rt, &mut self.rng);
+                    self.dispatch()?;
                 }
                 self.turn()?;
             }
@@ -746,7 +897,7 @@ mod tests {
                 return Err(format!("{} attempts left on the wire", self.io.state.on_wire.len()));
             }
             self.io.state.apply(Event::Stop, self.now, &mut self.acts);
-            self.pump(None)?;
+            self.pump(None, false)?;
             while self.io.state.next_deadline().is_some() {
                 if self.now > DEADLINE_US + TIMEOUT_US {
                     return Err("the stop never ended".into());
@@ -760,43 +911,111 @@ mod tests {
     fn tasks(rt: &Runtime) -> (TaskDef, TaskDef) {
         let arg = |v: &Value| *v.downcast_ref::<i64>().unwrap();
         let inc = rt.register("inc", Constraint::cpus(1), 1, move |_, i| {
-            Ok(vec![Value::new(arg(&i[0]) + 1)])
+            Ok(vec![Value::new(arg(&i[0]).wrapping_add(1))])
         });
         let add = rt.register("add", Constraint::cpus(1), 1, move |_, i| {
-            Ok(vec![Value::new(i.iter().map(arg).sum::<i64>())])
+            Ok(vec![Value::new(i.iter().map(arg).fold(0, i64::wrapping_add))])
         });
         (inc, add)
     }
 
-    /// A random graph of `inc` and `add` over a few literals; the literals'
-    /// handles, then every task's output.
-    fn build(rt: &Runtime, seed: u64) -> Vec<DataHandle> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let (inc, add) = tasks(rt);
-        let mut handles: Vec<DataHandle> =
-            (0..rng.gen_range(2..5i64)).map(|i| rt.literal(i)).collect();
-        for _ in 0..rng.gen_range(6..24) {
-            let (def, reads) =
-                if rng.gen_bool(0.4) { (&inc, 1) } else { (&add, rng.gen_range(2..4)) };
-            let args = (0..reads).map(|_| ArgSpec::In(handles[rng.gen_range(0..handles.len())]));
-            handles.push(rt.submit(def, args.collect()).unwrap().returns[0]);
+    /// A random graph of `inc` and `add` over a few literals, submitted in
+    /// order: each task is `inc` or not, and the handles it reads, by index
+    /// into the literals and then the outputs of the tasks before it.
+    #[derive(Default)]
+    struct Script {
+        literals: Vec<i64>,
+        tasks: VecDeque<(bool, Vec<usize>)>,
+        defs: Option<(TaskDef, TaskDef)>,
+        /// The literals' handles, then every submitted task's output.
+        handles: Vec<DataHandle>,
+    }
+
+    impl Script {
+        fn draw(seed: u64) -> Script {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let literals: Vec<i64> = (0..rng.gen_range(2..5i64)).collect();
+            let mut made = literals.len();
+            let tasks = (0..rng.gen_range(16..64))
+                .map(|_| {
+                    let (inc, reads) =
+                        if rng.gen_bool(0.4) { (true, 1) } else { (false, rng.gen_range(2..4)) };
+                    let task = (inc, (0..reads).map(|_| rng.gen_range(0..made)).collect());
+                    made += 1;
+                    task
+                })
+                .collect();
+            Script { literals, tasks, defs: None, handles: Vec::new() }
         }
-        handles
+
+        fn is_done(&self) -> bool {
+            self.tasks.is_empty()
+        }
+
+        /// Submit the next `n` tasks to `rt`, the literals and the task
+        /// definitions first if this is its first wave. Once every worker
+        /// is lost a submit is refused, and the rest of the script with it.
+        fn submit(&mut self, rt: &Runtime, n: usize) {
+            if self.defs.is_none() {
+                self.defs = Some(tasks(rt));
+                self.handles = self.literals.iter().map(|&i| rt.literal(i)).collect();
+            }
+            let (inc, add) = self.defs.as_ref().expect("defined");
+            for _ in 0..n {
+                let Some((is_inc, reads)) = self.tasks.pop_front() else { break };
+                let args = reads.iter().map(|&r| ArgSpec::In(self.handles[r])).collect();
+                match rt.submit(if is_inc { inc } else { add }, args) {
+                    Ok(submitted) => self.handles.push(submitted.returns[0]),
+                    Err(SubmitError::Unsatisfiable(_)) => self.tasks.clear(),
+                    Err(e) => panic!("{e}"),
+                }
+            }
+        }
+
+        /// Submit one wave of 1–4 tasks.
+        fn wave(&mut self, rt: &Runtime, rng: &mut StdRng) {
+            self.submit(rt, rng.gen_range(1..=4));
+        }
+    }
+
+    /// How often one case held a submit's flush and queued a task deeper
+    /// than one.
+    struct Coverage {
+        holds: u64,
+        deep: u64,
     }
 
     /// One seeded case.
-    fn case(seed: u64) -> Result<(), String> {
+    fn case(seed: u64) -> Result<Coverage, String> {
         let mut rng = StdRng::seed_from_u64(seed);
         let faults: Vec<Fault> = (0..rng.gen_range(2..4)).map(|_| Fault::draw(&mut rng)).collect();
+        // Each function fast (at most `INLINE_BUDGET_US`) or slow, per case.
+        let bodies: HashMap<String, u64> = ["inc", "add"]
+            .into_iter()
+            .map(|name| {
+                let fast = rng.gen_bool(0.5);
+                let us = if fast {
+                    rng.gen_range(0..=INLINE_BUDGET_US)
+                } else {
+                    rng.gen_range(INLINE_BUDGET_US + 1..=20_000)
+                };
+                (name.to_string(), us)
+            })
+            .collect();
         let oracle: Vec<i64> = {
             let rt = Runtime::threaded(RuntimeConfig::single_node(2).with_tracing(false));
-            let all = build(&rt, seed);
+            let mut script = Script::draw(seed);
+            script.submit(&rt, usize::MAX);
+            let all = &script.handles;
             all.iter().map(|h| *rt.wait_on(h).unwrap().downcast_ref::<i64>().unwrap()).collect()
         };
-        let mut h = Harness::new(seed, &faults, 2_000, 20_000, 1.0 / 16.0, true);
-        let outs = build(&h.rt, seed);
-        h.dispatch()?;
-        h.run().map_err(|e| format!("{e} (faults {faults:?})"))?;
+        let mut h = Harness::new(seed, &faults, 2_000, &bodies, 1.0 / 16.0, true);
+        let mut script = Script::draw(seed);
+        let why = |e: String| format!("{e} (faults {faults:?}, bodies {bodies:?})");
+        script.wave(&h.rt, &mut h.rng);
+        h.dispatch().map_err(why)?;
+        h.run(&mut script).map_err(why)?;
+        let outs = &script.handles;
         let may_fail = faults.iter().any(|f| f.gone().is_some() || *f == Fault::WrongCount);
         let core = h.rt.shared.core.lock();
         for (out, want) in outs.iter().zip(&oracle) {
@@ -815,15 +1034,21 @@ mod tests {
         if live != (0, 0, 0) {
             return Err(format!("left live (tasks, versions, snapshot bytes) {live:?}"));
         }
-        Ok(())
+        Ok(Coverage { holds: h.holds, deep: h.deep })
     }
 
     #[test]
     fn every_fault_schedule_ends_in_the_oracles_values_or_a_typed_error() {
-        let failures: Vec<String> = (0..96)
-            .filter_map(|seed| case(seed).err().map(|e| format!("seed {seed}: {e}")))
-            .collect();
+        let (mut failures, mut holds, mut deep) = (Vec::new(), 0, 0);
+        for seed in 0..96 {
+            match case(seed) {
+                Ok(c) => (holds, deep) = (holds + c.holds, deep + c.deep),
+                Err(e) => failures.push(format!("seed {seed}: {e}")),
+            }
+        }
         assert!(failures.is_empty(), "{}", failures.join("\n"));
+        // The rule is exercised, not only never broken.
+        assert!(holds >= 100 && deep >= 100, "{holds} held flushes, {deep} deep queues");
     }
 
     #[test]
@@ -831,7 +1056,8 @@ mod tests {
     fn driver_cpu_per_noop_task() {
         const TASKS: u64 = 20_000;
         for round in 0..5 {
-            let mut h = Harness::new(round, &[Fault::None; 2], 0, 0, 0.0, false);
+            let bodies = HashMap::from([("inc".to_string(), 0)]);
+            let mut h = Harness::new(round, &[Fault::None; 2], 0, &bodies, 0.0, false);
             let noop =
                 h.rt.register("inc", Constraint::cpus(1), 1, |_, _| Ok(vec![Value::new(0i64)]));
             let root = h.rt.literal(0i64);
@@ -839,7 +1065,7 @@ mod tests {
                 h.rt.submit(&noop, vec![ArgSpec::In(root)]).unwrap();
             }
             h.dispatch().unwrap();
-            h.run().unwrap();
+            h.run(&mut Script::default()).unwrap();
             let ns = h.driver_ns as f64 / TASKS as f64;
             println!("driver CPU per no-op task (state + core apply, no sockets): {ns:.0} ns");
         }

@@ -53,13 +53,20 @@
 //! Submits to one worker coalesce into the link's `SendBuf` (one `write`
 //! for a burst). The scheduler dispatches ahead: a core its `Hello`
 //! advertised holds the task it runs plus, once no ready task fits an idle
-//! core, one queued one-core task, so in-flight work per worker is at most
-//! twice its cores and the link needs no queue of its own. The queued
-//! task's `Submit` crosses the wire while the core is still busy; the
-//! worker's per-connection core gate starts it the moment the task ahead of
-//! it ends, so a worker never idles for a round trip between two tasks. The
-//! driver keeps a queued execution in `running` like any other, so a lost
-//! worker fails it over too; killed still queued, it draws no trace bar.
+//! core, one queued one-core task, or up to
+//! [`FAST_DEPTH`](crate::scheduler::FAST_DEPTH) of a function
+//! whose last `INLINE_STREAK` bodies each ran at most `INLINE_BUDGET_US`
+//! (see "Worker state"), so in-flight work per worker is at most twice its
+//! cores, `1 + FAST_DEPTH` times for fast functions, and the link needs no
+//! queue of its own. The queued task's `Submit` crosses the wire while the
+//! core is still busy; the worker's per-connection core gate starts it the
+//! moment the task ahead of it ends, so a worker never idles for a round
+//! trip between two tasks. A submitting thread leaves its flush to the
+//! event loop while the link owes the answer of a fast attempt sent
+//! before: the loop turn that reads it flushes every backlog, so a burst
+//! of fast tasks travels in one write each way. The driver keeps a queued
+//! execution in `running` like any other, so a lost worker fails it over
+//! too; killed still queued, it draws no trace bar.
 //!
 //! # Data movement
 //!
@@ -150,6 +157,19 @@ impl Default for DistributedConfig {
         }
     }
 }
+
+/// The longest body, µs, that counts as fast. A worker's event loop runs a
+/// fast job itself, at most this long per turn: running a body on the loop
+/// saves an executor wake-up, a few µs, while a body many times longer gains
+/// little from that and a heartbeat ack and the turn's other answers wait
+/// behind it. Bodies near the budget are left to a multi-core worker's
+/// executors, which run them side by side.
+pub(crate) const INLINE_BUDGET_US: u64 = 50;
+
+/// Fast runs in a row that make a function fast: on a worker its first runs
+/// always go to an executor, and on the driver its tasks queue deep and its
+/// answers are worth a held flush only from then on.
+pub(crate) const INLINE_STREAK: u8 = 8;
 
 /// Codec tag stamped on snapshot `Data` frames (see [`crate::snapshot`]).
 /// Never looked up in the codec registry: snapshot blobs are opaque to the

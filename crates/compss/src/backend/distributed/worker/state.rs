@@ -14,6 +14,7 @@ use std::sync::Arc;
 
 use rnet::{Frame, FrameRef, WireArgRef as Arg};
 
+use crate::backend::distributed::{INLINE_BUDGET_US, INLINE_STREAK};
 use crate::blocks::BlockCache;
 use crate::codec::decode_tagged;
 use crate::data::Value;
@@ -27,18 +28,6 @@ const FETCH_US: u64 = 10_000_000;
 /// forgotten: a job that still needs one asks for it again and fails on the
 /// bytes that answer.
 const MAX_UNDECODABLE: usize = 64;
-
-/// The longest body, µs, that counts as fast, and the most time one
-/// event-loop turn spends on inline runs. Running a body on the loop saves an
-/// executor wake-up, a few µs; a body many times longer gains little from
-/// that, while a heartbeat ack and the turn's other answers wait behind it.
-/// Bodies near the budget are left to a multi-core worker's executors, which
-/// run them side by side.
-pub(super) const INLINE_BUDGET_US: u64 = 50;
-
-/// Fast runs in a row of a function before the event loop runs it itself: a
-/// function's first runs always go to an executor.
-pub(super) const INLINE_STREAK: u8 = 8;
 
 /// A job's argument: decoded from its `Submit`, or a content-addressed block.
 pub(super) enum JobArg {

@@ -7,6 +7,7 @@
 //! with [`Runtime::wait_on`] (the paper's `compss_wait_on`) or
 //! [`Runtime::barrier`].
 
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -16,7 +17,8 @@ use paratrace::{CoreId, EventKind, TaskRef, TraceCollector};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::backend::distributed::{
-    collect_dispatch_remote, connect_workers, ConnMgr, DistributedConfig,
+    collect_dispatch_remote, connect_workers, ConnMgr, DistributedConfig, INLINE_BUDGET_US,
+    INLINE_STREAK,
 };
 use crate::backend::sim::SimState;
 use crate::backend::threaded::{collect_dispatch, WorkerPool};
@@ -244,26 +246,38 @@ impl Instance {
         })
     }
 
-    /// Queue this instance (of `task`) as ready, retry placement hints
-    /// included.
-    pub fn push_ready(&self, task: TaskId, sched: &mut Scheduler) {
-        sched.push_ready(ReadyEntry {
-            task,
-            constraint: self.def.constraint,
-            alternatives: self.def.alternatives.iter().map(|v| v.constraint).collect(),
-            priority: self.def.priority,
-            seq: self.seq,
-            prefer_node: self.prefer_node,
-            exclude_node: self.exclude_node,
-        });
-    }
-
     /// The body of the implementation the scheduler chose (`@implement`:
     /// 0 is the primary, alternatives follow).
     pub fn body(&self, variant: usize) -> Arc<TaskFn> {
         match variant {
             0 => Arc::clone(&self.def.body),
             v => Arc::clone(&self.def.alternatives[v - 1].body),
+        }
+    }
+}
+
+/// Per function, its latest attempts in a row whose body ran at most
+/// `INLINE_BUDGET_US`: fed only under dispatch-ahead, where a fast
+/// function's tasks queue deep and its answers are worth a held flush.
+#[derive(Default)]
+pub(crate) struct Streaks(HashMap<Arc<str>, u8>);
+
+impl Streaks {
+    /// Whether function `name`'s last `INLINE_STREAK` bodies were all fast.
+    pub fn of(&self, name: &str) -> bool {
+        self.0.get(name).is_some_and(|&s| s >= INLINE_STREAK)
+    }
+
+    /// A body of function `name` ran `exec_us`: a fast run lengthens its
+    /// streak, a slower one starts it again from 0. Allocates only for a
+    /// function's first report.
+    fn ran(&mut self, name: &Arc<str>, exec_us: u64) {
+        let fast = exec_us <= INLINE_BUDGET_US;
+        match self.0.get_mut(&**name) {
+            Some(s) => *s = if fast { s.saturating_add(1) } else { 0 },
+            None => {
+                self.0.insert(Arc::clone(name), u8::from(fast));
+            }
         }
     }
 }
@@ -296,6 +310,7 @@ pub(crate) struct Core {
     pub stats: RuntimeStats,
     /// Bytes of snapshot held across `instances`, kept as a running total.
     pub snapshot_bytes: u64,
+    pub streaks: Streaks,
 }
 
 impl Core {
@@ -303,6 +318,26 @@ impl Core {
     /// with sim state), wall time since runtime start otherwise.
     pub fn now_us(&self, shared: &Shared) -> u64 {
         self.sim.as_ref().map_or_else(|| shared.wall_us(), |sim| sim.now())
+    }
+
+    /// Queue `task` as ready, retry placement hints included, and fast if
+    /// its function is.
+    fn push_ready(&mut self, task: TaskId) {
+        let inst = &self.instances[&task];
+        let entry = ReadyEntry {
+            task,
+            constraint: inst.def.constraint,
+            alternatives: inst.def.alternatives.iter().map(|v| v.constraint).collect(),
+            priority: inst.def.priority,
+            seq: inst.seq,
+            prefer_node: inst.prefer_node,
+            exclude_node: inst.exclude_node,
+        };
+        if self.streaks.of(&inst.def.name) {
+            self.sched.push_ready_fast(entry);
+        } else {
+            self.sched.push_ready(entry);
+        }
     }
 
     /// Drop `v` if it is dead ([`DataRegistry::reap`]), its encoded block
@@ -501,6 +536,7 @@ impl Runtime {
                 next_exec: 0,
                 stats: RuntimeStats::default(),
                 snapshot_bytes: 0,
+                streaks: Streaks::default(),
             }),
             cv: Condvar::new(),
             trace: Arc::new(TraceCollector::with_flag(cfg.tracing)),
@@ -654,8 +690,7 @@ impl Runtime {
         if reads_poisoned {
             fail_task_cascade(&self.shared, &mut core, id);
         } else if state == TaskState::Ready {
-            let core = &mut *core;
-            core.instances[&id].push_ready(id, &mut core.sched);
+            core.push_ready(id);
         }
 
         // Nudge the backend: place under the lock, hand the placed work to
@@ -851,6 +886,8 @@ pub(crate) struct Placed {
     pub attempt: u32,
     /// Dispatch time on the backend's clock.
     pub now_us: u64,
+    /// Whether its function is fast ([`Streaks::of`]) as it is placed.
+    pub fast: bool,
 }
 
 /// The first half of the scheduling turn, shared by every backend: place
@@ -883,7 +920,7 @@ pub(crate) fn place_ready<S: Ord>(
         let Some((entry, placement)) = popped else { break };
         let task = entry.task;
         let inst = core.instances.get(&task).expect("ready task has an instance");
-        let attempt = inst.attempt;
+        let (attempt, fast) = (inst.attempt, core.streaks.of(&inst.def.name));
         let now_us = core.now_us(shared);
         shared.metrics.dispatched.incr();
         shared.metrics.dep_wait.record(now_us.saturating_sub(inst.submitted_us));
@@ -898,7 +935,7 @@ pub(crate) fn place_ready<S: Ord>(
         };
         core.running.insert(exec_id, run);
         core.graph.set_running(task);
-        launch(core, Placed { exec_id, task, attempt, now_us });
+        launch(core, Placed { exec_id, task, attempt, now_us, fast });
         if shared.trace.is_enabled() {
             let lead = core.running[&exec_id].placement.lead_core();
             let task_ref = TaskRef::new(task.0, Arc::clone(&core.instances[&task].def.name));
@@ -990,6 +1027,9 @@ pub(crate) fn complete_attempt(
     if !node_gone {
         core.sched.release(&run.placement, &run.constraint);
     }
+    if let Some(us) = exec_us.filter(|_| core.sched.dispatches_ahead()) {
+        core.streaks.ran(&name, us);
+    }
 
     // Consult the failure injector (deterministic chaos for tests/benches).
     let injected = shared.failures.attempt_fails(task.0, run.attempt);
@@ -1018,7 +1058,7 @@ pub(crate) fn complete_attempt(
             shared.metrics.completed.incr();
             core.stats.makespan_us = core.stats.makespan_us.max(now_us);
             for t in core.graph.set_done(task) {
-                core.instances[&t].push_ready(t, &mut core.sched);
+                core.push_ready(t);
             }
             core.retire_task(shared, task);
             Settled::Stored
@@ -1061,7 +1101,7 @@ pub(crate) fn complete_attempt(
                         RetryDecision::GiveUp => unreachable!(),
                     }
                     core.graph.set_ready(task);
-                    core.instances[&task].push_ready(task, &mut core.sched);
+                    core.push_ready(task);
                 }
             }
             Settled::Failed
@@ -1102,7 +1142,7 @@ pub(crate) fn lose_node(shared: &Shared, core: &mut Core, node: u32, now_us: u64
     shared.trace.event(CoreId::new(node, 0), now_us, EventKind::NodeFailure);
     let mut victims: Vec<u64> =
         core.running.iter().filter(|(_, r)| r.placement.involves(node)).map(|(&e, _)| e).collect();
-    // Dispatch order: a core's running attempt comes before the one queued
+    // Dispatch order: a core's running attempt comes before those queued
     // behind it.
     victims.sort_unstable();
     let mut killed: Vec<Placement> = Vec::with_capacity(victims.len());

@@ -30,15 +30,20 @@
 //! # Dispatch-ahead
 //!
 //! A core holds 0 tasks (idle), 1 (running) or, on a scheduler built
-//! with [`Scheduler::enable_dispatch_ahead`], 2: one running and one queued
-//! behind it. The distributed backend turns this on so a worker starts its
-//! next task the moment the running one ends, instead of idling for the
-//! round trip that fetches it. Placement onto idle cores is unchanged and
-//! always comes first; only when it places nothing does a second pass queue
-//! the first ready single-implementation, one-core, GPU-less task behind a
-//! core that runs exactly one task, on the node the usual score picks. A
-//! multi-core task is never queued ahead, and a queued task never takes an
-//! idle core: either would leave a core idle that backfilling could use.
+//! with [`Scheduler::enable_dispatch_ahead`], more: one running and the
+//! rest queued behind it. The distributed backend turns this on so a worker
+//! starts its next task the moment the running one ends, instead of idling
+//! for the round trip that fetches it. Placement onto idle cores is
+//! unchanged and always comes first; only when it places nothing does a
+//! second pass queue the first ready single-implementation, one-core,
+//! GPU-less task behind a busy core, on the node the usual score picks. A
+//! task pushed as *fast* ([`Scheduler::push_ready_fast`]: its function's
+//! latest runs were all short) queues behind the core of that node holding
+//! the fewest tasks, up to [`FAST_DEPTH`] behind the running one, and score
+//! ties go to the node whose least-held core holds fewest; any other task
+//! queues only behind a core that runs exactly one. A multi-core task is
+//! never queued ahead, and a queued task never takes an idle core: either
+//! would leave a core idle that backfilling could use.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
@@ -46,14 +51,19 @@ use cluster::Cluster;
 
 use crate::task::{Constraint, TaskId};
 
+/// Most tasks a fast task may queue behind a core's running one: a burst of
+/// fast tasks reaches a worker in one write and comes back in one.
+pub const FAST_DEPTH: u32 = 8;
+
 /// Per-node allocatable state.
 #[derive(Debug, Clone)]
 pub struct NodeResources {
     /// Free CPU core ids.
     pub free_cores: BTreeSet<u32>,
-    /// Cores running exactly one task that may queue one more behind it
-    /// (dispatch-ahead schedulers only; always empty otherwise).
-    pub one_task_cores: BTreeSet<u32>,
+    /// Every busy core as `(tasks it holds, core id)`, so the first is the
+    /// core holding the fewest, lowest id among equals (dispatch-ahead
+    /// schedulers only; always empty otherwise).
+    pub held: BTreeSet<(u32, u32)>,
     /// Free GPU ids.
     pub free_gpus: BTreeSet<u32>,
     /// Memory left, GiB.
@@ -66,6 +76,13 @@ pub struct NodeResources {
     pub capacity_gpus: u32,
     /// Memory capacity, GiB.
     pub capacity_mem_gib: u32,
+}
+
+impl NodeResources {
+    /// Tasks `core` holds under dispatch-ahead: 0 if idle, or without it.
+    pub fn held_by(&self, core: u32) -> u32 {
+        self.held.iter().find(|&&(_, c)| c == core).map_or(0, |&(n, _)| n)
+    }
 }
 
 /// A concrete placement decision.
@@ -148,23 +165,26 @@ type ReadyKey = (bool, u64);
 
 /// Feasibility class of a ready entry. Two entries with the same class are
 /// placeable under exactly the same pool states: feasibility depends only
-/// on the constraint set and the exclusion (retry preference and locality
-/// merely rank already-feasible nodes, they never create or destroy
-/// feasibility). The common single-implementation case keeps
-/// `alternatives` empty, so building a key does not allocate.
+/// on the constraint set, the exclusion and, behind a busy core, whether
+/// the entry is fast (retry preference and locality merely rank
+/// already-feasible nodes, they never create or destroy feasibility). The
+/// common single-implementation case keeps `alternatives` empty, so
+/// building a key does not allocate.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct ClassKey {
     constraint: Constraint,
     alternatives: Vec<Constraint>,
     exclude_node: Option<u32>,
+    fast: bool,
 }
 
 impl ClassKey {
-    fn of(entry: &ReadyEntry) -> Self {
+    fn of(entry: &ReadyEntry, fast: bool) -> Self {
         ClassKey {
             constraint: entry.constraint,
             alternatives: entry.alternatives.clone(),
             exclude_node: entry.exclude_node,
+            fast,
         }
     }
 }
@@ -173,8 +193,9 @@ impl ClassKey {
 #[derive(Debug)]
 pub struct Scheduler {
     nodes: Vec<NodeResources>,
-    /// Ready entries ordered by pop key (priority desc, seq asc).
-    ready: BTreeMap<ReadyKey, ReadyEntry>,
+    /// Ready entries ordered by pop key (priority desc, seq asc), each with
+    /// whether it was pushed fast.
+    ready: BTreeMap<ReadyKey, (ReadyEntry, bool)>,
     /// Ready keys bucketed by feasibility class: one placement probe per
     /// *class* answers for every entry in the bucket. A bucket that empties
     /// stays, so the next entry of its class finds it allocated.
@@ -187,7 +208,7 @@ pub struct Scheduler {
     /// O(1) until a release or a new-class push. This is what keeps a
     /// submission storm against a full cluster linear instead of quadratic.
     all_blocked: bool,
-    /// Whether a core may hold a queued task behind its running one.
+    /// Whether a core may hold queued tasks behind its running one.
     dispatch_ahead: bool,
     /// Reserved `(node, core)` pairs, for rendering.
     pub reserved: Vec<(u32, u32)>,
@@ -215,7 +236,7 @@ impl Scheduler {
                 }
                 NodeResources {
                     free_cores: (reserve..spec.cores).collect(),
-                    one_task_cores: BTreeSet::new(),
+                    held: BTreeSet::new(),
                     free_gpus: (0..spec.gpu_count()).collect(),
                     free_mem_gib: spec.mem_gib,
                     alive: true,
@@ -236,11 +257,16 @@ impl Scheduler {
         }
     }
 
-    /// Let every core hold one queued task behind the one it runs (see
+    /// Let every core hold queued tasks behind the one it runs (see
     /// "Dispatch-ahead" above). The distributed backend calls this when it
     /// builds its runtime; nothing else does.
     pub fn enable_dispatch_ahead(&mut self) {
         self.dispatch_ahead = true;
+    }
+
+    /// Whether [`Scheduler::enable_dispatch_ahead`] was called.
+    pub fn dispatches_ahead(&self) -> bool {
+        self.dispatch_ahead
     }
 
     /// Whether the cluster could *ever* satisfy `c` (at full capacity,
@@ -263,26 +289,35 @@ impl Scheduler {
 
     /// Enqueue a ready task.
     pub fn push_ready(&mut self, entry: ReadyEntry) {
+        self.push(entry, false);
+    }
+
+    /// Enqueue a ready task that may queue [`FAST_DEPTH`] deep behind a
+    /// busy core (see "Dispatch-ahead" above).
+    pub fn push_ready_fast(&mut self, entry: ReadyEntry) {
+        self.push(entry, true);
+    }
+
+    fn push(&mut self, entry: ReadyEntry, fast: bool) {
         let key = (!entry.priority, entry.seq);
-        let class = ClassKey::of(&entry);
+        let class = ClassKey::of(&entry, fast);
         // An entry of a class already proven unplaceable cannot unblock the
         // set; anything else might.
         if self.all_blocked && !self.infeasible.contains(&class) {
             self.all_blocked = false;
         }
         self.by_class.entry(class).or_default().insert(key);
-        let evicted = self.ready.insert(key, entry);
+        let evicted = self.ready.insert(key, (entry, fast));
         debug_assert!(evicted.is_none(), "ready keys are unique per submission");
     }
 
     /// Remove `key` from both the ordered set and its class bucket.
-    fn remove_ready(&mut self, key: ReadyKey) -> ReadyEntry {
-        let entry = self.ready.remove(&key).expect("popped key is present");
-        let class = ClassKey::of(&entry);
-        if let Some(bucket) = self.by_class.get_mut(&class) {
+    fn remove_ready(&mut self, key: ReadyKey) -> (ReadyEntry, bool) {
+        let (entry, fast) = self.ready.remove(&key).expect("popped key is present");
+        if let Some(bucket) = self.by_class.get_mut(&ClassKey::of(&entry, fast)) {
             bucket.remove(&key);
         }
-        entry
+        (entry, fast)
     }
 
     /// Number of tasks waiting for resources.
@@ -343,7 +378,7 @@ impl Scheduler {
                 self.all_blocked = !self.ready.is_empty();
                 return None;
             };
-            match choose_node(&self.nodes, &self.ready[&key], locality) {
+            match choose_node(&self.nodes, &self.ready[&key].0, locality) {
                 Some((node, variant)) => return Some(self.place(key, node, variant)),
                 None => {
                     self.infeasible.insert(class.clone());
@@ -360,18 +395,18 @@ impl Scheduler {
         &mut self,
         locality: &impl Fn(TaskId, u32) -> S,
     ) -> Option<(ReadyEntry, Placement)> {
-        if !self.dispatch_ahead
-            || !self.nodes.iter().any(|n| n.alive && !n.one_task_cores.is_empty())
-        {
+        let takes_more = |n: &NodeResources| n.held.first().is_some_and(|&(h, _)| h <= FAST_DEPTH);
+        if !self.dispatch_ahead || !self.nodes.iter().any(|n| n.alive && takes_more(n)) {
             return None;
         }
         let (key, node) = self
             .by_class
             .iter()
             .filter(|(class, _)| queues_ahead(&class.constraint, &class.alternatives))
-            .filter_map(|(_, keys)| {
+            .filter_map(|(class, keys)| {
                 let key = *keys.first()?;
-                choose_ahead_node(&self.nodes, &self.ready[&key], locality).map(|node| (key, node))
+                let entry = &self.ready[&key].0;
+                choose_ahead_node(&self.nodes, entry, class.fast, locality).map(|node| (key, node))
             })
             .min_by_key(|&(key, _)| key)?;
         Some(self.queue_behind(key, node))
@@ -385,7 +420,7 @@ impl Scheduler {
         &mut self,
         locality: impl Fn(TaskId, u32) -> S,
     ) -> Option<(ReadyEntry, Placement)> {
-        let idle = self.ready.iter().find_map(|(key, entry)| {
+        let idle = self.ready.iter().find_map(|(key, (entry, _))| {
             choose_node(&self.nodes, entry, &locality).map(|(node, variant)| (*key, node, variant))
         });
         if let Some((key, node, variant)) = idle {
@@ -397,26 +432,29 @@ impl Scheduler {
         let (key, node) = self
             .ready
             .iter()
-            .filter(|(_, e)| queues_ahead(&e.constraint, &e.alternatives))
-            .find_map(|(key, e)| choose_ahead_node(&self.nodes, e, &locality).map(|n| (*key, n)))?;
+            .filter(|(_, (e, _))| queues_ahead(&e.constraint, &e.alternatives))
+            .find_map(|(key, (e, fast))| {
+                choose_ahead_node(&self.nodes, e, *fast, &locality).map(|n| (*key, n))
+            })?;
         Some(self.queue_behind(key, node))
     }
 
     /// Pop ready entry `key` onto idle resources of `node`.
     fn place(&mut self, key: ReadyKey, node: u32, variant: usize) -> (ReadyEntry, Placement) {
-        let entry = self.remove_ready(key);
+        let (entry, _) = self.remove_ready(key);
         let constraint = entry.variants().nth(variant).expect("choose_node picked a variant");
         let placement = self.allocate(node, &constraint, variant);
         (entry, placement)
     }
 
-    /// Pop ready entry `key` and queue it behind the lowest busy core of
-    /// `node` that runs exactly one task. Its memory is reserved as for a
-    /// running task.
+    /// Pop ready entry `key` and queue it behind the busy core of `node`
+    /// holding the fewest tasks, lowest id among equals. Its memory is
+    /// reserved as for a running task.
     fn queue_behind(&mut self, key: ReadyKey, node: u32) -> (ReadyEntry, Placement) {
-        let entry = self.remove_ready(key);
+        let (entry, _) = self.remove_ready(key);
         let n = &mut self.nodes[node as usize];
-        let core = n.one_task_cores.pop_first().expect("choose_ahead_node vetted this");
+        let (held, core) = n.held.pop_first().expect("choose_ahead_node vetted this");
+        n.held.insert((held + 1, core));
         n.free_mem_gib -= entry.constraint.mem_gib;
         let placement =
             Placement { node, cores: vec![core], gpus: Vec::new(), variant: 0, extra: Vec::new() };
@@ -431,7 +469,7 @@ impl Scheduler {
             n.free_cores.remove(core);
         }
         if self.dispatch_ahead {
-            n.one_task_cores.extend(&cores);
+            n.held.extend(cores.iter().map(|&core| (1, core)));
         }
         let gpus: Vec<u32> = n.free_gpus.iter().copied().take(c.gpus as usize).collect();
         for g in &gpus {
@@ -467,23 +505,24 @@ impl Scheduler {
 
     /// Return the resources of a finished/killed placement to the pool.
     /// Dead nodes are skipped. Under dispatch-ahead a core that still holds
-    /// a second task goes back to the one-task pool, not the idle pool.
+    /// another task stays busy, holding one fewer.
     /// Freed resources can make previously unplaceable constraint classes
     /// feasible again, so the class memo is reset here.
     pub fn release(&mut self, p: &Placement, c: &Constraint) {
         self.infeasible.clear();
         self.all_blocked = false;
-        let ahead = self.dispatch_ahead;
         let mut give_back = |node: u32, cores: &[u32], gpus: &[u32]| {
             let n = &mut self.nodes[node as usize];
             if !n.alive {
                 return;
             }
             for &core in cores {
-                if !ahead || n.one_task_cores.remove(&core) {
-                    n.free_cores.insert(core);
+                let held = n.held_by(core);
+                n.held.remove(&(held, core));
+                if held > 1 {
+                    n.held.insert((held - 1, core));
                 } else {
-                    n.one_task_cores.insert(core);
+                    n.free_cores.insert(core);
                 }
             }
             n.free_gpus.extend(gpus.iter().copied());
@@ -495,13 +534,13 @@ impl Scheduler {
         }
     }
 
-    /// Kill a node for good: mark dead and wipe its free and one-task
-    /// pools.
+    /// Kill a node for good: mark dead and wipe its free pools and held
+    /// counts.
     pub fn kill_node(&mut self, node: u32) {
         if let Some(n) = self.nodes.get_mut(node as usize) {
             n.alive = false;
             n.free_cores.clear();
-            n.one_task_cores.clear();
+            n.held.clear();
             n.free_gpus.clear();
             n.free_mem_gib = 0;
         }
@@ -514,20 +553,20 @@ impl Scheduler {
     /// barred from its node to move elsewhere, with nowhere left to move,
     /// stays instead, as it would have had that been so when it failed.
     pub fn drain_unsatisfiable(&mut self) -> Vec<ReadyEntry> {
-        let stranded = self.ready.iter().filter(|(_, e)| {
+        let stranded = self.ready.iter().filter(|(_, (e, _))| {
             e.exclude_node.is_some_and(|x| !e.variants().any(|c| self.satisfiable_excluding(&c, x)))
         });
         for key in stranded.map(|(k, _)| *k).collect::<Vec<_>>() {
-            let entry = self.remove_ready(key);
-            self.push_ready(ReadyEntry { exclude_node: None, ..entry });
+            let (entry, fast) = self.remove_ready(key);
+            self.push(ReadyEntry { exclude_node: None, ..entry }, fast);
         }
         let doomed: Vec<ReadyKey> = self
             .ready
             .iter()
-            .filter(|(_, e)| !e.variant_constraints().iter().any(|c| self.satisfiable(c)))
+            .filter(|(_, (e, _))| !e.variant_constraints().iter().any(|c| self.satisfiable(c)))
             .map(|(k, _)| *k)
             .collect();
-        doomed.into_iter().map(|k| self.remove_ready(k)).collect()
+        doomed.into_iter().map(|k| self.remove_ready(k).0).collect()
     }
 
     /// Whether `c` could be satisfied with `node` barred from being the
@@ -589,45 +628,52 @@ fn choose_node<S: Ord>(
                         >= c.nodes as usize - 1)
         })
     };
-    best_node(nodes.len(), entry, locality, first_fitting)
+    let fits = |i: u32| first_fitting(i).map(|v| (v, ()));
+    best_node(nodes.len(), entry, locality, fits)
 }
 
 /// The node a one-core `entry` queues behind under dispatch-ahead, by the
-/// same preference, exclusion and score as [`choose_node`]: one with a core
-/// that runs exactly one task, and the memory to spare.
+/// same preference, exclusion and score as [`choose_node`]: one with the
+/// memory to spare and a core that runs exactly one task, or, for a `fast`
+/// entry, a busy core with fewer than `1 + FAST_DEPTH` tasks; a fast
+/// entry's score ties go to the node whose least-held core holds fewest.
 fn choose_ahead_node<S: Ord>(
     nodes: &[NodeResources],
     entry: &ReadyEntry,
+    fast: bool,
     locality: &impl Fn(TaskId, u32) -> S,
 ) -> Option<u32> {
+    let most = if fast { 1 + FAST_DEPTH } else { 2 };
     let fits = |i: u32| {
         let n = &nodes[i as usize];
+        let &(fewest, _) = n.held.first()?;
         (n.alive
             && Some(i) != entry.exclude_node
-            && !n.one_task_cores.is_empty()
+            && fewest < most
             && n.free_mem_gib >= entry.constraint.mem_gib)
-            .then_some(0)
+            .then_some((0, std::cmp::Reverse(if fast { fewest } else { 0 })))
     };
     best_node(nodes.len(), entry, locality, fits).map(|(node, _)| node)
 }
 
 /// The retry-preferred node if `fits` accepts it, else the accepted node
-/// with the best score, ties to the lowest id. `fits` names the
-/// implementation variant a node can host.
-fn best_node<S: Ord>(
+/// with the best score, then the best tie-break `fits` gives, then the
+/// lowest id. `fits` names the implementation variant a node can host.
+fn best_node<S: Ord, T: Ord>(
     node_count: usize,
     entry: &ReadyEntry,
     locality: &impl Fn(TaskId, u32) -> S,
-    fits: impl Fn(u32) -> Option<usize>,
+    fits: impl Fn(u32) -> Option<(usize, T)>,
 ) -> Option<(u32, usize)> {
     if let Some(p) = entry.prefer_node {
-        if let Some(v) = fits(p) {
+        if let Some((v, _)) = fits(p) {
             return Some((p, v));
         }
     }
-    (0..node_count as u32)
-        .filter_map(|i| fits(i).map(|v| (i, v)))
-        .max_by_key(|&(i, _)| (locality(entry.task, i), std::cmp::Reverse(i)))
+    let scored = (0..node_count as u32).filter_map(|i| {
+        fits(i).map(|(v, tie)| ((locality(entry.task, i), tie, std::cmp::Reverse(i)), v))
+    });
+    scored.max_by(|a, b| a.0.cmp(&b.0)).map(|((_, _, std::cmp::Reverse(i)), v)| (i, v))
 }
 
 /// Whether a task of these implementations may queue behind a busy core:
@@ -958,14 +1004,15 @@ mod tests {
             s.push_ready(entry(1 + seq, 1, seq));
             let (_, p) = s.pop_placeable(loc).unwrap();
             // A core taken idle runs one task; a queued task's core holds two.
-            assert!(s.node(p.node).one_task_cores.contains(&p.cores[0]), "queued: {p:?}");
+            assert_eq!(s.node(p.node).held_by(p.cores[0]), 1, "queued: {p:?}");
         }
         assert!(s.node(0).free_cores.is_empty() && s.node(1).free_cores.is_empty());
         // Only now does a task queue, on the node the score picks.
         s.push_ready(entry(9, 1, 9));
         let (_, p) = s.pop_placeable(loc).unwrap();
         assert_eq!((p.node, p.cores.len()), (0, 1));
-        assert_eq!(s.node(0).one_task_cores.len(), 1, "one core of node 0 holds two tasks");
+        assert_eq!(s.node(0).held_by(p.cores[0]), 2, "one core of node 0 holds two tasks");
+        assert_eq!(s.node(0).held.iter().filter(|&&(n, _)| n == 1).count(), 1);
     }
 
     #[test]
@@ -975,7 +1022,7 @@ mod tests {
         s.push_ready(entry(2, 1, 1));
         let _ = s.pop_placeable(|_, _| 0).unwrap();
         let _ = s.pop_placeable(|_, _| 0).unwrap();
-        assert_eq!(s.node(0).one_task_cores.len(), 2, "both cores run one task");
+        assert_eq!(s.node(0).held.len(), 2, "both cores run one task");
         s.push_ready(entry(3, 2, 2));
         assert!(s.pop_placeable(|_, _| 0).is_none(), "a 2-CPU task waits for idle cores");
         assert!(s.pop_placeable_reference(|_, _| 0).is_none());
@@ -991,7 +1038,7 @@ mod tests {
     }
 
     #[test]
-    fn release_hands_a_queued_core_back_to_the_one_task_pool() {
+    fn release_leaves_a_core_that_still_holds_a_task_busy() {
         let mut s = ahead(1, 1);
         s.push_ready(entry(1, 1, 0));
         s.push_ready(entry(2, 1, 1));
@@ -1000,29 +1047,81 @@ mod tests {
         let (queued, p2) = s.pop_placeable(|_, _| 0).unwrap();
         assert_eq!(p1.cores, p2.cores, "queued behind the core it will run on");
         assert!(s.pop_placeable(|_, _| 0).is_none(), "one queued task per core");
-        assert!(s.node(0).free_cores.is_empty() && s.node(0).one_task_cores.is_empty());
+        assert!(s.node(0).free_cores.is_empty() && s.node(0).held_by(p1.cores[0]) == 2);
         s.release(&p1, &running.constraint);
         assert!(s.node(0).free_cores.is_empty());
-        assert_eq!(s.node(0).one_task_cores.iter().copied().collect::<Vec<_>>(), p1.cores);
+        assert_eq!(s.node(0).held.iter().copied().collect::<Vec<_>>(), vec![(1, p1.cores[0])]);
         // The freed slot takes the next task ahead at once.
         let (third, p3) = s.pop_placeable(|_, _| 0).unwrap();
         assert_eq!((third.task, &p3.cores), (TaskId(3), &p1.cores));
         s.release(&p2, &queued.constraint);
         s.release(&p3, &third.constraint);
         assert_eq!(s.node(0).free_cores.iter().copied().collect::<Vec<_>>(), p1.cores);
-        assert!(s.node(0).one_task_cores.is_empty());
+        assert!(s.node(0).held.is_empty());
     }
 
     #[test]
-    fn kill_node_clears_both_pools() {
+    fn kill_node_clears_the_free_pool_and_the_held_counts() {
         let mut s = ahead(1, 2);
         s.push_ready(entry(1, 1, 0));
         let _ = s.pop_placeable(|_, _| 0).unwrap();
-        assert_eq!((s.node(0).free_cores.len(), s.node(0).one_task_cores.len()), (1, 1));
-        s.kill_node(0);
-        assert!(s.node(0).free_cores.is_empty() && s.node(0).one_task_cores.is_empty());
+        assert_eq!((s.node(0).free_cores.len(), s.node(0).held.len()), (1, 1));
         s.push_ready(entry(2, 1, 1));
+        let _ = s.pop_placeable(|_, _| 0).unwrap();
+        for seq in 2..6 {
+            s.push_ready_fast(entry(1 + seq, 1, seq));
+            let _ = s.pop_placeable(|_, _| 0).unwrap();
+        }
+        assert_eq!(s.node(0).held.iter().map(|&(n, _)| n).sum::<u32>(), 6);
+        s.kill_node(0);
+        assert!(s.node(0).free_cores.is_empty() && s.node(0).held.is_empty());
+        s.push_ready(entry(9, 1, 9));
+        s.push_ready_fast(entry(10, 1, 10));
         assert!(s.pop_placeable(|_, _| 0).is_none(), "a dead node takes nothing ahead");
+        assert!(s.pop_placeable_reference(|_, _| 0).is_none());
+    }
+
+    #[test]
+    fn a_fast_burst_of_sixteen_on_two_one_core_nodes_lands_eight_and_eight() {
+        let mut s = ahead(2, 1);
+        let mut on = [0; 2];
+        for seq in 0..16 {
+            s.push_ready_fast(entry(seq, 1, seq));
+            let (_, p) = s.pop_placeable(|_, _| 0).expect("room for sixteen");
+            on[p.node as usize] += 1;
+        }
+        assert_eq!(on, [8, 8], "score ties go to the node whose core holds fewest");
+        assert_eq!(s.node(0).held_by(0) + s.node(1).held_by(0), 16);
+        // Each core holds its running task and seven queued: room for one
+        // more fast task each, none for a slow one.
+        s.push_ready(entry(16, 1, 16));
+        assert!(s.pop_placeable(|_, _| 0).is_none(), "a slow task queues only one deep");
+        for seq in 17..19 {
+            s.push_ready_fast(entry(seq, 1, seq));
+            let (e, _) = s.pop_placeable(|_, _| 0).expect("one more fast task per core");
+            assert_eq!(e.task, TaskId(seq), "a fast task passes the stuck slow one");
+        }
+        s.push_ready_fast(entry(19, 1, 19));
+        assert!(s.pop_placeable(|_, _| 0).is_none(), "FAST_DEPTH behind the running task");
+        assert_eq!(s.node(0).held_by(0), 1 + FAST_DEPTH);
+    }
+
+    #[test]
+    fn a_slow_task_never_queues_second_deep() {
+        // One core running a task with one fast task queued behind it: the
+        // core holds two, so a slow task waits however long the queue.
+        let mut s = ahead(1, 1);
+        s.push_ready(entry(1, 1, 0));
+        s.push_ready_fast(entry(2, 1, 1));
+        let (_, running) = s.pop_placeable(|_, _| 0).unwrap();
+        let _ = s.pop_placeable(|_, _| 0).unwrap();
+        s.push_ready(entry(3, 1, 2));
+        assert!(s.pop_placeable(|_, _| 0).is_none(), "the core holds two");
+        assert!(s.pop_placeable_reference(|_, _| 0).is_none());
+        // Once the running task ends the core holds one: the slow task queues.
+        s.release(&running, &Constraint::cpus(1));
+        let (e, p) = s.pop_placeable(|_, _| 0).unwrap();
+        assert_eq!((e.task, s.node(0).held_by(p.cores[0])), (TaskId(3), 2));
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! (priorities, constraint classes, exclusions, preferences, multi-variant
 //! implementations) and random pop/release interleavings. The sim backend's
 //! bit-identical makespans rest on this equivalence. A second property
-//! checks the same with dispatch-ahead on.
+//! checks the same with dispatch-ahead on, fast entries queueing deep.
 
 use cluster::{Cluster, GpuModel, NodeSpec};
 use proptest::prelude::*;
-use rcompss::scheduler::{Placement, ReadyEntry, Scheduler};
+use rcompss::scheduler::{Placement, ReadyEntry, Scheduler, FAST_DEPTH};
 use rcompss::{Constraint, TaskId};
 
 #[derive(Debug, Clone)]
@@ -19,6 +19,8 @@ struct EntrySpec {
     exclude: Option<u32>,
     prefer: Option<u32>,
     alt_cpus: Option<u32>,
+    /// Pushed with `push_ready_fast`.
+    fast: bool,
 }
 
 fn entry_strategy() -> impl Strategy<Value = EntrySpec> {
@@ -37,6 +39,7 @@ fn entry_strategy() -> impl Strategy<Value = EntrySpec> {
             exclude,
             prefer,
             alt_cpus,
+            fast: false,
         })
 }
 
@@ -49,6 +52,15 @@ fn build(spec: &EntrySpec, seq: u64) -> ReadyEntry {
         seq,
         prefer_node: spec.prefer,
         exclude_node: spec.exclude,
+    }
+}
+
+/// Push `spec` as entry `seq`, fast if it says so.
+fn push(s: &mut Scheduler, spec: &EntrySpec, seq: u64) {
+    if spec.fast {
+        s.push_ready_fast(build(spec, seq));
+    } else {
+        s.push_ready(build(spec, seq));
     }
 }
 
@@ -103,27 +115,28 @@ proptest! {
 }
 
 /// Half the entries are plain one-core tasks, the only kind that may queue
-/// behind a busy core, so the second pass has work in most cases.
+/// behind a busy core, so the second pass has work in most cases; half of
+/// every kind is fast, which only a plain one-core task may act on.
 fn ahead_entry_strategy() -> impl Strategy<Value = EntrySpec> {
-    prop_oneof![
-        entry_strategy(),
-        (any::<bool>(), proptest::option::of(0u32..3), proptest::option::of(0u32..3)).prop_map(
-            |(priority, exclude, prefer)| EntrySpec {
-                cpus: 1,
-                gpus: 0,
-                priority,
-                exclude,
-                prefer,
-                alt_cpus: None,
-            }
-        ),
-    ]
+    let plain = (any::<bool>(), proptest::option::of(0u32..3), proptest::option::of(0u32..3))
+        .prop_map(|(priority, exclude, prefer)| EntrySpec {
+            cpus: 1,
+            gpus: 0,
+            priority,
+            exclude,
+            prefer,
+            alt_cpus: None,
+            fast: false,
+        });
+    (prop_oneof![entry_strategy(), plain], any::<bool>())
+        .prop_map(|(spec, fast)| EntrySpec { fast, ..spec })
 }
 
 proptest! {
     /// The same equivalence with dispatch-ahead on: both scans make the
-    /// idle-core pass and then the queue-behind pass, and releases run in
-    /// any order, a queued task's before the one it waits behind included.
+    /// idle-core pass and then the queue-behind pass, fast entries deeper
+    /// than one, and releases run in any order, a queued task's before the
+    /// one it waits behind included.
     #[test]
     fn indexed_pop_sequence_equals_linear_scan_with_dispatch_ahead(
         specs in proptest::collection::vec(ahead_entry_strategy(), 1..80),
@@ -139,8 +152,8 @@ proptest! {
         };
         let (mut indexed, mut linear) = (ahead(), ahead());
         for (seq, spec) in specs.iter().enumerate() {
-            indexed.push_ready(build(spec, seq as u64));
-            linear.push_ready(build(spec, seq as u64));
+            push(&mut indexed, spec, seq as u64);
+            push(&mut linear, spec, seq as u64);
         }
         let mut running: Vec<(ReadyEntry, Placement)> = Vec::new();
         for (i, &step) in steps.iter().enumerate() {
@@ -151,6 +164,13 @@ proptest! {
                 (Some((ea, pa)), Some((eb, pb))) => {
                     prop_assert_eq!(ea.task, eb.task, "step {}", i);
                     prop_assert_eq!(pa, pb, "step {}", i);
+                    // Only a fast entry queues behind a core holding two.
+                    let held = indexed.node(pa.node).held_by(pa.cores[0]);
+                    prop_assert!(
+                        held <= 2 || specs[ea.seq as usize].fast,
+                        "step {}: a slow task queued {} deep", i, held - 1
+                    );
+                    prop_assert!(held <= 1 + FAST_DEPTH, "step {}: {} tasks on a core", i, held);
                 }
                 (None, None) => {}
                 _ => prop_assert!(false, "step {}: indexed {:?} vs linear {:?}", i, a, b),
@@ -166,10 +186,7 @@ proptest! {
             }
             for node in 0..3 {
                 prop_assert_eq!(&indexed.node(node).free_cores, &linear.node(node).free_cores);
-                prop_assert_eq!(
-                    &indexed.node(node).one_task_cores,
-                    &linear.node(node).one_task_cores
-                );
+                prop_assert_eq!(&indexed.node(node).held, &linear.node(node).held);
             }
             if indexed.ready_len() == 0 && running.is_empty() {
                 break;
@@ -181,7 +198,7 @@ proptest! {
             indexed.release(&p, &c);
         }
         for node in 0..3 {
-            prop_assert!(indexed.node(node).one_task_cores.is_empty());
+            prop_assert!(indexed.node(node).held.is_empty());
             let n = indexed.node(node);
             prop_assert_eq!(n.free_cores.len(), n.capacity_cores as usize);
         }

@@ -5,7 +5,8 @@
 //! runs it. `getrusage(RUSAGE_SELF)` counts the context switches, voluntary
 //! and involuntary, of every thread of the process: the driver, its event
 //! loop, both workers' loops and their executors. In a test binary of its
-//! own so no other test switches.
+//! own so no other test switches; its two tests, one bound for the debug
+//! build and a tighter one for release code, take turns.
 
 use std::sync::Arc;
 
@@ -73,8 +74,22 @@ fn fold(inputs: impl Iterator<Item = u64>) -> u64 {
     sum.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407)
 }
 
-#[test]
-fn a_no_op_task_switches_at_most_the_bound() {
+/// Runs of [`switches_per_task`] one at a time: `getrusage` counts every
+/// thread of the process.
+static ALONE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// The bound per task of the release build. Four alternating runs read
+/// 1.31–1.35 while a submit wrote each of the first dispatches of a round
+/// and only two tasks per worker were out, and 0.58–0.65 once a fast
+/// function's tasks queued eight deep and a submit's flush waited for its
+/// link's next answer; the debug build read 1.56–1.61 and 1.47–1.60, too
+/// slow to tell.
+const RELEASE_BOUND_PER_TASK: f64 = 0.9;
+
+/// Context switches per no-op task over [`ROUNDS`] rounds of the cell,
+/// after [`WARMUP_ROUNDS`].
+fn switches_per_task() -> f64 {
+    let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
     pin_to_one_cpu();
     let churn = TaskDef {
         name: "churn".into(),
@@ -125,11 +140,29 @@ fn a_no_op_task_switches_at_most_the_bound() {
     let before = switches();
     (WARMUP_ROUNDS..WARMUP_ROUNDS + ROUNDS).for_each(&mut round);
     let per_task = (switches() - before) as f64 / (ROUNDS * (FAN_OUT + 1)) as f64;
+    let stats = rt.stats();
+    assert_eq!((stats.completed, stats.failed), (stats.submitted, 0));
+    per_task
+}
+
+#[test]
+fn a_no_op_task_switches_at_most_the_bound() {
+    let per_task = switches_per_task();
     println!("context switches per no-op task: {per_task:.2} (bound {BOUND_PER_TASK})");
     assert!(
         per_task <= BOUND_PER_TASK,
         "{per_task:.2} context switches per no-op task; the bound is {BOUND_PER_TASK}"
     );
-    let stats = rt.stats();
-    assert_eq!((stats.completed, stats.failed), (stats.submitted, 0));
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "times release code")]
+fn a_release_no_op_task_switches_at_most_the_release_bound() {
+    let per_task = switches_per_task();
+    let bound = RELEASE_BOUND_PER_TASK;
+    println!("context switches per no-op task, release: {per_task:.2} (bound {bound})");
+    assert!(
+        per_task <= bound,
+        "{per_task:.2} context switches per no-op task in release; the bound is {bound}"
+    );
 }

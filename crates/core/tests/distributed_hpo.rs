@@ -125,7 +125,7 @@ fn assert_trial_time_is_exec_time(rt: &Runtime, report: &hpo::HpoReport) {
 /// sleeps, then extends an accuracy curve that is a pure function of the
 /// config and epoch index. Snapshots (the epoch counter) ride the
 /// runtime's ambient channel, each trial's task its own, exactly like
-/// `tinyml_objective_checkpointed` — so a killed worker's trials
+/// `Trainer::trial` — so a killed worker's trials
 /// resume mid-curve on the survivor, and the final table must still be
 /// bit-identical to an uninterrupted run.
 fn snapshotting_objective(

@@ -53,9 +53,7 @@
 # training that snapshots every epoch must keep 80% of the epochs/s of the
 # same training with snapshots off (median of five alternating pairs), and
 # encoding or decoding a staged_net-sized fork snapshot must cost at most 6x
-# a copy of its bytes (median of three). The
-# stage-tree savings bench gates prefix dedup exactly (deterministic epoch
-# counts vs baselines/stagetree_savings.json), and the stage-tree smoke reruns the
+# a copy of its bytes (median of three). The stage-tree smoke reruns the
 # loopback grid with --share-prefixes: the trial table must not change,
 # the metrics exposition must show hpo_stage_epochs_saved_total > 0, and
 # the workers' block caches must have been used (fork snapshots are sized
@@ -80,20 +78,19 @@
 # task snapshot (rcompss_live_tasks, rcompss_live_data_versions and
 # rcompss_live_snapshot_bytes read 0), and that its scrape carries neither
 # of the series the retired telemetry frames fed. Last, the tracked
-# artefacts under results/ and crates/bench/baselines/ must be as the run
-# found them.
+# artefacts under results/ must be as the run found them.
 set -euo pipefail
 cd "$(dirname "$0")"
 
 # What `git status` says of the tracked artefacts before any stage runs:
 # the last stage fails if a green run left them otherwise.
-artefact_status() { git status --porcelain -- results crates/bench/baselines; }
+artefact_status() { git status --porcelain -- results; }
 ARTEFACTS_AT_START=$(artefact_status)
 
 # The deterministic columns of a trial CSV: config, accuracy, epochs_run.
 # The quoted config label holds commas of its own, so `cut -d,` would split
 # inside it. What follows the third column is dropped: task_us is a
-# timing, and the standalone CSV has an error column the served one lacks.
+# timing, and error a failed trial's message.
 trial_table() {
     sed -E 's/^("[^"]*"|[^",]*),([^,]*),([^,]*).*/\1,\2,\3/' "$@"
 }
@@ -144,71 +141,64 @@ if git grep -n 'Poller::fallback' -- ':!benchmark' ':!*.md' ':!ci.sh'; then
     exit 1
 fi
 
+# The program's source files: test files and benchmark/ are not among them.
+program_files() {
+    git ls-files 'crates/*/src/*.rs' 'crates/*/src/**/*.rs' 'src/*.rs' 'src/**/*.rs' | sort -u
+}
+
+# The four ownership stages below: `owned_by_one STAGE PATTERN WHY FILE...`
+# prints every line of the files that matches the regex PATTERN, each file
+# read up to its #[cfg(test)] as the line count below reads it, and fails
+# with "STAGE FAILED: WHY" if there is one.
+owned_by_one() {
+    local stage="$1" pattern="$2" why="$3" hits
+    shift 3
+    hits=$(awk -v pat="$pattern" \
+        'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && $0 ~ pat {print FILENAME ":" FNR ": " $0}' "$@")
+    if [ -n "$hits" ]; then
+        echo "$hits" >&2
+        echo "$stage FAILED: $why" >&2
+        exit 1
+    fi
+}
+
 echo "==> one connection: only rnet::link and rnet::poll read, flush, arm write interest and accept"
 # Program code outside crates/net/src reaches its sockets through
 # rnet::link (Link reads and flushes, Acceptor accepts, dial connects).
-# Each file is read up to its #[cfg(test)], as the line count below reads
-# it; test files and benchmark/ are exempt.
-CONN_PATTERN='fill_from[(]|last_read_short[(]|Interest::READ_WRITE|[.]accept[(][)]'
-CONN_HITS=$(git ls-files 'crates/*/src/*.rs' 'crates/*/src/**/*.rs' 'src/*.rs' 'src/**/*.rs' \
-    | grep -v '^crates/net/src/' | sort -u \
-    | xargs awk -v pat="$CONN_PATTERN" \
-        'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && $0 ~ pat {print FILENAME ":" FNR ": " $0}')
-if [ -n "$CONN_HITS" ]; then
-    echo "$CONN_HITS" >&2
-    echo "one connection FAILED: socket reads, flushes or accepts outside rnet::link" >&2
-    exit 1
-fi
+owned_by_one "one connection" \
+    'fill_from[(]|last_read_short[(]|Interest::READ_WRITE|[.]accept[(][)]' \
+    "socket reads, flushes or accepts outside rnet::link" \
+    $(program_files | grep -v '^crates/net/src/')
 
 echo "==> one attempt report: only the runtime records an attempt's phases and draws its bars"
 # A backend hands its report of an ended attempt to complete_attempt once;
 # the phase samples and the bars are recorded there, under the core lock, so
-# a waiter that sees a value sees them too. Program code is read up to each
-# file's #[cfg(test)], as the line count below reads it.
-REPORT_PATTERN='phase_(queue|wire|exec|ship)|emit_attempt_spans[(]'
-REPORT_HITS=$(git ls-files 'crates/*/src/*.rs' 'crates/*/src/**/*.rs' 'src/*.rs' 'src/**/*.rs' \
-    | grep -vxE 'crates/compss/src/(runtime|metrics)[.]rs' | sort -u \
-    | xargs awk -v pat="$REPORT_PATTERN" \
-        'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && $0 ~ pat {print FILENAME ":" FNR ": " $0}')
-if [ -n "$REPORT_HITS" ]; then
-    echo "$REPORT_HITS" >&2
-    echo "one attempt report FAILED: phases recorded or bars drawn outside runtime.rs" >&2
-    exit 1
-fi
+# a waiter that sees a value sees them too.
+owned_by_one "one attempt report" \
+    'phase_(queue|wire|exec|ship)|emit_attempt_spans[(]' \
+    "phases recorded or bars drawn outside runtime.rs" \
+    $(program_files | grep -vxE 'crates/compss/src/(runtime|metrics)[.]rs')
 
 echo "==> one trial body: only the Trainer turns a config into training"
 # The experiment task and the stage task train a config through one
 # hpo::experiment::Trainer: one arch default and train_config_from call, one
-# snapshot resume, one counting sink. Program code is read up to each file's
-# #[cfg(test)], as the line count below reads it; tinyml's train.rs defines
-# the training entry points.
-BODY_PATTERN='train_config_from[(]|rcompss::snapshot::(save|load)[(]|train_with_checkpoints[(]|train_segment[(]'
-BODY_HITS=$(git ls-files 'crates/*/src/*.rs' 'crates/*/src/**/*.rs' 'src/*.rs' 'src/**/*.rs' \
-    | grep -vxE 'crates/(core/src/experiment|tinyml/src/train)[.]rs' | sort -u \
-    | xargs awk -v pat="$BODY_PATTERN" \
-        'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && $0 ~ pat {print FILENAME ":" FNR ": " $0}')
-if [ -n "$BODY_HITS" ]; then
-    echo "$BODY_HITS" >&2
-    echo "one trial body FAILED: a config trained outside hpo::experiment::Trainer" >&2
-    exit 1
-fi
+# snapshot resume, one counting sink. tinyml's train.rs defines the training
+# entry points.
+owned_by_one "one trial body" \
+    'train_config_from[(]|rcompss::snapshot::(save|load)[(]|train_with_checkpoints[(]|train_segment[(]' \
+    "a config trained outside hpo::experiment::Trainer" \
+    $(program_files | grep -vxE 'crates/(core/src/experiment|tinyml/src/train)[.]rs')
 
 echo "==> sans-IO driver and worker: the distributed backend's decisions read no clock, take no lock, touch no socket"
 # driver/state.rs holds every decision the distributed driver makes, and
 # worker/state.rs every decision a worker makes for one connection; driver.rs
-# and worker.rs around them hold the clocks, the locks and the sockets. Each
-# file is read up to its #[cfg(test)]: the properties' harnesses below it may
-# time themselves.
-SANS_IO_PATTERN='wall_us|Instant|SystemTime|Mutex|[.]lock[(][)]|Atomic|Ordering::|TcpStream|Poller'
-SANS_IO_HITS=$(awk -v pat="$SANS_IO_PATTERN" \
-    'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && $0 ~ pat {print FILENAME ":" FNR ": " $0}' \
+# and worker.rs around them hold the clocks, the locks and the sockets. The
+# properties' harnesses below each file's #[cfg(test)] may time themselves.
+owned_by_one "sans-IO driver and worker" \
+    'wall_us|Instant|SystemTime|Mutex|[.]lock[(][)]|Atomic|Ordering::|TcpStream|Poller' \
+    "a state.rs reads a clock, locks or touches a socket" \
     crates/compss/src/backend/distributed/driver/state.rs \
-    crates/compss/src/backend/distributed/worker/state.rs)
-if [ -n "$SANS_IO_HITS" ]; then
-    echo "$SANS_IO_HITS" >&2
-    echo "sans-IO driver and worker FAILED: a state.rs reads a clock, locks or touches a socket" >&2
-    exit 1
-fi
+    crates/compss/src/backend/distributed/worker/state.rs
 
 echo "==> cargo clippy (-D warnings)"
 cargo clippy -p pycompss-hpo-repro -p tinyml -p rcompss -p hpo -p hpo-bench -p rnet -p runmetrics -p paratrace -p cluster -p ckpt --all-targets -- -D warnings
@@ -231,8 +221,7 @@ echo "==> benchmark trajectory: the last three points of BENCH_stackbench.json"
 cargo test -q --test bench_trajectory -- --nocapture
 
 echo "==> non-test source lines (crates/*/src + src, up to each file's #[cfg(test)])"
-git ls-files 'crates/*/src/*.rs' 'crates/*/src/**/*.rs' 'src/*.rs' 'src/**/*.rs' | sort -u \
-    | xargs awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n}'
+program_files | xargs awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n}'
 echo "examples/*.rs: $(git ls-files 'examples/*.rs' | xargs -r cat | wc -l) lines"
 
 echo "==> allocations per no-op task (the churn_net cell on two loopback workers; budget in the test)"
@@ -317,13 +306,6 @@ cargo run --release -p hpo-bench --bin overhead_tracing -- smoke
 
 echo "==> ratio gates: CPU per task flat in graph size and pool width, snapshots cheap against their epochs, the snapshot codec at copy speed"
 cargo test --release -q -p hpo-bench --test ratio_gates -- --nocapture
-
-echo "==> stage-tree savings (smoke): exact epochs-saved regression gate"
-# Deterministic planning counts (paper grid + eta-3 bracket) compared
-# exactly against baselines/stagetree_savings.json: fails if the planner
-# starts sharing less. Regenerate with `stagetree_savings rebaseline`
-# after intentional signature/planner changes.
-cargo run --release -p hpo-bench --bin stagetree_savings -- smoke
 
 echo "==> block-cache smoke: shared dataset ships once per worker, not per trial"
 # Loopback 2-worker sweep over a 32 KiB shared dataset: asserts worker
@@ -567,7 +549,7 @@ if echo "$SERVER_METRICS" | grep -Eq 'rnet_(telemetry_bytes_total|last_stats_us)
 fi
 echo "sweep-server smoke: served == standalone, $COMPLETED sweep(s) completed, nothing left live"
 
-echo "==> tracked artefacts: results/ and crates/bench/baselines/ as the run found them"
+echo "==> tracked artefacts: results/ as the run found them"
 if [ "$(artefact_status)" != "$ARTEFACTS_AT_START" ]; then
     echo "tracked artefacts FAILED: a stage left them changed; git status now reads:" >&2
     artefact_status >&2

@@ -13,7 +13,6 @@
 //! | `fig9_time_vs_cores` | Fig 9 — HPO makespan vs cores-per-task |
 //! | `overhead_tracing` | §5 — tracing on/off overhead |
 //! | `ablation_*` | beyond the paper — transfers, retry, early stopping |
-//! | `stagetree_savings` | prefix sharing — exact epochs-saved counts |
 //!
 //! The overhead contract is held by ratios measured in one process
 //! (`tests/ratio_gates.rs`), and the runtime's absolute per-task costs by

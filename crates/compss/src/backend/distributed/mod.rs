@@ -171,6 +171,22 @@ pub(crate) const INLINE_BUDGET_US: u64 = 50;
 /// answers are worth a held flush only from then on.
 pub(crate) const INLINE_STREAK: u8 = 8;
 
+/// A function's streak after one more body that ran `body_us`: a fast run
+/// lengthens it, a slower one starts it again from 0.
+pub(crate) fn next_streak(streak: u8, body_us: u64) -> u8 {
+    if body_us <= INLINE_BUDGET_US {
+        streak.saturating_add(1)
+    } else {
+        0
+    }
+}
+
+/// Whether a function with this streak is fast: its last `INLINE_STREAK`
+/// bodies each ran at most `INLINE_BUDGET_US`.
+pub(crate) fn is_fast(streak: u8) -> bool {
+    streak >= INLINE_STREAK
+}
+
 /// Codec tag stamped on snapshot `Data` frames (see [`crate::snapshot`]).
 /// Never looked up in the codec registry: snapshot blobs are opaque to the
 /// runtime and cross the wire verbatim; only the task that saved them

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use rnet::{Frame, FrameRef, WireArgRef as Arg};
 
-use crate::backend::distributed::{INLINE_BUDGET_US, INLINE_STREAK};
+use crate::backend::distributed::{is_fast, next_streak, INLINE_BUDGET_US};
 use crate::blocks::BlockCache;
 use crate::codec::decode_tagged;
 use crate::data::Value;
@@ -206,7 +206,7 @@ impl WorkerState {
             Some(job) if self.waiting.len() == 1 && self.held.is_empty() => job,
             _ => return None,
         };
-        let fast = self.streaks.get(&job.fn_id).is_some_and(|&s| s >= INLINE_STREAK);
+        let fast = self.streaks.get(&job.fn_id).is_some_and(|&s| is_fast(s));
         let local = job.args.iter().all(|a| matches!(a, JobArg::Value(_)));
         if self.closed || !fast || !local || turn_us >= INLINE_BUDGET_US {
             return None;
@@ -221,11 +221,11 @@ impl WorkerState {
         self.held.retain(|c| !cores.contains(c));
     }
 
-    /// A body of function `fn_id` returned after `body_us`: a fast run
-    /// lengthens its streak, a slower one starts it again from 0.
+    /// A body of function `fn_id` returned after `body_us`: its streak
+    /// moves on by `next_streak`, the driver's rule.
     pub fn ran(&mut self, fn_id: u64, body_us: u64) {
         let streak = self.streaks.entry(fn_id).or_default();
-        *streak = if body_us <= INLINE_BUDGET_US { streak.saturating_add(1) } else { 0 };
+        *streak = next_streak(*streak, body_us);
     }
 
     /// A job needs the block `hash` and has waited for it since `since_us`.
@@ -288,6 +288,7 @@ mod tests {
     use rnet::{Blob, WireArg};
 
     use super::*;
+    use crate::backend::distributed::INLINE_STREAK;
     use crate::codec;
 
     const CORES: u32 = 3;

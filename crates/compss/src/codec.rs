@@ -111,17 +111,13 @@ pub fn encode_into(value: &Value, blob: &mut Blob) -> bool {
     }
 }
 
-/// Decode a tagged [`Blob`] back into a [`Value`].
-pub fn decode_value(blob: &Blob) -> Result<Value, WireError> {
-    decode_tagged(&blob.tag, &blob.bytes)
-}
-
-/// Decode borrowed codec bytes under `tag` back into a [`Value`].
+/// Decode borrowed codec bytes under `tag` back into a [`Value`] (an owned
+/// [`Blob`] decodes as `decode_tagged(&blob.tag, &blob.bytes)`).
 ///
-/// This is the zero-copy entry point: the event-loop backends hand it
+/// It takes no [`Blob`] so the event-loop backends can hand it
 /// [`rnet::BlobRef`] fields pointing straight into a connection's receive
-/// buffer, so a task result crosses from socket bytes to a typed `Value`
-/// without an intermediate owned [`Blob`].
+/// buffer: a task result crosses from socket bytes to a typed `Value`
+/// without an intermediate copy.
 pub fn decode_tagged(tag: &str, bytes: &[u8]) -> Result<Value, WireError> {
     let dec = {
         let reg = registry().read().expect("codec registry poisoned");
@@ -241,7 +237,7 @@ mod tests {
 
     fn roundtrip(v: Value) -> Value {
         let blob = encode_value(&v).expect("codec registered");
-        decode_value(&blob).expect("decodes")
+        decode_tagged(&blob.tag, &blob.bytes).expect("decodes")
     }
 
     #[test]
@@ -285,7 +281,7 @@ mod tests {
     #[test]
     fn unknown_tag_fails_cleanly() {
         let blob = Blob { tag: "nobody.registered.this".into(), bytes: vec![1, 2, 3] };
-        assert!(decode_value(&blob).is_err());
+        assert!(decode_tagged(&blob.tag, &blob.bytes).is_err());
     }
 
     #[test]
@@ -329,6 +325,6 @@ mod tests {
     #[test]
     fn corrupt_payload_errors() {
         let blob = Blob { tag: "std.string".into(), bytes: vec![0xff, 0xff, 0xff] };
-        assert!(decode_value(&blob).is_err());
+        assert!(decode_tagged(&blob.tag, &blob.bytes).is_err());
     }
 }

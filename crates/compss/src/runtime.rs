@@ -17,8 +17,7 @@ use paratrace::{CoreId, EventKind, TaskRef, TraceCollector};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::backend::distributed::{
-    collect_dispatch_remote, connect_workers, ConnMgr, DistributedConfig, INLINE_BUDGET_US,
-    INLINE_STREAK,
+    collect_dispatch_remote, connect_workers, is_fast, next_streak, ConnMgr, DistributedConfig,
 };
 use crate::backend::sim::SimState;
 use crate::backend::threaded::{collect_dispatch, WorkerPool};
@@ -265,18 +264,17 @@ pub(crate) struct Streaks(HashMap<Arc<str>, u8>);
 impl Streaks {
     /// Whether function `name`'s last `INLINE_STREAK` bodies were all fast.
     pub fn of(&self, name: &str) -> bool {
-        self.0.get(name).is_some_and(|&s| s >= INLINE_STREAK)
+        self.0.get(name).is_some_and(|&s| is_fast(s))
     }
 
-    /// A body of function `name` ran `exec_us`: a fast run lengthens its
-    /// streak, a slower one starts it again from 0. Allocates only for a
-    /// function's first report.
+    /// A body of function `name` ran `exec_us`: its streak moves on by
+    /// `next_streak`, the worker's rule. Allocates only for a function's
+    /// first report.
     fn ran(&mut self, name: &Arc<str>, exec_us: u64) {
-        let fast = exec_us <= INLINE_BUDGET_US;
         match self.0.get_mut(&**name) {
-            Some(s) => *s = if fast { s.saturating_add(1) } else { 0 },
+            Some(s) => *s = next_streak(*s, exec_us),
             None => {
-                self.0.insert(Arc::clone(name), u8::from(fast));
+                self.0.insert(Arc::clone(name), next_streak(0, exec_us));
             }
         }
     }

@@ -110,7 +110,9 @@ fn a_block_evicted_before_its_waiter_wakes_is_asked_for_again() {
                 Frame::BlockEvict { .. } => {}
                 Frame::Done { exec_id: 1, outputs, .. } => {
                     assert_eq!(
-                        codec::decode_value(&outputs[0]).unwrap().downcast_ref(),
+                        codec::decode_tagged(&outputs[0].tag, &outputs[0].bytes)
+                            .unwrap()
+                            .downcast_ref(),
                         Some(&50i64)
                     );
                     break;

@@ -53,12 +53,6 @@ impl Bracket {
         Bracket { rungs, eta }
     }
 
-    /// Number of survivors promoted out of rung `i` (the size of rung
-    /// `i + 1`, or 1 for the last rung).
-    pub fn survivors_of(&self, rung: usize) -> usize {
-        self.rungs.get(rung + 1).map_or(1, |r| r.n_configs)
-    }
-
     /// Total training epochs spent by the bracket (work measure).
     pub fn total_epochs(&self) -> u64 {
         self.rungs.iter().map(|r| r.n_configs as u64 * r.budget as u64).sum()
@@ -123,9 +117,6 @@ mod tests {
         let b = Bracket::new(27, 2, 50, 3);
         let shape: Vec<(usize, u32)> = b.rungs.iter().map(|r| (r.n_configs, r.budget)).collect();
         assert_eq!(shape, vec![(27, 2), (9, 6), (3, 18), (1, 50)]);
-        assert_eq!(b.survivors_of(0), 9);
-        assert_eq!(b.survivors_of(2), 1);
-        assert_eq!(b.survivors_of(3), 1, "last rung promotes the single winner");
     }
 
     #[test]

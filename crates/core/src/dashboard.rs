@@ -21,10 +21,7 @@ use crate::runner::StageStats;
 #[derive(Debug, Default)]
 pub struct Dashboard {
     completed: usize,
-    failed: usize,
     best_accuracy: f64,
-    best_label: String,
-    lines: Vec<String>,
     /// Registry to sample + how many trials between metrics lines.
     metrics: Option<(Arc<MetricsRegistry>, usize)>,
 }
@@ -49,11 +46,9 @@ impl Dashboard {
         self.completed += 1;
         let acc = trial.outcome.accuracy;
         let marker = if trial.outcome.is_failed() {
-            self.failed += 1;
             " FAILED"
         } else if acc > self.best_accuracy {
             self.best_accuracy = acc;
-            self.best_label = trial.config.label();
             " ★ new best"
         } else {
             ""
@@ -65,9 +60,7 @@ impl Dashboard {
             self.best_accuracy,
             trial.config.label(),
         );
-        self.lines.push(line.clone());
         if let Some(m) = self.metrics_line() {
-            self.lines.push(m.clone());
             line.push('\n');
             line.push_str(&m);
         }
@@ -100,15 +93,16 @@ impl Dashboard {
         ))
     }
 
-    /// Record what resuming did; returns (and keeps in the transcript)
-    /// the banner line — silent on a fresh, non-resumed sweep.
-    pub fn on_resume(&mut self, stats: &ResumeStats) -> String {
+    /// What resuming did: `resumed sweep: X complete, Y re-enqueued`,
+    /// silent on a fresh, non-resumed sweep.
+    pub fn on_resume(&self, stats: &ResumeStats) -> String {
         if !stats.resumed_any() {
             return String::new();
         }
-        let line = resume_banner(stats);
-        self.lines.push(line.clone());
-        line
+        format!(
+            "resumed sweep: {} complete, {} re-enqueued",
+            stats.skipped_complete, stats.reenqueued
+        )
     }
 
     /// One-line checkpoint activity summary: trials replayed from the
@@ -132,42 +126,6 @@ impl Dashboard {
             "checkpoint: {resumed} trials replayed from journal · \
              {restores} snapshot restores ({restored_epochs} epochs skipped)"
         )
-    }
-
-    /// One-line stage-tree activity summary, read from the runtime
-    /// registry's `hpo_stage_epochs_saved_total` / `hpo_prefix_forks_total`
-    /// counters ([`crate::runner::Evaluator::Stages`] runs publish
-    /// them). Empty when no sweep shared anything — or when the
-    /// dashboard has no registry to read.
-    pub fn stage_summary(&self) -> String {
-        let Some((reg, _)) = &self.metrics else { return String::new() };
-        let snap = reg.snapshot();
-        let saved = snap.counter("hpo_stage_epochs_saved_total").unwrap_or(0);
-        let forks = snap.counter("hpo_prefix_forks_total").unwrap_or(0);
-        if saved == 0 && forks == 0 {
-            return String::new();
-        }
-        format!("stage tree: {saved} epochs saved · {forks} prefix forks")
-    }
-
-    /// Number of trials seen.
-    pub fn completed(&self) -> usize {
-        self.completed
-    }
-
-    /// Number of failed trials seen.
-    pub fn failed(&self) -> usize {
-        self.failed
-    }
-
-    /// Best accuracy seen so far.
-    pub fn best_accuracy(&self) -> f64 {
-        self.best_accuracy
-    }
-
-    /// Everything rendered so far.
-    pub fn transcript(&self) -> String {
-        self.lines.join("\n")
     }
 
     /// Per-worker summary for distributed runs, one line per node lane,
@@ -201,11 +159,6 @@ impl Dashboard {
         }
         out
     }
-}
-
-/// The resume banner: `resumed sweep: X complete, Y re-enqueued`.
-pub fn resume_banner(stats: &ResumeStats) -> String {
-    format!("resumed sweep: {} complete, {} re-enqueued", stats.skipped_complete, stats.reenqueued)
 }
 
 /// The stage-tree banner a deduped sweep prints under its leaderboard:
@@ -268,23 +221,21 @@ mod tests {
         assert!(l2.contains("new best"));
         let l3 = d.on_trial(&trial("RMSprop", 0.7));
         assert!(!l3.contains("new best"));
-        assert_eq!(d.completed(), 3);
-        assert_eq!(d.best_accuracy(), 0.9);
-        assert_eq!(d.transcript().lines().count(), 3);
+        assert!(l3.starts_with("[   3] acc 0.7000 (best 0.9000) "), "{l3}");
+        assert_eq!(l3.lines().count(), 1, "no registry: no metrics line");
     }
 
     #[test]
-    fn failed_trials_marked_and_counted() {
+    fn failed_trials_are_marked_and_never_best() {
         let mut d = Dashboard::new();
         let t =
             TrialResult { config: Config::new(), outcome: TrialOutcome::failed("x"), task_us: 0 };
         let line = d.on_trial(&t);
         assert!(line.contains("FAILED"));
-        assert_eq!(d.best_accuracy(), 0.0);
-        assert_eq!(d.failed(), 1);
-        d.on_trial(&trial("Adam", 0.9));
-        assert_eq!(d.failed(), 1, "successes don't bump the failure count");
-        assert_eq!(d.completed(), 2);
+        assert!(line.contains("(best 0.0000)"), "a failure is never the best: {line}");
+        let line = d.on_trial(&trial("Adam", 0.9));
+        assert!(!line.contains("FAILED"), "{line}");
+        assert!(line.starts_with("[   2] acc 0.9000 (best 0.9000) "), "{line}");
     }
 
     #[test]
@@ -304,7 +255,7 @@ mod tests {
         assert!(metrics_line.contains("tasks 4/5 done"), "{metrics_line}");
         assert!(metrics_line.contains("1 retried"), "{metrics_line}");
         assert!(metrics_line.contains("ready 2"), "{metrics_line}");
-        assert_eq!(d.transcript().lines().count(), 3, "2 trial lines + 1 metrics line");
+        assert_eq!(l2.lines().count(), 2, "the trial line + the metrics line");
     }
 
     #[test]
@@ -345,11 +296,10 @@ mod tests {
 
     #[test]
     fn resume_banner_and_ckpt_summary() {
-        let mut d = Dashboard::new();
+        let d = Dashboard::new();
         assert!(d.on_resume(&ResumeStats::default()).is_empty(), "fresh sweep: no banner");
         let line = d.on_resume(&ResumeStats { skipped_complete: 3, reenqueued: 2 });
         assert_eq!(line, "resumed sweep: 3 complete, 2 re-enqueued");
-        assert!(d.transcript().contains("re-enqueued"));
 
         let reg = std::sync::Arc::new(runmetrics::MetricsRegistry::new(true));
         reg.counter("hpo_trials_resumed_total").add(3);
@@ -365,14 +315,6 @@ mod tests {
         assert_eq!(line, "stage tree: 630 epochs saved (41% of naive) · 18 prefix forks");
         let unshared = StageStats { segments: 4, forks: 0, naive_epochs: 40, staged_epochs: 40 };
         assert!(stage_banner(&unshared).is_empty(), "nothing shared: no banner");
-
-        // The registry-backed summary mirrors the counters the runner adds.
-        let reg = std::sync::Arc::new(runmetrics::MetricsRegistry::new(true));
-        reg.counter("hpo_stage_epochs_saved_total").add(630);
-        reg.counter("hpo_prefix_forks_total").add(18);
-        let d = Dashboard::new().with_metrics(std::sync::Arc::clone(&reg), 10);
-        assert_eq!(d.stage_summary(), "stage tree: 630 epochs saved · 18 prefix forks");
-        assert!(Dashboard::new().stage_summary().is_empty(), "no registry: silent");
     }
 
     #[test]

@@ -2,6 +2,8 @@
 //! ("When all tasks are completed, we plot the graphs showing the
 //! performance of each experiment", §4).
 
+use std::fmt::Write as _;
+
 use crate::experiment::TrialOutcome;
 use crate::space::Config;
 
@@ -21,6 +23,23 @@ impl TrialResult {
     pub fn label(&self) -> String {
         format!("{} -> {:.4}", self.config.label(), self.outcome.accuracy)
     }
+}
+
+/// The header line of a trial CSV: a standalone run's `--out` and a served
+/// leaderboard's `submit --out` both start with it.
+pub const CSV_HEADER: &str = "config,accuracy,epochs_run,task_us,error\n";
+
+/// Append one trial CSV row to `out`: the config label quoted (it holds
+/// commas), accuracy to six places, then `error` as it is.
+pub fn csv_row(
+    out: &mut String,
+    label: &str,
+    accuracy: f64,
+    epochs: u32,
+    task_us: u64,
+    error: &str,
+) {
+    let _ = writeln!(out, "\"{label}\",{accuracy:.6},{epochs},{task_us},{error}");
 }
 
 /// The full result of one HPO run.
@@ -61,18 +80,18 @@ impl HpoReport {
         self.trials.iter().position(|t| t.outcome.accuracy >= target).map(|i| i + 1)
     }
 
-    /// CSV rows: `config,accuracy,epochs_run,task_us,error`.
+    /// The trial CSV, one [`csv_row`] per trial under [`CSV_HEADER`].
     pub fn to_csv(&self) -> String {
-        let mut out = String::from("config,accuracy,epochs_run,task_us,error\n");
+        let mut out = String::from(CSV_HEADER);
         for t in &self.trials {
-            out.push_str(&format!(
-                "\"{}\",{:.6},{},{},{}\n",
-                t.config.label(),
+            csv_row(
+                &mut out,
+                &t.config.label(),
                 t.outcome.accuracy,
                 t.outcome.epochs_run,
                 t.task_us,
-                t.outcome.error.as_deref().unwrap_or("")
-            ));
+                t.outcome.error.as_deref().unwrap_or(""),
+            );
         }
         out
     }

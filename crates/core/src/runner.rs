@@ -940,14 +940,20 @@ mod tests {
         let rt = Runtime::threaded(RuntimeConfig::single_node(4));
         let space = SearchSpace::paper_grid();
         let mut dash = crate::dashboard::Dashboard::new();
+        let mut lines = Vec::new();
         let runner = HpoRunner::new(ExperimentOptions::default());
         let report = runner
             .run_observed(&rt, &mut GridSearch::new(&space), synthetic_objective(), |t| {
-                dash.on_trial(t);
+                lines.push(dash.on_trial(t));
             })
             .unwrap();
-        assert_eq!(dash.completed(), 27);
-        assert_eq!(dash.best_accuracy(), report.best().unwrap().outcome.accuracy);
+        assert_eq!(lines.len(), 27);
+        let best = format!(
+            "[  27] acc {:.4} (best {:.4}) ",
+            report.trials[26].outcome.accuracy,
+            report.best().unwrap().outcome.accuracy
+        );
+        assert!(lines[26].starts_with(&best), "{}", lines[26]);
         let lb = crate::dashboard::leaderboard(&report, 3);
         assert_eq!(lb.lines().count(), 4);
         assert!(lb.lines().nth(1).unwrap().contains("Adam"));

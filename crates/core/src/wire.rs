@@ -183,7 +183,7 @@ mod tests {
 
     fn roundtrip(v: Value) -> Value {
         let blob = rcompss::codec::encode_value(&v).expect("codec registered");
-        rcompss::codec::decode_value(&blob).expect("decodes")
+        rcompss::codec::decode_tagged(&blob.tag, &blob.bytes).expect("decodes")
     }
 
     #[test]

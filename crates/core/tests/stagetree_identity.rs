@@ -211,6 +211,30 @@ fn staged_successive_halving_is_bit_identical_and_resumes_rung_snapshots() {
     }
 }
 
+/// The η=3 bracket over the paper's 27-config grid (rungs 27@2, 9@6, 3@18,
+/// 1@50), counted by the runner itself. Under the rung budget configs that
+/// differ only in `num_epochs` train alike, and rung 0's 27 draws (seed 7)
+/// hold 9 (optimizer, batch size) pairs, so rung 0 trains 18 epochs, not
+/// 54; each promotion resumes its rung snapshot for the budget delta alone.
+/// 212 naive epochs come down to 18 + 36 + 36 + 32 = 122.
+#[test]
+fn paper_bracket_trains_122_of_its_212_epochs() {
+    let runner = HpoRunner::new(ExperimentOptions::default());
+    let rt = Runtime::threaded(RuntimeConfig::single_node(4));
+    let stage = StageObjective::new(Arc::new(Dataset::synthetic_mnist(40, 11)), vec![4]);
+    let bracket = Bracket::new(27, 2, 50, 3);
+    let stats = bracket_run(
+        &runner,
+        &rt,
+        &SearchSpace::paper_grid(),
+        &bracket,
+        7,
+        Evaluator::Stages(&stage),
+    )
+    .stages;
+    assert_eq!((stats.naive_epochs, stats.staged_epochs), (212, 122));
+}
+
 /// A history-driven suggester cannot be planned up front, but each of its
 /// waves can: TPE under the stage evaluator proposes, trial for trial,
 /// what it proposes naively, because every wave's outcomes are identical.

@@ -122,33 +122,6 @@ pub fn split_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
     ranges
 }
 
-/// Run `f` over a balanced partition of `0..len` on up to `threads`
-/// workers. The calling thread executes the first range itself; the rest
-/// run on scoped threads joined before return. Serial (`threads <= 1`)
-/// calls `f(0..len)` inline with zero overhead.
-pub fn par_ranges<F>(len: usize, threads: usize, f: F)
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    if len == 0 {
-        return;
-    }
-    let t = threads.clamp(1, len);
-    if t == 1 {
-        f(0..len);
-        return;
-    }
-    let mut ranges = split_ranges(len, t).into_iter();
-    let own = ranges.next().expect("len > 0 yields at least one range");
-    std::thread::scope(|s| {
-        let f = &f;
-        for r in ranges {
-            s.spawn(move || f(r));
-        }
-        f(own);
-    });
-}
-
 /// Partition a row-major buffer of `row_len`-sized rows into contiguous
 /// row-range chunks and run `f(range, chunk)` on up to `threads` workers.
 /// Each chunk is a disjoint `&mut` slice (`split_at_mut`), so workers write
@@ -246,21 +219,6 @@ mod tests {
         with_threads(1, || {
             assert_eq!(degree_for(usize::MAX / 2), 1, "serial ambient stays serial");
         });
-    }
-
-    #[test]
-    fn par_ranges_covers_exactly_once() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        for &threads in &[1usize, 2, 3, 8] {
-            let hits: Vec<AtomicUsize> = (0..23).map(|_| AtomicUsize::new(0)).collect();
-            par_ranges(23, threads, |r| {
-                for i in r {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                }
-            });
-            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1), "t={threads}");
-        }
-        par_ranges(0, 4, |_| panic!("must not be called for empty input"));
     }
 
     #[test]

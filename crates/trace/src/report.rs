@@ -2,8 +2,8 @@
 //!
 //! [`per_task_profile`] mirrors Paraver's per-function statistics table
 //! (how often each task function ran, for how long), and
-//! [`utilisation_csv`] exports the busy-core timeline that the paper's
-//! timeline figures visualise, ready for any plotting tool.
+//! [`profile_table`] renders it as text. The busy-core timeline of the
+//! paper's timeline figures is [`crate::gantt::render`]'s to draw.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -79,27 +79,6 @@ pub fn profile_table(records: &[Record]) -> String {
     out
 }
 
-/// Busy-core timeline as CSV (`time_us,busy_cores`), sampled every
-/// `bucket_us` µs of trace time.
-pub fn utilisation_csv(records: &[Record], bucket_us: u64) -> String {
-    assert!(bucket_us > 0, "bucket size must be positive");
-    let horizon = records.iter().map(Record::end_time).max().unwrap_or(0);
-    let mut out = String::from("time_us,busy_cores\n");
-    let mut t = 0u64;
-    while t <= horizon {
-        let busy = records
-            .iter()
-            .filter(|r| {
-                matches!(r, Record::State { start, end, state: StateKind::Running(_), .. }
-                    if *start <= t && t < *end)
-            })
-            .count();
-        let _ = writeln!(out, "{t},{busy}");
-        t += bucket_us;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,27 +130,8 @@ mod tests {
     }
 
     #[test]
-    fn utilisation_csv_samples_buckets() {
-        let records =
-            vec![run(CoreId::new(0, 0), 0, 100, 1, "a"), run(CoreId::new(0, 1), 50, 100, 2, "a")];
-        let csv = utilisation_csv(&records, 50);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "time_us,busy_cores");
-        assert_eq!(lines[1], "0,1");
-        assert_eq!(lines[2], "50,2");
-        assert_eq!(lines[3], "100,0", "intervals are half-open");
-    }
-
-    #[test]
     fn empty_trace_reports_cleanly() {
         assert!(per_task_profile(&[]).is_empty());
-        assert_eq!(utilisation_csv(&[], 10).lines().count(), 2, "header + t=0 row");
         assert_eq!(NameProfile::default().mean_us(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "bucket size")]
-    fn zero_bucket_rejected() {
-        let _ = utilisation_csv(&[], 0);
     }
 }

@@ -12,6 +12,7 @@ use std::time::Duration;
 
 use hpo::client::{SubmitSpec, SweepClient, SweepInfo};
 use hpo::experiment::ExperimentOptions;
+use hpo::results::{csv_row, CSV_HEADER};
 use hpo::server::{gather_workers, state_name, PoolPlan, ServerConfig, SweepServer};
 use hpo::{EarlyStop, Evaluator};
 use rcompss::{Constraint, DistributedConfig, Runtime, RuntimeConfig};
@@ -207,8 +208,9 @@ fn print_status(info: &SweepInfo) {
 }
 
 /// Stream a subscribed sweep to completion, printing each trial and
-/// optionally writing the final leaderboard CSV (same `config,accuracy,
-/// epochs_run,task_us` columns as a standalone run's `--out`).
+/// optionally writing the final leaderboard CSV (the columns of a
+/// standalone run's `--out`; a [`LeaderRow`] carries no error message, so
+/// the `error` cell stays empty).
 fn stream_to_end(
     client: &mut SweepClient,
     sweep_id: u64,
@@ -244,12 +246,9 @@ fn stream_to_end(
         if end.message.is_empty() { String::new() } else { format!(" — {}", end.message) },
     );
     if let Some(path) = csv_out {
-        let mut csv = String::from("config,accuracy,epochs_run,task_us\n");
+        let mut csv = String::from(CSV_HEADER);
         for row in &rows {
-            csv.push_str(&format!(
-                "\"{}\",{:.6},{},{}\n",
-                row.label, row.accuracy, row.epochs, row.task_us
-            ));
+            csv_row(&mut csv, &row.label, row.accuracy, row.epochs, row.task_us, "");
         }
         std::fs::write(path, csv)?;
         println!("leaderboard CSV written to {path}");

@@ -172,8 +172,7 @@ fn checkpointed_run_can_be_resumed_without_rerunning_trials() {
 
 /// The deterministic columns of a trial CSV — config, accuracy, epochs_run —
 /// one string per row, in file order. The quoted config label holds commas
-/// of its own; what follows epochs_run is wall time, and a standalone run's
-/// CSV has an error column a served leaderboard lacks.
+/// of its own; what follows epochs_run is wall time and a failed trial's error.
 fn trial_table(csv: &std::path::Path) -> Vec<String> {
     let text = std::fs::read_to_string(csv).unwrap();
     let row = |row: &str| {
@@ -351,6 +350,10 @@ fn served_sweeps_equal_a_run_and_the_wave_decides_the_savings() {
         let done = out.lines().find(|l| l.contains(" done: 4 trials")).expect(&out);
         assert_eq!(done.contains("epochs saved"), saves, "--wave {wave}: {done}");
         assert_eq!(sorted_table(&csv), sorted_table(&standalone), "--wave {wave}");
+        let header = |csv: &std::path::Path| {
+            std::fs::read_to_string(csv).unwrap().lines().next().map(str::to_owned)
+        };
+        assert_eq!(header(&csv), header(&standalone), "one set of CSV columns");
         sweep_id = out.split_whitespace().nth(1).unwrap().to_string();
     }
 

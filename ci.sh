@@ -146,7 +146,7 @@ program_files() {
     git ls-files 'crates/*/src/*.rs' 'crates/*/src/**/*.rs' 'src/*.rs' 'src/**/*.rs' | sort -u
 }
 
-# The four ownership stages below: `owned_by_one STAGE PATTERN WHY FILE...`
+# The five ownership stages below: `owned_by_one STAGE PATTERN WHY FILE...`
 # prints every line of the files that matches the regex PATTERN, each file
 # read up to its #[cfg(test)] as the line count below reads it, and fails
 # with "STAGE FAILED: WHY" if there is one.
@@ -188,6 +188,20 @@ owned_by_one "one trial body" \
     'train_config_from[(]|rcompss::snapshot::(save|load)[(]|train_with_checkpoints[(]|train_segment[(]' \
     "a config trained outside hpo::experiment::Trainer" \
     $(program_files | grep -vxE 'crates/(core/src/experiment|tinyml/src/train)[.]rs')
+
+echo "==> one trial collection: the sweep engine waits on a trial in one place"
+# Every trial the runner submits, an experiment or a stage tree's trial,
+# joins one queue in admission order, and Evaluation::next collects it with
+# the one wait_on_timed call in the hpo crate and the binary.
+owned_by_one "one trial collection" \
+    'wait_on(_timed)?[(]' \
+    "a trial waited on outside hpo::runner" \
+    $(program_files | grep -E '^(crates/core/)?src/' | grep -vx 'crates/core/src/runner[.]rs')
+waits=$(awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && /wait_on(_timed)?[(]/' crates/core/src/runner.rs | wc -l)
+if [ "$waits" -ne 1 ]; then
+    echo "one trial collection FAILED: runner.rs waits on trials in $waits places, not one" >&2
+    exit 1
+fi
 
 echo "==> sans-IO driver and worker: the distributed backend's decisions read no clock, take no lock, touch no socket"
 # driver/state.rs holds every decision the distributed driver makes, and

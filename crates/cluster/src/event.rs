@@ -67,11 +67,6 @@ impl<E> EventQueue<E> {
         self.seq += 1;
     }
 
-    /// Schedule `event` after `delay` µs of virtual time.
-    pub fn schedule_in(&mut self, delay: u64, event: E) {
-        self.schedule_at(self.now.saturating_add(delay), event);
-    }
-
     /// Pop the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(u64, E)> {
         self.heap.pop().map(|Reverse(e)| {
@@ -79,11 +74,6 @@ impl<E> EventQueue<E> {
             self.now = e.time;
             (e.time, e.event)
         })
-    }
-
-    /// Timestamp of the next event without popping it.
-    pub fn peek_time(&self) -> Option<u64> {
-        self.heap.peek().map(|Reverse(e)| e.time)
     }
 
     /// Number of pending events.
@@ -124,12 +114,10 @@ mod tests {
     #[test]
     fn clock_advances_with_pop() {
         let mut q = EventQueue::new();
-        q.schedule_in(7, ());
+        q.schedule_at(7, ());
         assert_eq!(q.now(), 0);
         q.pop();
         assert_eq!(q.now(), 7);
-        q.schedule_in(3, ());
-        assert_eq!(q.peek_time(), Some(10));
     }
 
     #[test]
@@ -150,14 +138,5 @@ mod tests {
         q.pop();
         assert!(q.is_empty());
         assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn schedule_in_saturates_at_u64_max() {
-        let mut q: EventQueue<u8> = EventQueue::new();
-        q.schedule_at(u64::MAX, 1);
-        q.pop();
-        q.schedule_in(10, 2); // must not overflow/panic
-        assert_eq!(q.peek_time(), Some(u64::MAX));
     }
 }

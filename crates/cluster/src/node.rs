@@ -70,11 +70,6 @@ impl NodeSpec {
     pub fn gpu_count(&self) -> u32 {
         self.gpus.len() as u32
     }
-
-    /// Whether the node can ever satisfy a `(cores, gpus, mem)` request.
-    pub fn can_fit(&self, cores: u32, gpus: u32, mem_gib: u32) -> bool {
-        self.cores >= cores && self.gpu_count() >= gpus && self.mem_gib >= mem_gib
-    }
 }
 
 #[cfg(test)]
@@ -96,16 +91,6 @@ mod tests {
         assert_eq!(p9.cores, 160);
         assert_eq!(p9.gpu_count(), 4);
         assert!(p9.gpus.iter().all(|g| *g == GpuModel::V100));
-    }
-
-    #[test]
-    fn can_fit_checks_every_dimension() {
-        let n = NodeSpec::marenostrum4();
-        assert!(n.can_fit(48, 0, 96));
-        assert!(!n.can_fit(49, 0, 0));
-        assert!(!n.can_fit(1, 1, 0), "MN4 has no GPUs");
-        assert!(!n.can_fit(1, 0, 97));
-        assert!(n.can_fit(0, 0, 0));
     }
 
     #[test]

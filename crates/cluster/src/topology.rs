@@ -77,19 +77,11 @@ impl Cluster {
     pub fn total_gpus(&self) -> u32 {
         self.nodes.iter().map(|n| n.gpu_count()).sum()
     }
-
-    /// Whether any node can ever satisfy a `(cores, gpus, mem)` request —
-    /// used by the runtime to reject unsatisfiable constraints at submission
-    /// instead of deadlocking.
-    pub fn any_node_fits(&self, cores: u32, gpus: u32, mem_gib: u32) -> bool {
-        self.nodes.iter().any(|n| n.can_fit(cores, gpus, mem_gib))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::GpuModel;
 
     #[test]
     fn homogeneous_builder_replicates_spec() {
@@ -114,17 +106,5 @@ mod tests {
             .with_interconnect(Interconnect::ethernet());
         assert!(!c.pfs);
         assert_eq!(c.interconnect.latency_us, 50);
-    }
-
-    #[test]
-    fn any_node_fits_scans_all_nodes() {
-        let c = Cluster::from_nodes(vec![
-            NodeSpec::marenostrum4(),
-            NodeSpec::new("gpu", 8, vec![GpuModel::Generic], 64),
-        ]);
-        assert!(c.any_node_fits(48, 0, 0), "MN4 node fits pure-CPU task");
-        assert!(c.any_node_fits(1, 1, 0), "gpu node fits GPU task");
-        assert!(!c.any_node_fits(48, 1, 0), "no node has 48 cores AND a GPU");
-        assert!(!c.any_node_fits(0, 2, 0));
     }
 }

@@ -83,7 +83,7 @@ pub mod scheduler;
 pub mod snapshot;
 pub mod task;
 
-pub use api::{wait_on_all, TypedHandle};
+pub use api::wait_on_all;
 pub use backend::distributed::{
     connect_workers, DistributedConfig, WorkerBootstrap, WorkerConfig, WorkerHandle, WorkerServer,
 };

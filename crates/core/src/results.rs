@@ -47,9 +47,11 @@ pub fn csv_row(
 pub struct HpoReport {
     /// Algorithm name.
     pub algorithm: String,
-    /// All trials in completion order.
+    /// All trials in admission order: batch by batch, and within a batch
+    /// in the order its configs were proposed (not the order they finished).
     pub trials: Vec<TrialResult>,
-    /// End-to-end time of the whole optimisation, µs (wall or virtual).
+    /// End-to-end time of the whole optimisation, µs (wall or virtual),
+    /// from the start of the sweep, not of the runtime it ran on.
     pub wall_us: u64,
     /// Whether the run was cut short by across-trial early stopping.
     pub early_stopped: bool,

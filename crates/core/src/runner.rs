@@ -5,14 +5,17 @@
 //! hand them to the plotting/reporting layer. [`HpoRunner::execute`] is
 //! that loop, once: a *source* proposes batches of configs (a
 //! [`Suggester`]'s waves, a [`BracketSource`]'s rungs), an [`Evaluator`]
-//! turns each batch into trials (one task per config, or one stage tree
-//! per batch), and the control gate, the sweep journal, trial metrics,
-//! the observer and across-trial early stopping wrap every batch.
+//! submits each batch (one task per config, or one stage tree per batch),
+//! and the control gate, the sweep journal, trial metrics, the observer
+//! and across-trial early stopping wrap every batch. Either way each
+//! submitted trial joins one queue, in admission order, and is collected
+//! from it in one place: a trial is reported as soon as it and every trial
+//! admitted before it have settled.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use rcompss::{ArgSpec, DataHandle, Runtime, SubmitError, SubmitOpts, SubmitResult, TaskDef};
+use rcompss::{ArgSpec, DataHandle, Runtime, SubmitError, SubmitOpts, TaskDef};
 use tinyml::TrainSnapshot;
 
 use crate::algo::hyperband::Bracket;
@@ -43,7 +46,7 @@ pub struct StageStats {
     pub segments: usize,
     /// Segments that resumed a parent fork snapshot.
     pub forks: usize,
-    /// Epochs a naive run of the collected trials would have trained.
+    /// Epochs a naive run of the submitted trials would have trained.
     pub naive_epochs: u64,
     /// Epochs actually trained across all submitted segments.
     pub staged_epochs: u64,
@@ -209,8 +212,8 @@ pub enum Evaluator<'a> {
     /// which siblings share the tree). Under a budgeted source a
     /// non-cosine config resumes its own snapshot from an earlier,
     /// shorter batch instead of retraining (cosine shapes depend on the
-    /// budget, so those retrain). Trials are reported in input order once
-    /// the batch's tree has drained.
+    /// budget, so those retrain). Each trial is reported, in input order,
+    /// as soon as the segment it ends in has settled.
     Stages(&'a Trainer),
 }
 
@@ -332,6 +335,7 @@ impl HpoRunner {
         mut observer: impl FnMut(&TrialResult),
     ) -> Result<SweepOutcome, SubmitError> {
         let SweepPlan { evaluator, control, journal, resume } = plan;
+        let started_us = rt.now_us();
         let mut eval = Evaluation::start(rt, &self.opts, evaluator);
         let wave = self.opts.wave_size.unwrap_or(usize::MAX);
         let early_stop = self.opts.early_stop.as_ref();
@@ -414,7 +418,7 @@ impl HpoRunner {
             report: HpoReport {
                 algorithm: source.algorithm().to_string(),
                 trials: history,
-                wall_us: rt.now_us(),
+                wall_us: rt.now_us() - started_us,
                 early_stopped,
             },
             resume: stats,
@@ -472,34 +476,50 @@ impl HpoRunner {
     }
 }
 
+/// A submitted trial, waiting for [`Evaluation::next`] to collect it.
+struct Submitted {
+    config: Config,
+    /// The handle whose value is the trial's outcome: an experiment's
+    /// [`TrialOutcome`], or the [`StagePayload`] of the segment it ends in.
+    handle: DataHandle,
+    /// No trial queued after this one reads `handle`, so it goes once this
+    /// trial has read it — unless a label in [`Tree::snaps`] still maps to it.
+    last: bool,
+}
+
 /// An [`Evaluator`]'s state over one [`HpoRunner::execute`] call. It
 /// [deletes](Runtime::delete) every handle it makes as soon as the sweep has
 /// no further use for it — the runtime defers the actual drop until the
 /// tasks that read it have settled, so "no further use" only ever means the
 /// sweep's own — and [`Evaluation::finish`] gives back the rest.
-enum Evaluation {
-    Trials {
-        def: TaskDef,
-        /// The batch's submitted experiments, oldest first.
-        subs: VecDeque<(Config, SubmitResult)>,
-    },
-    Stages {
-        def: TaskDef,
-        /// The parent of every segment that trains from scratch.
-        root: DataHandle,
-        /// Admitted configs the batch's tree is yet to be planned over.
-        admitted: Vec<Config>,
-        /// The launched batch's trials, in input order.
-        ready: VecDeque<TrialResult>,
-        /// The fork snapshots of the batch being launched: on a refused
-        /// submission, what is still to give back.
-        batch: Vec<DataHandle>,
-        /// Under a budgeted source: config label → its latest fork
-        /// snapshot and the epochs that snapshot has trained. Configs that
-        /// collapsed into one segment share its handle.
-        snaps: HashMap<String, (DataHandle, u32)>,
-        stats: StageStats,
-    },
+struct Evaluation {
+    def: TaskDef,
+    /// Submitted trials in admission order: the one place a trial is
+    /// collected, whichever evaluator submitted it.
+    queue: VecDeque<Submitted>,
+    /// The stage tree's state, under [`Evaluator::Stages`].
+    tree: Option<Tree>,
+}
+
+/// What [`Evaluator::Stages`] holds across a sweep's batches.
+struct Tree {
+    /// The parent of every segment that trains from scratch.
+    root: DataHandle,
+    /// Admitted configs the batch's tree is yet to be planned over.
+    admitted: Vec<Config>,
+    /// The fork snapshots of the batch being launched: on a refused
+    /// submission, what is still to give back.
+    batch: Vec<DataHandle>,
+    /// Under a budgeted source: config label → its latest fork snapshot
+    /// and the epochs that snapshot has trained. Configs that collapsed
+    /// into one segment share its handle.
+    snaps: HashMap<String, (DataHandle, u32)>,
+    stats: StageStats,
+}
+
+/// Whether a label in `snaps` still maps to `h`.
+fn keeps(snaps: &HashMap<String, (DataHandle, u32)>, h: DataHandle) -> bool {
+    snaps.values().any(|&(kept, _)| kept == h)
 }
 
 /// Submit `def` over `literals` followed by `parent`. The literals are
@@ -511,11 +531,11 @@ fn submit_over_literals(
     literals: Vec<DataHandle>,
     parent: Option<DataHandle>,
     opts: SubmitOpts,
-) -> Result<SubmitResult, SubmitError> {
+) -> Result<DataHandle, SubmitError> {
     let args = literals.iter().copied().chain(parent).map(ArgSpec::In).collect();
     let sub = rt.submit_with(def, args, opts);
     literals.into_iter().for_each(|h| rt.delete(h));
-    sub
+    Ok(sub?.returns[0])
 }
 
 impl Evaluation {
@@ -523,21 +543,20 @@ impl Evaluation {
     /// and [`stage_task_def`] — shared with distributed workers, which
     /// must register the identical def by name).
     fn start(rt: &Runtime, opts: &ExperimentOptions, evaluator: Evaluator<'_>) -> Evaluation {
-        match evaluator {
-            Evaluator::Trials(objective) => Evaluation::Trials {
-                def: experiment_task_def(opts, &objective),
-                subs: VecDeque::new(),
-            },
-            Evaluator::Stages(stage) => Evaluation::Stages {
-                def: stage_task_def(opts, stage),
-                root: rt.literal(StagePayload::root()),
-                admitted: Vec::new(),
-                ready: VecDeque::new(),
-                batch: Vec::new(),
-                snaps: HashMap::new(),
-                stats: StageStats::default(),
-            },
-        }
+        let (def, tree) = match evaluator {
+            Evaluator::Trials(objective) => (experiment_task_def(opts, &objective), None),
+            Evaluator::Stages(stage) => {
+                let tree = Tree {
+                    root: rt.literal(StagePayload::root()),
+                    admitted: Vec::new(),
+                    batch: Vec::new(),
+                    snaps: HashMap::new(),
+                    stats: StageStats::default(),
+                };
+                (stage_task_def(opts, stage), Some(tree))
+            }
+        };
+        Evaluation { def, queue: VecDeque::new(), tree }
     }
 
     /// Take one gated, journaled config. An experiment is submitted right
@@ -550,16 +569,15 @@ impl Evaluation {
         config: Config,
         budget: Option<u32>,
     ) -> Result<(), SubmitError> {
-        match self {
-            Evaluation::Trials { def, subs } => {
-                let sim_duration_us = opts.sim_duration.as_ref().map(|f| f(&config));
-                let literals = vec![rt.literal(config.clone()), rt.literal(budget)];
-                let sub =
-                    submit_over_literals(rt, def, literals, None, SubmitOpts { sim_duration_us })?;
-                subs.push_back((config, sub));
-            }
-            Evaluation::Stages { admitted, .. } => admitted.push(config),
+        if let Some(tree) = &mut self.tree {
+            tree.admitted.push(config);
+            return Ok(());
         }
+        let sim_duration_us = opts.sim_duration.as_ref().map(|f| f(&config));
+        let literals = vec![rt.literal(config.clone()), rt.literal(budget)];
+        let opts = SubmitOpts { sim_duration_us };
+        let handle = submit_over_literals(rt, &self.def, literals, None, opts)?;
+        self.queue.push_back(Submitted { config, handle, last: true });
         Ok(())
     }
 
@@ -567,34 +585,29 @@ impl Evaluation {
     /// every segment in topological order, a parent's return handle
     /// feeding each child's fourth argument, so the runtime's dependency
     /// graph chains the segments and (distributed) ships each fork
-    /// snapshot content-addressed through the block plane — then wait for
-    /// every terminal segment and rebuild the trials from the snapshots.
+    /// snapshot content-addressed through the block plane — and queue
+    /// each trial, in input order, on the segment it ends in.
     fn launch(&mut self, rt: &Runtime, budget: Option<u32>) -> Result<(), SubmitError> {
-        let Evaluation::Stages { def, root, admitted, ready, batch, snaps, stats } = self else {
-            return Ok(());
-        };
+        let Evaluation { def, queue, tree: Some(tree) } = self else { return Ok(()) };
+        let Tree { root, admitted, batch, snaps, stats } = tree;
         let mut segment =
             |config: &Config, parent: Option<(DataHandle, u32)>, end: u32, total: u32| {
                 let (from, start) = parent.unwrap_or((*root, 0));
                 let literals = vec![rt.literal(config.clone()), rt.literal(end), rt.literal(total)];
-                let sub = submit_over_literals(
-                    rt,
-                    def,
-                    literals,
-                    Some(from),
-                    SubmitOpts { sim_duration_us: None },
-                )?;
+                let opts = SubmitOpts { sim_duration_us: None };
+                let h = submit_over_literals(rt, def, literals, Some(from), opts)?;
                 stats.segments += 1;
                 stats.forks += usize::from(parent.is_some());
                 stats.staged_epochs += u64::from(end - start);
-                batch.push(sub.returns[0]);
-                Ok::<DataHandle, SubmitError>(sub.returns[0])
+                batch.push(h);
+                Ok::<DataHandle, SubmitError>(h)
             };
 
         // A config that continues its own snapshot from a shorter batch is
-        // a single segment; the rest share one tree.
+        // a single segment; the rest share one tree. Each trial is listed
+        // with its input index and the epoch it ends at.
         let n = admitted.len();
-        let mut resumed: Vec<(usize, Config, DataHandle, u32)> = Vec::new();
+        let mut trials: Vec<(usize, Submitted, u32)> = Vec::with_capacity(n);
         let (mut fresh, mut fresh_at) = (Vec::with_capacity(n), Vec::with_capacity(n));
         for (i, config) in admitted.drain(..).enumerate() {
             let own = budget.and_then(|b| {
@@ -603,8 +616,8 @@ impl Evaluation {
             });
             match own {
                 Some((h, trained, b)) => {
-                    let h = segment(&config, Some((h, trained)), b, b)?;
-                    resumed.push((i, config, h, b));
+                    let handle = segment(&config, Some((h, trained)), b, b)?;
+                    trials.push((i, Submitted { config, handle, last: true }, b));
                 }
                 None => {
                     fresh_at.push(i);
@@ -612,85 +625,73 @@ impl Evaluation {
                 }
             }
         }
-        let tree = StagePlan::build(&fresh, budget);
-        let mut handles: Vec<DataHandle> = Vec::with_capacity(tree.segments.len());
-        for seg in &tree.segments {
+        let plan = StagePlan::build(&fresh, budget);
+        let mut handles: Vec<DataHandle> = Vec::with_capacity(plan.segments.len());
+        for seg in &plan.segments {
             let parent = seg.parent.map(|p| (handles[p], seg.start));
             handles.push(segment(&seg.rep, parent, seg.end, seg.total_epochs)?);
         }
-        // Every child is submitted, so an inner segment's snapshot has no
-        // reader to come: it goes when the last child has loaded it.
-        for (_, &h) in tree.segments.iter().zip(&handles).filter(|(s, _)| s.trials.is_empty()) {
-            rt.delete(h);
+        for (seg, &handle) in plan.segments.iter().zip(&handles) {
+            // Every child is submitted, so an inner segment's snapshot has
+            // no reader to come: it goes when the last child has loaded it.
+            if seg.trials.is_empty() {
+                rt.delete(handle);
+            }
+            // Trials that collapsed into one segment share its handle; a
+            // segment lists them in input order, so the last one gives it back.
+            for (k, &t) in seg.trials.iter().enumerate() {
+                let config = std::mem::take(&mut fresh[t]);
+                let last = k + 1 == seg.trials.len();
+                trials.push((fresh_at[t], Submitted { config, handle, last }, seg.end));
+            }
         }
+        // Each of the batch's snapshots is deleted or queued by now.
+        batch.clear();
 
-        // Everything is submitted: wait once per terminal segment (trials
-        // that collapsed into it share its outcome) and per continuation.
-        // A budgeted source may come back to continue a trial, so there its
-        // snapshot is kept, in place of the shorter one it replaces;
-        // otherwise the outcome is all the sweep wants from it.
-        let mut trials: Vec<Option<TrialResult>> = Vec::new();
-        trials.resize_with(n, || None);
-        let mut place = |i: usize, config: Config, h, end: u32, outcome, task_us| {
+        trials.sort_unstable_by_key(|&(i, ..)| i);
+        for (_, trial, end) in trials {
             stats.naive_epochs += u64::from(end);
+            // A budgeted source may come back to continue a trial, so its
+            // snapshot is kept, in place of the shorter one it replaces;
+            // that one goes once nothing keeps it and no queued trial reads it.
             if let Some(b) = budget {
-                let replaced = snaps.insert(config.label(), (h, b));
-                if let Some((old, _)) = replaced.filter(|(old, _)| *old != h) {
-                    if !snaps.values().any(|(kept, _)| *kept == old) {
+                let replaced = snaps.insert(trial.config.label(), (trial.handle, b));
+                if let Some((old, _)) = replaced.filter(|&(old, _)| old != trial.handle) {
+                    if !keeps(snaps, old) && !queue.iter().any(|q| q.handle == old) {
                         rt.delete(old);
                     }
                 }
             }
-            trials[i] = Some(TrialResult { config, outcome, task_us });
-        };
-        for (seg, &h) in tree.segments.iter().zip(&handles).filter(|(s, _)| !s.trials.is_empty()) {
-            let (outcome, task_us) = wait_stage(rt, &h);
-            for &t in &seg.trials {
-                place(
-                    fresh_at[t],
-                    std::mem::take(&mut fresh[t]),
-                    h,
-                    seg.end,
-                    outcome.clone(),
-                    task_us,
-                );
-            }
-            if budget.is_none() {
-                rt.delete(h);
-            }
+            queue.push_back(trial);
         }
-        for (i, config, h, b) in resumed {
-            let (outcome, task_us) = wait_stage(rt, &h);
-            place(i, config, h, b, outcome, task_us);
-        }
-        // Each of the batch's snapshots is deleted or kept by now.
-        batch.clear();
-        ready.reserve(n);
-        ready.extend(trials.into_iter().flatten());
         Ok(())
     }
 
-    /// The next trial of the launched batch, in admission order.
+    /// The next trial in admission order: wait for its handle — the one
+    /// place the sweep waits on a trial — and decode the outcome. Task
+    /// failure or an undecodable value becomes a failed trial, timed 0.
+    /// Of a stage payload only the history is decoded: the weights and
+    /// optimiser moments are validated, never materialised.
     fn next(&mut self, rt: &Runtime) -> TrialResult {
-        match self {
-            Evaluation::Trials { subs, .. } => {
-                let (config, sub) = subs.pop_front().expect("one submission per admitted config");
-                let (outcome, task_us) = match rt.wait_on_timed(&sub.returns[0]) {
-                    Ok((v, exec_us)) => (
-                        v.downcast_ref::<TrialOutcome>()
-                            .cloned()
-                            .expect("experiment task returns a TrialOutcome"),
-                        exec_us,
-                    ),
-                    Err(e) => (TrialOutcome::failed(e.to_string()), 0),
-                };
-                rt.delete(sub.returns[0]);
-                TrialResult { config, outcome, task_us }
+        let Submitted { config, handle, last } =
+            self.queue.pop_front().expect("one submission per admitted config");
+        let (outcome, task_us) = match rt.wait_on_timed(&handle) {
+            Ok((v, exec_us)) => {
+                let outcome = v.downcast_ref::<TrialOutcome>().cloned().or_else(|| {
+                    let payload = v.downcast_ref::<StagePayload>()?;
+                    TrainSnapshot::decode_history(&payload.snapshot).map(outcome_from_history)
+                });
+                match outcome {
+                    Some(outcome) => (outcome, exec_us),
+                    None => (TrialOutcome::failed("trial task returned an undecodable value"), 0),
+                }
             }
-            Evaluation::Stages { ready, .. } => {
-                ready.pop_front().expect("one trial per admitted config")
-            }
+            Err(e) => (TrialOutcome::failed(e.to_string()), 0),
+        };
+        if last && !self.tree.as_ref().is_some_and(|tree| keeps(&tree.snaps, handle)) {
+            rt.delete(handle);
         }
+        TrialResult { config, outcome, task_us }
     }
 
     /// Give back every handle still held — submissions a refused one left
@@ -699,40 +700,18 @@ impl Evaluation {
     /// when nothing was saved, so a sweep that shared no prefixes still
     /// exports explicit zeros.
     fn finish(self, rt: &Runtime) -> StageStats {
-        match self {
-            Evaluation::Trials { subs, .. } => {
-                subs.iter().for_each(|(_, sub)| rt.delete(sub.returns[0]));
-                StageStats::default()
-            }
-            Evaluation::Stages { root, batch, snaps, stats, .. } => {
-                let kept = snaps.values().map(|&(h, _)| h);
-                batch.into_iter().chain(kept).chain([root]).for_each(|h| rt.delete(h));
-                if rt.metrics_enabled() {
-                    let reg = rt.metrics();
-                    reg.counter("hpo_stage_epochs_saved_total").add(stats.epochs_saved());
-                    reg.counter("hpo_prefix_forks_total").add(stats.forks as u64);
-                }
-                stats
-            }
+        self.queue.iter().for_each(|trial| rt.delete(trial.handle));
+        let Some(Tree { root, batch, snaps, stats, .. }) = self.tree else {
+            return StageStats::default();
+        };
+        let kept = snaps.values().map(|&(h, _)| h);
+        batch.into_iter().chain(kept).chain([root]).for_each(|h| rt.delete(h));
+        if rt.metrics_enabled() {
+            let reg = rt.metrics();
+            reg.counter("hpo_stage_epochs_saved_total").add(stats.epochs_saved());
+            reg.counter("hpo_prefix_forks_total").add(stats.forks as u64);
         }
-    }
-}
-
-/// Wait on one stage segment and turn its fork payload into an outcome
-/// (task failure or an undecodable payload becomes a failed trial, like
-/// a failed experiment task), timed by the segment's exec time. Only the
-/// history is decoded: the weights and optimiser moments are validated,
-/// never materialised.
-fn wait_stage(rt: &Runtime, h: &DataHandle) -> (TrialOutcome, u64) {
-    match rt.wait_on_timed(h) {
-        Ok((v, exec_us)) => match v
-            .downcast_ref::<StagePayload>()
-            .and_then(|p| TrainSnapshot::decode_history(&p.snapshot))
-        {
-            Some(history) => (outcome_from_history(history), exec_us),
-            None => (TrialOutcome::failed("stage task returned an undecodable payload"), 0),
-        },
-        Err(e) => (TrialOutcome::failed(e.to_string()), 0),
+        stats
     }
 }
 
@@ -959,6 +938,44 @@ mod tests {
         assert!(lb.lines().nth(1).unwrap().contains("Adam"));
     }
 
+    #[test]
+    fn wall_time_is_the_sweeps_not_the_runtimes() {
+        let rt = Runtime::threaded(RuntimeConfig::single_node(2));
+        std::thread::sleep(std::time::Duration::from_millis(300));
+        let space = SearchSpace::new().with("x", ParamDomain::choice_ints(&[1]));
+        let instant: Objective = Arc::new(|_, _| Ok(TrialOutcome::with_accuracy(0.5)));
+        let runner = HpoRunner::new(ExperimentOptions::default());
+        let report = runner.run(&rt, &mut GridSearch::new(&space), instant).unwrap();
+        assert!(report.wall_us < 300_000, "one instant trial took {} µs", report.wall_us);
+    }
+
+    #[test]
+    fn a_staged_row_leaves_when_its_segment_settles() {
+        // The 1-epoch trial ends in the root segment; its 100-epoch sibling
+        // trains on in the child segment while the first row is reported.
+        let rt = Runtime::threaded(RuntimeConfig::single_node(2).with_tracing(false));
+        let stage = Trainer::new(Arc::new(tinyml::Dataset::synthetic_mnist(96, 3)), vec![6]);
+        let space = SearchSpace::new()
+            .with("optimizer", ParamDomain::choice_strs(&["Adam"]))
+            .with("num_epochs", ParamDomain::choice_ints(&[1, 100]));
+        let configs = materialize(&mut GridSearch::new(&space));
+        let mut rows: Vec<(String, u64, u64)> = Vec::new();
+        let runner = HpoRunner::new(ExperimentOptions::default());
+        let (report, stages) = runner
+            .run_staged(&rt, "grid", &configs, &stage, None, |t| {
+                let stats = rt.stats();
+                rows.push((t.config.label(), stats.completed, stats.submitted));
+            })
+            .unwrap();
+        assert_eq!(stages.segments, 2);
+        let labels: Vec<String> = report.trials.iter().map(|t| t.config.label()).collect();
+        let seen: Vec<String> = rows.iter().map(|(label, ..)| label.clone()).collect();
+        assert_eq!(seen, labels, "each row once, in report order");
+        assert_eq!(report.trials[0].outcome.epochs_run, 1);
+        let (_, completed, submitted) = rows[0];
+        assert!(completed < submitted, "first row after {completed} of {submitted} segments");
+    }
+
     /// Run `sweep` on a fresh two-core threaded runtime that already holds
     /// one bystander literal, and check the sweep left the runtime as it
     /// found it: no task, no data but the bystander's.
@@ -1031,6 +1048,22 @@ mod tests {
             });
             assert_eq!(report.trials.len(), 3, "the admitted trials drained");
         }
+        // Staged successive halving halted in its second rung: the first
+        // rung's kept snapshots and the part of the rung that was admitted
+        // are both live when the sweep ends.
+        let stages = assert_gives_everything_back("bracket halted mid-rung", |rt| {
+            let admitted = std::sync::atomic::AtomicUsize::new(0);
+            let control =
+                SweepControl::new().with_gate(move || admitted.fetch_add(1, Ordering::Relaxed) < 5);
+            let bracket = Bracket::new(4, 1, 4, 2);
+            let source = &mut BracketSource::new(&staged_space(&["Adam", "SGD"]), &bracket, 5);
+            let plan =
+                SweepPlan { control: Some(&control), ..SweepPlan::new(Evaluator::Stages(&stage)) };
+            let out = runner.execute(rt, source, plan, |_| {}).expect("bracket submits");
+            assert_eq!(out.report.trials.len(), 4 + 1, "the admitted trials drained");
+            out.stages
+        });
+        assert_eq!(stages.forks, 1, "the admitted promotion continued its snapshot: {stages:?}");
 
         // Trials that fail for good — a task's outputs stay poisoned in the
         // runtime until their handles are deleted like any other.

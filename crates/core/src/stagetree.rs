@@ -172,7 +172,7 @@ pub struct Segment {
     /// schedule; inert otherwise). Always ≥ `end`.
     pub total_epochs: u32,
     /// Indices (into the planned config slice) of trials that complete at
-    /// `end` — several, when duplicate trajectories collapse.
+    /// `end`, ascending — several, when duplicate trajectories collapse.
     pub trials: Vec<usize>,
 }
 

@@ -17,7 +17,8 @@
 # crates/net/src may fill a RecvBuf, arm write interest or accept (the
 # connection state machine is rnet::link's alone), and no program code
 # outside crates/compss/src/{runtime,metrics}.rs may record an attempt's
-# phases or draw its bars (complete_attempt records an ended attempt);
+# phases or draw its bars (complete_attempt records an ended attempt), and
+# each of those ownership stages must catch a line it plants;
 # tier-1 is the ROADMAP.md contract, `cargo build --release && cargo test
 # -q`, widened to `--workspace` so every crate's unit, property and
 # integration suites gate too (tests/bench_trajectory.rs among them: the
@@ -146,15 +147,25 @@ program_files() {
     git ls-files 'crates/*/src/*.rs' 'crates/*/src/**/*.rs' 'src/*.rs' 'src/**/*.rs' | sort -u
 }
 
-# The five ownership stages below: `owned_by_one STAGE PATTERN WHY FILE...`
-# prints every line of the files that matches the regex PATTERN, each file
-# read up to its #[cfg(test)] as the line count below reads it, and fails
-# with "STAGE FAILED: WHY" if there is one.
+# Every line of the files that matches the regex $1, each file read up to its
+# #[cfg(test)] as the line count below reads it.
+owned_hits() {
+    local pattern="$1"
+    shift
+    awk -v pat="$pattern" \
+        'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && $0 ~ pat {print FILENAME ":" FNR ": " $0}' "$@"
+}
+
+# The five ownership stages below: `owned_by_one STAGE PATTERN WHY PLANT
+# FILE...` prints the owned_hits of PATTERN in the files and fails with
+# "STAGE FAILED: WHY" if there is one. PLANT is a line the stage must catch,
+# kept for the check after the five.
+STAGES=() PATTERNS=() PLANTS=()
 owned_by_one() {
     local stage="$1" pattern="$2" why="$3" hits
-    shift 3
-    hits=$(awk -v pat="$pattern" \
-        'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && $0 ~ pat {print FILENAME ":" FNR ": " $0}' "$@")
+    STAGES+=("$stage") PATTERNS+=("$pattern") PLANTS+=("$4")
+    shift 4
+    hits=$(owned_hits "$pattern" "$@")
     if [ -n "$hits" ]; then
         echo "$hits" >&2
         echo "$stage FAILED: $why" >&2
@@ -167,7 +178,7 @@ echo "==> one connection: only rnet::link and rnet::poll read, flush, arm write 
 # rnet::link (Link reads and flushes, Acceptor accepts, dial connects).
 owned_by_one "one connection" \
     'fill_from[(]|last_read_short[(]|Interest::READ_WRITE|[.]accept[(][)]' \
-    "socket reads, flushes or accepts outside rnet::link" \
+    "socket reads, flushes or accepts outside rnet::link" 'l.accept()' \
     $(program_files | grep -v '^crates/net/src/')
 
 echo "==> one attempt report: only the runtime records an attempt's phases and draws its bars"
@@ -176,7 +187,7 @@ echo "==> one attempt report: only the runtime records an attempt's phases and d
 # a waiter that sees a value sees them too.
 owned_by_one "one attempt report" \
     'phase_(queue|wire|exec|ship)|emit_attempt_spans[(]' \
-    "phases recorded or bars drawn outside runtime.rs" \
+    "phases recorded or bars drawn outside runtime.rs" 'r.phase_exec' \
     $(program_files | grep -vxE 'crates/compss/src/(runtime|metrics)[.]rs')
 
 echo "==> one trial body: only the Trainer turns a config into training"
@@ -186,7 +197,7 @@ echo "==> one trial body: only the Trainer turns a config into training"
 # entry points.
 owned_by_one "one trial body" \
     'train_config_from[(]|rcompss::snapshot::(save|load)[(]|train_with_checkpoints[(]|train_segment[(]' \
-    "a config trained outside hpo::experiment::Trainer" \
+    "a config trained outside hpo::experiment::Trainer" 'tinyml::train::train_segment()' \
     $(program_files | grep -vxE 'crates/(core/src/experiment|tinyml/src/train)[.]rs')
 
 echo "==> one trial collection: the sweep engine waits on a trial in one place"
@@ -195,7 +206,7 @@ echo "==> one trial collection: the sweep engine waits on a trial in one place"
 # the one wait_on_timed call in the hpo crate and the binary.
 owned_by_one "one trial collection" \
     'wait_on(_timed)?[(]' \
-    "a trial waited on outside hpo::runner" \
+    "a trial waited on outside hpo::runner" 'rt.wait_on_timed(h)' \
     $(program_files | grep -E '^(crates/core/)?src/' | grep -vx 'crates/core/src/runner[.]rs')
 waits=$(awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && /wait_on(_timed)?[(]/' crates/core/src/runner.rs | wc -l)
 if [ "$waits" -ne 1 ]; then
@@ -210,9 +221,24 @@ echo "==> sans-IO driver and worker: the distributed backend's decisions read no
 # properties' harnesses below each file's #[cfg(test)] may time themselves.
 owned_by_one "sans-IO driver and worker" \
     'wall_us|Instant|SystemTime|Mutex|[.]lock[(][)]|Atomic|Ordering::|TcpStream|Poller' \
-    "a state.rs reads a clock, locks or touches a socket" \
+    "a state.rs reads a clock, locks or touches a socket" 'use std::time::Instant;' \
     crates/compss/src/backend/distributed/driver/state.rs \
     crates/compss/src/backend/distributed/worker/state.rs
+
+echo "==> the ownership stages bite: each stage's pattern catches the line it planted"
+# A pattern that matches nothing passes every tree. Each stage named a line
+# that breaks its rule; written alone to a scratch file, it must be a hit.
+planted=$(mktemp --suffix=.rs)
+for i in "${!STAGES[@]}"; do
+    printf '%s\n' "${PLANTS[$i]}" > "$planted"
+    if [ -z "$(owned_hits "${PATTERNS[$i]}" "$planted")" ]; then
+        rm -f "$planted"
+        echo "${STAGES[$i]} FAILED: its pattern lets '${PLANTS[$i]}' through" >&2
+        exit 1
+    fi
+done
+rm -f "$planted"
+echo "${#STAGES[@]} ownership stages, each red on its planted line"
 
 echo "==> cargo clippy (-D warnings)"
 cargo clippy -p pycompss-hpo-repro -p tinyml -p rcompss -p hpo -p hpo-bench -p rnet -p runmetrics -p paratrace -p cluster -p ckpt --all-targets -- -D warnings

@@ -72,11 +72,6 @@ impl Cluster {
     pub fn total_cores(&self) -> u32 {
         self.nodes.iter().map(|n| n.cores).sum()
     }
-
-    /// Total GPUs in the cluster.
-    pub fn total_gpus(&self) -> u32 {
-        self.nodes.iter().map(|n| n.gpu_count()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -88,7 +83,6 @@ mod tests {
         let c = Cluster::homogeneous(28, NodeSpec::marenostrum4());
         assert_eq!(c.node_count(), 28);
         assert_eq!(c.total_cores(), 28 * 48);
-        assert_eq!(c.total_gpus(), 0);
         assert!(c.pfs);
     }
 
@@ -96,7 +90,6 @@ mod tests {
     fn heterogeneous_cluster_counts() {
         let c = Cluster::from_nodes(vec![NodeSpec::marenostrum4(), NodeSpec::cte_power9()]);
         assert_eq!(c.total_cores(), 48 + 160);
-        assert_eq!(c.total_gpus(), 4);
     }
 
     #[test]

@@ -878,7 +878,7 @@ mod tests {
         /// at once when all that was submitted has settled.
         fn run(&mut self, script: &mut Script) -> Result<(), String> {
             loop {
-                let settled = self.rt.shared.core.lock().graph.all_settled();
+                let settled = self.rt.shared.core.lock().instances.is_empty();
                 if settled && script.is_done() {
                     break;
                 }

@@ -19,10 +19,16 @@
 //!   submitted task or `wait_on` still uses it;
 //! * the **scheduler** places ready tasks on available computing units,
 //!   enforcing CPU/GPU affinity (each running task owns an explicit set of
-//!   core ids — no two concurrent tasks share one);
+//!   core ids — no two concurrent tasks share one), choosing among a task's
+//!   `@implement` variants ([`TaskDef::variant`]) and spanning `@multinode`
+//!   nodes; however an attempt ends, it gives back exactly what its
+//!   placement took, on every node still alive;
 //! * **fault tolerance** replays the paper's policy: a failed task is
 //!   retried on the same node first, then restarted on a different node
 //!   ([`fault`]);
+//! * the runtime keeps **each task fact once**: the definition holds its
+//!   variants, a placement what its attempt holds, the graph its edges and
+//!   unmet counts, and the set of live instances which tasks are unsettled;
 //! * the runtime is instrumented with `paratrace` (the Extrae analogue) and
 //!   can export the task graph as Graphviz DOT;
 //! * the runtime keeps **live metrics** (`runmetrics`): lock-free counters,

@@ -46,12 +46,8 @@ impl TaskRegistry {
     /// default implementation, `n > 0` indexes the alternatives added via
     /// [`TaskDef::with_implementation`].
     pub fn body(&self, name: &str, variant: u32) -> Option<Arc<TaskFn>> {
-        let def = self.defs.get(name)?;
-        if variant == 0 {
-            Some(def.body.clone())
-        } else {
-            def.alternatives.get(variant as usize - 1).map(|v| v.body.clone())
-        }
+        let (_, body) = self.defs.get(name)?.variant(variant as usize)?;
+        Some(Arc::clone(body))
     }
 
     /// Registered task names, sorted for stable display.
@@ -113,6 +109,7 @@ mod tests {
         assert!(reg.body("x", 0).is_some());
         assert!(reg.body("x", 1).is_some());
         assert!(reg.body("x", 2).is_none());
+        assert!(reg.body("x", u32::MAX).is_none(), "any index off the wire is answerable");
         assert!(reg.body("missing", 0).is_none());
     }
 }

@@ -24,7 +24,7 @@ use crate::backend::threaded::{collect_dispatch, WorkerPool};
 use crate::blocks::BlockStore;
 use crate::data::{DataHandle, DataRegistry, DataVersion, Value};
 use crate::fault::{RetryDecision, RetryPolicy};
-use crate::graph::{TaskGraph, TaskState};
+use crate::graph::TaskGraph;
 use crate::ids::IdMap;
 use crate::metrics::RtMetrics;
 use crate::scheduler::{Placement, ReadyEntry, Scheduler};
@@ -219,7 +219,6 @@ pub(crate) struct Instance {
     pub prefer_node: Option<u32>,
     pub exclude_node: Option<u32>,
     pub sim_duration_us: u64,
-    pub seq: u64,
     /// Submission timestamp, µs (virtual for the sim backend, wall
     /// otherwise) — the start of the dependency-wait interval.
     pub submitted_us: u64,
@@ -248,10 +247,7 @@ impl Instance {
     /// The body of the implementation the scheduler chose (`@implement`:
     /// 0 is the primary, alternatives follow).
     pub fn body(&self, variant: usize) -> Arc<TaskFn> {
-        match variant {
-            0 => Arc::clone(&self.def.body),
-            v => Arc::clone(&self.def.alternatives[v - 1].body),
-        }
+        Arc::clone(self.def.variant(variant).expect("a placed variant exists").1)
     }
 }
 
@@ -280,11 +276,11 @@ impl Streaks {
     }
 }
 
-/// One in-flight execution.
+/// One in-flight execution. What it holds on its nodes is its placement and
+/// the constraint of the variant placed, read from the task's definition.
 pub(crate) struct RunningExec {
     pub task: TaskId,
     pub placement: Placement,
-    pub constraint: Constraint,
     pub attempt: u32,
     /// Dispatch time on the backend's clock.
     pub dispatched_us: u64,
@@ -303,8 +299,8 @@ pub(crate) struct Core {
     pub failed: Vec<TaskId>,
     pub sim: Option<SimState>,
     pub next_task: u64,
-    pub next_seq: u64,
     pub next_exec: u64,
+    /// All but `failed`, which [`Runtime::stats`] reads off `Core::failed`.
     pub stats: RuntimeStats,
     /// Bytes of snapshot held across `instances`, kept as a running total.
     pub snapshot_bytes: u64,
@@ -327,7 +323,8 @@ impl Core {
             constraint: inst.def.constraint,
             alternatives: inst.def.alternatives.iter().map(|v| v.constraint).collect(),
             priority: inst.def.priority,
-            seq: inst.seq,
+            // Ids count submissions from 1.
+            seq: task.0 - 1,
             prefer_node: inst.prefer_node,
             exclude_node: inst.exclude_node,
         };
@@ -530,7 +527,6 @@ impl Runtime {
                 failed: Vec::new(),
                 sim: None,
                 next_task: 1,
-                next_seq: 0,
                 next_exec: 0,
                 stats: RuntimeStats::default(),
                 snapshot_bytes: 0,
@@ -617,7 +613,6 @@ impl Runtime {
             }
         }
         let id = TaskId(core.next_task);
-        let seq = core.next_seq;
 
         // Resolve arguments: compute dependencies and version bumps. The
         // task becomes a user of every version it names until it settles
@@ -661,12 +656,11 @@ impl Runtime {
         }
 
         core.next_task += 1;
-        core.next_seq += 1;
         core.stats.submitted += 1;
         self.shared.metrics.submitted.incr();
         let submitted_us = core.now_us(&self.shared);
 
-        let state = core.graph.add_task(id, Arc::clone(&def.name), &deps);
+        let ready = core.graph.add_task(id, Arc::clone(&def.name), &deps);
         core.instances.insert(
             id,
             Instance {
@@ -676,7 +670,6 @@ impl Runtime {
                 prefer_node: None,
                 exclude_node: None,
                 sim_duration_us: opts.sim_duration_us.unwrap_or(DEFAULT_SIM_DURATION_US),
-                seq,
                 submitted_us,
                 snapshot: None,
             },
@@ -687,7 +680,7 @@ impl Runtime {
         let reads_poisoned = core.instances[&id].reads().any(|v| core.data.is_poisoned(v));
         if reads_poisoned {
             fail_task_cascade(&self.shared, &mut core, id);
-        } else if state == TaskState::Ready {
+        } else if ready {
             core.push_ready(id);
         }
 
@@ -738,7 +731,7 @@ impl Runtime {
         self.wait_until(&mut core, |c| {
             c.data.is_ready(target)
                 || c.data.is_poisoned(target)
-                || (target.version == 0 && c.graph.all_settled())
+                || (target.version == 0 && c.instances.is_empty())
         });
         let result = if core.data.is_poisoned(target) {
             Err(WaitError::ProducerFailed(*h))
@@ -770,7 +763,7 @@ impl Runtime {
     /// Wait for every submitted task to settle (done or permanently failed).
     pub fn barrier(&self) {
         let mut core = self.shared.core.lock();
-        self.wait_until(&mut core, |c| c.graph.all_settled());
+        self.wait_until(&mut core, |c| c.instances.is_empty());
         core.publish_gauges(&self.shared);
     }
 
@@ -854,7 +847,8 @@ impl Runtime {
 
     /// Aggregate statistics so far.
     pub fn stats(&self) -> RuntimeStats {
-        self.shared.core.lock().stats.clone()
+        let core = self.shared.core.lock();
+        RuntimeStats { failed: core.failed.len() as u64, ..core.stats.clone() }
     }
 
     /// Ids of permanently-failed tasks, ascending.
@@ -890,7 +884,7 @@ pub(crate) struct Placed {
 
 /// The first half of the scheduling turn, shared by every backend: place
 /// each placeable ready task — timed scheduler decision, attempt and exec
-/// id, `RunningExec`, graph state, dispatch metrics — and hand it to
+/// id, `RunningExec`, dispatch metrics — and hand it to
 /// `launch`, which does only what is the backend's own (build the message,
 /// pay staging, choose how inputs travel); the `TaskDispatch` event follows
 /// it. `score` ranks feasible nodes for a task and sees the registry and
@@ -924,15 +918,8 @@ pub(crate) fn place_ready<S: Ord>(
         shared.metrics.dep_wait.record(now_us.saturating_sub(inst.submitted_us));
         let exec_id = core.next_exec;
         core.next_exec += 1;
-        let run = RunningExec {
-            task,
-            placement,
-            constraint: entry.constraint,
-            attempt,
-            dispatched_us: now_us,
-        };
+        let run = RunningExec { task, placement, attempt, dispatched_us: now_us };
         core.running.insert(exec_id, run);
-        core.graph.set_running(task);
         launch(core, Placed { exec_id, task, attempt, now_us, fast });
         if shared.trace.is_enabled() {
             let lead = core.running[&exec_id].placement.lead_core();
@@ -1001,13 +988,14 @@ pub(crate) enum Settled {
 }
 
 /// The second half of the scheduling turn, and the one place an ended
-/// attempt is recorded: store its outputs and release its successors, or
-/// drive the retry policy; then, unless it was killed, one
-/// `rcompss_task_phase_us` sample per phase `report` timed — queue always,
-/// as submission → dispatch plus what was held — and last its bars. All of
-/// it under the core lock, so whoever sees the attempt settled sees its
-/// record. Called from every backend. `node_gone`: the attempt died with
-/// its node, in [`lose_node`].
+/// attempt is recorded: give back what its placement took (the placed
+/// variant's constraint, on every node still alive, however the attempt
+/// ended); store its outputs and release its successors, or drive the retry
+/// policy; then, unless it was killed, one `rcompss_task_phase_us` sample
+/// per phase `report` timed — queue always, as submission → dispatch plus
+/// what was held — and last its bars. All of it under the core lock, so
+/// whoever sees the attempt settled sees its record. Called from every
+/// backend. `node_gone`: the attempt died with its node, in [`lose_node`].
 pub(crate) fn complete_attempt(
     shared: &Shared,
     core: &mut Core,
@@ -1022,9 +1010,10 @@ pub(crate) fn complete_attempt(
     let task = run.task;
     let inst = &core.instances[&task];
     let (name, submitted_us) = (Arc::clone(&inst.def.name), inst.submitted_us);
-    if !node_gone {
-        core.sched.release(&run.placement, &run.constraint);
-    }
+    // A node killed with the attempt has nothing to give back; its live
+    // peers of a multinode placement do, and `release` tells them apart.
+    let (placed, _) = inst.def.variant(run.placement.variant).expect("a placed variant exists");
+    core.sched.release(&run.placement, &placed);
     if let Some(us) = exec_us.filter(|_| core.sched.dispatches_ahead()) {
         core.streaks.ran(&name, us);
     }
@@ -1098,7 +1087,6 @@ pub(crate) fn complete_attempt(
                         }
                         RetryDecision::GiveUp => unreachable!(),
                     }
-                    core.graph.set_ready(task);
                     core.push_ready(task);
                 }
             }
@@ -1174,7 +1162,6 @@ pub(crate) fn fail_task_cascade(shared: &Shared, core: &mut Core, task: TaskId) 
             data.poison(v);
         }
         stack.extend(core.graph.set_failed(t));
-        core.stats.failed += 1;
         shared.metrics.failed.incr();
         core.failed.push(t);
         core.retire_task(shared, t);

@@ -281,6 +281,16 @@ impl TaskDef {
         self
     }
 
+    /// Implementation `i`'s constraint and body (`@implement`: 0 is the
+    /// primary, alternatives follow in attachment order); `None` past the
+    /// last alternative.
+    pub fn variant(&self, i: usize) -> Option<(Constraint, &Arc<TaskFn>)> {
+        match i {
+            0 => Some((self.constraint, &self.body)),
+            i => self.alternatives.get(i - 1).map(|v| (v.constraint, &v.body)),
+        }
+    }
+
     /// Constraints of every implementation, primary first.
     pub fn variant_constraints(&self) -> impl Iterator<Item = Constraint> + '_ {
         std::iter::once(self.constraint).chain(self.alternatives.iter().map(|v| v.constraint))

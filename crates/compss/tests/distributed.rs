@@ -158,6 +158,40 @@ fn loopback_dependent_chain_and_labels() {
 /// injector turns into a failure. So the per-node series sum to the
 /// completed total.
 #[test]
+fn an_implement_alternative_runs_on_a_worker_and_gives_back_its_memory() {
+    // Loopback workers advertise no GPU and 16 GiB, so the GPU primary never
+    // places and every run is the alternative, which takes all 16: its index
+    // travels in the `Submit`, and the worker's registry resolves it. Each
+    // run must give the memory back or the next never places, so each wait
+    // is bounded instead of hanging the test.
+    let primary = def("train_anywhere", |_, _| Ok(vec![Value::new(1i64)]));
+    let train = TaskDef { constraint: Constraint::cpus(1).with_gpus(1), ..primary }
+        .with_implementation(Constraint::cpus(1).with_mem_gib(16), |_, _| {
+            Ok(vec![Value::new(2i64)])
+        });
+    let cfg = WorkerConfig { name: "w0".into(), cores: 2, ..WorkerConfig::default() };
+    let registry = TaskRegistry::new().with(train.clone());
+    let worker = WorkerServer::bind("127.0.0.1:0", cfg, registry).unwrap().spawn().unwrap();
+    let rt = Runtime::distributed(
+        RuntimeConfig::single_node(1),
+        &addrs(std::slice::from_ref(&worker)),
+        DistributedConfig::default(),
+    )
+    .expect("connect to the loopback worker");
+    let rt = Arc::new(rt);
+    for run in 0..3 {
+        let out = rt.submit(&train, vec![]).unwrap().returns[0];
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = Arc::clone(&rt);
+        std::thread::spawn(move || {
+            tx.send(waiter.wait_on(&out).map(|v| *v.downcast_ref::<i64>().unwrap())).ok()
+        });
+        let got = rx.recv_timeout(Duration::from_secs(10));
+        assert_eq!(got, Ok(Ok(2)), "run {run}: the alternative's value within 10 s");
+    }
+}
+
+#[test]
 fn per_node_completions_count_stored_attempts_only() {
     let workers = spawn_workers(2, 1);
     // Task 2's first attempt reports `Done`, and the injector fails it.

@@ -704,6 +704,171 @@ fn node_failure_kills_multinode_task_touching_it() {
     assert_eq!(rt.stats().completed, 1);
 }
 
+/// One CPU-only node of 4 cores and 8 GiB, simulated.
+fn one_small_node() -> Runtime {
+    let node = NodeSpec::new("n", 4, vec![], 8);
+    Runtime::simulated(RuntimeConfig::on_cluster(Cluster::homogeneous(1, node)))
+}
+
+#[test]
+fn an_alternative_gives_back_the_memory_it_took() {
+    // The GPU primary never fits, so every run is the alternative, which
+    // takes all 8 GiB. Given back as much as the primary took (none), the
+    // memory stays taken and the second run never places.
+    let rt = one_small_node();
+    let train = rt
+        .register("train", Constraint::cpus(1).with_gpus(1), 1, |_, _| Ok(vec![Value::new("gpu")]))
+        .with_implementation(Constraint::cpus(1).with_mem_gib(8), |_, _| {
+            Ok(vec![Value::new("cpu")])
+        });
+    for run in 0..2 {
+        let out = rt.submit(&train, vec![]).unwrap().returns[0];
+        let v = rt.wait_on(&out).unwrap_or_else(|e| panic!("run {run}: {e}"));
+        assert_eq!(*v.downcast_ref::<&str>().unwrap(), "cpu", "run {run}");
+    }
+}
+
+#[test]
+fn an_alternative_gives_back_no_memory_it_did_not_take() {
+    // The alternative takes no memory. Given back as much as the primary
+    // took (8 GiB), the node would believe it has 16, and two 8 GiB tasks
+    // would overlap on it.
+    let rt = one_small_node();
+    let train = rt
+        .register("train", Constraint::cpus(1).with_gpus(1).with_mem_gib(8), 1, |_, _| {
+            Ok(vec![Value::new("gpu")])
+        })
+        .with_implementation(Constraint::cpus(1), |_, _| Ok(vec![Value::new("cpu")]));
+    let out = rt.submit(&train, vec![]).unwrap().returns[0];
+    assert_eq!(*rt.wait_on(&out).unwrap().downcast_ref::<&str>().unwrap(), "cpu");
+    let big =
+        rt.register("big", Constraint::cpus(1).with_mem_gib(8), 1, |_, _| Ok(vec![Value::new(())]));
+    let t0 = rt.now_us();
+    for _ in 0..2 {
+        rt.submit_with(&big, vec![], SubmitOpts { sim_duration_us: Some(1_000) }).unwrap();
+    }
+    rt.barrier();
+    let took = rt.now_us() - t0;
+    assert!(took >= 2_000, "two 8 GiB tasks overlapped on an 8 GiB node: {took} µs");
+}
+
+#[test]
+fn a_multinode_retry_gets_back_the_cores_of_the_surviving_node() {
+    // The first attempt holds nodes 0 and 1, and node 1 dies under it. Node
+    // 0 survives and must get its 4 cores back, or the retry, which needs
+    // two whole nodes, finds only node 2.
+    let cfg = RuntimeConfig::on_cluster(Cluster::homogeneous(3, NodeSpec::new("n", 4, vec![], 8)))
+        .with_failures(FailureInjector::none().with_node_failure(2_000, 1));
+    let rt = Runtime::simulated(cfg);
+    let mpi = rt.register("mpi", Constraint::multinode(2, 4), 1, |ctx, _| {
+        let mut nodes = ctx.peer_nodes.clone();
+        nodes.push(ctx.node);
+        nodes.sort_unstable();
+        Ok(vec![Value::new(nodes)])
+    });
+    let opts = SubmitOpts { sim_duration_us: Some(10_000) };
+    let out = rt.submit_with(&mpi, vec![], opts).unwrap().returns[0];
+    let v = rt.wait_on(&out).expect("the retry runs on the survivors");
+    assert_eq!(v.downcast_ref::<Vec<u32>>().unwrap(), &[0, 2]);
+    assert_eq!((rt.stats().failed_attempts, rt.stats().completed), (1, 1));
+}
+
+#[test]
+fn a_random_mix_of_outcomes_settles_every_task() {
+    // Seeded programs of tasks reading earlier outputs, with successes,
+    // retries that recover, permanent failures and the cascades they poison,
+    // over plain, `@implement` and `@multinode` definitions. A sequential
+    // model predicts every value and every failure. Mid-program, a wait on
+    // a handle nothing writes returns only once every task has settled;
+    // after the barrier, the failure count is the failed list's length.
+    use rand::{Rng, SeedableRng};
+    const MAX_ATTEMPTS: u32 = 3;
+    let fold = |ins: &[u64]| ins.iter().fold(7u64, |a, &b| a.wrapping_mul(31).wrapping_add(b));
+    for (seed, simulated) in (0..8u64).map(|s| (s, s % 2 == 0)) {
+        let tag = format!("seed {seed}, simulated {simulated}");
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        const TASKS: u64 = 160;
+        // Attempts 1..=n of task id fail: 1 or 2 recover, 3 is permanent.
+        let fails: Vec<u32> = (0..=TASKS)
+            .map(|_| [0, 0, 0, 0, 0, 1, 2, MAX_ATTEMPTS][rng.gen_range(0..8usize)])
+            .collect();
+        let mut injector = FailureInjector::none();
+        for (id, &n) in fails.iter().enumerate() {
+            for attempt in 1..=n {
+                injector = injector.with_task_failure(id as u64, attempt);
+            }
+        }
+        let cluster = Cluster::homogeneous(3, NodeSpec::new("n", 4, vec![], 8));
+        let cfg = RuntimeConfig::on_cluster(cluster)
+            .with_tracing(false)
+            .with_retry(RetryPolicy { max_attempts: MAX_ATTEMPTS, same_node_first: true })
+            .with_failures(injector);
+        let rt = if simulated { Runtime::simulated(cfg) } else { Runtime::threaded(cfg) };
+        let body = move |_: &rcompss::TaskContext, ins: &[Value]| {
+            let ins: Vec<u64> = ins.iter().map(|v| *v.downcast_ref::<u64>().unwrap()).collect();
+            Ok(vec![Value::new(fold(&ins))])
+        };
+        let defs = [
+            rt.register("plain", Constraint::cpus(1), 1, body),
+            rt.register("alt", Constraint::cpus(1).with_gpus(1), 1, body)
+                .with_implementation(Constraint::cpus(1).with_mem_gib(4), body),
+            rt.register("mpi", Constraint::multinode(2, 2), 1, body).with_priority(),
+        ];
+        let never = rt.declare();
+        // Per task: its output, the model's value (None: failed), its depth.
+        let mut tasks: Vec<(rcompss::DataHandle, Option<u64>, u64)> = Vec::new();
+        let mut failed = Vec::new();
+        // Failed attempts, and tasks that failed only through a producer.
+        let (mut attempts, mut cascaded) = (0, 0);
+        for step in 0..TASKS {
+            let reads: Vec<usize> = match tasks.len() {
+                0 => Vec::new(),
+                n => (0..rng.gen_range(0..3usize)).map(|_| rng.gen_range(0..n)).collect(),
+            };
+            let args = reads.iter().map(|&i| ArgSpec::In(tasks[i].0)).collect();
+            let def = &defs[rng.gen_range(0..defs.len())];
+            let opts = SubmitOpts { sim_duration_us: Some(1_000) };
+            let submitted = rt.submit_with(def, args, opts).unwrap();
+            // Only a task whose producers all succeeded runs an attempt.
+            let ins: Option<Vec<u64>> = reads.iter().map(|&i| tasks[i].1).collect();
+            let fails = fails[submitted.task.0 as usize];
+            attempts += ins.as_ref().map_or(0, |_| u64::from(fails));
+            cascaded += u32::from(ins.is_none());
+            let value = ins.filter(|_| fails < MAX_ATTEMPTS);
+            let depth = 1 + reads.iter().map(|&i| tasks[i].2).max().unwrap_or(0);
+            if value.is_none() {
+                failed.push(submitted.task);
+            }
+            tasks.push((submitted.returns[0], value.map(|ins| fold(&ins)), depth));
+            if rng.gen_range(0..40u32) == 0 {
+                assert_eq!(rt.wait_on(&never).err(), Some(WaitError::NeverWritten(never)));
+                let stats = rt.stats();
+                assert_eq!(stats.completed + stats.failed, step + 1, "{tag} step {step}");
+            }
+        }
+        rt.barrier();
+        for (i, (h, value, _)) in tasks.iter().enumerate() {
+            let got = rt.wait_on(h).map(|v| *v.downcast_ref::<u64>().unwrap());
+            assert_eq!(got, value.ok_or(WaitError::ProducerFailed(*h)), "{tag} task {i}");
+        }
+        let stats = rt.stats();
+        assert_eq!(rt.failed_tasks(), failed, "{tag}");
+        assert_eq!(stats.failed, rt.failed_tasks().len() as u64, "{tag}");
+        assert_eq!((stats.submitted, stats.completed + stats.failed), (TASKS, TASKS), "{tag}");
+        assert_eq!(stats.failed_attempts, attempts, "{tag}");
+        let given_up = failed.len() as u32 - cascaded;
+        let recovered = attempts > u64::from(given_up * MAX_ATTEMPTS);
+        assert!(cascaded > 0 && given_up > 0 && recovered, "{tag}: {cascaded}, {given_up}");
+        assert_eq!(rt.metrics().snapshot().gauge("rcompss_live_tasks"), Some(0.0), "{tag}");
+        if simulated {
+            // A task's last attempt starts once its producers are done: the
+            // longest chain of successes is a floor under the makespan.
+            let chain = tasks.iter().filter(|t| t.1.is_some()).map(|t| t.2).max().unwrap();
+            assert!(stats.makespan_us >= chain * 1_000, "{tag}: chain of {chain}");
+        }
+    }
+}
+
 #[test]
 fn priority_hint_jumps_the_resource_queue() {
     // One core; 3 ordinary tasks queue up, then a priority=True task is

@@ -3,8 +3,8 @@
 //! An aggressive form of the early stopping the paper's intro lists among
 //! the "essential features" of an ideal HPO tool: start many configurations
 //! on a small epoch budget, keep the top `1/eta` fraction, multiply their
-//! budget by `eta`, repeat. Hyperband runs several such brackets with
-//! different aggressiveness to hedge against slow starters.
+//! budget by `eta`, repeat. One such schedule is a [`Bracket`]; Hyperband
+//! runs several with different aggressiveness to hedge against slow starters.
 //!
 //! The scheduling logic here is pure (no runtime dependency);
 //! [`crate::runner::BracketSource`] feeds a bracket to
@@ -83,31 +83,6 @@ impl Bracket {
     }
 }
 
-/// The Hyperband schedule: a set of brackets trading breadth for depth.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Hyperband {
-    /// All brackets, most exploratory first.
-    pub brackets: Vec<Bracket>,
-}
-
-impl Hyperband {
-    /// Standard Hyperband over budgets `[1, max_budget]` with factor `eta`.
-    pub fn new(max_budget: u32, eta: u32) -> Self {
-        assert!(eta >= 2);
-        assert!(max_budget >= 1);
-        let s_max = (max_budget as f64).ln() / (eta as f64).ln();
-        let s_max = s_max.floor() as u32;
-        let mut brackets = Vec::new();
-        for s in (0..=s_max).rev() {
-            let n = (((s_max + 1) as f64 / (s + 1) as f64) * (eta as f64).powi(s as i32)).ceil()
-                as usize;
-            let b = max_budget / eta.pow(s);
-            brackets.push(Bracket::new(n, b.max(1), max_budget, eta));
-        }
-        Hyperband { brackets }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,27 +134,5 @@ mod tests {
     #[should_panic(expected = "eta")]
     fn eta_one_rejected() {
         let _ = Bracket::new(4, 1, 8, 1);
-    }
-
-    #[test]
-    fn hyperband_brackets_cover_breadth_and_depth() {
-        let hb = Hyperband::new(81, 3);
-        assert_eq!(hb.brackets.len(), 5, "s_max = 4");
-        // first bracket is the most exploratory (most configs, tiny budget)
-        let first = &hb.brackets[0];
-        let last = hb.brackets.last().unwrap();
-        assert!(first.rungs[0].n_configs > last.rungs[0].n_configs);
-        assert!(first.rungs[0].budget < last.rungs[0].budget);
-        // every bracket ends at (or below) max budget
-        for b in &hb.brackets {
-            assert!(b.rungs.last().unwrap().budget <= 81);
-        }
-    }
-
-    #[test]
-    fn hyperband_minimum_case() {
-        let hb = Hyperband::new(1, 2);
-        assert_eq!(hb.brackets.len(), 1);
-        assert_eq!(hb.brackets[0].rungs.len(), 1);
     }
 }

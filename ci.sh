@@ -345,6 +345,9 @@ echo "==> overhead bench (smoke): disabled-path regression guard"
 cargo run --release -p hpo-bench --bin overhead_tracing -- smoke
 
 echo "==> ratio gates: CPU per task flat in graph size and pool width, snapshots cheap against their epochs, the snapshot codec at copy speed"
+# The snapshot gate fsyncs one snapshot per epoch in the temp directory, so
+# its ratio depends on that filesystem (tmpfs against a real disk).
+echo "temp directory ${TMPDIR:-/tmp} is on $(stat -f -c %T "${TMPDIR:-/tmp}")"
 cargo test --release -q -p hpo-bench --test ratio_gates -- --nocapture
 
 echo "==> block-cache smoke: shared dataset ships once per worker, not per trial"

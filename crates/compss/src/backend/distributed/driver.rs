@@ -312,12 +312,10 @@ pub(crate) fn collect_dispatch_remote(shared: &Shared, core: &mut Core) -> Dispa
                         // Optimistic residency, both granularities: versions
                         // drive scheduling scores, hashes drive ship-vs-ref.
                         // Cleared if the connection drops (or on BlockEvict).
-                        data.add_location(v, node);
-                        if blocks.is_resident(node, block.hash) {
-                            batch.args.push(PreparedArg::BlockRef { key, hash: block.hash });
-                        } else {
-                            blocks.add_resident(node, block.hash);
+                        if blocks.set_resident(data, node, block.hash, true) {
                             batch.args.push(PreparedArg::BlockShip { key, block });
+                        } else {
+                            batch.args.push(PreparedArg::BlockRef { key, hash: block.hash });
                         }
                         continue;
                     }
@@ -329,7 +327,7 @@ pub(crate) fn collect_dispatch_remote(shared: &Shared, core: &mut Core) -> Dispa
             batch.msgs.push(RemoteDispatch {
                 exec_id: placed.exec_id,
                 task: placed.task,
-                attempt: placed.attempt,
+                attempt: inst.attempt,
                 node,
                 variant: placement.variant as u32,
                 dispatched_us: placed.now_us,
@@ -558,15 +556,13 @@ fn apply_core(
                 // The worker dropped the block under memory pressure: retract
                 // residency at both granularities so the next dispatch ships
                 // the bytes again (and scores the node honestly).
-                core.blocks.evict(node, hash);
-                let Core { blocks, data, .. } = &mut *core;
-                blocks.versions_of(hash).iter().for_each(|&v| data.remove_location(v, node));
+                core.blocks.set_resident(&mut core.data, node, hash, false);
             }
             // Cache-miss refill; silence on an unknown hash is handled by the
             // worker's own fetch deadline.
             Action::Ship(node, hash) => {
                 if let Some(block) = core.blocks.lookup(hash) {
-                    core.blocks.add_resident(node, hash);
+                    core.blocks.set_resident(&mut core.data, node, hash, true);
                     replies.push((node, block));
                 }
             }
@@ -706,6 +702,40 @@ impl Inbox {
 mod tests {
     use super::*;
     use crate::data::DataHandle;
+    use crate::{ArgSpec, Constraint, Runtime, RuntimeConfig};
+
+    #[test]
+    fn a_block_fetched_back_after_its_eviction_is_resident_again() {
+        // A block-routed input goes to node 0. Its worker evicts the block,
+        // then asks for it back for a task that names it: after the refill
+        // the version counts as resident there, as it did after dispatch.
+        let mut cfg = RuntimeConfig::single_node(1).with_tracing(false);
+        cfg.reserved_cores.clear();
+        let rt = Runtime::simulated(cfg);
+        let read = rt.register("read", Constraint::cpus(1), 0, |_, _| Ok(vec![]));
+        let input = rt.literal(7i64);
+        rt.set_data_bytes(input, 1 << 20);
+        rt.submit(&read, vec![ArgSpec::In(input)]).unwrap();
+        let shared = &*rt.shared;
+        let mut core = shared.core.lock();
+        let batch = collect_dispatch_remote(shared, &mut core);
+        let d = &batch.msgs[0];
+        let Some(PreparedArg::BlockShip { block, .. }) = batch.args.get(d.args.start) else {
+            panic!("the input ships as a block");
+        };
+        let (v, hash) = (core.data.current_version(input), block.hash);
+        assert_eq!(d.node, 0);
+        assert!(core.data.is_on_node(v, 0), "dispatch marks the version");
+
+        let (mut inbox, mut acts) = (Inbox::default(), Vec::new());
+        inbox.take(FrameRef::BlockEvict { hash });
+        inbox.take(FrameRef::BlockRequest { hash });
+        let mut state = DriverState::new(1, 50_000, 300_000);
+        state.apply(Event::Read { link: 0, bytes: 64, inbox: &mut inbox }, 0, &mut acts);
+        apply_core(shared, &mut core, &["w0".into()], &mut acts, &mut inbox, 0);
+        assert_eq!(inbox.replies.len(), 1, "the block goes back to node 0");
+        assert!(core.data.is_on_node(v, 0), "the refill marks the version");
+    }
 
     #[test]
     fn data_keys_roundtrip() {

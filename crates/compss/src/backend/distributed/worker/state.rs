@@ -135,8 +135,7 @@ impl WorkerState {
                     }
                 };
                 let (task, peer_nodes) = (TaskId(task_id), Vec::new());
-                let ctx =
-                    TaskContext { task, attempt, node, cores, gpus, peer_nodes, simulated: false };
+                let ctx = TaskContext { task, attempt, node, cores, gpus, peer_nodes };
                 let job =
                     Job { exec_id, fn_id, name, variant, ctx, args, recv_us: now_us, snapshot };
                 self.waiting.push_back(job);

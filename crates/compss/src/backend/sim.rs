@@ -9,7 +9,6 @@
 //! path, `lose_node` — the scenario of the paper's fault-tolerance
 //! discussion.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use cluster::transfer::DataLocation;
@@ -20,9 +19,10 @@ use crate::data::{DataVersion, Value};
 use crate::runtime::{complete_attempt, lose_node, place_ready, Core, Report, Shared};
 use crate::task::{run_body, TaskContext, TaskFn};
 
-#[derive(Debug)]
+/// `Finish` ends an exec's body, which runs then unless the exec has left
+/// `Core::running` (killed with its node) by the time it fires.
 enum SimEvent {
-    Finish { exec: u64 },
+    Finish { exec: u64, job: SimExec },
     NodeFail { node: u32 },
 }
 
@@ -39,13 +39,12 @@ struct SimExec {
 /// Virtual-time state of the simulated backend.
 pub(crate) struct SimState {
     queue: EventQueue<SimEvent>,
-    execs: HashMap<u64, SimExec>,
 }
 
 impl SimState {
     /// Fresh state at virtual time zero.
     pub fn new() -> Self {
-        SimState { queue: EventQueue::new(), execs: HashMap::new() }
+        SimState { queue: EventQueue::new() }
     }
 
     /// Current virtual time, µs.
@@ -73,17 +72,16 @@ pub(crate) fn run_until(shared: &Shared, core: &mut Core, cond: impl Fn(&Core) -
             return;
         };
         match event {
-            SimEvent::Finish { exec } => {
-                let se = core.sim.as_mut().expect("sim state").execs.remove(&exec);
-                let Some(se) = se.filter(|_| core.running.contains_key(&exec)) else {
+            SimEvent::Finish { exec, job } => {
+                if !core.running.contains_key(&exec) {
                     continue; // execution was killed by a node failure
-                };
-                let result = run_body(&*se.body, &se.ctx, &se.inputs).map(Vec::into_iter);
+                }
+                let result = run_body(&*job.body, &job.ctx, &job.inputs).map(Vec::into_iter);
                 let report = Report {
-                    span: Some((se.start_us, t)),
+                    span: Some((job.start_us, t)),
                     // Staging is the simulated wire.
-                    wire_us: Some(se.staging_us),
-                    exec_us: Some(t - se.start_us),
+                    wire_us: Some(job.staging_us),
+                    exec_us: Some(t - job.start_us),
                     ..Report::default()
                 };
                 complete_attempt(shared, core, exec, result, report, t, false);
@@ -137,11 +135,11 @@ fn dispatch_sim(shared: &Shared, core: &mut Core) {
             }
             // The body occupies its cores once its inputs have arrived.
             let start_us = now + staging_us;
-            let ctx = TaskContext::placed(placed.task, placed.attempt, &placement, true);
+            let ctx = TaskContext::placed(placed.task, inst.attempt, &placement);
+            let job = SimExec { ctx, body, inputs, start_us, staging_us };
+            let finish = SimEvent::Finish { exec: placed.exec_id, job };
             let sim = core.sim.as_mut().expect("sim state");
-            sim.execs.insert(placed.exec_id, SimExec { ctx, body, inputs, start_us, staging_us });
-            sim.queue
-                .schedule_at(start_us + duration.max(1), SimEvent::Finish { exec: placed.exec_id });
+            sim.queue.schedule_at(start_us + duration.max(1), finish);
         },
     );
 }

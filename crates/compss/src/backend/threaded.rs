@@ -114,7 +114,7 @@ pub(crate) fn collect_dispatch(shared: &Shared, core: &mut Core) -> Vec<ExecMsg>
                 .map(|v| core.data.get(v).expect("ready task inputs are computed"))
                 .collect();
             msgs.push(ExecMsg {
-                ctx: TaskContext::placed(placed.task, placed.attempt, placement, false),
+                ctx: TaskContext::placed(placed.task, inst.attempt, placement),
                 body: inst.body(placement.variant),
                 inputs,
                 placed,

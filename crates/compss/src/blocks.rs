@@ -24,7 +24,7 @@ use std::sync::Arc;
 use rnet::Blob;
 
 use crate::codec;
-use crate::data::{DataVersion, Value};
+use crate::data::{DataRegistry, DataVersion, Value};
 use crate::ids::{IdMap, IdSet};
 
 /// Declared sizes at or above this many bytes route through the block
@@ -110,6 +110,9 @@ pub(crate) struct EncodedBlock {
 /// (`clear_node`) retract marks. The marks follow the worker's cache, not
 /// the versions: a retired version's block may still sit there, and the
 /// same content under a new version is then a reference, not a transfer.
+/// Each hash mark has a twin that placement scores read, the
+/// `DataRegistry` location of every live version holding the block;
+/// [`BlockStore::set_resident`] sets and clears both.
 pub(crate) struct BlockStore {
     inline_threshold: u64,
     /// The memo: the block of each live version that was ever dispatched.
@@ -189,27 +192,36 @@ impl BlockStore {
         self.by_hash.get(&hash).map(|(block, _)| Arc::clone(block))
     }
 
-    /// Every live version whose content maps to `hash` — the set whose
-    /// `DataRegistry` residency must be retracted when a worker evicts it.
-    pub fn versions_of(&self, hash: u128) -> &[DataVersion] {
-        self.by_hash.get(&hash).map_or(&[], |(_, versions)| versions.as_slice())
-    }
-
     /// Is `hash` (optimistically) resident on `node`?
+    #[cfg(test)]
     pub fn is_resident(&self, node: u32, hash: u128) -> bool {
         self.resident.get(&node).is_some_and(|s| s.contains(&hash))
     }
 
-    /// Mark `hash` resident on `node`.
-    pub fn add_resident(&mut self, node: u32, hash: u128) {
-        self.resident.entry(node).or_default().insert(hash);
-    }
-
-    /// Retract one residency mark (worker sent `BlockEvict`).
-    pub fn evict(&mut self, node: u32, hash: u128) {
-        if let Some(s) = self.resident.get_mut(&node) {
-            s.remove(&hash);
+    /// Mark `hash` resident on `node`, or clear the mark (`BlockEvict`),
+    /// and with it the `data` location of every live version holding the
+    /// block: dispatch, refill and eviction all come here, so the two marks
+    /// stay in step. Returns whether the hash mark changed.
+    pub fn set_resident(
+        &mut self,
+        data: &mut DataRegistry,
+        node: u32,
+        hash: u128,
+        on: bool,
+    ) -> bool {
+        let changed = if on {
+            self.resident.entry(node).or_default().insert(hash)
+        } else {
+            self.resident.get_mut(&node).is_some_and(|marks| marks.remove(&hash))
+        };
+        for &v in self.by_hash.get(&hash).map_or(&[][..], |(_, vs)| vs) {
+            if on {
+                data.add_location(v, node);
+            } else {
+                data.remove_location(v, node);
+            }
         }
+        changed
     }
 
     /// Blocks marked resident on `node`.
@@ -456,7 +468,7 @@ mod tests {
         let b2 = store.encode(v2, &val(42)).expect("codec registered");
         assert_eq!(b1.hash, b2.hash);
         assert!(Arc::ptr_eq(&b1, &b2), "identical content collapses to one block");
-        assert_eq!(store.versions_of(b1.hash), &[v1, v2]);
+        assert_eq!(store.by_hash[&b1.hash].1, [v1, v2]);
         assert!(store.lookup(b1.hash).is_some());
         assert_eq!(store.bytes(), b1.blob.bytes.len() as u64, "one block, counted once");
     }
@@ -468,13 +480,13 @@ mod tests {
         let v2 = DataVersion { handle: crate::data::DataHandle(2), version: 1 };
         let hash = store.encode(v1, &val(42)).unwrap().hash;
         store.encode(v2, &val(42)).unwrap();
-        store.add_resident(0, hash);
+        store.set_resident(&mut DataRegistry::new(8), 0, hash, true);
         store.retire(v1);
-        assert_eq!(store.versions_of(hash), &[v2]);
+        assert_eq!(store.by_hash[&hash].1, [v2]);
         assert!(store.lookup(hash).is_some(), "v2 still holds the content");
         store.retire(v1); // already gone: nothing to do
         store.retire(v2);
-        assert!(store.lookup(hash).is_none() && store.versions_of(hash).is_empty());
+        assert!(store.lookup(hash).is_none() && !store.by_hash.contains_key(&hash));
         assert_eq!(store.bytes(), 0);
         assert!(store.encoded.is_empty() && store.by_hash.is_empty());
         // The worker may well still cache it: an identical literal under a
@@ -486,17 +498,28 @@ mod tests {
 
     #[test]
     fn store_residency_add_evict_clear() {
-        let mut store = BlockStore::new();
-        store.add_resident(3, 7);
-        store.add_resident(3, 9);
-        store.add_resident(4, 7);
-        assert!(store.is_resident(3, 7));
-        store.evict(3, 7);
-        assert!(!store.is_resident(3, 7));
+        let (mut store, mut data) = (BlockStore::new(), DataRegistry::new(8));
+        // Two live versions with the same bytes hold one block.
+        let [v1, v2] = [1, 2].map(|n| {
+            let h = data.literal(val(n));
+            data.current_version(h)
+        });
+        let hash = store.encode(v1, &val(42)).unwrap().hash;
+        store.encode(v2, &val(42)).unwrap();
+        let on = |data: &DataRegistry, node| [v1, v2].map(|v| data.is_on_node(v, node));
+        assert!(store.set_resident(&mut data, 3, hash, true));
+        assert!(!store.set_resident(&mut data, 3, hash, true), "marked already");
+        store.set_resident(&mut data, 3, 9, true);
+        store.set_resident(&mut data, 4, hash, true);
+        assert!(store.is_resident(3, hash));
+        assert_eq!(on(&data, 3), [true; 2], "every version holding the block");
+        assert!(store.set_resident(&mut data, 3, hash, false));
+        assert!(!store.is_resident(3, hash));
+        assert_eq!(on(&data, 3), [false; 2]);
         assert!(store.is_resident(3, 9));
-        assert!(store.is_resident(4, 7));
+        assert!(store.is_resident(4, hash) && on(&data, 4) == [true; 2]);
         store.clear_node(4);
-        assert!(!store.is_resident(4, 7));
+        assert!(!store.is_resident(4, hash));
     }
 
     #[test]

@@ -215,6 +215,9 @@ pub(crate) struct Instance {
     pub def: TaskDef,
     /// The resolved arguments in order, then one `Write` per return slot.
     pub args: Vec<ResolvedArg>,
+    /// The number of the task's running or next attempt, from 1: the one
+    /// copy. It moves on only in [`complete_attempt`]'s retry, once the
+    /// running attempt has ended.
     pub attempt: u32,
     pub prefer_node: Option<u32>,
     pub exclude_node: Option<u32>,
@@ -277,11 +280,12 @@ impl Streaks {
 }
 
 /// One in-flight execution. What it holds on its nodes is its placement and
-/// the constraint of the variant placed, read from the task's definition.
+/// the constraint of the variant placed, read from the task's definition;
+/// its attempt number is the task's own ([`Instance::attempt`]), which
+/// moves on only once this attempt has ended.
 pub(crate) struct RunningExec {
     pub task: TaskId,
     pub placement: Placement,
-    pub attempt: u32,
     /// Dispatch time on the backend's clock.
     pub dispatched_us: u64,
 }
@@ -298,7 +302,6 @@ pub(crate) struct Core {
     /// Ids of the permanently failed tasks, in the order they failed.
     pub failed: Vec<TaskId>,
     pub sim: Option<SimState>,
-    pub next_task: u64,
     pub next_exec: u64,
     /// All but `failed`, which [`Runtime::stats`] reads off `Core::failed`.
     pub stats: RuntimeStats,
@@ -526,7 +529,6 @@ impl Runtime {
                 running: IdMap::default(),
                 failed: Vec::new(),
                 sim: None,
-                next_task: 1,
                 next_exec: 0,
                 stats: RuntimeStats::default(),
                 snapshot_bytes: 0,
@@ -612,7 +614,8 @@ impl Runtime {
                 return Err(SubmitError::UnwrittenData(h));
             }
         }
-        let id = TaskId(core.next_task);
+        // Ids count submissions from 1.
+        let id = TaskId(core.stats.submitted + 1);
 
         // Resolve arguments: compute dependencies and version bumps. The
         // task becomes a user of every version it names until it settles
@@ -655,7 +658,6 @@ impl Runtime {
             return_handles.push(h);
         }
 
-        core.next_task += 1;
         core.stats.submitted += 1;
         self.shared.metrics.submitted.incr();
         let submitted_us = core.now_us(&self.shared);
@@ -875,7 +877,6 @@ impl Drop for Runtime {
 pub(crate) struct Placed {
     pub exec_id: u64,
     pub task: TaskId,
-    pub attempt: u32,
     /// Dispatch time on the backend's clock.
     pub now_us: u64,
     /// Whether its function is fast ([`Streaks::of`]) as it is placed.
@@ -912,15 +913,15 @@ pub(crate) fn place_ready<S: Ord>(
         let Some((entry, placement)) = popped else { break };
         let task = entry.task;
         let inst = core.instances.get(&task).expect("ready task has an instance");
-        let (attempt, fast) = (inst.attempt, core.streaks.of(&inst.def.name));
+        let fast = core.streaks.of(&inst.def.name);
         let now_us = core.now_us(shared);
         shared.metrics.dispatched.incr();
         shared.metrics.dep_wait.record(now_us.saturating_sub(inst.submitted_us));
         let exec_id = core.next_exec;
         core.next_exec += 1;
-        let run = RunningExec { task, placement, attempt, dispatched_us: now_us };
+        let run = RunningExec { task, placement, dispatched_us: now_us };
         core.running.insert(exec_id, run);
-        launch(core, Placed { exec_id, task, attempt, now_us, fast });
+        launch(core, Placed { exec_id, task, now_us, fast });
         if shared.trace.is_enabled() {
             let lead = core.running[&exec_id].placement.lead_core();
             let task_ref = TaskRef::new(task.0, Arc::clone(&core.instances[&task].def.name));
@@ -1009,7 +1010,8 @@ pub(crate) fn complete_attempt(
     let Report { span, held_us, wire_us, exec_us, ship_us } = report;
     let task = run.task;
     let inst = &core.instances[&task];
-    let (name, submitted_us) = (Arc::clone(&inst.def.name), inst.submitted_us);
+    let (name, submitted_us, attempt) =
+        (Arc::clone(&inst.def.name), inst.submitted_us, inst.attempt);
     // A node killed with the attempt has nothing to give back; its live
     // peers of a multinode placement do, and `release` tells them apart.
     let (placed, _) = inst.def.variant(run.placement.variant).expect("a placed variant exists");
@@ -1019,7 +1021,7 @@ pub(crate) fn complete_attempt(
     }
 
     // Consult the failure injector (deterministic chaos for tests/benches).
-    let injected = shared.failures.attempt_fails(task.0, run.attempt);
+    let injected = shared.failures.attempt_fails(task.0, attempt);
     let writes = inst.writes().count();
     let outcome = match result {
         _ if injected => Err(TaskError::new("injected failure")),
@@ -1056,12 +1058,9 @@ pub(crate) fn complete_attempt(
             shared.trace.event(
                 run.placement.lead_core(),
                 now_us,
-                EventKind::TaskFailure {
-                    task: TaskRef::new(task.0, Arc::clone(&name)),
-                    attempt: run.attempt,
-                },
+                EventKind::TaskFailure { task: TaskRef::new(task.0, Arc::clone(&name)), attempt },
             );
-            match shared.retry.on_failure(run.attempt, node_gone) {
+            match shared.retry.on_failure(attempt, node_gone) {
                 RetryDecision::GiveUp => fail_task_cascade(shared, core, task),
                 decision => {
                     shared.metrics.retried.incr();
@@ -1075,7 +1074,7 @@ pub(crate) fn complete_attempt(
                             .any(|c| core.sched.satisfiable_excluding(&c, run.placement.node))
                     };
                     let inst = core.instances.get_mut(&task).expect("instance exists");
-                    inst.attempt = run.attempt + 1;
+                    inst.attempt = attempt + 1;
                     match decision {
                         RetryDecision::RetrySameNode => {
                             inst.prefer_node = Some(run.placement.node);

@@ -150,18 +150,11 @@ pub struct TaskContext {
     pub gpus: Vec<u32>,
     /// Additional nodes of a `@multinode` allocation (empty otherwise).
     pub peer_nodes: Vec<u32>,
-    /// Whether this is a simulated execution (virtual time).
-    pub simulated: bool,
 }
 
 impl TaskContext {
     /// The context of `attempt` of `task` running on `placement`.
-    pub(crate) fn placed(
-        task: TaskId,
-        attempt: u32,
-        placement: &Placement,
-        simulated: bool,
-    ) -> TaskContext {
+    pub(crate) fn placed(task: TaskId, attempt: u32, placement: &Placement) -> TaskContext {
         TaskContext {
             task,
             attempt,
@@ -169,7 +162,6 @@ impl TaskContext {
             cores: placement.cores.clone(),
             gpus: placement.gpus.clone(),
             peer_nodes: placement.extra.iter().map(|(n, _, _)| *n).collect(),
-            simulated,
         }
     }
 
@@ -329,7 +321,6 @@ mod tests {
             cores: vec![4, 5, 6, 7],
             gpus: vec![],
             peer_nodes: vec![],
-            simulated: false,
         };
         assert_eq!(ctx.parallelism(), 4);
         ctx.cores.clear();

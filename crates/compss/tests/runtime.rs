@@ -777,17 +777,22 @@ fn a_multinode_retry_gets_back_the_cores_of_the_surviving_node() {
 fn a_random_mix_of_outcomes_settles_every_task() {
     // Seeded programs of tasks reading earlier outputs, with successes,
     // retries that recover, permanent failures and the cascades they poison,
-    // over plain, `@implement` and `@multinode` definitions. A sequential
-    // model predicts every value and every failure. Mid-program, a wait on
-    // a handle nothing writes returns only once every task has settled;
-    // after the barrier, the failure count is the failed list's length.
+    // over plain, `@implement` and `@multinode` definitions. On the
+    // simulator a node dies mid-run: what ran there fails unseen by its body
+    // and retries elsewhere. Each body logs the attempt it runs and the
+    // trace the attempts the runtime failed: together they number each
+    // task's attempts 1, 2, … in order, and a sequential model, told which
+    // attempts died with the node, predicts every value and every failure.
+    // Mid-program, a wait on a handle nothing writes returns only once every
+    // task has settled; after the barrier, the failure count is the failed
+    // list's length.
     use rand::{Rng, SeedableRng};
     const MAX_ATTEMPTS: u32 = 3;
     let fold = |ins: &[u64]| ins.iter().fold(7u64, |a, &b| a.wrapping_mul(31).wrapping_add(b));
     for (seed, simulated) in (0..8u64).map(|s| (s, s % 2 == 0)) {
         let tag = format!("seed {seed}, simulated {simulated}");
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        const TASKS: u64 = 160;
+        const TASKS: usize = 160;
         // Attempts 1..=n of task id fail: 1 or 2 recover, 3 is permanent.
         let fails: Vec<u32> = (0..=TASKS)
             .map(|_| [0, 0, 0, 0, 0, 1, 2, MAX_ATTEMPTS][rng.gen_range(0..8usize)])
@@ -798,72 +803,118 @@ fn a_random_mix_of_outcomes_settles_every_task() {
                 injector = injector.with_task_failure(id as u64, attempt);
             }
         }
+        if simulated {
+            // While the first tasks run.
+            injector = injector.with_node_failure(2_500, (seed % 3) as u32);
+        }
         let cluster = Cluster::homogeneous(3, NodeSpec::new("n", 4, vec![], 8));
         let cfg = RuntimeConfig::on_cluster(cluster)
-            .with_tracing(false)
             .with_retry(RetryPolicy { max_attempts: MAX_ATTEMPTS, same_node_first: true })
             .with_failures(injector);
         let rt = if simulated { Runtime::simulated(cfg) } else { Runtime::threaded(cfg) };
-        let body = move |_: &rcompss::TaskContext, ins: &[Value]| {
-            let ins: Vec<u64> = ins.iter().map(|v| *v.downcast_ref::<u64>().unwrap()).collect();
-            Ok(vec![Value::new(fold(&ins))])
+        // Per task id, the attempts its body ran, in order.
+        let ran = Arc::new(parking_lot_for_tests::Mutex::new(vec![Vec::<u32>::new(); TASKS + 1]));
+        let body = {
+            let ran = Arc::clone(&ran);
+            move |ctx: &rcompss::TaskContext, ins: &[Value]| {
+                ran.lock()[ctx.task.0 as usize].push(ctx.attempt);
+                let ins: Vec<u64> = ins.iter().map(|v| *v.downcast_ref::<u64>().unwrap()).collect();
+                Ok(vec![Value::new(fold(&ins))])
+            }
         };
         let defs = [
-            rt.register("plain", Constraint::cpus(1), 1, body),
-            rt.register("alt", Constraint::cpus(1).with_gpus(1), 1, body)
-                .with_implementation(Constraint::cpus(1).with_mem_gib(4), body),
+            rt.register("plain", Constraint::cpus(1), 1, body.clone()),
+            rt.register("alt", Constraint::cpus(1).with_gpus(1), 1, body.clone())
+                .with_implementation(Constraint::cpus(1).with_mem_gib(4), body.clone()),
             rt.register("mpi", Constraint::multinode(2, 2), 1, body).with_priority(),
         ];
         let never = rt.declare();
-        // Per task: its output, the model's value (None: failed), its depth.
-        let mut tasks: Vec<(rcompss::DataHandle, Option<u64>, u64)> = Vec::new();
-        let mut failed = Vec::new();
-        // Failed attempts, and tasks that failed only through a producer.
-        let (mut attempts, mut cascaded) = (0, 0);
+        // Per task: its id, its output and the indices of the tasks it reads.
+        let mut tasks: Vec<(rcompss::TaskId, rcompss::DataHandle, Vec<usize>)> = Vec::new();
         for step in 0..TASKS {
             let reads: Vec<usize> = match tasks.len() {
                 0 => Vec::new(),
                 n => (0..rng.gen_range(0..3usize)).map(|_| rng.gen_range(0..n)).collect(),
             };
-            let args = reads.iter().map(|&i| ArgSpec::In(tasks[i].0)).collect();
+            let args = reads.iter().map(|&i| ArgSpec::In(tasks[i].1)).collect();
             let def = &defs[rng.gen_range(0..defs.len())];
             let opts = SubmitOpts { sim_duration_us: Some(1_000) };
             let submitted = rt.submit_with(def, args, opts).unwrap();
-            // Only a task whose producers all succeeded runs an attempt.
-            let ins: Option<Vec<u64>> = reads.iter().map(|&i| tasks[i].1).collect();
-            let fails = fails[submitted.task.0 as usize];
-            attempts += ins.as_ref().map_or(0, |_| u64::from(fails));
-            cascaded += u32::from(ins.is_none());
-            let value = ins.filter(|_| fails < MAX_ATTEMPTS);
-            let depth = 1 + reads.iter().map(|&i| tasks[i].2).max().unwrap_or(0);
-            if value.is_none() {
-                failed.push(submitted.task);
-            }
-            tasks.push((submitted.returns[0], value.map(|ins| fold(&ins)), depth));
+            tasks.push((submitted.task, submitted.returns[0], reads));
             if rng.gen_range(0..40u32) == 0 {
                 assert_eq!(rt.wait_on(&never).err(), Some(WaitError::NeverWritten(never)));
                 let stats = rt.stats();
-                assert_eq!(stats.completed + stats.failed, step + 1, "{tag} step {step}");
+                assert_eq!(stats.completed + stats.failed, step as u64 + 1, "{tag} step {step}");
             }
         }
         rt.barrier();
-        for (i, (h, value, _)) in tasks.iter().enumerate() {
+        // Per task id, the attempts the runtime failed, in order.
+        let mut failures = vec![Vec::<u32>::new(); TASKS + 1];
+        for r in rt.trace() {
+            if let paratrace::Record::Event {
+                kind: paratrace::EventKind::TaskFailure { task, attempt },
+                ..
+            } = r
+            {
+                failures[task.id as usize].push(attempt);
+            }
+        }
+        let ran = ran.lock();
+        // Per task: the model's value (None: failed) and its depth.
+        let mut model: Vec<(Option<u64>, u64)> = Vec::new();
+        let mut failed = Vec::new();
+        // Failed and killed attempts; tasks that failed only through a
+        // producer, that gave up, and that recovered.
+        let (mut attempts, mut killed) = (0, 0);
+        let (mut cascaded, mut given_up, mut recovered) = (0, 0, 0);
+        for (task, _, reads) in &tasks {
+            let id = task.0 as usize;
+            // Only a task whose producers all succeeded runs an attempt.
+            let ins: Option<Vec<u64>> = reads.iter().map(|&i| model[i].0).collect();
+            let depth = 1 + reads.iter().map(|&i| model[i].1).max().unwrap_or(0);
+            // Attempt a died with its node if the runtime failed it and its
+            // body never ran; else it ran, and failed if injected to.
+            let (mut want_ran, mut want_failed, mut value) = (Vec::new(), Vec::new(), None);
+            for a in (1..=MAX_ATTEMPTS).filter(|_| ins.is_some()) {
+                let died = failures[id].contains(&a) && !ran[id].contains(&a);
+                killed += u32::from(died);
+                if !died {
+                    want_ran.push(a);
+                }
+                if died || a <= fails[id] {
+                    want_failed.push(a);
+                } else {
+                    value = ins.as_deref().map(fold);
+                    break;
+                }
+            }
+            assert_eq!((&ran[id], &failures[id]), (&want_ran, &want_failed), "{tag} task {id}");
+            attempts += want_failed.len() as u64;
+            cascaded += u32::from(ins.is_none());
+            given_up += u32::from(ins.is_some() && value.is_none());
+            recovered += u32::from(value.is_some() && !want_failed.is_empty());
+            if value.is_none() {
+                failed.push(*task);
+            }
+            model.push((value, depth));
+        }
+        for (i, ((_, h, _), (value, _))) in tasks.iter().zip(&model).enumerate() {
             let got = rt.wait_on(h).map(|v| *v.downcast_ref::<u64>().unwrap());
             assert_eq!(got, value.ok_or(WaitError::ProducerFailed(*h)), "{tag} task {i}");
         }
         let stats = rt.stats();
         assert_eq!(rt.failed_tasks(), failed, "{tag}");
         assert_eq!(stats.failed, rt.failed_tasks().len() as u64, "{tag}");
-        assert_eq!((stats.submitted, stats.completed + stats.failed), (TASKS, TASKS), "{tag}");
+        let n = TASKS as u64;
+        assert_eq!((stats.submitted, stats.completed + stats.failed), (n, n), "{tag}");
         assert_eq!(stats.failed_attempts, attempts, "{tag}");
-        let given_up = failed.len() as u32 - cascaded;
-        let recovered = attempts > u64::from(given_up * MAX_ATTEMPTS);
-        assert!(cascaded > 0 && given_up > 0 && recovered, "{tag}: {cascaded}, {given_up}");
+        assert!(cascaded > 0 && given_up > 0 && recovered > 0, "{tag}: {cascaded}, {given_up}");
+        assert_eq!(killed > 0, simulated, "{tag}: {killed} attempts died with a node");
         assert_eq!(rt.metrics().snapshot().gauge("rcompss_live_tasks"), Some(0.0), "{tag}");
         if simulated {
             // A task's last attempt starts once its producers are done: the
             // longest chain of successes is a floor under the makespan.
-            let chain = tasks.iter().filter(|t| t.1.is_some()).map(|t| t.2).max().unwrap();
+            let chain = model.iter().filter(|t| t.0.is_some()).map(|t| t.1).max().unwrap();
             assert!(stats.makespan_us >= chain * 1_000, "{tag}: chain of {chain}");
         }
     }

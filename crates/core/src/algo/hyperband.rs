@@ -24,8 +24,6 @@ pub struct Rung {
 pub struct Bracket {
     /// Rungs from cheapest to most expensive.
     pub rungs: Vec<Rung>,
-    /// The halving factor.
-    pub eta: u32,
 }
 
 impl Bracket {
@@ -50,7 +48,7 @@ impl Bracket {
             n /= eta as usize;
             b = b.saturating_mul(eta);
         }
-        Bracket { rungs, eta }
+        Bracket { rungs }
     }
 
     /// Total training epochs spent by the bracket (work measure).

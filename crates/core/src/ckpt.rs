@@ -188,8 +188,9 @@ impl SweepState {
     }
 }
 
-/// Where and how often a sweep checkpoints. One directory holds both the
-/// journal and the in-flight trials' model snapshots:
+/// Where a sweep checkpoints. One directory holds both the journal and the
+/// in-flight trials' model snapshots; the snapshot cadence is the trial
+/// body's own (`Trainer::ckpt_every`):
 ///
 /// ```text
 /// <dir>/sweep.journal          append-only CRC-framed records
@@ -199,21 +200,12 @@ impl SweepState {
 pub struct CheckpointSpec {
     /// Root directory of the sweep's checkpoint state.
     pub dir: PathBuf,
-    /// Snapshot the model every `every` epochs (0 = journal only, no
-    /// model snapshots — a crash then restarts trials from epoch 0).
-    pub every: u32,
 }
 
 impl CheckpointSpec {
-    /// Spec with the default cadence: snapshot every epoch.
+    /// Spec rooted at `dir`.
     pub fn new(dir: impl Into<PathBuf>) -> CheckpointSpec {
-        CheckpointSpec { dir: dir.into(), every: 1 }
-    }
-
-    /// Set the snapshot cadence (chainable).
-    pub fn with_every(mut self, every: u32) -> CheckpointSpec {
-        self.every = every;
-        self
+        CheckpointSpec { dir: dir.into() }
     }
 
     /// Path of the sweep journal.

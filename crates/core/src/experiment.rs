@@ -526,7 +526,7 @@ mod tests {
         let data = Arc::new(Dataset::synthetic_mnist(200, 3));
         let dir = std::env::temp_dir().join(format!("hpo-exp-ckpt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let spec = crate::ckpt::CheckpointSpec::new(&dir).with_every(2);
+        let spec = crate::ckpt::CheckpointSpec::new(&dir);
         let store = Arc::new(spec.store().unwrap());
         let trainer = Trainer {
             ckpt_every: 2,

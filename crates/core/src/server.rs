@@ -34,7 +34,9 @@
 //! `hposerver_sweeps_completed_total`, `hposerver_sweeps_rejected_total`,
 //! `hposerver_tenant_throttled_total{tenant=…}`,
 //! `hposerver_trial_latency_us{sweep=…}`) and exports through the usual
-//! `/metrics` status endpoint.
+//! `/metrics` status endpoint. Despite its name, the last holds each
+//! trial's `task_us`, the exec time of the attempt that produced it, not a
+//! latency from submission to leaderboard row (ROADMAP item 2).
 //!
 //! **Shape.** Every decision above is made by one sans-IO `State`
 //! (see `server/state.rs`): events in, actions out, the time passed in

@@ -511,7 +511,6 @@ mod tests {
             cores: vec![0],
             gpus: vec![],
             peer_nodes: vec![],
-            simulated: false,
         };
         let config = cfg(&[("optimizer", s("Adam")), ("num_epochs", int(4))]);
         // root segment [0,2)
@@ -547,7 +546,6 @@ mod tests {
             cores: vec![0],
             gpus: vec![],
             peer_nodes: vec![],
-            simulated: false,
         };
         let bad = vec![Value::new(7u32), Value::new(2u32), Value::new(2u32), Value::new(0u32)];
         assert!((def.body)(&ctx, &bad).is_err());

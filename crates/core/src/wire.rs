@@ -252,7 +252,6 @@ mod tests {
             cores: vec![0],
             gpus: vec![],
             peer_nodes: vec![],
-            simulated: false,
         };
         let cfg = Config::new().with("lr", ConfigValue::Float(0.05));
         let inputs = vec![Value::new(cfg), Value::new(Some(2u32))];

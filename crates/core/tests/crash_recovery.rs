@@ -95,7 +95,7 @@ fn interrupted_and_resumed_sweep_is_bit_identical() {
     // Stage the crash: trial A finished (journaled), trial B killed after
     // 3 of 6 epochs with a model snapshot at epoch 2 on disk.
     let dir = tmpdir("resume");
-    let spec = CheckpointSpec::new(&dir).with_every(2);
+    let spec = CheckpointSpec::new(&dir);
     let journal = spec.journal().expect("journal");
     let store = Arc::new(spec.store().expect("store"));
 

@@ -184,7 +184,7 @@ fn run(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
     let mut journal = None;
     let mut resume_state = None;
     if let Some(dir) = &args.ckpt_dir {
-        let spec = hpo::ckpt::CheckpointSpec::new(dir).with_every(args.ckpt_every);
+        let spec = hpo::ckpt::CheckpointSpec::new(dir);
         if args.resume {
             let state = spec.recover().map_err(|e| format!("cannot resume from {dir}: {e}"))?;
             println!(

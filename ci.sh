@@ -158,8 +158,8 @@ owned_hits() {
 
 # The five ownership stages below: `owned_by_one STAGE PATTERN WHY PLANT
 # FILE...` prints the owned_hits of PATTERN in the files and fails with
-# "STAGE FAILED: WHY" if there is one. PLANT is a line the stage must catch,
-# kept for the check after the five.
+# "STAGE FAILED: WHY" if there is one. PLANT is one or more lines, each of
+# which the stage must catch, kept for the check after the five.
 STAGES=() PATTERNS=() PLANTS=()
 owned_by_one() {
     local stage="$1" pattern="$2" why="$3" hits
@@ -202,15 +202,17 @@ owned_by_one "one trial body" \
 
 echo "==> one trial collection: the sweep engine waits on a trial in one place"
 # Every trial the runner submits, an experiment or a stage tree's trial,
-# joins one queue in admission order, and Evaluation::next collects it with
-# the one wait_on_timed call in the hpo crate and the binary.
+# joins one pending list, and Evaluation::next collects each as it settles:
+# the one wait_any over the list and the one wait_on_timed on the trial it
+# picked are the hpo crate's and the binary's only waits.
 owned_by_one "one trial collection" \
-    'wait_on(_timed)?[(]' \
-    "a trial waited on outside hpo::runner" 'rt.wait_on_timed(h)' \
+    'wait_(on|on_timed|any)[(]' \
+    "a trial waited on outside hpo::runner" 'rt.wait_on_timed(h)'$'\n''rt.wait_any(&hs)' \
     $(program_files | grep -E '^(crates/core/)?src/' | grep -vx 'crates/core/src/runner[.]rs')
-waits=$(awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && /wait_on(_timed)?[(]/' crates/core/src/runner.rs | wc -l)
-if [ "$waits" -ne 1 ]; then
-    echo "one trial collection FAILED: runner.rs waits on trials in $waits places, not one" >&2
+waits=$(awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t' crates/core/src/runner.rs |
+    grep -oE 'wait_(on|on_timed|any)[(]' | sort | tr '\n' ' ')
+if [ "$waits" != "wait_any( wait_on_timed( " ]; then
+    echo "one trial collection FAILED: runner.rs waits with '$waits', not one wait_any and one wait_on_timed" >&2
     exit 1
 fi
 
@@ -226,16 +228,18 @@ owned_by_one "sans-IO driver and worker" \
     crates/compss/src/backend/distributed/worker/state.rs
 
 echo "==> the ownership stages bite: each stage's pattern catches the line it planted"
-# A pattern that matches nothing passes every tree. Each stage named a line
-# that breaks its rule; written alone to a scratch file, it must be a hit.
+# A pattern that matches nothing passes every tree. Each stage named lines
+# that break its rule; each, written alone to a scratch file, must be a hit.
 planted=$(mktemp --suffix=.rs)
 for i in "${!STAGES[@]}"; do
-    printf '%s\n' "${PLANTS[$i]}" > "$planted"
-    if [ -z "$(owned_hits "${PATTERNS[$i]}" "$planted")" ]; then
-        rm -f "$planted"
-        echo "${STAGES[$i]} FAILED: its pattern lets '${PLANTS[$i]}' through" >&2
-        exit 1
-    fi
+    while IFS= read -r plant; do
+        printf '%s\n' "$plant" > "$planted"
+        if [ -z "$(owned_hits "${PATTERNS[$i]}" "$planted")" ]; then
+            rm -f "$planted"
+            echo "${STAGES[$i]} FAILED: its pattern lets '$plant' through" >&2
+            exit 1
+        fi
+    done <<< "${PLANTS[$i]}"
 done
 rm -f "$planted"
 echo "${#STAGES[@]} ownership stages, each red on its planted line"

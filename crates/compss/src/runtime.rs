@@ -7,6 +7,7 @@
 //! with [`Runtime::wait_on`] (the paper's `compss_wait_on`) or
 //! [`Runtime::barrier`].
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -173,6 +174,8 @@ pub enum WaitError {
     NeverWritten(DataHandle),
     /// Handle from a different runtime, or [deleted](Runtime::delete).
     UnknownData(DataHandle),
+    /// [`Runtime::wait_any`] was given no handle to wait on.
+    NoHandles,
 }
 
 impl std::fmt::Display for WaitError {
@@ -181,6 +184,7 @@ impl std::fmt::Display for WaitError {
             WaitError::ProducerFailed(h) => write!(f, "producer of {h} failed permanently"),
             WaitError::NeverWritten(h) => write!(f, "data {h} will never be written"),
             WaitError::UnknownData(h) => write!(f, "data {h} is not known to this runtime"),
+            WaitError::NoHandles => write!(f, "wait_any was given no handle"),
         }
     }
 }
@@ -336,6 +340,19 @@ impl Core {
         } else {
             self.sched.push_ready(entry);
         }
+    }
+
+    /// Whether a wait on `v` is over: a value or a poison mark, or, on the
+    /// writerless version 0, nothing left to run.
+    fn settled(&self, v: DataVersion) -> bool {
+        self.data.is_ready(v)
+            || self.data.is_poisoned(v)
+            || (v.version == 0 && self.instances.is_empty())
+    }
+
+    /// Tasks settled, done or failed for good: no wait ends while it stands.
+    fn settle_count(&self) -> u64 {
+        self.stats.completed + self.failed.len() as u64
     }
 
     /// Drop `v` if it is dead ([`DataRegistry::reap`]), its encoded block
@@ -728,13 +745,7 @@ impl Runtime {
         // The wait is a user of its target: a rename or a delete from
         // another thread must not take the version from under it.
         core.data.acquire(target);
-        // Version 0 has no writer: once nothing is left to run, nothing will
-        // write it.
-        self.wait_until(&mut core, |c| {
-            c.data.is_ready(target)
-                || c.data.is_poisoned(target)
-                || (target.version == 0 && c.instances.is_empty())
-        });
+        self.wait_until(&mut core, |c| c.settled(target));
         let result = if core.data.is_poisoned(target) {
             Err(WaitError::ProducerFailed(*h))
         } else {
@@ -743,6 +754,50 @@ impl Runtime {
         core.release(target);
         core.publish_gauges(&self.shared);
         result
+    }
+
+    /// HPX's `when_any`: block (or drive the simulation) until one of `hs`
+    /// has settled — a value or a poison mark on its current version — and
+    /// return the lowest index that has; `wait_on` on it returns at once.
+    /// Like `wait_on` it holds its targets while it waits. The graph records
+    /// no sync: the `wait_on` that follows does. Cost, for p handles: O(p)
+    /// on the call (a pass, and a hold and a release of each if none has
+    /// settled), and O(p) per task that settles while it waits; any other
+    /// wake-up looks at none of them. So a sweep pays O(p) per settled trial.
+    /// [`WaitError::NoHandles`] for an empty slice, and
+    /// [`WaitError::UnknownData`] for the first unknown or deleted handle.
+    pub fn wait_any(&self, hs: &[DataHandle]) -> Result<usize, WaitError> {
+        if hs.is_empty() {
+            return Err(WaitError::NoHandles);
+        }
+        let mut core = self.shared.core.lock();
+        let mut targets = Vec::with_capacity(hs.len());
+        for &h in hs {
+            if !core.data.knows(h) {
+                return Err(WaitError::UnknownData(h));
+            }
+            targets.push(core.data.current_version(h));
+        }
+        let first_settled = |c: &Core| targets.iter().position(|&v| c.settled(v));
+        if let Some(i) = first_settled(&core) {
+            return Ok(i);
+        }
+        targets.iter().for_each(|&v| core.data.acquire(v));
+        let seen = Cell::new(core.settle_count());
+        let found = Cell::new(None);
+        self.wait_until(&mut core, |c| {
+            let count = c.settle_count();
+            if seen.replace(count) != count {
+                found.set(first_settled(c));
+            }
+            found.get().is_some()
+        });
+        // The simulator stops once nothing can change, and by then every
+        // task has settled, so every target has too.
+        let found = found.get().or_else(|| first_settled(&core));
+        targets.iter().for_each(|&v| core.release(v));
+        core.publish_gauges(&self.shared);
+        found.ok_or(WaitError::NeverWritten(hs[0]))
     }
 
     /// PyCOMPSs' `compss_delete_object`: the main program's promise not to

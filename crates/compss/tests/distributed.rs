@@ -1367,3 +1367,32 @@ fn out_of_fds_for_the_event_loop_is_an_error_not_a_panic() {
     .expect("built an event loop with no fd left for its waker");
     assert_eq!(err.raw_os_error(), Some(24), "EMFILE, got {err}");
 }
+
+#[test]
+fn loopback_wait_any_returns_the_first_to_settle() {
+    // The worker runs in this process, so its `hold` body waits for the
+    // test's release.
+    let (release, held) = std::sync::mpsc::channel::<()>();
+    let held = std::sync::Mutex::new(held);
+    let hold = def("hold", move |_, _| {
+        let released = held.lock().unwrap().recv_timeout(Duration::from_secs(10));
+        released.map_err(|_| TaskError::new("never released"))?;
+        Ok(vec![Value::new(300i64)])
+    });
+    let cfg = WorkerConfig { name: "w-any".into(), cores: 2, ..WorkerConfig::default() };
+    let worker = WorkerServer::bind("127.0.0.1:0", cfg, task_set().with(hold.clone()))
+        .expect("bind loopback")
+        .spawn()
+        .expect("spawn worker");
+    let rt =
+        Runtime::distributed(RuntimeConfig::single_node(1), &[worker.addr()], Default::default())
+            .expect("connect");
+    let square = task_set().get("square").unwrap().clone();
+    let slow = rt.submit(&hold, vec![]).unwrap().returns[0];
+    let fast = rt.submit(&square, vec![ArgSpec::In(rt.literal(3i64))]).unwrap().returns[0];
+    assert_eq!(rt.wait_any(&[slow, fast]), Ok(1), "the square settles first");
+    release.send(()).unwrap();
+    rt.barrier();
+    assert_eq!(rt.wait_any(&[slow, fast]), Ok(0), "both settled: the lowest index");
+    assert_eq!(rt.wait_on(&slow).map(|v| *v.downcast_ref::<i64>().unwrap()), Ok(300));
+}

@@ -2,6 +2,7 @@
 //! exercising both backends.
 
 use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
 use cluster::{Cluster, FailureInjector, NodeSpec};
@@ -1059,4 +1060,105 @@ fn a_wrong_value_count_fails_the_task_threaded() {
 #[test]
 fn a_wrong_value_count_fails_the_task_simulated() {
     a_wrong_value_count_fails_the_task(Runtime::simulated(RuntimeConfig::single_node(2)));
+}
+
+/// `wait_any`'s contract holds on these: two threaded cores and two
+/// simulated ones.
+fn both_backends() -> [Runtime; 2] {
+    [
+        Runtime::threaded(RuntimeConfig::single_node(2)),
+        Runtime::simulated(RuntimeConfig::single_node(2)),
+    ]
+}
+
+/// Submit a task that ends once the returned sender releases it, and then
+/// one that ends at once. On the simulator they last 300 ms and 1 ms of
+/// virtual time, and a body runs when its time is up.
+fn held_then_quick(rt: &Runtime) -> (rcompss::DataHandle, rcompss::DataHandle, Sender<()>) {
+    let (release, held) = std::sync::mpsc::channel::<()>();
+    let held = std::sync::Mutex::new(held);
+    let hold = rt.register("hold", Constraint::cpus(1), 1, move |_, _| {
+        let released = held.lock().unwrap().recv_timeout(std::time::Duration::from_secs(10));
+        released.map_err(|_| TaskError::new("never released"))?;
+        Ok(vec![Value::new(300u64)])
+    });
+    let quick = rt.register("quick", Constraint::cpus(1), 1, |_, _| Ok(vec![Value::new(1u64)]));
+    let lasting = |ms: u64| SubmitOpts { sim_duration_us: Some(ms * 1_000) };
+    let slow = rt.submit_with(&hold, vec![], lasting(300)).unwrap().returns[0];
+    let fast = rt.submit_with(&quick, vec![], lasting(1)).unwrap().returns[0];
+    (slow, fast, release)
+}
+
+#[test]
+fn wait_any_returns_the_first_to_settle_and_a_tie_the_lowest_index() {
+    for rt in both_backends() {
+        let (slow, fast, release) = held_then_quick(&rt);
+        assert_eq!(rt.wait_any(&[slow, fast]), Ok(1), "the quick task settles first");
+        release.send(()).unwrap();
+        rt.barrier();
+        assert_eq!(rt.wait_any(&[slow, fast]), Ok(0), "both settled: the lowest index");
+        assert_eq!(rt.wait_any(&[fast, slow]), Ok(0), "the index, not the handle, decides");
+        // The waits held their targets and gave them back.
+        assert_eq!(rt.wait_on(&slow).map(|v| *v.downcast_ref::<u64>().unwrap()), Ok(300));
+        rt.delete(slow);
+        rt.delete(fast);
+        rt.delete(rt.literal(0u8)); // publishes the gauges
+        let live = rt.metrics().snapshot().gauge("rcompss_live_data_versions");
+        assert_eq!(live, Some(0.0), "the waits let go of every version");
+    }
+}
+
+#[test]
+fn wait_any_settles_on_a_permanently_failed_producer() {
+    for rt in both_backends() {
+        let boom = rt.register("boom", Constraint::cpus(1), 1, |_, _| Err(TaskError::new("no")));
+        let (slow, _, release) = held_then_quick(&rt);
+        let bad = rt.submit(&boom, vec![]).unwrap().returns[0];
+        assert_eq!(rt.wait_any(&[slow, bad]), Ok(1), "a poison mark settles a handle");
+        assert_eq!(rt.wait_on(&bad).err(), Some(WaitError::ProducerFailed(bad)));
+        release.send(()).unwrap();
+    }
+}
+
+#[test]
+fn wait_any_rejects_an_unknown_handle_and_an_empty_slice() {
+    for rt in both_backends() {
+        let (kept, gone) = (rt.literal(1i64), rt.literal(2i64));
+        rt.delete(gone);
+        assert_eq!(rt.wait_any(&[kept, gone]), Err(WaitError::UnknownData(gone)));
+        let foreign = rcompss::DataHandle::test_only(u64::MAX);
+        assert_eq!(rt.wait_any(&[foreign, kept]), Err(WaitError::UnknownData(foreign)));
+        assert_eq!(rt.wait_any(&[]), Err(WaitError::NoHandles));
+        assert_eq!(rt.wait_any(&[kept]), Ok(0));
+    }
+}
+
+#[test]
+fn a_simulated_collection_order_is_the_same_every_time() {
+    // Collect six tasks of three cores the way the HPO runner does: wait
+    // for any pending one, take it out, again. Virtual time decides the
+    // order, so it is completion order, and the same on every run.
+    let collect = || {
+        let rt = Runtime::simulated(RuntimeConfig::single_node(3));
+        let tick = rt.register("tick", Constraint::cpus(1), 1, |_, _| Ok(vec![Value::new(())]));
+        let mut pending: Vec<(usize, rcompss::DataHandle)> = [50, 10, 40, 10, 30, 20]
+            .into_iter()
+            .enumerate()
+            .map(|(i, ms)| {
+                let opts = SubmitOpts { sim_duration_us: Some(ms * 1_000) };
+                (i, rt.submit_with(&tick, vec![], opts).unwrap().returns[0])
+            })
+            .collect();
+        let mut order = Vec::new();
+        while !pending.is_empty() {
+            let hs: Vec<_> = pending.iter().map(|&(_, h)| h).collect();
+            order.push(pending.remove(rt.wait_any(&hs).unwrap()).0);
+        }
+        order
+    };
+    let order = collect();
+    assert_eq!(order[..3], [1, 3, 2], "completion order, not admission order: {order:?}");
+    for _ in 0..3 {
+        assert_eq!(collect(), order);
+    }
 }

@@ -8,11 +8,11 @@
 //! submits each batch (one task per config, or one stage tree per batch),
 //! and the control gate, the sweep journal, trial metrics, the observer
 //! and across-trial early stopping wrap every batch. Either way each
-//! submitted trial joins one queue, in admission order, and is collected
-//! from it in one place: a trial is reported as soon as it and every trial
-//! admitted before it have settled.
+//! submitted trial joins one pending list and is collected from it in one
+//! place, the moment it settles: rows leave in completion order, while the
+//! report keeps admission order.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use rcompss::{ArgSpec, DataHandle, Runtime, SubmitError, SubmitOpts, TaskDef};
@@ -202,8 +202,8 @@ impl SweepSource for Listed<'_> {
 #[derive(Clone)]
 pub enum Evaluator<'a> {
     /// One `graph.experiment` task per config — the paper's
-    /// "embarrassingly parallel" structure. Trials are reported as each is
-    /// collected.
+    /// "embarrassingly parallel" structure. Each trial is reported as soon
+    /// as its task settles.
     Trials(Objective),
     /// One stage tree per batch ([`crate::stagetree`]): shared training
     /// prefixes run once and forks resume the parent snapshot, yet every
@@ -212,8 +212,8 @@ pub enum Evaluator<'a> {
     /// which siblings share the tree). Under a budgeted source a
     /// non-cosine config resumes its own snapshot from an earlier,
     /// shorter batch instead of retraining (cosine shapes depend on the
-    /// budget, so those retrain). Each trial is reported, in input order,
-    /// as soon as the segment it ends in has settled.
+    /// budget, so those retrain). Each trial is reported as soon as the
+    /// segment it ends in has settled.
     Stages(&'a Trainer),
 }
 
@@ -322,11 +322,14 @@ impl HpoRunner {
     /// a trial the recovered journal already finished is replayed, every
     /// other config passes the control gate (a denial drops it and ends
     /// the sweep after this batch drains), is journaled `Submitted` and
-    /// handed to the evaluator; then each trial is journaled `Finished`,
-    /// counted in the trial metrics and shown to `observer` — the hook
-    /// behind [`crate::dashboard::Dashboard`]. Across-trial early stopping
-    /// cuts the run after the first batch containing a target-reaching
-    /// trial.
+    /// handed to the evaluator. Then each trial, in completion order, is
+    /// journaled `Finished`, counted in the trial metrics and shown to
+    /// `observer` — the hook behind [`crate::dashboard::Dashboard`] — the
+    /// moment it settles (a replayed trial at once). Each also goes into
+    /// its admission slot: the report, and the history the source sees,
+    /// keep admission order. Across-trial early stopping, decided once the
+    /// batch has drained, cuts the run after the first batch containing a
+    /// target-reaching trial.
     pub fn execute<S: SweepSource + ?Sized>(
         &self,
         rt: &Runtime,
@@ -353,9 +356,15 @@ impl HpoRunner {
                 if configs.is_empty() {
                     break;
                 }
-                // `Some` = replayed from the journal, `None` = the evaluator's
-                // next trial.
+                // The batch in admission order; an evaluated trial's slot
+                // stays `None` until it settles.
                 let mut slots: Vec<Option<TrialResult>> = Vec::with_capacity(configs.len());
+                let mut settled = |trial: &TrialResult| {
+                    if let Some(tm) = &trial_metrics {
+                        tm.observe(trial);
+                    }
+                    observer(trial);
+                };
                 for config in configs {
                     let key = || journal_key(&config, budget);
                     if let Some((outcome, task_us)) = resume.and_then(|s| s.complete.get(&key())) {
@@ -363,11 +372,10 @@ impl HpoRunner {
                         if let Some(tm) = &trial_metrics {
                             tm.resumed.incr();
                         }
-                        slots.push(Some(TrialResult {
-                            config,
-                            outcome: outcome.clone(),
-                            task_us: *task_us,
-                        }));
+                        let trial =
+                            TrialResult { config, outcome: outcome.clone(), task_us: *task_us };
+                        settled(&trial);
+                        slots.push(Some(trial));
                         continue;
                     }
                     // The gate may block (fair-share turn, rate-limit token).
@@ -385,26 +393,23 @@ impl HpoRunner {
                         let _ =
                             j.record(&SweepRecord::Submitted { key: key(), label: config.label() });
                     }
-                    eval.admit(rt, &self.opts, config, budget)?;
+                    eval.admit(rt, &self.opts, slots.len(), config, budget)?;
                     slots.push(None);
                 }
                 eval.launch(rt, budget)?;
-                for slot in slots {
-                    let trial = slot.unwrap_or_else(|| {
-                        let trial = eval.next(rt);
-                        if let Some(j) = journal {
-                            let _ = j.record(&SweepRecord::Finished {
-                                key: journal_key(&trial.config, budget),
-                                outcome: trial.outcome.clone(),
-                                task_us: trial.task_us,
-                            });
-                        }
-                        trial
-                    });
-                    if let Some(tm) = &trial_metrics {
-                        tm.observe(&trial);
+                while let Some((slot, trial)) = eval.next(rt) {
+                    if let Some(j) = journal {
+                        let _ = j.record(&SweepRecord::Finished {
+                            key: journal_key(&trial.config, budget),
+                            outcome: trial.outcome.clone(),
+                            task_us: trial.task_us,
+                        });
                     }
-                    observer(&trial);
+                    settled(&trial);
+                    slots[slot] = Some(trial);
+                }
+                // The batch has drained: every slot holds its trial.
+                for trial in slots.into_iter().flatten() {
                     early_stopped |=
                         early_stop.is_some_and(|es| es.target_reached(trial.outcome.accuracy));
                     history.push(trial);
@@ -476,15 +481,15 @@ impl HpoRunner {
     }
 }
 
-/// A submitted trial, waiting for [`Evaluation::next`] to collect it.
+/// A submitted trial, pending until [`Evaluation::next`] collects it.
 struct Submitted {
+    /// Its place in the batch, in admission order: where the report lists it.
+    slot: usize,
     config: Config,
     /// The handle whose value is the trial's outcome: an experiment's
     /// [`TrialOutcome`], or the [`StagePayload`] of the segment it ends in.
+    /// Trials that collapsed into one segment share it.
     handle: DataHandle,
-    /// No trial queued after this one reads `handle`, so it goes once this
-    /// trial has read it — unless a label in [`Tree::snaps`] still maps to it.
-    last: bool,
 }
 
 /// An [`Evaluator`]'s state over one [`HpoRunner::execute`] call. It
@@ -494,9 +499,9 @@ struct Submitted {
 /// sweep's own — and [`Evaluation::finish`] gives back the rest.
 struct Evaluation {
     def: TaskDef,
-    /// Submitted trials in admission order: the one place a trial is
-    /// collected, whichever evaluator submitted it.
-    queue: VecDeque<Submitted>,
+    /// Submitted trials not yet collected, in admission order: the one
+    /// place a trial is collected, whichever evaluator submitted it.
+    pending: Vec<Submitted>,
     /// The stage tree's state, under [`Evaluator::Stages`].
     tree: Option<Tree>,
 }
@@ -505,8 +510,9 @@ struct Evaluation {
 struct Tree {
     /// The parent of every segment that trains from scratch.
     root: DataHandle,
-    /// Admitted configs the batch's tree is yet to be planned over.
-    admitted: Vec<Config>,
+    /// Admitted configs, with their slots, the batch's tree is yet to be
+    /// planned over.
+    admitted: Vec<(usize, Config)>,
     /// The fork snapshots of the batch being launched: on a refused
     /// submission, what is still to give back.
     batch: Vec<DataHandle>,
@@ -556,28 +562,29 @@ impl Evaluation {
                 (stage_task_def(opts, stage), Some(tree))
             }
         };
-        Evaluation { def, queue: VecDeque::new(), tree }
+        Evaluation { def, pending: Vec::new(), tree }
     }
 
-    /// Take one gated, journaled config. An experiment is submitted right
-    /// away, so it trains while the gate holds the next one back; a stage
-    /// tree needs the whole batch first.
+    /// Take one gated, journaled config for batch slot `slot`. An
+    /// experiment is submitted right away, so it trains while the gate
+    /// holds the next one back; a stage tree needs the whole batch first.
     fn admit(
         &mut self,
         rt: &Runtime,
         opts: &ExperimentOptions,
+        slot: usize,
         config: Config,
         budget: Option<u32>,
     ) -> Result<(), SubmitError> {
         if let Some(tree) = &mut self.tree {
-            tree.admitted.push(config);
+            tree.admitted.push((slot, config));
             return Ok(());
         }
         let sim_duration_us = opts.sim_duration.as_ref().map(|f| f(&config));
         let literals = vec![rt.literal(config.clone()), rt.literal(budget)];
         let opts = SubmitOpts { sim_duration_us };
         let handle = submit_over_literals(rt, &self.def, literals, None, opts)?;
-        self.queue.push_back(Submitted { config, handle, last: true });
+        self.pending.push(Submitted { slot, config, handle });
         Ok(())
     }
 
@@ -585,10 +592,10 @@ impl Evaluation {
     /// every segment in topological order, a parent's return handle
     /// feeding each child's fourth argument, so the runtime's dependency
     /// graph chains the segments and (distributed) ships each fork
-    /// snapshot content-addressed through the block plane — and queue
-    /// each trial, in input order, on the segment it ends in.
+    /// snapshot content-addressed through the block plane — and list
+    /// each trial, in admission order, as pending on the segment it ends in.
     fn launch(&mut self, rt: &Runtime, budget: Option<u32>) -> Result<(), SubmitError> {
-        let Evaluation { def, queue, tree: Some(tree) } = self else { return Ok(()) };
+        let Evaluation { def, pending, tree: Some(tree) } = self else { return Ok(()) };
         let Tree { root, admitted, batch, snaps, stats } = tree;
         let mut segment =
             |config: &Config, parent: Option<(DataHandle, u32)>, end: u32, total: u32| {
@@ -605,11 +612,11 @@ impl Evaluation {
 
         // A config that continues its own snapshot from a shorter batch is
         // a single segment; the rest share one tree. Each trial is listed
-        // with its input index and the epoch it ends at.
+        // with the epoch it ends at.
         let n = admitted.len();
-        let mut trials: Vec<(usize, Submitted, u32)> = Vec::with_capacity(n);
+        let mut trials: Vec<(Submitted, u32)> = Vec::with_capacity(n);
         let (mut fresh, mut fresh_at) = (Vec::with_capacity(n), Vec::with_capacity(n));
-        for (i, config) in admitted.drain(..).enumerate() {
+        for (slot, config) in admitted.drain(..) {
             let own = budget.and_then(|b| {
                 let &(h, trained) = snaps.get(&config.label())?;
                 (trained < b && !is_cosine(&config)).then_some((h, trained, b))
@@ -617,10 +624,10 @@ impl Evaluation {
             match own {
                 Some((h, trained, b)) => {
                     let handle = segment(&config, Some((h, trained)), b, b)?;
-                    trials.push((i, Submitted { config, handle, last: true }, b));
+                    trials.push((Submitted { slot, config, handle }, b));
                 }
                 None => {
-                    fresh_at.push(i);
+                    fresh_at.push(slot);
                     fresh.push(config);
                 }
             }
@@ -637,44 +644,52 @@ impl Evaluation {
             if seg.trials.is_empty() {
                 rt.delete(handle);
             }
-            // Trials that collapsed into one segment share its handle; a
-            // segment lists them in input order, so the last one gives it back.
-            for (k, &t) in seg.trials.iter().enumerate() {
+            for &t in &seg.trials {
                 let config = std::mem::take(&mut fresh[t]);
-                let last = k + 1 == seg.trials.len();
-                trials.push((fresh_at[t], Submitted { config, handle, last }, seg.end));
+                trials.push((Submitted { slot: fresh_at[t], config, handle }, seg.end));
             }
         }
-        // Each of the batch's snapshots is deleted or queued by now.
+        // Each of the batch's snapshots is deleted or pending by now.
         batch.clear();
 
-        trials.sort_unstable_by_key(|&(i, ..)| i);
-        for (_, trial, end) in trials {
+        trials.sort_unstable_by_key(|(trial, _)| trial.slot);
+        for (trial, end) in trials {
             stats.naive_epochs += u64::from(end);
             // A budgeted source may come back to continue a trial, so its
             // snapshot is kept, in place of the shorter one it replaces;
-            // that one goes once nothing keeps it and no queued trial reads it.
+            // that one goes once nothing keeps it and no pending trial reads it.
             if let Some(b) = budget {
                 let replaced = snaps.insert(trial.config.label(), (trial.handle, b));
                 if let Some((old, _)) = replaced.filter(|&(old, _)| old != trial.handle) {
-                    if !keeps(snaps, old) && !queue.iter().any(|q| q.handle == old) {
+                    if !keeps(snaps, old) && !pending.iter().any(|p| p.handle == old) {
                         rt.delete(old);
                     }
                 }
             }
-            queue.push_back(trial);
+            pending.push(trial);
         }
         Ok(())
     }
 
-    /// The next trial in admission order: wait for its handle — the one
-    /// place the sweep waits on a trial — and decode the outcome. Task
-    /// failure or an undecodable value becomes a failed trial, timed 0.
-    /// Of a stage payload only the history is decoded: the weights and
-    /// optimiser moments are validated, never materialised.
-    fn next(&mut self, rt: &Runtime) -> TrialResult {
-        let Submitted { config, handle, last } =
-            self.queue.pop_front().expect("one submission per admitted config");
+    /// The next trial to settle, with its batch slot; `None` once nothing
+    /// is pending. Wait for any pending handle — the one place the sweep
+    /// waits on a trial — then read the first that settled, which returns
+    /// at once, and decode the outcome. Task failure or an undecodable
+    /// value becomes a failed trial, timed 0. Of a stage payload only the
+    /// history is decoded: the weights and optimiser moments are
+    /// validated, never materialised. The handle goes once no pending trial
+    /// holds it and [`Tree::snaps`] does not keep it. Cost: O(p) per
+    /// collected trial for p pending — the wait's pass over their handles,
+    /// and this list's removal and hold check.
+    fn next(&mut self, rt: &Runtime) -> Option<(usize, TrialResult)> {
+        if self.pending.is_empty() {
+            return None;
+        }
+        let handles: Vec<DataHandle> = self.pending.iter().map(|p| p.handle).collect();
+        // The runner deletes no pending handle, so this never errs; if it
+        // did, the read below would turn the error into a failed trial.
+        let first = rt.wait_any(&handles).unwrap_or(0);
+        let Submitted { slot, config, handle } = self.pending.remove(first);
         let (outcome, task_us) = match rt.wait_on_timed(&handle) {
             Ok((v, exec_us)) => {
                 let outcome = v.downcast_ref::<TrialOutcome>().cloned().or_else(|| {
@@ -688,10 +703,12 @@ impl Evaluation {
             }
             Err(e) => (TrialOutcome::failed(e.to_string()), 0),
         };
-        if last && !self.tree.as_ref().is_some_and(|tree| keeps(&tree.snaps, handle)) {
+        let held = self.pending.iter().any(|p| p.handle == handle)
+            || self.tree.as_ref().is_some_and(|tree| keeps(&tree.snaps, handle));
+        if !held {
             rt.delete(handle);
         }
-        TrialResult { config, outcome, task_us }
+        Some((slot, TrialResult { config, outcome, task_us }))
     }
 
     /// Give back every handle still held — submissions a refused one left
@@ -700,7 +717,7 @@ impl Evaluation {
     /// when nothing was saved, so a sweep that shared no prefixes still
     /// exports explicit zeros.
     fn finish(self, rt: &Runtime) -> StageStats {
-        self.queue.iter().for_each(|trial| rt.delete(trial.handle));
+        self.pending.iter().for_each(|trial| rt.delete(trial.handle));
         let Some(Tree { root, batch, snaps, stats, .. }) = self.tree else {
             return StageStats::default();
         };
@@ -919,17 +936,20 @@ mod tests {
         let rt = Runtime::threaded(RuntimeConfig::single_node(4));
         let space = SearchSpace::paper_grid();
         let mut dash = crate::dashboard::Dashboard::new();
-        let mut lines = Vec::new();
+        let (mut lines, mut seen) = (Vec::new(), Vec::new());
         let runner = HpoRunner::new(ExperimentOptions::default());
         let report = runner
             .run_observed(&rt, &mut GridSearch::new(&space), synthetic_objective(), |t| {
                 lines.push(dash.on_trial(t));
+                seen.push(t.outcome.accuracy);
             })
             .unwrap();
         assert_eq!(lines.len(), 27);
+        // Rows stream in completion order: the 27th line is the last trial
+        // to settle, and by then the best is the report's.
         let best = format!(
             "[  27] acc {:.4} (best {:.4}) ",
-            report.trials[26].outcome.accuracy,
+            seen[26],
             report.best().unwrap().outcome.accuracy
         );
         assert!(lines[26].starts_with(&best), "{}", lines[26]);
@@ -974,6 +994,46 @@ mod tests {
         assert_eq!(report.trials[0].outcome.epochs_run, 1);
         let (_, completed, submitted) = rows[0];
         assert!(completed < submitted, "first row after {completed} of {submitted} segments");
+    }
+
+    #[test]
+    fn a_simulated_sweep_streams_rows_in_completion_order_every_time() {
+        // A trial lasts its epochs in virtual ms, and "Broken" fails for
+        // good: its handle settles with a poison mark.
+        let space = SearchSpace::new()
+            .with("optimizer", ParamDomain::choice_strs(&["Adam", "Broken"]))
+            .with("num_epochs", ParamDomain::choice_ints(&[100, 20, 50]));
+        let objective: Objective =
+            Arc::new(|config: &Config, _| match config.get_str("optimizer") {
+                Some("Broken") => Err(TaskError::new("unsupported optimizer")),
+                _ => Ok(TrialOutcome::with_accuracy(0.8)),
+            });
+        let sweep = || {
+            let rt = Runtime::simulated(RuntimeConfig::single_node(8));
+            let epochs = |c: &Config| c.get_int("num_epochs").unwrap_or(0) as u64;
+            let opts = ExperimentOptions::default().with_sim_duration(move |c| 1_000 * epochs(c));
+            let mut seen: Vec<String> = Vec::new();
+            let report = HpoRunner::new(opts)
+                .run_observed(&rt, &mut GridSearch::new(&space), objective.clone(), |t| {
+                    seen.push(t.config.label());
+                })
+                .unwrap();
+            (seen, report)
+        };
+        let (seen, report) = sweep();
+        let labels: Vec<String> = report.trials.iter().map(|t| t.config.label()).collect();
+        assert_ne!(seen, labels, "rows leave as their trials settle");
+        let (mut sorted_seen, mut sorted_labels) = (seen.clone(), labels.clone());
+        sorted_seen.sort();
+        sorted_labels.sort();
+        assert_eq!(sorted_seen, sorted_labels, "each trial once");
+        assert!(seen[0].contains("num_epochs=20"), "the shortest trial leaves first: {seen:?}");
+        assert_eq!(report.failures(), 3);
+        let failed = report.trials.iter().filter(|t| t.outcome.is_failed());
+        assert!(failed.clone().all(|t| t.config.get_str("optimizer") == Some("Broken")));
+        for _ in 0..3 {
+            assert_eq!(sweep().0, seen, "the same simulated run, the same rows");
+        }
     }
 
     /// Run `sweep` on a fresh two-core threaded runtime that already holds

@@ -29,6 +29,11 @@
 //! prefixes run once, the trial table stays bit-identical, and the
 //! sweep's done message carries the "N epochs saved" banner.
 //!
+//! **Streaming.** The runner shows each trial to its observer the moment
+//! the trial settles, so a sweep's rows reach its watchers in completion
+//! order, a short trial's row never held behind a longer one admitted
+//! before it. The runner's report keeps admission order.
+//!
 //! Per-tenant and per-sweep telemetry lands in the runtime's metrics
 //! registry (`hposerver_sweeps_active`, `hposerver_sweeps_queued`,
 //! `hposerver_sweeps_completed_total`, `hposerver_sweeps_rejected_total`,

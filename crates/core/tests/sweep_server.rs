@@ -3,6 +3,7 @@
 //! [`SweepClient`]s — multi-tenant fair share, bit-identical results,
 //! clean cancellation, and admission control.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -437,4 +438,53 @@ fn staged_server_shares_prefixes_and_stays_bit_identical() {
     for w in workers {
         w.join().ok();
     }
+}
+
+#[test]
+fn a_watcher_gets_the_second_row_while_the_first_trial_still_runs() {
+    // The first-admitted trial's body waits for the watcher's release (at
+    // most 10 s); the second returns at once. Rows leave as their trials
+    // settle, so the second row reaches the watcher while the first body
+    // still waits.
+    let (release, held) = std::sync::mpsc::channel::<()>();
+    let held = std::sync::Mutex::new(held);
+    let first_ended = Arc::new(AtomicBool::new(false));
+    let ended = Arc::clone(&first_ended);
+    let obj: Objective = Arc::new(move |config: &Config, _| {
+        if config.get_int("num_epochs") == Some(10) {
+            let _ = held.lock().unwrap().recv_timeout(Duration::from_secs(10));
+            ended.store(true, Ordering::SeqCst);
+        }
+        Ok(TrialOutcome::with_accuracy(0.5))
+    });
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let rt = Runtime::threaded(RuntimeConfig::single_node(2).with_metrics(true));
+    let opts = ExperimentOptions::default();
+    let server = SweepServer::start_staged(listener, rt, obj, None, opts, ServerConfig::default())
+        .expect("start");
+
+    let mut watcher = connect(&server, "grace");
+    let spec = SubmitSpec {
+        name: "two-rows".to_string(),
+        space_json: r#"{"num_epochs": [10, 20]}"#.to_string(),
+        algo: "grid".to_string(),
+        trials: 0,
+        seed: 0,
+        wave: 0,
+    };
+    let info = watcher.submit(&spec).expect("io").expect("accepted");
+    let mut rows: Vec<(String, bool)> = Vec::new();
+    let end = watcher
+        .wait_done(info.sweep_id, |r| {
+            rows.push((r.label.clone(), first_ended.load(Ordering::SeqCst)));
+            let _ = release.send(());
+        })
+        .expect("stream");
+    assert_eq!(end.state, SWEEP_DONE, "{}", end.message);
+    assert_eq!(
+        rows,
+        [("num_epochs=20".to_string(), false), ("num_epochs=10".to_string(), true)],
+        "the second-admitted row, then the first"
+    );
+    server.shutdown();
 }

@@ -153,9 +153,20 @@ fn history_read_agrees_on_corruptions(
     Ok(())
 }
 
-fn store() -> ckpt::DirStore {
+/// Removes its directory when dropped, however the test ends.
+struct RemoveOnDrop(std::path::PathBuf);
+
+impl Drop for RemoveOnDrop {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// A snapshot store in `$TMPDIR/tinyml-snap-props-<pid>`, and the guard
+/// that removes it. One test of this binary stores, a case at a time.
+fn store() -> (ckpt::DirStore, RemoveOnDrop) {
     let dir = std::env::temp_dir().join(format!("tinyml-snap-props-{}", std::process::id()));
-    ckpt::DirStore::open(dir).unwrap()
+    (ckpt::DirStore::open(&dir).unwrap(), RemoveOnDrop(dir))
 }
 
 proptest! {
@@ -171,7 +182,7 @@ proptest! {
         prop_assert!(bits_equal(&decoded, &snap));
 
         // …and so is the full save/load through the DirStore.
-        let s = store();
+        let (s, _dir) = store();
         s.save(trial, &snap.encode()).unwrap();
         let blob = s.load(trial).unwrap().expect("stored");
         let loaded = TrainSnapshot::decode(&blob).expect("decodes from disk");

@@ -2,6 +2,7 @@
 //! analogue), exercised as a real subprocess.
 
 use std::io::{BufRead, BufReader, Lines};
+use std::path::PathBuf;
 use std::process::{Child, ChildStdout, Command, Output, Stdio};
 
 fn hpo_run() -> Command {
@@ -44,12 +45,30 @@ fn stdout_of(cmd: &mut Command) -> String {
     String::from_utf8(out.stdout).unwrap()
 }
 
-fn write_space(name: &str, body: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("hpo-cli-tests-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(name);
-    std::fs::write(&path, body).unwrap();
-    path
+/// A scratch directory of one test's own, `$TMPDIR/hpo-cli-tests-<pid>-<test>`,
+/// removed when the test ends, however it ends. Tests of this binary run in
+/// parallel, so none shares another's directory.
+struct TestDir(PathBuf);
+
+impl TestDir {
+    fn new(test: &str) -> TestDir {
+        let dir = std::env::temp_dir().join(format!("hpo-cli-tests-{}-{test}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        TestDir(dir)
+    }
+
+    /// Write `body` to the file `name` in the directory; its path.
+    fn write(&self, name: &str, body: &str) -> PathBuf {
+        let path = self.0.join(name);
+        std::fs::write(&path, body).unwrap();
+        path
+    }
+}
+
+impl Drop for TestDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 const SMALL_SPACE: &str = r#"{
@@ -64,7 +83,8 @@ const TWO_CNN_TRIALS: &str =
 
 #[test]
 fn grid_run_produces_leaderboard_and_csv() {
-    let space = write_space("space.json", SMALL_SPACE);
+    let dir = TestDir::new("grid_run_produces_leaderboard_and_csv");
+    let space = dir.write("space.json", SMALL_SPACE);
     let csv = space.with_file_name("out.csv");
     let output = hpo_run()
         .args(["--config", space.to_str().unwrap()])
@@ -83,7 +103,8 @@ fn grid_run_produces_leaderboard_and_csv() {
 
 #[test]
 fn sim_backend_and_trace_flags_work() {
-    let space = write_space("space2.json", SMALL_SPACE);
+    let dir = TestDir::new("sim_backend_and_trace_flags_work");
+    let space = dir.write("space2.json", SMALL_SPACE);
     let dot = space.with_file_name("graph.dot");
     let output = hpo_run()
         .args(["--config", space.to_str().unwrap()])
@@ -102,7 +123,8 @@ fn sim_backend_and_trace_flags_work() {
 
 #[test]
 fn random_with_target_accuracy_early_stops() {
-    let space = write_space("space3.json", r#"{"num_epochs": [3], "batch_size": [32, 64, 128]}"#);
+    let dir = TestDir::new("random_with_target_accuracy_early_stops");
+    let space = dir.write("space3.json", r#"{"num_epochs": [3], "batch_size": [32, 64, 128]}"#);
     let output = hpo_run()
         .args(["--config", space.to_str().unwrap()])
         .args(["--algo", "random", "--trials", "12", "--samples", "600"])
@@ -116,7 +138,8 @@ fn random_with_target_accuracy_early_stops() {
 
 #[test]
 fn checkpointed_run_can_be_resumed_without_rerunning_trials() {
-    let space = write_space("space4.json", SMALL_SPACE);
+    let dir = TestDir::new("checkpointed_run_can_be_resumed_without_rerunning_trials");
+    let space = dir.write("space4.json", SMALL_SPACE);
     let ckpt_dir = space.with_file_name("ckpts");
     let _ = std::fs::remove_dir_all(&ckpt_dir);
 
@@ -152,7 +175,7 @@ fn checkpointed_run_can_be_resumed_without_rerunning_trials() {
 
     // Prefix sharing takes the cadence too: segments [0, 2) and [2, 4)
     // each snapshot once through the runtime's channel, and count it.
-    let space = write_space("space4-staged.json", r#"{"num_epochs": [2, 4], "batch_size": [64]}"#);
+    let space = dir.write("space4-staged.json", r#"{"num_epochs": [2, 4], "batch_size": [64]}"#);
     let metrics = space.with_file_name("staged-ckpt-metrics");
     let stdout = stdout_of(
         hpo_run()
@@ -192,8 +215,9 @@ fn sorted_table(csv: &std::path::Path) -> Vec<String> {
 
 #[test]
 fn killed_driver_resumes_bit_identical() {
+    let dir = TestDir::new("killed_driver_resumes_bit_identical");
     let space =
-        write_space("space5.json", r#"{"num_epochs": [100], "batch_size": [32], "hidden": [4]}"#);
+        dir.write("space5.json", r#"{"num_epochs": [100], "batch_size": [32], "hidden": [4]}"#);
     let ckpt_dir = space.with_file_name("kill-ckpts");
     let snapshots = ckpt_dir.join("snapshots");
     let _ = std::fs::remove_dir_all(&ckpt_dir);
@@ -252,6 +276,49 @@ fn killed_driver_resumes_bit_identical() {
 }
 
 #[test]
+fn a_killed_driver_keeps_the_short_trial_that_finished_first() {
+    // One batch on the simulated backend: the 100-epoch trial is admitted
+    // first, the 1-epoch one second. Virtual time settles the short one
+    // first, so its `Finished` record lands while the long body trains.
+    let dir = TestDir::new("a_killed_driver_keeps_the_short_trial_that_finished_first");
+    let space =
+        dir.write("space.json", r#"{"num_epochs": [100, 1], "batch_size": [32], "hidden": [4]}"#);
+    let ckpt_dir = space.with_file_name("ckpts");
+    let run = |csv: &str| {
+        let mut cmd = hpo_run();
+        cmd.args(["--config", space.to_str().unwrap(), "--samples", "200", "--backend", "sim"])
+            .args(["--out", space.with_file_name(csv).to_str().unwrap()]);
+        cmd
+    };
+    let short_finished = || {
+        let state = hpo::ckpt::CheckpointSpec::new(&ckpt_dir).recover().unwrap_or_default();
+        state.complete.keys().any(|k| state.labels[k].ends_with("num_epochs=1"))
+    };
+
+    let mut child = run("killed.csv")
+        .args(["--ckpt-dir", ckpt_dir.to_str().unwrap()])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("binary starts");
+    while !short_finished() {
+        assert!(child.try_wait().unwrap().is_none(), "the run ended before the short row left");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    child.kill().unwrap();
+    assert!(!child.wait().unwrap().success(), "the kill landed after the long trial finished");
+
+    let stdout = stdout_of(run("resumed.csv").args(["--resume", ckpt_dir.to_str().unwrap()]));
+    assert!(stdout.contains("resumed sweep: 1 complete, 1 re-enqueued"), "{stdout}");
+    stdout_of(&mut run("uninterrupted.csv"));
+    assert_eq!(
+        trial_table(&space.with_file_name("resumed.csv")),
+        trial_table(&space.with_file_name("uninterrupted.csv")),
+        "resumed == uninterrupted"
+    );
+}
+
+#[test]
 fn bad_flags_fail_with_usage() {
     let out = hpo_run().args(["--nope"]).output().unwrap();
     assert!(!out.status.success());
@@ -265,7 +332,8 @@ fn bad_flags_fail_with_usage() {
 
 #[test]
 fn malformed_json_is_reported() {
-    let space = write_space("bad.json", "{broken");
+    let dir = TestDir::new("malformed_json_is_reported");
+    let space = dir.write("bad.json", "{broken");
     let out = hpo_run().args(["--config", space.to_str().unwrap()]).output().unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("JSON error"));
@@ -297,7 +365,8 @@ fn help_goes_to_stdout_and_exits_zero() {
 
 #[test]
 fn served_sweeps_equal_a_run_and_the_wave_decides_the_savings() {
-    let space = write_space("served.json", SMALL_SPACE);
+    let dir = TestDir::new("served_sweeps_equal_a_run_and_the_wave_decides_the_savings");
+    let space = dir.write("served.json", SMALL_SPACE);
     let (_server, addr) = Daemon::start(
         hpo_run().args(["serve", "--listen", "127.0.0.1:0", "--local-cores", "2"]).args([
             "--share-prefixes",
@@ -366,7 +435,8 @@ fn served_sweeps_equal_a_run_and_the_wave_decides_the_savings() {
 
 #[test]
 fn a_distributed_recipe_equals_threaded() {
-    let space = write_space("recipe.json", TWO_CNN_TRIALS);
+    let dir = TestDir::new("a_distributed_recipe_equals_threaded");
+    let space = dir.write("recipe.json", TWO_CNN_TRIALS);
     // At this target the Adam trial stops after one of its two epochs: a
     // worker that dropped any part of the recipe would train another table.
     let recipe = [
@@ -415,9 +485,10 @@ fn a_distributed_recipe_equals_threaded() {
 
 #[test]
 fn a_cnn_run_without_metrics_serves_alike() {
+    let dir = TestDir::new("a_cnn_run_without_metrics_serves_alike");
     // Ten trials: with metrics on, the dashboard prints its metrics line
     // after the tenth.
-    let ten = write_space(
+    let ten = dir.write(
         "cnn-ten.json",
         r#"{"num_epochs": [1], "batch_size": [8, 9, 10, 11, 12, 13, 14, 15, 16, 17]}"#,
     );
@@ -432,7 +503,7 @@ fn a_cnn_run_without_metrics_serves_alike() {
     assert!(out.contains("grid: 10 trials") && !out.contains("metrics:"), "{out}");
 
     // The stage task trains the same CNN the experiment task does.
-    let shared = write_space("cnn-shared.json", r#"{"num_epochs": [1, 2], "batch_size": [8]}"#);
+    let shared = dir.write("cnn-shared.json", r#"{"num_epochs": [1, 2], "batch_size": [8]}"#);
     let (naive, staged) =
         (shared.with_file_name("cnn-naive.csv"), shared.with_file_name("cnn-staged.csv"));
     for (csv, flags) in [(&naive, &[][..]), (&staged, &["--share-prefixes"][..])] {
@@ -446,7 +517,7 @@ fn a_cnn_run_without_metrics_serves_alike() {
     assert_eq!(sorted_table(&staged), sorted_table(&naive));
 
     // The CNN and early-stop recipe reaches a served sweep's objective.
-    let space = write_space("cnn-served.json", TWO_CNN_TRIALS);
+    let space = dir.write("cnn-served.json", TWO_CNN_TRIALS);
     let recipe = ["--samples", "20", "--seed", "5", "--cnn", "--target-accuracy", "0.1"];
     let (_server, addr) = Daemon::start(
         hpo_run().args(["serve", "--listen", "127.0.0.1:0", "--local-cores", "1"]).args(recipe),

@@ -203,16 +203,16 @@ owned_by_one "one trial body" \
 echo "==> one trial collection: the sweep engine waits on a trial in one place"
 # Every trial the runner submits, an experiment or a stage tree's trial,
 # joins one pending list, and Evaluation::next collects each as it settles:
-# the one wait_any over the list and the one wait_on_timed on the trial it
-# picked are the hpo crate's and the binary's only waits.
+# the one wait_any over the list, which reads the trial it picked, is the
+# hpo crate's and the binary's only wait.
 owned_by_one "one trial collection" \
-    'wait_(on|on_timed|any)[(]' \
-    "a trial waited on outside hpo::runner" 'rt.wait_on_timed(h)'$'\n''rt.wait_any(&hs)' \
+    'wait_(on|any)[(]' \
+    "a trial waited on outside hpo::runner" 'rt.wait_on(h)'$'\n''rt.wait_any(&hs)' \
     $(program_files | grep -E '^(crates/core/)?src/' | grep -vx 'crates/core/src/runner[.]rs')
 waits=$(awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t' crates/core/src/runner.rs |
     grep -oE 'wait_(on|on_timed|any)[(]' | sort | tr '\n' ' ')
-if [ "$waits" != "wait_any( wait_on_timed( " ]; then
-    echo "one trial collection FAILED: runner.rs waits with '$waits', not one wait_any and one wait_on_timed" >&2
+if [ "$waits" != "wait_any( " ]; then
+    echo "one trial collection FAILED: runner.rs waits with '$waits', not one wait_any" >&2
     exit 1
 fi
 

@@ -57,12 +57,12 @@ struct RemoteDispatch {
     node: u32,
     variant: u32,
     dispatched_us: u64,
-    /// Whether its function is fast as it is placed.
+    /// Whether it was queued fast ([`crate::scheduler::Placement::fast`]).
     fast: bool,
-    /// The function's id on the link (0: the link is lost), whether it is
-    /// new there, so the `Submit` names it, and whether a submitting
-    /// thread's flush to the link may wait: the state's to set.
-    fn_id: u64,
+    /// The runtime's id of its function; whether the link has not heard it
+    /// yet, so the `Submit` names it, and whether a submitting thread's
+    /// flush to the link may wait: the state's to set.
+    fn_id: usize,
     fn_new: bool,
     hold: bool,
     cores: Range<usize>,
@@ -331,8 +331,8 @@ pub(crate) fn collect_dispatch_remote(shared: &Shared, core: &mut Core) -> Dispa
                 node,
                 variant: placement.variant as u32,
                 dispatched_us: placed.now_us,
-                fast: placed.fast,
-                fn_id: 0,
+                fast: placement.fast,
+                fn_id: inst.fn_id,
                 fn_new: false,
                 hold: false,
                 cores,
@@ -391,7 +391,7 @@ fn push_submit(
         task_id: d.task.0,
         attempt: d.attempt,
         node: d.node,
-        fn_id: d.fn_id,
+        fn_id: d.fn_id as u64,
         fn_name: d.fn_new.then(|| d.name.to_string()),
         variant: d.variant,
         cores: std::mem::take(cores),
@@ -451,7 +451,7 @@ impl Wire {
 fn encode(io: &mut Io, b: &mut Dispatches, acts: &mut Vec<Action>, inbox: &mut Inbox, now: u64) {
     let mut msgs = std::mem::take(&mut b.msgs);
     io.state.apply(Event::Dispatch(&mut msgs), now, acts);
-    for d in msgs.iter().filter(|d| d.fn_id != 0) {
+    for d in &msgs {
         let wire = &mut io.wires[d.node as usize];
         wire.held = d.hold;
         if let Err(msg) = push_submit(&mut wire.send, d, b) {
@@ -701,7 +701,10 @@ impl Inbox {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::distributed::{INLINE_BUDGET_US, INLINE_STREAK};
     use crate::data::DataHandle;
+    use crate::runtime::Report;
+    use crate::scheduler::FAST_DEPTH;
     use crate::{ArgSpec, Constraint, Runtime, RuntimeConfig};
 
     #[test]
@@ -735,6 +738,45 @@ mod tests {
         apply_core(shared, &mut core, &["w0".into()], &mut acts, &mut inbox, 0);
         assert_eq!(inbox.replies.len(), 1, "the block goes back to node 0");
         assert!(core.data.is_on_node(v, 0), "the refill marks the version");
+    }
+
+    #[test]
+    fn a_task_goes_out_with_the_fast_flag_it_was_queued_by() {
+        // One one-core node, dispatching ahead. `f`'s first attempts each
+        // report a fast body, so its tasks queue `FAST_DEPTH` deep behind
+        // the running one, and one more waits ready, queued fast. The
+        // running attempt then reports a slow body: the streak starts again
+        // and a place behind the core frees up. The waiting task takes it,
+        // and goes out with the flag it was queued by, not the streak's.
+        let mut cfg = RuntimeConfig::single_node(1).with_tracing(false);
+        cfg.reserved_cores.clear();
+        let rt = Runtime::simulated(cfg);
+        let shared = &*rt.shared;
+        shared.core.lock().sched.enable_dispatch_ahead();
+        let f = rt.register("f", Constraint::cpus(1), 0, |_, _| Ok(vec![]));
+        let settle = |core: &mut Core, exec_id, exec_us| {
+            let done = Completion { exec_id, result: Ok(0..0), stamps: None };
+            let report = Report { exec_us: Some(exec_us), ..Report::default() };
+            let mut acts = vec![Action::Settle(0, done, report)];
+            apply_core(shared, core, &["w0".into()], &mut acts, &mut Inbox::default(), 0)
+        };
+        for _ in 0..INLINE_STREAK {
+            rt.submit(&f, vec![]).unwrap();
+            let mut core = shared.core.lock();
+            let batch = collect_dispatch_remote(shared, &mut core);
+            settle(&mut core, batch.msgs[0].exec_id, INLINE_BUDGET_US);
+        }
+        for _ in 0..2 + FAST_DEPTH {
+            rt.submit(&f, vec![]).unwrap();
+        }
+        let mut core = shared.core.lock();
+        let batch = collect_dispatch_remote(shared, &mut core);
+        assert_eq!(batch.msgs.len(), 1 + FAST_DEPTH as usize, "one runs, the rest queue");
+        assert!(batch.msgs.iter().all(|d| d.fast));
+        assert_eq!(core.sched.ready_len(), 1, "one more waits, queued fast");
+        let follow = settle(&mut core, batch.msgs[0].exec_id, INLINE_BUDGET_US + 1);
+        assert_eq!(follow.msgs.len(), 1, "the slow report freed a place");
+        assert!(follow.msgs[0].fast, "it went out by the streak, not by how it was queued");
     }
 
     #[test]

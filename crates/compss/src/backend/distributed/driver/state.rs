@@ -2,10 +2,11 @@
 //!
 //! [`DriverState`] keeps, per worker link, the next heartbeat's sequence
 //! number, the send time of the oldest probe no byte has answered yet, the
-//! clock-offset estimate, the interned function names, how many attempts
-//! are on the wire and how many of them are slow, and whether the link is
-//! lost; and, for the driver, the heartbeat schedule, the node, dispatch
-//! time and speed of every attempt on the wire, and the shutdown deadline.
+//! clock-offset estimate, which function ids it has named, how many
+//! attempts are on the wire and how many of them are slow, and whether the
+//! link is lost; and, for the driver, the heartbeat schedule, the node,
+//! dispatch time and speed of every attempt on the wire, and the shutdown
+//! deadline.
 //! [`DriverState::apply`] takes one [`Event`] with the time it happened and
 //! appends the [`Action`]s the shell must carry out, in order;
 //! [`DriverState::next_deadline`] names the time by which the shell must
@@ -25,9 +26,6 @@
 //! that went out: the first attempt after a link's wire empties is never
 //! held.
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
 use paratrace::ClockSync;
 use rnet::Frame;
 
@@ -44,10 +42,11 @@ pub(super) enum Event<'a> {
         bytes: usize,
         inbox: &'a mut Inbox,
     },
-    /// Placed attempts about to be encoded: each learns its function's id
-    /// on its link, 0 if the link is lost and nothing goes out, and whether
-    /// a submitting thread's flush to the link may wait.
-    Dispatch(&'a mut [RemoteDispatch]),
+    /// Placed attempts about to be encoded: those on a lost link leave the
+    /// batch, as nothing goes out there; each other learns whether its
+    /// `Submit` names its function and whether a submitting thread's flush
+    /// to the link may wait.
+    Dispatch(&'a mut Vec<RemoteDispatch>),
     /// A link ended: a read error or EOF, or its goodbye drained.
     Closed(u32),
     /// A loop turn ended: what was readable when its poll began is read.
@@ -82,8 +81,9 @@ struct LinkState {
     /// NTP-style clock-offset estimate fed by heartbeat acks. The worker's
     /// clock starts with its connection, so the estimate is this socket's.
     clock: ClockSync,
-    /// Interned function names, from 1: a name crosses the link once.
-    fn_ids: HashMap<Arc<str>, u64>,
+    /// Whether the link has heard the name of function id `i`, the
+    /// runtime's: a name crosses the link once.
+    named: Vec<bool>,
     /// Attempts on the wire, and how many of them are not fast.
     in_flight: u32,
     slow: u32,
@@ -124,27 +124,22 @@ impl DriverState {
         match event {
             Event::Read { link, bytes, inbox } => self.read(link, bytes, inbox, now_us, out),
             Event::Dispatch(batch) => {
+                // On a lost link `lose_node` fails the attempt, or has.
+                batch.retain(|d| !self.links[d.node as usize].lost);
                 for d in batch.iter_mut() {
                     let link = &self.links[d.node as usize];
                     d.hold = link.in_flight > 0 && link.slow == 0;
                 }
                 for d in batch.iter_mut() {
                     let link = &mut self.links[d.node as usize];
-                    // On a lost link `lose_node` fails the attempt, or has.
-                    d.fn_id = 0;
-                    if !link.lost {
-                        link.in_flight += 1;
-                        link.slow += u32::from(!d.fast);
-                        let sent =
-                            Sent { node: d.node, dispatched_us: d.dispatched_us, fast: d.fast };
-                        self.on_wire.insert(d.exec_id, sent);
-                        let next = link.fn_ids.len() as u64 + 1;
-                        d.fn_id = link.fn_ids.get(&d.name).copied().unwrap_or(next);
-                        d.fn_new = d.fn_id == next;
-                        if d.fn_new {
-                            link.fn_ids.insert(Arc::clone(&d.name), next);
-                        }
+                    link.in_flight += 1;
+                    link.slow += u32::from(!d.fast);
+                    let sent = Sent { node: d.node, dispatched_us: d.dispatched_us, fast: d.fast };
+                    self.on_wire.insert(d.exec_id, sent);
+                    if link.named.len() <= d.fn_id {
+                        link.named.resize(d.fn_id + 1, false);
                     }
+                    d.fn_new = !std::mem::replace(&mut link.named[d.fn_id], true);
                 }
             }
             Event::Closed(link) => self.close(link, out),
@@ -304,7 +299,7 @@ mod tests {
     //! flush every backlog each loop turn, queue no slow task more than one
     //! deep, leave nothing live, and stop.
 
-    use std::collections::VecDeque;
+    use std::collections::{HashMap, VecDeque};
     use std::time::Instant;
 
     use cluster::{Cluster, NodeSpec};
@@ -613,8 +608,9 @@ mod tests {
                 }
                 self.deep += u64::from(held > 2);
                 if !self.io.state.links[d.node as usize].lost {
-                    let fast = core.streaks.of(&d.name);
-                    self.sent[d.node as usize].push((d.exec_id, fast));
+                    // The flag the scheduler queued it by.
+                    self.sent[d.node as usize]
+                        .push((d.exec_id, core.running[&d.exec_id].placement.fast));
                 }
             }
             Ok(may_hold)
@@ -1040,7 +1036,7 @@ mod tests {
     #[test]
     fn every_fault_schedule_ends_in_the_oracles_values_or_a_typed_error() {
         let (mut failures, mut holds, mut deep) = (Vec::new(), 0, 0);
-        for seed in 0..96 {
+        for seed in 0..128 {
             match case(seed) {
                 Ok(c) => (holds, deep) = (holds + c.holds, deep + c.deep),
                 Err(e) => failures.push(format!("seed {seed}: {e}")),

@@ -27,8 +27,10 @@
 //!   retried on the same node first, then restarted on a different node
 //!   ([`fault`]);
 //! * the runtime keeps **each task fact once**: the definition holds its
-//!   variants, a placement what its attempt holds, the graph its edges and
-//!   unmet counts, and the set of live instances which tasks are unsettled;
+//!   variants, a function record (interned once per runtime) its fast
+//!   streak and latency series, a placement what its attempt holds, the
+//!   graph its edges and unmet counts, and the set of live instances which
+//!   tasks are unsettled;
 //! * the runtime is instrumented with `paratrace` (the Extrae analogue) and
 //!   can export the task graph as Graphviz DOT;
 //! * the runtime keeps **live metrics** (`runmetrics`): lock-free counters,
@@ -74,7 +76,6 @@
 
 #![warn(missing_docs)]
 
-pub mod api;
 pub mod backend;
 pub(crate) mod blocks;
 pub mod codec;
@@ -89,7 +90,6 @@ pub mod scheduler;
 pub mod snapshot;
 pub mod task;
 
-pub use api::wait_on_all;
 pub use backend::distributed::{
     connect_workers, DistributedConfig, WorkerBootstrap, WorkerConfig, WorkerHandle, WorkerServer,
 };

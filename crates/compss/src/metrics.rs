@@ -68,8 +68,8 @@
 //! | **ship** | body return → driver applying the result | — | — |
 //!
 //! The exec time is also what the runtime keeps with every version the
-//! attempt wrote, and what `Runtime::wait_on_timed` hands the waiter: an
-//! HPO trial's `task_us` is its attempt's exec sample, not a second clock.
+//! attempt wrote, and what `Runtime::wait_any` hands the waiter: an HPO
+//! trial's `task_us` is its attempt's exec sample, not a second clock.
 //!
 //! On each backend the phases it has sum to the attempt's latency. The
 //! distributed wire and ship cross clock domains and are rebased with the
@@ -134,9 +134,6 @@ pub(crate) struct RtMetrics {
     pub phase_exec: Histogram,
     /// Body return → driver result application (offset-rebased).
     pub phase_ship: Histogram,
-    /// Per-task-function latency handles, created on first completion of
-    /// each function (cold path: runs under the runtime's core lock anyway).
-    task_latency: Mutex<HashMap<String, Histogram>>,
     /// Per-worker completion counters, labelled by worker address
     /// (distributed backend; cold path, one insert per worker).
     node_tasks: Mutex<HashMap<String, Counter>>,
@@ -171,7 +168,6 @@ impl RtMetrics {
             phase_wire: registry.histogram(&labeled("rcompss_task_phase_us", "phase", "wire")),
             phase_exec: registry.histogram(&labeled("rcompss_task_phase_us", "phase", "exec")),
             phase_ship: registry.histogram(&labeled("rcompss_task_phase_us", "phase", "ship")),
-            task_latency: Mutex::new(HashMap::new()),
             node_tasks: Mutex::new(HashMap::new()),
             registry,
         }
@@ -187,23 +183,6 @@ impl RtMetrics {
     /// The underlying registry, for snapshots/exports.
     pub fn registry(&self) -> &Arc<MetricsRegistry> {
         &self.registry
-    }
-
-    /// Record a completed execution of task function `fn_name`.
-    pub fn record_task_latency(&self, fn_name: &str, us: u64) {
-        if !self.registry.enabled() {
-            return;
-        }
-        let mut cache = self.task_latency.lock();
-        // Look up before building a key: only a function's first
-        // completion allocates.
-        if let Some(h) = cache.get(fn_name) {
-            h.record(us);
-            return;
-        }
-        let h = self.registry.histogram(&labeled("rcompss_task_latency_us", "fn", fn_name));
-        h.record(us);
-        cache.insert(fn_name.to_string(), h);
     }
 
     /// Count a successful remote execution, one whose outputs were stored,
@@ -313,29 +292,10 @@ mod tests {
     }
 
     #[test]
-    fn task_latency_creates_one_series_per_function() {
-        let m = RtMetrics::new(true);
-        m.record_task_latency("graph.experiment", 100);
-        m.record_task_latency("graph.experiment", 200);
-        m.record_task_latency("other", 1);
-        let snap = m.registry().snapshot();
-        let s = snap
-            .histogram(&labeled("rcompss_task_latency_us", "fn", "graph.experiment"))
-            .expect("per-fn series exists");
-        assert_eq!(s.count, 2);
-        assert_eq!(
-            snap.histogram(&labeled("rcompss_task_latency_us", "fn", "other")).unwrap().count,
-            1
-        );
-    }
-
-    #[test]
     fn disabled_metrics_record_nothing() {
         let m = RtMetrics::new(false);
         m.submitted.incr();
-        m.record_task_latency("x", 5);
         let snap = m.registry().snapshot();
         assert_eq!(snap.counter("rcompss_tasks_submitted_total"), Some(0));
-        assert!(snap.histogram(&labeled("rcompss_task_latency_us", "fn", "x")).is_none());
     }
 }

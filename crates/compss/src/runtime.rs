@@ -16,6 +16,7 @@ use cluster::transfer::TransferModel;
 use cluster::{Cluster, FailureInjector, NodeSpec};
 use paratrace::{CoreId, EventKind, TaskRef, TraceCollector};
 use parking_lot::{Condvar, Mutex, MutexGuard};
+use runmetrics::{labeled, Histogram};
 
 use crate::backend::distributed::{
     collect_dispatch_remote, connect_workers, is_fast, next_streak, ConnMgr, DistributedConfig,
@@ -191,6 +192,10 @@ impl std::fmt::Display for WaitError {
 
 impl std::error::Error for WaitError {}
 
+/// What a wait reads off a settled handle: its value and the exec time, µs,
+/// of the attempt that wrote it ([`Runtime::wait_any`]).
+pub type Timed = Result<(Value, u64), WaitError>;
+
 /// Aggregate runtime statistics.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RuntimeStats {
@@ -217,6 +222,8 @@ pub(crate) enum ResolvedArg {
 /// A submitted task instance.
 pub(crate) struct Instance {
     pub def: TaskDef,
+    /// Its function's id in [`Core::fns`].
+    pub fn_id: usize,
     /// The resolved arguments in order, then one `Write` per return slot.
     pub args: Vec<ResolvedArg>,
     /// The number of the task's running or next attempt, from 1: the one
@@ -258,28 +265,28 @@ impl Instance {
     }
 }
 
-/// Per function, its latest attempts in a row whose body ran at most
-/// `INLINE_BUDGET_US`: fed only under dispatch-ahead, where a fast
-/// function's tasks queue deep and its answers are worth a held flush.
-#[derive(Default)]
-pub(crate) struct Streaks(HashMap<Arc<str>, u8>);
+/// One task function, interned by name at its first submit
+/// ([`Core::intern`]): what the runtime keeps per function, read by id from
+/// then on.
+pub(crate) struct Function {
+    name: Arc<str>,
+    /// Its latest attempts in a row whose body ran at most
+    /// `INLINE_BUDGET_US`: fed only under dispatch-ahead, where a fast
+    /// function's tasks queue deep and its answers are worth a held flush.
+    streak: u8,
+    /// `rcompss_task_latency_us{fn="…"}`, made at its first success with
+    /// metrics on.
+    latency: Option<Histogram>,
+}
 
-impl Streaks {
-    /// Whether function `name`'s last `INLINE_STREAK` bodies were all fast.
-    pub fn of(&self, name: &str) -> bool {
-        self.0.get(name).is_some_and(|&s| is_fast(s))
-    }
-
-    /// A body of function `name` ran `exec_us`: its streak moves on by
-    /// `next_streak`, the worker's rule. Allocates only for a function's
-    /// first report.
-    fn ran(&mut self, name: &Arc<str>, exec_us: u64) {
-        match self.0.get_mut(&**name) {
-            Some(s) => *s = next_streak(*s, exec_us),
-            None => {
-                self.0.insert(Arc::clone(name), next_streak(0, exec_us));
-            }
+impl Function {
+    /// One of its attempts succeeded `us` after its dispatch.
+    fn record_latency(&mut self, metrics: &RtMetrics, us: u64) {
+        if !metrics.enabled() {
+            return;
         }
+        let series = || labeled("rcompss_task_latency_us", "fn", &self.name);
+        self.latency.get_or_insert_with(|| metrics.registry().histogram(&series())).record(us);
     }
 }
 
@@ -311,7 +318,10 @@ pub(crate) struct Core {
     pub stats: RuntimeStats,
     /// Bytes of snapshot held across `instances`, kept as a running total.
     pub snapshot_bytes: u64,
-    pub streaks: Streaks,
+    /// Every task function submitted, by id: the id a `Submit` names it by
+    /// on every link.
+    fns: Vec<Function>,
+    fn_ids: HashMap<Arc<str>, usize>,
 }
 
 impl Core {
@@ -319,6 +329,17 @@ impl Core {
     /// with sim state), wall time since runtime start otherwise.
     pub fn now_us(&self, shared: &Shared) -> u64 {
         self.sim.as_ref().map_or_else(|| shared.wall_us(), |sim| sim.now())
+    }
+
+    /// The id of function `name`, made at its first submit: the one hash of
+    /// its name a task pays.
+    fn intern(&mut self, name: &Arc<str>) -> usize {
+        if let Some(&id) = self.fn_ids.get(name) {
+            return id;
+        }
+        self.fns.push(Function { name: Arc::clone(name), streak: 0, latency: None });
+        self.fn_ids.insert(Arc::clone(name), self.fns.len() - 1);
+        self.fns.len() - 1
     }
 
     /// Queue `task` as ready, retry placement hints included, and fast if
@@ -335,7 +356,7 @@ impl Core {
             prefer_node: inst.prefer_node,
             exclude_node: inst.exclude_node,
         };
-        if self.streaks.of(&inst.def.name) {
+        if is_fast(self.fns[inst.fn_id].streak) {
             self.sched.push_ready_fast(entry);
         } else {
             self.sched.push_ready(entry);
@@ -549,7 +570,8 @@ impl Runtime {
                 next_exec: 0,
                 stats: RuntimeStats::default(),
                 snapshot_bytes: 0,
-                streaks: Streaks::default(),
+                fns: Vec::new(),
+                fn_ids: HashMap::new(),
             }),
             cv: Condvar::new(),
             trace: Arc::new(TraceCollector::with_flag(cfg.tracing)),
@@ -680,10 +702,12 @@ impl Runtime {
         let submitted_us = core.now_us(&self.shared);
 
         let ready = core.graph.add_task(id, Arc::clone(&def.name), &deps);
+        let fn_id = core.intern(&def.name);
         core.instances.insert(
             id,
             Instance {
                 def: def.clone(),
+                fn_id,
                 args: resolved,
                 attempt: 1,
                 prefer_node: None,
@@ -725,48 +749,33 @@ impl Runtime {
     /// The paper's `compss_wait_on`: block (or drive the simulation) until
     /// the current version of `h` is available, then return its value.
     pub fn wait_on(&self, h: &DataHandle) -> Result<Value, WaitError> {
-        self.wait_on_timed(h).map(|(value, _)| value)
-    }
-
-    /// [`Runtime::wait_on`], plus the exec time in µs of the attempt that
-    /// wrote the value, on the runtime's clock: the body's wall time
-    /// threaded, its virtual duration simulated, the worker's own stamps
-    /// distributed — the time its `rcompss_task_phase_us{phase="exec"}`
-    /// sample holds. 0 for main-program data.
-    pub fn wait_on_timed(&self, h: &DataHandle) -> Result<(Value, u64), WaitError> {
         let mut core = self.shared.core.lock();
         if !core.data.knows(*h) {
             return Err(WaitError::UnknownData(*h));
         }
         let target = core.data.current_version(*h);
-        if self.shared.graph_enabled {
-            core.graph.add_sync(target);
-        }
         // The wait is a user of its target: a rename or a delete from
         // another thread must not take the version from under it.
         core.data.acquire(target);
         self.wait_until(&mut core, |c| c.settled(target));
-        let result = if core.data.is_poisoned(target) {
-            Err(WaitError::ProducerFailed(*h))
-        } else {
-            core.data.get_timed(target).ok_or(WaitError::NeverWritten(*h))
-        };
-        core.release(target);
-        core.publish_gauges(&self.shared);
-        result
+        self.read(&mut core, *h, target).map(|(value, _)| value)
     }
 
     /// HPX's `when_any`: block (or drive the simulation) until one of `hs`
     /// has settled — a value or a poison mark on its current version — and
-    /// return the lowest index that has; `wait_on` on it returns at once.
-    /// Like `wait_on` it holds its targets while it waits. The graph records
-    /// no sync: the `wait_on` that follows does. Cost, for p handles: O(p)
-    /// on the call (a pass, and a hold and a release of each if none has
-    /// settled), and O(p) per task that settles while it waits; any other
-    /// wake-up looks at none of them. So a sweep pays O(p) per settled trial.
+    /// return the lowest index that has, with what `wait_on` returns for it
+    /// plus the exec time in µs of the attempt that wrote the value, on the
+    /// runtime's clock: the body's wall time threaded, its virtual duration
+    /// simulated, the worker's own stamps distributed — the time its
+    /// `rcompss_task_phase_us{phase="exec"}` sample holds (0 for
+    /// main-program data). Like `wait_on` it holds its targets while it
+    /// waits, and records a sync on the one it returns. Cost, for p
+    /// handles: O(p) on the call (a hold, a pass and a release of each),
+    /// and O(p) per task that settles while it waits; any other wake-up
+    /// looks at none of them. So a sweep pays O(p) per settled trial.
     /// [`WaitError::NoHandles`] for an empty slice, and
     /// [`WaitError::UnknownData`] for the first unknown or deleted handle.
-    pub fn wait_any(&self, hs: &[DataHandle]) -> Result<usize, WaitError> {
+    pub fn wait_any(&self, hs: &[DataHandle]) -> Result<(usize, Timed), WaitError> {
         if hs.is_empty() {
             return Err(WaitError::NoHandles);
         }
@@ -778,13 +787,9 @@ impl Runtime {
             }
             targets.push(core.data.current_version(h));
         }
-        let first_settled = |c: &Core| targets.iter().position(|&v| c.settled(v));
-        if let Some(i) = first_settled(&core) {
-            return Ok(i);
-        }
         targets.iter().for_each(|&v| core.data.acquire(v));
-        let seen = Cell::new(core.settle_count());
-        let found = Cell::new(None);
+        let first_settled = |c: &Core| targets.iter().position(|&v| c.settled(v));
+        let (seen, found) = (Cell::new(core.settle_count()), Cell::new(first_settled(&core)));
         self.wait_until(&mut core, |c| {
             let count = c.settle_count();
             if seen.replace(count) != count {
@@ -794,10 +799,27 @@ impl Runtime {
         });
         // The simulator stops once nothing can change, and by then every
         // task has settled, so every target has too.
-        let found = found.get().or_else(|| first_settled(&core));
-        targets.iter().for_each(|&v| core.release(v));
+        let i = found.get().or_else(|| first_settled(&core)).unwrap_or(0);
+        let others = targets.iter().enumerate().filter(|&(j, _)| j != i);
+        others.for_each(|(_, &v)| core.release(v));
+        Ok((i, self.read(&mut core, hs[i], targets[i])))
+    }
+
+    /// The read step of both waits, with `target`, the current version of
+    /// `h` as the wait began, settled and held: what it holds, and its exec
+    /// time; the graph's sync mark on it; and the hold given back.
+    fn read(&self, core: &mut Core, h: DataHandle, target: DataVersion) -> Timed {
+        if self.shared.graph_enabled {
+            core.graph.add_sync(target);
+        }
+        let result = if core.data.is_poisoned(target) {
+            Err(WaitError::ProducerFailed(h))
+        } else {
+            core.data.get_timed(target).ok_or(WaitError::NeverWritten(h))
+        };
+        core.release(target);
         core.publish_gauges(&self.shared);
-        found.ok_or(WaitError::NeverWritten(hs[0]))
+        result
     }
 
     /// PyCOMPSs' `compss_delete_object`: the main program's promise not to
@@ -934,8 +956,6 @@ pub(crate) struct Placed {
     pub task: TaskId,
     /// Dispatch time on the backend's clock.
     pub now_us: u64,
-    /// Whether its function is fast ([`Streaks::of`]) as it is placed.
-    pub fast: bool,
 }
 
 /// The first half of the scheduling turn, shared by every backend: place
@@ -968,7 +988,6 @@ pub(crate) fn place_ready<S: Ord>(
         let Some((entry, placement)) = popped else { break };
         let task = entry.task;
         let inst = core.instances.get(&task).expect("ready task has an instance");
-        let fast = core.streaks.of(&inst.def.name);
         let now_us = core.now_us(shared);
         shared.metrics.dispatched.incr();
         shared.metrics.dep_wait.record(now_us.saturating_sub(inst.submitted_us));
@@ -976,7 +995,7 @@ pub(crate) fn place_ready<S: Ord>(
         core.next_exec += 1;
         let run = RunningExec { task, placement, dispatched_us: now_us };
         core.running.insert(exec_id, run);
-        launch(core, Placed { exec_id, task, now_us, fast });
+        launch(core, Placed { exec_id, task, now_us });
         if shared.trace.is_enabled() {
             let lead = core.running[&exec_id].placement.lead_core();
             let task_ref = TaskRef::new(task.0, Arc::clone(&core.instances[&task].def.name));
@@ -1065,14 +1084,15 @@ pub(crate) fn complete_attempt(
     let Report { span, held_us, wire_us, exec_us, ship_us } = report;
     let task = run.task;
     let inst = &core.instances[&task];
-    let (name, submitted_us, attempt) =
-        (Arc::clone(&inst.def.name), inst.submitted_us, inst.attempt);
+    let (name, fn_id, submitted_us, attempt) =
+        (Arc::clone(&inst.def.name), inst.fn_id, inst.submitted_us, inst.attempt);
     // A node killed with the attempt has nothing to give back; its live
     // peers of a multinode placement do, and `release` tells them apart.
     let (placed, _) = inst.def.variant(run.placement.variant).expect("a placed variant exists");
     core.sched.release(&run.placement, &placed);
     if let Some(us) = exec_us.filter(|_| core.sched.dispatches_ahead()) {
-        core.streaks.ran(&name, us);
+        let f = &mut core.fns[fn_id];
+        f.streak = next_streak(f.streak, us);
     }
 
     // Consult the failure injector (deterministic chaos for tests/benches).
@@ -1090,9 +1110,9 @@ pub(crate) fn complete_attempt(
 
     let settled = match outcome {
         Ok(values) => {
-            let Core { instances, data, .. } = &mut *core;
+            let Core { instances, data, fns, .. } = &mut *core;
             let inst = instances.get(&task).expect("instance exists");
-            shared.metrics.record_task_latency(&name, now_us.saturating_sub(run.dispatched_us));
+            fns[fn_id].record_latency(&shared.metrics, now_us.saturating_sub(run.dispatched_us));
             let node = run.placement.node;
             for (v, value) in inst.writes().zip(values) {
                 data.put(v, value, exec_us.unwrap_or(0));

@@ -99,6 +99,9 @@ pub struct Placement {
     pub variant: usize,
     /// Additional nodes of a `@multinode` task: `(node, cores, gpus)`.
     pub extra: Vec<(u32, Vec<u32>, Vec<u32>)>,
+    /// Whether the task was queued fast ([`Scheduler::push_ready_fast`]),
+    /// as its place behind a busy core was decided.
+    pub fast: bool,
 }
 
 impl Placement {
@@ -441,24 +444,22 @@ impl Scheduler {
 
     /// Pop ready entry `key` onto idle resources of `node`.
     fn place(&mut self, key: ReadyKey, node: u32, variant: usize) -> (ReadyEntry, Placement) {
-        let (entry, _) = self.remove_ready(key);
+        let (entry, fast) = self.remove_ready(key);
         let constraint = entry.variants().nth(variant).expect("choose_node picked a variant");
-        let placement = self.allocate(node, &constraint, variant);
-        (entry, placement)
+        (entry, self.allocate(node, &constraint, variant, fast))
     }
 
     /// Pop ready entry `key` and queue it behind the busy core of `node`
     /// holding the fewest tasks, lowest id among equals. Its memory is
     /// reserved as for a running task.
     fn queue_behind(&mut self, key: ReadyKey, node: u32) -> (ReadyEntry, Placement) {
-        let (entry, _) = self.remove_ready(key);
+        let (entry, fast) = self.remove_ready(key);
         let n = &mut self.nodes[node as usize];
         let (held, core) = n.held.pop_first().expect("choose_ahead_node vetted this");
         n.held.insert((held + 1, core));
         n.free_mem_gib -= entry.constraint.mem_gib;
-        let placement =
-            Placement { node, cores: vec![core], gpus: Vec::new(), variant: 0, extra: Vec::new() };
-        (entry, placement)
+        let (cores, gpus, extra) = (vec![core], Vec::new(), Vec::new());
+        (entry, Placement { node, cores, gpus, variant: 0, extra, fast })
     }
 
     /// Take `(cores, gpus, mem)` from one node's free pools.
@@ -479,7 +480,7 @@ impl Scheduler {
         (cores, gpus)
     }
 
-    fn allocate(&mut self, node: u32, c: &Constraint, variant: usize) -> Placement {
+    fn allocate(&mut self, node: u32, c: &Constraint, variant: usize, fast: bool) -> Placement {
         let (cores, gpus) = self.take_from_node(node, c);
         let mut extra = Vec::new();
         if c.nodes > 1 {
@@ -500,7 +501,7 @@ impl Scheduler {
                 extra.push((j, jc, jg));
             }
         }
-        Placement { node, cores, gpus, variant, extra }
+        Placement { node, cores, gpus, variant, extra, fast }
     }
 
     /// Return the resources of a finished/killed placement to the pool.

@@ -1390,9 +1390,13 @@ fn loopback_wait_any_returns_the_first_to_settle() {
     let square = task_set().get("square").unwrap().clone();
     let slow = rt.submit(&hold, vec![]).unwrap().returns[0];
     let fast = rt.submit(&square, vec![ArgSpec::In(rt.literal(3i64))]).unwrap().returns[0];
-    assert_eq!(rt.wait_any(&[slow, fast]), Ok(1), "the square settles first");
+    let picked = |hs: &[rcompss::DataHandle]| {
+        let (i, read) = rt.wait_any(hs).unwrap();
+        (i, read.map(|(v, _)| *v.downcast_ref::<i64>().unwrap()))
+    };
+    assert_eq!(picked(&[slow, fast]), (1, Ok(9)), "the square settles first");
     release.send(()).unwrap();
     rt.barrier();
-    assert_eq!(rt.wait_any(&[slow, fast]), Ok(0), "both settled: the lowest index");
+    assert_eq!(picked(&[slow, fast]), (0, Ok(300)), "both settled: the lowest index");
     assert_eq!(rt.wait_on(&slow).map(|v| *v.downcast_ref::<i64>().unwrap()), Ok(300));
 }

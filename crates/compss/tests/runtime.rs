@@ -8,8 +8,8 @@ use std::sync::Arc;
 use cluster::{Cluster, FailureInjector, NodeSpec};
 use paratrace::TraceStats;
 use rcompss::{
-    wait_on_all, ArgSpec, Constraint, RetryPolicy, Runtime, RuntimeConfig, SubmitError, SubmitOpts,
-    TaskError, Value, WaitError,
+    ArgSpec, Constraint, RetryPolicy, Runtime, RuntimeConfig, SubmitError, SubmitOpts, TaskError,
+    Value, WaitError,
 };
 
 fn add_task(rt: &Runtime) -> rcompss::TaskDef {
@@ -175,9 +175,9 @@ fn tasks_run_in_parallel_on_threaded_backend() {
         Ok(vec![Value::new(true)])
     });
     let outs: Vec<_> = (0..4).map(|_| rt.submit(&rendezvous, vec![]).unwrap().returns[0]).collect();
-    let vals = wait_on_all(&rt, &outs).unwrap();
-    assert_eq!(vals.len(), 4);
-    assert!(vals.iter().all(|v| *v.downcast_ref::<bool>().unwrap()));
+    for out in &outs {
+        assert!(*rt.wait_on(out).unwrap().downcast_ref::<bool>().unwrap());
+    }
 }
 
 #[test]
@@ -1089,15 +1089,28 @@ fn held_then_quick(rt: &Runtime) -> (rcompss::DataHandle, rcompss::DataHandle, S
     (slow, fast, release)
 }
 
+/// The index [`Runtime::wait_any`] picked, and the `u64` it read there.
+fn picked(
+    rt: &Runtime,
+    hs: &[rcompss::DataHandle],
+) -> Result<(usize, Result<u64, WaitError>), WaitError> {
+    let (i, read) = rt.wait_any(hs)?;
+    Ok((i, read.map(|(v, _)| *v.downcast_ref::<u64>().unwrap())))
+}
+
 #[test]
 fn wait_any_returns_the_first_to_settle_and_a_tie_the_lowest_index() {
     for rt in both_backends() {
         let (slow, fast, release) = held_then_quick(&rt);
-        assert_eq!(rt.wait_any(&[slow, fast]), Ok(1), "the quick task settles first");
+        assert_eq!(picked(&rt, &[slow, fast]), Ok((1, Ok(1))), "the quick task settles first");
         release.send(()).unwrap();
         rt.barrier();
-        assert_eq!(rt.wait_any(&[slow, fast]), Ok(0), "both settled: the lowest index");
-        assert_eq!(rt.wait_any(&[fast, slow]), Ok(0), "the index, not the handle, decides");
+        assert_eq!(picked(&rt, &[slow, fast]), Ok((0, Ok(300))), "both settled: the lowest index");
+        assert_eq!(
+            picked(&rt, &[fast, slow]),
+            Ok((0, Ok(1))),
+            "the index, not the handle, decides"
+        );
         // The waits held their targets and gave them back.
         assert_eq!(rt.wait_on(&slow).map(|v| *v.downcast_ref::<u64>().unwrap()), Ok(300));
         rt.delete(slow);
@@ -1109,12 +1122,26 @@ fn wait_any_returns_the_first_to_settle_and_a_tie_the_lowest_index() {
 }
 
 #[test]
+fn wait_any_reads_the_exec_time_of_the_attempt_that_wrote_the_value() {
+    // On the simulator a body's exec time is its virtual duration; a
+    // main-program literal was written by no attempt.
+    let rt = Runtime::simulated(RuntimeConfig::single_node(1));
+    let (slow, fast, release) = held_then_quick(&rt);
+    release.send(()).unwrap();
+    let exec_us = |hs: &[rcompss::DataHandle]| rt.wait_any(hs).unwrap().1.unwrap().1;
+    assert_eq!(exec_us(&[slow, fast]), 300_000, "one core: the held task runs first");
+    assert_eq!(exec_us(&[fast]), 1_000);
+    assert_eq!(exec_us(&[rt.literal(7u64)]), 0);
+}
+
+#[test]
 fn wait_any_settles_on_a_permanently_failed_producer() {
     for rt in both_backends() {
         let boom = rt.register("boom", Constraint::cpus(1), 1, |_, _| Err(TaskError::new("no")));
         let (slow, _, release) = held_then_quick(&rt);
         let bad = rt.submit(&boom, vec![]).unwrap().returns[0];
-        assert_eq!(rt.wait_any(&[slow, bad]), Ok(1), "a poison mark settles a handle");
+        let failed = Ok((1, Err(WaitError::ProducerFailed(bad))));
+        assert_eq!(picked(&rt, &[slow, bad]), failed, "a poison mark settles a handle");
         assert_eq!(rt.wait_on(&bad).err(), Some(WaitError::ProducerFailed(bad)));
         release.send(()).unwrap();
     }
@@ -1123,13 +1150,13 @@ fn wait_any_settles_on_a_permanently_failed_producer() {
 #[test]
 fn wait_any_rejects_an_unknown_handle_and_an_empty_slice() {
     for rt in both_backends() {
-        let (kept, gone) = (rt.literal(1i64), rt.literal(2i64));
+        let (kept, gone) = (rt.literal(1u64), rt.literal(2u64));
         rt.delete(gone);
-        assert_eq!(rt.wait_any(&[kept, gone]), Err(WaitError::UnknownData(gone)));
+        assert_eq!(picked(&rt, &[kept, gone]), Err(WaitError::UnknownData(gone)));
         let foreign = rcompss::DataHandle::test_only(u64::MAX);
-        assert_eq!(rt.wait_any(&[foreign, kept]), Err(WaitError::UnknownData(foreign)));
-        assert_eq!(rt.wait_any(&[]), Err(WaitError::NoHandles));
-        assert_eq!(rt.wait_any(&[kept]), Ok(0));
+        assert_eq!(picked(&rt, &[foreign, kept]), Err(WaitError::UnknownData(foreign)));
+        assert_eq!(picked(&rt, &[]), Err(WaitError::NoHandles));
+        assert_eq!(picked(&rt, &[kept]), Ok((0, Ok(1))));
     }
 }
 
@@ -1152,7 +1179,7 @@ fn a_simulated_collection_order_is_the_same_every_time() {
         let mut order = Vec::new();
         while !pending.is_empty() {
             let hs: Vec<_> = pending.iter().map(|&(_, h)| h).collect();
-            order.push(pending.remove(rt.wait_any(&hs).unwrap()).0);
+            order.push(pending.remove(rt.wait_any(&hs).unwrap().0).0);
         }
         order
     };
@@ -1161,4 +1188,49 @@ fn a_simulated_collection_order_is_the_same_every_time() {
     for _ in 0..3 {
         assert_eq!(collect(), order);
     }
+}
+
+/// The `rcompss_task_latency_us{fn="…"}` series of a runtime, by name,
+/// with their sample counts.
+fn latency_series(rt: &Runtime) -> Vec<(String, u64)> {
+    let snap = rt.metrics().snapshot();
+    let series = snap.histograms.into_iter();
+    series
+        .filter(|(name, _)| name.starts_with("rcompss_task_latency_us"))
+        .map(|(n, h)| (n, h.count))
+        .collect()
+}
+
+/// Three `add`s, two `id`s and one `boom`, which fails every attempt, all
+/// settled on two threaded cores.
+fn run_three_functions(rt: &Runtime) {
+    let add = add_task(rt);
+    let id = rt.register("id", Constraint::cpus(1), 1, |_, i| Ok(vec![i[0].clone()]));
+    let boom = rt.register("boom", Constraint::cpus(1), 1, |_, _| Err(TaskError::new("no")));
+    let one = rt.literal(1i64);
+    for _ in 0..3 {
+        rt.submit(&add, vec![ArgSpec::In(one), ArgSpec::In(one)]).unwrap();
+    }
+    for _ in 0..2 {
+        rt.submit(&id, vec![ArgSpec::In(one)]).unwrap();
+    }
+    rt.submit(&boom, vec![]).unwrap();
+    rt.barrier();
+    assert_eq!((rt.stats().completed, rt.stats().failed), (5, 1));
+}
+
+#[test]
+fn task_latency_is_one_series_per_function_counting_its_successes() {
+    let rt = Runtime::threaded(RuntimeConfig::single_node(2));
+    run_three_functions(&rt);
+    let series = |f| runmetrics::labeled("rcompss_task_latency_us", "fn", f);
+    // A function whose every attempt failed has none.
+    assert_eq!(latency_series(&rt), [(series("add"), 3), (series("id"), 2)]);
+}
+
+#[test]
+fn task_latency_has_no_series_with_metrics_off() {
+    let rt = Runtime::threaded(RuntimeConfig::single_node(2).with_metrics(false));
+    run_three_functions(&rt);
+    assert_eq!(latency_series(&rt), []);
 }

@@ -1,13 +1,15 @@
 //! Sweep checkpointing: the durable journal and recovery state that make
 //! an HPO run resumable (`hpo --resume <dir>`).
 //!
-//! A sweep writes three kinds of append-only records through a
+//! A sweep writes two kinds of append-only records through a
 //! [`SweepJournal`] (backed by `ckpt::Journal`, so every record is
 //! CRC-framed and a torn tail is truncated, not fatal):
 //!
 //! * `Submitted` when a trial is handed to the runtime,
-//! * `Epoch` each time a trial's model snapshot lands on disk,
 //! * `Finished` with the full [`TrialOutcome`] when a trial completes.
+//!
+//! A third, `Epoch`, is no longer written: recovery decodes and skips it,
+//! so a journal from a release that wrote it still resumes.
 //!
 //! [`SweepState::recover`] replays the journal into "which trials
 //! finished (with their exact outcomes) and which were in flight". The

@@ -13,7 +13,7 @@
 //!    ([`experiment`], [`runner::HpoRunner`]), whose body is one
 //!    [`experiment::Trainer`]; the stage tree ([`stagetree`]) trains shared
 //!    prefixes through the same value;
-//! 4. results are synchronised with `wait_on`, collected, and plotted
+//! 4. results are synchronised with `wait_any`, collected, and plotted
 //!    ([`results`]), with optional early stopping ([`early_stop`]) — "the
 //!    process can be stopped as soon as one task achieves a specified
 //!    accuracy".

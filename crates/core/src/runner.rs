@@ -672,11 +672,11 @@ impl Evaluation {
     }
 
     /// The next trial to settle, with its batch slot; `None` once nothing
-    /// is pending. Wait for any pending handle — the one place the sweep
-    /// waits on a trial — then read the first that settled, which returns
-    /// at once, and decode the outcome. Task failure or an undecodable
-    /// value becomes a failed trial, timed 0. Of a stage payload only the
-    /// history is decoded: the weights and optimiser moments are
+    /// is pending. One wait for any pending handle — the one place the
+    /// sweep waits on a trial — returns the first that settled with its
+    /// value and exec time; then decode the outcome. Task failure or an
+    /// undecodable value becomes a failed trial, timed 0. Of a stage payload
+    /// only the history is decoded: the weights and optimiser moments are
     /// validated, never materialised. The handle goes once no pending trial
     /// holds it and [`Tree::snaps`] does not keep it. Cost: O(p) per
     /// collected trial for p pending — the wait's pass over their handles,
@@ -686,11 +686,11 @@ impl Evaluation {
             return None;
         }
         let handles: Vec<DataHandle> = self.pending.iter().map(|p| p.handle).collect();
-        // The runner deletes no pending handle, so this never errs; if it
-        // did, the read below would turn the error into a failed trial.
-        let first = rt.wait_any(&handles).unwrap_or(0);
+        // The runner deletes no pending handle, so the wait never errs; if
+        // it did, the first trial would fail with its error.
+        let (first, read) = rt.wait_any(&handles).unwrap_or_else(|e| (0, Err(e)));
         let Submitted { slot, config, handle } = self.pending.remove(first);
-        let (outcome, task_us) = match rt.wait_on_timed(&handle) {
+        let (outcome, task_us) = match read {
             Ok((v, exec_us)) => {
                 let outcome = v.downcast_ref::<TrialOutcome>().cloned().or_else(|| {
                     let payload = v.downcast_ref::<StagePayload>()?;
